@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-server bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke lint fmt vet simfs-vet staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race bench bench-smoke bench-selftest bench-server bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke lint fmt vet simfs-vet staticcheck govulncheck check clean
 
 all: build
 
@@ -34,6 +34,14 @@ bench:
 # the RunCells-based multi-client stress benches.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
+
+# bench-selftest vets and self-tests the BENCHMARK.json harness. It is a
+# module of its own (simfs/benchmark, importing simfs/internal/... via a
+# replace), so the root `./...` sweeps never load it: without this
+# target an internal API rename breaks the benchmark unseen. ~4 s.
+bench-selftest:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
 # benchstat saves benchstat-comparable output. First run: the result is
 # copied to bench-before.txt as the baseline. Later runs write
@@ -177,7 +185,7 @@ govulncheck:
 	fi
 
 # check is the full local gate: what CI runs, in one target.
-check: build lint test-short test-race
+check: build lint test-short test-race bench-selftest
 
 clean:
 	$(GO) clean ./...

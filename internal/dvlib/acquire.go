@@ -82,7 +82,7 @@ func (ctx *Context) AcquireNB(files ...string) (*Req, error) {
 	}
 	id, err := ctx.c.subscribe(netproto.OpAcquire,
 		netproto.FilesBody{Context: ctx.name, Files: r.files},
-		func(resp netproto.Response) {
+		netproto.ResponseFunc(func(resp netproto.Response) {
 			r.mu.Lock()
 			if resp.File != "" && resp.Ready && !r.ready[resp.File] {
 				r.ready[resp.File] = true
@@ -108,7 +108,7 @@ func (ctx *Context) AcquireNB(files ...string) (*Req, error) {
 					r.ctx.c.trackHeld(r.ctx.name, f, +1)
 				}
 			}
-		})
+		}))
 	if err != nil {
 		return nil, err
 	}

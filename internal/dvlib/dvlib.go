@@ -32,12 +32,9 @@
 package dvlib
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -87,41 +84,30 @@ func ErrCodeOf(err error) netproto.ErrCode {
 	return ""
 }
 
-// frameBufSize sizes the connection's read buffer; flushThreshold bounds
-// how many queued request bytes accumulate before an automatic flush.
-const (
-	frameBufSize   = 32 << 10
-	flushThreshold = 32 << 10
-)
-
 // Client is a connection to the DV daemon. It is safe for concurrent use.
+//
+// Framing, write batching and the handshake live in netproto.Conn; the
+// in-flight request table (IDs, reply demux, streams held to their
+// terminal frame) is a netproto.Pending. What stays here is what only a
+// client needs: the reconnect gate, the reference ledger and the replay
+// of idempotent calls onto a fresh connection.
 type Client struct {
-	name string
-	addr string
-
-	// conn/br/codec are swapped atomically on reconnect: readers of the
-	// stream run only on the readLoop goroutine (which performs the swap
-	// itself), writers encode under wmu (held across the swap).
-	conn    net.Conn
-	br      *bufio.Reader
-	codec   netproto.Codec
-	binary  bool
-	version int
-	caps    []string
+	name    string
+	addr    string
 	dialCfg dialConfig
 
-	wmu  sync.Mutex   // serializes frame encoding and writes
-	wbuf bytes.Buffer // queued request frames awaiting a flush
+	// calls outlives connections: a reconnect swaps conn but keeps the
+	// table, so surviving calls keep their IDs and IDs stay monotonic.
+	// Its entries are *pendingCall (one response), watchSub (re-armed by
+	// a reconnect) or a plain handler (an acquire's stream).
+	calls *netproto.Pending
 
 	mu      sync.Mutex
 	recCond *sync.Cond // signals the end of a reconnect (guards reconnecting)
-	nextID  uint64
-	pending map[uint64]*pendingCall
-	subs    map[uint64]func(netproto.Response) // multi-frame subscriptions
-	// watches maps subscription IDs to their Watch handles, so a
-	// reconnect can re-subscribe them (unlike acquires, watches hold no
-	// references and are safe to re-issue).
-	watches map[uint64]*Watch
+	// conn is the current transport generation and info what its
+	// handshake negotiated; a reconnect replaces both.
+	conn *netproto.Conn
+	info netproto.HelloInfo
 	// held is the client-side reference ledger (context → file → count).
 	// After a reconnect the daemon has released everything this session
 	// held (disconnect cleanup), so the ledger is replayed as opens to
@@ -197,169 +183,79 @@ func Dial(addr, clientName string, opts ...DialOption) (*Client, error) {
 // DialContext is Dial honoring a context for both the TCP connect and
 // the protocol handshake.
 func DialContext(ctx context.Context, addr, clientName string, opts ...DialOption) (*Client, error) {
-	var cfg dialConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dvlib: %w", err)
-	}
 	c := &Client{
-		name:    clientName,
-		addr:    addr,
-		conn:    conn,
-		br:      bufio.NewReaderSize(conn, frameBufSize),
-		codec:   netproto.JSON,
-		dialCfg: cfg,
-		pending: map[uint64]*pendingCall{},
-		subs:    map[uint64]func(netproto.Response){},
-		watches: map[uint64]*Watch{},
-		held:    map[string]map[string]int{},
+		name:  clientName,
+		addr:  addr,
+		calls: netproto.NewPending(),
+		held:  map[string]map[string]int{},
+	}
+	for _, opt := range opts {
+		opt(&c.dialCfg)
 	}
 	c.recCond = sync.NewCond(&c.mu)
-	// The handshake runs synchronously — no read loop yet — so the codec
-	// can switch after the hello without racing a concurrent reader.
-	stop := closeOnCancel(ctx, conn)
-	hs, err := helloOn(conn, c.br, 1, c.name, cfg)
-	canceled := stop()
-	if err != nil || canceled {
-		conn.Close()
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		var de *Error
-		if errors.As(err, &de) {
+	conn, info, err := netproto.Dial(ctx, addr, c.calls.NextID(), c.hello())
+	if err != nil {
+		var he *netproto.HelloError
+		switch {
+		case errors.As(err, &he):
+			return nil, &Error{Code: he.Code, Op: "dial", Msg: he.Msg}
+		case err == ctx.Err():
 			return nil, err
 		}
-		return nil, fmt.Errorf("dvlib: handshake: %w", err)
+		return nil, fmt.Errorf("dvlib: %w", err)
 	}
-	c.applyHello(hs)
-	c.nextID = 1 // the hello consumed ID 1
+	c.conn, c.info = conn, info
 	go c.readLoop()
 	return c, nil
 }
 
-// closeOnCancel makes ctx cancellation interrupt blocking conn I/O by
-// closing the connection — the pre-handshake connection carries no state
-// worth preserving, so a hard teardown is the honest cancellation. The
-// returned stop func ends the watch and reports whether it fired.
-func closeOnCancel(ctx context.Context, conn net.Conn) (stop func() bool) {
-	if ctx.Done() == nil {
-		return func() bool { return false }
-	}
-	done := make(chan struct{})
-	fired := make(chan bool, 1)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-			fired <- true
-		case <-done:
-			fired <- false
-		}
-	}()
-	return func() bool {
-		close(done)
-		return <-fired
-	}
-}
-
-// helloResult is a successful hello negotiation, ready to apply to the
-// client once the connection is adopted.
-type helloResult struct {
-	version int
-	caps    []string
-	binary  bool
-}
-
-// helloOn performs the hello exchange on a bare connection — the initial
-// dial and every reconnect share it. It never touches the Client, so a
-// reconnect can negotiate on a candidate connection before swapping it
-// in.
-func helloOn(conn net.Conn, br *bufio.Reader, id uint64, name string, cfg dialConfig) (helloResult, error) {
+// hello is the client's half of the handshake: the initial dial and
+// every reconnect send the same one.
+func (c *Client) hello() netproto.HelloBody {
 	caps := []string{netproto.CapAdmin, netproto.CapWatch}
-	if !cfg.jsonOnly {
+	if !c.dialCfg.jsonOnly {
 		caps = append(caps, netproto.CapBinary)
 	}
-	env, err := netproto.NewEnvelope(id, netproto.OpHello, netproto.HelloBody{
-		Version: netproto.ProtoVersion,
-		Client:  name,
-		Caps:    caps,
-	})
-	if err != nil {
-		return helloResult{}, err
-	}
-	if err := netproto.JSON.EncodeFrame(conn, env); err != nil {
-		return helloResult{}, err
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(br, &resp); err != nil {
-		return helloResult{}, err
-	}
-	if resp.Err != "" {
-		if resp.Code == "" {
-			// The daemon answered the hello with a v1-style untyped
-			// error: it predates the versioned protocol.
-			return helloResult{}, &Error{Code: netproto.CodeVersion, Op: netproto.OpHello,
-				Msg: fmt.Sprintf("daemon does not speak the versioned protocol (client speaks %d): %s",
-					netproto.ProtoVersion, resp.Err)}
-		}
-		return helloResult{}, &Error{Code: resp.Code, Op: netproto.OpHello, Msg: resp.Err}
-	}
-	if resp.Proto == nil || resp.Proto.Version < netproto.MinProtoVersion {
-		return helloResult{}, &Error{Code: netproto.CodeVersion, Op: netproto.OpHello,
-			Msg: "daemon sent no usable protocol version"}
-	}
-	hs := helloResult{version: resp.Proto.Version, caps: resp.Proto.Caps}
-	hs.binary = !cfg.jsonOnly && hs.version >= 3 && hasCap(hs.caps, netproto.CapBinary)
-	return hs, nil
+	return netproto.HelloBody{Version: netproto.ProtoVersion, Client: c.name, Caps: caps}
 }
 
-// applyHello installs a negotiated hello's outcome on the client.
-func (c *Client) applyHello(hs helloResult) {
-	c.version = hs.version
-	c.caps = hs.caps
-	c.binary = hs.binary
-	if hs.binary {
-		c.codec = netproto.Binary
-	} else {
-		c.codec = netproto.JSON
-	}
-}
-
-func hasCap(caps []string, want string) bool {
-	for _, have := range caps {
-		if have == want {
-			return true
-		}
-	}
-	return false
+// transport returns the current connection and what it negotiated.
+func (c *Client) transport() (*netproto.Conn, netproto.HelloInfo) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.conn, c.info
 }
 
 // UsesBinary reports whether the connection negotiated the binary
 // fast-path codec in the hello handshake.
-func (c *Client) UsesBinary() bool { return c.binary }
+func (c *Client) UsesBinary() bool {
+	conn, _ := c.transport()
+	return conn.Codec() == netproto.Binary
+}
 
 // CodecName returns the name of the negotiated frame codec.
-func (c *Client) CodecName() string { return c.codec.Name() }
+func (c *Client) CodecName() string {
+	conn, _ := c.transport()
+	return conn.Codec().Name()
+}
 
 // ProtoVersion returns the protocol version negotiated in the handshake.
-func (c *Client) ProtoVersion() int { return c.version }
+func (c *Client) ProtoVersion() int {
+	_, info := c.transport()
+	return info.Version
+}
 
 // Capabilities returns the capability flags the daemon advertised.
-func (c *Client) Capabilities() []string { return append([]string(nil), c.caps...) }
+func (c *Client) Capabilities() []string {
+	_, info := c.transport()
+	return append([]string(nil), info.Caps...)
+}
 
 // HasCapability reports whether the daemon advertised the capability in
 // the hello handshake.
 func (c *Client) HasCapability(cap string) bool {
-	for _, have := range c.caps {
-		if have == cap {
-			return true
-		}
-	}
-	return false
+	_, info := c.transport()
+	return netproto.HasCap(info.Caps, cap)
 }
 
 // Close tears down the connection. The daemon releases any references the
@@ -368,46 +264,22 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	c.recCond.Broadcast()
+	conn := c.conn
 	c.mu.Unlock()
-	return c.conn.Close()
+	return conn.Close()
 }
 
+// readLoop delivers response frames until the connection fails, then
+// either carries on over a reconnected transport or ends the client.
 func (c *Client) readLoop() {
 	for {
-		var resp netproto.Response
-		// Only this goroutine reads codec/br, and only it swaps them (in
-		// tryReconnect), so the stream fields need no lock here.
-		if err := c.codec.DecodeFrame(c.br, &resp); err != nil {
-			if c.tryReconnect() {
-				continue
-			}
+		conn, _ := c.transport()
+		err := c.calls.Serve(conn, nil)
+		if !c.tryReconnect() {
 			c.die(err)
 			return
 		}
-		c.route(resp)
 	}
-}
-
-// route delivers one response frame to its pending call or subscription.
-func (c *Client) route(resp netproto.Response) {
-	c.mu.Lock()
-	if p, ok := c.pending[resp.ID]; ok {
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		c.settle(p, resp)
-		p.ch <- resp
-		return
-	}
-	if fn, ok := c.subs[resp.ID]; ok {
-		if resp.Done {
-			delete(c.subs, resp.ID)
-			delete(c.watches, resp.ID)
-		}
-		c.mu.Unlock()
-		fn(resp)
-		return
-	}
-	c.mu.Unlock()
 }
 
 // settle updates the reference ledger from a completed call: a
@@ -459,29 +331,29 @@ func (c *Client) die(err error) {
 	c.mu.Lock()
 	c.readErr = err
 	c.reconnecting = false
-	for id, p := range c.pending {
-		delete(c.pending, id)
-		close(p.ch)
-	}
-	for id, fn := range c.subs {
-		delete(c.subs, id)
-		go fn(netproto.Response{ID: id, Err: "connection lost", Done: true})
-	}
-	c.watches = map[uint64]*Watch{}
 	c.recCond.Broadcast()
 	c.mu.Unlock()
+	c.calls.Fail(netproto.Response{Err: "connection lost", Done: true})
 }
 
 // pendingCall is an in-flight request: its frame is queued (and possibly
 // already flushed) and the read loop will route the response to ch. op
 // and body are retained so a reconnect can replay the request; err is
-// set (before ch closes) when the call fails locally with a typed error.
+// set (before ch closes) when a reconnect fails the call with a typed
+// error.
 type pendingCall struct {
+	c    *Client
 	op   string
 	id   uint64
 	body any
 	ch   chan netproto.Response
 	err  error
+}
+
+// HandleResponse settles the ledger and wakes the awaiting caller.
+func (p *pendingCall) HandleResponse(resp netproto.Response) {
+	p.c.settle(p, resp)
+	p.ch <- resp
 }
 
 // call sends a request expecting exactly one response.
@@ -493,59 +365,66 @@ func (c *Client) call(op string, body any) (netproto.Response, error) {
 // call abandons the response (the read loop drops it as unknown); the
 // request may still have taken effect on the daemon.
 func (c *Client) callCtx(ctx context.Context, op string, body any) (netproto.Response, error) {
-	p, err := c.start(op, body, false)
+	p, err := c.start(op, body)
 	if err != nil {
 		return netproto.Response{}, err
 	}
 	return c.await(ctx, p)
 }
 
-// startGate blocks while a reconnect is swapping the connection (new
-// requests must not interleave with the replay) and reports the terminal
-// error if the client is closed or dead. Caller must hold c.mu.
-func (c *Client) startGateLocked() error {
+// errClosed is what a request on a closed or dead client fails with
+// when no read error explains the death.
+var errClosed = errors.New("dvlib: client closed")
+
+// request is the one way a frame leaves the client. It blocks while a
+// reconnect is swapping the connection (new requests must not
+// interleave with the replay), registers h under a fresh request ID —
+// nil h is a fire-and-forget post, whose answer the read loop drops as
+// unknown — and queues the frame. Without flush the frame rides the
+// write buffer until the caller awaits, Flush is called, or the buffer
+// fills. Gate, registration and connection are read under one lock
+// hold, so a reconnect's sweep sees the request entirely or not at all.
+func (c *Client) request(h netproto.ResponseHandler, stream bool, op string, body any, flush bool) (uint64, error) {
+	c.mu.Lock()
 	for c.reconnecting && !c.closed && c.readErr == nil {
 		c.recCond.Wait()
 	}
-	if c.closed || c.readErr != nil {
-		err := c.readErr
-		if err == nil {
-			err = errors.New("dvlib: client closed")
-		}
-		return err
-	}
-	return nil
-}
-
-// start registers a pending call and queues its request frame. When
-// flush is true the frame (and anything queued before it) goes out
-// immediately; otherwise it rides the write buffer until the caller
-// awaits, Flush is called, or the buffer fills.
-func (c *Client) start(op string, body any, flush bool) (*pendingCall, error) {
-	ch := make(chan netproto.Response, 1)
-	c.mu.Lock()
-	if err := c.startGateLocked(); err != nil {
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.nextID++
-	id := c.nextID
-	p := &pendingCall{op: op, id: id, body: body, ch: ch}
-	c.pending[id] = p
-	c.mu.Unlock()
-
-	env, err := netproto.NewEnvelope(id, op, body)
-	if err == nil {
-		if flush {
-			err = c.write(env)
-		} else {
-			err = c.queue(env)
-		}
+	err := c.readErr
+	if err == nil && c.closed {
+		err = errClosed
 	}
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
 		c.mu.Unlock()
+		return 0, err
+	}
+	var id uint64
+	ok := true
+	if h == nil {
+		id = c.calls.NextID()
+	} else {
+		id, ok = c.calls.Add(h, stream)
+	}
+	conn := c.conn
+	c.mu.Unlock()
+	if !ok {
+		return 0, errClosed
+	}
+
+	env, _ := netproto.NewEnvelope(id, op, body) // documented always-nil
+	if err = conn.Enqueue(env); err == nil && flush {
+		err = c.flushOn(conn)
+	}
+	if err != nil && h != nil {
+		c.calls.Remove(id)
+	}
+	return id, err
+}
+
+// start registers a pending call and queues its request frame.
+func (c *Client) start(op string, body any) (*pendingCall, error) {
+	p := &pendingCall{c: c, op: op, body: body, ch: make(chan netproto.Response, 1)}
+	var err error
+	if p.id, err = c.request(p, false, op, body, false); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -555,143 +434,67 @@ func (c *Client) start(op string, body any, flush bool) (*pendingCall, error) {
 // has not received) and blocks for the call's response.
 func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, error) {
 	if err := c.Flush(); err != nil {
-		c.mu.Lock()
-		delete(c.pending, p.id)
-		c.mu.Unlock()
+		c.calls.Remove(p.id)
 		return netproto.Response{}, err
 	}
 	select {
 	case resp, ok := <-p.ch:
 		if !ok {
-			if p.err != nil {
-				return netproto.Response{}, p.err
-			}
-			return netproto.Response{}, errors.New("dvlib: connection lost")
+			return netproto.Response{}, p.err
 		}
 		if resp.Err != "" {
 			return resp, &Error{Code: resp.Code, Op: p.op, Msg: resp.Err}
 		}
 		return resp, nil
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, p.id)
-		c.mu.Unlock()
+		c.calls.Remove(p.id)
 		return netproto.Response{}, ctx.Err()
 	}
 }
 
-// post sends a request without waiting for its response: no pending
-// entry is registered, so the read loop drops the answer as unknown.
-// Used on cancellation paths, where blocking on an unresponsive daemon
-// would defeat the deadline being enforced.
+// post sends a request without waiting for its response. Used on
+// cancellation paths, where blocking on an unresponsive daemon would
+// defeat the deadline being enforced.
 func (c *Client) post(op string, body any) error {
-	c.mu.Lock()
-	if err := c.startGateLocked(); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	c.nextID++
-	id := c.nextID
-	c.mu.Unlock()
-	env, err := netproto.NewEnvelope(id, op, body)
-	if err != nil {
-		return err
-	}
-	return c.write(env)
+	_, err := c.request(nil, false, op, body, true)
+	return err
 }
 
-// subscribe sends a request whose responses stream to fn until a Done
-// frame arrives. It returns the request ID, which names the subscription
-// in an unsubscribe.
-func (c *Client) subscribe(op string, body any, fn func(netproto.Response)) (uint64, error) {
-	c.mu.Lock()
-	if err := c.startGateLocked(); err != nil {
-		c.mu.Unlock()
-		return 0, err
-	}
-	c.nextID++
-	id := c.nextID
-	c.subs[id] = fn
-	c.mu.Unlock()
-	env, err := netproto.NewEnvelope(id, op, body)
-	if err == nil {
-		err = c.write(env)
-	}
-	if err != nil {
-		c.mu.Lock()
-		delete(c.subs, id)
-		c.mu.Unlock()
-		return 0, err
-	}
-	return id, nil
+// subscribe sends a request whose responses stream to h until a
+// terminal frame arrives. It returns the request ID, which names the
+// subscription in an unsubscribe.
+func (c *Client) subscribe(op string, body any, h netproto.ResponseHandler) (uint64, error) {
+	return c.request(h, true, op, body, true)
 }
 
 // reconnectEnabled reports whether the client was dialed WithReconnect.
 func (c *Client) reconnectEnabled() bool { return c.dialCfg.reconnect != nil }
 
 // cancelSub removes a local subscription and, if it was still live,
-// delivers a synthetic Done frame to its handler. The map removal is the
-// exclusion point: whoever removes the entry delivers the Done.
+// delivers a synthetic Done frame to its handler. The table removal is
+// the exclusion point: whoever removes the entry delivers the Done.
 func (c *Client) cancelSub(id uint64, reason string) {
-	c.mu.Lock()
-	fn, ok := c.subs[id]
-	if ok {
-		delete(c.subs, id)
+	if h, ok := c.calls.Remove(id); ok {
+		h.HandleResponse(netproto.Response{ID: id, Err: reason, Done: true})
 	}
-	delete(c.watches, id)
-	c.mu.Unlock()
-	if ok {
-		fn(netproto.Response{ID: id, Err: reason, Done: true})
-	}
-}
-
-// queue encodes env into the write buffer without sending it, so several
-// small requests coalesce into one conn.Write. The buffer auto-flushes
-// past flushThreshold to bound memory and keep the daemon busy.
-func (c *Client) queue(env netproto.Envelope) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.codec.EncodeFrame(&c.wbuf, env); err != nil {
-		return err
-	}
-	if c.wbuf.Len() >= flushThreshold {
-		return c.flushLocked()
-	}
-	return nil
-}
-
-// write queues env and flushes immediately (used for fire-and-forget
-// frames where nothing will await — and therefore flush — later).
-func (c *Client) write(env netproto.Envelope) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.codec.EncodeFrame(&c.wbuf, env); err != nil {
-		return err
-	}
-	return c.flushLocked()
 }
 
 // Flush sends all queued request frames in a single write. Callers only
 // need it when pipelining requests whose responses nothing is awaiting
 // yet; the blocking APIs flush implicitly.
 func (c *Client) Flush() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.flushLocked()
+	conn, _ := c.transport()
+	return c.flushOn(conn)
 }
 
-func (c *Client) flushLocked() error {
-	if c.wbuf.Len() == 0 {
-		return nil
-	}
-	_, err := c.conn.Write(c.wbuf.Bytes())
-	c.wbuf.Reset()
+func (c *Client) flushOn(conn *netproto.Conn) error {
+	err := conn.Flush()
 	if err != nil && c.reconnectEnabled() {
 		// A write failure is survivable: pending calls are replayed from
 		// their retained bodies once the connection is back, and posts are
-		// fire-and-forget by contract. Close the connection so the read
-		// loop notices and reconnects, and report success to the caller.
-		c.conn.Close()
+		// fire-and-forget by contract. The failed write closed the
+		// connection, so the read loop notices and reconnects; report
+		// success to the caller.
 		return nil
 	}
 	return err
@@ -783,27 +586,24 @@ func (ctx *Context) Open(file string) (OpenResult, error) {
 
 // OpenCall is a pipelined Open in flight: the request frame is queued on
 // the connection; Wait flushes and blocks for the daemon's answer.
-type OpenCall struct {
-	c *Client
-	p *pendingCall
-}
+type OpenCall struct{ p *pendingCall }
 
 // OpenAsync queues an Open without waiting for the response, enabling
 // request pipelining: issue a window of OpenAsync/ReleaseAsync calls,
 // then Wait on the handles. All queued frames go out in one write on
 // the first Wait (or an explicit Client.Flush).
 func (ctx *Context) OpenAsync(file string) (*OpenCall, error) {
-	p, err := ctx.c.start(netproto.OpOpen, netproto.FileBody{Context: ctx.name, File: file}, false)
+	p, err := ctx.c.start(netproto.OpOpen, netproto.FileBody{Context: ctx.name, File: file})
 	if err != nil {
 		return nil, err
 	}
-	return &OpenCall{c: ctx.c, p: p}, nil
+	return &OpenCall{p}, nil
 }
 
 // Wait flushes pending request frames and blocks for the open's result.
 // It must be called exactly once.
 func (oc *OpenCall) Wait() (OpenResult, error) {
-	resp, err := oc.c.await(context.Background(), oc.p)
+	resp, err := oc.p.c.await(context.Background(), oc.p)
 	if err != nil {
 		return OpenResult{}, err
 	}
@@ -811,25 +611,22 @@ func (oc *OpenCall) Wait() (OpenResult, error) {
 }
 
 // ReleaseCall is a pipelined Release in flight.
-type ReleaseCall struct {
-	c *Client
-	p *pendingCall
-}
+type ReleaseCall struct{ p *pendingCall }
 
 // ReleaseAsync queues a Release without waiting for the response (the
 // pipelined variant of Release/Close).
 func (ctx *Context) ReleaseAsync(file string) (*ReleaseCall, error) {
-	p, err := ctx.c.start(netproto.OpRelease, netproto.FileBody{Context: ctx.name, File: file}, false)
+	p, err := ctx.c.start(netproto.OpRelease, netproto.FileBody{Context: ctx.name, File: file})
 	if err != nil {
 		return nil, err
 	}
-	return &ReleaseCall{c: ctx.c, p: p}, nil
+	return &ReleaseCall{p}, nil
 }
 
 // Wait flushes pending request frames and blocks for the release's
 // acknowledgement. It must be called exactly once.
 func (rc *ReleaseCall) Wait() error {
-	_, err := rc.c.await(context.Background(), rc.p)
+	_, err := rc.p.c.await(context.Background(), rc.p)
 	return err
 }
 
@@ -898,20 +695,25 @@ func (ctx *Context) Watch(files ...string) (*Watch, error) {
 	}
 	id, err := ctx.c.subscribe(netproto.OpSubscribe,
 		netproto.FilesBody{Context: ctx.name, Files: append([]string(nil), files...)},
-		w.deliver)
+		watchSub{w})
 	if err != nil {
 		return nil, err
 	}
-	w.id = id
 	ctx.c.mu.Lock()
-	// The Done frame may already have raced in and removed the sub; a
-	// completed watch must not linger in the re-subscribe registry.
-	if _, live := ctx.c.subs[id]; live {
-		ctx.c.watches[id] = w
+	// A reconnect may already have re-armed the watch under a newer ID.
+	if w.id == 0 {
+		w.id = id
 	}
 	ctx.c.mu.Unlock()
 	return w, nil
 }
+
+// watchSub is a Watch's entry in the client's request table; the type
+// is how a reconnect tells watches (re-subscribed) from acquires.
+type watchSub struct{ w *Watch }
+
+// HandleResponse feeds one wire frame to the watch.
+func (s watchSub) HandleResponse(resp netproto.Response) { s.w.deliver(resp) }
 
 // Events returns the watch's event stream.
 func (w *Watch) Events() <-chan WatchEvent { return w.ch }

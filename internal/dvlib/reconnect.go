@@ -1,32 +1,24 @@
 package dvlib
 
 import (
-	"bufio"
+	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"sort"
 	"time"
 
 	"simfs/internal/netproto"
 )
 
-// isIdempotent classifies wire ops for replay after a reconnect. The
-// replayable set is the hot data-plane ops plus the read-only queries:
-// re-issuing them converges to the same daemon state. Everything else —
-// release (drops a reference), acquire (takes references and opens a
-// subscription), unsubscribe, checksum registration and the admin
-// control plane — may have taken effect before the connection died, so
-// replaying could apply it twice; those fail with ErrReconnecting.
-func isIdempotent(op string) bool {
-	switch op {
-	case netproto.OpPing, netproto.OpOpen, netproto.OpWait, netproto.OpEstWait,
-		netproto.OpContexts, netproto.OpContextInfo, netproto.OpStats,
-		netproto.OpBitrep, netproto.OpRescan, netproto.OpPrefetch,
-		netproto.OpSchedGet:
-		return true
-	}
-	return false
+// redialTimeout bounds one reconnect attempt (TCP connect + hello).
+const redialTimeout = 2 * time.Second
+
+// replayCall is an in-flight idempotent call spared by a reconnect,
+// under the request ID the table holds it at (the caller's own p.id
+// store may still be in flight when the sweep finds the call).
+type replayCall struct {
+	id uint64
+	p  *pendingCall
 }
 
 // tryReconnect is the read loop's recovery path: redial with backoff,
@@ -42,35 +34,35 @@ func (c *Client) tryReconnect() bool {
 	cfg := *c.dialCfg.reconnect
 	c.reconnecting = true
 
-	// Partition the in-flight calls: idempotent ones ride through (their
-	// frames are replayed below), the rest fail with the typed error so
-	// the caller decides — the client cannot know whether they landed.
-	var replay []*pendingCall
-	for id, p := range c.pending {
-		if isIdempotent(p.op) {
-			replay = append(replay, p)
-			continue
-		}
-		delete(c.pending, id)
-		p.err = fmt.Errorf("dvlib: %s: %w", p.op, ErrReconnecting)
-		close(p.ch)
-	}
-	sort.Slice(replay, func(i, j int) bool { return replay[i].id < replay[j].id })
-
-	// Subscriptions that are not watches are acquires: they hold
-	// references the daemon just released, so they fail typed instead of
-	// being re-issued (re-acquiring could double work the caller already
-	// observed). Watches hold nothing and are re-subscribed after the
-	// handshake.
+	// Partition the in-flight requests. Idempotent calls (the op table
+	// says which) ride through: their frames are replayed below. The
+	// other calls fail with the typed error so the caller decides — the
+	// client cannot know whether they landed. Watches hold nothing and
+	// are re-subscribed after the handshake. The remaining streams are
+	// acquires: they hold references the daemon just released, so they
+	// fail typed instead of being re-issued (re-acquiring could double
+	// work the caller already observed).
+	var replay []replayCall
 	var watches []*Watch
-	for id, fn := range c.subs {
-		if w, ok := c.watches[id]; ok {
-			watches = append(watches, w)
-			continue
+	c.calls.Sweep(func(id uint64, h netproto.ResponseHandler) bool {
+		switch h := h.(type) {
+		case *pendingCall:
+			if spec, _ := netproto.LookupOp(h.op); spec.Idempotent {
+				replay = append(replay, replayCall{id, h})
+				return false
+			}
+			h.err = fmt.Errorf("dvlib: %s: %w", h.op, ErrReconnecting)
+			close(h.ch)
+		case watchSub:
+			h.w.id = id // Watch may not have recorded it yet
+			watches = append(watches, h.w)
+			return false
+		default:
+			go h.HandleResponse(netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
 		}
-		delete(c.subs, id)
-		go fn(netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
-	}
+		return true
+	})
+	sort.Slice(replay, func(i, j int) bool { return replay[i].id < replay[j].id })
 
 	held := make(map[string]map[string]int, len(c.held))
 	for ctxName, files := range c.held {
@@ -80,33 +72,31 @@ func (c *Client) tryReconnect() bool {
 		}
 		held[ctxName] = m
 	}
+	old := c.conn
 	c.mu.Unlock()
 
-	c.conn.Close()
-	if c.redial(cfg) {
-		c.replay(held, watches, replay)
-		c.endReconnect()
-		return true
+	old.Close()
+	// Out of budget (or closed), the requests spared above die with the
+	// client: the read loop's die fails whatever the table still holds.
+	conn := c.redial(cfg)
+	if conn != nil {
+		c.replay(conn, held, watches, replay)
 	}
-	// Out of budget (or closed): the calls spared for replay die too.
 	c.mu.Lock()
-	for _, p := range replay {
-		if _, ok := c.pending[p.id]; ok {
-			delete(c.pending, p.id)
-			close(p.ch)
-		}
-	}
+	c.reconnecting = false
+	c.recCond.Broadcast()
 	c.mu.Unlock()
-	c.endReconnect()
-	return false
+	return conn != nil
 }
 
 // redial loops dial + hello with jittered exponential backoff until it
 // succeeds, the budget runs out, or the client closes. On success the
-// new connection is swapped in under both locks.
+// fresh connection is installed — frames batched before the reset died
+// with the old one's buffer; every surviving request is replayed from
+// its body — and returned.
 //
 //simfs:allow wallclock reconnect backoff paces real network dials, not simulation
-func (c *Client) redial(cfg ReconnectConfig) bool {
+func (c *Client) redial(cfg ReconnectConfig) *netproto.Conn {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	start := time.Now()
 	delay := cfg.BaseBackoff
@@ -125,60 +115,37 @@ func (c *Client) redial(cfg ReconnectConfig) bool {
 		closed := c.closed
 		c.mu.Unlock()
 		if closed || time.Since(start) > cfg.MaxElapsed {
-			return false
+			return nil
 		}
-		conn, err := net.DialTimeout("tcp", c.addr, 2*time.Second)
+		// IDs stay monotonic across reconnects: in-flight calls keep
+		// theirs for replay, so the hello takes a fresh one.
+		ctx, cancel := context.WithTimeout(context.Background(), redialTimeout)
+		conn, info, err := netproto.Dial(ctx, c.addr, c.calls.NextID(), c.hello())
+		cancel()
 		if err != nil {
 			continue
 		}
-		br := bufio.NewReaderSize(conn, frameBufSize)
-		hs, err := helloOn(conn, br, c.newID(), c.name, c.dialCfg)
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		c.wmu.Lock()
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
-			c.wmu.Unlock()
 			conn.Close()
-			return false
+			return nil
 		}
-		c.conn, c.br = conn, br
-		c.applyHello(hs)
-		// Frames batched before the reset were encoded for the dead
-		// connection; every surviving request is replayed from its body,
-		// so the stale bytes would only duplicate them.
-		c.wbuf.Reset()
+		c.conn, c.info = conn, info
 		c.mu.Unlock()
-		c.wmu.Unlock()
-		return true
+		return conn
 	}
-}
-
-// newID allocates a request ID. IDs stay monotonic across reconnects:
-// in-flight calls keep theirs for replay, so resetting would collide.
-func (c *Client) newID() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextID++
-	return c.nextID
 }
 
 // replay rebuilds daemon-side session state on the fresh connection, in
 // dependency order: the reference ledger first (re-opening restarts the
 // re-simulations waits depend on), then watch re-subscriptions, then the
-// surviving in-flight calls in their original order. Everything lands in
-// one coalesced write.
-func (c *Client) replay(held map[string]map[string]int, watches []*Watch, replay []*pendingCall) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+// surviving in-flight calls in their original order. New requests are
+// still gated, so everything lands in one coalesced write.
+func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, watches []*Watch, replay []replayCall) {
 	enc := func(id uint64, op string, body any) {
-		env, err := netproto.NewEnvelope(id, op, body)
-		if err == nil {
-			_ = c.codec.EncodeFrame(&c.wbuf, env)
-		}
+		env, _ := netproto.NewEnvelope(id, op, body)
+		_ = conn.Enqueue(env) // an unencodable frame was refused the first time too
 	}
 	for ctxName, files := range held {
 		for f, n := range files {
@@ -186,40 +153,29 @@ func (c *Client) replay(held map[string]map[string]int, watches []*Watch, replay
 				// Fire-and-forget: the responses are dropped as unknown.
 				// The ledger already counts these references; a failure
 				// here surfaces on the next wait/open of the file.
-				enc(c.newID(), netproto.OpOpen, netproto.FileBody{Context: ctxName, File: f})
+				enc(c.calls.NextID(), netproto.OpOpen, netproto.FileBody{Context: ctxName, File: f})
 			}
 		}
 	}
 	for _, w := range watches {
 		rem := w.remaining()
-		c.mu.Lock()
-		delete(c.subs, w.id)
-		delete(c.watches, w.id)
-		c.mu.Unlock()
+		c.calls.Remove(w.id)
 		if len(rem) == 0 {
 			// Every file resolved before the reset; only the final Done
 			// frame was lost. Synthesize it.
 			go w.deliver(netproto.Response{Done: true})
 			continue
 		}
-		id := c.newID()
+		// Never refused: only die fails the table, and it runs on this
+		// goroutine.
+		id, _ := c.calls.Add(watchSub{w}, true)
 		c.mu.Lock()
 		w.id = id
-		c.subs[id] = w.deliver
-		c.watches[id] = w
 		c.mu.Unlock()
 		enc(id, netproto.OpSubscribe, netproto.FilesBody{Context: w.ctx.name, Files: rem})
 	}
-	for _, p := range replay {
-		enc(p.id, p.op, p.body)
+	for _, r := range replay {
+		enc(r.id, r.p.op, r.p.body)
 	}
-	_ = c.flushLocked()
-}
-
-// endReconnect releases the goroutines gated on the reconnect.
-func (c *Client) endReconnect() {
-	c.mu.Lock()
-	c.reconnecting = false
-	c.recCond.Broadcast()
-	c.mu.Unlock()
+	_ = c.flushOn(conn)
 }

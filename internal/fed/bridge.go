@@ -102,7 +102,7 @@ func (b *Bridge) peerLocked(addr string) (conn *PeerConn, fresh bool) {
 		b.lastFail[addr] = time.Now()
 		return nil, false
 	}
-	if !hasCap(pc.Caps(), netproto.CapFed) {
+	if !netproto.HasCap(pc.Caps(), netproto.CapFed) {
 		// An old daemon that cannot serve fed-watch.
 		pc.Close()
 		b.lastFail[addr] = time.Now()

@@ -7,6 +7,7 @@ package fed_test
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -649,5 +650,62 @@ func TestFederationBridgeRearmAfterRedial(t *testing.T) {
 		case <-timeout:
 			t.Fatal("no notification after the peer redial: the bridge did not re-arm the live watch group")
 		}
+	}
+}
+
+// TestFederationGarbageResponseFailsLink pins the no-stranded-waiter
+// contract of a peer link: a well-framed but undecodable response names
+// no request, so skipping it would leave whichever handler it was meant
+// for waiting until the link dies on its own. The link fails instead,
+// and the handler receives its synthesized terminal frame.
+func TestFederationGarbageResponseFailsLink(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// A fake daemon: grant the hello (no capabilities, so the link
+		// stays on JSON), read the request, answer with garbage.
+		var env netproto.Envelope
+		if err := netproto.JSON.DecodeFrame(conn, &env); err != nil {
+			return
+		}
+		netproto.JSON.EncodeFrame(conn, netproto.Response{ID: env.ID, OK: true,
+			Proto: &netproto.HelloInfo{Version: netproto.ProtoVersion}})
+		if err := netproto.JSON.DecodeFrame(conn, &env); err != nil {
+			return
+		}
+		conn.Write([]byte{0, 0, 0, 4, '{', '{', '{', '{'})
+		// Keep the connection open: only the client's own reaction to the
+		// garbage may end the wait.
+		netproto.JSON.DecodeFrame(conn, &env)
+	}()
+
+	pc, err := fed.DialPeer(ln.Addr().String(), "proxied-client", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	frames := make(chan netproto.Response, 4) // the terminal frame, with room to spare
+	if _, err := pc.Subscribe(netproto.OpWait, netproto.FileBody{Context: "c", File: "f"},
+		func(resp netproto.Response) { frames <- resp }); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case resp := <-frames:
+		if !resp.Done || resp.Code != netproto.CodeDraining {
+			t.Errorf("handler got %+v, want a terminal draining frame", resp)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler stranded: no terminal frame after an undecodable response")
+	}
+	if !pc.Broken() {
+		t.Error("link survived an undecodable response")
 	}
 }

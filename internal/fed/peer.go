@@ -1,13 +1,9 @@
 package fed
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"simfs/internal/netproto"
@@ -23,188 +19,73 @@ const dialTimeout = 2 * time.Second
 var peerCaps = []string{netproto.CapAdmin, netproto.CapWatch,
 	netproto.CapPreempt, netproto.CapBinary, netproto.CapFed}
 
-// PeerConn is one connection to a peer daemon, shared by the router
-// (op forwarding) and the bridge (fed-watch subscriptions). Requests
-// are encoded into a write buffer and flushed in one syscall; a read
-// loop demuxes response frames back to their registered handlers by
-// request ID. The binary codec and reply coalescing negotiated in the
-// hello make this the same fast path a batching client uses.
+// PeerConn is one link to a peer daemon, shared by the router (op
+// forwarding) and the bridge (fed-watch subscriptions): a netproto.Conn
+// for the framing and write batching, a netproto.Pending for the
+// request IDs and the reply demux, and a read loop joining the two. The
+// binary codec and reply coalescing negotiated in the hello make this
+// the same fast path a batching client uses.
 //
 // A PeerConn is single-use: once the connection dies, every pending
 // handler receives a synthesized terminal draining response and the
-// conn reports Broken. Owners drop broken conns and dial fresh ones —
-// there is no in-place reconnect, so no frame can straddle two
-// transport generations.
+// link reports Broken. Owners drop broken links and dial fresh ones.
 type PeerConn struct {
-	addr string
-	// onBatch, when set, runs after the read loop drains a batch of
-	// response frames (the router flushes the client session there).
-	onBatch func()
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]*pendingFrame
-	broken  bool
-
-	wmu   sync.Mutex
-	wbuf  bytes.Buffer
-	codec netproto.Codec
-
-	conn net.Conn
-	caps []string
-}
-
-type pendingFrame struct {
-	fn func(netproto.Response)
-	// stream keeps the entry registered until a terminal frame arrives
-	// (wait/acquire/subscribe/fed-watch deliver per-file frames first).
-	stream bool
-}
-
-// terminalResponse reports whether resp ends its request's stream: the
-// explicit Done frame, or an error frame that is not per-file (per-file
-// failures carry File and the stream continues).
-func terminalResponse(resp netproto.Response) bool {
-	return resp.Done || (resp.Code != "" && resp.File == "")
+	addr  string
+	c     *netproto.Conn
+	calls *netproto.Pending
+	caps  []string
 }
 
 // DialPeer connects to a peer daemon and completes the hello handshake
-// as clientName. The link switches to the binary codec when the daemon
-// grants it. onBatch may be nil.
+// as clientName. onBatch, when set, runs after the read loop drains a
+// batch of response frames (the router flushes the client session
+// there).
 func DialPeer(addr, clientName string, onBatch func()) (*PeerConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("fed: dial %s: %w", addr, err)
-	}
-	pc := &PeerConn{addr: addr, onBatch: onBatch, conn: conn,
-		codec: netproto.JSON, nextID: 1, pending: map[uint64]*pendingFrame{}}
-
-	// The hello exchange is synchronous and always JSON, before the read
-	// loop starts: nothing else is in flight to demux.
-	hello := newEnv(1, netproto.OpHello, netproto.HelloBody{
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
+	defer cancel()
+	calls := netproto.NewPending()
+	c, info, err := netproto.Dial(ctx, addr, calls.NextID(), netproto.HelloBody{
 		Version: netproto.ProtoVersion, Client: clientName, Caps: peerCaps})
-	var buf bytes.Buffer
-	if err := netproto.JSON.EncodeFrame(&buf, hello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("fed: hello to %s: %w", addr, err)
+	if err != nil {
+		return nil, fmt.Errorf("fed: peer %s: %w", addr, err)
 	}
-	conn.SetDeadline(time.Now().Add(dialTimeout)) //simfs:allow wallclock I/O deadline on a real network dial
-	if _, err := conn.Write(buf.Bytes()); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("fed: hello to %s: %w", addr, err)
-	}
-	br := bufio.NewReaderSize(conn, 32<<10)
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(br, &resp); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("fed: hello from %s: %w", addr, err)
-	}
-	conn.SetDeadline(time.Time{})
-	if !resp.OK || resp.Proto == nil {
-		conn.Close()
-		return nil, fmt.Errorf("fed: peer %s refused handshake: %s (%s)", addr, resp.Err, resp.Code)
-	}
-	pc.caps = resp.Proto.Caps
-	if hasCap(pc.caps, netproto.CapBinary) {
-		pc.codec = netproto.Binary
-	}
-	go pc.readLoop(br)
+	pc := &PeerConn{addr: addr, c: c, calls: calls, caps: info.Caps}
+	go func() { pc.fail(calls.Serve(c, onBatch)) }()
 	return pc, nil
 }
 
-// Addr returns the peer's dialed address.
-func (pc *PeerConn) Addr() string { return pc.addr }
-
 // Caps returns the capability flags the peer advertised.
-func (pc *PeerConn) Caps() []string { return append([]string(nil), pc.caps...) }
-
-// CodecName reports which codec the link negotiated ("json"/"binary").
-func (pc *PeerConn) CodecName() string { return pc.codec.Name() }
+func (pc *PeerConn) Caps() []string { return pc.caps }
 
 // Broken reports whether the connection has died. Pending handlers
 // have already been failed; the owner should dial a replacement.
-func (pc *PeerConn) Broken() bool {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.broken
-}
+func (pc *PeerConn) Broken() bool { return pc.calls.Failed() }
 
 // Close tears the connection down, failing all pending handlers.
 func (pc *PeerConn) Close() { pc.fail(errors.New("connection closed")) }
 
-func (pc *PeerConn) readLoop(br *bufio.Reader) {
-	for {
-		var resp netproto.Response
-		if err := pc.codec.DecodeFrame(br, &resp); err != nil {
-			var fe *netproto.FrameError
-			if errors.As(err, &fe) && fe.Recoverable {
-				// One complete but undecodable frame; the stream is still
-				// aligned. Nothing to deliver — skip it.
-				continue
-			}
-			pc.fail(err)
-			return
-		}
-		pc.deliver(resp)
-		if pc.onBatch != nil && !netproto.FrameBuffered(br) {
-			pc.onBatch()
-		}
-	}
-}
-
-func (pc *PeerConn) deliver(resp netproto.Response) {
-	pc.mu.Lock()
-	e := pc.pending[resp.ID]
-	if e != nil && (!e.stream || terminalResponse(resp)) {
-		delete(pc.pending, resp.ID)
-	}
-	pc.mu.Unlock()
-	if e != nil {
-		e.fn(resp)
-	}
-}
-
-// fail marks the conn broken and synthesizes a terminal draining
+// fail marks the link broken and synthesizes a terminal draining
 // response for every pending request, so proxied clients see the same
 // structured error a gracefully shutting-down daemon would send.
 func (pc *PeerConn) fail(cause error) {
-	pc.mu.Lock()
-	if pc.broken {
-		pc.mu.Unlock()
-		return
-	}
-	pc.broken = true
-	entries := pc.pending
-	pc.pending = map[uint64]*pendingFrame{}
-	pc.mu.Unlock()
-	pc.conn.Close()
-	for id, e := range entries {
-		e.fn(netproto.Response{ID: id, Code: netproto.CodeDraining,
-			Err: fmt.Sprintf("federation peer %s lost: %v", pc.addr, cause), Done: true})
-	}
+	pc.c.Close()
+	pc.calls.Fail(netproto.Response{Code: netproto.CodeDraining,
+		Err: fmt.Sprintf("federation peer %s lost: %v", pc.addr, cause), Done: true})
 }
 
-// Forward registers fn under a fresh peer-side request ID, rewrites
-// env's ID and encodes it into the write buffer (no flush). fn runs on
+// Forward registers h under a fresh peer-side request ID, rewrites
+// env's ID and encodes it into the write buffer (no flush). h runs on
 // the read-loop goroutine for every response frame of the request;
 // stream keeps it registered until a terminal frame.
-func (pc *PeerConn) Forward(env netproto.Envelope, stream bool, fn func(netproto.Response)) (uint64, error) {
-	pc.mu.Lock()
-	if pc.broken {
-		pc.mu.Unlock()
+func (pc *PeerConn) Forward(env netproto.Envelope, stream bool, h netproto.ResponseHandler) (uint64, error) {
+	id, ok := pc.calls.Add(h, stream)
+	if !ok {
 		return 0, fmt.Errorf("fed: peer %s is down", pc.addr)
 	}
-	pc.nextID++
-	id := pc.nextID
-	pc.pending[id] = &pendingFrame{fn: fn, stream: stream}
-	pc.mu.Unlock()
-
 	env.ID = id
-	if err := pc.enqueue(env); err != nil {
-		pc.mu.Lock()
-		delete(pc.pending, id)
-		pc.mu.Unlock()
-		return 0, err
+	if err := pc.c.Enqueue(env); err != nil {
+		pc.calls.Remove(id)
+		return 0, fmt.Errorf("fed: encode for %s: %w", pc.addr, err)
 	}
 	return id, nil
 }
@@ -213,37 +94,12 @@ func (pc *PeerConn) Forward(env netproto.Envelope, stream bool, fn func(netproto
 // peer's reply, if any, is dropped by the demux). Used for
 // unsubscribe, whose reply carries nothing.
 func (pc *PeerConn) Post(op string, body any) error {
-	pc.mu.Lock()
-	if pc.broken {
-		pc.mu.Unlock()
-		return fmt.Errorf("fed: peer %s is down", pc.addr)
-	}
-	pc.nextID++
-	id := pc.nextID
-	pc.mu.Unlock()
-	return pc.enqueue(newEnv(id, op, body))
-}
-
-func (pc *PeerConn) enqueue(env netproto.Envelope) error {
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
-	if err := pc.codec.EncodeFrame(&pc.wbuf, env); err != nil {
-		return fmt.Errorf("fed: encode for %s: %w", pc.addr, err)
-	}
-	return nil
+	return pc.c.Enqueue(newEnv(pc.calls.NextID(), op, body))
 }
 
 // Flush writes every buffered request frame in one syscall.
 func (pc *PeerConn) Flush() error {
-	pc.wmu.Lock()
-	if pc.wbuf.Len() == 0 {
-		pc.wmu.Unlock()
-		return nil
-	}
-	_, err := pc.conn.Write(pc.wbuf.Bytes())
-	pc.wbuf.Reset()
-	pc.wmu.Unlock()
-	if err != nil {
+	if err := pc.c.Flush(); err != nil {
 		pc.fail(err)
 		return fmt.Errorf("fed: write to %s: %w", pc.addr, err)
 	}
@@ -255,9 +111,8 @@ func (pc *PeerConn) Flush() error {
 // the response's Code.
 func (pc *PeerConn) Call(ctx context.Context, op string, body any) (netproto.Response, error) {
 	ch := make(chan netproto.Response, 1)
-	if _, err := pc.Forward(newEnv(0, op, body), false, func(resp netproto.Response) {
-		ch <- resp
-	}); err != nil {
+	h := netproto.ResponseFunc(func(resp netproto.Response) { ch <- resp })
+	if _, err := pc.Forward(newEnv(0, op, body), false, h); err != nil {
 		return netproto.Response{}, err
 	}
 	if err := pc.Flush(); err != nil {
@@ -275,7 +130,7 @@ func (pc *PeerConn) Call(ctx context.Context, op string, body any) (netproto.Res
 // receives every response frame until a terminal one. The returned ID
 // cancels the stream via an unsubscribe Post.
 func (pc *PeerConn) Subscribe(op string, body any, fn func(netproto.Response)) (uint64, error) {
-	id, err := pc.Forward(newEnv(0, op, body), true, fn)
+	id, err := pc.Forward(newEnv(0, op, body), true, netproto.ResponseFunc(fn))
 	if err != nil {
 		return 0, err
 	}
@@ -290,14 +145,4 @@ func (pc *PeerConn) Subscribe(op string, body any, fn func(netproto.Response)) (
 func newEnv(id uint64, op string, body any) netproto.Envelope {
 	env, _ := netproto.NewEnvelope(id, op, body)
 	return env
-}
-
-// hasCap reports whether caps contains want.
-func hasCap(caps []string, want string) bool {
-	for _, c := range caps {
-		if c == want {
-			return true
-		}
-	}
-	return false
 }

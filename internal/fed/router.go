@@ -1,13 +1,10 @@
 package fed
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -36,19 +33,18 @@ import (
 // context surfaces, so reconnecting clients need no new error
 // handling.
 type Router struct {
+	// listener supplies Listen, Addr and the accept loop under Serve.
+	listener
+
 	ring *Ring
 	logf func(string, ...any)
 
 	// CallTimeout bounds control-plane fan-out calls (contexts, stats,
 	// sched-*). Set before Serve.
 	CallTimeout time.Duration
-
-	ln     net.Listener
-	mu     sync.Mutex
-	conns  map[net.Conn]*rsession
-	closed bool
-	wg     sync.WaitGroup
 }
+
+type listener = netproto.Listener
 
 // NewRouter builds a router over the given daemon addresses. replicas
 // is the ring's virtual-node count (<=0 for the default); logf may be
@@ -61,94 +57,19 @@ func NewRouter(peerAddrs []string, replicas int, logf func(string, ...any)) *Rou
 		ring:        NewRing(replicas, peerAddrs...),
 		logf:        logf,
 		CallTimeout: 10 * time.Second,
-		conns:       map[net.Conn]*rsession{},
 	}
 }
 
 // Ring exposes the routing table (tests assert placement against it).
 func (r *Router) Ring() *Ring { return r.ring }
 
-// Listen binds the router to addr (port 0 for ephemeral).
-func (r *Router) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("fed: %w", err)
-	}
-	r.ln = ln
-	return nil
-}
-
-// Addr returns the bound address.
-func (r *Router) Addr() string {
-	if r.ln == nil {
-		return ""
-	}
-	return r.ln.Addr().String()
-}
-
 // Serve accepts client connections until Close.
-func (r *Router) Serve() error {
-	if r.ln == nil {
-		return errors.New("fed: Serve before Listen")
-	}
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		sess := &rsession{
-			conn:   conn,
-			br:     bufio.NewReaderSize(conn, 32<<10),
-			codec:  netproto.JSON,
-			r:      r,
-			peers:  map[string]*PeerConn{},
-			routes: map[uint64]peerRoute{},
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		r.conns[conn] = sess
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			r.handle(sess)
-		}()
-	}
-}
+func (r *Router) Serve() error { return r.listener.Serve(nil, r.handle) }
 
 // Close stops accepting and closes every client session (their peer
 // connections close with them, so the daemons run disconnect cleanup
 // for each proxied client).
-func (r *Router) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	sessions := make([]*rsession, 0, len(r.conns))
-	for _, sess := range r.conns {
-		sessions = append(sessions, sess)
-	}
-	r.mu.Unlock()
-	if r.ln != nil {
-		r.ln.Close()
-	}
-	for _, sess := range sessions {
-		sess.conn.Close()
-	}
-	r.wg.Wait()
-}
+func (r *Router) Close() { r.listener.Close(nil) }
 
 // peerRoute remembers where a live client subscription was forwarded,
 // for unsubscribe remapping.
@@ -159,16 +80,9 @@ type peerRoute struct {
 
 // rsession is one client connection through the router.
 type rsession struct {
-	conn  net.Conn
-	br    *bufio.Reader
-	codec netproto.Codec
-	r     *Router
-
-	client  string
-	version int
-
-	wmu  sync.Mutex
-	wbuf bytes.Buffer
+	c      *netproto.Conn
+	r      *Router
+	client string
 
 	// mu guards peers (this session's sticky per-daemon connections)
 	// and routes (client request ID → peer route for live streams).
@@ -178,44 +92,17 @@ type rsession struct {
 	closed bool
 }
 
-func (sess *rsession) reply(resp netproto.Response) {
-	sess.wmu.Lock()
-	sess.enqueueLocked(resp)
-	sess.wmu.Unlock()
-}
+// reply enqueues a response for the client; flush writes what is
+// queued. A response that cannot be encoded or written drops the
+// session: its request would otherwise wait forever.
+func (sess *rsession) reply(resp netproto.Response) { sess.check("encode", sess.c.Enqueue(resp)) }
 
-func (sess *rsession) send(resp netproto.Response) {
-	sess.wmu.Lock()
-	if sess.enqueueLocked(resp) {
-		sess.flushLocked()
-	}
-	sess.wmu.Unlock()
-}
+func (sess *rsession) flush() { sess.check("write", sess.c.Flush()) }
 
-func (sess *rsession) flush() {
-	sess.wmu.Lock()
-	sess.flushLocked()
-	sess.wmu.Unlock()
-}
-
-func (sess *rsession) enqueueLocked(resp netproto.Response) bool {
-	if err := sess.codec.EncodeFrame(&sess.wbuf, resp); err != nil {
-		sess.r.logf("fed: encode for %s: %v", sess.conn.RemoteAddr(), err)
-		sess.conn.Close()
-		return false
-	}
-	return true
-}
-
-func (sess *rsession) flushLocked() {
-	if sess.wbuf.Len() == 0 {
-		return
-	}
-	_, err := sess.conn.Write(sess.wbuf.Bytes())
-	sess.wbuf.Reset()
+func (sess *rsession) check(what string, err error) {
 	if err != nil {
-		sess.r.logf("fed: write to %s: %v", sess.conn.RemoteAddr(), err)
-		sess.conn.Close()
+		sess.r.logf("fed: %s for %s: %v", what, sess.c.RemoteAddr(), err)
+		sess.c.Close()
 	}
 }
 
@@ -233,7 +120,9 @@ func (sess *rsession) peer(addr string) (*PeerConn, error) {
 		return pc, nil
 	}
 	delete(sess.peers, addr)
-	pc, err := DialPeer(addr, sess.client, func() { sess.flush() })
+	// The link's read loop flushes the client session once a batch of
+	// daemon responses has been relayed into its buffer.
+	pc, err := DialPeer(addr, sess.client, sess.flush)
 	if err != nil {
 		return nil, err
 	}
@@ -269,160 +158,68 @@ func (sess *rsession) dropRoute(clientID uint64) (peerRoute, bool) {
 	return rt, ok
 }
 
-func (r *Router) handle(sess *rsession) {
-	conn := sess.conn
+// routerCaps is what the router advertises in every hello reply, plus
+// the binary fast path — always: a JSON-only daemon behind the router
+// is bridged by the per-peer codec negotiation.
+var routerCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt, netproto.CapFed}
+
+func (r *Router) handle(c *netproto.Conn) {
+	sess := &rsession{c: c, r: r, peers: map[string]*PeerConn{}, routes: map[uint64]peerRoute{}}
 	defer func() {
-		sess.flush()
-		conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
 		// Closing the per-session peer conns is the whole disconnect
 		// story: each daemon sees its session for this client drop and
 		// runs its own reference/subscription cleanup.
 		sess.mu.Lock()
 		sess.closed = true
-		peers := make([]*PeerConn, 0, len(sess.peers))
-		for _, pc := range sess.peers {
-			peers = append(peers, pc)
-		}
+		peers := sess.peers
 		sess.peers = map[string]*PeerConn{}
 		sess.mu.Unlock()
 		for _, pc := range peers {
 			pc.Close()
 		}
 	}()
+	hello, err := c.Accept(routerCaps, true, "router")
+	if err != nil {
+		if err != io.EOF {
+			r.logf("fed: handshake with %s: %v", c.RemoteAddr(), err)
+		}
+		return
+	}
+	sess.client = hello.Client
+	// Before blocking on the client: requests first (the daemons can
+	// start working), then any locally produced replies, one write each.
+	idle := func() {
+		sess.flushPeers()
+		sess.flush()
+	}
 	for {
 		var env netproto.Envelope
-		if err := sess.codec.DecodeFrame(sess.br, &env); err != nil {
-			var fe *netproto.FrameError
-			if errors.As(err, &fe) && fe.Recoverable {
-				sess.send(netproto.Response{ID: fe.ID, Code: netproto.CodeFrame, Err: err.Error()})
-				continue
-			}
+		if err := c.ReadRequest(&env, idle); err != nil {
 			if err != io.EOF {
-				r.logf("fed: read from %s: %v", conn.RemoteAddr(), err)
+				r.logf("fed: read from %s: %v", c.RemoteAddr(), err)
 			}
 			return
 		}
-		if sess.version == 0 && env.Op != netproto.OpHello {
-			sess.send(netproto.Response{ID: env.ID, Code: netproto.CodeVersion,
-				Err: fmt.Sprintf("protocol handshake required: first frame must be %q (router speaks protocol %d)",
-					netproto.OpHello, netproto.ProtoVersion)})
-			return
-		}
-		if !r.dispatch(sess, env) {
-			return
-		}
-		if !netproto.FrameBuffered(sess.br) {
-			// Requests first (the daemons can start working), then any
-			// locally produced replies, one write each.
-			sess.flushPeers()
-			sess.flush()
-		}
+		r.dispatch(sess, env)
 	}
 }
 
-// streamOp reports whether op answers with a multi-frame stream.
-func streamOp(op string) bool {
-	switch op {
-	case netproto.OpWait, netproto.OpAcquire, netproto.OpSubscribe, netproto.OpFedWatch:
-		return true
+// decodeBody unmarshals env's typed body, answering bad_request on
+// failure.
+func decodeBody[B any](sess *rsession, env netproto.Envelope) (b B, ok bool) {
+	if err := env.Decode(&b); err != nil {
+		sess.reply(netproto.Response{ID: env.ID, Code: netproto.CodeBadRequest, Err: err.Error()})
+		return b, false
 	}
-	return false
+	return b, true
 }
 
-// contextOf extracts the routing key (context name) from a data-plane
-// envelope.
-func contextOf(env netproto.Envelope) (string, error) {
-	switch env.Op {
-	case netproto.OpOpen, netproto.OpWait, netproto.OpRelease,
-		netproto.OpEstWait, netproto.OpBitrep:
-		var b netproto.FileBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		return b.Context, nil
-	case netproto.OpAcquire, netproto.OpPrefetch, netproto.OpSubscribe, netproto.OpFedWatch:
-		var b netproto.FilesBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		return b.Context, nil
-	case netproto.OpContextInfo, netproto.OpStats, netproto.OpRescan,
-		netproto.OpDrain, netproto.OpResume, netproto.OpCtxDeregister,
-		netproto.OpQuarantineReset:
-		var b netproto.CtxBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		return b.Context, nil
-	case netproto.OpRegSum:
-		var b netproto.ChecksumBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		return b.Context, nil
-	case netproto.OpCachePolicySet:
-		var b netproto.CachePolicyBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		return b.Context, nil
-	case netproto.OpCtxRegister:
-		var b netproto.CtxRegisterBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		if b.Context == nil {
-			return "", nil
-		}
-		return b.Context.Name, nil
-	}
-	return "", fmt.Errorf("fed: op %q has no routing context", env.Op)
-}
-
-// dispatch serves one client envelope; it reports whether the
-// connection should stay open.
-func (r *Router) dispatch(sess *rsession, env netproto.Envelope) bool {
+// dispatch serves one client envelope: the ops with no single owner are
+// answered or fanned out here, everything else is proxied to the daemon
+// owning its routing context.
+func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
 	id := env.ID
 	switch env.Op {
-	case netproto.OpHello:
-		if sess.version != 0 {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest,
-				Err: "duplicate hello: the handshake already completed"})
-			return true
-		}
-		var hb netproto.HelloBody
-		if err := env.Decode(&hb); err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-			return true
-		}
-		if hb.Version < netproto.MinProtoVersion {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeVersion,
-				Err: fmt.Sprintf("peer speaks protocol %d; router requires %d..%d",
-					hb.Version, netproto.MinProtoVersion, netproto.ProtoVersion)})
-			return false
-		}
-		ver := hb.Version
-		if ver > netproto.ProtoVersion {
-			ver = netproto.ProtoVersion
-		}
-		sess.version = ver
-		sess.client = hb.Client
-		// The router always advertises the binary fast path; a JSON-only
-		// daemon behind it is bridged by the per-peer codec negotiation.
-		caps := []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt,
-			netproto.CapBinary, netproto.CapFed}
-		useBinary := ver >= 3 && hasCap(hb.Caps, netproto.CapBinary)
-		sess.reply(netproto.Response{ID: id, OK: true, Proto: &netproto.HelloInfo{
-			Version: ver, Caps: caps}})
-		if useBinary {
-			sess.wmu.Lock()
-			sess.codec = netproto.Binary
-			sess.wmu.Unlock()
-		}
-
 	case netproto.OpPing:
 		sess.reply(netproto.Response{ID: id, OK: true})
 
@@ -447,13 +244,14 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) bool {
 		r.fanSchedGet(sess, id)
 
 	case netproto.OpSchedSet:
-		r.fanSchedSet(sess, id, env)
+		if b, ok := decodeBody[netproto.SchedSetBody](sess, env); ok {
+			r.fanSchedSet(sess, id, b)
+		}
 
 	case netproto.OpUnsubscribe:
-		var b netproto.UnsubscribeBody
-		if err := env.Decode(&b); err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-			return true
+		b, ok := decodeBody[netproto.UnsubscribeBody](sess, env)
+		if !ok {
+			return
 		}
 		if rt, ok := sess.dropRoute(b.SubID); ok {
 			rt.pc.Post(netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: rt.peerID})
@@ -462,35 +260,30 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) bool {
 		sess.reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpStats:
-		var b netproto.CtxBody
-		if err := env.Decode(&b); err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-			return true
+		if b, ok := decodeBody[netproto.CtxBody](sess, env); ok {
+			r.fanStats(sess, id, b.Context)
 		}
-		r.fanStats(sess, id, b.Context)
 
 	case netproto.OpQuarantineReset:
-		var b netproto.CtxBody
-		if err := env.Decode(&b); err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-			return true
+		b, ok := decodeBody[netproto.CtxBody](sess, env)
+		if !ok {
+			return
 		}
 		if b.Context == "" {
 			// "All contexts" spans every daemon: fan out and sum.
 			r.fanQuarantineReset(sess, id)
-			return true
+			return
 		}
 		r.proxy(sess, env, b.Context)
 
 	default:
-		ctxName, err := contextOf(env)
+		ctxName, err := env.RoutingContext()
 		if err != nil {
 			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-			return true
+			return
 		}
 		r.proxy(sess, env, ctxName)
 	}
-	return true
 }
 
 // proxy forwards env to the daemon owning ctxName, remapping the
@@ -498,7 +291,8 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) bool {
 // back onto this session.
 func (r *Router) proxy(sess *rsession, env netproto.Envelope, ctxName string) {
 	clientID := env.ID
-	stream := streamOp(env.Op)
+	spec, _ := netproto.LookupOp(env.Op)
+	stream := spec.Stream
 	fail := func(err error) {
 		resp := netproto.Response{ID: clientID, Code: netproto.CodeBusy,
 			Err: fmt.Sprintf("context %q unreachable: %v", ctxName, err), Done: stream}
@@ -514,15 +308,15 @@ func (r *Router) proxy(sess *rsession, env netproto.Envelope, ctxName string) {
 		fail(err)
 		return
 	}
-	peerID, err := pc.Forward(env, stream, func(resp netproto.Response) {
+	peerID, err := pc.Forward(env, stream, netproto.ResponseFunc(func(resp netproto.Response) {
 		resp.ID = clientID
-		if stream && terminalResponse(resp) {
+		if stream && resp.Terminal() {
 			sess.dropRoute(clientID)
 		}
 		// Enqueued, not flushed: the peer's read loop flushes the
-		// session once its response batch is drained (onBatch).
+		// session once its response batch is drained.
 		sess.reply(resp)
-	})
+	}))
 	if err != nil {
 		fail(err)
 		return
@@ -640,12 +434,7 @@ func (r *Router) fanSchedGet(sess *rsession, id uint64) {
 // fanSchedSet applies a scheduler reconfiguration on every member.
 // The fan-out is not atomic across daemons: a member failing mid-way
 // leaves the others reconfigured (the error response says which).
-func (r *Router) fanSchedSet(sess *rsession, id uint64, env netproto.Envelope) {
-	var body netproto.SchedSetBody
-	if err := env.Decode(&body); err != nil {
-		sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-		return
-	}
+func (r *Router) fanSchedSet(sess *rsession, id uint64, body netproto.SchedSetBody) {
 	results := r.fanout(sess, netproto.OpSchedSet, body)
 	var ok *netproto.Response
 	for i, res := range results {

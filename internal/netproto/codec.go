@@ -213,32 +213,6 @@ const (
 	binResponseTag byte = 0xB1
 )
 
-var binOpcodes = map[string]byte{
-	OpOpen:        binOpen,
-	OpWait:        binWait,
-	OpRelease:     binRelease,
-	OpEstWait:     binEstWait,
-	OpBitrep:      binBitrep,
-	OpAcquire:     binAcquire,
-	OpSubscribe:   binSubscribe,
-	OpPrefetch:    binPrefetch,
-	OpUnsubscribe: binUnsubscribe,
-	OpPing:        binPing,
-}
-
-var binOpNames = [...]string{
-	binOpen:        OpOpen,
-	binWait:        OpWait,
-	binRelease:     OpRelease,
-	binEstWait:     OpEstWait,
-	binBitrep:      OpBitrep,
-	binAcquire:     OpAcquire,
-	binSubscribe:   OpSubscribe,
-	binPrefetch:    OpPrefetch,
-	binUnsubscribe: OpUnsubscribe,
-	binPing:        OpPing,
-}
-
 // Response flag bits.
 const (
 	rfOK byte = 1 << iota
@@ -304,78 +278,73 @@ func (binCodec) DecodeFrame(r io.Reader, v any) error {
 }
 
 // appendBinEnvelope appends env's binary encoding to buf. ok is false
-// when the op or body shape has no binary form (the caller falls back
-// to JSON).
+// when the op table gives the op no binary opcode or the body is not
+// the kind its row declares (the caller falls back to JSON). Together
+// with decodeBinEnvelope it is the op table's binary body codec; the
+// sync annotations keep both halves field-complete.
 //
 //simfs:sync FileBody
 //simfs:sync FilesBody
 //simfs:sync UnsubscribeBody
 func appendBinEnvelope(buf []byte, env Envelope) ([]byte, bool) {
-	code, known := binOpcodes[env.Op]
-	if !known || env.Body != nil {
+	spec := opByName[env.Op]
+	if spec == nil || spec.Bin == 0 || env.Body != nil {
 		// Pre-marshaled JSON bodies travel as JSON: re-encoding would
 		// need a parse hop, defeating the point.
 		return buf, false
 	}
 	start := len(buf)
-	buf = append(buf, code)
+	buf = append(buf, spec.Bin)
 	buf = binary.AppendUvarint(buf, env.ID)
+	kind := BodyOther
 	switch body := env.val.(type) {
 	case FileBody:
-		if code < binOpen || code > binBitrep {
-			return buf[:start], false
-		}
+		kind = BodyFile
 		buf = appendBinString(buf, body.Context)
 		buf = appendBinString(buf, body.File)
 	case FilesBody:
-		if code != binAcquire && code != binSubscribe && code != binPrefetch {
-			return buf[:start], false
-		}
+		kind = BodyFiles
 		buf = appendBinString(buf, body.Context)
 		buf = binary.AppendUvarint(buf, uint64(len(body.Files)))
 		for _, f := range body.Files {
 			buf = appendBinString(buf, f)
 		}
 	case UnsubscribeBody:
-		if code != binUnsubscribe {
-			return buf[:start], false
-		}
+		kind = BodyUnsubscribe
 		buf = binary.AppendUvarint(buf, body.SubID)
 	case nil:
-		if code != binPing {
-			return buf[:start], false
-		}
-	default:
+		kind = BodyNone
+	}
+	if kind != spec.Body {
 		return buf[:start], false
 	}
 	return buf, true
 }
 
-// decodeBinEnvelope is appendBinEnvelope's inverse; the sync
-// annotations keep both halves of the codec field-complete.
+// decodeBinEnvelope is appendBinEnvelope's inverse. Once the request ID
+// is read every failure carries it (and the op), so the daemon's
+// bad_frame reply reaches the call that sent the frame.
 //
 //simfs:sync FileBody
 //simfs:sync FilesBody
 //simfs:sync UnsubscribeBody
 func decodeBinEnvelope(p []byte, env *Envelope) error {
+	var e Envelope
 	fail := func(msg string) error {
-		return &FrameError{Recoverable: true, Err: fmt.Errorf("binary request: %s", msg)}
+		return &FrameError{Op: e.Op, ID: e.ID, Recoverable: true, Err: fmt.Errorf("binary request: %s", msg)}
 	}
 	code := p[0]
-	var op string
-	if int(code) < len(binOpNames) {
-		op = binOpNames[code]
-	}
-	if op == "" {
+	if int(code) >= len(opByBin) || opByBin[code] == nil {
 		return fail(fmt.Sprintf("unknown opcode %#x", code))
 	}
+	spec := opByBin[code]
 	id, p, ok := getUvarint(p[1:])
 	if !ok {
 		return fail("truncated request id")
 	}
-	e := Envelope{ID: id, Op: op}
-	switch {
-	case code >= binOpen && code <= binBitrep:
+	e.ID, e.Op = id, spec.Name
+	switch spec.Body {
+	case BodyFile:
 		var b FileBody
 		if b.Context, p, ok = getBinString(p); !ok {
 			return fail("truncated context")
@@ -384,7 +353,7 @@ func decodeBinEnvelope(p []byte, env *Envelope) error {
 			return fail("truncated file")
 		}
 		e.val = b
-	case code == binAcquire || code == binSubscribe || code == binPrefetch:
+	case BodyFiles:
 		var b FilesBody
 		if b.Context, p, ok = getBinString(p); !ok {
 			return fail("truncated context")
@@ -408,7 +377,7 @@ func decodeBinEnvelope(p []byte, env *Envelope) error {
 			b.Files = append(b.Files, f)
 		}
 		e.val = b
-	case code == binUnsubscribe:
+	case BodyUnsubscribe:
 		var b UnsubscribeBody
 		if b.SubID, p, ok = getUvarint(p); !ok {
 			return fail("truncated sub id")

@@ -32,11 +32,21 @@
 // CodeNoSuchContext or CodeBusy instead of string-matching error
 // messages.
 //
-// The pre-versioned protocol (a single untyped Request bag, no
-// handshake) is retained as LegacyRequest for version-skew detection: a
-// v1 client's first frame parses as an Envelope whose op is not
-// OpHello, which the daemon answers with a CodeVersion error before
-// closing.
+// # One connection, one op table
+//
+// The package also owns the connection both ends speak the protocol
+// through. Conn is a framed transport generation: the write buffer
+// flushed with one conn.Write, flush-when-idle reads, and both halves
+// of the handshake (Conn.Accept, Dial). Pending is the requesting
+// side's in-flight table: request IDs, reply demux, streams held to
+// their terminal frame, synthesized terminal frames on loss. Listener
+// is the accept loop. Ops is the op table — wire name, binary opcode,
+// body kind, stream/idempotent/timed — that the codec, the daemon's
+// handler table, the router and the client library all look ops up in.
+//
+// LegacyRequest is a pre-versioned (v1) client's frame: sent first, it
+// parses as an Envelope whose op is not OpHello, which Accept refuses
+// with CodeVersion on the frame's own ID.
 package netproto
 
 import (
@@ -576,10 +586,16 @@ type Response struct {
 	Autoscale *AutoscaleInfo `json:"autoscale,omitempty"`
 }
 
+// Terminal reports whether the frame ends a streaming request: the
+// explicit Done frame, or an error frame that is not per-file (per-file
+// failures carry File and the stream continues).
+func (r Response) Terminal() bool {
+	return r.Done || (r.Code != "" && r.File == "")
+}
+
 // LegacyRequest is the pre-versioned (v1) client frame: one untyped bag
-// of optional fields with no handshake. It is retained only so
-// version-skew tests can speak the old dialect; the daemon answers any
-// non-hello first frame with a CodeVersion error.
+// of optional fields with no handshake, kept so the handshake tests can
+// speak the old dialect.
 type LegacyRequest struct {
 	ID      uint64   `json:"id"`
 	Op      string   `json:"op"`

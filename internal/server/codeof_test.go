@@ -38,3 +38,19 @@ func TestCodeOfMappings(t *testing.T) {
 		}
 	}
 }
+
+// The daemon's handler table and netproto's op table are keyed by the
+// same rows: every op but the hello (consumed by netproto.Conn) has a
+// handler, and no handler serves an op the table does not know.
+func TestHandlersCoverOpTable(t *testing.T) {
+	for _, spec := range netproto.Ops {
+		if _, ok := handlers[spec.Name]; ok == (spec.Name == netproto.OpHello) {
+			t.Errorf("op %q: handler present = %v", spec.Name, ok)
+		}
+	}
+	for op := range handlers {
+		if _, ok := netproto.LookupOp(op); !ok {
+			t.Errorf("handler for %q, which is not in netproto.Ops", op)
+		}
+	}
+}

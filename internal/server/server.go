@@ -4,14 +4,14 @@
 // acquires and subscriptions are answered asynchronously over the same
 // connection when re-simulations produce the requested files.
 //
-// A connection opens with the protocol handshake (netproto.OpHello):
-// version and capability negotiation plus the client's name. Any other
-// first frame — a pre-versioned client, or something else entirely — is
-// answered with a structured CodeVersion error before the connection
-// closes. After the handshake every frame is a typed envelope; requests
-// the daemon cannot decode are answered with structured errors, and the
-// connection is dropped only when the stream itself can no longer be
-// trusted (oversize or truncated frames).
+// Framing, reply batching and the handshake (version and capability
+// negotiation plus the client's name; any other first frame is refused
+// with a structured CodeVersion error) belong to netproto.Conn. After
+// the handshake every frame is a typed envelope, served through the
+// handler table keyed by netproto's op table; requests the daemon
+// cannot decode are answered with structured errors, and the connection
+// is dropped only when the stream itself can no longer be trusted
+// (oversize or truncated frames).
 //
 // Besides the data-plane ops the daemon serves a control plane
 // (capability "admin"): live scheduler reconfiguration, cache-policy
@@ -25,8 +25,6 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -76,8 +74,9 @@ type ContextRegistrar interface {
 
 // Server is the DV daemon front-end.
 type Server struct {
-	v  *core.Virtualizer
-	ln net.Listener
+	v *core.Virtualizer
+	// listener supplies Listen, Addr and the accept loop under Serve.
+	listener
 
 	// Registrar provisions contexts for ctx-register/ctx-deregister.
 	// Optional; NewStack wires the Stack in.
@@ -100,11 +99,11 @@ type Server struct {
 	// into without touching the accept loop.
 	WrapConn func(net.Conn) net.Conn
 
-	mu     sync.Mutex
-	conns  map[net.Conn]*session
-	closed bool
-	wg     sync.WaitGroup
-	logf   func(format string, args ...any)
+	// mu guards sessions: the live sessions by connection, for the
+	// graceful drain in Close and the peers op's inbound ledger.
+	mu       sync.Mutex
+	sessions map[*netproto.Conn]*session
+	logf     func(format string, args ...any)
 	// asMu guards asInfo, the autoscale decision ledger: attachment
 	// state plus a bounded ring of recent decisions, maintained by
 	// autoscale-report and read by autoscale-status (simfs-ctl health).
@@ -116,81 +115,26 @@ type Server struct {
 	lat *metrics.LatencySet
 }
 
+type listener = netproto.Listener
+
 // New wraps a Virtualizer. logf may be nil to silence logging.
 func New(v *core.Virtualizer, logf func(string, ...any)) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Server{v: v, conns: map[net.Conn]*session{}, logf: logf,
-		lat: metrics.NewLatencySet(
-			netproto.OpOpen, netproto.OpWait, netproto.OpRelease,
-			netproto.OpAcquire, netproto.OpEstWait, netproto.OpPrefetch,
-			netproto.OpSubscribe, netproto.OpFedWatch, netproto.OpStats,
-			netproto.OpPing,
-		)}
-}
-
-// Listen binds the daemon to addr (e.g. "127.0.0.1:7878"). Use port 0 for
-// an ephemeral port; Addr reports the bound address.
-func (s *Server) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: %w", err)
+	var timed []string
+	for _, spec := range netproto.Ops {
+		if spec.Timed {
+			timed = append(timed, spec.Name)
+		}
 	}
-	s.ln = ln
-	return nil
-}
-
-// Addr returns the bound address.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
+	return &Server{v: v, sessions: map[*netproto.Conn]*session{}, logf: logf,
+		lat: metrics.NewLatencySet(timed...)}
 }
 
 // Serve accepts connections until Close. It returns nil after a clean
 // shutdown.
-func (s *Server) Serve() error {
-	if s.ln == nil {
-		return errors.New("server: Serve before Listen") //simfs:allow errcode misuse of the embedding API, never sent over the wire
-	}
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		if s.WrapConn != nil {
-			conn = s.WrapConn(conn)
-		}
-		sess := &session{
-			conn:  conn,
-			br:    bufio.NewReaderSize(conn, 32<<10),
-			codec: netproto.JSON,
-			srv:   s,
-			held:  map[string]map[string]int{},
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = sess
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(sess)
-		}()
-	}
-}
+func (s *Server) Serve() error { return s.listener.Serve(s.WrapConn, s.handle) }
 
 // Close stops accepting and shuts down gracefully: every live session's
 // pending waits, acquires and subscriptions are failed with a structured
@@ -198,50 +142,25 @@ func (s *Server) Serve() error {
 // connections closed. A client that receives draining knows its request
 // was not lost in flight — it can reconnect and retry.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
+	s.listener.Close(func(c *netproto.Conn) {
+		s.mu.Lock()
+		sess := s.sessions[c]
 		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	sessions := make([]*session, 0, len(s.conns))
-	for _, sess := range s.conns {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for _, sess := range sessions {
-		sess.drain()
-		sess.conn.Close()
-	}
-	s.wg.Wait()
+		if sess != nil {
+			sess.drain()
+		}
+	})
 }
 
-// session is one client connection with a serialized, write-coalescing
-// writer.
+// session is one client connection: the daemon-side state that rides
+// on a netproto.Conn, which owns the framing and the write-coalescing
+// buffer.
 type session struct {
-	conn net.Conn
-	// br buffers reads; the read loop peeks it (netproto.FrameBuffered)
-	// to answer a whole pipelined batch before flushing once.
-	br *bufio.Reader
-	// codec frames this session's traffic. It starts as JSON and may
-	// switch to Binary right after the hello response is encoded; only
-	// the read loop's goroutine reads it outside wmu.
-	codec netproto.Codec
-
-	wmu sync.Mutex
-	// wbuf accumulates encoded response frames between flushes. Every
-	// EncodeFrame appends a complete frame with a single Write, so the
-	// buffer never holds a torn frame.
-	wbuf bytes.Buffer
-	srv  *Server
+	c   *netproto.Conn
+	srv *Server
 	// client is the client name declared in the hello handshake,
 	// remembered so references can be cleaned up on disconnect.
 	client string
-	// version is the negotiated protocol version (0 before the hello).
-	version int
 	// held tracks open references (context → files → count) for
 	// disconnect cleanup: a crashed analysis must not pin files forever.
 	held map[string]map[string]int
@@ -335,55 +254,43 @@ func (sess *session) closeSubs() {
 	}
 }
 
-// send encodes the response and flushes it to the connection
-// immediately. It is the path for asynchronous pushes (wait finishers,
-// acquire/subscribe pumps): those run off the read loop's goroutine, so
-// nothing else would flush their frames.
-func (s *session) send(resp netproto.Response) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.enqueueLocked(resp) {
-		s.flushLocked()
-	}
-}
-
-// reply encodes the response into the session's write buffer without
+// reply encodes the response into the connection's write buffer without
 // flushing. The read loop flushes before its next blocking read, so a
 // pipelined batch of requests is answered with one write syscall.
-func (s *session) reply(resp netproto.Response) {
-	s.wmu.Lock()
-	s.enqueueLocked(resp)
-	s.wmu.Unlock()
-}
+func (sess *session) reply(resp netproto.Response) { sess.check("encode", sess.c.Enqueue(resp)) }
+
+// send encodes the response and flushes it immediately. It is the path
+// for asynchronous pushes (wait finishers, acquire/subscribe pumps):
+// those run off the read loop's goroutine, so nothing else would flush
+// their frames.
+func (sess *session) send(resp netproto.Response) { sess.check("send", sess.c.Send(resp)) }
 
 // flush pushes buffered response frames to the connection.
-func (s *session) flush() {
-	s.wmu.Lock()
-	s.flushLocked()
-	s.wmu.Unlock()
-}
+func (sess *session) flush() { sess.check("write", sess.c.Flush()) }
 
-func (s *session) enqueueLocked(resp netproto.Response) bool {
-	if err := s.codec.EncodeFrame(&s.wbuf, resp); err != nil {
-		// EncodeFrame failures happen before any byte lands in wbuf, so
-		// previously buffered frames are still intact.
-		s.srv.logf("server: encode for %s: %v", s.conn.RemoteAddr(), err)
-		s.conn.Close()
-		return false
-	}
-	return true
-}
-
-func (s *session) flushLocked() {
-	if s.wbuf.Len() == 0 {
-		return
-	}
-	_, err := s.conn.Write(s.wbuf.Bytes())
-	s.wbuf.Reset()
+// check drops the session when a response could not be encoded or
+// written: its request would otherwise wait forever.
+func (sess *session) check(what string, err error) {
 	if err != nil {
-		s.srv.logf("server: write to %s: %v", s.conn.RemoteAddr(), err)
-		s.conn.Close()
+		sess.srv.logf("server: %s for %s: %v", what, sess.c.RemoteAddr(), err)
+		sess.c.Close()
 	}
+}
+
+// answer replies to request id with resp — or, when the handler failed,
+// with err's structured rendering: its wire code and, for a quarantined
+// interval, the retry details.
+func (sess *session) answer(id uint64, resp netproto.Response, err error) {
+	if err != nil {
+		resp = netproto.Response{Code: codeOf(err), Err: err.Error()}
+		var qerr *core.QuarantineError
+		if errors.As(err, &qerr) {
+			resp.Attempts = qerr.Attempts
+			resp.RetryAfterNs = int64(qerr.RetryAfter)
+		}
+	}
+	resp.ID = id
+	sess.reply(resp)
 }
 
 // codeOf maps a handler error to its structured wire code. Client
@@ -401,7 +308,7 @@ func codeOf(err error) netproto.ErrCode {
 	var qerr *core.QuarantineError
 	switch {
 	case errors.As(err, &qerr):
-		// Quarantined intervals fail fast; the caller fills the structured
+		// Quarantined intervals fail fast; answer fills the structured
 		// Attempts/RetryAfterNs fields from the error.
 		return netproto.CodeFailed
 	case errors.Is(err, core.ErrUnknownContext):
@@ -417,15 +324,19 @@ func codeOf(err error) netproto.ErrCode {
 	}
 }
 
-func (s *Server) handle(sess *session) {
-	conn := sess.conn
+// daemonCaps is what the daemon advertises in every hello reply (plus
+// CapBinary unless DisableBinary).
+var daemonCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt,
+	netproto.CapFed, netproto.CapAutoscale}
+
+func (s *Server) handle(c *netproto.Conn) {
+	sess := &session{c: c, srv: s, held: map[string]map[string]int{}}
+	s.mu.Lock()
+	s.sessions[c] = sess
+	s.mu.Unlock()
 	defer func() {
-		// Replies queued by the final dispatch of a closing session
-		// (version rejections, failed hellos) must still reach the peer.
-		sess.flush()
-		conn.Close()
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.sessions, c)
 		s.mu.Unlock()
 		// Tear down notification subscriptions, then release references
 		// held by the departed client.
@@ -446,560 +357,395 @@ func (s *Server) handle(sess *session) {
 			s.v.ClientDisconnected(sess.client)
 		}
 	}()
+	hello, err := c.Accept(daemonCaps, !s.DisableBinary, "daemon")
+	if err != nil {
+		if err != io.EOF {
+			s.logf("server: handshake with %s: %v", c.RemoteAddr(), err)
+		}
+		return
+	}
+	sess.client = hello.Client
+	flush := sess.flush // bound once: a method value allocates
 	for {
 		var env netproto.Envelope
-		if err := sess.codec.DecodeFrame(sess.br, &env); err != nil {
-			var fe *netproto.FrameError
-			if errors.As(err, &fe) && fe.Recoverable {
-				// A complete frame with an undecodable payload: the
-				// stream is still aligned, so answer instead of dropping
-				// the connection.
-				sess.send(netproto.Response{ID: fe.ID, Code: netproto.CodeFrame, Err: err.Error()})
-				continue
-			}
+		if err := c.ReadRequest(&env, flush); err != nil {
 			if err != io.EOF {
-				s.logf("server: read from %s: %v", conn.RemoteAddr(), err)
+				s.logf("server: read from %s: %v", c.RemoteAddr(), err)
 			}
-			return
-		}
-		if sess.version == 0 && env.Op != netproto.OpHello {
-			// No handshake: a pre-versioned (v1) client or a foreign
-			// peer. Reject with a structured error it can surface, then
-			// close — nothing else it sends can be interpreted safely.
-			sess.send(netproto.Response{ID: env.ID, Code: netproto.CodeVersion,
-				Err: fmt.Sprintf("protocol handshake required: first frame must be %q (daemon speaks protocol %d)",
-					netproto.OpHello, netproto.ProtoVersion)})
 			return
 		}
 		t0 := time.Now() //simfs:allow wallclock live daemon service-time stamps feed the latency histograms, not the simulation
-		open := s.dispatch(sess, env)
+		s.dispatch(sess, env)
 		s.lat.Record(env.Op, time.Since(t0)) //simfs:allow wallclock live daemon service-time stamps feed the latency histograms, not the simulation
-		if !open {
-			return
-		}
-		// Flush batched replies only when the next read would block: a
-		// pipelined client's remaining frames are answered into the same
-		// buffer first. FrameBuffered insists on a complete frame, so a
-		// half-received one cannot deadlock both sides.
-		if !netproto.FrameBuffered(sess.br) {
-			sess.flush()
+	}
+}
+
+// handler serves one request envelope: decode its body, act, answer.
+type handler func(s *Server, sess *session, env netproto.Envelope)
+
+// op adapts a typed handler that answers with exactly one response; the
+// adapter owns the body decode, the error classification and the reply.
+func op[B any](h func(*Server, *session, B) (netproto.Response, error)) handler {
+	return func(s *Server, sess *session, env netproto.Envelope) {
+		if b, ok := decodeBody[B](sess, env); ok {
+			resp, err := h(s, sess, b)
+			sess.answer(env.ID, resp, err)
 		}
 	}
 }
 
-// dispatch serves one envelope; it reports whether the connection should
-// stay open.
-func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
-	id := env.ID
-	fail := func(err error) {
-		resp := netproto.Response{ID: id, Code: codeOf(err), Err: err.Error()}
-		var qerr *core.QuarantineError
-		if errors.As(err, &qerr) {
-			resp.Attempts = qerr.Attempts
-			resp.RetryAfterNs = int64(qerr.RetryAfter)
-		}
-		sess.reply(resp)
+// bare is op for bodyless requests.
+func bare(h func(*Server, *session) (netproto.Response, error)) handler {
+	return func(s *Server, sess *session, env netproto.Envelope) {
+		resp, err := h(s, sess)
+		sess.answer(env.ID, resp, err)
 	}
-	// decode unmarshals the typed body, answering a structured
-	// bad-request (with the op and request ID wrapped in) on failure.
-	decode := func(v any) bool {
-		if err := env.Decode(v); err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-			return false
+}
+
+// streamed adapts a typed handler that answers through the session
+// itself — per-file frames now, pushes from a pump goroutine later — and
+// returns an error only when the request fails as a whole.
+func streamed[B any](h func(*Server, *session, uint64, B) error) handler {
+	return func(s *Server, sess *session, env netproto.Envelope) {
+		if b, ok := decodeBody[B](sess, env); ok {
+			if err := h(s, sess, env.ID, b); err != nil {
+				sess.answer(env.ID, netproto.Response{}, err)
+			}
 		}
-		return true
 	}
+}
 
-	switch env.Op {
-	case netproto.OpHello:
-		if sess.version != 0 {
-			// A second hello would rewrite the session's client identity
-			// under running wait/pump goroutines and orphan the first
-			// client's per-shard state at disconnect cleanup.
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest,
-				Err: "duplicate hello: the handshake already completed"})
-			return true
-		}
-		var hb netproto.HelloBody
-		if !decode(&hb) {
-			return true
-		}
-		if hb.Version < netproto.MinProtoVersion {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeVersion,
-				Err: fmt.Sprintf("peer speaks protocol %d; daemon requires %d..%d",
-					hb.Version, netproto.MinProtoVersion, netproto.ProtoVersion)})
-			return false
-		}
-		ver := hb.Version
-		if ver > netproto.ProtoVersion {
-			// A newer client downgrades to our version.
-			ver = netproto.ProtoVersion
-		}
-		sess.version = ver
-		sess.client = hb.Client
-		caps := []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt, netproto.CapFed, netproto.CapAutoscale}
-		useBinary := false
-		if !s.DisableBinary {
-			caps = append(caps, netproto.CapBinary)
-			// The binary fast path needs both protocol ≥ 3 and the
-			// client's explicit request; a v2 or JSON-only peer keeps the
-			// session on JSON with nothing to negotiate.
-			useBinary = ver >= 3 && hasCapability(hb.Caps, netproto.CapBinary)
-		}
-		sess.reply(netproto.Response{ID: id, OK: true, Proto: &netproto.HelloInfo{
-			Version: ver,
-			Caps:    caps,
-		}})
-		if useBinary {
-			// The hello response is already JSON-encoded in the reply
-			// buffer (encoding happens at reply time), so flipping the
-			// codec here cannot reframe it; everything after speaks
-			// binary on both directions.
-			sess.wmu.Lock()
-			sess.codec = netproto.Binary
-			sess.wmu.Unlock()
-		}
+// decodeBody unmarshals the typed body, answering a structured
+// bad-request (with the op and request ID wrapped in) on failure.
+func decodeBody[B any](sess *session, env netproto.Envelope) (b B, ok bool) {
+	if err := env.Decode(&b); err != nil {
+		sess.reply(netproto.Response{ID: env.ID, Code: netproto.CodeBadRequest, Err: err.Error()})
+		return b, false
+	}
+	return b, true
+}
 
-	case netproto.OpPing:
-		sess.reply(netproto.Response{ID: id, OK: true})
+// handlers is the daemon's half of the op table: one entry per
+// netproto.Ops row the connection does not consume itself (the hello).
+var handlers = map[string]handler{
+	netproto.OpPing:            bare((*Server).ping),
+	netproto.OpContexts:        bare((*Server).contexts),
+	netproto.OpContextInfo:     op((*Server).contextInfo),
+	netproto.OpOpen:            op((*Server).open),
+	netproto.OpWait:            streamed((*Server).waitFile),
+	netproto.OpRelease:         op((*Server).release),
+	netproto.OpAcquire:         streamed((*Server).acquireWithPerFile),
+	netproto.OpEstWait:         op((*Server).estWait),
+	netproto.OpBitrep:          op((*Server).bitrep),
+	netproto.OpRegSum:          op((*Server).regSum),
+	netproto.OpStats:           op((*Server).stats),
+	netproto.OpPrefetch:        op((*Server).prefetch),
+	netproto.OpRescan:          op((*Server).rescan),
+	netproto.OpSubscribe:       streamed((*Server).subscribeFiles),
+	netproto.OpFedWatch:        streamed((*Server).fedWatchFiles),
+	netproto.OpPeers:           bare((*Server).peers),
+	netproto.OpUnsubscribe:     op((*Server).unsubscribe),
+	netproto.OpSchedGet:        bare((*Server).schedGet),
+	netproto.OpSchedSet:        op((*Server).schedSet),
+	netproto.OpCachePolicySet:  op((*Server).cachePolicySet),
+	netproto.OpDrain:           op((*Server).drain),
+	netproto.OpResume:          op((*Server).resume),
+	netproto.OpQuarantineReset: op((*Server).quarantineReset),
+	netproto.OpAutoscaleReport: op((*Server).autoscaleReport),
+	netproto.OpAutoscaleStatus: bare((*Server).autoscaleStatus),
+	netproto.OpCtxRegister:     op((*Server).ctxRegister),
+	netproto.OpCtxDeregister:   op((*Server).ctxDeregister),
+}
 
-	case netproto.OpContexts:
-		sess.reply(netproto.Response{ID: id, OK: true, Names: s.v.ContextNames()})
+// dispatch serves one envelope.
+func (s *Server) dispatch(sess *session, env netproto.Envelope) {
+	if h := handlers[env.Op]; h != nil {
+		h(s, sess, env)
+		return
+	}
+	sess.reply(netproto.Response{ID: env.ID, Code: netproto.CodeUnsupported,
+		Err: fmt.Sprintf("unknown op %q", env.Op)})
+}
 
-	case netproto.OpContextInfo:
-		var b netproto.CtxBody
-		if !decode(&b) {
-			return true
-		}
-		ctx, ok := s.v.Context(b.Context)
-		if !ok {
-			fail(fmt.Errorf("%w %q", core.ErrUnknownContext, b.Context))
-			return true
-		}
-		policy, _ := s.v.CachePolicyName(b.Context)
-		draining, _ := s.v.Draining(b.Context)
-		sess.reply(netproto.Response{ID: id, OK: true, Info: &netproto.ContextInfo{
-			Name:        ctx.Name,
-			StorageDir:  ctx.StorageDir,
-			FilePrefix:  ctx.FilePrefix,
-			FileSuffix:  ctx.FileSuffix,
-			DeltaD:      ctx.Grid.DeltaD,
-			DeltaR:      ctx.Grid.DeltaR,
-			Timesteps:   ctx.Grid.Timesteps,
-			OutputBytes: ctx.OutputBytes,
-			Policy:      policy,
-			Draining:    draining,
-		}})
+// acked is the plain success response.
+var acked = netproto.Response{OK: true}
 
-	case netproto.OpOpen:
-		var b netproto.FileBody
-		if !decode(&b) {
-			return true
-		}
-		res, err := s.v.Open(sess.client, b.Context, b.File)
-		if err != nil {
-			fail(err)
-			return true
-		}
-		sess.trackRef(b.Context, b.File, +1)
-		sess.reply(netproto.Response{ID: id, OK: true, Available: res.Available, EstWaitNs: int64(res.EstWait)})
+func (s *Server) ping(*session) (netproto.Response, error) { return acked, nil }
 
-	case netproto.OpWait:
-		var b netproto.FileBody
-		if !decode(&b) {
-			return true
-		}
-		if err := s.waitFile(sess, id, b.Context, b.File); err != nil {
-			fail(err)
-		}
+func (s *Server) contexts(*session) (netproto.Response, error) {
+	return netproto.Response{OK: true, Names: s.v.ContextNames()}, nil
+}
 
-	case netproto.OpRelease:
-		var b netproto.FileBody
-		if !decode(&b) {
-			return true
-		}
-		if err := s.v.Release(sess.client, b.Context, b.File); err != nil {
-			fail(err)
-			return true
-		}
-		sess.trackRef(b.Context, b.File, -1)
-		sess.reply(netproto.Response{ID: id, OK: true})
+func (s *Server) contextInfo(_ *session, b netproto.CtxBody) (netproto.Response, error) {
+	ctx, ok := s.v.Context(b.Context)
+	if !ok {
+		return netproto.Response{}, fmt.Errorf("%w %q", core.ErrUnknownContext, b.Context)
+	}
+	policy, _ := s.v.CachePolicyName(b.Context)
+	draining, _ := s.v.Draining(b.Context)
+	return netproto.Response{OK: true, Info: &netproto.ContextInfo{
+		Name:        ctx.Name,
+		StorageDir:  ctx.StorageDir,
+		FilePrefix:  ctx.FilePrefix,
+		FileSuffix:  ctx.FileSuffix,
+		DeltaD:      ctx.Grid.DeltaD,
+		DeltaR:      ctx.Grid.DeltaR,
+		Timesteps:   ctx.Grid.Timesteps,
+		OutputBytes: ctx.OutputBytes,
+		Policy:      policy,
+		Draining:    draining,
+	}}, nil
+}
 
-	case netproto.OpAcquire:
-		var b netproto.FilesBody
-		if !decode(&b) {
-			return true
-		}
-		if len(b.Files) == 0 {
-			fail(fmt.Errorf("%w: acquire requires at least one file", core.ErrInvalid))
-			return true
-		}
-		// Per-file readiness notifications let the client implement
-		// Waitsome/Testsome; the fan-in below sends the final frame.
-		if err := s.acquireWithPerFile(sess, id, b.Context, append([]string(nil), b.Files...)); err != nil {
-			fail(err)
-		}
+func (s *Server) open(sess *session, b netproto.FileBody) (netproto.Response, error) {
+	res, err := s.v.Open(sess.client, b.Context, b.File)
+	if err != nil {
+		return netproto.Response{}, err
+	}
+	sess.trackRef(b.Context, b.File, +1)
+	return netproto.Response{OK: true, Available: res.Available, EstWaitNs: int64(res.EstWait)}, nil
+}
 
-	case netproto.OpEstWait:
-		var b netproto.FileBody
-		if !decode(&b) {
-			return true
-		}
-		w, err := s.v.EstWait(b.Context, b.File)
-		if err != nil {
-			fail(err)
-			return true
-		}
-		sess.reply(netproto.Response{ID: id, OK: true, EstWaitNs: int64(w)})
+func (s *Server) release(sess *session, b netproto.FileBody) (netproto.Response, error) {
+	if err := s.v.Release(sess.client, b.Context, b.File); err != nil {
+		return netproto.Response{}, err
+	}
+	sess.trackRef(b.Context, b.File, -1)
+	return acked, nil
+}
 
-	case netproto.OpBitrep:
-		var b netproto.FileBody
-		if !decode(&b) {
-			return true
-		}
-		content, err := s.readStorage(b.Context, b.File)
-		if err != nil {
-			fail(err)
-			return true
-		}
-		same, err := s.v.Bitrep(b.Context, b.File, content)
-		if err != nil {
-			fail(err)
-			return true
-		}
-		sess.reply(netproto.Response{ID: id, OK: true, Flag: same})
+func (s *Server) estWait(_ *session, b netproto.FileBody) (netproto.Response, error) {
+	w, err := s.v.EstWait(b.Context, b.File)
+	return netproto.Response{OK: true, EstWaitNs: int64(w)}, err
+}
 
-	case netproto.OpRegSum:
-		var b netproto.ChecksumBody
-		if !decode(&b) {
-			return true
-		}
-		if err := s.v.RegisterChecksum(b.Context, b.File, b.Sum); err != nil {
-			fail(err)
-			return true
-		}
-		sess.reply(netproto.Response{ID: id, OK: true})
+func (s *Server) bitrep(_ *session, b netproto.FileBody) (netproto.Response, error) {
+	content, err := s.readStorage(b.Context, b.File)
+	if err != nil {
+		return netproto.Response{}, err
+	}
+	same, err := s.v.Bitrep(b.Context, b.File, content)
+	return netproto.Response{OK: true, Flag: same}, err
+}
 
-	case netproto.OpStats:
-		var b netproto.CtxBody
-		if !decode(&b) {
-			return true
-		}
-		st, err := s.v.Stats(b.Context)
-		if err != nil {
-			fail(err)
-			return true
-		}
-		ls, _ := s.v.LockStats(b.Context)
-		ss := s.v.SchedStats()
-		retries, quarantined, _ := s.v.RetryStats(b.Context)
-		// The context resolved above, so the control-plane state lookups
-		// cannot fail; reporting them closes the loop for operators who
-		// just issued a drain or cache-policy-set.
-		draining, _ := s.v.Draining(b.Context)
-		policy, _ := s.v.CachePolicyName(b.Context)
-		sess.reply(netproto.Response{ID: id, OK: true, Stats: &netproto.Stats{
-			Opens: st.Opens, Hits: st.Hits, Misses: st.Misses,
-			Restarts: st.Restarts, DemandRestarts: st.DemandRestarts,
-			PrefetchLaunches: st.PrefetchLaunches, DroppedPrefetch: st.DroppedPrefetch,
-			StepsProduced: st.StepsProduced, Evictions: st.Evictions,
-			Kills: st.Kills, Failures: st.Failures, PollutionResets: st.PollutionResets,
-			Draining: draining, CachePolicy: policy,
-			LockAcquisitions: ls.Acquisitions, LockContended: ls.Contended,
-			LockWaitNs:      int64(ls.Wait),
-			SchedQueueDepth: ss.QueueDepth, SchedCoalesced: ss.Coalesced,
-			SchedDropped: ss.Dropped, SchedCanceled: ss.Canceled,
-			SchedDemandWaitNs: int64(ss.DemandWait.Wait),
-			SchedGuidedWaitNs: int64(ss.GuidedWait.Wait),
-			SchedAgentWaitNs:  int64(ss.AgentWait.Wait),
-			SchedPreempted:    ss.Preempted,
-			SchedQuotaRounds:  ss.QuotaRounds, SchedQuotaDeferred: ss.QuotaDeferred,
-			SchedPromoted:    ss.Promoted,
-			SchedRetries:     uint64(retries),
-			SchedQuarantined: uint64(quarantined),
-			SchedClientLoads: s.v.Scheduler().ClientLoads(),
-			Ops:              opLatencies(s.lat.Summaries()),
-		}})
+func (s *Server) regSum(_ *session, b netproto.ChecksumBody) (netproto.Response, error) {
+	return acked, s.v.RegisterChecksum(b.Context, b.File, b.Sum)
+}
 
-	case netproto.OpPrefetch:
-		var b netproto.FilesBody
-		if !decode(&b) {
-			return true
-		}
-		if len(b.Files) == 0 {
-			fail(fmt.Errorf("%w: prefetch requires at least one file", core.ErrInvalid))
-			return true
-		}
-		n, err := s.v.GuidedPrefetch(sess.client, b.Context, b.Files)
-		if err != nil {
-			fail(err)
-			return true
-		}
-		sess.reply(netproto.Response{ID: id, OK: true, Count: n})
+func (s *Server) stats(_ *session, b netproto.CtxBody) (netproto.Response, error) {
+	st, err := s.v.Stats(b.Context)
+	if err != nil {
+		return netproto.Response{}, err
+	}
+	ls, _ := s.v.LockStats(b.Context)
+	ss := s.v.SchedStats()
+	retries, quarantined, _ := s.v.RetryStats(b.Context)
+	// The context resolved above, so the control-plane state lookups
+	// cannot fail; reporting them closes the loop for operators who
+	// just issued a drain or cache-policy-set.
+	draining, _ := s.v.Draining(b.Context)
+	policy, _ := s.v.CachePolicyName(b.Context)
+	return netproto.Response{OK: true, Stats: &netproto.Stats{
+		Opens: st.Opens, Hits: st.Hits, Misses: st.Misses,
+		Restarts: st.Restarts, DemandRestarts: st.DemandRestarts,
+		PrefetchLaunches: st.PrefetchLaunches, DroppedPrefetch: st.DroppedPrefetch,
+		StepsProduced: st.StepsProduced, Evictions: st.Evictions,
+		Kills: st.Kills, Failures: st.Failures, PollutionResets: st.PollutionResets,
+		Draining: draining, CachePolicy: policy,
+		LockAcquisitions: ls.Acquisitions, LockContended: ls.Contended,
+		LockWaitNs:      int64(ls.Wait),
+		SchedQueueDepth: ss.QueueDepth, SchedCoalesced: ss.Coalesced,
+		SchedDropped: ss.Dropped, SchedCanceled: ss.Canceled,
+		SchedDemandWaitNs: int64(ss.DemandWait.Wait),
+		SchedGuidedWaitNs: int64(ss.GuidedWait.Wait),
+		SchedAgentWaitNs:  int64(ss.AgentWait.Wait),
+		SchedPreempted:    ss.Preempted,
+		SchedQuotaRounds:  ss.QuotaRounds, SchedQuotaDeferred: ss.QuotaDeferred,
+		SchedPromoted:    ss.Promoted,
+		SchedRetries:     uint64(retries),
+		SchedQuarantined: uint64(quarantined),
+		SchedClientLoads: s.v.Scheduler().ClientLoads(),
+		Ops:              opLatencies(s.lat.Summaries()),
+	}}, nil
+}
 
-	case netproto.OpRescan:
-		var b netproto.CtxBody
-		if !decode(&b) {
-			return true
-		}
-		n, err := s.v.RescanStorageArea(b.Context)
-		if err != nil {
-			fail(err)
-			return true
-		}
-		sess.reply(netproto.Response{ID: id, OK: true, Count: n})
+func (s *Server) prefetch(sess *session, b netproto.FilesBody) (netproto.Response, error) {
+	if len(b.Files) == 0 {
+		return netproto.Response{}, fmt.Errorf("%w: prefetch requires at least one file", core.ErrInvalid)
+	}
+	n, err := s.v.GuidedPrefetch(sess.client, b.Context, b.Files)
+	return netproto.Response{OK: true, Count: n}, err
+}
 
-	case netproto.OpSubscribe:
-		var b netproto.FilesBody
-		if !decode(&b) {
-			return true
-		}
-		if len(b.Files) == 0 {
-			fail(fmt.Errorf("%w: subscribe requires at least one file", core.ErrInvalid))
-			return true
-		}
-		if err := s.subscribeFiles(sess, id, b.Context, b.Files); err != nil {
-			fail(err)
-		}
+func (s *Server) rescan(_ *session, b netproto.CtxBody) (netproto.Response, error) {
+	n, err := s.v.RescanStorageArea(b.Context)
+	return netproto.Response{OK: true, Count: n}, err
+}
 
-	case netproto.OpFedWatch:
-		var b netproto.FilesBody
-		if !decode(&b) {
-			return true
-		}
-		if len(b.Files) == 0 {
-			fail(fmt.Errorf("%w: fed-watch requires at least one file", core.ErrInvalid))
-			return true
-		}
-		if err := s.fedWatchFiles(sess, id, b.Context, b.Files); err != nil {
-			fail(err)
-		}
+func (s *Server) peers(*session) (netproto.Response, error) {
+	var infos []netproto.PeerInfo
+	if s.Peers != nil {
+		infos = append(infos, s.Peers.PeerInfos()...)
+	}
+	return netproto.Response{OK: true, Peers: append(infos, s.inboundPeerInfos()...)}, nil
+}
 
-	case netproto.OpPeers:
-		var infos []netproto.PeerInfo
-		if s.Peers != nil {
-			infos = append(infos, s.Peers.PeerInfos()...)
-		}
-		infos = append(infos, s.inboundPeerInfos()...)
-		sess.reply(netproto.Response{ID: id, OK: true, Peers: infos})
+func (s *Server) unsubscribe(sess *session, b netproto.UnsubscribeBody) (netproto.Response, error) {
+	if sub := sess.dropSub(b.SubID); sub != nil {
+		sub.Close()
+	}
+	return acked, nil
+}
 
-	case netproto.OpUnsubscribe:
-		var b netproto.UnsubscribeBody
-		if !decode(&b) {
-			return true
-		}
-		if sub := sess.dropSub(b.SubID); sub != nil {
-			sub.Close()
-		}
-		sess.reply(netproto.Response{ID: id, OK: true})
+func (s *Server) schedGet(*session) (netproto.Response, error) {
+	return netproto.Response{OK: true, Sched: schedInfo(s.v.SchedConfig())}, nil
+}
 
-	case netproto.OpSchedGet:
-		cfg := s.v.SchedConfig()
-		sess.reply(netproto.Response{ID: id, OK: true, Sched: schedInfo(cfg)})
-
-	case netproto.OpSchedSet:
-		var b netproto.SchedSetBody
-		if !decode(&b) {
-			return true
-		}
-		// Validation happens in full before any field is applied: a
-		// sched-set is atomic — either every knob lands or none does.
-		if b.TotalNodes != nil && *b.TotalNodes < 0 {
-			fail(fmt.Errorf("%w: total_nodes must be ≥ 0, got %d", core.ErrInvalid, *b.TotalNodes))
-			return true
-		}
-		if b.DRRQuantum != nil && *b.DRRQuantum < 0 {
-			fail(fmt.Errorf("%w: drr_quantum must be ≥ 0, got %d", core.ErrInvalid, *b.DRRQuantum))
-			return true
-		}
-		if b.PreemptSunkCost != nil && (*b.PreemptSunkCost < 0 || *b.PreemptSunkCost > 1) {
-			fail(fmt.Errorf("%w: preempt_sunk_cost must be in [0,1], got %g", core.ErrInvalid, *b.PreemptSunkCost))
-			return true
-		}
-		var preempt sched.PreemptPolicy
-		if b.PreemptPolicy != nil {
-			var err error
-			if preempt, err = sched.ParsePreemptPolicy(*b.PreemptPolicy); err != nil {
-				fail(fmt.Errorf("%w: %v", core.ErrInvalid, err))
-				return true
-			}
-		}
-		// The partial update merges atomically under the scheduler's
-		// mutex: concurrent sched-sets compose instead of overwriting
-		// each other's fields with stale reads.
-		cfg := s.v.UpdateSchedConfig(func(cfg sched.Config) sched.Config {
-			if b.Coalesce != nil {
-				cfg.Coalesce = *b.Coalesce
-			}
-			if b.Priorities != nil {
-				cfg.Priorities = *b.Priorities
-			}
-			if b.TotalNodes != nil {
-				cfg.TotalNodes = *b.TotalNodes
-			}
-			if b.PreemptPolicy != nil {
-				cfg.Preempt = preempt
-			}
-			if b.DRRQuantum != nil {
-				cfg.DRRQuantum = *b.DRRQuantum
-			}
-			if b.PreemptSunkCost != nil {
-				cfg.PreemptSunkCost = *b.PreemptSunkCost
-			}
-			if b.PreemptGuided != nil {
-				cfg.PreemptGuided = *b.PreemptGuided
-			}
-			if b.DemandJoin != nil {
-				cfg.DemandJoin = *b.DemandJoin
-			}
-			return cfg
-		})
-		s.logf("server: scheduler reconfigured by %s: coalesce=%v priorities=%v nodes=%d preempt=%s quantum=%d sunkcost=%g guided=%v demandjoin=%v",
-			sess.client, cfg.Coalesce, cfg.Priorities, cfg.TotalNodes, cfg.Preempt, cfg.DRRQuantum,
-			cfg.PreemptSunkCost, cfg.PreemptGuided, cfg.DemandJoin)
-		sess.reply(netproto.Response{ID: id, OK: true, Sched: schedInfo(cfg)})
-
-	case netproto.OpCachePolicySet:
-		var b netproto.CachePolicyBody
-		if !decode(&b) {
-			return true
-		}
-		if err := s.v.SetCachePolicy(b.Context, b.Policy); err != nil {
-			fail(err)
-			return true
-		}
-		s.logf("server: context %s cache policy swapped to %s by %s", b.Context, b.Policy, sess.client)
-		sess.reply(netproto.Response{ID: id, OK: true})
-
-	case netproto.OpDrain:
-		var b netproto.CtxBody
-		if !decode(&b) {
-			return true
-		}
-		if err := s.v.Drain(b.Context); err != nil {
-			fail(err)
-			return true
-		}
-		sess.reply(netproto.Response{ID: id, OK: true})
-
-	case netproto.OpResume:
-		var b netproto.CtxBody
-		if !decode(&b) {
-			return true
-		}
-		if err := s.v.Resume(b.Context); err != nil {
-			fail(err)
-			return true
-		}
-		sess.reply(netproto.Response{ID: id, OK: true})
-
-	case netproto.OpQuarantineReset:
-		var b netproto.CtxBody
-		if !decode(&b) {
-			return true
-		}
-		n, err := s.v.ResetQuarantine(b.Context)
-		if err != nil {
-			fail(err)
-			return true
-		}
-		if b.Context == "" {
-			s.logf("server: quarantine reset on all contexts by %s (%d released)", sess.client, n)
-		} else {
-			s.logf("server: quarantine reset on context %s by %s (%d released)", b.Context, sess.client, n)
-		}
-		sess.reply(netproto.Response{ID: id, OK: true, Count: n})
-
-	case netproto.OpAutoscaleReport:
-		var b netproto.AutoscaleReportBody
-		if !decode(&b) {
-			return true
-		}
-		s.asMu.Lock()
-		s.asInfo.Active = b.Active
-		if b.Active {
-			s.asInfo.Source = sess.client
-			s.asInfo.Policies = b.Policies
-		} else {
-			// Detachment keeps the decision trail (health still shows
-			// what the controller last did) but clears the live state.
-			s.asInfo.Policies = nil
-		}
-		s.asInfo.Decisions = append(s.asInfo.Decisions, b.Decisions...)
-		if n := len(s.asInfo.Decisions); n > autoscaleLogCap {
-			s.asInfo.Decisions = append([]netproto.AutoscaleDecision(nil),
-				s.asInfo.Decisions[n-autoscaleLogCap:]...)
-		}
-		s.asMu.Unlock()
-		sess.reply(netproto.Response{ID: id, OK: true, Count: len(b.Decisions)})
-
-	case netproto.OpAutoscaleStatus:
-		s.asMu.Lock()
-		info := s.asInfo
-		info.Policies = append([]string(nil), s.asInfo.Policies...)
-		info.Decisions = append([]netproto.AutoscaleDecision(nil), s.asInfo.Decisions...)
-		s.asMu.Unlock()
-		sess.reply(netproto.Response{ID: id, OK: true, Autoscale: &info})
-
-	case netproto.OpCtxRegister:
-		var b netproto.CtxRegisterBody
-		if !decode(&b) {
-			return true
-		}
-		if b.Context == nil {
-			fail(fmt.Errorf("%w: ctx-register requires a context definition", core.ErrInvalid))
-			return true
-		}
-		if s.Registrar == nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeUnsupported,
-				Err: "this daemon has no context registrar (storage provisioning unavailable)"})
-			return true
-		}
-		if err := s.Registrar.RegisterContext(b.Context, b.Policy, b.InitialSim); err != nil {
-			fail(err)
-			return true
-		}
-		s.logf("server: context %s registered by %s (policy %s)", b.Context.Name, sess.client, b.Policy)
-		sess.reply(netproto.Response{ID: id, OK: true})
-
-	case netproto.OpCtxDeregister:
-		var b netproto.CtxBody
-		if !decode(&b) {
-			return true
-		}
+func (s *Server) schedSet(sess *session, b netproto.SchedSetBody) (netproto.Response, error) {
+	// Validation happens in full before any field is applied: a
+	// sched-set is atomic — either every knob lands or none does.
+	if b.TotalNodes != nil && *b.TotalNodes < 0 {
+		return netproto.Response{}, fmt.Errorf("%w: total_nodes must be ≥ 0, got %d", core.ErrInvalid, *b.TotalNodes)
+	}
+	if b.DRRQuantum != nil && *b.DRRQuantum < 0 {
+		return netproto.Response{}, fmt.Errorf("%w: drr_quantum must be ≥ 0, got %d", core.ErrInvalid, *b.DRRQuantum)
+	}
+	if b.PreemptSunkCost != nil && (*b.PreemptSunkCost < 0 || *b.PreemptSunkCost > 1) {
+		return netproto.Response{}, fmt.Errorf("%w: preempt_sunk_cost must be in [0,1], got %g", core.ErrInvalid, *b.PreemptSunkCost)
+	}
+	var preempt sched.PreemptPolicy
+	if b.PreemptPolicy != nil {
 		var err error
-		if s.Registrar != nil {
-			err = s.Registrar.DeregisterContext(b.Context)
-		} else {
-			err = s.v.RemoveContext(b.Context)
+		if preempt, err = sched.ParsePreemptPolicy(*b.PreemptPolicy); err != nil {
+			return netproto.Response{}, fmt.Errorf("%w: %v", core.ErrInvalid, err)
 		}
-		if err != nil {
-			fail(err)
-			return true
-		}
-		s.logf("server: context %s deregistered by %s", b.Context, sess.client)
-		sess.reply(netproto.Response{ID: id, OK: true})
-
-	default:
-		sess.reply(netproto.Response{ID: id, Code: netproto.CodeUnsupported,
-			Err: fmt.Sprintf("unknown op %q", env.Op)})
 	}
-	return true
+	// The partial update merges atomically under the scheduler's
+	// mutex: concurrent sched-sets compose instead of overwriting
+	// each other's fields with stale reads.
+	cfg := s.v.UpdateSchedConfig(func(cfg sched.Config) sched.Config {
+		if b.Coalesce != nil {
+			cfg.Coalesce = *b.Coalesce
+		}
+		if b.Priorities != nil {
+			cfg.Priorities = *b.Priorities
+		}
+		if b.TotalNodes != nil {
+			cfg.TotalNodes = *b.TotalNodes
+		}
+		if b.PreemptPolicy != nil {
+			cfg.Preempt = preempt
+		}
+		if b.DRRQuantum != nil {
+			cfg.DRRQuantum = *b.DRRQuantum
+		}
+		if b.PreemptSunkCost != nil {
+			cfg.PreemptSunkCost = *b.PreemptSunkCost
+		}
+		if b.PreemptGuided != nil {
+			cfg.PreemptGuided = *b.PreemptGuided
+		}
+		if b.DemandJoin != nil {
+			cfg.DemandJoin = *b.DemandJoin
+		}
+		return cfg
+	})
+	s.logf("server: scheduler reconfigured by %s: coalesce=%v priorities=%v nodes=%d preempt=%s quantum=%d sunkcost=%g guided=%v demandjoin=%v",
+		sess.client, cfg.Coalesce, cfg.Priorities, cfg.TotalNodes, cfg.Preempt, cfg.DRRQuantum,
+		cfg.PreemptSunkCost, cfg.PreemptGuided, cfg.DemandJoin)
+	return netproto.Response{OK: true, Sched: schedInfo(cfg)}, nil
+}
+
+func (s *Server) cachePolicySet(sess *session, b netproto.CachePolicyBody) (netproto.Response, error) {
+	if err := s.v.SetCachePolicy(b.Context, b.Policy); err != nil {
+		return netproto.Response{}, err
+	}
+	s.logf("server: context %s cache policy swapped to %s by %s", b.Context, b.Policy, sess.client)
+	return acked, nil
+}
+
+func (s *Server) drain(_ *session, b netproto.CtxBody) (netproto.Response, error) {
+	return acked, s.v.Drain(b.Context)
+}
+
+func (s *Server) resume(_ *session, b netproto.CtxBody) (netproto.Response, error) {
+	return acked, s.v.Resume(b.Context)
+}
+
+func (s *Server) quarantineReset(sess *session, b netproto.CtxBody) (netproto.Response, error) {
+	n, err := s.v.ResetQuarantine(b.Context)
+	if err != nil {
+		return netproto.Response{}, err
+	}
+	if b.Context == "" {
+		s.logf("server: quarantine reset on all contexts by %s (%d released)", sess.client, n)
+	} else {
+		s.logf("server: quarantine reset on context %s by %s (%d released)", b.Context, sess.client, n)
+	}
+	return netproto.Response{OK: true, Count: n}, nil
+}
+
+func (s *Server) autoscaleReport(sess *session, b netproto.AutoscaleReportBody) (netproto.Response, error) {
+	s.asMu.Lock()
+	s.asInfo.Active = b.Active
+	if b.Active {
+		s.asInfo.Source = sess.client
+		s.asInfo.Policies = b.Policies
+	} else {
+		// Detachment keeps the decision trail (health still shows
+		// what the controller last did) but clears the live state.
+		s.asInfo.Policies = nil
+	}
+	s.asInfo.Decisions = append(s.asInfo.Decisions, b.Decisions...)
+	if n := len(s.asInfo.Decisions); n > autoscaleLogCap {
+		s.asInfo.Decisions = append([]netproto.AutoscaleDecision(nil),
+			s.asInfo.Decisions[n-autoscaleLogCap:]...)
+	}
+	s.asMu.Unlock()
+	return netproto.Response{OK: true, Count: len(b.Decisions)}, nil
+}
+
+func (s *Server) autoscaleStatus(*session) (netproto.Response, error) {
+	s.asMu.Lock()
+	info := s.asInfo
+	info.Policies = append([]string(nil), s.asInfo.Policies...)
+	info.Decisions = append([]netproto.AutoscaleDecision(nil), s.asInfo.Decisions...)
+	s.asMu.Unlock()
+	return netproto.Response{OK: true, Autoscale: &info}, nil
+}
+
+func (s *Server) ctxRegister(sess *session, b netproto.CtxRegisterBody) (netproto.Response, error) {
+	if b.Context == nil {
+		return netproto.Response{}, fmt.Errorf("%w: ctx-register requires a context definition", core.ErrInvalid)
+	}
+	if s.Registrar == nil {
+		return netproto.Response{Code: netproto.CodeUnsupported,
+			Err: "this daemon has no context registrar (storage provisioning unavailable)"}, nil
+	}
+	if err := s.Registrar.RegisterContext(b.Context, b.Policy, b.InitialSim); err != nil {
+		return netproto.Response{}, err
+	}
+	s.logf("server: context %s registered by %s (policy %s)", b.Context.Name, sess.client, b.Policy)
+	return acked, nil
+}
+
+func (s *Server) ctxDeregister(sess *session, b netproto.CtxBody) (netproto.Response, error) {
+	var err error
+	if s.Registrar != nil {
+		err = s.Registrar.DeregisterContext(b.Context)
+	} else {
+		err = s.v.RemoveContext(b.Context)
+	}
+	if err != nil {
+		return netproto.Response{}, err
+	}
+	s.logf("server: context %s deregistered by %s", b.Context, sess.client)
+	return acked, nil
 }
 
 // autoscaleLogCap bounds the daemon-side autoscale decision ring: enough
 // recent history for simfs-ctl health, never an unbounded ledger.
 const autoscaleLogCap = 64
-
-// hasCapability reports whether caps contains want.
-func hasCapability(caps []string, want string) bool {
-	for _, c := range caps {
-		if c == want {
-			return true
-		}
-	}
-	return false
-}
 
 // schedInfo mirrors a scheduler config onto the wire. The fieldsync
 // analyzer holds it to SchedInfo's full field list, so a new knob
@@ -1033,8 +779,8 @@ func opLatencies(sums []metrics.OpLatency) []netproto.OpLatency {
 // its live topic count and the events forwarded over the link.
 func (s *Server) inboundPeerInfos() []netproto.PeerInfo {
 	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.conns))
-	for _, sess := range s.conns {
+	sessions := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
 		sessions = append(sessions, sess)
 	}
 	s.mu.Unlock()
@@ -1051,7 +797,7 @@ func (s *Server) inboundPeerInfos() []netproto.PeerInfo {
 			continue
 		}
 		infos = append(infos, netproto.PeerInfo{
-			Addr: sess.conn.RemoteAddr().String(), Role: "in",
+			Addr: sess.c.RemoteAddr().String(), Role: "in",
 			Connected: true, Topics: topics, Events: events,
 		})
 	}
@@ -1062,7 +808,8 @@ func (s *Server) inboundPeerInfos() []netproto.PeerInfo {
 // waitFile implements OpWait on the notify hub: subscribe to the file's
 // topic, then check its state — any event published after the
 // subscription is buffered, so no wakeup is lost.
-func (s *Server) waitFile(sess *session, id uint64, ctxName, file string) error {
+func (s *Server) waitFile(sess *session, id uint64, b netproto.FileBody) error {
+	ctxName, file := b.Context, b.File
 	topic, err := s.v.FileTopic(ctxName, file)
 	if err != nil {
 		return err
@@ -1136,9 +883,13 @@ type fileWatch struct {
 	fed bool
 }
 
-// watchTopics subscribes to every file's topic. The caller resolves the
-// initial states before pumping events.
-func (s *Server) watchTopics(client, ctxName string, files []string) (*fileWatch, error) {
+// watchTopics subscribes to every file's topic for the multi-file op
+// (an empty list is refused). The caller resolves the initial states
+// before pumping events.
+func (s *Server) watchTopics(op, client, ctxName string, files []string) (*fileWatch, error) {
+	if len(files) == 0 {
+		return nil, fmt.Errorf("%w: %s requires at least one file", core.ErrInvalid, op)
+	}
 	topics := make([]notify.Topic, len(files))
 	for i, f := range files {
 		t, err := s.v.FileTopic(ctxName, f)
@@ -1203,10 +954,11 @@ func (w *fileWatch) pump(sess *session, reqID uint64, failFast bool) {
 
 // acquireWithPerFile implements the acquire subscription: references are
 // taken via Open (starting re-simulations), then readiness rides the
-// notify hub — a per-file ready frame for each missing file plus a final
-// done frame.
-func (s *Server) acquireWithPerFile(sess *session, id uint64, ctxName string, files []string) error {
-	w, err := s.watchTopics(sess.client, ctxName, files)
+// notify hub — a per-file ready frame for each missing file (they let
+// the client implement Waitsome/Testsome) plus a final done frame.
+func (s *Server) acquireWithPerFile(sess *session, id uint64, b netproto.FilesBody) error {
+	ctxName, files := b.Context, append([]string(nil), b.Files...)
+	w, err := s.watchTopics(netproto.OpAcquire, sess.client, ctxName, files)
 	if err != nil {
 		return err
 	}
@@ -1253,8 +1005,9 @@ func (s *Server) acquireWithPerFile(sess *session, id uint64, ctxName string, fi
 // pending and the bridge watches them on the peer daemons (the local
 // hub republishes whatever a peer produces, so the pump below resolves
 // them exactly like local productions).
-func (s *Server) subscribeFiles(sess *session, id uint64, ctxName string, files []string) error {
-	w, err := s.watchTopics(sess.client, ctxName, files)
+func (s *Server) subscribeFiles(sess *session, id uint64, b netproto.FilesBody) error {
+	ctxName, files := b.Context, b.Files
+	w, err := s.watchTopics(netproto.OpSubscribe, sess.client, ctxName, files)
 	if err != nil {
 		return err
 	}
@@ -1313,8 +1066,9 @@ func (s *Server) subscribeFiles(sess *session, id uint64, ctxName string, files 
 // only be asked later — and it never consults s.Peers, so a peer mesh
 // cannot forward an interest in circles: every interest bounces at
 // most once, from the daemon the client asked to the producing peer.
-func (s *Server) fedWatchFiles(sess *session, id uint64, ctxName string, files []string) error {
-	w, err := s.watchTopics(sess.client, ctxName, files)
+func (s *Server) fedWatchFiles(sess *session, id uint64, b netproto.FilesBody) error {
+	ctxName, files := b.Context, b.Files
+	w, err := s.watchTopics(netproto.OpFedWatch, sess.client, ctxName, files)
 	if err != nil {
 		return err
 	}
