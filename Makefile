@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-selftest bench-server bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke lint fmt vet simfs-vet staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race bench bench-smoke bench-selftest bench-gate bench-server bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke lint fmt vet simfs-vet staticcheck govulncheck check clean
 
 all: build
 
@@ -42,6 +42,29 @@ bench-smoke:
 bench-selftest:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
+
+# bench-gate runs the four BENCHMARK.json workloads for 5 s each (~40 s
+# in all) and fails when any operation failed or allocs_per_op exceeds
+# its ceiling. allocs_per_op is the one end-to-end metric that repeats
+# to four digits on any machine, so it can gate without a baseline run;
+# the timing metrics still need the alternating pairs of
+# benchmark/README.md. Each ceiling is the median of the change that
+# last moved it plus BENCHMARK.json's 2 % bound — lower it with the
+# change that earns it, and raise it only with a CHANGES.md entry saying
+# what the allocations bought.
+BENCH_GATE ?= hit_pipelined:12.73 hit_routed_sync:20.89 miss_resim:182.2 des_multi:134.4
+bench-gate:
+	@for gate in $(BENCH_GATE); do \
+		w=$${gate%%:*}; ceiling=$${gate##*:}; \
+		line=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 | tail -n 1) || exit 1; \
+		failed=$$(printf '%s' "$$line" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p'); \
+		allocs=$$(printf '%s' "$$line" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.eE+-]*\).*/\1/p'); \
+		if [ -z "$$failed" ] || [ -z "$$allocs" ]; then echo "bench-gate: $$w: no result line: $$line"; exit 1; fi; \
+		echo "bench-gate: $$w failed=$$failed allocs_per_op=$$allocs (ceiling $$ceiling)"; \
+		if [ "$$failed" -gt 0 ]; then echo "bench-gate: $$w: $$failed operations failed"; exit 1; fi; \
+		if ! awk -v a="$$allocs" -v c="$$ceiling" 'BEGIN { exit !(a <= c) }'; then \
+			echo "bench-gate: $$w: allocs_per_op $$allocs exceeds $$ceiling"; exit 1; fi; \
+	done
 
 # benchstat saves benchstat-comparable output. First run: the result is
 # copied to bench-before.txt as the baseline. Later runs write
@@ -185,7 +208,7 @@ govulncheck:
 	fi
 
 # check is the full local gate: what CI runs, in one target.
-check: build lint test-short test-race bench-selftest
+check: build lint test-short test-race bench-selftest bench-gate
 
 clean:
 	$(GO) clean ./...

@@ -16,7 +16,7 @@ func (v *Virtualizer) RegisterChecksum(ctxName, filename string, sum uint64) err
 		return err
 	}
 	defer cs.mu.Unlock()
-	if _, err := cs.ctx.Key(filename); err != nil {
+	if _, err := cs.keyOf(filename); err != nil {
 		return err
 	}
 	cs.checksums[filename] = sum

@@ -49,7 +49,7 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 	if cs.draining {
 		return OpenResult{}, fmt.Errorf("core: %w: %q refuses new opens", ErrDraining, ctxName)
 	}
-	step, err := cs.ctx.Key(filename)
+	step, err := cs.keyOf(filename)
 	if err != nil {
 		return OpenResult{}, err
 	}
@@ -150,7 +150,7 @@ func (v *Virtualizer) WaitFile(client, ctxName, filename string, cb func(Status)
 	if err != nil {
 		return err
 	}
-	step, err := cs.ctx.Key(filename)
+	step, err := cs.keyOf(filename)
 	if err != nil {
 		cs.mu.Unlock()
 		return err
@@ -177,7 +177,7 @@ func (v *Virtualizer) Release(client, ctxName, filename string) error {
 		return err
 	}
 	defer cs.mu.Unlock()
-	step, err := cs.ctx.Key(filename)
+	step, err := cs.keyOf(filename)
 	if err != nil {
 		return err
 	}
@@ -312,7 +312,7 @@ func (v *Virtualizer) GuidedPrefetch(client, ctxName string, filenames []string)
 	}
 	launched := 0
 	for _, f := range filenames {
-		step, err := cs.ctx.Key(f)
+		step, err := cs.keyOf(f)
 		if err != nil {
 			return launched, err
 		}
@@ -352,7 +352,7 @@ func (v *Virtualizer) EstWait(ctxName, filename string) (time.Duration, error) {
 		return 0, err
 	}
 	defer cs.mu.Unlock()
-	step, err := cs.ctx.Key(filename)
+	step, err := cs.keyOf(filename)
 	if err != nil {
 		return 0, err
 	}

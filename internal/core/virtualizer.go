@@ -487,7 +487,7 @@ func (v *Virtualizer) FileState(ctxName, filename string) (resident, promised bo
 		return false, false, err
 	}
 	defer cs.mu.Unlock()
-	step, err := cs.ctx.Key(filename)
+	step, err := cs.keyOf(filename)
 	if err != nil {
 		return false, false, err
 	}
@@ -506,7 +506,7 @@ func (v *Virtualizer) NoteClientReady(client, ctxName, filename string) {
 		return
 	}
 	defer cs.mu.Unlock()
-	if _, err := cs.ctx.Key(filename); err != nil {
+	if _, err := cs.keyOf(filename); err != nil {
 		return
 	}
 	cs.lastReady[client] = v.clock.Now()
@@ -518,7 +518,7 @@ func (v *Virtualizer) FileTopic(ctxName, filename string) (notify.Topic, error) 
 	if !ok {
 		return notify.Topic{}, fmt.Errorf("core: %w %q", ErrUnknownContext, ctxName)
 	}
-	step, err := cs.ctx.Key(filename)
+	step, err := cs.keyOf(filename)
 	if err != nil {
 		return notify.Topic{}, err
 	}
@@ -626,6 +626,17 @@ func (v *Virtualizer) insertStep(cs *shard, step int) {
 			_ = cs.cache.Pin(name)
 		}
 	}
+}
+
+// keyOf is ctx.Key for a file name a client supplied: a name outside the
+// naming convention is the client's mistake, so the error wraps
+// ErrInvalid.
+func (cs *shard) keyOf(filename string) (int, error) {
+	step, err := cs.ctx.Key(filename)
+	if err != nil {
+		return 0, fmt.Errorf("core: %w: %v", ErrInvalid, err)
+	}
+	return step, nil
 }
 
 // resident reports whether a step's file is on disk. Caller holds the

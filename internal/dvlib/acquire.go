@@ -95,7 +95,7 @@ func (ctx *Context) AcquireNB(files ...string) (*Req, error) {
 				r.err = resp.Err
 			}
 			completed := false
-			if resp.Done && !r.done {
+			if resp.Terminal() && !r.done { // a refusal of the whole acquire ends it with or without Done
 				r.done = true
 				completed = r.err == ""
 				close(r.doneCh)

@@ -112,7 +112,8 @@ type Client struct {
 	// After a reconnect the daemon has released everything this session
 	// held (disconnect cleanup), so the ledger is replayed as opens to
 	// rebuild the reference state — and consulted to refuse releases of
-	// files not held.
+	// files not held. Only a reconnect reads it, so it is kept only by a
+	// client dialed WithReconnect.
 	held         map[string]map[string]int
 	reconnecting bool
 	closed       bool
@@ -282,26 +283,27 @@ func (c *Client) readLoop() {
 	}
 }
 
-// settle updates the reference ledger from a completed call: a
-// successful open holds a reference, a successful release drops one.
-func (c *Client) settle(p *pendingCall, resp netproto.Response) {
-	if resp.Err != "" {
+// settle updates the reference ledger from a call the daemon answered
+// without an error: an open holds a reference, a release drops one.
+func (c *Client) settle(env *netproto.Envelope) {
+	b, ok := env.File()
+	if !ok {
 		return
 	}
-	switch p.op {
+	switch env.Op {
 	case netproto.OpOpen:
-		if b, ok := p.body.(netproto.FileBody); ok {
-			c.trackHeld(b.Context, b.File, +1)
-		}
+		c.trackHeld(b.Context, b.File, +1)
 	case netproto.OpRelease:
-		if b, ok := p.body.(netproto.FileBody); ok {
-			c.trackHeld(b.Context, b.File, -1)
-		}
+		c.trackHeld(b.Context, b.File, -1)
 	}
 }
 
-// trackHeld adjusts the client-side reference ledger.
+// trackHeld adjusts the client-side reference ledger, which exists only
+// for a reconnect to read.
 func (c *Client) trackHeld(ctxName, file string, delta int) {
+	if !c.reconnectEnabled() {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := c.held[ctxName]
@@ -336,37 +338,61 @@ func (c *Client) die(err error) {
 	c.calls.Fail(netproto.Response{Err: "connection lost", Done: true})
 }
 
-// pendingCall is an in-flight request: its frame is queued (and possibly
-// already flushed) and the read loop will route the response to ch. op
-// and body are retained so a reconnect can replay the request; err is
-// set (before ch closes) when a reconnect fails the call with a typed
-// error.
+// pendingCall is an in-flight request expecting one response, and the
+// only object a call allocates: its frame is queued (and possibly
+// already flushed) and the read loop will leave the response in resp and
+// a token in ch. env is the request as built, ID unset — what settle
+// reads the ledger entry from and what a reconnect replays, under the ID
+// the table holds the call at; it is never written once the call is
+// registered. err is set (before ch closes) when a reconnect fails the
+// call with a typed error.
 type pendingCall struct {
 	c    *Client
-	op   string
 	id   uint64
-	body any
-	ch   chan netproto.Response
+	env  netproto.Envelope
+	resp netproto.Response
+	ch   chan struct{}
 	err  error
 }
 
+// tokens recycles the calls' one-slot wake-up channels. A channel goes
+// back only from the await that received its token: by then the table
+// has dropped the call, so nothing can send on the channel or close it
+// again. A call failed by a reconnect (closed channel) or abandoned by a
+// canceled context (the read loop may still deliver) keeps its channel.
+var tokens = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
 // HandleResponse settles the ledger and wakes the awaiting caller.
 func (p *pendingCall) HandleResponse(resp netproto.Response) {
-	p.c.settle(p, resp)
-	p.ch <- resp
+	if resp.Err == "" {
+		p.c.settle(&p.env)
+	}
+	p.resp = resp
+	p.ch <- struct{}{}
+}
+
+// newEnv builds a request envelope; request assigns its ID.
+func newEnv(op string, body any) netproto.Envelope {
+	env, _ := netproto.NewEnvelope(0, op, body) // documented always-nil
+	return env
 }
 
 // call sends a request expecting exactly one response.
 func (c *Client) call(op string, body any) (netproto.Response, error) {
-	return c.callCtx(context.Background(), op, body)
+	return c.roundTrip(context.Background(), newEnv(op, body))
 }
 
 // callCtx is call honoring a context deadline/cancellation. A canceled
 // call abandons the response (the read loop drops it as unknown); the
 // request may still have taken effect on the daemon.
 func (c *Client) callCtx(ctx context.Context, op string, body any) (netproto.Response, error) {
-	p, err := c.start(op, body)
-	if err != nil {
+	return c.roundTrip(ctx, newEnv(op, body))
+}
+
+// roundTrip sends env and blocks for its one response.
+func (c *Client) roundTrip(ctx context.Context, env netproto.Envelope) (netproto.Response, error) {
+	p := new(pendingCall)
+	if err := c.start(p, env); err != nil {
 		return netproto.Response{}, err
 	}
 	return c.await(ctx, p)
@@ -384,7 +410,7 @@ var errClosed = errors.New("dvlib: client closed")
 // write buffer until the caller awaits, Flush is called, or the buffer
 // fills. Gate, registration and connection are read under one lock
 // hold, so a reconnect's sweep sees the request entirely or not at all.
-func (c *Client) request(h netproto.ResponseHandler, stream bool, op string, body any, flush bool) (uint64, error) {
+func (c *Client) request(h netproto.ResponseHandler, stream bool, env netproto.Envelope, flush bool) (uint64, error) {
 	c.mu.Lock()
 	for c.reconnecting && !c.closed && c.readErr == nil {
 		c.recCond.Wait()
@@ -410,8 +436,8 @@ func (c *Client) request(h netproto.ResponseHandler, stream bool, op string, bod
 		return 0, errClosed
 	}
 
-	env, _ := netproto.NewEnvelope(id, op, body) // documented always-nil
-	if err = conn.Enqueue(env); err == nil && flush {
+	env.ID = id
+	if err = conn.EnqueueRequest(&env); err == nil && flush {
 		err = c.flushOn(conn)
 	}
 	if err != nil && h != nil {
@@ -420,14 +446,11 @@ func (c *Client) request(h netproto.ResponseHandler, stream bool, op string, bod
 	return id, err
 }
 
-// start registers a pending call and queues its request frame.
-func (c *Client) start(op string, body any) (*pendingCall, error) {
-	p := &pendingCall{c: c, op: op, body: body, ch: make(chan netproto.Response, 1)}
-	var err error
-	if p.id, err = c.request(p, false, op, body, false); err != nil {
-		return nil, err
-	}
-	return p, nil
+// start registers p as a pending call and queues its request frame.
+func (c *Client) start(p *pendingCall, env netproto.Envelope) (err error) {
+	p.c, p.env, p.ch = c, env, tokens.Get().(chan struct{})
+	p.id, err = c.request(p, false, env, false)
+	return err
 }
 
 // await flushes any queued frames (the daemon cannot answer a request it
@@ -438,14 +461,17 @@ func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, 
 		return netproto.Response{}, err
 	}
 	select {
-	case resp, ok := <-p.ch:
+	case _, ok := <-p.ch:
 		if !ok {
 			return netproto.Response{}, p.err
 		}
-		if resp.Err != "" {
-			return resp, &Error{Code: resp.Code, Op: p.op, Msg: resp.Err}
+		// Without its channel a second await on p blocks, as it always has.
+		tokens.Put(p.ch)
+		p.ch = nil
+		if p.resp.Err != "" {
+			return p.resp, &Error{Code: p.resp.Code, Op: p.env.Op, Msg: p.resp.Err}
 		}
-		return resp, nil
+		return p.resp, nil
 	case <-ctx.Done():
 		c.calls.Remove(p.id)
 		return netproto.Response{}, ctx.Err()
@@ -456,7 +482,7 @@ func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, 
 // cancellation paths, where blocking on an unresponsive daemon would
 // defeat the deadline being enforced.
 func (c *Client) post(op string, body any) error {
-	_, err := c.request(nil, false, op, body, true)
+	_, err := c.request(nil, false, newEnv(op, body), true)
 	return err
 }
 
@@ -464,7 +490,7 @@ func (c *Client) post(op string, body any) error {
 // terminal frame arrives. It returns the request ID, which names the
 // subscription in an unsubscribe.
 func (c *Client) subscribe(op string, body any, h netproto.ResponseHandler) (uint64, error) {
-	return c.request(h, true, op, body, true)
+	return c.request(h, true, newEnv(op, body), true)
 }
 
 // reconnectEnabled reports whether the client was dialed WithReconnect.
@@ -577,33 +603,44 @@ type OpenResult struct {
 // with the DV (starting a re-simulation if the file is missing) and takes
 // a reference on the file.
 func (ctx *Context) Open(file string) (OpenResult, error) {
-	resp, err := ctx.c.call(netproto.OpOpen, netproto.FileBody{Context: ctx.name, File: file})
+	resp, err := ctx.fileCall(netproto.OpOpen, file)
 	if err != nil {
 		return OpenResult{}, err
 	}
 	return OpenResult{Available: resp.Available, EstWait: time.Duration(resp.EstWaitNs)}, nil
 }
 
+// fileEnv builds the request of a FileBody op on this context; the body
+// stays typed from here to the wire.
+func (ctx *Context) fileEnv(op, file string) netproto.Envelope {
+	return netproto.NewFileEnvelope(0, op, netproto.FileBody{Context: ctx.name, File: file})
+}
+
+// fileCall round-trips a FileBody op.
+func (ctx *Context) fileCall(op, file string) (netproto.Response, error) {
+	return ctx.c.roundTrip(context.Background(), ctx.fileEnv(op, file))
+}
+
 // OpenCall is a pipelined Open in flight: the request frame is queued on
 // the connection; Wait flushes and blocks for the daemon's answer.
-type OpenCall struct{ p *pendingCall }
+type OpenCall struct{ call pendingCall }
 
 // OpenAsync queues an Open without waiting for the response, enabling
 // request pipelining: issue a window of OpenAsync/ReleaseAsync calls,
 // then Wait on the handles. All queued frames go out in one write on
 // the first Wait (or an explicit Client.Flush).
 func (ctx *Context) OpenAsync(file string) (*OpenCall, error) {
-	p, err := ctx.c.start(netproto.OpOpen, netproto.FileBody{Context: ctx.name, File: file})
-	if err != nil {
+	oc := new(OpenCall)
+	if err := ctx.c.start(&oc.call, ctx.fileEnv(netproto.OpOpen, file)); err != nil {
 		return nil, err
 	}
-	return &OpenCall{p}, nil
+	return oc, nil
 }
 
 // Wait flushes pending request frames and blocks for the open's result.
 // It must be called exactly once.
 func (oc *OpenCall) Wait() (OpenResult, error) {
-	resp, err := oc.p.c.await(context.Background(), oc.p)
+	resp, err := oc.call.c.await(context.Background(), &oc.call)
 	if err != nil {
 		return OpenResult{}, err
 	}
@@ -611,22 +648,22 @@ func (oc *OpenCall) Wait() (OpenResult, error) {
 }
 
 // ReleaseCall is a pipelined Release in flight.
-type ReleaseCall struct{ p *pendingCall }
+type ReleaseCall struct{ call pendingCall }
 
 // ReleaseAsync queues a Release without waiting for the response (the
 // pipelined variant of Release/Close).
 func (ctx *Context) ReleaseAsync(file string) (*ReleaseCall, error) {
-	p, err := ctx.c.start(netproto.OpRelease, netproto.FileBody{Context: ctx.name, File: file})
-	if err != nil {
+	rc := new(ReleaseCall)
+	if err := ctx.c.start(&rc.call, ctx.fileEnv(netproto.OpRelease, file)); err != nil {
 		return nil, err
 	}
-	return &ReleaseCall{p}, nil
+	return rc, nil
 }
 
 // Wait flushes pending request frames and blocks for the release's
 // acknowledgement. It must be called exactly once.
 func (rc *ReleaseCall) Wait() error {
-	_, err := rc.p.c.await(context.Background(), rc.p)
+	_, err := rc.call.c.await(context.Background(), &rc.call)
 	return err
 }
 
@@ -755,7 +792,9 @@ func (w *Watch) deliver(resp netproto.Response) {
 		w.seen[resp.File] = true
 		w.ch <- WatchEvent{File: resp.File, Ready: resp.Ready, Err: resp.Err}
 	}
-	if resp.Done {
+	// Terminal, not just Done: a refusal of the whole subscription (an
+	// unknown context, a bad body) ends the stream with or without it.
+	if resp.Terminal() {
 		w.closed = true
 		if resp.Err != "" && resp.File == "" {
 			w.ch <- WatchEvent{Err: resp.Err, Done: true}
@@ -788,7 +827,7 @@ func (ctx *Context) Close(file string) error {
 	if ctx.c.reconnectEnabled() && ctx.c.heldCount(ctx.name, file) == 0 {
 		return fmt.Errorf("dvlib: %s %q: %w", netproto.OpRelease, file, ErrNotHeld)
 	}
-	_, err := ctx.c.call(netproto.OpRelease, netproto.FileBody{Context: ctx.name, File: file})
+	_, err := ctx.fileCall(netproto.OpRelease, file)
 	return err
 }
 
@@ -797,7 +836,7 @@ func (ctx *Context) Release(file string) error { return ctx.Close(file) }
 
 // EstWait asks the DV for the estimated availability delay of a file.
 func (ctx *Context) EstWait(file string) (time.Duration, error) {
-	resp, err := ctx.c.call(netproto.OpEstWait, netproto.FileBody{Context: ctx.name, File: file})
+	resp, err := ctx.fileCall(netproto.OpEstWait, file)
 	if err != nil {
 		return 0, err
 	}
@@ -807,7 +846,7 @@ func (ctx *Context) EstWait(file string) (time.Duration, error) {
 // Bitrep checks whether a file's current content matches the originally
 // produced one (SIMFS_Bitrep). flag is true for a bitwise match.
 func (ctx *Context) Bitrep(file string) (bool, error) {
-	resp, err := ctx.c.call(netproto.OpBitrep, netproto.FileBody{Context: ctx.name, File: file})
+	resp, err := ctx.fileCall(netproto.OpBitrep, file)
 	if err != nil {
 		return false, err
 	}

@@ -47,11 +47,11 @@ func (c *Client) tryReconnect() bool {
 	c.calls.Sweep(func(id uint64, h netproto.ResponseHandler) bool {
 		switch h := h.(type) {
 		case *pendingCall:
-			if spec, _ := netproto.LookupOp(h.op); spec.Idempotent {
+			if spec, _ := netproto.LookupOp(h.env.Op); spec.Idempotent {
 				replay = append(replay, replayCall{id, h})
 				return false
 			}
-			h.err = fmt.Errorf("dvlib: %s: %w", h.op, ErrReconnecting)
+			h.err = fmt.Errorf("dvlib: %s: %w", h.env.Op, ErrReconnecting)
 			close(h.ch)
 		case watchSub:
 			h.w.id = id // Watch may not have recorded it yet
@@ -143,9 +143,9 @@ func (c *Client) redial(cfg ReconnectConfig) *netproto.Conn {
 // surviving in-flight calls in their original order. New requests are
 // still gated, so everything lands in one coalesced write.
 func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, watches []*Watch, replay []replayCall) {
-	enc := func(id uint64, op string, body any) {
-		env, _ := netproto.NewEnvelope(id, op, body)
-		_ = conn.Enqueue(env) // an unencodable frame was refused the first time too
+	enc := func(id uint64, env netproto.Envelope) {
+		env.ID = id
+		_ = conn.EnqueueRequest(&env) // an unencodable frame was refused the first time too
 	}
 	for ctxName, files := range held {
 		for f, n := range files {
@@ -153,7 +153,8 @@ func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, wat
 				// Fire-and-forget: the responses are dropped as unknown.
 				// The ledger already counts these references; a failure
 				// here surfaces on the next wait/open of the file.
-				enc(c.calls.NextID(), netproto.OpOpen, netproto.FileBody{Context: ctxName, File: f})
+				enc(c.calls.NextID(), netproto.NewFileEnvelope(0, netproto.OpOpen,
+					netproto.FileBody{Context: ctxName, File: f}))
 			}
 		}
 	}
@@ -172,10 +173,10 @@ func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, wat
 		c.mu.Lock()
 		w.id = id
 		c.mu.Unlock()
-		enc(id, netproto.OpSubscribe, netproto.FilesBody{Context: w.ctx.name, Files: rem})
+		enc(id, newEnv(netproto.OpSubscribe, netproto.FilesBody{Context: w.ctx.name, Files: rem}))
 	}
 	for _, r := range replay {
-		enc(r.id, r.p.op, r.p.body)
+		enc(r.id, r.p.env)
 	}
 	_ = c.flushOn(conn)
 }

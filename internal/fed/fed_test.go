@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -707,5 +708,76 @@ func TestFederationGarbageResponseFailsLink(t *testing.T) {
 	}
 	if !pc.Broken() {
 		t.Error("link survived an undecodable response")
+	}
+}
+
+// TestFederationStreamRefusedAsAWhole: a stream op the daemon refuses
+// outright — here a watch and an acquire on a context that was
+// deregistered under the client's handle — must end the client's wait
+// with that refusal, dialed directly and through the router. The
+// refusal used to arrive without Done, which both client handlers
+// waited for: WaitAvailable and Req.Wait blocked forever.
+func TestFederationStreamRefusedAsAWhole(t *testing.T) {
+	const name = "gone"
+	_, addr := newFedStack(t, name, nil)
+	_, raddr := startRouter(t, addr)
+
+	type dialed struct {
+		via string
+		ctx *dvlib.Context
+	}
+	var handles []dialed
+	for _, d := range []struct{ via, addr string }{{"direct", addr}, {"router", raddr}} {
+		c, err := dvlib.Dial(d.addr, "refused-"+d.via)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ctx, err := c.Init(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, dialed{d.via, ctx})
+	}
+	adminConn, err := dvlib.Dial(addr, "refused-admin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adminConn.Close()
+	admin, bg := adminConn.Admin(), context.Background()
+	if err := admin.Drain(bg, name); err != nil {
+		t.Fatal(err)
+	}
+	if err := admin.DeregisterContext(bg, name); err != nil {
+		t.Fatal(err)
+	}
+
+	// within fails the test instead of hanging it when call never returns.
+	within := func(via, what string, call func() string) {
+		t.Helper()
+		got := make(chan string, 1)
+		go func() { got <- call() }()
+		select {
+		case msg := <-got:
+			if !strings.Contains(msg, "unknown context") {
+				t.Errorf("%s: %s ended with %q, want the no_such_context refusal", via, what, msg)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: %s still blocked 5 s after the daemon refused it", via, what)
+		}
+	}
+	for _, h := range handles {
+		file := h.ctx.Filename(3)
+		within(h.via, "WaitAvailable", func() string {
+			return fmt.Sprint(h.ctx.WaitAvailable(file))
+		})
+		within(h.via, "AcquireNB.Wait", func() string {
+			req, err := h.ctx.AcquireNB(file)
+			if err != nil {
+				return err.Error()
+			}
+			st, err := req.Wait()
+			return fmt.Sprint(st.Err, err)
+		})
 	}
 }

@@ -83,7 +83,7 @@ func (pc *PeerConn) Forward(env netproto.Envelope, stream bool, h netproto.Respo
 		return 0, fmt.Errorf("fed: peer %s is down", pc.addr)
 	}
 	env.ID = id
-	if err := pc.c.Enqueue(env); err != nil {
+	if err := pc.c.EnqueueRequest(&env); err != nil {
 		pc.calls.Remove(id)
 		return 0, fmt.Errorf("fed: encode for %s: %w", pc.addr, err)
 	}
@@ -94,7 +94,8 @@ func (pc *PeerConn) Forward(env netproto.Envelope, stream bool, h netproto.Respo
 // peer's reply, if any, is dropped by the demux). Used for
 // unsubscribe, whose reply carries nothing.
 func (pc *PeerConn) Post(op string, body any) error {
-	return pc.c.Enqueue(newEnv(pc.calls.NextID(), op, body))
+	env := newEnv(pc.calls.NextID(), op, body)
+	return pc.c.EnqueueRequest(&env)
 }
 
 // Flush writes every buffered request frame in one syscall.

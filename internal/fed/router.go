@@ -95,7 +95,9 @@ type rsession struct {
 // reply enqueues a response for the client; flush writes what is
 // queued. A response that cannot be encoded or written drops the
 // session: its request would otherwise wait forever.
-func (sess *rsession) reply(resp netproto.Response) { sess.check("encode", sess.c.Enqueue(resp)) }
+func (sess *rsession) reply(resp netproto.Response) {
+	sess.check("encode", sess.c.EnqueueResponse(&resp))
+}
 
 func (sess *rsession) flush() { sess.check("write", sess.c.Flush()) }
 
@@ -192,8 +194,8 @@ func (r *Router) handle(c *netproto.Conn) {
 		sess.flushPeers()
 		sess.flush()
 	}
+	var env netproto.Envelope // one per session: see server.handle
 	for {
-		var env netproto.Envelope
 		if err := c.ReadRequest(&env, idle); err != nil {
 			if err != io.EOF {
 				r.logf("fed: read from %s: %v", c.RemoteAddr(), err)

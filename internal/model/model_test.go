@@ -1,6 +1,10 @@
 package model
 
 import (
+	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -317,5 +321,50 @@ func TestNamingRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: a step has exactly one name. Whatever Key accepts as step i
+// is byte for byte what Filename(i) prints — so the cache, the storage
+// area and the reference ledgers, all keyed by that name, agree on it.
+// The generator covers the ways a decimal can alias: signs, short and
+// long padding, steps past eight digits, stray characters.
+func TestKeyAcceptsOnlyFilenames(t *testing.T) {
+	c := &Context{Name: "p", Grid: Grid{DeltaD: 1, DeltaR: 4, Timesteps: 1 << 20}, OutputBytes: 1, Tau: 1}
+	c.ApplyDefaults()
+	rng := rand.New(rand.NewSource(1))
+	signs := []string{"", "", "", "+", "-"}
+	tails := []string{"", "", "", " ", "x", "_"}
+	accepted := 0
+	for n := 0; n < 20000; n++ {
+		step := rng.Intn(1000) + 1
+		if rng.Intn(3) == 0 {
+			step = 99_999_990 + rng.Intn(1_000_000_000) // around and past 10⁸
+		}
+		body := signs[rng.Intn(len(signs))] +
+			strings.Repeat("0", rng.Intn(12)) + strconv.Itoa(step) + tails[rng.Intn(len(tails))]
+		if rng.Intn(4) == 0 {
+			body = fmt.Sprintf("%08d", step) // the canonical spelling, so acceptance is exercised too
+		}
+		name := c.FilePrefix + body + c.FileSuffix
+		i, err := c.Key(name)
+		if err != nil {
+			if name == c.Filename(step) {
+				t.Fatalf("Key refused the canonical name %q: %v", name, err)
+			}
+			continue
+		}
+		accepted++
+		if c.Filename(i) != name {
+			t.Fatalf("Key(%q) = %d, but Filename(%d) = %q: two names for one step", name, i, i, c.Filename(i))
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("the generator never produced a name Key accepts")
+	}
+	// Prefix and suffix sharing characters must not let a too-short name through.
+	overlap := &Context{FilePrefix: "ab", FileSuffix: "ba"}
+	if _, err := overlap.Key("aba"); err == nil {
+		t.Error(`Key("aba") under prefix "ab", suffix "ba" succeeded`)
 	}
 }

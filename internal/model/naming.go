@@ -25,14 +25,27 @@ func (c *Context) RestartFilename(t int) string {
 }
 
 // Key parses an output step file name and returns its key (the output step
-// index). It is the inverse of Filename. Key is monotone in production
-// order, as required by the simulation driver contract.
+// index). It is the exact inverse of Filename: Key(name) == i only when
+// Filename(i) == name, so each step has one name — the one the cache and
+// the storage area know it by. A sign, short padding ("_2") or extra
+// leading zeros name no step. Key is monotone in production order, as
+// required by the simulation driver contract.
 func (c *Context) Key(name string) (int, error) {
-	if !strings.HasPrefix(name, c.FilePrefix) || !strings.HasSuffix(name, c.FileSuffix) {
+	if len(name) < len(c.FilePrefix)+len(c.FileSuffix) ||
+		!strings.HasPrefix(name, c.FilePrefix) || !strings.HasSuffix(name, c.FileSuffix) {
 		return 0, fmt.Errorf("model: %q does not match naming convention %q*%q",
 			name, c.FilePrefix, c.FileSuffix)
 	}
 	body := name[len(c.FilePrefix) : len(name)-len(c.FileSuffix)]
+	// What %08d prints: digits only, padded with zeros to eight and never
+	// beyond.
+	canonical := len(body) == 8 || (len(body) > 8 && body[0] != '0')
+	for i := 0; i < len(body); i++ {
+		canonical = canonical && '0' <= body[i] && body[i] <= '9'
+	}
+	if !canonical {
+		return 0, fmt.Errorf("model: %q has non-canonical key %q (want digits, zero-padded to 8)", name, body)
+	}
 	i, err := strconv.Atoi(body)
 	if err != nil {
 		return 0, fmt.Errorf("model: %q has non-numeric key %q: %w", name, body, err)

@@ -9,14 +9,16 @@ import (
 	"sync"
 )
 
-// Codec encodes and decodes length-prefixed protocol frames. Both ends
-// of a connection start on JSON (the hello exchange is always JSON) and
-// may switch to Binary right after a successful CapBinary negotiation.
+// Codec encodes and decodes length-prefixed protocol frames outside a
+// Conn: the handshake tests, the fuzzers and the benchmark's codec drill
+// speak through it. Both ends of a connection start on JSON (the hello
+// exchange is always JSON) and may switch to Binary right after a
+// successful CapBinary negotiation. A Conn frames with the same append
+// and parse functions, in place in its own buffers.
 //
 // EncodeFrame writes the complete frame — 4-byte big-endian length plus
-// payload — with a single Write call, so codecs can encode into a
-// shared outgoing buffer without ever leaving a partial frame behind:
-// marshal and oversize failures happen before any byte is written.
+// payload — with a single Write call: marshal and oversize failures
+// happen before any byte is written.
 //
 // DecodeFrame reads exactly one frame into v (*Envelope or *Response).
 // A complete frame with an undecodable payload yields a recoverable
@@ -42,9 +44,23 @@ var JSON Codec = jsonCodec{}
 // JSON always starts with '{', binary bodies never do.
 var Binary Codec = binCodec{}
 
-// framePool recycles encode/decode scratch buffers. Buffers that grew
-// beyond maxPooledBuf (a large response or a MaxFrame-sized request) are
-// dropped instead of pinning megabytes in the pool.
+type jsonCodec struct{}
+
+func (jsonCodec) Name() string                         { return "json" }
+func (jsonCodec) EncodeFrame(w io.Writer, v any) error { return encodeFrame(w, false, v) }
+func (jsonCodec) DecodeFrame(r io.Reader, v any) error { return decodeFrame(r, false, v) }
+
+type binCodec struct{}
+
+func (binCodec) Name() string                         { return "binary" }
+func (binCodec) EncodeFrame(w io.Writer, v any) error { return encodeFrame(w, true, v) }
+func (binCodec) DecodeFrame(r io.Reader, v any) error { return decodeFrame(r, true, v) }
+
+// framePool recycles the scratch buffers of the paths that cannot frame
+// in place: Codec's, and a Conn reading a frame larger than its read
+// buffer. Buffers that grew beyond maxPooledBuf (a large response or a
+// MaxFrame-sized request) are dropped instead of pinning megabytes in
+// the pool.
 var framePool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
@@ -61,66 +77,73 @@ func putBuf(bp *[]byte) {
 	}
 }
 
-// encodeJSON marshals v and writes it as one frame with a single Write.
-// Envelopes built by NewEnvelope materialize their typed body here.
-func encodeJSON(w io.Writer, v any) error {
-	var op string
-	var id uint64
-	if env, ok := v.(Envelope); ok {
-		op, id = env.Op, env.ID
-		if env.Body == nil && env.val != nil {
-			raw, err := json.Marshal(env.val)
-			if err != nil {
-				return &FrameError{Op: op, ID: id, Err: fmt.Errorf("marshal body: %w", err)}
-			}
-			env.Body = raw
-			v = env
+// encodeFrame builds v's frame in a pooled buffer and writes it with a
+// single Write.
+func encodeFrame(w io.Writer, bin bool, v any) error {
+	bp := getBuf()
+	defer putBuf(bp)
+	var err error
+	switch m := v.(type) {
+	case Envelope:
+		*bp, err = appendEnvelopeFrame(*bp, bin, &m)
+	case Response:
+		*bp, err = appendResponseFrame(*bp, bin, &m)
+	default:
+		// A foreign type (a LegacyRequest in the skew tests).
+		if *bp, err = appendJSON(append(*bp, 0, 0, 0, 0), v, "", 0); err == nil {
+			*bp, err = endFrame(*bp, 0, "", 0)
 		}
 	}
-	payload, err := json.Marshal(v)
 	if err != nil {
-		return &FrameError{Op: op, ID: id, Err: fmt.Errorf("marshal: %w", err)}
+		return err
 	}
-	if len(payload) > MaxFrame {
-		return &FrameError{Op: op, ID: id, Err: fmt.Errorf("frame of %d bytes exceeds limit", len(payload))}
-	}
-	bp := getBuf()
-	buf := append((*bp)[:0], 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	_, werr := w.Write(buf)
-	*bp = buf
-	putBuf(bp)
-	return werr
-}
-
-// finishFrame stamps the length header into a frame built in buf
-// (payload starts at offset 4) and writes it with a single Write.
-func finishFrame(w io.Writer, bp *[]byte, buf []byte, op string, id uint64) error {
-	*bp = buf
-	defer putBuf(bp)
-	if len(buf)-4 > MaxFrame {
-		return &FrameError{Op: op, ID: id, Err: fmt.Errorf("frame of %d bytes exceeds limit", len(buf)-4)}
-	}
-	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
-	_, err := w.Write(buf)
+	_, err = w.Write(*bp)
 	return err
 }
 
-// readPayload reads one frame header and payload into a pooled buffer.
-// The caller must putBuf the returned buffer when err is nil.
-func readPayload(r io.Reader) (*[]byte, []byte, error) {
+// decodeFrame reads one frame from r into a pooled buffer and parses it
+// into v.
+func decodeFrame(r io.Reader, bin bool, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, err
+		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return err
+	}
+	bp, payload, err := readPooled(r, n)
+	if err != nil {
+		return err
+	}
+	defer putBuf(bp)
+	switch dst := v.(type) {
+	case *Envelope:
+		return parseEnvelope(payload, bin, dst)
+	case *Response:
+		return parseResponse(payload, bin, dst)
+	}
+	if isBinPayload(payload, bin) {
+		return &FrameError{Recoverable: true, Err: fmt.Errorf("binary frame for JSON-only target %T", v)}
+	}
+	return unmarshalJSON(payload, v)
+}
+
+// frameLen reads a frame header, refusing a length beyond MaxFrame.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
-		return nil, nil, &FrameError{Err: fmt.Errorf("incoming frame of %d bytes exceeds limit", n)}
+		return 0, &FrameError{Err: fmt.Errorf("incoming frame of %d bytes exceeds limit", n)}
 	}
+	return int(n), nil
+}
+
+// readPooled reads an n-byte payload into a pooled buffer. The caller
+// must putBuf the returned buffer when err is nil.
+func readPooled(r io.Reader, n int) (*[]byte, []byte, error) {
 	bp := getBuf()
 	buf := *bp
-	if cap(buf) < int(n) {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	} else {
 		buf = buf[:n]
@@ -131,6 +154,99 @@ func readPayload(r io.Reader) (*[]byte, []byte, error) {
 		return nil, nil, err
 	}
 	return bp, buf, nil
+}
+
+// appendEnvelopeFrame appends env's frame — length header, then the
+// payload — to buf: the binary layout when bin and the op has one, JSON
+// otherwise. On failure (marshal, oversize) buf comes back at its
+// original length, so a buffer of earlier frames is never torn.
+func appendEnvelopeFrame(buf []byte, bin bool, env *Envelope) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0)
+	ok := false
+	if bin {
+		buf, ok = appendBinEnvelope(buf, env)
+	}
+	if !ok {
+		// Cold path. The copy keeps env from escaping through the
+		// marshaler's any; its typed body materializes here.
+		e := *env
+		var err error
+		if e.Body == nil && (e.hasFile || e.val != nil) {
+			body := e.val
+			if e.hasFile {
+				body = e.file
+			}
+			if e.Body, err = json.Marshal(body); err != nil {
+				return buf[:start], &FrameError{Op: e.Op, ID: e.ID, Err: fmt.Errorf("marshal body: %w", err)}
+			}
+		}
+		if buf, err = appendJSON(buf, e, e.Op, e.ID); err != nil {
+			return buf[:start], err
+		}
+	}
+	return endFrame(buf, start, env.Op, env.ID)
+}
+
+// appendResponseFrame is appendEnvelopeFrame for a response; rich
+// responses stay JSON on either codec.
+func appendResponseFrame(buf []byte, bin bool, resp *Response) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0)
+	ok := false
+	if bin {
+		buf, ok = appendBinResponse(buf, resp)
+	}
+	if !ok {
+		var err error
+		if buf, err = appendJSON(buf, *resp, "", resp.ID); err != nil { // the copy keeps resp from escaping
+			return buf[:start], err
+		}
+	}
+	return endFrame(buf, start, "", resp.ID)
+}
+
+// appendJSON appends v's JSON document to buf.
+func appendJSON(buf []byte, v any, op string, id uint64) ([]byte, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return buf, &FrameError{Op: op, ID: id, Err: fmt.Errorf("marshal: %w", err)}
+	}
+	return append(buf, payload...), nil
+}
+
+// endFrame stamps the length of the frame begun at start (header there,
+// payload after it) — or, past MaxFrame, truncates the frame away.
+func endFrame(buf []byte, start int, op string, id uint64) ([]byte, error) {
+	n := len(buf) - start - 4
+	if n > MaxFrame {
+		return buf[:start], &FrameError{Op: op, ID: id, Err: fmt.Errorf("frame of %d bytes exceeds limit", n)}
+	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(n))
+	return buf, nil
+}
+
+// isBinPayload reports whether a payload read on a bin connection is in
+// the binary layout rather than the JSON fallback.
+func isBinPayload(payload []byte, bin bool) bool {
+	return bin && len(payload) > 0 && payload[0] != '{'
+}
+
+// parseEnvelope decodes a request payload into env. JSON merges into its
+// target: callers that reuse env reset it first.
+func parseEnvelope(payload []byte, bin bool, env *Envelope) error {
+	if isBinPayload(payload, bin) {
+		return decodeBinEnvelope(payload, env)
+	}
+	return unmarshalJSON(payload, env)
+}
+
+// parseResponse decodes a response payload into resp.
+func parseResponse(payload []byte, bin bool, resp *Response) error {
+	if isBinPayload(payload, bin) {
+		return decodeBinResponse(payload, resp)
+	}
+	return unmarshalJSON(payload, resp)
 }
 
 func unmarshalJSON(payload []byte, v any) error {
@@ -155,23 +271,6 @@ func FrameBuffered(r *bufio.Reader) bool {
 		return false
 	}
 	return int(binary.BigEndian.Uint32(hdr)) <= r.Buffered()-4
-}
-
-// jsonCodec frames JSON payloads (protocol v2).
-
-type jsonCodec struct{}
-
-func (jsonCodec) Name() string { return "json" }
-
-func (jsonCodec) EncodeFrame(w io.Writer, v any) error { return encodeJSON(w, v) }
-
-func (jsonCodec) DecodeFrame(r io.Reader, v any) error {
-	bp, payload, err := readPayload(r)
-	if err != nil {
-		return err
-	}
-	defer putBuf(bp)
-	return unmarshalJSON(payload, v)
 }
 
 // Binary wire format (protocol v3). Requests:
@@ -234,49 +333,6 @@ const (
 	rf2Retry byte = 1 << 1
 )
 
-type binCodec struct{}
-
-func (binCodec) Name() string { return "binary" }
-
-func (binCodec) EncodeFrame(w io.Writer, v any) error {
-	switch m := v.(type) {
-	case Envelope:
-		bp := getBuf()
-		if buf, ok := appendBinEnvelope(append((*bp)[:0], 0, 0, 0, 0), m); ok {
-			return finishFrame(w, bp, buf, m.Op, m.ID)
-		}
-		putBuf(bp)
-	case Response:
-		bp := getBuf()
-		if buf, ok := appendBinResponse(append((*bp)[:0], 0, 0, 0, 0), m); ok {
-			return finishFrame(w, bp, buf, "", m.ID)
-		}
-		putBuf(bp)
-	}
-	// Cold-path op, rich response, or a foreign type: JSON payload
-	// inside the same framing.
-	return encodeJSON(w, v)
-}
-
-func (binCodec) DecodeFrame(r io.Reader, v any) error {
-	bp, payload, err := readPayload(r)
-	if err != nil {
-		return err
-	}
-	defer putBuf(bp)
-	if len(payload) == 0 || payload[0] == '{' {
-		return unmarshalJSON(payload, v)
-	}
-	switch dst := v.(type) {
-	case *Envelope:
-		return decodeBinEnvelope(payload, dst)
-	case *Response:
-		return decodeBinResponse(payload, dst)
-	default:
-		return &FrameError{Recoverable: true, Err: fmt.Errorf("binary frame for JSON-only target %T", v)}
-	}
-}
-
 // appendBinEnvelope appends env's binary encoding to buf. ok is false
 // when the op table gives the op no binary opcode or the body is not
 // the kind its row declares (the caller falls back to JSON). Together
@@ -286,7 +342,7 @@ func (binCodec) DecodeFrame(r io.Reader, v any) error {
 //simfs:sync FileBody
 //simfs:sync FilesBody
 //simfs:sync UnsubscribeBody
-func appendBinEnvelope(buf []byte, env Envelope) ([]byte, bool) {
+func appendBinEnvelope(buf []byte, env *Envelope) ([]byte, bool) {
 	spec := opByName[env.Op]
 	if spec == nil || spec.Bin == 0 || env.Body != nil {
 		// Pre-marshaled JSON bodies travel as JSON: re-encoding would
@@ -298,10 +354,6 @@ func appendBinEnvelope(buf []byte, env Envelope) ([]byte, bool) {
 	buf = binary.AppendUvarint(buf, env.ID)
 	kind := BodyOther
 	switch body := env.val.(type) {
-	case FileBody:
-		kind = BodyFile
-		buf = appendBinString(buf, body.Context)
-		buf = appendBinString(buf, body.File)
 	case FilesBody:
 		kind = BodyFiles
 		buf = appendBinString(buf, body.Context)
@@ -314,6 +366,11 @@ func appendBinEnvelope(buf []byte, env Envelope) ([]byte, bool) {
 		buf = binary.AppendUvarint(buf, body.SubID)
 	case nil:
 		kind = BodyNone
+		if env.hasFile {
+			kind = BodyFile
+			buf = appendBinString(buf, env.file.Context)
+			buf = appendBinString(buf, env.file.File)
+		}
 	}
 	if kind != spec.Body {
 		return buf[:start], false
@@ -345,14 +402,13 @@ func decodeBinEnvelope(p []byte, env *Envelope) error {
 	e.ID, e.Op = id, spec.Name
 	switch spec.Body {
 	case BodyFile:
-		var b FileBody
-		if b.Context, p, ok = getBinString(p); !ok {
+		if e.file.Context, p, ok = getBinString(p); !ok {
 			return fail("truncated context")
 		}
-		if b.File, p, ok = getBinString(p); !ok {
+		if e.file.File, p, ok = getBinString(p); !ok {
 			return fail("truncated file")
 		}
-		e.val = b
+		e.hasFile = true
 	case BodyFiles:
 		var b FilesBody
 		if b.Context, p, ok = getBinString(p); !ok {
@@ -392,7 +448,7 @@ func decodeBinEnvelope(p []byte, env *Envelope) error {
 // appendBinResponse appends resp's binary encoding to buf. ok is false
 // for rich responses (names/info/stats/proto/sched/peers), which stay
 // JSON.
-func appendBinResponse(buf []byte, resp Response) ([]byte, bool) {
+func appendBinResponse(buf []byte, resp *Response) ([]byte, bool) {
 	if resp.Names != nil || resp.Info != nil || resp.Stats != nil ||
 		resp.Proto != nil || resp.Sched != nil || resp.Peers != nil ||
 		resp.Autoscale != nil {

@@ -2,54 +2,66 @@ package netproto
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
 )
 
 // readBufSize sizes a connection's read buffer; flushThreshold bounds
-// how many encoded bytes accumulate before Enqueue flushes on its own.
+// how many encoded bytes accumulate before an enqueue flushes on its
+// own.
 const (
 	readBufSize    = 32 << 10
 	flushThreshold = 32 << 10
 )
 
 // Conn is one framed connection — the only place frames are buffered,
-// flushed and read, on either end. Outgoing frames are encoded into a
+// flushed and read, on either end. Frames are encoded straight onto the
 // write buffer and leave in a single conn.Write per flush, so however
-// many frames queued cost one syscall. A Conn is a single transport
+// many frames queued cost one syscall; incoming frames are parsed out
+// of the read buffer's own bytes. A Conn is a single transport
 // generation: a failed write closes it (the reader then sees the loss)
 // and it is never redialed in place — owners that reconnect swap in a
 // fresh Conn, so no frame straddles two generations.
+//
+// Requests and responses have their own entry points, taking *Envelope
+// and *Response: nothing on the frame path holds either in an any, so
+// queueing or reading a frame allocates only what the frame's strings
+// need. The pointers are not retained.
 //
 // Any number of goroutines may write; one goroutine reads.
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
-	// codec starts as JSON and flips to Binary at most once, inside a
-	// handshake on the reading goroutine, under wmu: the reader uses it
-	// unlocked, writers under wmu.
-	codec Codec
+	// bin says the handshake settled on the Binary codec. It flips at
+	// most once, inside a handshake on the reading goroutine, under wmu:
+	// the reader uses it unlocked, writers under wmu.
+	bin bool
 
 	wmu sync.Mutex
-	// wbuf accumulates encoded frames between flushes. EncodeFrame
-	// appends a complete frame with one Write and fails before writing
-	// anything, so the buffer never holds a torn frame.
-	wbuf bytes.Buffer
+	// wbuf accumulates encoded frames between flushes. A frame is
+	// appended in place and truncated away again if its encoding fails,
+	// so the buffer never holds a torn frame.
+	wbuf []byte
 }
 
 // NewConn frames nc. The connection speaks JSON until a handshake
 // (Accept, or Dial's hello) negotiates otherwise.
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize), codec: JSON}
+	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize)}
 }
 
 // Codec returns the codec the handshake settled on.
-func (c *Conn) Codec() Codec { return c.codec }
+func (c *Conn) Codec() Codec {
+	if c.bin {
+		return Binary
+	}
+	return JSON
+}
 
 // RemoteAddr returns the peer's network address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
@@ -57,34 +69,43 @@ func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 // Close closes the transport; frames still buffered are dropped.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// Enqueue encodes v (an Envelope or a Response) into the write buffer
-// without flushing: the frame rides until Flush, Send or the buffer
-// passing flushThreshold. The error is always an encode failure: v was
-// not buffered and the frames queued earlier are intact. A failed
-// threshold flush is not reported — it closes the connection, which
-// the reader observes.
-func (c *Conn) Enqueue(v any) error {
+// EnqueueRequest encodes env into the write buffer without flushing:
+// the frame rides until Flush, a Send or the buffer passing
+// flushThreshold. The error is always an encode failure: env was not
+// buffered and the frames queued earlier are intact. A failed threshold
+// flush is not reported — it closes the connection, which the reader
+// observes.
+func (c *Conn) EnqueueRequest(env *Envelope) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := c.codec.EncodeFrame(&c.wbuf, v); err != nil {
+	var err error
+	if c.wbuf, err = appendEnvelopeFrame(c.wbuf, c.bin, env); err != nil {
 		return err
 	}
-	if c.wbuf.Len() >= flushThreshold {
-		_ = c.flushLocked()
-	}
+	c.flushIfFull()
 	return nil
 }
 
-// Send encodes v and flushes it with everything queued before it: the
-// path for frames nobody flushes later (asynchronous pushes, handshake
-// frames).
-func (c *Conn) Send(v any) error {
+// EnqueueResponse is EnqueueRequest for a response.
+func (c *Conn) EnqueueResponse(resp *Response) error { return c.writeResponse(resp, false) }
+
+// SendResponse encodes resp and flushes it with everything queued
+// before it: the path for frames nobody flushes later (asynchronous
+// pushes, handshake replies).
+func (c *Conn) SendResponse(resp *Response) error { return c.writeResponse(resp, true) }
+
+func (c *Conn) writeResponse(resp *Response, flush bool) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := c.codec.EncodeFrame(&c.wbuf, v); err != nil {
+	var err error
+	if c.wbuf, err = appendResponseFrame(c.wbuf, c.bin, resp); err != nil {
 		return err
 	}
-	return c.flushLocked()
+	if flush {
+		return c.flushLocked()
+	}
+	c.flushIfFull()
+	return nil
 }
 
 // Flush writes every buffered frame in one conn.Write.
@@ -94,20 +115,81 @@ func (c *Conn) Flush() error {
 	return c.flushLocked()
 }
 
+func (c *Conn) flushIfFull() {
+	if len(c.wbuf) >= flushThreshold {
+		_ = c.flushLocked()
+	}
+}
+
 func (c *Conn) flushLocked() error {
-	if c.wbuf.Len() == 0 {
+	if len(c.wbuf) == 0 {
 		return nil
 	}
-	_, err := c.nc.Write(c.wbuf.Bytes())
-	c.wbuf.Reset()
+	_, err := c.nc.Write(c.wbuf)
+	c.wbuf = c.wbuf[:0]
 	if err != nil {
 		c.nc.Close()
 	}
 	return err
 }
 
-// ReadFrame reads exactly one frame into v (*Envelope or *Response).
-func (c *Conn) ReadFrame(v any) error { return c.codec.DecodeFrame(c.br, v) }
+// nextFrame returns the next frame's payload; the caller parses it and
+// then calls frameDone with what nextFrame returned. A frame that fits
+// the read buffer — every data-plane frame does — is handed out as the
+// reader's own bytes (pooled is nil); a larger one is copied into a
+// pooled buffer.
+func (c *Conn) nextFrame() (payload []byte, pooled *[]byte, err error) {
+	hdr, err := c.br.Peek(4)
+	if err != nil {
+		return nil, nil, c.midFrame(err)
+	}
+	n, err := frameLen(hdr)
+	if err != nil {
+		return nil, nil, err
+	}
+	if 4+n <= c.br.Size() {
+		frame, err := c.br.Peek(4 + n)
+		if err != nil {
+			return nil, nil, c.midFrame(err)
+		}
+		return frame[4:], nil, nil
+	}
+	_, _ = c.br.Discard(4) // peeked above: cannot fail
+	pooled, payload, err = readPooled(c.br, n)
+	return payload, pooled, err
+}
+
+// midFrame turns the EOF of a stream that ends inside a frame into
+// io.ErrUnexpectedEOF: only a stream ending between frames is a clean
+// close.
+func (c *Conn) midFrame(err error) error {
+	if err == io.EOF && c.br.Buffered() > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// frameDone releases the frame nextFrame returned.
+func (c *Conn) frameDone(payload []byte, pooled *[]byte) {
+	if pooled != nil {
+		putBuf(pooled)
+		return
+	}
+	_, _ = c.br.Discard(4 + len(payload)) // peeked by nextFrame: cannot fail
+}
+
+// ReadResponse reads exactly one response frame into resp, which it
+// resets first (the JSON decoder merges into its target).
+func (c *Conn) ReadResponse(resp *Response) error {
+	*resp = Response{}
+	payload, pooled, err := c.nextFrame()
+	if err != nil {
+		return err
+	}
+	err = parseResponse(payload, c.bin, resp)
+	c.frameDone(payload, pooled)
+	return err
+}
 
 // readEnvelope reads the next decodable request frame. idle runs before
 // a read that would block, which is where the accepting side flushes
@@ -121,10 +203,15 @@ func (c *Conn) readEnvelope(env *Envelope, idle func()) error {
 		if idle != nil && !FrameBuffered(c.br) {
 			idle()
 		}
+		payload, pooled, err := c.nextFrame()
+		if err != nil {
+			return err
+		}
 		// JSON decoding merges into its target: start from zero so a
 		// refused frame's fields cannot leak into the next one.
 		*env = Envelope{}
-		err := c.codec.DecodeFrame(c.br, env)
+		err = parseEnvelope(payload, c.bin, env)
+		c.frameDone(payload, pooled)
 		if err == nil {
 			return nil
 		}
@@ -132,7 +219,7 @@ func (c *Conn) readEnvelope(env *Envelope, idle func()) error {
 		if !errors.As(err, &fe) || !fe.Recoverable {
 			return err
 		}
-		if err := c.Send(Response{ID: fe.ID, Code: CodeFrame, Err: err.Error()}); err != nil {
+		if err := c.SendResponse(&Response{ID: fe.ID, Code: CodeFrame, Err: err.Error()}); err != nil {
 			return err
 		}
 	}
@@ -155,7 +242,7 @@ func (c *Conn) Accept(caps []string, allowBinary bool, who string) (HelloBody, e
 			return HelloBody{}, err
 		}
 		refuse := func(err error) (HelloBody, error) {
-			_ = c.Send(Response{ID: env.ID, Code: CodeVersion, Err: err.Error()}) // closing either way
+			_ = c.SendResponse(&Response{ID: env.ID, Code: CodeVersion, Err: err.Error()}) // closing either way
 			return HelloBody{}, err
 		}
 		if env.Op != OpHello {
@@ -164,7 +251,7 @@ func (c *Conn) Accept(caps []string, allowBinary bool, who string) (HelloBody, e
 		}
 		var hb HelloBody
 		if err := env.Decode(&hb); err != nil {
-			if err := c.Send(Response{ID: env.ID, Code: CodeBadRequest, Err: err.Error()}); err != nil {
+			if err := c.SendResponse(&Response{ID: env.ID, Code: CodeBadRequest, Err: err.Error()}); err != nil {
 				return HelloBody{}, err
 			}
 			continue
@@ -178,12 +265,12 @@ func (c *Conn) Accept(caps []string, allowBinary bool, who string) (HelloBody, e
 			// Copy: caps is usually the caller's shared table.
 			caps = append(slices.Clone(caps), CapBinary)
 		}
-		err := c.Send(Response{ID: env.ID, OK: true, Proto: &HelloInfo{Version: hb.Version, Caps: caps}})
+		err := c.SendResponse(&Response{ID: env.ID, OK: true, Proto: &HelloInfo{Version: hb.Version, Caps: caps}})
 		if allowBinary && hb.Version >= 3 && HasCap(hb.Caps, CapBinary) {
 			// The reply is already on the wire in JSON, so the flip cannot
 			// reframe it; everything after speaks binary both ways.
 			c.wmu.Lock()
-			c.codec = Binary
+			c.bin = true
 			c.wmu.Unlock()
 		}
 		return hb, err
@@ -200,7 +287,7 @@ func (c *Conn) ReadRequest(env *Envelope, idle func()) error {
 		if err := c.readEnvelope(env, idle); err != nil || env.Op != OpHello {
 			return err
 		}
-		if err := c.Enqueue(Response{ID: env.ID, Code: CodeBadRequest,
+		if err := c.EnqueueResponse(&Response{ID: env.ID, Code: CodeBadRequest,
 			Err: "duplicate hello: the handshake already completed"}); err != nil {
 			return err
 		}
@@ -251,9 +338,12 @@ func Dial(ctx context.Context, addr string, id uint64, hello HelloBody) (*Conn, 
 // switch after it without racing a concurrent reader.
 func (c *Conn) hello(id uint64, hello HelloBody) (HelloInfo, error) {
 	var resp Response
-	err := c.Send(Envelope{ID: id, Op: OpHello, val: hello})
+	err := c.EnqueueRequest(&Envelope{ID: id, Op: OpHello, val: hello})
 	if err == nil {
-		err = c.ReadFrame(&resp)
+		err = c.Flush()
+	}
+	if err == nil {
+		err = c.ReadResponse(&resp)
 	}
 	switch {
 	case err != nil:
@@ -269,7 +359,7 @@ func (c *Conn) hello(id uint64, hello HelloBody) (HelloInfo, error) {
 		return HelloInfo{}, &HelloError{Code: CodeVersion, Msg: "daemon sent no usable protocol version"}
 	}
 	if resp.Proto.Version >= 3 && HasCap(hello.Caps, CapBinary) && HasCap(resp.Proto.Caps, CapBinary) {
-		c.codec = Binary
+		c.bin = true
 	}
 	return *resp.Proto, nil
 }

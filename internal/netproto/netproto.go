@@ -218,29 +218,54 @@ const (
 // client-assigned request ID, the operation name, and the typed per-op
 // body (absent for bodyless ops like ping).
 //
-// The body lives in one of two places. Envelopes built by NewEnvelope
-// carry the typed value (val) and marshal it lazily at encode time, so
-// the binary codec serializes it directly with no JSON hop; envelopes
-// decoded from JSON frames carry the raw bytes (Body). Decode serves
-// both. When both are set, Body wins — it is what actually crossed the
-// wire.
+// The body lives in one of three places. A FileBody — the body of
+// open/wait/release/estwait/bitrep, the data plane's hot ops — rides
+// unboxed in the file slot, set by NewFileEnvelope and by the binary
+// decoder, so nothing between the socket and the handler allocates for
+// it. Every other typed body is kept as a value (val) and marshaled
+// lazily at encode time, so the binary codec serializes it with no JSON
+// hop; envelopes decoded from JSON frames carry the raw bytes (Body).
+// Decode serves all three. When Body is set it wins — it is what
+// actually crossed the wire.
 type Envelope struct {
 	ID   uint64          `json:"id"`
 	Op   string          `json:"op"`
 	Body json.RawMessage `json:"body,omitempty"`
 
 	// val is the typed body of a locally built or binary-decoded
-	// envelope; nil for bodyless ops and JSON-decoded frames.
+	// envelope, except a FileBody; nil for bodyless ops and JSON-decoded
+	// frames.
 	val any
+	// file is the FileBody of a locally built or binary-decoded
+	// envelope; hasFile tells it from an absent body.
+	file    FileBody
+	hasFile bool
 }
 
 // NewEnvelope wraps body into an envelope for op. A nil body yields a
 // bodyless envelope. The body is kept as a typed value and serialized at
 // encode time by the connection's codec; the error return is retained
 // for call-site compatibility and is always nil (marshal failures
-// surface from EncodeFrame, wrapped with the op and ID).
+// surface from the encoder, wrapped with the op and ID). Callers that
+// hold a FileBody use NewFileEnvelope, which spares boxing it.
 func NewEnvelope(id uint64, op string, body any) (Envelope, error) {
+	if fb, ok := body.(FileBody); ok {
+		return NewFileEnvelope(id, op, fb), nil
+	}
 	return Envelope{ID: id, Op: op, val: body}, nil
+}
+
+// NewFileEnvelope is NewEnvelope for the FileBody ops.
+func NewFileEnvelope(id uint64, op string, body FileBody) Envelope {
+	return Envelope{ID: id, Op: op, file: body, hasFile: true}
+}
+
+// File returns the envelope's FileBody when it carries one typed — a
+// locally built or binary-decoded request of a FileBody op. ok is false
+// for every other envelope, JSON-decoded FileBody requests included:
+// those go through Decode.
+func (e Envelope) File() (body FileBody, ok bool) {
+	return e.file, e.hasFile && len(e.Body) == 0
 }
 
 // Decode unmarshals the envelope's body into v, wrapping failures with
@@ -249,13 +274,16 @@ func NewEnvelope(id uint64, op string, body any) (Envelope, error) {
 // envelopes hand their typed body over without a JSON round-trip when v
 // matches the wire type.
 func (e Envelope) Decode(v any) error {
-	if len(e.Body) == 0 && e.val != nil {
-		switch src := e.val.(type) {
-		case FileBody:
+	if len(e.Body) == 0 && (e.hasFile || e.val != nil) {
+		var src any = e.val
+		if e.hasFile {
 			if dst, ok := v.(*FileBody); ok {
-				*dst = src
+				*dst = e.file
 				return nil
 			}
+			src = e.file
+		}
+		switch src := src.(type) {
 		case FilesBody:
 			if dst, ok := v.(*FilesBody); ok {
 				*dst = src
@@ -270,7 +298,7 @@ func (e Envelope) Decode(v any) error {
 		// Mismatched or uncommon target type: fall back to a JSON
 		// round-trip so local (non-wire) envelopes decode like remote
 		// ones.
-		raw, err := json.Marshal(e.val)
+		raw, err := json.Marshal(src)
 		if err != nil {
 			return &FrameError{Op: e.Op, ID: e.ID, Recoverable: true, Err: fmt.Errorf("decode body: %w", err)}
 		}

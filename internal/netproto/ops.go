@@ -108,6 +108,9 @@ func (e Envelope) RoutingContext() (string, error) {
 	spec, _ := LookupOp(e.Op)
 	switch spec.Body {
 	case BodyFile:
+		if b, ok := e.File(); ok {
+			return b.Context, nil
+		}
 		var b FileBody
 		err := e.Decode(&b)
 		return b.Context, err

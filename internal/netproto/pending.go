@@ -94,9 +94,9 @@ func (t *Pending) Deliver(resp Response) {
 // meant for. idle, when set, runs each time the responses buffered so
 // far have all been delivered.
 func (t *Pending) Serve(c *Conn, idle func()) error {
+	var resp Response // one per loop: a frame decodes into it through a pointer, which would cost a heap Response per frame
 	for {
-		var resp Response
-		if err := c.ReadFrame(&resp); err != nil {
+		if err := c.ReadResponse(&resp); err != nil {
 			return err
 		}
 		t.Deliver(resp)

@@ -257,13 +257,15 @@ func (sess *session) closeSubs() {
 // reply encodes the response into the connection's write buffer without
 // flushing. The read loop flushes before its next blocking read, so a
 // pipelined batch of requests is answered with one write syscall.
-func (sess *session) reply(resp netproto.Response) { sess.check("encode", sess.c.Enqueue(resp)) }
+func (sess *session) reply(resp netproto.Response) {
+	sess.check("encode", sess.c.EnqueueResponse(&resp))
+}
 
 // send encodes the response and flushes it immediately. It is the path
 // for asynchronous pushes (wait finishers, acquire/subscribe pumps):
 // those run off the read loop's goroutine, so nothing else would flush
 // their frames.
-func (sess *session) send(resp netproto.Response) { sess.check("send", sess.c.Send(resp)) }
+func (sess *session) send(resp netproto.Response) { sess.check("send", sess.c.SendResponse(&resp)) }
 
 // flush pushes buffered response frames to the connection.
 func (sess *session) flush() { sess.check("write", sess.c.Flush()) }
@@ -278,19 +280,25 @@ func (sess *session) check(what string, err error) {
 }
 
 // answer replies to request id with resp — or, when the handler failed,
-// with err's structured rendering: its wire code and, for a quarantined
-// interval, the retry details.
+// with err's structured rendering.
 func (sess *session) answer(id uint64, resp netproto.Response, err error) {
 	if err != nil {
-		resp = netproto.Response{Code: codeOf(err), Err: err.Error()}
-		var qerr *core.QuarantineError
-		if errors.As(err, &qerr) {
-			resp.Attempts = qerr.Attempts
-			resp.RetryAfterNs = int64(qerr.RetryAfter)
-		}
+		resp = failure(err)
 	}
 	resp.ID = id
 	sess.reply(resp)
+}
+
+// failure renders a handler error as a response: its wire code and, for
+// a quarantined interval, the retry details.
+func failure(err error) netproto.Response {
+	resp := netproto.Response{Code: codeOf(err), Err: err.Error()}
+	var qerr *core.QuarantineError
+	if errors.As(err, &qerr) {
+		resp.Attempts = qerr.Attempts
+		resp.RetryAfterNs = int64(qerr.RetryAfter)
+	}
+	return resp
 }
 
 // codeOf maps a handler error to its structured wire code. Client
@@ -366,8 +374,10 @@ func (s *Server) handle(c *netproto.Conn) {
 	}
 	sess.client = hello.Client
 	flush := sess.flush // bound once: a method value allocates
+	// One envelope per session, not per frame: it is decoded into through
+	// a pointer, which would cost a heap envelope each time round.
+	var env netproto.Envelope
 	for {
-		var env netproto.Envelope
 		if err := c.ReadRequest(&env, flush); err != nil {
 			if err != io.EOF {
 				s.logf("server: read from %s: %v", c.RemoteAddr(), err)
@@ -394,6 +404,23 @@ func op[B any](h func(*Server, *session, B) (netproto.Response, error)) handler 
 	}
 }
 
+// fileOp is op for the FileBody ops, the data plane's hot ones: the
+// binary codec leaves their body typed in the envelope, so it is taken
+// from there and nothing is decoded. A JSON frame's body goes through
+// decodeBody like any other.
+func fileOp(h func(*Server, *session, netproto.FileBody) (netproto.Response, error)) handler {
+	return func(s *Server, sess *session, env netproto.Envelope) {
+		b, ok := env.File()
+		if !ok {
+			if b, ok = decodeBody[netproto.FileBody](sess, env); !ok {
+				return
+			}
+		}
+		resp, err := h(s, sess, b)
+		sess.answer(env.ID, resp, err)
+	}
+}
+
 // bare is op for bodyless requests.
 func bare(h func(*Server, *session) (netproto.Response, error)) handler {
 	return func(s *Server, sess *session, env netproto.Envelope) {
@@ -404,12 +431,16 @@ func bare(h func(*Server, *session) (netproto.Response, error)) handler {
 
 // streamed adapts a typed handler that answers through the session
 // itself — per-file frames now, pushes from a pump goroutine later — and
-// returns an error only when the request fails as a whole.
+// returns an error only when the request fails as a whole. That refusal
+// is the stream's last frame and says so (Done), like every other end
+// of a stream.
 func streamed[B any](h func(*Server, *session, uint64, B) error) handler {
 	return func(s *Server, sess *session, env netproto.Envelope) {
 		if b, ok := decodeBody[B](sess, env); ok {
 			if err := h(s, sess, env.ID, b); err != nil {
-				sess.answer(env.ID, netproto.Response{}, err)
+				resp := failure(err)
+				resp.ID, resp.Done = env.ID, true
+				sess.reply(resp)
 			}
 		}
 	}
@@ -431,12 +462,12 @@ var handlers = map[string]handler{
 	netproto.OpPing:            bare((*Server).ping),
 	netproto.OpContexts:        bare((*Server).contexts),
 	netproto.OpContextInfo:     op((*Server).contextInfo),
-	netproto.OpOpen:            op((*Server).open),
+	netproto.OpOpen:            fileOp((*Server).open),
 	netproto.OpWait:            streamed((*Server).waitFile),
-	netproto.OpRelease:         op((*Server).release),
+	netproto.OpRelease:         fileOp((*Server).release),
 	netproto.OpAcquire:         streamed((*Server).acquireWithPerFile),
-	netproto.OpEstWait:         op((*Server).estWait),
-	netproto.OpBitrep:          op((*Server).bitrep),
+	netproto.OpEstWait:         fileOp((*Server).estWait),
+	netproto.OpBitrep:          fileOp((*Server).bitrep),
 	netproto.OpRegSum:          op((*Server).regSum),
 	netproto.OpStats:           op((*Server).stats),
 	netproto.OpPrefetch:        op((*Server).prefetch),
