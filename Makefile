@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-selftest bench-gate bench-server bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke lint fmt vet simfs-vet staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race bench bench-smoke bench-selftest bench-gate bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet staticcheck govulncheck check clean
 
 all: build
 
@@ -83,17 +83,9 @@ benchstat:
 		echo "bench-after.txt saved; install benchstat (golang.org/x/perf) to compare against bench-before.txt"; \
 	fi
 
-# bench-server regenerates BENCH_server.json, the wire-protocol
-# scoreboard: JSON-v2 baseline vs binary-v3, sequential vs batched.
-# bench2json takes the median across BENCH_COUNT repetitions; if
+# bench2json takes the median across the repetitions of a run; if
 # benchstat is installed the raw text output is also summarized.
-BENCH_COUNT ?= 5
-bench-server:
-	$(GO) test -run '^$$' -bench 'BenchmarkServerMultiClientTCP' -benchtime 1s -count $(BENCH_COUNT) . | tee bench-server.txt
-	$(GO) run ./cmd/bench2json -bench BenchmarkServerMultiClientTCP \
-		-compare 'codec=binary+batch vs codec=json' -out BENCH_server.json < bench-server.txt
-	@if command -v benchstat >/dev/null 2>&1; then benchstat bench-server.txt; fi
-
+#
 # bench-fed regenerates BENCH_federation.json, the scale-out figure:
 # aggregate roundtrips/s for 1, 2, and 4 daemons behind the
 # consistent-hash router, plus the router-overhead comparison against a
@@ -121,7 +113,6 @@ bench-autoscale:
 	$(GO) test -run '^$$' -bench 'BenchmarkAutoscalePhases' -benchtime 1x -count $(AUTOSCALE_BENCH_COUNT) . | tee bench-autoscale.txt
 	$(GO) run ./cmd/bench2json -bench BenchmarkAutoscalePhases \
 		-compare 'mode=controller vs mode=static-best' \
-		-compare 'mode=controller+join vs mode=static-best' \
 		-out BENCH_autoscale.json < bench-autoscale.txt
 	@if command -v benchstat >/dev/null 2>&1; then benchstat bench-autoscale.txt; fi
 
@@ -155,11 +146,17 @@ fed-smoke:
 
 # autoscale-smoke is the closed-loop control gate under the race
 # detector: the whole controller/policy suite (including the live-daemon
-# AdminTarget round trips) plus the core-level demand-join and sunk-cost
-# integration tests.
+# AdminTarget round trips) plus the core-level demand-join integration
+# tests.
 autoscale-smoke:
 	$(GO) test -race -count=1 ./internal/autoscale
-	$(GO) test -race -count=1 -run 'TestDemandJoin|TestPreemptSunkCost|TestPreemptGuided' ./internal/core
+	$(GO) test -race -count=1 -run 'TestDemandJoin' ./internal/core
+
+# loc prints the two sizes ROADMAP's north star tracks: non-test Go lines
+# outside benchmark/ (its own module), and the scheduler's knob count.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l | xargs echo "non-test Go lines outside benchmark/:"
+	@awk '/^type Config struct/ {in_cfg=1; next} in_cfg && /^}/ {exit} in_cfg && /^\t[A-Z]/ {n++} END {print "sched.Config fields:", n}' internal/sched/config.go
 
 lint: fmt vet simfs-vet staticcheck govulncheck
 

@@ -414,133 +414,6 @@ func BenchmarkVirtualizerMultiClient(b *testing.B) {
 	}
 }
 
-// BenchmarkServerMultiClientTCP is the daemon-side stress bench on the
-// same worker pool: concurrent DVLib clients, each on its own TCP
-// connection, hammering warm open/close round trips against one daemon.
-// One RunCells cell per client keeps the fan-out deterministic and
-// shared with the experiment harness. The sub-benchmarks compare the
-// JSON v2 baseline against the binary v3 codec, with and without
-// client-side request batching (a window of pipelined open/release
-// pairs per flush).
-func BenchmarkServerMultiClientTCP(b *testing.B) {
-	b.Run("codec=json", func(b *testing.B) {
-		benchServerTCP(b, []dvlib.DialOption{dvlib.WithJSONCodec()}, 0)
-	})
-	b.Run("codec=binary", func(b *testing.B) {
-		benchServerTCP(b, nil, 0)
-	})
-	b.Run("codec=binary+batch", func(b *testing.B) {
-		benchServerTCP(b, nil, 16)
-	})
-}
-
-// benchServerTCP measures warm open/close round trips per codec. window
-// 0 runs strictly sequential calls; window > 0 pipelines that many
-// open/release pairs per batch, so all their request frames leave in
-// one write. Allocation numbers cover the whole process — both sides of
-// the protocol stack.
-func benchServerTCP(b *testing.B, opts []dvlib.DialOption, window int) {
-	const clients = 4
-	ctx := &model.Context{
-		Name: "wire", Grid: model.Grid{DeltaD: 1, DeltaR: 8, Timesteps: 1024},
-		OutputBytes: 64, RestartBytes: 64,
-		Tau: time.Millisecond, Alpha: time.Millisecond,
-		DefaultParallelism: 1, MaxParallelism: 1, SMax: 4, NoPrefetch: true,
-	}
-	st, err := server.NewStack(b.TempDir(), 1, "DCL", ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Server.Listen("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	go st.Server.Serve()
-	defer func() {
-		st.Close()
-		st.Launcher.Wait()
-	}()
-	addr := st.Server.Addr()
-
-	// Warm one file per client so the measured loop is pure hit traffic.
-	conns := make([]*dvlib.Context, clients)
-	warm := make([]string, clients)
-	for c := 0; c < clients; c++ {
-		cli, err := dvlib.Dial(addr, fmt.Sprintf("bench%d", c), opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cli.Close()
-		actx, err := cli.Init("wire")
-		if err != nil {
-			b.Fatal(err)
-		}
-		file := actx.Filename(c*8 + 1)
-		if _, err := actx.Open(file); err != nil {
-			b.Fatal(err)
-		}
-		if err := actx.WaitAvailable(file); err != nil {
-			b.Fatal(err)
-		}
-		if err := actx.Close(file); err != nil {
-			b.Fatal(err)
-		}
-		conns[c], warm[c] = actx, file
-	}
-	// b.N total round trips split across the client cells (ns/op stays
-	// per round trip).
-	per := (b.N + clients - 1) / clients
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := experiments.RunCells(clients, clients, func(c int) (struct{}, error) {
-		actx, file := conns[c], warm[c]
-		if window <= 0 {
-			for i := 0; i < per; i++ {
-				if _, err := actx.Open(file); err != nil {
-					return struct{}{}, err
-				}
-				if err := actx.Close(file); err != nil {
-					return struct{}{}, err
-				}
-			}
-			return struct{}{}, nil
-		}
-		opens := make([]*dvlib.OpenCall, 0, window)
-		rels := make([]*dvlib.ReleaseCall, 0, window)
-		for done := 0; done < per; {
-			n := window
-			if rest := per - done; rest < n {
-				n = rest
-			}
-			opens, rels = opens[:0], rels[:0]
-			for i := 0; i < n; i++ {
-				oc, err := actx.OpenAsync(file)
-				if err != nil {
-					return struct{}{}, err
-				}
-				rc, err := actx.ReleaseAsync(file)
-				if err != nil {
-					return struct{}{}, err
-				}
-				opens, rels = append(opens, oc), append(rels, rc)
-			}
-			for i := 0; i < n; i++ {
-				if _, err := opens[i].Wait(); err != nil {
-					return struct{}{}, err
-				}
-				if err := rels[i].Wait(); err != nil {
-					return struct{}{}, err
-				}
-			}
-			done += n
-		}
-		return struct{}{}, nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(clients)*float64(per)/b.Elapsed().Seconds(), "roundtrips/sec")
-}
-
 // BenchmarkFederationTCP is the scale-out figure: aggregate roundtrips
 // per second of a contended multi-client workload against 1, 2 and 4
 // daemons behind the consistent-hash router, plus the direct-dial
@@ -825,18 +698,14 @@ func BenchmarkBatchSamplers(b *testing.B) {
 
 // BenchmarkAutoscalePhases is the closed-loop control scoreboard (make
 // bench-autoscale → BENCH_autoscale.json): the phase-changing ablation
-// workload under the best static configuration vs the controller rows.
+// workload under the best static configuration vs the controller row.
 // The headline metrics are the figure's cells — cumulative demand
 // queue-wait, class-neutral client blocked time, and median completion —
-// reported per iteration; ns/op is just the DES replay cost. The
-// controller+join row's demand-wait metric is NOT comparable to the
-// others (promotion moves prefetch-class waits into the demand ledger);
-// judge it on blocked-s and median-completion-s.
+// reported per iteration; ns/op is just the DES replay cost.
 func BenchmarkAutoscalePhases(b *testing.B) {
 	for _, m := range []struct{ sub, row string }{
 		{"mode=static-best", "static lru+preempt"},
 		{"mode=controller", "controller"},
-		{"mode=controller+join", "controller+join"},
 	} {
 		b.Run(m.sub, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

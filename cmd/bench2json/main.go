@@ -3,14 +3,14 @@
 // median of each metric across -count repetitions, and emits one JSON
 // object per sub-benchmark plus any number of base-vs-target comparisons
 // (speedup, allocation ratio, throughput ratio). The Makefile's
-// bench-server and bench-fed targets drive it to regenerate
-// BENCH_server.json and BENCH_federation.json.
+// bench-fed and bench-autoscale targets drive it to regenerate
+// BENCH_federation.json and BENCH_autoscale.json.
 //
 // Usage:
 //
-//	go test -run '^$' -bench BenchmarkServerMultiClientTCP -count 5 . |
-//	    bench2json -bench BenchmarkServerMultiClientTCP \
-//	        -compare 'codec=binary+batch vs codec=json' -out BENCH_server.json
+//	go test -run '^$' -bench BenchmarkFederationTCP -count 3 . |
+//	    bench2json -bench BenchmarkFederationTCP \
+//	        -compare 'daemons=2/mode=router vs daemons=1/mode=router' -out BENCH_federation.json
 //
 // -compare is repeatable; each occurrence is "target vs base" naming two
 // sub-benchmarks from the input.

@@ -229,7 +229,8 @@ func main() {
 		coalesce := fs.Bool("coalesce", false, "merge overlapping queued re-simulation requests into one job")
 		priorities := fs.Bool("priorities", false, "drain the launch queue in priority order (demand > guided > agent)")
 		nodes := fs.Int("nodes", 0, "global node budget shared by all contexts (0 = unlimited)")
-		preempt := fs.String("preempt", "", "preemption victim policy: off | youngest | cheapest")
+		var preempt simfs.PreemptPolicy
+		fs.TextVar(&preempt, "preempt", preempt, "preemption victim policy: off | youngest")
 		quantum := fs.Int("quantum", 0, "per-client deficit-round-robin quantum in output steps (0 = pure FIFO)")
 		fs.Parse(args[1:])
 		// Partial update: only the flags the operator actually set travel.
@@ -243,7 +244,7 @@ func main() {
 			case "nodes":
 				upd.TotalNodes = nodes
 			case "preempt":
-				upd.PreemptPolicy = preempt
+				upd.Preempt = &preempt
 			case "quantum":
 				upd.DRRQuantum = quantum
 			}
@@ -313,12 +314,10 @@ func runAutoscale(c *simfs.Client, admin *simfs.Admin, args []string) {
 	cooldown := fs.Duration("cooldown", 30*time.Second, "minimum delay between a policy's actuations")
 	budget := fs.String("budget", "", "arm the node-budget governor: MIN:MAX nodes")
 	budgetStep := fs.Int("budget-step", 1, "nodes added/removed per budget actuation")
-	preempt := fs.String("preempt", "", "arm the preemption governor with this victim policy: youngest | cheapest")
-	sunkCost := fs.Float64("sunk-cost", 0.8, "completion fraction past which the governor spares a victim (with -preempt)")
-	preemptGuided := fs.Bool("preempt-guided", false, "let the governor also make guided prefetches preemptable (with -preempt)")
+	var preempt simfs.PreemptPolicy
+	fs.TextVar(&preempt, "preempt", preempt, "arm the preemption governor with this victim policy: youngest")
 	cachePolicies := fs.String("cache-policies", "", "arm the cache switcher: comma-separated rotation, e.g. DCL,LRU")
 	drr := fs.Int("drr", 0, "arm the DRR-quantum tuner with this quantum (output steps)")
-	demandJoin := fs.Bool("demand-join", false, "arm the demand-join promoter")
 	report := fs.Bool("report", true, "post decisions to the daemon's ledger (shown by `simfs-ctl health`)")
 	fs.Parse(args)
 
@@ -331,11 +330,8 @@ func runAutoscale(c *simfs.Client, admin *simfs.Admin, args []string) {
 		pols = append(pols, &autoscale.NodeBudget{Min: min, Max: max, Step: *budgetStep,
 			HighWait: *highWait, CalmTicks: *calm, Cooldown: *cooldown})
 	}
-	if *preempt != "" {
-		pol, err := sched.ParsePreemptPolicy(*preempt)
-		check(err)
-		pols = append(pols, &autoscale.PreemptGovernor{Policy: pol, SunkCost: *sunkCost,
-			Guided: *preemptGuided, HighWait: *highWait, CalmTicks: *calm, Cooldown: *cooldown})
+	if preempt != sched.PreemptOff {
+		pols = append(pols, &autoscale.PreemptGovernor{HighWait: *highWait, CalmTicks: *calm, Cooldown: *cooldown})
 	}
 	if *cachePolicies != "" {
 		pols = append(pols, &autoscale.CacheSwitcher{Policies: strings.Split(*cachePolicies, ","),
@@ -344,11 +340,8 @@ func runAutoscale(c *simfs.Client, admin *simfs.Admin, args []string) {
 	if *drr > 0 {
 		pols = append(pols, &autoscale.DRRTuner{Quantum: *drr, CalmTicks: *calm, Cooldown: *cooldown})
 	}
-	if *demandJoin {
-		pols = append(pols, &autoscale.DemandJoinPromoter{CalmTicks: *calm, Cooldown: *cooldown})
-	}
 	if len(pols) == 0 {
-		log.Fatal("simfs-ctl: autoscale with no policies armed would only watch; give at least one of -budget, -preempt, -cache-policies, -drr, -demand-join")
+		log.Fatal("simfs-ctl: autoscale with no policies armed would only watch; give at least one of -budget, -preempt, -cache-policies, -drr")
 	}
 
 	reporting := *report
@@ -446,11 +439,7 @@ func printSched(cfg simfs.SchedInfo) {
 	} else {
 		fmt.Fprintf(w, "node budget\t%d\n", cfg.TotalNodes)
 	}
-	preempt := cfg.PreemptPolicy
-	if preempt == "" {
-		preempt = "off"
-	}
-	fmt.Fprintf(w, "preempt policy\t%s\n", preempt)
+	fmt.Fprintf(w, "preempt policy\t%s\n", cfg.Preempt)
 	if cfg.DRRQuantum == 0 {
 		fmt.Fprintf(w, "drr quantum\toff (pure FIFO)\n")
 	} else {
@@ -501,7 +490,7 @@ control plane (live, no restart):
   sched-get                     show the re-simulation scheduler config
   sched-set [-coalesce] [-priorities] [-nodes N] [-preempt P] [-quantum Q]
                                 reconfigure the scheduler (partial: only given flags change);
-                                -preempt off|youngest|cheapest, -quantum in output steps
+                                -preempt off|youngest, -quantum in output steps
   cache-policy-set <ctx> <policy>
                                 swap the replacement scheme (LRU|LIRS|ARC|BCL|DCL)
   ctx-register -config f.json [-policy P] [-initial-sim]
@@ -513,7 +502,7 @@ control plane (live, no restart):
 
 closed-loop control:
   autoscale [-tick d] [-duration d] [-budget MIN:MAX] [-preempt P] [-cache-policies A,B]
-            [-drr Q] [-demand-join] [-report=false] ...
+            [-drr Q] [-report=false] ...
                                 attach a controller that steers the daemon from its own
                                 stats stream until interrupted; decisions are printed and
                                 posted to the daemon's ledger (see health)`)

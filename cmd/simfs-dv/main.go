@@ -42,11 +42,13 @@ func main() {
 	// policy (coalescing + priority queueing + youngest-first demand
 	// preemption), not the paper-exact zero config the library and
 	// experiments default to: real multi-client traffic benefits from
-	// merged restarts and demand-first draining, and a blocking demand
-	// miss outranks speculative work hard enough to evict it. Note for
-	// operators upgrading with an existing -sched-nodes budget: that
-	// budget arms the preemption default — pass `-sched-preempt off` to
-	// keep the old wait-behind-prefetch behaviour.
+	// merged restarts and demand-first draining (a demand open landing
+	// on a queued prefetch job lifts it to demand class), and a blocking
+	// demand miss outranks speculative work hard enough to evict it
+	// (-sched-preempt off|youngest). Note for operators upgrading with
+	// an existing -sched-nodes budget: that budget arms the preemption
+	// default — pass `-sched-preempt off` to keep the old
+	// wait-behind-prefetch behaviour.
 	// `-sched-coalesce=false -sched-priorities=false -sched-preempt off`
 	// restores the paper's inline rules bit for bit.
 	coalesce := flag.Bool("sched-coalesce", true, "merge overlapping queued re-simulation requests into one job")
@@ -54,7 +56,7 @@ func main() {
 	nodes := flag.Int("sched-nodes", 0, "global node budget shared by all contexts (0 = unlimited)")
 	// Preemption only ever triggers under a -sched-nodes budget, so the
 	// "youngest" default is inert until one is configured.
-	preempt := flag.String("sched-preempt", "youngest", "kill a running agent prefetch for a node-blocked demand miss: off | youngest | cheapest (needs -sched-nodes)")
+	preempt := flag.String("sched-preempt", "youngest", "kill a running agent prefetch for a node-blocked demand miss: off | youngest (needs -sched-nodes)")
 	quantum := flag.Int("sched-quantum", 0, "per-client deficit-round-robin quantum in output steps inside a priority class (0 = pure FIFO)")
 	noBinary := flag.Bool("no-binary", false, "do not offer the binary fast-path codec; all sessions stay on JSON frames")
 	// Federation: when this daemon is one member behind simfs-router,

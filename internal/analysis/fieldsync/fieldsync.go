@@ -1,9 +1,9 @@
 // Package fieldsync keeps wire structs and the functions that must
 // enumerate their fields in lockstep. A struct annotated
-// //simfs:exhaustive (the Stats frame, SchedInfo, the binary-codec
-// hot-op bodies) demands that every function annotated
-// //simfs:sync <Type> — the router's mergeStats, the binary codec
-// encode/decode pairs, the sched-set echo — references every field.
+// //simfs:exhaustive (the Stats frame, the binary-codec hot-op bodies)
+// demands that every function annotated //simfs:sync <Type> — the
+// router's mergeStats, the binary codec encode/decode pairs —
+// references every field.
 // Adding a counter without merging or encoding it then fails the
 // build instead of silently dropping data at a fan-out boundary
 // (the PR 9 mergeStats fix is the bug class this encodes).
@@ -161,7 +161,7 @@ func checkSync(pass *analysis.Pass, fn *ast.FuncDecl, target string) {
 	}
 	// Every identifier in the body resolving to a field object of the
 	// target struct counts as a reference — selectors (dst.Opens) and
-	// composite-literal keys (SchedInfo{Coalesce: ...}) both do.
+	// composite-literal keys (Stats{Hits: ...}) both do.
 	used := map[*types.Var]bool{}
 	body := fn.Body
 	for ident, o := range pass.TypesInfo.Uses {

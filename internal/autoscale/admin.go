@@ -39,25 +39,11 @@ func (at *AdminTarget) callCtx() (context.Context, context.CancelFunc) {
 func (at *AdminTarget) Sample() (Sample, error) {
 	cctx, cancel := at.callCtx()
 	defer cancel()
-	info, err := at.C.Admin().SchedConfig(cctx)
+	cfg, err := at.C.Admin().SchedConfig(cctx)
 	if err != nil {
 		return Sample{}, err
 	}
-	preempt, err := sched.ParsePreemptPolicy(info.PreemptPolicy)
-	if err != nil {
-		return Sample{}, err
-	}
-	s := Sample{
-		Cfg: sched.Config{
-			Coalesce: info.Coalesce, Priorities: info.Priorities,
-			TotalNodes: info.TotalNodes, Preempt: preempt,
-			DRRQuantum:      info.DRRQuantum,
-			PreemptSunkCost: info.PreemptSunkCost,
-			PreemptGuided:   info.PreemptGuided,
-			DemandJoin:      info.DemandJoin,
-		},
-		Ctxs: make(map[string]CtxSample),
-	}
+	s := Sample{Cfg: cfg, Ctxs: make(map[string]CtxSample)}
 	names, err := at.C.Contexts()
 	if err != nil {
 		return Sample{}, err
@@ -102,10 +88,10 @@ func (at *AdminTarget) Sample() (Sample, error) {
 	return s, nil
 }
 
-func (at *AdminTarget) ApplySched(p SchedPatch) error {
+func (at *AdminTarget) ApplySched(p sched.Patch) error {
 	cctx, cancel := at.callCtx()
 	defer cancel()
-	_, err := at.C.Admin().SetSchedConfig(cctx, p.Body())
+	_, err := at.C.Admin().SetSchedConfig(cctx, p)
 	return err
 }
 

@@ -21,9 +21,11 @@
 //   - Cooldown: a policy that just actuated holds off for a configurable
 //     interval, so the loop cannot flap faster than the system can
 //     respond.
-//   - Arm-only-what-you-armed: reversible policies (preemption, DRR,
-//     demand-join) only undo settings they themselves applied. Operator
-//     configuration is never fought.
+//   - Arm-only-what-you-armed: reversible policies (preemption, DRR)
+//     only undo settings they themselves applied. Operator configuration
+//     is never fought.
+//
+// The last three are one state machine (latch) that every policy embeds.
 //
 // The controller is deterministic and clock-injected (des.Clock): under
 // the DES it ticks in virtual time and replays identically; under the
@@ -37,6 +39,7 @@ import (
 	"time"
 
 	"simfs/internal/des"
+	"simfs/internal/sched"
 )
 
 // Decision is one actuation (or refusal) taken by a policy on a tick.
@@ -130,12 +133,12 @@ func (c *Controller) TickOnce() error {
 	}
 	t := Tick{Now: c.clock.Now(), First: c.first, Prev: c.prev, Cur: cur}
 
-	var merged SchedPatch
+	var merged sched.Patch
 	var actions []pendingAction
 	for _, p := range c.policies {
 		for _, a := range p.Evaluate(t) {
 			if a.Patch != nil {
-				merged.merge(*a.Patch)
+				merged.Merge(*a.Patch)
 			}
 			actions = append(actions, pendingAction{policy: p.Name(), act: a})
 		}
@@ -143,7 +146,7 @@ func (c *Controller) TickOnce() error {
 
 	// Single-writer actuation: one scheduler update per tick, however
 	// many policies contributed fields.
-	if !merged.empty() {
+	if !merged.Empty() {
 		if err := c.target.ApplySched(merged); err != nil {
 			c.log("autoscale: sched actuation failed: %v", err)
 		}

@@ -1,8 +1,8 @@
 package autoscale
 
 import (
+	"encoding/json"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +21,7 @@ type fakeTarget struct {
 	i       int
 	err     error
 
-	patches  []SchedPatch
+	patches  []sched.Patch
 	switches []CacheSwitch
 	applyErr error
 }
@@ -38,7 +38,7 @@ func (f *fakeTarget) Sample() (Sample, error) {
 	return s, nil
 }
 
-func (f *fakeTarget) ApplySched(p SchedPatch) error {
+func (f *fakeTarget) ApplySched(p sched.Patch) error {
 	f.patches = append(f.patches, p)
 	return f.applyErr
 }
@@ -233,7 +233,7 @@ func TestNodeBudgetCooldown(t *testing.T) {
 }
 
 func TestPreemptGovernorArmDisarm(t *testing.T) {
-	p := &PreemptGovernor{SunkCost: 0.8, Guided: true, HighWait: time.Second, CalmTicks: 2}
+	p := &PreemptGovernor{HighWait: time.Second, CalmTicks: 2}
 	cfg := sched.Config{}
 	now := time.Duration(0)
 	tick := func(growth time.Duration) []Action {
@@ -251,10 +251,7 @@ func TestPreemptGovernorArmDisarm(t *testing.T) {
 	if patch.Preempt == nil || *patch.Preempt != sched.PreemptYoungest {
 		t.Fatalf("arm patch preempt = %v, want youngest", patch.Preempt)
 	}
-	if patch.SunkCost == nil || *patch.SunkCost != 0.8 || patch.Guided == nil || !*patch.Guided {
-		t.Fatalf("arm patch missing guard fields: %+v", patch)
-	}
-	cfg = patch.apply(cfg)
+	cfg, _ = patch.Apply(cfg)
 
 	if acts := tick(0); len(acts) != 0 { // calm 1 of 2
 		t.Fatalf("disarmed before calm streak: %v", acts)
@@ -267,14 +264,11 @@ func TestPreemptGovernorArmDisarm(t *testing.T) {
 	if patch.Preempt == nil || *patch.Preempt != sched.PreemptOff {
 		t.Fatalf("disarm patch preempt = %v, want off", patch.Preempt)
 	}
-	if patch.SunkCost == nil || *patch.SunkCost != 0 || patch.Guided == nil || *patch.Guided {
-		t.Fatalf("disarm patch must clear the guards it armed: %+v", patch)
-	}
 }
 
 func TestPreemptGovernorRespectsOperatorConfig(t *testing.T) {
 	p := &PreemptGovernor{HighWait: time.Second}
-	cfg := sched.Config{Preempt: sched.PreemptCheapest} // operator's choice
+	cfg := sched.Config{Preempt: sched.PreemptYoungest} // operator's choice
 	acts := p.Evaluate(Tick{Now: time.Second,
 		Prev: sampleWithWait(cfg, 0),
 		Cur:  sampleWithWait(cfg, time.Hour)})
@@ -388,53 +382,44 @@ func TestDRRTunerRequiresPriorities(t *testing.T) {
 	}
 }
 
-func TestDemandJoinPromoterArmsOnBacklog(t *testing.T) {
-	p := &DemandJoinPromoter{CalmTicks: 2}
-	depth := func(cfg sched.Config, d int) Sample {
-		return Sample{Cfg: cfg, Sched: metrics.SchedStats{QueueDepth: d}}
+// The hysteresis every policy embeds: arm once, hold through the
+// cooldown, disarm only what was armed and only after the calm streak.
+func TestLatchArmCooldownDisarm(t *testing.T) {
+	var l latch
+	if l.disarm(time.Second, 1) {
+		t.Fatal("disarmed a latch that never armed")
 	}
-	cfg := sched.Config{}
-	acts := p.Evaluate(Tick{Now: time.Second, Prev: depth(cfg, 0), Cur: depth(cfg, 3)})
-	if len(acts) != 1 || acts[0].Patch.DemandJoin == nil || !*acts[0].Patch.DemandJoin {
-		t.Fatalf("backlogged tick: %v, want demand-join armed", acts)
+	if l.arm(time.Second, true) || l.armed {
+		t.Fatal("armed over an operator-set knob")
 	}
-	cfg.DemandJoin = true
-	if acts := p.Evaluate(Tick{Now: 2 * time.Second, Prev: depth(cfg, 3), Cur: depth(cfg, 0)}); len(acts) != 0 {
-		t.Fatalf("disarmed before calm streak: %v", acts)
+	if !l.arm(2*time.Second, false) || l.arm(3*time.Second, false) {
+		t.Fatal("arm must fire exactly once")
 	}
-	acts = p.Evaluate(Tick{Now: 3 * time.Second, Prev: depth(cfg, 0), Cur: depth(cfg, 0)})
-	if len(acts) != 1 || acts[0].Patch.DemandJoin == nil || *acts[0].Patch.DemandJoin {
-		t.Fatalf("calm streak complete: %v, want demand-join disarmed", acts)
+	if !l.cooling(5*time.Second, 10*time.Second) || l.cooling(12*time.Second, 10*time.Second) {
+		t.Fatal("cooldown window is [lastAct, lastAct+cooldown)")
 	}
-	// Operator-armed demand-join is left alone.
-	q := &DemandJoinPromoter{}
-	if acts := q.Evaluate(Tick{Now: time.Second, Prev: depth(cfg, 0), Cur: depth(cfg, 5)}); len(acts) != 0 {
-		t.Fatalf("promoter re-armed operator demand-join: %v", acts)
+	if l.disarm(13*time.Second, 2) {
+		t.Fatal("disarmed before the calm streak completed")
+	}
+	l.arm(14*time.Second, false) // contention again: the streak restarts
+	if l.disarm(15*time.Second, 2) || !l.disarm(16*time.Second, 2) || l.armed {
+		t.Fatal("disarm must fire on the second consecutive calm tick")
 	}
 }
 
+// The controller's decision log prints sched.Patch.String and
+// AdminTarget sends the patch's JSON as the sched-set body.
 func TestSchedPatchStringAndBody(t *testing.T) {
-	p := SchedPatch{
-		TotalNodes: intPtr(6),
-		Preempt:    policyPtr(sched.PreemptYoungest),
-		SunkCost:   f64Ptr(0.8),
-		Guided:     boolPtr(true),
-		DRRQuantum: intPtr(4),
-		DemandJoin: boolPtr(true),
+	p := sched.Patch{
+		TotalNodes: ptr(6),
+		Preempt:    ptr(sched.PreemptYoungest),
+		DRRQuantum: ptr(4),
 	}
-	s := p.String()
-	for _, want := range []string{"nodes=6", "preempt=youngest", "sunkcost=0.8", "guided=true", "quantum=4", "demandjoin=true"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() = %q, missing %q", s, want)
-		}
+	if got, want := (Action{Patch: &p}).describe(), "sched{nodes=6 preempt=youngest quantum=4}"; got != want {
+		t.Errorf("describe() = %q, want %q", got, want)
 	}
-	b := p.Body()
-	if b.TotalNodes == nil || *b.TotalNodes != 6 ||
-		b.PreemptPolicy == nil || *b.PreemptPolicy != "youngest" ||
-		b.PreemptSunkCost == nil || *b.PreemptSunkCost != 0.8 ||
-		b.PreemptGuided == nil || !*b.PreemptGuided ||
-		b.DRRQuantum == nil || *b.DRRQuantum != 4 ||
-		b.DemandJoin == nil || !*b.DemandJoin {
-		t.Fatalf("Body() dropped fields: %+v", b)
+	body, err := json.Marshal(p)
+	if want := `{"total_nodes":6,"preempt_policy":"youngest","drr_quantum":4}`; err != nil || string(body) != want {
+		t.Fatalf("sched-set body = %s, %v; want %s", body, err, want)
 	}
 }

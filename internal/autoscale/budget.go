@@ -3,6 +3,8 @@ package autoscale
 import (
 	"fmt"
 	"time"
+
+	"simfs/internal/sched"
 )
 
 // NodeBudget governs the scheduler's global node budget: it widens when
@@ -24,33 +26,10 @@ type NodeBudget struct {
 	// Cooldown is the minimum controller time between actuations.
 	Cooldown time.Duration
 
-	calm    int
-	lastAct time.Duration
-	acted   bool
+	latch
 }
 
 func (p *NodeBudget) Name() string { return "node-budget" }
-
-func (p *NodeBudget) step() int {
-	if p.Step > 0 {
-		return p.Step
-	}
-	return 1
-}
-
-func (p *NodeBudget) highWait() time.Duration {
-	if p.HighWait > 0 {
-		return p.HighWait
-	}
-	return 500 * time.Millisecond
-}
-
-func (p *NodeBudget) calmTicks() int {
-	if p.CalmTicks > 0 {
-		return p.CalmTicks
-	}
-	return 3
-}
 
 func (p *NodeBudget) Evaluate(t Tick) []Action {
 	if t.First {
@@ -60,40 +39,35 @@ func (p *NodeBudget) Evaluate(t Tick) []Action {
 	if nodes == 0 {
 		return nil // unlimited budget: nothing to govern
 	}
-	if p.acted && t.Now-p.lastAct < p.Cooldown {
+	if p.cooling(t.Now, p.Cooldown) {
 		return nil
 	}
-	delta := t.demandWaitDelta()
-	if delta >= p.highWait() {
-		p.calm = 0
+	step := orDefault(p.Step, 1)
+	highWait := orDefault(p.HighWait, 500*time.Millisecond)
+	calmTicks := orDefault(p.CalmTicks, 3)
+	if delta := t.demandWaitDelta(); delta >= highWait {
+		p.streak = 0
 		if p.Max > 0 && nodes >= p.Max {
 			return nil // pinned at the ceiling; keep watching
 		}
-		next := nodes + p.step()
+		next := nodes + step
 		if p.Max > 0 && next > p.Max {
 			next = p.Max
 		}
-		p.lastAct, p.acted = t.Now, true
+		p.fire(t.Now)
 		return []Action{{
-			Patch:  &SchedPatch{TotalNodes: intPtr(next)},
-			Reason: fmt.Sprintf("demand wait grew %v ≥ %v this tick", delta, p.highWait()),
+			Patch:  &sched.Patch{TotalNodes: &next},
+			Reason: fmt.Sprintf("demand wait grew %v ≥ %v this tick", delta, highWait),
 		}}
 	}
-	p.calm++
-	min := p.Min
-	if min < 1 {
-		min = 1
-	}
-	if p.calm >= p.calmTicks() && nodes > min {
-		next := nodes - p.step()
-		if next < min {
-			next = min
-		}
-		p.calm = 0
-		p.lastAct, p.acted = t.Now, true
+	p.streak++
+	min := max(p.Min, 1)
+	if p.streak >= calmTicks && nodes > min {
+		next := max(nodes-step, min)
+		p.fire(t.Now)
 		return []Action{{
-			Patch:  &SchedPatch{TotalNodes: intPtr(next)},
-			Reason: fmt.Sprintf("demand wait calm for %d ticks", p.calmTicks()),
+			Patch:  &sched.Patch{TotalNodes: &next},
+			Reason: fmt.Sprintf("demand wait calm for %d ticks", calmTicks),
 		}}
 	}
 	return nil

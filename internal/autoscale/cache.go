@@ -30,13 +30,9 @@ type CacheSwitcher struct {
 	// same context.
 	Cooldown time.Duration
 
-	state map[string]*cacheCtxState
-}
-
-type cacheCtxState struct {
-	bad     int
-	lastAct time.Duration
-	acted   bool
+	// state is one latch per context: the streak counts consecutive
+	// low-ratio windows.
+	state map[string]*latch
 }
 
 func (p *CacheSwitcher) Name() string { return "cache-switcher" }
@@ -46,27 +42,6 @@ func (p *CacheSwitcher) policies() []string {
 		return p.Policies
 	}
 	return []string{"DCL", "LRU"}
-}
-
-func (p *CacheSwitcher) lowHit() float64 {
-	if p.LowHit > 0 {
-		return p.LowHit
-	}
-	return 0.5
-}
-
-func (p *CacheSwitcher) minOpens() int64 {
-	if p.MinOpens > 0 {
-		return p.MinOpens
-	}
-	return 16
-}
-
-func (p *CacheSwitcher) badTicks() int {
-	if p.BadTicks > 0 {
-		return p.BadTicks
-	}
-	return 2
 }
 
 func (p *CacheSwitcher) governed(name string) bool {
@@ -105,8 +80,11 @@ func (p *CacheSwitcher) Evaluate(t Tick) []Action {
 		return nil
 	}
 	if p.state == nil {
-		p.state = make(map[string]*cacheCtxState)
+		p.state = make(map[string]*latch)
 	}
+	lowHit := orDefault(p.LowHit, 0.5)
+	minOpens := orDefault(p.MinOpens, 16)
+	badTicks := orDefault(p.BadTicks, 2)
 	var actions []Action
 	for _, name := range sortedCtxNames(t.Cur.Ctxs) {
 		cur := t.Cur.Ctxs[name]
@@ -115,7 +93,7 @@ func (p *CacheSwitcher) Evaluate(t Tick) []Action {
 		}
 		st := p.state[name]
 		if st == nil {
-			st = &cacheCtxState{}
+			st = &latch{}
 			p.state[name] = st
 		}
 		prev, had := t.Prev.Ctxs[name]
@@ -123,33 +101,29 @@ func (p *CacheSwitcher) Evaluate(t Tick) []Action {
 			continue // first window for this context
 		}
 		dOpens := cur.Opens - prev.Opens
-		if dOpens < p.minOpens() {
-			st.bad = 0 // not enough traffic to judge: reset the streak
+		if dOpens < minOpens {
+			st.streak = 0 // not enough traffic to judge: reset the streak
 			continue
 		}
 		ratio := float64(cur.Hits-prev.Hits) / float64(dOpens)
-		if ratio >= p.lowHit() {
-			st.bad = 0
+		if ratio >= lowHit {
+			st.streak = 0
 			continue
 		}
-		st.bad++
-		if st.bad < p.badTicks() {
-			continue
-		}
-		if st.acted && t.Now-st.lastAct < p.Cooldown {
+		st.streak++
+		if st.streak < badTicks || st.cooling(t.Now, p.Cooldown) {
 			continue
 		}
 		target := p.next(cur.CachePolicy)
 		if target == "" {
-			st.bad = 0
+			st.streak = 0
 			continue
 		}
-		st.bad = 0
-		st.lastAct, st.acted = t.Now, true
+		st.fire(t.Now)
 		actions = append(actions, Action{
 			Cache: &CacheSwitch{Ctx: name, Policy: target},
 			Reason: fmt.Sprintf("hit ratio %.2f < %.2f for %d windows (%d opens)",
-				ratio, p.lowHit(), p.badTicks(), dOpens),
+				ratio, lowHit, badTicks, dOpens),
 		})
 	}
 	return actions

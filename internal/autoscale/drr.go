@@ -3,6 +3,8 @@ package autoscale
 import (
 	"fmt"
 	"time"
+
+	"simfs/internal/sched"
 )
 
 // DRRTuner arms the scheduler's deficit-round-robin quantum when the
@@ -26,41 +28,10 @@ type DRRTuner struct {
 	// Cooldown is the minimum controller time between actuations.
 	Cooldown time.Duration
 
-	armed   bool
-	calm    int
-	lastAct time.Duration
-	acted   bool
+	latch
 }
 
 func (p *DRRTuner) Name() string { return "drr-tuner" }
-
-func (p *DRRTuner) quantum() int {
-	if p.Quantum > 0 {
-		return p.Quantum
-	}
-	return 4
-}
-
-func (p *DRRTuner) highSkew() float64 {
-	if p.HighSkew > 0 {
-		return p.HighSkew
-	}
-	return 3
-}
-
-func (p *DRRTuner) minSteps() uint64 {
-	if p.MinSteps > 0 {
-		return p.MinSteps
-	}
-	return 32
-}
-
-func (p *DRRTuner) calmTicks() int {
-	if p.CalmTicks > 0 {
-		return p.CalmTicks
-	}
-	return 3
-}
 
 // skew measures the window's per-client imbalance: the dominant client's
 // share of the delta steps, scaled by the number of active clients
@@ -80,46 +51,34 @@ func (p *DRRTuner) skew(t Tick) float64 {
 			max = d
 		}
 	}
-	if total < p.minSteps() || active < 2 {
+	if total < orDefault(p.MinSteps, 32) || active < 2 {
 		return 0
 	}
 	return float64(max) * float64(active) / float64(total)
 }
 
 func (p *DRRTuner) Evaluate(t Tick) []Action {
-	if t.First {
+	if t.First || !t.Cur.Cfg.Priorities { // DRR is scoped inside priority classes
 		return nil
 	}
-	if !t.Cur.Cfg.Priorities {
-		return nil // DRR is scoped inside priority classes
-	}
-	if p.acted && t.Now-p.lastAct < p.Cooldown {
+	if p.cooling(t.Now, p.Cooldown) {
 		return nil
 	}
-	skew := p.skew(t)
-	switch {
-	case skew >= p.highSkew():
-		p.calm = 0
-		if t.Cur.Cfg.DRRQuantum != 0 || p.armed {
-			return nil // operator already armed fairness, or we did
+	highSkew := orDefault(p.HighSkew, 3)
+	calmTicks := orDefault(p.CalmTicks, 3)
+	switch skew := p.skew(t); {
+	case skew >= highSkew:
+		// Not when the operator already armed fairness, or we did.
+		if p.arm(t.Now, t.Cur.Cfg.DRRQuantum != 0) {
+			return []Action{{
+				Patch:  &sched.Patch{DRRQuantum: ptr(orDefault(p.Quantum, 4))},
+				Reason: fmt.Sprintf("client skew %.1f ≥ %.1f this window", skew, highSkew),
+			}}
 		}
-		p.armed = true
-		p.lastAct, p.acted = t.Now, true
+	case p.disarm(t.Now, calmTicks):
 		return []Action{{
-			Patch:  &SchedPatch{DRRQuantum: intPtr(p.quantum())},
-			Reason: fmt.Sprintf("client skew %.1f ≥ %.1f this window", skew, p.highSkew()),
-		}}
-	case p.armed:
-		p.calm++
-		if p.calm < p.calmTicks() {
-			return nil
-		}
-		p.armed = false
-		p.calm = 0
-		p.lastAct, p.acted = t.Now, true
-		return []Action{{
-			Patch:  &SchedPatch{DRRQuantum: intPtr(0)},
-			Reason: fmt.Sprintf("client load even for %d ticks", p.calmTicks()),
+			Patch:  &sched.Patch{DRRQuantum: ptr(0)},
+			Reason: fmt.Sprintf("client load even for %d ticks", calmTicks),
 		}}
 	}
 	return nil

@@ -72,11 +72,9 @@ func TestAutoscaleAdminTargetRoundTrip(t *testing.T) {
 		t.Fatalf("remote sample missing context wx: %+v", s.Ctxs)
 	}
 
-	nodes := 6
-	join := true
-	sunk := 0.75
-	if err := target.ApplySched(autoscale.SchedPatch{
-		TotalNodes: &nodes, DemandJoin: &join, SunkCost: &sunk,
+	nodes, youngest, quantum := 6, sched.PreemptYoungest, 8
+	if err := target.ApplySched(sched.Patch{
+		TotalNodes: &nodes, Preempt: &youngest, DRRQuantum: &quantum,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +82,7 @@ func TestAutoscaleAdminTargetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Cfg.TotalNodes != 6 || !s.Cfg.DemandJoin || s.Cfg.PreemptSunkCost != 0.75 {
+	if s.Cfg.TotalNodes != 6 || s.Cfg.Preempt != sched.PreemptYoungest || s.Cfg.DRRQuantum != 8 {
 		t.Fatalf("patch did not land: %+v", s.Cfg)
 	}
 
@@ -97,21 +95,6 @@ func TestAutoscaleAdminTargetRoundTrip(t *testing.T) {
 	}
 	if got := s.Ctxs["wx"].CachePolicy; got != "LRU" {
 		t.Fatalf("cache policy after switch = %q, want LRU", got)
-	}
-}
-
-// TestAutoscaleSunkCostValidation pins the daemon-side range check.
-func TestAutoscaleSunkCostValidation(t *testing.T) {
-	_, addr := startDaemon(t)
-	c, err := dvlib.Dial(addr, "autoscale-e2e")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	bad := 1.5
-	_, err = c.Admin().SetSchedConfig(context.Background(), dvlib.SchedUpdate{PreemptSunkCost: &bad})
-	if err == nil {
-		t.Fatal("sunk cost 1.5 accepted, want invalid-argument rejection")
 	}
 }
 
@@ -174,16 +157,16 @@ func TestAutoscaleReportStatusLedger(t *testing.T) {
 }
 
 // TestAutoscaleControllerOverLiveDaemon runs the full loop end to end:
-// a wall-clock controller with a demand-join promoter attached over the
-// admin target must arm the scheduler rule once a backlog appears.
+// a wall-clock controller with a preemption governor attached over the
+// admin target must arm preemption once demand misses queue on the
+// node budget.
 func TestAutoscaleControllerOverLiveDaemon(t *testing.T) {
 	st, addr := startDaemon(t)
-	// Shrink the budget so queued work accumulates a visible depth.
-	st.V.UpdateSchedConfig(func(cfg sched.Config) sched.Config {
-		cfg.Priorities = true
-		cfg.TotalNodes = 1
-		return cfg
-	})
+	// Shrink the budget so demand misses wait for nodes.
+	on, one := true, 1
+	if _, err := st.V.UpdateSchedConfig(sched.Patch{Priorities: &on, TotalNodes: &one}); err != nil {
+		t.Fatal(err)
+	}
 
 	c, err := dvlib.Dial(addr, "autoscale-ctl")
 	if err != nil {
@@ -191,7 +174,7 @@ func TestAutoscaleControllerOverLiveDaemon(t *testing.T) {
 	}
 	defer c.Close()
 	ctrl, err := autoscale.New(autoscale.NewAdminTarget(c),
-		[]autoscale.Policy{&autoscale.DemandJoinPromoter{}},
+		[]autoscale.Policy{&autoscale.PreemptGovernor{HighWait: time.Nanosecond}},
 		autoscale.Options{Clock: des.NewWallClock()})
 	if err != nil {
 		t.Fatal(err)
@@ -201,31 +184,27 @@ func TestAutoscaleControllerOverLiveDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Saturate the single node with misses so a queue builds.
+	if err := ctrl.TickOnce(); err != nil { // baseline
+		t.Fatal(err)
+	}
+	// Saturate the single node with misses so demand wait accrues.
 	for step := 10; step < 40; step += 4 {
 		if _, err := wx.Open(wx.Filename(step)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if err := ctrl.TickOnce(); err != nil { // baseline
-		t.Fatal(err)
-	}
 	deadline := time.Now().Add(10 * time.Second)
-	for {
+	for st.V.SchedConfig().Preempt != sched.PreemptYoungest {
 		if err := ctrl.TickOnce(); err != nil {
 			t.Fatal(err)
 		}
-		cfg := st.V.SchedConfig()
-		if cfg.DemandJoin {
-			break
-		}
 		if time.Now().After(deadline) {
-			t.Fatalf("controller never armed demand-join; decisions: %+v", ctrl.Decisions())
+			t.Fatalf("controller never armed preemption; decisions: %+v", ctrl.Decisions())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	if len(ctrl.Decisions()) == 0 {
-		t.Fatal("controller armed demand-join without recording a decision")
+		t.Fatal("controller armed preemption without recording a decision")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"simfs/internal/netproto"
 	"simfs/internal/sched"
 )
 
@@ -37,7 +36,7 @@ type CacheSwitch struct {
 // Action is one policy verdict: a scheduler patch, a cache switch, or
 // both, with the trigger spelled out for the decision log.
 type Action struct {
-	Patch  *SchedPatch
+	Patch  *sched.Patch
 	Cache  *CacheSwitch
 	Reason string
 }
@@ -45,7 +44,7 @@ type Action struct {
 // describe renders the actuation half of an action for the decision log.
 func (a Action) describe() string {
 	var parts []string
-	if a.Patch != nil && !a.Patch.empty() {
+	if a.Patch != nil && !a.Patch.Empty() {
 		parts = append(parts, a.Patch.String())
 	}
 	if a.Cache != nil {
@@ -66,110 +65,6 @@ type Policy interface {
 	Evaluate(t Tick) []Action
 }
 
-// SchedPatch is a partial scheduler reconfiguration: nil fields keep the
-// target's current value. It is the policy-facing mirror of
-// netproto.SchedSetBody, kept separate so library users never touch the
-// wire layer.
-type SchedPatch struct {
-	TotalNodes *int
-	Preempt    *sched.PreemptPolicy
-	SunkCost   *float64
-	Guided     *bool
-	DRRQuantum *int
-	DemandJoin *bool
-}
-
-func (p SchedPatch) empty() bool {
-	return p.TotalNodes == nil && p.Preempt == nil && p.SunkCost == nil &&
-		p.Guided == nil && p.DRRQuantum == nil && p.DemandJoin == nil
-}
-
-// merge folds q into p without overwriting fields p already claims —
-// the single-writer rule's tie-break: the earlier policy wins.
-func (p *SchedPatch) merge(q SchedPatch) {
-	if p.TotalNodes == nil {
-		p.TotalNodes = q.TotalNodes
-	}
-	if p.Preempt == nil {
-		p.Preempt = q.Preempt
-	}
-	if p.SunkCost == nil {
-		p.SunkCost = q.SunkCost
-	}
-	if p.Guided == nil {
-		p.Guided = q.Guided
-	}
-	if p.DRRQuantum == nil {
-		p.DRRQuantum = q.DRRQuantum
-	}
-	if p.DemandJoin == nil {
-		p.DemandJoin = q.DemandJoin
-	}
-}
-
-// apply folds the patch into a scheduler config (the in-process target's
-// UpdateSchedConfig mutator).
-func (p SchedPatch) apply(cfg sched.Config) sched.Config {
-	if p.TotalNodes != nil {
-		cfg.TotalNodes = *p.TotalNodes
-	}
-	if p.Preempt != nil {
-		cfg.Preempt = *p.Preempt
-	}
-	if p.SunkCost != nil {
-		cfg.PreemptSunkCost = *p.SunkCost
-	}
-	if p.Guided != nil {
-		cfg.PreemptGuided = *p.Guided
-	}
-	if p.DRRQuantum != nil {
-		cfg.DRRQuantum = *p.DRRQuantum
-	}
-	if p.DemandJoin != nil {
-		cfg.DemandJoin = *p.DemandJoin
-	}
-	return cfg
-}
-
-// Body renders the patch as a wire-level partial sched-set (the remote
-// target's actuation payload).
-func (p SchedPatch) Body() netproto.SchedSetBody {
-	var b netproto.SchedSetBody
-	b.TotalNodes = p.TotalNodes
-	if p.Preempt != nil {
-		s := p.Preempt.String()
-		b.PreemptPolicy = &s
-	}
-	b.PreemptSunkCost = p.SunkCost
-	b.PreemptGuided = p.Guided
-	b.DRRQuantum = p.DRRQuantum
-	b.DemandJoin = p.DemandJoin
-	return b
-}
-
-func (p SchedPatch) String() string {
-	var parts []string
-	if p.TotalNodes != nil {
-		parts = append(parts, fmt.Sprintf("nodes=%d", *p.TotalNodes))
-	}
-	if p.Preempt != nil {
-		parts = append(parts, fmt.Sprintf("preempt=%s", *p.Preempt))
-	}
-	if p.SunkCost != nil {
-		parts = append(parts, fmt.Sprintf("sunkcost=%g", *p.SunkCost))
-	}
-	if p.Guided != nil {
-		parts = append(parts, fmt.Sprintf("guided=%v", *p.Guided))
-	}
-	if p.DRRQuantum != nil {
-		parts = append(parts, fmt.Sprintf("quantum=%d", *p.DRRQuantum))
-	}
-	if p.DemandJoin != nil {
-		parts = append(parts, fmt.Sprintf("demandjoin=%v", *p.DemandJoin))
-	}
-	return "sched{" + strings.Join(parts, " ") + "}"
-}
-
 // sortedCtxNames iterates a sample's contexts deterministically.
 func sortedCtxNames(ctxs map[string]CtxSample) []string {
 	names := make([]string, 0, len(ctxs))
@@ -180,7 +75,14 @@ func sortedCtxNames(ctxs map[string]CtxSample) []string {
 	return names
 }
 
-func intPtr(v int) *int                                    { return &v }
-func boolPtr(v bool) *bool                                 { return &v }
-func f64Ptr(v float64) *float64                            { return &v }
-func policyPtr(v sched.PreemptPolicy) *sched.PreemptPolicy { return &v }
+// ptr returns a pointer to v, for filling sched.Patch fields.
+func ptr[T any](v T) *T { return &v }
+
+// orDefault returns v, or def when v is unset (≤ 0): every policy
+// threshold reads "zero means the documented default".
+func orDefault[T int | int64 | uint64 | float64 | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
+}

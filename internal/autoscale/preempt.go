@@ -7,19 +7,11 @@ import (
 	"simfs/internal/sched"
 )
 
-// PreemptGovernor flips the preemption policy on under sustained demand
-// contention and off again after a calm streak, arming the sunk-cost
-// guard and (optionally) guided-class victim eligibility alongside. It
-// only ever disarms what it armed: if the operator configured preemption
-// themselves, the governor observes and stays out of the way.
+// PreemptGovernor flips preemption on under sustained demand contention
+// and off again after a calm streak. It only ever disarms what it
+// armed: if the operator configured preemption themselves, the governor
+// observes and stays out of the way.
 type PreemptGovernor struct {
-	// Policy is the victim-selection policy to arm (default youngest).
-	Policy sched.PreemptPolicy
-	// SunkCost is the completion fraction past which a victim is spared
-	// (0 = no guard).
-	SunkCost float64
-	// Guided widens victim eligibility to guided-class prefetches.
-	Guided bool
 	// HighWait is the per-tick demand-wait growth that counts as
 	// contention (default 500ms).
 	HighWait time.Duration
@@ -28,82 +20,31 @@ type PreemptGovernor struct {
 	// Cooldown is the minimum controller time between actuations.
 	Cooldown time.Duration
 
-	armed   bool
-	calm    int
-	lastAct time.Duration
-	acted   bool
+	latch
 }
 
 func (p *PreemptGovernor) Name() string { return "preempt-governor" }
 
-func (p *PreemptGovernor) policy() sched.PreemptPolicy {
-	if p.Policy != sched.PreemptOff {
-		return p.Policy
-	}
-	return sched.PreemptYoungest
-}
-
-func (p *PreemptGovernor) highWait() time.Duration {
-	if p.HighWait > 0 {
-		return p.HighWait
-	}
-	return 500 * time.Millisecond
-}
-
-func (p *PreemptGovernor) calmTicks() int {
-	if p.CalmTicks > 0 {
-		return p.CalmTicks
-	}
-	return 3
-}
-
 func (p *PreemptGovernor) Evaluate(t Tick) []Action {
-	if t.First {
+	if t.First || p.cooling(t.Now, p.Cooldown) {
 		return nil
 	}
-	if p.acted && t.Now-p.lastAct < p.Cooldown {
-		return nil
-	}
-	contended := t.demandWaitDelta() >= p.highWait()
-	switch {
-	case contended:
-		p.calm = 0
+	highWait := orDefault(p.HighWait, 500*time.Millisecond)
+	calmTicks := orDefault(p.CalmTicks, 3)
+	switch delta := t.demandWaitDelta(); {
+	case delta >= highWait:
 		// Arm only when preemption is off; an operator-armed policy is
 		// not ours to manage (and arming again would be a no-op anyway).
-		if t.Cur.Cfg.Preempt != sched.PreemptOff || p.armed {
-			return nil
+		if p.arm(t.Now, t.Cur.Cfg.Preempt != sched.PreemptOff) {
+			return []Action{{
+				Patch:  &sched.Patch{Preempt: ptr(sched.PreemptYoungest)},
+				Reason: fmt.Sprintf("demand wait grew %v ≥ %v this tick", delta, highWait),
+			}}
 		}
-		p.armed = true
-		p.lastAct, p.acted = t.Now, true
-		patch := &SchedPatch{Preempt: policyPtr(p.policy())}
-		if p.SunkCost > 0 {
-			patch.SunkCost = f64Ptr(p.SunkCost)
-		}
-		if p.Guided {
-			patch.Guided = boolPtr(true)
-		}
+	case p.disarm(t.Now, calmTicks):
 		return []Action{{
-			Patch:  patch,
-			Reason: fmt.Sprintf("demand wait grew %v ≥ %v this tick", t.demandWaitDelta(), p.highWait()),
-		}}
-	case p.armed:
-		p.calm++
-		if p.calm < p.calmTicks() {
-			return nil
-		}
-		p.armed = false
-		p.calm = 0
-		p.lastAct, p.acted = t.Now, true
-		patch := &SchedPatch{Preempt: policyPtr(sched.PreemptOff)}
-		if p.SunkCost > 0 {
-			patch.SunkCost = f64Ptr(0)
-		}
-		if p.Guided {
-			patch.Guided = boolPtr(false)
-		}
-		return []Action{{
-			Patch:  patch,
-			Reason: fmt.Sprintf("demand wait calm for %d ticks", p.calmTicks()),
+			Patch:  &sched.Patch{Preempt: ptr(sched.PreemptOff)},
+			Reason: fmt.Sprintf("demand wait calm for %d ticks", calmTicks),
 		}}
 	}
 	return nil

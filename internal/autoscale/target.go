@@ -37,7 +37,7 @@ type Sample struct {
 // in-process Virtualizer; AdminTarget to a remote daemon over dvlib.
 type Target interface {
 	Sample() (Sample, error)
-	ApplySched(p SchedPatch) error
+	ApplySched(p sched.Patch) error
 	SetCachePolicy(ctx, policy string) error
 }
 
@@ -70,9 +70,9 @@ func (lt LocalTarget) Sample() (Sample, error) {
 	return s, nil
 }
 
-func (lt LocalTarget) ApplySched(p SchedPatch) error {
-	lt.V.UpdateSchedConfig(func(cfg sched.Config) sched.Config { return p.apply(cfg) })
-	return nil
+func (lt LocalTarget) ApplySched(p sched.Patch) error {
+	_, err := lt.V.UpdateSchedConfig(p)
+	return err
 }
 
 func (lt LocalTarget) SetCachePolicy(ctx, policy string) error {

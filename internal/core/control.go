@@ -58,14 +58,18 @@ func (v *Virtualizer) SetSchedConfig(cfg sched.Config) {
 	v.drainScheduler()
 }
 
-// UpdateSchedConfig is SetSchedConfig for partial updates: mutate runs
-// atomically against the current config under the scheduler's mutex, so
-// concurrent partial reconfigurations compose instead of overwriting
-// each other. It returns the resulting config.
-func (v *Virtualizer) UpdateSchedConfig(mutate func(sched.Config) sched.Config) sched.Config {
-	cfg := v.sched.Update(mutate)
+// UpdateSchedConfig is SetSchedConfig for partial updates: the patch is
+// validated and applied atomically against the current config under the
+// scheduler's mutex, so concurrent partial reconfigurations compose
+// instead of overwriting each other. It returns the resulting config; a
+// refused patch (ErrInvalid) changes nothing.
+func (v *Virtualizer) UpdateSchedConfig(p sched.Patch) (sched.Config, error) {
+	cfg, err := v.sched.Update(p)
+	if err != nil {
+		return cfg, fmt.Errorf("core: %w: %v", ErrInvalid, err)
+	}
 	v.drainScheduler()
-	return cfg
+	return cfg, nil
 }
 
 // SetCachePolicy swaps a context's replacement scheme live. The new

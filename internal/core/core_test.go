@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"simfs/internal/des"
+	"simfs/internal/faults"
 	"simfs/internal/model"
 	"simfs/internal/simulator"
 	"simfs/internal/vfs"
@@ -301,7 +302,7 @@ func TestAcquireRollsBackOnError(t *testing.T) {
 func TestSimFailureNotifiesWaiters(t *testing.T) {
 	ctx := testContext("c")
 	h := newHarness(t, ctx)
-	h.l.FailEvery = 1 // every simulation crashes halfway
+	h.l.FailAt = faults.NewSimPlan().WithEvery(1).FailAt // every simulation crashes halfway
 	file := ctx.Filename(4)
 	h.v.Open("a1", "c", file)
 	var st *Status

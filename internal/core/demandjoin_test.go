@@ -1,19 +1,20 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"simfs/internal/sched"
 )
 
-// TestDemandJoinPromotesQueuedPrefetch: with demand-join armed, a demand
-// open landing inside a *queued* prefetch's promised range lifts that
-// job to demand class — it jumps the agent queue instead of parking the
-// client behind FIFO speculation.
+// TestDemandJoinPromotesQueuedPrefetch: under Priorities, a demand open
+// landing inside a *queued* prefetch's promised range lifts that job to
+// demand class — it jumps the agent queue instead of parking the client
+// behind FIFO speculation.
 func TestDemandJoinPromotesQueuedPrefetch(t *testing.T) {
 	ctx := testContext("c")
-	h := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 1, DemandJoin: true}, ctx)
+	h := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 1}, ctx)
 	// One running prefetch holds the budget; two more queue behind it.
 	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
 	injectAgentPrefetch(t, h, "c", "spec", 20, 23)
@@ -66,22 +67,28 @@ func TestDemandJoinPromotesQueuedPrefetch(t *testing.T) {
 	}
 }
 
-// TestDemandJoinOffKeepsQueueOrder: the same open without DemandJoin
-// just joins the queued job as a waiter — no promotion, FIFO agent order
-// preserved.
+// TestDemandJoinOffKeepsQueueOrder: demand-join is part of Priorities and
+// of nothing else. With Priorities off (flipped live, so the prefetches
+// queued under it are still there) the same open just joins the queued
+// job as a waiter — no promotion, submission order preserved.
 func TestDemandJoinOffKeepsQueueOrder(t *testing.T) {
 	ctx := testContext("c")
 	h := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 1}, ctx)
 	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
 	injectAgentPrefetch(t, h, "c", "spec", 20, 23)
 	injectAgentPrefetch(t, h, "c", "spec", 30, 33)
+	h.v.SetSchedConfig(sched.Config{TotalNodes: 1})
+	before := h.v.Scheduler().QueuedRanges("c")
 
 	var at31, at20 time.Duration
 	if _, err := h.v.Open("a1", "c", ctx.Filename(31)); err != nil {
 		t.Fatal(err)
 	}
 	if ss := h.v.SchedStats(); ss.Promoted != 0 {
-		t.Fatalf("Promoted = %d with demand-join off, want 0", ss.Promoted)
+		t.Fatalf("Promoted = %d with Priorities off, want 0", ss.Promoted)
+	}
+	if after := h.v.Scheduler().QueuedRanges("c"); !reflect.DeepEqual(before, after) {
+		t.Fatalf("queue order changed with Priorities off: %v → %v", before, after)
 	}
 	if err := h.v.WaitFile("a1", "c", ctx.Filename(31), func(st Status) {
 		at31 = h.eng.Now()
@@ -95,112 +102,31 @@ func TestDemandJoinOffKeepsQueueOrder(t *testing.T) {
 	}
 	h.eng.Run(0)
 	if at20 >= at31 {
-		t.Errorf("FIFO order broken without demand-join: step 20 at %v, step 31 at %v", at20, at31)
+		t.Errorf("FIFO order broken with Priorities off: step 20 at %v, step 31 at %v", at20, at31)
 	}
 	if err := h.v.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPreemptSunkCostSparesNearlyDoneVictim: a running prefetch past the
-// sunk-cost threshold is not killable — the demand miss waits out its
-// short remainder instead of discarding mostly-finished work.
-func TestPreemptSunkCostSparesNearlyDoneVictim(t *testing.T) {
+// TestPreemptSparesGuidedPrefetch: only agent speculation is killable; a
+// guided prefetch is an explicit client hint and a node-blocked demand
+// miss waits it out.
+func TestPreemptSparesGuidedPrefetch(t *testing.T) {
 	ctx := testContext("c")
-	h := schedHarness(t, sched.Config{
-		Priorities: true, TotalNodes: 1,
-		Preempt: sched.PreemptYoungest, PreemptSunkCost: 0.5,
-	}, ctx)
-	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
-
-	// Steps land at 3,4,5,6s: at t=5.5s the victim is 3/4 done — past
-	// the 0.5 threshold, so the demand miss must not kill it.
-	var demandAt time.Duration
-	h.eng.Schedule(5500*time.Millisecond, func() {
-		if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		if ss := h.v.SchedStats(); ss.Preempted != 0 {
-			t.Errorf("Preempted = %d, want 0 (sunk-cost guard spares a 75%%-done victim)", ss.Preempted)
-		}
-		if err := h.v.WaitFile("a1", "c", ctx.Filename(1), func(st Status) {
-			demandAt = h.eng.Now()
-		}); err != nil {
-			t.Errorf("wait: %v", err)
-		}
-	})
-	h.eng.Run(0)
-
-	// The spared prefetch finishes at 6s; the demand sim then runs
-	// α+τ=3s on the freed node.
-	if demandAt != 9*time.Second {
-		t.Errorf("demand served at %v, want 9s (waited out the spared victim)", demandAt)
-	}
-	st, _ := h.v.Stats("c")
-	if st.Kills != 0 {
-		t.Errorf("kills = %d, want 0", st.Kills)
-	}
-	if err := h.v.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPreemptSunkCostStillKillsYoungVictim: the same guard lets a victim
-// with nothing produced die — the threshold gates on work done, not on
-// preemption wholesale.
-func TestPreemptSunkCostStillKillsYoungVictim(t *testing.T) {
-	ctx := testContext("c")
-	h := schedHarness(t, sched.Config{
-		Priorities: true, TotalNodes: 1,
-		Preempt: sched.PreemptYoungest, PreemptSunkCost: 0.5,
-	}, ctx)
-	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
-	// t=0: nothing produced yet, done=0 < 0.5 — killable.
+	h := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 1, Preempt: sched.PreemptYoungest}, ctx)
+	cs, _ := h.v.shardOf("c")
+	cs.mu.Lock()
+	h.v.launch(cs, 9, 12, 1, sched.Guided, "g1")
+	cs.mu.Unlock()
 	if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
 		t.Fatal(err)
 	}
-	if ss := h.v.SchedStats(); ss.Preempted != 1 {
-		t.Fatalf("Preempted = %d, want 1 (guard only spares sunk work)", ss.Preempted)
+	if ss := h.v.SchedStats(); ss.Preempted != 0 {
+		t.Fatalf("Preempted = %d, want 0", ss.Preempted)
 	}
 	h.eng.Run(0)
 	if err := h.v.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPreemptGuidedArmsGuidedVictims: guided-class prefetches are
-// victims only when PreemptGuided is armed; by default only agent
-// speculation is killable.
-func TestPreemptGuidedArmsGuidedVictims(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		guided        bool
-		wantPreempted uint64
-	}{
-		{name: "default spares guided", guided: false, wantPreempted: 0},
-		{name: "armed kills guided", guided: true, wantPreempted: 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx := testContext("c")
-			h := schedHarness(t, sched.Config{
-				Priorities: true, TotalNodes: 1,
-				Preempt: sched.PreemptYoungest, PreemptGuided: tc.guided,
-			}, ctx)
-			cs, _ := h.v.shardOf("c")
-			cs.mu.Lock()
-			h.v.launch(cs, 9, 12, 1, sched.Guided, "g1")
-			cs.mu.Unlock()
-			if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
-				t.Fatal(err)
-			}
-			if ss := h.v.SchedStats(); ss.Preempted != tc.wantPreempted {
-				t.Fatalf("Preempted = %d, want %d", ss.Preempted, tc.wantPreempted)
-			}
-			h.eng.Run(0)
-			if err := h.v.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }

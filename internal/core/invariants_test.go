@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"simfs/internal/des"
+	"simfs/internal/faults"
 	"simfs/internal/model"
 )
 
@@ -118,7 +119,7 @@ func TestInvariantsRegressionSeeds(t *testing.T) {
 func newFuzzStack(t *testing.T, ctx *model.Context, failures bool) (*des.Engine, *Virtualizer) {
 	h := newHarness(t, ctx)
 	if failures {
-		h.l.FailEvery = 3
+		h.l.FailAt = faults.NewSimPlan().WithEvery(3).FailAt
 	}
 	return h.eng, h.v
 }

@@ -102,8 +102,8 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 	if simID, promised := cs.promised[step]; promised && simID == pendingSimID {
 		// The step is promised by a *queued* job — nothing to submit, so
 		// without this the demand interest would never reach the
-		// scheduler (not even Coalesce sees it). With DemandJoin armed
-		// the queued job is lifted to demand class so it drains ahead of
+		// scheduler (not even Coalesce sees it). Under Priorities the
+		// queued job is lifted to demand class so it drains ahead of
 		// speculative work; the promotion counts as queued demand for the
 		// preemption probe like any demand enqueue.
 		if v.sched.PromoteDemand(cs.ctx.Name, step, client) {

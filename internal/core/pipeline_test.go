@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"simfs/internal/faults"
 	"simfs/internal/model"
 )
 
@@ -117,7 +118,7 @@ func TestPipelineUpstreamPinnedDuringFineResim(t *testing.T) {
 
 func TestPipelineUpstreamFailurePropagates(t *testing.T) {
 	h, _, fine := pipelinePair(t)
-	h.l.FailEvery = 1 // every simulation crashes halfway through its range
+	h.l.FailAt = faults.NewSimPlan().WithEvery(1).FailAt // every simulation crashes halfway through its range
 	// Fine step 30 re-simulates over (24,32], needing coarse steps 7..8.
 	// The coarse re-simulation (producing 5..8) crashes after step 6, so
 	// the pipeline input never materializes.

@@ -5,17 +5,11 @@
 // may also evict it). Victim eligibility follows the paper's no-waiters
 // rule — a simulation whose output someone waits for or references is
 // never killed — and the victim's interval is requeued, so the
-// speculative work is deferred, not discarded. The victim-selection
-// policy (youngest-first or cheapest-remaining-first, on the cost
-// model's remaining-time estimate) lives in internal/sched.
+// speculative work is deferred, not discarded. The victim order
+// (youngest first) lives in internal/sched.
 package core
 
-import (
-	"time"
-
-	"simfs/internal/costmodel"
-	"simfs/internal/sched"
-)
+import "simfs/internal/sched"
 
 // victimRef pins a preemption candidate to its shard across the
 // lock-free gap between selection and kill.
@@ -39,13 +33,12 @@ type victimRef struct {
 // off or no demand work is queued.
 func (v *Virtualizer) maybePreempt() {
 	for v.sched.WantsPreemption() {
-		cfg := v.sched.Config()
-		refs := v.preemptCandidates(cfg)
+		refs := v.preemptCandidates()
 		vics := make([]sched.Victim, len(refs))
 		for i, r := range refs {
 			vics[i] = r.vic
 		}
-		i := cfg.Preempt.Choose(vics)
+		i := v.sched.Config().Preempt.Choose(vics)
 		if i < 0 {
 			return // nothing eligible: wait for natural completions
 		}
@@ -53,26 +46,14 @@ func (v *Virtualizer) maybePreempt() {
 	}
 }
 
-// victimDone is a running simulation's completion fraction — the
-// sunk-cost guard's input. Caller holds the shard lock.
-func victimDone(sim *simState) float64 {
-	total := sim.last - sim.first + 1
-	if total <= 0 {
-		return 1
-	}
-	return float64(sim.produced) / float64(total)
-}
-
 // preemptCandidates lists the killable running prefetches across all
 // shards: launched, no kill (preemption or cancellation) already in
-// flight, class-eligible under the config (agent always, guided with
-// PreemptGuided, nothing past the sunk-cost threshold), and — the
-// no-waiters rule — nobody waiting for or referencing their range. The
-// cost-model remaining-time estimate is only computed for the policy
-// that reads it. The candidate order is map-random;
+// flight, class-eligible (sched.VictimEligible: speculative agent work
+// only), and — the no-waiters rule — nobody waiting for or referencing
+// their range. The candidate order is map-random;
 // sched.PreemptPolicy.Choose is a total order (ties break on simulation
 // id), so the selection is deterministic anyway.
-func (v *Virtualizer) preemptCandidates(cfg sched.Config) []victimRef {
+func (v *Virtualizer) preemptCandidates() []victimRef {
 	v.ctxMu.RLock()
 	shards := make([]*shard, 0, len(v.contexts))
 	for _, cs := range v.contexts { //simfs:allow maporder Choose is a total order over candidates, so collection order is washed out
@@ -83,46 +64,22 @@ func (v *Virtualizer) preemptCandidates(cfg sched.Config) []victimRef {
 	for _, cs := range shards {
 		cs.mu.Lock()
 		for id, sim := range cs.sims { //simfs:allow maporder Choose is a total order over candidates, so collection order is washed out
-			if !sim.launched || sim.preempted || sim.killing {
-				continue
-			}
-			if !cfg.VictimEligible(sim.class, victimDone(sim)) {
+			if !sim.launched || sim.preempted || sim.killing || !sched.VictimEligible(sim.class) {
 				continue
 			}
 			if v.anyoneNeeds(cs, sim.first, sim.last) {
 				continue
 			}
-			vic := sched.Victim{SimID: id, LaunchedAt: sim.launchedAt}
-			if cfg.Preempt == sched.PreemptCheapest {
-				vic.Remaining = v.remainingEstimate(cs, sim)
-			}
-			refs = append(refs, victimRef{cs: cs, vic: vic})
+			refs = append(refs, victimRef{cs: cs, vic: sched.Victim{SimID: id, LaunchedAt: sim.launchedAt}})
 		}
 		cs.mu.Unlock()
 	}
 	return refs
 }
 
-// remainingEstimate is the cost model's remaining production time of a
-// running simulation: the unproduced steps at τ(P), plus the restart
-// latency estimate while production has not begun. Caller holds the
-// shard lock.
-func (v *Virtualizer) remainingEstimate(cs *shard, sim *simState) time.Duration {
-	remSteps := sim.last - sim.first + 1 - sim.produced
-	if remSteps < 0 {
-		remSteps = 0
-	}
-	rem := costmodel.ResimTime(remSteps, cs.ctx.TauAt(sim.parallelism))
-	if !sim.started {
-		rem += time.Duration(cs.alphaEMA.Value(float64(cs.ctx.Alpha)))
-	}
-	return rem
-}
-
 // killVictim re-validates a candidate under its shard lock — it may have
 // completed, been preempted by a concurrent pass, been dealt a
-// cancellation kill, acquired waiters, or (on the realtime server)
-// produced past the sunk-cost threshold between selection and kill —
+// cancellation kill or acquired waiters between selection and kill —
 // and kills it. The launcher delivers the death asynchronously;
 // SimEnded sees sim.preempted and requeues the interval instead of
 // failing its promises.
@@ -131,9 +88,6 @@ func (v *Virtualizer) killVictim(cs *shard, simID int64) bool {
 	defer cs.mu.Unlock()
 	sim, ok := cs.sims[simID]
 	if !ok || sim.preempted || sim.killing || !sim.launched {
-		return false
-	}
-	if !v.sched.Config().VictimEligible(sim.class, victimDone(sim)) {
 		return false
 	}
 	if v.anyoneNeeds(cs, sim.first, sim.last) {

@@ -69,45 +69,6 @@ func TestPreemptionKillsAgentPrefetchForDemand(t *testing.T) {
 	}
 }
 
-// TestPreemptCheapestPicksLeastRemaining: with two running prefetches,
-// cheapest-remaining-first kills the one whose remaining production the
-// cost model prices lowest — the shorter interval here.
-func TestPreemptCheapestPicksLeastRemaining(t *testing.T) {
-	ctx := testContext("c")
-	ctx.SMax = 8
-	h := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 2, Preempt: sched.PreemptCheapest}, ctx)
-	injectAgentPrefetch(t, h, "c", "spec", 9, 20)  // 12 steps remaining
-	injectAgentPrefetch(t, h, "c", "spec", 25, 28) // 4 steps remaining
-	if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.v.SchedStats(); st.Preempted != 1 {
-		t.Fatalf("Preempted = %d, want exactly 1 (one node suffices)", st.Preempted)
-	}
-	// The long prefetch must still be running: only the short one died.
-	cs, _ := h.v.shardOf("c")
-	cs.mu.Lock()
-	var longAlive, shortAlive bool
-	for _, sim := range cs.sims {
-		if sim.class == sched.Agent && !sim.preempted {
-			if sim.first == 9 {
-				longAlive = true
-			}
-			if sim.first == 25 {
-				shortAlive = true
-			}
-		}
-	}
-	cs.mu.Unlock()
-	if !longAlive || shortAlive {
-		t.Errorf("victim selection: long alive=%v short alive=%v, want the short interval killed", longAlive, shortAlive)
-	}
-	h.eng.Run(0)
-	if err := h.v.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPreemptSparesCoalescedPrefetchWithWaiters: a running prefetch
 // born from a coalesced multi-client job whose range someone now waits
 // on must not be killed (the paper's no-waiters rule), even while a
@@ -175,7 +136,7 @@ func TestPreemptVictimFinishedBetweenSelectionAndKill(t *testing.T) {
 	ctx := testContext("c")
 	h := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 1, Preempt: sched.PreemptYoungest}, ctx)
 	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
-	refs := h.v.preemptCandidates(h.v.sched.Config())
+	refs := h.v.preemptCandidates()
 	if len(refs) != 1 {
 		t.Fatalf("candidates = %d, want the running prefetch", len(refs))
 	}

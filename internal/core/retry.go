@@ -192,9 +192,13 @@ func (v *Virtualizer) repromise(cs *shard, sim *simState) {
 
 // retryLaunch re-submits a failed interval once its backoff elapsed. It
 // runs from the retry timer with no locks held, mirroring the admission
-// block of drainScheduler: clear the interval's pending markers, bail
-// out (failing leftover waiters) when the context drained meanwhile,
-// and otherwise hand the interval back to the scheduler.
+// block of drainScheduler: clear the interval's pending markers and hand
+// the interval back to the scheduler — unless the context drained
+// meanwhile. Either way the cleared steps may end up with no owner (the
+// drain, or a prefetch-class launch dropped at smax or by the
+// quarantine): their waiters are failed and file-failed is published,
+// so nobody who joined the promise waits on a simulation that will
+// never run.
 func (v *Virtualizer) retryLaunch(ctxName string, first, last, parallelism int, class sched.Class, client string) {
 	cs, ok := v.shardOf(ctxName)
 	if !ok {
@@ -208,26 +212,24 @@ func (v *Virtualizer) retryLaunch(ctxName string, first, last, parallelism int, 
 			cleared = append(cleared, s)
 		}
 	}
-	if cs.draining && !(class == sched.Demand && v.anyoneNeeds(cs, first, last)) {
-		v.remarkQueued(cs)
-		orphaned := v.trulyOrphaned(cs, cleared)
-		var cbs []func(Status)
-		for _, s := range orphaned {
-			for _, w := range cs.waiters[s] {
-				cbs = append(cbs, w.cb)
-			}
-			delete(cs.waiters, s)
-		}
-		cs.mu.Unlock()
-		for _, cb := range cbs {
-			cb(Status{Err: "re-simulation canceled"})
-		}
-		v.publishFailed(ctxName, orphaned, "re-simulation canceled")
-		return
+	queued := false
+	if !cs.draining || class == sched.Demand && v.anyoneNeeds(cs, first, last) {
+		queued = v.launch(cs, first, last, parallelism, class, client)
 	}
-	queued := v.launch(cs, first, last, parallelism, class, client)
 	v.remarkQueued(cs)
+	orphaned := v.trulyOrphaned(cs, cleared)
+	var cbs []func(Status)
+	for _, s := range orphaned {
+		for _, w := range cs.waiters[s] {
+			cbs = append(cbs, w.cb)
+		}
+		delete(cs.waiters, s)
+	}
 	cs.mu.Unlock()
+	for _, cb := range cbs {
+		cb(Status{Err: "re-simulation canceled"})
+	}
+	v.publishFailed(ctxName, orphaned, "re-simulation canceled")
 	if queued {
 		v.maybePreempt()
 	}

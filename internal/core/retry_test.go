@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"simfs/internal/faults"
+	"simfs/internal/notify"
 )
 
 // retryHarness is the DES harness with the failure ledger enabled and
@@ -197,5 +198,61 @@ func TestPrefetchSkipsQuarantinedInterval(t *testing.T) {
 	}
 	if stats.DroppedPrefetch != dropped+1 {
 		t.Errorf("dropped prefetch = %d, want %d", stats.DroppedPrefetch, dropped+1)
+	}
+}
+
+// TestRetryDroppedAtCapacityFailsJoinedWatchers pins the stranded-watcher
+// hang: a crashed prefetch's retry clears the interval's pending markers
+// and resubmits at its own (agent) class, which the paper-exact
+// scheduler drops when the context sits at smax. Whoever joined the
+// promise — a core waiter, a hub subscriber — must then be told the
+// file failed instead of waiting on a simulation that will never run.
+func TestRetryDroppedAtCapacityFailsJoinedWatchers(t *testing.T) {
+	ctx := testContext("c")
+	ctx.SMax = 1
+	h := newHarness(t, ctx) // zero sched.Config: prefetch beyond smax is dropped
+	h.v.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Second, Cooldown: time.Minute})
+	h.v.after = func(d time.Duration, f func()) { h.eng.Schedule(d, f) }
+	// The prefetch of [9,12] crashes once, before producing anything
+	// (at t=α=2s); its retry is due 2 s later.
+	h.l.FailAt = faults.NewSimPlan().WithFailN("c", 10, 1, 0).FailAt
+	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
+
+	file := ctx.Filename(10)
+	topic, _ := h.v.FileTopic("c", file)
+	sub := h.v.Hub().Subscribe(topic)
+	defer sub.Close()
+	var st *Status
+	if err := h.v.WaitFile("w", "c", file, func(s Status) { st = &s }); err != nil {
+		t.Fatal(err)
+	}
+	// Inside the backoff window a demand miss takes the context's one
+	// slot (until t=3+α+4τ=9s), so the retry finds the scheduler at smax.
+	h.eng.Schedule(3*time.Second, func() {
+		if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
+			t.Errorf("open: %v", err)
+		}
+	})
+	h.eng.Run(0)
+
+	if stats, _ := h.v.Stats("c"); stats.DroppedPrefetch != 1 {
+		t.Fatalf("dropped prefetch = %d, want the retry dropped at smax", stats.DroppedPrefetch)
+	}
+	if st == nil || st.Err == "" {
+		t.Errorf("waiter on the dropped retry's step: %+v, want a failure", st)
+	}
+	select {
+	case ev := <-sub.C():
+		if ev.Kind != notify.FileFailed {
+			t.Errorf("subscriber got %+v, want FileFailed", ev)
+		}
+	default:
+		t.Error("subscriber on the dropped retry's step was never notified")
+	}
+	if _, promised, _ := h.v.FileState("c", file); promised {
+		t.Error("step still promised with no simulation or queued job behind it")
+	}
+	if err := h.v.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"simfs/internal/des"
+	"simfs/internal/faults"
 	"simfs/internal/model"
 	"simfs/internal/notify"
 	"simfs/internal/simulator"
@@ -268,7 +269,7 @@ func TestHubPublishesReadiness(t *testing.T) {
 	// Failure → FileFailed with the reason. The injected crash hits
 	// halfway through the re-simulated interval (48,52], so step 52 is
 	// never produced.
-	h.l.FailEvery = 1
+	h.l.FailAt = faults.NewSimPlan().WithEvery(1).FailAt
 	fileFar := ctx.Filename(52)
 	topicFar, _ := h.v.FileTopic("c", fileFar)
 	subFar := h.v.Hub().Subscribe(topicFar)

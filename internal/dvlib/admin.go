@@ -48,14 +48,9 @@ func (a *Admin) SchedConfig(ctx context.Context) (SchedConfig, error) {
 // sending them would be silently ignored (unknown JSON fields), so the
 // call fails client-side with CodeUnsupported instead.
 func (a *Admin) SetSchedConfig(ctx context.Context, upd SchedUpdate) (SchedConfig, error) {
-	if (upd.PreemptPolicy != nil || upd.DRRQuantum != nil) && !a.c.HasCapability(netproto.CapPreempt) {
+	if (upd.Preempt != nil || upd.DRRQuantum != nil) && !a.c.HasCapability(netproto.CapPreempt) {
 		return SchedConfig{}, &Error{Code: netproto.CodeUnsupported, Op: netproto.OpSchedSet,
 			Msg: "daemon does not advertise the preempt capability; preempt_policy/drr_quantum would be silently ignored"}
-	}
-	if (upd.PreemptSunkCost != nil || upd.PreemptGuided != nil || upd.DemandJoin != nil) &&
-		!a.c.HasCapability(netproto.CapAutoscale) {
-		return SchedConfig{}, &Error{Code: netproto.CodeUnsupported, Op: netproto.OpSchedSet,
-			Msg: "daemon does not advertise the autoscale capability; preempt_sunk_cost/preempt_guided/demand_join would be silently ignored"}
 	}
 	resp, err := a.c.callCtx(ctx, netproto.OpSchedSet, upd)
 	if err != nil {

@@ -19,17 +19,13 @@ import (
 // phase A drains: six clients re-reading a hot step window that fits the
 // cache, where the scan phase's tuning is dead weight. Each static row
 // is pinned to one (cache policy × preemption) choice for the whole run
-// and to the provisioned 400-node budget; the controller rows start from
-// the conservative baseline and steer the knobs from the stats stream.
+// and to the provisioned 400-node budget; the controller row starts from
+// the conservative baseline and steers the knobs from the stats stream.
 // The acceptance criterion rides on the "controller" row: its demand
-// wait must undercut every static row.
-//
-// The "controller+join" row additionally arms the demand-join promoter.
-// Its demand-wait cell is NOT comparable to the others: promotion moves
-// client-blocking waits that the other rows bill to the prefetch classes
-// into the demand ledger, so the row measures strictly more. Its win
-// shows up in the class-neutral series instead — client blocked time and
-// median completion.
+// wait and its class-neutral client blocked time must undercut every
+// static row. Every row runs Priorities, so demand opens that land on a
+// queued prefetch job promote it (the "promoted" series) and its wait
+// from then on is billed to the demand ledger.
 func AblationAutoscale(seed int64) (*metrics.Table, error) {
 	tab := metrics.NewTable("Ablation — closed-loop autoscale vs static configs (node budget 400)", "mode", "value")
 	modes := autoscaleModes()
@@ -77,9 +73,7 @@ func autoscaleModes() []autoscaleMode {
 		{name: "static dcl+preempt", cache: "DCL", cfg: withPreempt(base, sched.PreemptYoungest, 0)},
 		{name: "static lru+preempt", cache: "LRU", cfg: withPreempt(base, sched.PreemptYoungest, 0)},
 		{name: "controller", cache: "DCL", cfg: base, tick: 10 * time.Second,
-			policies: controllerPolicies(false)},
-		{name: "controller+join", cache: "DCL", cfg: base, tick: 10 * time.Second,
-			policies: controllerPolicies(true)},
+			policies: controllerPolicies()},
 	}
 }
 
@@ -95,22 +89,17 @@ func RunAutoscaleMode(seed int64, mode string) (AutoscaleResult, error) {
 	return AutoscaleResult{}, fmt.Errorf("autoscale ablation: unknown mode %q", mode)
 }
 
-// controllerPolicies is the controller rows' policy set: every knob the
-// static rows hold fixed, steered from the stats stream. join adds the
-// demand-join promoter (the "controller+join" row).
-func controllerPolicies(join bool) []autoscale.Policy {
-	pols := []autoscale.Policy{
+// controllerPolicies is the controller row's policy set: every knob the
+// static rows hold fixed, steered from the stats stream.
+func controllerPolicies() []autoscale.Policy {
+	return []autoscale.Policy{
 		&autoscale.NodeBudget{Min: 400, Max: 800, Step: 100,
 			HighWait: 2 * time.Second, CalmTicks: 3, Cooldown: 30 * time.Second},
-		&autoscale.PreemptGovernor{SunkCost: 0.8,
+		&autoscale.PreemptGovernor{
 			HighWait: 2 * time.Second, CalmTicks: 6, Cooldown: 30 * time.Second},
 		&autoscale.CacheSwitcher{Policies: []string{"DCL", "LRU"},
 			LowHit: 0.5, MinOpens: 16, BadTicks: 2, Cooldown: 60 * time.Second},
 	}
-	if join {
-		pols = append(pols, &autoscale.DemandJoinPromoter{CalmTicks: 6, Cooldown: 30 * time.Second})
-	}
-	return pols
 }
 
 // AutoscaleResult is one mode's outcome.

@@ -29,7 +29,6 @@ func AblationPreempt(seed int64) (*metrics.Table, error) {
 	}{
 		{"priorities", base},
 		{"+preempt-youngest", withPreempt(base, sched.PreemptYoungest, 0)},
-		{"+preempt-cheapest", withPreempt(base, sched.PreemptCheapest, 0)},
 		{"+preempt+drr", withPreempt(base, sched.PreemptYoungest, 24)},
 	}
 	results, err := RunCells(0, len(modes), func(i int) (MultiAnalysisResult, error) {

@@ -33,17 +33,15 @@ func TestAblationPreemptEffects(t *testing.T) {
 	if at("preempted", "priorities") != 0 {
 		t.Error("preemption fired with the policy off")
 	}
-	for _, mode := range []string{"+preempt-youngest", "+preempt-cheapest"} {
-		if at("preempted", mode) <= 0 {
-			t.Errorf("%s: preemption never fired on the contended workload", mode)
-		}
-		if w := at("demand wait (s)", mode); w >= baseWait {
-			t.Errorf("%s: demand wait %.1fs did not drop below the priorities-only %.1fs", mode, w, baseWait)
-		}
+	if at("preempted", "+preempt-youngest") <= 0 {
+		t.Error("+preempt-youngest: preemption never fired on the contended workload")
+	}
+	if w := at("demand wait (s)", "+preempt-youngest"); w >= baseWait {
+		t.Errorf("+preempt-youngest: demand wait %.1fs did not drop below the priorities-only %.1fs", w, baseWait)
 	}
 	// Demand is never dropped by design, and with priorities on neither
 	// is prefetch — preemption must keep it that way in every mode.
-	for _, mode := range []string{"priorities", "+preempt-youngest", "+preempt-cheapest", "+preempt+drr"} {
+	for _, mode := range []string{"priorities", "+preempt-youngest", "+preempt+drr"} {
 		if d := at("dropped prefetch", mode); d != 0 {
 			t.Errorf("%s: %v dropped launches, want 0", mode, d)
 		}

@@ -123,6 +123,18 @@ func TestAblationSchedulerEffects(t *testing.T) {
 	if at("dropped prefetch", "baseline") <= 0 {
 		t.Error("baseline should drop prefetches at capacity on this workload")
 	}
+	// The paper's end metric (Sec. IV-C/VI): queueing prefetch work
+	// instead of dropping it must not slow the analyses down. It did —
+	// 1447 s and 583.6 s against the baseline's 524.1 s — while a demand
+	// open landing on a queued prefetch job left it draining at agent
+	// priority with a client blocked on it; the demand-join half of
+	// Priorities (sched.PromoteDemand) is what this pins.
+	base := at("median completion (s)", "baseline")
+	for _, mode := range []string{"+priorities", "+both"} {
+		if m := at("median completion (s)", mode); m > base {
+			t.Errorf("%s: median completion %.1fs exceeds the paper-exact baseline's %.1fs (priority inversion)", mode, m, base)
+		}
+	}
 }
 
 // TestAblationSchedulerParallelDeterminism: the ablation's cells carry

@@ -6,7 +6,7 @@
 //     under pressure actually produces.
 //   - SimPlan is a simulation failure schedule pluggable into the
 //     launchers' FailAt hook: crash-at-step, fail-N-times-then-succeed,
-//     permanent failure, every-nth-launch (the old FailEvery), and
+//     permanent failure, every-nth-launch, and
 //     seeded random crashes.
 //   - ConnPlan wraps net.Conn and severs, delays, or partially writes
 //     at configurable points, modeling flaky networks between DVLib
@@ -59,7 +59,7 @@ type simRule struct {
 func NewSimPlan() *SimPlan { return &SimPlan{} }
 
 // WithEvery crashes every n-th launch halfway through its range — the
-// semantics of the launchers' old FailEvery knob (0 disables).
+// fixed-schedule shorthand (0 disables).
 func (p *SimPlan) WithEvery(n int) *SimPlan {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -50,7 +50,7 @@ type SchedStats struct {
 	Preempted uint64
 	// Promoted counts queued prefetch jobs lifted to demand class by a
 	// demand open landing inside their range (the scheduler's demand-join
-	// rule, armed by Config.DemandJoin).
+	// rule, part of Config.Priorities).
 	Promoted uint64
 	// QuotaRounds counts deficit-round-robin credit replenishments;
 	// QuotaDeferred counts pops where per-client fairness overrode pure
@@ -61,7 +61,10 @@ type SchedStats struct {
 	// high-water mark.
 	QueueDepth    int
 	MaxQueueDepth int
-	// Per-priority-class queueing delays.
+	// Per-priority-class queueing delays. A promoted job books the wait
+	// up to its promotion under its prefetch class and the rest under
+	// DemandWait, so DemandWait is the time clients actually blocked on
+	// queued work — not only the wait of jobs submitted as demand.
 	DemandWait SchedClassWait
 	GuidedWait SchedClassWait
 	AgentWait  SchedClassWait

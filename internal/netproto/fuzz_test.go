@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"simfs/internal/model"
+	"simfs/internal/sched"
 )
 
 // seedFrames returns one encoded frame per envelope shape the protocol
@@ -16,7 +17,7 @@ import (
 // request and a response — plus a bodyless ping. They seed the fuzz
 // corpus (see FuzzFrameRoundTrip and TestRegenerateFuzzCorpus).
 func seedFrames() ([][]byte, error) {
-	tv, nv, pp := true, 16, "youngest"
+	tv, nv, pp := true, 16, sched.PreemptYoungest
 	mc := &model.Context{Name: "fz", Grid: model.Grid{DeltaD: 1, DeltaR: 4, Timesteps: 32}, OutputBytes: 64}
 	envs := []struct {
 		op   string
@@ -39,7 +40,7 @@ func seedFrames() ([][]byte, error) {
 		{OpSubscribe, FilesBody{Context: "fz", Files: []string{"d.nc", "e.nc"}}},
 		{OpUnsubscribe, UnsubscribeBody{SubID: 9}},
 		{OpSchedGet, nil},
-		{OpSchedSet, SchedSetBody{Coalesce: &tv, TotalNodes: &nv, PreemptPolicy: &pp, DRRQuantum: &nv}},
+		{OpSchedSet, SchedSetBody{Coalesce: &tv, TotalNodes: &nv, Preempt: &pp, DRRQuantum: &nv}},
 		{OpCachePolicySet, CachePolicyBody{Context: "fz", Policy: "LIRS"}},
 		{OpCtxRegister, CtxRegisterBody{Context: mc, Policy: "DCL", InitialSim: true}},
 		{OpCtxDeregister, CtxBody{Context: "fz"}},

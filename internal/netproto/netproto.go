@@ -54,6 +54,7 @@ import (
 	"fmt"
 
 	"simfs/internal/model"
+	"simfs/internal/sched"
 )
 
 // ProtoVersion is the protocol version this build speaks. MinProtoVersion
@@ -155,7 +156,7 @@ const (
 	// CapWatch marks the notification-only subscribe/unsubscribe pair.
 	CapWatch = "watch"
 	// CapPreempt marks the preemption/fairness scheduler knobs
-	// (SchedSetBody.PreemptPolicy / DRRQuantum). Clients must not send
+	// (SchedSetBody.Preempt / DRRQuantum). Clients must not send
 	// them to a daemon that does not advertise the capability: an older
 	// daemon would silently drop the unknown JSON fields, acknowledging
 	// a reconfiguration it never applied.
@@ -170,11 +171,7 @@ const (
 	// and gate cross-daemon subscriptions on this flag.
 	CapFed = "fed"
 	// CapAutoscale marks the autoscale surface: the
-	// autoscale-report/autoscale-status ops and the SchedSetBody
-	// sunk-cost/guided-eligibility/demand-join knobs that shipped with
-	// them. Like CapPreempt, clients must not send those fields to a
-	// daemon that does not advertise the capability — an older daemon
-	// would silently drop the unknown JSON fields.
+	// autoscale-report/autoscale-status ops.
 	CapAutoscale = "autoscale"
 )
 
@@ -374,47 +371,18 @@ type UnsubscribeBody struct {
 	SubID uint64 `json:"sub_id"`
 }
 
-// SchedSetBody reconfigures the live scheduler. Nil fields keep the
-// current value, so a client can flip one knob without knowing the rest.
-// PreemptPolicy and DRRQuantum are gated by the CapPreempt capability:
-// send them only to a daemon that advertised it.
-type SchedSetBody struct {
-	Coalesce   *bool `json:"coalesce,omitempty"`
-	Priorities *bool `json:"priorities,omitempty"`
-	TotalNodes *int  `json:"total_nodes,omitempty"`
-	// PreemptPolicy names the demand-over-prefetch preemption victim
-	// policy: "off", "youngest" or "cheapest".
-	PreemptPolicy *string `json:"preempt_policy,omitempty"`
-	// DRRQuantum sets the per-client deficit-round-robin quantum in
-	// output steps (0 = pure FIFO within a class).
-	DRRQuantum *int `json:"drr_quantum,omitempty"`
-	// PreemptSunkCost sets the sunk-cost guard threshold: a preemption
-	// candidate whose completion fraction has reached it is spared
-	// (0 = guard off; valid range [0, 1]). PreemptGuided widens victim
-	// eligibility to guided-class prefetches. DemandJoin promotes a
-	// queued prefetch job to demand class when a demand open lands in
-	// its range. All three ride the "autoscale" capability.
-	PreemptSunkCost *float64 `json:"preempt_sunk_cost,omitempty"`
-	PreemptGuided   *bool    `json:"preempt_guided,omitempty"`
-	DemandJoin      *bool    `json:"demand_join,omitempty"`
-}
+// SchedSetBody reconfigures the live scheduler: a sched.Patch, whose
+// JSON tags are the wire format. Nil fields keep the current value, so
+// a client can flip one knob without knowing the rest. The preempt
+// policy and DRR quantum are gated by the CapPreempt capability: send
+// them only to a daemon that advertised it. Fields a newer or older
+// peer adds are ignored like any unknown JSON field.
+type SchedSetBody = sched.Patch
 
-// SchedInfo mirrors the scheduler configuration on the wire (sched-get
-// and sched-set responses). Exhaustive: the server's schedInfo echo
-// must mirror every knob, or a reconfiguration could land without
-// being observable.
-//
-//simfs:exhaustive
-type SchedInfo struct {
-	Coalesce        bool    `json:"coalesce"`
-	Priorities      bool    `json:"priorities"`
-	TotalNodes      int     `json:"total_nodes"`
-	PreemptPolicy   string  `json:"preempt_policy,omitempty"`
-	DRRQuantum      int     `json:"drr_quantum,omitempty"`
-	PreemptSunkCost float64 `json:"preempt_sunk_cost,omitempty"`
-	PreemptGuided   bool    `json:"preempt_guided,omitempty"`
-	DemandJoin      bool    `json:"demand_join,omitempty"`
-}
+// SchedInfo is the scheduler configuration on the wire (sched-get and
+// sched-set responses): sched.Config itself, so a knob cannot land
+// without being observable.
+type SchedInfo = sched.Config
 
 // CachePolicyBody swaps a context's replacement scheme.
 type CachePolicyBody struct {

@@ -3,11 +3,14 @@ package netproto
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"simfs/internal/sched"
 )
 
 // mustEnvelope builds an envelope or fails the test.
@@ -246,5 +249,51 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSchedWireGolden pins the scheduler control plane's JSON: SchedInfo
+// and SchedSetBody are sched.Config and sched.Patch, and their tags must
+// keep producing the bytes the hand-written mirror structs produced
+// (the literals below are what the daemon and simfs-ctl sent before the
+// mirrors were folded away). Fields an older peer still sends
+// (preempt_sunk_cost, preempt_guided, demand_join) are ignored; a
+// retired policy name is refused at decode.
+func TestSchedWireGolden(t *testing.T) {
+	for want, cfg := range map[string]SchedInfo{
+		`{"coalesce":false,"priorities":false,"total_nodes":0,"preempt_policy":"off"}`: {},
+		`{"coalesce":true,"priorities":true,"total_nodes":400,"preempt_policy":"youngest","drr_quantum":24}`: {
+			Coalesce: true, Priorities: true, TotalNodes: 400, Preempt: sched.PreemptYoungest, DRRQuantum: 24},
+	} {
+		got, err := json.Marshal(cfg)
+		if err != nil || string(got) != want {
+			t.Errorf("sched-get reply = %s, %v; want %s", got, err, want)
+		}
+		var back SchedInfo
+		if err := json.Unmarshal([]byte(want), &back); err != nil || back != cfg {
+			t.Errorf("sched-get reply %s decoded to %+v, %v", want, back, err)
+		}
+	}
+
+	on, nodes, off := true, 6, sched.PreemptOff
+	for want, body := range map[string]SchedSetBody{
+		`{}`:                  {},
+		`{"priorities":true}`: {Priorities: &on},
+		`{"coalesce":true,"total_nodes":6,"preempt_policy":"off","drr_quantum":6}`: {
+			Coalesce: &on, TotalNodes: &nodes, Preempt: &off, DRRQuantum: &nodes},
+	} {
+		got, err := json.Marshal(body)
+		if err != nil || string(got) != want {
+			t.Errorf("sched-set body = %s, %v; want %s", got, err, want)
+		}
+	}
+
+	var old SchedSetBody
+	legacy := `{"total_nodes":3,"preempt_sunk_cost":0.8,"preempt_guided":true,"demand_join":true}`
+	if err := json.Unmarshal([]byte(legacy), &old); err != nil || old.TotalNodes == nil || *old.TotalNodes != 3 {
+		t.Errorf("body with retired fields = %+v, %v; want them ignored", old, err)
+	}
+	if err := json.Unmarshal([]byte(`{"preempt_policy":"cheapest"}`), &old); err == nil {
+		t.Error(`preempt_policy "cheapest" decoded without error`)
 	}
 }

@@ -5,15 +5,18 @@ import (
 	"time"
 )
 
-// PreemptPolicy selects the victim when preemption is enabled: with the
-// node budget exhausted, a demand miss may kill (not merely outrank) a
-// running speculative agent prefetch and take its nodes. The paper's
-// no-waiters rule still gates eligibility — the core only offers
-// candidates nobody waits for or references — and the victim's interval
-// is requeued so the speculative work is deferred, not lost.
+// PreemptPolicy turns preemption on: with the node budget exhausted, a
+// demand miss may kill (not merely outrank) a running speculative agent
+// prefetch and take its nodes. The paper's no-waiters rule still gates
+// eligibility — the core only offers agent-class candidates nobody
+// waits for or references — and the victim's interval is requeued so
+// the speculative work is deferred, not lost.
 //
 // The zero value (PreemptOff) never preempts, preserving the paper-exact
-// semantics of the zero Config.
+// semantics of the zero Config. Youngest-first is the only victim order:
+// DESIGN.md's scheduler section has the ablation evidence against the
+// alternatives (cheapest-remaining-first, a sunk-cost guard, guided-class
+// victims).
 type PreemptPolicy uint8
 
 const (
@@ -23,10 +26,6 @@ const (
 	// PreemptYoungest kills the most recently launched candidate: it has
 	// sunk the least compute, so the wasted work is minimal.
 	PreemptYoungest
-	// PreemptCheapest kills the candidate with the smallest
-	// remaining-time estimate (the cost model's remaining production
-	// time): its re-run after requeueing costs the least extra compute.
-	PreemptCheapest
 )
 
 func (p PreemptPolicy) String() string {
@@ -35,8 +34,6 @@ func (p PreemptPolicy) String() string {
 		return "off"
 	case PreemptYoungest:
 		return "youngest"
-	case PreemptCheapest:
-		return "cheapest"
 	}
 	return "unknown"
 }
@@ -49,52 +46,52 @@ func ParsePreemptPolicy(name string) (PreemptPolicy, error) {
 		return PreemptOff, nil
 	case "youngest":
 		return PreemptYoungest, nil
-	case "cheapest":
-		return PreemptCheapest, nil
 	}
-	return PreemptOff, fmt.Errorf("sched: unknown preempt policy %q (want off|youngest|cheapest)", name)
+	return PreemptOff, fmt.Errorf("sched: unknown preempt policy %q (want off|youngest)", name)
 }
 
+// MarshalText and UnmarshalText make the policy travel by name — in
+// JSON (Config, Patch) and through flag.TextVar — so an unknown name is
+// refused where it is decoded.
+func (p PreemptPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *PreemptPolicy) UnmarshalText(text []byte) (err error) {
+	*p, err = ParsePreemptPolicy(string(text))
+	return err
+}
+
+// VictimEligible reports whether a running simulation of the given
+// class may be offered as a preemption victim: only speculative agent
+// work. A guided prefetch is an explicit client hint and demand work
+// has a client blocked on it. The paper's no-waiters rule is enforced
+// by the core on top of this.
+func VictimEligible(class Class) bool { return class == Agent }
+
 // Victim describes one preemption candidate: a running agent prefetch
-// the core found killable under the no-waiters rule. The core computes
-// Remaining from the cost model (remaining output steps × τ(P), plus the
-// restart latency if production has not begun); the victim's node count
-// is re-read authoritatively under its shard lock at kill time, so it
-// is deliberately not part of the selection record.
+// the core found killable under the no-waiters rule. The victim's node
+// count is re-read authoritatively under its shard lock at kill time,
+// so it is deliberately not part of the selection record.
 type Victim struct {
 	SimID      int64
 	LaunchedAt time.Duration
-	Remaining  time.Duration
 }
 
-// Choose picks the victim index per policy (-1 when the policy is off or
-// no candidate exists). Ties break toward the later-launched simulation
-// id, so the choice is deterministic regardless of candidate order.
+// Choose picks the victim index: the latest launch (-1 when the policy
+// is off or no candidate exists). Ties break toward the later-launched
+// simulation id, so the choice is deterministic regardless of candidate
+// order.
 func (p PreemptPolicy) Choose(cands []Victim) int {
 	if p == PreemptOff || len(cands) == 0 {
 		return -1
 	}
 	best := 0
-	for i := 1; i < len(cands); i++ {
-		if p.better(cands[i], cands[best]) {
+	for i, c := range cands {
+		b := cands[best]
+		if c.LaunchedAt > b.LaunchedAt || c.LaunchedAt == b.LaunchedAt && c.SimID > b.SimID {
 			best = i
 		}
 	}
 	return best
-}
-
-func (p PreemptPolicy) better(a, b Victim) bool {
-	switch p {
-	case PreemptYoungest:
-		if a.LaunchedAt != b.LaunchedAt {
-			return a.LaunchedAt > b.LaunchedAt
-		}
-	case PreemptCheapest:
-		if a.Remaining != b.Remaining {
-			return a.Remaining < b.Remaining
-		}
-	}
-	return a.SimID > b.SimID
 }
 
 // WantsPreemption reports whether a queued demand job is blocked on the

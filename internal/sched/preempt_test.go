@@ -8,7 +8,7 @@ import (
 func TestParsePreemptPolicy(t *testing.T) {
 	cases := map[string]PreemptPolicy{
 		"": PreemptOff, "off": PreemptOff, "none": PreemptOff,
-		"youngest": PreemptYoungest, "cheapest": PreemptCheapest,
+		"youngest": PreemptYoungest,
 	}
 	for name, want := range cases {
 		got, err := ParsePreemptPolicy(name)
@@ -16,11 +16,14 @@ func TestParsePreemptPolicy(t *testing.T) {
 			t.Errorf("ParsePreemptPolicy(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParsePreemptPolicy("eldest"); err == nil {
-		t.Error("unknown policy name parsed without error")
+	// "cheapest" was a policy once; it is refused like any unknown name.
+	for _, name := range []string{"eldest", "cheapest"} {
+		if _, err := ParsePreemptPolicy(name); err == nil {
+			t.Errorf("unknown policy name %q parsed without error", name)
+		}
 	}
 	for p, want := range map[PreemptPolicy]string{
-		PreemptOff: "off", PreemptYoungest: "youngest", PreemptCheapest: "cheapest", PreemptPolicy(9): "unknown",
+		PreemptOff: "off", PreemptYoungest: "youngest", PreemptPolicy(9): "unknown",
 	} {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
@@ -30,15 +33,12 @@ func TestParsePreemptPolicy(t *testing.T) {
 
 func TestPreemptPolicyChoose(t *testing.T) {
 	cands := []Victim{
-		{SimID: 1, LaunchedAt: 10 * time.Second, Remaining: 30 * time.Second},
-		{SimID: 2, LaunchedAt: 20 * time.Second, Remaining: 5 * time.Second},
-		{SimID: 3, LaunchedAt: 15 * time.Second, Remaining: 50 * time.Second},
+		{SimID: 1, LaunchedAt: 10 * time.Second},
+		{SimID: 2, LaunchedAt: 20 * time.Second},
+		{SimID: 3, LaunchedAt: 15 * time.Second},
 	}
 	if i := PreemptYoungest.Choose(cands); cands[i].SimID != 2 {
 		t.Errorf("youngest chose sim %d, want 2 (latest launch)", cands[i].SimID)
-	}
-	if i := PreemptCheapest.Choose(cands); cands[i].SimID != 2 {
-		t.Errorf("cheapest chose sim %d, want 2 (least remaining)", cands[i].SimID)
 	}
 	if i := PreemptOff.Choose(cands); i != -1 {
 		t.Errorf("off chose %d, want -1", i)
@@ -48,14 +48,11 @@ func TestPreemptPolicyChoose(t *testing.T) {
 	}
 	// Ties break toward the higher simulation id, deterministically.
 	ties := []Victim{
-		{SimID: 7, LaunchedAt: time.Second, Remaining: time.Second},
-		{SimID: 9, LaunchedAt: time.Second, Remaining: time.Second},
+		{SimID: 7, LaunchedAt: time.Second},
+		{SimID: 9, LaunchedAt: time.Second},
 	}
 	if i := PreemptYoungest.Choose(ties); ties[i].SimID != 9 {
 		t.Errorf("youngest tie chose sim %d, want 9", ties[i].SimID)
-	}
-	if i := PreemptCheapest.Choose(ties); ties[i].SimID != 9 {
-		t.Errorf("cheapest tie chose sim %d, want 9", ties[i].SimID)
 	}
 }
 
@@ -130,11 +127,12 @@ func TestPreemptFlipsLive(t *testing.T) {
 	if s.WantsPreemption() {
 		t.Fatal("preemption off at boot")
 	}
-	s.Update(func(c Config) Config { c.Preempt = PreemptCheapest; return c })
+	on, off := PreemptYoungest, PreemptOff
+	s.Update(Patch{Preempt: &on})
 	if !s.WantsPreemption() {
-		t.Fatal("live flip to cheapest must enable preemption")
+		t.Fatal("live flip to youngest must enable preemption")
 	}
-	s.Update(func(c Config) Config { c.Preempt = PreemptOff; return c })
+	s.Update(Patch{Preempt: &off})
 	if s.WantsPreemption() {
 		t.Fatal("live flip back to off must disable preemption")
 	}
@@ -462,7 +460,8 @@ func TestDRRLiveEnableBackfillsQueuedClients(t *testing.T) {
 	s.Submit(req("c", 10, 17, Agent, "alice"))
 	s.Submit(req("c", 14, 21, Agent, "bob")) // coalesced constituent
 	s.Submit(req("c", 30, 33, Demand, "carol"))
-	s.Update(func(c Config) Config { c.DRRQuantum = 8; return c })
+	quantum := 8
+	s.Update(Patch{DRRQuantum: &quantum})
 	for _, client := range []string{"alice", "bob", "carol"} {
 		if _, ok := s.QuotaDebt(client); !ok {
 			t.Errorf("queued client %q missing from the ledger after the live quantum enable", client)

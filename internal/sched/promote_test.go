@@ -6,7 +6,7 @@ import (
 )
 
 func TestPromoteDemandLiftsQueuedPrefetch(t *testing.T) {
-	s := New(&manualClock{}, Config{Priorities: true, DemandJoin: true})
+	s := New(&manualClock{}, Config{Priorities: true})
 	s.Register("c", 1)
 	s.Submit(req("c", 1, 4, Demand, "")) // occupies the smax slot
 	s.Submit(req("c", 10, 19, Agent, "a"))
@@ -33,21 +33,30 @@ func TestPromoteDemandLiftsQueuedPrefetch(t *testing.T) {
 	}
 }
 
+// Demand-join is the missing half of Priorities and nothing else: with
+// Priorities off a queued prefetch job (possible only after a live flip
+// — the drop rule never queues one) keeps its class and its place.
 func TestPromoteDemandRequiresDemandJoin(t *testing.T) {
 	s := New(&manualClock{}, Config{Priorities: true})
 	s.Register("c", 1)
 	s.Submit(req("c", 1, 4, Demand, ""))
 	s.Submit(req("c", 10, 19, Agent, "a"))
+	s.Submit(req("c", 30, 33, Demand, "d"))
+	s.SetConfig(Config{})
+	before := s.QueuedRanges("c")
 	if s.PromoteDemand("c", 15, "joiner") {
-		t.Fatal("PromoteDemand fired with DemandJoin disarmed")
+		t.Fatal("PromoteDemand fired with Priorities off")
 	}
 	if got := s.Stats().Promoted; got != 0 {
 		t.Fatalf("Promoted = %d, want 0", got)
 	}
+	if after := s.QueuedRanges("c"); !reflect.DeepEqual(before, after) {
+		t.Fatalf("queue order changed with Priorities off: %v → %v", before, after)
+	}
 }
 
 func TestPromoteDemandSkipsDemandJobs(t *testing.T) {
-	s := New(&manualClock{}, Config{Priorities: true, DemandJoin: true})
+	s := New(&manualClock{}, Config{Priorities: true})
 	s.Register("c", 1)
 	s.Submit(req("c", 1, 4, Demand, ""))
 	s.Submit(req("c", 10, 19, Demand, "d")) // queued, already demand
@@ -57,7 +66,7 @@ func TestPromoteDemandSkipsDemandJobs(t *testing.T) {
 }
 
 func TestPromoteDemandJoinsDRRBilling(t *testing.T) {
-	s := New(&manualClock{}, Config{Priorities: true, DemandJoin: true, DRRQuantum: 4})
+	s := New(&manualClock{}, Config{Priorities: true, DRRQuantum: 4})
 	s.Register("c", 1)
 	s.Submit(req("c", 1, 4, Demand, ""))
 	s.Submit(req("c", 10, 19, Agent, "a"))
@@ -95,32 +104,18 @@ func TestClientLoadsSnapshots(t *testing.T) {
 
 func TestSetDRRQuantumLeavesOtherFields(t *testing.T) {
 	s := New(&manualClock{}, Config{Priorities: true, TotalNodes: 3, Coalesce: true})
-	cfg := s.SetDRRQuantum(8)
-	if cfg.DRRQuantum != 8 || !cfg.Priorities || cfg.TotalNodes != 3 || !cfg.Coalesce {
-		t.Fatalf("SetDRRQuantum clobbered config: %+v", cfg)
+	quantum := 8
+	cfg, err := s.Update(Patch{DRRQuantum: &quantum})
+	if err != nil || cfg.DRRQuantum != 8 || !cfg.Priorities || cfg.TotalNodes != 3 || !cfg.Coalesce {
+		t.Fatalf("single-field patch clobbered config: %+v, %v", cfg, err)
 	}
 }
 
+// Only speculative work is ever a preemption victim.
 func TestVictimEligible(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		cls  Class
-		done float64
-		want bool
-	}{
-		{"agent default", Config{}, Agent, 0.5, true},
-		{"guided default", Config{}, Guided, 0.0, false},
-		{"demand never", Config{PreemptGuided: true}, Demand, 0.0, false},
-		{"guided widened", Config{PreemptGuided: true}, Guided, 0.0, true},
-		{"sunk cost spares", Config{PreemptSunkCost: 0.8}, Agent, 0.9, false},
-		{"sunk cost boundary", Config{PreemptSunkCost: 0.8}, Agent, 0.8, false},
-		{"below sunk cost", Config{PreemptSunkCost: 0.8}, Agent, 0.79, true},
-		{"guard off", Config{}, Agent, 1.0, true},
-	}
-	for _, c := range cases {
-		if got := c.cfg.VictimEligible(c.cls, c.done); got != c.want {
-			t.Errorf("%s: VictimEligible(%v, %g) = %v, want %v", c.name, c.cls, c.done, got, c.want)
+	for cls, want := range map[Class]bool{Agent: true, Guided: false, Demand: false} {
+		if got := VictimEligible(cls); got != want {
+			t.Errorf("VictimEligible(%v) = %v, want %v", cls, got, want)
 		}
 	}
 }

@@ -24,9 +24,8 @@
 //     admission so stale work is never launched.
 //   - Preemption. With a victim policy configured (Config.Preempt), a
 //     demand miss blocked on the exhausted node budget may kill a
-//     running agent prefetch — youngest-first or
-//     cheapest-remaining-first on the cost model's estimate — under the
-//     no-waiters rule; the victim's interval is requeued, not lost.
+//     running agent prefetch, youngest first, under the no-waiters
+//     rule; the victim's interval is requeued, not lost.
 //   - Per-client fairness. A deficit-round-robin quantum
 //     (Config.DRRQuantum) replaces pure FIFO inside a priority class,
 //     so one greedy client cannot starve its neighbours; coalesced
@@ -168,74 +167,6 @@ const (
 	Dropped
 )
 
-// Config selects the scheduling policy. The zero value reproduces the
-// paper's inline rules exactly.
-type Config struct {
-	// Coalesce merges overlapping or adjacent queued requests of one
-	// context into a single job.
-	Coalesce bool
-	// Priorities drains the queue in class order (demand > guided >
-	// agent) and queues prefetch requests at capacity instead of
-	// dropping them.
-	Priorities bool
-	// TotalNodes bounds the summed parallelism of running simulations
-	// across all contexts (0 = unlimited). Jobs wider than TotalNodes
-	// are clamped by the core via MaxJobNodes.
-	TotalNodes int
-	// Preempt lets a demand miss blocked on an exhausted node budget
-	// kill a running agent prefetch (victim chosen by the policy; its
-	// interval is requeued). PreemptOff (zero) never preempts; a
-	// TotalNodes budget is required for preemption to ever trigger.
-	Preempt PreemptPolicy
-	// DRRQuantum enables deficit-round-robin fairness between clients
-	// inside a priority class: each client earns this many output steps
-	// of launch credit per round, so one greedy client cannot starve its
-	// neighbours with a burst of submissions. 0 keeps pure FIFO. The
-	// quantum only takes effect alongside Priorities — "within a class"
-	// presupposes class ordering; without it the queue is pure
-	// submission-order FIFO by definition, and letting credit reorder
-	// across classes would let speculative work overtake queued demand.
-	DRRQuantum int
-	// PreemptSunkCost is the sunk-cost guard on victim selection: a
-	// running candidate whose completion fraction (produced steps over
-	// its interval length) has reached this threshold is never killed —
-	// the compute is mostly spent, so killing it wastes more than the
-	// freed nodes are worth, and the requeued re-run would repeat almost
-	// the whole interval. 0 disables the guard (paper-exact zero value);
-	// thresholds at or above 1 only spare fully-produced simulations,
-	// which finish on their own anyway.
-	PreemptSunkCost float64
-	// PreemptGuided widens preemption eligibility to guided-class
-	// prefetches: explicit client hints may also be killed for
-	// node-blocked demand work, still under the no-waiters rule and the
-	// sunk-cost guard. Off (zero value), only speculative agent
-	// prefetches are eligible.
-	PreemptGuided bool
-	// DemandJoin promotes a *queued* prefetch job to demand class when a
-	// demand open lands inside its range. Without it the open merely
-	// rides the job's promise — no new request is submitted for a
-	// promised step, so even Coalesce never sees the demand interest —
-	// and the job keeps draining at prefetch priority behind the whole
-	// demand class while a client is blocked on it.
-	DemandJoin bool
-}
-
-// VictimEligible reports whether a running simulation of the given
-// class with completion fraction done may be offered as a preemption
-// victim under this config: speculative agent work is always in scope,
-// guided hints only with PreemptGuided, and the sunk-cost guard
-// (PreemptSunkCost > 0) spares any candidate past the threshold. The
-// paper's no-waiters rule is enforced by the core on top of this.
-func (c Config) VictimEligible(class Class, done float64) bool {
-	if class != Agent && !(c.PreemptGuided && class == Guided) {
-		return false
-	}
-	if c.PreemptSunkCost > 0 && done >= c.PreemptSunkCost {
-		return false
-	}
-	return true
-}
-
 // ctxState is the per-context admission ledger and queue. Keeping one
 // queue per context makes every pop O(#contexts) — a context whose smax
 // blocks its whole queue is skipped in one step instead of being
@@ -300,17 +231,28 @@ func (s *Scheduler) Config() Config {
 // Turning Priorities off leaves already-queued prefetch jobs queued —
 // the drop rule only applies to new submissions.
 func (s *Scheduler) SetConfig(cfg Config) {
-	s.Update(func(Config) Config { return cfg })
-}
-
-// Update is SetConfig for partial reconfiguration: mutate receives the
-// current config and returns the new one, atomically under the
-// scheduler's mutex, so concurrent partial updates cannot lose each
-// other's fields. The resulting config is returned.
-func (s *Scheduler) Update(mutate func(Config) Config) Config {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cfg = mutate(s.cfg)
+	s.setConfigLocked(cfg)
+}
+
+// Update is SetConfig for partial reconfiguration: the patch is
+// validated and applied to the current config atomically under the
+// scheduler's mutex, so concurrent partial updates cannot lose each
+// other's fields. It returns the config in effect afterwards — unchanged
+// when the patch is refused.
+func (s *Scheduler) Update(p Patch) (Config, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cfg, err := p.Apply(s.cfg)
+	if err == nil {
+		s.setConfigLocked(cfg)
+	}
+	return s.cfg, err
+}
+
+func (s *Scheduler) setConfigLocked(cfg Config) {
+	s.cfg = cfg
 	s.preemptOn.Store(s.cfg.Preempt != PreemptOff && s.cfg.TotalNodes > 0)
 	for _, cs := range s.ctxs { //simfs:allow maporder per-context clamp and quota backfill are independent per entry
 		if s.cfg.TotalNodes > 0 {
@@ -340,7 +282,6 @@ func (s *Scheduler) Update(mutate func(Config) Config) Config {
 		// is deterministic and stable with respect to submission order.
 		sort.SliceStable(cs.jobs, func(i, j int) bool { return s.less(cs.jobs[i], cs.jobs[j]) })
 	}
-	return s.cfg
 }
 
 // Register declares a context and its per-context capacity (the paper's
@@ -464,28 +405,21 @@ func (s *Scheduler) ClientLoads() map[string]uint64 {
 	return out
 }
 
-// SetDRRQuantum adjusts only the deficit-round-robin quantum — the
-// autoscale tuner's knob — leaving every other policy field untouched,
-// and returns the resulting config.
-func (s *Scheduler) SetDRRQuantum(q int) Config {
-	return s.Update(func(cfg Config) Config {
-		cfg.DRRQuantum = q
-		return cfg
-	})
-}
-
 // PromoteDemand lifts a queued non-demand job whose range covers step
-// to demand class (Config.DemandJoin): a demand open landing inside a
-// queued prefetch job's promise joins that job, and the job must stop
-// draining at prefetch priority while a client blocks on it. The job is
-// re-inserted at its demand-order position, the opening client joins
+// to demand class — the demand-join half of Config.Priorities: a demand
+// open landing inside a queued prefetch job's promise submits nothing
+// (the step is already promised, so not even Coalesce sees the
+// interest), and the job must stop draining at prefetch priority while
+// a client blocks on it. Without Priorities nothing is re-ordered and
+// the call is a no-op, which keeps the zero Config paper-exact. The job
+// is re-inserted at its demand-order position, the opening client joins
 // the DRR billing roster, and the demand-waiting hint arms so the
 // caller's preemption probe sees the promoted head. Reports whether a
 // job was promoted.
 func (s *Scheduler) PromoteDemand(ctx string, step int, client string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.cfg.DemandJoin {
+	if !s.cfg.Priorities {
 		return false
 	}
 	cs, ok := s.ctxs[ctx]

@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
 	"simfs/internal/dvlib"
 	"simfs/internal/model"
 	"simfs/internal/netproto"
+	"simfs/internal/sched"
 )
 
 // controlStack builds a daemon with one demand-only context whose smax
@@ -133,8 +135,12 @@ func TestSchedReconfigureLiveDaemon(t *testing.T) {
 	if st.DroppedPrefetch != 1 {
 		t.Fatalf("dropped prefetch after reconfigure = %d, want still 1 (hint queued, not dropped)", st.DroppedPrefetch)
 	}
-	// …and launches once the demand simulation frees the slot.
-	waitAvailable(t, ctx, ctx.Filename(33))
+	// …and launches once the demand simulation frees the slot. Wait on
+	// the notification: polling with Open would be a demand open landing
+	// on the queued hint, which promotes it and launches it as demand.
+	if err := ctx.WaitAvailable(ctx.Filename(33)); err != nil {
+		t.Fatal(err)
+	}
 	st, err = ctx.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -443,38 +449,72 @@ func TestSchedSetValidation(t *testing.T) {
 	cx := context.Background()
 
 	intp := func(v int) *int { return &v }
-	strp := func(v string) *string { return &v }
 	boolp := func(v bool) *bool { return &v }
+	policyp := func(v sched.PreemptPolicy) *sched.PreemptPolicy { return &v }
 
 	bad := []dvlib.SchedUpdate{
 		{TotalNodes: intp(-1)},
 		{DRRQuantum: intp(-8)},
-		{PreemptPolicy: strp("eldest")},
+		{Preempt: policyp(7)}, // travels as "unknown"
 		// A valid knob riding along with a bad one must not land.
-		{Coalesce: boolp(true), PreemptPolicy: strp("bogus")},
+		{Coalesce: boolp(true), Preempt: policyp(7)},
 	}
 	for i, upd := range bad {
 		if _, err := admin.SetSchedConfig(cx, upd); dvlib.ErrCodeOf(err) != netproto.CodeBadRequest {
 			t.Errorf("bad update %d: code %q (%v), want bad_request", i, dvlib.ErrCodeOf(err), err)
 		}
 	}
+
+	// What the typed client cannot say, by hand: a retired policy name is
+	// refused like any unknown one; the knobs an older simfs-ctl still
+	// sends are ignored like any unknown JSON field.
+	conn := rawConn(t, addr)
+	call := func(id uint64, op string, body any) netproto.Response {
+		t.Helper()
+		env, _ := netproto.NewEnvelope(id, op, body)
+		if err := netproto.JSON.EncodeFrame(conn, env); err != nil {
+			t.Fatal(err)
+		}
+		var resp netproto.Response
+		if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := call(1, netproto.OpHello, netproto.HelloBody{Version: netproto.ProtoVersion, Client: "old-ctl"}); !resp.OK {
+		t.Fatalf("hello: %+v", resp)
+	}
+	for i, body := range []string{
+		`{"preempt_policy":"cheapest"}`,
+		`{"coalesce":true,"preempt_policy":"eldest"}`,
+	} {
+		if resp := call(uint64(i+2), netproto.OpSchedSet, json.RawMessage(body)); resp.Code != netproto.CodeBadRequest {
+			t.Errorf("sched-set %s: %+v, want bad_request", body, resp)
+		}
+	}
+
 	cfg, err := admin.SchedConfig(cx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Coalesce || cfg.TotalNodes != 0 || cfg.DRRQuantum != 0 || (cfg.PreemptPolicy != "" && cfg.PreemptPolicy != "off") {
+	if cfg != (dvlib.SchedConfig{}) {
 		t.Fatalf("rejected updates leaked into the config: %+v", cfg)
+	}
+
+	legacy := `{"total_nodes":32,"preempt_sunk_cost":0.8,"preempt_guided":true,"demand_join":true}`
+	if resp := call(9, netproto.OpSchedSet, json.RawMessage(legacy)); !resp.OK || resp.Sched == nil || *resp.Sched != (netproto.SchedInfo{TotalNodes: 32}) {
+		t.Fatalf("sched-set with retired fields: %+v (sched %+v), want them ignored and total_nodes applied", resp, resp.Sched)
 	}
 
 	// The happy path lands and echoes.
 	cfg, err = admin.SetSchedConfig(cx, dvlib.SchedUpdate{
-		PreemptPolicy: strp("cheapest"), DRRQuantum: intp(16), TotalNodes: intp(64),
+		Preempt: policyp(sched.PreemptYoungest), DRRQuantum: intp(16), TotalNodes: intp(64),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.PreemptPolicy != "cheapest" || cfg.DRRQuantum != 16 || cfg.TotalNodes != 64 {
-		t.Fatalf("sched-set echoed %+v, want cheapest/16/64", cfg)
+	if cfg != (dvlib.SchedConfig{Preempt: sched.PreemptYoungest, DRRQuantum: 16, TotalNodes: 64}) {
+		t.Fatalf("sched-set echoed %+v, want youngest/16/64", cfg)
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"simfs/internal/model"
 	"simfs/internal/netproto"
 	"simfs/internal/notify"
-	"simfs/internal/sched"
 )
 
 // PeerNotifier is the federation seam: subscribeFiles hands files that
@@ -629,62 +628,20 @@ func (s *Server) unsubscribe(sess *session, b netproto.UnsubscribeBody) (netprot
 }
 
 func (s *Server) schedGet(*session) (netproto.Response, error) {
-	return netproto.Response{OK: true, Sched: schedInfo(s.v.SchedConfig())}, nil
+	cfg := s.v.SchedConfig()
+	return netproto.Response{OK: true, Sched: &cfg}, nil
 }
 
+// schedSet applies a partial reconfiguration. sched.Patch owns the
+// validation and the merge — atomic under the scheduler's mutex, so
+// concurrent sched-sets compose and a refused one changes nothing.
 func (s *Server) schedSet(sess *session, b netproto.SchedSetBody) (netproto.Response, error) {
-	// Validation happens in full before any field is applied: a
-	// sched-set is atomic — either every knob lands or none does.
-	if b.TotalNodes != nil && *b.TotalNodes < 0 {
-		return netproto.Response{}, fmt.Errorf("%w: total_nodes must be ≥ 0, got %d", core.ErrInvalid, *b.TotalNodes)
+	cfg, err := s.v.UpdateSchedConfig(b)
+	if err != nil {
+		return netproto.Response{}, err
 	}
-	if b.DRRQuantum != nil && *b.DRRQuantum < 0 {
-		return netproto.Response{}, fmt.Errorf("%w: drr_quantum must be ≥ 0, got %d", core.ErrInvalid, *b.DRRQuantum)
-	}
-	if b.PreemptSunkCost != nil && (*b.PreemptSunkCost < 0 || *b.PreemptSunkCost > 1) {
-		return netproto.Response{}, fmt.Errorf("%w: preempt_sunk_cost must be in [0,1], got %g", core.ErrInvalid, *b.PreemptSunkCost)
-	}
-	var preempt sched.PreemptPolicy
-	if b.PreemptPolicy != nil {
-		var err error
-		if preempt, err = sched.ParsePreemptPolicy(*b.PreemptPolicy); err != nil {
-			return netproto.Response{}, fmt.Errorf("%w: %v", core.ErrInvalid, err)
-		}
-	}
-	// The partial update merges atomically under the scheduler's
-	// mutex: concurrent sched-sets compose instead of overwriting
-	// each other's fields with stale reads.
-	cfg := s.v.UpdateSchedConfig(func(cfg sched.Config) sched.Config {
-		if b.Coalesce != nil {
-			cfg.Coalesce = *b.Coalesce
-		}
-		if b.Priorities != nil {
-			cfg.Priorities = *b.Priorities
-		}
-		if b.TotalNodes != nil {
-			cfg.TotalNodes = *b.TotalNodes
-		}
-		if b.PreemptPolicy != nil {
-			cfg.Preempt = preempt
-		}
-		if b.DRRQuantum != nil {
-			cfg.DRRQuantum = *b.DRRQuantum
-		}
-		if b.PreemptSunkCost != nil {
-			cfg.PreemptSunkCost = *b.PreemptSunkCost
-		}
-		if b.PreemptGuided != nil {
-			cfg.PreemptGuided = *b.PreemptGuided
-		}
-		if b.DemandJoin != nil {
-			cfg.DemandJoin = *b.DemandJoin
-		}
-		return cfg
-	})
-	s.logf("server: scheduler reconfigured by %s: coalesce=%v priorities=%v nodes=%d preempt=%s quantum=%d sunkcost=%g guided=%v demandjoin=%v",
-		sess.client, cfg.Coalesce, cfg.Priorities, cfg.TotalNodes, cfg.Preempt, cfg.DRRQuantum,
-		cfg.PreemptSunkCost, cfg.PreemptGuided, cfg.DemandJoin)
-	return netproto.Response{OK: true, Sched: schedInfo(cfg)}, nil
+	s.logf("server: scheduler reconfigured by %s: %s, now %+v", sess.client, b, cfg)
+	return netproto.Response{OK: true, Sched: &cfg}, nil
 }
 
 func (s *Server) cachePolicySet(sess *session, b netproto.CachePolicyBody) (netproto.Response, error) {
@@ -777,20 +734,6 @@ func (s *Server) ctxDeregister(sess *session, b netproto.CtxBody) (netproto.Resp
 // autoscaleLogCap bounds the daemon-side autoscale decision ring: enough
 // recent history for simfs-ctl health, never an unbounded ledger.
 const autoscaleLogCap = 64
-
-// schedInfo mirrors a scheduler config onto the wire. The fieldsync
-// analyzer holds it to SchedInfo's full field list, so a new knob
-// cannot ship half-mirrored.
-//
-//simfs:sync netproto.SchedInfo
-func schedInfo(cfg sched.Config) *netproto.SchedInfo {
-	return &netproto.SchedInfo{
-		Coalesce: cfg.Coalesce, Priorities: cfg.Priorities, TotalNodes: cfg.TotalNodes,
-		PreemptPolicy: cfg.Preempt.String(), DRRQuantum: cfg.DRRQuantum,
-		PreemptSunkCost: cfg.PreemptSunkCost, PreemptGuided: cfg.PreemptGuided,
-		DemandJoin: cfg.DemandJoin,
-	}
-}
 
 // opLatencies mirrors per-op latency summaries onto the wire.
 func opLatencies(sums []metrics.OpLatency) []netproto.OpLatency {

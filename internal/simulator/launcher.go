@@ -54,16 +54,11 @@ type DESLauncher struct {
 	// Queue samples per-job batch queueing delays added to αsim
 	// (nil = no queueing).
 	Queue batch.Sampler
-	// FailEvery injects a crash into every n-th launched simulation
-	// (0 = never), after it produced half of its range. It is the
-	// fixed-schedule shorthand for FailAt.
-	FailEvery int
 	// FailAt, when set, decides per launch whether and where the run
 	// crashes (faults.SimPlan implements it): it returns the first step
 	// the run does NOT produce — steps first..crash-1 land before the
 	// failure, crash == first fails before producing anything — and a
 	// negative return (or one outside [first, last]) runs healthy.
-	// FailAt takes precedence over FailEvery.
 	FailAt func(ctxName string, first, last int) int
 
 	nextID  int64
@@ -105,8 +100,6 @@ func (l *DESLauncher) Launch(ctx *model.Context, first, last, parallelism int) i
 			if c := l.FailAt(ctx.Name, first, last); c >= first && c <= last {
 				crash = c
 			}
-		} else if l.FailEvery > 0 && id%int64(l.FailEvery) == 0 {
-			crash = first + (last-first)/2 + 1
 		}
 		run.timers = append(run.timers, l.Engine.Schedule(delay+alpha, func() {
 			run.started = true

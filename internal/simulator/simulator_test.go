@@ -8,6 +8,7 @@ import (
 
 	"simfs/internal/batch"
 	"simfs/internal/des"
+	"simfs/internal/faults"
 	"simfs/internal/model"
 	"simfs/internal/vfs"
 )
@@ -182,7 +183,7 @@ func TestDESLauncherKill(t *testing.T) {
 func TestDESLauncherFailureInjection(t *testing.T) {
 	eng := des.NewEngine()
 	rec := newRecorder()
-	l := &DESLauncher{Engine: eng, Events: rec, FailEvery: 1}
+	l := &DESLauncher{Engine: eng, Events: rec, FailAt: faults.NewSimPlan().WithEvery(1).FailAt}
 	id := l.Launch(testCtx(), 1, 10, 1)
 	eng.Run(0)
 	if rec.ended[id] != Failed {
@@ -250,7 +251,7 @@ func TestDESLauncherKillUnknownIDIsNoop(t *testing.T) {
 func TestDESLauncherFailEveryPattern(t *testing.T) {
 	eng := des.NewEngine()
 	rec := newRecorder()
-	l := &DESLauncher{Engine: eng, Events: rec, FailEvery: 2}
+	l := &DESLauncher{Engine: eng, Events: rec, FailAt: faults.NewSimPlan().WithEvery(2).FailAt}
 	ctx := testCtx()
 	a := l.Launch(ctx, 1, 8, 1) // id 1: survives
 	b := l.Launch(ctx, 1, 8, 1) // id 2: injected crash

@@ -94,13 +94,14 @@ func NewDaemon(baseDir string, timeScale int, policy string, ctxs ...*Context) (
 // inline rules exactly.
 type SchedConfig = sched.Config
 
-// PreemptPolicy selects the preemption victim when a node-blocked demand
-// miss may kill a running agent prefetch: youngest-first or
-// cheapest-remaining-first on the cost model's remaining-time estimate.
+// PreemptPolicy turns demand-over-prefetch preemption on: off (the
+// zero value), or youngest — a node-blocked demand miss kills the most
+// recently launched agent prefetch nobody waits for, and the victim's
+// interval is requeued.
 type PreemptPolicy = sched.PreemptPolicy
 
-// ParsePreemptPolicy maps a flag/wire name ("off", "youngest",
-// "cheapest") to a PreemptPolicy.
+// ParsePreemptPolicy maps a flag/wire name ("off", "youngest") to a
+// PreemptPolicy.
 func ParsePreemptPolicy(name string) (PreemptPolicy, error) {
 	return sched.ParsePreemptPolicy(name)
 }
