@@ -27,13 +27,15 @@ type CacheOf[K comparable] struct {
 	sizes    map[K]int64
 	pins     map[K]int
 	stats    Stats
-	// pinnedFn is the isPinned method value, bound once: taking it per
+	// pinnedFn is the eviction guard handed to Policy.Victim: the isPinned
+	// method value unless PinnedBy replaced it. Bound once — taking it per
 	// Victim call would allocate a closure on every eviction.
 	pinnedFn func(K) bool
 }
 
-// Cache is the string-keyed engine used by the Virtualizer, whose keys
-// are file names.
+// Cache is the string-keyed engine. The Virtualizer keys its caches by
+// output step (CacheOf[int]); the alias is left for the benchmark drills
+// and tests, which key by file name.
 type Cache = CacheOf[string]
 
 // New creates a string-keyed cache with the given policy and byte
@@ -231,6 +233,14 @@ func (c *CacheOf[K]) Unpin(key K) error {
 }
 
 func (c *CacheOf[K]) isPinned(key K) bool { return c.pins[key] > 0 }
+
+// PinnedBy makes guard the cache's eviction guard: a key for which it
+// returns true is never offered as a victim. It replaces the Pin/Unpin
+// counters for this cache — an owner that already keeps the reference
+// counts (the Virtualizer's shard) hands them over instead of mirroring
+// every reference into a second ledger; Pin, Unpin and PinCount then
+// have no effect on eviction.
+func (c *CacheOf[K]) PinnedBy(guard func(K) bool) { c.pinnedFn = guard }
 
 // PinCount returns key's current reference count.
 func (c *CacheOf[K]) PinCount(key K) int { return c.pins[key] }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -386,6 +387,73 @@ func TestCacheAllPinnedOverflows(t *testing.T) {
 	}
 	if c.Stats().PinBlocked != 1 {
 		t.Errorf("PinBlocked = %d, want 1", c.Stats().PinBlocked)
+	}
+}
+
+// A cache whose owner keeps the reference ledger (PinnedBy): under every
+// policy a guarded key is never evicted however cold it ranks, the guard
+// is consulted live — no Pin/Unpin call moves anything — and an insert
+// that finds every resident guarded overflows and is counted.
+func TestCacheExternalGuard(t *testing.T) {
+	for _, name := range PolicyNames() {
+		t.Run(name, func(t *testing.T) {
+			const capacity = 8
+			pol, err := NewPolicyOf[int](name, capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs := map[int]int{}
+			c := NewOf(pol, capacity) // 1-byte entries
+			c.PinnedBy(func(k int) bool { return refs[k] > 0 })
+			for k := 0; k < capacity; k++ {
+				c.Insert(k, 1, k%4+1)
+			}
+			// The three coldest, cheapest-to-lose entries are referenced.
+			refs[0], refs[1], refs[4] = 1, 2, 1
+			rng := rand.New(rand.NewSource(7))
+			for k := capacity; k < 40*capacity; k++ {
+				evicted, err := c.Insert(k, 1, rng.Intn(12)+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range evicted {
+					if refs[v] > 0 {
+						t.Fatalf("guarded key %d evicted by insert %d", v, k)
+					}
+				}
+				c.Touch(rng.Intn(k + 1))
+			}
+			if !c.Contains(0) || !c.Contains(1) || !c.Contains(4) {
+				t.Fatal("a guarded key is gone")
+			}
+			if got := c.Stats().PinBlocked; got != 0 || c.UsedBytes() != capacity {
+				t.Fatalf("PinBlocked=%d used=%d with five unguarded residents; want 0 and %d", got, c.UsedBytes(), capacity)
+			}
+			// Asked to empty itself the cache gives up everything but the
+			// guarded keys, and reports that it could not finish.
+			if _, ok := c.EnsureSpace(capacity); ok || c.Len() != 3 || c.Stats().PinBlocked != 1 {
+				t.Fatalf("EnsureSpace under references: ok=%v len=%d PinBlocked=%d; want false, 3, 1",
+					ok, c.Len(), c.Stats().PinBlocked)
+			}
+			// Refill with referenced keys: with every resident guarded the
+			// next insert overflows and says so.
+			for k := 5000; c.Len() < capacity; k++ {
+				refs[k] = 1
+				c.Insert(k, 1, 1)
+			}
+			if evicted, err := c.Insert(6000, 1, 1); err != nil || len(evicted) != 0 {
+				t.Fatalf("insert into an all-guarded cache: evicted %v, err %v", evicted, err)
+			}
+			if c.Stats().PinBlocked != 2 || c.UsedBytes() != capacity+1 {
+				t.Errorf("PinBlocked %d used %d; want the one blocked insert and an overflow by one",
+					c.Stats().PinBlocked, c.UsedBytes())
+			}
+			// Dropping the references is all it takes to make them victims.
+			clear(refs)
+			if _, ok := c.EnsureSpace(capacity); !ok || c.Len() != 0 {
+				t.Errorf("EnsureSpace after release: ok=%v len=%d; want an empty cache", ok, c.Len())
+			}
+		})
 	}
 }
 

@@ -9,10 +9,13 @@
 // LRU, LIRS (Jiang & Zhang), ARC (Megiddo & Modha), and the cost-sensitive
 // BCL and DCL of Jeong & Dubois adapted to fully associative caches.
 //
-// All policies are generic over the key type. The Virtualizer keys entries
-// by file name (the string-keyed Policy/Cache aliases below); the
-// experiment replay hot paths key by integer output-step index, which
-// avoids formatting a file name per access.
+// All policies are generic over the key type. The Virtualizer and the
+// experiment replay paths key entries by integer output-step index — the
+// paper's key(d_i), Sec. III-B — so no file name is formatted per access;
+// the string-keyed Policy/Cache aliases below remain only for the
+// benchmark drills and tests. A cache's eviction guard is either its own
+// Pin/Unpin counters or, through CacheOf.PinnedBy, its owner's reference
+// ledger.
 package cache
 
 import "fmt"
@@ -56,8 +59,8 @@ type PolicyOf[K comparable] interface {
 	Reset()
 }
 
-// Policy is the string-keyed policy used by the Virtualizer, whose cache
-// keys are file names under the context's naming convention.
+// Policy is the string-keyed policy; like Cache it has no caller outside
+// the benchmark drills and tests.
 type Policy = PolicyOf[string]
 
 // NewPolicyOf constructs a policy by name over any comparable key type.
@@ -80,8 +83,8 @@ func NewPolicyOf[K comparable](name string, capacity int) (PolicyOf[K], error) {
 	return nil, fmt.Errorf("cache: unknown policy %q", name)
 }
 
-// NewPolicy constructs a string-keyed policy by name (the Virtualizer's
-// adapter over the generic implementations).
+// NewPolicy constructs a string-keyed policy by name (for the benchmark
+// drills and tests; everything else calls NewPolicyOf[int]).
 func NewPolicy(name string, capacity int) (Policy, error) {
 	return NewPolicyOf[string](name, capacity)
 }

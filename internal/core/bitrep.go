@@ -11,26 +11,23 @@ import "fmt"
 // RegisterChecksum stores the original checksum of a file, as computed by
 // the simulator-specific driver checksum at initial-simulation time.
 func (v *Virtualizer) RegisterChecksum(ctxName, filename string, sum uint64) error {
-	cs, err := v.lockedShard(ctxName)
+	cs, step, err := v.lockedStep(ctxName, filename)
 	if err != nil {
 		return err
 	}
 	defer cs.mu.Unlock()
-	if _, err := cs.keyOf(filename); err != nil {
-		return err
-	}
-	cs.checksums[filename] = sum
+	cs.checksums[step] = sum
 	return nil
 }
 
 // RegisteredChecksum returns the stored original checksum for a file.
 func (v *Virtualizer) RegisteredChecksum(ctxName, filename string) (uint64, bool, error) {
-	cs, err := v.lockedShard(ctxName)
+	cs, step, err := v.lockedStep(ctxName, filename)
 	if err != nil {
 		return 0, false, err
 	}
 	defer cs.mu.Unlock()
-	sum, found := cs.checksums[filename]
+	sum, found := cs.checksums[step]
 	return sum, found, nil
 }
 
@@ -41,11 +38,11 @@ func (v *Virtualizer) RegisteredChecksum(ctxName, filename string) (uint64, bool
 // registered for the file. The checksum itself is computed outside the
 // shard lock.
 func (v *Virtualizer) Bitrep(ctxName, filename string, content []byte) (bool, error) {
-	cs, err := v.lockedShard(ctxName)
+	cs, step, err := v.lockedStep(ctxName, filename)
 	if err != nil {
 		return false, err
 	}
-	orig, found := cs.checksums[filename]
+	orig, found := cs.checksums[step]
 	driver := cs.driver
 	cs.mu.Unlock()
 	if !found {

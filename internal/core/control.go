@@ -75,8 +75,8 @@ func (v *Virtualizer) UpdateSchedConfig(p sched.Patch) (sched.Config, error) {
 // SetCachePolicy swaps a context's replacement scheme live. The new
 // policy is rebuilt from the resident set in ascending step order
 // (deterministic: later steps rank as more recently used), so no file
-// moves or is evicted by the swap itself; sizes, pins and byte
-// accounting carry over untouched.
+// moves or is evicted by the swap itself; sizes and byte accounting
+// carry over untouched.
 func (v *Virtualizer) SetCachePolicy(ctxName, policyName string) error {
 	cs, err := v.lockedShard(ctxName)
 	if err != nil {
@@ -87,22 +87,13 @@ func (v *Virtualizer) SetCachePolicy(ctxName, policyName string) error {
 	if capacity == 0 {
 		capacity = cs.ctx.Grid.NumOutputSteps()
 	}
-	pol, err := cache.NewPolicy(policyName, capacity)
+	pol, err := cache.NewPolicyOf[int](policyName, capacity)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	stepOf := func(name string) int {
-		step, err := cs.ctx.Key(name)
-		if err != nil {
-			return 0
-		}
-		return step
-	}
 	order := cs.cache.Keys()
-	sort.Slice(order, func(i, j int) bool { return stepOf(order[i]) < stepOf(order[j]) })
-	cs.cache.SetPolicy(pol, order, func(name string) int {
-		return cs.ctx.Grid.MissCost(stepOf(name))
-	})
+	sort.Ints(order)
+	cs.cache.SetPolicy(pol, order, cs.ctx.Grid.MissCost)
 	return nil
 }
 
@@ -187,12 +178,7 @@ func (v *Virtualizer) RemoveContext(name string) error {
 	// De-queue the context's scheduler jobs and dismantle their markers.
 	var orphaned []int
 	for _, job := range v.sched.DropContext(name) {
-		for s := job.First; s <= job.Last; s++ {
-			if cs.promised[s] == pendingSimID {
-				delete(cs.promised, s)
-				orphaned = append(orphaned, s)
-			}
-		}
+		orphaned = append(orphaned, clearPromised(cs, job.First, job.Last, pendingSimID)...)
 	}
 	cs.mu.Unlock()
 

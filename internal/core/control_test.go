@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"testing"
+
+	"simfs/internal/sched"
 )
 
 // Drain refuses new opens and prefetches with ErrDraining; releases and
@@ -224,6 +226,33 @@ func TestSetSchedConfigLive(t *testing.T) {
 	}
 	if err := h.v.Release("a1", "c", ctx.Filename(1)); err != nil {
 		t.Fatal(err)
+	}
+	if err := h.v.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// A queued prefetch-class job dropped at admission because its context
+// drains takes the waiters that joined its promise down with it: they
+// are failed, not left on steps nobody will produce.
+func TestDrainDroppedPrefetchFailsJoinedWaiters(t *testing.T) {
+	ctx := testContext("c")
+	ctx.SMax = 1
+	h := schedHarness(t, sched.Config{Priorities: true}, ctx)
+	h.v.Open("a1", "c", ctx.Filename(2)) // takes the one slot
+	if _, err := h.v.GuidedPrefetch("a2", "c", []string{ctx.Filename(6)}); err != nil {
+		t.Fatal(err)
+	}
+	var got []Status
+	if err := h.v.WaitFile("a2", "c", ctx.Filename(6), func(st Status) { got = append(got, st) }); err != nil {
+		t.Fatalf("the queued hint promises step 6: %v", err)
+	}
+	if err := h.v.Drain("c"); err != nil {
+		t.Fatal(err)
+	}
+	h.eng.Run(0) // the running simulation ends; the drain pass drops the hint
+	if len(got) != 1 || got[0].Err == "" {
+		t.Errorf("waiter on the dropped hint: %+v, want one failure", got)
 	}
 	if err := h.v.CheckInvariants(); err != nil {
 		t.Error(err)

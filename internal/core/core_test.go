@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -73,6 +74,13 @@ func TestAddContextValidation(t *testing.T) {
 	up.Upstream = "missing"
 	if err := h.v.AddContext(up, "LRU", nil); err == nil {
 		t.Error("unknown upstream accepted")
+	}
+	// A storage area smaller than one output step could never hold a
+	// file: every open would re-simulate, forever.
+	tiny := testContext("tiny")
+	tiny.OutputBytes, tiny.MaxCacheBytes = 8, 7
+	if err := h.v.AddContext(tiny, "LRU", nil); !errors.Is(err, ErrInvalid) {
+		t.Errorf("storage area smaller than one step: AddContext = %v, want ErrInvalid", err)
 	}
 }
 
@@ -208,6 +216,59 @@ func TestPinnedFilesSurviveEviction(t *testing.T) {
 	st, _ := h.v.Stats("c")
 	if st.Evictions == 0 {
 		t.Error("expected evictions")
+	}
+	t.Run("produced twice while referenced", pinnedStepProducedTwice)
+}
+
+// Two simulations produce the same step while it is referenced: the
+// second production must neither lose the protection nor add to what
+// Release has to undo — there is one count, the shard's.
+func pinnedStepProducedTwice(t *testing.T) {
+	ctx := testContext("c")
+	ctx.MaxCacheBytes = 2 // 2 steps
+	h := newHarness(t, ctx)
+	resident := func(step int) bool {
+		t.Helper()
+		r, _, err := h.v.FileState("c", ctx.Filename(step))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// Two references on step 2; simulation A produces 1..4 at t=3..6 s.
+	h.v.Open("a1", "c", ctx.Filename(2))
+	h.v.Open("a2", "c", ctx.Filename(2))
+	h.eng.RunUntil(5 * time.Second) // 1, 2 landed; 3 evicted the unreferenced 1
+	if resident(1) || !resident(2) || !resident(3) {
+		t.Fatalf("at 5s resident(1,2,3) = %v,%v,%v, want false,true,true", resident(1), resident(2), resident(3))
+	}
+	// Step 1 is gone and unpromised: this open starts simulation B over
+	// 1..4 again, which produces the referenced step 2 a second time.
+	h.v.Open("a1", "c", ctx.Filename(1))
+	h.eng.Run(0)
+	if st, _ := h.v.Stats("c"); st.Restarts != 2 || st.StepsProduced != 8 {
+		t.Fatalf("restarts/steps = %d/%d, want two overlapping runs of four", st.Restarts, st.StepsProduced)
+	}
+	if !resident(2) {
+		t.Fatal("referenced step 2 was evicted across the overlapping productions")
+	}
+	if err := h.v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// One Release per Open makes it evictable again — no third is owed.
+	for _, client := range []string{"a1", "a2"} {
+		if err := h.v.Release(client, "c", ctx.Filename(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.v.Release("a1", "c", ctx.Filename(2)); err == nil {
+		t.Error("third release of a twice-opened step accepted")
+	}
+	h.v.Release("a1", "c", ctx.Filename(1))
+	h.v.Open("a1", "c", ctx.Filename(10)) // 9..12 wash through the 2-step area
+	h.eng.Run(0)
+	if resident(2) {
+		t.Error("step 2 still resident after its references were released and four steps washed through")
 	}
 }
 
@@ -396,6 +457,65 @@ func TestRescanStorageArea(t *testing.T) {
 	}
 	if _, err := v.RescanStorageArea("nope"); err == nil {
 		t.Error("unknown context accepted")
+	}
+}
+
+// A promised step that reaches the storage area from outside — an
+// operator copied it in and rescanned, or it was preloaded — is settled
+// like a produced one: the promise goes, waiters fire once with Ready,
+// and the death of the simulation that had promised it no longer
+// concerns them.
+func TestOutsideArrivalSettlesPromise(t *testing.T) {
+	for _, via := range []string{"rescan", "preload"} {
+		for _, crash := range []bool{false, true} {
+			name := via
+			if crash {
+				name += "/simulation-dies-later"
+			}
+			t.Run(name, func(t *testing.T) {
+				ctx := testContext("c")
+				area := vfs.NewMem()
+				h := newHarness(t)
+				if err := h.v.AddContext(ctx, "LRU", area); err != nil {
+					t.Fatal(err)
+				}
+				if crash {
+					h.l.FailAt = faults.NewSimPlan().WithCrashAt("c", 2, 0).FailAt
+				}
+				file := ctx.Filename(2)
+				if res, err := h.v.Open("a1", "c", file); err != nil || res.Available {
+					t.Fatalf("Open = %+v, %v; want a miss", res, err)
+				}
+				var got []Status
+				if err := h.v.WaitFile("a1", "c", file, func(st Status) { got = append(got, st) }); err != nil {
+					t.Fatal(err)
+				}
+				if via == "rescan" {
+					area.Create(file, 1)
+					if n, err := h.v.RescanStorageArea("c"); err != nil || n != 1 {
+						t.Fatalf("rescan = %d, %v", n, err)
+					}
+				} else if err := h.v.Preload("c", []int{2}); err != nil {
+					t.Fatal(err)
+				}
+				if resident, promised, _ := h.v.FileState("c", file); !resident || promised {
+					t.Errorf("after arrival resident=%v promised=%v, want true/false", resident, promised)
+				}
+				if len(got) != 1 || !got[0].Ready {
+					t.Errorf("waiter after arrival: %+v, want one Ready", got)
+				}
+				if err := h.v.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
+				h.eng.Run(0)
+				if len(got) != 1 || !got[0].Ready {
+					t.Errorf("waiter after the simulation ended: %+v, want the one Ready and nothing more", got)
+				}
+				if err := h.v.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
 	}
 }
 

@@ -46,12 +46,10 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 		ucs.mu.Lock()
 		usteps := neededUpstreamSteps(cs.ctx.Grid, ucs.ctx.Grid, first, last)
 		var missing []int
+		sim.upstreamSteps = usteps
 		for _, us := range usteps {
-			sim.upstreamFiles = append(sim.upstreamFiles, ucs.ctx.Filename(us))
 			ucs.refs[us]++
-			if ucs.resident(us) {
-				_ = ucs.cache.Pin(ucs.ctx.Filename(us))
-			} else {
+			if !ucs.resident(us) {
 				missing = append(missing, us)
 			}
 		}
@@ -106,7 +104,7 @@ func (v *Virtualizer) upstreamReady(cs *shard, placeholderID int64, st Status) {
 		delete(cs.sims, placeholderID)
 		v.releaseUpstream(cs, sim)
 		msg := "upstream re-simulation failed: " + st.Err
-		cbs, failed := v.failPromised(cs, sim, msg)
+		cbs, failed := failPromised(cs, sim)
 		cs.mu.Unlock()
 		v.sched.ReleaseSlot(cs.ctx.Name)
 		v.drainScheduler()
@@ -126,11 +124,7 @@ func (v *Virtualizer) upstreamReady(cs *shard, placeholderID int64, st Status) {
 	delete(cs.sims, placeholderID)
 	// Clear placeholder promises; doLaunch (or the requeued launch)
 	// re-marks them.
-	for s := sim.first; s <= sim.last; s++ {
-		if cs.promised[s] == placeholderID {
-			delete(cs.promised, s)
-		}
-	}
+	clearPromised(cs, sim.first, sim.last, placeholderID)
 	if !v.sched.ClaimNodes(sim.parallelism) {
 		// The node budget filled up while the inputs were produced: give
 		// the slot back and requeue; the job launches through the normal
@@ -173,16 +167,44 @@ func (v *Virtualizer) doLaunch(cs *shard, sim *simState) {
 }
 
 // markPromised registers promised markers for uncovered steps in the
-// range. Caller holds the shard lock.
+// range. It and clearPromised are the only writers of cs.promised over a
+// range; stepArrived and repromise write it one step at a time. Caller
+// holds the shard lock.
 func (v *Virtualizer) markPromised(cs *shard, first, last int, simID int64) {
 	for s := first; s <= last; s++ {
-		if cs.resident(s) {
-			continue
-		}
-		if _, p := cs.promised[s]; !p {
+		if !cs.covered(s) {
 			cs.promised[s] = simID
 		}
 	}
+}
+
+// clearPromised deletes the markers simID (a simulation, a placeholder or
+// pendingSimID) holds in the range and returns the steps cleared, for the
+// caller to settle before it unlocks: re-marked by a launch or
+// remarkQueued, or failed (trulyOrphaned). Caller holds the shard lock.
+func clearPromised(cs *shard, first, last int, simID int64) []int {
+	var cleared []int
+	for s := first; s <= last; s++ {
+		if id, p := cs.promised[s]; p && id == simID {
+			delete(cs.promised, s)
+			cleared = append(cleared, s)
+		}
+	}
+	return cleared
+}
+
+// takeWaiters detaches the waiters of steps that will not be produced
+// and returns their callbacks, for the caller to fail after unlocking.
+// Caller holds the shard lock.
+func takeWaiters(cs *shard, steps []int) []func(Status) {
+	var cbs []func(Status)
+	for _, s := range steps {
+		for _, w := range cs.waiters[s] {
+			cbs = append(cbs, w.cb)
+		}
+		delete(cs.waiters, s)
+	}
+	return cbs
 }
 
 // neededUpstreamSteps returns the upstream output steps whose data covers
@@ -208,7 +230,7 @@ func neededUpstreamSteps(down, up model.Grid, first, last int) []int {
 // held. Caller holds cs's lock; the upstream shard is locked inside
 // (downstream→upstream order).
 func (v *Virtualizer) releaseUpstream(cs *shard, sim *simState) {
-	if cs.ctx.Upstream == "" || len(sim.upstreamFiles) == 0 {
+	if cs.ctx.Upstream == "" || len(sim.upstreamSteps) == 0 {
 		return
 	}
 	ucs, ok := v.shardOf(cs.ctx.Upstream)
@@ -217,22 +239,15 @@ func (v *Virtualizer) releaseUpstream(cs *shard, sim *simState) {
 	}
 	ucs.mu.Lock()
 	defer ucs.mu.Unlock()
-	for _, name := range sim.upstreamFiles {
-		step, err := ucs.ctx.Key(name)
-		if err != nil {
-			continue
-		}
+	for _, step := range sim.upstreamSteps {
 		if ucs.refs[step] > 0 {
 			ucs.refs[step]--
 			if ucs.refs[step] == 0 {
 				delete(ucs.refs, step)
 			}
-			if ucs.resident(step) {
-				_ = ucs.cache.Unpin(name)
-			}
 		}
 	}
-	sim.upstreamFiles = nil
+	sim.upstreamSteps = nil
 }
 
 // SimStarted implements the launcher Events contract: production begins
@@ -273,29 +288,15 @@ func (v *Virtualizer) StepProduced(simID int64, step int) {
 	}
 	sim.produced++
 	cs.stats.StepsProduced++
-	v.insertStep(cs, step)
 	cs.everProduced[step] = true
 	if sim.prefetchFor != "" {
 		if _, tracked := cs.prefetched[step]; !tracked {
 			cs.prefetched[step] = sim.prefetchFor
 		}
 	}
-	// Production by any simulation satisfies the promise, even when an
-	// overlapping simulation registered it: the file is on disk, which is
-	// all a promise guarantees. (Keeping the marker until the owner also
-	// produced the step left it both resident and promised.)
-	delete(cs.promised, step)
-	ws := cs.waiters[step]
-	delete(cs.waiters, step)
-	now := v.clock.Now()
-	for _, w := range ws {
-		cs.lastReady[w.client] = now
-	}
+	ws := v.stepArrived(cs, step, nil)
 	cs.mu.Unlock()
-	for _, w := range ws {
-		w.cb(Status{Ready: true})
-	}
-	v.publishReady(cs.ctx.Name, []int{step})
+	v.announceReady(cs.ctx.Name, []int{step}, ws)
 }
 
 // SimEnded implements the launcher Events contract.
@@ -337,7 +338,7 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 			cbs, failed = v.requeuePreempted(cs, sim)
 		} else {
 			errMsg = "re-simulation killed"
-			cbs, failed = v.failPromised(cs, sim, errMsg)
+			cbs, failed = failPromised(cs, sim)
 		}
 	default:
 		cs.stats.Failures++
@@ -351,6 +352,7 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 			v.repromise(cs, sim)
 			first, last, par := sim.first, sim.last, sim.parallelism
 			class, client := sim.class, sim.client
+			cs.retryArmed = append(cs.retryArmed, [2]int{first, last})
 			armRetry = func() {
 				v.after(delay, func() {
 					v.retryLaunch(cs.ctx.Name, first, last, par, class, client)
@@ -361,10 +363,10 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 			// the structured error so clients see attempts + retry-after.
 			errMsg = qerr.Error()
 			attempts, retryAfter = qerr.Attempts, qerr.RetryAfter
-			cbs, failed = v.failPromised(cs, sim, errMsg)
+			cbs, failed = failPromised(cs, sim)
 		default:
 			errMsg = "re-simulation failed"
-			cbs, failed = v.failPromised(cs, sim, errMsg)
+			cbs, failed = failPromised(cs, sim)
 		}
 	}
 	if len(failed) > 0 && errMsg == "" {
@@ -392,20 +394,9 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 // failPromised clears the promises of a dead simulation, collecting the
 // waiter callbacks to notify and the orphaned steps to publish as failed.
 // Caller holds the shard lock.
-func (v *Virtualizer) failPromised(cs *shard, sim *simState, msg string) ([]func(Status), []int) {
-	var cbs []func(Status)
-	var failed []int
-	for s := sim.first; s <= sim.last; s++ {
-		if id, p := cs.promised[s]; p && id == sim.id {
-			delete(cs.promised, s)
-			failed = append(failed, s)
-			for _, w := range cs.waiters[s] {
-				cbs = append(cbs, w.cb)
-			}
-			delete(cs.waiters, s)
-		}
-	}
-	return cbs, failed
+func failPromised(cs *shard, sim *simState) ([]func(Status), []int) {
+	failed := clearPromised(cs, sim.first, sim.last, sim.id)
+	return takeWaiters(cs, failed), failed
 }
 
 // drainScheduler starts queued launches while the scheduler admits them.
@@ -421,32 +412,23 @@ func (v *Virtualizer) drainScheduler() {
 	// agent prefetch (no-op unless Config.Preempt is set).
 	defer v.maybePreempt()
 	for {
-		job, ok := v.sched.Next()
+		job, cs, cleared, ok := v.popJob()
 		if !ok {
 			return
-		}
-		cs, found := v.shardOf(job.Ctx)
-		if !found {
-			v.sched.Release(job)
-			continue
-		}
-		cs.mu.Lock()
-		// Clear the pending markers; startSim re-marks what it launches.
-		var cleared []int
-		for s := job.First; s <= job.Last; s++ {
-			if cs.promised[s] == pendingSimID {
-				delete(cs.promised, s)
-				cleared = append(cleared, s)
-			}
 		}
 		if cs.draining && !(job.Class == sched.Demand && v.anyoneNeeds(cs, job.First, job.Last)) {
 			// The context is draining (or was removed while this job sat
 			// queued): nothing new starts. Demand work with live waiters
 			// or references is the exception — pre-drain work completes.
-			v.remarkQueued(cs)
+			// A prefetch-class job may still have waiters who joined its
+			// promise: they are failed with it.
 			orphaned := v.trulyOrphaned(cs, cleared)
+			cbs := takeWaiters(cs, orphaned)
 			v.sched.Release(job)
 			cs.mu.Unlock()
+			for _, cb := range cbs {
+				cb(Status{Err: "re-simulation canceled"})
+			}
 			v.publishFailed(cs.ctx.Name, orphaned, "re-simulation canceled")
 			continue
 		}
@@ -463,6 +445,24 @@ func (v *Virtualizer) drainScheduler() {
 	}
 }
 
+// popJob takes the next job the scheduler admits and returns it with its
+// shard locked and its pending markers cleared (startSim re-marks what it
+// launches). Jobs of a context deregistered meanwhile are released.
+func (v *Virtualizer) popJob() (job sched.Job, cs *shard, cleared []int, ok bool) {
+	v.admitting.Add(1)
+	defer v.admitting.Add(-1)
+	for {
+		if job, ok = v.sched.Next(); !ok {
+			return job, nil, nil, false
+		}
+		if cs, ok = v.shardOf(job.Ctx); ok {
+			cs.mu.Lock()
+			return job, cs, clearPromised(cs, job.First, job.Last, pendingSimID), true
+		}
+		v.sched.Release(job)
+	}
+}
+
 // anyoneNeeds reports whether any step in the range has waiters or
 // references. Caller holds the shard lock.
 func (v *Virtualizer) anyoneNeeds(cs *shard, first, last int) bool {
@@ -475,18 +475,19 @@ func (v *Virtualizer) anyoneNeeds(cs *shard, first, last int) bool {
 }
 
 // trulyOrphaned filters cleared step markers down to those not covered
-// by residency, a live promise or a surviving queued job (remarkQueued
-// must have run). Caller holds the shard lock.
+// by residency, a live promise or a surviving queued job — whose markers,
+// if a range clear overlapped them, it restores first. Caller holds the
+// shard lock.
 func (v *Virtualizer) trulyOrphaned(cs *shard, cleared []int) []int {
+	if len(cleared) == 0 {
+		return nil
+	}
+	v.remarkQueued(cs)
 	var orphaned []int
 	for _, s := range cleared {
-		if cs.resident(s) {
-			continue
+		if !cs.covered(s) {
+			orphaned = append(orphaned, s)
 		}
-		if _, p := cs.promised[s]; p {
-			continue
-		}
-		orphaned = append(orphaned, s)
 	}
 	return orphaned
 }
@@ -496,14 +497,7 @@ func (v *Virtualizer) trulyOrphaned(cs *shard, cleared []int) []int {
 // that overlapped them). Caller holds the shard lock.
 func (v *Virtualizer) remarkQueued(cs *shard) {
 	for _, r := range v.sched.QueuedRanges(cs.ctx.Name) {
-		for s := r[0]; s <= r[1]; s++ {
-			if cs.resident(s) {
-				continue
-			}
-			if _, p := cs.promised[s]; !p {
-				cs.promised[s] = pendingSimID
-			}
-		}
+		v.markPromised(cs, r[0], r[1], pendingSimID)
 	}
 }
 
@@ -521,14 +515,7 @@ func (v *Virtualizer) remarkQueued(cs *shard) {
 func (v *Virtualizer) killPrefetchedFor(cs *shard, client string) ([]int, bool) {
 	// The no-waiters rule, shared by queued jobs and running sims: a
 	// range someone waits for (or references) survives.
-	keep := func(first, last int) bool {
-		for s := first; s <= last; s++ {
-			if len(cs.waiters[s]) > 0 || cs.refs[s] > 0 {
-				return true
-			}
-		}
-		return false
-	}
+	keep := func(first, last int) bool { return v.anyoneNeeds(cs, first, last) }
 
 	// cleared collects every promise marker dismantled below; it is
 	// reconciled against surviving queued jobs once, at the end. freed
@@ -541,12 +528,7 @@ func (v *Virtualizer) killPrefetchedFor(cs *shard, client string) ([]int, bool) 
 	// kills below cannot re-admit work the client no longer wants.
 	for _, job := range v.sched.CancelClient(cs.ctx.Name, client, keep) {
 		freed = true
-		for s := job.First; s <= job.Last; s++ {
-			if cs.promised[s] == pendingSimID {
-				delete(cs.promised, s)
-				cleared = append(cleared, s)
-			}
-		}
+		cleared = append(cleared, clearPromised(cs, job.First, job.Last, pendingSimID)...)
 	}
 
 	// Sorted iteration: the kill/dismantle order below is visible to the
@@ -569,30 +551,10 @@ func (v *Virtualizer) killPrefetchedFor(cs *shard, client string) ([]int, bool) 
 			v.releaseUpstream(cs, sim)
 			v.sched.ReleaseSlot(cs.ctx.Name)
 			freed = true
-			for s := sim.first; s <= sim.last; s++ {
-				if cs.promised[s] == id {
-					delete(cs.promised, s)
-					cleared = append(cleared, s)
-				}
-			}
+			cleared = append(cleared, clearPromised(cs, sim.first, sim.last, id)...)
 			cs.stats.Kills++
 		}
 	}
-	if len(cleared) == 0 {
-		return nil, freed
-	}
-	// Steps a surviving queued job still covers were only over-cleared:
-	// restore their markers, then report what is truly orphaned.
-	v.remarkQueued(cs)
-	var orphaned []int
-	for _, s := range cleared {
-		if cs.resident(s) {
-			continue
-		}
-		if _, p := cs.promised[s]; p {
-			continue
-		}
-		orphaned = append(orphaned, s)
-	}
-	return orphaned, freed
+	// Steps a surviving queued job still covers were only over-cleared.
+	return v.trulyOrphaned(cs, cleared), freed
 }

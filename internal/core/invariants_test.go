@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"simfs/internal/des"
 	"simfs/internal/faults"
 	"simfs/internal/model"
+	"simfs/internal/sched"
 )
 
 // fuzzInvariants drives the Virtualizer with random client behavior —
@@ -139,5 +141,34 @@ func TestCheckInvariantsCleanState(t *testing.T) {
 	h.eng.Run(0)
 	if err := h.v.CheckInvariants(); err != nil {
 		t.Errorf("drained state violates invariants: %v", err)
+	}
+}
+
+// TestInvariantPendingMarkerNeedsOwner is the shape of the stranded-
+// watcher bug PR 21 fixed in retryLaunch: a job leaves the scheduler, its
+// launch never happens, and nobody clears or fails the pending markers
+// it left on the shard — a promise no simulation will keep. Clause 2
+// must see it.
+func TestInvariantPendingMarkerNeedsOwner(t *testing.T) {
+	ctx := testContext("c")
+	ctx.SMax = 1
+	h := schedHarness(t, sched.Config{Priorities: true}, ctx)
+	h.v.Open("a1", "c", ctx.Filename(2)) // takes the one slot
+	if n, err := h.v.GuidedPrefetch("a2", "c", []string{ctx.Filename(6)}); err != nil || n != 0 {
+		t.Fatalf("GuidedPrefetch = %d, %v; want the hint queued behind smax", n, err)
+	}
+	if _, promised, _ := h.v.FileState("c", ctx.Filename(6)); !promised {
+		t.Fatal("queued hint left no pending marker")
+	}
+	if err := h.v.CheckInvariants(); err != nil {
+		t.Fatalf("a marker with its job queued is owned: %v", err)
+	}
+	// The job goes, behind core's back; markers and watchers stay.
+	if gone := h.v.Scheduler().CancelClient("c", "a2", nil); len(gone) != 1 {
+		t.Fatalf("canceled %d jobs, want the queued hint", len(gone))
+	}
+	err := h.v.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "pending with no queued job") {
+		t.Fatalf("CheckInvariants = %v, want the ownerless pending marker reported", err)
 	}
 }

@@ -59,7 +59,7 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 	now := v.clock.Now()
 	cs.stats.Opens++
 
-	hit := cs.cache.Touch(filename)
+	hit := cs.cache.Touch(step)
 	if hit {
 		cs.stats.Hits++
 		delete(cs.prefetched, step) // accessed in time: not pollution
@@ -87,14 +87,11 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 	var agentQueuedDemand bool
 	orphaned, freedCapacity, agentQueuedDemand = v.runAgent(cs, client, step, now, procTime)
 	queuedDemand = queuedDemand || agentQueuedDemand
+	// The reference is counted where the open succeeds — a refused open
+	// has nothing to roll back. Once counted the step cannot be evicted.
 	if hit {
 		cs.lastReady[client] = now
-	}
-
-	// Count the reference (pin when resident).
-	cs.refs[step]++
-	if cs.resident(step) {
-		_ = cs.cache.Pin(filename)
+		cs.refs[step]++
 		return OpenResult{Available: true}, nil
 	}
 
@@ -112,12 +109,10 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 	} else if !promised {
 		iv, err := cs.ctx.Grid.ResimInterval(step)
 		if err != nil {
-			cs.refs[step]--
 			return OpenResult{}, err
 		}
 		first, last, ok := cs.ctx.Grid.OutputsIn(iv)
 		if !ok {
-			cs.refs[step]--
 			return OpenResult{}, fmt.Errorf("core: %w: no outputs in re-simulation interval for %q", ErrInvalid, filename)
 		}
 		// Circuit breaker: an interval that exhausted its retry budget
@@ -125,7 +120,6 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 		// launching a simulation that will not produce.
 		if qf, ql, okq := alignLaunchRange(cs, first, last); okq {
 			if qerr := v.quarantineErr(cs, qf, ql); qerr != nil {
-				cs.refs[step]--
 				return OpenResult{}, qerr
 			}
 		}
@@ -136,6 +130,7 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 			queuedDemand = true
 		}
 	}
+	cs.refs[step]++
 	return OpenResult{Available: false, EstWait: v.estWaitLocked(cs, step, now)}, nil
 }
 
@@ -146,13 +141,8 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 // notify hub instead; this in-process path remains for embedded users and
 // the pipeline coordinator.
 func (v *Virtualizer) WaitFile(client, ctxName, filename string, cb func(Status)) error {
-	cs, err := v.lockedShard(ctxName)
+	cs, step, err := v.lockedStep(ctxName, filename)
 	if err != nil {
-		return err
-	}
-	step, err := cs.keyOf(filename)
-	if err != nil {
-		cs.mu.Unlock()
 		return err
 	}
 	if cs.resident(step) {
@@ -172,24 +162,17 @@ func (v *Virtualizer) WaitFile(client, ctxName, filename string, cb func(Status)
 // Release drops a client's reference to a file (close in transparent
 // mode, SIMFS_Release in API mode).
 func (v *Virtualizer) Release(client, ctxName, filename string) error {
-	cs, err := v.lockedShard(ctxName)
+	cs, step, err := v.lockedStep(ctxName, filename)
 	if err != nil {
 		return err
 	}
 	defer cs.mu.Unlock()
-	step, err := cs.keyOf(filename)
-	if err != nil {
-		return err
-	}
 	if cs.refs[step] <= 0 {
 		return fmt.Errorf("core: %w: release of unreferenced file %q", ErrInvalid, filename)
 	}
 	cs.refs[step]--
 	if cs.refs[step] == 0 {
 		delete(cs.refs, step)
-	}
-	if cs.resident(step) {
-		return cs.cache.Unpin(filename)
 	}
 	return nil
 }
@@ -319,10 +302,7 @@ func (v *Virtualizer) GuidedPrefetch(client, ctxName string, filenames []string)
 		if !cs.ctx.Grid.ValidOutput(step) {
 			return launched, fmt.Errorf("core: %w: %q is outside the simulated timeline", ErrInvalid, f)
 		}
-		if cs.resident(step) {
-			continue
-		}
-		if _, promised := cs.promised[step]; promised {
+		if cs.covered(step) {
 			continue
 		}
 		before := cs.stats.Restarts
@@ -347,15 +327,11 @@ func (v *Virtualizer) GuidedPrefetch(client, ctxName string, filenames []string)
 // EstWait returns the estimated wait for a file (exposed via
 // SIMFS_Status).
 func (v *Virtualizer) EstWait(ctxName, filename string) (time.Duration, error) {
-	cs, err := v.lockedShard(ctxName)
+	cs, step, err := v.lockedStep(ctxName, filename)
 	if err != nil {
 		return 0, err
 	}
 	defer cs.mu.Unlock()
-	step, err := cs.keyOf(filename)
-	if err != nil {
-		return 0, err
-	}
 	if cs.resident(step) {
 		return 0, nil
 	}
@@ -423,17 +399,7 @@ func (v *Virtualizer) runAgent(cs *shard, client string, step int, now, procTime
 	}
 	// The agent's follow-up launches may have re-promised some orphaned
 	// steps; those are in flight again, not failed.
-	kept := orphaned[:0]
-	for _, s := range orphaned {
-		if cs.resident(s) {
-			continue
-		}
-		if _, p := cs.promised[s]; p {
-			continue
-		}
-		kept = append(kept, s)
-	}
-	return kept, freed, queuedDemand
+	return v.trulyOrphaned(cs, orphaned), freed, queuedDemand
 }
 
 // coveredUntil walks the trajectory from `from` along dir with stride k
@@ -449,10 +415,8 @@ func (v *Virtualizer) coveredUntil(cs *shard, from, dir, k int) int {
 		if !cs.ctx.Grid.ValidOutput(next) {
 			return j
 		}
-		if !cs.resident(next) {
-			if _, promised := cs.promised[next]; !promised {
-				return j
-			}
+		if !cs.covered(next) {
+			return j
 		}
 		j = next
 	}
@@ -501,13 +465,7 @@ func (v *Virtualizer) launch(cs *shard, first, last, parallelism int, class sche
 		// launch for its upstream inputs: that cue bubbles up.
 		return v.startSim(cs, first, last, parallelism, class, client)
 	case sched.Queued:
-		for s := first; s <= last; s++ {
-			if !cs.resident(s) {
-				if _, p := cs.promised[s]; !p {
-					cs.promised[s] = pendingSimID
-				}
-			}
-		}
+		v.markPromised(cs, first, last, pendingSimID)
 		return class == sched.Demand
 	case sched.Dropped:
 		cs.stats.DroppedPrefetch++
@@ -542,10 +500,7 @@ func alignLaunchRange(cs *shard, first, last int) (int, int, bool) {
 // nor promised. Caller holds the shard lock.
 func (v *Virtualizer) uncovered(cs *shard, first, last int) bool {
 	for s := first; s <= last; s++ {
-		if cs.resident(s) {
-			continue
-		}
-		if _, p := cs.promised[s]; !p {
+		if !cs.covered(s) {
 			return true
 		}
 	}

@@ -8,8 +8,9 @@ import (
 	"simfs/internal/model"
 )
 
-// pipelinePair returns a coarse→fine context pair on one harness.
-func pipelinePair(t *testing.T) (*harness, *model.Context, *model.Context) {
+// pipelinePair returns a coarse→fine context pair on one harness; tweak
+// adjusts the contexts before they are registered.
+func pipelinePair(t *testing.T, tweak ...func(coarse, fine *model.Context)) (*harness, *model.Context, *model.Context) {
 	t.Helper()
 	coarse := &model.Context{
 		Name:               "coarse",
@@ -36,6 +37,9 @@ func pipelinePair(t *testing.T) (*harness, *model.Context, *model.Context) {
 		NoPrefetch:         true,
 	}
 	fine.ApplyDefaults()
+	for _, f := range tweak {
+		f(coarse, fine)
+	}
 	h := newHarness(t, coarse, fine)
 	return h, coarse, fine
 }
@@ -94,15 +98,21 @@ func TestPipelineReusesResidentUpstream(t *testing.T) {
 }
 
 func TestPipelineUpstreamPinnedDuringFineResim(t *testing.T) {
-	h, coarse, fine := pipelinePair(t)
-	// Tiny coarse cache: 2 entries. The fine re-simulation needs coarse
-	// steps 5..6; they must stay pinned (unevictable) until it finishes.
-	_ = coarse
+	// Tiny coarse storage area: 2 steps. The fine re-simulation needs
+	// coarse steps 5..6; they must stay unevictable until it finishes —
+	// also when a second coarse simulation produces them again meanwhile.
+	h, coarse, fine := pipelinePair(t, func(coarse, _ *model.Context) { coarse.MaxCacheBytes = 2 })
+	resident := func(step int) bool {
+		t.Helper()
+		r, _, err := h.v.FileState("coarse", coarse.Filename(step))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// t=0: fine 17..24 parks on coarse 5..6; coarse run A produces 5..8
+	// at t=3..6 s. The fine run launches at 4 s and ends at 14 s.
 	h.v.Open("a1", "fine", fine.Filename(20))
-	// While the pipeline is resolving, flood the coarse cache via another
-	// analysis to create eviction pressure.
-	h.v.Open("a2", "coarse", coarse.Filename(10))
-	h.v.Open("a2", "coarse", coarse.Filename(20))
 	done := false
 	h.v.WaitFile("a1", "fine", fine.Filename(20), func(st Status) {
 		if st.Err != "" {
@@ -110,9 +120,39 @@ func TestPipelineUpstreamPinnedDuringFineResim(t *testing.T) {
 		}
 		done = true
 	})
+	// 7 and 8 arrive into a full area whose residents 5 and 6 are
+	// referenced: 8 can only push out 7.
+	h.eng.RunUntil(6500 * time.Millisecond)
+	if !resident(5) || !resident(6) || resident(7) {
+		t.Fatalf("at 6.5s resident(5,6,7) = %v,%v,%v, want true,true,false", resident(5), resident(6), resident(7))
+	}
+	// Another analysis misses on 7: coarse run B produces 5..8 again, 5
+	// and 6 while the fine run still holds them.
+	h.v.Open("a2", "coarse", coarse.Filename(7))
+	h.eng.RunUntil(13 * time.Second)
+	if cs, _ := h.v.Stats("coarse"); cs.Restarts != 2 {
+		t.Fatalf("coarse restarts = %d, want the two overlapping runs", cs.Restarts)
+	}
+	if !resident(5) || !resident(6) {
+		t.Fatal("coarse inputs evicted under the running fine re-simulation")
+	}
+	if err := h.v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	h.eng.Run(0)
 	if !done {
 		t.Fatal("fine output never produced")
+	}
+	// The fine run returned its one reference per input: only a2's open
+	// of 7 is left, and 5..6 wash out like any unreferenced step.
+	ucs, _ := h.v.shardOf("coarse")
+	if len(ucs.refs) != 1 || ucs.refs[7] != 1 {
+		t.Fatalf("coarse refs after the pipeline drained = %v, want only step 7 once", ucs.refs)
+	}
+	h.v.Open("a2", "coarse", coarse.Filename(10))
+	h.eng.Run(0)
+	if resident(5) || resident(6) {
+		t.Error("coarse inputs still resident after release and four newer steps")
 	}
 }
 

@@ -111,13 +111,9 @@ func (v *Virtualizer) killVictim(cs *shard, simID int64) bool {
 // contract (empty on the requeue path). Caller holds the shard lock.
 func (v *Virtualizer) requeuePreempted(cs *shard, sim *simState) ([]func(Status), []int) {
 	if cs.draining {
-		return v.failPromised(cs, sim, "re-simulation killed")
+		return failPromised(cs, sim)
 	}
-	for s := sim.first; s <= sim.last; s++ {
-		if id, p := cs.promised[s]; p && id == sim.id {
-			delete(cs.promised, s)
-		}
-	}
+	clearPromised(cs, sim.first, sim.last, sim.id)
 	if !v.uncovered(cs, sim.first, sim.last) {
 		// Every step is resident or promised by another simulation:
 		// nothing left to requeue, nothing orphaned.

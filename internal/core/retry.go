@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"simfs/internal/sched"
@@ -181,7 +182,9 @@ func (v *Virtualizer) quarantineErr(cs *shard, first, last int) *QuarantineError
 // markers, keeping their waiters attached through the backoff window
 // (waiters only ever sit on promised steps) and keeping demand opens
 // from storming fresh launches for an interval a retry already covers.
-// Caller holds the shard lock.
+// The markers change owner in place — clearPromised + markPromised would
+// also promise steps of the range this simulation never held. Caller
+// holds the shard lock.
 func (v *Virtualizer) repromise(cs *shard, sim *simState) {
 	for s := sim.first; s <= sim.last; s++ {
 		if id, p := cs.promised[s]; p && id == sim.id {
@@ -205,26 +208,16 @@ func (v *Virtualizer) retryLaunch(ctxName string, first, last, parallelism int, 
 		return
 	}
 	cs.mu.Lock()
-	var cleared []int
-	for s := first; s <= last; s++ {
-		if cs.promised[s] == pendingSimID {
-			delete(cs.promised, s)
-			cleared = append(cleared, s)
-		}
+	if i := slices.Index(cs.retryArmed, [2]int{first, last}); i >= 0 {
+		cs.retryArmed = slices.Delete(cs.retryArmed, i, i+1)
 	}
+	cleared := clearPromised(cs, first, last, pendingSimID)
 	queued := false
 	if !cs.draining || class == sched.Demand && v.anyoneNeeds(cs, first, last) {
 		queued = v.launch(cs, first, last, parallelism, class, client)
 	}
-	v.remarkQueued(cs)
 	orphaned := v.trulyOrphaned(cs, cleared)
-	var cbs []func(Status)
-	for _, s := range orphaned {
-		for _, w := range cs.waiters[s] {
-			cbs = append(cbs, w.cb)
-		}
-		delete(cs.waiters, s)
-	}
+	cbs := takeWaiters(cs, orphaned)
 	cs.mu.Unlock()
 	for _, cb := range cbs {
 		cb(Status{Err: "re-simulation canceled"})

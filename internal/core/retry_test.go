@@ -107,8 +107,16 @@ func TestQuarantineFailsWaitersStructured(t *testing.T) {
 	if err := h.v.Release("a1", "c", file); err == nil {
 		t.Error("reference was not rolled back on quarantine fail-fast")
 	}
+	// Nor a zero-count entry: a client holding nothing is refused and the
+	// ledger stays empty, for CheckInvariants and for deregistration.
+	if _, err := h.v.Open("a2", "c", file); !errors.As(err, &qerr) {
+		t.Fatalf("second client's open during quarantine = %v, want QuarantineError", err)
+	}
 	if err := h.v.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+	if err := h.v.RemoveContext("c"); err != nil {
+		t.Errorf("deregistration after the refused open: %v", err)
 	}
 }
 

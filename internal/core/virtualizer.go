@@ -130,8 +130,8 @@ type simState struct {
 	// pipeline wait state: number of upstream files still missing before
 	// the simulation can actually be submitted.
 	pendingUpstream int
-	upstreamFiles   []string // names of upstream files pinned by this sim
-	launched        bool     // handed to the Launcher (vs pipeline-pending)
+	upstreamSteps   []int // upstream steps this sim holds references on
+	launched        bool  // handed to the Launcher (vs pipeline-pending)
 }
 
 // shard is the per-context slice of the Virtualizer: one context's whole
@@ -141,8 +141,10 @@ type shard struct {
 
 	ctx    *model.Context
 	driver simulator.Driver
-	cache  *cache.Cache
-	fs     vfs.FS // optional mirror of the storage area
+	// cache is keyed by output step like the ledgers below; refs is its
+	// eviction guard (cache.PinnedBy), so there is no pin count to mirror.
+	cache *cache.CacheOf[int]
+	fs    vfs.FS // optional mirror of the storage area
 
 	// draining refuses new opens and prefetches (control-plane drain /
 	// deregistration); running work completes and releases still land.
@@ -168,7 +170,7 @@ type shard struct {
 	sims      map[int64]*simState
 	alphaEMA  *metrics.EMA
 	stats     CtxStats
-	checksums map[string]uint64
+	checksums map[int]uint64
 	// failures is the per-interval failure ledger (keyed by the launch
 	// interval) driving retry backoff and quarantine; empty unless a
 	// RetryPolicy is installed. retries counts ledger re-submissions,
@@ -178,6 +180,10 @@ type shard struct {
 	failures    map[[2]int]*failureRec
 	retries     int64
 	quarantined int64
+	// retryArmed lists the intervals whose retry timer is armed: from a
+	// failed simulation's SimEnded to its retryLaunch the timer, not a
+	// queued job, owns their pending markers (CheckInvariants clause 2).
+	retryArmed [][2]int
 }
 
 // Virtualizer is the DV state machine. All exported methods are safe for
@@ -210,6 +216,10 @@ type Virtualizer struct {
 	retryMu  sync.Mutex
 	retry    RetryPolicy
 	retryRng *rand.Rand
+	// admitting counts drain passes between popping a job off the
+	// scheduler and clearing its pending markers under the shard lock —
+	// the window in which such markers have no owner (CheckInvariants 2).
+	admitting atomic.Int32
 	// after arms a delayed callback (retry backoff). The default uses
 	// wall-clock time.AfterFunc; tests inject their own timer.
 	after func(time.Duration, func())
@@ -252,13 +262,13 @@ func (v *Virtualizer) Hub() *notify.Hub { return v.hub }
 func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.FS) error {
 	ctx.ApplyDefaults()
 	if err := ctx.Validate(); err != nil {
-		return err
+		return fmt.Errorf("core: %w: %v", ErrInvalid, err)
 	}
 	capacity := ctx.CacheCapacitySteps()
 	if capacity == 0 {
 		capacity = ctx.Grid.NumOutputSteps()
 	}
-	pol, err := cache.NewPolicy(policyName, capacity)
+	pol, err := cache.NewPolicyOf[int](policyName, capacity)
 	if err != nil {
 		return err
 	}
@@ -273,10 +283,10 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 		}
 	}
 	v.sched.Register(ctx.Name, ctx.SMax)
-	v.contexts[ctx.Name] = &shard{
+	cs := &shard{
 		ctx:          ctx,
 		driver:       simulator.NewSynthetic(ctx),
-		cache:        cache.New(pol, ctx.MaxCacheBytes),
+		cache:        cache.NewOf(pol, ctx.MaxCacheBytes),
 		fs:           fs,
 		promised:     map[int]int64{},
 		waiters:      map[int][]waiter{},
@@ -287,9 +297,11 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 		lastReady:    map[string]time.Duration{},
 		sims:         map[int64]*simState{},
 		alphaEMA:     metrics.NewEMA(ctx.AlphaSmoothing),
-		checksums:    map[string]uint64{},
+		checksums:    map[int]uint64{},
 		failures:     map[[2]int]*failureRec{},
 	}
+	cs.cache.PinnedBy(func(step int) bool { return cs.refs[step] > 0 })
+	v.contexts[ctx.Name] = cs
 	return nil
 }
 
@@ -309,6 +321,22 @@ func (v *Virtualizer) lockedShard(name string) (*shard, error) {
 	}
 	cs.mu.Lock()
 	return cs, nil
+}
+
+// lockedStep is lockedShard for a method that is handed one file name:
+// the name becomes its step here, where it enters core, and everything
+// behind speaks steps. The lock is held only when err is nil.
+func (v *Virtualizer) lockedStep(ctxName, filename string) (*shard, int, error) {
+	cs, err := v.lockedShard(ctxName)
+	if err != nil {
+		return nil, 0, err
+	}
+	step, err := cs.keyOf(filename)
+	if err != nil {
+		cs.mu.Unlock()
+		return nil, 0, err
+	}
+	return cs, step, nil
 }
 
 // simShard routes a launcher simulation id to its shard (nil if the
@@ -482,15 +510,11 @@ func (v *Virtualizer) StorageArea(ctxName string) (vfs.FS, error) {
 // subscription it gives a race-free wait: subscribe, then check — a file
 // neither resident nor promised will never produce an event.
 func (v *Virtualizer) FileState(ctxName, filename string) (resident, promised bool, err error) {
-	cs, err := v.lockedShard(ctxName)
+	cs, step, err := v.lockedStep(ctxName, filename)
 	if err != nil {
 		return false, false, err
 	}
 	defer cs.mu.Unlock()
-	step, err := cs.keyOf(filename)
-	if err != nil {
-		return false, false, err
-	}
 	_, p := cs.promised[step]
 	return cs.resident(step), p, nil
 }
@@ -501,14 +525,11 @@ func (v *Virtualizer) FileState(ctxName, filename string) (resident, promised bo
 // wait-excluded processing-time measurement (τcli) explicitly — the
 // in-process WaitFile path stamps it in StepProduced instead.
 func (v *Virtualizer) NoteClientReady(client, ctxName, filename string) {
-	cs, err := v.lockedShard(ctxName)
+	cs, _, err := v.lockedStep(ctxName, filename)
 	if err != nil {
 		return
 	}
 	defer cs.mu.Unlock()
-	if _, err := cs.keyOf(filename); err != nil {
-		return
-	}
 	cs.lastReady[client] = v.clock.Now()
 }
 
@@ -541,10 +562,13 @@ func (v *Virtualizer) Preload(ctxName string, steps []int) error {
 			cs.mu.Unlock()
 			return fmt.Errorf("core: preload step %d out of range", s)
 		}
-		v.insertStep(cs, s)
+	}
+	var ws []waiter
+	for _, s := range steps {
+		ws = v.stepArrived(cs, s, ws)
 	}
 	cs.mu.Unlock()
-	v.publishReady(ctxName, steps)
+	v.announceReady(ctxName, steps, ws)
 	return nil
 }
 
@@ -560,24 +584,54 @@ func (v *Virtualizer) RescanStorageArea(ctxName string) (int, error) {
 		return 0, fmt.Errorf("core: context %q has no storage area", ctxName)
 	}
 	var added []int
+	var ws []waiter
 	for _, name := range cs.fs.List() {
 		step, err := cs.ctx.Key(name)
 		if err != nil {
 			continue // restart files, foreign files
 		}
-		if !cs.cache.Contains(name) {
-			v.insertStep(cs, step)
+		if !cs.resident(step) {
+			ws = v.stepArrived(cs, step, ws)
 			added = append(added, step)
 		}
 	}
 	cs.mu.Unlock()
-	v.publishReady(ctxName, added)
+	v.announceReady(ctxName, added, ws)
 	return len(added), nil
 }
 
-// publishReady announces file availability on the hub. Callers must not
-// hold shard locks.
-func (v *Virtualizer) publishReady(ctxName string, steps []int) {
+// stepArrived is the one tail of a step reaching the storage area,
+// whoever put it there (a re-simulation, Preload, a rescan): the step
+// becomes resident; its promise is settled whichever simulation
+// registered it — the file is on disk, which is all a promise guarantees;
+// its waiters are detached onto ws and their clients' τcli baselines
+// stamped. The caller passes ws to announceReady after unlocking. Caller
+// holds the shard lock.
+func (v *Virtualizer) stepArrived(cs *shard, step int, ws []waiter) []waiter {
+	v.insertStep(cs, step)
+	delete(cs.promised, step)
+	arrived := cs.waiters[step]
+	if len(arrived) == 0 {
+		return ws
+	}
+	delete(cs.waiters, step)
+	now := v.clock.Now()
+	for _, w := range arrived {
+		cs.lastReady[w.client] = now
+	}
+	if ws == nil {
+		return arrived // the common single-step arrival copies nothing
+	}
+	return append(ws, arrived...)
+}
+
+// announceReady tells the waiters stepArrived detached that their file
+// is ready and announces the steps' availability on the hub. Callers
+// must not hold shard locks.
+func (v *Virtualizer) announceReady(ctxName string, steps []int, ws []waiter) {
+	for _, w := range ws {
+		w.cb(Status{Ready: true})
+	}
 	for _, s := range steps {
 		v.hub.Publish(notify.Event{Topic: notify.Topic{Context: ctxName, Step: s}, Kind: notify.FileReady})
 	}
@@ -600,30 +654,19 @@ func (v *Virtualizer) publishFailedDetail(ctxName string, steps []int, msg strin
 	}
 }
 
-// insertStep makes a step resident, applying eviction and pinning for
-// current references. Caller holds the shard lock.
+// insertStep makes a step resident, evicting unreferenced steps as
+// needed. Caller holds the shard lock.
 func (v *Virtualizer) insertStep(cs *shard, step int) {
-	name := cs.ctx.Filename(step)
-	cost := cs.ctx.Grid.MissCost(step)
-	// Overlapping re-simulations may produce the same step twice; the
-	// references were pinned at the first production, so a re-insert must
-	// only refresh recency.
-	wasResident := cs.cache.Contains(name)
-	evicted, err := cs.cache.Insert(name, cs.ctx.OutputBytes, cost)
+	evicted, err := cs.cache.Insert(step, cs.ctx.OutputBytes, cs.ctx.Grid.MissCost(step))
 	if err != nil {
-		// Only possible for a file larger than the whole cache;
-		// experiments never configure that, but do not lose the file.
+		// A step larger than the whole storage area (Context.Validate
+		// refuses to register one): the file stays on disk, untracked.
 		return
 	}
 	for _, victim := range evicted {
 		cs.stats.Evictions++
 		if cs.fs != nil {
-			_ = cs.fs.Remove(victim) // best effort; absence is acceptable
-		}
-	}
-	if !wasResident {
-		for i := 0; i < cs.refs[step]; i++ {
-			_ = cs.cache.Pin(name)
+			_ = cs.fs.Remove(cs.ctx.Filename(victim)) // best effort; absence is acceptable
 		}
 	}
 }
@@ -641,6 +684,11 @@ func (cs *shard) keyOf(filename string) (int, error) {
 
 // resident reports whether a step's file is on disk. Caller holds the
 // shard lock.
-func (cs *shard) resident(step int) bool {
-	return cs.cache.Contains(cs.ctx.Filename(step))
+func (cs *shard) resident(step int) bool { return cs.cache.Contains(step) }
+
+// covered reports whether a step is resident or promised. Caller holds
+// the shard lock.
+func (cs *shard) covered(step int) bool {
+	_, promised := cs.promised[step]
+	return promised || cs.resident(step)
 }

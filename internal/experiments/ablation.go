@@ -122,25 +122,26 @@ func AblationPinPressure() (*metrics.Table, error) {
 	}
 	results, err := RunCells(0, len(cells), func(i int) (float64, error) {
 		pol, frac := cells[i].pol, cells[i].frac
-		p, err := cache.NewPolicy(pol, capacity)
+		p, err := cache.NewPolicyOf[int](pol, capacity)
 		if err != nil {
 			return 0, err
 		}
-		c := cache.New(p, capacity) // 1-byte entries
+		c := cache.NewOf(p, capacity) // 1-byte entries
 		pinned := int(frac * capacity)
+		// Keys 0..capacity-1 are the base set, capacity.. the newcomers.
 		for i := 0; i < capacity; i++ {
-			if _, err := c.Insert(fmt.Sprintf("base%03d", i), 1, 1); err != nil {
+			if _, err := c.Insert(i, 1, 1); err != nil {
 				return 0, err
 			}
 		}
 		n := 0
 		for i := 0; i < capacity && n < pinned; i++ {
-			if c.Pin(fmt.Sprintf("base%03d", i)) == nil {
+			if c.Pin(i) == nil {
 				n++
 			}
 		}
 		for i := 0; i < 4*capacity; i++ {
-			if _, err := c.Insert(fmt.Sprintf("new%04d", i), 1, i%12+1); err != nil {
+			if _, err := c.Insert(capacity+i, 1, i%12+1); err != nil {
 				return 0, err
 			}
 		}

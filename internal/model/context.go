@@ -96,6 +96,9 @@ func (c *Context) Validate() error {
 	if c.OutputBytes <= 0 {
 		return fmt.Errorf("context %q: OutputBytes must be positive", c.Name)
 	}
+	if c.MaxCacheBytes > 0 && c.MaxCacheBytes < c.OutputBytes {
+		return fmt.Errorf("context %q: MaxCacheBytes %d holds no output step (%d bytes)", c.Name, c.MaxCacheBytes, c.OutputBytes)
+	}
 	if c.Tau <= 0 {
 		return fmt.Errorf("context %q: Tau must be positive", c.Name)
 	}

@@ -217,6 +217,7 @@ func TestContextValidateAndDefaults(t *testing.T) {
 		func(c *Context) { c.SMax = 0 },
 		func(c *Context) { c.AlphaSmoothing = 1.5 },
 		func(c *Context) { c.MaxCacheBytes = -1 },
+		func(c *Context) { c.MaxCacheBytes = c.OutputBytes - 1 }, // holds no step
 	}
 	for n, mutate := range bad {
 		cc := *c
