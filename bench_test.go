@@ -8,6 +8,7 @@ package simfs
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -279,6 +280,42 @@ func BenchmarkPolicy(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkPolicyAtCapacity measures the per-access cost of each scheme
+// with the cache full and nearly every access an eviction: uniform keys
+// over four times the capacity, costs 1–8, integer keys as in core. The
+// quadratic probe of BenchmarkPolicy touches a few hundred keys and hardly
+// evicts; this is the one that shows work growing with the cache (BCL/DCL
+// scanned it for a victim, and DCL walked its eviction history).
+func BenchmarkPolicyAtCapacity(b *testing.B) {
+	const capacity = 1024
+	for _, name := range cache.PolicyNames() {
+		b.Run(name, func(b *testing.B) {
+			pol, err := cache.NewPolicyOf[int](name, capacity)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := cache.NewOf(pol, capacity)
+			rng := rand.New(rand.NewSource(1))
+			access := func() {
+				k := rng.Intn(4 * capacity)
+				if !c.Touch(k) {
+					if _, err := c.InsertDiscard(k, 1, k%8+1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 8*capacity; i++ { // fill, and let DCL's history build
+				access()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				access()
 			}
 		})
 	}

@@ -12,6 +12,14 @@ type node[K comparable] struct {
 	// LIRS flags.
 	lir      bool
 	resident bool
+	// BCL/DCL state. bucket is the per-cost list the node is threaded
+	// through and seq the recency stamp (larger = more recently used) that
+	// orders nodes across those lists; spared marks a DCL entry with a
+	// pending depreciation, armed when sparedFor was evicted in its place.
+	spared    bool
+	seq       uint64
+	bucket    *costBucket[K]
+	sparedFor K
 }
 
 // list is a doubly-linked list with sentinel-free head/tail pointers,
@@ -44,6 +52,23 @@ func (l *list[K]) pushBack(nd *node[K]) {
 	if l.front == nil {
 		l.front = nd
 	}
+	l.n++
+}
+
+// insertAfter links nd behind at (towards the LRU end); a nil at means
+// the front.
+func (l *list[K]) insertAfter(nd, at *node[K]) {
+	if at == nil {
+		l.pushFront(nd)
+		return
+	}
+	nd.prev, nd.next = at, at.next
+	if at.next != nil {
+		at.next.prev = nd
+	} else {
+		l.back = nd
+	}
+	at.next = nd
 	l.n++
 }
 

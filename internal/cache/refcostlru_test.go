@@ -1,0 +1,348 @@
+package cache
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// refCostLRU is BCL/DCL as they were written before the per-cost lists:
+// Victim scans the recency list, and DCL's pending depreciations live in
+// two maps that cancelPendingFor walks. It is kept verbatim — apart from
+// the names and from Evict cancelling the depreciation that targets the
+// evicted key, which costLRUOf does too — as the reference that
+// TestCostLRUMatchesReferenceScan drives beside costLRUOf.
+type refCostLRU[K comparable] struct {
+	name    string
+	dynamic bool // false: BCL, true: DCL
+	byKey   map[K]*node[K]
+	rec     list[K] // MRU front … LRU back
+	// pendingDepr maps an evicted victim key to the LRU key that was
+	// spared at that eviction (DCL only).
+	pendingDepr map[K]K
+	// deprBy maps the spared-LRU key to the cost to subtract if the
+	// depreciation triggers (DCL only).
+	deprBy map[K]int
+	ar     arena[K]
+}
+
+func newRefCostLRU[K comparable](name string, dynamic bool) *refCostLRU[K] {
+	return &refCostLRU[K]{
+		name:        name,
+		dynamic:     dynamic,
+		byKey:       map[K]*node[K]{},
+		pendingDepr: map[K]K{},
+		deprBy:      map[K]int{},
+	}
+}
+
+// Name implements PolicyOf.
+func (p *refCostLRU[K]) Name() string { return p.name }
+
+// Access implements PolicyOf.
+func (p *refCostLRU[K]) Access(key K) {
+	nd, ok := p.byKey[key]
+	if !ok {
+		return
+	}
+	p.rec.moveToFront(nd)
+	if p.dynamic {
+		// A re-accessed spared LRU proved sparing right: cancel any
+		// pending depreciation targeting it.
+		p.cancelPendingFor(key)
+	}
+}
+
+// Insert implements PolicyOf.
+func (p *refCostLRU[K]) Insert(key K, cost int) {
+	if nd, ok := p.byKey[key]; ok {
+		nd.cost = cost
+		p.Access(key)
+		return
+	}
+	if p.dynamic {
+		// Re-insertion of a previously evicted victim before the spared
+		// LRU was re-accessed: the sparing caused this extra miss, so the
+		// depreciation takes effect now.
+		if lruKey, ok := p.pendingDepr[key]; ok {
+			delete(p.pendingDepr, key)
+			if nd, resident := p.byKey[lruKey]; resident {
+				nd.cost -= p.deprBy[key]
+				if nd.cost < 0 {
+					nd.cost = 0
+				}
+			}
+			delete(p.deprBy, key)
+		}
+	}
+	nd := p.ar.get()
+	nd.key, nd.cost = key, cost
+	p.byKey[key] = nd
+	p.rec.pushFront(nd)
+}
+
+// Victim implements PolicyOf: the first entry from the LRU end with cost
+// strictly lower than the (unpinned) LRU entry; the LRU is the fallback.
+func (p *refCostLRU[K]) Victim(pinned func(K) bool) (K, bool) {
+	// The pinned checks are written inline (no wrapper closure): Victim
+	// runs once per eviction on the replay hot path.
+
+	// Find the effective LRU: the least recently used unpinned entry.
+	var lru *node[K]
+	for nd := p.rec.back; nd != nil; nd = nd.prev {
+		if pinned == nil || !pinned(nd.key) {
+			lru = nd
+			break
+		}
+	}
+	if lru == nil {
+		var zero K
+		return zero, false
+	}
+	// Scan from the LRU end towards the MRU end for a cheaper entry.
+	for nd := p.rec.back; nd != nil; nd = nd.prev {
+		if nd == lru || (pinned != nil && pinned(nd.key)) {
+			continue
+		}
+		if nd.cost < lru.cost {
+			p.sparedLRU(lru, nd)
+			return nd.key, true
+		}
+	}
+	return lru.key, true
+}
+
+// sparedLRU records that lru was spared in favor of evicting victim.
+func (p *refCostLRU[K]) sparedLRU(lru, victim *node[K]) {
+	if !p.dynamic {
+		// BCL: depreciate immediately.
+		lru.cost -= victim.cost
+		if lru.cost < 0 {
+			lru.cost = 0
+		}
+		return
+	}
+	// DCL: arm the depreciation; it fires if victim is missed on again
+	// before lru is re-accessed.
+	p.cancelPendingFor(lru.key) // at most one pending depreciation per LRU
+	p.pendingDepr[victim.key] = lru.key
+	p.deprBy[victim.key] = victim.cost
+}
+
+// cancelPendingFor drops pending depreciations that target lruKey.
+func (p *refCostLRU[K]) cancelPendingFor(lruKey K) {
+	for victim, target := range p.pendingDepr {
+		if target == lruKey {
+			delete(p.pendingDepr, victim)
+			delete(p.deprBy, victim)
+		}
+	}
+}
+
+// Evict implements PolicyOf.
+func (p *refCostLRU[K]) Evict(key K) {
+	p.removeResident(key)
+	p.cancelPendingFor(key)
+}
+
+// Remove implements PolicyOf.
+func (p *refCostLRU[K]) Remove(key K) {
+	p.removeResident(key)
+	if p.dynamic {
+		delete(p.pendingDepr, key)
+		delete(p.deprBy, key)
+		p.cancelPendingFor(key)
+	}
+}
+
+func (p *refCostLRU[K]) removeResident(key K) {
+	if nd, ok := p.byKey[key]; ok {
+		p.rec.remove(nd)
+		delete(p.byKey, key)
+		p.ar.put(nd)
+	}
+}
+
+// Contains implements PolicyOf.
+func (p *refCostLRU[K]) Contains(key K) bool { _, ok := p.byKey[key]; return ok }
+
+// Len implements PolicyOf.
+func (p *refCostLRU[K]) Len() int { return p.rec.len() }
+
+// Reset implements PolicyOf.
+func (p *refCostLRU[K]) Reset() {
+	clear(p.byKey)
+	clear(p.pendingDepr)
+	clear(p.deprBy)
+	p.ar.drain(&p.rec)
+}
+
+// costOf returns the current (possibly depreciated) cost of a resident key;
+// exported for tests via the package-internal helper.
+func (p *refCostLRU[K]) costOf(key K) (int, bool) {
+	nd, ok := p.byKey[key]
+	if !ok {
+		return 0, false
+	}
+	return nd.cost, true
+}
+
+// audit checks costLRUOf's structural invariants: buckets non-empty and in
+// ascending cost, each list in descending seq and holding the nodes of its
+// cost that point at it, every resident node threaded exactly once, and
+// pending ↔ spared
+// agreeing on both sides — which bounds len(pending) by Len().
+func (p *costLRUOf[K]) audit() error {
+	threaded := 0
+	for i, b := range p.buckets {
+		if b.rec.len() == 0 || (i > 0 && p.buckets[i-1].cost >= b.cost) {
+			return fmt.Errorf("bucket %d (cost %d): empty or out of order", i, b.cost)
+		}
+		n := 0
+		for nd := b.rec.front; nd != nil; nd = nd.next {
+			if nd.cost != b.cost || nd.bucket != b || p.byKey[nd.key] != nd || (nd.next != nil && nd.next.seq >= nd.seq) {
+				return fmt.Errorf("bucket cost %d: node %v (cost %d, seq %d) misplaced", b.cost, nd.key, nd.cost, nd.seq)
+			}
+			if d, ok := p.pending[nd.sparedFor]; nd.spared && (!ok || d.lru != nd) {
+				return fmt.Errorf("node %v spared for %v, which has no pending depreciation of it", nd.key, nd.sparedFor)
+			}
+			n++
+		}
+		if n != b.rec.len() {
+			return fmt.Errorf("bucket cost %d: %d nodes, len %d", b.cost, n, b.rec.len())
+		}
+		threaded += n
+	}
+	if threaded != p.Len() {
+		return fmt.Errorf("%d nodes threaded, %d resident", threaded, p.Len())
+	}
+	for victim, d := range p.pending {
+		if !d.lru.spared || d.lru.sparedFor != victim || p.byKey[d.lru.key] != d.lru {
+			return fmt.Errorf("pending[%v] targets %v, which is not resident and spared for it", victim, d.lru.key)
+		}
+	}
+	if len(p.pending) > p.Len() {
+		return fmt.Errorf("%d pending depreciations for %d residents", len(p.pending), p.Len())
+	}
+	return nil
+}
+
+// TestCostLRUMatchesReferenceScan drives costLRUOf and the reference scan
+// through the same seeded random operations and guard sets and requires the
+// same victim, the same cost for every key and the same Len after each one:
+// the order in which BCL and DCL evict is what Fig. 5 and the DES tables
+// print.
+func TestCostLRUMatchesReferenceScan(t *testing.T) {
+	shapes := []struct{ keys, capacity, costs, ops int }{
+		{keys: 24, capacity: 8, costs: 4, ops: 20000},
+		{keys: 96, capacity: 32, costs: 12, ops: 20000},
+		{keys: 48, capacity: 16, costs: 1000, ops: 20000}, // nearly every entry its own bucket
+	}
+	for _, name := range []string{"BCL", "DCL"} {
+		dynamic := name == "DCL"
+		for si, sh := range shapes {
+			t.Run(fmt.Sprintf("%s/keys=%d", name, sh.keys), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(si + 1)))
+				got, ref := newCostLRU[int](name, dynamic), newRefCostLRU[int](name, dynamic)
+				guarded := map[int]bool{}
+				var guard func(int) bool // nil until the first guard op: Victim(nil) is a path of its own
+				evict := func(i int, thenEvict bool) {
+					gv, gok := got.Victim(guard)
+					rv, rok := ref.Victim(guard)
+					if gv != rv || gok != rok {
+						t.Fatalf("op %d: victim %d,%v, reference %d,%v", i, gv, gok, rv, rok)
+					}
+					if gok && thenEvict {
+						got.Evict(gv)
+						ref.Evict(rv)
+					}
+				}
+				for i := 0; i < sh.ops; i++ {
+					key := rng.Intn(sh.keys)
+					switch op := rng.Intn(100); {
+					case op < 40:
+						if !ref.Contains(key) && ref.Len() >= sh.capacity {
+							evict(i, true)
+						}
+						cost := rng.Intn(sh.costs)
+						got.Insert(key, cost)
+						ref.Insert(key, cost)
+					case op < 65:
+						got.Access(key)
+						ref.Access(key)
+					case op < 80:
+						evict(i, true)
+					case op < 83:
+						evict(i, false) // a proposal nobody acts on
+					case op < 88:
+						got.Remove(key)
+						ref.Remove(key)
+					case op < 99:
+						guard = func(k int) bool { return guarded[k] }
+						clear(guarded)
+						switch mode := rng.Intn(4); mode {
+						case 0: // nothing guarded
+						case 1: // everything guarded
+							for k := 0; k < sh.keys; k++ {
+								guarded[k] = true
+							}
+						case 2: // the oldest entries guarded: the effective LRU is not the list's back
+							nd := ref.rec.back
+							for n := rng.Intn(sh.capacity/2 + 1); n > 0 && nd != nil; n-- {
+								guarded[nd.key] = true
+								nd = nd.prev
+							}
+						case 3: // a random subset
+							for k := 0; k < sh.keys; k++ {
+								guarded[k] = rng.Intn(3) == 0
+							}
+						}
+					default:
+						got.Reset()
+						ref.Reset()
+					}
+					if got.Len() != ref.Len() {
+						t.Fatalf("op %d: Len %d, reference %d", i, got.Len(), ref.Len())
+					}
+					for k := 0; k < sh.keys; k++ {
+						gc, gok := got.costOf(k)
+						rc, rok := ref.costOf(k)
+						if gc != rc || gok != rok {
+							t.Fatalf("op %d: key %d cost %d,%v, reference %d,%v", i, k, gc, gok, rc, rok)
+						}
+					}
+					if err := got.audit(); err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDCLPendingBoundedByResidents pins the invariant that makes DCL's
+// bookkeeping O(cache), not O(key space): a pending depreciation is dropped
+// when the entry it targets is evicted, so there is never more than one per
+// resident. Before that, one outlived every spared LRU — the map grew to
+// the number of keys ever evicted, and a key that came back could be
+// depreciated for a sparing its previous incarnation received.
+func TestDCLPendingBoundedByResidents(t *testing.T) {
+	const capacity = 16
+	pol := newCostLRU[int]("DCL", true)
+	c := NewOf[int](pol, capacity)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50000; i++ {
+		key := rng.Intn(64 * capacity)
+		if !c.Touch(key) {
+			if _, err := c.InsertDiscard(key, 1, rng.Intn(8)+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(pol.pending) > pol.Len() {
+			t.Fatalf("op %d: %d pending depreciations for %d residents", i, len(pol.pending), pol.Len())
+		}
+	}
+	if err := pol.audit(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"simfs/internal/model"
 	"simfs/internal/netproto"
 	"simfs/internal/vfs"
 )
@@ -590,7 +591,7 @@ func (ctx *Context) Info() netproto.ContextInfo { return ctx.info }
 // Filename returns the output step file name for a 1-based step index,
 // following the context's naming convention.
 func (ctx *Context) Filename(step int) string {
-	return fmt.Sprintf("%s%08d%s", ctx.info.FilePrefix, step, ctx.info.FileSuffix)
+	return model.StepFilename(ctx.info.FilePrefix, step, ctx.info.FileSuffix)
 }
 
 // OpenResult reports an Open outcome.

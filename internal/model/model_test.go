@@ -325,6 +325,33 @@ func TestNamingRoundTripProperty(t *testing.T) {
 	}
 }
 
+// Property: StepFilename prints what the %s%08d%s it replaced printed — at
+// the padding boundaries, beyond eight digits, for the negative indices no
+// caller passes and for names longer than its stack buffer — in one
+// allocation.
+func TestStepFilenameMatchesSprintf(t *testing.T) {
+	check := func(prefix string, i int, suffix string) {
+		t.Helper()
+		if got, want := StepFilename(prefix, i, suffix), fmt.Sprintf("%s%08d%s", prefix, i, suffix); got != want {
+			t.Fatalf("StepFilename(%q, %d, %q) = %q, Sprintf prints %q", prefix, i, suffix, got, want)
+		}
+	}
+	for p := 1; p <= 1_000_000_000_000; p *= 10 {
+		for _, i := range []int{p - 1, p, p + 1, -p} {
+			check("clim_out_", i, ".nc")
+		}
+	}
+	check("", 0, "")
+	check(strings.Repeat("long/", 20), 42, strings.Repeat(".x", 40))
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 20000; n++ {
+		check("p_", int(rng.Int63()>>uint(rng.Intn(63))), ".nc")
+	}
+	if a := testing.AllocsPerRun(100, func() { StepFilename("clim_out_", 42, ".nc") }); a > 1 {
+		t.Errorf("StepFilename allocates %v times, want 1 (the string)", a)
+	}
+}
+
 // Property: a step has exactly one name. Whatever Key accepts as step i
 // is byte for byte what Filename(i) prints — so the cache, the storage
 // area and the reference ledgers, all keyed by that name, agree on it.

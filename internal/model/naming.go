@@ -15,7 +15,25 @@ import (
 // Filename returns the file name of output step i under the context's
 // naming convention.
 func (c *Context) Filename(i int) string {
-	return fmt.Sprintf("%s%08d%s", c.FilePrefix, i, c.FileSuffix)
+	return StepFilename(c.FilePrefix, i, c.FileSuffix)
+}
+
+// StepFilename is the default convention itself — byte for byte what
+// fmt.Sprintf("%s%08d%s", prefix, i, suffix) prints — for callers that
+// hold the prefix and suffix without a Context (dvlib). A miss formats a
+// name per step produced and per step evicted, so it appends into one
+// stack buffer: the returned string is the only allocation.
+func StepFilename(prefix string, i int, suffix string) string {
+	if i < 0 {
+		return fmt.Sprintf("%s%08d%s", prefix, i, suffix) // the sign counts towards the width
+	}
+	var arr [64]byte
+	buf := append(arr[:0], prefix...)
+	for pad := 10_000_000; i < pad && pad > 1; pad /= 10 {
+		buf = append(buf, '0')
+	}
+	buf = strconv.AppendInt(buf, int64(i), 10)
+	return string(append(buf, suffix...))
 }
 
 // RestartFilename returns the file name of the restart step written at

@@ -209,10 +209,7 @@ func (l *RealTimeLauncher) Launch(ctx *model.Context, first, last, parallelism i
 	id := l.nextID
 	cancel := make(chan struct{})
 	l.cancels[id] = cancel
-	l.mu.Unlock()
-
 	var delay time.Duration
-	l.mu.Lock()
 	if l.Queue != nil {
 		delay = l.Queue.Next()
 	}
@@ -228,22 +225,28 @@ func (l *RealTimeLauncher) Launch(ctx *model.Context, first, last, parallelism i
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
-		sleep := func(d time.Duration) bool {
+		// One timer for the run's sleeps (restart latency, then one per
+		// step). Every sleep either drains it or ends the run, so Reset
+		// never finds a stale tick.
+		timer := time.NewTimer(l.scale(delay + ctx.Alpha)) //simfs:allow wallclock the real-time launcher is DESLauncher's wall-clock twin by design
+		defer timer.Stop()
+		sleep := func() bool {
 			select {
-			case <-time.After(d):
+			case <-timer.C:
 				return true
 			case <-cancel:
 				return false
 			}
 		}
-		if !sleep(l.scale(delay + ctx.Alpha)) {
+		if !sleep() {
 			l.finish(id, Killed)
 			return
 		}
 		l.Events.SimStarted(id)
 		tau := l.scale(ctx.TauAt(parallelism))
 		for s := first; s <= last; s++ {
-			if !sleep(tau) {
+			timer.Reset(tau)
+			if !sleep() {
 				l.finish(id, Killed)
 				return
 			}

@@ -87,6 +87,7 @@ type recorder struct {
 	started  []int64
 	produced map[int64][]int
 	ended    map[int64]Outcome
+	ends     int // SimEnded calls, to tell "once per id" from "last one wins"
 	// onStep, if set, fires after each StepProduced (outside the lock).
 	onStep func()
 }
@@ -112,6 +113,7 @@ func (r *recorder) SimEnded(id int64, o Outcome) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ended[id] = o
+	r.ends++
 }
 
 func testCtx() *model.Context {
@@ -360,6 +362,49 @@ func TestRealTimeLauncherKillMidProduction(t *testing.T) {
 	n := len(rec.produced[id])
 	if n == 0 || n >= 1000 {
 		t.Errorf("killed mid-production with %d steps, want a partial prefix", n)
+	}
+}
+
+// A thousand launches, each killed by a racing goroutine: with α = 2 µs
+// and τ = 1 µs the kill lands before the start, between two steps or
+// after the end, whichever the scheduler picks. Every run ends exactly
+// once, as Killed or Completed, having produced a prefix of its interval —
+// and under -race the run's one reused timer shows no unsynchronised use.
+func TestRealTimeLauncherLaunchKillStorm(t *testing.T) {
+	rec := newRecorder()
+	l := &RealTimeLauncher{
+		Events:    rec,
+		Write:     func(c *model.Context, step int) error { return nil },
+		TimeScale: 1_000_000,
+	}
+	const launches, last = 1000, 4
+	var kills sync.WaitGroup
+	for i := 0; i < launches; i++ {
+		id := l.Launch(testCtx(), 1, last, 1)
+		kills.Add(1)
+		go func() {
+			defer kills.Done()
+			if id%3 == 0 {
+				time.Sleep(time.Duration(id%7) * time.Microsecond)
+			}
+			l.Kill(id)
+		}()
+	}
+	kills.Wait()
+	l.Wait()
+	if rec.ends != launches || len(rec.ended) != launches {
+		t.Fatalf("%d SimEnded calls for %d ids, want %d each", rec.ends, len(rec.ended), launches)
+	}
+	for id, outcome := range rec.ended {
+		steps := rec.produced[id]
+		for i, s := range steps {
+			if s != i+1 {
+				t.Fatalf("sim %d produced %v, not a prefix of its interval", id, steps)
+			}
+		}
+		if outcome != Killed && (outcome != Completed || len(steps) != last) {
+			t.Fatalf("sim %d: outcome %v after %d of %d steps", id, outcome, len(steps), last)
+		}
 	}
 }
 
