@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-selftest bench-gate bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race bench bench-smoke bench-selftest bench-gate bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
 
 all: build
 
@@ -160,7 +160,7 @@ loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l | xargs echo "non-test Go lines outside benchmark/:"
 	@awk '/^type Config struct/ {in_cfg=1; next} in_cfg && /^}/ {exit} in_cfg && /^\t[A-Z]/ {n++} END {print "sched.Config fields:", n}' internal/sched/config.go
 
-lint: fmt vet simfs-vet staticcheck govulncheck
+lint: fmt vet simfs-vet dead-ops staticcheck govulncheck
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -179,6 +179,21 @@ vet:
 # //simfs:allow <check> <reason> annotations.
 simfs-vet:
 	$(GO) run ./cmd/simfs-vet ./...
+
+# dead-ops fails when a wire op has no sender: every Op* constant of
+# internal/netproto/netproto.go must be referenced from non-test code
+# outside internal/netproto (which defines it) and internal/server (which
+# serves it) — by dvlib, fed, a command, an example or the benchmark.
+# hello is exempt: netproto.Dial sends it itself. An op that fails here
+# is a handler, an opcode, an op-table row, a latency bucket and fuzz
+# seeds kept alive for nobody (`wait` was, for 23 PRs): retire it.
+dead-ops:
+	@dead=; for op in $$(sed -n 's/^\t\(Op[A-Za-z]*\) *= *".*/\1/p' internal/netproto/netproto.go); do \
+		[ "$$op" = OpHello ] && continue; \
+		git grep -qw "netproto\.$$op" -- '*.go' ':!*_test.go' ':!internal/netproto' ':!internal/server' || dead="$$dead $$op"; \
+	done; \
+	if [ -n "$$dead" ]; then echo "dead-ops: no sender outside internal/netproto and internal/server for:$$dead"; exit 1; fi; \
+	echo "dead-ops: every wire op has a sender"
 
 # staticcheck and govulncheck are pinned and fetched on demand via `go
 # run tool@version`, so they add no go.mod dependency. The -version

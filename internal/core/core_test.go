@@ -33,6 +33,17 @@ func newHarness(t *testing.T, ctxs ...*model.Context) *harness {
 	return &harness{eng: eng, l: l, v: v}
 }
 
+// FileState reports whether a file is resident and/or promised: the
+// tests' probe of one step, read the way front-ends read it.
+func (v *Virtualizer) FileState(ctxName, filename string) (resident, promised bool, err error) {
+	sub, files, err := v.Watch(ctxName, []string{filename})
+	if err != nil {
+		return false, false, err
+	}
+	sub.Close()
+	return files[0].Resident, files[0].Promised, nil
+}
+
 // testContext returns a small context: Δd=1, Δr=4, 100 steps, α=2s, τ=1s,
 // 1-byte output steps, 40-byte cache (40 steps).
 func testContext(name string) *model.Context {
@@ -297,66 +308,6 @@ func TestSMaxQueuesDemandLaunches(t *testing.T) {
 	st, _ := h.v.Stats("c")
 	if st.Restarts != 3 {
 		t.Errorf("restarts = %d, want 3", st.Restarts)
-	}
-}
-
-func TestAcquireMultipleFiles(t *testing.T) {
-	ctx := testContext("c")
-	h := newHarness(t, ctx)
-	h.v.Preload("c", []int{1})
-	files := []string{ctx.Filename(1), ctx.Filename(6), ctx.Filename(10)}
-	var got *Status
-	err := h.v.Acquire("a1", "c", files, func(st Status) { got = &st })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != nil {
-		t.Fatal("acquire fired before production")
-	}
-	h.eng.Run(0)
-	if got == nil || !got.Ready || got.Err != "" {
-		t.Fatalf("acquire status = %+v", got)
-	}
-	// All three files are referenced: release them all.
-	for _, f := range files {
-		if err := h.v.Release("a1", "c", f); err != nil {
-			t.Errorf("release %s: %v", f, err)
-		}
-	}
-}
-
-func TestAcquireAllResidentFiresImmediately(t *testing.T) {
-	ctx := testContext("c")
-	h := newHarness(t, ctx)
-	h.v.Preload("c", []int{1, 2})
-	fired := false
-	h.v.Acquire("a1", "c", []string{ctx.Filename(1), ctx.Filename(2)}, func(st Status) {
-		fired = st.Ready
-	})
-	if !fired {
-		t.Error("fully resident acquire must fire synchronously")
-	}
-	// Empty acquire also fires.
-	fired = false
-	h.v.Acquire("a1", "c", nil, func(st Status) { fired = st.Ready })
-	if !fired {
-		t.Error("empty acquire must fire")
-	}
-}
-
-func TestAcquireRollsBackOnError(t *testing.T) {
-	ctx := testContext("c")
-	h := newHarness(t, ctx)
-	h.v.Preload("c", []int{1})
-	err := h.v.Acquire("a1", "c", []string{ctx.Filename(1), "garbage"}, func(Status) {
-		t.Error("callback must not fire on error")
-	})
-	if err == nil {
-		t.Fatal("acquire with bad filename should fail")
-	}
-	// The reference on file 1 must have been rolled back.
-	if err := h.v.Release("a1", "c", ctx.Filename(1)); err == nil {
-		t.Error("reference was not rolled back")
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"simfs/internal/model"
@@ -49,12 +48,9 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 	if cs.draining {
 		return OpenResult{}, fmt.Errorf("core: %w: %q refuses new opens", ErrDraining, ctxName)
 	}
-	step, err := cs.keyOf(filename)
+	step, err := cs.outputStep(filename)
 	if err != nil {
 		return OpenResult{}, err
-	}
-	if !cs.ctx.Grid.ValidOutput(step) {
-		return OpenResult{}, fmt.Errorf("core: %w: %q is outside the simulated timeline", ErrInvalid, filename)
 	}
 	now := v.clock.Now()
 	cs.stats.Opens++
@@ -136,10 +132,13 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 
 // WaitFile subscribes cb to the availability of filename: it fires
 // immediately if the file is on disk, or when a re-simulation produces it
-// (or fails). This is the blocking-read path of transparent mode and the
-// notification path of SIMFS_Wait. The TCP front-end waits through the
-// notify hub instead; this in-process path remains for embedded users and
-// the pipeline coordinator.
+// (or fails). It is the in-process front-end's readiness path: cb runs
+// synchronously inside the launcher event that resolves the step, which
+// is what the experiments harness needs to stay deterministic under the
+// DES (an analysis resumes at the virtual instant its file appears, not
+// whenever a goroutine gets scheduled). The TCP front-end cannot run
+// client code inside an event, so it rides the notify hub through Watch
+// instead; neither path is a copy of the other.
 func (v *Virtualizer) WaitFile(client, ctxName, filename string, cb func(Status)) error {
 	cs, step, err := v.lockedStep(ctxName, filename)
 	if err != nil {
@@ -152,7 +151,7 @@ func (v *Virtualizer) WaitFile(client, ctxName, filename string, cb func(Status)
 	}
 	if _, promised := cs.promised[step]; !promised {
 		cs.mu.Unlock()
-		return fmt.Errorf("core: %w: %q is neither on disk nor promised; call Open or Acquire first", ErrNotProduced, filename)
+		return fmt.Errorf("core: %w: %q is neither on disk nor promised; call Open first", ErrNotProduced, filename)
 	}
 	cs.waiters[step] = append(cs.waiters[step], waiter{client: client, cb: cb})
 	cs.mu.Unlock()
@@ -173,97 +172,6 @@ func (v *Virtualizer) Release(client, ctxName, filename string) error {
 	cs.refs[step]--
 	if cs.refs[step] == 0 {
 		delete(cs.refs, step)
-	}
-	return nil
-}
-
-// Acquire implements the SIMFS_Acquire semantics: reference all files,
-// ensure re-simulations are running for the missing ones, and invoke cb
-// once when every file is available (or once with an error status if any
-// production fails). The call itself never blocks.
-func (v *Virtualizer) Acquire(client, ctxName string, filenames []string, cb func(Status)) error {
-	if len(filenames) == 0 {
-		cb(Status{Ready: true})
-		return nil
-	}
-	type sub struct {
-		file    string
-		pending bool
-	}
-	subs := make([]sub, 0, len(filenames))
-	var firstErr error
-	var maxWait time.Duration
-	for _, f := range filenames {
-		res, err := v.Open(client, ctxName, f)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		subs = append(subs, sub{file: f, pending: !res.Available})
-		if res.EstWait > maxWait {
-			maxWait = res.EstWait
-		}
-	}
-	if firstErr != nil {
-		// Roll back references taken so far.
-		for _, s := range subs {
-			_ = v.Release(client, ctxName, s.file)
-		}
-		return firstErr
-	}
-
-	remaining := 0
-	for _, s := range subs {
-		if s.pending {
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		cb(Status{Ready: true})
-		return nil
-	}
-	// Fan-in: one waiter per missing file, cb fired on the last one (or
-	// on the first failure). The fan-in state has its own lock — waiter
-	// callbacks run outside shard locks and may arrive from any shard.
-	var fanMu sync.Mutex
-	done := false
-	var fanIn func(Status)
-	fanIn = func(st Status) {
-		fanMu.Lock()
-		if done {
-			fanMu.Unlock()
-			return
-		}
-		if st.Err != "" {
-			done = true
-			fanMu.Unlock()
-			cb(st)
-			return
-		}
-		remaining--
-		fire := remaining == 0
-		if fire {
-			done = true
-		}
-		fanMu.Unlock()
-		if fire {
-			cb(Status{Ready: true})
-		}
-	}
-	for _, s := range subs {
-		if !s.pending {
-			continue
-		}
-		if err := v.WaitFile(client, ctxName, s.file, fanIn); err != nil {
-			// The file may have become resident between Open and WaitFile —
-			// but the producing simulation may also have died in that
-			// window, so check which it was instead of assuming success.
-			if resident, _, serr := v.FileState(ctxName, s.file); serr == nil && resident {
-				fanIn(Status{Ready: true})
-			} else {
-				fanIn(Status{Err: "re-simulation failed before wait registration"})
-			}
-		}
 	}
 	return nil
 }
@@ -295,12 +203,9 @@ func (v *Virtualizer) GuidedPrefetch(client, ctxName string, filenames []string)
 	}
 	launched := 0
 	for _, f := range filenames {
-		step, err := cs.keyOf(f)
+		step, err := cs.outputStep(f)
 		if err != nil {
 			return launched, err
-		}
-		if !cs.ctx.Grid.ValidOutput(step) {
-			return launched, fmt.Errorf("core: %w: %q is outside the simulated timeline", ErrInvalid, f)
 		}
 		if cs.covered(step) {
 			continue

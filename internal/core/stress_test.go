@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -124,16 +126,15 @@ func TestConcurrentMultiContextStress(t *testing.T) {
 							ctx.Filename(rng.Intn(steps) + 1),
 							ctx.Filename(rng.Intn(steps) + 1),
 						}
-						done := make(chan Status, 1)
-						if err := v.Acquire(client, name, files, func(st Status) { done <- st }); err != nil {
-							errs <- err
-							return
-						}
-						select {
-						case <-done:
-						case <-time.After(waitTimeout):
-							errs <- fmt.Errorf("%s: acquire timed out", client)
-							return
+						for _, f := range files {
+							res, err := v.Open(client, name, f)
+							if err == nil && !res.Available {
+								err = await(f)
+							}
+							if err != nil {
+								errs <- err
+								return
+							}
 						}
 						for _, f := range files {
 							if err := v.Release(client, name, f); err != nil {
@@ -146,19 +147,13 @@ func TestConcurrentMultiContextStress(t *testing.T) {
 							errs <- err
 							return
 						}
-					default: // hub-based wait (subscribe, then check state)
-						topic, err := v.FileTopic(name, file)
+					default: // hub-based wait (Watch subscribes, then reads the state)
+						sub, watched, err := v.Watch(name, []string{file})
 						if err != nil {
 							errs <- err
 							return
 						}
-						sub := v.Hub().Subscribe(topic)
-						resident, promised, err := v.FileState(name, file)
-						if err != nil {
-							errs <- err
-							return
-						}
-						if resident || !promised {
+						if watched[0].Resident || !watched[0].Promised {
 							sub.Close()
 							continue
 						}
@@ -283,7 +278,7 @@ func TestHubPublishesReadiness(t *testing.T) {
 	}
 }
 
-// TestFileState covers the subscribe-then-check query.
+// TestFileState covers the state half of Watch, one file at a time.
 func TestFileState(t *testing.T) {
 	ctx := testContext("c")
 	h := newHarness(t, ctx)
@@ -310,5 +305,53 @@ func TestFileState(t *testing.T) {
 	}
 	if _, err := h.v.FileTopic("c", ctx.Filename(9999)); err == nil {
 		t.Error("out-of-range step accepted by FileTopic")
+	}
+}
+
+// TestWatch covers the subscribe-then-check step on a list: states read
+// for every name (duplicates included) after the subscription is live,
+// one event per distinct step, and nothing subscribed by a refused list.
+func TestWatch(t *testing.T) {
+	ctx := testContext("c")
+	h := newHarness(t, ctx)
+	h.v.Preload("c", []int{1})
+	if _, err := h.v.Open("a1", "c", ctx.Filename(6)); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{ctx.Filename(1), ctx.Filename(6), ctx.Filename(30), ctx.Filename(6)}
+	sub, files, err := h.v.Watch("c", names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []WatchedFile{
+		{Name: names[0], Step: 1, Resident: true},
+		{Name: names[1], Step: 6, Promised: true},
+		{Name: names[2], Step: 30},
+		{Name: names[3], Step: 6, Promised: true},
+	}
+	if !reflect.DeepEqual(files, want) {
+		t.Errorf("watched files = %+v\nwant %+v", files, want)
+	}
+	h.eng.Run(0)
+	if ev := <-sub.C(); ev.Kind != notify.FileReady || ev.Topic.Step != 6 {
+		t.Errorf("event = %+v, want FileReady for step 6", ev)
+	}
+	select {
+	case ev := <-sub.C():
+		t.Errorf("second event %+v: a step mentioned twice must resolve once", ev)
+	default:
+	}
+	sub.Close()
+
+	for _, bad := range [][]string{{ctx.Filename(1), "garbage"}, {ctx.Filename(1), ctx.Filename(101)}} {
+		if _, _, err := h.v.Watch("c", bad); !errors.Is(err, ErrInvalid) {
+			t.Errorf("Watch(%v) = %v, want ErrInvalid", bad, err)
+		}
+	}
+	if _, _, err := h.v.Watch("nope", names); !errors.Is(err, ErrUnknownContext) {
+		t.Errorf("unknown context: %v", err)
+	}
+	if st := h.v.Hub().Stats(); st.Subscribers != 0 {
+		t.Errorf("%d subscriptions left behind by closed and refused watches", st.Subscribers)
 	}
 }

@@ -252,8 +252,8 @@ func NewScheduled(clock des.Clock, launcher Launcher, cfg sched.Config) *Virtual
 }
 
 // Hub returns the notification hub the Virtualizer publishes file-ready
-// and file-failed events to. Subscribe before checking FileState to avoid
-// lost wakeups.
+// and file-failed events to. Watch is the race-free way to subscribe to
+// files by name.
 func (v *Virtualizer) Hub() *notify.Hub { return v.hub }
 
 // AddContext registers a simulation context with a replacement policy
@@ -505,32 +505,61 @@ func (v *Virtualizer) StorageArea(ctxName string) (vfs.FS, error) {
 	return cs.fs, nil
 }
 
-// FileState reports whether a file is resident on disk and/or promised by
-// a live (or queued) re-simulation. Combined with a prior hub
-// subscription it gives a race-free wait: subscribe, then check — a file
-// neither resident nor promised will never produce an event.
-func (v *Virtualizer) FileState(ctxName, filename string) (resident, promised bool, err error) {
-	cs, step, err := v.lockedStep(ctxName, filename)
-	if err != nil {
-		return false, false, err
-	}
-	defer cs.mu.Unlock()
-	_, p := cs.promised[step]
-	return cs.resident(step), p, nil
+// WatchedFile is one name of a Watch: the step it parsed to and the
+// state that step was in once the subscription was live.
+type WatchedFile struct {
+	Name               string
+	Step               int
+	Resident, Promised bool
 }
 
-// NoteClientReady records that a client observed filename become
+// Watch is the subscribe-then-check step every readiness stream starts
+// with, written down once. Each name is parsed (once) into its hub
+// topic, the topics are subscribed, and only then are residency and
+// promise read, for the whole list under one hold of the shard lock: an
+// event published after the subscription is buffered in it and a state
+// change before it is visible to the read, so no wakeup is lost. A file
+// that is neither resident nor promised, with no event buffered, will
+// not produce one until somebody opens it. A refused name subscribes
+// nothing.
+func (v *Virtualizer) Watch(ctxName string, filenames []string) (*notify.Sub, []WatchedFile, error) {
+	cs, ok := v.shardOf(ctxName)
+	if !ok {
+		return nil, nil, fmt.Errorf("core: %w %q", ErrUnknownContext, ctxName)
+	}
+	files := make([]WatchedFile, len(filenames))
+	topics := make([]notify.Topic, len(filenames))
+	for i, name := range filenames {
+		step, err := cs.outputStep(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		files[i] = WatchedFile{Name: name, Step: step}
+		topics[i] = notify.Topic{Context: ctxName, Step: step}
+	}
+	sub := v.hub.Subscribe(topics...)
+	cs.mu.Lock()
+	for i := range files {
+		f := &files[i]
+		f.Resident = cs.resident(f.Step)
+		_, f.Promised = cs.promised[f.Step]
+	}
+	cs.mu.Unlock()
+	return sub, files, nil
+}
+
+// NoteClientReady records that a client observed the topic's file become
 // available after waiting for it. The hub carries no client identity, so
-// front-ends that deliver ready notifications stamp the baseline of the
-// wait-excluded processing-time measurement (τcli) explicitly — the
+// the front-end that delivers ready notifications stamps the baseline of
+// the wait-excluded processing-time measurement (τcli) explicitly — the
 // in-process WaitFile path stamps it in StepProduced instead.
-func (v *Virtualizer) NoteClientReady(client, ctxName, filename string) {
-	cs, _, err := v.lockedStep(ctxName, filename)
+func (v *Virtualizer) NoteClientReady(client string, t notify.Topic) {
+	cs, err := v.lockedShard(t.Context)
 	if err != nil {
 		return
 	}
-	defer cs.mu.Unlock()
 	cs.lastReady[client] = v.clock.Now()
+	cs.mu.Unlock()
 }
 
 // FileTopic returns the notify-hub topic of a context's file.
@@ -539,14 +568,8 @@ func (v *Virtualizer) FileTopic(ctxName, filename string) (notify.Topic, error) 
 	if !ok {
 		return notify.Topic{}, fmt.Errorf("core: %w %q", ErrUnknownContext, ctxName)
 	}
-	step, err := cs.keyOf(filename)
-	if err != nil {
-		return notify.Topic{}, err
-	}
-	if !cs.ctx.Grid.ValidOutput(step) {
-		return notify.Topic{}, fmt.Errorf("core: %w: %q is outside the simulated timeline", ErrInvalid, filename)
-	}
-	return notify.Topic{Context: ctxName, Step: step}, nil
+	step, err := cs.outputStep(filename)
+	return notify.Topic{Context: ctxName, Step: step}, err
 }
 
 // Preload marks output steps as already on disk (e.g. produced by the
@@ -680,6 +703,16 @@ func (cs *shard) keyOf(filename string) (int, error) {
 		return 0, fmt.Errorf("core: %w: %v", ErrInvalid, err)
 	}
 	return step, nil
+}
+
+// outputStep is keyOf for a name that must also lie on the simulated
+// timeline.
+func (cs *shard) outputStep(filename string) (int, error) {
+	step, err := cs.keyOf(filename)
+	if err == nil && !cs.ctx.Grid.ValidOutput(step) {
+		err = fmt.Errorf("core: %w: %q is outside the simulated timeline", ErrInvalid, filename)
+	}
+	return step, err
 }
 
 // resident reports whether a step's file is on disk. Caller holds the

@@ -2,9 +2,7 @@ package dvlib
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"simfs/internal/netproto"
@@ -21,18 +19,9 @@ type Status struct {
 // Req is the request handle returned by the non-blocking acquire
 // (SIMFS_Req): Wait/Test/Waitsome/Testsome operate on it.
 type Req struct {
-	ctx   *Context
-	files []string
-	// id is the wire subscription ID, used by Cancel to unsubscribe.
-	id uint64
-
-	mu      sync.Mutex
-	ready   map[string]bool
-	readyCh chan string // buffered stream of newly ready files
-	done    bool
-	err     string
-	doneCh  chan struct{}
-	// consumed tracks indices already reported by Waitsome/Testsome.
+	l ledger
+	// consumed tracks indices already reported by Waitsome/Testsome
+	// (guarded by the ledger's lock).
 	consumed map[int]bool
 }
 
@@ -69,50 +58,10 @@ func (ctx *Context) AcquireCtx(cx context.Context, files ...string) (Status, err
 // AcquireNB implements SIMFS_Acquire_nb: like Acquire but it returns
 // immediately with a request handle to wait or test on.
 func (ctx *Context) AcquireNB(files ...string) (*Req, error) {
-	if len(files) == 0 {
-		return nil, errors.New("dvlib: acquire of zero files")
-	}
-	r := &Req{
-		ctx:      ctx,
-		files:    append([]string(nil), files...),
-		ready:    map[string]bool{},
-		readyCh:  make(chan string, len(files)+1),
-		doneCh:   make(chan struct{}),
-		consumed: map[int]bool{},
-	}
-	id, err := ctx.c.subscribe(netproto.OpAcquire,
-		netproto.FilesBody{Context: ctx.name, Files: r.files},
-		netproto.ResponseFunc(func(resp netproto.Response) {
-			r.mu.Lock()
-			if resp.File != "" && resp.Ready && !r.ready[resp.File] {
-				r.ready[resp.File] = true
-				select {
-				case r.readyCh <- resp.File:
-				default:
-				}
-			}
-			if resp.Err != "" {
-				r.err = resp.Err
-			}
-			completed := false
-			if resp.Terminal() && !r.done { // a refusal of the whole acquire ends it with or without Done
-				r.done = true
-				completed = r.err == ""
-				close(r.doneCh)
-			}
-			r.mu.Unlock()
-			if completed {
-				// The acquire holds one reference per file until they are
-				// released; record them so a reconnect restores them.
-				for _, f := range r.files {
-					r.ctx.c.trackHeld(r.ctx.name, f, +1)
-				}
-			}
-		}))
-	if err != nil {
+	r := &Req{consumed: map[int]bool{}}
+	if err := r.l.start(ctx, netproto.OpAcquire, files); err != nil {
 		return nil, err
 	}
-	r.id = id
 	return r, nil
 }
 
@@ -122,8 +71,8 @@ func (ctx *Context) AcquireNB(files ...string) (*Req, error) {
 // disconnect cleanup, so the caller must re-acquire rather than assume
 // the files are pinned.
 func (r *Req) Wait() (Status, error) {
-	<-r.doneCh
-	st := r.status()
+	<-r.l.doneCh
+	st := r.l.status()
 	if st.Err == ErrReconnecting.Error() {
 		return st, fmt.Errorf("dvlib: %s: %w", netproto.OpAcquire, ErrReconnecting)
 	}
@@ -135,10 +84,10 @@ func (r *Req) Wait() (Status, error) {
 // acquire itself keeps running; call Cancel to abandon it.
 func (r *Req) WaitCtx(cx context.Context) (Status, error) {
 	select {
-	case <-r.doneCh:
-		return r.status(), nil
+	case <-r.l.doneCh:
+		return r.l.status(), nil
 	case <-cx.Done():
-		return r.status(), cx.Err()
+		return r.l.status(), cx.Err()
 	}
 }
 
@@ -151,20 +100,17 @@ func (r *Req) WaitCtx(cx context.Context) (Status, error) {
 // an unresponsive daemon's acknowledgements would defeat the deadline
 // it serves — only frame-write failures are reported.
 func (r *Req) Cancel() error {
-	r.mu.Lock()
 	// References are ledgered only once the acquire completes cleanly; a
 	// canceled in-flight acquire releases server-side references the
 	// ledger never counted.
-	counted := r.done && r.err == ""
-	r.mu.Unlock()
-	r.ctx.c.cancelSub(r.id, "canceled")
-	err := r.ctx.c.post(netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: r.id})
-	for _, f := range r.files {
-		if perr := r.ctx.c.post(netproto.OpRelease, netproto.FileBody{Context: r.ctx.name, File: f}); err == nil {
+	counted := r.l.status().Ready
+	err := r.l.ctx.c.post(netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: r.l.cancel("canceled")})
+	for _, f := range r.l.files {
+		if perr := r.l.ctx.c.post(netproto.OpRelease, netproto.FileBody{Context: r.l.ctx.name, File: f}); err == nil {
 			err = perr
 		}
 		if counted {
-			r.ctx.c.trackHeld(r.ctx.name, f, -1)
+			r.l.ctx.c.trackHeld(r.l.ctx.name, f, -1)
 		}
 	}
 	return err
@@ -173,10 +119,10 @@ func (r *Req) Cancel() error {
 // Test implements SIMFS_Test: flag is true when the acquire has completed.
 func (r *Req) Test() (flag bool, st Status, err error) {
 	select {
-	case <-r.doneCh:
-		return true, r.status(), nil
+	case <-r.l.doneCh:
+		return true, r.l.status(), nil
 	default:
-		return false, r.status(), nil
+		return false, r.l.status(), nil
 	}
 }
 
@@ -186,32 +132,32 @@ func (r *Req) Test() (flag bool, st Status, err error) {
 func (r *Req) Waitsome() (readyIdx []int, st Status, err error) {
 	// Fast path: anything new already marked ready?
 	if idx := r.takeNewReady(); len(idx) > 0 {
-		return idx, r.status(), nil
+		return idx, r.l.status(), nil
 	}
 	if r.allConsumed() {
-		return nil, r.status(), nil
+		return nil, r.l.status(), nil
 	}
 	select {
-	case <-r.readyCh:
-	case <-r.doneCh:
+	case <-r.l.ch: // an event: something resolved (or, closed, everything has)
+	case <-r.l.doneCh:
 	}
-	return r.takeNewReady(), r.status(), nil
+	return r.takeNewReady(), r.l.status(), nil
 }
 
 // Testsome implements SIMFS_Testsome: like Waitsome but non-blocking.
 func (r *Req) Testsome() (readyIdx []int, st Status, err error) {
-	return r.takeNewReady(), r.status(), nil
+	return r.takeNewReady(), r.l.status(), nil
 }
 
 // Files returns the acquire's file list (indices match Waitsome output).
-func (r *Req) Files() []string { return append([]string(nil), r.files...) }
+func (r *Req) Files() []string { return append([]string(nil), r.l.files...) }
 
 func (r *Req) takeNewReady() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.l.mu.Lock()
+	defer r.l.mu.Unlock()
 	var idx []int
-	for i, f := range r.files {
-		if r.ready[f] && !r.consumed[i] {
+	for i, f := range r.l.files {
+		if r.l.resolved[f] && !r.consumed[i] {
 			r.consumed[i] = true
 			idx = append(idx, i)
 		}
@@ -220,18 +166,12 @@ func (r *Req) takeNewReady() []int {
 }
 
 func (r *Req) allConsumed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.files {
+	r.l.mu.Lock()
+	defer r.l.mu.Unlock()
+	for i := range r.l.files {
 		if !r.consumed[i] {
 			return false
 		}
 	}
 	return true
-}
-
-func (r *Req) status() Status {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Status{Ready: r.done && r.err == "", Err: r.err}
 }

@@ -99,8 +99,8 @@ type Client struct {
 
 	// calls outlives connections: a reconnect swaps conn but keeps the
 	// table, so surviving calls keep their IDs and IDs stay monotonic.
-	// Its entries are *pendingCall (one response), watchSub (re-armed by
-	// a reconnect) or a plain handler (an acquire's stream).
+	// Its entries are *pendingCall (one response) or *ledger (a watch's
+	// or an acquire's stream).
 	calls *netproto.Pending
 
 	mu      sync.Mutex
@@ -497,15 +497,6 @@ func (c *Client) subscribe(op string, body any, h netproto.ResponseHandler) (uin
 // reconnectEnabled reports whether the client was dialed WithReconnect.
 func (c *Client) reconnectEnabled() bool { return c.dialCfg.reconnect != nil }
 
-// cancelSub removes a local subscription and, if it was still live,
-// delivers a synthetic Done frame to its handler. The table removal is
-// the exclusion point: whoever removes the entry delivers the Done.
-func (c *Client) cancelSub(id uint64, reason string) {
-	if h, ok := c.calls.Remove(id); ok {
-		h.HandleResponse(netproto.Response{ID: id, Err: reason, Done: true})
-	}
-}
-
 // Flush sends all queued request frames in a single write. Callers only
 // need it when pipelining requests whose responses nothing is awaiting
 // yet; the blocking APIs flush implicitly.
@@ -670,7 +661,10 @@ func (rc *ReleaseCall) Wait() error {
 
 // WaitAvailable blocks until the file is on disk (the blocking part of a
 // transparent-mode read). The file must have been opened first. It rides
-// the daemon's notification hub via a file subscription (SIMFS_Wait).
+// the daemon's notification hub via a file subscription (SIMFS_Wait). A
+// failure is a *Error carrying the daemon's code: failed (the producing
+// re-simulation died, or its interval is quarantined), not_produced
+// (nobody is producing the file — open it first) or draining.
 func (ctx *Context) WaitAvailable(file string) error {
 	w, err := ctx.Watch(file)
 	if err != nil {
@@ -678,7 +672,7 @@ func (ctx *Context) WaitAvailable(file string) error {
 	}
 	for ev := range w.Events() {
 		if ev.Err != "" {
-			return errors.New(ev.Err)
+			return &Error{Code: ev.Code, Op: netproto.OpSubscribe, Msg: ev.Err}
 		}
 		if ev.File == file && ev.Ready {
 			return nil
@@ -689,10 +683,12 @@ func (ctx *Context) WaitAvailable(file string) error {
 
 // WatchEvent is one notification from a file watch: a per-file
 // resolution (File set, Ready or Err) or the final completion (Done).
+// Code is the daemon's structured code for Err.
 type WatchEvent struct {
 	File  string
 	Ready bool
 	Err   string
+	Code  netproto.ErrCode
 	Done  bool
 }
 
@@ -701,109 +697,31 @@ type WatchEvent struct {
 // references; the watched files must be resident or already promised by
 // a re-simulation (e.g. after Open or Prefetch). With auto-reconnect,
 // watches survive connection loss: the client re-subscribes the files
-// not yet resolved, and per-file deduplication keeps a file that
-// resolved just before the reset from being reported twice.
-type Watch struct {
-	ctx   *Context
-	id    uint64
-	files []string
-	ch    chan WatchEvent
-
-	mu     sync.Mutex
-	seen   map[string]bool // files already reported (dedup across re-subscribes)
-	closed bool
-}
+// not yet resolved, and the ledger keeps a file that resolved just
+// before the reset from being reported twice.
+type Watch struct{ l ledger }
 
 // Watch subscribes to the given files. Events arrive on Events(): one
 // per file as it becomes ready (or fails), then a final Done event, after
 // which the channel closes. A file that is neither on disk nor being
 // produced resolves immediately with a per-file error event.
 func (ctx *Context) Watch(files ...string) (*Watch, error) {
-	if len(files) == 0 {
-		return nil, errors.New("dvlib: watch of zero files")
-	}
-	// One slot per file plus the Done event: the daemon resolves each
-	// file at most once (re-deliveries after a reconnect are deduped), so
-	// delivery below never blocks the read loop.
-	w := &Watch{
-		ctx:   ctx,
-		files: append([]string(nil), files...),
-		ch:    make(chan WatchEvent, len(files)+1),
-		seen:  map[string]bool{},
-	}
-	id, err := ctx.c.subscribe(netproto.OpSubscribe,
-		netproto.FilesBody{Context: ctx.name, Files: append([]string(nil), files...)},
-		watchSub{w})
-	if err != nil {
+	w := new(Watch)
+	if err := w.l.start(ctx, netproto.OpSubscribe, files); err != nil {
 		return nil, err
 	}
-	ctx.c.mu.Lock()
-	// A reconnect may already have re-armed the watch under a newer ID.
-	if w.id == 0 {
-		w.id = id
-	}
-	ctx.c.mu.Unlock()
 	return w, nil
 }
 
-// watchSub is a Watch's entry in the client's request table; the type
-// is how a reconnect tells watches (re-subscribed) from acquires.
-type watchSub struct{ w *Watch }
-
-// HandleResponse feeds one wire frame to the watch.
-func (s watchSub) HandleResponse(resp netproto.Response) { s.w.deliver(resp) }
-
 // Events returns the watch's event stream.
-func (w *Watch) Events() <-chan WatchEvent { return w.ch }
+func (w *Watch) Events() <-chan WatchEvent { return w.l.ch }
 
 // Cancel tears down the watch: the daemon drops the subscription and the
 // event channel closes after a final Done event. Canceling a completed
 // watch is a no-op.
 func (w *Watch) Cancel() error {
-	w.ctx.c.cancelSub(w.id, "unsubscribed")
-	_, err := w.ctx.c.call(netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: w.id})
+	_, err := w.l.ctx.c.call(netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: w.l.cancel("unsubscribed")})
 	return err
-}
-
-// remaining returns the files the watch has not yet reported — what a
-// reconnect re-subscribes.
-func (w *Watch) remaining() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var out []string
-	for _, f := range w.files {
-		if !w.seen[f] {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// deliver translates wire frames into watch events. It serializes with
-// itself (read loop vs. cancel) and never sends after close. Per-file
-// frames are deduplicated: after a reconnect the re-subscription reports
-// already-resident files again.
-func (w *Watch) deliver(resp netproto.Response) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return
-	}
-	if resp.File != "" && !w.seen[resp.File] {
-		w.seen[resp.File] = true
-		w.ch <- WatchEvent{File: resp.File, Ready: resp.Ready, Err: resp.Err}
-	}
-	// Terminal, not just Done: a refusal of the whole subscription (an
-	// unknown context, a bad body) ends the stream with or without it.
-	if resp.Terminal() {
-		w.closed = true
-		if resp.Err != "" && resp.File == "" {
-			w.ch <- WatchEvent{Err: resp.Err, Done: true}
-		} else {
-			w.ch <- WatchEvent{Done: true}
-		}
-		close(w.ch)
-	}
 }
 
 // Read is the transparent-mode read: it blocks until the file is available

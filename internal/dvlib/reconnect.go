@@ -37,13 +37,10 @@ func (c *Client) tryReconnect() bool {
 	// Partition the in-flight requests. Idempotent calls (the op table
 	// says which) ride through: their frames are replayed below. The
 	// other calls fail with the typed error so the caller decides — the
-	// client cannot know whether they landed. Watches hold nothing and
-	// are re-subscribed after the handshake. The remaining streams are
-	// acquires: they hold references the daemon just released, so they
-	// fail typed instead of being re-issued (re-acquiring could double
-	// work the caller already observed).
+	// client cannot know whether they landed. Watches are re-subscribed
+	// after the handshake; acquires (ledger.holds) fail typed.
 	var replay []replayCall
-	var watches []*Watch
+	var watches []*ledger
 	c.calls.Sweep(func(id uint64, h netproto.ResponseHandler) bool {
 		switch h := h.(type) {
 		case *pendingCall:
@@ -53,11 +50,12 @@ func (c *Client) tryReconnect() bool {
 			}
 			h.err = fmt.Errorf("dvlib: %s: %w", h.env.Op, ErrReconnecting)
 			close(h.ch)
-		case watchSub:
-			h.w.id = id // Watch may not have recorded it yet
-			watches = append(watches, h.w)
-			return false
-		default:
+		case *ledger:
+			if !h.holds {
+				h.id = id // stream may not have recorded it yet
+				watches = append(watches, h)
+				return false
+			}
 			go h.HandleResponse(netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
 		}
 		return true
@@ -142,7 +140,7 @@ func (c *Client) redial(cfg ReconnectConfig) *netproto.Conn {
 // re-simulations waits depend on), then watch re-subscriptions, then the
 // surviving in-flight calls in their original order. New requests are
 // still gated, so everything lands in one coalesced write.
-func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, watches []*Watch, replay []replayCall) {
+func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, watches []*ledger, replay []replayCall) {
 	enc := func(id uint64, env netproto.Envelope) {
 		env.ID = id
 		_ = conn.EnqueueRequest(&env) // an unencodable frame was refused the first time too
@@ -159,20 +157,25 @@ func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, wat
 		}
 	}
 	for _, w := range watches {
+		// Re-armed (or dropped) under mu, like ledger.cancel finds it: a
+		// concurrent Cancel either ended the watch first or unsubscribes
+		// the new ID.
+		c.mu.Lock()
 		rem := w.remaining()
 		c.calls.Remove(w.id)
+		if len(rem) > 0 {
+			// Never refused: only die fails the table, and it runs on
+			// this goroutine.
+			w.id, _ = c.calls.Add(w, true)
+		}
+		id := w.id
+		c.mu.Unlock()
 		if len(rem) == 0 {
 			// Every file resolved before the reset; only the final Done
-			// frame was lost. Synthesize it.
-			go w.deliver(netproto.Response{Done: true})
+			// frame was lost. Synthesize it (a canceled watch drops it).
+			go w.HandleResponse(netproto.Response{Done: true})
 			continue
 		}
-		// Never refused: only die fails the table, and it runs on this
-		// goroutine.
-		id, _ := c.calls.Add(watchSub{w}, true)
-		c.mu.Lock()
-		w.id = id
-		c.mu.Unlock()
 		enc(id, newEnv(netproto.OpSubscribe, netproto.FilesBody{Context: w.ctx.name, Files: rem}))
 	}
 	for _, r := range replay {

@@ -450,3 +450,77 @@ func TestReconnectGivesUp(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// Cancel races the reconnect's re-arm of the same watch: the connection
+// is cut while another goroutine cancels. Whichever wins, the watch ends
+// with its Done event, and the stream ID the re-arm rewrites is read
+// under the client's lock (Cancel used to read it bare: run with -race).
+func TestReconnectWatchCancelRace(t *testing.T) {
+	var mu sync.Mutex
+	var killCurrent func()
+	addr := scriptedDV(t,
+		func(_ int, kill func()) {
+			mu.Lock()
+			killCurrent = kill
+			mu.Unlock()
+		},
+		func(_ int, req fakeReq, send func(netproto.Response), _ func()) {
+			switch req.Op {
+			case netproto.OpContextInfo:
+				send(fakeInfo(req.ID))
+			case netproto.OpPing, netproto.OpUnsubscribe:
+				send(netproto.Response{ID: req.ID, OK: true})
+			case netproto.OpSubscribe:
+				// Never resolves: only Cancel ends the watch.
+			}
+		})
+	c, err := Dial(addr, "unit", WithReconnect(fastReconnect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, err := c.Init("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		// The ping is answered by the live connection, so killCurrent is
+		// that connection's.
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		w, err := ctx.Watch(ctx.Filename(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		kill := killCurrent
+		mu.Unlock()
+		canceled := make(chan struct{})
+		go func() {
+			defer close(canceled)
+			// The unsubscribe may be in flight at the cut and fail typed;
+			// the local teardown below is what must hold either way.
+			_ = w.Cancel()
+		}()
+		kill()
+		<-canceled
+		timeout := time.After(5 * time.Second)
+		var last WatchEvent
+	drain:
+		for {
+			select {
+			case ev, ok := <-w.Events():
+				if !ok {
+					break drain
+				}
+				last = ev
+			case <-timeout:
+				t.Fatalf("round %d: canceled watch never closed its events", round)
+			}
+		}
+		if !last.Done {
+			t.Fatalf("round %d: watch closed on %+v, want a Done event", round, last)
+		}
+	}
+}

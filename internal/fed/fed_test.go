@@ -694,7 +694,7 @@ func TestFederationGarbageResponseFailsLink(t *testing.T) {
 	}
 	defer pc.Close()
 	frames := make(chan netproto.Response, 4) // the terminal frame, with room to spare
-	if _, err := pc.Subscribe(netproto.OpWait, netproto.FileBody{Context: "c", File: "f"},
+	if _, err := pc.Subscribe(netproto.OpSubscribe, netproto.FilesBody{Context: "c", Files: []string{"f"}},
 		func(resp netproto.Response) { frames <- resp }); err != nil {
 		t.Fatal(err)
 	}

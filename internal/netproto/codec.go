@@ -277,7 +277,7 @@ func FrameBuffered(r *bufio.Reader) bool {
 //
 //	[opcode u8] [id uvarint] [per-op body]
 //
-//	open/wait/release/estwait/bitrep:   [context string] [file string]
+//	open/release/estwait/bitrep:        [context string] [file string]
 //	acquire/subscribe/prefetch:         [context string] [count uvarint] [file string]...
 //	unsubscribe:                        [sub-id uvarint]
 //	ping:                               (no body)
@@ -298,8 +298,10 @@ func FrameBuffered(r *bufio.Reader) bool {
 // forward-compatible extensions); any truncation inside the body is a
 // recoverable FrameError since the frame itself was fully consumed.
 const (
-	binOpen        byte = 1
-	binWait        byte = 2
+	binOpen byte = 1
+	// 2 was wait, retired with the op (subscribe serves every wait) and
+	// never to be reassigned: an old peer's frame must keep failing as
+	// an unknown opcode, not parse as something else.
 	binRelease     byte = 3
 	binEstWait     byte = 4
 	binBitrep      byte = 5
@@ -391,15 +393,16 @@ func decodeBinEnvelope(p []byte, env *Envelope) error {
 		return &FrameError{Op: e.Op, ID: e.ID, Recoverable: true, Err: fmt.Errorf("binary request: %s", msg)}
 	}
 	code := p[0]
-	if int(code) >= len(opByBin) || opByBin[code] == nil {
-		return fail(fmt.Sprintf("unknown opcode %#x", code))
-	}
-	spec := opByBin[code]
 	id, p, ok := getUvarint(p[1:])
 	if !ok {
 		return fail("truncated request id")
 	}
-	e.ID, e.Op = id, spec.Name
+	e.ID = id
+	if int(code) >= len(opByBin) || opByBin[code] == nil {
+		return fail(fmt.Sprintf("unknown opcode %#x", code))
+	}
+	spec := opByBin[code]
+	e.Op = spec.Name
 	switch spec.Body {
 	case BodyFile:
 		if e.file.Context, p, ok = getBinString(p); !ok {

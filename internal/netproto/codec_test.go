@@ -18,7 +18,6 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 		body any
 	}{
 		{OpOpen, FileBody{Context: "clim", File: "clim_out_00000001.nc"}},
-		{OpWait, FileBody{Context: "clim", File: "f2"}},
 		{OpRelease, FileBody{Context: "c", File: "f"}},
 		{OpEstWait, FileBody{Context: "c", File: "f"}},
 		{OpBitrep, FileBody{Context: "c", File: "f"}},
@@ -189,14 +188,19 @@ func TestBinaryTruncatedBodyRecoverable(t *testing.T) {
 	}
 }
 
+// An opcode the table does not know — one that never existed, or the
+// retired wait's 2 — is refused recoverably and on the frame's own
+// request ID, so the bad_frame reply reaches the call that sent it.
 func TestBinaryUnknownOpcodeRecoverable(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 2, 0x7F, 0x01}) // opcode 0x7F does not exist
-	var out Envelope
-	err := Binary.DecodeFrame(&buf, &out)
-	var fe *FrameError
-	if !errors.As(err, &fe) || !fe.Recoverable {
-		t.Fatalf("unknown opcode should be recoverable, got %v", err)
+	for _, code := range []byte{0x7F, 2} {
+		var buf bytes.Buffer
+		buf.Write([]byte{0, 0, 0, 6, code, 0x2A, 1, 'c', 1, 'f'})
+		var out Envelope
+		err := Binary.DecodeFrame(&buf, &out)
+		var fe *FrameError
+		if !errors.As(err, &fe) || !fe.Recoverable || fe.ID != 0x2A {
+			t.Fatalf("opcode %#x: want a recoverable FrameError on id 42, got %v", code, err)
+		}
 	}
 }
 

@@ -28,7 +28,9 @@ func seedFrames() ([][]byte, error) {
 		{OpContexts, nil},
 		{OpContextInfo, CtxBody{Context: "fz"}},
 		{OpOpen, FileBody{Context: "fz", File: "fz_out_00000001.nc"}},
-		{OpWait, FileBody{Context: "fz", File: "fz_out_00000002.nc"}},
+		// The retired wait op, as an old peer still sends it: an envelope
+		// like any other, refused by the daemon as an unknown op.
+		{"wait", FileBody{Context: "fz", File: "fz_out_00000002.nc"}},
 		{OpRelease, FileBody{Context: "fz", File: "fz_out_00000001.nc"}},
 		{OpAcquire, FilesBody{Context: "fz", Files: []string{"a.nc", "b.nc"}}},
 		{OpEstWait, FileBody{Context: "fz", File: "fz_out_00000003.nc"}},
@@ -139,7 +141,7 @@ func binSeedFrames() ([][]byte, error) {
 		body any
 	}{
 		{OpOpen, FileBody{Context: "fz", File: "fz_out_00000001.nc"}},
-		{OpWait, FileBody{Context: "fz", File: "fz_out_00000002.nc"}},
+		{OpOpen, FileBody{Context: "fz", File: "fz_out_00000002.nc"}}, // re-stamped below
 		{OpRelease, FileBody{Context: "fz", File: "fz_out_00000001.nc"}},
 		{OpEstWait, FileBody{Context: "fz", File: "fz_out_00000003.nc"}},
 		{OpBitrep, FileBody{Context: "fz", File: "fz_out_00000004.nc"}},
@@ -158,6 +160,10 @@ func binSeedFrames() ([][]byte, error) {
 			return nil, err
 		}
 	}
+	// The retired wait, as an old peer still sends it: an open's body
+	// under opcode 2, which the decoder must refuse as unknown —
+	// recoverably, on the frame's own ID.
+	frames[1][4] = 2
 	for _, resp := range []Response{
 		{ID: 1, OK: true},
 		{ID: 2, OK: true, Available: true, EstWaitNs: 13_000_000},

@@ -12,7 +12,7 @@
 // client frame is an Envelope — a fixed header (client-assigned request
 // ID plus operation name) and a typed per-op body. Responses echo the
 // ID, which lets the daemon deliver asynchronous notifications
-// (file-ready events for wait/acquire/subscribe) over the same
+// (file-ready events for acquire/subscribe) over the same
 // connection.
 //
 // Frames travel through a Codec. In version 2 every frame payload is
@@ -20,7 +20,7 @@
 // sides advertise CapBinary in the hello exchange — which itself is
 // always JSON — the connection switches to the Binary codec for every
 // frame after the handshake. The binary codec encodes the hot ops
-// (open/wait/release/acquire/estwait/bitrep/subscribe/prefetch/
+// (open/release/acquire/estwait/bitrep/subscribe/prefetch/
 // unsubscribe/ping) and the common response shape without any JSON hop;
 // cold-path ops (admin, control plane) and rich responses (listings,
 // stats, scheduler info) stay JSON inside the binary connection's
@@ -82,7 +82,6 @@ const (
 	OpContexts    = "contexts" // list context names
 	OpContextInfo = "ctxinfo"  // fetch one context's parameters
 	OpOpen        = "open"     // non-blocking open (Table I: open)
-	OpWait        = "wait"     // subscribe to file availability
 	OpRelease     = "release"  // drop a reference (Table I: close)
 	OpAcquire     = "acquire"  // SIMFS_Acquire: multi-file subscription
 	OpEstWait     = "estwait"  // estimated wait for a file
@@ -94,7 +93,7 @@ const (
 
 	// OpSubscribe registers a notification-only subscription: the daemon
 	// sends one frame per file as it becomes ready (or fails), then a
-	// final Done frame. Unlike wait/acquire it takes no references; the
+	// final Done frame. Unlike acquire it takes no references; the
 	// files must already be resident or promised (opened by someone).
 	OpSubscribe = "subscribe"
 	// OpUnsubscribe cancels an active subscription; SubID names the
@@ -201,7 +200,7 @@ const (
 	// exhausted the retry budget and quarantined the interval, the
 	// response also carries Attempts and RetryAfterNs.
 	CodeFailed ErrCode = "failed"
-	// CodeDraining: the daemon is shutting down; in-flight waits and
+	// CodeDraining: the daemon is shutting down; in-flight acquires and
 	// subscriptions are released with this code instead of being dropped
 	// mid-frame. Reconnect and retry against the replacement daemon.
 	CodeDraining ErrCode = "draining"
@@ -216,7 +215,7 @@ const (
 // body (absent for bodyless ops like ping).
 //
 // The body lives in one of three places. A FileBody — the body of
-// open/wait/release/estwait/bitrep, the data plane's hot ops — rides
+// open/release/estwait/bitrep, the data plane's hot ops — rides
 // unboxed in the file slot, set by NewFileEnvelope and by the binary
 // decoder, so nothing between the socket and the handler allocates for
 // it. Every other typed body is kept as a value (val) and marshaled

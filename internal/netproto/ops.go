@@ -51,7 +51,6 @@ type OpSpec struct {
 var Ops = []OpSpec{
 	{Name: OpHello, Body: BodyOther},
 	{Name: OpOpen, Bin: binOpen, Body: BodyFile, Idempotent: true, Timed: true},
-	{Name: OpWait, Bin: binWait, Body: BodyFile, Stream: true, Idempotent: true, Timed: true},
 	{Name: OpRelease, Bin: binRelease, Body: BodyFile, Timed: true},
 	{Name: OpAcquire, Bin: binAcquire, Body: BodyFiles, Stream: true, Timed: true},
 	{Name: OpEstWait, Bin: binEstWait, Body: BodyFile, Idempotent: true, Timed: true},

@@ -1,11 +1,22 @@
 // Package notify is the file-readiness notification hub of the Data
-// Virtualizer. Clients (the TCP front-end, in-process waiters, tests)
-// subscribe to (context, step) topics; the Virtualizer publishes a
-// FileReady or FileFailed event when a re-simulation produces or fails to
-// produce the step. Publishing never runs under the Virtualizer's shard
-// locks, so a slow subscriber cannot stall the simulation event pipeline,
-// and waking waiters never requires scanning waiter lists under a global
-// lock (the pub/sub shape of the IPPS exemplar).
+// Virtualizer. Subscribers take (context, step) topics; the Virtualizer
+// publishes a FileReady or FileFailed event when a re-simulation produces
+// or fails to produce the step. Publishing never runs under the
+// Virtualizer's shard locks, so a slow subscriber cannot stall the
+// simulation event pipeline, and waking waiters never requires scanning
+// waiter lists under a global lock (the pub/sub shape of the IPPS
+// exemplar).
+//
+// Two front-ends wait for files, on two paths. The TCP daemon rides this
+// hub: its one stream handler (server.watch, for acquire, subscribe and
+// fed-watch) subscribes through core.Virtualizer.Watch and pumps events
+// to the socket from a goroutine; the federation bridge republishes peer
+// daemons' events here, so remote productions resolve the same way. The
+// in-process front-end — the experiments harness under the DES — does not:
+// core.Virtualizer.WaitFile registers a callback that runs synchronously
+// inside the launcher event that resolves the step, so an analysis
+// resumes at that virtual instant, deterministically; a channel and a
+// goroutine would hand the wake-up to the Go scheduler.
 //
 // Delivery contract: a subscription receives at most one event per
 // subscribed topic — the next outcome for that file — after which the
@@ -15,9 +26,10 @@
 // per topic, so delivery never blocks and never drops.
 //
 // The subscribe-then-check idiom avoids lost wakeups: subscribe first,
-// then query the Virtualizer for the file's current state; any event
-// published after the subscription is buffered, and any state change
-// before it is visible to the query.
+// then read the file's current state; any event published after the
+// subscription is buffered, and any state change before it is visible to
+// the read. core.Virtualizer.Watch is that idiom, in the one place it is
+// written down.
 package notify
 
 import (

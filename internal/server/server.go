@@ -1,7 +1,7 @@
 // Package server implements the DV daemon (paper Sec. III): a TCP server
 // exposing the Virtualizer to DVLib clients over the netproto wire
-// protocol. Each connection serves one analysis application; waits,
-// acquires and subscriptions are answered asynchronously over the same
+// protocol. Each connection serves one analysis application; acquires
+// and subscriptions are answered asynchronously over the same
 // connection when re-simulations produce the requested files.
 //
 // Framing, reply batching and the handshake (version and capability
@@ -18,10 +18,10 @@
 // swaps, context registration/deregistration and per-context
 // drain/resume — all without a restart.
 //
-// Readiness notifications ride the Virtualizer's notify hub: handlers
-// subscribe to the files' (context, step) topics first and then query
-// FileState, so no wakeup is lost and no waiter list is scanned under the
-// Virtualizer's shard locks.
+// Readiness notifications ride the Virtualizer's notify hub: the one
+// stream handler (watch.go) subscribes to the files' (context, step)
+// topics and reads their state through core's Watch, so no wakeup is
+// lost and no waiter list is scanned under the Virtualizer's shard locks.
 package server
 
 import (
@@ -38,11 +38,10 @@ import (
 	"simfs/internal/metrics"
 	"simfs/internal/model"
 	"simfs/internal/netproto"
-	"simfs/internal/notify"
 )
 
-// PeerNotifier is the federation seam: subscribeFiles hands files that
-// are neither resident nor promised locally to it, and it watches them
+// PeerNotifier is the federation seam: a subscribe hands files that are
+// neither resident nor promised locally to it, and it watches them
 // on peer daemons, republishing their ready/failed events into the
 // local notify hub. *fed.Bridge implements it; a daemon without one
 // keeps the strictly-local behavior (per-file not_produced replies).
@@ -109,7 +108,7 @@ type Server struct {
 	asMu   sync.Mutex
 	asInfo netproto.AutoscaleInfo
 	// lat tracks per-op dispatch service time (the synchronous half of a
-	// request — async completions like a wait's ready frame are not
+	// request — async completions like a subscribe's ready frame are not
 	// attributed here), surfaced through the stats frame.
 	lat *metrics.LatencySet
 }
@@ -136,7 +135,7 @@ func New(v *core.Virtualizer, logf func(string, ...any)) *Server {
 func (s *Server) Serve() error { return s.listener.Serve(s.WrapConn, s.handle) }
 
 // Close stops accepting and shuts down gracefully: every live session's
-// pending waits, acquires and subscriptions are failed with a structured
+// pending acquires and subscriptions are failed with a structured
 // draining frame, buffered replies are flushed, and only then are the
 // connections closed. A client that receives draining knows its request
 // was not lost in flight — it can reconnect and retry.
@@ -163,94 +162,28 @@ type session struct {
 	// held tracks open references (context → files → count) for
 	// disconnect cleanup: a crashed analysis must not pin files forever.
 	held map[string]map[string]int
-	// mu guards subs: live hub subscriptions by request ID, closed on
-	// unsubscribe and on disconnect so their pump goroutines exit.
-	mu   sync.Mutex
-	subs map[uint64]*notify.Sub
-	// fedMu guards fedWatches: live fed-watch subscriptions by request
-	// ID, tracked separately from subs so the peers op can report the
-	// inbound federation ledger (live topics, forwarded events) per
-	// peer session. fedEvents counts events forwarded over this link.
-	fedMu      sync.Mutex
-	fedWatches map[uint64]*fileWatch
-	fedEvents  atomic.Uint64
-}
-
-// addFedWatch registers a live fed-watch for the inbound peer ledger.
-func (sess *session) addFedWatch(id uint64, w *fileWatch) {
-	sess.fedMu.Lock()
-	if sess.fedWatches == nil {
-		sess.fedWatches = map[uint64]*fileWatch{}
-	}
-	sess.fedWatches[id] = w
-	sess.fedMu.Unlock()
-}
-
-// dropFedWatch forgets a fed-watch once its pump ends.
-func (sess *session) dropFedWatch(id uint64) {
-	sess.fedMu.Lock()
-	delete(sess.fedWatches, id)
-	sess.fedMu.Unlock()
-}
-
-// addSub registers a live subscription for cleanup.
-func (sess *session) addSub(id uint64, sub *notify.Sub) {
-	sess.mu.Lock()
-	if sess.subs == nil {
-		sess.subs = map[uint64]*notify.Sub{}
-	}
-	sess.subs[id] = sub
-	sess.mu.Unlock()
-}
-
-// dropSub forgets (and returns) a subscription.
-func (sess *session) dropSub(id uint64) *notify.Sub {
-	sess.mu.Lock()
-	sub := sess.subs[id]
-	delete(sess.subs, id)
-	sess.mu.Unlock()
-	return sub
+	// mu guards watches: the live readiness streams (acquire, subscribe,
+	// fed-watch) by request ID, ended by unsubscribe, drain and
+	// disconnect. The peers op reads the fed ones as the inbound
+	// federation ledger; fedEvents counts the events they forwarded.
+	mu        sync.Mutex
+	watches   map[uint64]*fileWatch
+	fedEvents atomic.Uint64
 }
 
 // drain performs the graceful half of shutdown for one session: every
-// pending wait/acquire/subscribe request is answered with a terminal
+// live acquire/subscribe/fed-watch stream is answered with a terminal
 // draining frame (so the client's call returns with a retryable error
 // instead of a dead connection), and the coalesced reply buffer is
 // flushed so nothing the dispatch loop already answered is lost.
 func (sess *session) drain() {
-	sess.mu.Lock()
-	ids := make([]uint64, 0, len(sess.subs))
-	subs := make([]*notify.Sub, 0, len(sess.subs))
-	for id, sub := range sess.subs {
-		ids = append(ids, id)
-		subs = append(subs, sub)
-	}
-	sess.subs = nil
-	sess.mu.Unlock()
-	// Close the subscriptions first so their pump goroutines stop sending;
-	// then the draining frames below are the last word on each request ID.
-	for _, sub := range subs {
-		sub.Close()
-	}
-	for _, id := range ids {
+	// endWatches stops the pumps first, so the draining frames are the
+	// last word on each request ID.
+	for _, id := range sess.endWatches() {
 		sess.reply(netproto.Response{ID: id, Code: netproto.CodeDraining,
 			Err: "daemon shutting down", Done: true})
 	}
 	sess.flush()
-}
-
-// closeSubs closes every live subscription (disconnect cleanup).
-func (sess *session) closeSubs() {
-	sess.mu.Lock()
-	subs := make([]*notify.Sub, 0, len(sess.subs))
-	for _, sub := range sess.subs {
-		subs = append(subs, sub)
-	}
-	sess.subs = nil
-	sess.mu.Unlock()
-	for _, sub := range subs {
-		sub.Close()
-	}
 }
 
 // reply encodes the response into the connection's write buffer without
@@ -261,9 +194,8 @@ func (sess *session) reply(resp netproto.Response) {
 }
 
 // send encodes the response and flushes it immediately. It is the path
-// for asynchronous pushes (wait finishers, acquire/subscribe pumps):
-// those run off the read loop's goroutine, so nothing else would flush
-// their frames.
+// for asynchronous pushes (the streams' pumps): those run off the read
+// loop's goroutine, so nothing else would flush their frames.
 func (sess *session) send(resp netproto.Response) { sess.check("send", sess.c.SendResponse(&resp)) }
 
 // flush pushes buffered response frames to the connection.
@@ -347,7 +279,7 @@ func (s *Server) handle(c *netproto.Conn) {
 		s.mu.Unlock()
 		// Tear down notification subscriptions, then release references
 		// held by the departed client.
-		sess.closeSubs()
+		sess.endWatches()
 		for ctx, files := range sess.held {
 			for file, n := range files {
 				for i := 0; i < n; i++ {
@@ -428,23 +360,6 @@ func bare(h func(*Server, *session) (netproto.Response, error)) handler {
 	}
 }
 
-// streamed adapts a typed handler that answers through the session
-// itself — per-file frames now, pushes from a pump goroutine later — and
-// returns an error only when the request fails as a whole. That refusal
-// is the stream's last frame and says so (Done), like every other end
-// of a stream.
-func streamed[B any](h func(*Server, *session, uint64, B) error) handler {
-	return func(s *Server, sess *session, env netproto.Envelope) {
-		if b, ok := decodeBody[B](sess, env); ok {
-			if err := h(s, sess, env.ID, b); err != nil {
-				resp := failure(err)
-				resp.ID, resp.Done = env.ID, true
-				sess.reply(resp)
-			}
-		}
-	}
-}
-
 // decodeBody unmarshals the typed body, answering a structured
 // bad-request (with the op and request ID wrapped in) on failure.
 func decodeBody[B any](sess *session, env netproto.Envelope) (b B, ok bool) {
@@ -462,17 +377,16 @@ var handlers = map[string]handler{
 	netproto.OpContexts:        bare((*Server).contexts),
 	netproto.OpContextInfo:     op((*Server).contextInfo),
 	netproto.OpOpen:            fileOp((*Server).open),
-	netproto.OpWait:            streamed((*Server).waitFile),
 	netproto.OpRelease:         fileOp((*Server).release),
-	netproto.OpAcquire:         streamed((*Server).acquireWithPerFile),
+	netproto.OpAcquire:         (*Server).watch,
 	netproto.OpEstWait:         fileOp((*Server).estWait),
 	netproto.OpBitrep:          fileOp((*Server).bitrep),
 	netproto.OpRegSum:          op((*Server).regSum),
 	netproto.OpStats:           op((*Server).stats),
 	netproto.OpPrefetch:        op((*Server).prefetch),
 	netproto.OpRescan:          op((*Server).rescan),
-	netproto.OpSubscribe:       streamed((*Server).subscribeFiles),
-	netproto.OpFedWatch:        streamed((*Server).fedWatchFiles),
+	netproto.OpSubscribe:       (*Server).watch,
+	netproto.OpFedWatch:        (*Server).watch,
 	netproto.OpPeers:           bare((*Server).peers),
 	netproto.OpUnsubscribe:     op((*Server).unsubscribe),
 	netproto.OpSchedGet:        bare((*Server).schedGet),
@@ -621,8 +535,8 @@ func (s *Server) peers(*session) (netproto.Response, error) {
 }
 
 func (s *Server) unsubscribe(sess *session, b netproto.UnsubscribeBody) (netproto.Response, error) {
-	if sub := sess.dropSub(b.SubID); sub != nil {
-		sub.Close()
+	if w := sess.dropWatch(b.SubID); w != nil {
+		w.sub.Close()
 	}
 	return acked, nil
 }
@@ -761,11 +675,13 @@ func (s *Server) inboundPeerInfos() []netproto.PeerInfo {
 	var infos []netproto.PeerInfo
 	for _, sess := range sessions {
 		topics := 0
-		sess.fedMu.Lock()
-		for _, w := range sess.fedWatches {
-			topics += int(w.pending.Load())
+		sess.mu.Lock()
+		for _, w := range sess.watches {
+			if w.fed {
+				topics += int(w.pending.Load())
+			}
 		}
-		sess.fedMu.Unlock()
+		sess.mu.Unlock()
 		events := sess.fedEvents.Load()
 		if topics == 0 && events == 0 {
 			continue
@@ -777,311 +693,6 @@ func (s *Server) inboundPeerInfos() []netproto.PeerInfo {
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Addr < infos[j].Addr })
 	return infos
-}
-
-// waitFile implements OpWait on the notify hub: subscribe to the file's
-// topic, then check its state — any event published after the
-// subscription is buffered, so no wakeup is lost.
-func (s *Server) waitFile(sess *session, id uint64, b netproto.FileBody) error {
-	ctxName, file := b.Context, b.File
-	topic, err := s.v.FileTopic(ctxName, file)
-	if err != nil {
-		return err
-	}
-	sub := s.v.Hub().Subscribe(topic)
-	resident, promised, err := s.v.FileState(ctxName, file)
-	if err != nil {
-		sub.Close()
-		return err
-	}
-	if resident {
-		sub.Close()
-		sess.reply(netproto.Response{ID: id, OK: true, Ready: true, Done: true, File: file})
-		return nil
-	}
-	// finish may run on the waiter goroutine, off the read loop: it must
-	// flush its own frame (send), not leave it in the reply buffer.
-	finish := func(ev notify.Event) {
-		resp := netproto.Response{ID: id, OK: ev.Err == "", Err: ev.Err,
-			Ready: ev.Kind == notify.FileReady, Done: true, File: file}
-		if ev.Err != "" {
-			resp.Code = netproto.CodeFailed
-			resp.Attempts = ev.Attempts
-			resp.RetryAfterNs = ev.RetryAfter
-		}
-		sess.send(resp)
-	}
-	if !promised {
-		// The producing simulation may have resolved the file between
-		// Subscribe and FileState; the event would be buffered.
-		select {
-		case ev := <-sub.C():
-			sub.Close()
-			finish(ev)
-			return nil
-		default:
-			sub.Close()
-			return fmt.Errorf("%w: %q is neither on disk nor promised; call open or acquire first",
-				core.ErrNotProduced, file)
-		}
-	}
-	sess.addSub(id, sub)
-	go func() {
-		defer sess.dropSub(id)
-		if ev, ok := <-sub.C(); ok {
-			if ev.Kind == notify.FileReady {
-				s.v.NoteClientReady(sess.client, ctxName, file)
-			}
-			finish(ev)
-			sub.Close()
-		}
-	}()
-	return nil
-}
-
-// fileWatch is the shared subscribe-then-check machinery of OpAcquire and
-// OpSubscribe: per-file readiness streamed over the connection, a final
-// Done frame once every file has resolved.
-type fileWatch struct {
-	srv      *Server
-	client   string
-	ctxName  string
-	sub      *notify.Sub
-	names    map[notify.Topic]string // topic → file, for frame rendering
-	resolved map[notify.Topic]bool
-	// pending is atomic only so the peers op can read a live fed-watch's
-	// remaining topic count; pump is the sole writer.
-	pending atomic.Int64
-	// fed marks an inbound fed-watch (peer daemon subscription): its
-	// resolutions count into the session's forwarded-events ledger.
-	fed bool
-}
-
-// watchTopics subscribes to every file's topic for the multi-file op
-// (an empty list is refused). The caller resolves the initial states
-// before pumping events.
-func (s *Server) watchTopics(op, client, ctxName string, files []string) (*fileWatch, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("%w: %s requires at least one file", core.ErrInvalid, op)
-	}
-	topics := make([]notify.Topic, len(files))
-	for i, f := range files {
-		t, err := s.v.FileTopic(ctxName, f)
-		if err != nil {
-			return nil, err
-		}
-		topics[i] = t
-	}
-	w := &fileWatch{
-		srv:      s,
-		client:   client,
-		ctxName:  ctxName,
-		names:    make(map[notify.Topic]string, len(files)),
-		resolved: map[notify.Topic]bool{},
-	}
-	for i, t := range topics {
-		w.names[t] = files[i]
-	}
-	w.sub = s.v.Hub().Subscribe(topics...)
-	return w, nil
-}
-
-// pump streams buffered and future events as per-file frames until every
-// topic has resolved, then sends the Done frame. failFast terminates the
-// stream on the first failure (OpAcquire's legacy contract); otherwise
-// each file resolves individually and Done still arrives (OpSubscribe).
-func (w *fileWatch) pump(sess *session, reqID uint64, failFast bool) {
-	defer sess.dropSub(reqID)
-	for ev := range w.sub.C() {
-		f, ok := w.names[ev.Topic]
-		if !ok || w.resolved[ev.Topic] {
-			continue
-		}
-		w.resolved[ev.Topic] = true
-		w.pending.Add(-1)
-		if w.fed {
-			sess.fedEvents.Add(1)
-		}
-		if ev.Kind == notify.FileFailed {
-			resp := netproto.Response{ID: reqID, Code: netproto.CodeFailed, Err: ev.Err, File: f,
-				Attempts: ev.Attempts, RetryAfterNs: ev.RetryAfter}
-			if failFast {
-				resp.Done = true
-				sess.send(resp)
-				w.sub.Close()
-				return
-			}
-			sess.send(resp)
-		} else {
-			// The client was blocked on this file: reset its τcli
-			// baseline, as the in-process waiter path does.
-			w.srv.v.NoteClientReady(w.client, w.ctxName, f)
-			sess.send(netproto.Response{ID: reqID, OK: true, Ready: true, File: f})
-		}
-		if w.pending.Load() == 0 {
-			sess.send(netproto.Response{ID: reqID, OK: true, Done: true})
-			w.sub.Close()
-			return
-		}
-	}
-}
-
-// acquireWithPerFile implements the acquire subscription: references are
-// taken via Open (starting re-simulations), then readiness rides the
-// notify hub — a per-file ready frame for each missing file (they let
-// the client implement Waitsome/Testsome) plus a final done frame.
-func (s *Server) acquireWithPerFile(sess *session, id uint64, b netproto.FilesBody) error {
-	ctxName, files := b.Context, append([]string(nil), b.Files...)
-	w, err := s.watchTopics(netproto.OpAcquire, sess.client, ctxName, files)
-	if err != nil {
-		return err
-	}
-	// Open every file (taking references) so re-simulations start.
-	for i, f := range files {
-		res, err := s.v.Open(sess.client, ctxName, f)
-		if err != nil {
-			// Roll back references taken so far, including the
-			// disconnect-cleanup bookkeeping.
-			for _, g := range files[:i] {
-				_ = s.v.Release(sess.client, ctxName, g)
-				sess.trackRef(ctxName, g, -1)
-			}
-			w.sub.Close()
-			return err
-		}
-		sess.trackRef(ctxName, f, +1)
-		if res.Available {
-			topic, _ := s.v.FileTopic(ctxName, f)
-			if !w.resolved[topic] {
-				w.resolved[topic] = true
-				sess.reply(netproto.Response{ID: id, OK: true, Ready: true, File: f})
-			}
-		}
-	}
-	// A missing file may have been produced between Open and now; its
-	// event is buffered in the subscription, so only count what is still
-	// unresolved and let pump drain the buffer.
-	w.pending.Store(int64(len(w.names) - len(w.resolved)))
-	if w.pending.Load() == 0 {
-		sess.reply(netproto.Response{ID: id, OK: true, Done: true})
-		w.sub.Close()
-		return nil
-	}
-	sess.addSub(id, w.sub)
-	go w.pump(sess, id, true)
-	return nil
-}
-
-// subscribeFiles implements OpSubscribe: notification-only readiness
-// frames with no references taken. Files must be resident or promised;
-// files that are neither resolve immediately with a per-file error
-// frame — unless the daemon is federated, in which case they stay
-// pending and the bridge watches them on the peer daemons (the local
-// hub republishes whatever a peer produces, so the pump below resolves
-// them exactly like local productions).
-func (s *Server) subscribeFiles(sess *session, id uint64, b netproto.FilesBody) error {
-	ctxName, files := b.Context, b.Files
-	w, err := s.watchTopics(netproto.OpSubscribe, sess.client, ctxName, files)
-	if err != nil {
-		return err
-	}
-	var remote []string
-	for _, f := range files {
-		topic, _ := s.v.FileTopic(ctxName, f)
-		if w.resolved[topic] {
-			continue
-		}
-		resident, promised, err := s.v.FileState(ctxName, f)
-		if err != nil {
-			w.sub.Close()
-			return err
-		}
-		switch {
-		case resident:
-			w.resolved[topic] = true
-			sess.reply(netproto.Response{ID: id, OK: true, Ready: true, File: f})
-		case !promised:
-			// Not being produced — unless its event raced into the
-			// subscription buffer, which pump will deliver.
-			if !bufferedEvent(w.sub, topic) {
-				if s.Peers != nil {
-					remote = append(remote, f)
-				} else {
-					w.resolved[topic] = true
-					sess.reply(netproto.Response{ID: id, Code: netproto.CodeNotProduced,
-						Err: "file is not being produced", File: f})
-				}
-			}
-		}
-	}
-	w.pending.Store(int64(len(w.names) - len(w.resolved)))
-	if w.pending.Load() == 0 {
-		sess.reply(netproto.Response{ID: id, OK: true, Done: true})
-		w.sub.Close()
-		return nil
-	}
-	var cancelRemote func()
-	if len(remote) > 0 {
-		cancelRemote = s.Peers.WatchRemote(ctxName, remote)
-	}
-	sess.addSub(id, w.sub)
-	go func() {
-		w.pump(sess, id, false)
-		if cancelRemote != nil {
-			cancelRemote()
-		}
-	}()
-	return nil
-}
-
-// fedWatchFiles implements OpFedWatch, the daemon↔daemon subscribe
-// variant behind the fed capability. Unlike subscribe it keeps files
-// nobody has promised yet pending — the remote daemon's producer may
-// only be asked later — and it never consults s.Peers, so a peer mesh
-// cannot forward an interest in circles: every interest bounces at
-// most once, from the daemon the client asked to the producing peer.
-func (s *Server) fedWatchFiles(sess *session, id uint64, b netproto.FilesBody) error {
-	ctxName, files := b.Context, b.Files
-	w, err := s.watchTopics(netproto.OpFedWatch, sess.client, ctxName, files)
-	if err != nil {
-		return err
-	}
-	for _, f := range files {
-		topic, _ := s.v.FileTopic(ctxName, f)
-		if w.resolved[topic] {
-			continue
-		}
-		resident, _, err := s.v.FileState(ctxName, f)
-		if err != nil {
-			w.sub.Close()
-			return err
-		}
-		if resident {
-			w.resolved[topic] = true
-			sess.reply(netproto.Response{ID: id, OK: true, Ready: true, File: f})
-		}
-	}
-	w.pending.Store(int64(len(w.names) - len(w.resolved)))
-	if w.pending.Load() == 0 {
-		sess.reply(netproto.Response{ID: id, OK: true, Done: true})
-		w.sub.Close()
-		return nil
-	}
-	w.fed = true
-	sess.addSub(id, w.sub)
-	sess.addFedWatch(id, w)
-	go func() {
-		w.pump(sess, id, false)
-		sess.dropFedWatch(id)
-	}()
-	return nil
-}
-
-// bufferedEvent reports whether the subscription already holds an event
-// for the topic. The hub's one-shot contract means a delivered topic is
-// no longer subscribed, which is exactly the case this probes.
-func bufferedEvent(sub *notify.Sub, topic notify.Topic) bool {
-	return !sub.Subscribed(topic)
 }
 
 // readStorage reads a file's content from the context's storage area.

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"simfs/internal/dvlib"
+	"simfs/internal/netproto"
 )
 
 // TestWatchOverTCP exercises the subscription op end to end: a watch on
@@ -81,18 +83,57 @@ func TestWatchUnproducedFileResolvesWithError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fileErr string
+	var fileEv dvlib.WatchEvent
 	for ev := range w.Events() {
 		if ev.File != "" {
-			fileErr = ev.Err
+			fileEv = ev
 		}
 	}
-	if fileErr == "" {
-		t.Error("watch of an unproduced file should resolve with an error event")
+	if fileEv.Err == "" || fileEv.Code != netproto.CodeNotProduced {
+		t.Errorf("watch of an unproduced file resolved with %+v, want a not_produced error event", fileEv)
 	}
-	// WaitAvailable surfaces the same condition as an error.
-	if err := ctx.WaitAvailable(ctx.Filename(41)); err == nil {
-		t.Error("WaitAvailable without a prior open should fail")
+	// WaitAvailable and Read surface the same condition as a coded error:
+	// a reader can tell "nobody is producing this" from a failed
+	// re-simulation.
+	err = ctx.WaitAvailable(ctx.Filename(41))
+	if code := dvlib.ErrCodeOf(err); code != netproto.CodeNotProduced {
+		t.Errorf("WaitAvailable without a prior open = %v (code %q), want not_produced", err, code)
+	}
+	if _, err := ctx.Read(ctx.Filename(41)); dvlib.ErrCodeOf(err) != netproto.CodeNotProduced {
+		t.Errorf("Read without a prior open = %v, want not_produced", err)
+	}
+	// A stream refused as a whole carries its code too.
+	if _, err := ctx.Read("clim_out_41.nc"); dvlib.ErrCodeOf(err) != netproto.CodeBadRequest {
+		t.Errorf("Read of a non-canonical name = %v, want bad_request", err)
+	}
+}
+
+// TestWaitAvailableCarriesFailureCode: a reader blocked on a file whose
+// re-simulation dies gets the daemon's failed code, not a bare string.
+func TestWaitAvailableCarriesFailureCode(t *testing.T) {
+	_, addr := testStackWith(t, func(st *Stack) {
+		st.Launcher.FailAt = func(_ string, first, _ int) int { return first }
+	})
+	c, err := dvlib.Dial(addr, "reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, err := c.Init("clim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := ctx.Filename(6)
+	if _, err := ctx.Open(file); err != nil {
+		t.Fatal(err)
+	}
+	err = ctx.WaitAvailable(file)
+	var derr *dvlib.Error
+	if !errors.As(err, &derr) || derr.Code != netproto.CodeFailed || derr.Op != netproto.OpSubscribe {
+		t.Errorf("WaitAvailable on a crashed re-simulation = %v, want a subscribe *Error coded failed", err)
+	}
+	if err := ctx.Release(file); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -269,6 +269,52 @@ func TestBinarySessionRawFrames(t *testing.T) {
 	}
 }
 
+// The wait op is retired (subscribe serves every wait). A peer that
+// predates the retirement is told so, recoverably and on its request's
+// own ID — bad_frame for the binary opcode 2, unsupported for the JSON
+// op name — and the session keeps working.
+func TestRetiredWaitOpRefused(t *testing.T) {
+	_, addr := testStack(t)
+	conn := rawConn(t, addr)
+	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
+		netproto.HelloBody{Version: netproto.ProtoVersion, Client: "old-peer",
+			Caps: []string{netproto.CapBinary}})
+	if err := netproto.JSON.EncodeFrame(conn, hello); err != nil {
+		t.Fatal(err)
+	}
+	var resp netproto.Response
+	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
+		t.Fatalf("handshake: %v %+v", err, resp)
+	}
+	// The binary frame an old dvlib encoded for wait: opcode 2, id 7,
+	// context "clim", file "f".
+	if _, err := conn.Write([]byte{0, 0, 0, 9, 0x02, 7, 4, 'c', 'l', 'i', 'm', 1, 'f'}); err != nil {
+		t.Fatal(err)
+	}
+	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Code != netproto.CodeFrame || resp.ID != 7 || resp.OK {
+		t.Errorf("binary wait answered with %+v, want CodeFrame on id 7", resp)
+	}
+	// The same op by name (a JSON payload inside the binary session).
+	wait, _ := netproto.NewEnvelope(8, "wait", netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"})
+	if err := netproto.Binary.EncodeFrame(conn, wait); err != nil {
+		t.Fatal(err)
+	}
+	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Code != netproto.CodeUnsupported || resp.ID != 8 || resp.OK {
+		t.Errorf("JSON wait answered with %+v, want CodeUnsupported on id 8", resp)
+	}
+	ping, _ := netproto.NewEnvelope(9, netproto.OpPing, nil)
+	netproto.Binary.EncodeFrame(conn, ping)
+	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 9 {
+		t.Errorf("ping after the refusals: %v %+v", err, resp)
+	}
+}
+
 // Graceful shutdown: a wait pending when the daemon closes is answered
 // with a terminal structured draining frame — not a silently dropped
 // connection — so the client knows the request can be retried elsewhere.
@@ -302,8 +348,8 @@ func TestCloseDrainsPendingWaiters(t *testing.T) {
 	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.Available {
 		t.Fatalf("open: %v %+v", err, resp)
 	}
-	wait, _ := netproto.NewEnvelope(3, netproto.OpWait,
-		netproto.FileBody{Context: "clim", File: "clim_out_00000006.nc"})
+	wait, _ := netproto.NewEnvelope(3, netproto.OpSubscribe,
+		netproto.FilesBody{Context: "clim", Files: []string{"clim_out_00000006.nc"}})
 	if err := netproto.JSON.EncodeFrame(conn, wait); err != nil {
 		t.Fatal(err)
 	}
