@@ -34,6 +34,9 @@ var MapOrderPackages = map[string]bool{
 	"simfs/internal/trace":       true,
 	"simfs/internal/experiments": true,
 	"simfs/internal/autoscale":   true,
+	// notify's callbacks drive the DES: WaitFile wakes analyses in the
+	// ledger's order.
+	"simfs/internal/notify": true,
 }
 
 // wallFuncs are the package time functions that read or arm the wall

@@ -3,8 +3,9 @@
 // (metrics.ContendedMutex) nest only in downstream→upstream pipeline
 // order, the plain mutexes (ctxMu, simMu) are never held while a
 // shard lock is acquired, and nothing that can block on another
-// goroutine — a notify-hub publish, a channel send — runs while a
-// shard lock is held.
+// goroutine — a notify-hub publish or delivery, a channel send — runs
+// while a shard lock is held. The hub's Take and Await stay legal there:
+// they only touch the ledger, under the innermost hub lock.
 //
 // The analysis is function-local. It tracks Lock/Unlock pairs in
 // statement order within each function; a function entered with a
@@ -16,13 +17,14 @@
 // site, with the ordering argument as the reason.
 //
 // Type matching is by name (a named type ContendedMutex, the sync
-// package's Mutex/RWMutex, a Hub's Publish method), so the analyzer
-// is testable outside the simfs module.
+// package's Mutex/RWMutex, a Hub's Publish and Deliver methods), so the
+// analyzer is testable outside the simfs module.
 package lockorder
 
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"simfs/internal/analysis"
 )
@@ -352,10 +354,11 @@ func (c *checker) scan(n ast.Node, st *lockState) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Publish" {
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Publish" || sel.Sel.Name == "Deliver") {
 				if named, ok := deref(c.recvTypeOf(sel)).(*types.Named); ok && named.Obj().Name() == "Hub" {
 					c.pass.Reportf("lockorder", x.Pos(),
-						"notify hub publish while shard lock %s is held; publish after unlock (subscriber callbacks may re-enter the shard)", st.heldNames())
+						"notify hub %s while shard lock %s is held; take the waiters under the lock and deliver after unlock (callbacks may re-enter the shard)",
+						strings.ToLower(sel.Sel.Name), st.heldNames())
 				}
 			}
 		}

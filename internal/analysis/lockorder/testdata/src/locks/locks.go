@@ -10,7 +10,10 @@ type ContendedMutex struct{ sync.Mutex }
 
 type Hub struct{}
 
-func (h *Hub) Publish(ev string) {}
+func (h *Hub) Publish(ev string)              {}
+func (h *Hub) Await(topic string)             {}
+func (h *Hub) Take(topic string) []string     { return nil }
+func (h *Hub) Deliver(ev string, ws []string) {}
 
 type shard struct {
 	mu ContendedMutex
@@ -89,6 +92,17 @@ func PublishAfterUnlockClean(h *Hub, s *shard) {
 	s.mu.Lock()
 	s.mu.Unlock()
 	h.Publish("evict")
+}
+
+// TakeThenDeliver: registering and taking waiters under the shard lock
+// is clean; waking them is not.
+func TakeThenDeliver(h *Hub, s *shard) {
+	s.mu.Lock()
+	h.Await("step")
+	ws := h.Take("step")
+	h.Deliver("early", ws) // want "notify hub deliver while shard lock s.mu is held"
+	s.mu.Unlock()
+	h.Deliver("ready", ws)
 }
 
 // lockedEntry is entered with s's lock held by the caller, so even

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"simfs/internal/cache"
+	"simfs/internal/notify"
 	"simfs/internal/sched"
 )
 
@@ -26,8 +27,8 @@ var (
 	//
 	//simfs:errcode busy
 	ErrDraining = errors.New("context draining")
-	// ErrBusy: the operation needs a quiescent context but references,
-	// waiters or simulations are still live.
+	// ErrBusy: the operation needs a quiescent context but references or
+	// simulations are still live.
 	//
 	//simfs:errcode busy
 	ErrBusy = errors.New("context busy")
@@ -143,10 +144,10 @@ func (v *Virtualizer) Draining(ctxName string) (bool, error) {
 }
 
 // RemoveContext deregisters a drained context. It refuses (ErrBusy) while
-// files are referenced, waiters are registered, simulations run, or a
-// downstream context names it as upstream — drain first and retry once
-// the workload has emptied. Queued scheduler jobs of the context are
-// de-queued and their pending steps published as failed. The context's
+// files are referenced, simulations run, or a downstream context names it
+// as upstream — drain first and retry once the workload has emptied. Its
+// queued jobs are de-queued and every waiter left on it is failed (an
+// in-process waiter holds a reference; a stream need not). The context's
 // storage area is left on disk.
 func (v *Virtualizer) RemoveContext(name string) error {
 	// Fast-fail on a downstream dependent before marking the context
@@ -167,10 +168,6 @@ func (v *Virtualizer) RemoveContext(name string) error {
 		cs.mu.Unlock()
 		return fmt.Errorf("core: %w: %d files of %q still referenced", ErrBusy, n, name)
 	}
-	if n := len(cs.waiters); n > 0 {
-		cs.mu.Unlock()
-		return fmt.Errorf("core: %w: %d waiters registered on %q", ErrBusy, n, name)
-	}
 	if n := len(cs.sims); n > 0 {
 		cs.mu.Unlock()
 		return fmt.Errorf("core: %w: %d simulations of %q still live", ErrBusy, n, name)
@@ -180,6 +177,7 @@ func (v *Virtualizer) RemoveContext(name string) error {
 	for _, job := range v.sched.DropContext(name) {
 		orphaned = append(orphaned, clearPromised(cs, job.First, job.Last, pendingSimID)...)
 	}
+	ws := v.take(cs, orphaned)
 	cs.mu.Unlock()
 
 	// Deletion and the dependency re-check share one ctxMu critical
@@ -195,14 +193,18 @@ func (v *Virtualizer) RemoveContext(name string) error {
 			v.ctxMu.Unlock()
 			// The queued jobs are already dropped and their promises
 			// cleared — consistent on its own (a later open simply
-			// relaunches); tell subscribers the productions died.
-			v.publishFailed(name, orphaned, "re-simulation canceled")
+			// relaunches); tell their waiters the productions died.
+			v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation canceled"}, ws)
 			return fmt.Errorf("core: %w: %q is upstream of %q", ErrBusy, name, other)
 		}
 	}
 	delete(v.contexts, name)
+	// Nothing decides these steps' fate any more: fail whoever still waits.
+	for _, w := range v.hub.Waiters(name) {
+		ws = v.hub.Take(w.Topic, ws)
+	}
 	v.ctxMu.Unlock()
-	v.publishFailed(name, orphaned, "context deregistered")
+	v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "context deregistered"}, ws)
 	return nil
 }
 

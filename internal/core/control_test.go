@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"simfs/internal/notify"
 	"simfs/internal/sched"
 )
 
@@ -243,8 +244,8 @@ func TestDrainDroppedPrefetchFailsJoinedWaiters(t *testing.T) {
 	if _, err := h.v.GuidedPrefetch("a2", "c", []string{ctx.Filename(6)}); err != nil {
 		t.Fatal(err)
 	}
-	var got []Status
-	if err := h.v.WaitFile("a2", "c", ctx.Filename(6), func(st Status) { got = append(got, st) }); err != nil {
+	var got []notify.Event
+	if err := h.v.WaitFile("a2", "c", ctx.Filename(6), func(st notify.Event) { got = append(got, st) }); err != nil {
 		t.Fatalf("the queued hint promises step 6: %v", err)
 	}
 	if err := h.v.Drain("c"); err != nil {
@@ -256,5 +257,39 @@ func TestDrainDroppedPrefetchFailsJoinedWaiters(t *testing.T) {
 	}
 	if err := h.v.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// A stream on a file nobody opened — a fed-watch waiting for the file's
+// producer to be asked — is failed when its context is deregistered,
+// not left on a topic nothing will ever decide.
+func TestRemoveContextFailsLeftoverWatchers(t *testing.T) {
+	ctx := testContext("c")
+	h := newHarness(t, ctx)
+	sub, files, err := h.v.Watch("w", "c", []string{ctx.Filename(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files[0].Resident || files[0].Promised {
+		t.Fatalf("watched file = %+v, want neither resident nor promised", files[0])
+	}
+	if err := h.v.RemoveContext("c"); err != nil {
+		t.Fatalf("a stream is no busy reason: %v", err)
+	}
+	select {
+	case ev := <-sub.C():
+		if ev.Kind != notify.FileFailed || ev.Err != "context deregistered" {
+			t.Errorf("event = %+v, want FileFailed %q", ev, "context deregistered")
+		}
+	default:
+		t.Fatal("the stream got no event")
+	}
+	select {
+	case ev, more := <-sub.C():
+		if more {
+			t.Errorf("second event %+v, want exactly one", ev)
+		}
+	default:
+		t.Error("the stream was not completed after its one topic resolved")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"simfs/internal/des"
 	"simfs/internal/faults"
 	"simfs/internal/model"
+	"simfs/internal/notify"
 	"simfs/internal/simulator"
 	"simfs/internal/vfs"
 )
@@ -36,7 +37,7 @@ func newHarness(t *testing.T, ctxs ...*model.Context) *harness {
 // FileState reports whether a file is resident and/or promised: the
 // tests' probe of one step, read the way front-ends read it.
 func (v *Virtualizer) FileState(ctxName, filename string) (resident, promised bool, err error) {
-	sub, files, err := v.Watch(ctxName, []string{filename})
+	sub, files, err := v.Watch("", ctxName, []string{filename})
 	if err != nil {
 		return false, false, err
 	}
@@ -137,7 +138,7 @@ func TestOpenMissTriggersResimAndNotifies(t *testing.T) {
 		t.Error("miss should estimate a wait")
 	}
 	var ready []time.Duration
-	if err := h.v.WaitFile("a1", "c", file, func(st Status) {
+	if err := h.v.WaitFile("a1", "c", file, func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("unexpected error: %s", st.Err)
 		}
@@ -181,14 +182,14 @@ func TestWaitFileOnResidentFiresImmediately(t *testing.T) {
 	h := newHarness(t, ctx)
 	h.v.Preload("c", []int{1})
 	fired := false
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(1), func(st Status) { fired = true }); err != nil {
+	if err := h.v.WaitFile("a1", "c", ctx.Filename(1), func(st notify.Event) { fired = true }); err != nil {
 		t.Fatal(err)
 	}
 	if !fired {
 		t.Error("waiter on resident file must fire synchronously")
 	}
 	// Waiting for a file that nothing is producing is an error.
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(50), func(Status) {}); err == nil {
+	if err := h.v.WaitFile("a1", "c", ctx.Filename(50), func(notify.Event) {}); err == nil {
 		t.Error("wait without open should fail")
 	}
 }
@@ -294,7 +295,7 @@ func TestSMaxQueuesDemandLaunches(t *testing.T) {
 	done := map[int]time.Duration{}
 	for _, s := range []int{2, 6, 10} {
 		s := s
-		h.v.WaitFile("a1", "c", ctx.Filename(s), func(st Status) { done[s] = h.eng.Now() })
+		h.v.WaitFile("a1", "c", ctx.Filename(s), func(st notify.Event) { done[s] = h.eng.Now() })
 	}
 	h.eng.Run(0)
 	if len(done) != 3 {
@@ -317,8 +318,8 @@ func TestSimFailureNotifiesWaiters(t *testing.T) {
 	h.l.FailAt = faults.NewSimPlan().WithEvery(1).FailAt // every simulation crashes halfway
 	file := ctx.Filename(4)
 	h.v.Open("a1", "c", file)
-	var st *Status
-	h.v.WaitFile("a1", "c", file, func(s Status) { st = &s })
+	var st *notify.Event
+	h.v.WaitFile("a1", "c", file, func(s notify.Event) { st = &s })
 	h.eng.Run(0)
 	if st == nil {
 		t.Fatal("waiter never notified")
@@ -437,8 +438,8 @@ func TestOutsideArrivalSettlesPromise(t *testing.T) {
 				if res, err := h.v.Open("a1", "c", file); err != nil || res.Available {
 					t.Fatalf("Open = %+v, %v; want a miss", res, err)
 				}
-				var got []Status
-				if err := h.v.WaitFile("a1", "c", file, func(st Status) { got = append(got, st) }); err != nil {
+				var got []notify.Event
+				if err := h.v.WaitFile("a1", "c", file, func(st notify.Event) { got = append(got, st) }); err != nil {
 					t.Fatal(err)
 				}
 				if via == "rescan" {
@@ -452,14 +453,14 @@ func TestOutsideArrivalSettlesPromise(t *testing.T) {
 				if resident, promised, _ := h.v.FileState("c", file); !resident || promised {
 					t.Errorf("after arrival resident=%v promised=%v, want true/false", resident, promised)
 				}
-				if len(got) != 1 || !got[0].Ready {
+				if len(got) != 1 || got[0].Kind != notify.FileReady {
 					t.Errorf("waiter after arrival: %+v, want one Ready", got)
 				}
 				if err := h.v.CheckInvariants(); err != nil {
 					t.Error(err)
 				}
 				h.eng.Run(0)
-				if len(got) != 1 || !got[0].Ready {
+				if len(got) != 1 || got[0].Kind != notify.FileReady {
 					t.Errorf("waiter after the simulation ended: %+v, want the one Ready and nothing more", got)
 				}
 				if err := h.v.CheckInvariants(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"simfs/internal/notify"
 	"simfs/internal/sched"
 )
 
@@ -31,7 +32,7 @@ func TestDemandJoinPromotesQueuedPrefetch(t *testing.T) {
 	if ss := h.v.SchedStats(); ss.Promoted != 1 {
 		t.Fatalf("Promoted = %d after the joining open, want 1", ss.Promoted)
 	}
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(31), func(st Status) {
+	if err := h.v.WaitFile("a1", "c", ctx.Filename(31), func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("demand wait failed: %s", st.Err)
 		}
@@ -39,7 +40,7 @@ func TestDemandJoinPromotesQueuedPrefetch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.v.WaitFile("spec", "c", ctx.Filename(20), func(st Status) {
+	if err := h.v.WaitFile("spec", "c", ctx.Filename(20), func(st notify.Event) {
 		at20 = h.eng.Now()
 	}); err != nil {
 		t.Fatal(err)
@@ -90,12 +91,12 @@ func TestDemandJoinOffKeepsQueueOrder(t *testing.T) {
 	if after := h.v.Scheduler().QueuedRanges("c"); !reflect.DeepEqual(before, after) {
 		t.Fatalf("queue order changed with Priorities off: %v → %v", before, after)
 	}
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(31), func(st Status) {
+	if err := h.v.WaitFile("a1", "c", ctx.Filename(31), func(st notify.Event) {
 		at31 = h.eng.Now()
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.v.WaitFile("spec", "c", ctx.Filename(20), func(st Status) {
+	if err := h.v.WaitFile("spec", "c", ctx.Filename(20), func(st notify.Event) {
 		at20 = h.eng.Now()
 	}); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"simfs/internal/model"
+	"simfs/internal/notify"
 	"simfs/internal/sched"
 	"simfs/internal/simulator"
 )
@@ -75,10 +76,8 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 					}
 				}
 				simID := sim.id
-				ucs.waiters[us] = append(ucs.waiters[us], waiter{
-					client: "pipeline:" + cs.ctx.Name,
-					cb:     func(st Status) { v.upstreamReady(cs, simID, st) },
-				})
+				v.hub.Await(notify.Topic{Context: ucs.ctx.Name, Step: us}, "pipeline:"+cs.ctx.Name,
+					func(ev notify.Event) { v.upstreamReady(cs, simID, ev) })
 			}
 			ucs.mu.Unlock()
 			return queuedDemand
@@ -91,27 +90,23 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 
 // upstreamReady is a waiter callback (invoked without any shard lock)
 // fired for each upstream file a pipeline-pending simulation needed.
-func (v *Virtualizer) upstreamReady(cs *shard, placeholderID int64, st Status) {
+func (v *Virtualizer) upstreamReady(cs *shard, placeholderID int64, ev notify.Event) {
 	cs.mu.Lock()
 	sim, ok := cs.sims[placeholderID]
 	if !ok {
 		cs.mu.Unlock()
 		return
 	}
-	if st.Err != "" {
+	if ev.Kind == notify.FileFailed {
 		// Upstream production failed: fail this simulation. Its nodes
 		// are parked, so only the context slot returns.
 		delete(cs.sims, placeholderID)
 		v.releaseUpstream(cs, sim)
-		msg := "upstream re-simulation failed: " + st.Err
-		cbs, failed := failPromised(cs, sim)
+		ws := v.failPromised(cs, sim)
 		cs.mu.Unlock()
 		v.sched.ReleaseSlot(cs.ctx.Name)
 		v.drainScheduler()
-		for _, cb := range cbs {
-			cb(Status{Err: msg})
-		}
-		v.publishFailed(cs.ctx.Name, failed, msg)
+		v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "upstream re-simulation failed: " + ev.Err}, ws)
 		return
 	}
 	sim.pendingUpstream--
@@ -193,20 +188,6 @@ func clearPromised(cs *shard, first, last int, simID int64) []int {
 	return cleared
 }
 
-// takeWaiters detaches the waiters of steps that will not be produced
-// and returns their callbacks, for the caller to fail after unlocking.
-// Caller holds the shard lock.
-func takeWaiters(cs *shard, steps []int) []func(Status) {
-	var cbs []func(Status)
-	for _, s := range steps {
-		for _, w := range cs.waiters[s] {
-			cbs = append(cbs, w.cb)
-		}
-		delete(cs.waiters, s)
-	}
-	return cbs
-}
-
 // neededUpstreamSteps returns the upstream output steps whose data covers
 // the downstream re-simulation producing outputs [first, last]: the
 // interval from the restart boot to the last simulated timestep. Upstream
@@ -272,9 +253,8 @@ func (v *Virtualizer) SimStarted(simID int64) {
 
 // StepProduced implements the launcher Events contract: one output step
 // was written and closed. The step enters the cache (evicting as needed),
-// waiters are notified, the hub publishes file-ready, and prefetch
-// bookkeeping is updated. Waiter callbacks and the hub publish run after
-// the shard lock is released.
+// prefetch bookkeeping is updated, and the step's waiters are taken and
+// woken with file-ready after the shard lock is released.
 func (v *Virtualizer) StepProduced(simID int64, step int) {
 	cs := v.simShard(simID)
 	if cs == nil {
@@ -296,7 +276,7 @@ func (v *Virtualizer) StepProduced(simID int64, step int) {
 	}
 	ws := v.stepArrived(cs, step, nil)
 	cs.mu.Unlock()
-	v.announceReady(cs.ctx.Name, []int{step}, ws)
+	v.hub.Deliver(notify.Event{Kind: notify.FileReady}, ws)
 }
 
 // SimEnded implements the launcher Events contract.
@@ -315,11 +295,8 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 	delete(cs.sims, simID)
 	v.releaseUpstream(cs, sim)
 
-	var cbs []func(Status)
-	var failed []int
-	var errMsg string
-	var attempts int
-	var retryAfter time.Duration
+	var ws []notify.Waiter
+	ev := notify.Event{Kind: notify.FileFailed}
 	var armRetry func()
 	switch outcome {
 	case simulator.Completed:
@@ -327,6 +304,7 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 		v.clearFailure(cs, sim.first, sim.last)
 	case simulator.Killed:
 		cs.stats.Kills++
+		ev.Err = "re-simulation killed"
 		if sim.preempted && !sim.killing {
 			// Preemption: the interval is requeued, not failed — the
 			// victim's promises come back as pending markers, so waiters
@@ -335,10 +313,9 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 			// after the preemption (sim.killing) wins instead: the owner
 			// reset or disconnected, so resurrecting the work would undo
 			// exactly what that cancellation dismantled.
-			cbs, failed = v.requeuePreempted(cs, sim)
+			ws = v.requeuePreempted(cs, sim)
 		} else {
-			errMsg = "re-simulation killed"
-			cbs, failed = failPromised(cs, sim)
+			ws = v.failPromised(cs, sim)
 		}
 	default:
 		cs.stats.Failures++
@@ -361,16 +338,13 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 		case qerr != nil:
 			// Budget exhausted: the breaker opened. Fail the waiters with
 			// the structured error so clients see attempts + retry-after.
-			errMsg = qerr.Error()
-			attempts, retryAfter = qerr.Attempts, qerr.RetryAfter
-			cbs, failed = failPromised(cs, sim)
+			ev.Err = qerr.Error()
+			ev.Attempts, ev.RetryAfter = qerr.Attempts, int64(qerr.RetryAfter)
+			ws = v.failPromised(cs, sim)
 		default:
-			errMsg = "re-simulation failed"
-			cbs, failed = failPromised(cs, sim)
+			ev.Err = "re-simulation failed"
+			ws = v.failPromised(cs, sim)
 		}
-	}
-	if len(failed) > 0 && errMsg == "" {
-		errMsg = "re-simulation killed"
 	}
 	cs.mu.Unlock()
 	if sim.preempted {
@@ -385,18 +359,14 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 	if armRetry != nil {
 		armRetry()
 	}
-	for _, cb := range cbs {
-		cb(Status{Err: errMsg, Attempts: attempts, RetryAfter: retryAfter})
-	}
-	v.publishFailedDetail(cs.ctx.Name, failed, errMsg, attempts, retryAfter)
+	v.hub.Deliver(ev, ws)
 }
 
-// failPromised clears the promises of a dead simulation, collecting the
-// waiter callbacks to notify and the orphaned steps to publish as failed.
+// failPromised clears the promises of a dead simulation and takes the
+// waiters of the orphaned steps, for the caller to fail after unlocking.
 // Caller holds the shard lock.
-func failPromised(cs *shard, sim *simState) ([]func(Status), []int) {
-	failed := clearPromised(cs, sim.first, sim.last, sim.id)
-	return takeWaiters(cs, failed), failed
+func (v *Virtualizer) failPromised(cs *shard, sim *simState) []notify.Waiter {
+	return v.take(cs, clearPromised(cs, sim.first, sim.last, sim.id))
 }
 
 // drainScheduler starts queued launches while the scheduler admits them.
@@ -422,14 +392,10 @@ func (v *Virtualizer) drainScheduler() {
 			// or references is the exception — pre-drain work completes.
 			// A prefetch-class job may still have waiters who joined its
 			// promise: they are failed with it.
-			orphaned := v.trulyOrphaned(cs, cleared)
-			cbs := takeWaiters(cs, orphaned)
+			ws := v.take(cs, v.trulyOrphaned(cs, cleared))
 			v.sched.Release(job)
 			cs.mu.Unlock()
-			for _, cb := range cbs {
-				cb(Status{Err: "re-simulation canceled"})
-			}
-			v.publishFailed(cs.ctx.Name, orphaned, "re-simulation canceled")
+			v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation canceled"}, ws)
 			continue
 		}
 		if job.Class != sched.Demand && !v.uncovered(cs, job.First, job.Last) {
@@ -463,11 +429,11 @@ func (v *Virtualizer) popJob() (job sched.Job, cs *shard, cleared []int, ok bool
 	}
 }
 
-// anyoneNeeds reports whether any step in the range has waiters or
-// references. Caller holds the shard lock.
+// anyoneNeeds reports whether any step in the range has references or
+// waiters, streams included. Caller holds the shard lock.
 func (v *Virtualizer) anyoneNeeds(cs *shard, first, last int) bool {
 	for s := first; s <= last; s++ {
-		if len(cs.waiters[s]) > 0 || cs.refs[s] > 0 {
+		if cs.refs[s] > 0 || v.hub.Waiting(notify.Topic{Context: cs.ctx.Name, Step: s}) {
 			return true
 		}
 	}
@@ -506,9 +472,9 @@ func (v *Virtualizer) remarkQueued(cs *shard) {
 // killed only if there are no other analyses waiting for the files that
 // are going to be produced by it"), and de-queues the client's queued
 // prefetch jobs under the same no-waiters rule. It returns the steps
-// whose promises were dismantled locally — the caller must publish them
-// as failed once the shard lock is released (launched kills reach
-// subscribers through SimEnded instead) — and whether scheduler capacity
+// whose promises were dismantled locally — the caller takes their
+// waiters before unlocking and fails them after (launched kills reach
+// theirs through SimEnded instead) — and whether scheduler capacity
 // was freed synchronously (de-queued jobs or dismantled placeholders),
 // in which case the caller must drain the scheduler after unlocking.
 // Caller holds the shard lock.

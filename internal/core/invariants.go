@@ -35,7 +35,8 @@ import (
 //     overflow.
 //  5. Every simulation in the shard table has a well-formed range and
 //     belongs to this shard's context.
-//  6. Waiters only wait for promised (in-flight) steps.
+//  6. A hub callback waits only for a promised, in-flight step (a stream
+//     may also wait on an unopened file, or one it was answered for).
 func (v *Virtualizer) CheckInvariants() error {
 	if err := v.sched.CheckInvariants(); err != nil {
 		return err
@@ -98,16 +99,14 @@ func (v *Virtualizer) checkShard(name string, cs *shard) error {
 			return fmt.Errorf("core: simulation %d has malformed range [%d,%d]", id, sim.first, sim.last)
 		}
 	}
-	for _, step := range slices.Sorted(maps.Keys(cs.waiters)) {
-		ws := cs.waiters[step]
-		if len(ws) == 0 {
+	for _, w := range v.hub.Waiters(name) {
+		if w.Stream() {
 			continue
 		}
-		if cs.resident(step) {
-			return fmt.Errorf("core: %s step %d resident but still has %d waiters", name, step, len(ws))
-		}
-		if _, promised := cs.promised[step]; !promised {
-			return fmt.Errorf("core: %s step %d has waiters but no promise", name, step)
+		if step := w.Topic.Step; cs.resident(step) {
+			return fmt.Errorf("core: %s step %d resident but client %q still waits", name, step, w.Client)
+		} else if _, promised := cs.promised[step]; !promised {
+			return fmt.Errorf("core: %s step %d has waiter %q but no promise", name, step, w.Client)
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"simfs/internal/des"
 	"simfs/internal/faults"
 	"simfs/internal/model"
+	"simfs/internal/notify"
 	"simfs/internal/sched"
 )
 
@@ -50,7 +51,7 @@ func fuzzInvariants(t *testing.T, seed int64) error {
 			}
 			held[client] = append(held[client], file)
 			if !res.Available && rng.Intn(2) == 0 {
-				v.WaitFile(client, "fuzz", file, func(Status) {})
+				v.WaitFile(client, "fuzz", file, func(notify.Event) {})
 			}
 		case 4, 5: // release something held
 			hs := held[client]

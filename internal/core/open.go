@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"simfs/internal/model"
+	"simfs/internal/notify"
 	"simfs/internal/prefetch"
 	"simfs/internal/sched"
 )
@@ -20,11 +21,11 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 	}
 	// An agent reset inside this Open may dismantle queued or
 	// pipeline-pending prefetch work; when it does, the freed capacity is
-	// drained after the lock-free publish (hit traffic never pays for the
-	// global scheduler lock). Promises dismantled by the reset must reach
-	// hub subscribers; registered before the unlock defer so it publishes
-	// lock-free.
-	var orphaned []int
+	// drained after the lock-free delivery (hit traffic never pays for the
+	// global scheduler lock). The waiters of promises dismantled by the
+	// reset are taken under the lock and failed by a defer registered
+	// before the unlock defer, so it runs lock-free.
+	var orphaned []notify.Waiter
 	var freedCapacity, queuedDemand bool
 	// A demand miss queued behind an exhausted node budget may preempt a
 	// running agent prefetch. Only an Open that actually queued demand
@@ -43,7 +44,7 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 			v.drainScheduler()
 		}
 	}()
-	defer func() { v.publishFailed(ctxName, orphaned, "re-simulation killed") }()
+	defer func() { v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation killed"}, orphaned) }()
 	defer cs.mu.Unlock()
 	if cs.draining {
 		return OpenResult{}, fmt.Errorf("core: %w: %q refuses new opens", ErrDraining, ctxName)
@@ -130,30 +131,30 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 	return OpenResult{Available: false, EstWait: v.estWaitLocked(cs, step, now)}, nil
 }
 
-// WaitFile subscribes cb to the availability of filename: it fires
+// WaitFile registers cb as client's waiter for filename: it fires
 // immediately if the file is on disk, or when a re-simulation produces it
-// (or fails). It is the in-process front-end's readiness path: cb runs
-// synchronously inside the launcher event that resolves the step, which
-// is what the experiments harness needs to stay deterministic under the
-// DES (an analysis resumes at the virtual instant its file appears, not
-// whenever a goroutine gets scheduled). The TCP front-end cannot run
-// client code inside an event, so it rides the notify hub through Watch
-// instead; neither path is a copy of the other.
-func (v *Virtualizer) WaitFile(client, ctxName, filename string, cb func(Status)) error {
+// (or fails). It is the in-process front-end's readiness path, a callback
+// in the same hub ledger Watch's streams sit in (notify.Hub.Await, under
+// the shard lock): cb runs synchronously inside the launcher event that
+// resolves the step, which is what the experiments harness needs to stay
+// deterministic under the DES (an analysis resumes at the virtual instant
+// its file appears, not whenever a goroutine gets scheduled).
+func (v *Virtualizer) WaitFile(client, ctxName, filename string, cb func(notify.Event)) error {
 	cs, step, err := v.lockedStep(ctxName, filename)
 	if err != nil {
 		return err
 	}
+	topic := notify.Topic{Context: ctxName, Step: step}
 	if cs.resident(step) {
 		cs.mu.Unlock()
-		cb(Status{Ready: true})
+		cb(notify.Event{Topic: topic, Kind: notify.FileReady})
 		return nil
 	}
 	if _, promised := cs.promised[step]; !promised {
 		cs.mu.Unlock()
 		return fmt.Errorf("core: %w: %q is neither on disk nor promised; call Open first", ErrNotProduced, filename)
 	}
-	cs.waiters[step] = append(cs.waiters[step], waiter{client: client, cb: cb})
+	v.hub.Await(topic, client, cb)
 	cs.mu.Unlock()
 	return nil
 }
@@ -274,13 +275,13 @@ func (v *Virtualizer) estWaitLocked(cs *shard, step int, now time.Duration) time
 }
 
 // runAgent feeds one access into the client's prefetch agent and applies
-// its decision. It returns the steps orphaned by a prefetch reset, for
-// the caller to publish as failed after unlocking, whether the reset
-// freed scheduler capacity (the caller must then drain, also after
-// unlocking), and whether a launch queued node-blocked demand work (a
-// pipeline context's upstream inputs — the caller's preemption-probe
-// cue). Caller holds the shard lock.
-func (v *Virtualizer) runAgent(cs *shard, client string, step int, now, procTime time.Duration) ([]int, bool, bool) {
+// its decision. It returns the waiters of steps orphaned by a prefetch
+// reset, for the caller to fail after unlocking, whether the reset freed
+// scheduler capacity (the caller must then drain, also after unlocking),
+// and whether a launch queued node-blocked demand work (a pipeline
+// context's upstream inputs — the caller's preemption-probe cue). Caller
+// holds the shard lock.
+func (v *Virtualizer) runAgent(cs *shard, client string, step int, now, procTime time.Duration) ([]notify.Waiter, bool, bool) {
 	if cs.ctx.NoPrefetch {
 		return nil, false, false
 	}
@@ -304,7 +305,7 @@ func (v *Virtualizer) runAgent(cs *shard, client string, step int, now, procTime
 	}
 	// The agent's follow-up launches may have re-promised some orphaned
 	// steps; those are in flight again, not failed.
-	return v.trulyOrphaned(cs, orphaned), freed, queuedDemand
+	return v.take(cs, v.trulyOrphaned(cs, orphaned)), freed, queuedDemand
 }
 
 // coveredUntil walks the trajectory from `from` along dir with stride k

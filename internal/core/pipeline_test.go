@@ -6,6 +6,7 @@ import (
 
 	"simfs/internal/faults"
 	"simfs/internal/model"
+	"simfs/internal/notify"
 )
 
 // pipelinePair returns a coarse→fine context pair on one harness; tweak
@@ -52,7 +53,7 @@ func TestPipelineMissCascades(t *testing.T) {
 		t.Fatalf("open: %+v, %v", res, err)
 	}
 	var readyAt time.Duration
-	h.v.WaitFile("a1", "fine", file, func(st Status) {
+	h.v.WaitFile("a1", "fine", file, func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("pipeline wait failed: %s", st.Err)
 		}
@@ -114,7 +115,7 @@ func TestPipelineUpstreamPinnedDuringFineResim(t *testing.T) {
 	// at t=3..6 s. The fine run launches at 4 s and ends at 14 s.
 	h.v.Open("a1", "fine", fine.Filename(20))
 	done := false
-	h.v.WaitFile("a1", "fine", fine.Filename(20), func(st Status) {
+	h.v.WaitFile("a1", "fine", fine.Filename(20), func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("fine wait: %s", st.Err)
 		}
@@ -164,8 +165,8 @@ func TestPipelineUpstreamFailurePropagates(t *testing.T) {
 	// the pipeline input never materializes.
 	file := fine.Filename(30)
 	h.v.Open("a1", "fine", file)
-	var st *Status
-	h.v.WaitFile("a1", "fine", file, func(s Status) { st = &s })
+	var st *notify.Event
+	h.v.WaitFile("a1", "fine", file, func(s notify.Event) { st = &s })
 	h.eng.Run(0)
 	if st == nil {
 		t.Fatal("waiter never notified")

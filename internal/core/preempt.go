@@ -9,7 +9,10 @@
 // (youngest first) lives in internal/sched.
 package core
 
-import "simfs/internal/sched"
+import (
+	"simfs/internal/notify"
+	"simfs/internal/sched"
+)
 
 // victimRef pins a preemption candidate to its shard across the
 // lock-free gap between selection and kill.
@@ -107,17 +110,17 @@ func (v *Virtualizer) killVictim(cs *shard, simID int64) bool {
 // interest behind the agent queue under sustained contention. A
 // draining context gets the normal kill treatment instead (no new work
 // may queue); a range that became fully covered meanwhile needs
-// nothing. The returned callbacks/steps follow the failPromised
-// contract (empty on the requeue path). Caller holds the shard lock.
-func (v *Virtualizer) requeuePreempted(cs *shard, sim *simState) ([]func(Status), []int) {
+// nothing. The returned waiters follow the failPromised contract (none
+// on the requeue path). Caller holds the shard lock.
+func (v *Virtualizer) requeuePreempted(cs *shard, sim *simState) []notify.Waiter {
 	if cs.draining {
-		return failPromised(cs, sim)
+		return v.failPromised(cs, sim)
 	}
 	clearPromised(cs, sim.first, sim.last, sim.id)
 	if !v.uncovered(cs, sim.first, sim.last) {
 		// Every step is resident or promised by another simulation:
 		// nothing left to requeue, nothing orphaned.
-		return nil, nil
+		return nil
 	}
 	class := sim.class
 	if v.anyoneNeeds(cs, sim.first, sim.last) {
@@ -128,5 +131,5 @@ func (v *Virtualizer) requeuePreempted(cs *shard, sim *simState) ([]func(Status)
 		Parallelism: sim.parallelism, Class: class, Client: sim.client,
 	})
 	v.markPromised(cs, sim.first, sim.last, pendingSimID)
-	return nil, nil
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"simfs/internal/model"
+	"simfs/internal/notify"
 	"simfs/internal/sched"
 )
 
@@ -37,7 +38,7 @@ func TestPreemptionKillsAgentPrefetchForDemand(t *testing.T) {
 	if st := h.v.SchedStats(); st.Preempted != 1 {
 		t.Fatalf("Preempted = %d after the blocked demand open, want 1", st.Preempted)
 	}
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(1), func(st Status) {
+	if err := h.v.WaitFile("a1", "c", ctx.Filename(1), func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("demand wait failed: %s", st.Err)
 		}
@@ -107,7 +108,7 @@ func TestPreemptSparesCoalescedPrefetchWithWaiters(t *testing.T) {
 	if _, err := h.v.Open("w", "c", ctx.Filename(62)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.v.WaitFile("w", "c", ctx.Filename(62), func(st Status) {
+	if err := h.v.WaitFile("w", "c", ctx.Filename(62), func(st notify.Event) {
 		got = st.Err == ""
 	}); err != nil {
 		t.Fatal(err)
@@ -124,6 +125,70 @@ func TestPreemptSparesCoalescedPrefetchWithWaiters(t *testing.T) {
 	if !got {
 		t.Error("the protected prefetch never served its waiter")
 	}
+	if err := h.v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// watchOne registers a stream of client's on one file (the server's
+// subscribe and fed-watch path).
+func watchOne(t *testing.T, h *harness, client, ctxName, file string) *notify.Sub {
+	t.Helper()
+	sub, _, err := h.v.Watch(client, ctxName, []string{file})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sub.Close)
+	return sub
+}
+
+// wantReady checks, without blocking, that the stream's one event is
+// FileReady.
+func wantReady(t *testing.T, sub *notify.Sub) {
+	t.Helper()
+	select {
+	case ev := <-sub.C():
+		if ev.Kind != notify.FileReady {
+			t.Errorf("stream got %v %q, want ready", ev.Kind, ev.Err)
+		}
+	default:
+		t.Error("stream got no event")
+	}
+}
+
+// TestStreamWatcherProtectsPrefetch: the no-waiters rule counts stream
+// watchers, not only in-process waiters — a prefetch another client
+// watches over a stream survives its owner's disconnect and serves it.
+func TestStreamWatcherProtectsPrefetch(t *testing.T) {
+	ctx := testContext("c")
+	h := newHarness(t, ctx)
+	if _, err := h.v.GuidedPrefetch("p1", "c", []string{ctx.Filename(9)}); err != nil {
+		t.Fatal(err)
+	}
+	sub := watchOne(t, h, "w", "c", ctx.Filename(9))
+	h.v.ClientDisconnected("p1")
+	h.eng.Run(0)
+	wantReady(t, sub)
+	if err := h.v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPreemptSparesStreamWatchedPrefetch is the preemption twin: a
+// running agent prefetch whose range a stream watches is no victim.
+func TestPreemptSparesStreamWatchedPrefetch(t *testing.T) {
+	ctx := testContext("c")
+	h := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 1, Preempt: sched.PreemptYoungest}, ctx)
+	injectAgentPrefetch(t, h, "c", "spec", 61, 64)
+	sub := watchOne(t, h, "w", "c", ctx.Filename(62))
+	if _, err := h.v.Open("a1", "c", ctx.Filename(30)); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.v.SchedStats(); st.Preempted != 0 {
+		t.Fatalf("Preempted = %d, want 0 (a stream watches the only candidate)", st.Preempted)
+	}
+	h.eng.Run(0)
+	wantReady(t, sub)
 	if err := h.v.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +309,7 @@ func TestPipelineUpstreamDemandTriggersPreemption(t *testing.T) {
 		t.Fatalf("Preempted = %d after the pipeline open, want 1 (nested demand queue must probe)", st.Preempted)
 	}
 	ready := false
-	if err := h.v.WaitFile("a1", "fine", fine.Filename(20), func(st Status) {
+	if err := h.v.WaitFile("a1", "fine", fine.Filename(20), func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("pipeline wait failed: %s", st.Err)
 		}
@@ -283,7 +348,7 @@ func TestPreemptRequeuePromotesToDemandForWaiters(t *testing.T) {
 	if _, err := h.v.Open("a2", "c", ctx.Filename(10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.v.WaitFile("a2", "c", ctx.Filename(10), func(st Status) {
+	if err := h.v.WaitFile("a2", "c", ctx.Filename(10), func(st notify.Event) {
 		got = st.Err == ""
 	}); err != nil {
 		t.Fatal(err)
@@ -352,7 +417,7 @@ func TestDisconnectOrphansSurvivingSimBilling(t *testing.T) {
 	if _, err := h.v.Open("a2", "c", ctx.Filename(10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.v.WaitFile("a2", "c", ctx.Filename(10), func(st Status) {
+	if err := h.v.WaitFile("a2", "c", ctx.Filename(10), func(st notify.Event) {
 		got = st.Err == ""
 	}); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"simfs/internal/model"
+	"simfs/internal/notify"
 )
 
 // prefetchCtx returns a context with prefetching enabled.
@@ -51,7 +52,7 @@ func driveForward(h *harness, client string, n int, tauCli time.Duration) time.D
 			proceed()
 			return
 		}
-		if err := h.v.WaitFile(client, "pf", file, func(st Status) { proceed() }); err != nil {
+		if err := h.v.WaitFile(client, "pf", file, func(st notify.Event) { proceed() }); err != nil {
 			proceed()
 		}
 	}
@@ -95,7 +96,7 @@ func TestPrefetchKilledOnDirectionChange(t *testing.T) {
 		}
 		if res.Available {
 			next()
-		} else if err := h.v.WaitFile(client, "pf", file, func(Status) { next() }); err != nil {
+		} else if err := h.v.WaitFile(client, "pf", file, func(notify.Event) { next() }); err != nil {
 			next()
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"simfs/internal/notify"
 	"simfs/internal/sched"
 )
 
@@ -85,13 +86,6 @@ func (v *Virtualizer) SetRetryPolicy(p RetryPolicy) {
 	defer v.retryMu.Unlock()
 	v.retry = p.withDefaults()
 	v.retryRng = rand.New(rand.NewSource(p.Seed))
-}
-
-// RetryPolicyConfig returns the policy in effect.
-func (v *Virtualizer) RetryPolicyConfig() RetryPolicy {
-	v.retryMu.Lock()
-	defer v.retryMu.Unlock()
-	return v.retry
 }
 
 // backoffDelay computes the jittered exponential delay before retry
@@ -199,9 +193,8 @@ func (v *Virtualizer) repromise(cs *shard, sim *simState) {
 // the interval back to the scheduler — unless the context drained
 // meanwhile. Either way the cleared steps may end up with no owner (the
 // drain, or a prefetch-class launch dropped at smax or by the
-// quarantine): their waiters are failed and file-failed is published,
-// so nobody who joined the promise waits on a simulation that will
-// never run.
+// quarantine): their waiters are taken and failed, so nobody who joined
+// the promise waits on a simulation that will never run.
 func (v *Virtualizer) retryLaunch(ctxName string, first, last, parallelism int, class sched.Class, client string) {
 	cs, ok := v.shardOf(ctxName)
 	if !ok {
@@ -216,13 +209,9 @@ func (v *Virtualizer) retryLaunch(ctxName string, first, last, parallelism int, 
 	if !cs.draining || class == sched.Demand && v.anyoneNeeds(cs, first, last) {
 		queued = v.launch(cs, first, last, parallelism, class, client)
 	}
-	orphaned := v.trulyOrphaned(cs, cleared)
-	cbs := takeWaiters(cs, orphaned)
+	ws := v.take(cs, v.trulyOrphaned(cs, cleared))
 	cs.mu.Unlock()
-	for _, cb := range cbs {
-		cb(Status{Err: "re-simulation canceled"})
-	}
-	v.publishFailed(ctxName, orphaned, "re-simulation canceled")
+	v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation canceled"}, ws)
 	if queued {
 		v.maybePreempt()
 	}

@@ -35,15 +35,15 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	if _, err := h.v.Open("a1", "c", file); err != nil {
 		t.Fatal(err)
 	}
-	var st *Status
-	if err := h.v.WaitFile("a1", "c", file, func(s Status) { st = &s }); err != nil {
+	var st *notify.Event
+	if err := h.v.WaitFile("a1", "c", file, func(s notify.Event) { st = &s }); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run(0)
 	if st == nil {
 		t.Fatal("waiter never notified")
 	}
-	if st.Err != "" || !st.Ready {
+	if st.Err != "" || st.Kind != notify.FileReady {
 		t.Fatalf("waiter should ride through the retries, got %+v", *st)
 	}
 	stats, _ := h.v.Stats("c")
@@ -66,15 +66,15 @@ func TestQuarantineFailsWaitersStructured(t *testing.T) {
 	if _, err := h.v.Open("a1", "c", file); err != nil {
 		t.Fatal(err)
 	}
-	var st *Status
-	if err := h.v.WaitFile("a1", "c", file, func(s Status) { st = &s }); err != nil {
+	var st *notify.Event
+	if err := h.v.WaitFile("a1", "c", file, func(s notify.Event) { st = &s }); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run(0)
 	if st == nil {
 		t.Fatal("waiter never notified")
 	}
-	if st.Err == "" || st.Attempts != 3 || st.RetryAfter != time.Minute {
+	if st.Err == "" || st.Attempts != 3 || time.Duration(st.RetryAfter) != time.Minute {
 		t.Fatalf("waiter should carry the structured quarantine error, got %+v", *st)
 	}
 	stats, _ := h.v.Stats("c")
@@ -140,10 +140,10 @@ func TestQuarantineHalfOpensAfterCooldown(t *testing.T) {
 	if _, err := h.v.Open("a1", "c", file); err != nil {
 		t.Fatalf("open after cooldown = %v, want probe launch", err)
 	}
-	var st *Status
-	h.v.WaitFile("a1", "c", file, func(s Status) { st = &s })
+	var st *notify.Event
+	h.v.WaitFile("a1", "c", file, func(s notify.Event) { st = &s })
 	h.eng.Run(0)
-	if st == nil || st.Err != "" || !st.Ready {
+	if st == nil || st.Err != "" || st.Kind != notify.FileReady {
 		t.Fatalf("probe launch should produce the file, got %+v", st)
 	}
 	// A later failure starts a fresh ledger entry (slate cleared).
@@ -230,8 +230,8 @@ func TestRetryDroppedAtCapacityFailsJoinedWatchers(t *testing.T) {
 	topic, _ := h.v.FileTopic("c", file)
 	sub := h.v.Hub().Subscribe(topic)
 	defer sub.Close()
-	var st *Status
-	if err := h.v.WaitFile("w", "c", file, func(s Status) { st = &s }); err != nil {
+	var st *notify.Event
+	if err := h.v.WaitFile("w", "c", file, func(s notify.Event) { st = &s }); err != nil {
 		t.Fatal(err)
 	}
 	// Inside the backoff window a demand miss takes the context's one

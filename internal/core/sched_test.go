@@ -6,6 +6,7 @@ import (
 
 	"simfs/internal/des"
 	"simfs/internal/model"
+	"simfs/internal/notify"
 	"simfs/internal/sched"
 	"simfs/internal/simulator"
 )
@@ -33,7 +34,7 @@ func TestNodeBudgetSerializesSimulations(t *testing.T) {
 	h := schedHarness(t, sched.Config{TotalNodes: 1}, ctx)
 	done := 0
 	wait := func(step int) {
-		if err := h.v.WaitFile("a1", "c", ctx.Filename(step), func(st Status) {
+		if err := h.v.WaitFile("a1", "c", ctx.Filename(step), func(st notify.Event) {
 			if st.Err != "" {
 				t.Errorf("step %d failed: %s", step, st.Err)
 			}
@@ -76,7 +77,7 @@ func TestNodeBudgetClampsWideJobs(t *testing.T) {
 	if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(1), func(st Status) {
+	if err := h.v.WaitFile("a1", "c", ctx.Filename(1), func(st notify.Event) {
 		ok = st.Err == ""
 	}); err != nil {
 		t.Fatal(err)
@@ -249,7 +250,7 @@ func TestClientDisconnectedSparesWantedWork(t *testing.T) {
 	if _, err := h.v.Open("a2", "c", ctx.Filename(9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.v.WaitFile("a2", "c", ctx.Filename(9), func(st Status) {
+	if err := h.v.WaitFile("a2", "c", ctx.Filename(9), func(st notify.Event) {
 		got = st.Err == ""
 	}); err != nil {
 		t.Fatal(err)
@@ -328,7 +329,7 @@ func TestPipelineUnderNodeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ready := false
-	if err := h.v.WaitFile("a1", "fine", file, func(st Status) {
+	if err := h.v.WaitFile("a1", "fine", file, func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("pipeline wait failed: %s", st.Err)
 		}
@@ -363,7 +364,7 @@ func TestPipelineNodeBudgetContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	fineReady := false
-	if err := h.v.WaitFile("a1", "fine", file, func(st Status) {
+	if err := h.v.WaitFile("a1", "fine", file, func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("fine wait failed: %s", st.Err)
 		}

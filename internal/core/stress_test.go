@@ -90,8 +90,8 @@ func TestConcurrentMultiContextStress(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				client := fmt.Sprintf("cli-%s-%d", name, seed)
 				await := func(file string) error {
-					done := make(chan Status, 1)
-					if err := v.WaitFile(client, name, file, func(st Status) { done <- st }); err != nil {
+					done := make(chan notify.Event, 1)
+					if err := v.WaitFile(client, name, file, func(st notify.Event) { done <- st }); err != nil {
 						return nil // became resident in between
 					}
 					select {
@@ -148,7 +148,7 @@ func TestConcurrentMultiContextStress(t *testing.T) {
 							return
 						}
 					default: // hub-based wait (Watch subscribes, then reads the state)
-						sub, watched, err := v.Watch(name, []string{file})
+						sub, watched, err := v.Watch(client, name, []string{file})
 						if err != nil {
 							errs <- err
 							return
@@ -319,7 +319,7 @@ func TestWatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := []string{ctx.Filename(1), ctx.Filename(6), ctx.Filename(30), ctx.Filename(6)}
-	sub, files, err := h.v.Watch("c", names)
+	sub, files, err := h.v.Watch("w", "c", names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +344,11 @@ func TestWatch(t *testing.T) {
 	sub.Close()
 
 	for _, bad := range [][]string{{ctx.Filename(1), "garbage"}, {ctx.Filename(1), ctx.Filename(101)}} {
-		if _, _, err := h.v.Watch("c", bad); !errors.Is(err, ErrInvalid) {
+		if _, _, err := h.v.Watch("w", "c", bad); !errors.Is(err, ErrInvalid) {
 			t.Errorf("Watch(%v) = %v, want ErrInvalid", bad, err)
 		}
 	}
-	if _, _, err := h.v.Watch("nope", names); !errors.Is(err, ErrUnknownContext) {
+	if _, _, err := h.v.Watch("w", "nope", names); !errors.Is(err, ErrUnknownContext) {
 		t.Errorf("unknown context: %v", err)
 	}
 	if st := h.v.Hub().Stats(); st.Subscribers != 0 {

@@ -20,8 +20,9 @@
 // must be registered before it, the upstream graph is acyclic and the
 // ordering is deadlock-free. The small simMu directory that routes
 // launcher events to shards is never held while acquiring a shard lock.
-// File-ready and file-failed notifications are published to the notify
-// hub after all shard locks are released.
+// The notify hub is the one record of who waits for a step: a site that
+// decides a step's fate takes its waiters under the shard lock and
+// delivers the event after all shard locks are released.
 package core
 
 import (
@@ -55,23 +56,6 @@ type Launcher interface {
 	Kill(simID int64)
 }
 
-// Status reports the state of a requested file to a client, mirroring the
-// SIMFS_Status object of the paper's API (error state and estimated
-// waiting time).
-type Status struct {
-	// Ready is true when the file is on disk.
-	Ready bool
-	// Err carries the error state (e.g. "restart failed").
-	Err string
-	// EstWait estimates how long until the file becomes available.
-	EstWait time.Duration
-	// Attempts and RetryAfter detail a failure from a quarantined
-	// interval: consecutive launch failures and the time until the
-	// circuit breaker half-opens (zero outside quarantine).
-	Attempts   int
-	RetryAfter time.Duration
-}
-
 // OpenResult is returned by Open: whether the file is immediately
 // available and, if not, the estimated wait.
 type OpenResult struct {
@@ -93,11 +77,6 @@ type CtxStats struct {
 	Kills            int64
 	Failures         int64
 	PollutionResets  int64
-}
-
-type waiter struct {
-	client string
-	cb     func(Status)
 }
 
 type simState struct {
@@ -154,7 +133,6 @@ type shard struct {
 	// Pipeline- or smax-pending simulations are registered here too, so
 	// coverage queries see them.
 	promised map[int]int64
-	waiters  map[int][]waiter
 	refs     map[int]int
 	agents   map[string]*prefetch.Agent
 
@@ -289,7 +267,6 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 		cache:        cache.NewOf(pol, ctx.MaxCacheBytes),
 		fs:           fs,
 		promised:     map[int]int64{},
-		waiters:      map[int][]waiter{},
 		refs:         map[int]int{},
 		agents:       map[string]*prefetch.Agent{},
 		prefetched:   map[int]string{},
@@ -473,9 +450,9 @@ func (v *Virtualizer) ClientDisconnected(client string) {
 				delete(cs.prefetched, s)
 			}
 		}
-		name := cs.ctx.Name
+		ws := v.take(cs, orphaned)
 		cs.mu.Unlock()
-		v.publishFailed(name, orphaned, "re-simulation killed")
+		v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation killed"}, ws)
 	}
 	if anyFreed {
 		// De-queued jobs and dismantled placeholders freed capacity; one
@@ -483,16 +460,6 @@ func (v *Virtualizer) ClientDisconnected(client string) {
 		// SimEnded events instead).
 		v.drainScheduler()
 	}
-}
-
-// CacheStats returns the cache engine counters of a context.
-func (v *Virtualizer) CacheStats(ctxName string) (cache.Stats, error) {
-	cs, err := v.lockedShard(ctxName)
-	if err != nil {
-		return cache.Stats{}, err
-	}
-	defer cs.mu.Unlock()
-	return cs.cache.Stats(), nil
 }
 
 // StorageArea returns the context's storage-area file system (nil when
@@ -513,16 +480,15 @@ type WatchedFile struct {
 	Resident, Promised bool
 }
 
-// Watch is the subscribe-then-check step every readiness stream starts
+// Watch is the register-then-check step every readiness stream starts
 // with, written down once. Each name is parsed (once) into its hub
-// topic, the topics are subscribed, and only then are residency and
-// promise read, for the whole list under one hold of the shard lock: an
-// event published after the subscription is buffered in it and a state
-// change before it is visible to the read, so no wakeup is lost. A file
-// that is neither resident nor promised, with no event buffered, will
-// not produce one until somebody opens it. A refused name subscribes
-// nothing.
-func (v *Virtualizer) Watch(ctxName string, filenames []string) (*notify.Sub, []WatchedFile, error) {
+// topic; under one hold of the shard lock the topics are registered as
+// client's stream (whose τcli baseline stepArrived stamps) and each
+// step's residency and promise are read, so no wakeup is lost. A file
+// neither resident nor promised resolves only once somebody opens it,
+// the bridge publishes a peer's event, or the context is deregistered.
+// A refused name registers nothing.
+func (v *Virtualizer) Watch(client, ctxName string, filenames []string) (*notify.Sub, []WatchedFile, error) {
 	cs, ok := v.shardOf(ctxName)
 	if !ok {
 		return nil, nil, fmt.Errorf("core: %w %q", ErrUnknownContext, ctxName)
@@ -537,8 +503,8 @@ func (v *Virtualizer) Watch(ctxName string, filenames []string) (*notify.Sub, []
 		files[i] = WatchedFile{Name: name, Step: step}
 		topics[i] = notify.Topic{Context: ctxName, Step: step}
 	}
-	sub := v.hub.Subscribe(topics...)
 	cs.mu.Lock()
+	sub := v.hub.Watch(client, topics...)
 	for i := range files {
 		f := &files[i]
 		f.Resident = cs.resident(f.Step)
@@ -546,20 +512,6 @@ func (v *Virtualizer) Watch(ctxName string, filenames []string) (*notify.Sub, []
 	}
 	cs.mu.Unlock()
 	return sub, files, nil
-}
-
-// NoteClientReady records that a client observed the topic's file become
-// available after waiting for it. The hub carries no client identity, so
-// the front-end that delivers ready notifications stamps the baseline of
-// the wait-excluded processing-time measurement (τcli) explicitly — the
-// in-process WaitFile path stamps it in StepProduced instead.
-func (v *Virtualizer) NoteClientReady(client string, t notify.Topic) {
-	cs, err := v.lockedShard(t.Context)
-	if err != nil {
-		return
-	}
-	cs.lastReady[client] = v.clock.Now()
-	cs.mu.Unlock()
 }
 
 // FileTopic returns the notify-hub topic of a context's file.
@@ -586,12 +538,12 @@ func (v *Virtualizer) Preload(ctxName string, steps []int) error {
 			return fmt.Errorf("core: preload step %d out of range", s)
 		}
 	}
-	var ws []waiter
+	var ws []notify.Waiter
 	for _, s := range steps {
 		ws = v.stepArrived(cs, s, ws)
 	}
 	cs.mu.Unlock()
-	v.announceReady(ctxName, steps, ws)
+	v.hub.Deliver(notify.Event{Kind: notify.FileReady}, ws)
 	return nil
 }
 
@@ -606,8 +558,8 @@ func (v *Virtualizer) RescanStorageArea(ctxName string) (int, error) {
 		cs.mu.Unlock()
 		return 0, fmt.Errorf("core: context %q has no storage area", ctxName)
 	}
-	var added []int
-	var ws []waiter
+	added := 0
+	var ws []notify.Waiter
 	for _, name := range cs.fs.List() {
 		step, err := cs.ctx.Key(name)
 		if err != nil {
@@ -615,66 +567,40 @@ func (v *Virtualizer) RescanStorageArea(ctxName string) (int, error) {
 		}
 		if !cs.resident(step) {
 			ws = v.stepArrived(cs, step, ws)
-			added = append(added, step)
+			added++
 		}
 	}
 	cs.mu.Unlock()
-	v.announceReady(ctxName, added, ws)
-	return len(added), nil
+	v.hub.Deliver(notify.Event{Kind: notify.FileReady}, ws)
+	return added, nil
 }
 
 // stepArrived is the one tail of a step reaching the storage area,
 // whoever put it there (a re-simulation, Preload, a rescan): the step
 // becomes resident; its promise is settled whichever simulation
 // registered it — the file is on disk, which is all a promise guarantees;
-// its waiters are detached onto ws and their clients' τcli baselines
-// stamped. The caller passes ws to announceReady after unlocking. Caller
-// holds the shard lock.
-func (v *Virtualizer) stepArrived(cs *shard, step int, ws []waiter) []waiter {
+// its waiters are taken onto ws and their clients' τcli baselines
+// stamped. The caller delivers ws FileReady after unlocking. Caller holds
+// the shard lock.
+func (v *Virtualizer) stepArrived(cs *shard, step int, ws []notify.Waiter) []notify.Waiter {
 	v.insertStep(cs, step)
 	delete(cs.promised, step)
-	arrived := cs.waiters[step]
-	if len(arrived) == 0 {
-		return ws
+	n := len(ws)
+	ws = v.hub.Take(notify.Topic{Context: cs.ctx.Name, Step: step}, ws)
+	for _, w := range ws[n:] {
+		cs.lastReady[w.Client] = v.clock.Now()
 	}
-	delete(cs.waiters, step)
-	now := v.clock.Now()
-	for _, w := range arrived {
-		cs.lastReady[w.client] = now
-	}
-	if ws == nil {
-		return arrived // the common single-step arrival copies nothing
-	}
-	return append(ws, arrived...)
+	return ws
 }
 
-// announceReady tells the waiters stepArrived detached that their file
-// is ready and announces the steps' availability on the hub. Callers
-// must not hold shard locks.
-func (v *Virtualizer) announceReady(ctxName string, steps []int, ws []waiter) {
-	for _, w := range ws {
-		w.cb(Status{Ready: true})
-	}
+// take detaches the waiters of steps whose fate the caller just decided,
+// for it to deliver after unlocking. Caller holds the shard lock.
+func (v *Virtualizer) take(cs *shard, steps []int) []notify.Waiter {
+	var ws []notify.Waiter
 	for _, s := range steps {
-		v.hub.Publish(notify.Event{Topic: notify.Topic{Context: ctxName, Step: s}, Kind: notify.FileReady})
+		ws = v.hub.Take(notify.Topic{Context: cs.ctx.Name, Step: s}, ws)
 	}
-}
-
-// publishFailed announces production failures on the hub. Callers must
-// not hold shard locks.
-func (v *Virtualizer) publishFailed(ctxName string, steps []int, msg string) {
-	v.publishFailedDetail(ctxName, steps, msg, 0, 0)
-}
-
-// publishFailedDetail is publishFailed carrying quarantine details
-// (attempts and time until the breaker half-opens) on each event.
-func (v *Virtualizer) publishFailedDetail(ctxName string, steps []int, msg string, attempts int, retryAfter time.Duration) {
-	for _, s := range steps {
-		v.hub.Publish(notify.Event{
-			Topic: notify.Topic{Context: ctxName, Step: s}, Kind: notify.FileFailed,
-			Err: msg, Attempts: attempts, RetryAfter: int64(retryAfter),
-		})
-	}
+	return ws
 }
 
 // insertStep makes a step resident, evicting unreferenced steps as

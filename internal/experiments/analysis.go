@@ -12,6 +12,7 @@ import (
 	"simfs/internal/core"
 	"simfs/internal/des"
 	"simfs/internal/model"
+	"simfs/internal/notify"
 )
 
 // Analysis is a synthetic analysis application driven by the DES: it
@@ -72,14 +73,14 @@ func (a *Analysis) step() {
 	}
 	a.Misses++
 	waitStart := a.Engine.Now()
-	err = a.V.WaitFile(a.Client, a.Ctx.Name, file, func(st core.Status) {
+	err = a.V.WaitFile(a.Client, a.Ctx.Name, file, func(ev notify.Event) {
 		a.Waits += a.Engine.Now() - waitStart
-		if st.Err != "" {
+		if ev.Kind == notify.FileFailed {
 			// Production failed: drop the reference and retry the access.
 			_ = a.V.Release(a.Client, a.Ctx.Name, file)
 			a.retries++
 			if a.MaxRetries > 0 && a.retries > a.MaxRetries {
-				a.abort("too many failed re-simulations: " + st.Err)
+				a.abort("too many failed re-simulations: " + ev.Err)
 				return
 			}
 			a.Engine.Schedule(0, a.step)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"simfs/internal/costmodel"
 	"simfs/internal/metrics"
@@ -310,10 +309,4 @@ func Fig15bc(w CostWorkload, p costmodel.Prices) (cost, ctime *metrics.Table, er
 		cost.Series("on-disk").Add(x, costmodel.OnDisk(ref, months, p)/1000)
 	}
 	return cost, ctime, nil
-}
-
-// ResimTimeOf exposes the re-simulation wall time of a volume for
-// reporting (Fig. 15c annotations).
-func ResimTimeOf(ctx *model.Context, v int) time.Duration {
-	return costmodel.ResimTime(v, ctx.Tau)
 }

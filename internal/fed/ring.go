@@ -16,14 +16,13 @@ import (
 
 // Ring is an immutable consistent-hash ring mapping string keys
 // (context names) onto member addresses. Each member is projected onto
-// the ring at Replicas virtual points so that load spreads evenly and
+// the ring at replicas virtual points so that load spreads evenly and
 // membership changes move only ~1/N of the keys. Placement depends
 // only on the member set and replica count — never on insertion order
 // — so every router instance computes identical ownership.
 type Ring struct {
-	replicas int
-	members  []string
-	points   []ringPoint // sorted by (hash, member)
+	members []string
+	points  []ringPoint // sorted by (hash, member)
 }
 
 type ringPoint struct {
@@ -54,9 +53,8 @@ func NewRing(replicas int, members ...string) *Ring {
 	}
 	sort.Strings(uniq)
 	r := &Ring{
-		replicas: replicas,
-		members:  uniq,
-		points:   make([]ringPoint, 0, replicas*len(uniq)),
+		members: uniq,
+		points:  make([]ringPoint, 0, replicas*len(uniq)),
 	}
 	for _, m := range uniq {
 		for i := 0; i < replicas; i++ {
@@ -91,9 +89,6 @@ func (r *Ring) Owner(key string) string {
 func (r *Ring) Members() []string {
 	return append([]string(nil), r.members...)
 }
-
-// Replicas returns the virtual-node count per member.
-func (r *Ring) Replicas() int { return r.replicas }
 
 // fnv64a is FNV-1a over the bytes of s, inlined to avoid the
 // hash/fnv allocation on the Owner hot path, with a murmur-style

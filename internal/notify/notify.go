@@ -1,38 +1,37 @@
-// Package notify is the file-readiness notification hub of the Data
-// Virtualizer. Subscribers take (context, step) topics; the Virtualizer
-// publishes a FileReady or FileFailed event when a re-simulation produces
-// or fails to produce the step. Publishing never runs under the
-// Virtualizer's shard locks, so a slow subscriber cannot stall the
-// simulation event pipeline, and waking waiters never requires scanning
-// waiter lists under a global lock (the pub/sub shape of the IPPS
-// exemplar).
+// Package notify is the Data Virtualizer's one record of who waits for a
+// file — a (context, step) topic — and the one mechanism that wakes them
+// when a re-simulation produces the step or fails to (the pub/sub shape
+// of the IPPS exemplar).
 //
-// Two front-ends wait for files, on two paths. The TCP daemon rides this
-// hub: its one stream handler (server.watch, for acquire, subscribe and
-// fed-watch) subscribes through core.Virtualizer.Watch and pumps events
-// to the socket from a goroutine; the federation bridge republishes peer
-// daemons' events here, so remote productions resolve the same way. The
-// in-process front-end — the experiments harness under the DES — does not:
-// core.Virtualizer.WaitFile registers a callback that runs synchronously
-// inside the launcher event that resolves the step, so an analysis
-// resumes at that virtual instant, deterministically; a channel and a
-// goroutine would hand the wake-up to the Go scheduler.
+// A topic's waiters form one list in registration order, each carrying
+// its client. A stream (Watch, Subscribe) receives on a channel: the TCP
+// daemon's readiness streams pump it to a socket, and the federation
+// bridge publishes peer daemons' events into the hub. A callback (Await)
+// runs in the goroutine that delivers: core.Virtualizer.WaitFile and
+// pipeline upstream inputs use it, so under the DES an analysis resumes
+// at the virtual instant its file appears, deterministically.
 //
-// Delivery contract: a subscription receives at most one event per
-// subscribed topic — the next outcome for that file — after which the
-// topic is automatically unsubscribed. Subscribers that need the next
-// outcome again (e.g. after an eviction) subscribe anew. Because of this
-// one-shot contract a subscription's channel is buffered with one slot
-// per topic, so delivery never blocks and never drops.
+// Delivery is two steps. Take detaches a topic's waiters and sends
+// nothing; the Virtualizer calls it under the shard lock that decides the
+// step's fate, so the event reaches exactly the waiters registered before
+// that decision. Deliver runs after the unlock: it sends to the streams
+// under the hub lock, then runs the callbacks in order with no lock held
+// (a callback may re-enter the Virtualizer). Publish is Take then
+// Deliver. The hub lock is innermost: everything but Deliver and Publish
+// may be called under a shard lock.
 //
-// The subscribe-then-check idiom avoids lost wakeups: subscribe first,
-// then read the file's current state; any event published after the
-// subscription is buffered, and any state change before it is visible to
-// the read. core.Virtualizer.Watch is that idiom, in the one place it is
-// written down.
+// A waiter receives at most one event per topic — the next outcome for
+// that file — and is then gone from it. A stream's channel has one slot
+// per topic, so delivery never blocks; a stream closed between Take and
+// Deliver drops the event, and a multi-topic stream's channel closes once
+// its last taken event is delivered. Registering before reading the
+// file's state (core.Virtualizer.Watch and WaitFile do both under one
+// hold of the shard lock) loses no wakeup.
 package notify
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -81,17 +80,30 @@ type Event struct {
 // Stats counts hub activity.
 type Stats struct {
 	Published   uint64 // Publish calls
-	Delivered   uint64 // events handed to a subscription channel
+	Delivered   uint64 // events handed to a waiter
 	Dropped     uint64 // events lost to a full channel (defensive; see doc)
-	Subscribers int    // live subscriptions
-	Topics      int    // topics with at least one subscriber
+	Subscribers int    // live streams
+	Topics      int    // topics with at least one waiter
 }
 
-// Hub routes published events to subscribers. The zero value is not
-// usable; call NewHub.
+// Waiter is one entry of a topic's list: a stream or a callback, and the
+// client that waits.
+type Waiter struct {
+	Topic  Topic
+	Client string
+	sub    *Sub
+	cb     func(Event)
+}
+
+// Stream reports whether the waiter is a stream rather than a callback.
+func (w Waiter) Stream() bool { return w.sub != nil }
+
+// Hub is the waiter ledger. The zero value is not usable; call NewHub.
 type Hub struct {
-	mu     sync.Mutex
-	topics map[Topic]map[*Sub]struct{}
+	mu sync.Mutex
+	// topics holds each context's waiters by step, in registration order;
+	// a step map outlives its last waiter, so Take deletes one int key.
+	topics map[string]map[int][]Waiter
 
 	published atomic.Uint64
 	delivered atomic.Uint64
@@ -101,22 +113,32 @@ type Hub struct {
 
 // NewHub returns an empty hub.
 func NewHub() *Hub {
-	return &Hub{topics: map[Topic]map[*Sub]struct{}{}}
+	return &Hub{topics: map[string]map[int][]Waiter{}}
 }
 
-// Sub is one subscription. Receive events from C; Close when done.
+// add appends w to its topic's list. Caller holds h.mu.
+func (h *Hub) add(w Waiter) {
+	steps := h.topics[w.Topic.Context]
+	if steps == nil {
+		steps = map[int][]Waiter{}
+		h.topics[w.Topic.Context] = steps
+	}
+	steps[w.Topic.Step] = append(steps[w.Topic.Step], w)
+}
+
+// Sub is one stream. Receive events from C; Close when done.
 type Sub struct {
 	hub    *Hub
 	ch     chan Event
-	topics map[Topic]struct{}
-	closed bool // guarded by hub.mu
+	topics map[Topic]struct{} // registered and not yet taken; guarded by hub.mu
+	taken  int                // events taken and not yet delivered; guarded by hub.mu
+	closed bool               // guarded by hub.mu
 }
 
-// Subscribe registers a subscription for the given topics. The returned
-// subscription's channel holds one slot per topic, which (with the
-// one-shot delivery contract) guarantees non-blocking delivery.
-// Duplicate topics collapse.
-func (h *Hub) Subscribe(topics ...Topic) *Sub {
+// Watch registers a stream of client's for the given topics. Its channel
+// holds one slot per topic, which (with the one-event-per-topic contract)
+// guarantees non-blocking delivery. Duplicate topics collapse.
+func (h *Hub) Watch(client string, topics ...Topic) *Sub {
 	s := &Sub{hub: h, topics: make(map[Topic]struct{}, len(topics))}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -125,25 +147,31 @@ func (h *Hub) Subscribe(topics ...Topic) *Sub {
 			continue
 		}
 		s.topics[t] = struct{}{}
-		m := h.topics[t]
-		if m == nil {
-			m = map[*Sub]struct{}{}
-			h.topics[t] = m
-		}
-		m[s] = struct{}{}
+		h.add(Waiter{Topic: t, Client: client, sub: s})
 	}
 	s.ch = make(chan Event, len(s.topics))
 	h.subs++
 	return s
 }
 
-// C returns the subscription's event channel. It is closed by Close and
-// when the last subscribed topic has delivered.
+// Subscribe is Watch for a stream no client owns.
+func (h *Hub) Subscribe(topics ...Topic) *Sub { return h.Watch("", topics...) }
+
+// Await registers cb as client's waiter for the topic. It runs once, in
+// the goroutine that delivers the topic's next event.
+func (h *Hub) Await(t Topic, client string, cb func(Event)) {
+	h.mu.Lock()
+	h.add(Waiter{Topic: t, Client: client, cb: cb})
+	h.mu.Unlock()
+}
+
+// C returns the stream's event channel. It is closed by Close and once
+// every subscribed topic has delivered.
 func (s *Sub) C() <-chan Event { return s.ch }
 
-// Subscribed reports whether the topic is still awaiting delivery on this
-// subscription: false once an event for it was delivered (it is then
-// buffered in C) or the subscription was closed.
+// Subscribed reports whether the topic still awaits its event on this
+// stream: false once the event was taken (it is then buffered in C or on
+// its way there) or the stream was closed.
 func (s *Sub) Subscribed(t Topic) bool {
 	s.hub.mu.Lock()
 	defer s.hub.mu.Unlock()
@@ -151,76 +179,138 @@ func (s *Sub) Subscribed(t Topic) bool {
 	return ok
 }
 
-// Close unsubscribes all remaining topics and closes the channel.
-// Buffered events remain readable. Close is idempotent.
+// Close unregisters all remaining topics and closes the channel.
+// Buffered events remain readable; taken ones not yet delivered are
+// dropped. Close is idempotent.
 func (s *Sub) Close() {
-	h := s.hub
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	s.hub.mu.Lock()
+	defer s.hub.mu.Unlock()
 	s.closeLocked()
 }
 
-// closeLocked detaches the subscription. Caller holds hub.mu.
+// closeLocked detaches the stream. Caller holds hub.mu.
 func (s *Sub) closeLocked() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	for t := range s.topics {
-		if m := s.hub.topics[t]; m != nil {
-			delete(m, s)
-			if len(m) == 0 {
-				delete(s.hub.topics, t)
-			}
+	h := s.hub
+	for t := range s.topics { //simfs:allow maporder each topic's list loses this stream's one entry; the lists are independent
+		steps := h.topics[t.Context]
+		if list := slices.DeleteFunc(steps[t.Step], func(w Waiter) bool { return w.sub == s }); len(list) > 0 {
+			steps[t.Step] = list
+		} else {
+			delete(steps, t.Step)
 		}
 	}
-	s.hub.subs--
+	clear(s.topics)
+	h.subs--
 	close(s.ch)
 }
 
-// Publish delivers ev to every subscriber of its topic and unsubscribes
-// the (topic, subscription) pairs it delivered to (one-shot contract).
-// It returns the number of deliveries. Publish never blocks.
-func (h *Hub) Publish(ev Event) int {
-	h.published.Add(1)
+// Take detaches the topic's waiters, in registration order, appending
+// them to ws. Nothing is sent: the caller hands the result to Deliver
+// once it holds no shard lock.
+func (h *Hub) Take(t Topic, ws []Waiter) []Waiter {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	m := h.topics[ev.Topic]
-	if len(m) == 0 {
+	steps := h.topics[t.Context]
+	list := steps[t.Step]
+	if len(list) == 0 {
+		return ws
+	}
+	delete(steps, t.Step)
+	for _, w := range list {
+		if w.sub != nil {
+			delete(w.sub.topics, t)
+			w.sub.taken++
+		}
+	}
+	if ws == nil {
+		return list // the common single-topic take copies nothing
+	}
+	return append(ws, list...)
+}
+
+// Deliver wakes taken waiters with ev, each under its own topic: the
+// streams first, under the hub lock, then the callbacks in order with no
+// lock held. It returns the number of waiters woken.
+func (h *Hub) Deliver(ev Event, ws []Waiter) int {
+	if len(ws) == 0 {
 		return 0
 	}
 	n := 0
-	for s := range m {
-		delete(m, s)
-		delete(s.topics, ev.Topic)
+	h.mu.Lock()
+	for _, w := range ws {
+		s := w.sub
+		if s == nil {
+			continue
+		}
+		s.taken--
+		if s.closed {
+			continue
+		}
+		ev.Topic = w.Topic
 		select {
 		case s.ch <- ev:
-			h.delivered.Add(1)
 			n++
 		default:
 			// Unreachable under the one-slot-per-topic sizing; counted
 			// rather than trusted.
 			h.dropped.Add(1)
 		}
-		if len(s.topics) == 0 {
-			// Last topic delivered: complete the subscription so ranging
+		if len(s.topics) == 0 && s.taken == 0 {
+			// Last topic delivered: complete the stream so ranging
 			// receivers terminate.
 			s.closeLocked()
-			// closeLocked re-closed nothing for this topic (already
-			// removed) and closed the channel after the buffered event.
 		}
 	}
-	if len(m) == 0 {
-		delete(h.topics, ev.Topic)
+	h.mu.Unlock()
+	for _, w := range ws {
+		if w.cb != nil {
+			ev.Topic = w.Topic
+			w.cb(ev)
+			n++
+		}
 	}
+	h.delivered.Add(uint64(n))
 	return n
+}
+
+// Publish delivers ev to every waiter of its topic and returns the number
+// woken. It must not be called under a shard lock.
+func (h *Hub) Publish(ev Event) int {
+	h.published.Add(1)
+	return h.Deliver(ev, h.Take(ev.Topic, nil))
+}
+
+// Waiting reports whether anyone waits for the topic.
+func (h *Hub) Waiting(t Topic) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.topics[t.Context][t.Step]) > 0
+}
+
+// Waiters lists the waiters of a context's topics by step, each step's in
+// registration order.
+func (h *Hub) Waiters(ctx string) []Waiter {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	steps := h.topics[ctx]
+	var ws []Waiter
+	for _, step := range slices.Sorted(maps.Keys(steps)) {
+		ws = append(ws, steps[step]...)
+	}
+	return ws
 }
 
 // Stats returns a snapshot of the hub counters.
 func (h *Hub) Stats() Stats {
 	h.mu.Lock()
-	subs := h.subs
-	topics := len(h.topics)
+	subs, topics := h.subs, 0
+	for _, steps := range h.topics {
+		topics += len(steps)
+	}
 	h.mu.Unlock()
 	return Stats{
 		Published:   h.published.Load(),

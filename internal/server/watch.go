@@ -77,7 +77,7 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 	}
 	// Subscribed before any state is read (and before an acquire's
 	// opens): whatever resolves a file from here on is buffered in sub.
-	sub, files, err := s.v.Watch(ctxName, b.Files)
+	sub, files, err := s.v.Watch(sess.client, ctxName, b.Files)
 	if err != nil {
 		refuse(err)
 		return
@@ -110,9 +110,9 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 			delete(w.unresolved, f.Step)
 			sess.reply(netproto.Response{ID: id, OK: true, Ready: true, File: f.Name})
 		case f.Promised, !pol.refuseUnproduced, !sub.Subscribed(notify.Topic{Context: ctxName, Step: f.Step}):
-			// Pending: the hub will resolve it — or already has, between
-			// the subscription and the state read, and the event sits in
-			// sub for pump (a delivered topic is no longer subscribed).
+			// Pending: the hub will resolve it — or already has since the
+			// Watch, and the event is in sub or on its way there for pump
+			// (a taken topic is no longer subscribed).
 		case s.Peers != nil:
 			// Watched on the peers: the bridge republishes what they
 			// produce into the local hub, so pump resolves it like a
@@ -166,9 +166,6 @@ func (w *fileWatch) pump(sess *session, id uint64) {
 			}
 			sess.send(resp)
 		} else {
-			// The client was blocked on this file: reset its τcli
-			// baseline, as the in-process waiter path does.
-			sess.srv.v.NoteClientReady(sess.client, ev.Topic)
 			sess.send(netproto.Response{ID: id, OK: true, Ready: true, File: f})
 		}
 		if len(w.unresolved) == 0 {

@@ -426,6 +426,25 @@ func TestWatchContract(t *testing.T) {
 		}
 	})
 
+	t.Run("neither resident nor promised/fed-watch then ctx-deregister", func(t *testing.T) {
+		fx := newWatchFixture(t, nil)
+		id := fx.send(netproto.OpFedWatch, filesBody(40))
+		fx.expect("before deregistration", fx.settled(), id)
+		if resp := fx.call(netproto.OpDrain, netproto.CtxBody{Context: "clim"}); !resp.OK {
+			t.Fatalf("drain: %+v", resp)
+		}
+		// The stream's frames race the deregistration's ack.
+		frames, ack := fx.until(fx.send(netproto.OpCtxDeregister, netproto.CtxBody{Context: "clim"}),
+			func(netproto.Response) bool { return true })
+		if !ack.OK {
+			t.Fatalf("ctx-deregister: %+v", ack)
+		}
+		if n := len(frames); n == 0 || !frames[n-1].Terminal() {
+			frames = append(frames, fx.stream(id)...)
+		}
+		fx.expect("after deregistration", frames, id, "40 failed", "ok done")
+	})
+
 	perOp(t, "mixed list", nil, func(fx *watchFixture, op string) {
 		fx.produce(3)
 		fx.hold(5)

@@ -222,18 +222,6 @@ type RetryPolicy = core.RetryPolicy
 // attempt count and the remaining cooldown.
 type QuarantineError = core.QuarantineError
 
-// Codec frames protocol messages on the wire; JSONCodec and BinaryCodec
-// are the two implementations a session can negotiate.
-type Codec = netproto.Codec
-
-// JSONCodec returns the self-describing JSON frame codec (protocol v2).
-func JSONCodec() Codec { return netproto.JSON }
-
-// BinaryCodec returns the binary fast-path frame codec (protocol v3):
-// hot data-plane ops travel as compact binary frames, everything else
-// falls back to JSON inside the same length-prefixed framing.
-func BinaryCodec() Codec { return netproto.Binary }
-
 // OpenCall is a pipelined AnalysisContext.OpenAsync in flight.
 type OpenCall = dvlib.OpenCall
 
