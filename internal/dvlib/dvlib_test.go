@@ -1,7 +1,6 @@
 package dvlib
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -19,6 +18,13 @@ type fakeReq struct {
 	Op      string
 	Context string
 	Files   []string
+}
+
+// grantHello is a fake daemon's hello reply: the current version and
+// the binary codec, which is what every session speaks after the hello.
+func grantHello(id uint64) netproto.Response {
+	return netproto.Response{ID: id, OK: true,
+		Proto: &netproto.HelloInfo{Version: netproto.ProtoVersion, Caps: []string{netproto.CapBinary}}}
 }
 
 // fakeDV is a scripted daemon: handler receives each request and a send
@@ -43,37 +49,22 @@ func fakeDV(t *testing.T, handler func(req fakeReq, send func(netproto.Response)
 				send := func(resp netproto.Response) {
 					wmu.Lock()
 					defer wmu.Unlock()
-					netproto.JSON.EncodeFrame(conn, resp)
+					netproto.Binary.EncodeFrame(conn, resp)
 				}
 				for {
 					var env netproto.Envelope
-					if err := netproto.JSON.DecodeFrame(conn, &env); err != nil {
+					if err := netproto.Binary.DecodeFrame(conn, &env); err != nil {
 						return
 					}
 					switch env.Op {
 					case netproto.OpHello:
-						send(netproto.Response{ID: env.ID, OK: true,
-							Proto: &netproto.HelloInfo{Version: netproto.ProtoVersion}})
+						send(grantHello(env.ID))
 						continue
 					case netproto.OpPing:
 						send(netproto.Response{ID: env.ID, OK: true})
 						continue
 					}
-					req := fakeReq{ID: env.ID, Op: env.Op}
-					var b struct {
-						Context string   `json:"context"`
-						File    string   `json:"file"`
-						Files   []string `json:"files"`
-					}
-					if len(env.Body) > 0 {
-						json.Unmarshal(env.Body, &b)
-					}
-					req.Context = b.Context
-					req.Files = b.Files
-					if b.File != "" {
-						req.Files = append(req.Files, b.File)
-					}
-					handler(req, send)
+					handler(decodeFakeReq(env), send)
 				}
 			}(conn)
 		}
@@ -303,26 +294,6 @@ func TestSubscriptionSurvivesConnectionLossWithError(t *testing.T) {
 	}
 	if st.Ready || st.Err == "" {
 		t.Errorf("status after connection loss = %+v, want error", st)
-	}
-}
-
-func TestJSONFallbackAgainstCaplessDaemon(t *testing.T) {
-	// fakeDV advertises no capabilities, so even a binary-willing client
-	// must stay on the JSON codec.
-	addr := fakeDV(t, func(req fakeReq, send func(netproto.Response)) {})
-	c, err := Dial(addr, "unit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.UsesBinary() {
-		t.Error("client negotiated binary against a daemon that never offered it")
-	}
-	if c.CodecName() != "json" {
-		t.Errorf("CodecName = %q, want json", c.CodecName())
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -45,7 +45,7 @@ func scriptedDV(t *testing.T, onConn func(connNo int, kill func()),
 				send := func(resp netproto.Response) {
 					wmu.Lock()
 					defer wmu.Unlock()
-					netproto.JSON.EncodeFrame(conn, resp)
+					netproto.Binary.EncodeFrame(conn, resp)
 				}
 				kill := func() { conn.Close() }
 				if onConn != nil {
@@ -53,12 +53,11 @@ func scriptedDV(t *testing.T, onConn func(connNo int, kill func()),
 				}
 				for {
 					var env netproto.Envelope
-					if err := netproto.JSON.DecodeFrame(conn, &env); err != nil {
+					if err := netproto.Binary.DecodeFrame(conn, &env); err != nil {
 						return
 					}
 					if env.Op == netproto.OpHello {
-						send(netproto.Response{ID: env.ID, OK: true,
-							Proto: &netproto.HelloInfo{Version: netproto.ProtoVersion}})
+						send(grantHello(env.ID))
 						continue
 					}
 					req := decodeFakeReq(env)
@@ -423,9 +422,8 @@ func TestReconnectGivesUp(t *testing.T) {
 			return
 		}
 		var env netproto.Envelope
-		netproto.JSON.DecodeFrame(conn, &env)
-		netproto.JSON.EncodeFrame(conn, netproto.Response{ID: env.ID, OK: true,
-			Proto: &netproto.HelloInfo{Version: netproto.ProtoVersion}})
+		netproto.Binary.DecodeFrame(conn, &env)
+		netproto.Binary.EncodeFrame(conn, grantHello(env.ID))
 		accepted <- conn
 	}()
 	cfg := fastReconnect

@@ -671,21 +671,21 @@ func TestFederationGarbageResponseFailsLink(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		// A fake daemon: grant the hello (no capabilities, so the link
-		// stays on JSON), read the request, answer with garbage.
+		// A fake daemon: grant the hello with the binary codec, read the
+		// request, answer with garbage.
 		var env netproto.Envelope
-		if err := netproto.JSON.DecodeFrame(conn, &env); err != nil {
+		if err := netproto.Binary.DecodeFrame(conn, &env); err != nil {
 			return
 		}
-		netproto.JSON.EncodeFrame(conn, netproto.Response{ID: env.ID, OK: true,
-			Proto: &netproto.HelloInfo{Version: netproto.ProtoVersion}})
-		if err := netproto.JSON.DecodeFrame(conn, &env); err != nil {
+		netproto.Binary.EncodeFrame(conn, netproto.Response{ID: env.ID, OK: true,
+			Proto: &netproto.HelloInfo{Version: netproto.ProtoVersion, Caps: []string{netproto.CapBinary}}})
+		if err := netproto.Binary.DecodeFrame(conn, &env); err != nil {
 			return
 		}
 		conn.Write([]byte{0, 0, 0, 4, '{', '{', '{', '{'})
 		// Keep the connection open: only the client's own reaction to the
 		// garbage may end the wait.
-		netproto.JSON.DecodeFrame(conn, &env)
+		netproto.Binary.DecodeFrame(conn, &env)
 	}()
 
 	pc, err := fed.DialPeer(ln.Addr().String(), "proxied-client", nil)

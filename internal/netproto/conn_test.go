@@ -100,7 +100,7 @@ func TestDuplicateHelloRefused(t *testing.T) {
 	defer c.Close()
 	got := make(chan Envelope, 1)
 	go func() {
-		if _, err := c.Accept(nil, false, "tester"); err != nil {
+		if _, err := c.Accept(nil, true, "tester"); err != nil {
 			return
 		}
 		var env Envelope
@@ -110,18 +110,18 @@ func TestDuplicateHelloRefused(t *testing.T) {
 	}()
 	var resp Response
 	for id := uint64(1); id <= 2; id++ {
-		again := Envelope{ID: id, Op: OpHello, val: HelloBody{Version: ProtoVersion, Client: "c"}}
-		if err := JSON.EncodeFrame(client, again); err != nil {
+		again := Envelope{ID: id, Op: OpHello, val: HelloBody{Version: ProtoVersion, Client: "c", Caps: []string{CapBinary}}}
+		if err := Binary.EncodeFrame(client, again); err != nil {
 			t.Fatal(err)
 		}
-		if err := JSON.DecodeFrame(client, &resp); err != nil {
+		if err := Binary.DecodeFrame(client, &resp); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if resp.ID != 2 || resp.OK || resp.Code != CodeBadRequest {
 		t.Fatalf("duplicate hello answered with %+v, want bad_request on id 2", resp)
 	}
-	if err := JSON.EncodeFrame(client, Envelope{ID: 3, Op: OpPing}); err != nil {
+	if err := Binary.EncodeFrame(client, Envelope{ID: 3, Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
 	if env := <-got; env.ID != 3 || env.Op != OpPing {

@@ -468,27 +468,12 @@ func TestSchedSetValidation(t *testing.T) {
 	// What the typed client cannot say, by hand: a retired policy name is
 	// refused like any unknown one; the knobs an older simfs-ctl still
 	// sends are ignored like any unknown JSON field.
-	conn := rawConn(t, addr)
-	call := func(id uint64, op string, body any) netproto.Response {
-		t.Helper()
-		env, _ := netproto.NewEnvelope(id, op, body)
-		if err := netproto.JSON.EncodeFrame(conn, env); err != nil {
-			t.Fatal(err)
-		}
-		var resp netproto.Response
-		if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	if resp := call(1, netproto.OpHello, netproto.HelloBody{Version: netproto.ProtoVersion, Client: "old-ctl"}); !resp.OK {
-		t.Fatalf("hello: %+v", resp)
-	}
+	conn := binSession(t, addr, "old-ctl")
 	for i, body := range []string{
 		`{"preempt_policy":"cheapest"}`,
 		`{"coalesce":true,"preempt_policy":"eldest"}`,
 	} {
-		if resp := call(uint64(i+2), netproto.OpSchedSet, json.RawMessage(body)); resp.Code != netproto.CodeBadRequest {
+		if resp := exchange(t, conn, uint64(i+2), netproto.OpSchedSet, json.RawMessage(body)); resp.Code != netproto.CodeBadRequest {
 			t.Errorf("sched-set %s: %+v, want bad_request", body, resp)
 		}
 	}
@@ -502,7 +487,7 @@ func TestSchedSetValidation(t *testing.T) {
 	}
 
 	legacy := `{"total_nodes":32,"preempt_sunk_cost":0.8,"preempt_guided":true,"demand_join":true}`
-	if resp := call(9, netproto.OpSchedSet, json.RawMessage(legacy)); !resp.OK || resp.Sched == nil || *resp.Sched != (netproto.SchedInfo{TotalNodes: 32}) {
+	if resp := exchange(t, conn, 9, netproto.OpSchedSet, json.RawMessage(legacy)); !resp.OK || resp.Sched == nil || *resp.Sched != (netproto.SchedInfo{TotalNodes: 32}) {
 		t.Fatalf("sched-set with retired fields: %+v (sched %+v), want them ignored and total_nodes applied", resp, resp.Sched)
 	}
 

@@ -23,6 +23,35 @@ func rawConn(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
+// exchange writes one request frame and reads the next response frame,
+// both on the binary codec (whose JSON fallback carries the hello and
+// the control plane).
+func exchange(t *testing.T, conn net.Conn, id uint64, op string, body any) netproto.Response {
+	t.Helper()
+	env, _ := netproto.NewEnvelope(id, op, body)
+	if err := netproto.Binary.EncodeFrame(conn, env); err != nil {
+		t.Fatal(err)
+	}
+	var resp netproto.Response
+	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// binSession dials the daemon and completes a hello asking for the
+// binary codec as request 1: every frame after it speaks
+// netproto.Binary.
+func binSession(t *testing.T, addr, client string) net.Conn {
+	t.Helper()
+	conn := rawConn(t, addr)
+	if resp := exchange(t, conn, 1, netproto.OpHello, netproto.HelloBody{Version: netproto.ProtoVersion,
+		Client: client, Caps: []string{netproto.CapBinary}}); !resp.OK {
+		t.Fatalf("handshake: %+v", resp)
+	}
+	return conn
+}
+
 // A v1 client (no hello, untyped request bag) against the new daemon:
 // the first frame is answered with a structured CodeVersion error and
 // the connection closes.
@@ -110,33 +139,21 @@ func TestVersionSkewNewClientOldDaemon(t *testing.T) {
 // the daemon answers CodeFrame and keeps serving.
 func TestGarbageFrameRecovered(t *testing.T) {
 	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion, Client: "messy"})
-	if err := netproto.JSON.EncodeFrame(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Fatalf("handshake: %v %+v", err, resp)
-	}
+	conn := binSession(t, addr, "messy")
 	// Length-prefixed garbage: 4 bytes of non-JSON.
 	if _, err := conn.Write([]byte{0, 0, 0, 4, '{', '{', '{', '{'}); err != nil {
 		t.Fatal(err)
 	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
+	var resp netproto.Response
+	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Code != netproto.CodeFrame {
 		t.Errorf("garbage frame answered with %+v, want CodeFrame", resp)
 	}
 	// The session survives: a ping still round-trips.
-	ping, _ := netproto.NewEnvelope(2, netproto.OpPing, nil)
-	if err := netproto.JSON.EncodeFrame(conn, ping); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 2 {
-		t.Errorf("ping after garbage frame: %v %+v", err, resp)
+	if resp := exchange(t, conn, 2, netproto.OpPing, nil); !resp.OK || resp.ID != 2 {
+		t.Errorf("ping after garbage frame: %+v", resp)
 	}
 }
 
@@ -213,37 +230,19 @@ func TestVersionSkewBinaryClientNoBinDaemon(t *testing.T) {
 // with CodeFrame without costing the connection.
 func TestBinarySessionRawFrames(t *testing.T) {
 	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion, Client: "raw-bin",
-			Caps: []string{netproto.CapBinary}})
-	if err := netproto.JSON.EncodeFrame(conn, hello); err != nil {
-		t.Fatal(err)
+	conn := binSession(t, addr, "raw-bin")
+	if resp := exchange(t, conn, 2, netproto.OpPing, nil); !resp.OK || resp.ID != 2 {
+		t.Fatalf("binary ping: %+v", resp)
 	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Fatalf("handshake: %v %+v", err, resp)
-	}
-	// From here the session speaks binary both ways.
-	ping, _ := netproto.NewEnvelope(2, netproto.OpPing, nil)
-	if err := netproto.Binary.EncodeFrame(conn, ping); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 2 {
-		t.Fatalf("binary ping: %v %+v", err, resp)
-	}
-	open, _ := netproto.NewEnvelope(3, netproto.OpOpen,
-		netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"})
-	if err := netproto.Binary.EncodeFrame(conn, open); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 3 {
-		t.Fatalf("binary open: %v %+v", err, resp)
+	if resp := exchange(t, conn, 3, netproto.OpOpen,
+		netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"}); !resp.OK || resp.ID != 3 {
+		t.Fatalf("binary open: %+v", resp)
 	}
 	// An unknown binary opcode is a recoverable frame error.
 	if _, err := conn.Write([]byte{0, 0, 0, 2, 0x7F, 0x01}); err != nil {
 		t.Fatal(err)
 	}
+	var resp netproto.Response
 	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +261,8 @@ func TestBinarySessionRawFrames(t *testing.T) {
 	if resp.Code != netproto.CodeFrame || resp.ID != 9 {
 		t.Errorf("truncated binary open answered with %+v, want CodeFrame on id 9", resp)
 	}
-	ping2, _ := netproto.NewEnvelope(4, netproto.OpPing, nil)
-	netproto.Binary.EncodeFrame(conn, ping2)
-	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 4 {
-		t.Errorf("binary ping after garbage frame: %v %+v", err, resp)
+	if resp := exchange(t, conn, 4, netproto.OpPing, nil); !resp.OK || resp.ID != 4 {
+		t.Errorf("binary ping after garbage frame: %+v", resp)
 	}
 }
 
@@ -275,22 +272,13 @@ func TestBinarySessionRawFrames(t *testing.T) {
 // op name — and the session keeps working.
 func TestRetiredWaitOpRefused(t *testing.T) {
 	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion, Client: "old-peer",
-			Caps: []string{netproto.CapBinary}})
-	if err := netproto.JSON.EncodeFrame(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Fatalf("handshake: %v %+v", err, resp)
-	}
+	conn := binSession(t, addr, "old-peer")
 	// The binary frame an old dvlib encoded for wait: opcode 2, id 7,
 	// context "clim", file "f".
 	if _, err := conn.Write([]byte{0, 0, 0, 9, 0x02, 7, 4, 'c', 'l', 'i', 'm', 1, 'f'}); err != nil {
 		t.Fatal(err)
 	}
+	var resp netproto.Response
 	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -298,20 +286,12 @@ func TestRetiredWaitOpRefused(t *testing.T) {
 		t.Errorf("binary wait answered with %+v, want CodeFrame on id 7", resp)
 	}
 	// The same op by name (a JSON payload inside the binary session).
-	wait, _ := netproto.NewEnvelope(8, "wait", netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"})
-	if err := netproto.Binary.EncodeFrame(conn, wait); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != netproto.CodeUnsupported || resp.ID != 8 || resp.OK {
+	if resp := exchange(t, conn, 8, "wait",
+		netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"}); resp.Code != netproto.CodeUnsupported || resp.ID != 8 || resp.OK {
 		t.Errorf("JSON wait answered with %+v, want CodeUnsupported on id 8", resp)
 	}
-	ping, _ := netproto.NewEnvelope(9, netproto.OpPing, nil)
-	netproto.Binary.EncodeFrame(conn, ping)
-	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 9 {
-		t.Errorf("ping after the refusals: %v %+v", err, resp)
+	if resp := exchange(t, conn, 9, netproto.OpPing, nil); !resp.OK || resp.ID != 9 {
+		t.Errorf("ping after the refusals: %+v", resp)
 	}
 }
 
@@ -330,71 +310,47 @@ func TestCloseDrainsPendingWaiters(t *testing.T) {
 			return inner(ctx, step)
 		}
 	})
-	conn := rawConn(t, addr)
-	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion, Client: "drainee"})
-	if err := netproto.JSON.EncodeFrame(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Fatalf("handshake: %v %+v", err, resp)
-	}
-	open, _ := netproto.NewEnvelope(2, netproto.OpOpen,
-		netproto.FileBody{Context: "clim", File: "clim_out_00000006.nc"})
-	if err := netproto.JSON.EncodeFrame(conn, open); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.Available {
-		t.Fatalf("open: %v %+v", err, resp)
+	conn := binSession(t, addr, "drainee")
+	if resp := exchange(t, conn, 2, netproto.OpOpen,
+		netproto.FileBody{Context: "clim", File: "clim_out_00000006.nc"}); !resp.OK || resp.Available {
+		t.Fatalf("open: %+v", resp)
 	}
 	wait, _ := netproto.NewEnvelope(3, netproto.OpSubscribe,
 		netproto.FilesBody{Context: "clim", Files: []string{"clim_out_00000006.nc"}})
-	if err := netproto.JSON.EncodeFrame(conn, wait); err != nil {
+	if err := netproto.Binary.EncodeFrame(conn, wait); err != nil {
 		t.Fatal(err)
 	}
 	// A ping round-trip pins the ordering: once its reply arrives the
 	// daemon has dispatched the wait, so Close finds it pending.
-	ping, _ := netproto.NewEnvelope(4, netproto.OpPing, nil)
-	if err := netproto.JSON.EncodeFrame(conn, ping); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 4 {
-		t.Fatalf("ping: %v %+v", err, resp)
+	if resp := exchange(t, conn, 4, netproto.OpPing, nil); !resp.OK || resp.ID != 4 {
+		t.Fatalf("ping: %+v", resp)
 	}
 
 	st.Server.Close()
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
+	var resp netproto.Response
+	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
 		t.Fatalf("pending wait got no frame on shutdown: %v", err)
 	}
 	if resp.ID != 3 || resp.Code != netproto.CodeDraining || !resp.Done {
 		t.Errorf("pending wait answered with %+v, want a terminal CodeDraining frame on id 3", resp)
 	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != io.EOF {
+	if err := netproto.Binary.DecodeFrame(conn, &resp); err != io.EOF {
 		t.Errorf("connection survived shutdown: %v %+v", err, resp)
 	}
 }
 
 // A malformed body on a known op is answered with CodeBadRequest naming
-// the op and id, and the connection survives.
+// the op and id, and the connection survives. The op is a control-plane
+// one: its body is JSON on every session, where a hot op's malformed
+// binary body is a bad_frame (TestBinarySessionRawFrames).
 func TestBadBodyAnsweredStructured(t *testing.T) {
 	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion, Client: "messy"})
-	netproto.JSON.EncodeFrame(conn, hello)
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Fatalf("handshake: %v %+v", err, resp)
-	}
-	bad, _ := netproto.NewEnvelope(5, netproto.OpOpen, 42) // number, not an object
-	if err := netproto.JSON.EncodeFrame(conn, bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 5 || resp.Code != netproto.CodeBadRequest {
+	conn := binSession(t, addr, "messy")
+	// 42 is a number, not an object.
+	if resp := exchange(t, conn, 5, netproto.OpStats, 42); resp.ID != 5 || resp.Code != netproto.CodeBadRequest {
 		t.Errorf("bad body answered with %+v, want CodeBadRequest on id 5", resp)
+	}
+	if resp := exchange(t, conn, 6, netproto.OpPing, nil); !resp.OK || resp.ID != 6 {
+		t.Errorf("ping after the bad body: %+v", resp)
 	}
 }

@@ -18,8 +18,8 @@ import (
 
 // The readiness-stream contract: what a client observes, frame by frame,
 // for acquire, subscribe and fed-watch. The table below is the wire
-// behavior the three ops must keep; it speaks raw JSON frames so nothing
-// in dvlib can paper over a changed sequence.
+// behavior the three ops must keep; it speaks raw binary frames so
+// nothing in dvlib can paper over a changed sequence.
 
 // watchFixture is one daemon and one raw session. Re-simulations write
 // through a per-step gate, so a test decides when a promised file
@@ -58,7 +58,8 @@ func newWatchFixture(t *testing.T, configure func(*Stack)) *watchFixture {
 	t.Cleanup(func() { fx.release() })
 	fx.conn = rawConn(t, addr)
 	fx.conn.SetDeadline(time.Now().Add(20 * time.Second))
-	if resp := fx.call(netproto.OpHello, netproto.HelloBody{Version: netproto.ProtoVersion, Client: "contract"}); !resp.OK {
+	if resp := fx.call(netproto.OpHello, netproto.HelloBody{Version: netproto.ProtoVersion, Client: "contract",
+		Caps: []string{netproto.CapBinary}}); !resp.OK {
 		t.Fatalf("handshake: %+v", resp)
 	}
 	return fx
@@ -99,7 +100,7 @@ func (fx *watchFixture) send(op string, body any) uint64 {
 	fx.next++
 	env, err := netproto.NewEnvelope(id, op, body)
 	if err == nil {
-		err = netproto.JSON.EncodeFrame(fx.conn, env)
+		err = netproto.Binary.EncodeFrame(fx.conn, env)
 	}
 	if err != nil {
 		fx.t.Fatalf("send %s: %v", op, err)
@@ -109,7 +110,7 @@ func (fx *watchFixture) send(op string, body any) uint64 {
 
 func (fx *watchFixture) read() (netproto.Response, error) {
 	var resp netproto.Response
-	err := netproto.JSON.DecodeFrame(fx.conn, &resp)
+	err := netproto.Binary.DecodeFrame(fx.conn, &resp)
 	return resp, err
 }
 
