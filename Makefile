@@ -140,9 +140,8 @@ chaos-smoke:
 
 # fed-smoke is the federation gate under the race detector: router
 # proxying across sharded daemons, cross-daemon notify exactly-once
-# delivery, version-skew (binary-disabled daemon behind the router),
-# dead-peer isolation, and reconnecting clients riding through a router
-# restart.
+# delivery, dead-peer isolation, a peer link failing on an undecodable
+# response, and reconnecting clients riding through a router restart.
 fed-smoke:
 	$(GO) test -race -count=1 -run 'TestFederation' ./internal/fed
 
@@ -187,6 +186,9 @@ simfs-vet:
 # hello is exempt: netproto.Dial sends it itself. An op that fails here
 # is a handler, an opcode, an op-table row, a latency bucket and fuzz
 # seeds kept alive for nobody (`wait` was, for 23 PRs): retire it.
+# It also fails when non-test code outside benchmark/ names the Codec
+# seam (netproto.JSON/Binary/Codec): every connection speaks one codec,
+# and the seam lives on only for tests, fuzzers and the codec drill.
 dead-ops:
 	@dead=; for op in $$(sed -n 's/^\t\(Op[A-Za-z]*\) *= *".*/\1/p' internal/netproto/netproto.go); do \
 		[ "$$op" = OpHello ] && continue; \
@@ -194,6 +196,9 @@ dead-ops:
 	done; \
 	if [ -n "$$dead" ]; then echo "dead-ops: no sender outside internal/netproto and internal/server for:$$dead"; exit 1; fi; \
 	echo "dead-ops: every wire op has a sender"
+	@seam=$$(git grep -nw 'netproto\.\(JSON\|Binary\|Codec\)' -- '*.go' ':!*_test.go' ':!benchmark'); \
+	if [ -n "$$seam" ]; then echo "dead-ops: the Codec seam has production callers:"; echo "$$seam"; exit 1; fi; \
+	echo "dead-ops: no production caller of the Codec seam"
 
 # staticcheck and govulncheck are pinned and fetched on demand via `go
 # run tool@version`, so they add no go.mod dependency. The -version

@@ -54,10 +54,9 @@ import (
 )
 
 var (
-	addr     = flag.String("addr", "127.0.0.1:7878", "daemon address")
-	ctxName  = flag.String("context", "", "simulation context name")
-	timeout  = flag.Duration("timeout", 30*time.Second, "per-command deadline")
-	jsonOnly = flag.Bool("json", false, "speak JSON frames even if the daemon offers the binary codec")
+	addr    = flag.String("addr", "127.0.0.1:7878", "daemon address")
+	ctxName = flag.String("context", "", "simulation context name")
+	timeout = flag.Duration("timeout", 30*time.Second, "per-command deadline")
 )
 
 func main() {
@@ -67,13 +66,9 @@ func main() {
 		usage()
 	}
 
-	var opts []simfs.DialOption
-	if *jsonOnly {
-		opts = append(opts, simfs.WithJSONCodec())
-	}
 	cx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	c, err := simfs.DialContext(cx, *addr, "simfs-ctl", opts...)
+	c, err := simfs.DialContext(cx, *addr, "simfs-ctl")
 	if err != nil {
 		log.Fatalf("simfs-ctl: %v", err)
 	}
@@ -83,7 +78,7 @@ func main() {
 	switch args[0] {
 	case "proto":
 		w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-		fmt.Fprintf(w, "protocol version\t%d\ncodec\t%s\n", c.ProtoVersion(), c.CodecName())
+		fmt.Fprintf(w, "protocol version\t%d\n", c.ProtoVersion())
 		fmt.Fprintf(w, "daemon capabilities\t%s\n", strings.Join(c.Capabilities(), " "))
 		w.Flush()
 
@@ -472,10 +467,10 @@ func check(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: simfs-ctl [-addr host:port] [-context name] [-timeout d] [-json] <command>
+	fmt.Fprintln(os.Stderr, `usage: simfs-ctl [-addr host:port] [-context name] [-timeout d] <command>
 
 inspection:
-  proto                         show the negotiated protocol version, codec and capabilities
+  proto                         show the negotiated protocol version and capabilities
   contexts                      list simulation contexts
   info                          show one context's parameters (-context)
   stats                         show one context's counters (-context)

@@ -58,7 +58,6 @@ func main() {
 	// "youngest" default is inert until one is configured.
 	preempt := flag.String("sched-preempt", "youngest", "kill a running agent prefetch for a node-blocked demand miss: off | youngest (needs -sched-nodes)")
 	quantum := flag.Int("sched-quantum", 0, "per-client deficit-round-robin quantum in output steps inside a priority class (0 = pure FIFO)")
-	noBinary := flag.Bool("no-binary", false, "do not offer the binary fast-path codec; all sessions stay on JSON frames")
 	// Federation: when this daemon is one member behind simfs-router,
 	// -peers lists the OTHER members, so subscriptions to files a peer
 	// produces are forwarded there and their events come back.
@@ -102,7 +101,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("simfs-dv: %v", err)
 	}
-	d.Server.DisableBinary = *noBinary
 	if *peers != "" {
 		var peerAddrs []string
 		for _, p := range strings.Split(*peers, ",") {
@@ -198,8 +196,8 @@ func main() {
 			}
 		}()
 	}
-	log.Printf("simfs-dv: serving on %s (policy %s, timescale 1/%d, binary=%v, sched coalesce=%v priorities=%v nodes=%d preempt=%s quantum=%d)",
-		*addr, *policy, *timescale, !*noBinary, schedCfg.Coalesce, schedCfg.Priorities, schedCfg.TotalNodes,
+	log.Printf("simfs-dv: serving on %s (policy %s, timescale 1/%d, sched coalesce=%v priorities=%v nodes=%d preempt=%s quantum=%d)",
+		*addr, *policy, *timescale, schedCfg.Coalesce, schedCfg.Priorities, schedCfg.TotalNodes,
 		schedCfg.Preempt, schedCfg.DRRQuantum)
 	if err := d.ListenAndServe(*addr); err != nil {
 		log.Fatalf("simfs-dv: %v", err)

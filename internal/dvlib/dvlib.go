@@ -8,16 +8,14 @@
 //
 // Connections speak the versioned envelope protocol (internal/netproto):
 // Dial performs the hello handshake — version and capability
-// negotiation — and fails with a CodeVersion *Error against daemons that
-// predate it. Against a protocol-3 daemon the connection negotiates the
-// binary fast-path codec by default (WithJSONCodec opts out); against
-// older daemons it stays on JSON. Failures surface as *Error values
-// carrying the daemon's structured error code, so callers dispatch on
-// ErrCodeOf(err) instead of matching message text. Cancellation and
-// deadlines plumb through context.Context: DialContext, AcquireCtx and
-// Req.WaitCtx honor the context, and a canceled acquire releases its
-// references so the daemon may dismantle re-simulations nobody else is
-// waiting for.
+// negotiation, after which every frame is binary — and fails with a
+// CodeVersion *Error against a daemon that does not speak protocol 3
+// with the binary codec. Failures surface as *Error values carrying the
+// daemon's structured error code, so callers dispatch on ErrCodeOf(err)
+// instead of matching message text. Cancellation and deadlines plumb
+// through context.Context: DialContext, AcquireCtx and Req.WaitCtx honor
+// the context, and a canceled acquire releases its references so the
+// daemon may dismantle re-simulations nobody else is waiting for.
 //
 // Requests coalesce into batches: every call's frame lands in a write
 // buffer and is flushed — one syscall for however many frames queued —
@@ -123,19 +121,11 @@ type Client struct {
 
 // dialConfig collects DialOption settings.
 type dialConfig struct {
-	jsonOnly  bool
 	reconnect *ReconnectConfig
 }
 
 // DialOption customizes Dial/DialContext behavior.
 type DialOption func(*dialConfig)
-
-// WithJSONCodec disables binary-codec negotiation: the connection speaks
-// JSON frames even against a daemon that offers the fast path. Useful
-// for debugging with packet captures and for benchmark baselines.
-func WithJSONCodec() DialOption {
-	return func(cfg *dialConfig) { cfg.jsonOnly = true }
-}
 
 // ReconnectConfig tunes WithReconnect's backoff loop. The zero value
 // gets sensible defaults (50ms base doubling to 2s, ±20% jitter, give
@@ -163,14 +153,13 @@ func (cfg ReconnectConfig) withDefaults() ReconnectConfig {
 
 // WithReconnect makes the client survive connection loss: when the read
 // loop hits a broken stream, the client redials with exponential backoff,
-// re-runs the hello handshake (same codec negotiation), re-opens every
-// file in its reference ledger, re-subscribes active watches, and
-// transparently replays idempotent in-flight calls (open, wait, est-wait,
-// ping, the read-only queries). Non-idempotent in-flight calls (release,
-// acquire, admin ops) fail with ErrReconnecting instead — the client
-// cannot know whether they took effect — and releases are checked against
-// the ledger so a double release is refused rather than corrupting the
-// resynced state.
+// re-runs the hello handshake, re-opens every file in its reference
+// ledger, re-subscribes active watches, and transparently replays
+// idempotent in-flight calls (open, wait, est-wait, ping, the read-only
+// queries). Non-idempotent in-flight calls (release, acquire, admin ops)
+// fail with ErrReconnecting instead — the client cannot know whether
+// they took effect — and releases are checked against the ledger so a
+// double release is refused rather than corrupting the resynced state.
 func WithReconnect(cfg ReconnectConfig) DialOption {
 	c := cfg.withDefaults()
 	return func(d *dialConfig) { d.reconnect = &c }
@@ -214,11 +203,8 @@ func DialContext(ctx context.Context, addr, clientName string, opts ...DialOptio
 // hello is the client's half of the handshake: the initial dial and
 // every reconnect send the same one.
 func (c *Client) hello() netproto.HelloBody {
-	caps := []string{netproto.CapAdmin, netproto.CapWatch}
-	if !c.dialCfg.jsonOnly {
-		caps = append(caps, netproto.CapBinary)
-	}
-	return netproto.HelloBody{Version: netproto.ProtoVersion, Client: c.name, Caps: caps}
+	return netproto.HelloBody{Version: netproto.ProtoVersion, Client: c.name,
+		Caps: []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapBinary}}
 }
 
 // transport returns the current connection and what it negotiated.
@@ -226,19 +212,6 @@ func (c *Client) transport() (*netproto.Conn, netproto.HelloInfo) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.conn, c.info
-}
-
-// UsesBinary reports whether the connection negotiated the binary
-// fast-path codec in the hello handshake.
-func (c *Client) UsesBinary() bool {
-	conn, _ := c.transport()
-	return conn.Codec() == netproto.Binary
-}
-
-// CodecName returns the name of the negotiated frame codec.
-func (c *Client) CodecName() string {
-	conn, _ := c.transport()
-	return conn.Codec().Name()
 }
 
 // ProtoVersion returns the protocol version negotiated in the handshake.

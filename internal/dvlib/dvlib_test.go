@@ -1,6 +1,7 @@
 package dvlib
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -82,6 +83,38 @@ func TestDialHandshake(t *testing.T) {
 	// Dialing a dead address fails.
 	if _, err := Dial("127.0.0.1:1", "unit"); err == nil {
 		t.Error("dial to closed port succeeded")
+	}
+}
+
+// A daemon that grants the hello without the binary codec — a v2 one,
+// or a v3 one started without it — cannot be spoken to: Dial fails with
+// a version_mismatch *Error.
+func TestDialRefusesJSONOnlyDaemon(t *testing.T) {
+	for _, grant := range []netproto.HelloInfo{
+		{Version: 2, Caps: []string{netproto.CapBinary}},
+		{Version: netproto.ProtoVersion},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			var env netproto.Envelope
+			if netproto.JSON.DecodeFrame(conn, &env) == nil {
+				netproto.JSON.EncodeFrame(conn, netproto.Response{ID: env.ID, OK: true, Proto: &grant})
+			}
+		}()
+		_, err = Dial(ln.Addr().String(), "unit")
+		var de *Error
+		if !errors.As(err, &de) || de.Op != "dial" || de.Code != netproto.CodeVersion {
+			t.Errorf("dial against a grant of %+v: %v, want a dial %s *Error", grant, err, netproto.CodeVersion)
+		}
 	}
 }
 

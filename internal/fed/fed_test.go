@@ -189,40 +189,6 @@ func TestFederationRouterProxy(t *testing.T) {
 	}
 }
 
-// TestFederationVersionSkew pins codec bridging: a JSON-only daemon
-// (DisableBinary, the deployed-previous-version shape) behind the
-// router still serves a client that negotiated the binary fast path
-// with the router.
-func TestFederationVersionSkew(t *testing.T) {
-	_, addr := newFedStack(t, "seed-old", func(st *server.Stack) {
-		st.Server.DisableBinary = true
-	})
-	_, raddr := startRouter(t, addr)
-
-	c, err := dvlib.Dial(raddr, "new-client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if !c.UsesBinary() {
-		t.Error("client should negotiate binary with the router even over a JSON-only daemon")
-	}
-	ctx, err := c.Init("seed-old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := ctx.Filename(2)
-	if _, err := ctx.Open(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.WaitAvailable(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Release(file); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFederationCrossDaemonNotify is the acceptance scenario: a client
 // watching through the router (subscription lands on the ring owner)
 // observes a file produced on a different daemon — exactly once.

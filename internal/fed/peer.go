@@ -14,8 +14,7 @@ import (
 const dialTimeout = 2 * time.Second
 
 // peerCaps is what a federation link requests in its hello: everything
-// a daemon can grant, binary included. The daemon's answer decides the
-// codec; a DisableBinary peer simply keeps the link on JSON.
+// a daemon can grant, the binary codec every session speaks included.
 var peerCaps = []string{netproto.CapAdmin, netproto.CapWatch,
 	netproto.CapPreempt, netproto.CapBinary, netproto.CapFed}
 
@@ -23,8 +22,8 @@ var peerCaps = []string{netproto.CapAdmin, netproto.CapWatch,
 // forwarding) and the bridge (fed-watch subscriptions): a netproto.Conn
 // for the framing and write batching, a netproto.Pending for the
 // request IDs and the reply demux, and a read loop joining the two. The
-// binary codec and reply coalescing negotiated in the hello make this
-// the same fast path a batching client uses.
+// binary codec and reply coalescing make this the same fast path a
+// batching client uses.
 //
 // A PeerConn is single-use: once the connection dies, every pending
 // handler receives a synthesized terminal draining response and the

@@ -160,9 +160,8 @@ func (sess *rsession) dropRoute(clientID uint64) (peerRoute, bool) {
 	return rt, ok
 }
 
-// routerCaps is what the router advertises in every hello reply, plus
-// the binary fast path — always: a JSON-only daemon behind the router
-// is bridged by the per-peer codec negotiation.
+// routerCaps is what the router advertises in every hello reply (plus
+// CapBinary, which Accept adds).
 var routerCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt, netproto.CapFed}
 
 func (r *Router) handle(c *netproto.Conn) {
@@ -180,7 +179,7 @@ func (r *Router) handle(c *netproto.Conn) {
 			pc.Close()
 		}
 	}()
-	hello, err := c.Accept(routerCaps, true, "router")
+	hello, err := c.Accept(routerCaps, "router")
 	if err != nil {
 		if err != io.EOF {
 			r.logf("fed: handshake with %s: %v", c.RemoteAddr(), err)

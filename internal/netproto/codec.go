@@ -10,11 +10,9 @@ import (
 )
 
 // Codec encodes and decodes length-prefixed protocol frames outside a
-// Conn: the handshake tests, the fuzzers and the benchmark's codec drill
-// speak through it. Both ends of a connection start on JSON (the hello
-// exchange is always JSON) and may switch to Binary right after a
-// successful CapBinary negotiation. A Conn frames with the same append
-// and parse functions, in place in its own buffers.
+// Conn: only tests, the fuzzers and the benchmark's codec drill speak
+// through it. Binary is what every connection speaks; a Conn frames with
+// the same append and parse functions, in place in its own buffers.
 //
 // EncodeFrame writes the complete frame — 4-byte big-endian length plus
 // payload — with a single Write call: marshal and oversize failures
@@ -32,16 +30,18 @@ type Codec interface {
 	DecodeFrame(r io.Reader, v any) error
 }
 
-// JSON is the protocol-v2 codec: every payload is a JSON document. It
-// also frames the hello exchange of every connection regardless of what
-// gets negotiated afterwards.
+// JSON frames every payload as a JSON document: the retired protocol-v2
+// data plane, which no connection speaks any more. It remains for the
+// benchmark's codec drill and for tests that write what an old peer
+// sends.
 var JSON Codec = jsonCodec{}
 
-// Binary is the protocol-v3 fast-path codec. Hot ops and the common
-// response shape are encoded in a compact binary layout; everything
-// else (admin ops, rich responses) falls back to JSON payloads inside
-// the same frames. Decoders discriminate on the first payload byte:
-// JSON always starts with '{', binary bodies never do.
+// Binary is the protocol-v3 codec, the one a Conn speaks. Hot ops and
+// the common response shape are encoded in a compact binary layout;
+// everything else (the hello, admin ops, rich responses) falls back to
+// JSON payloads inside the same frames. Decoders discriminate on the
+// first payload byte: JSON always starts with '{', binary bodies never
+// do.
 var Binary Codec = binCodec{}
 
 type jsonCodec struct{}
@@ -89,10 +89,7 @@ func encodeFrame(w io.Writer, bin bool, v any) error {
 	case Response:
 		*bp, err = appendResponseFrame(*bp, bin, &m)
 	default:
-		// A foreign type (a LegacyRequest in the skew tests).
-		if *bp, err = appendJSON(append(*bp, 0, 0, 0, 0), v, "", 0); err == nil {
-			*bp, err = endFrame(*bp, 0, "", 0)
-		}
+		err = &FrameError{Err: fmt.Errorf("cannot frame a %T", v)}
 	}
 	if err != nil {
 		return err
@@ -123,10 +120,7 @@ func decodeFrame(r io.Reader, bin bool, v any) error {
 	case *Response:
 		return parseResponse(payload, bin, dst)
 	}
-	if isBinPayload(payload, bin) {
-		return &FrameError{Recoverable: true, Err: fmt.Errorf("binary frame for JSON-only target %T", v)}
-	}
-	return unmarshalJSON(payload, v)
+	return &FrameError{Recoverable: true, Err: fmt.Errorf("cannot decode a frame into %T", v)}
 }
 
 // frameLen reads a frame header, refusing a length beyond MaxFrame.

@@ -132,14 +132,17 @@ func TestBinaryCodecJSONFallback(t *testing.T) {
 	}
 }
 
-// A JSON peer's frames decode unchanged on the binary codec (the server
-// keeps one read path per session even while capabilities differ).
+// The binary codec still parses a JSON payload naming a data-plane op —
+// its JSON fallback is one parser for every op — but a session refuses
+// one: ReadRequest answers bad_frame on the request's own ID and reads
+// on.
 func TestBinaryCodecReadsJSONFrames(t *testing.T) {
 	var buf bytes.Buffer
 	env := mustEnvelope(t, 4, OpOpen, FileBody{Context: "c", File: "f"})
 	if err := JSON.EncodeFrame(&buf, env); err != nil {
 		t.Fatal(err)
 	}
+	frame := bytes.Clone(buf.Bytes())
 	var out Envelope
 	if err := Binary.DecodeFrame(&buf, &out); err != nil {
 		t.Fatal(err)
@@ -147,6 +150,23 @@ func TestBinaryCodecReadsJSONFrames(t *testing.T) {
 	var body FileBody
 	if err := out.Decode(&body); err != nil || body.File != "f" {
 		t.Fatalf("JSON frame on binary codec mangled: %+v (%v)", body, err)
+	}
+
+	w := &wire{}
+	w.buf.Write(frame)
+	if err := Binary.EncodeFrame(&w.buf, mustEnvelope(t, 5, OpPing, nil)); err != nil {
+		t.Fatal(err)
+	}
+	c := NewConn(w)
+	if err := c.ReadRequest(&out, nil); err != nil || out.ID != 5 || out.Op != OpPing {
+		t.Fatalf("ReadRequest = %+v, %v; want the JSON open refused and the ping read", out, err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := Binary.DecodeFrame(&w.buf, &resp); err != nil || resp.ID != 4 || resp.Code != CodeFrame {
+		t.Errorf("JSON open answered with %+v (%v), want bad_frame on id 4", resp, err)
 	}
 }
 

@@ -37,10 +37,6 @@ const (
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
-	// bin says the handshake settled on the Binary codec. It flips at
-	// most once, inside a handshake on the reading goroutine, under wmu:
-	// the reader uses it unlocked, writers under wmu.
-	bin bool
 
 	wmu sync.Mutex
 	// wbuf accumulates encoded frames between flushes. A frame is
@@ -49,18 +45,9 @@ type Conn struct {
 	wbuf []byte
 }
 
-// NewConn frames nc. The connection speaks JSON until a handshake
-// (Accept, or Dial's hello) negotiates otherwise.
+// NewConn frames nc.
 func NewConn(nc net.Conn) *Conn {
 	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize)}
-}
-
-// Codec returns the codec the handshake settled on.
-func (c *Conn) Codec() Codec {
-	if c.bin {
-		return Binary
-	}
-	return JSON
 }
 
 // RemoteAddr returns the peer's network address.
@@ -79,7 +66,7 @@ func (c *Conn) EnqueueRequest(env *Envelope) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	var err error
-	if c.wbuf, err = appendEnvelopeFrame(c.wbuf, c.bin, env); err != nil {
+	if c.wbuf, err = appendEnvelopeFrame(c.wbuf, true, env); err != nil {
 		return err
 	}
 	c.flushIfFull()
@@ -87,18 +74,20 @@ func (c *Conn) EnqueueRequest(env *Envelope) error {
 }
 
 // EnqueueResponse is EnqueueRequest for a response.
-func (c *Conn) EnqueueResponse(resp *Response) error { return c.writeResponse(resp, false) }
+func (c *Conn) EnqueueResponse(resp *Response) error { return c.writeResponse(resp, true, false) }
 
 // SendResponse encodes resp and flushes it with everything queued
 // before it: the path for frames nobody flushes later (asynchronous
-// pushes, handshake replies).
-func (c *Conn) SendResponse(resp *Response) error { return c.writeResponse(resp, true) }
+// pushes).
+func (c *Conn) SendResponse(resp *Response) error { return c.writeResponse(resp, true, true) }
 
-func (c *Conn) writeResponse(resp *Response, flush bool) error {
+// writeResponse encodes resp, as JSON unless bin (for Accept's replies,
+// which every protocol version must read), and flushes when asked.
+func (c *Conn) writeResponse(resp *Response, bin, flush bool) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	var err error
-	if c.wbuf, err = appendResponseFrame(c.wbuf, c.bin, resp); err != nil {
+	if c.wbuf, err = appendResponseFrame(c.wbuf, bin, resp); err != nil {
 		return err
 	}
 	if flush {
@@ -186,63 +175,65 @@ func (c *Conn) ReadResponse(resp *Response) error {
 	if err != nil {
 		return err
 	}
-	err = parseResponse(payload, c.bin, resp)
+	err = parseResponse(payload, true, resp)
 	c.frameDone(payload, pooled)
 	return err
 }
 
-// readEnvelope reads the next decodable request frame. idle runs before
-// a read that would block, which is where the accepting side flushes
-// its replies to a pipelined batch with one write; FrameBuffered
-// insists on a complete frame, so a half-received one cannot deadlock
-// both ends. A complete frame with an undecodable payload leaves the
-// stream aligned: it is answered with CodeFrame and reading continues.
-// Every other error ends the connection.
-func (c *Conn) readEnvelope(env *Envelope, idle func()) error {
+// readEnvelope reads the next decodable request frame and reports
+// whether its payload was JSON. idle runs before a read that would
+// block, which is where the accepting side flushes its replies to a
+// pipelined batch with one write; FrameBuffered insists on a complete
+// frame, so a half-received one cannot deadlock both ends. A complete
+// frame with an undecodable payload leaves the stream aligned: it is
+// answered with CodeFrame and reading continues. Every other error ends
+// the connection.
+func (c *Conn) readEnvelope(env *Envelope, idle func()) (isJSON bool, err error) {
 	for {
 		if idle != nil && !FrameBuffered(c.br) {
 			idle()
 		}
 		payload, pooled, err := c.nextFrame()
 		if err != nil {
-			return err
+			return false, err
 		}
 		// JSON decoding merges into its target: start from zero so a
 		// refused frame's fields cannot leak into the next one.
 		*env = Envelope{}
-		err = parseEnvelope(payload, c.bin, env)
+		isJSON = !isBinPayload(payload, true)
+		err = parseEnvelope(payload, true, env)
 		c.frameDone(payload, pooled)
 		if err == nil {
-			return nil
+			return isJSON, nil
 		}
 		var fe *FrameError // escapes: declared off the per-frame path
 		if !errors.As(err, &fe) || !fe.Recoverable {
-			return err
+			return false, err
 		}
 		if err := c.SendResponse(&Response{ID: fe.ID, Code: CodeFrame, Err: err.Error()}); err != nil {
-			return err
+			return false, err
 		}
 	}
 }
 
 // Accept runs the accepting half of the handshake and returns the
-// peer's hello with Version replaced by the negotiated one. The first
-// decodable frame must be a hello: anything else — a pre-versioned (v1)
-// client, a foreign peer — is refused with CodeVersion, as is a hello
-// below MinProtoVersion; the error tells the caller to close. A newer
-// peer is clamped down to ProtoVersion. The reply, always JSON,
-// advertises caps plus CapBinary when allowBinary; the connection flips
-// to the Binary codec only when that is allowed, the negotiated version
-// is at least 3 and the peer asked. who names the accepting program
-// ("daemon", "router") in refusals.
-func (c *Conn) Accept(caps []string, allowBinary bool, who string) (HelloBody, error) {
+// peer's hello. The first decodable frame must be a hello at
+// ProtoVersion or newer that asks for CapBinary; a newer peer is
+// clamped down to ProtoVersion. Anything else — a pre-versioned (v1)
+// client, a v2 hello, a v3 one without CapBinary, a foreign peer — is
+// refused with CodeVersion on the frame's own ID, and the error tells
+// the caller to close. The reply advertises caps plus CapBinary. It and
+// every refusal go out as JSON, the one dialect every protocol version
+// reads; after it both directions speak binary. who names the accepting
+// program ("daemon", "router") in refusals.
+func (c *Conn) Accept(caps []string, who string) (HelloBody, error) {
 	for {
 		var env Envelope
-		if err := c.readEnvelope(&env, nil); err != nil {
+		if _, err := c.readEnvelope(&env, nil); err != nil {
 			return HelloBody{}, err
 		}
 		refuse := func(err error) (HelloBody, error) {
-			_ = c.SendResponse(&Response{ID: env.ID, Code: CodeVersion, Err: err.Error()}) // closing either way
+			_ = c.writeResponse(&Response{ID: env.ID, Code: CodeVersion, Err: err.Error()}, false, true) // closing either way
 			return HelloBody{}, err
 		}
 		if env.Op != OpHello {
@@ -251,44 +242,46 @@ func (c *Conn) Accept(caps []string, allowBinary bool, who string) (HelloBody, e
 		}
 		var hb HelloBody
 		if err := env.Decode(&hb); err != nil {
-			if err := c.SendResponse(&Response{ID: env.ID, Code: CodeBadRequest, Err: err.Error()}); err != nil {
+			if err := c.writeResponse(&Response{ID: env.ID, Code: CodeBadRequest, Err: err.Error()}, false, true); err != nil {
 				return HelloBody{}, err
 			}
 			continue
 		}
-		if hb.Version < MinProtoVersion {
-			return refuse(fmt.Errorf("peer speaks protocol %d; %s requires %d..%d",
-				hb.Version, who, MinProtoVersion, ProtoVersion))
+		if hb.Version < ProtoVersion || !HasCap(hb.Caps, CapBinary) {
+			return refuse(fmt.Errorf("peer speaks protocol %d with caps %v; %s requires protocol %d with %q",
+				hb.Version, hb.Caps, who, ProtoVersion, CapBinary))
 		}
-		hb.Version = min(hb.Version, ProtoVersion)
-		if allowBinary {
-			// Copy: caps is usually the caller's shared table.
-			caps = append(slices.Clone(caps), CapBinary)
-		}
-		err := c.SendResponse(&Response{ID: env.ID, OK: true, Proto: &HelloInfo{Version: hb.Version, Caps: caps}})
-		if allowBinary && hb.Version >= 3 && HasCap(hb.Caps, CapBinary) {
-			// The reply is already on the wire in JSON, so the flip cannot
-			// reframe it; everything after speaks binary both ways.
-			c.wmu.Lock()
-			c.bin = true
-			c.wmu.Unlock()
-		}
-		return hb, err
+		hb.Version = ProtoVersion
+		// Copy: caps is usually the caller's shared table.
+		info := &HelloInfo{Version: ProtoVersion, Caps: append(slices.Clone(caps), CapBinary)}
+		return hb, c.writeResponse(&Response{ID: env.ID, OK: true, Proto: info}, false, true)
 	}
 }
 
 // ReadRequest reads the next request for the accepting side's dispatch,
-// after Accept; idle is the flush-when-idle hook (see readEnvelope). A
-// second hello is refused here and reading continues: it would rewrite
-// the session's client identity under running wait and pump goroutines
-// and orphan the first client's state at disconnect cleanup.
+// after Accept; idle is the flush-when-idle hook (see readEnvelope). Two
+// JSON frames are refused on their own ID and reading continues: a
+// second hello (bad_request) would rewrite the session's client identity
+// under running streams and orphan the first client's state at
+// disconnect cleanup; a data-plane op — one with a binary opcode — gets
+// bad_frame, as it travels binary only. A binary frame pays one test.
 func (c *Conn) ReadRequest(env *Envelope, idle func()) error {
 	for {
-		if err := c.readEnvelope(env, idle); err != nil || env.Op != OpHello {
+		isJSON, err := c.readEnvelope(env, idle)
+		if err != nil || !isJSON {
 			return err
 		}
-		if err := c.EnqueueResponse(&Response{ID: env.ID, Code: CodeBadRequest,
-			Err: "duplicate hello: the handshake already completed"}); err != nil {
+		var resp Response
+		switch spec := opByName[env.Op]; {
+		case env.Op == OpHello:
+			resp = Response{ID: env.ID, Code: CodeBadRequest, Err: "duplicate hello: the handshake already completed"}
+		case spec != nil && spec.Bin != 0:
+			resp = Response{ID: env.ID, Code: CodeFrame,
+				Err: fmt.Sprintf("op %q sent as JSON: after the hello it travels binary", env.Op)}
+		default:
+			return nil
+		}
+		if err := c.EnqueueResponse(&resp); err != nil {
 			return err
 		}
 	}
@@ -307,12 +300,11 @@ func (e *HelloError) Error() string {
 }
 
 // Dial connects to addr and runs the dialing half of the handshake:
-// hello goes out in JSON as request id, the peer's HelloInfo comes
-// back, and the connection flips to the Binary codec when hello asked
-// for CapBinary, the peer advertises it and the negotiated version is
-// at least 3. ctx bounds the TCP connect and the exchange. A peer that
-// refuses — or answers with a pre-versioned, code-less error — yields a
-// *HelloError.
+// hello goes out in JSON as request id and the peer's HelloInfo comes
+// back; from there the connection speaks binary. ctx bounds the TCP
+// connect and the exchange. A peer that refuses, answers with a
+// pre-versioned code-less error, or grants less than ProtoVersion with
+// CapBinary yields a *HelloError.
 func Dial(ctx context.Context, addr string, id uint64, hello HelloBody) (*Conn, HelloInfo, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
@@ -334,8 +326,7 @@ func Dial(ctx context.Context, addr string, id uint64, hello HelloBody) (*Conn, 
 	return c, info, nil
 }
 
-// hello is synchronous — no read loop runs yet — so the codec can
-// switch after it without racing a concurrent reader.
+// hello is synchronous: no read loop runs yet.
 func (c *Conn) hello(id uint64, hello HelloBody) (HelloInfo, error) {
 	var resp Response
 	err := c.EnqueueRequest(&Envelope{ID: id, Op: OpHello, val: hello})
@@ -355,11 +346,10 @@ func (c *Conn) hello(id uint64, hello HelloBody) (HelloInfo, error) {
 				ProtoVersion, resp.Err)}
 	case resp.Err != "":
 		return HelloInfo{}, &HelloError{Code: resp.Code, Msg: resp.Err}
-	case resp.Proto == nil || resp.Proto.Version < MinProtoVersion:
-		return HelloInfo{}, &HelloError{Code: CodeVersion, Msg: "daemon sent no usable protocol version"}
-	}
-	if resp.Proto.Version >= 3 && HasCap(hello.Caps, CapBinary) && HasCap(resp.Proto.Caps, CapBinary) {
-		c.bin = true
+	case resp.Proto == nil || resp.Proto.Version < ProtoVersion || !HasCap(resp.Proto.Caps, CapBinary):
+		// A v2 daemon, or one started without the binary codec.
+		return HelloInfo{}, &HelloError{Code: CodeVersion,
+			Msg: fmt.Sprintf("daemon granted %+v; client requires protocol %d with %q", resp.Proto, ProtoVersion, CapBinary)}
 	}
 	return *resp.Proto, nil
 }

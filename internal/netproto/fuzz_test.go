@@ -2,20 +2,27 @@ package netproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"simfs/internal/model"
 	"simfs/internal/sched"
 )
 
-// seedFrames returns one encoded frame per envelope shape the protocol
-// speaks: the hello handshake, every typed per-op payload, a legacy (v1)
+// seedFrames returns one JSON frame per envelope shape the protocol has
+// spoken: the hello handshake, every typed per-op payload, a legacy (v1)
 // request and a response — plus a bodyless ping. They seed the fuzz
-// corpus (see FuzzFrameRoundTrip and TestRegenerateFuzzCorpus).
+// corpus of the Binary codec's JSON fallback (see FuzzFrameRoundTrip and
+// TestRegenerateFuzzCorpus). The hello, the control plane and the rich
+// response are JSON on every session; the data-plane ops — those with a
+// binary opcode — and the v1 frame are what an old peer sends: a session
+// parses them with this same fallback, then refuses them (ReadRequest's
+// bad_frame, Accept's version_mismatch).
 func seedFrames() ([][]byte, error) {
 	tv, nv, pp := true, 16, sched.PreemptYoungest
 	mc := &model.Context{Name: "fz", Grid: model.Grid{DeltaD: 1, DeltaR: 4, Timesteps: 32}, OutputBytes: 64}
@@ -24,10 +31,10 @@ func seedFrames() ([][]byte, error) {
 		body any
 	}{
 		{OpHello, HelloBody{Version: ProtoVersion, Client: "fuzz", Caps: []string{CapAdmin, CapWatch}}},
-		{OpPing, nil},
+		{OpPing, nil}, // refused as JSON: it has a binary opcode
 		{OpContexts, nil},
 		{OpContextInfo, CtxBody{Context: "fz"}},
-		{OpOpen, FileBody{Context: "fz", File: "fz_out_00000001.nc"}},
+		{OpOpen, FileBody{Context: "fz", File: "fz_out_00000001.nc"}}, // refused as JSON, like every op below with an opcode
 		// The retired wait op, as an old peer still sends it: an envelope
 		// like any other, refused by the daemon as an unknown op.
 		{"wait", FileBody{Context: "fz", File: "fz_out_00000002.nc"}},
@@ -63,12 +70,9 @@ func seedFrames() ([][]byte, error) {
 	}
 	// A v1 frame and a response frame: both must parse as envelopes
 	// without tripping the reader.
+	v1 := `{"id":99,"op":"open","client":"old","context":"fz","files":["f"]}`
+	frames = append(frames, append(binary.BigEndian.AppendUint32(nil, uint32(len(v1))), v1...))
 	var buf bytes.Buffer
-	if err := JSON.EncodeFrame(&buf, LegacyRequest{ID: 99, Op: OpOpen, Client: "old", Context: "fz", Files: []string{"f"}}); err != nil {
-		return nil, err
-	}
-	frames = append(frames, append([]byte(nil), buf.Bytes()...))
-	buf.Reset()
 	if err := JSON.EncodeFrame(&buf, Response{ID: 3, Code: CodeBusy, Err: "context draining",
 		Proto: &HelloInfo{Version: ProtoVersion}, Sched: &SchedInfo{Coalesce: true}}); err != nil {
 		return nil, err
@@ -77,10 +81,11 @@ func seedFrames() ([][]byte, error) {
 	return frames, nil
 }
 
-// FuzzFrameRoundTrip feeds raw bytes to the frame reader: whatever
-// decodes must re-encode and decode to the same envelope, and whatever
-// fails must fail safely — recoverable errors only for complete frames,
-// never a panic, never a misaligned stream.
+// FuzzFrameRoundTrip feeds raw bytes to the parse/append pair a
+// connection runs — the Binary codec with its JSON fallback — as a
+// request: whatever decodes must re-encode and decode to the same
+// envelope, and whatever fails must fail safely — recoverable errors
+// only for complete frames, never a panic, never a misaligned stream.
 func FuzzFrameRoundTrip(f *testing.F) {
 	frames, err := seedFrames()
 	if err != nil {
@@ -94,7 +99,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var env Envelope
-		err := JSON.DecodeFrame(bytes.NewReader(data), &env)
+		err := Binary.DecodeFrame(bytes.NewReader(data), &env)
 		if err != nil {
 			var fe *FrameError
 			if errors.As(err, &fe) && fe.Recoverable && len(data) < 4 {
@@ -103,7 +108,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := JSON.EncodeFrame(&buf, env); err != nil {
+		if err := Binary.EncodeFrame(&buf, env); err != nil {
 			// Only a re-encoded frame exceeding MaxFrame may fail (JSON
 			// escaping can grow the payload past the limit).
 			var fe *FrameError
@@ -113,10 +118,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			return
 		}
 		var env2 Envelope
-		if err := JSON.DecodeFrame(&buf, &env2); err != nil {
+		if err := Binary.DecodeFrame(&buf, &env2); err != nil {
 			t.Fatalf("re-read of a re-encoded envelope failed: %v", err)
 		}
-		if env2.ID != env.ID || env2.Op != env.Op || !bytes.Equal(env2.Body, env.Body) {
+		if env2.ID != env.ID || env2.Op != env.Op || !bytes.Equal(env2.Body, env.Body) ||
+			env2.file != env.file || env2.hasFile != env.hasFile || !reflect.DeepEqual(env2.val, env.val) {
 			t.Fatalf("round trip mismatch:\n in: %d %q %s\nout: %d %q %s",
 				env.ID, env.Op, env.Body, env2.ID, env2.Op, env2.Body)
 		}

@@ -2,30 +2,27 @@
 // DV daemon (paper Sec. III: "Dashed arrows are control messages
 // (TCP/IP)"): length-prefixed frames over a persistent TCP connection.
 //
-// # Protocol versions 2 and 3
+// # Protocol version 3
 //
-// A connection starts with a hello handshake: the client sends an
-// OpHello envelope carrying its protocol version, client name and
-// requested capability flags; the daemon answers with the negotiated
-// version (the highest both sides speak) and its capabilities, or with a
-// CodeVersion error when no common version exists. Every subsequent
-// client frame is an Envelope — a fixed header (client-assigned request
-// ID plus operation name) and a typed per-op body. Responses echo the
-// ID, which lets the daemon deliver asynchronous notifications
-// (file-ready events for acquire/subscribe) over the same
-// connection.
+// A connection starts with a hello handshake, in JSON: the client sends
+// an OpHello envelope carrying its protocol version, client name and
+// requested capability flags, CapBinary among them; the daemon answers
+// with ProtoVersion and its capabilities. A pre-versioned (v1) frame, a
+// version-2 hello or a hello without CapBinary is refused with a JSON
+// CodeVersion error. Every subsequent client frame is an Envelope — a
+// fixed header (client-assigned request ID plus operation name) and a
+// typed per-op body. Responses echo the ID, which lets the daemon
+// deliver asynchronous notifications (file-ready events for
+// acquire/subscribe) over the same connection.
 //
-// Frames travel through a Codec. In version 2 every frame payload is
-// JSON (the JSON codec). Version 3 adds a binary fast path: when both
-// sides advertise CapBinary in the hello exchange — which itself is
-// always JSON — the connection switches to the Binary codec for every
-// frame after the handshake. The binary codec encodes the hot ops
-// (open/release/acquire/estwait/bitrep/subscribe/prefetch/
+// After the hello every frame speaks the Binary codec. It encodes the
+// hot ops (open/release/acquire/estwait/bitrep/subscribe/prefetch/
 // unsubscribe/ping) and the common response shape without any JSON hop;
 // cold-path ops (admin, control plane) and rich responses (listings,
-// stats, scheduler info) stay JSON inside the binary connection's
-// frames — the decoder discriminates on the first payload byte, which
-// is '{' for JSON and never '{' for binary bodies.
+// stats, scheduler info) stay JSON inside the binary frames — the
+// decoder discriminates on the first payload byte, which is '{' for
+// JSON and never '{' for binary bodies. A hot op sent as JSON is refused
+// with CodeFrame.
 //
 // Errors are structured: a failing Response carries a machine-readable
 // Code alongside the human-readable Err text, so clients dispatch on
@@ -43,10 +40,6 @@
 // is the accept loop. Ops is the op table — wire name, binary opcode,
 // body kind, stream/idempotent/timed — that the codec, the daemon's
 // handler table, the router and the client library all look ops up in.
-//
-// LegacyRequest is a pre-versioned (v1) client's frame: sent first, it
-// parses as an Envelope whose op is not OpHello, which Accept refuses
-// with CodeVersion on the frame's own ID.
 package netproto
 
 import (
@@ -57,16 +50,10 @@ import (
 	"simfs/internal/sched"
 )
 
-// ProtoVersion is the protocol version this build speaks. MinProtoVersion
-// is the oldest version the daemon still accepts in a hello; peers in
-// [MinProtoVersion, ProtoVersion] negotiate down to the smaller of the
-// two versions, anything else is rejected with CodeVersion. Version 3
-// adds the CapBinary fast path; a negotiated version of 2 pins the
-// connection to JSON frames.
-const (
-	ProtoVersion    = 3
-	MinProtoVersion = 2
-)
+// ProtoVersion is the protocol version this build speaks, and the
+// oldest it accepts: an older hello is refused with CodeVersion, a newer
+// one is answered with ProtoVersion.
+const ProtoVersion = 3
 
 // MaxFrame bounds a single frame to keep a misbehaving peer from forcing
 // unbounded allocations.
@@ -160,10 +147,10 @@ const (
 	// daemon would silently drop the unknown JSON fields, acknowledging
 	// a reconfiguration it never applied.
 	CapPreempt = "preempt"
-	// CapBinary marks the protocol-v3 binary fast path. When the client
-	// requests it in its hello and the daemon advertises it back, both
-	// sides switch to the Binary codec for every frame after the (always
-	// JSON) hello exchange.
+	// CapBinary marks the binary codec every frame after the (always
+	// JSON) hello exchange speaks. Both sides must name it in the hello:
+	// a peer that does not — one built to speak JSON frames — is
+	// refused, not sent frames it cannot parse.
 	CapBinary = "bin"
 	// CapFed marks the federation operations (fed-watch, peers). Daemon↔
 	// daemon and router↔daemon links reuse the ordinary hello handshake
@@ -179,8 +166,8 @@ const (
 type ErrCode string
 
 const (
-	// CodeVersion: protocol handshake failed (missing hello, or no
-	// common version).
+	// CodeVersion: protocol handshake failed (missing hello, a version
+	// below ProtoVersion, or no CapBinary).
 	CodeVersion ErrCode = "version_mismatch"
 	// CodeNoSuchContext: the named simulation context is not registered.
 	CodeNoSuchContext ErrCode = "no_such_context"
@@ -257,9 +244,10 @@ func NewFileEnvelope(id uint64, op string, body FileBody) Envelope {
 }
 
 // File returns the envelope's FileBody when it carries one typed — a
-// locally built or binary-decoded request of a FileBody op. ok is false
-// for every other envelope, JSON-decoded FileBody requests included:
-// those go through Decode.
+// locally built or binary-decoded request of a FileBody op, which is
+// every one a connection reads. ok is false for every other envelope,
+// a FileBody request decoded by the JSON codec included: that one goes
+// through Decode.
 func (e Envelope) File() (body FileBody, ok bool) {
 	return e.file, e.hasFile && len(e.Body) == 0
 }
@@ -333,7 +321,7 @@ type HelloInfo struct {
 
 // FileBody addresses one file of one context (open, wait, release,
 // estwait, bitrep). Exhaustive: the binary codec pair must carry
-// every field, or v3 clients silently lose data JSON clients keep.
+// every field, or clients silently lose data.
 //
 //simfs:exhaustive
 type FileBody struct {
@@ -586,19 +574,6 @@ type Response struct {
 // failures carry File and the stream continues).
 func (r Response) Terminal() bool {
 	return r.Done || (r.Code != "" && r.File == "")
-}
-
-// LegacyRequest is the pre-versioned (v1) client frame: one untyped bag
-// of optional fields with no handshake, kept so the handshake tests can
-// speak the old dialect.
-type LegacyRequest struct {
-	ID      uint64   `json:"id"`
-	Op      string   `json:"op"`
-	Client  string   `json:"client,omitempty"`
-	Context string   `json:"context,omitempty"`
-	Files   []string `json:"files,omitempty"`
-	Sum     uint64   `json:"sum,omitempty"`
-	SubID   uint64   `json:"sub_id,omitempty"`
 }
 
 // FrameError is a structured frame-layer failure. Op and ID identify the

@@ -195,22 +195,6 @@ func TestMissingBodyIsError(t *testing.T) {
 	}
 }
 
-func TestLegacyRequestParsesAsEnvelope(t *testing.T) {
-	// A v1 client frame must decode as an envelope (id + op survive) so
-	// the daemon can answer its CodeVersion rejection to the right ID.
-	var buf bytes.Buffer
-	if err := JSON.EncodeFrame(&buf, LegacyRequest{ID: 5, Op: OpPing, Client: "old", Files: []string{"f"}}); err != nil {
-		t.Fatal(err)
-	}
-	var env Envelope
-	if err := JSON.DecodeFrame(&buf, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.ID != 5 || env.Op != OpPing {
-		t.Errorf("legacy frame mangled: %+v", env)
-	}
-}
-
 // Property: any envelope survives a round trip bit-exactly.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(id uint64, op, ctx string, files []string) bool {

@@ -27,8 +27,8 @@ const (
 // from what it does.
 type OpSpec struct {
 	Name string
-	// Bin is the protocol-v3 binary opcode; 0 keeps the op on JSON
-	// payloads inside binary connections.
+	// Bin is the binary opcode; 0 keeps the op on JSON payloads inside
+	// binary frames. An op with an opcode sent as JSON is refused.
 	Bin  byte
 	Body BodyKind
 	// Stream marks ops answered by per-file frames that end with a

@@ -50,9 +50,6 @@ func TestHitPathAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.UsesBinary() {
-		t.Fatal("connection did not negotiate the binary codec")
-	}
 	ctx, err := c.Init("clim")
 	if err != nil {
 		t.Fatal(err)

@@ -85,13 +85,6 @@ type Server struct {
 	// are forwarded to peer daemons instead of failing not_produced.
 	Peers PeerNotifier
 
-	// DisableBinary keeps every session on the JSON codec: the daemon
-	// stops advertising CapBinary and ignores clients requesting it.
-	// Set it before Serve (cmd/simfs-dv's -no-binary flag); it exists
-	// for debugging (greppable wire traffic) and as the versioned-JSON
-	// baseline in benchmarks and skew tests.
-	DisableBinary bool
-
 	// WrapConn, when set before Serve, wraps every accepted connection —
 	// the seam fault injectors (faults.ConnPlan) and instrumentation hook
 	// into without touching the accept loop.
@@ -264,7 +257,7 @@ func codeOf(err error) netproto.ErrCode {
 }
 
 // daemonCaps is what the daemon advertises in every hello reply (plus
-// CapBinary unless DisableBinary).
+// CapBinary, which Accept adds).
 var daemonCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt,
 	netproto.CapFed, netproto.CapAutoscale}
 
@@ -296,7 +289,7 @@ func (s *Server) handle(c *netproto.Conn) {
 			s.v.ClientDisconnected(sess.client)
 		}
 	}()
-	hello, err := c.Accept(daemonCaps, !s.DisableBinary, "daemon")
+	hello, err := c.Accept(daemonCaps, "daemon")
 	if err != nil {
 		if err != io.EOF {
 			s.logf("server: handshake with %s: %v", c.RemoteAddr(), err)
@@ -335,18 +328,13 @@ func op[B any](h func(*Server, *session, B) (netproto.Response, error)) handler 
 	}
 }
 
-// fileOp is op for the FileBody ops, the data plane's hot ones: the
-// binary codec leaves their body typed in the envelope, so it is taken
-// from there and nothing is decoded. A JSON frame's body goes through
-// decodeBody like any other.
+// fileOp is op for the FileBody ops, the data plane's hot ones: they
+// arrive binary (the connection refuses them as JSON), which leaves
+// their body typed in the envelope, so it is taken from there and
+// nothing is decoded.
 func fileOp(h func(*Server, *session, netproto.FileBody) (netproto.Response, error)) handler {
 	return func(s *Server, sess *session, env netproto.Envelope) {
-		b, ok := env.File()
-		if !ok {
-			if b, ok = decodeBody[netproto.FileBody](sess, env); !ok {
-				return
-			}
-		}
+		b, _ := env.File()
 		resp, err := h(s, sess, b)
 		sess.answer(env.ID, resp, err)
 	}

@@ -22,7 +22,7 @@ func testStack(t *testing.T) (*Stack, string) {
 }
 
 // testStackWith is testStack with a hook to adjust the stack (e.g. set
-// Server.DisableBinary) after construction but before Serve starts.
+// Server.Peers) after construction but before Serve starts.
 func testStackWith(t *testing.T, configure func(*Stack)) (*Stack, string) {
 	t.Helper()
 	ctx := &model.Context{
@@ -111,9 +111,8 @@ func TestTransparentModeEndToEnd(t *testing.T) {
 	}
 }
 
-// The default client negotiates the binary codec against the default
-// daemon; the transparent-mode flow and a pipelined open/release window
-// both work over binary frames.
+// The transparent-mode flow and a pipelined open/release window both
+// work over binary frames.
 func TestBinaryEndToEndPipelined(t *testing.T) {
 	_, addr := testStack(t)
 	c, err := dvlib.Dial(addr, "analysis-bin")
@@ -121,9 +120,6 @@ func TestBinaryEndToEndPipelined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.UsesBinary() {
-		t.Fatalf("default client against default daemon negotiated %q, want binary", c.CodecName())
-	}
 	ctx, err := c.Init("clim")
 	if err != nil {
 		t.Fatal(err)
@@ -172,38 +168,6 @@ func TestBinaryEndToEndPipelined(t *testing.T) {
 				t.Fatalf("round %d release %d: %v", round, i, err)
 			}
 		}
-	}
-}
-
-// The transparent-mode flow over an explicit JSON session against a
-// binary-capable daemon (WithJSONCodec opts out of the fast path).
-func TestTransparentModeJSONFallback(t *testing.T) {
-	_, addr := testStack(t)
-	c, err := dvlib.Dial(addr, "analysis-json", dvlib.WithJSONCodec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.UsesBinary() {
-		t.Fatal("WithJSONCodec client negotiated binary")
-	}
-	ctx, err := c.Init("clim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := ctx.Filename(5)
-	if _, err := ctx.Open(file); err != nil {
-		t.Fatal(err)
-	}
-	content, err := ctx.Read(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := vfs.Content(file, 512); !bytes.Equal(content, want) {
-		t.Error("JSON fallback served wrong content")
-	}
-	if err := ctx.Close(file); err != nil {
-		t.Fatal(err)
 	}
 }
 

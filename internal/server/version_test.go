@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"simfs/internal/dvlib"
 	"simfs/internal/model"
 	"simfs/internal/netproto"
 )
@@ -52,86 +51,45 @@ func binSession(t *testing.T, addr, client string) net.Conn {
 	return conn
 }
 
-// A v1 client (no hello, untyped request bag) against the new daemon:
-// the first frame is answered with a structured CodeVersion error and
-// the connection closes.
-func TestVersionSkewOldClientNewDaemon(t *testing.T) {
+// A peer the handshake refuses — here a v2 client, whose hello asks for
+// JSON frames — is told why in JSON on its hello's ID, and the daemon
+// then closes the connection.
+func TestHandshakeRefusalClosesSession(t *testing.T) {
 	_, addr := testStack(t)
 	conn := rawConn(t, addr)
-	if err := netproto.JSON.EncodeFrame(conn, netproto.LegacyRequest{ID: 7, Op: netproto.OpPing, Client: "old"}); err != nil {
+	hello, _ := netproto.NewEnvelope(1, netproto.OpHello, netproto.HelloBody{Version: 2, Client: "v2"})
+	if err := netproto.JSON.EncodeFrame(conn, hello); err != nil {
 		t.Fatal(err)
 	}
 	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
-		t.Fatal(err)
+	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || resp.ID != 1 || resp.Code != netproto.CodeVersion {
+		t.Fatalf("v2 hello answered with %+v (%v), want a JSON CodeVersion refusal on id 1", resp, err)
 	}
-	if resp.ID != 7 {
-		t.Errorf("rejection answered to id %d, want 7", resp.ID)
-	}
-	if resp.Code != netproto.CodeVersion || resp.Err == "" {
-		t.Errorf("old client got %+v, want a CodeVersion error", resp)
-	}
-	// The daemon closes the connection after the rejection.
 	if err := netproto.JSON.DecodeFrame(conn, &resp); err != io.EOF {
-		t.Errorf("connection survived the version rejection: %v", err)
+		t.Errorf("connection survived the version refusal: %v", err)
 	}
 }
 
-// A newer client downgrades gracefully: the daemon answers with its own
-// (lower) version and keeps serving.
-func TestVersionSkewNewerClientDowngrades(t *testing.T) {
+// After the hello a data-plane op sent as JSON is refused with bad_frame
+// on its own ID and the session carries on: JSON control-plane frames
+// are still served, and so are binary ones.
+func TestJSONDataPlaneRefused(t *testing.T) {
 	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	env, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion + 5, Client: "future"})
-	if err := netproto.JSON.EncodeFrame(conn, env); err != nil {
+	conn := binSession(t, addr, "json-open")
+	open, _ := netproto.NewEnvelope(5, netproto.OpOpen,
+		netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"})
+	if err := netproto.JSON.EncodeFrame(conn, open); err != nil {
 		t.Fatal(err)
 	}
 	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
-		t.Fatal(err)
+	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil || resp.ID != 5 || resp.Code != netproto.CodeFrame {
+		t.Fatalf("JSON open answered with %+v (%v), want bad_frame on id 5", resp, err)
 	}
-	if !resp.OK || resp.Proto == nil || resp.Proto.Version != netproto.ProtoVersion {
-		t.Fatalf("downgrade handshake got %+v, want negotiated version %d", resp, netproto.ProtoVersion)
+	if resp := exchange(t, conn, 6, netproto.OpSchedGet, nil); !resp.OK || resp.ID != 6 || resp.Sched == nil {
+		t.Errorf("JSON sched-get answered with %+v, want OK on id 6", resp)
 	}
-	// The downgraded session works: a ping round-trips.
-	ping, _ := netproto.NewEnvelope(2, netproto.OpPing, nil)
-	if err := netproto.JSON.EncodeFrame(conn, ping); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Errorf("ping after downgrade: %v %+v", err, resp)
-	}
-}
-
-// The new client against a daemon that predates the hello op: Dial
-// detects the v1-style untyped error and fails with CodeVersion.
-func TestVersionSkewNewClientOldDaemon(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// A v1 daemon reads the hello as an unknown op and answers with
-		// an untyped (code-less) error, like the old dispatch did.
-		var req netproto.LegacyRequest
-		if err := netproto.JSON.DecodeFrame(conn, &req); err != nil {
-			return
-		}
-		netproto.JSON.EncodeFrame(conn, netproto.Response{ID: req.ID, Err: `unknown op "hello"`})
-	}()
-	_, err = dvlib.Dial(ln.Addr().String(), "new-client")
-	if err == nil {
-		t.Fatal("dial to a pre-versioned daemon succeeded")
-	}
-	if code := dvlib.ErrCodeOf(err); code != netproto.CodeVersion {
-		t.Errorf("dial failed with code %q (%v), want %q", code, err, netproto.CodeVersion)
+	if resp := exchange(t, conn, 7, netproto.OpPing, nil); !resp.OK || resp.ID != 7 {
+		t.Errorf("binary ping answered with %+v, want OK on id 7", resp)
 	}
 }
 
@@ -157,76 +115,8 @@ func TestGarbageFrameRecovered(t *testing.T) {
 	}
 }
 
-// A JSON-only v2 client against a binary-capable v3 daemon: the daemon
-// advertises the binary capability but — because the client never asked
-// for it — keeps the session on JSON frames for its whole life.
-func TestVersionSkewJSONClientBinaryDaemon(t *testing.T) {
-	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.MinProtoVersion, Client: "v2-json",
-			Caps: []string{netproto.CapAdmin, netproto.CapWatch}})
-	if err := netproto.JSON.EncodeFrame(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Fatalf("handshake: %v %+v", err, resp)
-	}
-	if resp.Proto == nil || !netproto.HasCap(resp.Proto.Caps, netproto.CapBinary) {
-		t.Fatalf("daemon did not advertise %q: %+v", netproto.CapBinary, resp.Proto)
-	}
-	// Hot ops still round-trip as JSON frames.
-	open, _ := netproto.NewEnvelope(2, netproto.OpOpen,
-		netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"})
-	if err := netproto.JSON.EncodeFrame(conn, open); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 2 {
-		t.Fatalf("JSON open on a binary-capable daemon: %v %+v", err, resp)
-	}
-	ping, _ := netproto.NewEnvelope(3, netproto.OpPing, nil)
-	netproto.JSON.EncodeFrame(conn, ping)
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 3 {
-		t.Errorf("JSON ping: %v %+v", err, resp)
-	}
-}
-
-// A binary-requesting client against a daemon not offering the
-// capability: the handshake succeeds and the session falls back to JSON
-// cleanly.
-func TestVersionSkewBinaryClientNoBinDaemon(t *testing.T) {
-	_, addr := testStackWith(t, func(st *Stack) { st.Server.DisableBinary = true })
-	c, err := dvlib.Dial(addr, "wants-binary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.UsesBinary() {
-		t.Fatal("client negotiated binary against a DisableBinary daemon")
-	}
-	if c.HasCapability(netproto.CapBinary) {
-		t.Error("DisableBinary daemon advertised the binary capability")
-	}
-	// The JSON fallback serves the full data plane.
-	names, err := c.Contexts()
-	if err != nil || len(names) != 1 || names[0] != "clim" {
-		t.Fatalf("Contexts over JSON fallback = %v, %v", names, err)
-	}
-	ctx, err := c.Init("clim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctx.Open(ctx.Filename(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Close(ctx.Filename(2)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A raw binary session: hello negotiates the codec switch, hot ops
-// round-trip as binary frames, and a garbage binary frame is answered
+// A raw binary session: hot ops round-trip as binary frames, and a
+// garbage binary frame is answered
 // with CodeFrame without costing the connection.
 func TestBinarySessionRawFrames(t *testing.T) {
 	_, addr := testStack(t)

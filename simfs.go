@@ -39,8 +39,8 @@
 //     client library: transparent open/read/close plus the SIMFS_* API
 //     (Acquire, AcquireNB, Wait, Test, Waitsome, Testsome, Release,
 //     Bitrep) and the notification-only Watch subscription. Sessions
-//     negotiate the binary fast-path codec automatically (WithJSONCodec
-//     opts out); OpenAsync/ReleaseAsync pipeline batched requests.
+//     speak the binary wire codec after a JSON hello;
+//     OpenAsync/ReleaseAsync pipeline batched requests.
 //   - Client.Admin is the control-plane client (scheduler, cache
 //     policies, context lifecycle).
 //   - NCOpen / H5Fopen / AdiosOpen are the Table-I I/O-library bindings.
@@ -177,12 +177,8 @@ const (
 // the error did not come from the daemon).
 func ErrCodeOf(err error) ErrCode { return dvlib.ErrCodeOf(err) }
 
-// DialOption customizes Dial behavior (e.g. WithJSONCodec).
+// DialOption customizes Dial behavior (e.g. WithReconnect).
 type DialOption = dvlib.DialOption
-
-// WithJSONCodec disables binary-codec negotiation: the connection speaks
-// JSON frames even against a daemon offering the fast path.
-func WithJSONCodec() DialOption { return dvlib.WithJSONCodec() }
 
 // ReconnectConfig tunes client auto-reconnect: jittered exponential
 // backoff between redial attempts and the total budget before the
@@ -190,9 +186,9 @@ func WithJSONCodec() DialOption { return dvlib.WithJSONCodec() }
 type ReconnectConfig = dvlib.ReconnectConfig
 
 // WithReconnect makes the client survive connection loss: it redials
-// with backoff, re-runs the handshake (including codec negotiation),
-// re-opens every held file reference, re-subscribes active watches, and
-// transparently replays idempotent in-flight requests. Non-idempotent
+// with backoff, re-runs the handshake, re-opens every held file
+// reference, re-subscribes active watches, and transparently replays
+// idempotent in-flight requests. Non-idempotent
 // requests in flight at the reset (release, acquire, control-plane ops)
 // fail with ErrReconnecting instead — the client cannot know whether
 // they landed, so the caller decides.
