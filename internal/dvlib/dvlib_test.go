@@ -3,6 +3,7 @@ package dvlib
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -86,35 +87,65 @@ func TestDialHandshake(t *testing.T) {
 	}
 }
 
+// grantOnce is a fake daemon that answers one connection's hello with
+// grant, in JSON, and then reports what its next read saw.
+func grantOnce(t *testing.T, grant netproto.HelloInfo) (string, <-chan error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	after := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			after <- err
+			return
+		}
+		defer conn.Close()
+		var env netproto.Envelope
+		if err := netproto.JSON.DecodeFrame(conn, &env); err != nil {
+			after <- err
+			return
+		}
+		netproto.JSON.EncodeFrame(conn, netproto.Response{ID: env.ID, OK: true, Proto: &grant})
+		after <- netproto.JSON.DecodeFrame(conn, &env)
+	}()
+	return ln.Addr().String(), after
+}
+
 // A daemon that grants the hello without the binary codec — a v2 one,
 // or a v3 one started without it — cannot be spoken to: Dial fails with
 // a version_mismatch *Error.
 func TestDialRefusesJSONOnlyDaemon(t *testing.T) {
 	for _, grant := range []netproto.HelloInfo{
 		{Version: 2, Caps: []string{netproto.CapBinary}},
-		{Version: netproto.ProtoVersion},
+		{Version: netproto.ProtoVersion, Caps: []string{netproto.CapAdmin, netproto.CapWatch}},
 	} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			var env netproto.Envelope
-			if netproto.JSON.DecodeFrame(conn, &env) == nil {
-				netproto.JSON.EncodeFrame(conn, netproto.Response{ID: env.ID, OK: true, Proto: &grant})
-			}
-		}()
-		_, err = Dial(ln.Addr().String(), "unit")
+		addr, _ := grantOnce(t, grant)
+		_, err := Dial(addr, "unit")
 		var de *Error
 		if !errors.As(err, &de) || de.Op != "dial" || de.Code != netproto.CodeVersion {
 			t.Errorf("dial against a grant of %+v: %v, want a dial %s *Error", grant, err, netproto.CodeVersion)
 		}
+	}
+}
+
+// A daemon that advertises no capabilities at all gets no JSON fallback:
+// the client refuses the grant and hangs up without sending a frame.
+func TestJSONFallbackAgainstCaplessDaemon(t *testing.T) {
+	addr, after := grantOnce(t, netproto.HelloInfo{Version: netproto.ProtoVersion})
+	c, err := Dial(addr, "unit")
+	if err == nil {
+		c.Close()
+		t.Fatal("dial to a capless daemon succeeded")
+	}
+	if code := ErrCodeOf(err); code != netproto.CodeVersion {
+		t.Errorf("dial failed with code %q (%v), want %q", code, err, netproto.CodeVersion)
+	}
+	if err := <-after; err != io.EOF {
+		t.Errorf("after the refused grant the daemon read %v, want the client to hang up", err)
 	}
 }
 

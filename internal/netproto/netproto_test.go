@@ -195,6 +195,24 @@ func TestMissingBodyIsError(t *testing.T) {
 	}
 }
 
+func TestLegacyRequestParsesAsEnvelope(t *testing.T) {
+	// A v1 client frame — an untyped request bag — must decode as an
+	// envelope (id + op survive) on either codec, so the daemon can answer
+	// its CodeVersion refusal to the right ID.
+	v1 := `{"id":5,"op":"ping","client":"old","files":["f"]}`
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(v1)))
+	frame = append(frame, v1...)
+	for _, codec := range []Codec{JSON, Binary} {
+		var env Envelope
+		if err := codec.DecodeFrame(bytes.NewReader(frame), &env); err != nil {
+			t.Fatalf("%s: %v", codec.Name(), err)
+		}
+		if env.ID != 5 || env.Op != OpPing {
+			t.Errorf("%s: legacy frame mangled: %+v", codec.Name(), env)
+		}
+	}
+}
+
 // Property: any envelope survives a round trip bit-exactly.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(id uint64, op, ctx string, files []string) bool {

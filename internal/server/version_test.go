@@ -1,11 +1,13 @@
 package server
 
 import (
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
 	"time"
 
+	"simfs/internal/dvlib"
 	"simfs/internal/model"
 	"simfs/internal/netproto"
 )
@@ -67,6 +69,89 @@ func TestHandshakeRefusalClosesSession(t *testing.T) {
 	}
 	if err := netproto.JSON.DecodeFrame(conn, &resp); err != io.EOF {
 		t.Errorf("connection survived the version refusal: %v", err)
+	}
+}
+
+// A v1 client (no hello, untyped request bag) against the new daemon:
+// the first frame is answered with a structured CodeVersion error, in
+// JSON so the old client can read it, and the connection closes.
+func TestVersionSkewOldClientNewDaemon(t *testing.T) {
+	_, addr := testStack(t)
+	conn := rawConn(t, addr)
+	v1 := `{"id":7,"op":"ping","client":"old"}`
+	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(v1))), v1...)); err != nil {
+		t.Fatal(err)
+	}
+	var resp netproto.Response
+	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ID != 7 {
+		t.Errorf("rejection answered to id %d, want 7", resp.ID)
+	}
+	if resp.Code != netproto.CodeVersion || resp.Err == "" {
+		t.Errorf("old client got %+v, want a CodeVersion error", resp)
+	}
+	// The daemon closes the connection after the rejection.
+	if err := netproto.JSON.DecodeFrame(conn, &resp); err != io.EOF {
+		t.Errorf("connection survived the version rejection: %v", err)
+	}
+}
+
+// A newer client downgrades gracefully: the daemon answers with its own
+// (lower) version and keeps serving the binary session.
+func TestVersionSkewNewerClientDowngrades(t *testing.T) {
+	_, addr := testStack(t)
+	conn := rawConn(t, addr)
+	resp := exchange(t, conn, 1, netproto.OpHello, netproto.HelloBody{Version: netproto.ProtoVersion + 5,
+		Client: "future", Caps: []string{netproto.CapBinary}})
+	if !resp.OK || resp.Proto == nil || resp.Proto.Version != netproto.ProtoVersion {
+		t.Fatalf("downgrade handshake got %+v, want negotiated version %d", resp, netproto.ProtoVersion)
+	}
+	// The downgraded session works: a ping round-trips.
+	if resp := exchange(t, conn, 2, netproto.OpPing, nil); !resp.OK || resp.ID != 2 {
+		t.Errorf("ping after downgrade: %+v", resp)
+	}
+}
+
+// A binary client against a daemon that grants the hello without the
+// binary codec — what a daemon started with the retired -no-binary
+// switch advertised — has no JSON data plane to fall back to: Dial fails
+// with CodeVersion and sends nothing after the hello.
+func TestVersionSkewBinaryClientNoBinDaemon(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	after := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			after <- err
+			return
+		}
+		defer conn.Close()
+		var env netproto.Envelope
+		if err := netproto.JSON.DecodeFrame(conn, &env); err != nil {
+			after <- err
+			return
+		}
+		netproto.JSON.EncodeFrame(conn, netproto.Response{ID: env.ID, OK: true,
+			Proto: &netproto.HelloInfo{Version: netproto.ProtoVersion, Caps: daemonCaps}})
+		// The next read sees the client hang up, not a request.
+		after <- netproto.JSON.DecodeFrame(conn, &env)
+	}()
+	c, err := dvlib.Dial(ln.Addr().String(), "wants-binary")
+	if err == nil {
+		c.Close()
+		t.Fatal("dial to a daemon without the binary codec succeeded")
+	}
+	if code := dvlib.ErrCodeOf(err); code != netproto.CodeVersion {
+		t.Errorf("dial failed with code %q (%v), want %q", code, err, netproto.CodeVersion)
+	}
+	if err := <-after; err != io.EOF {
+		t.Errorf("after the refused grant the daemon read %v, want the client to hang up", err)
 	}
 }
 
