@@ -97,7 +97,7 @@ func (b *Bridge) peerLocked(addr string) (conn *PeerConn, fresh bool) {
 	if time.Since(b.lastFail[addr]) < redialBackoff {
 		return nil, false
 	}
-	pc, err := DialPeer(addr, "fed:"+b.name, nil)
+	pc, err := DialPeer(addr, "fed:"+b.name)
 	if err != nil {
 		b.lastFail[addr] = time.Now()
 		return nil, false

@@ -6,6 +6,7 @@ package fed_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -622,58 +623,73 @@ func TestFederationBridgeRearmAfterRedial(t *testing.T) {
 
 // TestFederationGarbageResponseFailsLink pins the no-stranded-waiter
 // contract of a peer link: a well-framed but undecodable response names
-// no request, so skipping it would leave whichever handler it was meant
-// for waiting until the link dies on its own. The link fails instead,
-// and the handler receives its synthesized terminal frame.
+// no request — or names one but cannot be read — so skipping it would
+// leave whichever handler it was meant for waiting until the link dies
+// on its own. The link fails instead, and the handler receives its
+// synthesized terminal frame.
 func TestFederationGarbageResponseFailsLink(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// A fake daemon: grant the hello with the binary codec, read the
-		// request, answer with garbage.
-		var env netproto.Envelope
-		if err := netproto.Binary.DecodeFrame(conn, &env); err != nil {
-			return
-		}
-		netproto.Binary.EncodeFrame(conn, netproto.Response{ID: env.ID, OK: true,
-			Proto: &netproto.HelloInfo{Version: netproto.ProtoVersion, Caps: []string{netproto.CapBinary}}})
-		if err := netproto.Binary.DecodeFrame(conn, &env); err != nil {
-			return
-		}
-		conn.Write([]byte{0, 0, 0, 4, '{', '{', '{', '{'})
-		// Keep the connection open: only the client's own reaction to the
-		// garbage may end the wait.
-		netproto.Binary.DecodeFrame(conn, &env)
-	}()
+	for _, tc := range []struct {
+		name    string
+		payload func(id uint64) []byte
+	}{
+		{"JSON garbage", func(uint64) []byte { return []byte("{{{{") }},
+		// A valid ID, then a file flag whose 9-byte name holds one byte.
+		{"truncated binary fields", func(id uint64) []byte {
+			return append(append([]byte{0xB1}, binary.AppendUvarint(nil, id)...), 1<<5, 0, 9, 'x')
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				// A fake daemon: grant the hello with the binary codec, read
+				// the request, answer with garbage.
+				var env netproto.Envelope
+				if err := netproto.Binary.DecodeFrame(conn, &env); err != nil {
+					return
+				}
+				netproto.Binary.EncodeFrame(conn, netproto.Response{ID: env.ID, OK: true,
+					Proto: &netproto.HelloInfo{Version: netproto.ProtoVersion, Caps: []string{netproto.CapBinary}}})
+				if err := netproto.Binary.DecodeFrame(conn, &env); err != nil {
+					return
+				}
+				p := tc.payload(env.ID)
+				conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...))
+				// Keep the connection open: only the client's own reaction to
+				// the garbage may end the wait.
+				netproto.Binary.DecodeFrame(conn, &env)
+			}()
 
-	pc, err := fed.DialPeer(ln.Addr().String(), "proxied-client", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	frames := make(chan netproto.Response, 4) // the terminal frame, with room to spare
-	if _, err := pc.Subscribe(netproto.OpSubscribe, netproto.FilesBody{Context: "c", Files: []string{"f"}},
-		func(resp netproto.Response) { frames <- resp }); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case resp := <-frames:
-		if !resp.Done || resp.Code != netproto.CodeDraining {
-			t.Errorf("handler got %+v, want a terminal draining frame", resp)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("handler stranded: no terminal frame after an undecodable response")
-	}
-	if !pc.Broken() {
-		t.Error("link survived an undecodable response")
+			pc, err := fed.DialPeer(ln.Addr().String(), "proxied-client")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pc.Close()
+			frames := make(chan netproto.Response, 4) // the terminal frame, with room to spare
+			if _, err := pc.Subscribe(netproto.OpSubscribe, netproto.FilesBody{Context: "c", Files: []string{"f"}},
+				func(resp netproto.Response) { frames <- resp }); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case resp := <-frames:
+				if !resp.Done || resp.Code != netproto.CodeDraining {
+					t.Errorf("handler got %+v, want a terminal draining frame", resp)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("handler stranded: no terminal frame after an undecodable response")
+			}
+			if !pc.Broken() {
+				t.Error("link survived an undecodable response")
+			}
+		})
 	}
 }
 

@@ -23,11 +23,14 @@ var peerCaps = []string{netproto.CapAdmin, netproto.CapWatch,
 // for the framing and write batching, a netproto.Pending for the
 // request IDs and the reply demux, and a read loop joining the two. The
 // binary codec and reply coalescing make this the same fast path a
-// batching client uses.
+// batching client uses. A router session's link relays: its table
+// re-frames the answers to forwarded requests onto the client's
+// connection (netproto.NewRelayPending).
 //
 // A PeerConn is single-use: once the connection dies, every pending
-// handler receives a synthesized terminal draining response and the
-// link reports Broken. Owners drop broken links and dial fresh ones.
+// handler and relay receives a synthesized terminal draining response
+// and the link reports Broken. Owners drop broken links and dial fresh
+// ones.
 type PeerConn struct {
 	addr  string
 	c     *netproto.Conn
@@ -36,21 +39,31 @@ type PeerConn struct {
 }
 
 // DialPeer connects to a peer daemon and completes the hello handshake
-// as clientName. onBatch, when set, runs after the read loop drains a
+// as clientName.
+func DialPeer(addr, clientName string) (*PeerConn, error) {
+	return dialPeer(addr, clientName, netproto.NewPending(), nil)
+}
+
+// dialPeer is DialPeer over a given request table — a router session's
+// relays — and with onBatch, when set, run after the read loop drains a
 // batch of response frames (the router flushes the client session
 // there).
-func DialPeer(addr, clientName string, onBatch func()) (*PeerConn, error) {
+func dialPeer(addr, clientName string, calls *netproto.Pending, onBatch func()) (*PeerConn, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
 	defer cancel()
-	calls := netproto.NewPending()
 	c, info, err := netproto.Dial(ctx, addr, calls.NextID(), netproto.HelloBody{
 		Version: netproto.ProtoVersion, Client: clientName, Caps: peerCaps})
 	if err != nil {
 		return nil, fmt.Errorf("fed: peer %s: %w", addr, err)
 	}
-	pc := &PeerConn{addr: addr, c: c, calls: calls, caps: info.Caps}
+	return startPeer(addr, c, info.Caps, calls, onBatch), nil
+}
+
+// startPeer runs the read loop of a link whose handshake is done.
+func startPeer(addr string, c *netproto.Conn, caps []string, calls *netproto.Pending, onBatch func()) *PeerConn {
+	pc := &PeerConn{addr: addr, c: c, calls: calls, caps: caps}
 	go func() { pc.fail(calls.Serve(c, onBatch)) }()
-	return pc, nil
+	return pc
 }
 
 // Caps returns the capability flags the peer advertised.
@@ -72,10 +85,13 @@ func (pc *PeerConn) fail(cause error) {
 		Err: fmt.Sprintf("federation peer %s lost: %v", pc.addr, cause), Done: true})
 }
 
-// Forward registers h under a fresh peer-side request ID, rewrites
-// env's ID and encodes it into the write buffer (no flush). h runs on
-// the read-loop goroutine for every response frame of the request;
-// stream keeps it registered until a terminal frame.
+// Forward sends a request of the link's own — a control-plane call of a
+// router fan-out, a bridge's fed-watch — decoded at both ends: it
+// registers h under a fresh request ID, encodes env under that ID into
+// the write buffer (no flush), and h receives every response frame of
+// the request, decoded, on the read-loop goroutine; stream keeps it
+// registered until a terminal frame. A client's request the router
+// relays takes no handler (see Router.send).
 func (pc *PeerConn) Forward(env netproto.Envelope, stream bool, h netproto.ResponseHandler) (uint64, error) {
 	id, ok := pc.calls.Add(h, stream)
 	if !ok {

@@ -72,11 +72,14 @@ func NewRing(replicas int, members ...string) *Ring {
 }
 
 // Owner returns the member that owns key, or "" for an empty ring.
-func (r *Ring) Owner(key string) string {
+func (r *Ring) Owner(key string) string { return r.ownerOf(fnv64a(key)) }
+
+// ownerOf is Owner for a key already hashed: the router hashes the
+// context bytes of a frame it forwards without making them a string.
+func (r *Ring) ownerOf(h uint64) string {
 	if len(r.points) == 0 {
 		return ""
 	}
-	h := fnv64a(key)
 	// First point with hash >= h, wrapping to points[0].
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
@@ -97,7 +100,7 @@ func (r *Ring) Members() []string {
 // suffixes), and ring ordering compares full 64-bit values — without
 // the finalizer one member's virtual nodes can capture most of the
 // ring. The fmix64 rounds spread every input bit across the word.
-func fnv64a(s string) uint64 {
+func fnv64a[K string | []byte](s K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

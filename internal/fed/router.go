@@ -15,11 +15,18 @@ import (
 // Router is the federation front-end: it speaks the ordinary client
 // protocol (hello handshake, binary codec, reply coalescing) and
 // forwards every data-plane op to the daemon owning its context on the
-// consistent-hash ring. Forwarding reuses the batching fast path: a
-// pipelined client batch is decoded, each envelope re-encoded into the
-// owning peer's write buffer with a remapped request ID, and every
-// touched peer flushed once per batch; replies demux back through the
-// per-session ID table and coalesce into one write to the client.
+// consistent-hash ring. A binary request whose body names files (open,
+// release, estwait, bitrep, acquire, subscribe, prefetch) crosses as
+// bytes: the router reads its opcode, request ID and context, appends
+// the payload to the owning peer's write buffer under a peer-side ID,
+// and the daemon's binary answers come back the same way — the peer's
+// read loop looks up the client's ID and appends the renumbered bytes to
+// the client's write buffer. Nothing is decoded, re-encoded or allocated
+// per request. The rest is decoded: ping and unsubscribe are answered
+// here, the JSON-bodied ops (the control plane) are re-encoded for their
+// owner or fanned out, and JSON answers (rich responses) are re-encoded
+// on the way back. Every touched peer is flushed once per client batch
+// and the client once per peer batch.
 //
 // Peer connections are per client session, carrying the client's own
 // name in their hello: the owning daemon sees one session per client
@@ -90,6 +97,10 @@ type rsession struct {
 	peers  map[string]*PeerConn
 	routes map[uint64]peerRoute
 	closed bool
+
+	// flushing is flushPeers' scratch list, reused: only the session's
+	// read goroutine flushes.
+	flushing []*PeerConn
 }
 
 // reply enqueues a response for the client; flush writes what is
@@ -115,6 +126,10 @@ func (sess *rsession) check(what string, err error) {
 func (sess *rsession) peer(addr string) (*PeerConn, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	return sess.peerLocked(addr)
+}
+
+func (sess *rsession) peerLocked(addr string) (*PeerConn, error) {
 	if sess.closed {
 		return nil, errors.New("fed: session closing")
 	}
@@ -122,9 +137,9 @@ func (sess *rsession) peer(addr string) (*PeerConn, error) {
 		return pc, nil
 	}
 	delete(sess.peers, addr)
-	// The link's read loop flushes the client session once a batch of
-	// daemon responses has been relayed into its buffer.
-	pc, err := DialPeer(addr, sess.client, sess.flush)
+	// The link relays onto the client connection, and its read loop
+	// flushes the client once a batch of daemon responses is relayed.
+	pc, err := dialPeer(addr, sess.client, netproto.NewRelayPending(sess.c, sess.streamEnded), sess.flush)
 	if err != nil {
 		return nil, err
 	}
@@ -136,21 +151,45 @@ func (sess *rsession) peer(addr string) (*PeerConn, error) {
 // per touched peer.
 func (sess *rsession) flushPeers() {
 	sess.mu.Lock()
-	peers := make([]*PeerConn, 0, len(sess.peers))
 	for _, pc := range sess.peers {
-		peers = append(peers, pc)
+		sess.flushing = append(sess.flushing, pc)
 	}
 	sess.mu.Unlock()
-	for _, pc := range peers {
+	for _, pc := range sess.flushing {
 		pc.Flush()
 	}
+	clear(sess.flushing) // pins no link the session has dropped
+	sess.flushing = sess.flushing[:0]
 }
 
-func (sess *rsession) addRoute(clientID uint64, rt peerRoute) {
+// relay registers the client's request clientID on this session's link
+// to owner under a fresh peer-side ID, and a stream's unsubscribe route
+// with it. Both happen in one hold of sess.mu, before the frame can
+// leave: the stream's terminal frame drops the route through the same
+// lock, so it cannot run first and leave the route behind.
+func (sess *rsession) relay(owner string, clientID uint64, stream bool) (*PeerConn, uint64, error) {
+	if owner == "" {
+		return nil, 0, errors.New("no federation members configured")
+	}
 	sess.mu.Lock()
-	sess.routes[clientID] = rt
-	sess.mu.Unlock()
+	defer sess.mu.Unlock()
+	pc, err := sess.peerLocked(owner)
+	if err != nil {
+		return nil, 0, err
+	}
+	peerID, ok := pc.calls.AddRelay(clientID, stream)
+	if !ok {
+		return nil, 0, fmt.Errorf("fed: peer %s is down", owner)
+	}
+	if stream {
+		sess.routes[clientID] = peerRoute{pc: pc, peerID: peerID}
+	}
+	return pc, peerID, nil
 }
+
+// streamEnded is the relay tables' hook: a relayed stream is over, and
+// its unsubscribe route goes with it.
+func (sess *rsession) streamEnded(clientID uint64) { sess.dropRoute(clientID) }
 
 func (sess *rsession) dropRoute(clientID uint64) (peerRoute, bool) {
 	sess.mu.Lock()
@@ -193,9 +232,12 @@ func (r *Router) handle(c *netproto.Conn) {
 		sess.flushPeers()
 		sess.flush()
 	}
+	forward := func(spec netproto.OpSpec, id uint64, ctx, payload []byte) {
+		r.forward(sess, spec, id, ctx, payload)
+	}
 	var env netproto.Envelope // one per session: see server.handle
 	for {
-		if err := c.ReadRequest(&env, idle); err != nil {
+		if err := c.ReadRequestForward(&env, idle, forward); err != nil {
 			if err != io.EOF {
 				r.logf("fed: read from %s: %v", c.RemoteAddr(), err)
 			}
@@ -215,9 +257,10 @@ func decodeBody[B any](sess *rsession, env netproto.Envelope) (b B, ok bool) {
 	return b, true
 }
 
-// dispatch serves one client envelope: the ops with no single owner are
-// answered or fanned out here, everything else is proxied to the daemon
-// owning its routing context.
+// dispatch serves one decoded client envelope — every request forward
+// does not take: the ops with no single owner are answered or fanned out
+// here, everything else is proxied to the daemon owning its routing
+// context.
 func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
 	id := env.ID
 	switch env.Op {
@@ -287,44 +330,59 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
 	}
 }
 
-// proxy forwards env to the daemon owning ctxName, remapping the
-// request ID and demuxing every response frame (including streams)
-// back onto this session.
+// forward is the session's netproto.ForwardFunc: it relays one binary
+// request undecoded to the daemon owning ctx, which receives the
+// client's bytes with only the request ID changed.
+func (r *Router) forward(sess *rsession, spec netproto.OpSpec, clientID uint64, ctx, payload []byte) {
+	if err := r.send(sess, r.ring.ownerOf(fnv64a(ctx)), clientID, spec.Stream, nil, payload); err != nil {
+		sess.unreachable(clientID, string(ctx), spec.Stream, err)
+	}
+}
+
+// proxy relays a decoded envelope — a JSON-bodied op — to the daemon
+// owning ctxName, re-encoded under a peer-side ID.
 func (r *Router) proxy(sess *rsession, env netproto.Envelope, ctxName string) {
 	clientID := env.ID
 	spec, _ := netproto.LookupOp(env.Op)
-	stream := spec.Stream
-	fail := func(err error) {
-		resp := netproto.Response{ID: clientID, Code: netproto.CodeBusy,
-			Err: fmt.Sprintf("context %q unreachable: %v", ctxName, err), Done: stream}
-		sess.reply(resp)
+	if err := r.send(sess, r.ring.Owner(ctxName), clientID, spec.Stream, &env, nil); err != nil {
+		sess.unreachable(clientID, ctxName, spec.Stream, err)
 	}
-	owner := r.ring.Owner(ctxName)
-	if owner == "" {
-		fail(errors.New("no federation members configured"))
-		return
-	}
-	pc, err := sess.peer(owner)
+}
+
+// send queues one client request on the link to owner — env re-encoded
+// when set, payload renumbered otherwise — as a relay: every response
+// frame (a stream's up to its terminal one) goes back to the client
+// under clientID, queued by the link's read loop, which flushes the
+// session once its response batch is drained. The error is a request
+// nothing was sent for and nobody has answered.
+func (r *Router) send(sess *rsession, owner string, clientID uint64, stream bool, env *netproto.Envelope, payload []byte) error {
+	pc, peerID, err := sess.relay(owner, clientID, stream)
 	if err != nil {
-		fail(err)
-		return
+		return err
 	}
-	peerID, err := pc.Forward(env, stream, netproto.ResponseFunc(func(resp netproto.Response) {
-		resp.ID = clientID
-		if stream && resp.Terminal() {
-			sess.dropRoute(clientID)
-		}
-		// Enqueued, not flushed: the peer's read loop flushes the
-		// session once its response batch is drained.
-		sess.reply(resp)
-	}))
-	if err != nil {
-		fail(err)
-		return
+	if env != nil {
+		env.ID = peerID
+		err = pc.c.EnqueueRequest(env)
+	} else {
+		err = pc.c.EnqueueRenumbered(payload, peerID)
+	}
+	if err == nil {
+		return nil
 	}
 	if stream {
-		sess.addRoute(clientID, peerRoute{pc: pc, peerID: peerID})
+		sess.dropRoute(clientID)
 	}
+	if _, ok := pc.calls.Remove(peerID); !ok {
+		return nil // the link failed meanwhile and answered the client
+	}
+	return err
+}
+
+// unreachable answers a request the router could not send to the
+// daemon owning ctxName: busy, and terminal for a stream.
+func (sess *rsession) unreachable(clientID uint64, ctxName string, stream bool, err error) {
+	sess.reply(netproto.Response{ID: clientID, Code: netproto.CodeBusy,
+		Err: fmt.Sprintf("context %q unreachable: %v", ctxName, err), Done: stream})
 }
 
 // fanResult is one member's answer to a fan-out call.

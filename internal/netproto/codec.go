@@ -374,6 +374,33 @@ func appendBinEnvelope(buf []byte, env *Envelope) ([]byte, bool) {
 	return buf, true
 }
 
+// binRequestHead walks a binary request as far as routing needs: the
+// opcode's row, the request ID and — for the ops whose body names files
+// (BodyFile, BodyFiles) — the context, as the payload's own bytes. rest
+// is the body after what was read. Its failures are decodeBinEnvelope's:
+// recoverable, carrying the ID once it is read and the op once it is
+// known.
+func binRequestHead(p []byte) (spec *OpSpec, id uint64, ctx, rest []byte, err error) {
+	fail := func(op, msg string) error {
+		return &FrameError{Op: op, ID: id, Recoverable: true, Err: fmt.Errorf("binary request: %s", msg)}
+	}
+	code := p[0]
+	var ok bool
+	if id, rest, ok = getUvarint(p[1:]); !ok {
+		return nil, 0, nil, nil, fail("", "truncated request id")
+	}
+	if int(code) >= len(opByBin) || opByBin[code] == nil {
+		return nil, id, nil, nil, fail("", fmt.Sprintf("unknown opcode %#x", code))
+	}
+	spec = opByBin[code]
+	if spec.Body == BodyFile || spec.Body == BodyFiles {
+		if ctx, rest, ok = getBinBytes(rest); !ok {
+			return nil, id, nil, nil, fail(spec.Name, "truncated context")
+		}
+	}
+	return spec, id, ctx, rest, nil
+}
+
 // decodeBinEnvelope is appendBinEnvelope's inverse. Once the request ID
 // is read every failure carries it (and the op), so the daemon's
 // bad_frame reply reaches the call that sent the frame.
@@ -382,35 +409,24 @@ func appendBinEnvelope(buf []byte, env *Envelope) ([]byte, bool) {
 //simfs:sync FilesBody
 //simfs:sync UnsubscribeBody
 func decodeBinEnvelope(p []byte, env *Envelope) error {
-	var e Envelope
+	spec, id, ctx, p, err := binRequestHead(p)
+	if err != nil {
+		return err
+	}
+	e := Envelope{ID: id, Op: spec.Name}
 	fail := func(msg string) error {
 		return &FrameError{Op: e.Op, ID: e.ID, Recoverable: true, Err: fmt.Errorf("binary request: %s", msg)}
 	}
-	code := p[0]
-	id, p, ok := getUvarint(p[1:])
-	if !ok {
-		return fail("truncated request id")
-	}
-	e.ID = id
-	if int(code) >= len(opByBin) || opByBin[code] == nil {
-		return fail(fmt.Sprintf("unknown opcode %#x", code))
-	}
-	spec := opByBin[code]
-	e.Op = spec.Name
+	var ok bool
 	switch spec.Body {
 	case BodyFile:
-		if e.file.Context, p, ok = getBinString(p); !ok {
-			return fail("truncated context")
-		}
+		e.file.Context = string(ctx)
 		if e.file.File, p, ok = getBinString(p); !ok {
 			return fail("truncated file")
 		}
 		e.hasFile = true
 	case BodyFiles:
-		var b FilesBody
-		if b.Context, p, ok = getBinString(p); !ok {
-			return fail("truncated context")
-		}
+		b := FilesBody{Context: string(ctx)}
 		var n uint64
 		if n, p, ok = getUvarint(p); !ok {
 			return fail("truncated file count")
@@ -505,73 +521,118 @@ func appendBinResponse(buf []byte, resp *Response) ([]byte, bool) {
 	return buf, true
 }
 
-func decodeBinResponse(p []byte, resp *Response) error {
+// binResponse is a binary response walked but not materialized: the
+// first flag byte, the numbers, and the strings as the payload's own
+// bytes (empty when absent).
+type binResponse struct {
+	id                  uint64
+	f1                  byte
+	file, code, errText []byte
+	est, count          uint64
+	attempts, retry     uint64
+}
+
+// terminal is Response.Terminal of the walked response.
+func (r *binResponse) terminal() bool {
+	return r.f1&rfDone != 0 || (len(r.code) > 0 && len(r.file) == 0)
+}
+
+// walkBinResponse parses a binary response payload into r without
+// copying a byte. decodeBinResponse materializes what it finds and a
+// relaying Pending reads the ID and the terminal bit off it, so the two
+// refuse exactly the same payloads.
+func walkBinResponse(p []byte, r *binResponse) error {
 	fail := func(msg string) error {
 		return &FrameError{Recoverable: true, Err: fmt.Errorf("binary response: %s", msg)}
 	}
 	if p[0] != binResponseTag {
 		return fail(fmt.Sprintf("tag %#x is not a response", p[0]))
 	}
-	id, p, ok := getUvarint(p[1:])
-	if !ok {
+	var ok bool
+	if r.id, p, ok = getUvarint(p[1:]); !ok {
 		return fail("truncated response id")
 	}
 	if len(p) < 2 {
 		return fail("truncated flags")
 	}
-	f1, f2 := p[0], p[1]
-	p = p[2:]
-	r := Response{
-		ID:        id,
-		OK:        f1&rfOK != 0,
-		Available: f1&rfAvailable != 0,
-		Ready:     f1&rfReady != 0,
-		Flag:      f1&rfFlag != 0,
-		Done:      f1&rfDone != 0,
-	}
-	if f1&rfFile != 0 {
-		if r.File, p, ok = getBinString(p); !ok {
+	f2 := p[1]
+	r.f1, p = p[0], p[2:]
+	if r.f1&rfFile != 0 {
+		if r.file, p, ok = getBinBytes(p); !ok {
 			return fail("truncated file")
 		}
 	}
-	if f1&rfEst != 0 {
-		var est uint64
-		if est, p, ok = getUvarint(p); !ok {
+	if r.f1&rfEst != 0 {
+		if r.est, p, ok = getUvarint(p); !ok {
 			return fail("truncated est wait")
 		}
-		r.EstWaitNs = int64(est)
 	}
-	if f1&rfCount != 0 {
-		var cnt uint64
-		if cnt, p, ok = getUvarint(p); !ok {
+	if r.f1&rfCount != 0 {
+		if r.count, p, ok = getUvarint(p); !ok {
 			return fail("truncated count")
 		}
-		r.Count = int(cnt)
 	}
 	if f2&rf2Err != 0 {
-		var code string
-		if code, p, ok = getBinString(p); !ok {
+		if r.code, p, ok = getBinBytes(p); !ok {
 			return fail("truncated error code")
 		}
-		r.Code = ErrCode(code)
-		if r.Err, p, ok = getBinString(p); !ok {
+		if r.errText, p, ok = getBinBytes(p); !ok {
 			return fail("truncated error text")
 		}
 	}
 	if f2&rf2Retry != 0 {
-		var v uint64
-		if v, p, ok = getUvarint(p); !ok {
+		if r.attempts, p, ok = getUvarint(p); !ok {
 			return fail("truncated attempts")
 		}
-		r.Attempts = int(v)
-		if v, p, ok = getUvarint(p); !ok {
+		if r.retry, p, ok = getUvarint(p); !ok {
 			return fail("truncated retry-after")
 		}
-		r.RetryAfterNs = int64(v)
 	}
 	_ = p // trailing bytes are ignored for forward compatibility
-	*resp = r
 	return nil
+}
+
+func decodeBinResponse(p []byte, resp *Response) error {
+	var r binResponse
+	if err := walkBinResponse(p, &r); err != nil {
+		return err
+	}
+	*resp = Response{
+		ID:           r.id,
+		OK:           r.f1&rfOK != 0,
+		Available:    r.f1&rfAvailable != 0,
+		Ready:        r.f1&rfReady != 0,
+		Flag:         r.f1&rfFlag != 0,
+		Done:         r.f1&rfDone != 0,
+		File:         string(r.file),
+		EstWaitNs:    int64(r.est),
+		Count:        int(r.count),
+		Code:         ErrCode(r.code),
+		Err:          string(r.errText),
+		Attempts:     int(r.attempts),
+		RetryAfterNs: int64(r.retry),
+	}
+	return nil
+}
+
+// appendRenumbered appends a frame carrying payload — a binary request
+// or response, which share the prefix [tag u8][id uvarint] — under
+// request id instead of its own: the tag and every byte after the old ID
+// are copied untouched. IDs of different widths change the length, so
+// the header is stamped afresh. On failure buf comes back unchanged.
+func appendRenumbered(buf, payload []byte, id uint64) ([]byte, error) {
+	var n int
+	if len(payload) > 0 {
+		_, n = binary.Uvarint(payload[1:])
+	}
+	if n <= 0 {
+		return buf, &FrameError{ID: id, Err: fmt.Errorf("renumber: payload carries no request id")}
+	}
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, payload[0])
+	buf = binary.AppendUvarint(buf, id)
+	buf = append(buf, payload[1+n:]...)
+	return endFrame(buf, start, "", id)
 }
 
 func getUvarint(p []byte) (uint64, []byte, bool) {
@@ -588,9 +649,16 @@ func appendBinString(buf []byte, s string) []byte {
 }
 
 func getBinString(p []byte) (string, []byte, bool) {
+	b, p, ok := getBinBytes(p)
+	return string(b), p, ok
+}
+
+// getBinBytes is getBinString without the copy: the string's bytes as a
+// slice of p.
+func getBinBytes(p []byte) ([]byte, []byte, bool) {
 	n, p, ok := getUvarint(p)
 	if !ok || n > uint64(len(p)) {
-		return "", p, false
+		return nil, p, false
 	}
-	return string(p[:n]), p[n:], true
+	return p[:n], p[n:], true
 }

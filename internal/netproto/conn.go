@@ -73,6 +73,22 @@ func (c *Conn) EnqueueRequest(env *Envelope) error {
 	return nil
 }
 
+// EnqueueRenumbered queues payload — a binary request or response read
+// raw off another connection — under request id, without flushing (see
+// EnqueueRequest): the one edit a relay makes to a frame it forwards.
+// The payload is copied. The error is a payload with no request ID or a
+// frame the wider ID pushes past MaxFrame; nothing was queued.
+func (c *Conn) EnqueueRenumbered(payload []byte, id uint64) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	var err error
+	if c.wbuf, err = appendRenumbered(c.wbuf, payload, id); err != nil {
+		return err
+	}
+	c.flushIfFull()
+	return nil
+}
+
 // EnqueueResponse is EnqueueRequest for a response.
 func (c *Conn) EnqueueResponse(resp *Response) error { return c.writeResponse(resp, true, false) }
 
@@ -180,15 +196,23 @@ func (c *Conn) ReadResponse(resp *Response) error {
 	return err
 }
 
+// ForwardFunc receives a request a forwarding reader passes on without
+// decoding: a binary frame of an op whose body names files (BodyFile,
+// BodyFiles) — its op row, its request ID, the context it names and the
+// whole payload, for EnqueueRenumbered. ctx and payload alias the
+// connection's read buffer and are valid only during the call.
+type ForwardFunc func(spec OpSpec, id uint64, ctx, payload []byte)
+
 // readEnvelope reads the next decodable request frame and reports
 // whether its payload was JSON. idle runs before a read that would
 // block, which is where the accepting side flushes its replies to a
 // pipelined batch with one write; FrameBuffered insists on a complete
-// frame, so a half-received one cannot deadlock both ends. A complete
-// frame with an undecodable payload leaves the stream aligned: it is
-// answered with CodeFrame and reading continues. Every other error ends
-// the connection.
-func (c *Conn) readEnvelope(env *Envelope, idle func()) (isJSON bool, err error) {
+// frame, so a half-received one cannot deadlock both ends. fwd, when
+// set, takes the frames a ForwardFunc receives instead, and reading
+// continues. A complete frame with an undecodable payload leaves the
+// stream aligned: it is answered with CodeFrame and reading continues.
+// Every other error ends the connection.
+func (c *Conn) readEnvelope(env *Envelope, idle func(), fwd ForwardFunc) (isJSON bool, err error) {
 	for {
 		if idle != nil && !FrameBuffered(c.br) {
 			idle()
@@ -201,8 +225,17 @@ func (c *Conn) readEnvelope(env *Envelope, idle func()) (isJSON bool, err error)
 		// refused frame's fields cannot leak into the next one.
 		*env = Envelope{}
 		isJSON = !isBinPayload(payload, true)
-		err = parseEnvelope(payload, true, env)
+		forwarded := false
+		if fwd != nil && !isJSON {
+			forwarded, err = forwardBin(payload, fwd)
+		}
+		if err == nil && !forwarded {
+			err = parseEnvelope(payload, true, env)
+		}
 		c.frameDone(payload, pooled)
+		if forwarded {
+			continue
+		}
 		if err == nil {
 			return isJSON, nil
 		}
@@ -214,6 +247,20 @@ func (c *Conn) readEnvelope(env *Envelope, idle func()) (isJSON bool, err error)
 			return false, err
 		}
 	}
+}
+
+// forwardBin hands a binary request to fwd undecoded when its op's body
+// names files; forwarded is false for every other op, which the caller
+// decodes. Only the prefix routing reads is checked: an unknown opcode,
+// a truncated ID or a truncated context fails as decodeBinEnvelope
+// would, and whatever follows the context is the receiver's to refuse.
+func forwardBin(payload []byte, fwd ForwardFunc) (forwarded bool, err error) {
+	spec, id, ctx, _, err := binRequestHead(payload)
+	if err != nil || (spec.Body != BodyFile && spec.Body != BodyFiles) {
+		return false, err
+	}
+	fwd(*spec, id, ctx, payload)
+	return true, nil
 }
 
 // Accept runs the accepting half of the handshake and returns the
@@ -229,7 +276,7 @@ func (c *Conn) readEnvelope(env *Envelope, idle func()) (isJSON bool, err error)
 func (c *Conn) Accept(caps []string, who string) (HelloBody, error) {
 	for {
 		var env Envelope
-		if _, err := c.readEnvelope(&env, nil); err != nil {
+		if _, err := c.readEnvelope(&env, nil, nil); err != nil {
 			return HelloBody{}, err
 		}
 		refuse := func(err error) (HelloBody, error) {
@@ -266,8 +313,15 @@ func (c *Conn) Accept(caps []string, who string) (HelloBody, error) {
 // disconnect cleanup; a data-plane op — one with a binary opcode — gets
 // bad_frame, as it travels binary only. A binary frame pays one test.
 func (c *Conn) ReadRequest(env *Envelope, idle func()) error {
+	return c.ReadRequestForward(env, idle, nil)
+}
+
+// ReadRequestForward is ReadRequest for a reader that forwards rather
+// than serves (the federation router): the binary frames a ForwardFunc
+// receives go to fwd undecoded, and only the rest reach env.
+func (c *Conn) ReadRequestForward(env *Envelope, idle func(), fwd ForwardFunc) error {
 	for {
-		isJSON, err := c.readEnvelope(env, idle)
+		isJSON, err := c.readEnvelope(env, idle, fwd)
 		if err != nil || !isJSON {
 			return err
 		}

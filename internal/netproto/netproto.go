@@ -36,7 +36,8 @@
 // flushed with one conn.Write, flush-when-idle reads, and both halves
 // of the handshake (Conn.Accept, Dial). Pending is the requesting
 // side's in-flight table: request IDs, reply demux, streams held to
-// their terminal frame, synthesized terminal frames on loss. Listener
+// their terminal frame, synthesized terminal frames on loss, and the
+// federation router's relays, whose binary answers cross undecoded. Listener
 // is the accept loop. Ops is the op table — wire name, binary opcode,
 // body kind, stream/idempotent/timed — that the codec, the daemon's
 // handler table, the router and the client library all look ops up in.
