@@ -15,6 +15,19 @@ import (
 // (or joins) a re-simulation and returns an estimated wait. It also feeds
 // the client's prefetch agent.
 func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error) {
+	return v.OpenAwait(client, ctxName, filename, nil, 0)
+}
+
+// OpenAwait is Open for a caller that waits when the file is missing
+// (the paper's "notify the client when the file is produced"): a miss
+// registers client's waiter for the step with o, under tag, in the same
+// hold of the shard lock that decided the miss, so nothing resolves the
+// step unseen in between. o's callback then runs once, in the goroutine
+// that delivers the step's fate — FileReady, or FileFailed when the
+// re-simulation dies or the context goes away. A hit, a refused open, or
+// a miss nothing promises (Awaited false) registers nothing. A nil o is
+// Open.
+func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owner, tag uint64) (OpenResult, error) {
 	cs, err := v.lockedShard(ctxName)
 	if err != nil {
 		return OpenResult{}, err
@@ -127,8 +140,14 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 			queuedDemand = true
 		}
 	}
+	// A waiter must never sit on a step nothing will resolve.
+	_, promised := cs.promised[step]
+	awaited := o != nil && promised
+	if awaited {
+		v.hub.AwaitFor(notify.Topic{Context: ctxName, Step: step}, client, o, tag)
+	}
 	cs.refs[step]++
-	return OpenResult{Available: false, EstWait: v.estWaitLocked(cs, step, now)}, nil
+	return OpenResult{Available: false, EstWait: v.estWaitLocked(cs, step, now), Awaited: awaited}, nil
 }
 
 // WaitFile registers cb as client's waiter for filename: it fires

@@ -61,6 +61,9 @@ type Launcher interface {
 type OpenResult struct {
 	Available bool
 	EstWait   time.Duration
+	// Awaited marks a miss whose waiter OpenAwait registered; a miss
+	// without it has nothing producing the file.
+	Awaited bool
 }
 
 // CtxStats counts per-context events; the experiment harness reads them.

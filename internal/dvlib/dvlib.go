@@ -9,7 +9,7 @@
 // Connections speak the versioned envelope protocol (internal/netproto):
 // Dial performs the hello handshake — version and capability
 // negotiation, after which every frame is binary — and fails with a
-// CodeVersion *Error against a daemon that does not speak protocol 3
+// CodeVersion *Error against a daemon that does not speak protocol 4
 // with the binary codec. Failures surface as *Error values carrying the
 // daemon's structured error code, so callers dispatch on ErrCodeOf(err)
 // instead of matching message text. Cancellation and deadlines plumb
@@ -117,6 +117,11 @@ type Client struct {
 	reconnecting bool
 	closed       bool
 	readErr      error
+
+	// nmu guards notices: the ready notices of missed opens, by file,
+	// not yet taken by WaitAvailable nor dropped by a release.
+	nmu     sync.Mutex
+	notices map[netproto.FileBody]*notice
 }
 
 // dialConfig collects DialOption settings.
@@ -336,10 +341,22 @@ type pendingCall struct {
 // canceled context (the read loop may still deliver) keeps its channel.
 var tokens = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
-// HandleResponse settles the ledger and wakes the awaiting caller.
+// HandleResponse settles the ledger and wakes the awaiting caller. The
+// one call answered twice is a missed open: its ID passes to the file's
+// notice first, so the second answer never reaches p, whose channel the
+// caller hands back to tokens once woken.
 func (p *pendingCall) HandleResponse(resp netproto.Response) {
 	if resp.Err == "" {
 		p.c.settle(&p.env)
+	}
+	if p.env.Op == netproto.OpOpen {
+		file, _ := p.env.File()
+		if !resp.Terminal() {
+			p.c.awaitNotice(resp.ID, file)
+		} else if resp.Available {
+			// A hit outdates whatever an earlier miss of the file left.
+			p.c.takeNotice(file)
+		}
 	}
 	p.resp = resp
 	p.ch <- struct{}{}
@@ -420,10 +437,11 @@ func (c *Client) request(h netproto.ResponseHandler, stream bool, env netproto.E
 	return id, err
 }
 
-// start registers p as a pending call and queues its request frame.
+// start registers p as a pending call and queues its request frame. An
+// open stays registered past its first answer, for a miss's notice.
 func (c *Client) start(p *pendingCall, env netproto.Envelope) (err error) {
 	p.c, p.env, p.ch = c, env, tokens.Get().(chan struct{})
-	p.id, err = c.request(p, false, env, false)
+	p.id, err = c.request(p, env.Op == netproto.OpOpen, env, false)
 	return err
 }
 
@@ -431,7 +449,7 @@ func (c *Client) start(p *pendingCall, env netproto.Envelope) (err error) {
 // has not received) and blocks for the call's response.
 func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, error) {
 	if err := c.Flush(); err != nil {
-		c.calls.Remove(p.id)
+		c.abandon(p.id)
 		return netproto.Response{}, err
 	}
 	select {
@@ -566,7 +584,9 @@ type OpenResult struct {
 
 // Open is the transparent-mode open: non-blocking, it registers the access
 // with the DV (starting a re-simulation if the file is missing) and takes
-// a reference on the file.
+// a reference on the file. It returns on the daemon's first answer. For
+// a missing file the daemon answers once more when the re-simulation
+// has decided the file's fate; WaitAvailable waits for that notice.
 func (ctx *Context) Open(file string) (OpenResult, error) {
 	resp, err := ctx.fileCall(netproto.OpOpen, file)
 	if err != nil {
@@ -587,7 +607,8 @@ func (ctx *Context) fileCall(op, file string) (netproto.Response, error) {
 }
 
 // OpenCall is a pipelined Open in flight: the request frame is queued on
-// the connection; Wait flushes and blocks for the daemon's answer.
+// the connection; Wait flushes and blocks for the daemon's first answer
+// (a miss's notice goes to WaitAvailable, as after Open).
 type OpenCall struct{ call pendingCall }
 
 // OpenAsync queues an Open without waiting for the response, enabling
@@ -618,6 +639,7 @@ type ReleaseCall struct{ call pendingCall }
 // ReleaseAsync queues a Release without waiting for the response (the
 // pipelined variant of Release/Close).
 func (ctx *Context) ReleaseAsync(file string) (*ReleaseCall, error) {
+	ctx.dropNotice(file)
 	rc := new(ReleaseCall)
 	if err := ctx.c.start(&rc.call, ctx.fileEnv(netproto.OpRelease, file)); err != nil {
 		return nil, err
@@ -633,12 +655,25 @@ func (rc *ReleaseCall) Wait() error {
 }
 
 // WaitAvailable blocks until the file is on disk (the blocking part of a
-// transparent-mode read). The file must have been opened first. It rides
-// the daemon's notification hub via a file subscription (SIMFS_Wait). A
-// failure is a *Error carrying the daemon's code: failed (the producing
-// re-simulation died, or its interval is quarantined), not_produced
-// (nobody is producing the file — open it first) or draining.
+// transparent-mode read). The file must have been opened first. After an
+// Open that missed it waits for the open's own notice, at no request of
+// its own; otherwise — after a hit, an Acquire or a Prefetch, or when a
+// reconnect cut the notice — it subscribes to the file through the
+// daemon's notification hub (SIMFS_Wait). A failure is a *Error
+// carrying the daemon's code: failed (the producing re-simulation died,
+// or its interval is quarantined), not_produced (nobody is producing
+// the file — open it first) or draining.
 func (ctx *Context) WaitAvailable(file string) error {
+	if n := ctx.c.takeNotice(netproto.FileBody{Context: ctx.name, File: file}); n != nil {
+		<-n.ch
+		tokens.Put(n.ch)
+		switch {
+		case n.resp.OK:
+			return nil
+		case !n.lost():
+			return &Error{Code: n.resp.Code, Op: netproto.OpOpen, Msg: n.resp.Err}
+		}
+	}
 	w, err := ctx.Watch(file)
 	if err != nil {
 		return err
@@ -719,8 +754,16 @@ func (ctx *Context) Close(file string) error {
 	if ctx.c.reconnectEnabled() && ctx.c.heldCount(ctx.name, file) == 0 {
 		return fmt.Errorf("dvlib: %s %q: %w", netproto.OpRelease, file, ErrNotHeld)
 	}
+	ctx.dropNotice(file)
 	_, err := ctx.fileCall(netproto.OpRelease, file)
 	return err
+}
+
+// dropNotice forgets the file's notice: a client that releases a file
+// without waiting for it keeps nothing for it. The notice itself still
+// arrives, and ends its request.
+func (ctx *Context) dropNotice(file string) {
+	ctx.c.takeNotice(netproto.FileBody{Context: ctx.name, File: file})
 }
 
 // Release drops a file reference (SIMFS_Release).

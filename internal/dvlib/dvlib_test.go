@@ -368,7 +368,7 @@ func TestAsyncCallsBatchUntilWait(t *testing.T) {
 		mu.Lock()
 		got = append(got, req.Op)
 		mu.Unlock()
-		send(netproto.Response{ID: req.ID, OK: true, Available: true})
+		send(netproto.Response{ID: req.ID, OK: true, Available: true, Done: true})
 	})
 	c, err := Dial(addr, "unit")
 	if err != nil {

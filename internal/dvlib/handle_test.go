@@ -34,7 +34,7 @@ func answerByName(req fakeReq, send func(netproto.Response)) {
 	case netproto.OpContextInfo:
 		send(fakeInfo(req.ID))
 	case netproto.OpOpen:
-		send(netproto.Response{ID: req.ID, OK: true, Available: true, EstWaitNs: stepOf(req.Files[0])})
+		send(netproto.Response{ID: req.ID, OK: true, Available: true, EstWaitNs: stepOf(req.Files[0]), Done: true})
 	case netproto.OpRelease:
 		if stepOf(req.Files[0])%2 == 1 {
 			send(netproto.Response{ID: req.ID, Code: netproto.CodeBadRequest, Err: "odd " + req.Files[0]})

@@ -57,6 +57,10 @@ func (c *Client) tryReconnect() bool {
 				return false
 			}
 			go h.HandleResponse(netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
+		case *notice:
+			// The open's reference is replayed below, its notice is not:
+			// WaitAvailable asks the daemon afresh.
+			h.HandleResponse(netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
 		}
 		return true
 	})

@@ -105,7 +105,7 @@ func TestReconnectReplaysIdempotentCall(t *testing.T) {
 				kill() // the request is in flight when the connection dies
 				return
 			}
-			send(netproto.Response{ID: req.ID, OK: true, Available: true})
+			send(netproto.Response{ID: req.ID, OK: true, Available: true, Done: true})
 		}
 	})
 	c, err := Dial(addr, "unit", WithReconnect(fastReconnect))
@@ -135,7 +135,7 @@ func TestReconnectFailsNonIdempotentTyped(t *testing.T) {
 		case netproto.OpContextInfo:
 			send(fakeInfo(req.ID))
 		case netproto.OpOpen:
-			send(netproto.Response{ID: req.ID, OK: true, Available: true})
+			send(netproto.Response{ID: req.ID, OK: true, Available: true, Done: true})
 		case netproto.OpRelease:
 			if connNo == 1 {
 				kill()
@@ -185,7 +185,7 @@ func TestReconnectRestoresHeldReferences(t *testing.T) {
 				reopened[req.Files[0]]++
 				mu.Unlock()
 			}
-			send(netproto.Response{ID: req.ID, OK: true, Available: true})
+			send(netproto.Response{ID: req.ID, OK: true, Available: true, Done: true})
 		case netproto.OpStats:
 			if connNo == 1 {
 				kill()
@@ -320,6 +320,58 @@ func TestReconnectFailsInflightAcquire(t *testing.T) {
 	}
 }
 
+// A missed open's notice cut by the reset is not replayed: WaitAvailable
+// learns the notice is lost and subscribes to the file on the fresh
+// connection instead, which reports it ready.
+func TestReconnectCutNoticeFallsBackToSubscribe(t *testing.T) {
+	var subscribed atomic.Int32
+	addr := scriptedDV(t, nil, func(connNo int, req fakeReq, send func(netproto.Response), kill func()) {
+		switch req.Op {
+		case netproto.OpContextInfo:
+			send(fakeInfo(req.ID))
+		case netproto.OpOpen:
+			if connNo == 1 {
+				// The miss, then the reset before its notice.
+				send(netproto.Response{ID: req.ID, OK: true, EstWaitNs: 1000})
+				time.Sleep(10 * time.Millisecond) // let the frame land first
+				kill()
+				return
+			}
+			send(netproto.Response{ID: req.ID, OK: true, Available: true, Done: true})
+		case netproto.OpRelease:
+			send(netproto.Response{ID: req.ID, OK: true})
+		case netproto.OpSubscribe:
+			subscribed.Add(1)
+			for _, f := range req.Files {
+				send(netproto.Response{ID: req.ID, OK: true, Ready: true, File: f})
+			}
+			send(netproto.Response{ID: req.ID, OK: true, Done: true})
+		}
+	})
+	c, err := Dial(addr, "unit", WithReconnect(fastReconnect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, err := c.Init("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := ctx.Filename(3)
+	if res, err := ctx.Open(file); err != nil || res.Available {
+		t.Fatalf("open = %+v, %v; want a miss", res, err)
+	}
+	if err := ctx.WaitAvailable(file); err != nil {
+		t.Fatalf("wait across a reset = %v, want ready", err)
+	}
+	if n := subscribed.Load(); n != 1 {
+		t.Errorf("the wait subscribed %d times, want once", n)
+	}
+	if err := ctx.Close(file); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The double-release guard: once the ledger says a file is no longer
 // held, a second release is refused client-side with ErrNotHeld —
 // after a reconnect the daemon's state is rebuilt from the ledger, so a
@@ -330,7 +382,7 @@ func TestDoubleReleaseRefused(t *testing.T) {
 		case netproto.OpContextInfo:
 			send(fakeInfo(req.ID))
 		default:
-			send(netproto.Response{ID: req.ID, OK: true, Available: true})
+			send(netproto.Response{ID: req.ID, OK: true, Available: true, Done: true})
 		}
 	})
 	c, err := Dial(addr, "unit", WithReconnect(fastReconnect))
@@ -375,7 +427,7 @@ func TestReconnectReplaysBatchedWriteBuffer(t *testing.T) {
 		case netproto.OpContextInfo:
 			send(fakeInfo(req.ID))
 		case netproto.OpOpen:
-			send(netproto.Response{ID: req.ID, OK: true, Available: connNo > 1})
+			send(netproto.Response{ID: req.ID, OK: true, Available: connNo > 1, Done: connNo > 1})
 		}
 	})
 	c, err := Dial(addr, "unit", WithReconnect(fastReconnect))

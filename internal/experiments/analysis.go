@@ -41,6 +41,12 @@ type Analysis struct {
 	pos      int
 	retries  int
 	finished bool
+	// waiting and waitStart are the access blocked on a missing file;
+	// notices, made once, receives its notice (one access waits at a
+	// time).
+	waiting   string
+	waitStart time.Duration
+	notices   *notify.Owner
 	// Waits accumulates the time spent blocked on missing files.
 	Waits time.Duration
 	// Misses counts accesses that found the file not on disk.
@@ -62,7 +68,12 @@ func (a *Analysis) step() {
 		return
 	}
 	file := a.Ctx.Filename(a.Steps[a.pos])
-	res, err := a.V.Open(a.Client, a.Ctx.Name, file)
+	if a.notices == nil {
+		a.notices = notify.NewOwner(func(_ uint64, ev notify.Event) { a.ready(ev) })
+	}
+	// A miss registers the notice in the open's own shard-lock hold.
+	a.waiting, a.waitStart = file, a.Engine.Now()
+	res, err := a.V.OpenAwait(a.Client, a.Ctx.Name, file, a.notices, 0)
 	if err != nil {
 		a.abort(fmt.Sprintf("open %s: %v", file, err))
 		return
@@ -72,26 +83,28 @@ func (a *Analysis) step() {
 		return
 	}
 	a.Misses++
-	waitStart := a.Engine.Now()
-	err = a.V.WaitFile(a.Client, a.Ctx.Name, file, func(ev notify.Event) {
-		a.Waits += a.Engine.Now() - waitStart
-		if ev.Kind == notify.FileFailed {
-			// Production failed: drop the reference and retry the access.
-			_ = a.V.Release(a.Client, a.Ctx.Name, file)
-			a.retries++
-			if a.MaxRetries > 0 && a.retries > a.MaxRetries {
-				a.abort("too many failed re-simulations: " + ev.Err)
-				return
-			}
-			a.Engine.Schedule(0, a.step)
-			return
-		}
-		a.process(file)
-	})
-	if err != nil {
-		// The file became resident between Open and WaitFile.
+	if !res.Awaited {
+		// Nothing promises the file, so no notice will come.
 		a.process(file)
 	}
+}
+
+// ready is the notice of the access blocked on a.waiting.
+func (a *Analysis) ready(ev notify.Event) {
+	file := a.waiting
+	a.Waits += a.Engine.Now() - a.waitStart
+	if ev.Kind == notify.FileFailed {
+		// Production failed: drop the reference and retry the access.
+		_ = a.V.Release(a.Client, a.Ctx.Name, file)
+		a.retries++
+		if a.MaxRetries > 0 && a.retries > a.MaxRetries {
+			a.abort("too many failed re-simulations: " + ev.Err)
+			return
+		}
+		a.Engine.Schedule(0, a.step)
+		return
+	}
+	a.process(file)
 }
 
 func (a *Analysis) process(file string) {

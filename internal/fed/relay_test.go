@@ -209,9 +209,18 @@ func TestFederationRelayIsByteTransparent(t *testing.T) {
 		return encoded(t, netproto.NewFileEnvelope(id, op, netproto.FileBody{Context: "c", File: "c_out_00000003.nc"}))
 	}
 
-	// A hit.
+	// A hit, answered once.
 	peerID := forwarded("open", file(300, netproto.OpOpen))
-	answered("open hit", netproto.Response{ID: peerID, OK: true, Available: true, EstWaitNs: 1500}, 300)
+	answered("open hit", netproto.Response{ID: peerID, OK: true, Available: true, EstWaitNs: 1500, Done: true}, 300)
+
+	// A miss, answered twice: at once, and by its notice. The notice ends
+	// the relay: a late frame under its ID goes nowhere.
+	peerID = forwarded("open", file(1<<35, netproto.OpOpen))
+	answered("open miss", netproto.Response{ID: peerID, OK: true, EstWaitNs: 1500}, 1<<35)
+	answered("notice", netproto.Response{ID: peerID, OK: true, Ready: true, Done: true}, 1<<35)
+	if _, err := link.Write(frame(encoded(t, netproto.Response{ID: peerID, OK: true, Ready: true, Done: true}))); err != nil {
+		t.Fatal(err)
+	}
 
 	// A stream: per-file ready frames, then Done. Once Done has passed,
 	// the link forgets the ID: a late frame under it goes nowhere.
@@ -225,9 +234,9 @@ func TestFederationRelayIsByteTransparent(t *testing.T) {
 	}
 
 	// An error with the quarantine details.
-	peerID = forwarded("release", file(5, netproto.OpRelease))
+	peerID = forwarded("release", file(77, netproto.OpRelease))
 	answered("failed release", netproto.Response{ID: peerID, Code: netproto.CodeFailed,
-		Err: "re-simulation failed", Attempts: 3, RetryAfterNs: int64(5 * time.Second)}, 5)
+		Err: "re-simulation failed", Attempts: 3, RetryAfterNs: int64(5 * time.Second)}, 77)
 
 	// A JSON-bodied request and its rich answer, decoded and re-encoded.
 	info, _ := netproto.NewEnvelope(301, netproto.OpContextInfo, netproto.CtxBody{Context: "c"})

@@ -163,11 +163,12 @@ func (sess *rsession) flushPeers() {
 }
 
 // relay registers the client's request clientID on this session's link
-// to owner under a fresh peer-side ID, and a stream's unsubscribe route
-// with it. Both happen in one hold of sess.mu, before the frame can
-// leave: the stream's terminal frame drops the route through the same
-// lock, so it cannot run first and leave the route behind.
-func (sess *rsession) relay(owner string, clientID uint64, stream bool) (*PeerConn, uint64, error) {
+// to owner under a fresh peer-side ID — held until its terminal frame
+// for a stream op — and a cancelable stream's unsubscribe route with it.
+// Both happen in one hold of sess.mu, before the frame can leave: the
+// stream's terminal frame drops the route through the same lock, so it
+// cannot run first and leave the route behind.
+func (sess *rsession) relay(owner string, clientID uint64, spec netproto.OpSpec) (*PeerConn, uint64, error) {
 	if owner == "" {
 		return nil, 0, errors.New("no federation members configured")
 	}
@@ -177,15 +178,20 @@ func (sess *rsession) relay(owner string, clientID uint64, stream bool) (*PeerCo
 	if err != nil {
 		return nil, 0, err
 	}
-	peerID, ok := pc.calls.AddRelay(clientID, stream)
+	peerID, ok := pc.calls.AddRelay(clientID, spec.Stream)
 	if !ok {
 		return nil, 0, fmt.Errorf("fed: peer %s is down", owner)
 	}
-	if stream {
+	if cancelable(spec) {
 		sess.routes[clientID] = peerRoute{pc: pc, peerID: peerID}
 	}
 	return pc, peerID, nil
 }
+
+// cancelable reports whether a client may unsubscribe from the op's
+// stream: every stream but open's, whose ID stays live only for the
+// notice of a miss.
+func cancelable(spec netproto.OpSpec) bool { return spec.Stream && spec.Name != netproto.OpOpen }
 
 // streamEnded is the relay tables' hook: a relayed stream is over, and
 // its unsubscribe route goes with it.
@@ -334,7 +340,7 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
 // request undecoded to the daemon owning ctx, which receives the
 // client's bytes with only the request ID changed.
 func (r *Router) forward(sess *rsession, spec netproto.OpSpec, clientID uint64, ctx, payload []byte) {
-	if err := r.send(sess, r.ring.ownerOf(fnv64a(ctx)), clientID, spec.Stream, nil, payload); err != nil {
+	if err := r.send(sess, r.ring.ownerOf(fnv64a(ctx)), clientID, spec, nil, payload); err != nil {
 		sess.unreachable(clientID, string(ctx), spec.Stream, err)
 	}
 }
@@ -344,7 +350,7 @@ func (r *Router) forward(sess *rsession, spec netproto.OpSpec, clientID uint64, 
 func (r *Router) proxy(sess *rsession, env netproto.Envelope, ctxName string) {
 	clientID := env.ID
 	spec, _ := netproto.LookupOp(env.Op)
-	if err := r.send(sess, r.ring.Owner(ctxName), clientID, spec.Stream, &env, nil); err != nil {
+	if err := r.send(sess, r.ring.Owner(ctxName), clientID, spec, &env, nil); err != nil {
 		sess.unreachable(clientID, ctxName, spec.Stream, err)
 	}
 }
@@ -355,8 +361,8 @@ func (r *Router) proxy(sess *rsession, env netproto.Envelope, ctxName string) {
 // under clientID, queued by the link's read loop, which flushes the
 // session once its response batch is drained. The error is a request
 // nothing was sent for and nobody has answered.
-func (r *Router) send(sess *rsession, owner string, clientID uint64, stream bool, env *netproto.Envelope, payload []byte) error {
-	pc, peerID, err := sess.relay(owner, clientID, stream)
+func (r *Router) send(sess *rsession, owner string, clientID uint64, spec netproto.OpSpec, env *netproto.Envelope, payload []byte) error {
+	pc, peerID, err := sess.relay(owner, clientID, spec)
 	if err != nil {
 		return err
 	}
@@ -369,7 +375,7 @@ func (r *Router) send(sess *rsession, owner string, clientID uint64, stream bool
 	if err == nil {
 		return nil
 	}
-	if stream {
+	if cancelable(spec) {
 		sess.dropRoute(clientID)
 	}
 	if _, ok := pc.calls.Remove(peerID); !ok {

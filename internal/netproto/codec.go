@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -36,7 +37,7 @@ type Codec interface {
 // sends.
 var JSON Codec = jsonCodec{}
 
-// Binary is the protocol-v3 codec, the one a Conn speaks. Hot ops and
+// Binary is the protocol-v4 codec, the one a Conn speaks. Hot ops and
 // the common response shape are encoded in a compact binary layout;
 // everything else (the hello, admin ops, rich responses) falls back to
 // JSON payloads inside the same frames. Decoders discriminate on the
@@ -200,13 +201,17 @@ func appendResponseFrame(buf []byte, bin bool, resp *Response) ([]byte, error) {
 	return endFrame(buf, start, "", resp.ID)
 }
 
-// appendJSON appends v's JSON document to buf.
+// appendJSON appends v's JSON document to buf. Nothing is HTML-escaped:
+// json.Marshal would rewrite a '&' in a raw body as \u0026, so a frame
+// relayed through a decode and an encode would change its bytes.
 func appendJSON(buf []byte, v any, op string, id uint64) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
+	w := bytes.NewBuffer(buf)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
 		return buf, &FrameError{Op: op, ID: id, Err: fmt.Errorf("marshal: %w", err)}
 	}
-	return append(buf, payload...), nil
+	return bytes.TrimSuffix(w.Bytes(), []byte{'\n'}), nil
 }
 
 // endFrame stamps the length of the frame begun at start (header there,
@@ -267,7 +272,7 @@ func FrameBuffered(r *bufio.Reader) bool {
 	return int(binary.BigEndian.Uint32(hdr)) <= r.Buffered()-4
 }
 
-// Binary wire format (protocol v3). Requests:
+// Binary wire format (protocol v4, unchanged since v3). Requests:
 //
 //	[opcode u8] [id uvarint] [per-op body]
 //

@@ -267,7 +267,7 @@ func forwardBin(payload []byte, fwd ForwardFunc) (forwarded bool, err error) {
 // peer's hello. The first decodable frame must be a hello at
 // ProtoVersion or newer that asks for CapBinary; a newer peer is
 // clamped down to ProtoVersion. Anything else — a pre-versioned (v1)
-// client, a v2 hello, a v3 one without CapBinary, a foreign peer — is
+// client, a v2 or v3 hello, one without CapBinary, a foreign peer — is
 // refused with CodeVersion on the frame's own ID, and the error tells
 // the caller to close. The reply advertises caps plus CapBinary. It and
 // every refusal go out as JSON, the one dialect every protocol version
@@ -401,7 +401,7 @@ func (c *Conn) hello(id uint64, hello HelloBody) (HelloInfo, error) {
 	case resp.Err != "":
 		return HelloInfo{}, &HelloError{Code: resp.Code, Msg: resp.Err}
 	case resp.Proto == nil || resp.Proto.Version < ProtoVersion || !HasCap(resp.Proto.Caps, CapBinary):
-		// A v2 daemon, or one started without the binary codec.
+		// A v2 or v3 daemon, or one started without the binary codec.
 		return HelloInfo{}, &HelloError{Code: CodeVersion,
 			Msg: fmt.Sprintf("daemon granted %+v; client requires protocol %d with %q", resp.Proto, ProtoVersion, CapBinary)}
 	}

@@ -45,6 +45,7 @@ func TestAcceptHandshake(t *testing.T) {
 		{name: "v1 client", first: append(binary.BigEndian.AppendUint32(nil, uint32(len(v1))), v1...), refusedID: 7},
 		{name: "below min", first: hello(0, CapBinary), refusedID: 1},
 		{name: "bin asked at v2", first: hello(2, CapBinary), refusedID: 1},
+		{name: "v3 expects no open notices", first: hello(3, CapBinary), refusedID: 1},
 		{name: "bin allowed but not asked", first: hello(ProtoVersion, CapAdmin), refusedID: 1},
 		{name: "bin asked and allowed", first: hello(ProtoVersion, CapBinary)},
 		{name: "above max is clamped", first: hello(ProtoVersion+5, CapBinary)},
@@ -102,12 +103,14 @@ func TestAcceptHandshake(t *testing.T) {
 }
 
 // The dialing half refuses, with a CodeVersion *HelloError, every
-// reply it cannot speak binary after: a v2 daemon's grant, that of a v3
-// daemon started without the binary codec, and a pre-versioned (v1)
-// daemon's untyped error.
+// reply it cannot speak the current protocol after: a v2 daemon's grant,
+// a v3 daemon's (which never sends an open's notice), that of a daemon
+// started without the binary codec, and a pre-versioned (v1) daemon's
+// untyped error.
 func TestDialRefusesOldPeers(t *testing.T) {
 	for _, reply := range []Response{
 		{OK: true, Proto: &HelloInfo{Version: 2, Caps: []string{CapAdmin, CapBinary}}},
+		{OK: true, Proto: &HelloInfo{Version: 3, Caps: []string{CapAdmin, CapBinary}}},
 		{OK: true, Proto: &HelloInfo{Version: ProtoVersion, Caps: []string{CapAdmin}}},
 		{Err: `unknown op "hello"`},
 	} {

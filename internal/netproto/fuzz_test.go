@@ -72,12 +72,20 @@ func seedFrames() ([][]byte, error) {
 	// without tripping the reader.
 	v1 := `{"id":99,"op":"open","client":"old","context":"fz","files":["f"]}`
 	frames = append(frames, append(binary.BigEndian.AppendUint32(nil, uint32(len(v1))), v1...))
-	var buf bytes.Buffer
-	if err := JSON.EncodeFrame(&buf, Response{ID: 3, Code: CodeBusy, Err: "context draining",
-		Proto: &HelloInfo{Version: ProtoVersion}, Sched: &SchedInfo{Coalesce: true}}); err != nil {
-		return nil, err
+	// The two answers of an open: a hit's, which is Done, and a miss's
+	// terminal notice, here a failure with its retry details.
+	for _, resp := range []Response{
+		{ID: 3, Code: CodeBusy, Err: "context draining",
+			Proto: &HelloInfo{Version: ProtoVersion}, Sched: &SchedInfo{Coalesce: true}},
+		{ID: 4, OK: true, Available: true, Done: true},
+		{ID: 5, Code: CodeFailed, Err: "re-simulation failed", Attempts: 2, RetryAfterNs: 5_000_000_000, Done: true},
+	} {
+		var buf bytes.Buffer
+		if err := JSON.EncodeFrame(&buf, resp); err != nil {
+			return nil, err
+		}
+		frames = append(frames, buf.Bytes())
 	}
-	frames = append(frames, append([]byte(nil), buf.Bytes()...))
 	return frames, nil
 }
 
@@ -176,6 +184,12 @@ func binSeedFrames() ([][]byte, error) {
 		{ID: 3, OK: true, Ready: true, File: "fz_out_00000007.nc"},
 		{ID: 4, OK: true, Done: true, Count: 3},
 		{ID: 5, Code: CodeBusy, Err: "context draining"},
+		// An open's answers: a hit, Done at once; a miss, then its
+		// notice — ready, or failed with the retry details.
+		{ID: 7, OK: true, Available: true, Done: true},
+		{ID: 8, OK: true, EstWaitNs: 13_000_000},
+		{ID: 8, OK: true, Ready: true, Done: true},
+		{ID: 9, Code: CodeFailed, Err: "re-simulation failed", Attempts: 2, RetryAfterNs: 5_000_000_000, Done: true},
 		// A rich response falls back to JSON inside the binary stream:
 		// seed the sniffing path too.
 		{ID: 6, OK: true, Proto: &HelloInfo{Version: ProtoVersion, Caps: []string{CapBinary}}},

@@ -2,18 +2,27 @@
 // DV daemon (paper Sec. III: "Dashed arrows are control messages
 // (TCP/IP)"): length-prefixed frames over a persistent TCP connection.
 //
-// # Protocol version 3
+// # Protocol version 4
 //
 // A connection starts with a hello handshake, in JSON: the client sends
 // an OpHello envelope carrying its protocol version, client name and
 // requested capability flags, CapBinary among them; the daemon answers
 // with ProtoVersion and its capabilities. A pre-versioned (v1) frame, a
-// version-2 hello or a hello without CapBinary is refused with a JSON
-// CodeVersion error. Every subsequent client frame is an Envelope — a
-// fixed header (client-assigned request ID plus operation name) and a
+// hello below version 4 or a hello without CapBinary is refused with a
+// JSON CodeVersion error. Every subsequent client frame is an Envelope —
+// a fixed header (client-assigned request ID plus operation name) and a
 // typed per-op body. Responses echo the ID, which lets the daemon
 // deliver asynchronous notifications (file-ready events for
-// acquire/subscribe) over the same connection.
+// open/acquire/subscribe) over the same connection.
+//
+// An open is answered once or twice on its own ID. A hit, and an open
+// refused, get one terminal answer (Done, or an error). A miss gets the
+// non-terminal {OK, Available:false, EstWaitNs} at once, and later one
+// terminal notice: {OK, Ready, Done} when the re-simulation produced
+// the file, or a failed/not_produced/draining error that also says
+// Done. The notice is what a transparent-mode read waits on, so a wait
+// after a missed open costs no request of its own. Version 4 introduced
+// the notice; a version-3 peer, which would not expect it, is refused.
 //
 // After the hello every frame speaks the Binary codec. It encodes the
 // hot ops (open/release/acquire/estwait/bitrep/subscribe/prefetch/
@@ -54,7 +63,7 @@ import (
 // ProtoVersion is the protocol version this build speaks, and the
 // oldest it accepts: an older hello is refused with CodeVersion, a newer
 // one is answered with ProtoVersion.
-const ProtoVersion = 3
+const ProtoVersion = 4
 
 // MaxFrame bounds a single frame to keep a misbehaving peer from forcing
 // unbounded allocations.
@@ -69,7 +78,7 @@ const (
 	OpPing        = "ping"
 	OpContexts    = "contexts" // list context names
 	OpContextInfo = "ctxinfo"  // fetch one context's parameters
-	OpOpen        = "open"     // non-blocking open (Table I: open)
+	OpOpen        = "open"     // non-blocking open (Table I: open); a miss is answered again when the file is ready
 	OpRelease     = "release"  // drop a reference (Table I: close)
 	OpAcquire     = "acquire"  // SIMFS_Acquire: multi-file subscription
 	OpEstWait     = "estwait"  // estimated wait for a file
@@ -538,7 +547,8 @@ type PeerInfo struct {
 
 // Response is a daemon→client frame. For acquire subscriptions the daemon
 // sends one frame per file as it becomes ready (File set, Done false) and
-// a final frame with Done true. A failing response carries both the
+// a final frame with Done true; a missed open is answered without Done
+// and then by its notice, with Done. A failing response carries both the
 // machine-readable Code and the human-readable Err.
 type Response struct {
 	ID        uint64       `json:"id"`
@@ -572,7 +582,9 @@ type Response struct {
 
 // Terminal reports whether the frame ends a streaming request: the
 // explicit Done frame, or an error frame that is not per-file (per-file
-// failures carry File and the stream continues).
+// failures carry File and the stream continues). It is the one rule for
+// every op: an open's answer is terminal unless it reports a miss,
+// whose notice follows.
 func (r Response) Terminal() bool {
 	return r.Done || (r.Code != "" && r.File == "")
 }

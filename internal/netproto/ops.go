@@ -31,8 +31,9 @@ type OpSpec struct {
 	// binary frames. An op with an opcode sent as JSON is refused.
 	Bin  byte
 	Body BodyKind
-	// Stream marks ops answered by per-file frames that end with a
-	// terminal frame; everything else gets exactly one response.
+	// Stream marks ops whose request ID stays live until a terminal
+	// frame: the per-file streams, and open, whose miss is answered
+	// again by its notice. Everything else gets exactly one response.
 	Stream bool
 	// Idempotent marks ops a client may replay after a reconnect:
 	// re-issuing them converges to the same daemon state. The rest —
@@ -50,7 +51,7 @@ type OpSpec struct {
 // appear in the order the stats frame lists their latencies.
 var Ops = []OpSpec{
 	{Name: OpHello, Body: BodyOther},
-	{Name: OpOpen, Bin: binOpen, Body: BodyFile, Idempotent: true, Timed: true},
+	{Name: OpOpen, Bin: binOpen, Body: BodyFile, Stream: true, Idempotent: true, Timed: true},
 	{Name: OpRelease, Bin: binRelease, Body: BodyFile, Timed: true},
 	{Name: OpAcquire, Bin: binAcquire, Body: BodyFiles, Stream: true, Timed: true},
 	{Name: OpEstWait, Bin: binEstWait, Body: BodyFile, Idempotent: true, Timed: true},

@@ -99,7 +99,7 @@ func TestOpTable(t *testing.T) {
 	}
 
 	if got, want := rowsWhere(func(s OpSpec) bool { return s.Stream }),
-		sorted(OpAcquire, OpSubscribe, OpFedWatch); !reflect.DeepEqual(got, want) {
+		sorted(OpAcquire, OpSubscribe, OpFedWatch, OpOpen); !reflect.DeepEqual(got, want) {
 		t.Errorf("Stream = %v, want %v", got, want)
 	}
 	if got, want := rowsWhere(func(s OpSpec) bool { return s.Idempotent }),

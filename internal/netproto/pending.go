@@ -110,6 +110,23 @@ func (t *Pending) Remove(id uint64) (h ResponseHandler, ok bool) {
 	return e.h, ok
 }
 
+// Hand gives the live request id a new handler for its later frames: a
+// handler that answered the first frame of a stream passes the rest on
+// (a missed open's call handing its notice to a readiness record). A
+// handler calls it while it handles a frame, so the next frame, which
+// the same goroutine delivers, already finds h. ok is false when the
+// entry is gone, or is a relay's.
+func (t *Pending) Hand(id uint64, h ResponseHandler) (ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.entries[id]
+	if ok = ok && e.h != nil; ok {
+		e.h = h
+		t.entries[id] = e
+	}
+	return ok
+}
+
 // take looks up the entry a frame with the given ID and terminal bit
 // answers — only a relay's, when relayOnly — and drops it when the frame
 // is its last.

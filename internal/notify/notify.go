@@ -7,9 +7,12 @@
 // its client. A stream (Watch, Subscribe) receives on a channel: the TCP
 // daemon's readiness streams pump it to a socket, and the federation
 // bridge publishes peer daemons' events into the hub. A callback (Await)
-// runs in the goroutine that delivers: core.Virtualizer.WaitFile and
-// pipeline upstream inputs use it, so under the DES an analysis resumes
-// at the virtual instant its file appears, deterministically.
+// runs in the goroutine that delivers: a missed open's notice
+// (core.Virtualizer.OpenAwait), core.Virtualizer.WaitFile and pipeline
+// upstream inputs use it, so under the DES an analysis resumes at the
+// virtual instant its file appears, deterministically. A tagged callback
+// (AwaitFor) belongs to an Owner that can leave first; its waiters stop
+// counting once it has.
 //
 // Delivery is two steps. Take detaches a topic's waiters and sends
 // nothing; the Virtualizer calls it under the shard lock that decides the
@@ -93,7 +96,32 @@ type Waiter struct {
 	Client string
 	sub    *Sub
 	cb     func(Event)
+	// owner and tag are a tagged callback's (AwaitFor).
+	owner *Owner
+	tag   uint64
 }
+
+// left reports whether the waiter's owner has left.
+func (w Waiter) left() bool { return w.owner != nil && w.owner.left.Load() }
+
+// Owner receives the events of the callback waiters registered under it
+// (AwaitFor), each with the tag it was registered with: a daemon
+// session, whose missed opens wait under their request IDs. One callback
+// bound per owner, not a closure per waiter, keeps a registration free
+// of allocations. An owner may leave before its events come (a client
+// disconnecting): from then on its waiters no longer count for Waiting —
+// they keep no re-simulation alive — and their events are dropped. They
+// stay on their topics' lists until the events take them.
+type Owner struct {
+	notify func(tag uint64, ev Event)
+	left   atomic.Bool
+}
+
+// NewOwner returns an owner whose waiters' events go to notify.
+func NewOwner(notify func(tag uint64, ev Event)) *Owner { return &Owner{notify: notify} }
+
+// Leave retires the owner's waiters.
+func (o *Owner) Leave() { o.left.Store(true) }
 
 // Stream reports whether the waiter is a stream rather than a callback.
 func (w Waiter) Stream() bool { return w.sub != nil }
@@ -162,6 +190,14 @@ func (h *Hub) Subscribe(topics ...Topic) *Sub { return h.Watch("", topics...) }
 func (h *Hub) Await(t Topic, client string, cb func(Event)) {
 	h.mu.Lock()
 	h.add(Waiter{Topic: t, Client: client, cb: cb})
+	h.mu.Unlock()
+}
+
+// AwaitFor is Await for a tagged callback: o's callback runs once with
+// tag, unless o has left by then.
+func (h *Hub) AwaitFor(t Topic, client string, o *Owner, tag uint64) {
+	h.mu.Lock()
+	h.add(Waiter{Topic: t, Client: client, owner: o, tag: tag})
 	h.mu.Unlock()
 }
 
@@ -267,9 +303,14 @@ func (h *Hub) Deliver(ev Event, ws []Waiter) int {
 	}
 	h.mu.Unlock()
 	for _, w := range ws {
-		if w.cb != nil {
+		switch {
+		case w.cb != nil:
 			ev.Topic = w.Topic
 			w.cb(ev)
+			n++
+		case w.owner != nil && !w.left():
+			ev.Topic = w.Topic
+			w.owner.notify(w.tag, ev)
 			n++
 		}
 	}
@@ -284,11 +325,17 @@ func (h *Hub) Publish(ev Event) int {
 	return h.Deliver(ev, h.Take(ev.Topic, nil))
 }
 
-// Waiting reports whether anyone waits for the topic.
+// Waiting reports whether anyone waits for the topic; the waiters of an
+// owner that has left do not count.
 func (h *Hub) Waiting(t Topic) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.topics[t.Context][t.Step]) > 0
+	for _, w := range h.topics[t.Context][t.Step] {
+		if !w.left() {
+			return true
+		}
+	}
+	return false
 }
 
 // Waiters lists the waiters of a context's topics by step, each step's in

@@ -38,6 +38,7 @@ import (
 	"simfs/internal/metrics"
 	"simfs/internal/model"
 	"simfs/internal/netproto"
+	"simfs/internal/notify"
 )
 
 // PeerNotifier is the federation seam: a subscribe hands files that are
@@ -162,6 +163,8 @@ type session struct {
 	mu        sync.Mutex
 	watches   map[uint64]*fileWatch
 	fedEvents atomic.Uint64
+	// notices holds the missed opens still owed their ready notice.
+	notices notices
 }
 
 // drain performs the graceful half of shutdown for one session: every
@@ -173,9 +176,9 @@ func (sess *session) drain() {
 	// endWatches stops the pumps first, so the draining frames are the
 	// last word on each request ID.
 	for _, id := range sess.endWatches() {
-		sess.reply(netproto.Response{ID: id, Code: netproto.CodeDraining,
-			Err: "daemon shutting down", Done: true})
+		sess.reply(drainingNotice(id))
 	}
+	sess.drainNotices()
 	sess.flush()
 }
 
@@ -263,6 +266,7 @@ var daemonCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPree
 
 func (s *Server) handle(c *netproto.Conn) {
 	sess := &session{c: c, srv: s, held: map[string]map[string]int{}}
+	sess.notices.owner = notify.NewOwner(sess.resolved)
 	s.mu.Lock()
 	s.sessions[c] = sess
 	s.mu.Unlock()
@@ -270,9 +274,10 @@ func (s *Server) handle(c *netproto.Conn) {
 		s.mu.Lock()
 		delete(s.sessions, c)
 		s.mu.Unlock()
-		// Tear down notification subscriptions, then release references
-		// held by the departed client.
+		// Tear down notification subscriptions and retire the notice
+		// waiters, then release references held by the departed client.
 		sess.endWatches()
+		sess.leaveNotices()
 		for ctx, files := range sess.held {
 			for file, n := range files {
 				for i := 0; i < n; i++ {
@@ -364,7 +369,7 @@ var handlers = map[string]handler{
 	netproto.OpPing:            bare((*Server).ping),
 	netproto.OpContexts:        bare((*Server).contexts),
 	netproto.OpContextInfo:     op((*Server).contextInfo),
-	netproto.OpOpen:            fileOp((*Server).open),
+	netproto.OpOpen:            (*Server).open,
 	netproto.OpRelease:         fileOp((*Server).release),
 	netproto.OpAcquire:         (*Server).watch,
 	netproto.OpEstWait:         fileOp((*Server).estWait),
@@ -429,13 +434,30 @@ func (s *Server) contextInfo(_ *session, b netproto.CtxBody) (netproto.Response,
 	}}, nil
 }
 
-func (s *Server) open(sess *session, b netproto.FileBody) (netproto.Response, error) {
-	res, err := s.v.Open(sess.client, b.Context, b.File)
+// open answers a hit, or a refused open, once and terminally. A miss is
+// answered at once without Done, and again by its notice when the
+// re-simulation decides the file's fate (notice.go).
+func (s *Server) open(sess *session, env netproto.Envelope) {
+	b, _ := env.File() // binary-only op: see fileOp
+	id := env.ID
+	res, err := s.v.OpenAwait(sess.client, b.Context, b.File, sess.notices.owner, id)
 	if err != nil {
-		return netproto.Response{}, err
+		resp := failure(err)
+		resp.ID, resp.Done = id, true
+		sess.reply(resp)
+		return
 	}
 	sess.trackRef(b.Context, b.File, +1)
-	return netproto.Response{OK: true, Available: res.Available, EstWaitNs: int64(res.EstWait)}, nil
+	sess.reply(netproto.Response{ID: id, OK: true, Available: res.Available, Done: res.Available,
+		EstWaitNs: int64(res.EstWait)})
+	switch {
+	case res.Awaited:
+		sess.openMissed(id)
+	case !res.Available:
+		// Nothing promises the file: its notice is due at once.
+		sess.reply(netproto.Response{ID: id, Code: netproto.CodeNotProduced,
+			Err: fmt.Sprintf("%q is neither on disk nor promised", b.File), Done: true})
+	}
 }
 
 func (s *Server) release(sess *session, b netproto.FileBody) (netproto.Response, error) {

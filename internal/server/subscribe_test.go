@@ -129,8 +129,9 @@ func TestWaitAvailableCarriesFailureCode(t *testing.T) {
 	}
 	err = ctx.WaitAvailable(file)
 	var derr *dvlib.Error
-	if !errors.As(err, &derr) || derr.Code != netproto.CodeFailed || derr.Op != netproto.OpSubscribe {
-		t.Errorf("WaitAvailable on a crashed re-simulation = %v, want a subscribe *Error coded failed", err)
+	// The failure is the open's own notice: no subscribe was sent.
+	if !errors.As(err, &derr) || derr.Code != netproto.CodeFailed || derr.Op != netproto.OpOpen {
+		t.Errorf("WaitAvailable on a crashed re-simulation = %v, want an open *Error coded failed", err)
 	}
 	if err := ctx.Release(file); err != nil {
 		t.Error(err)

@@ -302,13 +302,22 @@ func TestCloseDrainsPendingWaiters(t *testing.T) {
 	}
 
 	st.Server.Close()
+	// Both are still owed an answer: the wait, and the open its notice.
+	drained := map[uint64]bool{}
+	for range 2 {
+		var resp netproto.Response
+		if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
+			t.Fatalf("pending requests got no frame on shutdown: %v (answered so far: %v)", err, drained)
+		}
+		if resp.Code != netproto.CodeDraining || !resp.Done || drained[resp.ID] {
+			t.Errorf("shutdown answered with %+v, want one terminal CodeDraining frame each on ids 2 and 3", resp)
+		}
+		drained[resp.ID] = true
+	}
+	if !drained[2] || !drained[3] {
+		t.Errorf("shutdown drained ids %v, want 2 (the open's notice) and 3 (the wait)", drained)
+	}
 	var resp netproto.Response
-	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
-		t.Fatalf("pending wait got no frame on shutdown: %v", err)
-	}
-	if resp.ID != 3 || resp.Code != netproto.CodeDraining || !resp.Done {
-		t.Errorf("pending wait answered with %+v, want a terminal CodeDraining frame on id 3", resp)
-	}
 	if err := netproto.Binary.DecodeFrame(conn, &resp); err != io.EOF {
 		t.Errorf("connection survived shutdown: %v %+v", err, resp)
 	}

@@ -29,6 +29,10 @@ type watchFixture struct {
 	st   *Stack
 	conn net.Conn
 	next uint64
+	// missed holds the opens answered with a miss whose notice has not
+	// come; read sets each notice aside in notices, by open ID.
+	missed  map[uint64]bool
+	notices map[uint64]netproto.Response
 
 	mu    sync.Mutex
 	gates map[int]chan struct{}
@@ -36,7 +40,8 @@ type watchFixture struct {
 
 func newWatchFixture(t *testing.T, configure func(*Stack)) *watchFixture {
 	t.Helper()
-	fx := &watchFixture{t: t, next: 1, gates: map[int]chan struct{}{}}
+	fx := &watchFixture{t: t, next: 1, gates: map[int]chan struct{}{},
+		missed: map[uint64]bool{}, notices: map[uint64]netproto.Response{}}
 	var addr string
 	fx.st, addr = testStackWith(t, func(st *Stack) {
 		inner := st.Launcher.Write
@@ -108,10 +113,62 @@ func (fx *watchFixture) send(op string, body any) uint64 {
 	return id
 }
 
+// frame reads the next frame. The notice of a missed open is set aside
+// in notices, and noticed says so.
+func (fx *watchFixture) frame() (resp netproto.Response, noticed bool, err error) {
+	if err = netproto.Binary.DecodeFrame(fx.conn, &resp); err != nil || !fx.missed[resp.ID] {
+		return resp, false, err
+	}
+	if !resp.Terminal() {
+		fx.t.Errorf("open %d answered again without ending: %q", resp.ID, sig(resp))
+	}
+	delete(fx.missed, resp.ID)
+	fx.notices[resp.ID] = resp
+	return resp, true, nil
+}
+
+// read returns the next frame that is not the notice of a missed open.
 func (fx *watchFixture) read() (netproto.Response, error) {
-	var resp netproto.Response
-	err := netproto.Binary.DecodeFrame(fx.conn, &resp)
-	return resp, err
+	for {
+		resp, noticed, err := fx.frame()
+		if err != nil || !noticed {
+			return resp, err
+		}
+	}
+}
+
+// open sends an open of the step and reads its first answer; a miss is
+// noted, so read sets its notice aside.
+func (fx *watchFixture) open(step int) (uint64, netproto.Response) {
+	fx.t.Helper()
+	id := fx.send(netproto.OpOpen, netproto.FileBody{Context: "clim", File: file(step)})
+	_, resp := fx.until(id, func(netproto.Response) bool { return true })
+	if resp.OK && !resp.Available {
+		fx.missed[id] = true
+	}
+	return id, resp
+}
+
+// notice reads frames until open id's notice has come and returns it
+// with the other frames read meanwhile.
+func (fx *watchFixture) notice(id uint64) (other []netproto.Response, notice netproto.Response) {
+	fx.t.Helper()
+	for {
+		if n, ok := fx.notices[id]; ok {
+			delete(fx.notices, id)
+			return other, n
+		}
+		if !fx.missed[id] {
+			fx.t.Fatalf("open %d did not miss: no notice is owed", id)
+		}
+		resp, noticed, err := fx.frame()
+		if err != nil {
+			fx.t.Fatalf("waiting on the notice of open %d: %v (frames so far: %v)", id, err, sigs(other))
+		}
+		if !noticed {
+			other = append(other, resp)
+		}
+	}
 }
 
 // until reads frames up to and including the first one of request id
@@ -158,7 +215,7 @@ func (fx *watchFixture) produce(steps ...int) {
 	fx.t.Helper()
 	for _, s := range steps {
 		body := netproto.FileBody{Context: "clim", File: file(s)}
-		if resp := fx.call(netproto.OpOpen, body); !resp.OK {
+		if _, resp := fx.open(s); !resp.OK {
 			fx.t.Fatalf("open %s: %+v", body.File, resp)
 		}
 		fx.stream(fx.send(netproto.OpSubscribe, netproto.FilesBody{Context: "clim", Files: []string{body.File}}))
@@ -176,7 +233,7 @@ func (fx *watchFixture) promise(op string, steps ...int) {
 		return
 	}
 	for _, s := range steps {
-		if resp := fx.call(netproto.OpOpen, netproto.FileBody{Context: "clim", File: file(s)}); !resp.OK || resp.Available {
+		if _, resp := fx.open(s); !resp.OK || resp.Available {
 			fx.t.Fatalf("open %s: %+v", file(s), resp)
 		}
 	}
@@ -386,7 +443,7 @@ func TestWatchContract(t *testing.T) {
 		case netproto.OpFedWatch:
 			// Stays pending: the producer may only be asked later.
 			fx.expect("before anyone asks", fx.settled(), id)
-			if resp := fx.call(netproto.OpOpen, netproto.FileBody{Context: "clim", File: file(40)}); !resp.OK {
+			if _, resp := fx.open(40); !resp.OK {
 				t.Fatalf("open: %+v", resp)
 			}
 		case netproto.OpAcquire:
