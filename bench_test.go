@@ -276,7 +276,7 @@ func BenchmarkPolicy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := keys[(i*i)%len(keys)] // quadratic probe ≈ skewed reuse
 				if !c.Touch(k) {
-					if _, err := c.Insert(k, 1, i%12+1); err != nil {
+					if _, err := c.Insert(k, 1, i%12+1, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

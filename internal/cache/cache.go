@@ -112,20 +112,19 @@ func (c *CacheOf[K]) Touch(key K) bool {
 }
 
 // Insert makes key resident with the given size and miss cost, evicting
-// unpinned entries as needed. It returns the evicted keys. If key is
-// already resident it is touched and its cost refreshed. If capacity
-// cannot be reached because all candidates are pinned, the cache overflows
-// and the event is counted in Stats.PinBlocked.
-func (c *CacheOf[K]) Insert(key K, size int64, cost int) (evicted []K, err error) {
-	if err := c.admit(key, size, cost, &evicted); err != nil {
-		return nil, err
-	}
-	return evicted, nil
+// unpinned entries as needed, and returns evicted with the evicted keys
+// appended: a caller that hands back the same buffer each time
+// (evicted[:0]) allocates nothing per eviction. If key is already
+// resident it is touched and its cost refreshed. If capacity cannot be
+// reached because all candidates are pinned, the cache overflows and the
+// event is counted in Stats.PinBlocked.
+func (c *CacheOf[K]) Insert(key K, size int64, cost int, evicted []K) ([]K, error) {
+	err := c.admit(key, size, cost, &evicted)
+	return evicted, err
 }
 
 // InsertDiscard inserts like Insert but reports only the number of
-// evictions, sparing the evicted-keys allocation. It is the hot-path
-// variant for callers (the experiment replay loop) that only count
+// evictions, for callers (the experiment replay loop) that only count
 // evictions and never act on the evicted keys.
 func (c *CacheOf[K]) InsertDiscard(key K, size int64, cost int) (evictions int, err error) {
 	before := c.stats.Evictions
@@ -165,24 +164,6 @@ func (c *CacheOf[K]) admit(key K, size int64, cost int, out *[]K) error {
 	c.used += size
 	c.policy.Insert(key, cost)
 	return nil
-}
-
-// EnsureSpace evicts until at least size bytes are free, returning the
-// evicted keys. ok is false if it could not free enough space (pins).
-func (c *CacheOf[K]) EnsureSpace(size int64) (evicted []K, ok bool) {
-	if c.maxBytes <= 0 {
-		return nil, true
-	}
-	for c.used+size > c.maxBytes {
-		victim, vok := c.policy.Victim(c.pinnedFn)
-		if !vok {
-			c.stats.PinBlocked++
-			return evicted, false
-		}
-		c.evict(victim)
-		evicted = append(evicted, victim)
-	}
-	return evicted, true
 }
 
 func (c *CacheOf[K]) evict(key K) {

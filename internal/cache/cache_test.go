@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -318,14 +319,14 @@ func TestARCGhostB2LowersP(t *testing.T) {
 func TestCacheInsertAndEvict(t *testing.T) {
 	c := New(NewLRU(), 30)
 	for i := 0; i < 3; i++ {
-		if _, err := c.Insert(fmt.Sprintf("k%d", i), 10, 1); err != nil {
+		if _, err := c.Insert(fmt.Sprintf("k%d", i), 10, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c.UsedBytes() != 30 || c.Len() != 3 {
 		t.Fatalf("used=%d len=%d", c.UsedBytes(), c.Len())
 	}
-	evicted, err := c.Insert("k3", 10, 1)
+	evicted, err := c.Insert("k3", 10, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,12 +344,12 @@ func TestCacheInsertAndEvict(t *testing.T) {
 
 func TestCachePinProtectsFromEviction(t *testing.T) {
 	c := New(NewLRU(), 20)
-	c.Insert("a", 10, 1)
-	c.Insert("b", 10, 1)
+	c.Insert("a", 10, 1, nil)
+	c.Insert("b", 10, 1, nil)
 	if err := c.Pin("a"); err != nil {
 		t.Fatal(err)
 	}
-	evicted, _ := c.Insert("c", 10, 1)
+	evicted, _ := c.Insert("c", 10, 1, nil)
 	if len(evicted) != 1 || evicted[0] != "b" {
 		t.Errorf("evicted = %v, want [b] (a is pinned)", evicted)
 	}
@@ -371,11 +372,11 @@ func TestCachePinProtectsFromEviction(t *testing.T) {
 
 func TestCacheAllPinnedOverflows(t *testing.T) {
 	c := New(NewLRU(), 20)
-	c.Insert("a", 10, 1)
-	c.Insert("b", 10, 1)
+	c.Insert("a", 10, 1, nil)
+	c.Insert("b", 10, 1, nil)
 	c.Pin("a")
 	c.Pin("b")
-	evicted, err := c.Insert("c", 10, 1)
+	evicted, err := c.Insert("c", 10, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,13 +407,13 @@ func TestCacheExternalGuard(t *testing.T) {
 			c := NewOf(pol, capacity) // 1-byte entries
 			c.PinnedBy(func(k int) bool { return refs[k] > 0 })
 			for k := 0; k < capacity; k++ {
-				c.Insert(k, 1, k%4+1)
+				c.Insert(k, 1, k%4+1, nil)
 			}
 			// The three coldest, cheapest-to-lose entries are referenced.
 			refs[0], refs[1], refs[4] = 1, 2, 1
 			rng := rand.New(rand.NewSource(7))
 			for k := capacity; k < 40*capacity; k++ {
-				evicted, err := c.Insert(k, 1, rng.Intn(12)+1)
+				evicted, err := c.Insert(k, 1, rng.Intn(12)+1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -429,19 +430,23 @@ func TestCacheExternalGuard(t *testing.T) {
 			if got := c.Stats().PinBlocked; got != 0 || c.UsedBytes() != capacity {
 				t.Fatalf("PinBlocked=%d used=%d with five unguarded residents; want 0 and %d", got, c.UsedBytes(), capacity)
 			}
-			// Asked to empty itself the cache gives up everything but the
-			// guarded keys, and reports that it could not finish.
-			if _, ok := c.EnsureSpace(capacity); ok || c.Len() != 3 || c.Stats().PinBlocked != 1 {
-				t.Fatalf("EnsureSpace under references: ok=%v len=%d PinBlocked=%d; want false, 3, 1",
-					ok, c.Len(), c.Stats().PinBlocked)
+			// Asked to make room for a key as large as the whole area, the
+			// cache gives up everything but the guarded keys, overflows,
+			// and says so.
+			const whole = 9999
+			if evicted, err := c.Insert(whole, capacity, 1, nil); err != nil || len(evicted) != 5 ||
+				c.Len() != 4 || c.Stats().PinBlocked != 1 {
+				t.Fatalf("area-sized insert under references: evicted %v, err %v, len %d, PinBlocked %d; want 5 victims, 4, 1",
+					evicted, err, c.Len(), c.Stats().PinBlocked)
 			}
+			c.Remove(whole)
 			// Refill with referenced keys: with every resident guarded the
 			// next insert overflows and says so.
 			for k := 5000; c.Len() < capacity; k++ {
 				refs[k] = 1
-				c.Insert(k, 1, 1)
+				c.Insert(k, 1, 1, nil)
 			}
-			if evicted, err := c.Insert(6000, 1, 1); err != nil || len(evicted) != 0 {
+			if evicted, err := c.Insert(6000, 1, 1, nil); err != nil || len(evicted) != 0 {
 				t.Fatalf("insert into an all-guarded cache: evicted %v, err %v", evicted, err)
 			}
 			if c.Stats().PinBlocked != 2 || c.UsedBytes() != capacity+1 {
@@ -450,8 +455,10 @@ func TestCacheExternalGuard(t *testing.T) {
 			}
 			// Dropping the references is all it takes to make them victims.
 			clear(refs)
-			if _, ok := c.EnsureSpace(capacity); !ok || c.Len() != 0 {
-				t.Errorf("EnsureSpace after release: ok=%v len=%d; want an empty cache", ok, c.Len())
+			if evicted, err := c.Insert(whole, capacity, 1, nil); err != nil || len(evicted) != capacity+1 ||
+				c.Len() != 1 || c.Stats().PinBlocked != 2 {
+				t.Errorf("area-sized insert after release: evicted %v, err %v, len %d, PinBlocked %d; want every resident gone, 1, 2",
+					evicted, err, c.Len(), c.Stats().PinBlocked)
 			}
 		})
 	}
@@ -459,17 +466,17 @@ func TestCacheExternalGuard(t *testing.T) {
 
 func TestCacheTooLarge(t *testing.T) {
 	c := New(NewLRU(), 10)
-	if _, err := c.Insert("huge", 11, 1); err == nil {
+	if _, err := c.Insert("huge", 11, 1, nil); err == nil {
 		t.Error("oversized insert should fail")
 	}
-	if _, err := c.Insert("neg", -1, 1); err == nil {
+	if _, err := c.Insert("neg", -1, 1, nil); err == nil {
 		t.Error("negative size should fail")
 	}
 }
 
 func TestCacheTouchAndStats(t *testing.T) {
 	c := New(NewLRU(), 100)
-	c.Insert("a", 1, 1)
+	c.Insert("a", 1, 1, nil)
 	if !c.Touch("a") {
 		t.Error("touch of resident key should hit")
 	}
@@ -489,7 +496,7 @@ func TestCacheTouchAndStats(t *testing.T) {
 func TestCacheUnboundedNeverEvicts(t *testing.T) {
 	c := New(NewLRU(), 0)
 	for i := 0; i < 1000; i++ {
-		if ev, _ := c.Insert(fmt.Sprintf("k%d", i), 1<<20, 1); len(ev) != 0 {
+		if ev, _ := c.Insert(fmt.Sprintf("k%d", i), 1<<20, 1, nil); len(ev) != 0 {
 			t.Fatalf("unbounded cache evicted %v", ev)
 		}
 	}
@@ -498,24 +505,32 @@ func TestCacheUnboundedNeverEvicts(t *testing.T) {
 	}
 }
 
-func TestCacheEnsureSpace(t *testing.T) {
+// An insert larger than one entry evicts as many entries as it takes to
+// fit, appending them to the caller's buffer, and overflows, counted,
+// when a pin stops it short.
+func TestCacheInsertEvictsToFit(t *testing.T) {
 	c := New(NewLRU(), 30)
-	c.Insert("a", 10, 1)
-	c.Insert("b", 10, 1)
-	c.Insert("c", 10, 1)
-	evicted, ok := c.EnsureSpace(20)
-	if !ok || len(evicted) != 2 {
-		t.Errorf("EnsureSpace: evicted=%v ok=%v", evicted, ok)
+	c.Insert("a", 10, 1, nil)
+	c.Insert("b", 10, 1, nil)
+	c.Insert("c", 10, 1, nil)
+	evicted, err := c.Insert("d", 20, 1, []string{"kept"})
+	if err != nil || !slices.Equal(evicted, []string{"kept", "a", "b"}) {
+		t.Errorf("Insert d: evicted %v, err %v; want [kept a b]", evicted, err)
 	}
 	c.Pin("c")
-	if _, ok := c.EnsureSpace(25); ok {
-		t.Error("EnsureSpace should fail when pins block")
+	evicted, err = c.Insert("e", 25, 1, evicted[:0])
+	if err != nil || !slices.Equal(evicted, []string{"d"}) {
+		t.Errorf("Insert e: evicted %v, err %v; want [d] (c is pinned)", evicted, err)
+	}
+	if !c.Contains("c") || c.UsedBytes() != 35 || c.Stats().PinBlocked != 1 {
+		t.Errorf("pinned c resident %v, used %d, PinBlocked %d; want true, 35, 1",
+			c.Contains("c"), c.UsedBytes(), c.Stats().PinBlocked)
 	}
 }
 
 func TestCacheRemove(t *testing.T) {
 	c := New(NewLRU(), 30)
-	c.Insert("a", 10, 1)
+	c.Insert("a", 10, 1, nil)
 	c.Remove("a")
 	c.Remove("a") // idempotent
 	if c.Contains("a") || c.UsedBytes() != 0 {
@@ -529,8 +544,8 @@ func TestCacheRemove(t *testing.T) {
 func TestCacheReinsertRefreshesCost(t *testing.T) {
 	p := NewDCL().(*costLRU)
 	c := New(p, 100)
-	c.Insert("a", 1, 5)
-	c.Insert("a", 1, 9)
+	c.Insert("a", 1, 5, nil)
+	c.Insert("a", 1, 9, nil)
 	if cost, _ := p.costOf("a"); cost != 9 {
 		t.Errorf("cost = %d, want refreshed 9", cost)
 	}

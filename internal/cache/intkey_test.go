@@ -132,7 +132,7 @@ func TestCacheReset(t *testing.T) {
 	}
 	c := NewOf(p, 8)
 	for i := 0; i < 12; i++ {
-		if _, err := c.Insert(i, 1, i%5+1); err != nil {
+		if _, err := c.Insert(i, 1, i%5+1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestCacheReset(t *testing.T) {
 		t.Error("pin survived Reset")
 	}
 	// The cache must be fully usable after Reset.
-	if _, err := c.Insert(3, 4, 2); err != nil {
+	if _, err := c.Insert(3, 4, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Touch(3) || c.UsedBytes() != 4 {
@@ -164,7 +164,7 @@ func TestInsertDiscardMatchesInsert(t *testing.T) {
 	pb, _ := NewPolicyOf[int]("LRU", 8)
 	a, b := NewOf(pa, 8), NewOf(pb, 8)
 	for i := 0; i < 32; i++ {
-		evicted, err := a.Insert(i, 1, 1)
+		evicted, err := a.Insert(i, 1, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -140,7 +140,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 					case 0, 1, 2, 3, 4:
 						size := int64(rng.Intn(20) + 1)
 						wasResident := c.Contains(k)
-						evicted, err := c.Insert(k, size, rng.Intn(8)+1)
+						evicted, err := c.Insert(k, size, rng.Intn(8)+1, nil)
 						if err != nil {
 							return false
 						}

@@ -11,7 +11,7 @@ func TestSetPolicyPreservesResidentSet(t *testing.T) {
 	pol, _ := NewPolicyOf[int]("LRU", 8)
 	c := NewOf(pol, 8)
 	for k := 1; k <= 8; k++ {
-		if _, err := c.Insert(k, 1, k); err != nil {
+		if _, err := c.Insert(k, 1, k, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func TestSetPolicyPreservesResidentSet(t *testing.T) {
 	}
 	// Eviction under the new policy still respects the pin.
 	for i := 0; i < 8; i++ {
-		if _, err := c.Insert(100+i, 1, 1); err != nil {
+		if _, err := c.Insert(100+i, 1, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,13 +58,13 @@ func TestSetPolicyDeterministicOrder(t *testing.T) {
 		pol, _ := NewPolicyOf[int]("LRU", 4)
 		c := NewOf(pol, 4)
 		for k := 1; k <= 4; k++ {
-			c.Insert(k, 1, 1)
+			c.Insert(k, 1, 1, nil)
 		}
 		newPol, _ := NewPolicyOf[int]("LRU", 4)
 		c.SetPolicy(newPol, []int{2, 4, 1, 3}, func(int) int { return 1 })
 		var vs []int
 		for k := 10; k < 13; k++ {
-			ev, err := c.Insert(k, 1, 1)
+			ev, err := c.Insert(k, 1, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -127,6 +127,9 @@ type shard struct {
 	// eviction guard (cache.PinnedBy), so there is no pin count to mirror.
 	cache *cache.CacheOf[int]
 	fs    vfs.FS // optional mirror of the storage area
+	// evicted is insertStep's scratch for the victims of one insert,
+	// reused so a step produced at capacity allocates nothing.
+	evicted []int
 
 	// draining refuses new opens and prefetches (control-plane drain /
 	// deregistration); running work completes and releases still land.
@@ -609,13 +612,14 @@ func (v *Virtualizer) take(cs *shard, steps []int) []notify.Waiter {
 // insertStep makes a step resident, evicting unreferenced steps as
 // needed. Caller holds the shard lock.
 func (v *Virtualizer) insertStep(cs *shard, step int) {
-	evicted, err := cs.cache.Insert(step, cs.ctx.OutputBytes, cs.ctx.Grid.MissCost(step))
+	var err error
+	cs.evicted, err = cs.cache.Insert(step, cs.ctx.OutputBytes, cs.ctx.Grid.MissCost(step), cs.evicted[:0])
 	if err != nil {
 		// A step larger than the whole storage area (Context.Validate
 		// refuses to register one): the file stays on disk, untracked.
 		return
 	}
-	for _, victim := range evicted {
+	for _, victim := range cs.evicted {
 		cs.stats.Evictions++
 		if cs.fs != nil {
 			_ = cs.fs.Remove(cs.ctx.Filename(victim)) // best effort; absence is acceptable

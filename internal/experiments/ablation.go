@@ -130,7 +130,7 @@ func AblationPinPressure() (*metrics.Table, error) {
 		pinned := int(frac * capacity)
 		// Keys 0..capacity-1 are the base set, capacity.. the newcomers.
 		for i := 0; i < capacity; i++ {
-			if _, err := c.Insert(i, 1, 1); err != nil {
+			if _, err := c.InsertDiscard(i, 1, 1); err != nil {
 				return 0, err
 			}
 		}
@@ -141,7 +141,7 @@ func AblationPinPressure() (*metrics.Table, error) {
 			}
 		}
 		for i := 0; i < 4*capacity; i++ {
-			if _, err := c.Insert(capacity+i, 1, i%12+1); err != nil {
+			if _, err := c.InsertDiscard(capacity+i, 1, i%12+1); err != nil {
 				return 0, err
 			}
 		}

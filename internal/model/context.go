@@ -80,6 +80,11 @@ type Context struct {
 	// step files; see Filename and ParseFilename.
 	FilePrefix string
 	FileSuffix string
+
+	// names is the step-name table ApplyDefaults installs for Filename. A
+	// plain pointer: contexts are copied by value, and a copy shares the
+	// table until its own ApplyDefaults finds the naming or n changed.
+	names *nameTable
 }
 
 // Validate reports whether the context is usable, applying no defaults.
@@ -140,6 +145,15 @@ func (c *Context) ApplyDefaults() {
 	}
 	if c.RestartBytes == 0 {
 		c.RestartBytes = c.OutputBytes
+	}
+	n := 0
+	if c.Grid.DeltaD > 0 { // ApplyDefaults runs before Validate
+		n = min(c.Grid.NumOutputSteps(), maxTabledStep)
+	}
+	// Assigned only on a change, so defaulting a context already in use
+	// writes nothing.
+	if t := c.names.fit(c.FilePrefix, c.FileSuffix, n); t != c.names {
+		c.names = t
 	}
 }
 

@@ -153,27 +153,28 @@ func TestOpenMissNoticeNoSubscribe(t *testing.T) {
 // What a loop still allocates, by site (from a -memprofilerate 1
 // profile of this test):
 //
-//	16  model.StepFilename: the names of the 8 steps the simulation
-//	    writes (this test's storage callback) and of the 8 the cache
-//	    evicts, which core formats to remove them from the area
-//	 4  cache admit: the DCL entries of the produced steps
-//	 6  the re-simulation: the launcher's cancel channel, goroutine and
-//	    timer, and core's simulation record
-//	 2  dvlib: the open's and the release's call handles
-//	 2  netproto getBinString: the file names decoded on the daemon
-//	 1  dvlib: the notice record the missed open hands its ID to
-//	 1  notify: the step's waiter list
-//	 1  this test's ctx.Filename of the next file
+//	5    the launcher: the cancel channel, the goroutine's closure, and
+//	     the timer (three objects)
+//	1    core: the simulation record
+//	2    dvlib: the open's and the release's call handles
+//	2.5  netproto: the request strings decoded on the daemon, the file
+//	     names of both requests and, half the time, the context name
+//	1    dvlib: the notice record the missed open hands its ID to
+//	1    notify: the step's waiter list
+//	1    this test's ctx.Filename of the next file (dvlib formats it)
 //
-// and a few more in the runtime and in the steps' delivery. A subscribe
-// stream per wait — a second request, its notify.Sub and topic map, the
-// daemon's fileWatch and the client's ledger — is gone: WaitAvailable
-// waits on the open's own notice.
+// and a little more in the runtime. The 8 steps a simulation writes and
+// the 8 the cache evicts are named from the context's name table, and
+// the victims land in the shard's reused buffer, so producing a step
+// allocates nothing (core's TestStepProducedAtCapacityAllocFree). A
+// subscribe stream per wait — a second request, its notify.Sub and
+// topic map, the daemon's fileWatch and the client's ledger — is gone:
+// WaitAvailable waits on the open's own notice.
 func TestMissPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is measured without the race detector")
 	}
-	const budget = 39.0 + 1 // measured, plus one for whatever the runtime does meanwhile
+	const budget = 15.0 + 1 // measured, plus one for whatever the runtime does meanwhile
 
 	mctx, addr := missDaemon(t)
 	c, err := dvlib.Dial(addr, "budget")
