@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-selftest bench-gate bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race bench bench-smoke bench-selftest bench-gate pairs bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
 
 all: build
 
@@ -67,6 +67,19 @@ bench-gate:
 		if ! awk -v a="$$allocs" -v c="$$ceiling" 'BEGIN { exit !(a <= c) }'; then \
 			echo "bench-gate: $$w: allocs_per_op $$allocs exceeds $$ceiling"; exit 1; fi; \
 	done
+
+# pairs runs alternating parent/change pairs of the BENCHMARK.json
+# workloads — N pairs of SECONDS-long runs per workload, the side that
+# goes first swapping each pair — and prints, per end-to-end metric, the
+# quartiles of both sides and the head's win count (pairs.sh). BASE and
+# HEAD are revisions; only committed files are measured.
+N ?= 10
+SECONDS ?= 5
+WORKLOADS ?=
+HEAD ?= HEAD
+pairs:
+	@[ -n "$(BASE)" ] || { echo "usage: make pairs BASE=<rev> [HEAD=<rev>] [N=10] [WORKLOADS=...] [SECONDS=5]"; exit 2; }
+	bash pairs.sh -n $(N) -s $(SECONDS) -w "$(WORKLOADS)" $(BASE) $(HEAD)
 
 # benchstat saves benchstat-comparable output. First run: the result is
 # copied to bench-before.txt as the baseline. Later runs write

@@ -58,3 +58,36 @@ func TestStepProducedAtCapacityAllocFree(t *testing.T) {
 		t.Errorf("storage area holds %d bytes, want the cache's %d: victims were not removed", got, want)
 	}
 }
+
+// Names hands a decoder the strings core already holds: the context's
+// name and the table's name of a step, without an allocation. A name
+// that is not a tabled step's, an unknown context and a removed one
+// answer no.
+func TestNamesFromTable(t *testing.T) {
+	ctx := testContext("c")
+	v := New(des.NewEngine(), &simulator.DESLauncher{})
+	if err := v.AddContext(ctx, "LRU", nil); err != nil {
+		t.Fatal(err)
+	}
+	file := []byte(ctx.Filename(7))
+	c, f, ok := v.Names([]byte("c"), file)
+	if !ok || c != ctx.Name || f != ctx.Filename(7) {
+		t.Fatalf("Names(c, %s) = %q, %q, %v", file, c, f, ok)
+	}
+	if !raceEnabled {
+		if a := testing.AllocsPerRun(100, func() { _, _, _ = v.Names([]byte("c"), file) }); a != 0 {
+			t.Errorf("Names of a tabled step allocates %v times, want 0", a)
+		}
+	}
+	for _, q := range [][2]string{{"d", string(file)}, {"c", "c_out_7.nc"}, {"c", ctx.Filename(101)}} {
+		if c, f, ok := v.Names([]byte(q[0]), []byte(q[1])); ok {
+			t.Errorf("Names(%s, %s) = %q, %q; want no", q[0], q[1], c, f)
+		}
+	}
+	if err := v.RemoveContext("c"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := v.Names([]byte("c"), file); ok {
+		t.Error("a removed context still names its steps")
+	}
+}

@@ -347,6 +347,21 @@ func (v *Virtualizer) Context(name string) (*model.Context, bool) {
 	return cs.ctx, true
 }
 
+// Names is a netproto.Names over the registered contexts: for a context
+// and a file name held as bytes, it returns the context's name and the
+// file's name from its name table — the strings core already holds — when
+// the file is exactly a tabled step's name. A decoder then copies neither.
+func (v *Virtualizer) Names(ctx, file []byte) (ctxName, fileName string, ok bool) {
+	v.ctxMu.RLock()
+	cs := v.contexts[string(ctx)]
+	v.ctxMu.RUnlock()
+	if cs == nil || cs.ctx.Name != string(ctx) {
+		return "", "", false
+	}
+	fileName, ok = cs.ctx.NameOf(file)
+	return cs.ctx.Name, fileName, ok
+}
+
 // ContextNames lists registered contexts in sorted order.
 func (v *Virtualizer) ContextNames() []string {
 	v.ctxMu.RLock()

@@ -20,8 +20,10 @@ import (
 //	2  dvlib Open/Close: the call handle, which is at once the
 //	   pending-table entry, the response slot and what the caller waits
 //	   on
-//	4  netproto getBinString: the context and file name of each request
-//	   the daemon decodes (see server.TestHitPathAllocBudget)
+//
+// The daemon takes each request's context and file name from the
+// context's name table instead of copying them off the wire (see
+// server.TestHitPathAllocBudget).
 func TestRouterHopAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is measured without the race detector")

@@ -146,3 +146,66 @@ func TestFilenameAllocFree(t *testing.T) {
 }
 
 var nameSink string
+
+// Differential: NameOf of Filename(i)'s bytes hands back that very name,
+// exactly for the steps the table holds, on grids around every chunk
+// boundary; every other index answers no.
+func TestNameOfMatchesFilename(t *testing.T) {
+	for _, n := range []int{1, namesPerChunk - 1, namesPerChunk, namesPerChunk + 1, 3 * namesPerChunk} {
+		c := namingContext("clim", n)
+		for i := n + 1; i >= -1; i-- {
+			want := c.Filename(i)
+			got, ok := c.NameOf([]byte(want))
+			if tabled := 1 <= i && i <= n; ok != tabled || (ok && got != want) {
+				t.Fatalf("n=%d: NameOf(%q) = %q, %v; want %v", n, want, got, ok, tabled)
+			}
+		}
+	}
+}
+
+// Every name that is not exactly a tabled step's answers no, so the
+// caller copies it and core refuses or serves it as before.
+func TestNameOfRefusesOtherNames(t *testing.T) {
+	c := namingContext("clim", 1000)
+	for _, name := range []string{
+		"clim_out_2.nc",         // short padding
+		"clim_out_000000002.nc", // a leading-zero nine-digit key
+		"clim_out_+0000002.nc",  // a sign
+		"clim_out_-0000002.nc",
+		"clim_out_0000000x.nc",     // not a digit
+		"clim_out_00000000.nc",     // step 0
+		"clim_out_00001001.nc",     // past n
+		"clim_out_100000000.nc",    // i ≥ 10⁸
+		"climb_out_0000002.nc",     // a wrong prefix of the right length
+		"clim_out_00000002.nx",     // a wrong suffix
+		"clim_out_00000002.nc\x00", // a length mismatch
+		"clim_out_00000002",
+		"",
+	} {
+		if got, ok := c.NameOf([]byte(name)); ok {
+			t.Errorf("NameOf(%q) = %q, want no", name, got)
+		}
+	}
+
+	raw := &Context{FilePrefix: "x_", FileSuffix: ".nc", Grid: Grid{DeltaD: 1, Timesteps: 10}}
+	if got, ok := raw.NameOf([]byte("x_00000005.nc")); ok {
+		t.Errorf("a context with no table: NameOf = %q, want no", got)
+	}
+	renamed := *c
+	renamed.FilePrefix = "other_"
+	for _, name := range []string{"clim_out_00000002.nc", "other_00000002.nc"} {
+		if got, ok := renamed.NameOf([]byte(name)); ok {
+			t.Errorf("a copy renamed after its table was built: NameOf(%q) = %q, want no", name, got)
+		}
+	}
+}
+
+// A hit hands out the table's string: no allocation once its chunk is
+// built.
+func TestNameOfAllocFree(t *testing.T) {
+	c := namingContext("alloc", 1000)
+	name := []byte(c.Filename(42))
+	if a := testing.AllocsPerRun(100, func() { nameSink, _ = c.NameOf(name) }); a != 0 {
+		t.Errorf("NameOf of a tabled step allocates %v times, want 0", a)
+	}
+}

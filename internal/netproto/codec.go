@@ -117,7 +117,7 @@ func decodeFrame(r io.Reader, bin bool, v any) error {
 	defer putBuf(bp)
 	switch dst := v.(type) {
 	case *Envelope:
-		return parseEnvelope(payload, bin, dst)
+		return parseEnvelope(payload, bin, dst, nil)
 	case *Response:
 		return parseResponse(payload, bin, dst)
 	}
@@ -231,11 +231,12 @@ func isBinPayload(payload []byte, bin bool) bool {
 	return bin && len(payload) > 0 && payload[0] != '{'
 }
 
-// parseEnvelope decodes a request payload into env. JSON merges into its
+// parseEnvelope decodes a request payload into env, taking a binary
+// request's names from names where it holds them. JSON merges into its
 // target: callers that reuse env reset it first.
-func parseEnvelope(payload []byte, bin bool, env *Envelope) error {
+func parseEnvelope(payload []byte, bin bool, env *Envelope, names Names) error {
 	if isBinPayload(payload, bin) {
-		return decodeBinEnvelope(payload, env)
+		return decodeBinEnvelope(payload, env, names)
 	}
 	return unmarshalJSON(payload, env)
 }
@@ -408,12 +409,14 @@ func binRequestHead(p []byte) (spec *OpSpec, id uint64, ctx, rest []byte, err er
 
 // decodeBinEnvelope is appendBinEnvelope's inverse. Once the request ID
 // is read every failure carries it (and the op), so the daemon's
-// bad_frame reply reaches the call that sent the frame.
+// bad_frame reply reaches the call that sent the frame. The context and
+// file names are names' strings where it holds them, copies otherwise
+// (names may be nil).
 //
 //simfs:sync FileBody
 //simfs:sync FilesBody
 //simfs:sync UnsubscribeBody
-func decodeBinEnvelope(p []byte, env *Envelope) error {
+func decodeBinEnvelope(p []byte, env *Envelope, names Names) error {
 	spec, id, ctx, p, err := binRequestHead(p)
 	if err != nil {
 		return err
@@ -425,13 +428,17 @@ func decodeBinEnvelope(p []byte, env *Envelope) error {
 	var ok bool
 	switch spec.Body {
 	case BodyFile:
-		e.file.Context = string(ctx)
-		if e.file.File, p, ok = getBinString(p); !ok {
+		var f []byte
+		if f, p, ok = getBinBytes(p); !ok {
 			return fail("truncated file")
+		}
+		e.file.File = names.file(ctx, f, &e.file.Context)
+		if e.file.Context == "" {
+			e.file.Context = string(ctx)
 		}
 		e.hasFile = true
 	case BodyFiles:
-		b := FilesBody{Context: string(ctx)}
+		var b FilesBody
 		var n uint64
 		if n, p, ok = getUvarint(p); !ok {
 			return fail("truncated file count")
@@ -444,11 +451,14 @@ func decodeBinEnvelope(p []byte, env *Envelope) error {
 		}
 		b.Files = make([]string, 0, n)
 		for i := uint64(0); i < n; i++ {
-			var f string
-			if f, p, ok = getBinString(p); !ok {
+			var f []byte
+			if f, p, ok = getBinBytes(p); !ok {
 				return fail("truncated file list")
 			}
-			b.Files = append(b.Files, f)
+			b.Files = append(b.Files, names.file(ctx, f, &b.Context))
+		}
+		if b.Context == "" {
+			b.Context = string(ctx)
 		}
 		e.val = b
 	case BodyUnsubscribe:
@@ -653,13 +663,7 @@ func appendBinString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func getBinString(p []byte) (string, []byte, bool) {
-	b, p, ok := getBinBytes(p)
-	return string(b), p, ok
-}
-
-// getBinBytes is getBinString without the copy: the string's bytes as a
-// slice of p.
+// getBinBytes returns a string's bytes as a slice of p.
 func getBinBytes(p []byte) ([]byte, []byte, bool) {
 	n, p, ok := getUvarint(p)
 	if !ok || n > uint64(len(p)) {

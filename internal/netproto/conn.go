@@ -37,6 +37,8 @@ const (
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
+	// names resolves the names of decoded requests; set before reading.
+	names Names
 
 	wmu sync.Mutex
 	// wbuf accumulates encoded frames between flushes. A frame is
@@ -49,6 +51,29 @@ type Conn struct {
 func NewConn(nc net.Conn) *Conn {
 	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize)}
 }
+
+// Names looks up a request's context and file name, both as the bytes
+// that crossed the wire: ok means it holds both strings, byte for byte
+// equal to ctx and file, and the decoder uses them instead of copying.
+// ctx and file alias the read buffer and are valid only during the call.
+type Names func(ctx, file []byte) (ctxName, fileName string, ok bool)
+
+// file returns file as a string: n's, when n holds it with ctx — and
+// then *ctxName is set to n's ctx — or a copy.
+func (n Names) file(ctx, file []byte, ctxName *string) string {
+	if n != nil {
+		if c, f, ok := n(ctx, file); ok {
+			*ctxName = c
+			return f
+		}
+	}
+	return string(file)
+}
+
+// SetNames makes the requests ReadRequest decodes take their names from
+// names where it holds them. The reading goroutine calls it before its
+// read loop.
+func (c *Conn) SetNames(names Names) { c.names = names }
 
 // RemoteAddr returns the peer's network address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
@@ -230,7 +255,7 @@ func (c *Conn) readEnvelope(env *Envelope, idle func(), fwd ForwardFunc) (isJSON
 			forwarded, err = forwardBin(payload, fwd)
 		}
 		if err == nil && !forwarded {
-			err = parseEnvelope(payload, true, env)
+			err = parseEnvelope(payload, true, env, c.names)
 		}
 		c.frameDone(payload, pooled)
 		if forwarded {

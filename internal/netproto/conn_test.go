@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestAcceptHandshake drives the accepting half of the handshake — the
@@ -193,7 +194,8 @@ func (w *wire) Close() error                { return nil }
 
 // The typed entry points frame an open and its answer without
 // allocating, and reading them back allocates the request's two strings
-// and nothing else — no envelope, response, header or scratch buffer.
+// and nothing else — no envelope, response, header or scratch buffer —
+// and not those either when the reader's Names holds them.
 func TestConnHitFramesAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are measured without the race detector")
@@ -230,6 +232,17 @@ func TestConnHitFramesAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { send(); recv() }); allocs != 2 {
 		t.Errorf("a request/response round trip allocates %.0f times, want 2 (context and file name)", allocs)
+	}
+	// A reader whose Names holds both strings — the daemon's name table —
+	// copies neither.
+	in.SetNames(func(ctx, file []byte) (string, string, bool) {
+		if string(ctx) == "clim" && string(file) == "clim_out_00000042.nc" {
+			return "clim", "clim_out_00000042.nc", true
+		}
+		return "", "", false
+	})
+	if allocs := testing.AllocsPerRun(100, func() { send(); recv() }); allocs != 0 {
+		t.Errorf("with Names set, a request/response round trip allocates %.0f times, want 0", allocs)
 	}
 	if b, ok := gotReq.File(); !ok || b != (FileBody{Context: "clim", File: "clim_out_00000042.nc"}) ||
 		gotReq.ID != 7 || gotReq.Op != OpOpen {
@@ -280,6 +293,51 @@ func TestConnEncodeFailureKeepsBufferedFrames(t *testing.T) {
 	var got Envelope
 	if err := in.ReadRequest(&got, nil); err != io.EOF {
 		t.Errorf("after the two good frames the stream holds more: %v, %+v", err, got)
+	}
+}
+
+// A frame too large for the read buffer is decoded out of a pooled
+// buffer, recycled once it is decoded: a name Names holds is its string,
+// and one it does not is a copy that outlives the buffer.
+func TestConnNamesPooledFrame(t *testing.T) {
+	long := strings.Repeat("x", readBufSize+100)
+	w := &wire{}
+	out, in := NewConn(w), NewConn(w)
+	in.SetNames(func(ctx, file []byte) (string, string, bool) {
+		if string(ctx) == "c" && string(file) == long {
+			return "c", long, true
+		}
+		return "", "", false
+	})
+	reqs := []FileBody{
+		{Context: "c", File: long},
+		{Context: "d", File: long},                                 // an unknown context: copied
+		{Context: "c", File: strings.Repeat("y", readBufSize+100)}, // an unknown file: copied
+		{Context: "c", File: strings.Repeat("z", readBufSize+100)}, // reuses the pooled buffer
+	}
+	for i, b := range reqs {
+		env := NewFileEnvelope(uint64(i+1), OpRelease, b)
+		if err := out.EnqueueRequest(&env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := out.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var got []FileBody
+	for range reqs {
+		var env Envelope
+		if err := in.ReadRequest(&env, nil); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := env.File()
+		got = append(got, b)
+	}
+	if !reflect.DeepEqual(got, reqs) {
+		t.Errorf("pooled frames read back as %d requests that differ from what was sent", len(got))
+	}
+	if unsafe.StringData(got[0].File) != unsafe.StringData(long) {
+		t.Error("a pooled frame's file name held by Names was copied")
 	}
 }
 

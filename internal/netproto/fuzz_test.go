@@ -271,6 +271,7 @@ func FuzzBinaryFrame(f *testing.F) {
 
 		if len(data) > 4 {
 			checkRelay(t, data[4:])
+			checkNames(t, data[4:])
 		}
 	})
 }
@@ -296,7 +297,7 @@ func checkRelay(t *testing.T, p []byte) {
 		}
 	}
 	var env Envelope
-	if decodeBinEnvelope(p, &env) == nil {
+	if decodeBinEnvelope(p, &env, nil) == nil {
 		spec, id, ctx, _, err := binRequestHead(p)
 		want := env.file.Context
 		if b, ok := env.val.(FilesBody); ok {
@@ -321,6 +322,34 @@ func checkRelay(t *testing.T, p []byte) {
 		renumbered(&got)
 		if resp.ID = newID; !reflect.DeepEqual(got, resp) {
 			t.Fatalf("renumbered %x decodes to %+v, want %+v", p, got, resp)
+		}
+	}
+}
+
+// checkNames holds a binary request's decode to one answer whatever the
+// Names it consults says: none, one answering every lookup with copies,
+// one answering only some, and one never answering all decode the same
+// envelope or fail with the same error.
+func checkNames(t *testing.T, p []byte) {
+	if !isBinPayload(p, true) {
+		return
+	}
+	var want Envelope
+	wantErr := decodeBinEnvelope(p, &want, nil)
+	for _, names := range []struct {
+		what  string
+		names Names
+	}{
+		{"copies", func(ctx, file []byte) (string, string, bool) { return string(ctx), string(file), true }},
+		{"even-length files", func(ctx, file []byte) (string, string, bool) {
+			return string(ctx), string(file), len(file)%2 == 0
+		}},
+		{"never", func(ctx, file []byte) (string, string, bool) { return "", "", false }},
+	} {
+		var got Envelope
+		err := decodeBinEnvelope(p, &got, names.names)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(err, wantErr) {
+			t.Fatalf("%x decodes with Names %s to %+v (%v), without to %+v (%v)", p, names.what, got, err, want, wantErr)
 		}
 	}
 }

@@ -19,20 +19,20 @@ import (
 //	2  dvlib OpenAsync/ReleaseAsync: the call handle, which is at once
 //	   the pending-table entry, the response slot and what the caller
 //	   waits on
-//	4  netproto getBinString: the context and file name of each decoded
-//	   request; the daemon keeps the file name in the session's held-
-//	   reference ledger and looks the context up by the other
 //
 // Everything else — envelopes, responses, frame headers, scratch
 // buffers, wake-up channels — is reused or lives on a stack, the
 // response of a hit carries no string, and core turns the name into its
-// step once and formats none back.
+// step once and formats none back. A request's context and file name are
+// not copied off the wire: the decoder takes both strings from the
+// context's name table (core.Virtualizer.Names), and the session's
+// held-reference ledger keeps those.
 func TestHitPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is measured without the race detector")
 	}
 	const window = 16
-	const budget = 6.0 + 1 // the sum above, plus one for whatever the runtime does meanwhile
+	const budget = 2.0 + 1 // the sum above, plus one for whatever the runtime does meanwhile
 
 	// Every step resident, as after an initial simulation that kept its
 	// output: the prefetch agents find nothing to launch, so the daemon

@@ -153,20 +153,20 @@ func TestOpenMissNoticeNoSubscribe(t *testing.T) {
 // What a loop still allocates, by site (from a -memprofilerate 1
 // profile of this test):
 //
-//	5    the launcher: the cancel channel, the goroutine's closure, and
-//	     the timer (three objects)
-//	1    core: the simulation record
-//	2    dvlib: the open's and the release's call handles
-//	2.5  netproto: the request strings decoded on the daemon, the file
-//	     names of both requests and, half the time, the context name
-//	1    dvlib: the notice record the missed open hands its ID to
-//	1    notify: the step's waiter list
-//	1    this test's ctx.Filename of the next file (dvlib formats it)
+//	5  the launcher: the cancel channel, the goroutine's closure, and
+//	   the timer (three objects)
+//	1  core: the simulation record
+//	2  dvlib: the open's and the release's call handles
+//	1  dvlib: the notice record the missed open hands its ID to
+//	1  notify: the step's waiter list
+//	1  this test's ctx.Filename of the next file (dvlib formats it)
 //
-// and a little more in the runtime. The 8 steps a simulation writes and
-// the 8 the cache evicts are named from the context's name table, and
-// the victims land in the shard's reused buffer, so producing a step
-// allocates nothing (core's TestStepProducedAtCapacityAllocFree). A
+// The 8 steps a simulation writes and the 8 the cache evicts are named
+// from the context's name table, and the victims land in the shard's
+// reused buffer, so producing a step allocates nothing (core's
+// TestStepProducedAtCapacityAllocFree). The daemon takes the open's and
+// the release's context and file name from the same table instead of
+// copying them off the wire (core.Virtualizer.Names). A
 // subscribe stream per wait — a second request, its notify.Sub and
 // topic map, the daemon's fileWatch and the client's ledger — is gone:
 // WaitAvailable waits on the open's own notice.
@@ -174,7 +174,7 @@ func TestMissPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is measured without the race detector")
 	}
-	const budget = 15.0 + 1 // measured, plus one for whatever the runtime does meanwhile
+	const budget = 11.0 + 1 // measured, plus one for whatever the runtime does meanwhile
 
 	mctx, addr := missDaemon(t)
 	c, err := dvlib.Dial(addr, "budget")

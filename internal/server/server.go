@@ -302,6 +302,7 @@ func (s *Server) handle(c *netproto.Conn) {
 		return
 	}
 	sess.client = hello.Client
+	c.SetNames(s.v.Names)
 	flush := sess.flush // bound once: a method value allocates
 	// One envelope per session, not per frame: it is decoded into through
 	// a pointer, which would cost a heap envelope each time round.
