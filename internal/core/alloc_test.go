@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"simfs/internal/des"
@@ -90,4 +91,42 @@ func TestNamesFromTable(t *testing.T) {
 	if _, _, ok := v.Names([]byte("c"), file); ok {
 		t.Error("a removed context still names its steps")
 	}
+}
+
+// Readers resolve names while the context registry changes under them —
+// each session's read loop calls Names while the control plane adds and
+// removes contexts — and first touches of the name table's chunks race
+// each other: every answer is right or no.
+func TestNamesConcurrentWithRegistry(t *testing.T) {
+	v := New(des.NewEngine(), &simulator.DESLauncher{})
+	ctx := testContext("c")
+	if err := v.AddContext(ctx, "LRU", nil); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= ctx.Grid.NumOutputSteps(); i++ {
+				step := (i+25*w)%ctx.Grid.NumOutputSteps() + 1
+				want := ctx.Filename(step)
+				if c, f, ok := v.Names([]byte("c"), []byte(want)); !ok || c != "c" || f != want {
+					t.Errorf("Names(c, %s) = %q, %q, %v", want, c, f, ok)
+				}
+				if c, f, ok := v.Names([]byte("d"), []byte("d_out_00000003.nc")); ok && (c != "d" || f != "d_out_00000003.nc") {
+					t.Errorf("Names(d, d_out_00000003.nc) = %q, %q", c, f)
+				}
+			}
+		}()
+	}
+	for range 50 {
+		if err := v.AddContext(testContext("d"), "LRU", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.RemoveContext("d"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
 }

@@ -355,7 +355,7 @@ func (v *Virtualizer) Names(ctx, file []byte) (ctxName, fileName string, ok bool
 	v.ctxMu.RLock()
 	cs := v.contexts[string(ctx)]
 	v.ctxMu.RUnlock()
-	if cs == nil || cs.ctx.Name != string(ctx) {
+	if cs == nil {
 		return "", "", false
 	}
 	fileName, ok = cs.ctx.NameOf(file)
