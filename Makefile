@@ -145,8 +145,11 @@ proto-fuzz:
 # chaos-smoke runs the fault-tolerance gate under the race detector: the
 # seeded chaos schedules (storage faults, simulation crash plans,
 # connection cuts) through the contended multi-client workload, the
-# daemon kill-and-restart ride-through, and the client reconnect suite.
+# daemon kill-and-restart ride-through, the client reconnect suite, and
+# the launcher's tests ten times over (a launcher race shows up once in
+# thousands of runs, and the storm alone runs 11k).
 chaos-smoke:
+	$(GO) test -race -count=10 -run 'Launcher' ./internal/simulator
 	$(GO) test -race -run 'TestChaosWorkloadUnderFaults|TestDaemonRestartMidWorkload|TestCloseDrainsPendingWaiters' ./internal/server
 	$(GO) test -race -run 'TestReconnect|TestDoubleReleaseRefused' ./internal/dvlib
 	$(GO) test -race ./internal/faults

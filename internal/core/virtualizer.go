@@ -45,8 +45,10 @@ import (
 	"simfs/internal/vfs"
 )
 
-// Launcher starts and kills re-simulations. *simulator.DESLauncher and
-// *simulator.RealTimeLauncher satisfy it.
+// Launcher starts and kills re-simulations. *simulator.Launcher satisfies
+// it on either clock. Core calls Launch under the shard lock and simMu and
+// Kill under the shard lock, so neither may call back into Events: every
+// event arrives later, from the launcher's clock.
 type Launcher interface {
 	// Launch starts a re-simulation of ctx producing output steps
 	// [first, last] with the given parallelism; it returns a simulation

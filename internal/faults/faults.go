@@ -97,8 +97,8 @@ func (p *SimPlan) WithRandom(seed int64, prob float64) *SimPlan {
 	return p
 }
 
-// FailAt is the launcher hook (simulator.DESLauncher.FailAt /
-// simulator.RealTimeLauncher.FailAt). It must observe every launch so
+// FailAt is the launcher hook (simulator.Launcher.FailAt, on either
+// clock), called once per Launch. It must observe every launch so
 // per-launch counters stay in step with the launcher's ids.
 func (p *SimPlan) FailAt(ctxName string, first, last int) int {
 	p.mu.Lock()

@@ -153,8 +153,8 @@ func TestOpenMissNoticeNoSubscribe(t *testing.T) {
 // What a loop still allocates, by site (from a -memprofilerate 1
 // profile of this test):
 //
-//	5  the launcher: the cancel channel, the goroutine's closure, and
-//	   the timer (three objects)
+//	5  the launcher: the run record, the goroutine's closure, and the
+//	   timer (three objects: the Timer, its channel, the channel's buffer)
 //	1  core: the simulation record
 //	2  dvlib: the open's and the release's call handles
 //	1  dvlib: the notice record the missed open hands its ID to

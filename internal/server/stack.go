@@ -26,7 +26,7 @@ import (
 // control plane can add and retire contexts on the live daemon.
 type Stack struct {
 	V        *core.Virtualizer
-	Launcher *simulator.RealTimeLauncher
+	Launcher *simulator.Launcher
 	Server   *Server
 
 	baseDir   string
@@ -67,7 +67,7 @@ func NewScheduledStack(baseDir string, timeScale int, policy string, schedCfg sc
 		return nil, fmt.Errorf("server: %w: stack needs at least one context", core.ErrInvalid)
 	}
 	st := &Stack{baseDir: baseDir, timeScale: timeScale, areas: map[string]*vfs.Disk{}}
-	st.Launcher = &simulator.RealTimeLauncher{TimeScale: timeScale}
+	st.Launcher = &simulator.Launcher{TimeScale: timeScale}
 	st.V = core.NewScheduled(des.NewWallClock(), st.Launcher, schedCfg)
 	st.Launcher.Events = st.V
 	st.Launcher.Write = func(ctx *model.Context, step int) error {

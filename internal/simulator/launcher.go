@@ -44,13 +44,25 @@ type Events interface {
 	SimEnded(simID int64, outcome Outcome)
 }
 
-// DESLauncher executes re-simulations in virtual time on a DES engine.
-// It is single-threaded by construction (the engine is). Node-capacity
-// admission lives in the scheduler (internal/sched) above the DV core,
-// so the launcher runs everything it is handed.
-type DESLauncher struct {
+// Launcher runs re-simulations on one schedule: the batch queueing delay
+// plus αsim, then one output step per τsim, ending when the last step
+// lands. Only the clock differs: with an Engine the schedule runs in
+// virtual time, single-threaded like the engine; without one it runs on
+// the wall clock, one goroutine and one timer per simulation, with
+// durations divided by TimeScale (the daemon and the examples). Node
+// admission lives in the scheduler (internal/sched) above the DV core, so
+// the launcher runs everything it is handed.
+type Launcher struct {
+	// Engine, when set, runs simulations in virtual time.
 	Engine *des.Engine
 	Events Events
+	// Write materialises one output step before StepProduced reports it;
+	// typically it wraps vfs.Disk.Create with the context's naming
+	// convention. An error fails the run. Nil writes nothing.
+	Write func(ctx *model.Context, step int) error
+	// TimeScale divides all wall-clock durations (0 or 1 = real time). A
+	// scale of 1000 turns αsim = 13 s into 13 ms.
+	TimeScale int
 	// Queue samples per-job batch queueing delays added to αsim
 	// (nil = no queueing).
 	Queue batch.Sampler
@@ -61,232 +73,175 @@ type DESLauncher struct {
 	// negative return (or one outside [first, last]) runs healthy.
 	FailAt func(ctxName string, first, last int) int
 
+	mu      sync.Mutex
 	nextID  int64
-	running map[int64]*desRun
+	running map[int64]*run
+	wg      sync.WaitGroup
 }
 
-type desRun struct {
-	timers  []des.Timer
-	nodes   int
-	ended   bool
-	started bool
+// DESLauncher and RealTimeLauncher are the Launcher's names from when each
+// clock had its own type; the benchmark module still builds it by them.
+type (
+	DESLauncher      = Launcher
+	RealTimeLauncher = Launcher
+)
+
+// run is one simulation's schedule. Its events are numbered: 0 starts it,
+// k ∈ [1, n] produces step first+k-1, n+1 ends it. A crash only shortens
+// n, so a crashed run ends at the instant its last step lands (at its
+// start if it produced none).
+type run struct {
+	l         *Launcher
+	id        int64
+	ctx       *model.Context
+	first, n  int
+	outcome   Outcome // unless killed
+	lead, tau time.Duration
+	next      int // the event fire handles next
+	killed    bool
+	timers    []des.Timer // virtual time: every event, armed at launch
+	timer     *time.Timer // wall clock: the next event
 }
+
+// at is event k's offset from the launch.
+func (r *run) at(k int) time.Duration { return r.lead + time.Duration(min(k, r.n))*r.tau }
 
 // Launch implements the DV core's Launcher contract: start a
 // re-simulation producing output steps [first, last] of ctx at the given
 // parallelism (node count). It returns the simulation id immediately; all
-// progress is reported through Events.
-func (l *DESLauncher) Launch(ctx *model.Context, first, last, parallelism int) int64 {
+// progress is reported through Events, never from inside Launch.
+func (l *Launcher) Launch(ctx *model.Context, first, last, parallelism int) int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.running == nil {
-		l.running = map[int64]*desRun{}
+		l.running = map[int64]*run{}
 	}
 	l.nextID++
-	id := l.nextID
-	run := &desRun{nodes: parallelism}
-	l.running[id] = run
-
-	start := func() {
-		if run.ended {
-			return
+	r := &run{l: l, id: l.nextID, ctx: ctx, first: first, n: last - first + 1, outcome: Completed}
+	l.running[r.id] = r
+	var delay time.Duration
+	if l.Queue != nil {
+		delay = l.Queue.Next()
+	}
+	if l.FailAt != nil {
+		if c := l.FailAt(ctx.Name, first, last); c >= first && c <= last {
+			r.n, r.outcome = c-first, Failed
 		}
-		var delay time.Duration
-		if l.Queue != nil {
-			delay = l.Queue.Next()
+	}
+	r.lead, r.tau = l.scale(delay+ctx.Alpha), l.scale(ctx.TauAt(parallelism))
+	if l.Engine != nil {
+		// Every event is armed now, in order: arming them one by one as
+		// they fire would give them later sequence numbers and reorder
+		// ties against the experiment's own events.
+		fire := func() { r.fire() }
+		r.timers = make([]des.Timer, r.n+2)
+		for k := range r.timers {
+			r.timers[k] = l.Engine.Schedule(r.at(k), fire)
 		}
-		alpha := ctx.Alpha
-		tau := ctx.TauAt(parallelism)
-		crash := -1 // first step not produced; -1 = healthy run
-		if l.FailAt != nil {
-			if c := l.FailAt(ctx.Name, first, last); c >= first && c <= last {
-				crash = c
+		return r.id
+	}
+	r.timer = time.NewTimer(r.lead) //simfs:allow wallclock the launcher's wall clock is the engine's twin by design
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		for {
+			<-r.timer.C
+			if !r.fire() {
+				return
 			}
 		}
-		run.timers = append(run.timers, l.Engine.Schedule(delay+alpha, func() {
-			run.started = true
-			l.Events.SimStarted(id)
-		}))
-		for s := first; s <= last; s++ {
-			s := s
-			prodAt := delay + alpha + time.Duration(s-first+1)*tau
-			if crash >= 0 && s >= crash {
-				break
-			}
-			run.timers = append(run.timers, l.Engine.Schedule(prodAt, func() {
-				l.Events.StepProduced(id, s)
-			}))
-		}
-		endAt := delay + alpha + time.Duration(last-first+1)*tau
-		outcome := Completed
-		if crash >= 0 {
-			endAt = delay + alpha + time.Duration(crash-first)*tau
-			outcome = Failed
-		}
-		run.timers = append(run.timers, l.Engine.Schedule(endAt, func() {
-			l.end(id, outcome)
-		}))
-	}
-
-	start()
-	return id
+	}()
+	return r.id
 }
 
-// Kill implements the DV core's Launcher contract. The termination event
-// is delivered asynchronously (at the current virtual time) so that
-// callers holding locks never receive a synchronous SimEnded callback —
-// the preemption path relies on this: it kills a victim under the
-// victim's shard lock and handles the requeue when SimEnded arrives.
-// Cancellation is cooperative at every stage: a sim still in the batch
-// queue, one waiting out its restart latency, and one mid-production all
-// stop producing immediately and report exactly one Killed outcome.
-func (l *DESLauncher) Kill(simID int64) {
-	run, ok := l.running[simID]
-	if !ok || run.ended {
-		return
-	}
-	// Stop further production immediately; report the end via the engine.
-	for _, t := range run.timers {
-		t.Stop()
-	}
-	l.Engine.Schedule(0, func() { l.end(simID, Killed) })
-}
-
-// RunningCount returns the number of simulations not yet ended.
-func (l *DESLauncher) RunningCount() int { return len(l.running) }
-
-func (l *DESLauncher) end(simID int64, outcome Outcome) {
-	run, ok := l.running[simID]
-	if !ok || run.ended {
-		return
-	}
-	run.ended = true
-	for _, t := range run.timers {
-		t.Stop()
-	}
-	delete(l.running, simID)
-	l.Events.SimEnded(simID, outcome)
-}
-
-// RealTimeLauncher executes re-simulations as goroutines over wall-clock
-// time, writing real files through a FileWriter. It is used by the daemon
-// and the examples, with time scaled down so a "3 s per output step"
-// simulation produces a file every few milliseconds.
-type RealTimeLauncher struct {
-	Events Events
-	// Write is called to materialize one output step; typically it wraps
-	// vfs.Disk.Create with the context's naming convention.
-	Write func(ctx *model.Context, step int) error
-	// TimeScale divides all durations (0 or 1 = real time). A scale of
-	// 1000 turns αsim = 13 s into 13 ms.
-	TimeScale int
-	// Queue samples per-job batch queueing delays (nil = none).
-	Queue batch.Sampler
-	// FailAt, when set, decides per launch whether and where the run
-	// crashes, with the same contract as DESLauncher.FailAt: the return
-	// value is the first step NOT produced; negative or out-of-range
-	// runs healthy.
-	FailAt func(ctxName string, first, last int) int
-
-	mu      sync.Mutex
-	nextID  int64
-	cancels map[int64]chan struct{}
-	wg      sync.WaitGroup
-}
-
-func (l *RealTimeLauncher) scale(d time.Duration) time.Duration {
-	if l.TimeScale > 1 {
+func (l *Launcher) scale(d time.Duration) time.Duration {
+	if l.Engine == nil && l.TimeScale > 1 {
 		return d / time.Duration(l.TimeScale)
 	}
 	return d
 }
 
-// Launch implements the DV core's Launcher contract.
-func (l *RealTimeLauncher) Launch(ctx *model.Context, first, last, parallelism int) int64 {
+// fire handles the run's next event and reports whether another follows.
+// On the wall clock it re-arms the timer only after the event's Write and
+// Events calls have returned, so a run's events never overlap.
+func (r *run) fire() bool {
+	l := r.l
 	l.mu.Lock()
-	if l.cancels == nil {
-		l.cancels = map[int64]chan struct{}{}
+	k, outcome := r.next, r.outcome
+	if r.killed {
+		k, outcome = r.n+1, Killed
 	}
-	l.nextID++
-	id := l.nextID
-	cancel := make(chan struct{})
-	l.cancels[id] = cancel
-	var delay time.Duration
-	if l.Queue != nil {
-		delay = l.Queue.Next()
+	r.next = k + 1
+	if k > r.n {
+		delete(l.running, r.id)
 	}
 	l.mu.Unlock()
-
-	crash := -1 // first step not produced; -1 = healthy run
-	if l.FailAt != nil {
-		if c := l.FailAt(ctx.Name, first, last); c >= first && c <= last {
-			crash = c
+	switch {
+	case k == 0:
+		l.Events.SimStarted(r.id)
+	case k <= r.n:
+		step := r.first + k - 1
+		if l.Write != nil && l.Write(r.ctx, step) != nil {
+			l.mu.Lock()
+			delete(l.running, r.id)
+			r.stop()
+			l.mu.Unlock()
+			l.Events.SimEnded(r.id, Failed)
+			return false
 		}
+		l.Events.StepProduced(r.id, step)
+	default:
+		l.Events.SimEnded(r.id, outcome)
+		return false
 	}
-
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		// One timer for the run's sleeps (restart latency, then one per
-		// step). Every sleep either drains it or ends the run, so Reset
-		// never finds a stale tick.
-		timer := time.NewTimer(l.scale(delay + ctx.Alpha)) //simfs:allow wallclock the real-time launcher is DESLauncher's wall-clock twin by design
-		defer timer.Stop()
-		sleep := func() bool {
-			select {
-			case <-timer.C:
-				return true
-			case <-cancel:
-				return false
-			}
+	if r.timer != nil {
+		l.mu.Lock()
+		if !r.killed { // a kill's Reset(0) stands
+			r.timer.Reset(r.at(k+1) - r.at(k))
 		}
-		if !sleep() {
-			l.finish(id, Killed)
-			return
-		}
-		l.Events.SimStarted(id)
-		tau := l.scale(ctx.TauAt(parallelism))
-		for s := first; s <= last; s++ {
-			timer.Reset(tau)
-			if !sleep() {
-				l.finish(id, Killed)
-				return
-			}
-			if crash >= 0 && s >= crash {
-				l.finish(id, Failed)
-				return
-			}
-			if err := l.Write(ctx, s); err != nil {
-				l.finish(id, Failed)
-				return
-			}
-			l.Events.StepProduced(id, s)
-		}
-		l.finish(id, Completed)
-	}()
-	return id
+		l.mu.Unlock()
+	}
+	return true
 }
 
-// Kill implements the DV core's Launcher contract. It is idempotent and
-// safe to call concurrently with the simulation ending on its own. The
-// cancellation is cooperative: the sim goroutine observes it between
-// sleeps (batch queue, restart latency, per-step production), so a
-// preempted sim stops after the step it is writing, keeps its produced
-// prefix on disk, and reports Killed from its own goroutine — never
-// synchronously from under the caller's locks.
-func (l *RealTimeLauncher) Kill(simID int64) {
+// stop cancels the run's armed virtual-time events; l.mu is held.
+func (r *run) stop() {
+	for _, t := range r.timers {
+		t.Stop()
+	}
+}
+
+// Kill implements the DV core's Launcher contract. It is idempotent, a
+// no-op for an ended run, and never calls Events: the run's next event is
+// brought forward to now and reports Killed — on the engine by stopping
+// every armed event and scheduling one at the current instant, on the
+// wall clock by resetting the run's timer to zero. So a preemption kill
+// issued under a shard lock gets its SimEnded later, from the clock. A run
+// killed while a step is being written reports that step first, and keeps
+// its produced prefix on disk.
+func (l *Launcher) Kill(simID int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if cancel, ok := l.cancels[simID]; ok {
-		delete(l.cancels, simID)
-		close(cancel)
+	r, ok := l.running[simID]
+	if !ok || r.killed {
+		return
 	}
+	r.killed = true
+	if r.timer != nil {
+		r.timer.Reset(0)
+		return
+	}
+	r.stop()
+	l.Engine.Schedule(0, func() { r.fire() })
 }
 
-// Wait blocks until all launched simulations have ended.
-func (l *RealTimeLauncher) Wait() { l.wg.Wait() }
-
-func (l *RealTimeLauncher) finish(id int64, outcome Outcome) {
+// RunningCount returns the number of simulations not yet ended.
+func (l *Launcher) RunningCount() int {
 	l.mu.Lock()
-	delete(l.cancels, id)
-	l.mu.Unlock()
-	l.Events.SimEnded(id, outcome)
+	defer l.mu.Unlock()
+	return len(l.running)
 }
+
+// Wait blocks until every wall-clock simulation has delivered its
+// SimEnded. Virtual-time runs end when the engine runs them.
+func (l *Launcher) Wait() { l.wg.Wait() }

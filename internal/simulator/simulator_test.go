@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -365,46 +366,254 @@ func TestRealTimeLauncherKillMidProduction(t *testing.T) {
 	}
 }
 
-// A thousand launches, each killed by a racing goroutine: with α = 2 µs
-// and τ = 1 µs the kill lands before the start, between two steps or
-// after the end, whichever the scheduler picks. Every run ends exactly
-// once, as Killed or Completed, having produced a prefix of its interval —
-// and under -race the run's one reused timer shows no unsynchronised use.
+// storm checks a launcher's contract from inside its Events and Write.
+// Its mutex is held across each Launch, as core holds simMu, and the
+// callbacks look the run up under it: an event that beats Launch's
+// return finds no id. Each run produces its own steps, so a step names
+// its run's Write.
+type storm struct {
+	t       *testing.T
+	mu      sync.Mutex
+	first   map[int64]int // id → first step, filled while Launch is held
+	written map[int]bool  // steps whose Write has returned
+	runs    map[int64]*stormRun
+}
+
+type stormRun struct {
+	steps   []int
+	ends    int
+	outcome Outcome
+}
+
+func newStorm(t *testing.T) *storm {
+	return &storm{t: t, first: map[int64]int{}, written: map[int]bool{}, runs: map[int64]*stormRun{}}
+}
+
+// run returns id's record; s.mu is held.
+func (s *storm) run(id int64, what string) *stormRun {
+	if _, ok := s.first[id]; !ok {
+		s.t.Errorf("sim %d: %s before Launch returned its id", id, what)
+	}
+	r := s.runs[id]
+	if r == nil {
+		r = &stormRun{}
+		s.runs[id] = r
+	}
+	if r.ends > 0 {
+		s.t.Errorf("sim %d: %s after SimEnded", id, what)
+	}
+	return r
+}
+
+func (s *storm) SimStarted(id int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.run(id, "SimStarted")
+}
+
+func (s *storm) StepProduced(id int64, step int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.run(id, "StepProduced")
+	if !s.written[step] {
+		s.t.Errorf("sim %d: step %d reported before its Write returned", id, step)
+	}
+	r.steps = append(r.steps, step)
+}
+
+func (s *storm) SimEnded(id int64, o Outcome) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.run(id, "SimEnded")
+	r.ends++
+	r.outcome = o
+}
+
+func (s *storm) write(_ *model.Context, step int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.written[step] = true
+	return nil
+}
+
+// lateEvents fails on any call: it stands in after Wait.
+type lateEvents struct{ t *testing.T }
+
+func (e lateEvents) SimStarted(id int64) { e.t.Errorf("sim %d: SimStarted after Wait", id) }
+func (e lateEvents) StepProduced(id int64, step int) {
+	e.t.Errorf("sim %d: step %d after Wait", id, step)
+}
+func (e lateEvents) SimEnded(id int64, o Outcome) {
+	e.t.Errorf("sim %d: SimEnded(%v) after Wait", id, o)
+}
+
+// Launches raced by their kills — with α = 2 µs and τ = 1 µs the kill
+// lands before the start, between two steps or after the end — and ten
+// thousand left to finish at a scale that makes every sleep nothing. Each
+// run ends exactly once and last, as Killed or Completed, having produced
+// a prefix of its interval with each step written before it is reported,
+// and none reports before Launch has returned its id. Under -race the
+// run's timer, re-armed by the run and reset by Kill, shows no
+// unsynchronised use, and the seams swapped after Wait show that no run
+// outlives it.
 func TestRealTimeLauncherLaunchKillStorm(t *testing.T) {
-	rec := newRecorder()
-	l := &RealTimeLauncher{
-		Events:    rec,
-		Write:     func(c *model.Context, step int) error { return nil },
-		TimeScale: 1_000_000,
-	}
-	const launches, last = 1000, 4
-	var kills sync.WaitGroup
-	for i := 0; i < launches; i++ {
-		id := l.Launch(testCtx(), 1, last, 1)
-		kills.Add(1)
-		go func() {
-			defer kills.Done()
-			if id%3 == 0 {
-				time.Sleep(time.Duration(id%7) * time.Microsecond)
+	const last = 4
+	for _, tc := range []struct {
+		name      string
+		launches  int
+		timeScale int
+		kill      bool
+	}{
+		{"kills", 1000, 1_000_000, true},
+		{"no-kills", 10_000, 1_000_000_000, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStorm(t)
+			l := &RealTimeLauncher{Events: s, Write: s.write, TimeScale: tc.timeScale}
+			ctx := testCtx()
+			var kills sync.WaitGroup
+			for i := 0; i < tc.launches; i++ {
+				s.mu.Lock()
+				id := l.Launch(ctx, i*last+1, i*last+last, 1)
+				s.first[id] = i*last + 1
+				s.mu.Unlock()
+				if !tc.kill {
+					continue
+				}
+				kills.Add(1)
+				go func() {
+					defer kills.Done()
+					if id%3 == 0 {
+						time.Sleep(time.Duration(id%7) * time.Microsecond)
+					}
+					l.Kill(id)
+				}()
 			}
-			l.Kill(id)
-		}()
-	}
-	kills.Wait()
-	l.Wait()
-	if rec.ends != launches || len(rec.ended) != launches {
-		t.Fatalf("%d SimEnded calls for %d ids, want %d each", rec.ends, len(rec.ended), launches)
-	}
-	for id, outcome := range rec.ended {
-		steps := rec.produced[id]
-		for i, s := range steps {
-			if s != i+1 {
-				t.Fatalf("sim %d produced %v, not a prefix of its interval", id, steps)
+			kills.Wait()
+			l.Wait()
+			l.Events = lateEvents{t}
+			l.Write = func(_ *model.Context, step int) error {
+				t.Errorf("step %d written after Wait", step)
+				return nil
 			}
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			for id, first := range s.first {
+				r := s.runs[id]
+				if r == nil || r.ends != 1 {
+					t.Fatalf("sim %d: %+v, want exactly one SimEnded", id, r)
+				}
+				for i, step := range r.steps {
+					if step != first+i {
+						t.Fatalf("sim %d produced %v, not a prefix of [%d, %d]", id, r.steps, first, first+last-1)
+					}
+				}
+				if complete := r.outcome == Completed && len(r.steps) == last; !complete && (!tc.kill || r.outcome != Killed) {
+					t.Fatalf("sim %d: outcome %v after %d of %d steps", id, r.outcome, len(r.steps), last)
+				}
+			}
+		})
+	}
+}
+
+// timeline records a run's events with the clock's reading.
+type timeline struct {
+	mu     sync.Mutex
+	now    func() time.Duration
+	events []string
+	at     []time.Duration
+}
+
+func (tl *timeline) add(event string) {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	tl.events = append(tl.events, event)
+	tl.at = append(tl.at, tl.now())
+}
+
+func (tl *timeline) SimStarted(int64)            { tl.add("started") }
+func (tl *timeline) StepProduced(_ int64, s int) { tl.add(fmt.Sprintf("step %d", s)) }
+func (tl *timeline) SimEnded(_ int64, o Outcome) { tl.add("ended " + o.String()) }
+
+// A run crashing at step c ends at the instant step c-1 lands, or at its
+// start when c is its first step — on both clocks, queued or not. On the
+// engine the instants are exact; on the wall clock (τ = 100 ms) SimEnded
+// follows the last event before it by well under τ.
+func TestLauncherCrashTiming(t *testing.T) {
+	const first, last = 1, 4
+	for _, queue := range []time.Duration{0, 3 * time.Second} {
+		for _, crash := range []int{first, (first + last) / 2, last} {
+			ctx := testCtx() // α = 2 s, τ = 1 s
+			lead := queue + ctx.Alpha
+			wantEvents, wantAt := []string{"started"}, []time.Duration{lead}
+			for s := first; s < crash; s++ {
+				wantEvents = append(wantEvents, fmt.Sprintf("step %d", s))
+				wantAt = append(wantAt, lead+time.Duration(s-first+1)*ctx.Tau)
+			}
+			wantEvents = append(wantEvents, "ended failed")
+			wantAt = append(wantAt, lead+time.Duration(crash-first)*ctx.Tau)
+			launcher := func(tl *timeline) *Launcher {
+				l := &Launcher{Events: tl, FailAt: func(string, int, int) int { return crash }}
+				if queue > 0 {
+					l.Queue = batch.Constant(queue)
+				}
+				return l
+			}
+			name := fmt.Sprintf("crash=%d/queue=%v", crash, queue)
+			t.Run("engine/"+name, func(t *testing.T) {
+				eng := des.NewEngine()
+				tl := &timeline{now: eng.Now}
+				l := launcher(tl)
+				l.Engine = eng
+				l.Launch(ctx, first, last, 1)
+				eng.Run(0)
+				if fmt.Sprint(tl.events, tl.at) != fmt.Sprint(wantEvents, wantAt) {
+					t.Errorf("events %v at %v, want %v at %v", tl.events, tl.at, wantEvents, wantAt)
+				}
+			})
+			t.Run("wall/"+name, func(t *testing.T) {
+				t.Parallel()
+				start := time.Now()
+				tl := &timeline{now: func() time.Duration { return time.Since(start) }}
+				l := launcher(tl)
+				l.TimeScale = 10
+				l.Launch(ctx, first, last, 1)
+				l.Wait()
+				if fmt.Sprint(tl.events) != fmt.Sprint(wantEvents) {
+					t.Fatalf("events %v, want %v", tl.events, wantEvents)
+				}
+				tau := ctx.Tau / 10
+				if n := len(tl.at); tl.at[n-1]-tl.at[n-2] >= tau/2 {
+					t.Errorf("SimEnded %v after %q, want < τ/2 = %v", tl.at[n-1]-tl.at[n-2], tl.events[n-2], tau/2)
+				}
+			})
 		}
-		if outcome != Killed && (outcome != Completed || len(steps) != last) {
-			t.Fatalf("sim %d: outcome %v after %d of %d steps", id, outcome, len(steps), last)
-		}
+	}
+}
+
+type nopEvents struct{}
+
+func (nopEvents) SimStarted(int64)        {}
+func (nopEvents) StepProduced(int64, int) {}
+func (nopEvents) SimEnded(int64, Outcome) {}
+
+// An 8-step launch on the engine, run to its end, allocates the run
+// record, its one closure and its timer handles: the whole schedule is
+// armed at launch with one closure for all ten events.
+func TestDESLaunchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget is measured without the race detector")
+	}
+	eng := des.NewEngine()
+	l := &Launcher{Engine: eng, Events: nopEvents{}}
+	ctx := testCtx()
+	launch := func() {
+		l.Launch(ctx, 1, 8, 1)
+		eng.Run(0)
+	}
+	launch() // warm the running map and the engine's slab
+	if a := testing.AllocsPerRun(100, launch); a > 3 {
+		t.Errorf("an 8-step launch allocates %v times, want ≤ 3", a)
 	}
 }
 
