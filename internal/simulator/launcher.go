@@ -204,7 +204,7 @@ func (r *run) fire() bool {
 	return true
 }
 
-// stop cancels the run's armed virtual-time events; l.mu is held.
+// stop disarms the run's virtual-time events; l.mu is held.
 func (r *run) stop() {
 	for _, t := range r.timers {
 		t.Stop()

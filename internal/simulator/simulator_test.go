@@ -88,7 +88,6 @@ type recorder struct {
 	started  []int64
 	produced map[int64][]int
 	ended    map[int64]Outcome
-	ends     int // SimEnded calls, to tell "once per id" from "last one wins"
 	// onStep, if set, fires after each StepProduced (outside the lock).
 	onStep func()
 }
@@ -114,7 +113,6 @@ func (r *recorder) SimEnded(id int64, o Outcome) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ended[id] = o
-	r.ends++
 }
 
 func testCtx() *model.Context {
