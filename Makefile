@@ -147,9 +147,13 @@ proto-fuzz:
 # connection cuts) through the contended multi-client workload, the
 # daemon kill-and-restart ride-through, the client reconnect suite, and
 # the launcher's tests ten times over (a launcher race shows up once in
-# thousands of runs, and the storm alone runs 11k).
+# thousands of runs, and the storm alone runs 11k), and the readiness
+# stream and open-notice contracts ten times over with the stream
+# withdrawal races (a stream's frames and its end race the hub's
+# callbacks on the session's pusher).
 chaos-smoke:
 	$(GO) test -race -count=10 -run 'Launcher' ./internal/simulator
+	$(GO) test -race -count=10 -run 'TestWatchContract|TestOpenNoticeContract|TestStreamWithdrawal' ./internal/server
 	$(GO) test -race -run 'TestChaosWorkloadUnderFaults|TestDaemonRestartMidWorkload|TestCloseDrainsPendingWaiters' ./internal/server
 	$(GO) test -race -run 'TestReconnect|TestDoubleReleaseRefused' ./internal/dvlib
 	$(GO) test -race ./internal/faults
@@ -205,7 +209,10 @@ simfs-vet:
 # seeds kept alive for nobody (`wait` was, for 23 PRs): retire it.
 # It also fails when non-test code outside benchmark/ names the Codec
 # seam (netproto.JSON/Binary/Codec): every connection speaks one codec,
-# and the seam lives on only for tests, fuzzers and the codec drill.
+# and the seam lives on only for tests, fuzzers and the codec drill. And
+# it fails when non-test code outside internal/notify and benchmark/
+# names notify.Sub: every waiter in the daemon is a callback, and the
+# channel adapter lives on only for tests and the hub drills.
 dead-ops:
 	@dead=; for op in $$(sed -n 's/^\t\(Op[A-Za-z]*\) *= *".*/\1/p' internal/netproto/netproto.go); do \
 		[ "$$op" = OpHello ] && continue; \
@@ -216,6 +223,9 @@ dead-ops:
 	@seam=$$(git grep -nw 'netproto\.\(JSON\|Binary\|Codec\)' -- '*.go' ':!*_test.go' ':!benchmark'); \
 	if [ -n "$$seam" ]; then echo "dead-ops: the Codec seam has production callers:"; echo "$$seam"; exit 1; fi; \
 	echo "dead-ops: no production caller of the Codec seam"
+	@sub=$$(git grep -nw 'notify\.Sub' -- '*.go' ':!*_test.go' ':!internal/notify' ':!benchmark'); \
+	if [ -n "$$sub" ]; then echo "dead-ops: notify.Sub has production callers:"; echo "$$sub"; exit 1; fi; \
+	echo "dead-ops: no production caller of notify.Sub"
 
 # staticcheck and govulncheck are pinned and fetched on demand via `go
 # run tool@version`, so they add no go.mod dependency. The -version

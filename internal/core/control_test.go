@@ -266,7 +266,7 @@ func TestDrainDroppedPrefetchFailsJoinedWaiters(t *testing.T) {
 func TestRemoveContextFailsLeftoverWatchers(t *testing.T) {
 	ctx := testContext("c")
 	h := newHarness(t, ctx)
-	sub, files, err := h.v.Watch("w", "c", []string{ctx.Filename(7)})
+	sub, files, err := watch(h.v, "w", "c", []string{ctx.Filename(7)})
 	if err != nil {
 		t.Fatal(err)
 	}

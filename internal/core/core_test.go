@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,12 +39,74 @@ func newHarness(t *testing.T, ctxs ...*model.Context) *harness {
 // FileState reports whether a file is resident and/or promised: the
 // tests' probe of one step, read the way front-ends read it.
 func (v *Virtualizer) FileState(ctxName, filename string) (resident, promised bool, err error) {
-	sub, files, err := v.Watch("", ctxName, []string{filename})
+	sub, files, err := watch(v, "", ctxName, []string{filename})
 	if err != nil {
 		return false, false, err
 	}
 	sub.Close()
 	return files[0].Resident, files[0].Promised, nil
+}
+
+// watcher is a readiness stream in miniature, the tests' small stream
+// owner: each watched step's event lands in a channel, which closes once
+// every step Watch registered has delivered; Close withdraws the rest.
+type watcher struct {
+	hub   *notify.Hub
+	owner *notify.Owner
+	ch    chan notify.Event
+
+	mu     sync.Mutex
+	topics []notify.Topic // what Watch registered
+	got    int            // events delivered
+	closed bool
+}
+
+// watch is Virtualizer.Watch under a watcher of its own.
+func watch(v *Virtualizer, client, ctxName string, names []string) (*watcher, []WatchedFile, error) {
+	w := &watcher{hub: v.Hub(), ch: make(chan notify.Event, len(names))}
+	w.owner = notify.NewStreamOwner(w.deliver)
+	files, err := v.Watch(client, ctxName, names, w.owner, 1)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, f := range files {
+		t := notify.Topic{Context: ctxName, Step: f.Step}
+		if !f.Resident && !slices.Contains(w.topics, t) {
+			w.topics = append(w.topics, t)
+		}
+	}
+	w.closeIfDone()
+	return w, files, err
+}
+
+// deliver may run before watch has counted the topics: the event of a
+// step that resolved as soon as the shard unlocked.
+func (w *watcher) deliver(_ uint64, ev notify.Event) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.closed {
+		w.ch <- ev
+		w.got++
+		w.closeIfDone()
+	}
+}
+
+func (w *watcher) closeIfDone() {
+	if !w.closed && w.topics != nil && w.got == len(w.topics) {
+		w.closed = true
+		close(w.ch)
+	}
+}
+
+func (w *watcher) C() <-chan notify.Event { return w.ch }
+
+func (w *watcher) Close() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.hub.Withdraw(w.owner, 1, w.topics...)
+	if !w.closed {
+		w.closed = true
+		close(w.ch)
+	}
 }
 
 // testContext returns a small context: Δd=1, Δr=4, 100 steps, α=2s, τ=1s,

@@ -35,8 +35,9 @@ import (
 //     overflow.
 //  5. Every simulation in the shard table has a well-formed range and
 //     belongs to this shard's context.
-//  6. A hub callback waits only for a promised, in-flight step (a stream
-//     may also wait on an unopened file, or one it was answered for).
+//  6. No waiter waits for a resident step, and a waiter waits only for a
+//     promised, in-flight step unless a readiness stream registered it (a
+//     stream may also wait on a file whose producer is asked later).
 func (v *Virtualizer) CheckInvariants() error {
 	if err := v.sched.CheckInvariants(); err != nil {
 		return err
@@ -100,12 +101,9 @@ func (v *Virtualizer) checkShard(name string, cs *shard) error {
 		}
 	}
 	for _, w := range v.hub.Waiters(name) {
-		if w.Stream() {
-			continue
-		}
 		if step := w.Topic.Step; cs.resident(step) {
 			return fmt.Errorf("core: %s step %d resident but client %q still waits", name, step, w.Client)
-		} else if _, promised := cs.promised[step]; !promised {
+		} else if _, promised := cs.promised[step]; !promised && !w.StreamOwned() {
 			return fmt.Errorf("core: %s step %d has waiter %q but no promise", name, step, w.Client)
 		}
 	}

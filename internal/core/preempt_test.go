@@ -132,9 +132,9 @@ func TestPreemptSparesCoalescedPrefetchWithWaiters(t *testing.T) {
 
 // watchOne registers a stream of client's on one file (the server's
 // subscribe and fed-watch path).
-func watchOne(t *testing.T, h *harness, client, ctxName, file string) *notify.Sub {
+func watchOne(t *testing.T, h *harness, client, ctxName, file string) *watcher {
 	t.Helper()
-	sub, _, err := h.v.Watch(client, ctxName, []string{file})
+	sub, _, err := watch(h.v, client, ctxName, []string{file})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func watchOne(t *testing.T, h *harness, client, ctxName, file string) *notify.Su
 
 // wantReady checks, without blocking, that the stream's one event is
 // FileReady.
-func wantReady(t *testing.T, sub *notify.Sub) {
+func wantReady(t *testing.T, sub *watcher) {
 	t.Helper()
 	select {
 	case ev := <-sub.C():

@@ -148,7 +148,7 @@ func TestConcurrentMultiContextStress(t *testing.T) {
 							return
 						}
 					default: // hub-based wait (Watch subscribes, then reads the state)
-						sub, watched, err := v.Watch(client, name, []string{file})
+						sub, watched, err := watch(v, client, name, []string{file})
 						if err != nil {
 							errs <- err
 							return
@@ -319,7 +319,7 @@ func TestWatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := []string{ctx.Filename(1), ctx.Filename(6), ctx.Filename(30), ctx.Filename(6)}
-	sub, files, err := h.v.Watch("w", "c", names)
+	sub, files, err := watch(h.v, "w", "c", names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,14 +344,14 @@ func TestWatch(t *testing.T) {
 	sub.Close()
 
 	for _, bad := range [][]string{{ctx.Filename(1), "garbage"}, {ctx.Filename(1), ctx.Filename(101)}} {
-		if _, _, err := h.v.Watch("w", "c", bad); !errors.Is(err, ErrInvalid) {
+		if _, _, err := watch(h.v, "w", "c", bad); !errors.Is(err, ErrInvalid) {
 			t.Errorf("Watch(%v) = %v, want ErrInvalid", bad, err)
 		}
 	}
-	if _, _, err := h.v.Watch("w", "nope", names); !errors.Is(err, ErrUnknownContext) {
+	if _, _, err := watch(h.v, "w", "nope", names); !errors.Is(err, ErrUnknownContext) {
 		t.Errorf("unknown context: %v", err)
 	}
-	if st := h.v.Hub().Stats(); st.Subscribers != 0 {
-		t.Errorf("%d subscriptions left behind by closed and refused watches", st.Subscribers)
+	if st := h.v.Hub().Stats(); st.Topics != 0 {
+		t.Errorf("%d topics left behind by closed and refused watches", st.Topics)
 	}
 }

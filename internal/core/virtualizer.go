@@ -238,8 +238,8 @@ func NewScheduled(clock des.Clock, launcher Launcher, cfg sched.Config) *Virtual
 }
 
 // Hub returns the notification hub the Virtualizer publishes file-ready
-// and file-failed events to. Watch is the race-free way to subscribe to
-// files by name.
+// and file-failed events to. Watch is the race-free way to wait on files
+// by name.
 func (v *Virtualizer) Hub() *notify.Hub { return v.hub }
 
 // AddContext registers a simulation context with a replacement policy
@@ -496,45 +496,46 @@ func (v *Virtualizer) StorageArea(ctxName string) (vfs.FS, error) {
 }
 
 // WatchedFile is one name of a Watch: the step it parsed to and the
-// state that step was in once the subscription was live.
+// state that step was in when the stream's waiter was registered.
 type WatchedFile struct {
 	Name               string
 	Step               int
 	Resident, Promised bool
 }
 
-// Watch is the register-then-check step every readiness stream starts
-// with, written down once. Each name is parsed (once) into its hub
-// topic; under one hold of the shard lock the topics are registered as
-// client's stream (whose τcli baseline stepArrived stamps) and each
-// step's residency and promise are read, so no wakeup is lost. A file
-// neither resident nor promised resolves only once somebody opens it,
-// the bridge publishes a peer's event, or the context is deregistered.
-// A refused name registers nothing.
-func (v *Virtualizer) Watch(client, ctxName string, filenames []string) (*notify.Sub, []WatchedFile, error) {
+// Watch is the register-and-check step every readiness stream starts
+// with, written down once. Each name is parsed (once) into its step;
+// under one hold of the shard lock, so no wakeup is lost, each step's
+// residency and promise are read and, unless it is resident, o's waiter
+// for it is registered under tag as client's (whose τcli baseline
+// stepArrived stamps), once per distinct step. o must be a stream owner
+// (notify.NewStreamOwner): a file neither resident nor promised resolves
+// only once somebody opens it, the bridge publishes a peer's event, or
+// the context is deregistered. A refused name registers nothing.
+func (v *Virtualizer) Watch(client, ctxName string, filenames []string, o *notify.Owner, tag uint64) ([]WatchedFile, error) {
 	cs, ok := v.shardOf(ctxName)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: %w %q", ErrUnknownContext, ctxName)
+		return nil, fmt.Errorf("core: %w %q", ErrUnknownContext, ctxName)
 	}
 	files := make([]WatchedFile, len(filenames))
-	topics := make([]notify.Topic, len(filenames))
 	for i, name := range filenames {
 		step, err := cs.outputStep(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		files[i] = WatchedFile{Name: name, Step: step}
-		topics[i] = notify.Topic{Context: ctxName, Step: step}
 	}
 	cs.mu.Lock()
-	sub := v.hub.Watch(client, topics...)
 	for i := range files {
 		f := &files[i]
 		f.Resident = cs.resident(f.Step)
 		_, f.Promised = cs.promised[f.Step]
+		if !f.Resident && !slices.ContainsFunc(files[:i], func(g WatchedFile) bool { return g.Step == f.Step }) {
+			v.hub.AwaitFor(notify.Topic{Context: ctxName, Step: f.Step}, client, o, tag)
+		}
 	}
 	cs.mu.Unlock()
-	return sub, files, nil
+	return files, nil
 }
 
 // FileTopic returns the notify-hub topic of a context's file.

@@ -4,32 +4,29 @@
 // of the IPPS exemplar).
 //
 // A topic's waiters form one list in registration order, each carrying
-// its client. A stream (Watch, Subscribe) receives on a channel: the TCP
-// daemon's readiness streams pump it to a socket, and the federation
-// bridge publishes peer daemons' events into the hub. A callback (Await)
-// runs in the goroutine that delivers: a missed open's notice
-// (core.Virtualizer.OpenAwait), core.Virtualizer.WaitFile and pipeline
-// upstream inputs use it, so under the DES an analysis resumes at the
-// virtual instant its file appears, deterministically. A tagged callback
-// (AwaitFor) belongs to an Owner that can leave first; its waiters stop
-// counting once it has.
+// its client, and every waiter is a callback run by the goroutine that
+// delivers. A plain one (Await) serves core.Virtualizer.WaitFile and
+// pipeline inputs, so under the DES an analysis resumes at the virtual
+// instant its file appears. A tagged one (AwaitFor) runs its Owner's
+// function with its tag: a daemon session's missed opens wait under
+// their request IDs (core.Virtualizer.OpenAwait), its readiness streams
+// file by file under theirs (core.Virtualizer.Watch), and Withdraw takes
+// a tag's waiters off again. An owner can leave first; its waiters stop
+// counting. Only a stream owner's (NewStreamOwner) may stand on a step
+// nothing promises yet, such as one a peer daemon's bridge publishes.
 //
 // Delivery is two steps. Take detaches a topic's waiters and sends
 // nothing; the Virtualizer calls it under the shard lock that decides the
 // step's fate, so the event reaches exactly the waiters registered before
-// that decision. Deliver runs after the unlock: it sends to the streams
-// under the hub lock, then runs the callbacks in order with no lock held
-// (a callback may re-enter the Virtualizer). Publish is Take then
-// Deliver. The hub lock is innermost: everything but Deliver and Publish
-// may be called under a shard lock.
+// that decision. Deliver runs the callbacks after the unlock, in order,
+// with no lock held (a callback may re-enter the Virtualizer). Publish is
+// Take then Deliver. The hub lock is innermost: everything but Deliver
+// and Publish may be called under a shard lock.
 //
-// A waiter receives at most one event per topic — the next outcome for
-// that file — and is then gone from it. A stream's channel has one slot
-// per topic, so delivery never blocks; a stream closed between Take and
-// Deliver drops the event, and a multi-topic stream's channel closes once
-// its last taken event is delivered. Registering before reading the
-// file's state (core.Virtualizer.Watch and WaitFile do both under one
-// hold of the shard lock) loses no wakeup.
+// A waiter receives at most one event — the next outcome for its file —
+// and is then gone from the topic. Registering before reading the file's
+// state (core.Virtualizer.Watch and WaitFile do both under one hold of
+// the shard lock) loses no wakeup.
 package notify
 
 import (
@@ -82,19 +79,16 @@ type Event struct {
 
 // Stats counts hub activity.
 type Stats struct {
-	Published   uint64 // Publish calls
-	Delivered   uint64 // events handed to a waiter
-	Dropped     uint64 // events lost to a full channel (defensive; see doc)
-	Subscribers int    // live streams
-	Topics      int    // topics with at least one waiter
+	Published uint64 // Publish calls
+	Delivered uint64 // events handed to a waiter
+	Topics    int    // topics with at least one waiter
 }
 
-// Waiter is one entry of a topic's list: a stream or a callback, and the
-// client that waits.
+// Waiter is one entry of a topic's list: a callback, and the client that
+// waits.
 type Waiter struct {
 	Topic  Topic
 	Client string
-	sub    *Sub
 	cb     func(Event)
 	// owner and tag are a tagged callback's (AwaitFor).
 	owner *Owner
@@ -104,9 +98,12 @@ type Waiter struct {
 // left reports whether the waiter's owner has left.
 func (w Waiter) left() bool { return w.owner != nil && w.owner.left.Load() }
 
+// StreamOwned reports whether the waiter was registered under a stream
+// owner (NewStreamOwner).
+func (w Waiter) StreamOwned() bool { return w.owner != nil && w.owner.stream }
+
 // Owner receives the events of the callback waiters registered under it
-// (AwaitFor), each with the tag it was registered with: a daemon
-// session, whose missed opens wait under their request IDs. One callback
+// (AwaitFor), each with the tag it was registered with. One callback
 // bound per owner, not a closure per waiter, keeps a registration free
 // of allocations. An owner may leave before its events come (a client
 // disconnecting): from then on its waiters no longer count for Waiting —
@@ -115,16 +112,23 @@ func (w Waiter) left() bool { return w.owner != nil && w.owner.left.Load() }
 type Owner struct {
 	notify func(tag uint64, ev Event)
 	left   atomic.Bool
+	// stream marks a readiness stream's owner, fixed at construction.
+	stream bool
 }
 
-// NewOwner returns an owner whose waiters' events go to notify.
+// NewOwner returns an owner whose waiters' events go to notify. Its
+// waiters wait on promised steps only (a missed open's notice).
 func NewOwner(notify func(tag uint64, ev Event)) *Owner { return &Owner{notify: notify} }
+
+// NewStreamOwner is NewOwner for readiness streams, whose waiters may
+// also stand on a step nothing promises: one whose producer may only be
+// asked later, or that a peer daemon produces.
+func NewStreamOwner(notify func(tag uint64, ev Event)) *Owner {
+	return &Owner{notify: notify, stream: true}
+}
 
 // Leave retires the owner's waiters.
 func (o *Owner) Leave() { o.left.Store(true) }
-
-// Stream reports whether the waiter is a stream rather than a callback.
-func (w Waiter) Stream() bool { return w.sub != nil }
 
 // Hub is the waiter ledger. The zero value is not usable; call NewHub.
 type Hub struct {
@@ -135,8 +139,6 @@ type Hub struct {
 
 	published atomic.Uint64
 	delivered atomic.Uint64
-	dropped   atomic.Uint64
-	subs      int
 }
 
 // NewHub returns an empty hub.
@@ -144,8 +146,10 @@ func NewHub() *Hub {
 	return &Hub{topics: map[string]map[int][]Waiter{}}
 }
 
-// add appends w to its topic's list. Caller holds h.mu.
+// add appends w to its topic's list.
 func (h *Hub) add(w Waiter) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	steps := h.topics[w.Topic.Context]
 	if steps == nil {
 		steps = map[int][]Waiter{}
@@ -154,94 +158,37 @@ func (h *Hub) add(w Waiter) {
 	steps[w.Topic.Step] = append(steps[w.Topic.Step], w)
 }
 
-// Sub is one stream. Receive events from C; Close when done.
-type Sub struct {
-	hub    *Hub
-	ch     chan Event
-	topics map[Topic]struct{} // registered and not yet taken; guarded by hub.mu
-	taken  int                // events taken and not yet delivered; guarded by hub.mu
-	closed bool               // guarded by hub.mu
-}
-
-// Watch registers a stream of client's for the given topics. Its channel
-// holds one slot per topic, which (with the one-event-per-topic contract)
-// guarantees non-blocking delivery. Duplicate topics collapse.
-func (h *Hub) Watch(client string, topics ...Topic) *Sub {
-	s := &Sub{hub: h, topics: make(map[Topic]struct{}, len(topics))}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, t := range topics {
-		if _, dup := s.topics[t]; dup {
-			continue
-		}
-		s.topics[t] = struct{}{}
-		h.add(Waiter{Topic: t, Client: client, sub: s})
-	}
-	s.ch = make(chan Event, len(s.topics))
-	h.subs++
-	return s
-}
-
-// Subscribe is Watch for a stream no client owns.
-func (h *Hub) Subscribe(topics ...Topic) *Sub { return h.Watch("", topics...) }
-
 // Await registers cb as client's waiter for the topic. It runs once, in
 // the goroutine that delivers the topic's next event.
 func (h *Hub) Await(t Topic, client string, cb func(Event)) {
-	h.mu.Lock()
 	h.add(Waiter{Topic: t, Client: client, cb: cb})
-	h.mu.Unlock()
 }
 
 // AwaitFor is Await for a tagged callback: o's callback runs once with
 // tag, unless o has left by then.
 func (h *Hub) AwaitFor(t Topic, client string, o *Owner, tag uint64) {
-	h.mu.Lock()
 	h.add(Waiter{Topic: t, Client: client, owner: o, tag: tag})
-	h.mu.Unlock()
 }
 
-// C returns the stream's event channel. It is closed by Close and once
-// every subscribed topic has delivered.
-func (s *Sub) C() <-chan Event { return s.ch }
-
-// Subscribed reports whether the topic still awaits its event on this
-// stream: false once the event was taken (it is then buffered in C or on
-// its way there) or the stream was closed.
-func (s *Sub) Subscribed(t Topic) bool {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	_, ok := s.topics[t]
-	return ok
-}
-
-// Close unregisters all remaining topics and closes the channel.
-// Buffered events remain readable; taken ones not yet delivered are
-// dropped. Close is idempotent.
-func (s *Sub) Close() {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	s.closeLocked()
-}
-
-// closeLocked detaches the stream. Caller holds hub.mu.
-func (s *Sub) closeLocked() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	h := s.hub
-	for t := range s.topics { //simfs:allow maporder each topic's list loses this stream's one entry; the lists are independent
+// Withdraw takes o's waiters registered under tag off the topics' lists
+// and returns how many it removed. A waiter already taken is not on a
+// list any more: its event is on its way to o.
+func (h *Hub) Withdraw(o *Owner, tag uint64, topics ...Topic) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 0
+	for _, t := range topics {
 		steps := h.topics[t.Context]
-		if list := slices.DeleteFunc(steps[t.Step], func(w Waiter) bool { return w.sub == s }); len(list) > 0 {
-			steps[t.Step] = list
+		list := steps[t.Step]
+		kept := slices.DeleteFunc(list, func(w Waiter) bool { return w.owner == o && w.tag == tag })
+		n += len(list) - len(kept)
+		if len(kept) > 0 {
+			steps[t.Step] = kept
 		} else {
 			delete(steps, t.Step)
 		}
 	}
-	clear(s.topics)
-	h.subs--
-	close(s.ch)
+	return n
 }
 
 // Take detaches the topic's waiters, in registration order, appending
@@ -256,60 +203,26 @@ func (h *Hub) Take(t Topic, ws []Waiter) []Waiter {
 		return ws
 	}
 	delete(steps, t.Step)
-	for _, w := range list {
-		if w.sub != nil {
-			delete(w.sub.topics, t)
-			w.sub.taken++
-		}
-	}
 	if ws == nil {
 		return list // the common single-topic take copies nothing
 	}
 	return append(ws, list...)
 }
 
-// Deliver wakes taken waiters with ev, each under its own topic: the
-// streams first, under the hub lock, then the callbacks in order with no
-// lock held. It returns the number of waiters woken.
+// Deliver wakes taken waiters with ev, each under its own topic, in
+// order and with no lock held. It returns the number of waiters woken.
 func (h *Hub) Deliver(ev Event, ws []Waiter) int {
 	if len(ws) == 0 {
 		return 0
 	}
 	n := 0
-	h.mu.Lock()
 	for _, w := range ws {
-		s := w.sub
-		if s == nil {
-			continue
-		}
-		s.taken--
-		if s.closed {
-			continue
-		}
 		ev.Topic = w.Topic
-		select {
-		case s.ch <- ev:
-			n++
-		default:
-			// Unreachable under the one-slot-per-topic sizing; counted
-			// rather than trusted.
-			h.dropped.Add(1)
-		}
-		if len(s.topics) == 0 && s.taken == 0 {
-			// Last topic delivered: complete the stream so ranging
-			// receivers terminate.
-			s.closeLocked()
-		}
-	}
-	h.mu.Unlock()
-	for _, w := range ws {
 		switch {
 		case w.cb != nil:
-			ev.Topic = w.Topic
 			w.cb(ev)
 			n++
-		case w.owner != nil && !w.left():
-			ev.Topic = w.Topic
+		case !w.left():
 			w.owner.notify(w.tag, ev)
 			n++
 		}
@@ -354,16 +267,69 @@ func (h *Hub) Waiters(ctx string) []Waiter {
 // Stats returns a snapshot of the hub counters.
 func (h *Hub) Stats() Stats {
 	h.mu.Lock()
-	subs, topics := h.subs, 0
+	topics := 0
 	for _, steps := range h.topics {
 		topics += len(steps)
 	}
 	h.mu.Unlock()
-	return Stats{
-		Published:   h.published.Load(),
-		Delivered:   h.delivered.Load(),
-		Dropped:     h.dropped.Load(),
-		Subscribers: subs,
-		Topics:      topics,
+	return Stats{Published: h.published.Load(), Delivered: h.delivered.Load(), Topics: topics}
+}
+
+// Sub is a channel stream over one stream owner: a waiter per distinct
+// topic, whose events land in a channel with a slot for each. Nothing in
+// the daemon uses it; it serves the benchmark drills and tests.
+type Sub struct {
+	hub    *Hub
+	owner  *Owner
+	topics []Topic
+	ch     chan Event
+	mu     sync.Mutex
+	owed   int // events still to come; ch is closed at 0
+}
+
+// Subscribe registers a stream no client owns for the topics; duplicate
+// topics collapse. Delivery never blocks, and the channel closes once
+// every topic has delivered.
+func (h *Hub) Subscribe(topics ...Topic) *Sub {
+	s := &Sub{hub: h}
+	for _, t := range topics {
+		if !slices.Contains(s.topics, t) {
+			s.topics = append(s.topics, t)
+		}
+	}
+	s.ch = make(chan Event, len(s.topics))
+	s.owed = len(s.topics)
+	s.owner = NewStreamOwner(s.deliver)
+	for _, t := range s.topics {
+		h.AwaitFor(t, "", s.owner, 0)
+	}
+	return s
+}
+
+func (s *Sub) deliver(_ uint64, ev Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.owed > 0 {
+		s.ch <- ev
+		if s.owed--; s.owed == 0 {
+			close(s.ch)
+		}
+	}
+}
+
+// C returns the stream's event channel.
+func (s *Sub) C() <-chan Event { return s.ch }
+
+// Close withdraws the topics still registered and closes the channel.
+// Buffered events remain readable; one taken and not yet delivered is
+// dropped. Close is idempotent.
+func (s *Sub) Close() {
+	s.owner.Leave()
+	s.hub.Withdraw(s.owner, 0, s.topics...)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.owed > 0 {
+		s.owed = 0
+		close(s.ch)
 	}
 }

@@ -42,10 +42,10 @@ func TestOneShotPerTopic(t *testing.T) {
 	sub := h.Subscribe(a, b)
 	h.Publish(Event{Topic: a, Kind: FileReady})
 	h.Publish(Event{Topic: a, Kind: FileFailed, Err: "again"}) // no subscriber anymore
-	if sub.Subscribed(a) {
+	if h.Waiting(a) {
 		t.Error("topic a should be consumed after first delivery")
 	}
-	if !sub.Subscribed(b) {
+	if !h.Waiting(b) {
 		t.Error("topic b should still be live")
 	}
 	h.Publish(Event{Topic: b, Kind: FileFailed, Err: "boom"})
@@ -59,7 +59,7 @@ func TestOneShotPerTopic(t *testing.T) {
 	if got[0].Topic != a || got[1].Topic != b || got[1].Err != "boom" {
 		t.Errorf("events = %+v", got)
 	}
-	if st := h.Stats(); st.Dropped != 0 || st.Subscribers != 0 || st.Topics != 0 {
+	if st := h.Stats(); st.Topics != 0 {
 		t.Errorf("hub should be empty after completion: %+v", st)
 	}
 }
@@ -90,7 +90,7 @@ func TestCloseUnsubscribes(t *testing.T) {
 	if _, ok := <-sub.C(); ok {
 		t.Error("closed subscription's channel should be closed")
 	}
-	if st := h.Stats(); st.Subscribers != 0 || st.Topics != 0 {
+	if st := h.Stats(); st.Topics != 0 {
 		t.Errorf("hub not empty after close: %+v", st)
 	}
 }
@@ -161,20 +161,26 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := h.Stats(); st.Subscribers != 0 {
+	if st := h.Stats(); st.Topics != 0 {
 		t.Errorf("leaked subscribers: %+v", st)
 	}
 }
 
-// A topic's streams and callbacks form one list: Take hands them over in
-// registration order, and Deliver runs the callbacks in that order.
+// A topic's stream waiters and callbacks form one list: Take hands them
+// over in registration order, and Deliver runs them in that order.
 func TestWaitersInRegistrationOrder(t *testing.T) {
 	h := NewHub()
 	top := Topic{Context: "c", Step: 4}
 	var order []string
-	s1 := h.Watch("s1", top)
+	streams := NewStreamOwner(func(tag uint64, ev Event) {
+		if ev.Topic != top || ev.Kind != FileFailed || ev.Err != "x" {
+			t.Errorf("stream %d got %+v", tag, ev)
+		}
+		order = append(order, fmt.Sprintf("s%d", tag))
+	})
+	h.AwaitFor(top, "s1", streams, 1)
 	h.Await(top, "a", func(ev Event) { order = append(order, "a") })
-	s2 := h.Watch("s2", top)
+	h.AwaitFor(top, "s2", streams, 2)
 	h.Await(top, "b", func(ev Event) {
 		if ev.Topic != top || ev.Kind != FileFailed || ev.Err != "x" {
 			t.Errorf("callback got %+v", ev)
@@ -187,7 +193,7 @@ func TestWaitersInRegistrationOrder(t *testing.T) {
 	ws := h.Take(top, nil)
 	var clients []string
 	for _, w := range ws {
-		clients = append(clients, fmt.Sprintf("%s/%v", w.Client, w.Stream()))
+		clients = append(clients, fmt.Sprintf("%s/%v", w.Client, w.StreamOwned()))
 	}
 	if want := "s1/true a/false s2/true b/false"; strings.Join(clients, " ") != want {
 		t.Errorf("taken = %v, want %s", clients, want)
@@ -198,13 +204,37 @@ func TestWaitersInRegistrationOrder(t *testing.T) {
 	if n := h.Deliver(Event{Kind: FileFailed, Err: "x"}, ws); n != 4 {
 		t.Errorf("Deliver woke %d, want 4", n)
 	}
-	if strings.Join(order, "") != "ab" {
-		t.Errorf("callbacks ran %v, want a then b", order)
+	if strings.Join(order, " ") != "s1 a s2 b" {
+		t.Errorf("waiters ran %v, want s1 a s2 b", order)
 	}
-	for _, s := range []*Sub{s1, s2} {
-		if ev, ok := <-s.C(); !ok || ev.Topic != top || ev.Err != "x" {
-			t.Errorf("stream got %+v (ok=%v)", ev, ok)
-		}
+}
+
+// Withdraw takes exactly one tag's waiters of one owner off the lists it
+// is given; what it leaves still counts and still delivers.
+func TestWithdraw(t *testing.T) {
+	h := NewHub()
+	a, b := Topic{Context: "c", Step: 1}, Topic{Context: "c", Step: 2}
+	var got []uint64
+	o := NewStreamOwner(func(tag uint64, ev Event) { got = append(got, tag) })
+	other := NewStreamOwner(func(tag uint64, ev Event) { got = append(got, 100+tag) })
+	h.AwaitFor(a, "w", o, 1)
+	h.AwaitFor(b, "w", o, 1)
+	h.AwaitFor(a, "w", o, 2)
+	h.AwaitFor(a, "x", other, 1)
+	if n := h.Withdraw(o, 1, a, b, Topic{Context: "nope", Step: 3}); n != 2 {
+		t.Errorf("Withdraw removed %d waiters, want 2", n)
+	}
+	if h.Waiting(b) {
+		t.Error("Waiting(b) after its one waiter was withdrawn")
+	}
+	if n := h.Withdraw(o, 1, a, b); n != 0 {
+		t.Errorf("second Withdraw removed %d, want 0", n)
+	}
+	if n := h.Publish(Event{Topic: a, Kind: FileReady}); n != 2 || fmt.Sprint(got) != "[2 101]" {
+		t.Errorf("Publish woke %d %v, want the two waiters left", n, got)
+	}
+	if st := h.Stats(); st.Topics != 0 {
+		t.Errorf("hub not empty: %+v", st)
 	}
 }
 
@@ -217,7 +247,7 @@ func TestWaiterAfterTakeMissesDelivery(t *testing.T) {
 	ws := h.Take(top, nil)
 	late := 0
 	h.Await(top, "late", func(Event) { late++ })
-	sub := h.Watch("late", top)
+	sub := h.Subscribe(top)
 	h.Deliver(Event{Kind: FileReady}, ws)
 	if late != 0 || len(sub.C()) != 0 {
 		t.Fatalf("late waiters woken by an earlier Take (callback %d, stream %d)", late, len(sub.C()))
@@ -232,7 +262,7 @@ func TestWaiterAfterTakeMissesDelivery(t *testing.T) {
 func TestCloseBetweenTakeAndDeliver(t *testing.T) {
 	h := NewHub()
 	top := Topic{Context: "c", Step: 2}
-	sub := h.Watch("w", top)
+	sub := h.Subscribe(top)
 	ws := h.Take(top, nil)
 	sub.Close()
 	if n := h.Deliver(Event{Kind: FileReady}, ws); n != 0 {
@@ -241,7 +271,7 @@ func TestCloseBetweenTakeAndDeliver(t *testing.T) {
 	if _, ok := <-sub.C(); ok {
 		t.Error("closed stream received an event")
 	}
-	if st := h.Stats(); st.Subscribers != 0 || st.Topics != 0 {
+	if st := h.Stats(); st.Topics != 0 {
 		t.Errorf("hub not empty: %+v", st)
 	}
 }
@@ -251,7 +281,7 @@ func TestCloseBetweenTakeAndDeliver(t *testing.T) {
 func TestMultiTopicStreamClosesAfterLastDelivery(t *testing.T) {
 	h := NewHub()
 	a, b := Topic{Context: "c", Step: 1}, Topic{Context: "c", Step: 2}
-	sub := h.Watch("w", a, b)
+	sub := h.Subscribe(a, b)
 	wa, wb := h.Take(a, nil), h.Take(b, nil)
 	h.Deliver(Event{Kind: FileReady}, wb)
 	if ev := <-sub.C(); ev.Topic != b {
@@ -276,7 +306,9 @@ func TestMultiTopicStreamClosesAfterLastDelivery(t *testing.T) {
 func TestWaitersOfContext(t *testing.T) {
 	h := NewHub()
 	h.Await(Topic{Context: "c", Step: 9}, "x", func(Event) {})
-	h.Watch("y", Topic{Context: "c", Step: 3}, Topic{Context: "d", Step: 1})
+	y := NewStreamOwner(func(uint64, Event) {})
+	h.AwaitFor(Topic{Context: "c", Step: 3}, "y", y, 1)
+	h.AwaitFor(Topic{Context: "d", Step: 1}, "y", y, 1)
 	h.Await(Topic{Context: "c", Step: 9}, "z", func(Event) {})
 	h.Await(Topic{Context: "c", Step: 3}, "w", func(Event) {})
 	var got []string

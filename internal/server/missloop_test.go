@@ -20,8 +20,9 @@ import (
 // miss_resim workload's does: a cache of two restart intervals over 64
 // of them, and simulations whose model terms round to nothing. Its
 // storage area is in memory, so the file system allocates nothing a
-// disk would not. It returns the daemon's address.
-func missDaemon(t *testing.T) (*model.Context, string) {
+// disk would not. With a gate, every step written waits for a token from
+// it. It returns the daemon's address.
+func missDaemon(t *testing.T, gate <-chan struct{}) (*model.Context, string) {
 	t.Helper()
 	ctx := &model.Context{
 		Name: "miss", Grid: model.Grid{DeltaD: 1, DeltaR: 8, Timesteps: 512},
@@ -34,6 +35,9 @@ func missDaemon(t *testing.T) (*model.Context, string) {
 	v := core.New(des.NewWallClock(), launcher)
 	launcher.Events = v
 	launcher.Write = func(ctx *model.Context, step int) error {
+		if gate != nil {
+			<-gate
+		}
 		return area.Create(ctx.Filename(step), ctx.OutputBytes)
 	}
 	if err := v.AddContext(ctx, "DCL", area); err != nil {
@@ -119,7 +123,7 @@ func missLoop(t *testing.T, ctx *dvlib.Context, file string) {
 // notice WaitAvailable waits on — so the daemon reads the open and the
 // release, and the client reads the two answers and the release's.
 func TestOpenMissNoticeNoSubscribe(t *testing.T) {
-	mctx, addr := missDaemon(t)
+	mctx, addr := missDaemon(t, nil)
 	proxy, requests, responses := countingProxy(t, addr)
 	c, err := dvlib.Dial(proxy, "wire")
 	if err != nil {
@@ -176,7 +180,7 @@ func TestMissPathAllocBudget(t *testing.T) {
 	}
 	const budget = 11.0 + 1 // measured, plus one for whatever the runtime does meanwhile
 
-	mctx, addr := missDaemon(t)
+	mctx, addr := missDaemon(t, nil)
 	c, err := dvlib.Dial(addr, "budget")
 	if err != nil {
 		t.Fatal(err)

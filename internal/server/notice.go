@@ -7,37 +7,43 @@ import (
 	"simfs/internal/notify"
 )
 
-// notices is a session's ledger of missed opens still owed their second
-// answer, the notice. The miss registers a hub callback (core's
-// OpenAwait, the session's notify.Owner, the open's request ID as tag)
-// in the same shard-lock hold that decided it; the callback
-// runs in whatever goroutine resolves the step — the launcher's, a
-// release's, another client's — so it never writes to the socket, whose
-// writes have no deadline. It hands the notice to the session's pusher,
-// one goroutine started on the session's first notice, which queues
-// whatever has accumulated and flushes it in one write.
-//
-// A notice must follow its open's first answer on the wire. The
-// callback can run before the dispatch loop has queued that answer (the
-// step resolves as soon as the shard unlocks); such an early notice is
-// parked and queued by the dispatch loop right behind the answer.
-type notices struct {
-	// owner registers the session's notice waiters with the hub, each
-	// under its open's request ID; it leaves when the client disconnects.
-	owner *notify.Owner
+// pusher sends what the hub decides later: a missed open's notice (its
+// second answer) and a readiness stream's per-file frames (watch.go).
+// Both wait in the hub as tagged callbacks, registered in the shard-lock
+// hold that read the file's state (core's OpenAwait and Watch), under
+// the notices or the streams owner and the request ID. A callback runs
+// in whatever goroutine resolves the step, so it never writes to the
+// socket (whose writes have no deadline) and never blocks: it queues the
+// frame and wakes the pusher, one goroutine started on the session's
+// first push, which sends all that has queued in one write. A callback
+// can beat its request's first answers (the step resolves as soon as the
+// shard unlocks); such an early event is kept and queued by the dispatch
+// loop right behind them.
+type pusher struct {
+	// notices leaves when the client disconnects; a stream's waiters
+	// under streams are withdrawn when it ends. out keeps frames in queue
+	// order on the wire, whoever moves them.
+	notices, streams *notify.Owner
+	out              sync.Mutex
 
 	mu sync.Mutex
 	// answered holds the open IDs whose first answer is queued and whose
-	// notice is not; early holds notices that beat their first answer.
-	answered map[uint64]struct{}
-	early    map[uint64]netproto.Response
+	// notice is not; early holds notices that beat their first answer;
+	// watches holds the streams, from before their waiters are registered
+	// until they end — the fed ones are the peers op's inbound ledger, and
+	// fedEvents counts the events they forwarded.
+	answered  map[uint64]struct{}
+	early     map[uint64]netproto.Response
+	watches   map[uint64]*fileWatch
+	fedEvents uint64
 	// queue is what the pusher sends next, sending what it is sending
-	// (the two swap, so neither is reallocated); wake, once the pusher
-	// runs, tells it there is more.
+	// (the two swap, so neither is reallocated). cancels are ended
+	// streams' interests on the peer daemons, which it withdraws too.
 	queue, sending []netproto.Response
+	cancels        []func()
 	wake           chan struct{}
 	// draining: the daemon is shutting down and has answered every
-	// notice owed so far; closed: the session is gone.
+	// notice and stream owed so far; closed: the session is gone.
 	draining, closed bool
 }
 
@@ -50,7 +56,7 @@ func notice(id uint64, ev notify.Event) netproto.Response {
 	return netproto.Response{ID: id, OK: true, Ready: true, Done: true}
 }
 
-// drainingNotice is the notice every open still owed one gets at shutdown.
+// drainingNotice ends every open and stream still owed a frame at shutdown.
 func drainingNotice(id uint64) netproto.Response {
 	return netproto.Response{ID: id, Code: netproto.CodeDraining, Err: "daemon shutting down", Done: true}
 }
@@ -59,7 +65,7 @@ func drainingNotice(id uint64) netproto.Response {
 // first answer of open id, a miss: the notice that already came is
 // queued behind it, otherwise the callback will hand it to the pusher.
 func (sess *session) openMissed(id uint64) {
-	n := &sess.notices
+	n := &sess.pusher
 	n.mu.Lock()
 	resp, early := n.early[id]
 	send := !n.closed
@@ -70,9 +76,6 @@ func (sess *session) openMissed(id uint64) {
 	case n.draining:
 		resp = drainingNotice(id)
 	default:
-		if n.answered == nil {
-			n.answered = map[uint64]struct{}{}
-		}
 		n.answered[id] = struct{}{}
 		send = false
 	}
@@ -82,80 +85,113 @@ func (sess *session) openMissed(id uint64) {
 	}
 }
 
-// resolved is the hub callback's half: the notice of open id.
+// resolved is the notices owner's callback: the notice of open id.
 func (sess *session) resolved(id uint64, ev notify.Event) {
-	n := &sess.notices
+	n := &sess.pusher
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.answered[id]; ok {
 		delete(n.answered, id)
 		n.queue = append(n.queue, notice(id, ev))
-		if n.wake == nil {
-			n.wake = make(chan struct{}, 1)
-			go sess.push(n.wake)
-		}
-		select {
-		case n.wake <- struct{}{}:
-		default: // the pusher has a wake-up pending and will see this one
-		}
+		sess.kickLocked()
 		return
 	}
 	if n.closed || n.draining {
 		return // already told, or nobody left to tell
 	}
-	if n.early == nil {
-		n.early = map[uint64]netproto.Response{}
-	}
 	n.early[id] = notice(id, ev)
 }
 
-// push is the session's pusher: each wake-up sends every queued notice
-// in one write. It ends when the session does.
-func (sess *session) push(wake <-chan struct{}) {
-	n := &sess.notices
-	for range wake {
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			return
-		}
-		n.queue, n.sending = n.sending[:0], n.queue
-		batch := n.sending
-		n.mu.Unlock()
-		for i := range batch {
-			sess.check("encode", sess.c.EnqueueResponse(&batch[i]))
-		}
-		sess.flush()
-		clear(batch) // pins no error text
+// kickLocked wakes the pusher, starting it on the first push.
+func (sess *session) kickLocked() {
+	n := &sess.pusher
+	if n.closed {
+		return
+	}
+	if n.wake == nil {
+		n.wake = make(chan struct{}, 1)
+		go sess.push(n.wake)
+	}
+	select {
+	case n.wake <- struct{}{}:
+	default: // the pusher has a wake-up pending and will see this one
 	}
 }
 
-// drainNotices answers every notice owed so far with draining, and every
-// later first answer of a miss with its draining notice at once.
-func (sess *session) drainNotices() {
-	n := &sess.notices
+// push is the session's pusher. It ends when the session does.
+func (sess *session) push(wake <-chan struct{}) {
+	for range wake {
+		sess.pushOut()
+	}
+}
+
+// pushOut sends every queued frame in one write, then withdraws the
+// queued remote interests, unless the session is gone.
+func (sess *session) pushOut() {
+	n := &sess.pusher
+	n.out.Lock()
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		n.out.Unlock()
+		return
+	}
+	n.queue, n.sending = n.sending[:0], n.queue
+	batch, cancels := n.sending, n.cancels
+	n.cancels = nil
+	n.mu.Unlock()
+	for i := range batch {
+		sess.check("encode", sess.c.EnqueueResponse(&batch[i]))
+	}
+	sess.flush()
+	clear(batch) // pins no error text
+	n.out.Unlock()
+	for _, cancel := range cancels {
+		cancel()
+	}
+}
+
+// drain is the graceful half of shutdown: every open owed its notice and
+// every live stream get a terminal draining frame (a retryable error,
+// not a dead connection) behind what was queued, flushed with what the
+// dispatch loop answered. A later miss or stream is told so at once.
+func (sess *session) drain() {
+	n := &sess.pusher
 	n.mu.Lock()
 	n.draining = true
-	answered := n.answered
-	n.answered = nil
-	n.mu.Unlock()
-	for id := range answered {
-		sess.reply(drainingNotice(id))
+	for id := range n.answered {
+		n.queue = append(n.queue, drainingNotice(id))
 	}
+	clear(n.answered)
+	for id, w := range n.watches {
+		if w.live {
+			sess.endLocked(id, w)
+			n.queue = append(n.queue, drainingNotice(id))
+		}
+	}
+	n.mu.Unlock()
+	sess.pushOut()
 }
 
-// leaveNotices is disconnect cleanup, run before the session's
-// references are released: the session's hub waiters stop counting (so
-// ClientDisconnected dismantles what it would without them), nothing
-// more is written, and the pusher ends.
-func (sess *session) leaveNotices() {
-	n := &sess.notices
-	n.owner.Leave()
+// leave is disconnect cleanup, run before the session's references are
+// released: its waiters stop counting (so ClientDisconnected dismantles
+// what it would without them), the pusher ends, and the peer interests
+// it had not withdrawn are withdrawn here.
+func (sess *session) leave() {
+	n := &sess.pusher
+	n.notices.Leave()
 	n.mu.Lock()
 	n.closed = true
-	n.answered, n.early = nil, nil
+	for id, w := range n.watches {
+		sess.endLocked(id, w)
+	}
+	cancels := n.cancels
+	n.answered, n.early, n.cancels = nil, nil, nil
 	if n.wake != nil {
 		close(n.wake)
 	}
 	n.mu.Unlock()
+	for _, cancel := range cancels {
+		cancel()
+	}
 }

@@ -18,10 +18,9 @@
 // swaps, context registration/deregistration and per-context
 // drain/resume — all without a restart.
 //
-// Readiness notifications ride the Virtualizer's notify hub: the one
-// stream handler (watch.go) subscribes to the files' (context, step)
-// topics and reads their state through core's Watch, so no wakeup is
-// lost and no waiter list is scanned under the Virtualizer's shard locks.
+// Readiness rides the Virtualizer's notify hub: a missed open and the one
+// stream handler (watch.go) wait there as callbacks, whose frames one
+// pusher per session sends (notice.go).
 package server
 
 import (
@@ -31,7 +30,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"simfs/internal/core"
@@ -156,30 +154,9 @@ type session struct {
 	// held tracks open references (context → files → count) for
 	// disconnect cleanup: a crashed analysis must not pin files forever.
 	held map[string]map[string]int
-	// mu guards watches: the live readiness streams (acquire, subscribe,
-	// fed-watch) by request ID, ended by unsubscribe, drain and
-	// disconnect. The peers op reads the fed ones as the inbound
-	// federation ledger; fedEvents counts the events they forwarded.
-	mu        sync.Mutex
-	watches   map[uint64]*fileWatch
-	fedEvents atomic.Uint64
-	// notices holds the missed opens still owed their ready notice.
-	notices notices
-}
-
-// drain performs the graceful half of shutdown for one session: every
-// live acquire/subscribe/fed-watch stream is answered with a terminal
-// draining frame (so the client's call returns with a retryable error
-// instead of a dead connection), and the coalesced reply buffer is
-// flushed so nothing the dispatch loop already answered is lost.
-func (sess *session) drain() {
-	// endWatches stops the pumps first, so the draining frames are the
-	// last word on each request ID.
-	for _, id := range sess.endWatches() {
-		sess.reply(drainingNotice(id))
-	}
-	sess.drainNotices()
-	sess.flush()
+	// pusher holds the missed opens owed their notice and the readiness
+	// streams by request ID.
+	pusher pusher
 }
 
 // reply encodes the response into the connection's write buffer without
@@ -188,11 +165,6 @@ func (sess *session) drain() {
 func (sess *session) reply(resp netproto.Response) {
 	sess.check("encode", sess.c.EnqueueResponse(&resp))
 }
-
-// send encodes the response and flushes it immediately. It is the path
-// for asynchronous pushes (the streams' pumps): those run off the read
-// loop's goroutine, so nothing else would flush their frames.
-func (sess *session) send(resp netproto.Response) { sess.check("send", sess.c.SendResponse(&resp)) }
 
 // flush pushes buffered response frames to the connection.
 func (sess *session) flush() { sess.check("write", sess.c.Flush()) }
@@ -266,7 +238,9 @@ var daemonCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPree
 
 func (s *Server) handle(c *netproto.Conn) {
 	sess := &session{c: c, srv: s, held: map[string]map[string]int{}}
-	sess.notices.owner = notify.NewOwner(sess.resolved)
+	sess.pusher = pusher{notices: notify.NewOwner(sess.resolved),
+		streams: notify.NewStreamOwner(sess.streamEvent), answered: map[uint64]struct{}{},
+		early: map[uint64]netproto.Response{}, watches: map[uint64]*fileWatch{}}
 	s.mu.Lock()
 	s.sessions[c] = sess
 	s.mu.Unlock()
@@ -274,10 +248,9 @@ func (s *Server) handle(c *netproto.Conn) {
 		s.mu.Lock()
 		delete(s.sessions, c)
 		s.mu.Unlock()
-		// Tear down notification subscriptions and retire the notice
-		// waiters, then release references held by the departed client.
-		sess.endWatches()
-		sess.leaveNotices()
+		// Retire the session's waiters, then release references held by
+		// the departed client.
+		sess.leave()
 		for ctx, files := range sess.held {
 			for file, n := range files {
 				for i := 0; i < n; i++ {
@@ -441,7 +414,7 @@ func (s *Server) contextInfo(_ *session, b netproto.CtxBody) (netproto.Response,
 func (s *Server) open(sess *session, env netproto.Envelope) {
 	b, _ := env.File() // binary-only op: see fileOp
 	id := env.ID
-	res, err := s.v.OpenAwait(sess.client, b.Context, b.File, sess.notices.owner, id)
+	res, err := s.v.OpenAwait(sess.client, b.Context, b.File, sess.pusher.notices, id)
 	if err != nil {
 		resp := failure(err)
 		resp.ID, resp.Done = id, true
@@ -546,9 +519,7 @@ func (s *Server) peers(*session) (netproto.Response, error) {
 }
 
 func (s *Server) unsubscribe(sess *session, b netproto.UnsubscribeBody) (netproto.Response, error) {
-	if w := sess.dropWatch(b.SubID); w != nil {
-		w.sub.Close()
-	}
+	sess.endWatch(b.SubID)
 	return acked, nil
 }
 
@@ -686,14 +657,14 @@ func (s *Server) inboundPeerInfos() []netproto.PeerInfo {
 	var infos []netproto.PeerInfo
 	for _, sess := range sessions {
 		topics := 0
-		sess.mu.Lock()
-		for _, w := range sess.watches {
-			if w.fed {
-				topics += int(w.pending.Load())
+		sess.pusher.mu.Lock()
+		for _, w := range sess.pusher.watches {
+			if w.fed && w.live {
+				topics += len(w.unresolved)
 			}
 		}
-		sess.mu.Unlock()
-		events := sess.fedEvents.Load()
+		events := sess.pusher.fedEvents
+		sess.pusher.mu.Unlock()
 		if topics == 0 && events == 0 {
 			continue
 		}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"simfs/internal/core"
 	"simfs/internal/netproto"
@@ -10,9 +9,7 @@ import (
 )
 
 // watchPolicy is one row of the readiness-stream table: all that tells
-// acquire, subscribe and fed-watch apart. The stream itself — initial
-// per-file frames, pump, terminal frame, unsubscribe, drain, disconnect
-// cleanup — is the one below.
+// acquire, subscribe and fed-watch apart; the stream itself is one.
 type watchPolicy struct {
 	// open references every file through Open, which starts the
 	// re-simulation of a missing one. A refused Open rolls back the
@@ -41,32 +38,41 @@ var watchPolicies = map[string]watchPolicy{
 	netproto.OpFedWatch:  {fed: true},
 }
 
-// fileWatch is one live readiness stream.
+// fileWatch is one readiness stream, whose files wait in the hub under
+// the session's streams owner and the stream's request ID.
 type fileWatch struct {
 	watchPolicy
-	sub *notify.Sub
-	// unresolved names the files still owed a frame, by step. Once the
-	// stream is live only pump touches it; pending mirrors its size for
-	// the peers op to read.
+	ctx string
+	// unresolved names the files still owed a frame, by step: the dispatch
+	// loop's until the stream is live, then guarded by the pusher's mu.
 	unresolved map[int]string
-	pending    atomic.Int64
+	// live: the initial frames are queued; until then events wait in early.
+	live  bool
+	early []notify.Event
 	// cancelRemote withdraws the interest registered with the peer
 	// daemons (nil when none was).
 	cancelRemote func()
 }
 
-// watch serves the three stream ops: it answers with one frame per file
-// as the file resolves — at once for what is already decided, from pump
-// for the rest — and a terminal Done frame. A request refused as a
-// whole is answered by one failure frame that says Done, like every
-// other end of a stream.
+// watch serves the three stream ops: one frame per file as the file
+// resolves — at once for what is already decided, from the pusher for
+// the rest — and a terminal Done frame. A request refused as a whole is
+// answered by one failure frame that says Done, like every other end of
+// a stream.
 func (s *Server) watch(sess *session, env netproto.Envelope) {
 	b, ok := decodeBody[netproto.FilesBody](sess, env)
 	if !ok {
 		return
 	}
 	pol, id, ctxName := watchPolicies[env.Op], env.ID, b.Context
+	// In the table before its waiters are registered (and those before
+	// any state is read or an acquire opens), so no event is lost.
+	w := &fileWatch{watchPolicy: pol, ctx: ctxName}
+	sess.pusher.mu.Lock()
+	sess.pusher.watches[id] = w
+	sess.pusher.mu.Unlock()
 	refuse := func(err error) {
+		sess.endWatch(id)
 		resp := failure(err)
 		resp.ID, resp.Done = id, true
 		sess.reply(resp)
@@ -75,27 +81,31 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 		refuse(fmt.Errorf("%w: %s requires at least one file", core.ErrInvalid, env.Op))
 		return
 	}
-	// Subscribed before any state is read (and before an acquire's
-	// opens): whatever resolves a file from here on is buffered in sub.
-	sub, files, err := s.v.Watch(sess.client, ctxName, b.Files)
+	streams := sess.pusher.streams
+	files, err := s.v.Watch(sess.client, ctxName, b.Files, streams, id)
 	if err != nil {
 		refuse(err)
 		return
 	}
-	w := &fileWatch{watchPolicy: pol, sub: sub, unresolved: make(map[int]string, len(files))}
+	w.unresolved = make(map[int]string, len(files))
 	for _, f := range files {
 		w.unresolved[f.Step] = f.Name
 	}
 	var remote []string
 	for i, f := range files {
 		if pol.open {
-			res, err := s.v.Open(sess.client, ctxName, f.Name)
+			// A file resident at the Watch has no waiter: should it be
+			// evicted before this open, the miss registers one.
+			o := streams
+			if !f.Resident {
+				o = nil
+			}
+			res, err := s.v.OpenAwait(sess.client, ctxName, f.Name, o, id)
 			if err != nil {
 				for _, g := range files[:i] {
 					_ = s.v.Release(sess.client, ctxName, g.Name)
 					sess.trackRef(ctxName, g.Name, -1)
 				}
-				sub.Close()
 				refuse(err)
 				return
 			}
@@ -109,113 +119,129 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 		case f.Resident:
 			delete(w.unresolved, f.Step)
 			sess.reply(netproto.Response{ID: id, OK: true, Ready: true, File: f.Name})
-		case f.Promised, !pol.refuseUnproduced, !sub.Subscribed(notify.Topic{Context: ctxName, Step: f.Step}):
+		case f.Promised, !pol.refuseUnproduced:
 			// Pending: the hub will resolve it — or already has since the
-			// Watch, and the event is in sub or on its way there for pump
-			// (a taken topic is no longer subscribed).
+			// Watch, and the event is kept in w or on its way there.
 		case s.Peers != nil:
 			// Watched on the peers: the bridge republishes what they
-			// produce into the local hub, so pump resolves it like a
-			// local production.
+			// produce into the local hub, which resolves it like a local
+			// production.
 			remote = append(remote, f.Name)
+		case s.v.Hub().Withdraw(streams, id, notify.Topic{Context: ctxName, Step: f.Step}) == 0:
+			// Taken since the Watch: its event is on its way.
 		default:
 			delete(w.unresolved, f.Step)
 			sess.reply(netproto.Response{ID: id, Code: netproto.CodeNotProduced,
 				Err: "file is not being produced", File: f.Name})
 		}
 	}
-	if len(w.unresolved) == 0 {
-		sess.reply(netproto.Response{ID: id, OK: true, Done: true})
-		sub.Close()
-		return
-	}
-	w.pending.Store(int64(len(w.unresolved)))
 	if len(remote) > 0 {
 		w.cancelRemote = s.Peers.WatchRemote(ctxName, remote)
 	}
-	sess.addWatch(id, w)
-	go w.pump(sess, id)
+	sess.goLive(id, w)
 }
 
-// pump turns the subscription's events into per-file frames until every
-// file has resolved (or, failFast, one has failed) and ends the stream.
-// It runs off the read loop, so its frames are sent, not left in the
-// reply buffer. A subscription closed under it — unsubscribe, drain,
-// disconnect — ends it without a frame of its own.
-func (w *fileWatch) pump(sess *session, id uint64) {
-	if w.cancelRemote != nil {
-		defer w.cancelRemote()
-	}
-	for ev := range w.sub.C() {
-		f, owed := w.unresolved[ev.Topic.Step]
-		if !owed {
-			continue
-		}
-		delete(w.unresolved, ev.Topic.Step)
-		w.pending.Add(-1)
-		if w.fed {
-			sess.fedEvents.Add(1)
-		}
-		if ev.Kind == notify.FileFailed {
-			resp := netproto.Response{ID: id, Code: netproto.CodeFailed, Err: ev.Err, File: f,
-				Attempts: ev.Attempts, RetryAfterNs: ev.RetryAfter}
-			if w.failFast {
-				resp.Done = true
-				w.end(sess, id, resp)
-				return
+// goLive hands stream id to its callback once the initial frames are
+// queued, queuing the events that came meanwhile right behind them — or
+// ends it, when nothing is left to wait for or the daemon is draining.
+func (sess *session) goLive(id uint64, w *fileWatch) {
+	n := &sess.pusher
+	n.mu.Lock()
+	last := netproto.Response{ID: id, OK: true, Done: true}
+	if len(w.unresolved) > 0 {
+		if !n.draining {
+			w.live = true
+			for _, ev := range w.early {
+				if sess.resolveLocked(id, w, ev) {
+					break
+				}
 			}
-			sess.send(resp)
-		} else {
-			sess.send(netproto.Response{ID: id, OK: true, Ready: true, File: f})
-		}
-		if len(w.unresolved) == 0 {
-			w.end(sess, id, netproto.Response{ID: id, OK: true, Done: true})
+			w.early = nil
+			n.mu.Unlock()
 			return
 		}
+		last = drainingNotice(id)
+	}
+	sess.endLocked(id, w)
+	n.mu.Unlock()
+	sess.reply(last)
+}
+
+// streamEvent is the streams owner's callback: the event of one file of
+// stream id. A stream that has ended — or was withdrawn after the event
+// was taken — drops it.
+func (sess *session) streamEvent(id uint64, ev notify.Event) {
+	n := &sess.pusher
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	switch w := n.watches[id]; {
+	case w == nil:
+	case !w.live:
+		w.early = append(w.early, ev)
+	default:
+		sess.resolveLocked(id, w, ev)
 	}
 }
 
-// end sends the stream's terminal frame — unless an unsubscribe or the
-// drain took the stream out of the session table first: whoever removes
-// the entry has the last word on the request ID.
-func (w *fileWatch) end(sess *session, id uint64, resp netproto.Response) {
-	if sess.dropWatch(id) != nil {
-		sess.send(resp)
+// resolveLocked queues the frame an event of live stream id earns its
+// file, and ends the stream behind it with Done once every file has
+// resolved, or at once on a failFast failure. It reports whether the
+// stream ended. Caller holds the pusher's mu.
+func (sess *session) resolveLocked(id uint64, w *fileWatch, ev notify.Event) bool {
+	n := &sess.pusher
+	f, owed := w.unresolved[ev.Topic.Step]
+	if !owed {
+		return false
 	}
-	w.sub.Close()
+	delete(w.unresolved, ev.Topic.Step)
+	if w.fed {
+		n.fedEvents++
+	}
+	resp := netproto.Response{ID: id, OK: true, Ready: true, File: f}
+	if ev.Kind == notify.FileFailed {
+		resp = netproto.Response{ID: id, Code: netproto.CodeFailed, Err: ev.Err, File: f,
+			Attempts: ev.Attempts, RetryAfterNs: ev.RetryAfter, Done: w.failFast}
+	}
+	n.queue = append(n.queue, resp)
+	ended := resp.Done || len(w.unresolved) == 0
+	if ended && !resp.Done {
+		n.queue = append(n.queue, netproto.Response{ID: id, OK: true, Done: true})
+	}
+	if ended {
+		sess.endLocked(id, w)
+	}
+	sess.kickLocked()
+	return ended
 }
 
-// addWatch enters a live stream in the session table.
-func (sess *session) addWatch(id uint64, w *fileWatch) {
-	sess.mu.Lock()
-	if sess.watches == nil {
-		sess.watches = map[uint64]*fileWatch{}
+// endWatch ends stream id without a frame of its own: unsubscribe, or a
+// stream refused as a whole.
+func (sess *session) endWatch(id uint64) {
+	n := &sess.pusher
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if w := n.watches[id]; w != nil {
+		sess.endLocked(id, w)
 	}
-	sess.watches[id] = w
-	sess.mu.Unlock()
 }
 
-// dropWatch removes (and returns) a stream; nil when it is not live.
-func (sess *session) dropWatch(id uint64) *fileWatch {
-	sess.mu.Lock()
-	w := sess.watches[id]
-	delete(sess.watches, id)
-	sess.mu.Unlock()
-	return w
-}
-
-// endWatches empties the table and closes every stream's subscription,
-// so the pumps stop sending, and returns the request IDs (drain answers
-// each; disconnect cleanup has nobody to tell).
-func (sess *session) endWatches() []uint64 {
-	sess.mu.Lock()
-	watches := sess.watches
-	sess.watches = nil
-	sess.mu.Unlock()
-	ids := make([]uint64, 0, len(watches))
-	for id, w := range watches {
-		w.sub.Close()
-		ids = append(ids, id)
+// endLocked ends stream id: whoever takes it out of the table has the
+// last word on the request ID. Its waiters left in the hub are withdrawn
+// (an event already taken finds no stream), and its remote interest goes
+// to the pusher, since a callback may not write to a peer. Caller holds
+// the pusher's mu.
+func (sess *session) endLocked(id uint64, w *fileWatch) {
+	n := &sess.pusher
+	delete(n.watches, id)
+	if len(w.unresolved) > 0 {
+		topics := make([]notify.Topic, 0, len(w.unresolved))
+		for step := range w.unresolved {
+			topics = append(topics, notify.Topic{Context: w.ctx, Step: step})
+		}
+		sess.srv.v.Hub().Withdraw(n.streams, id, topics...)
 	}
-	return ids
+	if w.cancelRemote != nil {
+		n.cancels = append(n.cancels, w.cancelRemote)
+		sess.kickLocked()
+	}
 }
