@@ -12,8 +12,8 @@
 // their request IDs (core.Virtualizer.OpenAwait), its readiness streams
 // file by file under theirs (core.Virtualizer.Watch), and Withdraw takes
 // a tag's waiters off again. An owner can leave first; its waiters stop
-// counting. Only a stream owner's (NewStreamOwner) may stand on a step
-// nothing promises yet, such as one a peer daemon's bridge publishes.
+// counting. Only a stream owner's waiters (NewStreamOwner) may stand on a
+// step nothing promises yet, such as one a peer daemon's bridge publishes.
 //
 // Delivery is two steps. Take detaches a topic's waiters and sends
 // nothing; the Virtualizer calls it under the shard lock that decides the
@@ -24,9 +24,9 @@
 // and Publish may be called under a shard lock.
 //
 // A waiter receives at most one event — the next outcome for its file —
-// and is then gone from the topic. Registering before reading the file's
-// state (core.Virtualizer.Watch and WaitFile do both under one hold of
-// the shard lock) loses no wakeup.
+// and is then gone from the topic. Registering in the shard-lock hold
+// that reads the file's state (core.Virtualizer.Watch, OpenAwait and
+// WaitFile do) loses no wakeup.
 package notify
 
 import (

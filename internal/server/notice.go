@@ -21,10 +21,10 @@ import (
 // loop right behind them.
 type pusher struct {
 	// notices leaves when the client disconnects; a stream's waiters
-	// under streams are withdrawn when it ends. out keeps frames in queue
-	// order on the wire, whoever moves them.
+	// under streams are withdrawn when it ends.
 	notices, streams *notify.Owner
-	out              sync.Mutex
+	// out keeps frames in queue order on the wire, whoever moves them.
+	out sync.Mutex
 
 	mu sync.Mutex
 	// answered holds the open IDs whose first answer is queued and whose
