@@ -164,7 +164,7 @@ func (v *Virtualizer) RemoveContext(name string) error {
 	// No new work lands from here on, whether or not removal succeeds
 	// below: a deregistration attempt implies the context is retiring.
 	cs.draining = true
-	if n := len(cs.refs); n > 0 {
+	if n := cs.referenced(); n > 0 {
 		cs.mu.Unlock()
 		return fmt.Errorf("core: %w: %d files of %q still referenced", ErrBusy, n, name)
 	}

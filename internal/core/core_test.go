@@ -457,15 +457,21 @@ func TestRescanStorageArea(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Files already in the area (daemon restart): 3 output steps, one
-	// restart file (ignored), one foreign file (ignored).
+	// restart file, one foreign file and two output names past the
+	// timeline's 100 steps (all four ignored).
 	area.Create(ctx.Filename(1), 1)
 	area.Create(ctx.Filename(2), 1)
 	area.Create(ctx.Filename(3), 1)
 	area.Create(ctx.RestartFilename(4), 1)
 	area.Create("notes.txt", 1)
+	area.Create(ctx.Filename(ctx.Grid.NumOutputSteps()+5), 1)
+	area.Create(ctx.Filename(123456789), 1)
 	n, err := v.RescanStorageArea("c")
 	if err != nil || n != 3 {
 		t.Fatalf("rescan = %d, %v", n, err)
+	}
+	if cs, _ := v.shardOf("c"); cs.cache.UsedBytes() != 3 {
+		t.Errorf("cache holds %d bytes after the rescan, want the 3 steps on the timeline", cs.cache.UsedBytes())
 	}
 	res, _ := v.Open("a1", "c", ctx.Filename(2))
 	if !res.Available {

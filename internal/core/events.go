@@ -49,7 +49,7 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 		var missing []int
 		sim.upstreamSteps = usteps
 		for _, us := range usteps {
-			ucs.refs[us]++
+			ucs.steps[us].refs++
 			if !ucs.resident(us) {
 				missing = append(missing, us)
 			}
@@ -63,7 +63,7 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 			v.sched.ParkNodes(sim.parallelism)
 			v.markPromised(cs, sim.first, sim.last, sim.id)
 			for _, us := range missing {
-				if _, p := ucs.promised[us]; !p {
+				if !ucs.steps[us].promised {
 					if iv, err := ucs.ctx.Grid.ResimInterval(us); err == nil {
 						if f, l, ok := ucs.ctx.Grid.OutputsIn(iv); ok {
 							// The upstream demand bills the client whose
@@ -162,13 +162,13 @@ func (v *Virtualizer) doLaunch(cs *shard, sim *simState) {
 }
 
 // markPromised registers promised markers for uncovered steps in the
-// range. It and clearPromised are the only writers of cs.promised over a
-// range; stepArrived and repromise write it one step at a time. Caller
+// range. It and clearPromised are the only writers of the promises over a
+// range; stepArrived and repromise write them one step at a time. Caller
 // holds the shard lock.
 func (v *Virtualizer) markPromised(cs *shard, first, last int, simID int64) {
 	for s := first; s <= last; s++ {
 		if !cs.covered(s) {
-			cs.promised[s] = simID
+			cs.steps[s].owner, cs.steps[s].promised = simID, true
 		}
 	}
 }
@@ -180,8 +180,8 @@ func (v *Virtualizer) markPromised(cs *shard, first, last int, simID int64) {
 func clearPromised(cs *shard, first, last int, simID int64) []int {
 	var cleared []int
 	for s := first; s <= last; s++ {
-		if id, p := cs.promised[s]; p && id == simID {
-			delete(cs.promised, s)
+		if st := &cs.steps[s]; st.promised && st.owner == simID {
+			st.promised = false
 			cleared = append(cleared, s)
 		}
 	}
@@ -221,11 +221,8 @@ func (v *Virtualizer) releaseUpstream(cs *shard, sim *simState) {
 	ucs.mu.Lock()
 	defer ucs.mu.Unlock()
 	for _, step := range sim.upstreamSteps {
-		if ucs.refs[step] > 0 {
-			ucs.refs[step]--
-			if ucs.refs[step] == 0 {
-				delete(ucs.refs, step)
-			}
+		if st := &ucs.steps[step]; st.refs > 0 {
+			st.refs--
 		}
 	}
 	sim.upstreamSteps = nil
@@ -268,7 +265,7 @@ func (v *Virtualizer) StepProduced(simID int64, step int) {
 	}
 	sim.produced++
 	cs.stats.StepsProduced++
-	cs.everProduced[step] = true
+	cs.steps[step].produced = true
 	if sim.prefetchFor != "" {
 		if _, tracked := cs.prefetched[step]; !tracked {
 			cs.prefetched[step] = sim.prefetchFor
@@ -433,7 +430,7 @@ func (v *Virtualizer) popJob() (job sched.Job, cs *shard, cleared []int, ok bool
 // waiters, streams included. Caller holds the shard lock.
 func (v *Virtualizer) anyoneNeeds(cs *shard, first, last int) bool {
 	for s := first; s <= last; s++ {
-		if cs.refs[s] > 0 || v.hub.Waiting(notify.Topic{Context: cs.ctx.Name, Step: s}) {
+		if cs.steps[s].refs > 0 || v.hub.Waiting(notify.Topic{Context: cs.ctx.Name, Step: s}) {
 			return true
 		}
 	}

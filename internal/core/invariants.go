@@ -1,9 +1,9 @@
 package core
 
-// The audit iterates every ledger over sorted keys: with several
-// violations present, which one is reported must not depend on map
-// iteration order, or a failing property test prints a different
-// counterexample on every run.
+// The audit walks the step table in step order and every other ledger
+// over sorted keys: with several violations present, which one is
+// reported must not depend on map iteration order, or a failing property
+// test prints a different counterexample on every run.
 
 import (
 	"fmt"
@@ -29,8 +29,9 @@ import (
 //     and clearing its markers under the shard lock; an audit racing
 //     with such a pass (Virtualizer.admitting > 0) skips the ownership
 //     half rather than report the job in transit.
-//  3. Reference counts are positive; a referenced resident step is never
-//     an eviction victim — by construction, the cache's guard is refs.
+//  3. Reference counts are never negative; a referenced resident step is
+//     never an eviction victim — by construction, the cache's guard is
+//     the count.
 //  4. The cache never exceeds its capacity unless references forced an
 //     overflow.
 //  5. Every simulation in the shard table has a well-formed range and
@@ -64,25 +65,25 @@ func (v *Virtualizer) checkShard(name string, cs *shard) error {
 	// The owners of pending markers. Read before admitting (below): a job
 	// missing here because a drain pass popped it is still counted there.
 	owners := append(v.sched.QueuedRanges(name), cs.retryArmed...)
-	for _, step := range slices.Sorted(maps.Keys(cs.promised)) {
-		simID := cs.promised[step]
+	for step, st := range cs.steps {
+		if st.refs < 0 {
+			return fmt.Errorf("core: %s step %d has negative refcount %d", name, step, st.refs)
+		}
+		if !st.promised {
+			continue
+		}
 		if cs.resident(step) {
 			return fmt.Errorf("core: %s step %d both resident and promised", name, step)
 		}
-		if simID == pendingSimID {
+		if st.owner == pendingSimID {
 			owned := slices.ContainsFunc(owners, func(r [2]int) bool { return r[0] <= step && step <= r[1] })
 			if !owned && v.admitting.Load() == 0 {
 				return fmt.Errorf("core: %s step %d pending with no queued job or armed retry behind it", name, step)
 			}
 			continue
 		}
-		if _, ok := cs.sims[simID]; !ok {
-			return fmt.Errorf("core: %s step %d promised by unknown simulation %d", name, step, simID)
-		}
-	}
-	for _, step := range slices.Sorted(maps.Keys(cs.refs)) {
-		if n := cs.refs[step]; n <= 0 {
-			return fmt.Errorf("core: %s step %d has non-positive refcount %d", name, step, n)
+		if _, ok := cs.sims[st.owner]; !ok {
+			return fmt.Errorf("core: %s step %d promised by unknown simulation %d", name, step, st.owner)
 		}
 	}
 	if max := cs.cache.MaxBytes(); max > 0 && cs.cache.UsedBytes() > max {
@@ -103,7 +104,7 @@ func (v *Virtualizer) checkShard(name string, cs *shard) error {
 	for _, w := range v.hub.Waiters(name) {
 		if step := w.Topic.Step; cs.resident(step) {
 			return fmt.Errorf("core: %s step %d resident but client %q still waits", name, step, w.Client)
-		} else if _, promised := cs.promised[step]; !promised && !w.StreamOwned() {
+		} else if !cs.stepOf(step).promised && !w.StreamOwned() {
 			return fmt.Errorf("core: %s step %d has waiter %q but no promise", name, step, w.Client)
 		}
 	}

@@ -173,3 +173,30 @@ func TestInvariantPendingMarkerNeedsOwner(t *testing.T) {
 		t.Fatalf("CheckInvariants = %v, want the ownerless pending marker reported", err)
 	}
 }
+
+// The audit reads the step table itself: a corrupted entry is reported,
+// not skipped because nothing else points at the step.
+func TestInvariantsSeeCorruptStepTable(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(st *stepState)
+		want    string
+	}{
+		{"negative refcount", func(st *stepState) { st.refs = -1 }, "step 9 has negative refcount -1"},
+		{"unknown owner", func(st *stepState) { st.owner, st.promised = 12345, true }, "step 9 promised by unknown simulation 12345"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := testContext("c")
+			h := newHarness(t, ctx)
+			h.v.Open("a1", "c", ctx.Filename(2))
+			if err := h.v.CheckInvariants(); err != nil {
+				t.Fatalf("before the corruption: %v", err)
+			}
+			cs, _ := h.v.shardOf("c")
+			tc.corrupt(&cs.steps[9])
+			if err := h.v.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}

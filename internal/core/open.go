@@ -78,7 +78,7 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 		// Cache-pollution signal (Sec. IV-C): the client misses on a step
 		// its own agent prefetched and that had been produced — it was
 		// evicted before being accessed. Reset all active agents.
-		if cs.prefetched[step] == client && cs.everProduced[step] {
+		if cs.steps[step].produced && cs.prefetched[step] == client {
 			cs.stats.PollutionResets++
 			for _, ag := range cs.agents { //simfs:allow maporder each agent resets independently; order is invisible
 				ag.Reset()
@@ -101,12 +101,12 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 	// has nothing to roll back. Once counted the step cannot be evicted.
 	if hit {
 		cs.lastReady[client] = now
-		cs.refs[step]++
+		cs.steps[step].refs++
 		return OpenResult{Available: true}, nil
 	}
 
 	// Miss: join the producing simulation or start a demand one.
-	if simID, promised := cs.promised[step]; promised && simID == pendingSimID {
+	if st := cs.steps[step]; st.promised && st.owner == pendingSimID {
 		// The step is promised by a *queued* job — nothing to submit, so
 		// without this the demand interest would never reach the
 		// scheduler (not even Coalesce sees it). Under Priorities the
@@ -116,7 +116,7 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 		if v.sched.PromoteDemand(cs.ctx.Name, step, client) {
 			queuedDemand = true
 		}
-	} else if !promised {
+	} else if !st.promised {
 		iv, err := cs.ctx.Grid.ResimInterval(step)
 		if err != nil {
 			return OpenResult{}, err
@@ -141,12 +141,11 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 		}
 	}
 	// A waiter must never sit on a step nothing will resolve.
-	_, promised := cs.promised[step]
-	awaited := o != nil && promised
+	awaited := o != nil && cs.steps[step].promised
 	if awaited {
 		v.hub.AwaitFor(notify.Topic{Context: ctxName, Step: step}, client, o, tag)
 	}
-	cs.refs[step]++
+	cs.steps[step].refs++
 	return OpenResult{Available: false, EstWait: v.estWaitLocked(cs, step, now), Awaited: awaited}, nil
 }
 
@@ -169,7 +168,7 @@ func (v *Virtualizer) WaitFile(client, ctxName, filename string, cb func(notify.
 		cb(notify.Event{Topic: topic, Kind: notify.FileReady})
 		return nil
 	}
-	if _, promised := cs.promised[step]; !promised {
+	if !cs.stepOf(step).promised {
 		cs.mu.Unlock()
 		return fmt.Errorf("core: %w: %q is neither on disk nor promised; call Open first", ErrNotProduced, filename)
 	}
@@ -186,13 +185,10 @@ func (v *Virtualizer) Release(client, ctxName, filename string) error {
 		return err
 	}
 	defer cs.mu.Unlock()
-	if cs.refs[step] <= 0 {
+	if cs.stepOf(step).refs <= 0 {
 		return fmt.Errorf("core: %w: release of unreferenced file %q", ErrInvalid, filename)
 	}
-	cs.refs[step]--
-	if cs.refs[step] == 0 {
-		delete(cs.refs, step)
-	}
+	cs.steps[step].refs--
 	return nil
 }
 
@@ -266,11 +262,11 @@ func (v *Virtualizer) EstWait(ctxName, filename string) (time.Duration, error) {
 // estWaitLocked estimates availability time of a step from its producing
 // simulation's progress. Caller holds the shard lock.
 func (v *Virtualizer) estWaitLocked(cs *shard, step int, now time.Duration) time.Duration {
-	simID, promised := cs.promised[step]
-	if !promised {
+	st := cs.stepOf(step)
+	if !st.promised {
 		return 0
 	}
-	sim, ok := cs.sims[simID]
+	sim, ok := cs.sims[st.owner]
 	if !ok {
 		// Pending (smax or pipeline): assume a full restart plus the
 		// production run from its restart step.

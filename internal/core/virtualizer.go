@@ -125,8 +125,9 @@ type shard struct {
 
 	ctx    *model.Context
 	driver simulator.Driver
-	// cache is keyed by output step like the ledgers below; refs is its
-	// eviction guard (cache.PinnedBy), so there is no pin count to mirror.
+	// cache is keyed by output step like steps below, whose reference
+	// counts are its eviction guard (cache.PinnedBy): there is no pin
+	// count to mirror.
 	cache *cache.CacheOf[int]
 	fs    vfs.FS // optional mirror of the storage area
 	// evicted is insertStep's scratch for the victims of one insert,
@@ -137,17 +138,14 @@ type shard struct {
 	// deregistration); running work completes and releases still land.
 	draining bool
 
-	// promised maps a step to the simulation that will produce it.
-	// Pipeline- or smax-pending simulations are registered here too, so
-	// coverage queries see them.
-	promised map[int]int64
-	refs     map[int]int
-	agents   map[string]*prefetch.Agent
+	// steps is the per-step ledger, indexed by output step 1..n (entry 0
+	// is unused). Residency is the cache's.
+	steps  []stepState
+	agents map[string]*prefetch.Agent
 
 	// prefetched tracks steps produced by prefetching per client, for the
 	// cache-pollution signal.
-	prefetched   map[int]string
-	everProduced map[int]bool
+	prefetched map[int]string
 	// lastReady records, per client, when its most recent file became
 	// available — the baseline for the wait-excluded τcli measurement.
 	lastReady map[string]time.Duration
@@ -170,6 +168,23 @@ type shard struct {
 	// failed simulation's SimEnded to its retryLaunch the timer, not a
 	// queued job, owns their pending markers (CheckInvariants clause 2).
 	retryArmed [][2]int
+}
+
+// stepState is what a shard knows of one output step besides residency.
+// It holds no pointers, so the garbage collector never scans the table.
+type stepState struct {
+	// owner is the simulation that will produce the step while promised
+	// is set. Pipeline- or smax-pending simulations promise steps too, so
+	// coverage queries see them.
+	owner int64
+	// refs counts the references clients and downstream pipeline
+	// simulations hold on the step (paper Sec. III-A: a step can be
+	// evicted only while it is zero).
+	refs     int32
+	promised bool
+	// produced records that a re-simulation once wrote the step, for the
+	// cache-pollution signal.
+	produced bool
 }
 
 // Virtualizer is the DV state machine. All exported methods are safe for
@@ -270,22 +285,20 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 	}
 	v.sched.Register(ctx.Name, ctx.SMax)
 	cs := &shard{
-		ctx:          ctx,
-		driver:       simulator.NewSynthetic(ctx),
-		cache:        cache.NewOf(pol, ctx.MaxCacheBytes),
-		fs:           fs,
-		promised:     map[int]int64{},
-		refs:         map[int]int{},
-		agents:       map[string]*prefetch.Agent{},
-		prefetched:   map[int]string{},
-		everProduced: map[int]bool{},
-		lastReady:    map[string]time.Duration{},
-		sims:         map[int64]*simState{},
-		alphaEMA:     metrics.NewEMA(ctx.AlphaSmoothing),
-		checksums:    map[int]uint64{},
-		failures:     map[[2]int]*failureRec{},
+		ctx:        ctx,
+		driver:     simulator.NewSynthetic(ctx),
+		cache:      cache.NewOf(pol, ctx.MaxCacheBytes),
+		fs:         fs,
+		steps:      make([]stepState, ctx.Grid.NumOutputSteps()+1),
+		agents:     map[string]*prefetch.Agent{},
+		prefetched: map[int]string{},
+		lastReady:  map[string]time.Duration{},
+		sims:       map[int64]*simState{},
+		alphaEMA:   metrics.NewEMA(ctx.AlphaSmoothing),
+		checksums:  map[int]uint64{},
+		failures:   map[[2]int]*failureRec{},
 	}
-	cs.cache.PinnedBy(func(step int) bool { return cs.refs[step] > 0 })
+	cs.cache.PinnedBy(func(step int) bool { return cs.steps[step].refs > 0 })
 	v.contexts[ctx.Name] = cs
 	return nil
 }
@@ -529,7 +542,7 @@ func (v *Virtualizer) Watch(client, ctxName string, filenames []string, o *notif
 	for i := range files {
 		f := &files[i]
 		f.Resident = cs.resident(f.Step)
-		_, f.Promised = cs.promised[f.Step]
+		f.Promised = cs.steps[f.Step].promised
 		if !f.Resident && !slices.ContainsFunc(files[:i], func(g WatchedFile) bool { return g.Step == f.Step }) {
 			v.hub.AwaitFor(notify.Topic{Context: ctxName, Step: f.Step}, client, o, tag)
 		}
@@ -585,9 +598,9 @@ func (v *Virtualizer) RescanStorageArea(ctxName string) (int, error) {
 	added := 0
 	var ws []notify.Waiter
 	for _, name := range cs.fs.List() {
-		step, err := cs.ctx.Key(name)
+		step, err := cs.outputStep(name)
 		if err != nil {
-			continue // restart files, foreign files
+			continue // restart files, foreign files, steps off the timeline
 		}
 		if !cs.resident(step) {
 			ws = v.stepArrived(cs, step, ws)
@@ -608,7 +621,7 @@ func (v *Virtualizer) RescanStorageArea(ctxName string) (int, error) {
 // the shard lock.
 func (v *Virtualizer) stepArrived(cs *shard, step int, ws []notify.Waiter) []notify.Waiter {
 	v.insertStep(cs, step)
-	delete(cs.promised, step)
+	cs.steps[step].promised = false
 	n := len(ws)
 	ws = v.hub.Take(notify.Topic{Context: cs.ctx.Name, Step: step}, ws)
 	for _, w := range ws[n:] {
@@ -673,6 +686,27 @@ func (cs *shard) resident(step int) bool { return cs.cache.Contains(step) }
 // covered reports whether a step is resident or promised. Caller holds
 // the shard lock.
 func (cs *shard) covered(step int) bool {
-	_, promised := cs.promised[step]
-	return promised || cs.resident(step)
+	return cs.steps[step].promised || cs.resident(step)
+}
+
+// referenced counts the steps someone holds a reference on. Caller holds
+// the shard lock.
+func (cs *shard) referenced() int {
+	n := 0
+	for _, st := range cs.steps {
+		if st.refs > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// stepOf is a step's ledger entry for a name lockedStep parsed, which
+// may lie off the timeline: such a step is neither promised nor
+// referenced. Caller holds the shard lock.
+func (cs *shard) stepOf(step int) stepState {
+	if uint(step) < uint(len(cs.steps)) {
+		return cs.steps[step]
+	}
+	return stepState{}
 }
