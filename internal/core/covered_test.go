@@ -8,12 +8,13 @@ import (
 )
 
 // BenchmarkCoveredUntilStrided times the prefetch agent's coverage probe
-// (coveredUntil): a stride-4 walk over a 600-step context whose odd
-// steps are resident and even steps promised, so every probe answers
-// "covered" and the walk runs to the end of the timeline — 150 probes,
-// what a strided trajectory costs per open.
+// (coveredUntil): a stride-3 walk over a 450-step context whose odd
+// steps are resident and even steps promised, so the probes alternate
+// between the two, every one answers "covered" and the walk runs to the
+// end of the timeline: 149 probes, about what a strided trajectory makes
+// per open.
 func BenchmarkCoveredUntilStrided(b *testing.B) {
-	const n, stride = 600, 4
+	const n, stride = 450, 3
 	ctx := &model.Context{
 		Name:               "c",
 		Grid:               model.Grid{DeltaD: 1, DeltaR: 8, Timesteps: n},
