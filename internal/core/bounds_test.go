@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"simfs/internal/notify"
@@ -133,5 +135,82 @@ func TestStepNameBounds(t *testing.T) {
 	}
 	if w := v.Hub().Waiting(notify.Topic{Context: "c", Step: 101}); w {
 		t.Error("a waiter sits on a step past the timeline")
+	}
+}
+
+// A timeline's length arrives off the wire (ctx-register). One longer
+// than a step table holds is refused, without a panic; one within the
+// bound costs its table's directory when registered, and a step's chunk
+// when the step is first written.
+func TestStepTableSize(t *testing.T) {
+	h := newHarness(t)
+	for _, steps := range []int{math.MaxInt, 1_000_000_000, maxOutputSteps + 1} {
+		c := testContext(fmt.Sprint("long", steps))
+		c.Grid.Timesteps = steps
+		if err := h.v.AddContext(c, "DCL", nil); !errors.Is(err, ErrInvalid) {
+			t.Errorf("AddContext with %d output steps = %v, want ErrInvalid", steps, err)
+		}
+	}
+	c := testContext("long")
+	c.Grid.Timesteps = 150_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := h.v.AddContext(c, "DCL", nil); err != nil {
+		t.Fatal(err)
+	}
+	last := c.Filename(c.Grid.NumOutputSteps())
+	if _, err := h.v.Open("a", "long", last); err != nil {
+		t.Fatal(err)
+	}
+	h.eng.Run(0)
+	runtime.ReadMemStats(&after)
+	// The directory is 1.2 MB and the context's name table 3.2 MB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("registering a %d-step context and opening its last step allocated %d bytes", c.Grid.NumOutputSteps(), grew)
+	}
+	if resident, _, err := h.v.FileState("long", last); err != nil || !resident {
+		t.Errorf("last step resident = %v (%v), want true", resident, err)
+	}
+	if err := h.v.Release("a", "long", last); err != nil {
+		t.Error(err)
+	}
+	if err := h.v.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// A reference count that reaches its limit stays there: one more open
+// neither wraps it negative nor unpins the step, and a release leaves
+// it pinned.
+func TestRefCountSaturates(t *testing.T) {
+	ctx := testContext("c") // room for 40 steps
+	h := newHarness(t, ctx)
+	if err := h.v.Preload("c", []int{5}); err != nil {
+		t.Fatal(err)
+	}
+	cs, _ := h.v.shardOf("c")
+	cs.steps.at(5).refs = math.MaxInt32
+	name := ctx.Filename(5)
+	if res, err := h.v.Open("a", "c", name); err != nil || !res.Available {
+		t.Fatalf("Open = %+v, %v; want a hit", res, err)
+	}
+	if err := h.v.Release("a", "c", name); err != nil {
+		t.Fatal(err)
+	}
+	if got := cs.steps.get(5).refs; got != math.MaxInt32 {
+		t.Fatalf("refs = %d, want %d", got, math.MaxInt32)
+	}
+	var others []int
+	for s := 6; s <= 50; s++ {
+		others = append(others, s)
+	}
+	if err := h.v.Preload("c", others); err != nil {
+		t.Fatal(err)
+	}
+	if resident, _, _ := h.v.FileState("c", name); !resident {
+		t.Error("a saturated step was evicted")
+	}
+	if err := h.v.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

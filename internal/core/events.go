@@ -49,7 +49,7 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 		var missing []int
 		sim.upstreamSteps = usteps
 		for _, us := range usteps {
-			ucs.steps[us].refs++
+			ucs.steps.at(us).pin()
 			if !ucs.resident(us) {
 				missing = append(missing, us)
 			}
@@ -63,7 +63,7 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 			v.sched.ParkNodes(sim.parallelism)
 			v.markPromised(cs, sim.first, sim.last, sim.id)
 			for _, us := range missing {
-				if !ucs.steps[us].promised {
+				if !ucs.steps.get(us).promised {
 					if iv, err := ucs.ctx.Grid.ResimInterval(us); err == nil {
 						if f, l, ok := ucs.ctx.Grid.OutputsIn(iv); ok {
 							// The upstream demand bills the client whose
@@ -168,7 +168,8 @@ func (v *Virtualizer) doLaunch(cs *shard, sim *simState) {
 func (v *Virtualizer) markPromised(cs *shard, first, last int, simID int64) {
 	for s := first; s <= last; s++ {
 		if !cs.covered(s) {
-			cs.steps[s].owner, cs.steps[s].promised = simID, true
+			st := cs.steps.at(s)
+			st.owner, st.promised = simID, true
 		}
 	}
 }
@@ -180,8 +181,8 @@ func (v *Virtualizer) markPromised(cs *shard, first, last int, simID int64) {
 func clearPromised(cs *shard, first, last int, simID int64) []int {
 	var cleared []int
 	for s := first; s <= last; s++ {
-		if st := &cs.steps[s]; st.promised && st.owner == simID {
-			st.promised = false
+		if st := cs.steps.get(s); st.promised && st.owner == simID {
+			cs.steps.at(s).promised = false
 			cleared = append(cleared, s)
 		}
 	}
@@ -221,8 +222,8 @@ func (v *Virtualizer) releaseUpstream(cs *shard, sim *simState) {
 	ucs.mu.Lock()
 	defer ucs.mu.Unlock()
 	for _, step := range sim.upstreamSteps {
-		if st := &ucs.steps[step]; st.refs > 0 {
-			st.refs--
+		if st := ucs.steps.at(step); st.refs > 0 {
+			st.unpin()
 		}
 	}
 	sim.upstreamSteps = nil
@@ -265,7 +266,7 @@ func (v *Virtualizer) StepProduced(simID int64, step int) {
 	}
 	sim.produced++
 	cs.stats.StepsProduced++
-	cs.steps[step].produced = true
+	cs.steps.at(step).produced = true
 	if sim.prefetchFor != "" {
 		if _, tracked := cs.prefetched[step]; !tracked {
 			cs.prefetched[step] = sim.prefetchFor
@@ -430,7 +431,7 @@ func (v *Virtualizer) popJob() (job sched.Job, cs *shard, cleared []int, ok bool
 // waiters, streams included. Caller holds the shard lock.
 func (v *Virtualizer) anyoneNeeds(cs *shard, first, last int) bool {
 	for s := first; s <= last; s++ {
-		if cs.steps[s].refs > 0 || v.hub.Waiting(notify.Topic{Context: cs.ctx.Name, Step: s}) {
+		if cs.steps.get(s).refs > 0 || v.hub.Waiting(notify.Topic{Context: cs.ctx.Name, Step: s}) {
 			return true
 		}
 	}

@@ -78,7 +78,7 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 		// Cache-pollution signal (Sec. IV-C): the client misses on a step
 		// its own agent prefetched and that had been produced — it was
 		// evicted before being accessed. Reset all active agents.
-		if cs.steps[step].produced && cs.prefetched[step] == client {
+		if cs.steps.get(step).produced && cs.prefetched[step] == client {
 			cs.stats.PollutionResets++
 			for _, ag := range cs.agents { //simfs:allow maporder each agent resets independently; order is invisible
 				ag.Reset()
@@ -101,12 +101,12 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 	// has nothing to roll back. Once counted the step cannot be evicted.
 	if hit {
 		cs.lastReady[client] = now
-		cs.steps[step].refs++
+		cs.steps.at(step).pin()
 		return OpenResult{Available: true}, nil
 	}
 
 	// Miss: join the producing simulation or start a demand one.
-	if st := cs.steps[step]; st.promised && st.owner == pendingSimID {
+	if st := cs.steps.get(step); st.promised && st.owner == pendingSimID {
 		// The step is promised by a *queued* job — nothing to submit, so
 		// without this the demand interest would never reach the
 		// scheduler (not even Coalesce sees it). Under Priorities the
@@ -141,11 +141,11 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 		}
 	}
 	// A waiter must never sit on a step nothing will resolve.
-	awaited := o != nil && cs.steps[step].promised
+	awaited := o != nil && cs.steps.get(step).promised
 	if awaited {
 		v.hub.AwaitFor(notify.Topic{Context: ctxName, Step: step}, client, o, tag)
 	}
-	cs.steps[step].refs++
+	cs.steps.at(step).pin()
 	return OpenResult{Available: false, EstWait: v.estWaitLocked(cs, step, now), Awaited: awaited}, nil
 }
 
@@ -168,7 +168,7 @@ func (v *Virtualizer) WaitFile(client, ctxName, filename string, cb func(notify.
 		cb(notify.Event{Topic: topic, Kind: notify.FileReady})
 		return nil
 	}
-	if !cs.stepOf(step).promised {
+	if !cs.steps.get(step).promised {
 		cs.mu.Unlock()
 		return fmt.Errorf("core: %w: %q is neither on disk nor promised; call Open first", ErrNotProduced, filename)
 	}
@@ -185,10 +185,10 @@ func (v *Virtualizer) Release(client, ctxName, filename string) error {
 		return err
 	}
 	defer cs.mu.Unlock()
-	if cs.stepOf(step).refs <= 0 {
+	if cs.steps.get(step).refs <= 0 {
 		return fmt.Errorf("core: %w: release of unreferenced file %q", ErrInvalid, filename)
 	}
-	cs.steps[step].refs--
+	cs.steps.at(step).unpin()
 	return nil
 }
 
@@ -262,7 +262,7 @@ func (v *Virtualizer) EstWait(ctxName, filename string) (time.Duration, error) {
 // estWaitLocked estimates availability time of a step from its producing
 // simulation's progress. Caller holds the shard lock.
 func (v *Virtualizer) estWaitLocked(cs *shard, step int, now time.Duration) time.Duration {
-	st := cs.stepOf(step)
+	st := cs.steps.get(step)
 	if !st.promised {
 		return 0
 	}

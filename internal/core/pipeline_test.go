@@ -147,8 +147,8 @@ func TestPipelineUpstreamPinnedDuringFineResim(t *testing.T) {
 	// The fine run returned its one reference per input: only a2's open
 	// of 7 is left, and 5..6 wash out like any unreferenced step.
 	ucs, _ := h.v.shardOf("coarse")
-	if n := ucs.referenced(); n != 1 || ucs.steps[7].refs != 1 {
-		t.Fatalf("coarse refs after the pipeline drained: %d steps, step 7 %d times; want only step 7 once", n, ucs.steps[7].refs)
+	if n := ucs.referenced(); n != 1 || ucs.steps.get(7).refs != 1 {
+		t.Fatalf("coarse refs after the pipeline drained: %d steps, step 7 %d times; want only step 7 once", n, ucs.steps.get(7).refs)
 	}
 	h.v.Open("a2", "coarse", coarse.Filename(10))
 	h.eng.Run(0)

@@ -181,8 +181,8 @@ func (v *Virtualizer) quarantineErr(cs *shard, first, last int) *QuarantineError
 // holds the shard lock.
 func (v *Virtualizer) repromise(cs *shard, sim *simState) {
 	for s := sim.first; s <= sim.last; s++ {
-		if st := &cs.steps[s]; st.promised && st.owner == sim.id {
-			st.owner = pendingSimID
+		if st := cs.steps.get(s); st.promised && st.owner == sim.id {
+			cs.steps.at(s).owner = pendingSimID
 		}
 	}
 }

@@ -138,9 +138,8 @@ type shard struct {
 	// deregistration); running work completes and releases still land.
 	draining bool
 
-	// steps is the per-step ledger, indexed by output step 1..n (entry 0
-	// is unused). Residency is the cache's.
-	steps  []stepState
+	// steps is the per-step ledger; residency is the cache's.
+	steps  stepTable
 	agents map[string]*prefetch.Agent
 
 	// prefetched tracks steps produced by prefetching per client, for the
@@ -168,23 +167,6 @@ type shard struct {
 	// failed simulation's SimEnded to its retryLaunch the timer, not a
 	// queued job, owns their pending markers (CheckInvariants clause 2).
 	retryArmed [][2]int
-}
-
-// stepState is what a shard knows of one output step besides residency.
-// It holds no pointers, so the garbage collector never scans the table.
-type stepState struct {
-	// owner is the simulation that will produce the step while promised
-	// is set. Pipeline- or smax-pending simulations promise steps too, so
-	// coverage queries see them.
-	owner int64
-	// refs counts the references clients and downstream pipeline
-	// simulations hold on the step (paper Sec. III-A: a step can be
-	// evicted only while it is zero).
-	refs     int32
-	promised bool
-	// produced records that a re-simulation once wrote the step, for the
-	// cache-pollution signal.
-	produced bool
 }
 
 // Virtualizer is the DV state machine. All exported methods are safe for
@@ -265,6 +247,9 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 	if err := ctx.Validate(); err != nil {
 		return fmt.Errorf("core: %w: %v", ErrInvalid, err)
 	}
+	if n := ctx.Grid.NumOutputSteps(); n > maxOutputSteps {
+		return fmt.Errorf("core: %w: context %q has %d output steps, more than %d", ErrInvalid, ctx.Name, n, maxOutputSteps)
+	}
 	capacity := ctx.CacheCapacitySteps()
 	if capacity == 0 {
 		capacity = ctx.Grid.NumOutputSteps()
@@ -289,7 +274,7 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 		driver:     simulator.NewSynthetic(ctx),
 		cache:      cache.NewOf(pol, ctx.MaxCacheBytes),
 		fs:         fs,
-		steps:      make([]stepState, ctx.Grid.NumOutputSteps()+1),
+		steps:      newStepTable(ctx.Grid.NumOutputSteps()),
 		agents:     map[string]*prefetch.Agent{},
 		prefetched: map[int]string{},
 		lastReady:  map[string]time.Duration{},
@@ -298,7 +283,7 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 		checksums:  map[int]uint64{},
 		failures:   map[[2]int]*failureRec{},
 	}
-	cs.cache.PinnedBy(func(step int) bool { return cs.steps[step].refs > 0 })
+	cs.cache.PinnedBy(func(step int) bool { return cs.steps.get(step).refs > 0 })
 	v.contexts[ctx.Name] = cs
 	return nil
 }
@@ -542,7 +527,7 @@ func (v *Virtualizer) Watch(client, ctxName string, filenames []string, o *notif
 	for i := range files {
 		f := &files[i]
 		f.Resident = cs.resident(f.Step)
-		f.Promised = cs.steps[f.Step].promised
+		f.Promised = cs.steps.get(f.Step).promised
 		if !f.Resident && !slices.ContainsFunc(files[:i], func(g WatchedFile) bool { return g.Step == f.Step }) {
 			v.hub.AwaitFor(notify.Topic{Context: ctxName, Step: f.Step}, client, o, tag)
 		}
@@ -621,7 +606,7 @@ func (v *Virtualizer) RescanStorageArea(ctxName string) (int, error) {
 // the shard lock.
 func (v *Virtualizer) stepArrived(cs *shard, step int, ws []notify.Waiter) []notify.Waiter {
 	v.insertStep(cs, step)
-	cs.steps[step].promised = false
+	cs.steps.at(step).promised = false
 	n := len(ws)
 	ws = v.hub.Take(notify.Topic{Context: cs.ctx.Name, Step: step}, ws)
 	for _, w := range ws[n:] {
@@ -686,27 +671,17 @@ func (cs *shard) resident(step int) bool { return cs.cache.Contains(step) }
 // covered reports whether a step is resident or promised. Caller holds
 // the shard lock.
 func (cs *shard) covered(step int) bool {
-	return cs.steps[step].promised || cs.resident(step)
+	return cs.steps.get(step).promised || cs.resident(step)
 }
 
 // referenced counts the steps someone holds a reference on. Caller holds
 // the shard lock.
 func (cs *shard) referenced() int {
 	n := 0
-	for _, st := range cs.steps {
+	for _, st := range cs.steps.all {
 		if st.refs > 0 {
 			n++
 		}
 	}
 	return n
-}
-
-// stepOf is a step's ledger entry for a name lockedStep parsed, which
-// may lie off the timeline: such a step is neither promised nor
-// referenced. Caller holds the shard lock.
-func (cs *shard) stepOf(step int) stepState {
-	if uint(step) < uint(len(cs.steps)) {
-		return cs.steps[step]
-	}
-	return stepState{}
 }
