@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -275,6 +277,36 @@ func TestCtxRegisterRejectsPathTraversal(t *testing.T) {
 		if err := admin.RegisterContext(cx, evil, "LRU", false); err == nil {
 			t.Errorf("context name %q accepted", name)
 		}
+	}
+}
+
+// A timeline's length arrives over the wire too: one longer than a
+// shard's step table holds is a bad request, and the daemon keeps
+// serving.
+func TestCtxRegisterRejectsOverlongTimeline(t *testing.T) {
+	_, addr := controlStack(t)
+	c, err := dvlib.Dial(addr, "ops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	admin := c.Admin()
+	cx := context.Background()
+	def := func(name string, timesteps int) *model.Context {
+		return &model.Context{
+			Name: name, Grid: model.Grid{DeltaD: 1, DeltaR: 4, Timesteps: timesteps},
+			OutputBytes: 64, Tau: time.Millisecond, Alpha: time.Millisecond,
+			DefaultParallelism: 1, MaxParallelism: 1, SMax: 1,
+		}
+	}
+	for _, steps := range []int{math.MaxInt, 1_000_000_000} {
+		err := admin.RegisterContext(cx, def(fmt.Sprint("long", steps), steps), "LRU", false)
+		if code := dvlib.ErrCodeOf(err); code != netproto.CodeBadRequest {
+			t.Errorf("%d output steps: code %q (%v), want bad_request", steps, code, err)
+		}
+	}
+	if err := admin.RegisterContext(cx, def("short", 8), "LRU", false); err != nil {
+		t.Errorf("a short timeline after the refusals: %v", err)
 	}
 }
 
