@@ -39,8 +39,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"text/tabwriter"
@@ -104,20 +106,7 @@ func main() {
 		ctx := open(c, *ctxName)
 		st, err := ctx.Stats()
 		check(err)
-		w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-		fmt.Fprintf(w, "opens\t%d\nhits\t%d\nmisses\t%d\nrestarts\t%d\n", st.Opens, st.Hits, st.Misses, st.Restarts)
-		fmt.Fprintf(w, "demand restarts\t%d\nprefetch launches\t%d\ndropped prefetch\t%d\n", st.DemandRestarts, st.PrefetchLaunches, st.DroppedPrefetch)
-		fmt.Fprintf(w, "steps produced\t%d\nevictions\t%d\nkills\t%d\nfailures\t%d\npollution resets\t%d\n", st.StepsProduced, st.Evictions, st.Kills, st.Failures, st.PollutionResets)
-		fmt.Fprintf(w, "shard lock acquisitions\t%d\nshard lock contended\t%d\nshard lock wait\t%s\n",
-			st.LockAcquisitions, st.LockContended, time.Duration(st.LockWaitNs))
-		fmt.Fprintf(w, "draining\t%v\ncache policy\t%s\n", st.Draining, st.CachePolicy)
-		fmt.Fprintf(w, "sched queue depth\t%d\nsched coalesced\t%d\nsched dropped\t%d\nsched canceled\t%d\n",
-			st.SchedQueueDepth, st.SchedCoalesced, st.SchedDropped, st.SchedCanceled)
-		fmt.Fprintf(w, "sched wait demand/guided/agent\t%s/%s/%s\n",
-			time.Duration(st.SchedDemandWaitNs), time.Duration(st.SchedGuidedWaitNs), time.Duration(st.SchedAgentWaitNs))
-		fmt.Fprintf(w, "sched preempted\t%d\nsched quota rounds/deferred\t%d/%d\n",
-			st.SchedPreempted, st.SchedQuotaRounds, st.SchedQuotaDeferred)
-		w.Flush()
+		printStats(st)
 
 	case "health":
 		// The fault-tolerance view of one context: failure/retry/
@@ -132,33 +121,14 @@ func main() {
 		fmt.Fprintf(w, "restarts\t%d\nkills\t%d\ndropped prefetch\t%d\ndraining\t%v\n",
 			st.Restarts, st.Kills, st.DroppedPrefetch, st.Draining)
 		w.Flush()
-		if len(st.Ops) > 0 {
-			// Per-op service-time percentiles (log2 buckets, so ±2×):
-			// the daemon-side cost of each op, which is what separates
-			// "the daemon is slow" from "the network/router is slow".
-			fmt.Println("\nop latency (service time, log2-bucket precision):")
-			lw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-			fmt.Fprintf(lw, "op\tcount\tp50\tp99\n")
-			for _, l := range st.Ops {
-				fmt.Fprintf(lw, "%s\t%d\t%s\t%s\n",
-					l.Op, l.Count, time.Duration(l.P50Ns), time.Duration(l.P99Ns))
-			}
-			lw.Flush()
-		}
+		printOpLatencies(st.Ops)
 		if st.SchedQuarantined > 0 {
 			fmt.Println("\nintervals have been quarantined; once the underlying fault is fixed,")
 			fmt.Println("`simfs-ctl quarantine-reset` re-admits them before the cooldown elapses")
 		}
-		if c.HasCapability(netproto.CapAutoscale) {
-			// The autoscale ledger is daemon-global: whether a controller
-			// is attached, what it armed, and its recent decision trail.
-			info, err := admin.AutoscaleStatus(cx)
-			check(err)
-			printAutoscale(info)
-		}
 
 	case "autoscale":
-		runAutoscale(c, admin, args[1:])
+		runAutoscale(c, args[1:])
 
 	case "peers":
 		// Federation links: ring members (on a router), outbound bridge
@@ -296,11 +266,11 @@ func main() {
 
 // runAutoscale attaches a closed-loop controller to the remote daemon:
 // every tick it samples the stats stream and steers whatever policies
-// the flags armed, printing one line per decision and (unless -report=
-// false) posting the trail to the daemon's ledger for `simfs-ctl
-// health`. It detaches cleanly — clearing the daemon's active flag — on
-// SIGINT/SIGTERM or after -duration.
-func runAutoscale(c *simfs.Client, admin *simfs.Admin, args []string) {
+// the flags armed, printing one line per decision. The decision trail
+// stays here; the daemon logs each sched-set and cache-policy-set it
+// applies, naming this client. It detaches on SIGINT/SIGTERM or after
+// -duration.
+func runAutoscale(c *simfs.Client, args []string) {
 	fs := flag.NewFlagSet("autoscale", flag.ExitOnError)
 	tick := fs.Duration("tick", 5*time.Second, "sampling interval")
 	duration := fs.Duration("duration", 0, "detach after this long (0 = run until interrupted)")
@@ -313,7 +283,6 @@ func runAutoscale(c *simfs.Client, admin *simfs.Admin, args []string) {
 	fs.TextVar(&preempt, "preempt", preempt, "arm the preemption governor with this victim policy: youngest")
 	cachePolicies := fs.String("cache-policies", "", "arm the cache switcher: comma-separated rotation, e.g. DCL,LRU")
 	drr := fs.Int("drr", 0, "arm the DRR-quantum tuner with this quantum (output steps)")
-	report := fs.Bool("report", true, "post decisions to the daemon's ledger (shown by `simfs-ctl health`)")
 	fs.Parse(args)
 
 	var pols []autoscale.Policy
@@ -339,36 +308,16 @@ func runAutoscale(c *simfs.Client, admin *simfs.Admin, args []string) {
 		log.Fatal("simfs-ctl: autoscale with no policies armed would only watch; give at least one of -budget, -preempt, -cache-policies, -drr")
 	}
 
-	reporting := *report
-	if reporting && !c.HasCapability(netproto.CapAutoscale) {
-		log.Printf("simfs-ctl: daemon lacks the %s capability; decisions stay local", netproto.CapAutoscale)
-		reporting = false
-	}
-	post := func(body netproto.AutoscaleReportBody) {
-		rcx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := admin.ReportAutoscale(rcx, body); err != nil {
-			log.Printf("simfs-ctl: autoscale report: %v", err)
-		}
-	}
-
-	var pending []netproto.AutoscaleDecision
 	ctrl, err := autoscale.New(autoscale.NewAdminTarget(c), pols, autoscale.Options{
 		Clock: des.NewWallClock(),
 		OnDecision: func(d autoscale.Decision) {
 			//simfs:allow wallclock operator-facing log timestamp on the live CLI
 			fmt.Printf("%s  %-14s %s — %s\n", time.Now().Format("15:04:05"), d.Policy, d.Action, d.Reason)
-			pending = append(pending, netproto.AutoscaleDecision{
-				AtNs: int64(d.At), Policy: d.Policy, Action: d.Action, Reason: d.Reason,
-			})
 		},
 	})
 	check(err)
 
 	fmt.Printf("autoscale: steering %s every %v (policies: %s)\n", *addr, *tick, strings.Join(ctrl.Policies(), ", "))
-	if reporting {
-		post(netproto.AutoscaleReportBody{Active: true, Policies: ctrl.Policies()})
-	}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	var deadline <-chan time.Time
@@ -383,11 +332,6 @@ loop:
 		case <-ticker.C:
 			if err := ctrl.TickOnce(); err != nil {
 				log.Printf("simfs-ctl: autoscale tick: %v", err)
-				continue
-			}
-			if reporting && len(pending) > 0 {
-				post(netproto.AutoscaleReportBody{Active: true, Policies: ctrl.Policies(), Decisions: pending})
-				pending = nil
 			}
 		case <-stop:
 			break loop
@@ -395,33 +339,55 @@ loop:
 			break loop
 		}
 	}
-	if reporting {
-		// Detach: flush any tail decisions and clear the active flag (the
-		// daemon keeps the decision trail for post-mortem health queries).
-		post(netproto.AutoscaleReportBody{Active: false, Decisions: pending})
-	}
 	fmt.Printf("autoscale: detached after %d decision(s)\n", len(ctrl.Decisions()))
 }
 
-func printAutoscale(info netproto.AutoscaleInfo) {
-	if !info.Active && len(info.Decisions) == 0 {
-		return
-	}
-	fmt.Println()
-	if info.Active {
-		fmt.Printf("autoscale: active (source %s; policies %s)\n", info.Source, strings.Join(info.Policies, ", "))
-	} else {
-		fmt.Println("autoscale: detached (last controller's decision trail retained)")
-	}
-	if len(info.Decisions) == 0 {
-		fmt.Println("no decisions recorded yet")
-		return
-	}
+// printStats prints every counter of a context's stats frame. The
+// fieldsync analyzer holds it to the wire struct, as it holds the
+// router's merge: a counter added to netproto.Stats and not printed here
+// fails simfs-vet.
+//
+//simfs:sync netproto.Stats
+func printStats(st netproto.Stats) {
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "at\tpolicy\taction\treason\n")
-	for _, d := range info.Decisions {
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\n",
-			time.Duration(d.AtNs).Round(time.Millisecond), d.Policy, d.Action, d.Reason)
+	fmt.Fprintf(w, "opens\t%d\nhits\t%d\nmisses\t%d\nrestarts\t%d\n", st.Opens, st.Hits, st.Misses, st.Restarts)
+	fmt.Fprintf(w, "demand restarts\t%d\nprefetch launches\t%d\ndropped prefetch\t%d\n", st.DemandRestarts, st.PrefetchLaunches, st.DroppedPrefetch)
+	fmt.Fprintf(w, "steps produced\t%d\nevictions\t%d\nkills\t%d\nfailures\t%d\npollution resets\t%d\n", st.StepsProduced, st.Evictions, st.Kills, st.Failures, st.PollutionResets)
+	fmt.Fprintf(w, "shard lock acquisitions\t%d\nshard lock contended\t%d\nshard lock wait\t%s\n",
+		st.LockAcquisitions, st.LockContended, time.Duration(st.LockWaitNs))
+	fmt.Fprintf(w, "draining\t%v\ncache policy\t%s\n", st.Draining, st.CachePolicy)
+	fmt.Fprintf(w, "sched queue depth\t%d\nsched coalesced\t%d\nsched dropped\t%d\nsched canceled\t%d\n",
+		st.SchedQueueDepth, st.SchedCoalesced, st.SchedDropped, st.SchedCanceled)
+	fmt.Fprintf(w, "sched wait demand/guided/agent\t%s/%s/%s\n",
+		time.Duration(st.SchedDemandWaitNs), time.Duration(st.SchedGuidedWaitNs), time.Duration(st.SchedAgentWaitNs))
+	fmt.Fprintf(w, "sched preempted\t%d\nsched promoted\t%d\nsched quota rounds/deferred\t%d/%d\n",
+		st.SchedPreempted, st.SchedPromoted, st.SchedQuotaRounds, st.SchedQuotaDeferred)
+	fmt.Fprintf(w, "sched retries\t%d\nsched quarantined\t%d\n", st.SchedRetries, st.SchedQuarantined)
+	w.Flush()
+	if len(st.SchedClientLoads) > 0 {
+		fmt.Println("\nclient load (output steps submitted):")
+		lw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+		fmt.Fprintf(lw, "client\tsteps\n")
+		for _, client := range slices.Sorted(maps.Keys(st.SchedClientLoads)) {
+			fmt.Fprintf(lw, "%s\t%d\n", client, st.SchedClientLoads[client])
+		}
+		lw.Flush()
+	}
+	printOpLatencies(st.Ops)
+}
+
+// printOpLatencies prints the per-op service-time percentiles (log2
+// buckets, so ±2×): the daemon-side cost of each op, which is what
+// separates "the daemon is slow" from "the network/router is slow".
+func printOpLatencies(ops []netproto.OpLatency) {
+	if len(ops) == 0 {
+		return
+	}
+	fmt.Println("\nop latency (service time, log2-bucket precision):")
+	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "op\tcount\tp50\tp99\n")
+	for _, l := range ops {
+		fmt.Fprintf(w, "%s\t%d\t%s\t%s\n", l.Op, l.Count, time.Duration(l.P50Ns), time.Duration(l.P99Ns))
 	}
 	w.Flush()
 }
@@ -473,9 +439,9 @@ inspection:
   proto                         show the negotiated protocol version and capabilities
   contexts                      list simulation contexts
   info                          show one context's parameters (-context)
-  stats                         show one context's counters (-context)
-  health                        fault-tolerance counters, per-op latency percentiles (-context),
-                                and the autoscale controller's state + recent decisions
+  stats                         show every counter of one context's stats frame, per-client
+                                load and per-op latency percentiles (-context)
+  health                        fault-tolerance counters, per-op latency percentiles (-context)
   peers                         federation links (ring members / bridge connections / inbound watches)
   estwait <file>                estimated availability delay (-context)
   bitrep <file>                 bitwise-reproducibility check (-context)
@@ -497,9 +463,9 @@ control plane (live, no restart):
 
 closed-loop control:
   autoscale [-tick d] [-duration d] [-budget MIN:MAX] [-preempt P] [-cache-policies A,B]
-            [-drr Q] [-report=false] ...
+            [-drr Q] ...
                                 attach a controller that steers the daemon from its own
-                                stats stream until interrupted; decisions are printed and
-                                posted to the daemon's ledger (see health)`)
+                                stats stream until interrupted; decisions are printed here,
+                                and the daemon logs each reconfiguration it applies`)
 	os.Exit(2)
 }

@@ -101,6 +101,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("simfs-dv: %v", err)
 	}
+	// Every control-plane change is logged with the client that made it:
+	// the daemon's record of who reconfigured it.
+	d.Server.Logf = log.Printf
 	if *peers != "" {
 		var peerAddrs []string
 		for _, p := range strings.Split(*peers, ",") {

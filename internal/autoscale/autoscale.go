@@ -64,7 +64,7 @@ type Options struct {
 	// Logf, when set, receives one line per decision and per tick error.
 	Logf func(format string, args ...any)
 	// OnDecision, when set, observes every decision as it is taken (the
-	// simfs-ctl autoscale mode forwards these to the daemon's ledger).
+	// simfs-ctl autoscale mode prints one line per decision).
 	OnDecision func(Decision)
 	// LogSize bounds the in-memory decision ring (default 32).
 	LogSize int

@@ -5,11 +5,10 @@ import (
 	"fmt"
 )
 
-// Stats counts cache events.
+// Stats counts the one cache event no other layer sees. Hits, misses
+// and evictions are counted by the cache's caller (core.CtxStats, the
+// experiment replay's ReplayResult), which sees each of them too.
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
 	// PinBlocked counts inserts that exceeded capacity because every
 	// eviction candidate was pinned; the cache temporarily overflows in
 	// that case, as SimFS must keep files that analyses hold open.
@@ -18,19 +17,18 @@ type Stats struct {
 
 // CacheOf is the byte-accounting eviction engine that SimFS runs over one
 // storage area, generic over the key type. It combines a replacement
-// policy with file sizes and reference counts (pins): an output step "can
-// be evicted only if its reference counter is zero" (paper Sec. III-A).
+// policy with file sizes and an eviction guard: an output step "can be
+// evicted only if its reference counter is zero" (paper Sec. III-A), and
+// the owner of that counter hands it over through PinnedBy.
 type CacheOf[K comparable] struct {
 	policy   PolicyOf[K]
 	maxBytes int64
 	used     int64
 	sizes    map[K]int64
-	pins     map[K]int
 	stats    Stats
-	// pinnedFn is the eviction guard handed to Policy.Victim: the isPinned
-	// method value unless PinnedBy replaced it. Bound once — taking it per
-	// Victim call would allocate a closure on every eviction.
-	pinnedFn func(K) bool
+	// pinned is the eviction guard handed to Policy.Victim; nil (the
+	// default) pins nothing.
+	pinned func(K) bool
 }
 
 // Cache is the string-keyed engine. The Virtualizer keys its caches by
@@ -47,14 +45,7 @@ func New(policy Policy, maxBytes int64) *Cache { return NewOf(policy, maxBytes) 
 // replay paths use integer output-step keys to keep file-name formatting
 // off the per-access hot path.
 func NewOf[K comparable](policy PolicyOf[K], maxBytes int64) *CacheOf[K] {
-	c := &CacheOf[K]{
-		policy:   policy,
-		maxBytes: maxBytes,
-		sizes:    map[K]int64{},
-		pins:     map[K]int{},
-	}
-	c.pinnedFn = c.isPinned
-	return c
+	return &CacheOf[K]{policy: policy, maxBytes: maxBytes, sizes: map[K]int64{}}
 }
 
 // ErrTooLarge is returned when a single file exceeds the cache capacity.
@@ -69,7 +60,7 @@ func (c *CacheOf[K]) Policy() PolicyOf[K] { return c.policy }
 // = most recently used) so the initial recency ranking is deterministic.
 // Keys in order that are not resident are skipped; residents missing
 // from order are appended in map order (callers that enumerate the whole
-// key space never hit this). Sizes, pins and byte accounting are
+// key space never hit this). Sizes, the guard and byte accounting are
 // untouched — only the replacement ranking is rebuilt, so no file moves
 // or eviction happens during the swap.
 func (c *CacheOf[K]) SetPolicy(p PolicyOf[K], order []K, costOf func(K) int) {
@@ -104,10 +95,8 @@ func (c *CacheOf[K]) Contains(key K) bool {
 func (c *CacheOf[K]) Touch(key K) bool {
 	if c.Contains(key) {
 		c.policy.Access(key)
-		c.stats.Hits++
 		return true
 	}
-	c.stats.Misses++
 	return false
 }
 
@@ -119,7 +108,7 @@ func (c *CacheOf[K]) Touch(key K) bool {
 // reached because all candidates are pinned, the cache overflows and the
 // event is counted in Stats.PinBlocked.
 func (c *CacheOf[K]) Insert(key K, size int64, cost int, evicted []K) ([]K, error) {
-	err := c.admit(key, size, cost, &evicted)
+	_, err := c.admit(key, size, cost, &evicted)
 	return evicted, err
 }
 
@@ -127,34 +116,32 @@ func (c *CacheOf[K]) Insert(key K, size int64, cost int, evicted []K) ([]K, erro
 // evictions, for callers (the experiment replay loop) that only count
 // evictions and never act on the evicted keys.
 func (c *CacheOf[K]) InsertDiscard(key K, size int64, cost int) (evictions int, err error) {
-	before := c.stats.Evictions
-	if err := c.admit(key, size, cost, nil); err != nil {
-		return 0, err
-	}
-	return int(c.stats.Evictions - before), nil
+	return c.admit(key, size, cost, nil)
 }
 
-// admit implements Insert; when out is non-nil the evicted keys are
-// appended to it.
-func (c *CacheOf[K]) admit(key K, size int64, cost int, out *[]K) error {
+// admit implements Insert and returns the number of evictions; when out
+// is non-nil the evicted keys are appended to it.
+func (c *CacheOf[K]) admit(key K, size int64, cost int, out *[]K) (int, error) {
 	if size < 0 {
-		return fmt.Errorf("cache: negative size %d for %v", size, key)
+		return 0, fmt.Errorf("cache: negative size %d for %v", size, key)
 	}
 	if c.Contains(key) {
 		c.policy.Insert(key, cost)
-		return nil
+		return 0, nil
 	}
 	if c.maxBytes > 0 && size > c.maxBytes {
-		return fmt.Errorf("%w: %v is %d bytes, capacity %d", ErrTooLarge, key, size, c.maxBytes)
+		return 0, fmt.Errorf("%w: %v is %d bytes, capacity %d", ErrTooLarge, key, size, c.maxBytes)
 	}
+	n := 0
 	if c.maxBytes > 0 {
 		for c.used+size > c.maxBytes {
-			victim, ok := c.policy.Victim(c.pinnedFn)
+			victim, ok := c.policy.Victim(c.pinned)
 			if !ok {
 				c.stats.PinBlocked++
 				break
 			}
 			c.evict(victim)
+			n++
 			if out != nil {
 				*out = append(*out, victim)
 			}
@@ -163,15 +150,13 @@ func (c *CacheOf[K]) admit(key K, size int64, cost int, out *[]K) error {
 	c.sizes[key] = size
 	c.used += size
 	c.policy.Insert(key, cost)
-	return nil
+	return n, nil
 }
 
 func (c *CacheOf[K]) evict(key K) {
 	c.policy.Evict(key)
 	c.used -= c.sizes[key]
 	delete(c.sizes, key)
-	delete(c.pins, key)
-	c.stats.Evictions++
 }
 
 // Remove withdraws a key without counting an eviction (external deletion).
@@ -182,49 +167,15 @@ func (c *CacheOf[K]) Remove(key K) {
 	c.policy.Remove(key)
 	c.used -= c.sizes[key]
 	delete(c.sizes, key)
-	delete(c.pins, key)
 }
-
-// Pin increments key's reference counter, protecting it from eviction.
-// Pinning a non-resident key is an error.
-func (c *CacheOf[K]) Pin(key K) error {
-	if !c.Contains(key) {
-		return fmt.Errorf("cache: pin of non-resident key %v", key)
-	}
-	c.pins[key]++
-	return nil
-}
-
-// Unpin decrements key's reference counter. Unpinning below zero or a
-// non-resident key is an error.
-func (c *CacheOf[K]) Unpin(key K) error {
-	n, ok := c.pins[key]
-	if !ok || n <= 0 {
-		if !c.Contains(key) {
-			return fmt.Errorf("cache: unpin of non-resident key %v", key)
-		}
-		return fmt.Errorf("cache: unpin of unpinned key %v", key)
-	}
-	if n == 1 {
-		delete(c.pins, key)
-	} else {
-		c.pins[key] = n - 1
-	}
-	return nil
-}
-
-func (c *CacheOf[K]) isPinned(key K) bool { return c.pins[key] > 0 }
 
 // PinnedBy makes guard the cache's eviction guard: a key for which it
-// returns true is never offered as a victim. It replaces the Pin/Unpin
-// counters for this cache — an owner that already keeps the reference
-// counts (the Virtualizer's shard) hands them over instead of mirroring
-// every reference into a second ledger; Pin, Unpin and PinCount then
-// have no effect on eviction.
-func (c *CacheOf[K]) PinnedBy(guard func(K) bool) { c.pinnedFn = guard }
-
-// PinCount returns key's current reference count.
-func (c *CacheOf[K]) PinCount(key K) int { return c.pins[key] }
+// returns true is never offered as a victim. The cache keeps no
+// reference counts of its own — their owner (the Virtualizer's shard
+// step table) hands them over — and a nil guard pins nothing. The guard
+// is bound once: taking a method value per Victim call would allocate a
+// closure on every eviction.
+func (c *CacheOf[K]) PinnedBy(guard func(K) bool) { c.pinned = guard }
 
 // UsedBytes returns the current resident volume.
 func (c *CacheOf[K]) UsedBytes() int64 { return c.used }
@@ -249,16 +200,13 @@ func (c *CacheOf[K]) Keys() []K {
 // Stats returns a copy of the event counters.
 func (c *CacheOf[K]) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the event counters.
-func (c *CacheOf[K]) ResetStats() { c.stats = Stats{} }
-
 // Reset empties the cache and its policy and zeroes the counters,
-// retaining allocated map storage. The replay rep loops reset one cache
-// per replay instead of allocating a fresh policy+cache pair.
+// retaining allocated map storage and the guard. The replay rep loops
+// reset one cache per replay instead of allocating a fresh policy+cache
+// pair.
 func (c *CacheOf[K]) Reset() {
 	c.policy.Reset()
 	clear(c.sizes)
-	clear(c.pins)
 	c.used = 0
 	c.stats = Stats{}
 }

@@ -13,16 +13,16 @@
 // experiment replay paths key entries by integer output-step index — the
 // paper's key(d_i), Sec. III-B — so no file name is formatted per access;
 // the string-keyed Policy/Cache aliases below remain only for the
-// benchmark drills and tests. A cache's eviction guard is either its own
-// Pin/Unpin counters or, through CacheOf.PinnedBy, its owner's reference
-// ledger.
+// benchmark drills and tests. A cache's eviction guard is its owner's
+// reference ledger, handed over through CacheOf.PinnedBy.
 package cache
 
 import "fmt"
 
 // PolicyOf is a fully associative replacement policy over keys of type K.
 // Implementations track resident entries (and, for LIRS/ARC, ghost
-// history) but never account for bytes or pins — the Cache engine does.
+// history) but never account for bytes — the Cache engine does — nor
+// keep pins: those reach Victim as the engine's guard.
 //
 // The engine's contract: keys become resident via Insert, hits on resident
 // keys call Access, eviction is a two-step Victim→Evict dance (so policies

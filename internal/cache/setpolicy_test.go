@@ -6,7 +6,8 @@ import (
 )
 
 // SetPolicy swaps the replacement scheme live: the resident set, sizes,
-// pins and byte accounting survive; only the ranking is rebuilt.
+// the eviction guard and byte accounting survive; only the ranking is
+// rebuilt.
 func TestSetPolicyPreservesResidentSet(t *testing.T) {
 	pol, _ := NewPolicyOf[int]("LRU", 8)
 	c := NewOf(pol, 8)
@@ -15,9 +16,7 @@ func TestSetPolicyPreservesResidentSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Pin(3); err != nil {
-		t.Fatal(err)
-	}
+	c.PinnedBy(func(k int) bool { return k == 3 })
 
 	newPol, _ := NewPolicyOf[int]("DCL", 8)
 	order := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -36,9 +35,6 @@ func TestSetPolicyPreservesResidentSet(t *testing.T) {
 		if !c.policy.Contains(k) {
 			t.Fatalf("key %d missing from the rebuilt policy", k)
 		}
-	}
-	if c.PinCount(3) != 1 {
-		t.Fatalf("pin lost in the swap: %d", c.PinCount(3))
 	}
 	// Eviction under the new policy still respects the pin.
 	for i := 0; i < 8; i++ {

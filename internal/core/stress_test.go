@@ -351,7 +351,7 @@ func TestWatch(t *testing.T) {
 	if _, _, err := watch(h.v, "w", "nope", names); !errors.Is(err, ErrUnknownContext) {
 		t.Errorf("unknown context: %v", err)
 	}
-	if st := h.v.Hub().Stats(); st.Topics != 0 {
-		t.Errorf("%d topics left behind by closed and refused watches", st.Topics)
+	if ws := h.v.Hub().Waiters("c"); len(ws) != 0 {
+		t.Errorf("%d waiters left behind by closed and refused watches", len(ws))
 	}
 }

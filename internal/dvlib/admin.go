@@ -114,37 +114,6 @@ func (a *Admin) Peers(ctx context.Context) ([]netproto.PeerInfo, error) {
 	return resp.Peers, nil
 }
 
-// ReportAutoscale records an autoscale controller heartbeat on the
-// daemon: attachment state, armed policies, and any decisions taken
-// since the previous report. The daemon keeps a bounded ring surfaced by
-// AutoscaleStatus (simfs-ctl health). Rides the "autoscale" capability.
-func (a *Admin) ReportAutoscale(ctx context.Context, report netproto.AutoscaleReportBody) error {
-	if !a.c.HasCapability(netproto.CapAutoscale) {
-		return &Error{Code: netproto.CodeUnsupported, Op: netproto.OpAutoscaleReport,
-			Msg: "daemon does not advertise the autoscale capability"}
-	}
-	_, err := a.c.callCtx(ctx, netproto.OpAutoscaleReport, report)
-	return err
-}
-
-// AutoscaleStatus reads the daemon's autoscale ledger: whether a
-// controller is attached, which policies it armed, and its recent
-// decisions (oldest first).
-func (a *Admin) AutoscaleStatus(ctx context.Context) (netproto.AutoscaleInfo, error) {
-	if !a.c.HasCapability(netproto.CapAutoscale) {
-		return netproto.AutoscaleInfo{}, &Error{Code: netproto.CodeUnsupported, Op: netproto.OpAutoscaleStatus,
-			Msg: "daemon does not advertise the autoscale capability"}
-	}
-	resp, err := a.c.callCtx(ctx, netproto.OpAutoscaleStatus, nil)
-	if err != nil {
-		return netproto.AutoscaleInfo{}, err
-	}
-	if resp.Autoscale == nil {
-		return netproto.AutoscaleInfo{}, &Error{Op: netproto.OpAutoscaleStatus, Msg: "daemon sent no autoscale status"}
-	}
-	return *resp.Autoscale, nil
-}
-
 // ResetQuarantine clears the re-simulation failure ledger of a context
 // ("" = every context), closing open circuit breakers so demand opens
 // launch fresh re-simulations again — the operator override once the

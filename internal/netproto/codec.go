@@ -478,8 +478,7 @@ func decodeBinEnvelope(p []byte, env *Envelope, names Names) error {
 // JSON.
 func appendBinResponse(buf []byte, resp *Response) ([]byte, bool) {
 	if resp.Names != nil || resp.Info != nil || resp.Stats != nil ||
-		resp.Proto != nil || resp.Sched != nil || resp.Peers != nil ||
-		resp.Autoscale != nil {
+		resp.Proto != nil || resp.Sched != nil || resp.Peers != nil {
 		return buf, false
 	}
 	var f1, f2 byte

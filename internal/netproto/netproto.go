@@ -132,16 +132,6 @@ const (
 	// members, outbound bridge connections, and inbound peer watch
 	// sessions with their ledger counters.
 	OpPeers = "peers"
-	// OpAutoscaleReport records an autoscale controller's armed policies
-	// and latest decisions on the daemon (capability "autoscale"): the
-	// controller runs out-of-process (simfs-ctl autoscale), but every
-	// operator asking the daemon for health should see what last steered
-	// its config. Active=false detaches the controller; the decision log
-	// is retained.
-	OpAutoscaleReport = "autoscale-report"
-	// OpAutoscaleStatus reads the controller attachment state and the
-	// last recorded decisions.
-	OpAutoscaleStatus = "autoscale-status"
 )
 
 // Capability flags advertised in the hello handshake.
@@ -166,9 +156,6 @@ const (
 	// daemon and router↔daemon links reuse the ordinary hello handshake
 	// and gate cross-daemon subscriptions on this flag.
 	CapFed = "fed"
-	// CapAutoscale marks the autoscale surface: the
-	// autoscale-report/autoscale-status ops.
-	CapAutoscale = "autoscale"
 )
 
 // ErrCode is a machine-readable error class. A failed Response carries
@@ -497,38 +484,6 @@ type OpLatency struct {
 	P99Ns int64  `json:"p99_ns"`
 }
 
-// AutoscaleDecision is one autoscale controller actuation on the wire:
-// what policy acted, what it did to the daemon's config, and why. AtNs
-// is the controller's clock (wall time for simfs-ctl autoscale, virtual
-// time for an in-process DES controller).
-type AutoscaleDecision struct {
-	AtNs   int64  `json:"at_ns"`
-	Policy string `json:"policy"`
-	Action string `json:"action"`
-	Reason string `json:"reason,omitempty"`
-}
-
-// AutoscaleReportBody is an autoscale controller's heartbeat to the
-// daemon (autoscale-report): the attachment state, the armed policy
-// names, and the decisions taken since the last report. The daemon
-// keeps a bounded ring of recent decisions for health queries.
-type AutoscaleReportBody struct {
-	Active    bool                `json:"active"`
-	Policies  []string            `json:"policies,omitempty"`
-	Decisions []AutoscaleDecision `json:"decisions,omitempty"`
-}
-
-// AutoscaleInfo is the daemon's controller ledger (autoscale-status
-// responses): whether a controller is attached, which client it is,
-// what policies it armed, and the last recorded decisions
-// (oldest-first).
-type AutoscaleInfo struct {
-	Active    bool                `json:"active"`
-	Source    string              `json:"source,omitempty"`
-	Policies  []string            `json:"policies,omitempty"`
-	Decisions []AutoscaleDecision `json:"decisions,omitempty"`
-}
-
 // PeerInfo describes one federation link in a peers response. Role is
 // "member" for a router's ring entries, "out" for a daemon's outbound
 // bridge connections and "in" for inbound peer watch sessions. Topics
@@ -576,8 +531,6 @@ type Response struct {
 	RetryAfterNs int64 `json:"retry_after_ns,omitempty"`
 	// Peers carries the federation link table (peers responses only).
 	Peers []PeerInfo `json:"peers,omitempty"`
-	// Autoscale carries the controller ledger (autoscale-status only).
-	Autoscale *AutoscaleInfo `json:"autoscale,omitempty"`
 }
 
 // Terminal reports whether the frame ends a streaming request: the

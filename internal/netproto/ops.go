@@ -18,7 +18,7 @@ const (
 	BodyCachePolicy                 // CachePolicyBody
 	BodyCtxRegister                 // CtxRegisterBody
 	// BodyOther is a JSON-only body that names no context (hello,
-	// sched-set, autoscale-report).
+	// sched-set).
 	BodyOther
 )
 
@@ -75,8 +75,6 @@ var Ops = []OpSpec{
 	{Name: OpDrain, Body: BodyCtx},
 	{Name: OpResume, Body: BodyCtx},
 	{Name: OpQuarantineReset, Body: BodyCtx},
-	{Name: OpAutoscaleReport, Body: BodyOther},
-	{Name: OpAutoscaleStatus},
 }
 
 // opByName and opByBin index the table by wire name and binary opcode.

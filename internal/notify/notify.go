@@ -77,13 +77,6 @@ type Event struct {
 	RetryAfter int64 // nanoseconds
 }
 
-// Stats counts hub activity.
-type Stats struct {
-	Published uint64 // Publish calls
-	Delivered uint64 // events handed to a waiter
-	Topics    int    // topics with at least one waiter
-}
-
 // Waiter is one entry of a topic's list: a callback, and the client that
 // waits.
 type Waiter struct {
@@ -136,9 +129,6 @@ type Hub struct {
 	// topics holds each context's waiters by step, in registration order;
 	// a step map outlives its last waiter, so Take deletes one int key.
 	topics map[string]map[int][]Waiter
-
-	published atomic.Uint64
-	delivered atomic.Uint64
 }
 
 // NewHub returns an empty hub.
@@ -212,9 +202,6 @@ func (h *Hub) Take(t Topic, ws []Waiter) []Waiter {
 // Deliver wakes taken waiters with ev, each under its own topic, in
 // order and with no lock held. It returns the number of waiters woken.
 func (h *Hub) Deliver(ev Event, ws []Waiter) int {
-	if len(ws) == 0 {
-		return 0
-	}
 	n := 0
 	for _, w := range ws {
 		ev.Topic = w.Topic
@@ -227,14 +214,12 @@ func (h *Hub) Deliver(ev Event, ws []Waiter) int {
 			n++
 		}
 	}
-	h.delivered.Add(uint64(n))
 	return n
 }
 
 // Publish delivers ev to every waiter of its topic and returns the number
 // woken. It must not be called under a shard lock.
 func (h *Hub) Publish(ev Event) int {
-	h.published.Add(1)
 	return h.Deliver(ev, h.Take(ev.Topic, nil))
 }
 
@@ -262,17 +247,6 @@ func (h *Hub) Waiters(ctx string) []Waiter {
 		ws = append(ws, steps[step]...)
 	}
 	return ws
-}
-
-// Stats returns a snapshot of the hub counters.
-func (h *Hub) Stats() Stats {
-	h.mu.Lock()
-	topics := 0
-	for _, steps := range h.topics {
-		topics += len(steps)
-	}
-	h.mu.Unlock()
-	return Stats{Published: h.published.Load(), Delivered: h.delivered.Load(), Topics: topics}
 }
 
 // Sub is a channel stream over one stream owner: a waiter per distinct

@@ -29,10 +29,6 @@ func TestPublishWithoutSubscribersIsNoop(t *testing.T) {
 	if n := h.Publish(Event{Topic: Topic{Context: "c", Step: 1}}); n != 0 {
 		t.Fatalf("delivered %d, want 0", n)
 	}
-	st := h.Stats()
-	if st.Published != 1 || st.Delivered != 0 {
-		t.Errorf("stats = %+v", st)
-	}
 }
 
 func TestOneShotPerTopic(t *testing.T) {
@@ -59,8 +55,8 @@ func TestOneShotPerTopic(t *testing.T) {
 	if got[0].Topic != a || got[1].Topic != b || got[1].Err != "boom" {
 		t.Errorf("events = %+v", got)
 	}
-	if st := h.Stats(); st.Topics != 0 {
-		t.Errorf("hub should be empty after completion: %+v", st)
+	if n := topicCount(h); n != 0 {
+		t.Errorf("hub should be empty after completion: %d topics", n)
 	}
 }
 
@@ -90,8 +86,8 @@ func TestCloseUnsubscribes(t *testing.T) {
 	if _, ok := <-sub.C(); ok {
 		t.Error("closed subscription's channel should be closed")
 	}
-	if st := h.Stats(); st.Topics != 0 {
-		t.Errorf("hub not empty after close: %+v", st)
+	if n := topicCount(h); n != 0 {
+		t.Errorf("hub not empty after close: %d topics", n)
 	}
 }
 
@@ -161,8 +157,8 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := h.Stats(); st.Topics != 0 {
-		t.Errorf("leaked subscribers: %+v", st)
+	if n := topicCount(h); n != 0 {
+		t.Errorf("leaked subscribers: %d topics", n)
 	}
 }
 
@@ -233,8 +229,8 @@ func TestWithdraw(t *testing.T) {
 	if n := h.Publish(Event{Topic: a, Kind: FileReady}); n != 2 || fmt.Sprint(got) != "[2 101]" {
 		t.Errorf("Publish woke %d %v, want the two waiters left", n, got)
 	}
-	if st := h.Stats(); st.Topics != 0 {
-		t.Errorf("hub not empty: %+v", st)
+	if n := topicCount(h); n != 0 {
+		t.Errorf("hub not empty: %d topics", n)
 	}
 }
 
@@ -271,8 +267,8 @@ func TestCloseBetweenTakeAndDeliver(t *testing.T) {
 	if _, ok := <-sub.C(); ok {
 		t.Error("closed stream received an event")
 	}
-	if st := h.Stats(); st.Topics != 0 {
-		t.Errorf("hub not empty: %+v", st)
+	if n := topicCount(h); n != 0 {
+		t.Errorf("hub not empty: %d topics", n)
 	}
 }
 
@@ -318,4 +314,15 @@ func TestWaitersOfContext(t *testing.T) {
 	if want := "3:y 3:w 9:x 9:z"; strings.Join(got, " ") != want {
 		t.Errorf("Waiters(c) = %v, want %s", got, want)
 	}
+}
+
+// topicCount returns the number of topics with at least one waiter.
+func topicCount(h *Hub) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 0
+	for _, steps := range h.topics {
+		n += len(steps)
+	}
+	return n
 }

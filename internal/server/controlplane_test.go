@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -547,5 +550,61 @@ func TestPreemptCapabilityAdvertised(t *testing.T) {
 	defer c.Close()
 	if !c.HasCapability(netproto.CapPreempt) {
 		t.Fatalf("daemon caps = %v, want %q advertised", c.Capabilities(), netproto.CapPreempt)
+	}
+}
+
+// The daemon keeps no autoscale decision ring any more, so its hello
+// stops advertising the capability: an older simfs-ctl then keeps its
+// decisions local instead of posting them.
+func TestAutoscaleCapabilityRetired(t *testing.T) {
+	_, addr := controlStack(t)
+	c, err := dvlib.Dial(addr, "ops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.HasCapability("autoscale") {
+		t.Fatalf("daemon caps = %v still advertise the retired autoscale ledger", c.Capabilities())
+	}
+}
+
+// The daemon's log is the record of who reconfigured it: one sched-set
+// and one cache-policy-set each leave exactly one line, naming the
+// client and the change.
+func TestReconfigurationsLogged(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	_, addr := testStackWith(t, func(st *Stack) {
+		st.Server.Logf = func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+		}
+	})
+	c, err := dvlib.Dial(addr, "steerer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cx := context.Background()
+	nodes := 7
+	if _, err := c.Admin().SetSchedConfig(cx, dvlib.SchedUpdate{TotalNodes: &nodes}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Admin().SetCachePolicy(cx, "clim", "LRU"); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, words := range [][]string{{"steerer", "scheduler", "nodes=7"}, {"steerer", "clim", "LRU"}} {
+		n := 0
+		for _, line := range lines {
+			if !slices.ContainsFunc(words, func(w string) bool { return !strings.Contains(line, w) }) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%d log lines name all of %q, want 1; log: %q", n, words, lines)
+		}
 	}
 }

@@ -89,16 +89,16 @@ type Server struct {
 	// into without touching the accept loop.
 	WrapConn func(net.Conn) net.Conn
 
+	// Logf, when set before Serve, receives the daemon's log lines:
+	// session errors, and one line per control-plane change (sched-set,
+	// cache-policy-set, quarantine-reset, ctx-register/deregister)
+	// naming the client that made it. New sets it; never nil.
+	Logf func(format string, args ...any)
+
 	// mu guards sessions: the live sessions by connection, for the
 	// graceful drain in Close and the peers op's inbound ledger.
 	mu       sync.Mutex
 	sessions map[*netproto.Conn]*session
-	logf     func(format string, args ...any)
-	// asMu guards asInfo, the autoscale decision ledger: attachment
-	// state plus a bounded ring of recent decisions, maintained by
-	// autoscale-report and read by autoscale-status (simfs-ctl health).
-	asMu   sync.Mutex
-	asInfo netproto.AutoscaleInfo
 	// lat tracks per-op dispatch service time (the synchronous half of a
 	// request — async completions like a subscribe's ready frame are not
 	// attributed here), surfaced through the stats frame.
@@ -118,7 +118,7 @@ func New(v *core.Virtualizer, logf func(string, ...any)) *Server {
 			timed = append(timed, spec.Name)
 		}
 	}
-	return &Server{v: v, sessions: map[*netproto.Conn]*session{}, logf: logf,
+	return &Server{v: v, sessions: map[*netproto.Conn]*session{}, Logf: logf,
 		lat: metrics.NewLatencySet(timed...)}
 }
 
@@ -173,7 +173,7 @@ func (sess *session) flush() { sess.check("write", sess.c.Flush()) }
 // written: its request would otherwise wait forever.
 func (sess *session) check(what string, err error) {
 	if err != nil {
-		sess.srv.logf("server: %s for %s: %v", what, sess.c.RemoteAddr(), err)
+		sess.srv.Logf("server: %s for %s: %v", what, sess.c.RemoteAddr(), err)
 		sess.c.Close()
 	}
 }
@@ -234,7 +234,7 @@ func codeOf(err error) netproto.ErrCode {
 // daemonCaps is what the daemon advertises in every hello reply (plus
 // CapBinary, which Accept adds).
 var daemonCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt,
-	netproto.CapFed, netproto.CapAutoscale}
+	netproto.CapFed}
 
 func (s *Server) handle(c *netproto.Conn) {
 	sess := &session{c: c, srv: s, held: map[string]map[string]int{}}
@@ -270,7 +270,7 @@ func (s *Server) handle(c *netproto.Conn) {
 	hello, err := c.Accept(daemonCaps, "daemon")
 	if err != nil {
 		if err != io.EOF {
-			s.logf("server: handshake with %s: %v", c.RemoteAddr(), err)
+			s.Logf("server: handshake with %s: %v", c.RemoteAddr(), err)
 		}
 		return
 	}
@@ -283,7 +283,7 @@ func (s *Server) handle(c *netproto.Conn) {
 	for {
 		if err := c.ReadRequest(&env, flush); err != nil {
 			if err != io.EOF {
-				s.logf("server: read from %s: %v", c.RemoteAddr(), err)
+				s.Logf("server: read from %s: %v", c.RemoteAddr(), err)
 			}
 			return
 		}
@@ -362,8 +362,6 @@ var handlers = map[string]handler{
 	netproto.OpDrain:           op((*Server).drain),
 	netproto.OpResume:          op((*Server).resume),
 	netproto.OpQuarantineReset: op((*Server).quarantineReset),
-	netproto.OpAutoscaleReport: op((*Server).autoscaleReport),
-	netproto.OpAutoscaleStatus: bare((*Server).autoscaleStatus),
 	netproto.OpCtxRegister:     op((*Server).ctxRegister),
 	netproto.OpCtxDeregister:   op((*Server).ctxDeregister),
 }
@@ -536,7 +534,7 @@ func (s *Server) schedSet(sess *session, b netproto.SchedSetBody) (netproto.Resp
 	if err != nil {
 		return netproto.Response{}, err
 	}
-	s.logf("server: scheduler reconfigured by %s: %s, now %+v", sess.client, b, cfg)
+	s.Logf("server: scheduler reconfigured by %s: %s, now %+v", sess.client, b, cfg)
 	return netproto.Response{OK: true, Sched: &cfg}, nil
 }
 
@@ -544,7 +542,7 @@ func (s *Server) cachePolicySet(sess *session, b netproto.CachePolicyBody) (netp
 	if err := s.v.SetCachePolicy(b.Context, b.Policy); err != nil {
 		return netproto.Response{}, err
 	}
-	s.logf("server: context %s cache policy swapped to %s by %s", b.Context, b.Policy, sess.client)
+	s.Logf("server: context %s cache policy swapped to %s by %s", b.Context, b.Policy, sess.client)
 	return acked, nil
 }
 
@@ -562,40 +560,11 @@ func (s *Server) quarantineReset(sess *session, b netproto.CtxBody) (netproto.Re
 		return netproto.Response{}, err
 	}
 	if b.Context == "" {
-		s.logf("server: quarantine reset on all contexts by %s (%d released)", sess.client, n)
+		s.Logf("server: quarantine reset on all contexts by %s (%d released)", sess.client, n)
 	} else {
-		s.logf("server: quarantine reset on context %s by %s (%d released)", b.Context, sess.client, n)
+		s.Logf("server: quarantine reset on context %s by %s (%d released)", b.Context, sess.client, n)
 	}
 	return netproto.Response{OK: true, Count: n}, nil
-}
-
-func (s *Server) autoscaleReport(sess *session, b netproto.AutoscaleReportBody) (netproto.Response, error) {
-	s.asMu.Lock()
-	s.asInfo.Active = b.Active
-	if b.Active {
-		s.asInfo.Source = sess.client
-		s.asInfo.Policies = b.Policies
-	} else {
-		// Detachment keeps the decision trail (health still shows
-		// what the controller last did) but clears the live state.
-		s.asInfo.Policies = nil
-	}
-	s.asInfo.Decisions = append(s.asInfo.Decisions, b.Decisions...)
-	if n := len(s.asInfo.Decisions); n > autoscaleLogCap {
-		s.asInfo.Decisions = append([]netproto.AutoscaleDecision(nil),
-			s.asInfo.Decisions[n-autoscaleLogCap:]...)
-	}
-	s.asMu.Unlock()
-	return netproto.Response{OK: true, Count: len(b.Decisions)}, nil
-}
-
-func (s *Server) autoscaleStatus(*session) (netproto.Response, error) {
-	s.asMu.Lock()
-	info := s.asInfo
-	info.Policies = append([]string(nil), s.asInfo.Policies...)
-	info.Decisions = append([]netproto.AutoscaleDecision(nil), s.asInfo.Decisions...)
-	s.asMu.Unlock()
-	return netproto.Response{OK: true, Autoscale: &info}, nil
 }
 
 func (s *Server) ctxRegister(sess *session, b netproto.CtxRegisterBody) (netproto.Response, error) {
@@ -609,7 +578,7 @@ func (s *Server) ctxRegister(sess *session, b netproto.CtxRegisterBody) (netprot
 	if err := s.Registrar.RegisterContext(b.Context, b.Policy, b.InitialSim); err != nil {
 		return netproto.Response{}, err
 	}
-	s.logf("server: context %s registered by %s (policy %s)", b.Context.Name, sess.client, b.Policy)
+	s.Logf("server: context %s registered by %s (policy %s)", b.Context.Name, sess.client, b.Policy)
 	return acked, nil
 }
 
@@ -623,13 +592,9 @@ func (s *Server) ctxDeregister(sess *session, b netproto.CtxBody) (netproto.Resp
 	if err != nil {
 		return netproto.Response{}, err
 	}
-	s.logf("server: context %s deregistered by %s", b.Context, sess.client)
+	s.Logf("server: context %s deregistered by %s", b.Context, sess.client)
 	return acked, nil
 }
-
-// autoscaleLogCap bounds the daemon-side autoscale decision ring: enough
-// recent history for simfs-ctl health, never an unbounded ledger.
-const autoscaleLogCap = 64
 
 // opLatencies mirrors per-op latency summaries onto the wire.
 func opLatencies(sums []metrics.OpLatency) []netproto.OpLatency {

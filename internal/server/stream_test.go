@@ -84,8 +84,8 @@ func TestStreamWithdrawal(t *testing.T) {
 	empty := func(fx *watchFixture) {
 		fx.t.Helper()
 		hub := fx.st.V.Hub()
-		if st := hub.Stats(); st.Topics != 0 {
-			fx.t.Errorf("hub keeps %d topics", st.Topics)
+		if ws := hub.Waiters(topic.Context); len(ws) != 0 {
+			fx.t.Errorf("hub keeps %d waiters", len(ws))
 		}
 		if hub.Waiting(topic) {
 			fx.t.Error("the withdrawn stream still counts for Waiting")

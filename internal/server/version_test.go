@@ -241,10 +241,12 @@ func TestBinarySessionRawFrames(t *testing.T) {
 	}
 }
 
-// The wait op is retired (subscribe serves every wait). A peer that
-// predates the retirement is told so, recoverably and on its request's
-// own ID — bad_frame for the binary opcode 2, unsupported for the JSON
-// op name — and the session keeps working.
+// The wait op is retired (subscribe serves every wait), and so are the
+// autoscale-report/autoscale-status pair of the daemon's old autoscale
+// decision ring. A peer that predates the retirement is told so,
+// recoverably and on its request's own ID — bad_frame for the binary
+// opcode 2, unsupported for each JSON op name — and the session keeps
+// working.
 func TestRetiredWaitOpRefused(t *testing.T) {
 	_, addr := testStack(t)
 	conn := binSession(t, addr, "old-peer")
@@ -260,12 +262,22 @@ func TestRetiredWaitOpRefused(t *testing.T) {
 	if resp.Code != netproto.CodeFrame || resp.ID != 7 || resp.OK {
 		t.Errorf("binary wait answered with %+v, want CodeFrame on id 7", resp)
 	}
-	// The same op by name (a JSON payload inside the binary session).
-	if resp := exchange(t, conn, 8, "wait",
-		netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"}); resp.Code != netproto.CodeUnsupported || resp.ID != 8 || resp.OK {
-		t.Errorf("JSON wait answered with %+v, want CodeUnsupported on id 8", resp)
+	// The same op by name (a JSON payload inside the binary session),
+	// then the autoscale ops with the bodies an older simfs-ctl sent.
+	for _, row := range []struct {
+		id   uint64
+		op   string
+		body any
+	}{
+		{8, "wait", netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"}},
+		{9, "autoscale-report", map[string]any{"active": true, "policies": []string{"node-budget"}}},
+		{10, "autoscale-status", nil},
+	} {
+		if resp := exchange(t, conn, row.id, row.op, row.body); resp.Code != netproto.CodeUnsupported || resp.ID != row.id || resp.OK {
+			t.Errorf("JSON %s answered with %+v, want CodeUnsupported on id %d", row.op, resp, row.id)
+		}
 	}
-	if resp := exchange(t, conn, 9, netproto.OpPing, nil); !resp.OK || resp.ID != 9 {
+	if resp := exchange(t, conn, 11, netproto.OpPing, nil); !resp.OK || resp.ID != 11 {
 		t.Errorf("ping after the refusals: %+v", resp)
 	}
 }
