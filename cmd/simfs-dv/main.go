@@ -101,8 +101,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("simfs-dv: %v", err)
 	}
-	// Every control-plane change is logged with the client that made it:
-	// the daemon's record of who reconfigured it.
+	// The server logs each reconfiguration with the client that made it:
+	// the daemon's record of who steered it.
 	d.Server.Logf = log.Printf
 	if *peers != "" {
 		var peerAddrs []string

@@ -541,6 +541,8 @@ func TestSchedSetValidation(t *testing.T) {
 // TestPreemptCapabilityAdvertised: the daemon advertises the preempt
 // capability in the hello, and the client refuses to send the gated
 // fields without it (they would be silently dropped by an old daemon).
+// The retired autoscale capability is not advertised, so an older
+// simfs-ctl keeps its decisions local instead of posting them.
 func TestPreemptCapabilityAdvertised(t *testing.T) {
 	_, addr := controlStack(t)
 	c, err := dvlib.Dial(addr, "ops")
@@ -551,18 +553,6 @@ func TestPreemptCapabilityAdvertised(t *testing.T) {
 	if !c.HasCapability(netproto.CapPreempt) {
 		t.Fatalf("daemon caps = %v, want %q advertised", c.Capabilities(), netproto.CapPreempt)
 	}
-}
-
-// The daemon keeps no autoscale decision ring any more, so its hello
-// stops advertising the capability: an older simfs-ctl then keeps its
-// decisions local instead of posting them.
-func TestAutoscaleCapabilityRetired(t *testing.T) {
-	_, addr := controlStack(t)
-	c, err := dvlib.Dial(addr, "ops")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	if c.HasCapability("autoscale") {
 		t.Fatalf("daemon caps = %v still advertise the retired autoscale ledger", c.Capabilities())
 	}

@@ -92,7 +92,8 @@ type Server struct {
 	// Logf, when set before Serve, receives the daemon's log lines:
 	// session errors, and one line per control-plane change (sched-set,
 	// cache-policy-set, quarantine-reset, ctx-register/deregister)
-	// naming the client that made it. New sets it; never nil.
+	// naming the client that made it. New sets it from its logf
+	// argument; it must not be nil.
 	Logf func(format string, args ...any)
 
 	// mu guards sessions: the live sessions by connection, for the
