@@ -217,7 +217,11 @@ simfs-vet:
 # and the seam lives on only for tests, fuzzers and the codec drill. And
 # it fails when non-test code outside internal/notify and benchmark/
 # names notify.Sub: every waiter in the daemon is a callback, and the
-# channel adapter lives on only for tests and the hub drills.
+# channel adapter lives on only for tests and the hub drills. Last, it
+# runs the reachability gate (TestReachability in internal/analysis):
+# every exported function and method of a non-main package must be
+# reached from a main package, the simfs facade or benchmark/, or sit
+# on the gate's allowlist of test seams with its reason.
 dead-ops:
 	@dead=; for op in $$(sed -n 's/^\t\(Op[A-Za-z]*\) *= *".*/\1/p' internal/netproto/netproto.go); do \
 		[ "$$op" = OpHello ] && continue; \
@@ -231,6 +235,7 @@ dead-ops:
 	@sub=$$(git grep -nw 'notify\.Sub' -- '*.go' ':!*_test.go' ':!internal/notify' ':!benchmark'); \
 	if [ -n "$$sub" ]; then echo "dead-ops: notify.Sub has production callers:"; echo "$$sub"; exit 1; fi; \
 	echo "dead-ops: no production caller of notify.Sub"
+	$(GO) test -count=1 -run '^TestReachability$$' ./internal/analysis
 
 # staticcheck and govulncheck are pinned and fetched on demand via `go
 # run tool@version`, so they add no go.mod dependency. The -version

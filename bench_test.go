@@ -721,7 +721,7 @@ func BenchmarkProtocolRoundTrip(b *testing.B) {
 func BenchmarkBatchSamplers(b *testing.B) {
 	samplers := map[string]batch.Sampler{
 		"constant":    batch.Constant(time.Second),
-		"uniform":     batch.NewUniform(0, time.Second, 1),
+		"uniform":     &batch.Uniform{Max: time.Second, Rng: rand.New(rand.NewSource(1))},
 		"exponential": batch.NewExponential(time.Second, 1),
 	}
 	for name, s := range samplers {

@@ -214,7 +214,7 @@ func main() {
 				upd.DRRQuantum = quantum
 			}
 		})
-		cfg, err := admin.SetSchedConfig(cx, upd)
+		cfg, err := admin.UpdateSchedConfig(cx, upd)
 		check(err)
 		fmt.Println("scheduler reconfigured:")
 		printSched(cfg)

@@ -34,8 +34,8 @@ var MapOrderPackages = map[string]bool{
 	"simfs/internal/trace":       true,
 	"simfs/internal/experiments": true,
 	"simfs/internal/autoscale":   true,
-	// notify's callbacks drive the DES: WaitFile wakes analyses in the
-	// ledger's order.
+	// notify's callbacks drive the DES: OpenAwait's and the pipeline's
+	// waiters wake analyses and parked simulations in the ledger's order.
 	"simfs/internal/notify": true,
 }
 

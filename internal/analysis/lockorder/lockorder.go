@@ -4,7 +4,7 @@
 // order, the plain mutexes (ctxMu, simMu) are never held while a
 // shard lock is acquired, and nothing that can block on another
 // goroutine — a notify-hub publish or delivery, a channel send — runs
-// while a shard lock is held. The hub's Take and Await stay legal there:
+// while a shard lock is held. The hub's Take and AwaitFor stay legal there:
 // they only touch the ledger, under the innermost hub lock.
 //
 // The analysis is function-local. It tracks Lock/Unlock pairs in

@@ -11,7 +11,7 @@ type ContendedMutex struct{ sync.Mutex }
 type Hub struct{}
 
 func (h *Hub) Publish(ev string)              {}
-func (h *Hub) Await(topic string)             {}
+func (h *Hub) AwaitFor(topic string)          {}
 func (h *Hub) Take(topic string) []string     { return nil }
 func (h *Hub) Deliver(ev string, ws []string) {}
 
@@ -98,7 +98,7 @@ func PublishAfterUnlockClean(h *Hub, s *shard) {
 // is clean; waking them is not.
 func TakeThenDeliver(h *Hub, s *shard) {
 	s.mu.Lock()
-	h.Await("step")
+	h.AwaitFor("step")
 	ws := h.Take("step")
 	h.Deliver("early", ws) // want "notify hub deliver while shard lock s.mu is held"
 	s.mu.Unlock()

@@ -91,7 +91,7 @@ func (at *AdminTarget) Sample() (Sample, error) {
 func (at *AdminTarget) ApplySched(p sched.Patch) error {
 	cctx, cancel := at.callCtx()
 	defer cancel()
-	_, err := at.C.Admin().SetSchedConfig(cctx, p)
+	_, err := at.C.Admin().UpdateSchedConfig(cctx, p)
 	return err
 }
 

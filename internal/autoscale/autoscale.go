@@ -34,7 +34,7 @@
 package autoscale
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -61,8 +61,6 @@ type Options struct {
 	// Clock is the controller's time source (required): des.Engine under
 	// the DES, des.NewWallClock() under the daemon.
 	Clock des.Clock
-	// Logf, when set, receives one line per decision and per tick error.
-	Logf func(format string, args ...any)
 	// OnDecision, when set, observes every decision as it is taken (the
 	// simfs-ctl autoscale mode prints one line per decision).
 	OnDecision func(Decision)
@@ -72,13 +70,12 @@ type Options struct {
 
 // Controller drives the loop: Sample → Evaluate each policy → merge →
 // actuate. It is single-threaded by construction — TickOnce must not be
-// called concurrently with itself; Run serializes ticks on one
-// goroutine.
+// called concurrently with itself; its caller paces the ticks (the DES
+// schedules them, simfs-ctl autoscale runs a ticker).
 type Controller struct {
 	target   Target
 	policies []Policy
 	clock    des.Clock
-	logf     func(string, ...any)
 	onDec    func(Decision)
 	logSize  int
 
@@ -105,7 +102,6 @@ func New(target Target, policies []Policy, opts Options) (*Controller, error) {
 		target:   target,
 		policies: policies,
 		clock:    opts.Clock,
-		logf:     opts.Logf,
 		onDec:    opts.OnDecision,
 		logSize:  logSize,
 		first:    true,
@@ -125,7 +121,9 @@ func (c *Controller) Policies() []string {
 // policy compare the sample against the previous one, merge the
 // scheduler patches into a single atomic update, and actuate. A sampling
 // failure aborts the tick without advancing the window (the next tick
-// compares against the same baseline).
+// compares against the same baseline). Failed actuations do not: the
+// tick's decisions are recorded and the window advances, and then the
+// failures come back joined, each naming what it tried to apply.
 func (c *Controller) TickOnce() error {
 	cur, err := c.target.Sample()
 	if err != nil {
@@ -146,15 +144,16 @@ func (c *Controller) TickOnce() error {
 
 	// Single-writer actuation: one scheduler update per tick, however
 	// many policies contributed fields.
+	var failed []error
 	if !merged.Empty() {
 		if err := c.target.ApplySched(merged); err != nil {
-			c.log("autoscale: sched actuation failed: %v", err)
+			failed = append(failed, fmt.Errorf("autoscale: sched actuation %s failed: %w", merged, err))
 		}
 	}
 	for _, pa := range actions {
 		if cs := pa.act.Cache; cs != nil {
 			if err := c.target.SetCachePolicy(cs.Ctx, cs.Policy); err != nil {
-				c.log("autoscale: cache actuation failed (ctx %s): %v", cs.Ctx, err)
+				failed = append(failed, fmt.Errorf("autoscale: cache actuation %s failed: %w", pa.act.describe(), err))
 			}
 		}
 		c.record(Decision{At: t.Now, Policy: pa.policy, Action: pa.act.describe(), Reason: pa.act.Reason})
@@ -162,7 +161,7 @@ func (c *Controller) TickOnce() error {
 
 	c.prev = cur
 	c.first = false
-	return nil
+	return errors.Join(failed...)
 }
 
 type pendingAction struct {
@@ -176,7 +175,6 @@ func (c *Controller) record(d Decision) {
 	if len(c.decisions) > c.logSize {
 		c.decisions = append(c.decisions[:0], c.decisions[len(c.decisions)-c.logSize:]...)
 	}
-	c.log("autoscale: [%s] %s (%s)", d.Policy, d.Action, d.Reason)
 	if c.onDec != nil {
 		c.onDec(d)
 	}
@@ -185,32 +183,4 @@ func (c *Controller) record(d Decision) {
 // Decisions returns the retained decision log, oldest first.
 func (c *Controller) Decisions() []Decision {
 	return append([]Decision(nil), c.decisions...)
-}
-
-func (c *Controller) log(format string, args ...any) {
-	if c.logf != nil {
-		c.logf(format, args...)
-	}
-}
-
-// Run ticks the controller on a wall-clock interval until the context
-// ends. Tick errors (a daemon restart mid-sample, say) are logged and
-// the loop continues — the controller is an observer that must outlive
-// transient failures of its subject.
-func (c *Controller) Run(ctx context.Context, interval time.Duration) error {
-	if interval <= 0 {
-		return fmt.Errorf("autoscale: tick interval must be > 0, got %v", interval)
-	}
-	ticker := time.NewTicker(interval) //simfs:allow wallclock Run paces a live daemon; replayed experiments call TickOnce on an injected clock
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-			if err := c.TickOnce(); err != nil {
-				c.log("%v", err)
-			}
-		}
-	}
 }

@@ -3,6 +3,7 @@ package autoscale
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,6 +112,31 @@ func TestControllerSampleErrorKeepsWindow(t *testing.T) {
 	tickN(t, c, clk, 1, time.Second)
 	if len(ft.patches) != 1 || ft.patches[0].TotalNodes == nil || *ft.patches[0].TotalNodes != 3 {
 		t.Fatalf("patches after recovery = %+v, want one widen to 3", ft.patches)
+	}
+}
+
+// A refused actuation comes back from TickOnce, naming the patch, once
+// the tick's decision is recorded and its window advanced.
+func TestControllerReturnsActuationFailure(t *testing.T) {
+	cfg := sched.Config{TotalNodes: 2}
+	ft := &fakeTarget{samples: []Sample{
+		sampleWithWait(cfg, 0),
+		sampleWithWait(cfg, 2*time.Second),
+	}, applyErr: errors.New("daemon refused")}
+	clk := &manualClock{}
+	c := newController(t, ft, clk, &NodeBudget{Min: 1, Max: 8})
+	tickN(t, c, clk, 1, time.Second) // baseline
+
+	clk.now += time.Second
+	err := c.TickOnce()
+	if err == nil || !errors.Is(err, ft.applyErr) || !strings.Contains(err.Error(), "sched{nodes=3}") {
+		t.Fatalf("TickOnce with a refused patch = %v, want the refusal naming sched{nodes=3}", err)
+	}
+	if d := c.Decisions(); len(d) != 1 || d[0].Action != "sched{nodes=3}" {
+		t.Fatalf("decisions = %+v, want the one widen recorded", d)
+	}
+	if c.prev.Sched.DemandWait.Wait != 2*time.Second {
+		t.Fatal("a failed actuation held the window back")
 	}
 }
 

@@ -33,14 +33,6 @@ type Uniform struct {
 	Rng      *rand.Rand
 }
 
-// NewUniform returns a deterministic uniform sampler.
-func NewUniform(min, max time.Duration, seed int64) *Uniform {
-	if max < min {
-		min, max = max, min
-	}
-	return &Uniform{Min: min, Max: max, Rng: rand.New(rand.NewSource(seed))}
-}
-
 // Next implements Sampler.
 func (u *Uniform) Next() time.Duration {
 	if u.Max == u.Min {

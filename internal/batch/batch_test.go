@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -9,20 +10,15 @@ func TestSamplers(t *testing.T) {
 	if Constant(5*time.Second).Next() != 5*time.Second {
 		t.Error("constant sampler wrong")
 	}
-	u := NewUniform(10, 20, 1)
+	u := &Uniform{Min: 10, Max: 20, Rng: rand.New(rand.NewSource(1))}
 	for i := 0; i < 100; i++ {
 		d := u.Next()
 		if d < 10 || d > 20 {
 			t.Fatalf("uniform sample %v out of range", d)
 		}
 	}
-	if NewUniform(7, 7, 1).Next() != 7 {
+	if (&Uniform{Min: 7, Max: 7}).Next() != 7 {
 		t.Error("degenerate uniform should return the point")
-	}
-	// Swapped bounds are normalized.
-	s := NewUniform(20, 10, 2)
-	if s.Min != 10 || s.Max != 20 {
-		t.Error("bounds not normalized")
 	}
 	e := NewExponential(time.Second, 3)
 	var sum time.Duration

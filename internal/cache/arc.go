@@ -18,9 +18,6 @@ type arcOf[K comparable] struct {
 	ar    arena[K]
 }
 
-// ARC is the string-keyed ARC policy used by the Virtualizer.
-type ARC = arcOf[string]
-
 // arcList identifies which of the four lists a node is on; it is stored
 // in the node's cost field (ARC is cost-oblivious), which spares a
 // per-entry wrapper allocation.
@@ -33,10 +30,7 @@ const (
 	inB2
 )
 
-// NewARC returns an empty string-keyed ARC policy with the given capacity
-// in entries.
-func NewARC(capacity int) *ARC { return newARC[string](capacity) }
-
+// newARC returns an empty ARC policy with the given capacity in entries.
 func newARC[K comparable](capacity int) *arcOf[K] {
 	if capacity < 1 {
 		capacity = 1

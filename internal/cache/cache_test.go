@@ -107,7 +107,7 @@ func TestPolicyConformance(t *testing.T) {
 }
 
 func TestLRUOrder(t *testing.T) {
-	p := NewLRU()
+	p := newLRU[string]()
 	p.Insert("a", 1)
 	p.Insert("b", 1)
 	p.Insert("c", 1)
@@ -124,7 +124,7 @@ func TestLRUOrder(t *testing.T) {
 }
 
 func TestBCLPrefersCheaperOverLRU(t *testing.T) {
-	p := NewBCL().(*costLRU)
+	p := newCostLRU[string]("BCL", false)
 	p.Insert("expensive", 10) // LRU end
 	p.Insert("cheap", 1)
 	p.Insert("mid", 5)
@@ -141,7 +141,7 @@ func TestBCLPrefersCheaperOverLRU(t *testing.T) {
 }
 
 func TestBCLFallsBackToLRU(t *testing.T) {
-	p := NewBCL().(*costLRU)
+	p := newCostLRU[string]("BCL", false)
 	p.Insert("a", 1) // LRU, cheapest
 	p.Insert("b", 5)
 	p.Insert("c", 9)
@@ -152,7 +152,7 @@ func TestBCLFallsBackToLRU(t *testing.T) {
 }
 
 func TestBCLDepreciationConverges(t *testing.T) {
-	p := NewBCL().(*costLRU)
+	p := newCostLRU[string]("BCL", false)
 	p.Insert("hog", 100)
 	p.Insert("w1", 30)
 	// Repeated sparing must eventually exhaust the hog's cost so it gets
@@ -172,7 +172,7 @@ func TestBCLDepreciationConverges(t *testing.T) {
 }
 
 func TestDCLDeferredDepreciation(t *testing.T) {
-	p := NewDCL().(*costLRU)
+	p := newCostLRU[string]("DCL", true)
 	p.Insert("lru", 10)
 	p.Insert("cheap", 2)
 	// Victim selection spares "lru", evicts "cheap", arming (cheap→lru).
@@ -193,7 +193,7 @@ func TestDCLDeferredDepreciation(t *testing.T) {
 }
 
 func TestDCLAccessCancelsDepreciation(t *testing.T) {
-	p := NewDCL().(*costLRU)
+	p := newCostLRU[string]("DCL", true)
 	p.Insert("lru", 10)
 	p.Insert("cheap", 2)
 	v, _ := p.Victim(nil)
@@ -209,7 +209,7 @@ func TestDCLAccessCancelsDepreciation(t *testing.T) {
 }
 
 func TestLIRSPromotionOnStackHit(t *testing.T) {
-	p := NewLIRS(4) // lCap=3, hCap=1
+	p := newLIRS[string](4) // lCap=3, hCap=1
 	p.Insert("a", 1)
 	p.Insert("b", 1)
 	p.Insert("c", 1) // fills the LIR set
@@ -229,7 +229,7 @@ func TestLIRSPromotionOnStackHit(t *testing.T) {
 }
 
 func TestLIRSGhostPromotion(t *testing.T) {
-	p := NewLIRS(4)
+	p := newLIRS[string](4)
 	p.Insert("a", 1)
 	p.Insert("b", 1)
 	p.Insert("c", 1)
@@ -252,7 +252,7 @@ func TestLIRSGhostPromotion(t *testing.T) {
 
 func TestLIRSScanResistance(t *testing.T) {
 	// A long scan of one-shot keys must not displace the hot LIR set.
-	p := NewLIRS(10)
+	p := newLIRS[string](10)
 	for i := 0; i < 9; i++ {
 		p.Insert(fmt.Sprintf("hot%d", i), 1)
 	}
@@ -274,7 +274,7 @@ func TestLIRSScanResistance(t *testing.T) {
 }
 
 func TestARCAdaptsToFrequency(t *testing.T) {
-	p := NewARC(4)
+	p := newARC[string](4)
 	p.Insert("f1", 1)
 	p.Insert("f2", 1)
 	p.Access("f1") // f1,f2 → T2 after re-access
@@ -301,7 +301,7 @@ func TestARCAdaptsToFrequency(t *testing.T) {
 }
 
 func TestARCGhostB2LowersP(t *testing.T) {
-	p := NewARC(4)
+	p := newARC[string](4)
 	p.Insert("a", 1)
 	p.Access("a") // a → T2
 	v, _ := p.Victim(nil)
@@ -317,7 +317,7 @@ func TestARCGhostB2LowersP(t *testing.T) {
 }
 
 func TestCacheInsertAndEvict(t *testing.T) {
-	c := New(NewLRU(), 30)
+	c := New(newLRU[string](), 30)
 	for i := 0; i < 3; i++ {
 		if _, err := c.Insert(fmt.Sprintf("k%d", i), 10, 1, nil); err != nil {
 			t.Fatal(err)
@@ -339,7 +339,7 @@ func TestCacheInsertAndEvict(t *testing.T) {
 }
 
 func TestCachePinProtectsFromEviction(t *testing.T) {
-	c := New(NewLRU(), 20)
+	c := New(newLRU[string](), 20)
 	c.Insert("a", 10, 1, nil)
 	c.Insert("b", 10, 1, nil)
 	c.PinnedBy(func(k string) bool { return k == "a" })
@@ -353,7 +353,7 @@ func TestCachePinProtectsFromEviction(t *testing.T) {
 }
 
 func TestCacheAllPinnedOverflows(t *testing.T) {
-	c := New(NewLRU(), 20)
+	c := New(newLRU[string](), 20)
 	c.Insert("a", 10, 1, nil)
 	c.Insert("b", 10, 1, nil)
 	c.PinnedBy(func(k string) bool { return k == "a" || k == "b" })
@@ -446,7 +446,7 @@ func TestCacheExternalGuard(t *testing.T) {
 }
 
 func TestCacheTooLarge(t *testing.T) {
-	c := New(NewLRU(), 10)
+	c := New(newLRU[string](), 10)
 	if _, err := c.Insert("huge", 11, 1, nil); err == nil {
 		t.Error("oversized insert should fail")
 	}
@@ -456,7 +456,7 @@ func TestCacheTooLarge(t *testing.T) {
 }
 
 func TestCacheTouchAndStats(t *testing.T) {
-	c := New(NewLRU(), 100)
+	c := New(newLRU[string](), 100)
 	c.Insert("a", 1, 1, nil)
 	if !c.Touch("a") {
 		t.Error("touch of resident key should hit")
@@ -470,7 +470,7 @@ func TestCacheTouchAndStats(t *testing.T) {
 }
 
 func TestCacheUnboundedNeverEvicts(t *testing.T) {
-	c := New(NewLRU(), 0)
+	c := New(newLRU[string](), 0)
 	for i := 0; i < 1000; i++ {
 		if ev, _ := c.Insert(fmt.Sprintf("k%d", i), 1<<20, 1, nil); len(ev) != 0 {
 			t.Fatalf("unbounded cache evicted %v", ev)
@@ -485,7 +485,7 @@ func TestCacheUnboundedNeverEvicts(t *testing.T) {
 // fit, appending them to the caller's buffer, and overflows, counted,
 // when a pin stops it short.
 func TestCacheInsertEvictsToFit(t *testing.T) {
-	c := New(NewLRU(), 30)
+	c := New(newLRU[string](), 30)
 	c.Insert("a", 10, 1, nil)
 	c.Insert("b", 10, 1, nil)
 	c.Insert("c", 10, 1, nil)
@@ -505,7 +505,7 @@ func TestCacheInsertEvictsToFit(t *testing.T) {
 }
 
 func TestCacheRemove(t *testing.T) {
-	c := New(NewLRU(), 30)
+	c := New(newLRU[string](), 30)
 	c.Insert("a", 10, 1, nil)
 	c.Remove("a")
 	c.Remove("a") // idempotent
@@ -515,7 +515,7 @@ func TestCacheRemove(t *testing.T) {
 }
 
 func TestCacheReinsertRefreshesCost(t *testing.T) {
-	p := NewDCL().(*costLRU)
+	p := newCostLRU[string]("DCL", true)
 	c := New(p, 100)
 	c.Insert("a", 1, 5, nil)
 	c.Insert("a", 1, 9, nil)

@@ -61,9 +61,6 @@ type pendingDepr[K comparable] struct {
 	by  int
 }
 
-// costLRU is the string-keyed instantiation (referenced by tests).
-type costLRU = costLRUOf[string]
-
 func newCostLRU[K comparable](name string, dynamic bool) *costLRUOf[K] {
 	return &costLRUOf[K]{
 		name:    name,
@@ -72,12 +69,6 @@ func newCostLRU[K comparable](name string, dynamic bool) *costLRUOf[K] {
 		pending: map[K]pendingDepr[K]{},
 	}
 }
-
-// NewBCL returns the string-keyed Basic Cost-Sensitive LRU policy.
-func NewBCL() Policy { return newCostLRU[string]("BCL", false) }
-
-// NewDCL returns the string-keyed Dynamic Cost-Sensitive LRU policy.
-func NewDCL() Policy { return newCostLRU[string]("DCL", true) }
 
 // Name implements PolicyOf.
 func (p *costLRUOf[K]) Name() string { return p.name }

@@ -30,14 +30,9 @@ type lirsOf[K comparable] struct {
 	ar arena[K]
 }
 
-// LIRS is the string-keyed LIRS policy used by the Virtualizer.
-type LIRS = lirsOf[string]
-
-// NewLIRS returns an empty string-keyed LIRS policy sized for the given
-// capacity in entries. The HIR target is 1% of capacity (at least one
-// entry), per the original paper's recommendation.
-func NewLIRS(capacity int) *LIRS { return newLIRS[string](capacity) }
-
+// newLIRS returns an empty LIRS policy sized for the given capacity in
+// entries. The HIR target is 1% of capacity (at least one entry), per the
+// original paper's recommendation.
 func newLIRS[K comparable](capacity int) *lirsOf[K] {
 	if capacity < 2 {
 		capacity = 2

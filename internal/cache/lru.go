@@ -8,12 +8,6 @@ type lruOf[K comparable] struct {
 	ar    arena[K]
 }
 
-// LRU is the string-keyed LRU policy used by the Virtualizer.
-type LRU = lruOf[string]
-
-// NewLRU returns an empty string-keyed LRU policy.
-func NewLRU() *LRU { return newLRU[string]() }
-
 func newLRU[K comparable]() *lruOf[K] {
 	return &lruOf[K]{byKey: map[K]*node[K]{}}
 }

@@ -201,7 +201,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 func TestLIRSChurnProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewLIRS(8)
+		p := newLIRS[string](8)
 		live := map[string]bool{}
 		for i := 0; i < 600; i++ {
 			k := fmt.Sprintf("x%d", rng.Intn(40))
@@ -241,7 +241,7 @@ func TestLIRSChurnProperty(t *testing.T) {
 func TestARCBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewARC(8)
+		p := newARC[string](8)
 		for i := 0; i < 500; i++ {
 			k := fmt.Sprintf("y%d", rng.Intn(30))
 			switch rng.Intn(3) {

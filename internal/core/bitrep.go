@@ -20,17 +20,6 @@ func (v *Virtualizer) RegisterChecksum(ctxName, filename string, sum uint64) err
 	return nil
 }
 
-// RegisteredChecksum returns the stored original checksum for a file.
-func (v *Virtualizer) RegisteredChecksum(ctxName, filename string) (uint64, bool, error) {
-	cs, step, err := v.lockedStep(ctxName, filename)
-	if err != nil {
-		return 0, false, err
-	}
-	defer cs.mu.Unlock()
-	sum, found := cs.checksums[step]
-	return sum, found, nil
-}
-
 // Bitrep implements SIMFS_Bitrep: it checks whether the given (current)
 // file content matches the originally produced file, by comparing the
 // driver-computed checksums. The returned flag is true when the contents

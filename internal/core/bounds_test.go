@@ -52,42 +52,33 @@ func TestStepNameBounds(t *testing.T) {
 			`Open {Available:false EstWait:0s Awaited:false} ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
 			`OpenAwait {Available:false EstWait:0s Awaited:false} ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
 			`Release ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
-			`WaitFile fired=false ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
 			`EstWait 0s ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
 			`Watch [] ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
 			`GuidedPrefetch 0 ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
-			`RegisteredChecksum 0 false ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
 			`Bitrep false ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
 			`RegisterChecksum ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
-			`RegisteredChecksum 0 false ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
 			`Bitrep false ErrInvalid: core: invalid request: model: "c_out_00000000.nc" has non-positive key 0`,
 		}},
 		{101, []string{
 			`Open {Available:false EstWait:0s Awaited:false} ErrInvalid: core: invalid request: "c_out_00000101.nc" is outside the simulated timeline`,
 			`OpenAwait {Available:false EstWait:0s Awaited:false} ErrInvalid: core: invalid request: "c_out_00000101.nc" is outside the simulated timeline`,
 			`Release ErrInvalid: core: invalid request: release of unreferenced file "c_out_00000101.nc"`,
-			`WaitFile fired=false ErrNotProduced: core: file is not being produced: "c_out_00000101.nc" is neither on disk nor promised; call Open first`,
 			`EstWait 0s <nil>`,
 			`Watch [] ErrInvalid: core: invalid request: "c_out_00000101.nc" is outside the simulated timeline`,
 			`GuidedPrefetch 0 ErrInvalid: core: invalid request: "c_out_00000101.nc" is outside the simulated timeline`,
-			`RegisteredChecksum 0 false <nil>`,
 			`Bitrep false ErrInvalid: core: invalid request: no registered checksum for "c_out_00000101.nc" (run the checksum utility after the initial simulation)`,
 			`RegisterChecksum <nil>`,
-			`RegisteredChecksum 42 true <nil>`,
 			`Bitrep false <nil>`,
 		}},
 		{123456789, []string{
 			`Open {Available:false EstWait:0s Awaited:false} ErrInvalid: core: invalid request: "c_out_123456789.nc" is outside the simulated timeline`,
 			`OpenAwait {Available:false EstWait:0s Awaited:false} ErrInvalid: core: invalid request: "c_out_123456789.nc" is outside the simulated timeline`,
 			`Release ErrInvalid: core: invalid request: release of unreferenced file "c_out_123456789.nc"`,
-			`WaitFile fired=false ErrNotProduced: core: file is not being produced: "c_out_123456789.nc" is neither on disk nor promised; call Open first`,
 			`EstWait 0s <nil>`,
 			`Watch [] ErrInvalid: core: invalid request: "c_out_123456789.nc" is outside the simulated timeline`,
 			`GuidedPrefetch 0 ErrInvalid: core: invalid request: "c_out_123456789.nc" is outside the simulated timeline`,
-			`RegisteredChecksum 0 false <nil>`,
 			`Bitrep false ErrInvalid: core: invalid request: no registered checksum for "c_out_123456789.nc" (run the checksum utility after the initial simulation)`,
 			`RegisterChecksum <nil>`,
-			`RegisteredChecksum 42 true <nil>`,
 			`Bitrep false <nil>`,
 		}},
 	} {
@@ -101,23 +92,16 @@ func TestStepNameBounds(t *testing.T) {
 		add("OpenAwait %+v %s", r, class(err))
 		err = v.Release("a", "c", name)
 		add("Release %s", class(err))
-		fired := false
-		err = v.WaitFile("a", "c", name, func(notify.Event) { fired = true })
-		add("WaitFile fired=%v %s", fired, class(err))
 		d, err := v.EstWait("c", name)
 		add("EstWait %v %s", d, class(err))
 		files, err := v.Watch("a", "c", []string{name}, stream, 9)
 		add("Watch %+v %s", files, class(err))
 		n, err := v.GuidedPrefetch("a", "c", []string{name})
 		add("GuidedPrefetch %d %s", n, class(err))
-		sum, found, err := v.RegisteredChecksum("c", name)
-		add("RegisteredChecksum %d %v %s", sum, found, class(err))
 		same, err := v.Bitrep("c", name, []byte("x"))
 		add("Bitrep %v %s", same, class(err))
 		err = v.RegisterChecksum("c", name, 42)
 		add("RegisterChecksum %s", class(err))
-		sum, found, err = v.RegisteredChecksum("c", name)
-		add("RegisteredChecksum %d %v %s", sum, found, class(err))
 		same, err = v.Bitrep("c", name, []byte("x"))
 		add("Bitrep %v %s", same, class(err))
 

@@ -49,21 +49,15 @@ var (
 // SchedConfig returns the re-simulation scheduler policy in effect.
 func (v *Virtualizer) SchedConfig() sched.Config { return v.sched.Config() }
 
-// SetSchedConfig swaps the scheduling policy on the live daemon. The
-// scheduler applies it at the next admission boundary (queued jobs are
-// re-ordered, in-flight simulations keep their reservations); a drain
-// pass afterwards starts anything the new policy admits — e.g. a raised
-// node budget frees queued jobs immediately.
-func (v *Virtualizer) SetSchedConfig(cfg sched.Config) {
-	v.sched.SetConfig(cfg)
-	v.drainScheduler()
-}
-
-// UpdateSchedConfig is SetSchedConfig for partial updates: the patch is
-// validated and applied atomically against the current config under the
-// scheduler's mutex, so concurrent partial reconfigurations compose
-// instead of overwriting each other. It returns the resulting config; a
-// refused patch (ErrInvalid) changes nothing.
+// UpdateSchedConfig reconfigures the scheduler on the live daemon: the
+// patch is validated and applied atomically against the current config
+// under the scheduler's mutex, so concurrent partial reconfigurations
+// compose instead of overwriting each other. The scheduler applies it at
+// the next admission boundary (queued jobs are re-ordered, in-flight
+// simulations keep their reservations); a drain pass afterwards starts
+// anything the new policy admits — e.g. a raised node budget frees queued
+// jobs immediately. It returns the resulting config; a refused patch
+// (ErrInvalid) changes nothing.
 func (v *Virtualizer) UpdateSchedConfig(p sched.Patch) (sched.Config, error) {
 	cfg, err := v.sched.Update(p)
 	if err != nil {

@@ -153,9 +153,10 @@ func TestDrainCancelsQueuedPrefetch(t *testing.T) {
 	ctx := testContext("c")
 	ctx.SMax = 1
 	h := newHarness(t, ctx)
-	cfg := h.v.SchedConfig()
-	cfg.Priorities = true
-	h.v.SetSchedConfig(cfg)
+	on := true
+	if _, err := h.v.UpdateSchedConfig(sched.Patch{Priorities: &on}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestDrainCancelsQueuedPrefetch(t *testing.T) {
 	}
 }
 
-// SetSchedConfig flips the admission rules on the live Virtualizer: a
+// UpdateSchedConfig flips the admission rules on the live Virtualizer: a
 // prefetch dropped under the zero config queues once priorities are on.
 func TestSetSchedConfigLive(t *testing.T) {
 	ctx := testContext("c")
@@ -208,9 +209,10 @@ func TestSetSchedConfigLive(t *testing.T) {
 	if st.DroppedPrefetch != 1 {
 		t.Fatalf("dropped = %d, want 1 under the zero config", st.DroppedPrefetch)
 	}
-	cfg := h.v.SchedConfig()
-	cfg.Priorities = true
-	h.v.SetSchedConfig(cfg)
+	on := true
+	if _, err := h.v.UpdateSchedConfig(sched.Patch{Priorities: &on}); err != nil {
+		t.Fatal(err)
+	}
 	if got := h.v.SchedConfig(); !got.Priorities {
 		t.Fatalf("config did not stick: %+v", got)
 	}
@@ -245,8 +247,8 @@ func TestDrainDroppedPrefetchFailsJoinedWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []notify.Event
-	if err := h.v.WaitFile("a2", "c", ctx.Filename(6), func(st notify.Event) { got = append(got, st) }); err != nil {
-		t.Fatalf("the queued hint promises step 6: %v", err)
+	if f, err := watchFile(h.v, "a2", "c", ctx.Filename(6), func(st notify.Event) { got = append(got, st) }); err != nil || !f.Promised {
+		t.Fatalf("the queued hint promises step 6: %+v, %v", f, err)
 	}
 	if err := h.v.Drain("c"); err != nil {
 		t.Fatal(err)

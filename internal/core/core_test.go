@@ -78,6 +78,24 @@ func watch(v *Virtualizer, client, ctxName string, names []string) (*watcher, []
 	return w, files, err
 }
 
+// openAwait is OpenAwait with fn for the waiter, under an owner of its
+// own: fn runs once with the step's fate if the open missed a promised
+// step (Awaited), in the goroutine that delivers it.
+func openAwait(v *Virtualizer, client, ctxName, file string, fn func(notify.Event)) (OpenResult, error) {
+	return v.OpenAwait(client, ctxName, file, notify.NewOwner(func(_ uint64, ev notify.Event) { fn(ev) }), 0)
+}
+
+// watchFile is Watch of one file with fn for its waiter, under a stream
+// owner of its own: a waiter that holds no reference. A resident file
+// registers nothing.
+func watchFile(v *Virtualizer, client, ctxName, file string, fn func(notify.Event)) (WatchedFile, error) {
+	files, err := v.Watch(client, ctxName, []string{file}, notify.NewStreamOwner(func(_ uint64, ev notify.Event) { fn(ev) }), 0)
+	if err != nil {
+		return WatchedFile{}, err
+	}
+	return files[0], nil
+}
+
 // deliver may run before watch has counted the topics: the event of a
 // step that resolved as soon as the shard unlocked.
 func (w *watcher) deliver(_ uint64, ev notify.Event) {
@@ -194,21 +212,18 @@ func TestOpenMissTriggersResimAndNotifies(t *testing.T) {
 	ctx := testContext("c")
 	h := newHarness(t, ctx)
 	file := ctx.Filename(6) // interval (4,8]: restart at t=4, produces 5..8
-	res, err := h.v.Open("a1", "c", file)
-	if err != nil || res.Available {
-		t.Fatalf("Open = %+v, %v", res, err)
-	}
-	if res.EstWait <= 0 {
-		t.Error("miss should estimate a wait")
-	}
 	var ready []time.Duration
-	if err := h.v.WaitFile("a1", "c", file, func(st notify.Event) {
+	res, err := openAwait(h.v, "a1", "c", file, func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("unexpected error: %s", st.Err)
 		}
 		ready = append(ready, h.eng.Now())
-	}); err != nil {
-		t.Fatal(err)
+	})
+	if err != nil || res.Available || !res.Awaited {
+		t.Fatalf("Open = %+v, %v", res, err)
+	}
+	if res.EstWait <= 0 {
+		t.Error("miss should estimate a wait")
 	}
 	h.eng.Run(0)
 	if len(ready) != 1 {
@@ -241,20 +256,19 @@ func TestOpenJoinsRunningSimulation(t *testing.T) {
 	}
 }
 
-func TestWaitFileOnResidentFiresImmediately(t *testing.T) {
+// A hit answers at once and registers no waiter: there is nothing to
+// wait for.
+func TestOpenAwaitOnResidentRegistersNothing(t *testing.T) {
 	ctx := testContext("c")
 	h := newHarness(t, ctx)
 	h.v.Preload("c", []int{1})
 	fired := false
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(1), func(st notify.Event) { fired = true }); err != nil {
-		t.Fatal(err)
+	res, err := openAwait(h.v, "a1", "c", ctx.Filename(1), func(notify.Event) { fired = true })
+	if err != nil || !res.Available || res.Awaited {
+		t.Fatalf("OpenAwait on a resident file = %+v, %v; want available, not awaited", res, err)
 	}
-	if !fired {
-		t.Error("waiter on resident file must fire synchronously")
-	}
-	// Waiting for a file that nothing is producing is an error.
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(50), func(notify.Event) {}); err == nil {
-		t.Error("wait without open should fail")
+	if ws := h.v.Hub().Waiters("c"); len(ws) != 0 || fired {
+		t.Errorf("waiters after a hit: %+v (fired %v), want none", ws, fired)
 	}
 }
 
@@ -353,13 +367,10 @@ func TestSMaxQueuesDemandLaunches(t *testing.T) {
 	ctx.SMax = 2
 	h := newHarness(t, ctx)
 	// Three misses in three distinct restart intervals.
-	h.v.Open("a1", "c", ctx.Filename(2))  // interval (0,4]
-	h.v.Open("a1", "c", ctx.Filename(6))  // interval (4,8]
-	h.v.Open("a1", "c", ctx.Filename(10)) // interval (8,12] — queued
+	// The third, interval (8,12], queues.
 	done := map[int]time.Duration{}
 	for _, s := range []int{2, 6, 10} {
-		s := s
-		h.v.WaitFile("a1", "c", ctx.Filename(s), func(st notify.Event) { done[s] = h.eng.Now() })
+		openAwait(h.v, "a1", "c", ctx.Filename(s), func(st notify.Event) { done[s] = h.eng.Now() })
 	}
 	h.eng.Run(0)
 	if len(done) != 3 {
@@ -381,9 +392,8 @@ func TestSimFailureNotifiesWaiters(t *testing.T) {
 	h := newHarness(t, ctx)
 	h.l.FailAt = faults.NewSimPlan().WithEvery(1).FailAt // every simulation crashes halfway
 	file := ctx.Filename(4)
-	h.v.Open("a1", "c", file)
 	var st *notify.Event
-	h.v.WaitFile("a1", "c", file, func(s notify.Event) { st = &s })
+	openAwait(h.v, "a1", "c", file, func(s notify.Event) { st = &s })
 	h.eng.Run(0)
 	if st == nil {
 		t.Fatal("waiter never notified")
@@ -438,8 +448,8 @@ func TestBitrep(t *testing.T) {
 	if _, err := h.v.Bitrep("c", ctx.Filename(2), content); err == nil {
 		t.Error("unregistered file should error")
 	}
-	if sum, found, _ := h.v.RegisteredChecksum("c", file); !found || sum != drv.Checksum(content) {
-		t.Error("registered checksum not retrievable")
+	if cs, _ := h.v.shardOf("c"); cs.checksums[1] != drv.Checksum(content) {
+		t.Error("registered checksum not stored under the file's step")
 	}
 	if err := h.v.RegisterChecksum("c", "garbage", 1); err == nil {
 		t.Error("bad filename accepted")
@@ -505,12 +515,9 @@ func TestOutsideArrivalSettlesPromise(t *testing.T) {
 					h.l.FailAt = faults.NewSimPlan().WithCrashAt("c", 2, 0).FailAt
 				}
 				file := ctx.Filename(2)
-				if res, err := h.v.Open("a1", "c", file); err != nil || res.Available {
-					t.Fatalf("Open = %+v, %v; want a miss", res, err)
-				}
 				var got []notify.Event
-				if err := h.v.WaitFile("a1", "c", file, func(st notify.Event) { got = append(got, st) }); err != nil {
-					t.Fatal(err)
+				if res, err := openAwait(h.v, "a1", "c", file, func(st notify.Event) { got = append(got, st) }); err != nil || res.Available || !res.Awaited {
+					t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 				}
 				if via == "rescan" {
 					area.Create(file, 1)

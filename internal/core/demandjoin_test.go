@@ -20,30 +20,27 @@ func TestDemandJoinPromotesQueuedPrefetch(t *testing.T) {
 	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
 	injectAgentPrefetch(t, h, "c", "spec", 20, 23)
 	injectAgentPrefetch(t, h, "c", "spec", 30, 33)
-	if d := h.v.Scheduler().QueueDepth(); d != 2 {
+	if d := h.v.SchedStats().QueueDepth; d != 2 {
 		t.Fatalf("queue depth = %d, want 2 queued prefetches", d)
 	}
 
 	// The demand open lands inside the *second* queued job's range.
 	var at31, at20 time.Duration
-	if _, err := h.v.Open("a1", "c", ctx.Filename(31)); err != nil {
-		t.Fatal(err)
-	}
-	if ss := h.v.SchedStats(); ss.Promoted != 1 {
-		t.Fatalf("Promoted = %d after the joining open, want 1", ss.Promoted)
-	}
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(31), func(st notify.Event) {
+	if res, err := openAwait(h.v, "a1", "c", ctx.Filename(31), func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("demand wait failed: %s", st.Err)
 		}
 		at31 = h.eng.Now()
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
-	if err := h.v.WaitFile("spec", "c", ctx.Filename(20), func(st notify.Event) {
+	if ss := h.v.SchedStats(); ss.Promoted != 1 {
+		t.Fatalf("Promoted = %d after the joining open, want 1", ss.Promoted)
+	}
+	if f, err := watchFile(h.v, "spec", "c", ctx.Filename(20), func(st notify.Event) {
 		at20 = h.eng.Now()
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !f.Promised {
+		t.Fatalf("watch of the queued prefetch's step = %+v, %v; want promised", f, err)
 	}
 	h.eng.Run(0)
 
@@ -78,12 +75,17 @@ func TestDemandJoinOffKeepsQueueOrder(t *testing.T) {
 	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
 	injectAgentPrefetch(t, h, "c", "spec", 20, 23)
 	injectAgentPrefetch(t, h, "c", "spec", 30, 33)
-	h.v.SetSchedConfig(sched.Config{TotalNodes: 1})
+	off := false
+	if _, err := h.v.UpdateSchedConfig(sched.Patch{Priorities: &off}); err != nil {
+		t.Fatal(err)
+	}
 	before := h.v.Scheduler().QueuedRanges("c")
 
 	var at31, at20 time.Duration
-	if _, err := h.v.Open("a1", "c", ctx.Filename(31)); err != nil {
-		t.Fatal(err)
+	if res, err := openAwait(h.v, "a1", "c", ctx.Filename(31), func(st notify.Event) {
+		at31 = h.eng.Now()
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
 	if ss := h.v.SchedStats(); ss.Promoted != 0 {
 		t.Fatalf("Promoted = %d with Priorities off, want 0", ss.Promoted)
@@ -91,15 +93,10 @@ func TestDemandJoinOffKeepsQueueOrder(t *testing.T) {
 	if after := h.v.Scheduler().QueuedRanges("c"); !reflect.DeepEqual(before, after) {
 		t.Fatalf("queue order changed with Priorities off: %v → %v", before, after)
 	}
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(31), func(st notify.Event) {
-		at31 = h.eng.Now()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.v.WaitFile("spec", "c", ctx.Filename(20), func(st notify.Event) {
+	if f, err := watchFile(h.v, "spec", "c", ctx.Filename(20), func(st notify.Event) {
 		at20 = h.eng.Now()
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !f.Promised {
+		t.Fatalf("watch of the queued prefetch's step = %+v, %v; want promised", f, err)
 	}
 	h.eng.Run(0)
 	if at20 >= at31 {

@@ -75,9 +75,7 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 						}
 					}
 				}
-				simID := sim.id
-				v.hub.Await(notify.Topic{Context: ucs.ctx.Name, Step: us}, "pipeline:"+cs.ctx.Name,
-					func(ev notify.Event) { v.upstreamReady(cs, simID, ev) })
+				v.hub.AwaitFor(notify.Topic{Context: ucs.ctx.Name, Step: us}, cs.pipelineClient, cs.upstream, uint64(sim.id))
 			}
 			ucs.mu.Unlock()
 			return queuedDemand
@@ -88,8 +86,9 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 	return false
 }
 
-// upstreamReady is a waiter callback (invoked without any shard lock)
-// fired for each upstream file a pipeline-pending simulation needed.
+// upstreamReady is the shard's upstream owner's callback (invoked without
+// any shard lock), fired for each upstream file a pipeline-pending
+// simulation needed; the tag is the simulation's placeholder id.
 func (v *Virtualizer) upstreamReady(cs *shard, placeholderID int64, ev notify.Event) {
 	cs.mu.Lock()
 	sim, ok := cs.sims[placeholderID]

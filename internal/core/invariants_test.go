@@ -45,14 +45,16 @@ func fuzzInvariants(t *testing.T, seed int64) error {
 		case 0, 1, 2, 3: // open (maybe wait)
 			step := rng.Intn(no) + 1
 			file := ctx.Filename(step)
-			res, err := v.Open(client, "fuzz", file)
+			var err error
+			if rng.Intn(2) == 0 {
+				_, err = openAwait(v, client, "fuzz", file, func(notify.Event) {})
+			} else {
+				_, err = v.Open(client, "fuzz", file)
+			}
 			if err != nil {
 				return fmt.Errorf("step %d: open: %v", i, err)
 			}
 			held[client] = append(held[client], file)
-			if !res.Available && rng.Intn(2) == 0 {
-				v.WaitFile(client, "fuzz", file, func(notify.Event) {})
-			}
 		case 4, 5: // release something held
 			hs := held[client]
 			if len(hs) > 0 {

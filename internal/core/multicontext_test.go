@@ -30,13 +30,11 @@ func TestMultipleContextsIndependentState(t *testing.T) {
 
 	// Phase 1: the analysis browses the coarse output around t=200.
 	var coarseDone, fineDone time.Duration
-	h.v.Open("sci", "grain-coarse", coarse.Filename(20)) // timestep 200
-	h.v.WaitFile("sci", "grain-coarse", coarse.Filename(20), func(st notify.Event) {
+	openAwait(h.v, "sci", "grain-coarse", coarse.Filename(20), func(st notify.Event) { // timestep 200
 		coarseDone = h.eng.Now()
 		// Phase 2: something interesting → switch to the fine context
 		// around the same simulated time (timestep 200 = fine step 200).
-		h.v.Open("sci", "grain-fine", fine.Filename(200))
-		h.v.WaitFile("sci", "grain-fine", fine.Filename(200), func(st notify.Event) {
+		openAwait(h.v, "sci", "grain-fine", fine.Filename(200), func(st notify.Event) {
 			fineDone = h.eng.Now()
 		})
 	})

@@ -149,34 +149,6 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 	return OpenResult{Available: false, EstWait: v.estWaitLocked(cs, step, now), Awaited: awaited}, nil
 }
 
-// WaitFile registers cb as client's waiter for filename: it fires
-// immediately if the file is on disk, or when a re-simulation produces it
-// (or fails). It is the in-process front-end's readiness path, a callback
-// in the same hub ledger Watch's streams sit in (notify.Hub.Await, under
-// the shard lock): cb runs synchronously inside the launcher event that
-// resolves the step, which is what the experiments harness needs to stay
-// deterministic under the DES (an analysis resumes at the virtual instant
-// its file appears, not whenever a goroutine gets scheduled).
-func (v *Virtualizer) WaitFile(client, ctxName, filename string, cb func(notify.Event)) error {
-	cs, step, err := v.lockedStep(ctxName, filename)
-	if err != nil {
-		return err
-	}
-	topic := notify.Topic{Context: ctxName, Step: step}
-	if cs.resident(step) {
-		cs.mu.Unlock()
-		cb(notify.Event{Topic: topic, Kind: notify.FileReady})
-		return nil
-	}
-	if !cs.steps.get(step).promised {
-		cs.mu.Unlock()
-		return fmt.Errorf("core: %w: %q is neither on disk nor promised; call Open first", ErrNotProduced, filename)
-	}
-	v.hub.Await(topic, client, cb)
-	cs.mu.Unlock()
-	return nil
-}
-
 // Release drops a client's reference to a file (close in transparent
 // mode, SIMFS_Release in API mode).
 func (v *Virtualizer) Release(client, ctxName, filename string) error {

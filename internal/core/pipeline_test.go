@@ -48,17 +48,16 @@ func pipelinePair(t *testing.T, tweak ...func(coarse, fine *model.Context)) (*ha
 func TestPipelineMissCascades(t *testing.T) {
 	h, coarse, fine := pipelinePair(t)
 	file := fine.Filename(20) // interval (16,24] needs coarse steps 5..6
-	res, err := h.v.Open("a1", "fine", file)
-	if err != nil || res.Available {
-		t.Fatalf("open: %+v, %v", res, err)
-	}
 	var readyAt time.Duration
-	h.v.WaitFile("a1", "fine", file, func(st notify.Event) {
+	res, err := openAwait(h.v, "a1", "fine", file, func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("pipeline wait failed: %s", st.Err)
 		}
 		readyAt = h.eng.Now()
 	})
+	if err != nil || res.Available || !res.Awaited {
+		t.Fatalf("open: %+v, %v", res, err)
+	}
 	h.eng.Run(0)
 	cs, _ := h.v.Stats("coarse")
 	fs, _ := h.v.Stats("fine")
@@ -113,9 +112,8 @@ func TestPipelineUpstreamPinnedDuringFineResim(t *testing.T) {
 	}
 	// t=0: fine 17..24 parks on coarse 5..6; coarse run A produces 5..8
 	// at t=3..6 s. The fine run launches at 4 s and ends at 14 s.
-	h.v.Open("a1", "fine", fine.Filename(20))
 	done := false
-	h.v.WaitFile("a1", "fine", fine.Filename(20), func(st notify.Event) {
+	openAwait(h.v, "a1", "fine", fine.Filename(20), func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("fine wait: %s", st.Err)
 		}
@@ -164,9 +162,8 @@ func TestPipelineUpstreamFailurePropagates(t *testing.T) {
 	// The coarse re-simulation (producing 5..8) crashes after step 6, so
 	// the pipeline input never materializes.
 	file := fine.Filename(30)
-	h.v.Open("a1", "fine", file)
 	var st *notify.Event
-	h.v.WaitFile("a1", "fine", file, func(s notify.Event) { st = &s })
+	openAwait(h.v, "a1", "fine", file, func(s notify.Event) { st = &s })
 	h.eng.Run(0)
 	if st == nil {
 		t.Fatal("waiter never notified")

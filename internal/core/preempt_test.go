@@ -32,19 +32,16 @@ func TestPreemptionKillsAgentPrefetchForDemand(t *testing.T) {
 	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
 
 	var demandAt time.Duration
-	if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.v.SchedStats(); st.Preempted != 1 {
-		t.Fatalf("Preempted = %d after the blocked demand open, want 1", st.Preempted)
-	}
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(1), func(st notify.Event) {
+	if res, err := openAwait(h.v, "a1", "c", ctx.Filename(1), func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("demand wait failed: %s", st.Err)
 		}
 		demandAt = h.eng.Now()
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
+	}
+	if st := h.v.SchedStats(); st.Preempted != 1 {
+		t.Fatalf("Preempted = %d after the blocked demand open, want 1", st.Preempted)
 	}
 	h.eng.Run(0)
 
@@ -90,7 +87,7 @@ func TestPreemptSparesCoalescedPrefetchWithWaiters(t *testing.T) {
 	if _, err := h.v.GuidedPrefetch("p2", "c", []string{ctx.Filename(11)}); err != nil {
 		t.Fatal(err)
 	}
-	if d := h.v.Scheduler().QueueDepth(); d != 1 {
+	if d := h.v.SchedStats().QueueDepth; d != 1 {
 		t.Fatalf("queue depth = %d, want 1 coalesced prefetch job", d)
 	}
 	// Let the demand work finish so the merged prefetch launches.
@@ -105,13 +102,10 @@ func TestPreemptSparesCoalescedPrefetchWithWaiters(t *testing.T) {
 		t.Fatalf("Preempted = %d before any demand pressure, want 0", st.Preempted)
 	}
 	got := false
-	if _, err := h.v.Open("w", "c", ctx.Filename(62)); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.v.WaitFile("w", "c", ctx.Filename(62), func(st notify.Event) {
+	if res, err := openAwait(h.v, "w", "c", ctx.Filename(62), func(st notify.Event) {
 		got = st.Err == ""
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
 	// The demand miss is node-blocked, but the only candidate's range
 	// has a waiter: nothing may die.
@@ -302,20 +296,17 @@ func TestPipelineUpstreamDemandTriggersPreemption(t *testing.T) {
 	// The fine demand open is admitted (1 node fits), parks on its
 	// missing coarse inputs, and the upstream coarse demand launch
 	// (P=2) queues node-blocked: the probe must fire right here.
-	if _, err := h.v.Open("a1", "fine", fine.Filename(20)); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.v.SchedStats(); st.Preempted != 1 {
-		t.Fatalf("Preempted = %d after the pipeline open, want 1 (nested demand queue must probe)", st.Preempted)
-	}
 	ready := false
-	if err := h.v.WaitFile("a1", "fine", fine.Filename(20), func(st notify.Event) {
+	if res, err := openAwait(h.v, "a1", "fine", fine.Filename(20), func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("pipeline wait failed: %s", st.Err)
 		}
 		ready = true
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
+	}
+	if st := h.v.SchedStats(); st.Preempted != 1 {
+		t.Fatalf("Preempted = %d after the pipeline open, want 1 (nested demand queue must probe)", st.Preempted)
 	}
 	if !h.eng.Run(1_000_000) {
 		t.Fatal("runaway event loop")
@@ -345,13 +336,10 @@ func TestPreemptRequeuePromotesToDemandForWaiters(t *testing.T) {
 	// The victim is killed but its SimEnded has not run: its promise is
 	// still registered, so this demand open just joins it as a waiter.
 	got := false
-	if _, err := h.v.Open("a2", "c", ctx.Filename(10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.v.WaitFile("a2", "c", ctx.Filename(10), func(st notify.Event) {
+	if res, err := openAwait(h.v, "a2", "c", ctx.Filename(10), func(st notify.Event) {
 		got = st.Err == ""
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
 	h.eng.Run(0)
 	if !got {
@@ -414,13 +402,10 @@ func TestDisconnectOrphansSurvivingSimBilling(t *testing.T) {
 	// Another client waits inside the range: the disconnect kill is
 	// blocked by the no-waiters rule, so the sim survives its owner.
 	got := false
-	if _, err := h.v.Open("a2", "c", ctx.Filename(10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.v.WaitFile("a2", "c", ctx.Filename(10), func(st notify.Event) {
+	if res, err := openAwait(h.v, "a2", "c", ctx.Filename(10), func(st notify.Event) {
 		got = st.Err == ""
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
 	h.v.ClientDisconnected("spec")
 	cs, _ := h.v.shardOf("c")

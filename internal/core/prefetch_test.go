@@ -38,21 +38,17 @@ func driveForward(h *harness, client string, n int, tauCli time.Duration) time.D
 			return
 		}
 		file := ctx.Filename(i)
-		res, err := h.v.Open(client, "pf", file)
-		if err != nil {
-			panic(err)
-		}
 		proceed := func() {
 			h.eng.Schedule(tauCli, func() {
 				h.v.Release(client, "pf", file)
 				step(i + 1)
 			})
 		}
-		if res.Available {
-			proceed()
-			return
+		res, err := openAwait(h.v, client, "pf", file, func(notify.Event) { proceed() })
+		if err != nil {
+			panic(err)
 		}
-		if err := h.v.WaitFile(client, "pf", file, func(st notify.Event) { proceed() }); err != nil {
+		if !res.Awaited {
 			proceed()
 		}
 	}
@@ -87,16 +83,13 @@ func TestPrefetchKilledOnDirectionChange(t *testing.T) {
 			return
 		}
 		file := ctx.Filename(i)
-		res, _ := h.v.Open(client, "pf", file)
 		next := func() {
 			h.eng.Schedule(100*time.Millisecond, func() {
 				h.v.Release(client, "pf", file)
 				step(i + 1)
 			})
 		}
-		if res.Available {
-			next()
-		} else if err := h.v.WaitFile(client, "pf", file, func(notify.Event) { next() }); err != nil {
+		if res, _ := openAwait(h.v, client, "pf", file, func(notify.Event) { next() }); !res.Awaited {
 			next()
 		}
 	}

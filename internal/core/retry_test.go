@@ -32,12 +32,9 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	h.l.FailAt = faults.NewSimPlan().WithFailN("c", 4, 2, 0).FailAt
 
 	file := ctx.Filename(4)
-	if _, err := h.v.Open("a1", "c", file); err != nil {
-		t.Fatal(err)
-	}
 	var st *notify.Event
-	if err := h.v.WaitFile("a1", "c", file, func(s notify.Event) { st = &s }); err != nil {
-		t.Fatal(err)
+	if res, err := openAwait(h.v, "a1", "c", file, func(s notify.Event) { st = &s }); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
 	h.eng.Run(0)
 	if st == nil {
@@ -63,12 +60,9 @@ func TestQuarantineFailsWaitersStructured(t *testing.T) {
 	h.l.FailAt = faults.NewSimPlan().WithCrashAt("c", -1, 0).FailAt // permanent
 
 	file := ctx.Filename(4)
-	if _, err := h.v.Open("a1", "c", file); err != nil {
-		t.Fatal(err)
-	}
 	var st *notify.Event
-	if err := h.v.WaitFile("a1", "c", file, func(s notify.Event) { st = &s }); err != nil {
-		t.Fatal(err)
+	if res, err := openAwait(h.v, "a1", "c", file, func(s notify.Event) { st = &s }); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
 	h.eng.Run(0)
 	if st == nil {
@@ -137,11 +131,10 @@ func TestQuarantineHalfOpensAfterCooldown(t *testing.T) {
 	// the next open launches a probe, which succeeds and clears the slate.
 	h.eng.Schedule(31*time.Second, func() {})
 	h.eng.Run(0)
-	if _, err := h.v.Open("a1", "c", file); err != nil {
-		t.Fatalf("open after cooldown = %v, want probe launch", err)
-	}
 	var st *notify.Event
-	h.v.WaitFile("a1", "c", file, func(s notify.Event) { st = &s })
+	if res, err := openAwait(h.v, "a1", "c", file, func(s notify.Event) { st = &s }); err != nil || !res.Awaited {
+		t.Fatalf("open after cooldown = %+v, %v, want an awaited probe launch", res, err)
+	}
 	h.eng.Run(0)
 	if st == nil || st.Err != "" || st.Kind != notify.FileReady {
 		t.Fatalf("probe launch should produce the file, got %+v", st)
@@ -231,8 +224,8 @@ func TestRetryDroppedAtCapacityFailsJoinedWatchers(t *testing.T) {
 	sub := h.v.Hub().Subscribe(topic)
 	defer sub.Close()
 	var st *notify.Event
-	if err := h.v.WaitFile("w", "c", file, func(s notify.Event) { st = &s }); err != nil {
-		t.Fatal(err)
+	if f, err := watchFile(h.v, "w", "c", file, func(s notify.Event) { st = &s }); err != nil || !f.Promised {
+		t.Fatalf("watch of the prefetched step = %+v, %v; want promised", f, err)
 	}
 	// Inside the backoff window a demand miss takes the context's one
 	// slot (until t=3+α+4τ=9s), so the retry finds the scheduler at smax.

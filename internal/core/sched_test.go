@@ -33,25 +33,19 @@ func TestNodeBudgetSerializesSimulations(t *testing.T) {
 	ctx := testContext("c")
 	h := schedHarness(t, sched.Config{TotalNodes: 1}, ctx)
 	done := 0
-	wait := func(step int) {
-		if err := h.v.WaitFile("a1", "c", ctx.Filename(step), func(st notify.Event) {
+	open := func(step int) {
+		if res, err := openAwait(h.v, "a1", "c", ctx.Filename(step), func(st notify.Event) {
 			if st.Err != "" {
 				t.Errorf("step %d failed: %s", step, st.Err)
 			}
 			done++
-		}); err != nil {
-			t.Fatal(err)
+		}); err != nil || !res.Awaited {
+			t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 		}
 	}
 	// Two misses in different restart intervals: [1,4] and [9,12].
-	if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.v.Open("a1", "c", ctx.Filename(9)); err != nil {
-		t.Fatal(err)
-	}
-	wait(1)
-	wait(9)
+	open(1)
+	open(9)
 	h.eng.Run(0)
 	if done != 2 {
 		t.Fatalf("done = %d, want both productions", done)
@@ -74,13 +68,10 @@ func TestNodeBudgetClampsWideJobs(t *testing.T) {
 	ctx.MaxParallelism = 8
 	h := schedHarness(t, sched.Config{TotalNodes: 2}, ctx)
 	ok := false
-	if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.v.WaitFile("a1", "c", ctx.Filename(1), func(st notify.Event) {
+	if res, err := openAwait(h.v, "a1", "c", ctx.Filename(1), func(st notify.Event) {
 		ok = st.Err == ""
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
 	h.eng.Run(0)
 	if !ok {
@@ -107,7 +98,7 @@ func TestCoalescingMergesQueuedDemand(t *testing.T) {
 		if _, err := h.v.Open("a1", "c", ctx.Filename(5)); err != nil {
 			t.Fatal(err)
 		}
-		depthSeen = h.v.Scheduler().QueueDepth()
+		depthSeen = h.v.SchedStats().QueueDepth
 		h.eng.Run(0)
 		st, _ := h.v.Stats("c")
 		return st.Restarts, depthSeen
@@ -138,7 +129,7 @@ func TestPriorityModeQueuesPrefetch(t *testing.T) {
 	if st.DroppedPrefetch != 0 {
 		t.Errorf("prefetch dropped despite priority queueing: %+v", st)
 	}
-	if d := h.v.Scheduler().QueueDepth(); d != 1 {
+	if d := h.v.SchedStats().QueueDepth; d != 1 {
 		t.Fatalf("queue depth = %d, want the queued prefetch", d)
 	}
 	// A demand miss queued afterwards must still pop first.
@@ -178,7 +169,7 @@ func TestQueuedPrefetchRevalidatedAtAdmission(t *testing.T) {
 	if _, err := h.v.GuidedPrefetch("b1", "c", []string{ctx.Filename(10)}); err != nil {
 		t.Fatal(err)
 	}
-	if d := h.v.Scheduler().QueueDepth(); d != 1 {
+	if d := h.v.SchedStats().QueueDepth; d != 1 {
 		t.Fatalf("queue depth = %d, want the queued prefetch", d)
 	}
 	// While it waits, its whole range appears on disk (recovered files,
@@ -208,7 +199,7 @@ func TestClientDisconnectedDequeuesPrefetch(t *testing.T) {
 	if _, err := h.v.GuidedPrefetch("b1", "c", []string{ctx.Filename(9)}); err != nil {
 		t.Fatal(err)
 	}
-	if d := h.v.Scheduler().QueueDepth(); d != 1 {
+	if d := h.v.SchedStats().QueueDepth; d != 1 {
 		t.Fatalf("queue depth = %d", d)
 	}
 	// The steps of the queued job are promised (pending marker).
@@ -216,7 +207,7 @@ func TestClientDisconnectedDequeuesPrefetch(t *testing.T) {
 		t.Fatal("queued prefetch steps should be promised")
 	}
 	h.v.ClientDisconnected("b1")
-	if d := h.v.Scheduler().QueueDepth(); d != 0 {
+	if d := h.v.SchedStats().QueueDepth; d != 0 {
 		t.Fatalf("queue depth after disconnect = %d, want 0", d)
 	}
 	if _, promised, _ := h.v.FileState("c", ctx.Filename(9)); promised {
@@ -247,16 +238,13 @@ func TestClientDisconnectedSparesWantedWork(t *testing.T) {
 	// Another client opens a step in the queued range: it joins the
 	// pending promise and must keep the job alive.
 	got := false
-	if _, err := h.v.Open("a2", "c", ctx.Filename(9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.v.WaitFile("a2", "c", ctx.Filename(9), func(st notify.Event) {
+	if res, err := openAwait(h.v, "a2", "c", ctx.Filename(9), func(st notify.Event) {
 		got = st.Err == ""
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
 	h.v.ClientDisconnected("b1")
-	if d := h.v.Scheduler().QueueDepth(); d != 1 {
+	if d := h.v.SchedStats().QueueDepth; d != 1 {
 		t.Fatalf("queue depth after disconnect = %d, want the kept job", d)
 	}
 	h.eng.Run(0)
@@ -325,17 +313,14 @@ func pipelineSchedPair(t *testing.T, cfg sched.Config) (*harness, *model.Context
 func TestPipelineUnderNodeBudget(t *testing.T) {
 	h, _, fine := pipelineSchedPair(t, sched.Config{TotalNodes: 1})
 	file := fine.Filename(20) // interval (16,24] needs coarse steps 5..6
-	if _, err := h.v.Open("a1", "fine", file); err != nil {
-		t.Fatal(err)
-	}
 	ready := false
-	if err := h.v.WaitFile("a1", "fine", file, func(st notify.Event) {
+	if res, err := openAwait(h.v, "a1", "fine", file, func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("pipeline wait failed: %s", st.Err)
 		}
 		ready = true
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
 	if !h.eng.Run(1_000_000) {
 		t.Fatal("runaway event loop")
@@ -360,17 +345,14 @@ func TestPipelineUnderNodeBudget(t *testing.T) {
 func TestPipelineNodeBudgetContention(t *testing.T) {
 	h, coarse, fine := pipelineSchedPair(t, sched.Config{TotalNodes: 1})
 	file := fine.Filename(20)
-	if _, err := h.v.Open("a1", "fine", file); err != nil {
-		t.Fatal(err)
-	}
 	fineReady := false
-	if err := h.v.WaitFile("a1", "fine", file, func(st notify.Event) {
+	if res, err := openAwait(h.v, "a1", "fine", file, func(st notify.Event) {
 		if st.Err != "" {
 			t.Errorf("fine wait failed: %s", st.Err)
 		}
 		fineReady = true
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !res.Awaited {
+		t.Fatalf("Open = %+v, %v; want an awaited miss", res, err)
 	}
 	// Just before the coarse stage finishes (α 2s + 2·τ(4Δd→…) — run a
 	// competing coarse demand open so the budget is taken when the fine

@@ -89,10 +89,12 @@ func TestConcurrentMultiContextStress(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed))
 				client := fmt.Sprintf("cli-%s-%d", name, seed)
-				await := func(file string) error {
+				// open is Open, and for a miss a wait on the file's fate.
+				open := func(file string) error {
 					done := make(chan notify.Event, 1)
-					if err := v.WaitFile(client, name, file, func(st notify.Event) { done <- st }); err != nil {
-						return nil // became resident in between
+					res, err := openAwait(v, client, name, file, func(st notify.Event) { done <- st })
+					if err != nil || !res.Awaited {
+						return err
 					}
 					select {
 					case <-done:
@@ -105,16 +107,9 @@ func TestConcurrentMultiContextStress(t *testing.T) {
 					file := ctx.Filename(rng.Intn(steps) + 1)
 					switch rng.Intn(10) {
 					case 0, 1, 2, 3, 4: // open → wait → release
-						res, err := v.Open(client, name, file)
-						if err != nil {
+						if err := open(file); err != nil {
 							errs <- err
 							return
-						}
-						if !res.Available {
-							if err := await(file); err != nil {
-								errs <- err
-								return
-							}
 						}
 						if err := v.Release(client, name, file); err != nil {
 							errs <- err
@@ -127,11 +122,7 @@ func TestConcurrentMultiContextStress(t *testing.T) {
 							ctx.Filename(rng.Intn(steps) + 1),
 						}
 						for _, f := range files {
-							res, err := v.Open(client, name, f)
-							if err == nil && !res.Available {
-								err = await(f)
-							}
-							if err != nil {
+							if err := open(f); err != nil {
 								errs <- err
 								return
 							}

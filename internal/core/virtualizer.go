@@ -167,6 +167,12 @@ type shard struct {
 	// failed simulation's SimEnded to its retryLaunch the timer, not a
 	// queued job, owns their pending markers (CheckInvariants clause 2).
 	retryArmed [][2]int
+
+	// upstream owns the hub waiters of this pipeline shard's parked
+	// simulations, each tagged with its placeholder id; pipelineClient
+	// is the client they wait as. Both are unset without Upstream.
+	upstream       *notify.Owner
+	pipelineClient string
 }
 
 // Virtualizer is the DV state machine. All exported methods are safe for
@@ -284,6 +290,10 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 		failures:   map[[2]int]*failureRec{},
 	}
 	cs.cache.PinnedBy(func(step int) bool { return cs.steps.get(step).refs > 0 })
+	if ctx.Upstream != "" {
+		cs.upstream = notify.NewOwner(func(tag uint64, ev notify.Event) { v.upstreamReady(cs, int64(tag), ev) })
+		cs.pipelineClient = "pipeline:" + ctx.Name
+	}
 	v.contexts[ctx.Name] = cs
 	return nil
 }

@@ -44,7 +44,6 @@ func (w *WallClock) Now() time.Duration { return time.Since(w.epoch) }
 // (no per-event heap allocation); the zero Timer is inert.
 type Timer struct {
 	e    *Engine
-	at   time.Duration
 	slot int32
 	gen  uint32
 }
@@ -58,9 +57,6 @@ func (t Timer) Stop() bool {
 	}
 	return t.e.stop(t.slot, t.gen)
 }
-
-// When returns the virtual time the timer was scheduled to fire at.
-func (t Timer) When() time.Duration { return t.at }
 
 // slot holds one scheduled event in the engine's slab. gen invalidates
 // Timer handles once the slot is recycled; heapIdx is the slot's current
@@ -96,13 +92,6 @@ func NewEngine() *Engine {
 // Now implements Clock.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Processed returns the number of events fired so far.
-func (e *Engine) Processed() uint64 { return e.processed }
-
-// Pending returns the number of events still scheduled. Stopped timers
-// are reaped from the queue immediately, so they are never counted.
-func (e *Engine) Pending() int { return len(e.heap) }
-
 // Schedule enqueues fn to run after delay. Negative delays run "now" (at
 // the current virtual time, after already-queued events for that time).
 func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
@@ -131,7 +120,7 @@ func (e *Engine) At(t time.Duration, fn func()) Timer {
 	s.at, s.seq, s.fn = t, e.seq, fn
 	e.heap = append(e.heap, idx)
 	e.siftUp(len(e.heap) - 1)
-	return Timer{e: e, at: t, slot: idx, gen: s.gen}
+	return Timer{e: e, slot: idx, gen: s.gen}
 }
 
 // Step fires the next event. It reports whether an event was fired.

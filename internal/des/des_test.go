@@ -67,8 +67,8 @@ func TestTimerStop(t *testing.T) {
 	if fired {
 		t.Error("stopped timer fired")
 	}
-	if e.Processed() != 0 {
-		t.Errorf("processed = %d", e.Processed())
+	if e.processed != 0 {
+		t.Errorf("processed = %d", e.processed)
 	}
 }
 
@@ -83,17 +83,15 @@ func TestStopAfterFire(t *testing.T) {
 
 func TestNegativeDelayAndPastTime(t *testing.T) {
 	e := NewEngine()
+	var negative, past time.Duration
 	e.Schedule(10, func() {
-		tm := e.Schedule(-5, func() {})
-		if tm.When() != 10 {
-			t.Errorf("negative delay scheduled at %v", tm.When())
-		}
-		tm2 := e.At(3, func() {})
-		if tm2.When() != 10 {
-			t.Errorf("past At scheduled at %v", tm2.When())
-		}
+		e.Schedule(-5, func() { negative = e.Now() })
+		e.At(3, func() { past = e.Now() })
 	})
 	e.Run(0)
+	if negative != 10 || past != 10 {
+		t.Errorf("negative delay fired at %v, past At at %v; want both at 10", negative, past)
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -107,8 +105,8 @@ func TestRunUntil(t *testing.T) {
 	if len(fired) != 2 || e.Now() != 12 {
 		t.Errorf("fired=%v now=%v", fired, e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d", e.Pending())
+	if len(e.heap) != 2 {
+		t.Errorf("pending = %d", len(e.heap))
 	}
 	e.RunUntil(100)
 	if len(fired) != 4 || e.Now() != 100 {
@@ -124,8 +122,8 @@ func TestRunMaxEvents(t *testing.T) {
 	if e.Run(100) {
 		t.Error("bounded run of infinite chain should not drain")
 	}
-	if e.Processed() != 100 {
-		t.Errorf("processed = %d", e.Processed())
+	if e.processed != 100 {
+		t.Errorf("processed = %d", e.processed)
 	}
 }
 
@@ -174,14 +172,14 @@ func TestStopReapsImmediately(t *testing.T) {
 	// Stopped timers must leave the queue at Stop time, not at their
 	// deadline: long virtual runs cancel many prefetch timers and the
 	// queue must not grow with them.
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after stopping 100 timers, want 1", e.Pending())
+	if len(e.heap) != 1 {
+		t.Fatalf("Pending = %d after stopping 100 timers, want 1", len(e.heap))
 	}
 	if !e.Run(0) {
 		t.Fatal("run did not drain")
 	}
-	if e.Processed() != 1 {
-		t.Errorf("processed = %d, want 1", e.Processed())
+	if e.processed != 1 {
+		t.Errorf("processed = %d, want 1", e.processed)
 	}
 }
 
@@ -193,7 +191,8 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	}
 	// t2 recycles t1's slab slot; the stale handle must stay inert.
 	fired := false
-	t2 := e.Schedule(20, func() { fired = true })
+	var firedAt time.Duration
+	e.Schedule(20, func() { fired, firedAt = true, e.Now() })
 	if t1.Stop() {
 		t.Error("stale handle stopped a recycled slot")
 	}
@@ -201,8 +200,8 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	if !fired {
 		t.Error("t2 did not fire")
 	}
-	if !fired || t2.When() != 20 {
-		t.Errorf("t2.When() = %v", t2.When())
+	if firedAt != 20 {
+		t.Errorf("t2 fired at %v, want 20", firedAt)
 	}
 }
 
@@ -210,9 +209,6 @@ func TestZeroTimerInert(t *testing.T) {
 	var tm Timer
 	if tm.Stop() {
 		t.Error("zero Timer Stop reported true")
-	}
-	if tm.When() != 0 {
-		t.Error("zero Timer has a deadline")
 	}
 }
 
@@ -281,8 +277,8 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 		for e.Step() {
 		}
 	})
-	if e.Processed() < 6000 {
-		t.Fatalf("measured runs fired only %d events in total", e.Processed())
+	if e.processed < 6000 {
+		t.Fatalf("measured runs fired only %d events in total", e.processed)
 	}
 	if allocs > 0 {
 		t.Errorf("steady-state event loop allocates %.1f allocs/run, want 0", allocs)

@@ -40,14 +40,14 @@ func (a *Admin) SchedConfig(ctx context.Context) (SchedConfig, error) {
 	return *resp.Sched, nil
 }
 
-// SetSchedConfig applies a partial scheduler reconfiguration and returns
+// UpdateSchedConfig applies a partial scheduler reconfiguration and returns
 // the resulting policy. The daemon applies it at the next admission
 // boundary: queued jobs are re-ordered, running simulations keep the
 // capacity they were admitted with. The preemption/fairness fields ride
 // the "preempt" capability: against a daemon that does not advertise it,
 // sending them would be silently ignored (unknown JSON fields), so the
 // call fails client-side with CodeUnsupported instead.
-func (a *Admin) SetSchedConfig(ctx context.Context, upd SchedUpdate) (SchedConfig, error) {
+func (a *Admin) UpdateSchedConfig(ctx context.Context, upd SchedUpdate) (SchedConfig, error) {
 	if (upd.Preempt != nil || upd.DRRQuantum != nil) && !a.c.HasCapability(netproto.CapPreempt) {
 		return SchedConfig{}, &Error{Code: netproto.CodeUnsupported, Op: netproto.OpSchedSet,
 			Msg: "daemon does not advertise the preempt capability; preempt_policy/drr_quantum would be silently ignored"}

@@ -180,53 +180,3 @@ func AblationEMA() (*metrics.Table, error) {
 	}
 	return tab, nil
 }
-
-// AblationPolicyOnWorkloads extends Fig. 5 with per-policy hit rates, the
-// ingredient behind the produced-steps differences.
-func AblationPolicyOnWorkloads() (*metrics.Table, error) {
-	tab := metrics.NewTable("Ablation — hit rates by policy and pattern", "pattern", "hit rate")
-	cfg := DefaultFig05()
-	cfg.Reps = 5
-	ctx := simulator.CacheEval()
-	type cell struct {
-		patIdx int
-		pol    string
-	}
-	var cells []cell
-	for p := range cfg.Patterns {
-		for _, pol := range cfg.Policies {
-			cells = append(cells, cell{p, pol})
-		}
-	}
-	results, err := RunCells(0, len(cells), func(i int) ([]float64, error) {
-		c := cells[i]
-		st, err := NewReplayState(ctx, c.pol)
-		if err != nil {
-			return nil, err
-		}
-		rates := make([]float64, cfg.Reps)
-		for rep := 0; rep < cfg.Reps; rep++ {
-			tr, err := st.GenerateTrace(cfg.Patterns[c.patIdx], fig05TraceConfig(ctx, cfg.Seed, rep))
-			if err != nil {
-				return nil, err
-			}
-			res, err := ReplayInto(st, ctx, tr)
-			if err != nil {
-				return nil, err
-			}
-			if res.Accesses > 0 {
-				rates[rep] = float64(res.Hits) / float64(res.Accesses)
-			}
-		}
-		return rates, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range cells {
-		for _, rate := range results[i] {
-			tab.Series(c.pol).Add(string(cfg.Patterns[c.patIdx]), rate)
-		}
-	}
-	return tab, nil
-}

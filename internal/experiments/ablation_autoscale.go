@@ -204,7 +204,7 @@ func runAutoscaleCell(seed int64, cachePolicy string, cfg sched.Config, policies
 			if remaining == 0 {
 				return // let the event heap drain
 			}
-			_ = ctrl.TickOnce()
+			_ = ctrl.TickOnce() // LocalTarget samples without error and accepts every patch and policy name the policies emit
 			eng.Schedule(tick, tickFn)
 		}
 		eng.Schedule(tick, tickFn)

@@ -83,33 +83,3 @@ func TestAblationEMA(t *testing.T) {
 		}
 	}
 }
-
-func TestAblationPolicyOnWorkloads(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-size replay in -short mode")
-	}
-	tab, err := AblationPolicyOnWorkloads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hit rates are valid probabilities. Backward scans enjoy high
-	// spatial locality (the whole interval prefix is produced at the
-	// first miss); forward scans extend the running simulation lazily, so
-	// most of their accesses are production extensions, not hits.
-	for _, pol := range []string{"LRU", "DCL"} {
-		fw, ok1 := tab.Series(pol).At("Forward")
-		bw, ok2 := tab.Series(pol).At("Backward")
-		if !ok1 || !ok2 {
-			t.Fatalf("missing %s cells", pol)
-		}
-		if fw.Median < 0 || fw.Median > 1 || bw.Median < 0 || bw.Median > 1 {
-			t.Errorf("%s: hit rates out of [0,1]: fw=%.2f bw=%.2f", pol, fw.Median, bw.Median)
-		}
-		if bw.Median < 0.5 {
-			t.Errorf("%s: backward hit rate %.2f too low for interval-prefix locality", pol, bw.Median)
-		}
-		if bw.Median <= fw.Median {
-			t.Errorf("%s: backward (%.2f) should out-hit forward (%.2f) under lazy production", pol, bw.Median, fw.Median)
-		}
-	}
-}

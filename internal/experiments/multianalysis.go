@@ -100,7 +100,7 @@ func MultiAnalysis(ctx *model.Context, cfg MultiAnalysisConfig) (MultiAnalysisRe
 			if remaining == 0 {
 				return
 			}
-			_ = ctrl.TickOnce() // LocalTarget sampling cannot fail mid-run
+			_ = ctrl.TickOnce() // LocalTarget samples without error and accepts every patch and policy name the policies emit
 			eng.Schedule(cfg.AutoscaleTick, tick)
 		}
 		eng.Schedule(cfg.AutoscaleTick, tick)

@@ -21,7 +21,7 @@ type FS struct {
 	injected uint64
 }
 
-// WrapFS wraps a storage area: each Create or Remove fails with
+// WrapFS wraps a storage area: each Create, WriteRaw or Remove fails with
 // probability prob, deterministically from seed and the call sequence.
 func WrapFS(inner vfs.FS, seed int64, prob float64) *FS {
 	return &FS{inner: inner, rng: seededRng(seed), prob: prob}
@@ -63,6 +63,14 @@ func (f *FS) Create(name string, size int64) error {
 		return err
 	}
 	return f.inner.Create(name, size)
+}
+
+// WriteRaw implements vfs.FS.
+func (f *FS) WriteRaw(name string, data []byte) error {
+	if err := f.inject("write", name); err != nil {
+		return err
+	}
+	return f.inner.WriteRaw(name, data)
 }
 
 // Exists implements vfs.FS.

@@ -14,15 +14,6 @@ type SchedClassWait struct {
 	Wait time.Duration
 }
 
-// Mean returns the average per-job queueing delay (0 when no job of this
-// class was ever queued).
-func (w SchedClassWait) Mean() time.Duration {
-	if w.Jobs == 0 {
-		return 0
-	}
-	return w.Wait / time.Duration(w.Jobs)
-}
-
 // SchedStats summarizes the re-simulation scheduler (internal/sched): the
 // fate of submitted launch requests and the queue behavior. The stats
 // frame of the wire protocol carries the headline counters so operators

@@ -83,13 +83,6 @@ func percentileSorted(s []float64, p float64) float64 {
 	return s[i]*(1-frac) + s[i+1]*frac
 }
 
-// Percentile returns the p-quantile of xs (not necessarily sorted).
-func Percentile(xs []float64, p float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return percentileSorted(s, p)
-}
-
 // medianCI95 returns the (0-based) order-statistic indices bounding a ~95%
 // confidence interval of the median for a sample of size n, using the
 // normal approximation to the binomial: rank = n/2 ± 1.96·√n/2.
@@ -152,9 +145,6 @@ func (e *EMA) Value(def float64) float64 {
 	}
 	return e.v
 }
-
-// Primed reports whether at least one observation was folded in.
-func (e *EMA) Primed() bool { return e.primed }
 
 // Reset clears the average.
 func (e *EMA) Reset() { e.primed = false; e.v = 0 }

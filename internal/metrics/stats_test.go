@@ -44,11 +44,11 @@ func TestPercentile(t *testing.T) {
 		{0, 10}, {0.25, 20}, {0.5, 30}, {0.75, 40}, {1, 50},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := percentileSorted(xs, c.p); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("percentileSorted(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if !math.IsNaN(Percentile(nil, 0.5)) {
+	if !math.IsNaN(percentileSorted(nil, 0.5)) {
 		t.Error("percentile of empty sample should be NaN")
 	}
 }
@@ -96,7 +96,7 @@ func TestMedianCI95Bounds(t *testing.T) {
 
 func TestEMA(t *testing.T) {
 	e := NewEMA(0.5)
-	if e.Primed() {
+	if e.primed {
 		t.Fatal("fresh EMA should not be primed")
 	}
 	if got := e.Value(42); got != 42 {
@@ -115,7 +115,7 @@ func TestEMA(t *testing.T) {
 		t.Errorf("after 10,20,15 = %v, want 15", got)
 	}
 	e.Reset()
-	if e.Primed() {
+	if e.primed {
 		t.Error("reset EMA should be unprimed")
 	}
 }

@@ -284,15 +284,12 @@ func TestNaming(t *testing.T) {
 	if err != nil || k != 42 {
 		t.Fatalf("Key(%q) = %d, %v", name, k, err)
 	}
-	if !c.IsOutputFile(name) {
-		t.Error("IsOutputFile should accept own filenames")
-	}
 	for _, bad := range []string{
 		"other_out_00000001.nc", "clim_out_abc.nc", "clim_out_00000001.h5",
 		"clim_out_00000000.nc", "clim_out_-0000001.nc", "",
 	} {
-		if c.IsOutputFile(bad) {
-			t.Errorf("IsOutputFile(%q) should be false", bad)
+		if k, err := c.Key(bad); err == nil && c.Grid.ValidOutput(k) {
+			t.Errorf("Key(%q) = output step %d, want a refusal", bad, k)
 		}
 	}
 	if rn := c.RestartFilename(60); rn != "clim_out_restart_0000000060.nc" {

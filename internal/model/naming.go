@@ -176,10 +176,3 @@ func (c *Context) Key(name string) (int, error) {
 	}
 	return i, nil
 }
-
-// IsOutputFile reports whether name follows this context's output step
-// naming convention.
-func (c *Context) IsOutputFile(name string) bool {
-	_, err := c.Key(name)
-	return err == nil
-}

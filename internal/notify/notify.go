@@ -4,16 +4,16 @@
 // of the IPPS exemplar).
 //
 // A topic's waiters form one list in registration order, each carrying
-// its client, and every waiter is a callback run by the goroutine that
-// delivers. A plain one (Await) serves core.Virtualizer.WaitFile and
-// pipeline inputs, so under the DES an analysis resumes at the virtual
-// instant its file appears. A tagged one (AwaitFor) runs its Owner's
-// function with its tag: a daemon session's missed opens wait under
-// their request IDs (core.Virtualizer.OpenAwait), its readiness streams
-// file by file under theirs (core.Virtualizer.Watch), and Withdraw takes
-// a tag's waiters off again. An owner can leave first; its waiters stop
-// counting. Only a stream owner's waiters (NewStreamOwner) may stand on a
-// step nothing promises yet, such as one a peer daemon's bridge publishes.
+// its client, and every waiter is a tagged callback (AwaitFor) run by the
+// goroutine that delivers: its Owner's function, called with its tag. A
+// daemon session's missed opens wait under their request IDs
+// (core.Virtualizer.OpenAwait), its readiness streams file by file under
+// theirs (core.Virtualizer.Watch), and a pipeline shard's parked
+// simulations under their placeholder IDs; under the DES an analysis
+// resumes at the virtual instant its file appears. Withdraw takes a tag's
+// waiters off again. An owner can leave first; its waiters stop counting.
+// Only a stream owner's waiters (NewStreamOwner) may stand on a step
+// nothing promises yet, such as one a peer daemon's bridge publishes.
 //
 // Delivery is two steps. Take detaches a topic's waiters and sends
 // nothing; the Virtualizer calls it under the shard lock that decides the
@@ -25,8 +25,8 @@
 //
 // A waiter receives at most one event — the next outcome for its file —
 // and is then gone from the topic. Registering in the shard-lock hold
-// that reads the file's state (core.Virtualizer.Watch, OpenAwait and
-// WaitFile do) loses no wakeup.
+// that reads the file's state (core.Virtualizer.Watch and OpenAwait do)
+// loses no wakeup.
 package notify
 
 import (
@@ -77,23 +77,21 @@ type Event struct {
 	RetryAfter int64 // nanoseconds
 }
 
-// Waiter is one entry of a topic's list: a callback, and the client that
-// waits.
+// Waiter is one entry of a topic's list: the owner and tag its event goes
+// to, and the client that waits.
 type Waiter struct {
 	Topic  Topic
 	Client string
-	cb     func(Event)
-	// owner and tag are a tagged callback's (AwaitFor).
-	owner *Owner
-	tag   uint64
+	owner  *Owner
+	tag    uint64
 }
 
 // left reports whether the waiter's owner has left.
-func (w Waiter) left() bool { return w.owner != nil && w.owner.left.Load() }
+func (w Waiter) left() bool { return w.owner.left.Load() }
 
 // StreamOwned reports whether the waiter was registered under a stream
 // owner (NewStreamOwner).
-func (w Waiter) StreamOwned() bool { return w.owner != nil && w.owner.stream }
+func (w Waiter) StreamOwned() bool { return w.owner.stream }
 
 // Owner receives the events of the callback waiters registered under it
 // (AwaitFor), each with the tag it was registered with. One callback
@@ -136,28 +134,18 @@ func NewHub() *Hub {
 	return &Hub{topics: map[string]map[int][]Waiter{}}
 }
 
-// add appends w to its topic's list.
-func (h *Hub) add(w Waiter) {
+// AwaitFor registers client's waiter for the topic: o's callback runs
+// once with tag, in the goroutine that delivers the topic's next event,
+// unless o has left by then.
+func (h *Hub) AwaitFor(t Topic, client string, o *Owner, tag uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	steps := h.topics[w.Topic.Context]
+	steps := h.topics[t.Context]
 	if steps == nil {
 		steps = map[int][]Waiter{}
-		h.topics[w.Topic.Context] = steps
+		h.topics[t.Context] = steps
 	}
-	steps[w.Topic.Step] = append(steps[w.Topic.Step], w)
-}
-
-// Await registers cb as client's waiter for the topic. It runs once, in
-// the goroutine that delivers the topic's next event.
-func (h *Hub) Await(t Topic, client string, cb func(Event)) {
-	h.add(Waiter{Topic: t, Client: client, cb: cb})
-}
-
-// AwaitFor is Await for a tagged callback: o's callback runs once with
-// tag, unless o has left by then.
-func (h *Hub) AwaitFor(t Topic, client string, o *Owner, tag uint64) {
-	h.add(Waiter{Topic: t, Client: client, owner: o, tag: tag})
+	steps[t.Step] = append(steps[t.Step], Waiter{Topic: t, Client: client, owner: o, tag: tag})
 }
 
 // Withdraw takes o's waiters registered under tag off the topics' lists
@@ -204,12 +192,8 @@ func (h *Hub) Take(t Topic, ws []Waiter) []Waiter {
 func (h *Hub) Deliver(ev Event, ws []Waiter) int {
 	n := 0
 	for _, w := range ws {
-		ev.Topic = w.Topic
-		switch {
-		case w.cb != nil:
-			w.cb(ev)
-			n++
-		case !w.left():
+		if !w.left() {
+			ev.Topic = w.Topic
 			w.owner.notify(w.tag, ev)
 			n++
 		}

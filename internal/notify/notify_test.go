@@ -144,7 +144,7 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 					sub.Close()
 				case 2:
 					woken := make(chan struct{}, 1)
-					h.Await(top, "cb", func(Event) { woken <- struct{}{} })
+					awaitFunc(h, top, "cb", func(Event) { woken <- struct{}{} })
 					h.Deliver(Event{Kind: FileReady}, h.Take(top, nil))
 					<-woken // by our Deliver or a concurrent one
 					h.Waiting(top)
@@ -162,7 +162,7 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	}
 }
 
-// A topic's stream waiters and callbacks form one list: Take hands them
+// A topic's stream and plain-owner waiters form one list: Take hands them
 // over in registration order, and Deliver runs them in that order.
 func TestWaitersInRegistrationOrder(t *testing.T) {
 	h := NewHub()
@@ -175,9 +175,9 @@ func TestWaitersInRegistrationOrder(t *testing.T) {
 		order = append(order, fmt.Sprintf("s%d", tag))
 	})
 	h.AwaitFor(top, "s1", streams, 1)
-	h.Await(top, "a", func(ev Event) { order = append(order, "a") })
+	awaitFunc(h, top, "a", func(ev Event) { order = append(order, "a") })
 	h.AwaitFor(top, "s2", streams, 2)
-	h.Await(top, "b", func(ev Event) {
+	awaitFunc(h, top, "b", func(ev Event) {
 		if ev.Topic != top || ev.Kind != FileFailed || ev.Err != "x" {
 			t.Errorf("callback got %+v", ev)
 		}
@@ -239,10 +239,10 @@ func TestWithdraw(t *testing.T) {
 func TestWaiterAfterTakeMissesDelivery(t *testing.T) {
 	h := NewHub()
 	top := Topic{Context: "c", Step: 1}
-	h.Await(top, "early", func(Event) {})
+	awaitFunc(h, top, "early", func(Event) {})
 	ws := h.Take(top, nil)
 	late := 0
-	h.Await(top, "late", func(Event) { late++ })
+	awaitFunc(h, top, "late", func(Event) { late++ })
 	sub := h.Subscribe(top)
 	h.Deliver(Event{Kind: FileReady}, ws)
 	if late != 0 || len(sub.C()) != 0 {
@@ -301,12 +301,12 @@ func TestMultiTopicStreamClosesAfterLastDelivery(t *testing.T) {
 // registration order.
 func TestWaitersOfContext(t *testing.T) {
 	h := NewHub()
-	h.Await(Topic{Context: "c", Step: 9}, "x", func(Event) {})
+	awaitFunc(h, Topic{Context: "c", Step: 9}, "x", func(Event) {})
 	y := NewStreamOwner(func(uint64, Event) {})
 	h.AwaitFor(Topic{Context: "c", Step: 3}, "y", y, 1)
 	h.AwaitFor(Topic{Context: "d", Step: 1}, "y", y, 1)
-	h.Await(Topic{Context: "c", Step: 9}, "z", func(Event) {})
-	h.Await(Topic{Context: "c", Step: 3}, "w", func(Event) {})
+	awaitFunc(h, Topic{Context: "c", Step: 9}, "z", func(Event) {})
+	awaitFunc(h, Topic{Context: "c", Step: 3}, "w", func(Event) {})
 	var got []string
 	for _, w := range h.Waiters("c") {
 		got = append(got, fmt.Sprintf("%d:%s", w.Topic.Step, w.Client))
@@ -325,4 +325,10 @@ func topicCount(h *Hub) int {
 		n += len(steps)
 	}
 	return n
+}
+
+// awaitFunc registers fn as client's waiter under a test owner of its
+// own.
+func awaitFunc(h *Hub, t Topic, client string, fn func(Event)) {
+	h.AwaitFor(t, client, NewOwner(func(_ uint64, ev Event) { fn(ev) }), 0)
 }

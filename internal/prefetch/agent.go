@@ -84,28 +84,6 @@ func NewAgent(grid model.Grid, est Estimator, smax int, rampUp bool, tauCliSmoot
 	}
 }
 
-// Direction returns the detected analysis direction (+1, -1, or 0 if no
-// pattern has been confirmed).
-func (a *Agent) Direction() int {
-	if a.confirmed < 2 {
-		return 0
-	}
-	return a.dir
-}
-
-// Stride returns the detected stride k (0 if no pattern confirmed).
-func (a *Agent) Stride() int {
-	if a.confirmed < 2 {
-		return 0
-	}
-	return a.k
-}
-
-// TauCli returns the measured inter-access time of the analysis.
-func (a *Agent) TauCli() time.Duration {
-	return time.Duration(a.tauCli.Value(0))
-}
-
 // Reset clears all pattern state (used on cache-pollution signals, which
 // reset all active prefetch agents, Sec. IV-C).
 func (a *Agent) Reset() {

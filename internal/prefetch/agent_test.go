@@ -51,27 +51,36 @@ func walk(a *Agent, steps []int, dt time.Duration, covered int) Decision {
 	return d
 }
 
+// pattern is the agent's confirmed direction (+1, -1) and stride, both
+// zero until two equal strides confirm a pattern.
+func pattern(a *Agent) (dir, k int) {
+	if a.confirmed < 2 {
+		return 0, 0
+	}
+	return a.dir, a.k
+}
+
 func TestPatternDetection(t *testing.T) {
 	a := exampleAgent(false, 8)
-	if a.Direction() != 0 {
+	if dir, _ := pattern(a); dir != 0 {
 		t.Fatal("fresh agent should have no direction")
 	}
 	a.OnAccess(10, 0, 0, fixedCover(1000))
-	if a.Direction() != 0 {
+	if dir, _ := pattern(a); dir != 0 {
 		t.Fatal("one access cannot confirm a pattern")
 	}
 	a.OnAccess(11, time.Second, 0, fixedCover(1000))
 	a.OnAccess(12, 2*time.Second, 0, fixedCover(1000))
-	if a.Direction() != 1 || a.Stride() != 1 {
-		t.Errorf("dir=%d k=%d, want forward stride 1", a.Direction(), a.Stride())
+	if dir, k := pattern(a); dir != 1 || k != 1 {
+		t.Errorf("dir=%d k=%d, want forward stride 1", dir, k)
 	}
 }
 
 func TestBackwardPatternDetection(t *testing.T) {
 	a := exampleAgent(false, 8)
 	walk(a, []int{100, 97, 94}, time.Second, 1)
-	if a.Direction() != -1 || a.Stride() != 3 {
-		t.Errorf("dir=%d k=%d, want backward stride 3", a.Direction(), a.Stride())
+	if dir, k := pattern(a); dir != -1 || k != 3 {
+		t.Errorf("dir=%d k=%d, want backward stride 3", dir, k)
 	}
 }
 
@@ -82,14 +91,14 @@ func TestDirectionChangeResets(t *testing.T) {
 	if !d.Reset {
 		t.Error("direction change after a confirmed pattern must request a reset")
 	}
-	if a.Direction() != 0 {
+	if dir, _ := pattern(a); dir != 0 {
 		t.Error("pattern should be unconfirmed right after the change")
 	}
 	// Two further consistent strides re-confirm the new direction
 	// (detection needs two consecutive equal strides).
 	a.OnAccess(4, 5*time.Second, 0, fixedCover(1))
 	a.OnAccess(3, 6*time.Second, 0, fixedCover(1))
-	if a.Direction() != -1 {
+	if dir, _ := pattern(a); dir != -1 {
 		t.Error("new backward pattern not confirmed")
 	}
 }
@@ -110,7 +119,7 @@ func TestRepeatedAccessIsNeutral(t *testing.T) {
 	if d.Reset || len(d.Launches) != 0 {
 		t.Error("re-reading the same step must not disturb the pattern")
 	}
-	if a.Direction() != 1 {
+	if dir, _ := pattern(a); dir != 1 {
 		t.Error("pattern lost on repeated access")
 	}
 }
@@ -234,7 +243,7 @@ func TestAgentResetClearsEverything(t *testing.T) {
 	a := exampleAgent(false, 8)
 	walk(a, []int{1, 2, 3}, 500*time.Millisecond, 1000)
 	a.Reset()
-	if a.Direction() != 0 || a.Stride() != 0 || a.TauCli() != 0 {
+	if dir, k := pattern(a); dir != 0 || k != 0 || a.tauCli.Value(0) != 0 {
 		t.Error("Reset did not clear agent state")
 	}
 }

@@ -228,14 +228,14 @@ func TestDRRPrepaidExcludedFromCoalescing(t *testing.T) {
 	// they must stay separate.
 	s.Submit(req("c", 9, 16, Agent, "bob"))
 	s.Enqueue(req("c", 14, 20, Agent, "victim"))
-	if got := s.QueueDepth(); got != 2 {
+	if got := s.Stats().QueueDepth; got != 2 {
 		t.Fatalf("queue depth = %d, want 2 (prepaid requeue must not merge)", got)
 	}
 	// And a fresh overlapping submission must not ride the prepaid job.
 	if d := s.Submit(req("c", 18, 24, Agent, "fresh")); d != Queued {
 		t.Fatalf("fresh overlap = %v, want Queued", d)
 	}
-	if got := s.QueueDepth(); got != 3 {
+	if got := s.Stats().QueueDepth; got != 3 {
 		t.Fatalf("queue depth = %d, want 3 (fresh work must not merge into the prepaid job)", got)
 	}
 	s.SimDone("c", 1)
@@ -356,7 +356,7 @@ func TestDRRCoalescedChargesConstituents(t *testing.T) {
 	s.Submit(req("c", 1, 4, Demand, "x"))
 	s.Submit(req("c", 10, 17, Agent, "alice"))
 	s.Submit(req("c", 14, 21, Agent, "bob")) // merges into alice's job
-	if got := s.QueueDepth(); got != 1 {
+	if got := s.Stats().QueueDepth; got != 1 {
 		t.Fatalf("queue depth = %d, want 1 merged job", got)
 	}
 	s.SimDone("c", 1)
@@ -388,7 +388,7 @@ func TestDRRDemandMergeSplitsCost(t *testing.T) {
 	s.Submit(req("c", 40, 43, Demand, "x"))
 	s.Submit(req("c", 1, 6, Demand, "alice"))
 	s.Submit(req("c", 7, 12, Demand, "bob")) // adjacent: merges into alice's job
-	if got := s.QueueDepth(); got != 1 {
+	if got := s.Stats().QueueDepth; got != 1 {
 		t.Fatalf("queue depth = %d, want 1 merged demand job", got)
 	}
 	s.SimDone("c", 1)

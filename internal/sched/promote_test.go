@@ -42,7 +42,7 @@ func TestPromoteDemandRequiresDemandJoin(t *testing.T) {
 	s.Submit(req("c", 1, 4, Demand, ""))
 	s.Submit(req("c", 10, 19, Agent, "a"))
 	s.Submit(req("c", 30, 33, Demand, "d"))
-	s.SetConfig(Config{})
+	mustUpdate(t, s, Config{})
 	before := s.QueuedRanges("c")
 	if s.PromoteDemand("c", 15, "joiner") {
 		t.Fatal("PromoteDemand fired with Priorities off")

@@ -223,24 +223,17 @@ func (s *Scheduler) Config() Config {
 	return s.cfg
 }
 
-// SetConfig swaps the scheduling policy on a live scheduler. The change
-// applies at the next admission boundary: in-flight simulations keep the
-// capacity they were admitted with, queued jobs are re-ordered under the
-// new policy (priority order gained or lost), and queued jobs wider than
-// a newly imposed node budget are clamped to it so they stay launchable.
-// Turning Priorities off leaves already-queued prefetch jobs queued —
-// the drop rule only applies to new submissions.
-func (s *Scheduler) SetConfig(cfg Config) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.setConfigLocked(cfg)
-}
-
-// Update is SetConfig for partial reconfiguration: the patch is
+// Update swaps the scheduling policy on a live scheduler: the patch is
 // validated and applied to the current config atomically under the
 // scheduler's mutex, so concurrent partial updates cannot lose each
 // other's fields. It returns the config in effect afterwards — unchanged
-// when the patch is refused.
+// when the patch is refused. The change applies at the next admission
+// boundary: in-flight simulations keep the capacity they were admitted
+// with, queued jobs are re-ordered under the new policy (priority order
+// gained or lost), and queued jobs wider than a newly imposed node budget
+// are clamped to it so they stay launchable. Turning Priorities off
+// leaves already-queued prefetch jobs queued — the drop rule only applies
+// to new submissions.
 func (s *Scheduler) Update(p Patch) (Config, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -950,13 +943,6 @@ func (s *Scheduler) QueuedRanges(ctx string) [][2]int {
 		rs = append(rs, [2]int{job.First, job.Last})
 	}
 	return rs
-}
-
-// QueueDepth returns the current number of queued jobs.
-func (s *Scheduler) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.depth
 }
 
 // Stats returns a snapshot of the scheduler counters.

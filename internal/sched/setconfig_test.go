@@ -2,7 +2,7 @@ package sched
 
 import "testing"
 
-// SetConfig applies at the admission boundary: queued jobs are re-ordered
+// Update applies at the admission boundary: queued jobs are re-ordered
 // under the new policy and new submissions follow the new rules, while
 // in-flight reservations are untouched.
 func TestSetConfigReordersQueue(t *testing.T) {
@@ -21,7 +21,7 @@ func TestSetConfigReordersQueue(t *testing.T) {
 	}
 
 	// Drop priorities live: the queue reverts to submission order.
-	s.SetConfig(Config{})
+	mustUpdate(t, s, Config{})
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSetConfigReordersQueue(t *testing.T) {
 	// And the new admission rule applies to new submissions: prefetch at
 	// capacity is dropped again under the zero config.
 	if d := s.Submit(req("c", 25, 28, Agent, "a")); d != Dropped {
-		t.Fatalf("prefetch at capacity after SetConfig = %v, want Dropped", d)
+		t.Fatalf("prefetch at capacity after Update = %v, want Dropped", d)
 	}
 }
 
@@ -53,7 +53,7 @@ func TestSetConfigClampsQueuedParallelism(t *testing.T) {
 	if d := s.Submit(Request{Ctx: "c", First: 9, Last: 12, Parallelism: 8, Class: Demand}); d != Queued {
 		t.Fatalf("wide demand = %v, want Queued", d)
 	}
-	s.SetConfig(Config{Priorities: true, TotalNodes: 4})
+	mustUpdate(t, s, Config{Priorities: true, TotalNodes: 4})
 	s.SimDone("c", 1)
 	j, ok := s.Next()
 	if !ok {
@@ -64,6 +64,15 @@ func TestSetConfigClampsQueuedParallelism(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mustUpdate reconfigures s to cfg through a full Patch: every knob set.
+func mustUpdate(t *testing.T, s *Scheduler, cfg Config) {
+	t.Helper()
+	p := Patch{Coalesce: &cfg.Coalesce, Priorities: &cfg.Priorities, TotalNodes: &cfg.TotalNodes, Preempt: &cfg.Preempt, DRRQuantum: &cfg.DRRQuantum}
+	if got, err := s.Update(p); err != nil || got != cfg {
+		t.Fatalf("Update(%+v) = %+v, %v", cfg, got, err)
 	}
 }
 
@@ -85,7 +94,7 @@ func TestDropContext(t *testing.T) {
 	if len(removed) != 2 {
 		t.Fatalf("DropContext returned %d jobs, want 2", len(removed))
 	}
-	if got := s.QueueDepth(); got != 0 {
+	if got := s.Stats().QueueDepth; got != 0 {
 		t.Fatalf("queue depth after drop = %d, want 0 (d's job was admitted)", got)
 	}
 	if err := s.CheckInvariants(); err != nil {

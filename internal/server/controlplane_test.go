@@ -121,7 +121,7 @@ func TestSchedReconfigureLiveDaemon(t *testing.T) {
 
 	// Flip priorities live (partial update: coalesce untouched).
 	on := true
-	cfg, err = admin.SetSchedConfig(cx, dvlib.SchedUpdate{Priorities: &on})
+	cfg, err = admin.UpdateSchedConfig(cx, dvlib.SchedUpdate{Priorities: &on})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestSchedSetValidation(t *testing.T) {
 		{Coalesce: boolp(true), Preempt: policyp(7)},
 	}
 	for i, upd := range bad {
-		if _, err := admin.SetSchedConfig(cx, upd); dvlib.ErrCodeOf(err) != netproto.CodeBadRequest {
+		if _, err := admin.UpdateSchedConfig(cx, upd); dvlib.ErrCodeOf(err) != netproto.CodeBadRequest {
 			t.Errorf("bad update %d: code %q (%v), want bad_request", i, dvlib.ErrCodeOf(err), err)
 		}
 	}
@@ -527,7 +527,7 @@ func TestSchedSetValidation(t *testing.T) {
 	}
 
 	// The happy path lands and echoes.
-	cfg, err = admin.SetSchedConfig(cx, dvlib.SchedUpdate{
+	cfg, err = admin.UpdateSchedConfig(cx, dvlib.SchedUpdate{
 		Preempt: policyp(sched.PreemptYoungest), DRRQuantum: intp(16), TotalNodes: intp(64),
 	})
 	if err != nil {
@@ -578,7 +578,7 @@ func TestReconfigurationsLogged(t *testing.T) {
 	defer c.Close()
 	cx := context.Background()
 	nodes := 7
-	if _, err := c.Admin().SetSchedConfig(cx, dvlib.SchedUpdate{TotalNodes: &nodes}); err != nil {
+	if _, err := c.Admin().UpdateSchedConfig(cx, dvlib.SchedUpdate{TotalNodes: &nodes}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Admin().SetCachePolicy(cx, "clim", "LRU"); err != nil {

@@ -266,8 +266,8 @@ func TestBitrepOverTCP(t *testing.T) {
 		t.Fatalf("Bitrep after faithful re-simulation = %v, %v", same, err)
 	}
 	// Corrupt the on-disk file: Bitrep must now report a mismatch.
-	area, _ := st.Area("clim")
-	path := filepath.Join(area.Dir(), file)
+	area, _ := st.V.StorageArea("clim")
+	path := filepath.Join(area.(*vfs.Disk).Dir(), file)
 	if err := os.WriteFile(path, []byte("corrupted"), 0o644); err != nil {
 		t.Fatal(err)
 	}

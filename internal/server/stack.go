@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"simfs/internal/core"
@@ -31,11 +30,6 @@ type Stack struct {
 
 	baseDir   string
 	timeScale int
-
-	// areasMu guards areas: contexts register and deregister at runtime
-	// while the launcher's write callback looks areas up concurrently.
-	areasMu sync.RWMutex
-	areas   map[string]*vfs.Disk
 
 	// resimGen numbers re-simulation writes, used to perturb the content
 	// of non-reproducible contexts (each re-simulated file differs from
@@ -66,16 +60,16 @@ func NewScheduledStack(baseDir string, timeScale int, policy string, schedCfg sc
 	if len(ctxs) == 0 {
 		return nil, fmt.Errorf("server: %w: stack needs at least one context", core.ErrInvalid)
 	}
-	st := &Stack{baseDir: baseDir, timeScale: timeScale, areas: map[string]*vfs.Disk{}}
+	st := &Stack{baseDir: baseDir, timeScale: timeScale}
 	st.Launcher = &simulator.Launcher{TimeScale: timeScale}
 	st.V = core.NewScheduled(des.NewWallClock(), st.Launcher, schedCfg)
 	st.Launcher.Events = st.V
 	st.Launcher.Write = func(ctx *model.Context, step int) error {
-		area, ok := st.Area(ctx.Name)
-		if !ok {
-			// A launch for a context without an area is a daemon-side
-			// inconsistency: internal is the right wire code.
-			return fmt.Errorf("server: no storage area for context %q", ctx.Name) //simfs:allow errcode daemon-side invariant breach classifies as internal by design
+		// A launch follows the context's registration, which hands the
+		// shard its storage area.
+		area, err := st.V.StorageArea(ctx.Name)
+		if err != nil {
+			return err
 		}
 		name := ctx.Filename(step)
 		if ctx.NonReproducible {
@@ -98,14 +92,6 @@ func NewScheduledStack(baseDir string, timeScale int, policy string, schedCfg sc
 	return st, nil
 }
 
-// Area returns a context's storage area (nil, false when unknown).
-func (st *Stack) Area(name string) (*vfs.Disk, bool) {
-	st.areasMu.RLock()
-	defer st.areasMu.RUnlock()
-	area, ok := st.areas[name]
-	return area, ok
-}
-
 // addContext provisions the storage area and registers the context.
 func (st *Stack) addContext(ctx *model.Context, policy string) error {
 	// The context name becomes a directory under baseDir and arrives
@@ -121,19 +107,7 @@ func (st *Stack) addContext(ctx *model.Context, policy string) error {
 		return err
 	}
 	ctx.StorageDir = area.Dir()
-	// The area must be visible before the Virtualizer registration: the
-	// moment AddContext returns, other connections can open files and
-	// launch re-simulations whose Write looks the area up.
-	st.areasMu.Lock()
-	st.areas[ctx.Name] = area
-	st.areasMu.Unlock()
-	if err := st.V.AddContext(ctx, policy, area); err != nil {
-		st.areasMu.Lock()
-		delete(st.areas, ctx.Name)
-		st.areasMu.Unlock()
-		return err
-	}
-	return nil
+	return st.V.AddContext(ctx, policy, area)
 }
 
 // RegisterContext implements ContextRegistrar: it adds a context to the
@@ -160,16 +134,10 @@ func (st *Stack) RegisterContext(ctx *model.Context, policy string, initialSim b
 }
 
 // DeregisterContext implements ContextRegistrar: it removes a drained
-// context from the Virtualizer and forgets its storage area. The files
+// context, and with it its storage area, from the Virtualizer. The files
 // stay on disk — re-registering the context recovers them.
 func (st *Stack) DeregisterContext(name string) error {
-	if err := st.V.RemoveContext(name); err != nil {
-		return err
-	}
-	st.areasMu.Lock()
-	delete(st.areas, name)
-	st.areasMu.Unlock()
-	return nil
+	return st.V.RemoveContext(name)
 }
 
 // SyncContexts reconciles the running daemon against a desired context
@@ -241,11 +209,9 @@ func (st *Stack) RunInitialSimulation(ctxName string) error {
 	if !ok {
 		return fmt.Errorf("server: %w %q", core.ErrUnknownContext, ctxName)
 	}
-	area, ok := st.Area(ctxName)
-	if !ok {
-		// Registered but area-less: a daemon-side inconsistency, so the
-		// internal wire code is the honest classification.
-		return fmt.Errorf("server: no storage area for context %q", ctxName) //simfs:allow errcode daemon-side invariant breach classifies as internal by design
+	area, err := st.V.StorageArea(ctxName)
+	if err != nil {
+		return err
 	}
 	drv := simulator.NewSynthetic(ctx)
 	for t := ctx.Grid.DeltaR; t <= ctx.Grid.Timesteps; t += ctx.Grid.DeltaR {

@@ -38,7 +38,7 @@ func TestSyncContextsAddAndRemove(t *testing.T) {
 	if _, ok := st.V.Context("aux"); !ok {
 		t.Fatal("aux not registered after sync")
 	}
-	if _, ok := st.Area("aux"); !ok {
+	if _, err := st.V.StorageArea("aux"); err != nil {
 		t.Fatal("aux has no storage area after sync")
 	}
 
@@ -69,7 +69,7 @@ func TestSyncContextsBusyStaysDraining(t *testing.T) {
 	file := ctx.Filename(1)
 	// Make the file resident so the open is a pure cache hit (a miss
 	// would hold a live re-simulation, muddying the refcount check).
-	area, _ := st.Area("clim")
+	area, _ := st.V.StorageArea("clim")
 	if err := area.Create(file, ctx.OutputBytes); err != nil {
 		t.Fatal(err)
 	}

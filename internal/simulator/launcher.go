@@ -235,13 +235,6 @@ func (l *Launcher) Kill(simID int64) {
 	l.Engine.Schedule(0, func() { r.fire() })
 }
 
-// RunningCount returns the number of simulations not yet ended.
-func (l *Launcher) RunningCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.running)
-}
-
 // Wait blocks until every wall-clock simulation has delivered its
 // SimEnded. Virtual-time runs end when the engine runs them.
 func (l *Launcher) Wait() { l.wg.Wait() }

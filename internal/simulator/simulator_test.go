@@ -174,8 +174,8 @@ func TestDESLauncherKill(t *testing.T) {
 	if rec.ended[id] != Killed {
 		t.Errorf("outcome = %v, want Killed", rec.ended[id])
 	}
-	if l.RunningCount() != 0 {
-		t.Errorf("running = %d", l.RunningCount())
+	if len(l.running) != 0 {
+		t.Errorf("running = %d", len(l.running))
 	}
 	// Double kill is a no-op.
 	l.Kill(id)
@@ -212,8 +212,8 @@ func TestDESLauncherKillBeforeStart(t *testing.T) {
 	if rec.ended[id] != Killed {
 		t.Errorf("outcome = %v, want Killed", rec.ended[id])
 	}
-	if l.RunningCount() != 0 {
-		t.Errorf("running = %d", l.RunningCount())
+	if len(l.running) != 0 {
+		t.Errorf("running = %d", len(l.running))
 	}
 }
 

@@ -240,28 +240,3 @@ func Interleave(trace []Access, overlap float64, seed int64) []Access {
 	}
 	return out
 }
-
-// Stats summarizes a trace for sanity checks and reporting.
-type Stats struct {
-	Accesses    int
-	UniqueSteps int
-	MinStep     int
-	MaxStep     int
-}
-
-// Summarize computes trace statistics.
-func Summarize(trace []Access) Stats {
-	s := Stats{Accesses: len(trace)}
-	seen := map[int]bool{}
-	for i, a := range trace {
-		if i == 0 || a.Step < s.MinStep {
-			s.MinStep = a.Step
-		}
-		if a.Step > s.MaxStep {
-			s.MaxStep = a.Step
-		}
-		seen[a.Step] = true
-	}
-	s.UniqueSteps = len(seen)
-	return s
-}

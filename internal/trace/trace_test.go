@@ -246,16 +246,6 @@ func TestInterleaveHighOverlapMixes(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]Access{{Step: 5}, {Step: 2}, {Step: 5}, {Step: 9}})
-	if s.Accesses != 4 || s.UniqueSteps != 3 || s.MinStep != 2 || s.MaxStep != 9 {
-		t.Errorf("stats = %+v", s)
-	}
-	if z := Summarize(nil); z.Accesses != 0 || z.UniqueSteps != 0 {
-		t.Errorf("empty stats = %+v", z)
-	}
-}
-
 func TestGenerateIntoMatchesGenerate(t *testing.T) {
 	cfg := Config{NumSteps: 500, NumAnalyses: 10, MinLen: 20, MaxLen: 60, Stride: 1, Seed: 7}
 	var buf []Access

@@ -19,6 +19,10 @@ type FS interface {
 	// Create writes a file of the given size with deterministic content
 	// derived from its name. Creating an existing file overwrites it.
 	Create(name string, size int64) error
+	// WriteRaw writes explicit content under name, overwriting any file
+	// there: a non-reproducible simulator's output, which differs from
+	// the deterministic content.
+	WriteRaw(name string, data []byte) error
 	// Exists reports whether the file is present.
 	Exists(name string) bool
 	// Size returns the file's size.
@@ -34,10 +38,13 @@ type FS interface {
 	UsedBytes() int64
 }
 
-// Mem is an in-memory storage area. It is safe for concurrent use.
+// Mem is an in-memory storage area. It is safe for concurrent use. A
+// file's content is synthesized from its name and size (Content) unless
+// WriteRaw stored it.
 type Mem struct {
 	mu    sync.RWMutex
 	sizes map[string]int64
+	raw   map[string][]byte // WriteRaw's files
 	used  int64
 }
 
@@ -48,11 +55,22 @@ func NewMem() *Mem {
 
 // Create implements FS.
 func (m *Mem) Create(name string, size int64) error {
-	if name == "" {
-		return fmt.Errorf("vfs: empty file name")
-	}
 	if size < 0 {
 		return fmt.Errorf("vfs: negative size %d for %q", size, name)
+	}
+	return m.put(name, size, nil)
+}
+
+// WriteRaw implements FS: the content is kept as given.
+func (m *Mem) WriteRaw(name string, data []byte) error {
+	return m.put(name, int64(len(data)), append([]byte(nil), data...))
+}
+
+// put stores a file of size bytes, with explicit content when data is
+// non-nil.
+func (m *Mem) put(name string, size int64, data []byte) error {
+	if name == "" {
+		return fmt.Errorf("vfs: empty file name")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -61,6 +79,14 @@ func (m *Mem) Create(name string, size int64) error {
 	}
 	m.sizes[name] = size
 	m.used += size
+	if data == nil {
+		delete(m.raw, name)
+		return nil
+	}
+	if m.raw == nil {
+		m.raw = map[string][]byte{}
+	}
+	m.raw[name] = data
 	return nil
 }
 
@@ -80,13 +106,18 @@ func (m *Mem) Size(name string) (int64, bool) {
 	return s, ok
 }
 
-// Read implements FS: content is synthesized deterministically.
+// Read implements FS: content is synthesized deterministically, unless
+// WriteRaw stored it.
 func (m *Mem) Read(name string) ([]byte, error) {
 	m.mu.RLock()
 	size, ok := m.sizes[name]
+	data, raw := m.raw[name]
 	m.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("vfs: %q does not exist", name)
+	}
+	if raw {
+		return append([]byte(nil), data...), nil
 	}
 	return Content(name, size), nil
 }
@@ -101,6 +132,7 @@ func (m *Mem) Remove(name string) error {
 	}
 	m.used -= size
 	delete(m.sizes, name)
+	delete(m.raw, name)
 	return nil
 }
 

@@ -66,6 +66,20 @@ func conformance(t *testing.T, fs FS) {
 	if err := fs.Create("c", -1); err == nil {
 		t.Error("negative size should fail")
 	}
+	// WriteRaw's content reads back as written and counts its length;
+	// a later Create returns the file to deterministic content.
+	if err := fs.WriteRaw("b", []byte("perturbed")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.Read("b"); err != nil || string(got) != "perturbed" || fs.UsedBytes() != 9 {
+		t.Fatalf("after WriteRaw: %q, %v, used %d", got, err, fs.UsedBytes())
+	}
+	if err := fs.Create("b", 25); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := fs.Read("b"); !bytes.Equal(got, Content("b", 25)) {
+		t.Error("Create after WriteRaw kept the raw content")
+	}
 }
 
 func TestMemConformance(t *testing.T) { conformance(t, NewMem()) }

@@ -112,11 +112,11 @@ func NewScheduledDaemon(baseDir string, timeScale int, policy string, cfg SchedC
 }
 
 // SchedInfo mirrors the daemon's live scheduler configuration on the
-// wire (Admin.SchedConfig / Admin.SetSchedConfig results).
+// wire (Admin.SchedConfig / Admin.UpdateSchedConfig results).
 type SchedInfo = dvlib.SchedConfig
 
 // SchedUpdate is a partial scheduler reconfiguration for
-// Admin.SetSchedConfig: nil fields keep the daemon's current value.
+// Admin.UpdateSchedConfig: nil fields keep the daemon's current value.
 type SchedUpdate = dvlib.SchedUpdate
 
 // Client is a DVLib connection to the daemon.
