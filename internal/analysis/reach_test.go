@@ -70,16 +70,14 @@ func TestReachability(t *testing.T) {
 
 	w := newWalk()
 	for _, pkg := range pkgs {
-		w.addPackage(pkg, pkg.Types.Name() == "main" || pkg.PkgPath == "simfs")
+		w.addPackage(pkg)
+		if pkg.PkgPath == "simfs" {
+			w.rootFacadeAliases(pkg)
+		}
 	}
 	for _, pkg := range bench {
 		if pkg.PkgPath == "simfs/benchmark" {
-			w.addPackage(pkg, true)
-		}
-	}
-	for _, pkg := range pkgs {
-		if pkg.PkgPath == "simfs" {
-			w.rootFacadeAliases(pkg)
+			w.addPackage(pkg)
 		}
 	}
 	w.run()
@@ -191,9 +189,10 @@ func uses(info *types.Info, node ast.Node) []string {
 	return out
 }
 
-// addPackage records pkg's declarations and call edges; a root package's
-// declarations all count as reached, everyone's initialisers too.
-func (w *walk) addPackage(pkg *analysis.Package, root bool) {
+// addPackage records pkg's declarations and call edges. The roots it adds
+// are a main package's every declaration, the facade's exported ones,
+// and every package's initialisers.
+func (w *walk) addPackage(pkg *analysis.Package) {
 	info := pkg.TypesInfo
 	for _, tv := range info.Types {
 		w.noteInterfaces(tv.Type)
@@ -210,7 +209,8 @@ func (w *walk) addPackage(pkg *analysis.Package, root bool) {
 				w.decls[pkg] = append(w.decls[pkg], funcDecl{key: k, decl: decl})
 				w.edges[k] = append(w.edges[k], uses(info, decl)...)
 				isInit := decl.Recv == nil && decl.Name.Name == "init"
-				if isInit || (root && (pkg.Types.Name() == "main" || pkg.PkgPath != "simfs" || ast.IsExported(decl.Name.Name))) {
+				facadeAPI := pkg.PkgPath == "simfs" && ast.IsExported(decl.Name.Name)
+				if isInit || facadeAPI || pkg.Types.Name() == "main" {
 					w.roots = append(w.roots, k)
 				}
 			case *ast.GenDecl:
