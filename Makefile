@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-selftest bench-gate pairs bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race sched-golden bench bench-smoke bench-selftest bench-gate pairs bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
 
 all: build
 
@@ -22,6 +22,14 @@ test-short:
 # tests run under the race detector.
 test-race:
 	$(GO) test -race ./...
+
+# sched-golden runs the scheduler's goldens, which -short skips: the
+# seeded queue trace, the seed tables, the autoscale zero-config guard
+# and the scheduler and preemption ablations (~3 s). CI's quick job runs
+# it beside the short suite.
+sched-golden:
+	$(GO) test -count=1 -run '^TestQueueTrace$$' ./internal/sched
+	$(GO) test -count=1 -run '^(TestSchedulerPreservesSeedTables|TestAutoscaleZeroConfigGolden|TestAblationScheduler.*|TestAblationPreempt.*)$$' ./internal/experiments
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -19,10 +19,6 @@ type SchedClassWait struct {
 // frame of the wire protocol carries the headline counters so operators
 // can see queue pressure and coalescing effectiveness per daemon.
 type SchedStats struct {
-	// Submitted counts all launch requests handed to the scheduler.
-	Submitted uint64
-	// Admitted counts requests admitted (started) immediately.
-	Admitted uint64
 	// Queued counts requests that entered the queue as new jobs.
 	Queued uint64
 	// Coalesced counts requests merged into an already-queued job
@@ -48,10 +44,8 @@ type SchedStats struct {
 	// submission order inside a priority class.
 	QuotaRounds   uint64
 	QuotaDeferred uint64
-	// QueueDepth is the current number of queued jobs; MaxQueueDepth the
-	// high-water mark.
-	QueueDepth    int
-	MaxQueueDepth int
+	// QueueDepth is the current number of queued jobs.
+	QueueDepth int
 	// Per-priority-class queueing delays. A promoted job books the wait
 	// up to its promotion under its prefetch class and the rest under
 	// DemandWait, so DemandWait is the time clients actually blocked on

@@ -162,43 +162,34 @@ func (s *Scheduler) MarkPreempted(nodes int) {
 
 // --- Per-client deficit-round-robin quotas ---------------------------------
 
-// billedShares invokes fn once per client the DRR quota holds
-// accountable for the job, with the client's even share (ceiling) of
-// the job's output-step cost. The payer roster is authoritative; jobs
-// queued before a live quantum enable carry none and fall back to
-// their prefetch constituents, then to the submitting client — the one
-// resolution order shared by charging, refunding and selection.
-func (j *Job) billedShares(fn func(client string, share int)) {
-	cost := j.Last - j.First + 1
-	switch {
-	case len(j.payers) > 0:
-		share := (cost + len(j.payers) - 1) / len(j.payers)
-		for _, p := range j.payers {
-			fn(p, share)
-		}
-	case len(j.cons) > 0:
-		share := (cost + len(j.cons) - 1) / len(j.cons)
-		for _, c := range j.cons {
-			fn(c.client, share)
-		}
-	default:
-		fn(j.Client, cost)
+// openQuota gives client a quota entry (zero credit) if it has none.
+// Caller holds s.mu.
+func (s *Scheduler) openQuota(client string) {
+	if _, ok := s.quota[client]; !ok {
+		s.quota[client] = 0
 	}
 }
 
-// chargeQuota bills a popped job's cost to its accountable clients
-// (billedShares): a coalesced multi-client job — demand requesters
-// included — splits the cost evenly instead of billing whoever happened
-// to submit first. Only existing ledger entries are charged: a client
-// whose entry was dropped on disconnect while its job sat queued must
-// not be re-planted as a ghost that no cleanup path ever deletes again.
-// Caller holds s.mu.
+// share is what the DRR quota bills each roster member for the job: an
+// even part (ceiling) of its output-step cost, so a coalesced
+// multi-client job — demand requesters included — splits the cost
+// instead of billing whoever happened to submit first.
+func (j *Job) share() int {
+	n := len(j.roster)
+	return (j.Last - j.First + n) / n
+}
+
+// chargeQuota bills a popped job's roster its shares. Only existing
+// ledger entries are charged: a client whose entry was dropped on
+// disconnect while its job sat queued must not be re-planted as a ghost
+// that no cleanup path ever deletes again. Caller holds s.mu.
 func (s *Scheduler) chargeQuota(job *Job) {
-	job.billedShares(func(client string, share int) {
-		if d, ok := s.quota[client]; ok {
-			s.quota[client] = d - share
+	share := job.share()
+	for _, m := range job.roster {
+		if d, ok := s.quota[m.client]; ok {
+			s.quota[m.client] = d - share
 		}
-	})
+	}
 }
 
 // replenishQuota grants a new DRR round when the best-funded candidate
@@ -221,34 +212,30 @@ func (s *Scheduler) replenishQuota(bestDef int) {
 }
 
 // refundQuota reverses chargeQuota for a popped job that was released
-// unlaunched (stale revalidation): the same split comes back, capped at
-// the quantum so a refund cannot mint more credit than a round grants.
-// Caller holds s.mu.
+// unlaunched (stale revalidation): the same shares come back, capped at
+// the quantum (if one is set) so a refund cannot mint more credit than a
+// round grants. Caller holds s.mu.
 func (s *Scheduler) refundQuota(job *Job) {
-	job.billedShares(func(client string, share int) {
-		if d, ok := s.quota[client]; ok {
+	share := job.share()
+	for _, m := range job.roster {
+		if d, ok := s.quota[m.client]; ok {
 			d += share
-			if d > s.cfg.DRRQuantum {
-				d = s.cfg.DRRQuantum
+			if q := s.cfg.DRRQuantum; q > 0 && d > q {
+				d = q
 			}
-			s.quota[client] = d
+			s.quota[m.client] = d
 		}
-	})
+	}
 }
 
-// deficitOf returns the launch credit backing a job: the best-funded
-// accountable client (billedShares — a coalesced merge serves the
-// least-served client too). Unknown clients start at zero. Caller holds
-// s.mu.
+// deficitOf returns the launch credit backing a job: that of its
+// best-funded roster member (a coalesced merge serves the least-served
+// client too). Unknown clients count as zero. Caller holds s.mu.
 func (s *Scheduler) deficitOf(job *Job) int {
-	first := true
-	best := 0
-	job.billedShares(func(client string, _ int) {
-		if d := s.quota[client]; first || d > best {
-			best = d
-			first = false
-		}
-	})
+	best := s.quota[job.roster[0].client]
+	for _, m := range job.roster[1:] {
+		best = max(best, s.quota[m.client])
+	}
 	return best
 }
 
@@ -270,83 +257,33 @@ func (s *Scheduler) QuotaDebt(client string) (int, bool) {
 	return d, ok
 }
 
-// nextDRR is Next's pop under deficit-round-robin fairness
-// (Config.DRRQuantum > 0 with Priorities on — Next never routes here
-// otherwise, so the queues are class-sorted): within the most urgent
-// class, the admissible queued job whose charging client holds the most
-// launch credit wins; submission order breaks ties, so equal-credit
-// clients drain FIFO and the zero-quantum behaviour is a strict special
-// case. Unlike the pure FIFO pop this scans past a context's queue
-// head — that is the point: a greedy client's burst at the head must
-// not starve a neighbour's job queued behind it in the same context.
-// The node-budget no-backfill rule applies to the job DRR selects.
-// Caller holds s.mu.
-func (s *Scheduler) nextDRR() (Job, bool) {
-	// Pass 1: the most urgent class among admissible queue heads.
-	var headCs *ctxState
-	for _, cs := range s.ctxs { //simfs:allow maporder less is a total order (seq tiebreak): the minimum is unique
-		if len(cs.jobs) == 0 {
-			continue
-		}
-		if cs.smax > 0 && cs.inflight >= cs.smax {
-			continue
-		}
-		if headCs == nil || s.less(cs.jobs[0], headCs.jobs[0]) {
-			headCs = cs
-		}
-	}
-	if headCs == nil {
-		return Job{}, false
-	}
-	bestClass := headCs.jobs[0].Class
-
-	// Pass 2: among that class's admissible jobs, the best-funded client
-	// wins; the FIFO pick is tracked to count fairness overrides.
-	var bestCs *ctxState
+// fairest is Next's pick under deficit-round-robin fairness
+// (Config.DRRQuantum > 0 with Priorities on, so the queues are
+// class-sorted): among the admissible queued jobs of the given class —
+// the most urgent class at any admissible queue head — the job whose
+// best-funded member holds the most launch credit; submission order
+// breaks ties, so equal-credit clients drain FIFO and the zero-quantum
+// behaviour is a strict special case. Unlike the FIFO pick this scans
+// past a context's queue head — that is the point: a greedy client's
+// burst at the head must not starve a neighbour's job queued behind it
+// in the same context. Caller holds s.mu.
+func (s *Scheduler) fairest(class Class) (*ctxState, int) {
+	var best *ctxState
 	bestIdx := -1
-	var best, fifo *Job
 	for _, cs := range s.ctxs { //simfs:allow maporder winner is the unique best by (credit, seq); scan order is washed out
-		if len(cs.jobs) == 0 {
-			continue
-		}
-		if cs.smax > 0 && cs.inflight >= cs.smax {
+		if !cs.admissible() {
 			continue
 		}
 		for i, job := range cs.jobs {
-			if job.Class != bestClass {
-				break // queues are class-sorted: the run of bestClass is a prefix
+			if job.Class != class {
+				break // queues are class-sorted: the run of class is a prefix
 			}
-			if fifo == nil || job.seq < fifo.seq {
-				fifo = job
-			}
-			if best == nil || s.quotaBetter(job, best) {
-				bestCs, bestIdx, best = cs, i, job
+			if best == nil || s.quotaBetter(job, best.jobs[bestIdx]) {
+				best, bestIdx = cs, i
 			}
 		}
 	}
-	if best == nil {
-		return Job{}, false
-	}
-	if s.cfg.TotalNodes > 0 && s.nodes+jobNodes(best.Parallelism) > s.cfg.TotalNodes {
-		return Job{}, false
-	}
-	if best != fifo {
-		s.stats.QuotaDeferred++
-	}
-	if !best.prepaid {
-		if bestDef := s.deficitOf(best); bestDef <= 0 {
-			// Even the best-funded active client is out of credit: grant
-			// the next round before charging.
-			s.replenishQuota(bestDef)
-		}
-		s.chargeQuota(best)
-	}
-	s.removeAt(bestCs, bestIdx)
-	s.depth--
-	bestCs.inflight++
-	s.nodes += jobNodes(best.Parallelism)
-	s.noteAdmitted(best)
-	return *best, true
+	return best, bestIdx
 }
 
 // quotaBetter orders two same-class candidates: more launch credit

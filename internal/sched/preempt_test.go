@@ -284,6 +284,92 @@ func TestDRRReleaseRefundsCharge(t *testing.T) {
 	}
 }
 
+// Release refunds only what the pop charged: a job popped under FIFO
+// and released after a live quantum enable was never billed, so its
+// client's credit must not grow.
+func TestDRRReleaseRefundsOnlyWhatWasCharged(t *testing.T) {
+	s := New(&manualClock{}, Config{Priorities: true})
+	s.Register("c", 1)
+	s.Submit(req("c", 1, 4, Demand, "x"))
+	s.Submit(req("c", 9, 12, Agent, "bob"))
+	s.Submit(req("c", 20, 23, Agent, "bob")) // still queued at the enable
+	s.SimDone("c", 1)
+	j, ok := s.Next()
+	if !ok || j.First != 9 {
+		t.Fatalf("popped %+v, want bob's [9,12]", j)
+	}
+	quantum := 8
+	s.Update(Patch{DRRQuantum: &quantum})
+	before, ok := s.QuotaDebt("bob")
+	if !ok {
+		t.Fatal("the live enable did not open bob's quota entry")
+	}
+	s.Release(j)
+	if after, _ := s.QuotaDebt("bob"); after != before {
+		t.Errorf("release of an uncharged pop moved bob's credit %d → %d", before, after)
+	}
+}
+
+// The reverse: a job charged at its pop is refunded even when DRR was
+// switched off before its release.
+func TestDRRReleaseRefundsAfterDisable(t *testing.T) {
+	s := New(&manualClock{}, Config{Priorities: true, DRRQuantum: 8})
+	s.Register("c", 1)
+	s.Submit(req("c", 1, 4, Demand, "x"))
+	s.Submit(req("c", 9, 12, Agent, "bob"))
+	s.SimDone("c", 1)
+	j, ok := s.Next()
+	if !ok {
+		t.Fatal("expected bob's prefetch")
+	}
+	// The pop granted a round (bob at 8) and charged 4.
+	if d, _ := s.QuotaDebt("bob"); d != 4 {
+		t.Fatalf("bob's credit after the pop = %d, want 4", d)
+	}
+	off := 0
+	s.Update(Patch{DRRQuantum: &off})
+	s.Release(j)
+	if d, _ := s.QuotaDebt("bob"); d != 8 {
+		t.Errorf("bob's credit after the release = %d, want the 4-step charge back (8)", d)
+	}
+}
+
+// One billing rule whenever a job was built: a merge and a promotion
+// made before a live quantum enable bill every roster member an even
+// share, demand requesters included.
+func TestDRRLiveEnableBillsEveryMember(t *testing.T) {
+	s := New(&manualClock{}, Config{Coalesce: true, Priorities: true})
+	s.Register("c", 1)
+	s.Submit(req("c", 1, 4, Demand, "x"))
+	s.Submit(req("c", 10, 17, Agent, "alice"))
+	s.Submit(req("c", 14, 21, Demand, "bob")) // merges: [10,21], demand
+	s.Submit(req("c", 30, 37, Agent, "carol"))
+	if !s.PromoteDemand("c", 33, "dave") {
+		t.Fatal("dave's demand open did not promote carol's prefetch")
+	}
+	quantum := 8
+	s.Update(Patch{DRRQuantum: &quantum})
+	s.SimDone("c", 1)
+	for {
+		j, ok := s.Next()
+		if !ok {
+			break
+		}
+		s.SimDone(j.Ctx, j.Parallelism)
+	}
+	// The first pop grants a round (everyone at 8), then [10,21] bills
+	// 6 to alice and bob; [30,37] bills 4 to carol and dave.
+	want := map[string]int{"alice": 2, "bob": 2, "carol": 4, "dave": 4}
+	for client, w := range want {
+		if d, ok := s.QuotaDebt(client); !ok || d != w {
+			t.Errorf("%s's credit = %d (entry %v), want %d", client, d, ok, w)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A greedy client's burst no longer starves a neighbour inside the same
 // class: after the greedy client's first job is charged, the neighbour's
 // single job outranks the rest of the burst.
@@ -348,7 +434,7 @@ func TestDRRZeroQuantumIsFIFO(t *testing.T) {
 	}
 }
 
-// A coalesced multi-client job charges each constituent its fair share
+// A coalesced multi-client job charges each roster member its fair share
 // instead of billing whoever submitted first.
 func TestDRRCoalescedChargesConstituents(t *testing.T) {
 	s := New(&manualClock{}, Config{Coalesce: true, Priorities: true, DRRQuantum: 8})
@@ -364,15 +450,15 @@ func TestDRRCoalescedChargesConstituents(t *testing.T) {
 	if !ok || j.First != 10 || j.Last != 21 {
 		t.Fatalf("popped %+v, want the merged [10,21] job", j)
 	}
-	// Cost 12 over two constituents: 6 each — equal debt, not 12 on the
+	// Cost 12 over two members: 6 each — equal debt, not 12 on the
 	// earlier submitter.
 	da, oka := s.QuotaDebt("alice")
 	db, okb := s.QuotaDebt("bob")
 	if !oka || !okb {
-		t.Fatalf("constituents missing from the quota ledger: alice=%v bob=%v", oka, okb)
+		t.Fatalf("members missing from the quota ledger: alice=%v bob=%v", oka, okb)
 	}
 	if da != db {
-		t.Errorf("constituent debts diverged: alice=%d bob=%d", da, db)
+		t.Errorf("member debts diverged: alice=%d bob=%d", da, db)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -380,8 +466,8 @@ func TestDRRCoalescedChargesConstituents(t *testing.T) {
 }
 
 // A coalesced multi-client *demand* merge also splits the bill: demand
-// requesters ride the payer roster even though they are never prefetch
-// constituents, so the first submitter does not pay for everyone.
+// requesters are roster members like prefetch requesters, so the first
+// submitter does not pay for everyone.
 func TestDRRDemandMergeSplitsCost(t *testing.T) {
 	s := New(&manualClock{}, Config{Coalesce: true, Priorities: true, DRRQuantum: 8})
 	s.Register("c", 1)
@@ -458,7 +544,7 @@ func TestDRRLiveEnableBackfillsQueuedClients(t *testing.T) {
 	s.Register("c", 1)
 	s.Submit(req("c", 1, 4, Demand, "x"))
 	s.Submit(req("c", 10, 17, Agent, "alice"))
-	s.Submit(req("c", 14, 21, Agent, "bob")) // coalesced constituent
+	s.Submit(req("c", 14, 21, Agent, "bob")) // coalesced into alice's job
 	s.Submit(req("c", 30, 33, Demand, "carol"))
 	quantum := 8
 	s.Update(Patch{DRRQuantum: &quantum})

@@ -29,7 +29,7 @@
 //   - Per-client fairness. A deficit-round-robin quantum
 //     (Config.DRRQuantum) replaces pure FIFO inside a priority class,
 //     so one greedy client cannot starve its neighbours; coalesced
-//     multi-client jobs charge each constituent its fair share.
+//     multi-client jobs charge each client they serve its fair share.
 //
 // The scheduler is deliberately passive: it never starts simulations
 // itself and never calls back into the DV. The core submits requests
@@ -83,8 +83,9 @@ func (c Class) String() string {
 
 // Request asks for one re-simulation of Ctx producing output steps
 // [First, Last] (already realigned to restart boundaries by the core) at
-// the given parallelism. Client names the requesting client for prefetch
-// classes ("" for demand).
+// the given parallelism. Client names the requesting client, demand
+// requests included (the DRR quota bills it); "" is a request on nobody's
+// behalf.
 type Request struct {
 	Ctx         string
 	First, Last int
@@ -93,24 +94,20 @@ type Request struct {
 	Client      string
 }
 
-// Job is a queued (possibly coalesced) request.
+// Job is a queued (possibly coalesced) request. Its Class and Client are
+// derived from its roster (settle): the most urgent class a member holds,
+// and the member that reached it first.
 type Job struct {
 	Request
-	// Coalesced counts the extra requests merged into this job.
-	Coalesced int
 
-	// cons are the distinct prefetch constituents (client, class) this
-	// job serves (empty for pure demand jobs). Cancellation only removes
-	// a job once every constituent client has withdrawn, and a surviving
-	// job's class/client are recomputed from the remaining constituents.
-	cons []constituent
-	// payers are the distinct clients the DRR quota bills for this job —
-	// unlike cons it includes demand requesters, so a multi-client
-	// demand merge splits its cost instead of billing the first
-	// submitter. Maintained only while a quantum is configured; empty
-	// payers fall back to cons/Client at charge time (jobs queued before
-	// a live quantum enable).
-	payers []string
+	// roster is every distinct client the job serves, each at its most
+	// urgent class, in the order they reached that class (a member whose
+	// class rises rejoins at the end). It is the job's one record of whom
+	// it serves: its class and identity, client withdrawal, and the DRR
+	// charge, refund and selection all read it. Its backing array starts
+	// as one, so a single-client job allocates nothing for it.
+	roster []member
+	one    [1]member
 	// prepaid marks a requeue of already-billed (or directly admitted,
 	// never-billed) work — a preemption victim's interval, a pipeline
 	// bounce. Its pop skips the DRR charge so one logical interval is
@@ -118,39 +115,69 @@ type Job struct {
 	// jobs are excluded from coalescing in both directions: absorbing
 	// one would lose the flag (double-billing the victim), and a fresh
 	// request merging into one would ride for free.
-	prepaid    bool
+	prepaid bool
+	// charged records that the pop billed the roster, so Release refunds
+	// exactly what was charged, whatever the policy is by then.
+	charged    bool
 	seq        uint64
 	enqueuedAt time.Duration
 }
 
-// constituent is one prefetch request folded into a job.
-type constituent struct {
+// member is one client a job serves, at the most urgent class it asked
+// for.
+type member struct {
 	client string
 	class  Class
 }
 
-// addPayer records a client on the job's quota-billing roster.
-func (j *Job) addPayer(client string) {
-	for _, p := range j.payers {
-		if p == client {
-			return
+// find returns client's roster index, or -1.
+func (j *Job) find(client string) int {
+	for i, m := range j.roster {
+		if m.client == client {
+			return i
 		}
 	}
-	j.payers = append(j.payers, client)
+	return -1
 }
 
-// addConstituent records a prefetch constituent, keeping the most urgent
-// class per client.
-func (j *Job) addConstituent(client string, class Class) {
-	for i := range j.cons {
-		if j.cons[i].client == client {
-			if class < j.cons[i].class {
-				j.cons[i].class = class
-			}
+// join adds client to the roster at class, or raises the class of a
+// member already on it.
+func (j *Job) join(client string, class Class) {
+	if i := j.find(client); i >= 0 {
+		if class >= j.roster[i].class {
 			return
 		}
+		j.roster = slices.Delete(j.roster, i, i+1)
 	}
-	j.cons = append(j.cons, constituent{client: client, class: class})
+	j.roster = append(j.roster, member{client: client, class: class})
+	j.settle()
+}
+
+// settle derives the job's class and identity from its roster: the most
+// urgent class a member holds, and the first member to reach it.
+func (j *Job) settle() {
+	best := j.roster[0]
+	for _, m := range j.roster[1:] {
+		if m.class < best.class {
+			best = m
+		}
+	}
+	j.Class, j.Client = best.class, best.client
+}
+
+// merge folds other — a request made into a job, or a queued job the
+// merge has grown into — into j: the union of their step ranges, the
+// wider parallelism, the earlier queue position and enqueue time, and
+// other's members joining j's roster after j's own.
+func (j *Job) merge(other *Job) {
+	j.First = min(j.First, other.First)
+	j.Last = max(j.Last, other.Last)
+	j.Parallelism = max(j.Parallelism, other.Parallelism)
+	j.seq = min(j.seq, other.seq)
+	j.enqueuedAt = min(j.enqueuedAt, other.enqueuedAt)
+	for _, m := range other.roster {
+		j.join(m.client, m.class)
+	}
 }
 
 // Decision is the outcome of Submit.
@@ -256,18 +283,13 @@ func (s *Scheduler) setConfigLocked(cfg Config) {
 			}
 		}
 		if s.drrActive() {
-			// Quota entries normally materialize at enqueue; DRR
-			// enabled live must backfill them for the jobs already
-			// queued, or the backlog's clients would drain uncharged
-			// (and every pop would replenish over an empty ledger).
+			// Quota entries normally open at enqueue; DRR enabled live
+			// must backfill them for the jobs already queued, or the
+			// backlog's clients would drain uncharged (and every pop
+			// would replenish over an empty ledger).
 			for _, job := range cs.jobs {
-				if _, ok := s.quota[job.Client]; !ok {
-					s.quota[job.Client] = 0
-				}
-				for _, c := range job.cons {
-					if _, ok := s.quota[c.client]; !ok {
-						s.quota[c.client] = 0
-					}
+				for _, m := range job.roster {
+					s.openQuota(m.client)
 				}
 			}
 		}
@@ -327,7 +349,6 @@ func (s *Scheduler) Submit(req Request) Decision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cs := s.ctxOf(req.Ctx)
-	s.stats.Submitted++
 	s.noteLoad(req)
 
 	atCtxCap := cs.smax > 0 && cs.inflight+len(cs.jobs) >= cs.smax
@@ -343,7 +364,6 @@ func (s *Scheduler) Submit(req Request) Decision {
 	if !atCtxCap && !atNodeCap {
 		cs.inflight++
 		s.nodes += jobNodes(req.Parallelism)
-		s.stats.Admitted++
 		return Admitted
 	}
 	if req.Class != Demand && !s.cfg.Priorities {
@@ -406,8 +426,9 @@ func (s *Scheduler) ClientLoads() map[string]uint64 {
 // a client blocks on it. Without Priorities nothing is re-ordered and
 // the call is a no-op, which keeps the zero Config paper-exact. The job
 // is re-inserted at its demand-order position, the opening client joins
-// the DRR billing roster, and the demand-waiting hint arms so the
-// caller's preemption probe sees the promoted head. Reports whether a
+// its roster at demand class (and so becomes its identity and one of its
+// DRR payers), and the demand-waiting hint arms so the caller's
+// preemption probe sees the promoted head. Reports whether a
 // job was promoted.
 func (s *Scheduler) PromoteDemand(ctx string, step int, client string) bool {
 	s.mu.Lock()
@@ -433,13 +454,9 @@ func (s *Scheduler) PromoteDemand(ctx string, step int, client string) bool {
 			cw.Wait += wait
 		}
 		job.enqueuedAt = s.clock.Now()
-		job.Class = Demand
-		job.Client = client
+		job.join(client, Demand)
 		if s.drrActive() {
-			if _, ok := s.quota[client]; !ok {
-				s.quota[client] = 0
-			}
-			job.addPayer(client)
+			s.openQuota(client)
 		}
 		s.removeAt(cs, i)
 		s.insert(cs, job)
@@ -455,26 +472,30 @@ func (s *Scheduler) PromoteDemand(ctx string, step int, client string) bool {
 // s.mu.
 func (s *Scheduler) nodeBlockedHead() bool {
 	for _, cs := range s.ctxs { //simfs:allow maporder existence scan; any order reaches the same boolean
-		if len(cs.jobs) > 0 && (cs.smax == 0 || cs.inflight < cs.smax) {
+		if cs.admissible() {
 			return true
 		}
 	}
 	return false
 }
 
-// enqueue inserts (or coalesces) a request into its context's queue.
-// Caller holds s.mu.
-// enqueue returns the freshly queued job, or nil when the request was
-// absorbed into an existing one. Prepaid requests (system requeues)
-// always become their own job — see Job.prepaid.
+// admissible reports whether cs has queued work and smax room to start
+// its head.
+func (cs *ctxState) admissible() bool {
+	return len(cs.jobs) > 0 && (cs.smax == 0 || cs.inflight < cs.smax)
+}
+
+// enqueue queues a request as a job of its own, or merges it into an
+// overlapping queued job under Coalesce. It returns the freshly queued
+// job, or nil when the request was absorbed. Prepaid requests (system
+// requeues) always become their own job — see Job.prepaid. Caller holds
+// s.mu.
 func (s *Scheduler) enqueue(req Request, prepaid bool) *Job {
 	if s.drrActive() {
-		// Materialize the client's quota entry so DRR selection and
+		// Open the client's quota entry so DRR selection and
 		// replenishment see every client with queued work, not just the
 		// already-charged ones.
-		if _, ok := s.quota[req.Client]; !ok {
-			s.quota[req.Client] = 0
-		}
+		s.openQuota(req.Client)
 	}
 	if req.Class == Demand {
 		// Covers both a new demand job and a demand merge promoting a
@@ -492,111 +513,53 @@ func (s *Scheduler) enqueue(req Request, prepaid bool) *Job {
 		req.Parallelism = s.cfg.TotalNodes
 	}
 	cs := s.ctxOf(req.Ctx)
-	if s.cfg.Coalesce && !prepaid && s.absorb(cs, req) {
+	// The request made into a job: it stays on the stack when a queued
+	// job absorbs it, and only a job that queues is allocated.
+	in := Job{
+		Request: req, roster: []member{{client: req.Client, class: req.Class}},
+		seq: s.seq + 1, enqueuedAt: s.clock.Now(),
+	}
+	if s.cfg.Coalesce && !prepaid && s.absorb(cs, &in) {
 		s.stats.Coalesced++
 		return nil
 	}
 	s.seq++
-	job := &Job{Request: req, prepaid: prepaid, seq: s.seq, enqueuedAt: s.clock.Now()}
-	if req.Class != Demand {
-		job.addConstituent(req.Client, req.Class)
-	}
-	if s.drrActive() {
-		job.addPayer(req.Client)
-	}
+	job := &Job{Request: req, prepaid: prepaid, seq: in.seq, enqueuedAt: in.enqueuedAt}
+	job.roster = append(job.one[:0], in.roster...)
 	s.insert(cs, job)
 	s.depth++
 	s.stats.Queued++
-	if s.depth > s.stats.MaxQueueDepth {
-		s.stats.MaxQueueDepth = s.depth
-	}
 	return job
 }
 
-// absorb tries to merge req into a queued job of the same context with an
-// overlapping or adjacent step range. It reports whether a merge
-// happened; the merged job keeps its queue position (earliest constituent
-// wins) unless a class promotion reorders it.
-func (s *Scheduler) absorb(cs *ctxState, req Request) bool {
-	for i, job := range cs.jobs {
-		if job.prepaid {
-			continue // billing-exempt requeues never merge
-		}
-		if req.First > job.Last+1 || job.First > req.Last+1 {
-			continue // disjoint and not adjacent
-		}
-		if req.First < job.First {
-			job.First = req.First
-		}
-		if req.Last > job.Last {
-			job.Last = req.Last
-		}
-		if req.Parallelism > job.Parallelism {
-			job.Parallelism = req.Parallelism
-		}
-		if req.Class < job.Class {
-			// The job takes the identity of its most urgent constituent:
-			// a demand miss folded into a queued prefetch turns the whole
-			// job into demand work.
-			job.Class = req.Class
-			job.Client = req.Client
-		}
-		if req.Class != Demand {
-			job.addConstituent(req.Client, req.Class)
-		}
-		if s.drrActive() {
-			job.addPayer(req.Client)
-		}
-		job.Coalesced++
-		s.removeAt(cs, i)
-		// The grown interval may now touch further queued jobs: cascade.
-		for {
-			j := overlapping(cs, job)
-			if j < 0 {
-				break
-			}
-			other := cs.jobs[j]
-			if other.First < job.First {
-				job.First = other.First
-			}
-			if other.Last > job.Last {
-				job.Last = other.Last
-			}
-			if other.Parallelism > job.Parallelism {
-				job.Parallelism = other.Parallelism
-			}
-			if other.Class < job.Class {
-				job.Class = other.Class
-				job.Client = other.Client
-			}
-			for _, c := range other.cons {
-				job.addConstituent(c.client, c.class)
-			}
-			for _, p := range other.payers {
-				job.addPayer(p)
-			}
-			if other.seq < job.seq {
-				job.seq = other.seq
-			}
-			if other.enqueuedAt < job.enqueuedAt {
-				job.enqueuedAt = other.enqueuedAt
-			}
-			job.Coalesced += other.Coalesced + 1
-			s.removeAt(cs, j)
-			s.depth--
-		}
-		s.insert(cs, job)
-		return true
+// absorb merges in into the first queued job of cs whose step range
+// overlaps or touches in's, then cascades: the grown range may now touch
+// further queued jobs, which fold in too. The merged job keeps the
+// earliest queue position of its parts unless its class reorders it. It
+// reports whether in was absorbed.
+func (s *Scheduler) absorb(cs *ctxState, in *Job) bool {
+	i := overlapping(cs, in)
+	if i < 0 {
+		return false
 	}
-	return false
+	job := cs.jobs[i]
+	s.removeAt(cs, i)
+	job.merge(in)
+	for i = overlapping(cs, job); i >= 0; i = overlapping(cs, job) {
+		job.merge(cs.jobs[i])
+		s.removeAt(cs, i)
+		s.depth--
+	}
+	s.insert(cs, job)
+	return true
 }
 
 // overlapping returns the index of a queued job of cs overlapping or
-// adjacent to job, or -1. Prepaid requeues are never cascade-absorbed:
-// folding one into a billed job would lose its billing exemption.
+// adjacent to job (which is not queued), or -1. Prepaid requeues never
+// merge: folding one into a billed job would lose its billing exemption.
 func overlapping(cs *ctxState, job *Job) int {
 	for i, other := range cs.jobs {
-		if other == job || other.prepaid {
+		if other.prepaid {
 			continue
 		}
 		if other.First > job.Last+1 || job.First > other.Last+1 {
@@ -642,37 +605,46 @@ func (s *Scheduler) removeAt(cs *ctxState, i int) {
 // are skipped whole — a full context never blocks its neighbours — and
 // among the remaining contexts' queue heads the best (class, submission)
 // order wins, which is cross-context FIFO fairness within a priority
-// class. Node admission is FIFO: when the chosen head does not fit the
-// node budget nothing behind it runs either (no backfilling, matching a
-// conservatively crowded HPC partition).
+// class. Under DRR fairness the best-funded job of that class wins
+// instead (fairest) and the pop bills its roster. Node admission is FIFO:
+// when the chosen job does not fit the node budget nothing behind it runs
+// either (no backfilling, matching a conservatively crowded HPC
+// partition).
 func (s *Scheduler) Next() (Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.drrActive() {
-		return s.nextDRR()
-	}
-	var best *ctxState
+	var head *ctxState
 	for _, cs := range s.ctxs { //simfs:allow maporder less is a total order (seq tiebreak): the minimum is unique
-		if len(cs.jobs) == 0 {
-			continue
-		}
-		if cs.smax > 0 && cs.inflight >= cs.smax {
-			continue
-		}
-		if best == nil || s.less(cs.jobs[0], best.jobs[0]) {
-			best = cs
+		if cs.admissible() && (head == nil || s.less(cs.jobs[0], head.jobs[0])) {
+			head = cs
 		}
 	}
-	if best == nil {
+	if head == nil {
 		return Job{}, false
 	}
-	job := best.jobs[0]
+	cs, i := head, 0
+	if s.drrActive() {
+		cs, i = s.fairest(head.jobs[0].Class)
+	}
+	job := cs.jobs[i]
 	if s.cfg.TotalNodes > 0 && s.nodes+jobNodes(job.Parallelism) > s.cfg.TotalNodes {
 		return Job{}, false
 	}
-	s.removeAt(best, 0)
+	if job != head.jobs[0] {
+		s.stats.QuotaDeferred++
+	}
+	if s.drrActive() && !job.prepaid {
+		if d := s.deficitOf(job); d <= 0 {
+			// Even the best-funded active client is out of credit: grant
+			// the next round before charging.
+			s.replenishQuota(d)
+		}
+		s.chargeQuota(job)
+		job.charged = true
+	}
+	s.removeAt(cs, i)
 	s.depth--
-	best.inflight++
+	cs.inflight++
 	s.nodes += jobNodes(job.Parallelism)
 	s.noteAdmitted(job)
 	return *job, true
@@ -705,8 +677,9 @@ func (s *Scheduler) classWait(c Class) *metrics.SchedClassWait {
 // decided not to start (admission-time revalidation found it stale). A
 // context dropped (deregistered) between the pop and the release keeps
 // only the node accounting — re-creating its ledger would leave a
-// negative inflight count behind. The DRR charge the pop billed is
-// refunded: work that never ran must not count against its clients.
+// negative inflight count behind. The DRR charge the pop billed, if it
+// billed one, is refunded: work that never ran must not count against
+// its clients.
 func (s *Scheduler) Release(job Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -714,7 +687,7 @@ func (s *Scheduler) Release(job Job) {
 		cs.inflight--
 	}
 	s.nodes -= jobNodes(job.Parallelism)
-	if s.drrActive() && !job.prepaid {
+	if job.charged {
 		s.refundQuota(&job)
 	}
 	s.stats.Canceled++
@@ -801,13 +774,12 @@ func (s *Scheduler) ReleaseSlot(ctx string) {
 func (s *Scheduler) Enqueue(req Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Submitted++
 	s.enqueue(req, true)
 }
 
 // CancelClient withdraws one client's interest from the queued prefetch
-// jobs of a context. A job is de-queued only when its last constituent
-// client withdraws (a coalesced job may serve several) and only if keep
+// jobs of a context. A job is de-queued only when the last client on its
+// roster withdraws (a coalesced job may serve several) and only if keep
 // reports nobody else wants its range (waiters or references in the
 // core), mirroring the paper's rule that a simulation is killed only
 // when nobody waits for its output. The removed jobs are returned so the
@@ -826,14 +798,8 @@ func (s *Scheduler) CancelClient(ctx, client string, keep func(first, last int) 
 	}
 	var candidates []*Job
 	for _, job := range cs.jobs {
-		if job.Class == Demand {
-			continue
-		}
-		for _, c := range job.cons {
-			if c.client == client {
-				candidates = append(candidates, job)
-				break
-			}
+		if job.Class != Demand && job.find(client) >= 0 {
+			candidates = append(candidates, job)
 		}
 	}
 	s.mu.Unlock()
@@ -854,46 +820,24 @@ func (s *Scheduler) CancelClient(ctx, client string, keep func(first, last int) 
 			continue
 		}
 		// The job may have been admitted (or merged away) while keep ran.
-		idx := -1
-		for j, q := range cs.jobs {
-			if q == job {
-				idx = j
-				break
-			}
-		}
+		idx := slices.Index(cs.jobs, job)
 		if idx < 0 {
 			continue
 		}
-		// Withdraw this client; other constituents keep the job alive,
-		// with class and client identity recomputed from what remains
-		// (the priority position follows the class, so the job is
-		// re-inserted when it changes). The billing roster shrinks with
-		// it — a withdrawn client must not keep paying for the job.
-		cons := job.cons[:0]
-		for _, c := range job.cons {
-			if c.client != client {
-				cons = append(cons, c)
-			}
+		// Withdraw this client (unless a concurrent withdrawal already
+		// did); other members keep the job alive at the class and
+		// identity the rest of the roster gives it (the priority position
+		// follows the class, so the job is re-inserted when it changes),
+		// and the withdrawn client stops paying for it.
+		k := job.find(client)
+		if k < 0 {
+			continue
 		}
-		job.cons = cons
-		payers := job.payers[:0]
-		for _, p := range job.payers {
-			if p != client {
-				payers = append(payers, p)
-			}
-		}
-		job.payers = payers
-		if len(job.cons) > 0 {
-			best := job.cons[0]
-			for _, c := range job.cons[1:] {
-				if c.class < best.class {
-					best = c
-				}
-			}
-			reorder := job.Class != best.class
-			job.Class = best.class
-			job.Client = best.client
-			if reorder {
+		if len(job.roster) > 1 {
+			class := job.Class
+			job.roster = slices.Delete(job.roster, k, k+1)
+			job.settle()
+			if job.Class != class {
 				s.removeAt(cs, idx)
 				s.insert(cs, job)
 			}
