@@ -426,9 +426,9 @@ func (s *Scheduler) ClientLoads() map[string]uint64 {
 // a client blocks on it. Without Priorities nothing is re-ordered and
 // the call is a no-op, which keeps the zero Config paper-exact. The job
 // is re-inserted at its demand-order position, the opening client joins
-// its roster at demand class (and so becomes its identity and one of its
-// DRR payers), and the demand-waiting hint arms so the caller's
-// preemption probe sees the promoted head. Reports whether a
+// its roster at demand class (and so becomes its identity and is billed
+// with the other members), and the demand-waiting hint arms so the
+// caller's preemption probe sees the promoted head. Reports whether a
 // job was promoted.
 func (s *Scheduler) PromoteDemand(ctx string, step int, client string) bool {
 	s.mu.Lock()
