@@ -175,8 +175,8 @@ func (s *Scheduler) openQuota(client string) {
 // multi-client job — demand requesters included — splits the cost
 // instead of billing whoever happened to submit first.
 func (j *Job) share() int {
-	n := len(j.roster)
-	return (j.Last - j.First + n) / n
+	cost, n := j.Last-j.First+1, len(j.roster)
+	return (cost + n - 1) / n
 }
 
 // chargeQuota bills a popped job's roster its shares. Only existing

@@ -622,8 +622,9 @@ func (s *Scheduler) Next() (Job, bool) {
 	if head == nil {
 		return Job{}, false
 	}
+	fair := s.drrActive()
 	cs, i := head, 0
-	if s.drrActive() {
+	if fair {
 		cs, i = s.fairest(head.jobs[0].Class)
 	}
 	job := cs.jobs[i]
@@ -633,7 +634,7 @@ func (s *Scheduler) Next() (Job, bool) {
 	if job != head.jobs[0] {
 		s.stats.QuotaDeferred++
 	}
-	if s.drrActive() && !job.prepaid {
+	if fair && !job.prepaid {
 		if d := s.deficitOf(job); d <= 0 {
 			// Even the best-funded active client is out of credit: grant
 			// the next round before charging.
