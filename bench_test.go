@@ -238,15 +238,6 @@ func BenchmarkAblationDoubling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPinPressure quantifies eviction under pinning.
-func BenchmarkAblationPinPressure(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationPinPressure(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationEMA quantifies αsim-estimation smoothing under noise.
 func BenchmarkAblationEMA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -741,7 +732,7 @@ func BenchmarkBatchSamplers(b *testing.B) {
 // reported per iteration; ns/op is just the DES replay cost.
 func BenchmarkAutoscalePhases(b *testing.B) {
 	for _, m := range []struct{ sub, row string }{
-		{"mode=static-best", "static lru+preempt"},
+		{"mode=static-best", "static lru"},
 		{"mode=controller", "controller"},
 	} {
 		b.Run(m.sub, func(b *testing.B) {

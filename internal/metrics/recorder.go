@@ -86,10 +86,11 @@ func (t *Table) SeriesNames() []string {
 	return names
 }
 
-// Render writes the table in an aligned text layout: one row per x value,
-// one column per series, each cell "median [ciLow,ciHigh]" (single
-// measurements print bare).
-func (t *Table) Render(w io.Writer) error {
+// Rows returns the table's cells as Render prints them: the header (the
+// x label, then one name per series), then one row per x value, each
+// cell "median [ciLow,ciHigh]" (single measurements bare, "-" where a
+// series has no point at that x).
+func (t *Table) Rows() [][]string {
 	// Union of x positions, preserving first-seen order across series.
 	var xs []string
 	seen := map[string]bool{}
@@ -119,8 +120,14 @@ func (t *Table) Render(w io.Writer) error {
 		}
 		rows = append(rows, row)
 	}
+	return rows
+}
 
-	widths := make([]int, len(header))
+// Render writes the table in an aligned text layout, one line per row
+// of Rows.
+func (t *Table) Render(w io.Writer) error {
+	rows := t.Rows()
+	widths := make([]int, len(rows[0]))
 	for _, row := range rows {
 		for i, cell := range row {
 			if len(cell) > widths[i] {

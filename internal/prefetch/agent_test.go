@@ -150,6 +150,30 @@ func TestForwardLaunchWhenFrontierNear(t *testing.T) {
 	}
 }
 
+// An analysis faster than the simulation (τcli < k·τsim) reads a cached
+// runway at τcli per step, so the agent stretches the paper's lead
+// ⌈αsim/max(k·τsim, τcli)⌉·k to ⌈αsim/τcli⌉·k: a runway between the two
+// must still launch, or every batch boundary would expose a fresh αsim.
+func TestFastAnalysisLeadLaunches(t *testing.T) {
+	g := model.Grid{DeltaD: 1, DeltaR: 4, Timesteps: 1 << 20}
+	est := fixedEst{alpha: 8 * time.Second, tau: time.Second, defP: 1, maxP: 1}
+	const tauCli = 250 * time.Millisecond
+	paper := PrefetchLead(1, est.alpha, est.tau, tauCli) // 8 steps
+	fast := ceilDiv(est.alpha, tauCli)                   // 32 steps
+	runway := (paper + fast) / 2
+	a := NewAgent(g, est, 8, false, 0.5)
+	d := walk(a, []int{1, 2, 3}, tauCli, 3+runway)
+	if !(paper < runway && runway < fast) {
+		t.Fatalf("runway %d not between the paper's lead %d and the fast-analysis lead %d", runway, paper, fast)
+	}
+	if len(d.Launches) == 0 {
+		t.Fatalf("no launch with a %d-step runway: the fast-analysis lead is %d steps", runway, fast)
+	}
+	if d.Launches[0].First != 3+runway+1 {
+		t.Errorf("first launch %+v does not start past the frontier %d", d.Launches[0], 3+runway)
+	}
+}
+
 func TestBackwardLaunchDirection(t *testing.T) {
 	a := exampleAgent(false, 8)
 	// Backward analysis faster than sim: launches must cover steps below

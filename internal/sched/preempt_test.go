@@ -535,6 +535,29 @@ func TestDRRQuotaNotRecreatedAfterDrop(t *testing.T) {
 	}
 }
 
+// Nor may a reconfiguration that leaves DRR on: only the switch from
+// off to on backfills the ledger, so a later Update (the autoscale
+// DRRTuner sends one per decision) does not undo DropClientQuota for a
+// demand job that outlived its client.
+func TestDRRQuotaNotRecreatedByUpdate(t *testing.T) {
+	s := New(&manualClock{}, Config{Priorities: true, DRRQuantum: 8, TotalNodes: 1})
+	s.Register("c", 0)
+	if d := s.Submit(req("c", 1, 4, Demand, "alice")); d != Admitted {
+		t.Fatalf("alice = %v, want Admitted", d)
+	}
+	if d := s.Submit(req("c", 9, 12, Demand, "bob")); d != Queued {
+		t.Fatalf("bob = %v, want Queued behind the node budget", d)
+	}
+	s.DropClientQuota("bob")
+	quantum := 16
+	if _, err := s.Update(Patch{DRRQuantum: &quantum}); err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := s.QuotaDebt("bob"); ok {
+		t.Errorf("a live quantum change re-created the dropped client's quota entry (debt %d)", d)
+	}
+}
+
 // Enabling DRR on a live scheduler backfills quota entries for the
 // clients of already-queued jobs, so the backlog is charged and the
 // fairness takes effect immediately instead of waiting for the next

@@ -272,6 +272,7 @@ func (s *Scheduler) Update(p Patch) (Config, error) {
 }
 
 func (s *Scheduler) setConfigLocked(cfg Config) {
+	wasDRR := s.drrActive()
 	s.cfg = cfg
 	s.preemptOn.Store(s.cfg.Preempt != PreemptOff && s.cfg.TotalNodes > 0)
 	for _, cs := range s.ctxs { //simfs:allow maporder per-context clamp and quota backfill are independent per entry
@@ -282,11 +283,13 @@ func (s *Scheduler) setConfigLocked(cfg Config) {
 				}
 			}
 		}
-		if s.drrActive() {
+		if !wasDRR && s.drrActive() {
 			// Quota entries normally open at enqueue; DRR enabled live
 			// must backfill them for the jobs already queued, or the
 			// backlog's clients would drain uncharged (and every pop
-			// would replenish over an empty ledger).
+			// would replenish over an empty ledger). Only the switch
+			// backfills: while DRR stays on, an entry missing for a
+			// queued member was dropped with its client on purpose.
 			for _, job := range cs.jobs {
 				for _, m := range job.roster {
 					s.openQuota(m.client)

@@ -54,6 +54,7 @@ package simfs
 import (
 	"context"
 
+	"simfs/internal/cache"
 	"simfs/internal/core"
 	"simfs/internal/dvlib"
 	"simfs/internal/ioshim"
@@ -277,4 +278,4 @@ func Flash() *Context { return simulator.Flash() }
 func CacheEval() *Context { return simulator.CacheEval() }
 
 // Policies lists the available cache replacement schemes.
-func Policies() []string { return []string{"ARC", "BCL", "DCL", "LIRS", "LRU"} }
+func Policies() []string { return cache.PolicyNames() }
