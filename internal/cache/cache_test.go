@@ -441,38 +441,6 @@ func TestCacheExternalGuard(t *testing.T) {
 				t.Errorf("area-sized insert after release: evicted %v, err %v, len %d, PinBlocked %d; want every resident gone, 1, 2",
 					evicted, err, c.Len(), c.Stats().PinBlocked)
 			}
-
-			// Pin pressure: with a growing fraction of a full cache
-			// guarded, a stream of unguarded newcomers always finds an
-			// unguarded victim, so no insert is ever blocked.
-			for _, frac := range []float64{0, 0.25, 0.5, 0.9} {
-				const full = 64
-				pol, err := NewPolicyOf[int](name, full)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pc := NewOf(pol, full) // 1-byte entries
-				pinned := int(frac * full)
-				for k := 0; k < full; k++ {
-					if _, err := pc.InsertDiscard(k, 1, 1); err != nil {
-						t.Fatal(err)
-					}
-				}
-				pc.PinnedBy(func(k int) bool { return k < pinned })
-				for i := 0; i < 4*full; i++ {
-					if _, err := pc.InsertDiscard(full+i, 1, i%12+1); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if got := pc.Stats().PinBlocked; got != 0 || pc.UsedBytes() != full {
-					t.Errorf("%.0f%% pinned: PinBlocked=%d used=%d; want 0 and %d", frac*100, got, pc.UsedBytes(), full)
-				}
-				for k := 0; k < pinned; k++ {
-					if !pc.Contains(k) {
-						t.Fatalf("%.0f%% pinned: guarded key %d evicted", frac*100, k)
-					}
-				}
-			}
 		})
 	}
 }

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"simfs/internal/cache"
+)
 
 func TestAblationPrefetchStrategies(t *testing.T) {
 	tab, err := AblationPrefetchStrategies()
@@ -42,6 +46,43 @@ func TestAblationDoubling(t *testing.T) {
 	// Ramp-up trades a bounded amount of time for the reduced waste.
 	if tDbl.Median > 2*tImm.Median {
 		t.Errorf("doubling time %.0fs more than doubles immediate %.0fs", tDbl.Median, tImm.Median)
+	}
+}
+
+// TestAblationPinPressure keeps the check the deleted pin-pressure table
+// made, whose every cell read 0 by construction: with a growing fraction
+// of a full cache guarded, a stream of unguarded newcomers always finds an
+// unguarded victim under every policy, so no insert is ever blocked.
+func TestAblationPinPressure(t *testing.T) {
+	const full = 64
+	for _, pol := range cache.PolicyNames() {
+		for _, frac := range []float64{0, 0.25, 0.5, 0.9} {
+			p, err := cache.NewPolicyOf[int](pol, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := cache.NewOf(p, full) // 1-byte entries
+			pinned := int(frac * full)
+			for k := 0; k < full; k++ {
+				if _, err := c.InsertDiscard(k, 1, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.PinnedBy(func(k int) bool { return k < pinned })
+			for i := 0; i < 4*full; i++ {
+				if _, err := c.InsertDiscard(full+i, 1, i%12+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := c.Stats().PinBlocked; got != 0 || c.UsedBytes() != full {
+				t.Errorf("%s, %.0f%% pinned: PinBlocked=%d used=%d; want 0 and %d", pol, frac*100, got, c.UsedBytes(), full)
+			}
+			for k := 0; k < pinned; k++ {
+				if !c.Contains(k) {
+					t.Fatalf("%s, %.0f%% pinned: guarded key %d evicted", pol, frac*100, k)
+				}
+			}
+		}
 	}
 }
 
