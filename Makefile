@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race sched-golden bench bench-smoke bench-selftest bench-gate pairs bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race sched-golden bench bench-smoke bench-selftest bench-gate pairs benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
 
 all: build
 
@@ -106,39 +106,6 @@ benchstat:
 		echo "bench-after.txt saved; install benchstat (golang.org/x/perf) to compare against bench-before.txt"; \
 	fi
 
-# bench2json takes the median across the repetitions of a run; if
-# benchstat is installed the raw text output is also summarized.
-#
-# bench-fed regenerates BENCH_federation.json, the scale-out figure:
-# aggregate roundtrips/s for 1, 2, and 4 daemons behind the
-# consistent-hash router, plus the router-overhead comparison against a
-# direct daemon dial at daemons=1. Each daemon runs a 2-node scheduler
-# budget, so the figure measures admission capacity scaling, not CPU.
-FED_BENCH_COUNT ?= 3
-bench-fed:
-	$(GO) test -run '^$$' -bench 'BenchmarkFederationTCP' -benchtime 2s -count $(FED_BENCH_COUNT) . | tee bench-fed.txt
-	$(GO) run ./cmd/bench2json -bench BenchmarkFederationTCP \
-		-compare 'daemons=2/mode=router vs daemons=1/mode=router' \
-		-compare 'daemons=4/mode=router vs daemons=1/mode=router' \
-		-compare 'daemons=1/mode=router vs daemons=1/mode=direct' \
-		-out BENCH_federation.json < bench-fed.txt
-	@if command -v benchstat >/dev/null 2>&1; then benchstat bench-fed.txt; fi
-
-# bench-autoscale regenerates BENCH_autoscale.json, the closed-loop
-# control figure: the phase-changing ablation workload under the best
-# static configuration vs the autoscale controller, pinning the
-# headline cells (demand queue-wait, client blocked time, median
-# completion) as custom benchmark metrics. The DES replay is
-# deterministic, so the medians are exact; count > 1 only steadies
-# ns/op.
-AUTOSCALE_BENCH_COUNT ?= 3
-bench-autoscale:
-	$(GO) test -run '^$$' -bench 'BenchmarkAutoscalePhases' -benchtime 1x -count $(AUTOSCALE_BENCH_COUNT) . | tee bench-autoscale.txt
-	$(GO) run ./cmd/bench2json -bench BenchmarkAutoscalePhases \
-		-compare 'mode=controller vs mode=static-best' \
-		-out BENCH_autoscale.json < bench-autoscale.txt
-	@if command -v benchstat >/dev/null 2>&1; then benchstat bench-autoscale.txt; fi
-
 # proto-fuzz runs the wire-protocol fuzzers (one per frame codec) over
 # their committed seed corpora plus FUZZTIME of random exploration each
 # (CI smokes them at 10s; crank FUZZTIME up locally after protocol
@@ -185,11 +152,9 @@ autoscale-smoke:
 # loc prints the two sizes ROADMAP's north star tracks: non-test Go lines
 # outside benchmark/ (its own module) and testdata/ (analyzer fixtures),
 # and the scheduler's knob count; then the first of them per package
-# directory, sorted by directory. The second line keeps the older count,
-# fixtures included, so the trend stays comparable.
+# directory, sorted by directory.
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' | xargs cat | wc -l | xargs echo "non-test Go lines outside benchmark/ and testdata/:"
-	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l | xargs echo "  the same with testdata/ fixtures counted:"
 	@awk '/^type Config struct/ {in_cfg=1; next} in_cfg && /^}/ {exit} in_cfg && /^\t[A-Z]/ {n++} END {print "sched.Config fields:", n}' internal/sched/config.go
 	@echo "non-test Go lines by package:"
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' | xargs wc -l | \

@@ -723,29 +723,3 @@ func BenchmarkBatchSamplers(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAutoscalePhases is the closed-loop control scoreboard (make
-// bench-autoscale → BENCH_autoscale.json): the phase-changing ablation
-// workload under the best static configuration vs the controller row.
-// The headline metrics are the figure's cells — cumulative demand
-// queue-wait, class-neutral client blocked time, and median completion —
-// reported per iteration; ns/op is just the DES replay cost.
-func BenchmarkAutoscalePhases(b *testing.B) {
-	for _, m := range []struct{ sub, row string }{
-		{"mode=static-best", "static lru"},
-		{"mode=controller", "controller"},
-	} {
-		b.Run(m.sub, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cell, err := experiments.RunAutoscaleMode(1, m.row)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(cell.DemandWait.Seconds(), "demand-wait-s")
-				b.ReportMetric(cell.Blocked.Seconds(), "blocked-s")
-				b.ReportMetric(cell.Median, "median-completion-s")
-				b.ReportMetric(float64(cell.Decisions), "decisions")
-			}
-		})
-	}
-}

@@ -28,10 +28,10 @@ var testSeams = map[string]string{
 	"simfs/internal/faults.SimPlan.WithCrashAt":   "the fault harness: tests crash a simulation at a chosen step",
 	"simfs/internal/faults.SimPlan.WithFailN":     "the fault harness: tests fail a simulation's next n launches",
 	"simfs/internal/experiments.Fig05DV":          "the reference Fig05's replay is checked against the DV's",
-	"simfs/internal/experiments.RunAutoscaleMode": "BenchmarkAutoscalePhases runs one mode of the phase workload",
 	"simfs/internal/prefetch.BackwardWarmup":      "the paper's Sec. IV-C warm-up formula, checked by math_test",
 	"simfs/internal/prefetch.ForwardAnalysisTime": "the paper's Sec. IV-C analysis-time formula, checked by math_test",
 	"simfs/internal/metrics.Series.Xs":            "the root Fig. 15b/c benchmarks read a figure's x positions, whose labels carry computed restart-space sizes",
+	"simfs/internal/cache.PolicyOf.Contains":      "TestPolicyOracleProperty and TestPolicyConformance check each policy's residency against an oracle",
 }
 
 // dynamicMethods are reached through reflection or the fmt, errors and
@@ -48,9 +48,13 @@ var dynamicMethods = map[string]bool{
 // with its reason. The roots are every main package (cmd/*, examples/*),
 // the simfs facade's exported API and every method of the dvlib and
 // ioshim types it re-exports, the benchmark module, and every package's
-// initialisers. A method whose name some interface of the program
-// declares counts as reached, as do dynamicMethods. `make dead-ops` runs
-// it.
+// initialisers. A method that implements a method of one of the module's
+// named interfaces counts as reached when that interface method is: a
+// call through an interface resolves to the interface's own method. A
+// method whose name any other interface of the program declares (the
+// standard library's, a literal's) counts as reached, as do
+// dynamicMethods. An interface method on testSeams roots its
+// implementations. `make dead-ops` runs it.
 func TestReachability(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skipf("go tool unavailable: %v", err)
@@ -80,11 +84,21 @@ func TestReachability(t *testing.T) {
 			w.addPackage(pkg)
 		}
 	}
+	w.addImplementations(pkgs)
 	w.run()
+
+	seen := map[string]bool{}
+	var seams []string
+	for k := range testSeams {
+		if w.ifaceKeys[k] && !w.reached[k] {
+			seen[k] = true
+			seams = append(seams, k)
+		}
+	}
+	w.run(seams...)
 
 	var dead []string
 	lines := 0
-	seen := map[string]bool{}
 	for _, pkg := range pkgs {
 		if pkg.Types.Name() == "main" || strings.HasPrefix(pkg.PkgPath, "simfs/internal/analysis") {
 			continue
@@ -141,8 +155,10 @@ type walk struct {
 	roots   []string
 	reached map[string]bool
 	// ifaceMethods holds the method names of every interface the
-	// program names or converts to.
+	// program names or converts to, the module's named ones aside.
 	ifaceMethods map[string]bool
+	// ifaceKeys holds the keys of the module's named interfaces' methods.
+	ifaceKeys map[string]bool
 }
 
 func newWalk() *walk {
@@ -151,6 +167,7 @@ func newWalk() *walk {
 		edges:        map[string][]string{},
 		reached:      map[string]bool{},
 		ifaceMethods: map[string]bool{},
+		ifaceKeys:    map[string]bool{},
 	}
 }
 
@@ -194,8 +211,12 @@ func uses(info *types.Info, node ast.Node) []string {
 // and every package's initialisers.
 func (w *walk) addPackage(pkg *analysis.Package) {
 	info := pkg.TypesInfo
-	for _, tv := range info.Types {
-		w.noteInterfaces(tv.Type)
+	for e, tv := range info.Types {
+		// An interface literal counts where a value takes its type: the
+		// literal inside a named interface's declaration must not.
+		if _, lit := e.(*ast.InterfaceType); !lit {
+			w.noteInterfaces(tv.Type)
+		}
 	}
 	for _, f := range pkg.Syntax {
 		for _, decl := range f.Decls {
@@ -224,9 +245,10 @@ func (w *walk) addPackage(pkg *analysis.Package) {
 
 // noteInterfaces records the method names of the interfaces t is or
 // converts to: an interface itself, and a signature's parameters and
-// results (a call converts its arguments implicitly).
+// results (a call converts its arguments implicitly). The module's named
+// interfaces are left to addImplementations.
 func (w *walk) noteInterfaces(t types.Type) {
-	if t == nil {
+	if t == nil || moduleInterface(t) {
 		return
 	}
 	switch u := t.Underlying().(type) {
@@ -237,12 +259,89 @@ func (w *walk) noteInterfaces(t types.Type) {
 	case *types.Signature:
 		for _, tuple := range []*types.Tuple{u.Params(), u.Results()} {
 			for i := 0; i < tuple.Len(); i++ {
-				if it, ok := tuple.At(i).Type().Underlying().(*types.Interface); ok {
-					w.noteInterfaces(it)
+				if types.IsInterface(tuple.At(i).Type()) {
+					w.noteInterfaces(tuple.At(i).Type())
 				}
 			}
 		}
 	}
+}
+
+// moduleInterface reports whether t is a named interface of the root
+// module (the benchmark module's own count as foreign).
+func moduleInterface(t types.Type) bool {
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok || !types.IsInterface(n) || n.Obj().Pkg() == nil {
+		return false
+	}
+	path := n.Obj().Pkg().Path()
+	return (path == "simfs" || strings.HasPrefix(path, "simfs/")) && path != "simfs/benchmark"
+}
+
+// addImplementations links each method of the module's named interfaces
+// to the methods of the module's named types that implement it. Each
+// package imports the others from export data, so no two share type
+// identities: a type implements an interface when it has a method of
+// every name the interface declares, with the same signature spelled
+// out (generic sides match when their type parameters share names).
+func (w *walk) addImplementations(pkgs []*analysis.Package) {
+	type method struct{ key, sig string }
+	var ifaces []map[string]method
+	var named []map[string]method
+	for _, pkg := range pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			ms := map[string]method{}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					m := it.Method(i)
+					ms[m.Name()] = method{funcKey(m), signature(m)}
+					w.ifaceKeys[funcKey(m)] = true
+				}
+				ifaces = append(ifaces, ms)
+				continue
+			}
+			set := types.NewMethodSet(types.NewPointer(tn.Type()))
+			for i := 0; i < set.Len(); i++ {
+				m := set.At(i).Obj().(*types.Func)
+				ms[m.Name()] = method{funcKey(m), signature(m)}
+			}
+			named = append(named, ms)
+		}
+	}
+	for _, it := range ifaces {
+	types:
+		for _, ms := range named {
+			for name, m := range it {
+				if ms[name].sig != m.sig {
+					continue types
+				}
+			}
+			for name, m := range it {
+				w.edges[m.key] = append(w.edges[m.key], ms[name].key)
+			}
+		}
+	}
+}
+
+// signature spells out f's parameter and result types.
+func signature(f *types.Func) string {
+	sig := f.Type().(*types.Signature)
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), nil) + ",")
+		}
+		b.WriteString(";")
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }
 
 // rootFacadeAliases roots every exported method of the dvlib and ioshim
@@ -278,10 +377,10 @@ func (w *walk) viaInterface(name string, method bool) bool {
 	return method && (w.ifaceMethods[name] || dynamicMethods[name])
 }
 
-// run marks everything reachable from the roots, and from every method
-// viaInterface admits.
-func (w *walk) run() {
-	queue := append([]string(nil), w.roots...)
+// run marks everything reachable from the roots, from every method
+// viaInterface admits and from more.
+func (w *walk) run(more ...string) {
+	queue := append(append([]string(nil), w.roots...), more...)
 	for _, ds := range w.decls {
 		for _, d := range ds {
 			if w.viaInterface(d.decl.Name.Name, d.decl.Recv != nil) {

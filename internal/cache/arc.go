@@ -168,17 +168,6 @@ func (p *arcOf[K]) Evict(key K) {
 	}
 }
 
-// Remove implements PolicyOf.
-func (p *arcOf[K]) Remove(key K) {
-	nd, ok := p.where[key]
-	if !ok {
-		return
-	}
-	p.listOf(nd.cost).remove(nd)
-	delete(p.where, key)
-	p.ar.put(nd)
-}
-
 // Contains implements PolicyOf.
 func (p *arcOf[K]) Contains(key K) bool {
 	nd, ok := p.where[key]

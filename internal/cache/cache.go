@@ -159,16 +159,6 @@ func (c *CacheOf[K]) evict(key K) {
 	delete(c.sizes, key)
 }
 
-// Remove withdraws a key without counting an eviction (external deletion).
-func (c *CacheOf[K]) Remove(key K) {
-	if _, ok := c.sizes[key]; !ok {
-		return
-	}
-	c.policy.Remove(key)
-	c.used -= c.sizes[key]
-	delete(c.sizes, key)
-}
-
 // PinnedBy makes guard the cache's eviction guard: a key for which it
 // returns true is never offered as a victim. The cache keeps no
 // reference counts of its own — their owner (the Virtualizer's shard

@@ -84,11 +84,11 @@ func TestPolicyConformance(t *testing.T) {
 				t.Fatal("victim proposed although everything is pinned")
 			}
 
-			// Remove is idempotent.
-			p.Remove("k3")
-			p.Remove("k3")
+			// Evict is idempotent.
+			p.Evict("k3")
+			p.Evict("k3")
 			if p.Contains("k3") || p.Len() != 3 {
-				t.Fatalf("after Remove: contains=%v len=%d", p.Contains("k3"), p.Len())
+				t.Fatalf("after Evict: contains=%v len=%d", p.Contains("k3"), p.Len())
 			}
 
 			// Drain completely via Victim/Evict.
@@ -420,9 +420,9 @@ func TestCacheExternalGuard(t *testing.T) {
 				t.Fatalf("area-sized insert under references: evicted %v, err %v, len %d, PinBlocked %d; want 5 victims, 4, 1",
 					evicted, err, c.Len(), c.Stats().PinBlocked)
 			}
-			c.Remove(whole)
-			// Refill with referenced keys: with every resident guarded the
-			// next insert overflows and says so.
+			// Refill with referenced keys (the first evicts the area-sized
+			// one): with every resident guarded the next insert overflows
+			// and says so.
 			for k := 5000; c.Len() < capacity; k++ {
 				refs[k] = 1
 				c.Insert(k, 1, 1, nil)
@@ -501,16 +501,6 @@ func TestCacheInsertEvictsToFit(t *testing.T) {
 	if !c.Contains("c") || c.UsedBytes() != 35 || c.Stats().PinBlocked != 1 {
 		t.Errorf("pinned c resident %v, used %d, PinBlocked %d; want true, 35, 1",
 			c.Contains("c"), c.UsedBytes(), c.Stats().PinBlocked)
-	}
-}
-
-func TestCacheRemove(t *testing.T) {
-	c := New(newLRU[string](), 30)
-	c.Insert("a", 10, 1, nil)
-	c.Remove("a")
-	c.Remove("a") // idempotent
-	if c.Contains("a") || c.UsedBytes() != 0 {
-		t.Error("remove failed")
 	}
 }
 

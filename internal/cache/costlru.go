@@ -228,19 +228,10 @@ func (p *costLRUOf[K]) cancelPending(nd *node[K]) {
 	}
 }
 
-// Evict implements PolicyOf.
-func (p *costLRUOf[K]) Evict(key K) { p.removeResident(key) }
-
-// Remove implements PolicyOf.
-func (p *costLRUOf[K]) Remove(key K) {
-	p.removeResident(key)
-	p.dropPending(key)
-}
-
-// removeResident takes key out of the cache. A depreciation that targets
-// it goes with it: the entry it would have depreciated is gone, and a
-// later incarnation of the key must not inherit it.
-func (p *costLRUOf[K]) removeResident(key K) {
+// Evict implements PolicyOf. A depreciation that targets key goes with
+// it: the entry it would have depreciated is gone, and a later
+// incarnation of the key must not inherit it.
+func (p *costLRUOf[K]) Evict(key K) {
 	if nd, ok := p.byKey[key]; ok {
 		p.cancelPending(nd)
 		p.unlink(nd)
@@ -265,14 +256,4 @@ func (p *costLRUOf[K]) Reset() {
 	p.spare = append(p.spare, p.buckets...)
 	p.buckets = p.buckets[:0]
 	p.seq = 0
-}
-
-// costOf returns the current (possibly depreciated) cost of a resident key;
-// exported for tests via the package-internal helper.
-func (p *costLRUOf[K]) costOf(key K) (int, bool) {
-	nd, ok := p.byKey[key]
-	if !ok {
-		return 0, false
-	}
-	return nd.cost, true
 }

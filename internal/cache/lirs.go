@@ -171,28 +171,6 @@ func (p *lirsOf[K]) Evict(key K) {
 	}
 }
 
-// Remove implements PolicyOf.
-func (p *lirsOf[K]) Remove(key K) {
-	nd, ok := p.byKey[key]
-	if !ok {
-		return
-	}
-	if nd.resident {
-		p.dequeue(key)
-		if nd.lir {
-			p.nLIR--
-		}
-	} else {
-		p.ghosts--
-	}
-	if p.inS(nd) {
-		p.s.remove(nd)
-	}
-	delete(p.byKey, key)
-	p.ar.put(nd)
-	p.prune()
-}
-
 // Contains implements PolicyOf.
 func (p *lirsOf[K]) Contains(key K) bool {
 	nd, ok := p.byKey[key]

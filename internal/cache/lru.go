@@ -46,10 +46,7 @@ func (p *lruOf[K]) Victim(pinned func(K) bool) (K, bool) {
 }
 
 // Evict implements PolicyOf.
-func (p *lruOf[K]) Evict(key K) { p.Remove(key) }
-
-// Remove implements PolicyOf.
-func (p *lruOf[K]) Remove(key K) {
+func (p *lruOf[K]) Evict(key K) {
 	if nd, ok := p.byKey[key]; ok {
 		p.rec.remove(nd)
 		delete(p.byKey, key)

@@ -25,10 +25,8 @@ import "fmt"
 // keep pins: those reach Victim as the engine's guard.
 //
 // The engine's contract: keys become resident via Insert, hits on resident
-// keys call Access, eviction is a two-step Victim→Evict dance (so policies
-// with ghost lists can retire the entry into history), and Remove withdraws
-// a key that disappeared for external reasons (file deleted by an
-// operator, context reset).
+// keys call Access, and eviction is a two-step Victim→Evict dance (so
+// policies with ghost lists can retire the entry into history).
 type PolicyOf[K comparable] interface {
 	// Name returns the scheme's short name (LRU, LIRS, ARC, BCL, DCL).
 	Name() string
@@ -46,8 +44,6 @@ type PolicyOf[K comparable] interface {
 	// Evict removes a key previously returned by Victim. Ghost-keeping
 	// policies retire it into their history.
 	Evict(key K)
-	// Remove withdraws a key without keeping history.
-	Remove(key K)
 	// Contains reports whether key is resident.
 	Contains(key K) bool
 	// Len returns the number of resident entries.

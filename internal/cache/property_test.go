@@ -57,10 +57,6 @@ func runPolicyOracle(p Policy, seed int64, steps int) error {
 			}
 			p.Evict(v)
 			resident[v] = false
-		case op < 85: // remove
-			k := pick()
-			p.Remove(k)
-			resident[k] = false
 		case op < 95: // toggle pin on a resident key
 			k := pick()
 			if resident[k] {
@@ -137,7 +133,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 
 				for i := 0; i < 400; i++ {
 					k := fmt.Sprintf("f%02d", rng.Intn(24))
-					switch rng.Intn(10) {
+					switch rng.Intn(9) {
 					case 0, 1, 2, 3, 4:
 						size := int64(rng.Intn(20) + 1)
 						wasResident := c.Contains(k)
@@ -165,10 +161,6 @@ func TestCacheInvariantsProperty(t *testing.T) {
 						if pinCount[k] > 0 {
 							pinCount[k]--
 						}
-					case 9:
-						c.Remove(k)
-						delete(sizes, k)
-						pinCount[k] = 0
 					}
 					var want int64
 					for _, s := range sizes {

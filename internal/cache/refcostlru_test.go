@@ -145,16 +145,6 @@ func (p *refCostLRU[K]) Evict(key K) {
 	p.cancelPendingFor(key)
 }
 
-// Remove implements PolicyOf.
-func (p *refCostLRU[K]) Remove(key K) {
-	p.removeResident(key)
-	if p.dynamic {
-		delete(p.pendingDepr, key)
-		delete(p.deprBy, key)
-		p.cancelPendingFor(key)
-	}
-}
-
 func (p *refCostLRU[K]) removeResident(key K) {
 	if nd, ok := p.byKey[key]; ok {
 		p.rec.remove(nd)
@@ -177,9 +167,17 @@ func (p *refCostLRU[K]) Reset() {
 	p.ar.drain(&p.rec)
 }
 
-// costOf returns the current (possibly depreciated) cost of a resident key;
-// exported for tests via the package-internal helper.
+// costOf returns the current (possibly depreciated) cost of a resident key.
 func (p *refCostLRU[K]) costOf(key K) (int, bool) {
+	nd, ok := p.byKey[key]
+	if !ok {
+		return 0, false
+	}
+	return nd.cost, true
+}
+
+// costOf returns the current (possibly depreciated) cost of a resident key.
+func (p *costLRUOf[K]) costOf(key K) (int, bool) {
 	nd, ok := p.byKey[key]
 	if !ok {
 		return 0, false
@@ -274,9 +272,6 @@ func TestCostLRUMatchesReferenceScan(t *testing.T) {
 						evict(i, true)
 					case op < 83:
 						evict(i, false) // a proposal nobody acts on
-					case op < 88:
-						got.Remove(key)
-						ref.Remove(key)
 					case op < 99:
 						guard = func(k int) bool { return guarded[k] }
 						clear(guarded)

@@ -55,7 +55,7 @@ func TestStepProducedAtCapacityAllocFree(t *testing.T) {
 	if cs.stats.Evictions == evictions {
 		t.Fatal("no step was evicted: the cache never reached capacity")
 	}
-	if got, want := area.UsedBytes(), ctx.MaxCacheBytes; got != want {
+	if got, want := usedBytes(area), ctx.MaxCacheBytes; got != want {
 		t.Errorf("storage area holds %d bytes, want the cache's %d: victims were not removed", got, want)
 	}
 }
@@ -129,4 +129,14 @@ func TestNamesConcurrentWithRegistry(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// usedBytes is the total size of the files in a storage area.
+func usedBytes(area vfs.FS) int64 {
+	var n int64
+	for _, name := range area.List() {
+		s, _ := area.Size(name)
+		n += s
+	}
+	return n
 }

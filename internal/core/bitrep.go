@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"simfs/internal/simulator"
+)
 
 // Bitwise-reproducibility support (paper Sec. III-C2): "the simulation
 // context keeps a map from filenames to checksums that can be updated
@@ -9,7 +13,7 @@ import "fmt"
 // registered original.
 
 // RegisterChecksum stores the original checksum of a file, as computed by
-// the simulator-specific driver checksum at initial-simulation time.
+// simulator.Checksum at initial-simulation time.
 func (v *Virtualizer) RegisterChecksum(ctxName, filename string, sum uint64) error {
 	cs, step, err := v.lockedStep(ctxName, filename)
 	if err != nil {
@@ -22,7 +26,7 @@ func (v *Virtualizer) RegisterChecksum(ctxName, filename string, sum uint64) err
 
 // Bitrep implements SIMFS_Bitrep: it checks whether the given (current)
 // file content matches the originally produced file, by comparing the
-// driver-computed checksums. The returned flag is true when the contents
+// simulator's checksums. The returned flag is true when the contents
 // are bitwise identical. An error is returned if no original checksum was
 // registered for the file. The checksum itself is computed outside the
 // shard lock.
@@ -32,10 +36,9 @@ func (v *Virtualizer) Bitrep(ctxName, filename string, content []byte) (bool, er
 		return false, err
 	}
 	orig, found := cs.checksums[step]
-	driver := cs.driver
 	cs.mu.Unlock()
 	if !found {
 		return false, fmt.Errorf("core: %w: no registered checksum for %q (run the checksum utility after the initial simulation)", ErrInvalid, filename)
 	}
-	return driver.Checksum(content) == orig, nil
+	return simulator.Checksum(content) == orig, nil
 }

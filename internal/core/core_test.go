@@ -433,8 +433,7 @@ func TestBitrep(t *testing.T) {
 	h := newHarness(t, ctx)
 	file := ctx.Filename(1)
 	content := vfs.Content(file, 64)
-	drv := simulator.NewSynthetic(ctx)
-	if err := h.v.RegisterChecksum("c", file, drv.Checksum(content)); err != nil {
+	if err := h.v.RegisterChecksum("c", file, simulator.Checksum(content)); err != nil {
 		t.Fatal(err)
 	}
 	same, err := h.v.Bitrep("c", file, content)
@@ -448,7 +447,7 @@ func TestBitrep(t *testing.T) {
 	if _, err := h.v.Bitrep("c", ctx.Filename(2), content); err == nil {
 		t.Error("unregistered file should error")
 	}
-	if cs, _ := h.v.shardOf("c"); cs.checksums[1] != drv.Checksum(content) {
+	if cs, _ := h.v.shardOf("c"); cs.checksums[1] != simulator.Checksum(content) {
 		t.Error("registered checksum not stored under the file's step")
 	}
 	if err := h.v.RegisterChecksum("c", "garbage", 1); err == nil {

@@ -41,7 +41,6 @@ import (
 	"simfs/internal/notify"
 	"simfs/internal/prefetch"
 	"simfs/internal/sched"
-	"simfs/internal/simulator"
 	"simfs/internal/vfs"
 )
 
@@ -123,8 +122,7 @@ type simState struct {
 type shard struct {
 	mu metrics.ContendedMutex
 
-	ctx    *model.Context
-	driver simulator.Driver
+	ctx *model.Context
 	// cache is keyed by output step like steps below, whose reference
 	// counts are its eviction guard (cache.PinnedBy): there is no pin
 	// count to mirror.
@@ -277,7 +275,6 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 	v.sched.Register(ctx.Name, ctx.SMax)
 	cs := &shard{
 		ctx:        ctx,
-		driver:     simulator.NewSynthetic(ctx),
 		cache:      cache.NewOf(pol, ctx.MaxCacheBytes),
 		fs:         fs,
 		steps:      newStepTable(ctx.Grid.NumOutputSteps()),

@@ -77,18 +77,6 @@ func autoscaleModes() []autoscaleMode {
 	}
 }
 
-// RunAutoscaleMode runs one named row of the autoscale ablation — the
-// benchmark scoreboard (make bench-autoscale) prices single modes
-// without paying for the whole table.
-func RunAutoscaleMode(seed int64, mode string) (AutoscaleResult, error) {
-	for _, m := range autoscaleModes() {
-		if m.name == mode {
-			return runAutoscaleCell(seed, m.cache, m.cfg, m.policies, m.tick)
-		}
-	}
-	return AutoscaleResult{}, fmt.Errorf("autoscale ablation: unknown mode %q", mode)
-}
-
 // controllerPolicies is the controller row's policy set: every knob the
 // static rows hold fixed, steered from the stats stream.
 func controllerPolicies() []autoscale.Policy {

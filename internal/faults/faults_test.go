@@ -87,13 +87,13 @@ func TestFSInjection(t *testing.T) {
 	if !errors.As(err, &inj) {
 		t.Fatalf("want InjectedError, got %v", err)
 	}
-	if fs.Exists("a") {
+	if _, ok := fs.Size("a"); ok {
 		t.Fatal("failed create must not materialize the file")
 	}
 	if err := fs.Create("a", 10); err != nil {
 		t.Fatalf("second create: %v", err)
 	}
-	if !fs.Exists("a") || fs.UsedBytes() != 10 {
+	if s, ok := fs.Size("a"); !ok || s != 10 {
 		t.Fatal("pass-through create did not land")
 	}
 	if fs.Injected() != 1 {

@@ -73,9 +73,6 @@ func (f *FS) WriteRaw(name string, data []byte) error {
 	return f.inner.WriteRaw(name, data)
 }
 
-// Exists implements vfs.FS.
-func (f *FS) Exists(name string) bool { return f.inner.Exists(name) }
-
 // Size implements vfs.FS.
 func (f *FS) Size(name string) (int64, bool) { return f.inner.Size(name) }
 
@@ -92,6 +89,3 @@ func (f *FS) Remove(name string) error {
 
 // List implements vfs.FS.
 func (f *FS) List() []string { return f.inner.List() }
-
-// UsedBytes implements vfs.FS.
-func (f *FS) UsedBytes() int64 { return f.inner.UsedBytes() }

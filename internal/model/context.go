@@ -39,11 +39,11 @@ type Context struct {
 	// queueing time, which the batch substrate adds on top.
 	Alpha time.Duration
 
-	// DefaultParallelism is the parallelism level used for re-simulations
-	// unless a prefetch agent raises it (strategy 1).
+	// DefaultParallelism is the node count re-simulations run on unless
+	// a prefetch agent raises it (strategy 1).
 	DefaultParallelism int
-	// MaxParallelism is the maximum parallelism level accepted by the
-	// simulation driver.
+	// MaxParallelism is the largest node count a re-simulation may run
+	// on.
 	MaxParallelism int
 
 	// SMax limits the number of re-simulations of this context that may

@@ -103,13 +103,6 @@ type Interval struct {
 	End   int // last timestep simulated (inclusive)
 }
 
-// Contains reports whether output step i (on grid g) is produced by a
-// re-simulation covering the interval.
-func (iv Interval) Contains(g Grid, i int) bool {
-	t := g.OutputTimestep(i)
-	return t > iv.Start && t <= iv.End
-}
-
 // Len returns the number of timesteps simulated.
 func (iv Interval) Len() int { return iv.End - iv.Start }
 

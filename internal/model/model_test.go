@@ -9,6 +9,14 @@ import (
 	"testing/quick"
 )
 
+// Contains reports whether output step i (on grid g) is produced by a
+// re-simulation covering the interval: the oracle of the ResimInterval
+// tests.
+func (iv Interval) Contains(g Grid, i int) bool {
+	t := g.OutputTimestep(i)
+	return t > iv.Start && t <= iv.End
+}
+
 func TestGridValidate(t *testing.T) {
 	cases := []struct {
 		name string

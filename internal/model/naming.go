@@ -150,7 +150,7 @@ func (c *Context) RestartFilename(t int) string {
 // Filename(i) == name, so each step has one name — the one the cache and
 // the storage area know it by. A sign, short padding ("_2") or extra
 // leading zeros name no step. Key is monotone in production order, as
-// required by the simulation driver contract.
+// the paper's naming convention (Sec. III-B) requires.
 func (c *Context) Key(name string) (int, error) {
 	if len(name) < len(c.FilePrefix)+len(c.FileSuffix) ||
 		!strings.HasPrefix(name, c.FilePrefix) || !strings.HasSuffix(name, c.FileSuffix) {

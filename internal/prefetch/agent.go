@@ -234,7 +234,7 @@ func (a *Agent) OnAccess(step int, now, procTime time.Duration, cover Cover) Dec
 
 // planParallelism implements strategy 1 (Sec. IV-B1b): raise the
 // parallelism of the next re-simulation while the analysis outpaces the
-// simulation and the driver allows more nodes, then leave the residual gap
+// simulation and the context allows more nodes, then leave the residual gap
 // to strategy 2 (parallel simulations).
 func (a *Agent) planParallelism() int {
 	p := a.est.DefaultParallelism()

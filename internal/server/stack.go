@@ -213,7 +213,6 @@ func (st *Stack) RunInitialSimulation(ctxName string) error {
 	if err != nil {
 		return err
 	}
-	drv := simulator.NewSynthetic(ctx)
 	for t := ctx.Grid.DeltaR; t <= ctx.Grid.Timesteps; t += ctx.Grid.DeltaR {
 		if err := area.Create(ctx.RestartFilename(t), ctx.RestartBytes); err != nil {
 			return err
@@ -221,7 +220,7 @@ func (st *Stack) RunInitialSimulation(ctxName string) error {
 	}
 	for i := 1; i <= ctx.Grid.NumOutputSteps(); i++ {
 		name := ctx.Filename(i)
-		sum := drv.Checksum(vfs.Content(name, ctx.OutputBytes))
+		sum := simulator.Checksum(vfs.Content(name, ctx.OutputBytes))
 		if err := st.V.RegisterChecksum(ctxName, name, sum); err != nil {
 			return err
 		}

@@ -1,79 +1,23 @@
 // Package simulator implements the simulator side of SimFS: the
-// simulation driver interface (paper Sec. III-B, written as LUA scripts in
-// the original system and as Go values here), a configurable synthetic
-// simulator with the published COSMO and FLASH parameters, and two
-// launchers that execute re-simulations — one over the discrete-event
-// engine (virtual time, used by all experiments) and one spawning real
-// goroutines that write files to a storage area (used by the daemon,
-// examples and integration tests).
+// simulator-specific checksum of SIMFS_Bitrep (paper Sec. III-B's driver
+// supplies it; naming lives in model.Context), the synthetic simulator's
+// published COSMO and FLASH parameters, and the launcher that executes
+// re-simulations — over the discrete-event engine (virtual time, used by
+// all experiments) or on the wall clock, writing files to a storage area
+// (used by the daemon, examples and integration tests).
 package simulator
 
 import (
-	"fmt"
 	"hash/fnv"
 	"time"
 
 	"simfs/internal/model"
 )
 
-// Driver provides the simulator-specific functionality SimFS needs: the
-// naming convention (Key must be monotone in production order), the
-// simulation job script, and the checksum used by SIMFS_Bitrep.
-type Driver interface {
-	// Name identifies the simulator.
-	Name() string
-	// Key maps an output file name to an integer such that files produced
-	// later have strictly larger keys.
-	Key(filename string) (int, error)
-	// JobScript renders the script the DV would hand to the batch system
-	// to simulate output steps (first, last] at the given parallelism
-	// level. In the original system the DV executes it; here it documents
-	// the launch and is exercised by the control utility.
-	JobScript(first, last, parallelism int) string
-	// Nodes translates a parallelism level (0..max level) into a concrete
-	// node count, enforcing simulator-specific allocation constraints.
-	Nodes(parallelismLevel int) int
-	// Checksum computes the simulator-specific checksum of file content.
-	Checksum(content []byte) uint64
-}
-
-// Synthetic is the synthetic simulator of the paper's Sec. VI ("We use a
-// synthetic simulator that can be configured to produce output steps at a
-// given rate and after a given restart latency"), bound to a model
-// context for its naming convention and timing.
-type Synthetic struct {
-	Ctx *model.Context
-}
-
-// NewSynthetic returns a driver over the given context.
-func NewSynthetic(ctx *model.Context) *Synthetic { return &Synthetic{Ctx: ctx} }
-
-// Name implements Driver.
-func (s *Synthetic) Name() string { return s.Ctx.Name }
-
-// Key implements Driver.
-func (s *Synthetic) Key(filename string) (int, error) { return s.Ctx.Key(filename) }
-
-// JobScript implements Driver.
-func (s *Synthetic) JobScript(first, last, parallelism int) string {
-	return fmt.Sprintf("#!/bin/sh\n# simulation driver: %s\nsimulate --context %s --from-restart %d --to-step %d --nodes %d\n",
-		s.Ctx.Name, s.Ctx.Name, s.Ctx.Grid.RestartBefore(first), last, s.Nodes(parallelism))
-}
-
-// Nodes implements Driver: parallelism levels map to power-of-two node
-// multiples of the default allocation, a common simulator constraint the
-// paper cites ("square or power of two number of processes").
-func (s *Synthetic) Nodes(level int) int {
-	n := s.Ctx.DefaultParallelism
-	for i := 0; i < level && n*2 <= s.Ctx.MaxParallelism; i++ {
-		n *= 2
-	}
-	return n
-}
-
-// Checksum implements Driver with FNV-1a, standing in for the
-// simulator-specific checksum of the paper's SIMFS_Bitrep support.
-func (s *Synthetic) Checksum(content []byte) uint64 {
+// Checksum is the simulator-specific checksum of file content behind
+// SIMFS_Bitrep (paper Sec. III-C2): FNV-1a, standing in for the checksum
+// the original system's simulation driver computes.
+func Checksum(content []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(content)
 	return h.Sum64()

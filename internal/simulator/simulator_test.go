@@ -2,7 +2,6 @@ package simulator
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,51 +13,10 @@ import (
 	"simfs/internal/vfs"
 )
 
-func TestSyntheticDriverKeyRoundTrip(t *testing.T) {
-	ctx := CosmoScaling()
-	d := NewSynthetic(ctx)
-	name := ctx.Filename(7)
-	k, err := d.Key(name)
-	if err != nil || k != 7 {
-		t.Fatalf("Key = %d, %v", k, err)
-	}
-	if _, err := d.Key("garbage"); err == nil {
-		t.Error("bad name should fail")
-	}
-}
-
-func TestSyntheticJobScript(t *testing.T) {
-	ctx := CosmoScaling()
-	d := NewSynthetic(ctx)
-	script := d.JobScript(13, 24, 0)
-	for _, want := range []string{"--context cosmo", "--to-step 24", "--nodes 100"} {
-		if !strings.Contains(script, want) {
-			t.Errorf("script missing %q:\n%s", want, script)
-		}
-	}
-}
-
-func TestSyntheticNodesPowerOfTwo(t *testing.T) {
-	ctx := &model.Context{
-		Name: "n", Grid: model.Grid{DeltaD: 1, DeltaR: 4, Timesteps: 100},
-		OutputBytes: 1, Tau: time.Second,
-		DefaultParallelism: 4, MaxParallelism: 32,
-	}
-	ctx.ApplyDefaults()
-	d := NewSynthetic(ctx)
-	want := []int{4, 8, 16, 32, 32} // levels 0..4, clamped at max
-	for lvl, w := range want {
-		if got := d.Nodes(lvl); got != w {
-			t.Errorf("Nodes(%d) = %d, want %d", lvl, got, w)
-		}
-	}
-}
-
 func TestSyntheticChecksum(t *testing.T) {
-	d := NewSynthetic(CosmoScaling())
-	a := d.Checksum([]byte("hello"))
-	b := d.Checksum([]byte("hello"))
-	c := d.Checksum([]byte("world"))
+	a := Checksum([]byte("hello"))
+	b := Checksum([]byte("hello"))
+	c := Checksum([]byte("world"))
 	if a != b || a == c {
 		t.Error("checksum not deterministic or not discriminating")
 	}
@@ -308,7 +266,7 @@ func TestRealTimeLauncherProducesFiles(t *testing.T) {
 		t.Fatalf("outcome = %v", rec.ended[id])
 	}
 	for s := 1; s <= 3; s++ {
-		if !area.Exists(ctx.Filename(s)) {
+		if _, ok := area.Size(ctx.Filename(s)); !ok {
 			t.Errorf("file for step %d missing", s)
 		}
 	}

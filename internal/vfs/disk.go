@@ -102,16 +102,6 @@ func (d *Disk) WriteRaw(name string, data []byte) error {
 	return nil
 }
 
-// Exists implements FS.
-func (d *Disk) Exists(name string) bool {
-	p, err := d.path(name)
-	if err != nil {
-		return false
-	}
-	fi, err := os.Stat(p)
-	return err == nil && fi.Mode().IsRegular()
-}
-
 // Size implements FS.
 func (d *Disk) Size(name string) (int64, bool) {
 	p, err := d.path(name)
@@ -164,15 +154,4 @@ func (d *Disk) List() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// UsedBytes implements FS.
-func (d *Disk) UsedBytes() int64 {
-	var total int64
-	for _, n := range d.List() {
-		if s, ok := d.Size(n); ok {
-			total += s
-		}
-	}
-	return total
 }

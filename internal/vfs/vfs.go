@@ -23,9 +23,7 @@ type FS interface {
 	// there: a non-reproducible simulator's output, which differs from
 	// the deterministic content.
 	WriteRaw(name string, data []byte) error
-	// Exists reports whether the file is present.
-	Exists(name string) bool
-	// Size returns the file's size.
+	// Size returns the file's size; ok is false when it is absent.
 	Size(name string) (int64, bool)
 	// Read returns the file's content. Implementations may synthesize it
 	// on the fly; it is deterministic for a given (name, size).
@@ -34,8 +32,6 @@ type FS interface {
 	Remove(name string) error
 	// List returns all file names in lexicographic order.
 	List() []string
-	// UsedBytes returns the total size of all files.
-	UsedBytes() int64
 }
 
 // Mem is an in-memory storage area. It is safe for concurrent use. A
@@ -45,7 +41,6 @@ type Mem struct {
 	mu    sync.RWMutex
 	sizes map[string]int64
 	raw   map[string][]byte // WriteRaw's files
-	used  int64
 }
 
 // NewMem returns an empty in-memory storage area.
@@ -74,11 +69,7 @@ func (m *Mem) put(name string, size int64, data []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old, ok := m.sizes[name]; ok {
-		m.used -= old
-	}
 	m.sizes[name] = size
-	m.used += size
 	if data == nil {
 		delete(m.raw, name)
 		return nil
@@ -88,14 +79,6 @@ func (m *Mem) put(name string, size int64, data []byte) error {
 	}
 	m.raw[name] = data
 	return nil
-}
-
-// Exists implements FS.
-func (m *Mem) Exists(name string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.sizes[name]
-	return ok
 }
 
 // Size implements FS.
@@ -126,11 +109,9 @@ func (m *Mem) Read(name string) ([]byte, error) {
 func (m *Mem) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	size, ok := m.sizes[name]
-	if !ok {
+	if _, ok := m.sizes[name]; !ok {
 		return fmt.Errorf("vfs: remove of absent file %q", name)
 	}
-	m.used -= size
 	delete(m.sizes, name)
 	delete(m.raw, name)
 	return nil
@@ -146,13 +127,6 @@ func (m *Mem) List() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// UsedBytes implements FS.
-func (m *Mem) UsedBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.used
 }
 
 // Content deterministically synthesizes size bytes of pseudo-random

@@ -10,27 +10,21 @@ import (
 // conformance runs the shared FS contract against any implementation.
 func conformance(t *testing.T, fs FS) {
 	t.Helper()
-	if fs.Exists("a") {
+	if _, ok := fs.Size("a"); ok {
 		t.Fatal("fresh FS should be empty")
 	}
 	if err := fs.Create("a", 100); err != nil {
 		t.Fatal(err)
 	}
-	if !fs.Exists("a") {
-		t.Fatal("created file missing")
-	}
 	if s, ok := fs.Size("a"); !ok || s != 100 {
 		t.Fatalf("Size = %d,%v", s, ok)
 	}
-	if fs.UsedBytes() != 100 {
-		t.Fatalf("UsedBytes = %d", fs.UsedBytes())
-	}
-	// Overwrite adjusts accounting.
+	// Overwrite replaces the size.
 	if err := fs.Create("a", 50); err != nil {
 		t.Fatal(err)
 	}
-	if fs.UsedBytes() != 50 {
-		t.Fatalf("UsedBytes after overwrite = %d", fs.UsedBytes())
+	if s, _ := fs.Size("a"); s != 50 {
+		t.Fatalf("Size after overwrite = %d", s)
 	}
 	if err := fs.Create("b", 25); err != nil {
 		t.Fatal(err)
@@ -57,8 +51,8 @@ func conformance(t *testing.T, fs FS) {
 	if err := fs.Remove("a"); err == nil {
 		t.Error("double remove should fail")
 	}
-	if fs.Exists("a") || fs.UsedBytes() != 25 {
-		t.Errorf("after remove: exists=%v used=%d", fs.Exists("a"), fs.UsedBytes())
+	if _, ok := fs.Size("a"); ok {
+		t.Error("removed file still present")
 	}
 	if err := fs.Create("", 1); err == nil {
 		t.Error("empty name should fail")
@@ -71,8 +65,11 @@ func conformance(t *testing.T, fs FS) {
 	if err := fs.WriteRaw("b", []byte("perturbed")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := fs.Read("b"); err != nil || string(got) != "perturbed" || fs.UsedBytes() != 9 {
-		t.Fatalf("after WriteRaw: %q, %v, used %d", got, err, fs.UsedBytes())
+	if got, err := fs.Read("b"); err != nil || string(got) != "perturbed" {
+		t.Fatalf("after WriteRaw: %q, %v", got, err)
+	}
+	if s, _ := fs.Size("b"); s != 9 {
+		t.Fatalf("Size after WriteRaw = %d, want 9", s)
 	}
 	if err := fs.Create("b", 25); err != nil {
 		t.Fatal(err)
@@ -155,9 +152,7 @@ func TestMemConcurrentAccess(t *testing.T) {
 			name := string(rune('a' + g))
 			for i := 0; i < 200; i++ {
 				m.Create(name, int64(i))
-				m.Exists(name)
 				m.Size(name)
-				m.UsedBytes()
 				m.List()
 			}
 		}(g)
