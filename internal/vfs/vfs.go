@@ -23,7 +23,7 @@ type FS interface {
 	// there: a non-reproducible simulator's output, which differs from
 	// the deterministic content.
 	WriteRaw(name string, data []byte) error
-	// Size returns the file's size; ok is false when it is absent.
+	// Size returns the file's size, and false when it is absent.
 	Size(name string) (int64, bool)
 	// Read returns the file's content. Implementations may synthesize it
 	// on the fly; it is deterministic for a given (name, size).
