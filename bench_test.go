@@ -258,16 +258,12 @@ func BenchmarkPolicy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c := cache.New(pol, 1024)
-			keys := make([]string, 4096)
-			for i := range keys {
-				keys[i] = fmt.Sprintf("f%04d", i)
-			}
+			c := cache.NewStepCache(pol, 1024)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k := keys[(i*i)%len(keys)] // quadratic probe ≈ skewed reuse
+				k := (i * i) % 4096 // quadratic probe ≈ skewed reuse
 				if !c.Touch(k) {
-					if _, err := c.Insert(k, 1, i%12+1, nil); err != nil {
+					if _, err := c.InsertDiscard(k, 1, i%12+1); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -286,11 +282,11 @@ func BenchmarkPolicyAtCapacity(b *testing.B) {
 	const capacity = 1024
 	for _, name := range cache.PolicyNames() {
 		b.Run(name, func(b *testing.B) {
-			pol, err := cache.NewPolicyOf[int](name, capacity)
+			pol, err := cache.NewPolicy(name, capacity)
 			if err != nil {
 				b.Fatal(err)
 			}
-			c := cache.NewOf(pol, capacity)
+			c := cache.NewStepCache(pol, capacity)
 			rng := rand.New(rand.NewSource(1))
 			access := func() {
 				k := rng.Intn(4 * capacity)
@@ -605,11 +601,11 @@ func BenchmarkReplayECMWF(b *testing.B) {
 }
 
 // TestReplayECMWFAllocFree pins BenchmarkReplayECMWF's allocs/op at
-// zero: with the worker-pinned ReplayState (policy-node arena in every
-// replacement scheme) warmed by one replay, further replays of the same
-// trace allocate nothing. Every policy is pinned — a regression in any
-// scheme's node recycling fails here before it shows up as MB/op in the
-// benchmark. Trace regeneration is pinned separately: the worker-pinned
+// zero: with the worker-pinned ReplayState (every replacement scheme's
+// nodes live in its step table, whose chunks a reset keeps) warmed by one
+// replay, further replays of the same trace allocate nothing. Every
+// policy is pinned — a regression in any scheme's node reuse fails here
+// before it shows up as MB/op in the benchmark. Trace regeneration is pinned separately: the worker-pinned
 // rng and buffer leave only the ECMWF pattern's rank permutation and
 // Zipf sampler (2 allocations).
 func TestReplayECMWFAllocFree(t *testing.T) {
@@ -632,7 +628,7 @@ func TestReplayECMWFAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		replay() // warm the arena and the cache's map storage
+		replay() // warm the step table's chunks
 		if allocs := testing.AllocsPerRun(3, replay); allocs > 0 {
 			t.Errorf("%s: %v allocs per warmed replay, want 0", policy, allocs)
 		}

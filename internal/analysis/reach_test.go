@@ -31,7 +31,6 @@ var testSeams = map[string]string{
 	"simfs/internal/prefetch.BackwardWarmup":      "the paper's Sec. IV-C warm-up formula, checked by math_test",
 	"simfs/internal/prefetch.ForwardAnalysisTime": "the paper's Sec. IV-C analysis-time formula, checked by math_test",
 	"simfs/internal/metrics.Series.Xs":            "the root Fig. 15b/c benchmarks read a figure's x positions, whose labels carry computed restart-space sizes",
-	"simfs/internal/cache.PolicyOf.Contains":      "TestPolicyOracleProperty and TestPolicyConformance check each policy's residency against an oracle",
 }
 
 // dynamicMethods are reached through reflection or the fmt, errors and

@@ -15,84 +15,72 @@ type Stats struct {
 	PinBlocked int64
 }
 
-// CacheOf is the byte-accounting eviction engine that SimFS runs over one
-// storage area, generic over the key type. It combines a replacement
+// StepCache is the byte-accounting eviction engine that SimFS runs over
+// one storage area, keyed by output step. It combines a replacement
 // policy with file sizes and an eviction guard: an output step "can be
 // evicted only if its reference counter is zero" (paper Sec. III-A), and
-// the owner of that counter hands it over through PinnedBy.
-type CacheOf[K comparable] struct {
-	policy   PolicyOf[K]
+// the owner of that counter hands it over through PinnedBy. Residency and
+// sizes live in the policy's step table.
+type StepCache struct {
+	policy   Policy
+	nodes    *table // policy.steps()
 	maxBytes int64
 	used     int64
-	sizes    map[K]int64
 	stats    Stats
 	// pinned is the eviction guard handed to Policy.Victim; nil (the
 	// default) pins nothing.
-	pinned func(K) bool
+	pinned func(int) bool
 }
 
-// Cache is the string-keyed engine. The Virtualizer keys its caches by
-// output step (CacheOf[int]); the alias is left for the benchmark drills
-// and tests, which key by file name.
-type Cache = CacheOf[string]
-
-// New creates a string-keyed cache with the given policy and byte
-// capacity. A zero or negative capacity means unbounded (pure on-disk
-// mode).
-func New(policy Policy, maxBytes int64) *Cache { return NewOf(policy, maxBytes) }
-
-// NewOf creates a cache over any comparable key type. The experiment
-// replay paths use integer output-step keys to keep file-name formatting
-// off the per-access hot path.
-func NewOf[K comparable](policy PolicyOf[K], maxBytes int64) *CacheOf[K] {
-	return &CacheOf[K]{policy: policy, maxBytes: maxBytes, sizes: map[K]int64{}}
+// NewStepCache creates a cache with the given policy and byte capacity.
+// A zero or negative capacity means unbounded (pure on-disk mode).
+func NewStepCache(policy Policy, maxBytes int64) *StepCache {
+	return &StepCache{policy: policy, nodes: policy.steps(), maxBytes: maxBytes}
 }
 
 // ErrTooLarge is returned when a single file exceeds the cache capacity.
 var ErrTooLarge = errors.New("cache: file larger than cache capacity")
 
 // Policy returns the underlying replacement policy.
-func (c *CacheOf[K]) Policy() PolicyOf[K] { return c.policy }
+func (c *StepCache) Policy() Policy { return c.policy }
 
 // SetPolicy swaps the replacement policy live, rebuilding the new policy
 // from the resident set: every resident key is re-inserted with the cost
 // reported by costOf, in the order given by order (first = coldest, last
 // = most recently used) so the initial recency ranking is deterministic.
 // Keys in order that are not resident are skipped; residents missing
-// from order are appended in map order (callers that enumerate the whole
-// key space never hit this). Sizes, the guard and byte accounting are
-// untouched — only the replacement ranking is rebuilt, so no file moves
-// or eviction happens during the swap.
-func (c *CacheOf[K]) SetPolicy(p PolicyOf[K], order []K, costOf func(K) int) {
+// from order follow in step order. Sizes, the guard and byte accounting
+// are untouched — only the replacement ranking is rebuilt, so no file
+// moves or eviction happens during the swap.
+func (c *StepCache) SetPolicy(p Policy, order []int, costOf func(int) int) {
 	p.Reset()
-	seen := make(map[K]bool, len(c.sizes))
+	old, nodes := c.nodes, p.steps()
+	adopt := func(from *node) {
+		if to := nodes.get(from.key); from.resident && (to == nil || !to.resident) {
+			p.Insert(from.key, costOf(from.key))
+			nodes.get(from.key).size = from.size
+		}
+	}
 	for _, key := range order {
-		if _, resident := c.sizes[key]; !resident || seen[key] {
-			continue
-		}
-		seen[key] = true
-		p.Insert(key, costOf(key))
-	}
-	// The replay path (core.SetCachePolicy) passes every resident key in
-	// order, so this fallback only runs for keys the caller omitted; their
-	// relative recency was unspecified to begin with.
-	for key := range c.sizes { //simfs:allow maporder fallback for keys missing from order; callers that care pass a complete order
-		if !seen[key] {
-			p.Insert(key, costOf(key))
+		if nd := old.get(key); nd != nil {
+			adopt(nd)
 		}
 	}
-	c.policy = p
+	for nd := range old.all {
+		adopt(nd)
+	}
+	c.policy, c.nodes = p, nodes
 }
 
 // Contains reports whether key is resident, without touching recency state.
-func (c *CacheOf[K]) Contains(key K) bool {
-	_, ok := c.sizes[key]
-	return ok
+func (c *StepCache) Contains(key int) bool {
+	nd := c.nodes.get(key)
+	return nd != nil && nd.resident
 }
 
 // Touch records an access. It returns true on a hit (and updates the
 // policy's recency state) and false on a miss.
-func (c *CacheOf[K]) Touch(key K) bool {
+func (c *StepCache) Touch(key int) bool {
 	if c.Contains(key) {
 		c.policy.Access(key)
 		return true
@@ -107,7 +95,7 @@ func (c *CacheOf[K]) Touch(key K) bool {
 // resident it is touched and its cost refreshed. If capacity cannot be
 // reached because all candidates are pinned, the cache overflows and the
 // event is counted in Stats.PinBlocked.
-func (c *CacheOf[K]) Insert(key K, size int64, cost int, evicted []K) ([]K, error) {
+func (c *StepCache) Insert(key int, size int64, cost int, evicted []int) ([]int, error) {
 	_, err := c.admit(key, size, cost, &evicted)
 	return evicted, err
 }
@@ -115,22 +103,25 @@ func (c *CacheOf[K]) Insert(key K, size int64, cost int, evicted []K) ([]K, erro
 // InsertDiscard inserts like Insert but reports only the number of
 // evictions, for callers (the experiment replay loop) that only count
 // evictions and never act on the evicted keys.
-func (c *CacheOf[K]) InsertDiscard(key K, size int64, cost int) (evictions int, err error) {
+func (c *StepCache) InsertDiscard(key int, size int64, cost int) (evictions int, err error) {
 	return c.admit(key, size, cost, nil)
 }
 
 // admit implements Insert and returns the number of evictions; when out
 // is non-nil the evicted keys are appended to it.
-func (c *CacheOf[K]) admit(key K, size int64, cost int, out *[]K) (int, error) {
+func (c *StepCache) admit(key int, size int64, cost int, out *[]int) (int, error) {
 	if size < 0 {
-		return 0, fmt.Errorf("cache: negative size %d for %v", size, key)
+		return 0, fmt.Errorf("cache: negative size %d for %d", size, key)
 	}
 	if c.Contains(key) {
 		c.policy.Insert(key, cost)
 		return 0, nil
 	}
+	if key < 0 || key > maxKey {
+		return 0, fmt.Errorf("cache: step %d outside [0, %d]", key, maxKey)
+	}
 	if c.maxBytes > 0 && size > c.maxBytes {
-		return 0, fmt.Errorf("%w: %v is %d bytes, capacity %d", ErrTooLarge, key, size, c.maxBytes)
+		return 0, fmt.Errorf("%w: %d is %d bytes, capacity %d", ErrTooLarge, key, size, c.maxBytes)
 	}
 	n := 0
 	if c.maxBytes > 0 {
@@ -147,16 +138,15 @@ func (c *CacheOf[K]) admit(key K, size int64, cost int, out *[]K) (int, error) {
 			}
 		}
 	}
-	c.sizes[key] = size
-	c.used += size
 	c.policy.Insert(key, cost)
+	c.nodes.get(key).size = size
+	c.used += size
 	return n, nil
 }
 
-func (c *CacheOf[K]) evict(key K) {
+func (c *StepCache) evict(key int) {
+	c.used -= c.nodes.get(key).size
 	c.policy.Evict(key)
-	c.used -= c.sizes[key]
-	delete(c.sizes, key)
 }
 
 // PinnedBy makes guard the cache's eviction guard: a key for which it
@@ -165,38 +155,65 @@ func (c *CacheOf[K]) evict(key K) {
 // step table) hands them over — and a nil guard pins nothing. The guard
 // is bound once: taking a method value per Victim call would allocate a
 // closure on every eviction.
-func (c *CacheOf[K]) PinnedBy(guard func(K) bool) { c.pinned = guard }
+func (c *StepCache) PinnedBy(guard func(int) bool) { c.pinned = guard }
 
 // UsedBytes returns the current resident volume.
-func (c *CacheOf[K]) UsedBytes() int64 { return c.used }
+func (c *StepCache) UsedBytes() int64 { return c.used }
 
 // MaxBytes returns the configured capacity (0 = unbounded).
-func (c *CacheOf[K]) MaxBytes() int64 { return c.maxBytes }
+func (c *StepCache) MaxBytes() int64 { return c.maxBytes }
 
 // Len returns the number of resident entries.
-func (c *CacheOf[K]) Len() int { return len(c.sizes) }
+func (c *StepCache) Len() int { return c.policy.Len() }
 
-// Keys returns the resident keys in unspecified order. K is not
-// ordered, so callers that need determinism sort the result themselves
-// (core.SetCachePolicy sorts by step before replaying accesses).
-func (c *CacheOf[K]) Keys() []K {
-	keys := make([]K, 0, len(c.sizes))
-	for k := range c.sizes { //simfs:allow maporder documented unspecified order; K is not ordered so callers sort
-		keys = append(keys, k)
+// Keys returns the resident keys in ascending step order.
+func (c *StepCache) Keys() []int {
+	keys := make([]int, 0, c.Len())
+	for nd := range c.nodes.all {
+		if nd.resident {
+			keys = append(keys, nd.key)
+		}
 	}
 	return keys
 }
 
 // Stats returns a copy of the event counters.
-func (c *CacheOf[K]) Stats() Stats { return c.stats }
+func (c *StepCache) Stats() Stats { return c.stats }
 
 // Reset empties the cache and its policy and zeroes the counters,
-// retaining allocated map storage and the guard. The replay rep loops
-// reset one cache per replay instead of allocating a fresh policy+cache
-// pair.
-func (c *CacheOf[K]) Reset() {
+// retaining the table's chunks and the guard. The replay rep loops reset
+// one cache per replay instead of allocating a fresh policy+cache pair.
+func (c *StepCache) Reset() {
 	c.policy.Reset()
-	clear(c.sizes)
 	c.used = 0
 	c.stats = Stats{}
+}
+
+// Cache is a file-name-keyed view of a StepCache for the benchmark's
+// cache drill, which keys by name. Each name gets the next step id on
+// its first insert, and ids are never recycled.
+type Cache struct {
+	steps *StepCache
+	ids   map[string]int
+}
+
+// New creates a name-keyed cache with the given policy and byte capacity.
+func New(policy Policy, maxBytes int64) *Cache {
+	return &Cache{steps: NewStepCache(policy, maxBytes), ids: map[string]int{}}
+}
+
+// Touch records an access to name, as StepCache.Touch.
+func (c *Cache) Touch(name string) bool {
+	id, ok := c.ids[name]
+	return ok && c.steps.Touch(id)
+}
+
+// InsertDiscard inserts name, as StepCache.InsertDiscard.
+func (c *Cache) InsertDiscard(name string, size int64, cost int) (int, error) {
+	id, ok := c.ids[name]
+	if !ok {
+		id = len(c.ids)
+		c.ids[name] = id
+	}
+	return c.steps.InsertDiscard(id, size, cost)
 }

@@ -29,73 +29,58 @@ import (
 // O(#distinct costs + #guarded entries); refCostLRU (in the tests) keeps
 // the literal scan and is driven beside this one.
 
-// costLRUOf is the shared machinery of BCL and DCL.
-type costLRUOf[K comparable] struct {
+// costLRU is the shared machinery of BCL and DCL.
+type costLRU struct {
 	name    string
 	dynamic bool // false: BCL, true: DCL
-	byKey   map[K]*node[K]
+	t       table
+	n       int // resident entries
 	// buckets holds the resident entries, one recency list (MRU front …
 	// LRU back, i.e. descending seq) per distinct cost, sorted by ascending
 	// cost. A bucket that empties is dropped and waits in spare; an entry
 	// points at its bucket (node.bucket), so a hit searches nothing.
-	buckets []*costBucket[K]
-	spare   []*costBucket[K]
+	buckets []*costBucket
+	spare   []*costBucket
 	seq     uint64 // the last recency stamp handed out
-	// pending maps an evicted victim key to the depreciation armed at its
-	// eviction (DCL only). The spared entry points back through
-	// node.spared/sparedFor, and every way it can leave the cache or be
-	// re-accessed disarms it, so len(pending) ≤ Len().
-	pending map[K]pendingDepr[K]
-	ar      arena[K]
 }
 
-type costBucket[K comparable] struct {
+type costBucket struct {
 	cost int
-	rec  list[K]
+	rec  list
 }
 
-// pendingDepr is the depreciation of the spared entry lru, by the evicted
-// victim's cost, that fires if the victim is missed on again.
-type pendingDepr[K comparable] struct {
-	lru *node[K]
-	by  int
+func newCostLRU(name string, dynamic bool) *costLRU {
+	return &costLRU{name: name, dynamic: dynamic}
 }
 
-func newCostLRU[K comparable](name string, dynamic bool) *costLRUOf[K] {
-	return &costLRUOf[K]{
-		name:    name,
-		dynamic: dynamic,
-		byKey:   map[K]*node[K]{},
-		pending: map[K]pendingDepr[K]{},
-	}
-}
+// Name implements Policy.
+func (p *costLRU) Name() string { return p.name }
 
-// Name implements PolicyOf.
-func (p *costLRUOf[K]) Name() string { return p.name }
+func (p *costLRU) steps() *table { return &p.t }
 
-// Access implements PolicyOf.
-func (p *costLRUOf[K]) Access(key K) {
-	if nd, ok := p.byKey[key]; ok {
+// Access implements Policy.
+func (p *costLRU) Access(key int) {
+	if nd := p.t.get(key); nd != nil && nd.resident {
 		p.touch(nd, nd.cost)
 	}
 }
 
-// Insert implements PolicyOf.
-func (p *costLRUOf[K]) Insert(key K, cost int) {
-	if nd, ok := p.byKey[key]; ok {
+// Insert implements Policy.
+func (p *costLRU) Insert(key, cost int) {
+	nd := p.t.at(key)
+	if nd.resident {
 		p.touch(nd, cost)
 		return
 	}
 	// Re-insertion of a previously evicted victim before the spared LRU
 	// was re-accessed: the sparing caused this extra miss, so the
 	// depreciation takes effect now.
-	if d, ok := p.pending[key]; ok {
-		p.cancelPending(d.lru)
-		p.recost(d.lru, max(d.lru.cost-d.by, 0))
+	if lru := nd.deprOf; lru != nil {
+		p.cancelPending(lru)
+		p.recost(lru, max(lru.cost-nd.deprBy, 0))
 	}
-	nd := p.ar.get()
-	nd.key, nd.cost = key, cost
-	p.byKey[key] = nd
+	nd.key, nd.cost, nd.resident = key, cost, true
+	p.n++
 	p.seq++
 	nd.seq = p.seq
 	p.link(nd)
@@ -104,7 +89,7 @@ func (p *costLRUOf[K]) Insert(key K, cost int) {
 // touch makes nd the most recently used entry, at the given cost. A
 // re-accessed spared LRU proved sparing right, so its pending depreciation
 // is dropped.
-func (p *costLRUOf[K]) touch(nd *node[K], cost int) {
+func (p *costLRU) touch(nd *node, cost int) {
 	p.seq++
 	nd.seq = p.seq
 	if nd.cost == cost {
@@ -116,7 +101,7 @@ func (p *costLRUOf[K]) touch(nd *node[K], cost int) {
 }
 
 // recost moves nd to the bucket of its new cost, keeping its age.
-func (p *costLRUOf[K]) recost(nd *node[K], cost int) {
+func (p *costLRU) recost(nd *node, cost int) {
 	if nd.cost != cost {
 		p.unlink(nd)
 		nd.cost = cost
@@ -125,8 +110,8 @@ func (p *costLRUOf[K]) recost(nd *node[K], cost int) {
 }
 
 // bucketIndex returns the index of cost's bucket, or where it would go.
-func (p *costLRUOf[K]) bucketIndex(cost int) (int, bool) {
-	return slices.BinarySearchFunc(p.buckets, cost, func(b *costBucket[K], cost int) int {
+func (p *costLRU) bucketIndex(cost int) (int, bool) {
+	return slices.BinarySearchFunc(p.buckets, cost, func(b *costBucket, cost int) int {
 		return cmp.Compare(b.cost, cost)
 	})
 }
@@ -135,21 +120,21 @@ func (p *costLRUOf[K]) bucketIndex(cost int) (int, bool) {
 // it: the front for a fresh stamp, further back for a depreciated entry
 // that keeps its age (only entries that were guarded when it was spared
 // can be older).
-func (p *costLRUOf[K]) link(nd *node[K]) {
+func (p *costLRU) link(nd *node) {
 	i, found := p.bucketIndex(nd.cost)
 	if !found {
-		var b *costBucket[K]
+		var b *costBucket
 		if n := len(p.spare); n > 0 {
 			b, p.spare = p.spare[n-1], p.spare[:n-1]
 		} else {
-			b = new(costBucket[K])
+			b = new(costBucket)
 		}
 		b.cost = nd.cost
 		p.buckets = slices.Insert(p.buckets, i, b)
 	}
 	nd.bucket = p.buckets[i]
 	rec := &nd.bucket.rec
-	var at *node[K]
+	var at *node
 	if rec.front != nil && rec.front.seq > nd.seq {
 		for at = rec.back; at.seq < nd.seq; at = at.prev {
 		}
@@ -157,7 +142,7 @@ func (p *costLRUOf[K]) link(nd *node[K]) {
 	rec.insertAfter(nd, at)
 }
 
-func (p *costLRUOf[K]) unlink(nd *node[K]) {
+func (p *costLRU) unlink(nd *node) {
 	b := nd.bucket
 	b.rec.remove(nd)
 	if b.rec.len() == 0 {
@@ -167,9 +152,9 @@ func (p *costLRUOf[K]) unlink(nd *node[K]) {
 	}
 }
 
-// Victim implements PolicyOf: the first entry from the LRU end with cost
+// Victim implements Policy: the first entry from the LRU end with cost
 // strictly lower than the (unpinned) LRU entry; the LRU is the fallback.
-func (p *costLRUOf[K]) Victim(pinned func(K) bool) (K, bool) {
+func (p *costLRU) Victim(pinned func(int) bool) (int, bool) {
 	// One pass over the buckets in ascending cost. lru is the oldest
 	// unpinned entry seen so far; whenever a costlier bucket's tail turns
 	// out older still, the one it displaces is the oldest among all cheaper
@@ -177,7 +162,7 @@ func (p *costLRUOf[K]) Victim(pinned func(K) bool) (K, bool) {
 	// entries older than the current lru, and the pinned checks are written
 	// inline (no wrapper closure): Victim runs once per eviction on the
 	// replay hot path.
-	var lru, cheaper *node[K]
+	var lru, cheaper *node
 	for _, b := range p.buckets {
 		for nd := b.rec.back; nd != nil && (lru == nil || nd.seq < lru.seq); nd = nd.prev {
 			if pinned == nil || !pinned(nd.key) {
@@ -187,8 +172,7 @@ func (p *costLRUOf[K]) Victim(pinned func(K) bool) (K, bool) {
 		}
 	}
 	if lru == nil {
-		var zero K
-		return zero, false
+		return 0, false
 	}
 	if cheaper == nil {
 		return lru.key, true
@@ -198,7 +182,7 @@ func (p *costLRUOf[K]) Victim(pinned func(K) bool) (K, bool) {
 }
 
 // sparedLRU records that lru was spared in favor of evicting victim.
-func (p *costLRUOf[K]) sparedLRU(lru, victim *node[K]) {
+func (p *costLRU) sparedLRU(lru, victim *node) {
 	if !p.dynamic {
 		// BCL: depreciate immediately.
 		p.recost(lru, max(lru.cost-victim.cost, 0))
@@ -208,52 +192,43 @@ func (p *costLRUOf[K]) sparedLRU(lru, victim *node[K]) {
 	// before lru is re-accessed. At most one is pending per LRU and per
 	// victim.
 	p.cancelPending(lru)
-	p.dropPending(victim.key)
-	p.pending[victim.key] = pendingDepr[K]{lru: lru, by: victim.cost}
-	lru.spared, lru.sparedFor = true, victim.key
-}
-
-// dropPending disarms the depreciation armed by victim's eviction.
-func (p *costLRUOf[K]) dropPending(victim K) {
-	if d, ok := p.pending[victim]; ok {
-		p.cancelPending(d.lru)
+	if other := victim.deprOf; other != nil {
+		p.cancelPending(other)
 	}
+	victim.deprOf, victim.deprBy = lru, victim.cost
+	lru.sparedFor = victim
 }
 
 // cancelPending disarms the depreciation that targets nd.
-func (p *costLRUOf[K]) cancelPending(nd *node[K]) {
-	if nd.spared {
-		delete(p.pending, nd.sparedFor)
-		nd.spared = false
+func (p *costLRU) cancelPending(nd *node) {
+	if v := nd.sparedFor; v != nil {
+		v.deprOf, nd.sparedFor = nil, nil
 	}
 }
 
-// Evict implements PolicyOf. A depreciation that targets key goes with
+// Evict implements Policy. A depreciation that targets key goes with
 // it: the entry it would have depreciated is gone, and a later
-// incarnation of the key must not inherit it.
-func (p *costLRUOf[K]) Evict(key K) {
-	if nd, ok := p.byKey[key]; ok {
+// incarnation of the key must not inherit it. One that key's own
+// eviction armed stays on its entry, for a re-insertion to fire.
+func (p *costLRU) Evict(key int) {
+	if nd := p.t.get(key); nd != nil && nd.resident {
 		p.cancelPending(nd)
 		p.unlink(nd)
-		delete(p.byKey, key)
-		p.ar.put(nd)
+		nd.resident = false
+		p.n--
 	}
 }
 
-// Contains implements PolicyOf.
-func (p *costLRUOf[K]) Contains(key K) bool { _, ok := p.byKey[key]; return ok }
+// Len implements Policy.
+func (p *costLRU) Len() int { return p.n }
 
-// Len implements PolicyOf.
-func (p *costLRUOf[K]) Len() int { return len(p.byKey) }
-
-// Reset implements PolicyOf.
-func (p *costLRUOf[K]) Reset() {
-	clear(p.byKey)
-	clear(p.pending)
+// Reset implements Policy.
+func (p *costLRU) Reset() {
+	p.t.reset()
 	for _, b := range p.buckets {
-		p.ar.drain(&b.rec)
+		b.rec = list{}
 	}
 	p.spare = append(p.spare, p.buckets...)
 	p.buckets = p.buckets[:0]
-	p.seq = 0
+	p.seq, p.n = 0, 0
 }

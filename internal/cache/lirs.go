@@ -16,53 +16,37 @@ package cache
 // promoted to LIR and the bottom LIR entry is demoted to HIR. The stack is
 // pruned so its bottom is always LIR. Ghost entries in S are bounded to
 // 2× capacity to cap metadata.
-type lirsOf[K comparable] struct {
-	cap   int // total resident capacity (entries)
-	lCap  int // target LIR set size
-	byKey map[K]*node[K]
-	s     list[K] // recency stack, front = most recent
-	q     list[K] // resident HIR queue, front = next victim
-	// qByKey tracks nodes linked into q via shadow nodes.
-	qByKey map[K]*node[K]
+type lirsPolicy struct {
+	cap  int // total resident capacity (entries)
+	lCap int // target LIR set size
+	// t holds the stack entries; an entry is known while it is resident
+	// or on the stack. Queue membership is represented by shadow nodes in
+	// qt, to keep the intrusive links simple.
+	t, qt  table
+	s      list // recency stack, front = most recent
+	q      list // resident HIR queue, front = next victim
+	n      int  // resident entries
 	nLIR   int
 	ghosts int
-	// ar recycles both stack nodes and queue shadow nodes.
-	ar arena[K]
 }
 
 // newLIRS returns an empty LIRS policy sized for the given capacity in
 // entries. The HIR target is 1% of capacity (at least one entry), per the
 // original paper's recommendation.
-func newLIRS[K comparable](capacity int) *lirsOf[K] {
-	if capacity < 2 {
-		capacity = 2
-	}
-	hCap := capacity / 100
-	if hCap < 1 {
-		hCap = 1
-	}
-	return &lirsOf[K]{
-		cap:    capacity,
-		lCap:   capacity - hCap,
-		byKey:  map[K]*node[K]{},
-		qByKey: map[K]*node[K]{},
-	}
+func newLIRS(capacity int) *lirsPolicy {
+	capacity = max(capacity, 2)
+	return &lirsPolicy{cap: capacity, lCap: capacity - max(capacity/100, 1)}
 }
 
-// Name implements PolicyOf.
-func (p *lirsOf[K]) Name() string { return "LIRS" }
+// Name implements Policy.
+func (p *lirsPolicy) Name() string { return "LIRS" }
 
-// stack nodes are shared between bookkeeping maps; queue membership is
-// represented by separate shadow nodes to keep the intrusive links simple.
+func (p *lirsPolicy) steps() *table { return &p.t }
 
-func (p *lirsOf[K]) inS(nd *node[K]) bool {
-	return nd.prev != nil || nd.next != nil || p.s.front == nd
-}
-
-// Access implements PolicyOf.
-func (p *lirsOf[K]) Access(key K) {
-	nd, ok := p.byKey[key]
-	if !ok || !nd.resident {
+// Access implements Policy.
+func (p *lirsPolicy) Access(key int) {
+	nd := p.t.get(key)
+	if nd == nil || !nd.resident {
 		return
 	}
 	switch {
@@ -72,7 +56,7 @@ func (p *lirsOf[K]) Access(key K) {
 		if wasBottom {
 			p.prune()
 		}
-	case p.inS(nd):
+	case p.s.has(nd):
 		// Resident HIR hit while on the stack: promote to LIR.
 		p.s.moveToFront(nd)
 		nd.lir = true
@@ -84,39 +68,33 @@ func (p *lirsOf[K]) Access(key K) {
 		// Resident HIR hit, not on the stack: re-enter the stack, stay
 		// HIR, move to the queue tail.
 		p.s.pushFront(nd)
-		if qn, ok := p.qByKey[key]; ok {
+		if qn := p.qt.get(key); qn != nil && p.q.has(qn) {
 			p.q.remove(qn)
 			p.q.pushBack(qn)
 		}
 	}
 }
 
-// Insert implements PolicyOf.
-func (p *lirsOf[K]) Insert(key K, cost int) {
-	if nd, ok := p.byKey[key]; ok && nd.resident {
+// Insert implements Policy.
+func (p *lirsPolicy) Insert(key, cost int) {
+	nd := p.t.at(key)
+	if nd.resident {
 		p.Access(key)
 		return
 	}
-	if nd, ok := p.byKey[key]; ok {
+	nd.key, nd.resident = key, true
+	p.n++
+	if p.s.has(nd) {
 		// Non-resident ghost on the stack: its reuse distance beats the
 		// deepest LIR entry — promote to LIR.
-		nd.resident = true
 		p.ghosts--
-		if p.inS(nd) {
-			p.s.moveToFront(nd)
-			nd.lir = true
-			p.nLIR++
-			p.demoteIfNeeded()
-			p.prune()
-			return
-		}
-		// Ghost fully aged out of the stack: treat as brand new below.
-		delete(p.byKey, key)
-		p.ar.put(nd)
+		p.s.moveToFront(nd)
+		nd.lir = true
+		p.nLIR++
+		p.demoteIfNeeded()
+		p.prune()
+		return
 	}
-	nd := p.ar.get()
-	nd.key, nd.resident = key, true
-	p.byKey[key] = nd
 	if p.nLIR < p.lCap {
 		// Cold start: fill the LIR set first.
 		nd.lir = true
@@ -130,9 +108,9 @@ func (p *lirsOf[K]) Insert(key K, cost int) {
 	p.bound()
 }
 
-// Victim implements PolicyOf: the front of Q; if every queued entry is
+// Victim implements Policy: the front of Q; if every queued entry is
 // pinned, fall back to the deepest unpinned LIR entry on the stack.
-func (p *lirsOf[K]) Victim(pinned func(K) bool) (K, bool) {
+func (p *lirsPolicy) Victim(pinned func(int) bool) (int, bool) {
 	for qn := p.q.front; qn != nil; qn = qn.next {
 		if pinned == nil || !pinned(qn.key) {
 			return qn.key, true
@@ -143,16 +121,15 @@ func (p *lirsOf[K]) Victim(pinned func(K) bool) (K, bool) {
 			return nd.key, true
 		}
 	}
-	var zero K
-	return zero, false
+	return 0, false
 }
 
-// Evict implements PolicyOf: the entry becomes a non-resident ghost if it
+// Evict implements Policy: the entry becomes a non-resident ghost if it
 // is still on the stack (so LIRS can observe its reuse distance);
 // otherwise it is forgotten.
-func (p *lirsOf[K]) Evict(key K) {
-	nd, ok := p.byKey[key]
-	if !ok || !nd.resident {
+func (p *lirsPolicy) Evict(key int) {
+	nd := p.t.get(key)
+	if nd == nil || !nd.resident {
 		return
 	}
 	p.dequeue(key)
@@ -161,52 +138,28 @@ func (p *lirsOf[K]) Evict(key K) {
 		p.nLIR--
 	}
 	nd.resident = false
-	if p.inS(nd) {
+	p.n--
+	if p.s.has(nd) {
 		p.ghosts++
 		p.prune()
 		p.bound()
-	} else {
-		delete(p.byKey, key)
-		p.ar.put(nd)
 	}
 }
 
-// Contains implements PolicyOf.
-func (p *lirsOf[K]) Contains(key K) bool {
-	nd, ok := p.byKey[key]
-	return ok && nd.resident
-}
+// Len implements Policy.
+func (p *lirsPolicy) Len() int { return p.n }
 
-// Len implements PolicyOf.
-func (p *lirsOf[K]) Len() int {
-	n := 0
-	for _, nd := range p.byKey {
-		if nd.resident {
-			n++
-		}
-	}
-	return n
-}
-
-// Reset implements PolicyOf.
-func (p *lirsOf[K]) Reset() {
-	// Every stack node lives in byKey (resident HIR entries off the stack
-	// included), so recycling byKey's values covers the stack; the queue
-	// holds only shadow nodes, recycled by draining it.
-	for _, nd := range p.byKey { //simfs:allow maporder free-list recycling permutes identical zeroed nodes only
-		p.ar.put(nd)
-	}
-	clear(p.byKey)
-	clear(p.qByKey)
-	p.s = list[K]{}
-	p.ar.drain(&p.q)
-	p.nLIR = 0
-	p.ghosts = 0
+// Reset implements Policy.
+func (p *lirsPolicy) Reset() {
+	p.t.reset()
+	p.qt.reset()
+	p.s, p.q = list{}, list{}
+	p.n, p.nLIR, p.ghosts = 0, 0, 0
 }
 
 // demoteIfNeeded demotes the bottom LIR entry to resident HIR when the LIR
 // set exceeds its target size.
-func (p *lirsOf[K]) demoteIfNeeded() {
+func (p *lirsPolicy) demoteIfNeeded() {
 	for p.nLIR > p.lCap {
 		bottom := p.s.back
 		for bottom != nil && !bottom.lir {
@@ -221,34 +174,29 @@ func (p *lirsOf[K]) demoteIfNeeded() {
 		if bottom.resident {
 			p.enqueue(bottom.key)
 		} else {
-			delete(p.byKey, bottom.key)
 			p.ghosts--
-			p.ar.put(bottom)
 		}
 		p.prune()
 	}
 }
 
 // prune removes non-LIR entries from the stack bottom, forgetting ghosts
-// that fall off.
-func (p *lirsOf[K]) prune() {
+// that fall off. Resident HIR entries falling off the stack stay in the
+// queue.
+func (p *lirsPolicy) prune() {
 	for p.s.back != nil && !p.s.back.lir {
 		nd := p.s.back
 		p.s.remove(nd)
 		if !nd.resident {
 			p.ghosts--
-			delete(p.byKey, nd.key)
-			p.ar.put(nd)
 		}
-		// Resident HIR entries falling off the stack stay in the queue
-		// and in byKey.
 	}
 }
 
 // bound caps ghost metadata at 2× capacity by aging the deepest ghosts.
-func (p *lirsOf[K]) bound() {
+func (p *lirsPolicy) bound() {
 	for p.ghosts > 2*p.cap {
-		var oldest *node[K]
+		var oldest *node
 		for nd := p.s.back; nd != nil; nd = nd.prev {
 			if !nd.resident {
 				oldest = nd
@@ -259,26 +207,19 @@ func (p *lirsOf[K]) bound() {
 			return
 		}
 		p.s.remove(oldest)
-		delete(p.byKey, oldest.key)
 		p.ghosts--
-		p.ar.put(oldest)
 	}
 }
 
-func (p *lirsOf[K]) enqueue(key K) {
-	if _, ok := p.qByKey[key]; ok {
-		return
+func (p *lirsPolicy) enqueue(key int) {
+	if qn := p.qt.at(key); !p.q.has(qn) {
+		qn.key = key
+		p.q.pushBack(qn)
 	}
-	qn := p.ar.get()
-	qn.key = key
-	p.qByKey[key] = qn
-	p.q.pushBack(qn)
 }
 
-func (p *lirsOf[K]) dequeue(key K) {
-	if qn, ok := p.qByKey[key]; ok {
+func (p *lirsPolicy) dequeue(key int) {
+	if qn := p.qt.get(key); qn != nil && p.q.has(qn) {
 		p.q.remove(qn)
-		delete(p.qByKey, key)
-		p.ar.put(qn)
 	}
 }

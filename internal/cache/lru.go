@@ -1,67 +1,60 @@
 package cache
 
-// lruOf is the Least-Recently-Used replacement scheme: the victim is the
-// resident entry whose last access is the furthest in the past.
-type lruOf[K comparable] struct {
-	byKey map[K]*node[K]
-	rec   list[K] // MRU front … LRU back
-	ar    arena[K]
+// lruPolicy is the Least-Recently-Used replacement scheme: the victim
+// is the resident entry whose last access is the furthest in the past.
+type lruPolicy struct {
+	t   table
+	rec list // MRU front … LRU back
 }
 
-func newLRU[K comparable]() *lruOf[K] {
-	return &lruOf[K]{byKey: map[K]*node[K]{}}
-}
+func newLRU() *lruPolicy { return &lruPolicy{} }
 
-// Name implements PolicyOf.
-func (p *lruOf[K]) Name() string { return "LRU" }
+// Name implements Policy.
+func (p *lruPolicy) Name() string { return "LRU" }
 
-// Access implements PolicyOf.
-func (p *lruOf[K]) Access(key K) {
-	if nd, ok := p.byKey[key]; ok {
+func (p *lruPolicy) steps() *table { return &p.t }
+
+// Access implements Policy.
+func (p *lruPolicy) Access(key int) {
+	if nd := p.t.get(key); nd != nil && nd.resident {
 		p.rec.moveToFront(nd)
 	}
 }
 
-// Insert implements PolicyOf.
-func (p *lruOf[K]) Insert(key K, cost int) {
-	if nd, ok := p.byKey[key]; ok {
+// Insert implements Policy.
+func (p *lruPolicy) Insert(key, cost int) {
+	nd := p.t.at(key)
+	if nd.resident {
 		p.rec.moveToFront(nd)
 		return
 	}
-	nd := p.ar.get()
-	nd.key, nd.cost = key, cost
-	p.byKey[key] = nd
+	nd.key, nd.resident = key, true
 	p.rec.pushFront(nd)
 }
 
-// Victim implements PolicyOf: the least recently used unpinned entry.
-func (p *lruOf[K]) Victim(pinned func(K) bool) (K, bool) {
+// Victim implements Policy: the least recently used unpinned entry.
+func (p *lruPolicy) Victim(pinned func(int) bool) (int, bool) {
 	for nd := p.rec.back; nd != nil; nd = nd.prev {
 		if pinned == nil || !pinned(nd.key) {
 			return nd.key, true
 		}
 	}
-	var zero K
-	return zero, false
+	return 0, false
 }
 
-// Evict implements PolicyOf.
-func (p *lruOf[K]) Evict(key K) {
-	if nd, ok := p.byKey[key]; ok {
+// Evict implements Policy.
+func (p *lruPolicy) Evict(key int) {
+	if nd := p.t.get(key); nd != nil && nd.resident {
 		p.rec.remove(nd)
-		delete(p.byKey, key)
-		p.ar.put(nd)
+		nd.resident = false
 	}
 }
 
-// Contains implements PolicyOf.
-func (p *lruOf[K]) Contains(key K) bool { _, ok := p.byKey[key]; return ok }
+// Len implements Policy.
+func (p *lruPolicy) Len() int { return p.rec.len() }
 
-// Len implements PolicyOf.
-func (p *lruOf[K]) Len() int { return p.rec.len() }
-
-// Reset implements PolicyOf.
-func (p *lruOf[K]) Reset() {
-	clear(p.byKey)
-	p.ar.drain(&p.rec)
+// Reset implements Policy.
+func (p *lruPolicy) Reset() {
+	p.t.reset()
+	p.rec = list{}
 }

@@ -10,17 +10,14 @@ import (
 // opTrace drives a policy through a random operation sequence while an
 // oracle map tracks expected residency. This is the core property test for
 // all five schemes: whatever the internal structure (stacks, ghosts,
-// adaptation), residency bookkeeping must match the oracle, victims must
-// always be resident and unpinned, and Len must agree.
+// adaptation), the residency the policy keeps in the cache's step table
+// must match the oracle, victims must always be resident and unpinned,
+// and Len must agree.
 func runPolicyOracle(p Policy, seed int64, steps int) error {
 	rng := rand.New(rand.NewSource(seed))
-	resident := map[string]bool{}
-	pinned := map[string]bool{}
-	keys := make([]string, 32)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("f%02d", i)
-	}
-	pick := func() string { return keys[rng.Intn(len(keys))] }
+	resident := map[int]bool{}
+	pinned := map[int]bool{}
+	pick := func() int { return rng.Intn(32) }
 
 	for i := 0; i < steps; i++ {
 		switch op := rng.Intn(100); {
@@ -32,7 +29,7 @@ func runPolicyOracle(p Policy, seed int64, steps int) error {
 			k := pick()
 			p.Access(k)
 		case op < 75: // victim + evict
-			isPinned := func(k string) bool { return pinned[k] }
+			isPinned := func(k int) bool { return pinned[k] }
 			v, ok := p.Victim(isPinned)
 			nResidentUnpinned := 0
 			for k := range resident {
@@ -47,13 +44,13 @@ func runPolicyOracle(p Policy, seed int64, steps int) error {
 				continue
 			}
 			if !resident[v] {
-				return fmt.Errorf("step %d: victim %q not resident per oracle", i, v)
+				return fmt.Errorf("step %d: victim %d not resident per oracle", i, v)
 			}
 			if pinned[v] {
-				return fmt.Errorf("step %d: victim %q is pinned", i, v)
+				return fmt.Errorf("step %d: victim %d is pinned", i, v)
 			}
-			if !p.Contains(v) {
-				return fmt.Errorf("step %d: victim %q not resident per policy", i, v)
+			if !holds(p, v) {
+				return fmt.Errorf("step %d: victim %d not resident per policy", i, v)
 			}
 			p.Evict(v)
 			resident[v] = false
@@ -65,8 +62,8 @@ func runPolicyOracle(p Policy, seed int64, steps int) error {
 		default: // consistency audit
 			n := 0
 			for k, r := range resident {
-				if r != p.Contains(k) {
-					return fmt.Errorf("step %d: residency mismatch for %q: oracle=%v policy=%v", i, k, r, p.Contains(k))
+				if r != holds(p, k) {
+					return fmt.Errorf("step %d: residency mismatch for %d: oracle=%v policy=%v", i, k, r, holds(p, k))
 				}
 				if r {
 					n++
@@ -80,8 +77,8 @@ func runPolicyOracle(p Policy, seed int64, steps int) error {
 	// Final full audit.
 	n := 0
 	for k, r := range resident {
-		if r != p.Contains(k) {
-			return fmt.Errorf("final residency mismatch for %q", k)
+		if r != holds(p, k) {
+			return fmt.Errorf("final residency mismatch for %d", k)
 		}
 		if r {
 			n++
@@ -126,13 +123,13 @@ func TestCacheInvariantsProperty(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				p, _ := NewPolicy(name, 16)
 				const capBytes = 160
-				c := New(p, capBytes)
-				sizes := map[string]int64{}
-				pinCount := map[string]int{}
-				c.PinnedBy(func(k string) bool { return pinCount[k] > 0 })
+				c := NewStepCache(p, capBytes)
+				sizes := map[int]int64{}
+				pinCount := map[int]int{}
+				c.PinnedBy(func(k int) bool { return pinCount[k] > 0 })
 
 				for i := 0; i < 400; i++ {
-					k := fmt.Sprintf("f%02d", rng.Intn(24))
+					k := rng.Intn(24)
 					switch rng.Intn(9) {
 					case 0, 1, 2, 3, 4:
 						size := int64(rng.Intn(20) + 1)
@@ -143,7 +140,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 						}
 						for _, e := range evicted {
 							if pinCount[e] > 0 {
-								t.Logf("pinned key %q evicted", e)
+								t.Logf("pinned key %d evicted", e)
 								return false
 							}
 							delete(sizes, e)
@@ -193,10 +190,10 @@ func TestCacheInvariantsProperty(t *testing.T) {
 func TestLIRSChurnProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := newLIRS[string](8)
-		live := map[string]bool{}
+		p := newLIRS(8)
+		live := map[int]bool{}
 		for i := 0; i < 600; i++ {
-			k := fmt.Sprintf("x%d", rng.Intn(40))
+			k := rng.Intn(40)
 			switch rng.Intn(3) {
 			case 0:
 				p.Insert(k, 1)
@@ -233,9 +230,9 @@ func TestLIRSChurnProperty(t *testing.T) {
 func TestARCBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := newARC[string](8)
+		p := newARC(8)
 		for i := 0; i < 500; i++ {
-			k := fmt.Sprintf("y%d", rng.Intn(30))
+			k := rng.Intn(30)
 			switch rng.Intn(3) {
 			case 0:
 				p.Insert(k, 1)

@@ -9,38 +9,34 @@ import (
 // refCostLRU is BCL/DCL as they were written before the per-cost lists:
 // Victim scans the recency list, and DCL's pending depreciations live in
 // two maps that cancelPendingFor walks. It is kept verbatim — apart from
-// the names and from Evict cancelling the depreciation that targets the
-// evicted key, which costLRUOf does too — as the reference that
-// TestCostLRUMatchesReferenceScan drives beside costLRUOf.
-type refCostLRU[K comparable] struct {
+// the names, the integer keys and from Evict cancelling the depreciation
+// that targets the evicted key, which costLRU does too — as the
+// reference that TestCostLRUMatchesReferenceScan drives beside costLRU.
+type refCostLRU struct {
 	name    string
 	dynamic bool // false: BCL, true: DCL
-	byKey   map[K]*node[K]
-	rec     list[K] // MRU front … LRU back
+	byKey   map[int]*node
+	rec     list // MRU front … LRU back
 	// pendingDepr maps an evicted victim key to the LRU key that was
 	// spared at that eviction (DCL only).
-	pendingDepr map[K]K
+	pendingDepr map[int]int
 	// deprBy maps the spared-LRU key to the cost to subtract if the
 	// depreciation triggers (DCL only).
-	deprBy map[K]int
-	ar     arena[K]
+	deprBy map[int]int
 }
 
-func newRefCostLRU[K comparable](name string, dynamic bool) *refCostLRU[K] {
-	return &refCostLRU[K]{
+func newRefCostLRU(name string, dynamic bool) *refCostLRU {
+	return &refCostLRU{
 		name:        name,
 		dynamic:     dynamic,
-		byKey:       map[K]*node[K]{},
-		pendingDepr: map[K]K{},
-		deprBy:      map[K]int{},
+		byKey:       map[int]*node{},
+		pendingDepr: map[int]int{},
+		deprBy:      map[int]int{},
 	}
 }
 
-// Name implements PolicyOf.
-func (p *refCostLRU[K]) Name() string { return p.name }
-
-// Access implements PolicyOf.
-func (p *refCostLRU[K]) Access(key K) {
+// Access implements Policy.
+func (p *refCostLRU) Access(key int) {
 	nd, ok := p.byKey[key]
 	if !ok {
 		return
@@ -53,8 +49,8 @@ func (p *refCostLRU[K]) Access(key K) {
 	}
 }
 
-// Insert implements PolicyOf.
-func (p *refCostLRU[K]) Insert(key K, cost int) {
+// Insert implements Policy.
+func (p *refCostLRU) Insert(key int, cost int) {
 	if nd, ok := p.byKey[key]; ok {
 		nd.cost = cost
 		p.Access(key)
@@ -75,20 +71,16 @@ func (p *refCostLRU[K]) Insert(key K, cost int) {
 			delete(p.deprBy, key)
 		}
 	}
-	nd := p.ar.get()
-	nd.key, nd.cost = key, cost
+	nd := &node{key: key, cost: cost}
 	p.byKey[key] = nd
 	p.rec.pushFront(nd)
 }
 
-// Victim implements PolicyOf: the first entry from the LRU end with cost
+// Victim implements Policy: the first entry from the LRU end with cost
 // strictly lower than the (unpinned) LRU entry; the LRU is the fallback.
-func (p *refCostLRU[K]) Victim(pinned func(K) bool) (K, bool) {
-	// The pinned checks are written inline (no wrapper closure): Victim
-	// runs once per eviction on the replay hot path.
-
+func (p *refCostLRU) Victim(pinned func(int) bool) (int, bool) {
 	// Find the effective LRU: the least recently used unpinned entry.
-	var lru *node[K]
+	var lru *node
 	for nd := p.rec.back; nd != nil; nd = nd.prev {
 		if pinned == nil || !pinned(nd.key) {
 			lru = nd
@@ -96,8 +88,7 @@ func (p *refCostLRU[K]) Victim(pinned func(K) bool) (K, bool) {
 		}
 	}
 	if lru == nil {
-		var zero K
-		return zero, false
+		return 0, false
 	}
 	// Scan from the LRU end towards the MRU end for a cheaper entry.
 	for nd := p.rec.back; nd != nil; nd = nd.prev {
@@ -113,7 +104,7 @@ func (p *refCostLRU[K]) Victim(pinned func(K) bool) (K, bool) {
 }
 
 // sparedLRU records that lru was spared in favor of evicting victim.
-func (p *refCostLRU[K]) sparedLRU(lru, victim *node[K]) {
+func (p *refCostLRU) sparedLRU(lru, victim *node) {
 	if !p.dynamic {
 		// BCL: depreciate immediately.
 		lru.cost -= victim.cost
@@ -130,7 +121,7 @@ func (p *refCostLRU[K]) sparedLRU(lru, victim *node[K]) {
 }
 
 // cancelPendingFor drops pending depreciations that target lruKey.
-func (p *refCostLRU[K]) cancelPendingFor(lruKey K) {
+func (p *refCostLRU) cancelPendingFor(lruKey int) {
 	for victim, target := range p.pendingDepr {
 		if target == lruKey {
 			delete(p.pendingDepr, victim)
@@ -139,36 +130,31 @@ func (p *refCostLRU[K]) cancelPendingFor(lruKey K) {
 	}
 }
 
-// Evict implements PolicyOf.
-func (p *refCostLRU[K]) Evict(key K) {
-	p.removeResident(key)
-	p.cancelPendingFor(key)
-}
-
-func (p *refCostLRU[K]) removeResident(key K) {
+// Evict implements Policy.
+func (p *refCostLRU) Evict(key int) {
 	if nd, ok := p.byKey[key]; ok {
 		p.rec.remove(nd)
 		delete(p.byKey, key)
-		p.ar.put(nd)
 	}
+	p.cancelPendingFor(key)
 }
 
-// Contains implements PolicyOf.
-func (p *refCostLRU[K]) Contains(key K) bool { _, ok := p.byKey[key]; return ok }
+// Contains reports whether key is resident.
+func (p *refCostLRU) Contains(key int) bool { _, ok := p.byKey[key]; return ok }
 
-// Len implements PolicyOf.
-func (p *refCostLRU[K]) Len() int { return p.rec.len() }
+// Len implements Policy.
+func (p *refCostLRU) Len() int { return p.rec.len() }
 
-// Reset implements PolicyOf.
-func (p *refCostLRU[K]) Reset() {
+// Reset implements Policy.
+func (p *refCostLRU) Reset() {
 	clear(p.byKey)
 	clear(p.pendingDepr)
 	clear(p.deprBy)
-	p.ar.drain(&p.rec)
+	p.rec = list{}
 }
 
 // costOf returns the current (possibly depreciated) cost of a resident key.
-func (p *refCostLRU[K]) costOf(key K) (int, bool) {
+func (p *refCostLRU) costOf(key int) (int, bool) {
 	nd, ok := p.byKey[key]
 	if !ok {
 		return 0, false
@@ -177,20 +163,31 @@ func (p *refCostLRU[K]) costOf(key K) (int, bool) {
 }
 
 // costOf returns the current (possibly depreciated) cost of a resident key.
-func (p *costLRUOf[K]) costOf(key K) (int, bool) {
-	nd, ok := p.byKey[key]
-	if !ok {
-		return 0, false
+func (p *costLRU) costOf(key int) (int, bool) {
+	if nd := p.t.get(key); nd != nil && nd.resident {
+		return nd.cost, true
 	}
-	return nd.cost, true
+	return 0, false
 }
 
-// audit checks costLRUOf's structural invariants: buckets non-empty and in
+// pending counts the armed depreciations: the victims' entries that
+// point at a spared entry.
+func (p *costLRU) pending() int {
+	n := 0
+	for nd := range p.t.all {
+		if nd.deprOf != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// audit checks costLRU's structural invariants: buckets non-empty and in
 // ascending cost, each list in descending seq and holding the nodes of its
 // cost that point at it, every resident node threaded exactly once, and
-// pending ↔ spared
-// agreeing on both sides — which bounds len(pending) by Len().
-func (p *costLRUOf[K]) audit() error {
+// each armed depreciation linked both ways between a victim's entry and a
+// resident spared entry — which bounds the pending count by Len().
+func (p *costLRU) audit() error {
 	threaded := 0
 	for i, b := range p.buckets {
 		if b.rec.len() == 0 || (i > 0 && p.buckets[i-1].cost >= b.cost) {
@@ -198,11 +195,11 @@ func (p *costLRUOf[K]) audit() error {
 		}
 		n := 0
 		for nd := b.rec.front; nd != nil; nd = nd.next {
-			if nd.cost != b.cost || nd.bucket != b || p.byKey[nd.key] != nd || (nd.next != nil && nd.next.seq >= nd.seq) {
+			if nd.cost != b.cost || nd.bucket != b || p.t.get(nd.key) != nd || !nd.resident || (nd.next != nil && nd.next.seq >= nd.seq) {
 				return fmt.Errorf("bucket cost %d: node %v (cost %d, seq %d) misplaced", b.cost, nd.key, nd.cost, nd.seq)
 			}
-			if d, ok := p.pending[nd.sparedFor]; nd.spared && (!ok || d.lru != nd) {
-				return fmt.Errorf("node %v spared for %v, which has no pending depreciation of it", nd.key, nd.sparedFor)
+			if v := nd.sparedFor; v != nil && v.deprOf != nd {
+				return fmt.Errorf("node %v spared for %v, which has no pending depreciation of it", nd.key, v.key)
 			}
 			n++
 		}
@@ -214,18 +211,18 @@ func (p *costLRUOf[K]) audit() error {
 	if threaded != p.Len() {
 		return fmt.Errorf("%d nodes threaded, %d resident", threaded, p.Len())
 	}
-	for victim, d := range p.pending {
-		if !d.lru.spared || d.lru.sparedFor != victim || p.byKey[d.lru.key] != d.lru {
-			return fmt.Errorf("pending[%v] targets %v, which is not resident and spared for it", victim, d.lru.key)
+	for nd := range p.t.all {
+		if lru := nd.deprOf; lru != nil && (lru.sparedFor != nd || !lru.resident) {
+			return fmt.Errorf("the depreciation armed by %v targets %v, which is not resident and spared for it", nd.key, lru.key)
 		}
 	}
-	if len(p.pending) > p.Len() {
-		return fmt.Errorf("%d pending depreciations for %d residents", len(p.pending), p.Len())
+	if n := p.pending(); n > p.Len() {
+		return fmt.Errorf("%d pending depreciations for %d residents", n, p.Len())
 	}
 	return nil
 }
 
-// TestCostLRUMatchesReferenceScan drives costLRUOf and the reference scan
+// TestCostLRUMatchesReferenceScan drives costLRU and the reference scan
 // through the same seeded random operations and guard sets and requires the
 // same victim, the same cost for every key and the same Len after each one:
 // the order in which BCL and DCL evict is what Fig. 5 and the DES tables
@@ -241,7 +238,7 @@ func TestCostLRUMatchesReferenceScan(t *testing.T) {
 		for si, sh := range shapes {
 			t.Run(fmt.Sprintf("%s/keys=%d", name, sh.keys), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(si + 1)))
-				got, ref := newCostLRU[int](name, dynamic), newRefCostLRU[int](name, dynamic)
+				got, ref := newCostLRU(name, dynamic), newRefCostLRU(name, dynamic)
 				guarded := map[int]bool{}
 				var guard func(int) bool // nil until the first guard op: Victim(nil) is a path of its own
 				evict := func(i int, thenEvict bool) {
@@ -323,8 +320,8 @@ func TestCostLRUMatchesReferenceScan(t *testing.T) {
 // depreciated for a sparing its previous incarnation received.
 func TestDCLPendingBoundedByResidents(t *testing.T) {
 	const capacity = 16
-	pol := newCostLRU[int]("DCL", true)
-	c := NewOf[int](pol, capacity)
+	pol := newCostLRU("DCL", true)
+	c := NewStepCache(pol, capacity)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50000; i++ {
 		key := rng.Intn(64 * capacity)
@@ -333,8 +330,8 @@ func TestDCLPendingBoundedByResidents(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if len(pol.pending) > pol.Len() {
-			t.Fatalf("op %d: %d pending depreciations for %d residents", i, len(pol.pending), pol.Len())
+		if n := pol.pending(); n > pol.Len() {
+			t.Fatalf("op %d: %d pending depreciations for %d residents", i, n, pol.Len())
 		}
 	}
 	if err := pol.audit(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"simfs/internal/cache"
 	"simfs/internal/notify"
@@ -82,13 +81,11 @@ func (v *Virtualizer) SetCachePolicy(ctxName, policyName string) error {
 	if capacity == 0 {
 		capacity = cs.ctx.Grid.NumOutputSteps()
 	}
-	pol, err := cache.NewPolicyOf[int](policyName, capacity)
+	pol, err := cache.NewPolicy(policyName, capacity)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	order := cs.cache.Keys()
-	sort.Ints(order)
-	cs.cache.SetPolicy(pol, order, cs.ctx.Grid.MissCost)
+	cs.cache.SetPolicy(pol, cs.cache.Keys(), cs.ctx.Grid.MissCost)
 	return nil
 }
 

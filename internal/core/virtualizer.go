@@ -126,7 +126,7 @@ type shard struct {
 	// cache is keyed by output step like steps below, whose reference
 	// counts are its eviction guard (cache.PinnedBy): there is no pin
 	// count to mirror.
-	cache *cache.CacheOf[int]
+	cache *cache.StepCache
 	fs    vfs.FS // optional mirror of the storage area
 	// evicted is insertStep's scratch for the victims of one insert,
 	// reused so a step produced at capacity allocates nothing.
@@ -258,7 +258,7 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 	if capacity == 0 {
 		capacity = ctx.Grid.NumOutputSteps()
 	}
-	pol, err := cache.NewPolicyOf[int](policyName, capacity)
+	pol, err := cache.NewPolicy(policyName, capacity)
 	if err != nil {
 		return err
 	}
@@ -275,7 +275,7 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 	v.sched.Register(ctx.Name, ctx.SMax)
 	cs := &shard{
 		ctx:        ctx,
-		cache:      cache.NewOf(pol, ctx.MaxCacheBytes),
+		cache:      cache.NewStepCache(pol, ctx.MaxCacheBytes),
 		fs:         fs,
 		steps:      newStepTable(ctx.Grid.NumOutputSteps()),
 		agents:     map[string]*prefetch.Agent{},

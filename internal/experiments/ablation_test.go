@@ -57,11 +57,11 @@ func TestAblationPinPressure(t *testing.T) {
 	const full = 64
 	for _, pol := range cache.PolicyNames() {
 		for _, frac := range []float64{0, 0.25, 0.5, 0.9} {
-			p, err := cache.NewPolicyOf[int](pol, full)
+			p, err := cache.NewPolicy(pol, full)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := cache.NewOf(p, full) // 1-byte entries
+			c := cache.NewStepCache(p, full) // 1-byte entries
 			pinned := int(frac * full)
 			for k := 0; k < full; k++ {
 				if _, err := c.InsertDiscard(k, 1, 1); err != nil {

@@ -22,16 +22,16 @@ type ReplayResult struct {
 }
 
 // ReplayState is a reusable policy+cache pair for repeated replays. The
-// cache is keyed by integer output-step index, so the per-access file-name
-// formatting of the string-keyed path (the Virtualizer's view) never runs
-// here; the rep loops of the caching study reset and reuse one state per
+// cache is keyed by output step, as the Virtualizer's is, so no file name
+// is formatted per access; the rep loops of the caching study reset and
+// reuse one state per
 // (pattern, policy) cell instead of allocating a fresh policy and cache
 // per replay. The state also carries a trace scratch buffer: a cell runs
 // wholly on one worker of the experiment pool, so the buffer is
 // worker-pinned and the rep loops regenerate each repetition's trace into
 // it instead of allocating (or pre-materializing) one slice per rep.
 type ReplayState struct {
-	c        *cache.CacheOf[int]
+	c        *cache.StepCache
 	traceBuf []trace.Access
 	rng      *rand.Rand
 }
@@ -60,11 +60,11 @@ func NewReplayState(ctx *model.Context, policyName string) (*ReplayState, error)
 	if capacity == 0 {
 		capacity = ctx.Grid.NumOutputSteps()
 	}
-	pol, err := cache.NewPolicyOf[int](policyName, capacity)
+	pol, err := cache.NewPolicy(policyName, capacity)
 	if err != nil {
 		return nil, err
 	}
-	return &ReplayState{c: cache.NewOf(pol, ctx.MaxCacheBytes)}, nil
+	return &ReplayState{c: cache.NewStepCache(pol, ctx.MaxCacheBytes)}, nil
 }
 
 // Replay runs an access trace through the caching layer without timing,

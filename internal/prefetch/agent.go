@@ -21,7 +21,8 @@ func (r Range) Len() int { return r.Last - r.First + 1 }
 // resident or promised, enforces smax, and kills the agent's outstanding
 // prefetches when Reset is set.
 type Decision struct {
-	// Launches are re-simulations to start, most urgent first.
+	// Launches are re-simulations to start, most urgent first. The slice
+	// is the agent's own buffer, valid until the agent's next OnAccess.
 	Launches []Range
 	// Parallelism is the level to run the launches at (strategy 1).
 	Parallelism int
@@ -54,6 +55,9 @@ type Agent struct {
 	s      int
 	rampUp bool
 	smax   int
+
+	// launches is the buffer every Decision.Launches is planned in.
+	launches []Range
 }
 
 // Estimator supplies the agent's view of the simulation performance model:
@@ -106,7 +110,8 @@ type Cover func(dir, k int) int
 // were used, a simulation-paced analysis would be indistinguishable from a
 // slow one and bandwidth matching could never engage). cover lets the
 // agent query the coverage frontier along its (just updated) trajectory.
-// The returned Decision may request launches or a reset.
+// The returned Decision may request launches or a reset; its Launches
+// are overwritten by the next OnAccess.
 func (a *Agent) OnAccess(step int, now, procTime time.Duration, cover Cover) Decision {
 	var d Decision
 	if !a.primed {
@@ -194,6 +199,7 @@ func (a *Agent) OnAccess(step int, now, procTime time.Duration, cover Cover) Dec
 	s := a.nextS(sopt)
 
 	// Build s contiguous ranges of n steps each, beyond the frontier.
+	d.Launches = a.launches[:0]
 	frontier := coveredUntil
 	if a.dir > 0 {
 		if frontier < step {
@@ -228,6 +234,7 @@ func (a *Agent) OnAccess(step int, now, procTime time.Duration, cover Cover) Dec
 			frontier = first
 		}
 	}
+	a.launches = d.Launches
 	d.Parallelism = p
 	return d
 }

@@ -222,6 +222,38 @@ func TestRampUpDoubling(t *testing.T) {
 	}
 }
 
+// Decision.Launches is planned in the agent's own buffer: the next
+// decision overwrites it in place, so a caller consumes the launches
+// before the agent's next OnAccess, and once the buffer has grown a
+// launching access allocates nothing.
+func TestLaunchesReuseAgentBuffer(t *testing.T) {
+	a := exampleAgent(false, 8)
+	a.OnAccess(1, 0, 0, fixedCover(4))
+	a.OnAccess(2, 500*time.Millisecond, 0, fixedCover(4))
+	first := a.OnAccess(3, time.Second, 0, fixedCover(4))
+	if len(first.Launches) != 2 || first.Launches[0] != (Range{First: 5, Last: 8}) {
+		t.Fatalf("first decision launches %+v, want (5,8) (9,12)", first.Launches)
+	}
+	next := a.OnAccess(4, 1500*time.Millisecond, 0, fixedCover(6))
+	if len(next.Launches) != 2 || &next.Launches[0] != &first.Launches[0] {
+		t.Fatalf("next decision launches %+v do not reuse the first decision's buffer", next.Launches)
+	}
+	if first.Launches[0] != (Range{First: 7, Last: 10}) {
+		t.Errorf("first decision's launches read %+v after the next access, want its (7,10)", first.Launches)
+	}
+	step, now := 4, 1500*time.Millisecond
+	cover := func(dir, k int) int { return step + 2 }
+	allocs := testing.AllocsPerRun(100, func() {
+		step, now = step+1, now+500*time.Millisecond
+		if d := a.OnAccess(step, now, 0, cover); len(d.Launches) != 2 {
+			t.Fatalf("access to step %d launched %+v, want two ranges", step, d.Launches)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a launching access allocates %v times, want 0", allocs)
+	}
+}
+
 func TestSMaxCapsLaunches(t *testing.T) {
 	a := exampleAgent(false, 1)
 	a.OnAccess(1, 0, 0, fixedCover(4))
