@@ -158,7 +158,8 @@ func (p *lirsPolicy) Reset() {
 }
 
 // demoteIfNeeded demotes the bottom LIR entry to resident HIR when the LIR
-// set exceeds its target size.
+// set exceeds its target size. LIR entries are resident: Evict clears
+// the flag.
 func (p *lirsPolicy) demoteIfNeeded() {
 	for p.nLIR > p.lCap {
 		bottom := p.s.back
@@ -171,11 +172,7 @@ func (p *lirsPolicy) demoteIfNeeded() {
 		bottom.lir = false
 		p.nLIR--
 		p.s.remove(bottom)
-		if bottom.resident {
-			p.enqueue(bottom.key)
-		} else {
-			p.ghosts--
-		}
+		p.enqueue(bottom.key)
 		p.prune()
 	}
 }
