@@ -79,11 +79,11 @@ func TestSetPolicyDeterministicOrder(t *testing.T) {
 	}
 }
 
-// Warmed-up policy churn is allocation-free: the nodes live in the
-// policy's step table, whose chunks a Reset keeps, so after one full
-// insert/evict/reset cycle, repeating the same cycle allocates nothing
-// for any of the five schemes.
-func TestPolicyChurnAllocFree(t *testing.T) {
+// A policy's node arena is its step table: a node lives in its step's
+// entry and a Reset keeps the chunks, so warmed-up policy churn is
+// allocation-free. After one full insert/evict/reset cycle, repeating
+// the same cycle allocates nothing for any of the five schemes.
+func TestPolicyArenaRecyclesNodes(t *testing.T) {
 	for _, name := range PolicyNames() {
 		t.Run(name, func(t *testing.T) {
 			pol, err := NewPolicy(name, 32)

@@ -9,12 +9,13 @@ import (
 )
 
 // The benchmark's cache drill keys the cache by file name through the
-// Cache adapter. Replaying a drill-shaped sequence — forward and backward
-// scans of an analysis's 48 steps from random starts, repeated, over a
-// cache of 128 uniform files — the adapter must hit and miss where a
-// StepCache keyed by the matching steps does, and evict the same names
-// in the same order: the schemes never look at a key's value.
-func TestNameCacheMirrorsStepCache(t *testing.T) {
+// string-keyed Cache adapter. Replaying a drill-shaped sequence — forward
+// and backward scans of an analysis's 48 steps from random starts,
+// repeated, over a cache of 128 uniform files — the adapter must hit and
+// miss where the int-keyed StepCache does on the matching steps, and
+// evict the same names in the same order: the schemes never look at a
+// key's value.
+func TestIntKeyedPolicyMirrorsString(t *testing.T) {
 	const timeline, capacity, size = 1152, 128, 6 << 30
 	rng := rand.New(rand.NewSource(1))
 	var seq []int
