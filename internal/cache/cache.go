@@ -49,9 +49,10 @@ func (c *StepCache) Policy() Policy { return c.policy }
 // reported by costOf, in the order given by order (first = coldest, last
 // = most recently used) so the initial recency ranking is deterministic.
 // Keys in order that are not resident are skipped; residents missing
-// from order follow in step order. Sizes, the guard and byte accounting
-// are untouched — only the replacement ranking is rebuilt, so no file
-// moves or eviction happens during the swap.
+// from order follow in step order. Sizes move to the new policy's table,
+// and the guard and byte accounting are untouched — only the replacement
+// ranking is rebuilt, so no file moves or eviction happens during the
+// swap.
 func (c *StepCache) SetPolicy(p Policy, order []int, costOf func(int) int) {
 	p.Reset()
 	old, nodes := c.nodes, p.steps()

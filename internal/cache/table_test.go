@@ -85,8 +85,7 @@ func TestIntKeyedPolicyMirrorsString(t *testing.T) {
 
 // A step table's directory spans only the chunks between the lowest and
 // highest step written: inserting step 2^28 into an empty cache allocates
-// one chunk, and a step far below it still lands in a table that widens
-// downwards without losing what it holds.
+// one chunk and a one-slot directory, not a table sized to the step.
 func TestCacheStepBound(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		pol, _ := NewPolicy(policy, 8)

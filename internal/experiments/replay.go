@@ -24,9 +24,8 @@ type ReplayResult struct {
 // ReplayState is a reusable policy+cache pair for repeated replays. The
 // cache is keyed by output step, as the Virtualizer's is, so no file name
 // is formatted per access; the rep loops of the caching study reset and
-// reuse one state per
-// (pattern, policy) cell instead of allocating a fresh policy and cache
-// per replay. The state also carries a trace scratch buffer: a cell runs
+// reuse one state per (pattern, policy) cell instead of allocating a
+// fresh policy and cache per replay. The state also carries a trace scratch buffer: a cell runs
 // wholly on one worker of the experiment pool, so the buffer is
 // worker-pinned and the rep loops regenerate each repetition's trace into
 // it instead of allocating (or pre-materializing) one slice per rep.

@@ -110,8 +110,7 @@ type Cover func(dir, k int) int
 // were used, a simulation-paced analysis would be indistinguishable from a
 // slow one and bandwidth matching could never engage). cover lets the
 // agent query the coverage frontier along its (just updated) trajectory.
-// The returned Decision may request launches or a reset; its Launches
-// are overwritten by the next OnAccess.
+// The returned Decision may request launches or a reset.
 func (a *Agent) OnAccess(step int, now, procTime time.Duration, cover Cover) Decision {
 	var d Decision
 	if !a.primed {
