@@ -308,9 +308,11 @@ func runAutoscale(c *simfs.Client, args []string) {
 		log.Fatal("simfs-ctl: autoscale with no policies armed would only watch; give at least one of -budget, -preempt, -cache-policies, -drr")
 	}
 
+	decisions := 0
 	ctrl, err := autoscale.New(autoscale.NewAdminTarget(c), pols, autoscale.Options{
 		Clock: des.NewWallClock(),
 		OnDecision: func(d autoscale.Decision) {
+			decisions++
 			//simfs:allow wallclock operator-facing log timestamp on the live CLI
 			fmt.Printf("%s  %-14s %s — %s\n", time.Now().Format("15:04:05"), d.Policy, d.Action, d.Reason)
 		},
@@ -339,7 +341,7 @@ loop:
 			break loop
 		}
 	}
-	fmt.Printf("autoscale: detached after %d decision(s)\n", len(ctrl.Decisions()))
+	fmt.Printf("autoscale: detached after %d decision(s)\n", decisions)
 }
 
 // printStats prints every counter of a context's stats frame. The

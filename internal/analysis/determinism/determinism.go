@@ -4,8 +4,8 @@
 // iteration that feeds order-sensitive effects.
 //
 // The whole experiment stack reproduces the paper's tables only
-// because time comes from injected clocks (des.Clock, the
-// Virtualizer's v.after seam, autoscale.Options.Clock) and every rng
+// because time comes from injected clocks (des.Clock, which the
+// Virtualizer's retry timer follows, autoscale.Options.Clock) and every rng
 // is explicitly seeded. Wall-clock reads and global rand draws are
 // correct only at the edges (live daemon service-time stamps, lock
 // contention metrics, redial backoff) — such sites carry
@@ -41,8 +41,8 @@ var MapOrderPackages = map[string]bool{
 
 // wallFuncs are the package time functions that read or arm the wall
 // clock. time.AfterFunc and friends are included: a wall-clock timer
-// is as nondeterministic as a wall-clock read (the Virtualizer's
-// v.after seam exists so DES tests can run them in virtual time).
+// is as nondeterministic as a wall-clock read (the Virtualizer's retry
+// timer is an engine event whenever its clock is a *des.Engine).
 var wallFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true,
 	"AfterFunc": true, "NewTimer": true, "NewTicker": true,
@@ -101,7 +101,7 @@ func run(pass *analysis.Pass) error {
 				switch {
 				case fn.Pkg().Path() == "time" && wallFuncs[fn.Name()]:
 					pass.Reportf("wallclock", n.Sel.Pos(),
-						"wall-clock source time.%s in a determinism-scoped package; inject a clock (des.Clock, v.after, autoscale Options.Clock) or annotate //simfs:allow wallclock <reason>",
+						"wall-clock source time.%s in a determinism-scoped package; inject a clock (des.Clock, autoscale Options.Clock) or annotate //simfs:allow wallclock <reason>",
 						fn.Name())
 				case isRandPath(fn.Pkg().Path()):
 					switch {

@@ -61,11 +61,11 @@ type Options struct {
 	// Clock is the controller's time source (required): des.Engine under
 	// the DES, des.NewWallClock() under the daemon.
 	Clock des.Clock
-	// OnDecision, when set, observes every decision as it is taken (the
-	// simfs-ctl autoscale mode prints one line per decision).
+	// OnDecision, when set, observes every decision as it is taken. The
+	// controller keeps none: its observer is the decision log (simfs-ctl
+	// autoscale prints one line per decision, the experiments collect
+	// them).
 	OnDecision func(Decision)
-	// LogSize bounds the in-memory decision ring (default 32).
-	LogSize int
 }
 
 // Controller drives the loop: Sample → Evaluate each policy → merge →
@@ -77,11 +77,9 @@ type Controller struct {
 	policies []Policy
 	clock    des.Clock
 	onDec    func(Decision)
-	logSize  int
 
-	first     bool
-	prev      Sample
-	decisions []Decision
+	first bool
+	prev  Sample
 }
 
 // New builds a controller over a target with an ordered policy set.
@@ -94,16 +92,11 @@ func New(target Target, policies []Policy, opts Options) (*Controller, error) {
 	if opts.Clock == nil {
 		return nil, fmt.Errorf("autoscale: Options.Clock is required")
 	}
-	logSize := opts.LogSize
-	if logSize <= 0 {
-		logSize = 32
-	}
 	return &Controller{
 		target:   target,
 		policies: policies,
 		clock:    opts.Clock,
 		onDec:    opts.OnDecision,
-		logSize:  logSize,
 		first:    true,
 	}, nil
 }
@@ -156,7 +149,9 @@ func (c *Controller) TickOnce() error {
 				failed = append(failed, fmt.Errorf("autoscale: cache actuation %s failed: %w", pa.act.describe(), err))
 			}
 		}
-		c.record(Decision{At: t.Now, Policy: pa.policy, Action: pa.act.describe(), Reason: pa.act.Reason})
+		if c.onDec != nil {
+			c.onDec(Decision{At: t.Now, Policy: pa.policy, Action: pa.act.describe(), Reason: pa.act.Reason})
+		}
 	}
 
 	c.prev = cur
@@ -167,20 +162,4 @@ func (c *Controller) TickOnce() error {
 type pendingAction struct {
 	policy string
 	act    Action
-}
-
-// record appends to the bounded decision ring and notifies observers.
-func (c *Controller) record(d Decision) {
-	c.decisions = append(c.decisions, d)
-	if len(c.decisions) > c.logSize {
-		c.decisions = append(c.decisions[:0], c.decisions[len(c.decisions)-c.logSize:]...)
-	}
-	if c.onDec != nil {
-		c.onDec(d)
-	}
-}
-
-// Decisions returns the retained decision log, oldest first.
-func (c *Controller) Decisions() []Decision {
-	return append([]Decision(nil), c.decisions...)
 }

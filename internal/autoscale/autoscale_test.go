@@ -58,13 +58,16 @@ func sampleWithWait(cfg sched.Config, wait time.Duration) Sample {
 	}
 }
 
-func newController(t *testing.T, target Target, clk *manualClock, policies ...Policy) *Controller {
+// newController returns a controller and the decision log its observer
+// collects.
+func newController(t *testing.T, target Target, clk *manualClock, policies ...Policy) (*Controller, *[]Decision) {
 	t.Helper()
-	c, err := New(target, policies, Options{Clock: clk})
+	var log []Decision
+	c, err := New(target, policies, Options{Clock: clk, OnDecision: func(d Decision) { log = append(log, d) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, &log
 }
 
 func tickN(t *testing.T, c *Controller, clk *manualClock, n int, step time.Duration) {
@@ -80,12 +83,12 @@ func tickN(t *testing.T, c *Controller, clk *manualClock, n int, step time.Durat
 func TestControllerNoPoliciesNeverActuates(t *testing.T) {
 	ft := &fakeTarget{samples: []Sample{sampleWithWait(sched.Config{TotalNodes: 4}, 0)}}
 	clk := &manualClock{}
-	c := newController(t, ft, clk)
+	c, log := newController(t, ft, clk)
 	tickN(t, c, clk, 10, time.Second)
 	if len(ft.patches) != 0 || len(ft.switches) != 0 {
 		t.Fatalf("zero-policy controller actuated: %d patches, %d switches", len(ft.patches), len(ft.switches))
 	}
-	if d := c.Decisions(); len(d) != 0 {
+	if d := *log; len(d) != 0 {
 		t.Fatalf("zero-policy controller recorded decisions: %v", d)
 	}
 }
@@ -97,7 +100,7 @@ func TestControllerSampleErrorKeepsWindow(t *testing.T) {
 		sampleWithWait(cfg, 2*time.Second),
 	}}
 	clk := &manualClock{}
-	c := newController(t, ft, clk, &NodeBudget{Min: 1, Max: 8})
+	c, _ := newController(t, ft, clk, &NodeBudget{Min: 1, Max: 8})
 	tickN(t, c, clk, 1, time.Second) // baseline
 
 	ft.err = errors.New("daemon away")
@@ -124,7 +127,7 @@ func TestControllerReturnsActuationFailure(t *testing.T) {
 		sampleWithWait(cfg, 2*time.Second),
 	}, applyErr: errors.New("daemon refused")}
 	clk := &manualClock{}
-	c := newController(t, ft, clk, &NodeBudget{Min: 1, Max: 8})
+	c, log := newController(t, ft, clk, &NodeBudget{Min: 1, Max: 8})
 	tickN(t, c, clk, 1, time.Second) // baseline
 
 	clk.now += time.Second
@@ -132,7 +135,7 @@ func TestControllerReturnsActuationFailure(t *testing.T) {
 	if err == nil || !errors.Is(err, ft.applyErr) || !strings.Contains(err.Error(), "sched{nodes=3}") {
 		t.Fatalf("TickOnce with a refused patch = %v, want the refusal naming sched{nodes=3}", err)
 	}
-	if d := c.Decisions(); len(d) != 1 || d[0].Action != "sched{nodes=3}" {
+	if d := *log; len(d) != 1 || d[0].Action != "sched{nodes=3}" {
 		t.Fatalf("decisions = %+v, want the one widen recorded", d)
 	}
 	if c.prev.Sched.DemandWait.Wait != 2*time.Second {
@@ -149,7 +152,7 @@ func TestControllerMergesFirstPolicyWins(t *testing.T) {
 	clk := &manualClock{}
 	// Two budget governors with different steps both claim TotalNodes;
 	// the first armed must win and only ONE ApplySched may happen.
-	c := newController(t, ft, clk,
+	c, log := newController(t, ft, clk,
 		&NodeBudget{Min: 1, Max: 8, Step: 1},
 		&NodeBudget{Min: 1, Max: 8, Step: 4})
 	tickN(t, c, clk, 2, time.Second)
@@ -159,26 +162,8 @@ func TestControllerMergesFirstPolicyWins(t *testing.T) {
 	if *ft.patches[0].TotalNodes != 3 {
 		t.Fatalf("merged nodes = %d, want 3 (first policy's step)", *ft.patches[0].TotalNodes)
 	}
-	if len(c.Decisions()) != 2 {
-		t.Fatalf("decisions = %d, want 2 (both policies logged)", len(c.Decisions()))
-	}
-}
-
-func TestControllerDecisionRingBounded(t *testing.T) {
-	cfg := sched.Config{TotalNodes: 2}
-	var samples []Sample
-	for i := range make([]struct{}, 100) {
-		samples = append(samples, sampleWithWait(cfg, time.Duration(i)*2*time.Second))
-	}
-	ft := &fakeTarget{samples: samples}
-	clk := &manualClock{}
-	c, err := New(ft, []Policy{&NodeBudget{Min: 1, Max: 1000}}, Options{Clock: clk, LogSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tickN(t, c, clk, 100, time.Second)
-	if got := len(c.Decisions()); got != 5 {
-		t.Fatalf("decision ring length = %d, want 5", got)
+	if len(*log) != 2 {
+		t.Fatalf("decisions = %d, want 2 (both policies logged)", len(*log))
 	}
 }
 

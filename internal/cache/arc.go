@@ -1,5 +1,7 @@
 package cache
 
+import "simfs/internal/model"
+
 // ARC (Adaptive Replacement Cache, Megiddo & Modha, FAST 2003) keeps two
 // resident lists — T1 for entries seen once recently, T2 for entries seen
 // at least twice — plus ghost lists B1 and B2 remembering recently evicted
@@ -14,7 +16,7 @@ type arcPolicy struct {
 	t2 list
 	b1 list
 	b2 list
-	t  table
+	t  model.Table[node]
 }
 
 // arcList identifies which of the four lists a node is on; it is stored
@@ -36,7 +38,7 @@ func newARC(capacity int) *arcPolicy {
 // Name implements Policy.
 func (p *arcPolicy) Name() string { return "ARC" }
 
-func (p *arcPolicy) steps() *table { return &p.t }
+func (p *arcPolicy) steps() *model.Table[node] { return &p.t }
 
 func (p *arcPolicy) listOf(l arcList) *list {
 	switch l {
@@ -54,7 +56,7 @@ func (p *arcPolicy) listOf(l arcList) *list {
 // Access implements Policy: a hit moves the entry to the MRU position
 // of T2.
 func (p *arcPolicy) Access(key int) {
-	if nd := p.t.get(key); nd != nil && nd.resident {
+	if nd := p.t.Get(key); nd != nil && nd.resident {
 		p.toT2(nd)
 	}
 }
@@ -70,7 +72,7 @@ func (p *arcPolicy) toT2(nd *node) {
 // the original algorithm; the engine performs the actual eviction via
 // Victim/Evict, so REPLACE here only trims ghost lists.
 func (p *arcPolicy) Insert(key, cost int) {
-	nd := p.t.at(key)
+	nd := p.t.At(key)
 	switch nd.cost {
 	case inT1, inT2:
 		p.toT2(nd)
@@ -138,7 +140,7 @@ func (p *arcPolicy) Victim(pinned func(int) bool) (int, bool) {
 // Evict implements Policy: the entry retires into the matching ghost
 // list.
 func (p *arcPolicy) Evict(key int) {
-	nd := p.t.get(key)
+	nd := p.t.Get(key)
 	if nd == nil || !nd.resident {
 		return
 	}
@@ -158,7 +160,7 @@ func (p *arcPolicy) Len() int { return p.t1.len() + p.t2.len() }
 
 // Reset implements Policy.
 func (p *arcPolicy) Reset() {
-	p.t.reset()
+	p.t.Reset()
 	p.t1, p.t2, p.b1, p.b2 = list{}, list{}, list{}, list{}
 	p.p = 0
 }

@@ -3,6 +3,8 @@ package cache
 import (
 	"errors"
 	"fmt"
+
+	"simfs/internal/model"
 )
 
 // Stats counts the one cache event no other layer sees. Hits, misses
@@ -23,7 +25,7 @@ type Stats struct {
 // sizes live in the policy's step table.
 type StepCache struct {
 	policy   Policy
-	nodes    *table // policy.steps()
+	nodes    *model.Table[node] // policy.steps()
 	maxBytes int64
 	used     int64
 	stats    Stats
@@ -57,17 +59,17 @@ func (c *StepCache) SetPolicy(p Policy, order []int, costOf func(int) int) {
 	p.Reset()
 	old, nodes := c.nodes, p.steps()
 	adopt := func(from *node) {
-		if to := nodes.get(from.key); from.resident && (to == nil || !to.resident) {
+		if to := nodes.Get(from.key); from.resident && (to == nil || !to.resident) {
 			p.Insert(from.key, costOf(from.key))
-			nodes.get(from.key).size = from.size
+			nodes.Get(from.key).size = from.size
 		}
 	}
 	for _, key := range order {
-		if nd := old.get(key); nd != nil {
+		if nd := old.Get(key); nd != nil {
 			adopt(nd)
 		}
 	}
-	for nd := range old.all {
+	for _, nd := range old.All {
 		adopt(nd)
 	}
 	c.policy, c.nodes = p, nodes
@@ -75,7 +77,7 @@ func (c *StepCache) SetPolicy(p Policy, order []int, costOf func(int) int) {
 
 // Contains reports whether key is resident, without touching recency state.
 func (c *StepCache) Contains(key int) bool {
-	nd := c.nodes.get(key)
+	nd := c.nodes.Get(key)
 	return nd != nil && nd.resident
 }
 
@@ -118,8 +120,8 @@ func (c *StepCache) admit(key int, size int64, cost int, out *[]int) (int, error
 		c.policy.Insert(key, cost)
 		return 0, nil
 	}
-	if key < 0 || key > maxKey {
-		return 0, fmt.Errorf("cache: step %d outside [0, %d]", key, maxKey)
+	if key < 0 || key > model.MaxSteps {
+		return 0, fmt.Errorf("cache: step %d outside [0, %d]", key, model.MaxSteps)
 	}
 	if c.maxBytes > 0 && size > c.maxBytes {
 		return 0, fmt.Errorf("%w: %d is %d bytes, capacity %d", ErrTooLarge, key, size, c.maxBytes)
@@ -140,13 +142,13 @@ func (c *StepCache) admit(key int, size int64, cost int, out *[]int) (int, error
 		}
 	}
 	c.policy.Insert(key, cost)
-	c.nodes.get(key).size = size
+	c.nodes.Get(key).size = size
 	c.used += size
 	return n, nil
 }
 
 func (c *StepCache) evict(key int) {
-	c.used -= c.nodes.get(key).size
+	c.used -= c.nodes.Get(key).size
 	c.policy.Evict(key)
 }
 
@@ -170,7 +172,7 @@ func (c *StepCache) Len() int { return c.policy.Len() }
 // Keys returns the resident keys in ascending step order.
 func (c *StepCache) Keys() []int {
 	keys := make([]int, 0, c.Len())
-	for nd := range c.nodes.all {
+	for _, nd := range c.nodes.All {
 		if nd.resident {
 			keys = append(keys, nd.key)
 		}

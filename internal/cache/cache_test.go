@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"simfs/internal/model"
 )
 
 func allPolicies(t *testing.T, capacity int) []Policy {
@@ -21,7 +23,7 @@ func allPolicies(t *testing.T, capacity int) []Policy {
 
 // holds reads key's residency from p's step table, the cache's table.
 func holds(p Policy, key int) bool {
-	nd := p.steps().get(key)
+	nd := p.steps().Get(key)
 	return nd != nil && nd.resident
 }
 
@@ -471,7 +473,7 @@ func TestCacheTooLarge(t *testing.T) {
 	if _, err := c.Insert(2, -1, 1, nil); err == nil {
 		t.Error("negative size should fail")
 	}
-	for _, key := range []int{-1, maxKey + 1} {
+	for _, key := range []int{-1, model.MaxSteps + 1} {
 		if _, err := c.Insert(key, 1, 1, nil); err == nil {
 			t.Errorf("insert of step %d, off the table, should fail", key)
 		}

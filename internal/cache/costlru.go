@@ -3,6 +3,8 @@ package cache
 import (
 	"cmp"
 	"slices"
+
+	"simfs/internal/model"
 )
 
 // Cost-sensitive LRU variants of Jeong & Dubois ("Cache replacement
@@ -33,7 +35,7 @@ import (
 type costLRU struct {
 	name    string
 	dynamic bool // false: BCL, true: DCL
-	t       table
+	t       model.Table[node]
 	n       int // resident entries
 	// buckets holds the resident entries, one recency list (MRU front …
 	// LRU back, i.e. descending seq) per distinct cost, sorted by ascending
@@ -56,18 +58,18 @@ func newCostLRU(name string, dynamic bool) *costLRU {
 // Name implements Policy.
 func (p *costLRU) Name() string { return p.name }
 
-func (p *costLRU) steps() *table { return &p.t }
+func (p *costLRU) steps() *model.Table[node] { return &p.t }
 
 // Access implements Policy.
 func (p *costLRU) Access(key int) {
-	if nd := p.t.get(key); nd != nil && nd.resident {
+	if nd := p.t.Get(key); nd != nil && nd.resident {
 		p.touch(nd, nd.cost)
 	}
 }
 
 // Insert implements Policy.
 func (p *costLRU) Insert(key, cost int) {
-	nd := p.t.at(key)
+	nd := p.t.At(key)
 	if nd.resident {
 		p.touch(nd, cost)
 		return
@@ -211,7 +213,7 @@ func (p *costLRU) cancelPending(nd *node) {
 // incarnation of the key must not inherit it. One that key's own
 // eviction armed stays on its entry, for a re-insertion to fire.
 func (p *costLRU) Evict(key int) {
-	if nd := p.t.get(key); nd != nil && nd.resident {
+	if nd := p.t.Get(key); nd != nil && nd.resident {
 		p.cancelPending(nd)
 		p.unlink(nd)
 		nd.resident = false
@@ -224,7 +226,7 @@ func (p *costLRU) Len() int { return p.n }
 
 // Reset implements Policy.
 func (p *costLRU) Reset() {
-	p.t.reset()
+	p.t.Reset()
 	for _, b := range p.buckets {
 		b.rec = list{}
 	}

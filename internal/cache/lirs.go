@@ -1,5 +1,7 @@
 package cache
 
+import "simfs/internal/model"
+
 // LIRS (Low Inter-reference Recency Set, Jiang & Zhang, SIGMETRICS 2002)
 // partitions resident entries into LIR (low inter-reference recency, the
 // protected majority) and HIR (high inter-reference recency) sets. It
@@ -22,7 +24,7 @@ type lirsPolicy struct {
 	// t holds the stack entries; an entry is known while it is resident
 	// or on the stack. Queue membership is represented by shadow nodes in
 	// qt, to keep the intrusive links simple.
-	t, qt  table
+	t, qt  model.Table[node]
 	s      list // recency stack, front = most recent
 	q      list // resident HIR queue, front = next victim
 	n      int  // resident entries
@@ -41,11 +43,11 @@ func newLIRS(capacity int) *lirsPolicy {
 // Name implements Policy.
 func (p *lirsPolicy) Name() string { return "LIRS" }
 
-func (p *lirsPolicy) steps() *table { return &p.t }
+func (p *lirsPolicy) steps() *model.Table[node] { return &p.t }
 
 // Access implements Policy.
 func (p *lirsPolicy) Access(key int) {
-	nd := p.t.get(key)
+	nd := p.t.Get(key)
 	if nd == nil || !nd.resident {
 		return
 	}
@@ -68,7 +70,7 @@ func (p *lirsPolicy) Access(key int) {
 		// Resident HIR hit, not on the stack: re-enter the stack, stay
 		// HIR, move to the queue tail.
 		p.s.pushFront(nd)
-		if qn := p.qt.get(key); qn != nil && p.q.has(qn) {
+		if qn := p.qt.Get(key); qn != nil && p.q.has(qn) {
 			p.q.remove(qn)
 			p.q.pushBack(qn)
 		}
@@ -77,7 +79,7 @@ func (p *lirsPolicy) Access(key int) {
 
 // Insert implements Policy.
 func (p *lirsPolicy) Insert(key, cost int) {
-	nd := p.t.at(key)
+	nd := p.t.At(key)
 	if nd.resident {
 		p.Access(key)
 		return
@@ -128,7 +130,7 @@ func (p *lirsPolicy) Victim(pinned func(int) bool) (int, bool) {
 // is still on the stack (so LIRS can observe its reuse distance);
 // otherwise it is forgotten.
 func (p *lirsPolicy) Evict(key int) {
-	nd := p.t.get(key)
+	nd := p.t.Get(key)
 	if nd == nil || !nd.resident {
 		return
 	}
@@ -151,8 +153,8 @@ func (p *lirsPolicy) Len() int { return p.n }
 
 // Reset implements Policy.
 func (p *lirsPolicy) Reset() {
-	p.t.reset()
-	p.qt.reset()
+	p.t.Reset()
+	p.qt.Reset()
 	p.s, p.q = list{}, list{}
 	p.n, p.nLIR, p.ghosts = 0, 0, 0
 }
@@ -209,14 +211,14 @@ func (p *lirsPolicy) bound() {
 }
 
 func (p *lirsPolicy) enqueue(key int) {
-	if qn := p.qt.at(key); !p.q.has(qn) {
+	if qn := p.qt.At(key); !p.q.has(qn) {
 		qn.key = key
 		p.q.pushBack(qn)
 	}
 }
 
 func (p *lirsPolicy) dequeue(key int) {
-	if qn := p.qt.get(key); qn != nil && p.q.has(qn) {
+	if qn := p.qt.Get(key); qn != nil && p.q.has(qn) {
 		p.q.remove(qn)
 	}
 }

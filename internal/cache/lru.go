@@ -1,9 +1,11 @@
 package cache
 
+import "simfs/internal/model"
+
 // lruPolicy is the Least-Recently-Used replacement scheme: the victim
 // is the resident entry whose last access is the furthest in the past.
 type lruPolicy struct {
-	t   table
+	t   model.Table[node]
 	rec list // MRU front … LRU back
 }
 
@@ -12,18 +14,18 @@ func newLRU() *lruPolicy { return &lruPolicy{} }
 // Name implements Policy.
 func (p *lruPolicy) Name() string { return "LRU" }
 
-func (p *lruPolicy) steps() *table { return &p.t }
+func (p *lruPolicy) steps() *model.Table[node] { return &p.t }
 
 // Access implements Policy.
 func (p *lruPolicy) Access(key int) {
-	if nd := p.t.get(key); nd != nil && nd.resident {
+	if nd := p.t.Get(key); nd != nil && nd.resident {
 		p.rec.moveToFront(nd)
 	}
 }
 
 // Insert implements Policy.
 func (p *lruPolicy) Insert(key, cost int) {
-	nd := p.t.at(key)
+	nd := p.t.At(key)
 	if nd.resident {
 		p.rec.moveToFront(nd)
 		return
@@ -44,7 +46,7 @@ func (p *lruPolicy) Victim(pinned func(int) bool) (int, bool) {
 
 // Evict implements Policy.
 func (p *lruPolicy) Evict(key int) {
-	if nd := p.t.get(key); nd != nil && nd.resident {
+	if nd := p.t.Get(key); nd != nil && nd.resident {
 		p.rec.remove(nd)
 		nd.resident = false
 	}
@@ -55,6 +57,6 @@ func (p *lruPolicy) Len() int { return p.rec.len() }
 
 // Reset implements Policy.
 func (p *lruPolicy) Reset() {
-	p.t.reset()
+	p.t.Reset()
 	p.rec = list{}
 }

@@ -16,7 +16,11 @@
 // StepCache.PinnedBy.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"simfs/internal/model"
+)
 
 // Policy is a fully associative replacement policy over output steps,
 // 0 ≤ key ≤ 2^28. Implementations track resident entries (and, for
@@ -54,7 +58,7 @@ type Policy interface {
 	// steps returns the policy's step table. Its nodes' resident flags
 	// are the cache's residency, and the engine keeps each resident's
 	// size there.
-	steps() *table
+	steps() *model.Table[node]
 }
 
 // NewPolicy constructs a policy by name. capacity is the cache size in

@@ -164,7 +164,7 @@ func (p *refCostLRU) costOf(key int) (int, bool) {
 
 // costOf returns the current (possibly depreciated) cost of a resident key.
 func (p *costLRU) costOf(key int) (int, bool) {
-	if nd := p.t.get(key); nd != nil && nd.resident {
+	if nd := p.t.Get(key); nd != nil && nd.resident {
 		return nd.cost, true
 	}
 	return 0, false
@@ -174,7 +174,7 @@ func (p *costLRU) costOf(key int) (int, bool) {
 // point at a spared entry.
 func (p *costLRU) pending() int {
 	n := 0
-	for nd := range p.t.all {
+	for _, nd := range p.t.All {
 		if nd.deprOf != nil {
 			n++
 		}
@@ -195,7 +195,7 @@ func (p *costLRU) audit() error {
 		}
 		n := 0
 		for nd := b.rec.front; nd != nil; nd = nd.next {
-			if nd.cost != b.cost || nd.bucket != b || p.t.get(nd.key) != nd || !nd.resident || (nd.next != nil && nd.next.seq >= nd.seq) {
+			if nd.cost != b.cost || nd.bucket != b || p.t.Get(nd.key) != nd || !nd.resident || (nd.next != nil && nd.next.seq >= nd.seq) {
 				return fmt.Errorf("bucket cost %d: node %v (cost %d, seq %d) misplaced", b.cost, nd.key, nd.cost, nd.seq)
 			}
 			if v := nd.sparedFor; v != nil && v.deprOf != nd {
@@ -211,7 +211,7 @@ func (p *costLRU) audit() error {
 	if threaded != p.Len() {
 		return fmt.Errorf("%d nodes threaded, %d resident", threaded, p.Len())
 	}
-	for nd := range p.t.all {
+	for _, nd := range p.t.All {
 		if lru := nd.deprOf; lru != nil && (lru.sparedFor != nd || !lru.resident) {
 			return fmt.Errorf("the depreciation armed by %v targets %v, which is not resident and spared for it", nd.key, lru.key)
 		}

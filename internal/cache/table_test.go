@@ -3,9 +3,11 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
-	"unsafe"
+
+	"simfs/internal/model"
 )
 
 // The benchmark's cache drill keys the cache by file name through the
@@ -92,42 +94,17 @@ func TestCacheStepBound(t *testing.T) {
 		c := NewStepCache(pol, 0)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := c.Insert(maxKey, 1, 1, nil); err != nil {
+		if _, err := c.Insert(model.MaxSteps, 1, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		chunk := uint64(unsafe.Sizeof([chunkSteps]node{}))
+		dir := reflect.ValueOf(c.nodes).Elem().FieldByName("chunks")
+		chunk := uint64(dir.Type().Elem().Elem().Size())
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > chunk+chunk/2 {
 			t.Errorf("%s: inserting step 2^28 allocated %d bytes, more than its chunk's %d", policy, grew, chunk)
 		}
-		if n := len(c.nodes.chunks); n != 1 {
+		if n := dir.Len(); n != 1 {
 			t.Errorf("%s: directory of %d chunks after one insert, want 1", policy, n)
-		}
-	}
-}
-
-// A table agrees with a map wherever keys land: above, below and inside
-// the chunks already written.
-func TestTableWidens(t *testing.T) {
-	var tab table
-	want := map[int]int64{}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
-		key := rng.Intn(64 * chunkSteps)
-		if i%3 == 0 {
-			key = maxKey - key
-		}
-		tab.at(key).size = int64(i + 1)
-		want[key] = int64(i + 1)
-	}
-	for key, size := range want {
-		if nd := tab.get(key); nd == nil || nd.size != size {
-			t.Fatalf("step %d: table holds %v, want size %d", key, nd, size)
-		}
-	}
-	for _, key := range []int{-1, maxKey + chunkSteps, 64*chunkSteps + 1} {
-		if nd := tab.get(key); nd != nil && nd.size != 0 {
-			t.Errorf("step %d, never written, holds size %d", key, nd.size)
 		}
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"simfs/internal/model"
 	"simfs/internal/notify"
 )
 
@@ -124,11 +126,11 @@ func TestStepNameBounds(t *testing.T) {
 
 // A timeline's length arrives off the wire (ctx-register). One longer
 // than a step table holds is refused, without a panic; one within the
-// bound costs its table's directory when registered, and a step's chunk
-// when the step is first written.
+// bound costs nothing of the step table when registered, and a step's
+// chunk and one directory slot when the step is first written.
 func TestStepTableSize(t *testing.T) {
 	h := newHarness(t)
-	for _, steps := range []int{math.MaxInt, 1_000_000_000, maxOutputSteps + 1} {
+	for _, steps := range []int{math.MaxInt, 1_000_000_000, model.MaxSteps + 1} {
 		c := testContext(fmt.Sprint("long", steps))
 		c.Grid.Timesteps = steps
 		if err := h.v.AddContext(c, "DCL", nil); !errors.Is(err, ErrInvalid) {
@@ -148,9 +150,13 @@ func TestStepTableSize(t *testing.T) {
 	}
 	h.eng.Run(0)
 	runtime.ReadMemStats(&after)
-	// The directory is 1.2 MB and the context's name table 3.2 MB.
+	// The context's name table is 3.2 MB.
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
 		t.Errorf("registering a %d-step context and opening its last step allocated %d bytes", c.Grid.NumOutputSteps(), grew)
+	}
+	cs, _ := h.v.shardOf("long")
+	if n := reflect.ValueOf(&cs.steps).Elem().FieldByName("chunks").Len(); n != 1 {
+		t.Errorf("step table directory holds %d slots after opening the last step, want 1", n)
 	}
 	if resident, _, err := h.v.FileState("long", last); err != nil || !resident {
 		t.Errorf("last step resident = %v (%v), want true", resident, err)
@@ -173,7 +179,7 @@ func TestRefCountSaturates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs, _ := h.v.shardOf("c")
-	cs.steps.at(5).refs = math.MaxInt32
+	cs.steps.At(5).refs = math.MaxInt32
 	name := ctx.Filename(5)
 	if res, err := h.v.Open("a", "c", name); err != nil || !res.Available {
 		t.Fatalf("Open = %+v, %v; want a hit", res, err)
@@ -181,7 +187,7 @@ func TestRefCountSaturates(t *testing.T) {
 	if err := h.v.Release("a", "c", name); err != nil {
 		t.Fatal(err)
 	}
-	if got := cs.steps.get(5).refs; got != math.MaxInt32 {
+	if got := cs.step(5).refs; got != math.MaxInt32 {
 		t.Fatalf("refs = %d, want %d", got, math.MaxInt32)
 	}
 	var others []int

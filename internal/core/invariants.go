@@ -65,7 +65,7 @@ func (v *Virtualizer) checkShard(name string, cs *shard) error {
 	// The owners of pending markers. Read before admitting (below): a job
 	// missing here because a drain pass popped it is still counted there.
 	owners := append(v.sched.QueuedRanges(name), cs.retryArmed...)
-	for step, st := range cs.steps.all {
+	for step, st := range cs.steps.All {
 		if st.refs < 0 {
 			return fmt.Errorf("core: %s step %d has negative refcount %d", name, step, st.refs)
 		}
@@ -104,7 +104,7 @@ func (v *Virtualizer) checkShard(name string, cs *shard) error {
 	for _, w := range v.hub.Waiters(name) {
 		if step := w.Topic.Step; cs.resident(step) {
 			return fmt.Errorf("core: %s step %d resident but client %q still waits", name, step, w.Client)
-		} else if !cs.steps.get(step).promised && !w.StreamOwned() {
+		} else if !cs.step(step).promised && !w.StreamOwned() {
 			return fmt.Errorf("core: %s step %d has waiter %q but no promise", name, step, w.Client)
 		}
 	}

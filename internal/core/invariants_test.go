@@ -195,7 +195,7 @@ func TestInvariantsSeeCorruptStepTable(t *testing.T) {
 				t.Fatalf("before the corruption: %v", err)
 			}
 			cs, _ := h.v.shardOf("c")
-			tc.corrupt(cs.steps.at(9))
+			tc.corrupt(cs.steps.At(9))
 			if err := h.v.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("CheckInvariants = %v, want %q", err, tc.want)
 			}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"simfs/internal/des"
 	"simfs/internal/notify"
 	"simfs/internal/sched"
 )
@@ -181,10 +182,21 @@ func (v *Virtualizer) quarantineErr(cs *shard, first, last int) *QuarantineError
 // holds the shard lock.
 func (v *Virtualizer) repromise(cs *shard, sim *simState) {
 	for s := sim.first; s <= sim.last; s++ {
-		if st := cs.steps.get(s); st.promised && st.owner == sim.id {
-			cs.steps.at(s).owner = pendingSimID
+		if st := cs.steps.Get(s); st != nil && st.promised && st.owner == sim.id {
+			st.owner = pendingSimID
 		}
 	}
+}
+
+// after runs f once d has passed on the Virtualizer's clock: as an event
+// of a DES engine, so a retry lands in virtual time on the engine's own
+// goroutine, and on a wall-clock timer otherwise.
+func (v *Virtualizer) after(d time.Duration, f func()) {
+	if eng, ok := v.clock.(*des.Engine); ok {
+		eng.Schedule(d, f)
+		return
+	}
+	time.AfterFunc(d, f) //simfs:allow wallclock the retry timer of a Virtualizer that runs on the wall clock
 }
 
 // retryLaunch re-submits a failed interval once its backoff elapsed. It

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,8 +10,7 @@ import (
 	"simfs/internal/notify"
 )
 
-// retryHarness is the DES harness with the failure ledger enabled and
-// the retry timer wired into virtual time.
+// retryHarness is the DES harness with the failure ledger enabled.
 func retryHarness(t *testing.T, p RetryPolicy, ctxs ...string) *harness {
 	t.Helper()
 	h := newHarness(t)
@@ -20,8 +20,33 @@ func retryHarness(t *testing.T, p RetryPolicy, ctxs ...string) *harness {
 		}
 	}
 	h.v.SetRetryPolicy(p)
-	h.v.after = func(d time.Duration, f func()) { h.eng.Schedule(d, f) }
 	return h
+}
+
+// The retry timer runs on the Virtualizer's clock: on a DES engine a
+// failed launch is retried at virtual time failure + BaseBackoff, inside
+// the engine's run, with no timer injected.
+func TestRetryTimerFollowsDESClock(t *testing.T) {
+	ctx := testContext("c")
+	h := newHarness(t, ctx)
+	h.v.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: 3 * time.Second, Cooldown: time.Minute})
+	var launches []time.Duration
+	fail := faults.NewSimPlan().WithFailN("c", 4, 1, 0).FailAt
+	h.l.FailAt = func(ctxName string, first, last int) int {
+		launches = append(launches, h.eng.Now())
+		return fail(ctxName, first, last)
+	}
+	if _, err := h.v.Open("a1", "c", ctx.Filename(4)); err != nil {
+		t.Fatal(err)
+	}
+	h.eng.Run(0)
+	// The first launch, at 0, fails at its start α = 2 s later.
+	if want := []time.Duration{0, 2*time.Second + 3*time.Second}; !slices.Equal(launches, want) {
+		t.Fatalf("launches at %v, want %v", launches, want)
+	}
+	if resident, _, err := h.v.FileState("c", ctx.Filename(4)); err != nil || !resident {
+		t.Errorf("step 4 resident = %v (%v) after the retry, want true", resident, err)
+	}
 }
 
 func TestRetryRecoversTransientFailure(t *testing.T) {
@@ -213,7 +238,6 @@ func TestRetryDroppedAtCapacityFailsJoinedWatchers(t *testing.T) {
 	ctx.SMax = 1
 	h := newHarness(t, ctx) // zero sched.Config: prefetch beyond smax is dropped
 	h.v.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Second, Cooldown: time.Minute})
-	h.v.after = func(d time.Duration, f func()) { h.eng.Schedule(d, f) }
 	// The prefetch of [9,12] crashes once, before producing anything
 	// (at t=α=2s); its retry is due 2 s later.
 	h.l.FailAt = faults.NewSimPlan().WithFailN("c", 10, 1, 0).FailAt

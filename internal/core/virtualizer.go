@@ -137,7 +137,7 @@ type shard struct {
 	draining bool
 
 	// steps is the per-step ledger; residency is the cache's.
-	steps  stepTable
+	steps  model.Table[stepState]
 	agents map[string]*prefetch.Agent
 
 	// prefetched tracks steps produced by prefetching per client, for the
@@ -207,9 +207,6 @@ type Virtualizer struct {
 	// scheduler and clearing its pending markers under the shard lock —
 	// the window in which such markers have no owner (CheckInvariants 2).
 	admitting atomic.Int32
-	// after arms a delayed callback (retry backoff). The default uses
-	// wall-clock time.AfterFunc; tests inject their own timer.
-	after func(time.Duration, func())
 }
 
 // New returns a Virtualizer reading time from clock and running
@@ -233,7 +230,6 @@ func NewScheduled(clock des.Clock, launcher Launcher, cfg sched.Config) *Virtual
 		simDir:   map[int64]*shard{},
 		retryRng: rand.New(rand.NewSource(0)),
 	}
-	v.after = func(d time.Duration, f func()) { time.AfterFunc(d, f) } //simfs:allow wallclock the default timer seam; DES tests replace v.after with virtual time
 	v.placeholderSeq.Store(pendingSimID)
 	return v
 }
@@ -250,9 +246,6 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 	ctx.ApplyDefaults()
 	if err := ctx.Validate(); err != nil {
 		return fmt.Errorf("core: %w: %v", ErrInvalid, err)
-	}
-	if n := ctx.Grid.NumOutputSteps(); n > maxOutputSteps {
-		return fmt.Errorf("core: %w: context %q has %d output steps, more than %d", ErrInvalid, ctx.Name, n, maxOutputSteps)
 	}
 	capacity := ctx.CacheCapacitySteps()
 	if capacity == 0 {
@@ -277,7 +270,6 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 		ctx:        ctx,
 		cache:      cache.NewStepCache(pol, ctx.MaxCacheBytes),
 		fs:         fs,
-		steps:      newStepTable(ctx.Grid.NumOutputSteps()),
 		agents:     map[string]*prefetch.Agent{},
 		prefetched: map[int]string{},
 		lastReady:  map[string]time.Duration{},
@@ -286,7 +278,7 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 		checksums:  map[int]uint64{},
 		failures:   map[[2]int]*failureRec{},
 	}
-	cs.cache.PinnedBy(func(step int) bool { return cs.steps.get(step).refs > 0 })
+	cs.cache.PinnedBy(func(step int) bool { return cs.step(step).refs > 0 })
 	if ctx.Upstream != "" {
 		cs.upstream = notify.NewOwner(func(tag uint64, ev notify.Event) { v.upstreamReady(cs, int64(tag), ev) })
 		cs.pipelineClient = "pipeline:" + ctx.Name
@@ -534,7 +526,7 @@ func (v *Virtualizer) Watch(client, ctxName string, filenames []string, o *notif
 	for i := range files {
 		f := &files[i]
 		f.Resident = cs.resident(f.Step)
-		f.Promised = cs.steps.get(f.Step).promised
+		f.Promised = cs.step(f.Step).promised
 		if !f.Resident && !slices.ContainsFunc(files[:i], func(g WatchedFile) bool { return g.Step == f.Step }) {
 			v.hub.AwaitFor(notify.Topic{Context: ctxName, Step: f.Step}, client, o, tag)
 		}
@@ -613,7 +605,7 @@ func (v *Virtualizer) RescanStorageArea(ctxName string) (int, error) {
 // the shard lock.
 func (v *Virtualizer) stepArrived(cs *shard, step int, ws []notify.Waiter) []notify.Waiter {
 	v.insertStep(cs, step)
-	cs.steps.at(step).promised = false
+	cs.steps.At(step).promised = false
 	n := len(ws)
 	ws = v.hub.Take(notify.Topic{Context: cs.ctx.Name, Step: step}, ws)
 	for _, w := range ws[n:] {
@@ -678,14 +670,14 @@ func (cs *shard) resident(step int) bool { return cs.cache.Contains(step) }
 // covered reports whether a step is resident or promised. Caller holds
 // the shard lock.
 func (cs *shard) covered(step int) bool {
-	return cs.steps.get(step).promised || cs.resident(step)
+	return cs.step(step).promised || cs.resident(step)
 }
 
 // referenced counts the steps someone holds a reference on. Caller holds
 // the shard lock.
 func (cs *shard) referenced() int {
 	n := 0
-	for _, st := range cs.steps.all {
+	for _, st := range cs.steps.All {
 		if st.refs > 0 {
 			n++
 		}

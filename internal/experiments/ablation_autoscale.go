@@ -180,10 +180,11 @@ func runAutoscaleCell(seed int64, cachePolicy string, cfg sched.Config, policies
 		eng.Schedule(time.Duration(rng.Intn(60))*time.Second, a.Start)
 	}
 
+	var cell AutoscaleResult
 	var ctrl *autoscale.Controller
 	if tick > 0 {
 		ctrl, err = autoscale.New(autoscale.LocalTarget{V: v}, policies,
-			autoscale.Options{Clock: eng, LogSize: 256})
+			autoscale.Options{Clock: eng, OnDecision: func(d autoscale.Decision) { cell.Log = append(cell.Log, d) }})
 		if err != nil {
 			return AutoscaleResult{}, err
 		}
@@ -216,19 +217,13 @@ func runAutoscaleCell(seed int64, cachePolicy string, cfg sched.Config, policies
 	for _, d := range completions {
 		xs = append(xs, d.Seconds())
 	}
-	cell := AutoscaleResult{
-		DemandWait: ss.DemandWait.Wait,
-		Median:     metrics.Summarize(xs).Median,
-		Restarts:   st.Restarts,
-		Preempted:  ss.Preempted,
-		Promoted:   ss.Promoted,
-	}
+	cell.DemandWait = ss.DemandWait.Wait
+	cell.Median = metrics.Summarize(xs).Median
+	cell.Restarts = st.Restarts
+	cell.Preempted, cell.Promoted = ss.Preempted, ss.Promoted
+	cell.Decisions = len(cell.Log)
 	for _, a := range analyses {
 		cell.Blocked += a.Waits
-	}
-	if ctrl != nil {
-		cell.Log = ctrl.Decisions()
-		cell.Decisions = len(cell.Log)
 	}
 	return cell, nil
 }

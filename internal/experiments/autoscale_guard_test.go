@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"simfs/internal/autoscale"
 	"simfs/internal/simulator"
 )
 
@@ -51,6 +52,43 @@ func TestAutoscaleZeroConfigGolden(t *testing.T) {
 	fmt.Fprintf(&buf, "stats=%+v\n", res.Stats)
 	if got := buf.String(); got != want {
 		t.Errorf("unarmed controller perturbed the run:\n-- got --\n%s\n-- want --\n%s", got, want)
+	}
+}
+
+// everyTick is a policy that acts on every tick it sees, without
+// actuating anything.
+type everyTick struct{ ticks int }
+
+func (p *everyTick) Name() string { return "every-tick" }
+
+func (p *everyTick) Evaluate(autoscale.Tick) []autoscale.Action {
+	p.ticks++
+	return []autoscale.Action{{Reason: fmt.Sprint("tick ", p.ticks)}}
+}
+
+// A MultiAnalysis reports every decision its controller took, however
+// many ticks the run lasts.
+func TestMultiAnalysisReportsEveryDecision(t *testing.T) {
+	ctx := simulator.CosmoScaling()
+	ctx.MaxCacheBytes = 128 * ctx.OutputBytes
+	pol := &everyTick{}
+	res, err := MultiAnalysis(ctx, MultiAnalysisConfig{
+		Clients: 2, Steps: 8, TauCli: 100 * time.Millisecond, Seed: 1,
+		Autoscale: []autoscale.Policy{pol}, AutoscaleTick: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pol.ticks <= 32 {
+		t.Fatalf("the run lasted %d ticks, want more than 32", pol.ticks)
+	}
+	if len(res.Decisions) != pol.ticks {
+		t.Fatalf("%d decisions reported for %d ticks", len(res.Decisions), pol.ticks)
+	}
+	for i, d := range res.Decisions {
+		if want := fmt.Sprint("tick ", i+1); d.Reason != want {
+			t.Fatalf("decision %d: %q, want %q", i, d.Reason, want)
+		}
 	}
 }
 

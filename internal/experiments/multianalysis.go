@@ -88,7 +88,7 @@ func MultiAnalysis(ctx *model.Context, cfg MultiAnalysisConfig) (MultiAnalysisRe
 	if cfg.AutoscaleTick > 0 {
 		var err error
 		ctrl, err = autoscale.New(autoscale.LocalTarget{V: v}, cfg.Autoscale,
-			autoscale.Options{Clock: eng})
+			autoscale.Options{Clock: eng, OnDecision: func(d autoscale.Decision) { res.Decisions = append(res.Decisions, d) }})
 		if err != nil {
 			return res, err
 		}
@@ -107,9 +107,6 @@ func MultiAnalysis(ctx *model.Context, cfg MultiAnalysisConfig) (MultiAnalysisRe
 	}
 	if !eng.Run(80_000_000) {
 		return res, fmt.Errorf("multianalysis: runaway event loop")
-	}
-	if ctrl != nil {
-		res.Decisions = ctrl.Decisions()
 	}
 	if aborted != nil {
 		return res, aborted

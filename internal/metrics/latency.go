@@ -82,13 +82,14 @@ func upperBoundNs(i int) int64 {
 	return 1 << uint(i)
 }
 
-// OpLatency is the per-operation summary surfaced through the stats
-// frame: observation count plus p50/p99 upper bounds in nanoseconds.
+// OpLatency is the per-operation summary the stats frame carries as it
+// is (netproto.OpLatency): observation count plus p50/p99 upper bounds
+// in nanoseconds.
 type OpLatency struct {
-	Op    string
-	Count uint64
-	P50   time.Duration
-	P99   time.Duration
+	Op    string `json:"op"`
+	Count uint64 `json:"count"`
+	P50Ns int64  `json:"p50_ns"`
+	P99Ns int64  `json:"p99_ns"`
 }
 
 // LatencySet tracks one Histogram per operation name. The op set is
@@ -132,11 +133,11 @@ func (s *LatencySet) Summaries() []OpLatency {
 	for _, op := range s.order {
 		h := s.hists[op]
 		if n := h.Count(); n > 0 {
-			out = append(out, OpLatency{Op: op, Count: n, P50: h.Quantile(0.50), P99: h.Quantile(0.99)})
+			out = append(out, OpLatency{Op: op, Count: n, P50Ns: int64(h.Quantile(0.50)), P99Ns: int64(h.Quantile(0.99))})
 		}
 	}
 	if n := s.other.Count(); n > 0 {
-		out = append(out, OpLatency{Op: "other", Count: n, P50: s.other.Quantile(0.50), P99: s.other.Quantile(0.99)})
+		out = append(out, OpLatency{Op: "other", Count: n, P50Ns: int64(s.other.Quantile(0.50)), P99Ns: int64(s.other.Quantile(0.99))})
 	}
 	return out
 }

@@ -100,11 +100,11 @@ func TestLatencySetExactPercentiles(t *testing.T) {
 	if len(sums) != 1 || sums[0].Op != "open" || sums[0].Count != 100 {
 		t.Fatalf("summaries = %+v, want one open entry with count 100", sums)
 	}
-	if sums[0].P50 != 128*time.Nanosecond {
-		t.Errorf("open p50 = %v, want 128ns", sums[0].P50)
+	if sums[0].P50Ns != 128 {
+		t.Errorf("open p50 = %dns, want 128ns", sums[0].P50Ns)
 	}
-	if sums[0].P99 != 128*time.Nanosecond {
-		t.Errorf("open p99 = %v, want 128ns (rank 99 of 100 is still the fast bucket)", sums[0].P99)
+	if sums[0].P99Ns != 128 {
+		t.Errorf("open p99 = %dns, want 128ns (rank 99 of 100 is still the fast bucket)", sums[0].P99Ns)
 	}
 }
 
@@ -143,8 +143,8 @@ func TestLatencySetKnownAndOther(t *testing.T) {
 	if sums[2].Op != "other" || sums[2].Count != 1 {
 		t.Errorf("third summary = %+v, want op=other count=1", sums[2])
 	}
-	if sums[1].P99 < time.Millisecond || sums[1].P99 > 2*time.Millisecond {
-		t.Errorf("wait p99 = %v, want in [1ms, 2ms]", sums[1].P99)
+	if p99 := time.Duration(sums[1].P99Ns); p99 < time.Millisecond || p99 > 2*time.Millisecond {
+		t.Errorf("wait p99 = %v, want in [1ms, 2ms]", p99)
 	}
 	// Ops with zero observations are omitted.
 	s2 := NewLatencySet("open", "wait")

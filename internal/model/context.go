@@ -95,6 +95,9 @@ func (c *Context) Validate() error {
 	if err := c.Grid.Validate(); err != nil {
 		return fmt.Errorf("context %q: %w", c.Name, err)
 	}
+	if n := c.Grid.NumOutputSteps(); n > MaxSteps {
+		return fmt.Errorf("context %q has %d output steps, more than %d", c.Name, n, MaxSteps)
+	}
 	if c.MaxCacheBytes < 0 {
 		return fmt.Errorf("context %q: negative MaxCacheBytes", c.Name)
 	}

@@ -294,10 +294,12 @@ func forwardBin(payload []byte, fwd ForwardFunc) (forwarded bool, err error) {
 // clamped down to ProtoVersion. Anything else — a pre-versioned (v1)
 // client, a v2 or v3 hello, one without CapBinary, a foreign peer — is
 // refused with CodeVersion on the frame's own ID, and the error tells
-// the caller to close. The reply advertises caps plus CapBinary. It and
-// every refusal go out as JSON, the one dialect every protocol version
-// reads; after it both directions speak binary. who names the accepting
-// program ("daemon", "router") in refusals.
+// the caller to close. A hello that does not decode, or that names no
+// client (core reads the empty name as "no client"), is answered
+// bad_request and the peer may send another. The reply advertises caps
+// plus CapBinary. It and every refusal go out as JSON, the one dialect
+// every protocol version reads; after it both directions speak binary.
+// who names the accepting program ("daemon", "router") in refusals.
 func (c *Conn) Accept(caps []string, who string) (HelloBody, error) {
 	for {
 		var env Envelope
@@ -313,15 +315,19 @@ func (c *Conn) Accept(caps []string, who string) (HelloBody, error) {
 				OpHello, who, ProtoVersion))
 		}
 		var hb HelloBody
-		if err := env.Decode(&hb); err != nil {
+		err := env.Decode(&hb)
+		if err == nil && (hb.Version < ProtoVersion || !HasCap(hb.Caps, CapBinary)) {
+			return refuse(fmt.Errorf("peer speaks protocol %d with caps %v; %s requires protocol %d with %q",
+				hb.Version, hb.Caps, who, ProtoVersion, CapBinary))
+		}
+		if err == nil && hb.Client == "" {
+			err = errors.New("hello names no client")
+		}
+		if err != nil {
 			if err := c.writeResponse(&Response{ID: env.ID, Code: CodeBadRequest, Err: err.Error()}, false, true); err != nil {
 				return HelloBody{}, err
 			}
 			continue
-		}
-		if hb.Version < ProtoVersion || !HasCap(hb.Caps, CapBinary) {
-			return refuse(fmt.Errorf("peer speaks protocol %d with caps %v; %s requires protocol %d with %q",
-				hb.Version, hb.Caps, who, ProtoVersion, CapBinary))
 		}
 		hb.Version = ProtoVersion
 		// Copy: caps is usually the caller's shared table.

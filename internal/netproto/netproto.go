@@ -56,6 +56,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"simfs/internal/metrics"
 	"simfs/internal/model"
 	"simfs/internal/sched"
 )
@@ -476,13 +477,9 @@ type Stats struct {
 	Ops []OpLatency `json:"op_latencies,omitempty"`
 }
 
-// OpLatency is one per-operation latency summary inside Stats.
-type OpLatency struct {
-	Op    string `json:"op"`
-	Count uint64 `json:"count"`
-	P50Ns int64  `json:"p50_ns"`
-	P99Ns int64  `json:"p99_ns"`
-}
+// OpLatency is one per-operation latency summary inside Stats: the
+// daemon's summaries travel as metrics.LatencySet reports them.
+type OpLatency = metrics.OpLatency
 
 // PeerInfo describes one federation link in a peers response. Role is
 // "member" for a router's ring entries, "out" for a daemon's outbound

@@ -238,7 +238,14 @@ var daemonCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPree
 	netproto.CapFed}
 
 func (s *Server) handle(c *netproto.Conn) {
-	sess := &session{c: c, srv: s, held: map[string]map[string]int{}}
+	hello, err := c.Accept(daemonCaps, "daemon")
+	if err != nil {
+		if err != io.EOF {
+			s.Logf("server: handshake with %s: %v", c.RemoteAddr(), err)
+		}
+		return
+	}
+	sess := &session{c: c, srv: s, client: hello.Client, held: map[string]map[string]int{}}
 	sess.pusher = pusher{notices: notify.NewOwner(sess.resolved),
 		streams: notify.NewStreamOwner(sess.streamEvent), answered: map[uint64]struct{}{},
 		early: map[uint64]netproto.Response{}, watches: map[uint64]*fileWatch{}}
@@ -264,18 +271,8 @@ func (s *Server) handle(c *netproto.Conn) {
 		// With the references gone, the client's speculative work can be
 		// dismantled: queued prefetch jobs are de-queued and running
 		// prefetch simulations nobody else waits for are killed.
-		if sess.client != "" {
-			s.v.ClientDisconnected(sess.client)
-		}
+		s.v.ClientDisconnected(sess.client)
 	}()
-	hello, err := c.Accept(daemonCaps, "daemon")
-	if err != nil {
-		if err != io.EOF {
-			s.Logf("server: handshake with %s: %v", c.RemoteAddr(), err)
-		}
-		return
-	}
-	sess.client = hello.Client
 	c.SetNames(s.v.Names)
 	flush := sess.flush // bound once: a method value allocates
 	// One envelope per session, not per frame: it is decoded into through
@@ -492,7 +489,7 @@ func (s *Server) stats(_ *session, b netproto.CtxBody) (netproto.Response, error
 		SchedRetries:     uint64(retries),
 		SchedQuarantined: uint64(quarantined),
 		SchedClientLoads: s.v.Scheduler().ClientLoads(),
-		Ops:              opLatencies(s.lat.Summaries()),
+		Ops:              s.lat.Summaries(),
 	}}, nil
 }
 
@@ -595,19 +592,6 @@ func (s *Server) ctxDeregister(sess *session, b netproto.CtxBody) (netproto.Resp
 	}
 	s.Logf("server: context %s deregistered by %s", b.Context, sess.client)
 	return acked, nil
-}
-
-// opLatencies mirrors per-op latency summaries onto the wire.
-func opLatencies(sums []metrics.OpLatency) []netproto.OpLatency {
-	if len(sums) == 0 {
-		return nil
-	}
-	out := make([]netproto.OpLatency, len(sums))
-	for i, l := range sums {
-		out[i] = netproto.OpLatency{Op: l.Op, Count: l.Count,
-			P50Ns: int64(l.P50), P99Ns: int64(l.P99)}
-	}
-	return out
 }
 
 // inboundPeerInfos reports the inbound half of the federation ledger:

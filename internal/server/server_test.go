@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"simfs/internal/dvlib"
+	"simfs/internal/metrics"
 	"simfs/internal/model"
+	"simfs/internal/netproto"
 	"simfs/internal/vfs"
 )
 
@@ -437,5 +439,33 @@ func TestStackValidation(t *testing.T) {
 	}
 	if err := st.RunInitialSimulation("nope"); err == nil {
 		t.Error("unknown context accepted by RunInitialSimulation")
+	}
+}
+
+// The stats frame carries the dispatch latency summaries as
+// metrics.LatencySet reports them. Its bytes are pinned, for a daemon
+// that has timed nothing yet and for one that has.
+func TestStatsOpLatencyWireBytes(t *testing.T) {
+	lat := metrics.NewLatencySet(netproto.OpOpen, netproto.OpRelease)
+	var buf bytes.Buffer
+	for round := 0; round < 2; round++ {
+		if round == 1 {
+			for i := 0; i < 100; i++ {
+				lat.Record(netproto.OpOpen, 100*time.Nanosecond)
+			}
+			lat.Record(netproto.OpRelease, 3*time.Microsecond)
+			lat.Record(netproto.OpPing, time.Millisecond)
+		}
+		resp := netproto.Response{ID: 5, OK: true, Stats: &netproto.Stats{Hits: 2, Ops: lat.Summaries()}}
+		if err := netproto.Binary.EncodeFrame(&buf, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const counters = `"opens":0,"hits":2,"misses":0,"restarts":0,"demand_restarts":0,"prefetch_launches":0,"dropped_prefetch":0,"steps_produced":0,"evictions":0,"kills":0,"failures":0,"pollution_resets":0`
+	want := "\x00\x00\x00\xd3" + `{"id":5,"ok":true,"stats":{` + counters + `}}` +
+		"\x00\x00\x01\x8a" + `{"id":5,"ok":true,"stats":{` + counters +
+		`,"op_latencies":[{"op":"open","count":100,"p50_ns":128,"p99_ns":128},{"op":"release","count":1,"p50_ns":4096,"p99_ns":4096},{"op":"other","count":1,"p50_ns":1048576,"p99_ns":1048576}]}}`
+	if got := buf.String(); got != want {
+		t.Errorf("stats frames encode to\n%q\nwant\n%q", got, want)
 	}
 }

@@ -72,6 +72,23 @@ func TestHandshakeRefusalClosesSession(t *testing.T) {
 	}
 }
 
+// A hello that names no client is refused with bad_request: core reads
+// the empty name as "no client", so such a session's prefetches would
+// pass for demand work. The peer may then hello again under a name.
+func TestHandshakeRequiresClientName(t *testing.T) {
+	_, addr := testStack(t)
+	conn := rawConn(t, addr)
+	resp := exchange(t, conn, 1, netproto.OpHello, netproto.HelloBody{Version: netproto.ProtoVersion,
+		Caps: []string{netproto.CapBinary}})
+	if resp.OK || resp.ID != 1 || resp.Code != netproto.CodeBadRequest {
+		t.Fatalf("unnamed hello answered with %+v, want a bad_request refusal on id 1", resp)
+	}
+	if resp := exchange(t, conn, 2, netproto.OpHello, netproto.HelloBody{Version: netproto.ProtoVersion,
+		Client: "named", Caps: []string{netproto.CapBinary}}); !resp.OK || resp.ID != 2 {
+		t.Fatalf("named hello after the refusal: %+v", resp)
+	}
+}
+
 // A v1 client (no hello, untyped request bag) against the new daemon:
 // the first frame is answered with a structured CodeVersion error, in
 // JSON so the old client can read it, and the connection closes.
