@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -31,42 +32,7 @@ func main() {
 	flag.Parse()
 	experiments.SetWorkers(*jobs)
 
-	runs := map[string]func() error{
-		"1":   func() error { return renderTable(fig01()) },
-		"5":   func() error { return fig05(*reps, *seed) },
-		"12":  func() error { return renderTable(fig12()) },
-		"13":  func() error { return renderTable(fig13()) },
-		"14":  func() error { return renderTable(fig14()) },
-		"15a": fig15a,
-		"15b": func() error { return fig15bc(true) },
-		"15c": func() error { return fig15bc(false) },
-		"16":  func() error { return renderTable(experiments.Fig16()) },
-		"17":  func() error { return renderTables(experiments.Fig17()) },
-		"18":  func() error { return renderTable(experiments.Fig18()) },
-		"19":  func() error { return renderTables(experiments.Fig19()) },
-		"ablations": func() error {
-			if err := renderTable(experiments.AblationPrefetchStrategies()); err != nil {
-				return err
-			}
-			fmt.Println()
-			if err := renderTable(experiments.AblationDoubling()); err != nil {
-				return err
-			}
-			fmt.Println()
-			return renderTable(experiments.AblationEMA())
-		},
-		"sched":     func() error { return renderTable(experiments.AblationScheduler(*seed)) },
-		"preempt":   func() error { return renderTable(experiments.AblationPreempt(*seed)) },
-		"autoscale": func() error { return renderTable(experiments.AblationAutoscale(*seed)) },
-		"multi": func() error {
-			ctx := simulator.CosmoScaling()
-			ctx.MaxCacheBytes = 128 * ctx.OutputBytes
-			return renderTable(experiments.MultiAnalysisSweep(
-				ctx, []int{1, 2, 4, 8}, 48, 100*time.Millisecond, *seed))
-		},
-	}
-	order := []string{"1", "5", "12", "13", "14", "15a", "15b", "15c", "16", "17", "18", "19", "ablations", "sched", "preempt", "autoscale", "multi"}
-
+	runs := runs(os.Stdout, *reps, *seed)
 	if *fig == "all" {
 		for _, f := range order {
 			if err := runs[f](); err != nil {
@@ -85,6 +51,65 @@ func main() {
 	}
 }
 
+// order is what -fig all prints, each figure followed by a blank line.
+var order = []string{"1", "5", "12", "13", "14", "15a", "15b", "15c", "16", "17", "18", "19", "ablations", "sched", "preempt", "autoscale", "multi"}
+
+// runs is the figure table: each entry renders one -fig value to w.
+func runs(w io.Writer, reps int, seed int64) map[string]func() error {
+	table := func(tab *metrics.Table, err error) error {
+		if err != nil {
+			return err
+		}
+		return tab.Render(w)
+	}
+	tables := func(tabs []*metrics.Table, err error) error {
+		if err != nil {
+			return err
+		}
+		for _, tab := range tabs {
+			if err := tab.Render(w); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
+	}
+	return map[string]func() error{
+		"1":   func() error { return table(fig01()) },
+		"5":   func() error { return fig05(w, reps, seed) },
+		"12":  func() error { return table(fig12()) },
+		"13":  func() error { return table(fig13()) },
+		"14":  func() error { return table(fig14()) },
+		"15a": func() error { return fig15a(w) },
+		"15b": func() error { return fig15bc(w, true) },
+		"15c": func() error { return fig15bc(w, false) },
+		"16":  func() error { return table(experiments.Fig16()) },
+		"17":  func() error { return tables(experiments.Fig17()) },
+		"18":  func() error { return table(experiments.Fig18()) },
+		"19":  func() error { return tables(experiments.Fig19()) },
+		"ablations": func() error {
+			if err := table(experiments.AblationPrefetchStrategies()); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+			if err := table(experiments.AblationDoubling()); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+			return table(experiments.AblationEMA())
+		},
+		"sched":     func() error { return table(experiments.AblationScheduler(seed)) },
+		"preempt":   func() error { return table(experiments.AblationPreempt(seed)) },
+		"autoscale": func() error { return table(experiments.AblationAutoscale(seed)) },
+		"multi": func() error {
+			ctx := simulator.CosmoScaling()
+			ctx.MaxCacheBytes = 128 * ctx.OutputBytes
+			return table(experiments.MultiAnalysisSweep(
+				ctx, []int{1, 2, 4, 8}, 48, 100*time.Millisecond, seed))
+		},
+	}
+}
+
 func workload() experiments.CostWorkload { return experiments.DefaultCostWorkload() }
 
 func fig01() (*metrics.Table, error) { return experiments.Fig01(workload(), costmodel.Azure) }
@@ -92,7 +117,7 @@ func fig12() (*metrics.Table, error) { return experiments.Fig12(workload(), cost
 func fig13() (*metrics.Table, error) { return experiments.Fig13(workload(), costmodel.Azure) }
 func fig14() (*metrics.Table, error) { return experiments.Fig14(workload(), costmodel.Azure) }
 
-func fig05(reps int, seed int64) error {
+func fig05(w io.Writer, reps int, seed int64) error {
 	cfg := experiments.DefaultFig05()
 	cfg.Reps = reps
 	cfg.Seed = seed
@@ -100,55 +125,35 @@ func fig05(reps int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	if err := steps.Render(os.Stdout); err != nil {
+	if err := steps.Render(w); err != nil {
 		return err
 	}
-	fmt.Println()
-	return restarts.Render(os.Stdout)
+	fmt.Fprintln(w)
+	return restarts.Render(w)
 }
 
-func fig15a() error {
+func fig15a(w io.Writer) error {
 	h, err := experiments.Fig15a(workload())
 	if err != nil {
 		return err
 	}
-	if err := h.Render(os.Stdout); err != nil {
+	if err := h.Render(w); err != nil {
 		return err
 	}
 	// The two real-world datapoints the paper marks on the heatmap.
-	fmt.Printf("\nreference points: Azure (cs=%.2f cc=%.2f), Piz Daint (cs=%.2f cc=%.2f)\n",
+	fmt.Fprintf(w, "\nreference points: Azure (cs=%.2f cc=%.2f), Piz Daint (cs=%.2f cc=%.2f)\n",
 		costmodel.Azure.StoragePerGiBMonth, costmodel.Azure.ComputePerNodeHour,
 		costmodel.PizDaint.StoragePerGiBMonth, costmodel.PizDaint.ComputePerNodeHour)
 	return nil
 }
 
-func fig15bc(cost bool) error {
+func fig15bc(w io.Writer, cost bool) error {
 	costTab, timeTab, err := experiments.Fig15bc(workload(), costmodel.Azure)
 	if err != nil {
 		return err
 	}
 	if cost {
-		return costTab.Render(os.Stdout)
+		return costTab.Render(w)
 	}
-	return timeTab.Render(os.Stdout)
-}
-
-func renderTable(tab *metrics.Table, err error) error {
-	if err != nil {
-		return err
-	}
-	return tab.Render(os.Stdout)
-}
-
-func renderTables(tabs []*metrics.Table, err error) error {
-	if err != nil {
-		return err
-	}
-	for _, tab := range tabs {
-		if err := tab.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
+	return timeTab.Render(w)
 }
