@@ -134,10 +134,10 @@ chaos-smoke:
 	$(GO) test -race ./internal/faults
 
 # fed-smoke is the federation gate under the race detector: router
-# proxying across sharded daemons, cross-daemon notify exactly-once
-# delivery, dead-peer isolation, a peer link failing on an undecodable
-# response, byte-transparent relaying, and reconnecting clients riding
-# through a router restart.
+# proxying across sharded daemons, dead-peer isolation, a member link
+# failing on an undecodable response, unknown ops refused like a daemon
+# refuses them, byte-transparent relaying, and reconnecting clients
+# riding through a router restart.
 fed-smoke:
 	$(GO) test -race -count=1 -run 'TestFederation' ./internal/fed
 

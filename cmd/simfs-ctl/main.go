@@ -131,8 +131,7 @@ func main() {
 		runAutoscale(c, args[1:])
 
 	case "peers":
-		// Federation links: ring members (on a router), outbound bridge
-		// connections and inbound fed-watch sessions (on a daemon).
+		// Federation links: a router's ring members. A daemon has none.
 		infos, err := admin.Peers(cx)
 		check(err)
 		if len(infos) == 0 {
@@ -140,9 +139,9 @@ func main() {
 			break
 		}
 		w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-		fmt.Fprintf(w, "addr\trole\tconnected\ttopics\tevents\n")
+		fmt.Fprintf(w, "addr\trole\tconnected\n")
 		for _, p := range infos {
-			fmt.Fprintf(w, "%s\t%s\t%v\t%d\t%d\n", p.Addr, p.Role, p.Connected, p.Topics, p.Events)
+			fmt.Fprintf(w, "%s\t%s\t%v\n", p.Addr, p.Role, p.Connected)
 		}
 		w.Flush()
 
@@ -444,7 +443,7 @@ inspection:
   stats                         show every counter of one context's stats frame, per-client
                                 load and per-op latency percentiles (-context)
   health                        fault-tolerance counters, per-op latency percentiles (-context)
-  peers                         federation links (ring members / bridge connections / inbound watches)
+  peers                         federation links (a router's ring members)
   estwait <file>                estimated availability delay (-context)
   bitrep <file>                 bitwise-reproducibility check (-context)
   rescan                        resync the cache with the storage area (-context)

@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -58,11 +57,6 @@ func main() {
 	// "youngest" default is inert until one is configured.
 	preempt := flag.String("sched-preempt", "youngest", "kill a running agent prefetch for a node-blocked demand miss: off | youngest (needs -sched-nodes)")
 	quantum := flag.Int("sched-quantum", 0, "per-client deficit-round-robin quantum in output steps inside a priority class (0 = pure FIFO)")
-	// Federation: when this daemon is one member behind simfs-router,
-	// -peers lists the OTHER members, so subscriptions to files a peer
-	// produces are forwarded there and their events come back.
-	peers := flag.String("peers", "", "comma-separated peer daemon addresses for cross-daemon notification (federation)")
-	fedName := flag.String("fed-name", "", "this daemon's name on its federation links (default: the listen address)")
 	// Failure ledger: retry failed re-simulations with backoff, then
 	// quarantine the interval (circuit breaker). Off by default — the
 	// zero policy reproduces the fail-immediately behavior exactly.
@@ -104,20 +98,6 @@ func main() {
 	// The server logs each reconfiguration with the client that made it:
 	// the daemon's record of who steered it.
 	d.Server.Logf = log.Printf
-	if *peers != "" {
-		var peerAddrs []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerAddrs = append(peerAddrs, p)
-			}
-		}
-		name := *fedName
-		if name == "" {
-			name = *addr
-		}
-		d.EnablePeers(name, peerAddrs)
-		log.Printf("simfs-dv: federation enabled as %q, forwarding remote watches to %v", name, peerAddrs)
-	}
 	if *retryMax > 0 {
 		d.V.SetRetryPolicy(simfs.RetryPolicy{
 			MaxAttempts: *retryMax,

@@ -9,9 +9,9 @@
 //
 // Clients dial the router exactly like a daemon (dvlib, simfs-ctl,
 // the io shims — nothing changes); contexts and stats fan out to all
-// members and merge. For cross-daemon notification, start each daemon
-// with -peers listing the other members, so a watch routed to one
-// daemon still fires when another produces the file.
+// members and merge. Every op on a context, ctx-register included,
+// goes to its one owner, so a watch and the open that produces its file
+// meet on the same daemon.
 package main
 
 import (

@@ -262,9 +262,9 @@ func TestDrainDroppedPrefetchFailsJoinedWaiters(t *testing.T) {
 	}
 }
 
-// A stream on a file nobody opened — a fed-watch waiting for the file's
-// producer to be asked — is failed when its context is deregistered,
-// not left on a topic nothing will ever decide.
+// A stream on a file nobody opened — a subscribe between its Watch and
+// the Withdraw of the file it finds unpromised — is failed when its
+// context is deregistered, not left on a topic nothing will ever decide.
 func TestRemoveContextFailsLeftoverWatchers(t *testing.T) {
 	ctx := testContext("c")
 	h := newHarness(t, ctx)

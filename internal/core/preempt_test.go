@@ -125,7 +125,7 @@ func TestPreemptSparesCoalescedPrefetchWithWaiters(t *testing.T) {
 }
 
 // watchOne registers a stream of client's on one file (the server's
-// subscribe and fed-watch path).
+// subscribe path).
 func watchOne(t *testing.T, h *harness, client, ctxName, file string) *watcher {
 	t.Helper()
 	sub, _, err := watch(h.v, client, ctxName, []string{file})

@@ -244,7 +244,7 @@ func TestRetryDroppedAtCapacityFailsJoinedWatchers(t *testing.T) {
 	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
 
 	file := ctx.Filename(10)
-	topic, _ := h.v.FileTopic("c", file)
+	topic := notify.Topic{Context: "c", Step: 10}
 	sub := h.v.Hub().Subscribe(topic)
 	defer sub.Close()
 	var st *notify.Event

@@ -228,10 +228,7 @@ func TestHubPublishesReadiness(t *testing.T) {
 	h := newHarness(t, ctx)
 
 	// Production → FileReady.
-	topic, err := h.v.FileTopic("c", ctx.Filename(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	topic := notify.Topic{Context: "c", Step: 2}
 	sub := h.v.Hub().Subscribe(topic)
 	if _, err := h.v.Open("a1", "c", ctx.Filename(2)); err != nil {
 		t.Fatal(err)
@@ -243,7 +240,7 @@ func TestHubPublishesReadiness(t *testing.T) {
 	}
 
 	// Preload → FileReady.
-	topic9, _ := h.v.FileTopic("c", ctx.Filename(9))
+	topic9 := notify.Topic{Context: "c", Step: 9}
 	sub9 := h.v.Hub().Subscribe(topic9)
 	if err := h.v.Preload("c", []int{9}); err != nil {
 		t.Fatal(err)
@@ -257,7 +254,7 @@ func TestHubPublishesReadiness(t *testing.T) {
 	// never produced.
 	h.l.FailAt = faults.NewSimPlan().WithEvery(1).FailAt
 	fileFar := ctx.Filename(52)
-	topicFar, _ := h.v.FileTopic("c", fileFar)
+	topicFar := notify.Topic{Context: "c", Step: 52}
 	subFar := h.v.Hub().Subscribe(topicFar)
 	if _, err := h.v.Open("a1", "c", fileFar); err != nil {
 		t.Fatal(err)
@@ -294,8 +291,8 @@ func TestFileState(t *testing.T) {
 	if _, _, err := h.v.FileState("c", "garbage"); err == nil {
 		t.Error("unparseable filename accepted")
 	}
-	if _, err := h.v.FileTopic("c", ctx.Filename(9999)); err == nil {
-		t.Error("out-of-range step accepted by FileTopic")
+	if _, _, err := h.v.FileState("c", ctx.Filename(9999)); err == nil {
+		t.Error("out-of-range step accepted")
 	}
 }
 

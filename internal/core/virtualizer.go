@@ -507,8 +507,8 @@ type WatchedFile struct {
 // for it is registered under tag as client's (whose τcli baseline
 // stepArrived stamps), once per distinct step. o must be a stream owner
 // (notify.NewStreamOwner): a file neither resident nor promised resolves
-// only once somebody opens it, the bridge publishes a peer's event, or
-// the context is deregistered. A refused name registers nothing.
+// only once somebody opens it or the context is deregistered, unless
+// the stream withdraws it first. A refused name registers nothing.
 func (v *Virtualizer) Watch(client, ctxName string, filenames []string, o *notify.Owner, tag uint64) ([]WatchedFile, error) {
 	cs, ok := v.shardOf(ctxName)
 	if !ok {
@@ -533,16 +533,6 @@ func (v *Virtualizer) Watch(client, ctxName string, filenames []string, o *notif
 	}
 	cs.mu.Unlock()
 	return files, nil
-}
-
-// FileTopic returns the notify-hub topic of a context's file.
-func (v *Virtualizer) FileTopic(ctxName, filename string) (notify.Topic, error) {
-	cs, ok := v.shardOf(ctxName)
-	if !ok {
-		return notify.Topic{}, fmt.Errorf("core: %w %q", ErrUnknownContext, ctxName)
-	}
-	step, err := cs.outputStep(filename)
-	return notify.Topic{Context: ctxName, Step: step}, err
 }
 
 // Preload marks output steps as already on disk (e.g. produced by the

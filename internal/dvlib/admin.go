@@ -102,10 +102,8 @@ func (a *Admin) Resume(ctx context.Context, name string) error {
 	return err
 }
 
-// Peers lists the daemon's (or router's) federation links: ring members
-// seen from a router, outbound bridge connections and inbound fed-watch
-// sessions seen from a daemon. An empty list means the endpoint is not
-// federated.
+// Peers lists a router's federation links, its ring members. A daemon
+// has none: an empty list means the endpoint is not federated.
 func (a *Admin) Peers(ctx context.Context) ([]netproto.PeerInfo, error) {
 	resp, err := a.c.callCtx(ctx, netproto.OpPeers, nil)
 	if err != nil {

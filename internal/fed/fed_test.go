@@ -118,9 +118,6 @@ func TestFederationRouterProxy(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.HasCapability(netproto.CapFed) {
-		t.Error("router does not advertise the fed capability")
-	}
 
 	names, err := c.Contexts()
 	if err != nil {
@@ -186,107 +183,6 @@ func TestFederationRouterProxy(t *testing.T) {
 	for _, p := range infos {
 		if p.Role != "member" || !p.Connected {
 			t.Errorf("router peer %+v, want connected member", p)
-		}
-	}
-}
-
-// TestFederationCrossDaemonNotify is the acceptance scenario: a client
-// watching through the router (subscription lands on the ring owner)
-// observes a file produced on a different daemon — exactly once.
-func TestFederationCrossDaemonNotify(t *testing.T) {
-	stA, addrA := newFedStack(t, "seed-a", nil)
-	stB, addrB := newFedStack(t, "seed-b", nil)
-	r, raddr := startRouter(t, addrA, addrB)
-
-	// The same context exists on both daemons (a sharded deployment
-	// where either member can run its simulations); the ring routes the
-	// client's subscription to A, the producer works directly on B.
-	name := pickName(t, r.Ring(), addrA, map[string]bool{})
-	if err := stA.RegisterContext(fedCtx(name), "DCL", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := stB.RegisterContext(fedCtx(name), "DCL", true); err != nil {
-		t.Fatal(err)
-	}
-	stA.EnablePeers("A", []string{addrB})
-	stB.EnablePeers("B", []string{addrA})
-
-	c, err := dvlib.Dial(raddr, "watcher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, err := c.Init(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := ctx.Filename(5)
-	w, err := ctx.Watch(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Give the subscribe → remote-watch chain a moment to arm, then
-	// produce the file on the non-owning daemon.
-	time.Sleep(50 * time.Millisecond)
-	pc, err := dvlib.Dial(addrB, "producer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	pctx, err := pc.Init(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pctx.Open(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := pctx.WaitAvailable(file); err != nil {
-		t.Fatal(err)
-	}
-	defer pctx.Release(file)
-
-	// Count every event until the watch channel closes: the file must be
-	// reported ready exactly once.
-	ready, failed := 0, 0
-	timeout := time.After(15 * time.Second)
-	for {
-		select {
-		case ev, ok := <-w.Events():
-			if !ok {
-				if ready != 1 || failed != 0 {
-					t.Fatalf("watch saw ready=%d failed=%d events, want exactly one ready", ready, failed)
-				}
-				// The owning daemon's bridge must account the delivery.
-				ac, err := dvlib.Dial(addrA, "inspector")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ac.Close()
-				infos, err := ac.Admin().Peers(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				var out *netproto.PeerInfo
-				for i := range infos {
-					if infos[i].Role == "out" && infos[i].Addr == addrB {
-						out = &infos[i]
-					}
-				}
-				if out == nil || !out.Connected || out.Events < 1 {
-					t.Errorf("daemon A peers = %+v, want a connected out link to B with >=1 event", infos)
-				}
-				return
-			}
-			if ev.File == file {
-				if ev.Ready {
-					ready++
-				} else {
-					failed++
-				}
-			}
-		case <-timeout:
-			t.Fatalf("no cross-daemon notification after 15s (ready=%d)", ready)
 		}
 	}
 }
@@ -510,123 +406,14 @@ func TestFederationSmoke(t *testing.T) {
 	stop.Wait()
 }
 
-// TestFederationBridgeRearmAfterRedial pins the redial contract of the
-// outbound bridge: a peer link that drops and is later redialed lost
-// the sublist the old connection held on the peer, so the fresh link
-// must re-issue fed-watch subscriptions for every watch group still
-// live locally. The watcher here subscribes before the peer restarts;
-// without the re-arm its interest would be gone for good and the
-// production on the restarted peer would never be reported.
-func TestFederationBridgeRearmAfterRedial(t *testing.T) {
-	stA, addrA := newFedStack(t, "seed-a", nil)
-	stB, addrB := newFedStack(t, "seed-b", nil)
-	const name = "fedrearm"
-	if err := stA.RegisterContext(fedCtx(name), "DCL", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := stB.RegisterContext(fedCtx(name), "DCL", true); err != nil {
-		t.Fatal(err)
-	}
-	// Only A needs a bridge: B merely answers A's fed-watch sessions.
-	stA.EnablePeers("A", []string{addrB})
-
-	c, err := dvlib.Dial(addrA, "watcher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, err := c.Init(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := ctx.Filename(5)
-	w, err := ctx.Watch(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Let the subscribe → fed-watch chain arm on B's original link.
-	time.Sleep(50 * time.Millisecond)
-
-	// The peer dies and comes back on the same address with a blank
-	// slate: every interest the old connection registered is forgotten.
-	stB.Close()
-	stB.Launcher.Wait()
-	stB2, err := server.NewStack(t.TempDir(), 1, "DCL", fedCtx(name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stB2.RunInitialSimulation(name); err != nil {
-		t.Fatal(err)
-	}
-	listenErr := error(nil)
-	for i := 0; i < 50; i++ {
-		if listenErr = stB2.Server.Listen(addrB); listenErr == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if listenErr != nil {
-		t.Fatalf("rebind %s: %v", addrB, listenErr)
-	}
-	go stB2.Server.Serve()
-	t.Cleanup(func() {
-		stB2.Close()
-		stB2.Launcher.Wait()
-	})
-	// Give A's bridge a moment to observe the broken link.
-	time.Sleep(50 * time.Millisecond)
-
-	// An unrelated interest triggers the redial; the bridge must re-arm
-	// the first group's still-undelivered files on the fresh connection.
-	if _, err := ctx.Watch(ctx.Filename(9)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-
-	// Production on the restarted peer must now reach the original
-	// watcher through the re-issued subscription.
-	pc, err := dvlib.Dial(addrB, "producer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	pctx, err := pc.Init(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pctx.Open(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := pctx.WaitAvailable(file); err != nil {
-		t.Fatal(err)
-	}
-	defer pctx.Release(file)
-
-	timeout := time.After(15 * time.Second)
-	for {
-		select {
-		case ev, ok := <-w.Events():
-			if !ok {
-				t.Fatal("watch closed without reporting the file")
-			}
-			if ev.File == file {
-				if !ev.Ready {
-					t.Fatalf("watch reported failure for %s: %+v", file, ev)
-				}
-				return
-			}
-		case <-timeout:
-			t.Fatal("no notification after the peer redial: the bridge did not re-arm the live watch group")
-		}
-	}
-}
-
 // TestFederationGarbageResponseFailsLink pins the no-stranded-waiter
-// contract of a peer link: a well-framed but undecodable response names
-// no request — or names one but cannot be read — so skipping it would
-// leave whichever handler it was meant for waiting until the link dies
-// on its own. The link fails instead, and the handler receives its
-// synthesized terminal frame.
+// contract of a member link: a well-framed but undecodable response
+// names no request — or names one but cannot be read — so skipping it
+// would leave whichever handler it was meant for waiting until the link
+// dies on its own. The link fails instead, and the handler receives its
+// synthesized terminal frame. The handler here is a router fan-out's:
+// the client's contexts call reaches a fake daemon that answers it with
+// garbage.
 func TestFederationGarbageResponseFailsLink(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -663,33 +450,62 @@ func TestFederationGarbageResponseFailsLink(t *testing.T) {
 				}
 				p := tc.payload(env.ID)
 				conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...))
-				// Keep the connection open: only the client's own reaction to
+				// Keep the connection open: only the router's own reaction to
 				// the garbage may end the wait.
 				netproto.Binary.DecodeFrame(conn, &env)
 			}()
 
-			pc, err := fed.DialPeer(ln.Addr().String(), "proxied-client")
+			_, raddr := startRouter(t, ln.Addr().String())
+			c := rawClient(t, raddr)
+			// Within the router's fan-out call timeout: a stranded handler
+			// would be answered only when that runs out.
+			c.SetDeadline(time.Now().Add(5 * time.Second))
+			resp, err := exchange(c, 2, netproto.OpContexts, nil)
+			if err != nil {
+				t.Fatalf("handler stranded: no answer after an undecodable response: %v", err)
+			}
+			if resp.ID != 2 || !resp.Done || resp.Code != netproto.CodeDraining {
+				t.Errorf("contexts answered with %+v, want a terminal draining frame on id 2", resp)
+			}
+			peers, err := exchange(c, 3, netproto.OpPeers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer pc.Close()
-			frames := make(chan netproto.Response, 4) // the terminal frame, with room to spare
-			if _, err := pc.Subscribe(netproto.OpSubscribe, netproto.FilesBody{Context: "c", Files: []string{"f"}},
-				func(resp netproto.Response) { frames <- resp }); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case resp := <-frames:
-				if !resp.Done || resp.Code != netproto.CodeDraining {
-					t.Errorf("handler got %+v, want a terminal draining frame", resp)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("handler stranded: no terminal frame after an undecodable response")
-			}
-			if !pc.Broken() {
-				t.Error("link survived an undecodable response")
+			if len(peers.Peers) != 1 || peers.Peers[0].Connected {
+				t.Errorf("router peers = %+v after the garbage, want the member's link down", peers.Peers)
 			}
 		})
+	}
+}
+
+// TestFederationRetiredOpsRefused: an op the protocol does not have —
+// here ones it retired, with the bodies an older peer sent — is answered
+// by the router as a daemon answers it: unsupported, on the request's
+// own ID, and the session goes on.
+func TestFederationRetiredOpsRefused(t *testing.T) {
+	_, addr := newFedStack(t, "seed", nil)
+	_, raddr := startRouter(t, addr)
+	c := rawClient(t, raddr)
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	for _, row := range []struct {
+		id   uint64
+		op   string
+		body any
+	}{
+		{2, "wait", netproto.FileBody{Context: "seed", File: "seed_out_00000003.nc"}},
+		{3, "autoscale-report", map[string]any{"active": true, "policies": []string{"node-budget"}}},
+		{4, "fed-watch", netproto.FilesBody{Context: "seed", Files: []string{"seed_out_00000003.nc"}}},
+	} {
+		resp, err := exchange(c, row.id, row.op, row.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != netproto.CodeUnsupported || resp.ID != row.id || resp.OK {
+			t.Errorf("%s answered with %+v, want CodeUnsupported on id %d", row.op, resp, row.id)
+		}
+	}
+	if resp, err := exchange(c, 5, netproto.OpPing, nil); err != nil || !resp.OK || resp.ID != 5 {
+		t.Errorf("ping after the refusals: %+v, %v", resp, err)
 	}
 }
 

@@ -16,16 +16,15 @@ const dialTimeout = 2 * time.Second
 // peerCaps is what a federation link requests in its hello: everything
 // a daemon can grant, the binary codec every session speaks included.
 var peerCaps = []string{netproto.CapAdmin, netproto.CapWatch,
-	netproto.CapPreempt, netproto.CapBinary, netproto.CapFed}
+	netproto.CapPreempt, netproto.CapBinary}
 
-// PeerConn is one link to a peer daemon, shared by the router (op
-// forwarding) and the bridge (fed-watch subscriptions): a netproto.Conn
-// for the framing and write batching, a netproto.Pending for the
-// request IDs and the reply demux, and a read loop joining the two. The
-// binary codec and reply coalescing make this the same fast path a
-// batching client uses. A router session's link relays: its table
-// re-frames the answers to forwarded requests onto the client's
-// connection (netproto.NewRelayPending).
+// PeerConn is one link from a router session to a member daemon: a
+// netproto.Conn for the framing and write batching, a netproto.Pending
+// for the request IDs and the reply demux, and a read loop joining the
+// two. The binary codec and reply coalescing make this the same fast
+// path a batching client uses. The link relays: its table re-frames the
+// answers to forwarded requests onto the client's connection
+// (netproto.NewRelayPending).
 //
 // A PeerConn is single-use: once the connection dies, every pending
 // handler and relay receives a synthesized terminal draining response
@@ -35,39 +34,29 @@ type PeerConn struct {
 	addr  string
 	c     *netproto.Conn
 	calls *netproto.Pending
-	caps  []string
 }
 
-// DialPeer connects to a peer daemon and completes the hello handshake
-// as clientName.
-func DialPeer(addr, clientName string) (*PeerConn, error) {
-	return dialPeer(addr, clientName, netproto.NewPending(), nil)
-}
-
-// dialPeer is DialPeer over a given request table — a router session's
-// relays — and with onBatch, when set, run after the read loop drains a
-// batch of response frames (the router flushes the client session
-// there).
+// dialPeer connects to a member daemon over the request table calls and
+// completes the hello handshake as clientName. onBatch, when set, runs
+// after the read loop drains a batch of response frames (the router
+// flushes the client session there).
 func dialPeer(addr, clientName string, calls *netproto.Pending, onBatch func()) (*PeerConn, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
 	defer cancel()
-	c, info, err := netproto.Dial(ctx, addr, calls.NextID(), netproto.HelloBody{
+	c, _, err := netproto.Dial(ctx, addr, calls.NextID(), netproto.HelloBody{
 		Version: netproto.ProtoVersion, Client: clientName, Caps: peerCaps})
 	if err != nil {
 		return nil, fmt.Errorf("fed: peer %s: %w", addr, err)
 	}
-	return startPeer(addr, c, info.Caps, calls, onBatch), nil
+	return startPeer(addr, c, calls, onBatch), nil
 }
 
 // startPeer runs the read loop of a link whose handshake is done.
-func startPeer(addr string, c *netproto.Conn, caps []string, calls *netproto.Pending, onBatch func()) *PeerConn {
-	pc := &PeerConn{addr: addr, c: c, calls: calls, caps: caps}
+func startPeer(addr string, c *netproto.Conn, calls *netproto.Pending, onBatch func()) *PeerConn {
+	pc := &PeerConn{addr: addr, c: c, calls: calls}
 	go func() { pc.fail(calls.Serve(c, onBatch)) }()
 	return pc
 }
-
-// Caps returns the capability flags the peer advertised.
-func (pc *PeerConn) Caps() []string { return pc.caps }
 
 // Broken reports whether the connection has died. Pending handlers
 // have already been failed; the owner should dial a replacement.
@@ -83,26 +72,6 @@ func (pc *PeerConn) fail(cause error) {
 	pc.c.Close()
 	pc.calls.Fail(netproto.Response{Code: netproto.CodeDraining,
 		Err: fmt.Sprintf("federation peer %s lost: %v", pc.addr, cause), Done: true})
-}
-
-// Forward sends a request of the link's own — a control-plane call of a
-// router fan-out, a bridge's fed-watch — decoded at both ends: it
-// registers h under a fresh request ID, encodes env under that ID into
-// the write buffer (no flush), and h receives every response frame of
-// the request, decoded, on the read-loop goroutine; stream keeps it
-// registered until a terminal frame. A client's request the router
-// relays takes no handler (see Router.send).
-func (pc *PeerConn) Forward(env netproto.Envelope, stream bool, h netproto.ResponseHandler) (uint64, error) {
-	id, ok := pc.calls.Add(h, stream)
-	if !ok {
-		return 0, fmt.Errorf("fed: peer %s is down", pc.addr)
-	}
-	env.ID = id
-	if err := pc.c.EnqueueRequest(&env); err != nil {
-		pc.calls.Remove(id)
-		return 0, fmt.Errorf("fed: encode for %s: %w", pc.addr, err)
-	}
-	return id, nil
 }
 
 // Post encodes a fire-and-forget request (no response handler — the
@@ -122,14 +91,21 @@ func (pc *PeerConn) Flush() error {
 	return nil
 }
 
-// Call round-trips one request synchronously (control-plane fan-outs).
-// Transport failures surface as the error; application failures ride
-// the response's Code.
+// Call round-trips one request of the link's own synchronously — a
+// control-plane call of a router fan-out, decoded at both ends, where a
+// client's request the router relays takes no handler (see
+// Router.send). Transport failures surface as the error; application
+// failures ride the response's Code.
 func (pc *PeerConn) Call(ctx context.Context, op string, body any) (netproto.Response, error) {
 	ch := make(chan netproto.Response, 1)
-	h := netproto.ResponseFunc(func(resp netproto.Response) { ch <- resp })
-	if _, err := pc.Forward(newEnv(0, op, body), false, h); err != nil {
-		return netproto.Response{}, err
+	id, ok := pc.calls.Add(netproto.ResponseFunc(func(resp netproto.Response) { ch <- resp }), false)
+	if !ok {
+		return netproto.Response{}, fmt.Errorf("fed: peer %s is down", pc.addr)
+	}
+	env := newEnv(id, op, body)
+	if err := pc.c.EnqueueRequest(&env); err != nil {
+		pc.calls.Remove(id)
+		return netproto.Response{}, fmt.Errorf("fed: encode for %s: %w", pc.addr, err)
 	}
 	if err := pc.Flush(); err != nil {
 		return netproto.Response{}, err
@@ -140,20 +116,6 @@ func (pc *PeerConn) Call(ctx context.Context, op string, body any) (netproto.Res
 	case <-ctx.Done():
 		return netproto.Response{}, fmt.Errorf("fed: call %s on %s: %w", op, pc.addr, ctx.Err())
 	}
-}
-
-// Subscribe issues a streaming request and flushes immediately; fn
-// receives every response frame until a terminal one. The returned ID
-// cancels the stream via an unsubscribe Post.
-func (pc *PeerConn) Subscribe(op string, body any, fn func(netproto.Response)) (uint64, error) {
-	id, err := pc.Forward(newEnv(0, op, body), true, netproto.ResponseFunc(fn))
-	if err != nil {
-		return 0, err
-	}
-	if err := pc.Flush(); err != nil {
-		return 0, err
-	}
-	return id, nil
 }
 
 // newEnv builds a typed envelope; NewEnvelope's error return is

@@ -76,6 +76,18 @@ func rawHello(t *testing.T, c net.Conn, client string) {
 	}
 }
 
+// exchange sends one request on a raw binary session and reads the next
+// frame.
+func exchange(c net.Conn, id uint64, op string, body any) (netproto.Response, error) {
+	env, _ := netproto.NewEnvelope(id, op, body)
+	var resp netproto.Response
+	if err := netproto.Binary.EncodeFrame(c, env); err != nil {
+		return resp, err
+	}
+	err := netproto.Binary.DecodeFrame(c, &resp)
+	return resp, err
+}
+
 // rawDaemon is a scripted daemon: it grants the hello of every link the
 // router dials and hands the link over, to be read and written by the
 // test itself.
@@ -110,7 +122,7 @@ func rawDaemon(t *testing.T) (addr string, links <-chan net.Conn) {
 				continue
 			}
 			netproto.Binary.EncodeFrame(c, netproto.Response{ID: hello.ID, OK: true, Proto: &netproto.HelloInfo{
-				Version: netproto.ProtoVersion, Caps: []string{netproto.CapBinary, netproto.CapFed}}})
+				Version: netproto.ProtoVersion, Caps: []string{netproto.CapBinary}}})
 			select {
 			case ch <- c:
 			default: // nobody is waiting for more links

@@ -1,12 +1,8 @@
 // Package fed is the federation tier: a consistent-hash ring that
-// partitions contexts across daemons, a router front-end that speaks
-// the client protocol and forwards each op to the owning daemon, and a
-// peer-subscription bridge that propagates notify events between
-// daemons so a watch on one daemon hears about production on another.
-//
-// The package deliberately sits below internal/server in the import
-// graph: it depends only on netproto and metrics, so the server can
-// embed a Bridge without a cycle.
+// partitions contexts across daemons, and a router front-end that
+// speaks the client protocol and forwards each op to the daemon owning
+// its context. A context has one owner, so a watcher and the producer
+// it waits for always meet on one daemon.
 package fed
 
 import (

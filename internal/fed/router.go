@@ -207,7 +207,7 @@ func (sess *rsession) dropRoute(clientID uint64) (peerRoute, bool) {
 
 // routerCaps is what the router advertises in every hello reply (plus
 // CapBinary, which Accept adds).
-var routerCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt, netproto.CapFed}
+var routerCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt}
 
 func (r *Router) handle(c *netproto.Conn) {
 	sess := &rsession{c: c, r: r, peers: map[string]*PeerConn{}, routes: map[uint64]peerRoute{}}
@@ -327,6 +327,12 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
 		r.proxy(sess, env, b.Context)
 
 	default:
+		if _, known := netproto.LookupOp(env.Op); !known {
+			// What a daemon answers an op it does not serve.
+			sess.reply(netproto.Response{ID: id, Code: netproto.CodeUnsupported,
+				Err: fmt.Sprintf("unknown op %q", env.Op)})
+			return
+		}
 		ctxName, err := env.RoutingContext()
 		if err != nil {
 			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})

@@ -29,7 +29,7 @@ func TestRouterDropsLargeStreamRoute(t *testing.T) {
 		peers: map[string]*PeerConn{}, routes: map[uint64]peerRoute{}}
 	daemon, link := net.Pipe()
 	defer daemon.Close()
-	pc := startPeer(addr, netproto.NewConn(link), nil, netproto.NewRelayPending(sess.c, sess.streamEnded), sess.flush)
+	pc := startPeer(addr, netproto.NewConn(link), netproto.NewRelayPending(sess.c, sess.streamEnded), sess.flush)
 	defer pc.Close()
 	sess.peers[addr] = pc
 

@@ -122,16 +122,8 @@ const (
 	// context ("" = all contexts), re-enabling launches for intervals the
 	// circuit breaker had opened.
 	OpQuarantineReset = "quarantine-reset"
-	// OpFedWatch is the daemon↔daemon variant of subscribe used by the
-	// federation bridge (FilesBody payload, per-file reply frames,
-	// canceled with OpUnsubscribe). Unlike subscribe it stays pending for
-	// files nobody has promised yet — the remote producer may not have
-	// been asked — and it never recurses into another remote watch, so
-	// peer meshes cannot form forwarding loops.
-	OpFedWatch = "fed-watch"
-	// OpPeers lists the federation links of a daemon or router: ring
-	// members, outbound bridge connections, and inbound peer watch
-	// sessions with their ledger counters.
+	// OpPeers lists the federation links of a router: its ring members.
+	// A daemon has none and answers with an empty list.
 	OpPeers = "peers"
 )
 
@@ -153,10 +145,6 @@ const (
 	// a peer that does not — one built to speak JSON frames — is
 	// refused, not sent frames it cannot parse.
 	CapBinary = "bin"
-	// CapFed marks the federation operations (fed-watch, peers). Daemon↔
-	// daemon and router↔daemon links reuse the ordinary hello handshake
-	// and gate cross-daemon subscriptions on this flag.
-	CapFed = "fed"
 )
 
 // ErrCode is a machine-readable error class. A failed Response carries
@@ -481,20 +469,13 @@ type Stats struct {
 // daemon's summaries travel as metrics.LatencySet reports them.
 type OpLatency = metrics.OpLatency
 
-// PeerInfo describes one federation link in a peers response. Role is
-// "member" for a router's ring entries, "out" for a daemon's outbound
-// bridge connections and "in" for inbound peer watch sessions. Topics
-// counts live watch topics on the link; Events counts notify events
-// forwarded over it (for "out" links Events is the bridge-wide total of
-// events accepted from any peer, since duplicates are collapsed before
-// attribution).
+// PeerInfo describes one federation link in a peers response: a
+// router's ring member (Role "member") and whether the asking session's
+// link to it is up.
 type PeerInfo struct {
 	Addr      string `json:"addr"`
 	Role      string `json:"role"`
 	Connected bool   `json:"connected,omitempty"`
-	Topics    int    `json:"topics,omitempty"`
-	Events    uint64 `json:"events,omitempty"`
-	Err       string `json:"err,omitempty"`
 }
 
 // Response is a daemon→client frame. For acquire subscriptions the daemon

@@ -59,7 +59,6 @@ var Ops = []OpSpec{
 	{Name: OpPrefetch, Bin: binPrefetch, Body: BodyFiles, Idempotent: true, Timed: true},
 	{Name: OpSubscribe, Bin: binSubscribe, Body: BodyFiles, Stream: true, Timed: true},
 	{Name: OpUnsubscribe, Bin: binUnsubscribe, Body: BodyUnsubscribe},
-	{Name: OpFedWatch, Body: BodyFiles, Stream: true, Timed: true},
 	{Name: OpStats, Body: BodyCtx, Idempotent: true, Timed: true},
 	{Name: OpPing, Bin: binPing, Idempotent: true, Timed: true},
 	{Name: OpContexts, Idempotent: true},

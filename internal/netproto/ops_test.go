@@ -63,7 +63,7 @@ func sorted(ops ...string) []string {
 // server.New's latency list, the codec's opcode maps).
 func TestOpTable(t *testing.T) {
 	consts := opConstants(t)
-	if len(consts) < 25 {
+	if len(consts) < 24 {
 		t.Fatalf("found only %d Op* constants; the parse is broken", len(consts))
 	}
 	rows := map[string]int{}
@@ -99,7 +99,7 @@ func TestOpTable(t *testing.T) {
 	}
 
 	if got, want := rowsWhere(func(s OpSpec) bool { return s.Stream }),
-		sorted(OpAcquire, OpSubscribe, OpFedWatch, OpOpen); !reflect.DeepEqual(got, want) {
+		sorted(OpAcquire, OpSubscribe, OpOpen); !reflect.DeepEqual(got, want) {
 		t.Errorf("Stream = %v, want %v", got, want)
 	}
 	if got, want := rowsWhere(func(s OpSpec) bool { return s.Idempotent }),
@@ -115,7 +115,7 @@ func TestOpTable(t *testing.T) {
 		}
 	}
 	if want := []string{OpOpen, OpRelease, OpAcquire, OpEstWait, OpPrefetch,
-		OpSubscribe, OpFedWatch, OpStats, OpPing}; !reflect.DeepEqual(timed, want) {
+		OpSubscribe, OpStats, OpPing}; !reflect.DeepEqual(timed, want) {
 		t.Errorf("Timed = %v, want %v", timed, want)
 	}
 }

@@ -13,7 +13,7 @@
 // resumes at the virtual instant its file appears. Withdraw takes a tag's
 // waiters off again. An owner can leave first; its waiters stop counting.
 // Only a stream owner's waiters (NewStreamOwner) may stand on a step
-// nothing promises yet, such as one a peer daemon's bridge publishes.
+// nothing promises yet.
 //
 // Delivery is two steps. Take detaches a topic's waiters and sends
 // nothing; the Virtualizer calls it under the shard lock that decides the
@@ -112,8 +112,9 @@ type Owner struct {
 func NewOwner(notify func(tag uint64, ev Event)) *Owner { return &Owner{notify: notify} }
 
 // NewStreamOwner is NewOwner for readiness streams, whose waiters may
-// also stand on a step nothing promises: one whose producer may only be
-// asked later, or that a peer daemon produces.
+// also stand on a step nothing promises: a subscribe registers its
+// waiters before it reads whether their steps are promised, and
+// withdraws those that are not.
 func NewStreamOwner(notify func(tag uint64, ev Event)) *Owner {
 	return &Owner{notify: notify, stream: true}
 }

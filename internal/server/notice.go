@@ -30,17 +30,13 @@ type pusher struct {
 	// answered holds the open IDs whose first answer is queued and whose
 	// notice is not; early holds notices that beat their first answer;
 	// watches holds the streams, from before their waiters are registered
-	// until they end — the fed ones are the peers op's inbound ledger, and
-	// fedEvents counts the events they forwarded.
-	answered  map[uint64]struct{}
-	early     map[uint64]netproto.Response
-	watches   map[uint64]*fileWatch
-	fedEvents uint64
+	// until they end.
+	answered map[uint64]struct{}
+	early    map[uint64]netproto.Response
+	watches  map[uint64]*fileWatch
 	// queue is what the pusher sends next, sending what it is sending
-	// (the two swap, so neither is reallocated). cancels are ended
-	// streams' interests on the peer daemons, which it withdraws too.
+	// (the two swap, so neither is reallocated).
 	queue, sending []netproto.Response
-	cancels        []func()
 	wake           chan struct{}
 	// draining: the daemon is shutting down and has answered every
 	// notice and stream owed so far; closed: the session is gone.
@@ -125,30 +121,25 @@ func (sess *session) push(wake <-chan struct{}) {
 	}
 }
 
-// pushOut sends every queued frame in one write, then withdraws the
-// queued remote interests, unless the session is gone.
+// pushOut sends every queued frame in one write, unless the session is
+// gone.
 func (sess *session) pushOut() {
 	n := &sess.pusher
 	n.out.Lock()
+	defer n.out.Unlock()
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		n.out.Unlock()
 		return
 	}
 	n.queue, n.sending = n.sending[:0], n.queue
-	batch, cancels := n.sending, n.cancels
-	n.cancels = nil
+	batch := n.sending
 	n.mu.Unlock()
 	for i := range batch {
 		sess.check("encode", sess.c.EnqueueResponse(&batch[i]))
 	}
 	sess.flush()
 	clear(batch) // pins no error text
-	n.out.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
 }
 
 // drain is the graceful half of shutdown: every open owed its notice and
@@ -175,23 +166,18 @@ func (sess *session) drain() {
 
 // leave is disconnect cleanup, run before the session's references are
 // released: its waiters stop counting (so ClientDisconnected dismantles
-// what it would without them), the pusher ends, and the peer interests
-// it had not withdrawn are withdrawn here.
+// what it would without them) and the pusher ends.
 func (sess *session) leave() {
 	n := &sess.pusher
 	n.notices.Leave()
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.closed = true
 	for id, w := range n.watches {
 		sess.endLocked(id, w)
 	}
-	cancels := n.cancels
-	n.answered, n.early, n.cancels = nil, nil, nil
+	n.answered, n.early = nil, nil
 	if n.wake != nil {
 		close(n.wake)
-	}
-	n.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,20 +37,6 @@ import (
 	"simfs/internal/netproto"
 	"simfs/internal/notify"
 )
-
-// PeerNotifier is the federation seam: a subscribe hands files that are
-// neither resident nor promised locally to it, and it watches them
-// on peer daemons, republishing their ready/failed events into the
-// local notify hub. *fed.Bridge implements it; a daemon without one
-// keeps the strictly-local behavior (per-file not_produced replies).
-type PeerNotifier interface {
-	// WatchRemote registers interest in the files on every peer daemon.
-	// The returned cancel withdraws the interest; it is never nil and is
-	// safe to call more than once.
-	WatchRemote(ctxName string, files []string) (cancel func())
-	// PeerInfos lists the outbound peer links for the peers op.
-	PeerInfos() []netproto.PeerInfo
-}
 
 // ContextRegistrar provisions and retires simulation contexts at
 // runtime: it owns whatever surrounds the Virtualizer registration —
@@ -79,11 +64,6 @@ type Server struct {
 	// Optional; NewStack wires the Stack in.
 	Registrar ContextRegistrar
 
-	// Peers, when set before Serve (Stack.EnablePeers), federates the
-	// daemon: subscriptions to files no local simulation will produce
-	// are forwarded to peer daemons instead of failing not_produced.
-	Peers PeerNotifier
-
 	// WrapConn, when set before Serve, wraps every accepted connection —
 	// the seam fault injectors (faults.ConnPlan) and instrumentation hook
 	// into without touching the accept loop.
@@ -97,7 +77,7 @@ type Server struct {
 	Logf func(format string, args ...any)
 
 	// mu guards sessions: the live sessions by connection, for the
-	// graceful drain in Close and the peers op's inbound ledger.
+	// graceful drain in Close.
 	mu       sync.Mutex
 	sessions map[*netproto.Conn]*session
 	// lat tracks per-op dispatch service time (the synchronous half of a
@@ -234,8 +214,7 @@ func codeOf(err error) netproto.ErrCode {
 
 // daemonCaps is what the daemon advertises in every hello reply (plus
 // CapBinary, which Accept adds).
-var daemonCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt,
-	netproto.CapFed}
+var daemonCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt}
 
 func (s *Server) handle(c *netproto.Conn) {
 	hello, err := c.Accept(daemonCaps, "daemon")
@@ -351,7 +330,6 @@ var handlers = map[string]handler{
 	netproto.OpPrefetch:        op((*Server).prefetch),
 	netproto.OpRescan:          op((*Server).rescan),
 	netproto.OpSubscribe:       (*Server).watch,
-	netproto.OpFedWatch:        (*Server).watch,
 	netproto.OpPeers:           bare((*Server).peers),
 	netproto.OpUnsubscribe:     op((*Server).unsubscribe),
 	netproto.OpSchedGet:        bare((*Server).schedGet),
@@ -506,13 +484,9 @@ func (s *Server) rescan(_ *session, b netproto.CtxBody) (netproto.Response, erro
 	return netproto.Response{OK: true, Count: n}, err
 }
 
-func (s *Server) peers(*session) (netproto.Response, error) {
-	var infos []netproto.PeerInfo
-	if s.Peers != nil {
-		infos = append(infos, s.Peers.PeerInfos()...)
-	}
-	return netproto.Response{OK: true, Peers: append(infos, s.inboundPeerInfos()...)}, nil
-}
+// peers answers that a daemon has no federation links: only a router
+// has, its ring members.
+func (s *Server) peers(*session) (netproto.Response, error) { return acked, nil }
 
 func (s *Server) unsubscribe(sess *session, b netproto.UnsubscribeBody) (netproto.Response, error) {
 	sess.endWatch(b.SubID)
@@ -592,39 +566,6 @@ func (s *Server) ctxDeregister(sess *session, b netproto.CtxBody) (netproto.Resp
 	}
 	s.Logf("server: context %s deregistered by %s", b.Context, sess.client)
 	return acked, nil
-}
-
-// inboundPeerInfos reports the inbound half of the federation ledger:
-// one entry per connected session that carries fed-watch traffic, with
-// its live topic count and the events forwarded over the link.
-func (s *Server) inboundPeerInfos() []netproto.PeerInfo {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	var infos []netproto.PeerInfo
-	for _, sess := range sessions {
-		topics := 0
-		sess.pusher.mu.Lock()
-		for _, w := range sess.pusher.watches {
-			if w.fed && w.live {
-				topics += len(w.unresolved)
-			}
-		}
-		events := sess.pusher.fedEvents
-		sess.pusher.mu.Unlock()
-		if topics == 0 && events == 0 {
-			continue
-		}
-		infos = append(infos, netproto.PeerInfo{
-			Addr: sess.c.RemoteAddr().String(), Role: "in",
-			Connected: true, Topics: topics, Events: events,
-		})
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Addr < infos[j].Addr })
-	return infos
 }
 
 // readStorage reads a file's content from the context's storage area.

@@ -23,8 +23,8 @@ func testStack(t *testing.T) (*Stack, string) {
 	return testStackWith(t, nil)
 }
 
-// testStackWith is testStack with a hook to adjust the stack (e.g. set
-// Server.Peers) after construction but before Serve starts.
+// testStackWith is testStack with a hook to adjust the stack (e.g. wrap
+// its launcher) after construction but before Serve starts.
 func testStackWith(t *testing.T, configure func(*Stack)) (*Stack, string) {
 	t.Helper()
 	ctx := &model.Context{

@@ -10,9 +10,7 @@ import (
 
 	"simfs/internal/core"
 	"simfs/internal/des"
-	"simfs/internal/fed"
 	"simfs/internal/model"
-	"simfs/internal/notify"
 	"simfs/internal/sched"
 	"simfs/internal/simulator"
 	"simfs/internal/vfs"
@@ -35,10 +33,6 @@ type Stack struct {
 	// of non-reproducible contexts (each re-simulated file differs from
 	// the initial run).
 	resimGen atomic.Int64
-
-	// bridge is the federation bridge wired by EnablePeers (nil for a
-	// standalone daemon), closed with the stack.
-	bridge *fed.Bridge
 }
 
 // NewStack builds a daemon stack rooted at baseDir: each context gets the
@@ -228,33 +222,6 @@ func (st *Stack) RunInitialSimulation(ctxName string) error {
 	return nil
 }
 
-// EnablePeers federates the daemon: it builds a fed.Bridge dialing the
-// given peer daemon addresses and wires it into the server, so
-// subscriptions to files no local simulation produces are watched on
-// the peers and their ready/failed events republished into the local
-// notify hub. name identifies this daemon on its outbound hellos
-// (peers see it as client "fed:<name>"). Call before Serve; the bridge
-// closes with the stack.
-func (st *Stack) EnablePeers(name string, peerAddrs []string) *fed.Bridge {
-	st.bridge = fed.NewBridge(name, peerAddrs,
-		func(ctxName, file string, ready bool, errMsg string, attempts int, retryAfterNs int64) {
-			topic, err := st.V.FileTopic(ctxName, file)
-			if err != nil {
-				// The peer knows a context this daemon does not — nothing
-				// local is watching it, so there is nowhere to publish.
-				return
-			}
-			kind := notify.FileReady
-			if !ready {
-				kind = notify.FileFailed
-			}
-			st.V.Hub().Publish(notify.Event{Topic: topic, Kind: kind,
-				Err: errMsg, Attempts: attempts, RetryAfter: retryAfterNs})
-		})
-	st.Server.Peers = st.bridge
-	return st.bridge
-}
-
 // ListenAndServe binds the TCP front-end and serves until Close.
 func (st *Stack) ListenAndServe(addr string) error {
 	if err := st.Server.Listen(addr); err != nil {
@@ -264,9 +231,4 @@ func (st *Stack) ListenAndServe(addr string) error {
 }
 
 // Close shuts down the front-end and waits for running simulations.
-func (st *Stack) Close() {
-	st.Server.Close()
-	if st.bridge != nil {
-		st.bridge.Close()
-	}
-}
+func (st *Stack) Close() { st.Server.Close() }

@@ -69,9 +69,12 @@ func TestStreamsShareThePusher(t *testing.T) {
 // An unsubscribed stream leaves nothing behind: no waiter on any topic,
 // nothing that counts for Waiting, no entry in the session's tables —
 // also when its file's event was taken before the withdrawal and is
-// delivered after it, which then sends and keeps nothing.
+// delivered after it, which then sends and keeps nothing. The stream
+// waits on step 40, promised by an open of step 37 whose re-simulation
+// is held at its first step: that open's notice is the one waiter left.
 func TestStreamWithdrawal(t *testing.T) {
 	topic := notify.Topic{Context: "clim", Step: 40}
+	promised := notify.Topic{Context: "clim", Step: 37}
 	unsubscribe := func(fx *watchFixture, id uint64) {
 		fx.t.Helper()
 		other, ack := fx.until(fx.send(netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: id}),
@@ -84,8 +87,8 @@ func TestStreamWithdrawal(t *testing.T) {
 	empty := func(fx *watchFixture) {
 		fx.t.Helper()
 		hub := fx.st.V.Hub()
-		if ws := hub.Waiters(topic.Context); len(ws) != 0 {
-			fx.t.Errorf("hub keeps %d waiters", len(ws))
+		if ws := hub.Waiters(topic.Context); len(ws) != 1 || ws[0].Topic != promised {
+			fx.t.Errorf("hub keeps waiters %+v, want only the promising open's", ws)
 		}
 		if hub.Waiting(topic) {
 			fx.t.Error("the withdrawn stream still counts for Waiting")
@@ -95,10 +98,16 @@ func TestStreamWithdrawal(t *testing.T) {
 		}
 	}
 
+	pending := func(fx *watchFixture) {
+		fx.hold(promised.Step)
+		fx.promise(netproto.OpSubscribe, promised.Step)
+	}
+
 	t.Run("never produced", func(t *testing.T) {
 		fx := newWatchFixture(t, nil)
+		pending(fx)
 		for range 1000 {
-			unsubscribe(fx, fx.send(netproto.OpFedWatch, filesBody(40)))
+			unsubscribe(fx, fx.send(netproto.OpSubscribe, filesBody(40)))
 		}
 		fx.expect("after the last ack", fx.settled(), 0)
 		empty(fx)
@@ -106,9 +115,10 @@ func TestStreamWithdrawal(t *testing.T) {
 
 	t.Run("resolved between take and withdrawal", func(t *testing.T) {
 		fx := newWatchFixture(t, nil)
+		pending(fx)
 		hub := fx.st.V.Hub()
 		for range 100 {
-			id := fx.send(netproto.OpFedWatch, filesBody(40))
+			id := fx.send(netproto.OpSubscribe, filesBody(40))
 			fx.expect("before the take", fx.settled(), id)
 			ws := hub.Take(topic, nil) // the step resolves...
 			if len(ws) != 1 {

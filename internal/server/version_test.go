@@ -280,7 +280,8 @@ func TestRetiredWaitOpRefused(t *testing.T) {
 		t.Errorf("binary wait answered with %+v, want CodeFrame on id 7", resp)
 	}
 	// The same op by name (a JSON payload inside the binary session),
-	// then the autoscale ops with the bodies an older simfs-ctl sent.
+	// then the autoscale ops with the bodies an older simfs-ctl sent, and
+	// the fed-watch an older daemon's federation bridge sent.
 	for _, row := range []struct {
 		id   uint64
 		op   string
@@ -289,12 +290,13 @@ func TestRetiredWaitOpRefused(t *testing.T) {
 		{8, "wait", netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"}},
 		{9, "autoscale-report", map[string]any{"active": true, "policies": []string{"node-budget"}}},
 		{10, "autoscale-status", nil},
+		{11, "fed-watch", netproto.FilesBody{Context: "clim", Files: []string{"clim_out_00000003.nc"}}},
 	} {
 		if resp := exchange(t, conn, row.id, row.op, row.body); resp.Code != netproto.CodeUnsupported || resp.ID != row.id || resp.OK {
 			t.Errorf("JSON %s answered with %+v, want CodeUnsupported on id %d", row.op, resp, row.id)
 		}
 	}
-	if resp := exchange(t, conn, 11, netproto.OpPing, nil); !resp.OK || resp.ID != 11 {
+	if resp := exchange(t, conn, 12, netproto.OpPing, nil); !resp.OK || resp.ID != 12 {
 		t.Errorf("ping after the refusals: %+v", resp)
 	}
 }

@@ -8,53 +8,27 @@ import (
 	"simfs/internal/notify"
 )
 
-// watchPolicy is one row of the readiness-stream table: all that tells
-// acquire, subscribe and fed-watch apart; the stream itself is one.
-type watchPolicy struct {
-	// open references every file through Open, which starts the
-	// re-simulation of a missing one. A refused Open rolls back the
-	// references taken so far and fails the stream as a whole.
-	open bool
-	// refuseUnproduced resolves a file that is neither resident nor
-	// promised at once — not_produced, or handed to the peer daemons
-	// when there are any — instead of keeping it pending until somebody
-	// asks its producer.
-	refuseUnproduced bool
-	// failFast makes the first failed file the stream's last frame.
-	failFast bool
-	// fed enters the stream in the inbound federation ledger (peers op).
-	fed bool
-}
-
-// watchPolicies is the table, keyed by op. An acquire's files are
-// promised by its own opens, so it never meets an unproduced one. A
-// fed-watch is the daemon↔daemon subscribe: the producer may only be
-// asked later, and it never consults s.Peers — an interest bounces at
-// most once, from the daemon the client asked to the producing peer,
-// and a peer mesh cannot forward it in circles.
-var watchPolicies = map[string]watchPolicy{
-	netproto.OpAcquire:   {open: true, failFast: true},
-	netproto.OpSubscribe: {refuseUnproduced: true},
-	netproto.OpFedWatch:  {fed: true},
-}
-
 // fileWatch is one readiness stream, whose files wait in the hub under
 // the session's streams owner and the stream's request ID.
 type fileWatch struct {
-	watchPolicy
-	ctx string
+	// acquire tells an acquire from a subscribe; the stream itself is
+	// one. An acquire references every file through Open, which starts
+	// the re-simulation of a missing one, so it never meets an
+	// unproduced file; a refused Open rolls back the references taken so
+	// far and fails the stream as a whole, and its first failed file is
+	// its last frame. A subscribe only watches: a file neither resident
+	// nor promised is answered not_produced at once.
+	acquire bool
+	ctx     string
 	// unresolved names the files still owed a frame, by step: the dispatch
 	// loop's until the stream is live, then guarded by the pusher's mu.
 	unresolved map[int]string
 	// live: the initial frames are queued; until then events wait in early.
 	live  bool
 	early []notify.Event
-	// cancelRemote withdraws the interest registered with the peer
-	// daemons (nil when none was).
-	cancelRemote func()
 }
 
-// watch serves the three stream ops: one frame per file as the file
+// watch serves both stream ops: one frame per file as the file
 // resolves — at once for what is already decided, from the pusher for
 // the rest — and a terminal Done frame. A request refused as a whole is
 // answered by one failure frame that says Done, like every other end of
@@ -64,10 +38,10 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 	if !ok {
 		return
 	}
-	pol, id, ctxName := watchPolicies[env.Op], env.ID, b.Context
+	id, ctxName := env.ID, b.Context
 	// In the table before its waiters are registered (and those before
 	// any state is read or an acquire opens), so no event is lost.
-	w := &fileWatch{watchPolicy: pol, ctx: ctxName}
+	w := &fileWatch{acquire: env.Op == netproto.OpAcquire, ctx: ctxName}
 	sess.pusher.mu.Lock()
 	sess.pusher.watches[id] = w
 	sess.pusher.mu.Unlock()
@@ -91,9 +65,8 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 	for _, f := range files {
 		w.unresolved[f.Step] = f.Name
 	}
-	var remote []string
 	for i, f := range files {
-		if pol.open {
+		if w.acquire {
 			// A file resident at the Watch has no waiter: should it be
 			// evicted before this open, the miss registers one.
 			o := streams
@@ -119,14 +92,9 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 		case f.Resident:
 			delete(w.unresolved, f.Step)
 			sess.reply(netproto.Response{ID: id, OK: true, Ready: true, File: f.Name})
-		case f.Promised, !pol.refuseUnproduced:
+		case f.Promised:
 			// Pending: the hub will resolve it — or already has since the
 			// Watch, and the event is kept in w or on its way there.
-		case s.Peers != nil:
-			// Watched on the peers: the bridge republishes what they
-			// produce into the local hub, which resolves it like a local
-			// production.
-			remote = append(remote, f.Name)
 		case s.v.Hub().Withdraw(streams, id, notify.Topic{Context: ctxName, Step: f.Step}) == 0:
 			// Taken since the Watch: its event is on its way.
 		default:
@@ -134,9 +102,6 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 			sess.reply(netproto.Response{ID: id, Code: netproto.CodeNotProduced,
 				Err: "file is not being produced", File: f.Name})
 		}
-	}
-	if len(remote) > 0 {
-		w.cancelRemote = s.Peers.WatchRemote(ctxName, remote)
 	}
 	sess.goLive(id, w)
 }
@@ -194,13 +159,10 @@ func (sess *session) resolveLocked(id uint64, w *fileWatch, ev notify.Event) boo
 		return false
 	}
 	delete(w.unresolved, ev.Topic.Step)
-	if w.fed {
-		n.fedEvents++
-	}
 	resp := netproto.Response{ID: id, OK: true, Ready: true, File: f}
 	if ev.Kind == notify.FileFailed {
 		resp = netproto.Response{ID: id, Code: netproto.CodeFailed, Err: ev.Err, File: f,
-			Attempts: ev.Attempts, RetryAfterNs: ev.RetryAfter, Done: w.failFast}
+			Attempts: ev.Attempts, RetryAfterNs: ev.RetryAfter, Done: w.acquire}
 	}
 	n.queue = append(n.queue, resp)
 	ended := resp.Done || len(w.unresolved) == 0
@@ -227,9 +189,7 @@ func (sess *session) endWatch(id uint64) {
 
 // endLocked ends stream id: whoever takes it out of the table has the
 // last word on the request ID. Its waiters left in the hub are withdrawn
-// (an event already taken finds no stream), and its remote interest goes
-// to the pusher, since a callback may not write to a peer. Caller holds
-// the pusher's mu.
+// (an event already taken finds no stream). Caller holds the pusher's mu.
 func (sess *session) endLocked(id uint64, w *fileWatch) {
 	n := &sess.pusher
 	delete(n.watches, id)
@@ -239,9 +199,5 @@ func (sess *session) endLocked(id uint64, w *fileWatch) {
 			topics = append(topics, notify.Topic{Context: w.ctx, Step: step})
 		}
 		sess.srv.v.Hub().Withdraw(n.streams, id, topics...)
-	}
-	if w.cancelRemote != nil {
-		n.cancels = append(n.cancels, w.cancelRemote)
-		sess.kickLocked()
 	}
 }

@@ -13,12 +13,11 @@ import (
 	"simfs/internal/core"
 	"simfs/internal/model"
 	"simfs/internal/netproto"
-	"simfs/internal/notify"
 )
 
 // The readiness-stream contract: what a client observes, frame by frame,
-// for acquire, subscribe and fed-watch. The table below is the wire
-// behavior the three ops must keep; it speaks raw binary frames so
+// for acquire and subscribe. The table below is the wire behavior the
+// two ops must keep; it speaks raw binary frames so
 // nothing in dvlib can paper over a changed sequence.
 
 // watchFixture is one daemon and one raw session. Re-simulations write
@@ -317,27 +316,7 @@ func quarantining(st *Stack) {
 	st.V.SetRetryPolicy(core.RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, Cooldown: time.Hour})
 }
 
-// fakePeers records the federation seam's traffic.
-type fakePeers struct {
-	mu       sync.Mutex
-	watched  [][]string
-	canceled int
-}
-
-func (p *fakePeers) WatchRemote(_ string, files []string) func() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.watched = append(p.watched, append([]string(nil), files...))
-	return func() {
-		p.mu.Lock()
-		p.canceled++
-		p.mu.Unlock()
-	}
-}
-
-func (p *fakePeers) PeerInfos() []netproto.PeerInfo { return nil }
-
-var watchOps = []string{netproto.OpAcquire, netproto.OpSubscribe, netproto.OpFedWatch}
+var watchOps = []string{netproto.OpAcquire, netproto.OpSubscribe}
 
 // perOp runs the case once per stream op, each on a daemon of its own.
 func perOp(t *testing.T, name string, configure func(*Stack), run func(fx *watchFixture, op string)) {
@@ -428,8 +407,6 @@ func TestWatchContract(t *testing.T) {
 			}
 		case netproto.OpSubscribe:
 			fx.expect("stream", fx.stream(id), id, "03 ok ready", "06 not_produced", "ok done")
-		case netproto.OpFedWatch:
-			fx.expect("stream", fx.settled(), id, "03 ok ready")
 		}
 	})
 
@@ -440,67 +417,12 @@ func TestWatchContract(t *testing.T) {
 		case netproto.OpSubscribe:
 			fx.expect("stream", fx.stream(id), id, "40 not_produced", "ok done")
 			return
-		case netproto.OpFedWatch:
-			// Stays pending: the producer may only be asked later.
-			fx.expect("before anyone asks", fx.settled(), id)
-			if _, resp := fx.open(40); !resp.OK {
-				t.Fatalf("open: %+v", resp)
-			}
 		case netproto.OpAcquire:
 			// The acquire's own open promises it.
 			fx.expect("before production", fx.settled(), id)
 		}
 		fx.release()
 		fx.expect("after production", fx.stream(id), id, "40 ok ready", "ok done")
-	})
-
-	t.Run("neither resident nor promised/subscribe with peers", func(t *testing.T) {
-		peers := &fakePeers{}
-		fx := newWatchFixture(t, func(st *Stack) { st.Server.Peers = peers })
-		fx.produce(3)
-		id := fx.send(netproto.OpSubscribe, filesBody(3, 40))
-		fx.expect("local part", fx.settled(), id, "03 ok ready")
-		peers.mu.Lock()
-		watched := peers.watched
-		peers.mu.Unlock()
-		if want := [][]string{{file(40)}}; !reflect.DeepEqual(watched, want) {
-			t.Fatalf("peers asked to watch %v, want %v", watched, want)
-		}
-		// What a peer produces arrives through the local hub.
-		fx.st.V.Hub().Publish(notify.Event{Topic: notify.Topic{Context: "clim", Step: 40}, Kind: notify.FileReady})
-		fx.expect("remote part", fx.stream(id), id, "40 ok ready", "ok done")
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			peers.mu.Lock()
-			canceled := peers.canceled
-			peers.mu.Unlock()
-			if canceled == 1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("remote interest canceled %d times after the stream ended, want 1", canceled)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	})
-
-	t.Run("neither resident nor promised/fed-watch then ctx-deregister", func(t *testing.T) {
-		fx := newWatchFixture(t, nil)
-		id := fx.send(netproto.OpFedWatch, filesBody(40))
-		fx.expect("before deregistration", fx.settled(), id)
-		if resp := fx.call(netproto.OpDrain, netproto.CtxBody{Context: "clim"}); !resp.OK {
-			t.Fatalf("drain: %+v", resp)
-		}
-		// The stream's frames race the deregistration's ack.
-		frames, ack := fx.until(fx.send(netproto.OpCtxDeregister, netproto.CtxBody{Context: "clim"}),
-			func(netproto.Response) bool { return true })
-		if !ack.OK {
-			t.Fatalf("ctx-deregister: %+v", ack)
-		}
-		if n := len(frames); n == 0 || !frames[n-1].Terminal() {
-			frames = append(frames, fx.stream(id)...)
-		}
-		fx.expect("after deregistration", frames, id, "40 failed", "ok done")
 	})
 
 	perOp(t, "mixed list", nil, func(fx *watchFixture, op string) {

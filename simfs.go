@@ -146,8 +146,7 @@ type WatchEvent = dvlib.WatchEvent
 type Admin = dvlib.Admin
 
 // PeerInfo is one federation link as reported by Admin.Peers: a
-// router's ring member, a daemon's outbound bridge connection ("out")
-// or an inbound fed-watch session ("in").
+// router's ring member and whether the session's link to it is up.
 type PeerInfo = netproto.PeerInfo
 
 // OpLatency is one per-op service-time summary in a Stats frame
