@@ -91,10 +91,10 @@ func (pc *PeerConn) Flush() error {
 	return nil
 }
 
-// Call round-trips one request of the link's own synchronously — a
-// control-plane call of a router fan-out, decoded at both ends, where a
-// client's request the router relays takes no handler (see
-// Router.send). Transport failures surface as the error; application
+// Call round-trips one request of the link's own synchronously: a
+// control-plane call of a router fan-out, decoded at both ends. (A
+// client's request the router relays takes no handler: see
+// Router.send.) Transport failures surface as the error; application
 // failures ride the response's Code.
 func (pc *PeerConn) Call(ctx context.Context, op string, body any) (netproto.Response, error) {
 	ch := make(chan netproto.Response, 1)
