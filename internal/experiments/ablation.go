@@ -7,6 +7,7 @@ import (
 	"simfs/internal/batch"
 	"simfs/internal/metrics"
 	"simfs/internal/model"
+	"simfs/internal/sched"
 	"simfs/internal/simulator"
 )
 
@@ -58,42 +59,34 @@ func AblationDoubling() (*metrics.Table, error) {
 	tab := metrics.NewTable("Ablation — ramp-up vs immediate sopt (COSMO, m=144)", "mode", "value")
 	const m = 144
 	tauCli := 100 * time.Millisecond
-	modes := []bool{false, true}
+	modes := []string{"immediate", "doubling"}
 	type result struct {
 		elapsed  time.Duration
 		produced float64
 		launches float64
 	}
 	results, err := RunCells(0, len(modes), func(i int) (result, error) {
-		rampUp := modes[i]
 		ctx := scalingCtx(simulator.CosmoScaling, 8)
-		ctx.RampUp = rampUp
-		name := "immediate"
-		if rampUp {
-			name = "doubling"
-		}
-		eng, v, err := stackFor(ctx)
+		ctx.RampUp = modes[i] == "doubling"
+		r, err := newRun(ctx, "DCL", sched.Config{}, nil)
 		if err != nil {
 			return result{}, err
 		}
 		var elapsed time.Duration
-		a := &Analysis{Engine: eng, V: v, Ctx: ctx, Client: "abl", Steps: Forward(1, m), TauCli: tauCli,
-			OnDone: func(d time.Duration) { elapsed = d }}
-		a.Start()
-		if !eng.Run(20_000_000) {
-			return result{}, fmt.Errorf("ablation doubling (%s): runaway", name)
+		r.analysis("abl", Forward(1, m), tauCli, func(d time.Duration) { elapsed = d }).Start()
+		if err := r.finish(); err != nil {
+			return result{}, fmt.Errorf("ablation doubling (%s): %w", modes[i], err)
 		}
-		st, _ := v.Stats(ctx.Name)
+		st, err := r.v.Stats(r.ctx.Name)
+		if err != nil {
+			return result{}, err
+		}
 		return result{elapsed, float64(st.StepsProduced), float64(st.Restarts)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, rampUp := range modes {
-		name := "immediate"
-		if rampUp {
-			name = "doubling"
-		}
+	for i, name := range modes {
 		tab.Series("running time (s)").Add(name, results[i].elapsed.Seconds())
 		// Wasted work: produced steps beyond what the analysis read.
 		tab.Series("steps produced").Add(name, results[i].produced)

@@ -114,115 +114,73 @@ func runAutoscaleCell(seed int64, cachePolicy string, cfg sched.Config, policies
 	// Contention lives on the node budget, not smax (as in the
 	// preemption ablation).
 	ctx.SMax = 10000
-	eng, v, err := stackSched(ctx, cfg)
+	r, err := newRun(ctx, cachePolicy, cfg, nil)
 	if err != nil {
 		return AutoscaleResult{}, err
 	}
-	if cachePolicy != "DCL" {
-		if err := v.SetCachePolicy(ctx.Name, cachePolicy); err != nil {
-			return AutoscaleResult{}, err
-		}
-	}
 
 	const scanClients, rereadClients = 8, 6
-	total := scanClients + rereadClients
-	completions := make([]time.Duration, 0, total)
-	analyses := make([]*Analysis, 0, total)
-	remaining := total
-	scanLeft := scanClients
-	var aborted error
+	var completions []float64
+	done := func(d time.Duration) { completions = append(completions, d.Seconds()) }
 	rng := rand.New(rand.NewSource(seed))
 	no := ctx.Grid.NumOutputSteps()
 
 	// Phase B: a hot window that fits the cache comfortably, re-read
 	// four times by each client. First passes miss and re-simulate;
-	// later passes hit if the replacement policy keeps the window.
+	// later passes hit if the replacement policy keeps the window. Its
+	// analyses are live from the start, so the controller keeps ticking
+	// across the gap between the phases.
 	hotStart := no - 200
 	const hotWindow = 24
+	rereads := make([]*Analysis, rereadClients)
+	for i := range rereads {
+		var steps []int
+		for range 4 {
+			steps = append(steps, Forward(hotStart, hotWindow)...)
+		}
+		rereads[i] = r.analysis(fmt.Sprintf("reread-%d", i), steps, time.Second, done)
+	}
 	startPhaseB := func() {
-		for i := 0; i < rereadClients; i++ {
-			var steps []int
-			for pass := 0; pass < 4; pass++ {
-				steps = append(steps, Forward(hotStart, hotWindow)...)
-			}
-			a := &Analysis{
-				Engine: eng, V: v, Ctx: ctx,
-				Client: fmt.Sprintf("reread-%d", i),
-				Steps:  steps, TauCli: time.Second,
-				OnDone: func(d time.Duration) {
-					completions = append(completions, d)
-					remaining--
-				},
-				OnAbort: func(msg string) { aborted = fmt.Errorf("reread: %s", msg) },
-			}
-			analyses = append(analyses, a)
-			eng.Schedule(time.Duration(i*5)*time.Second, a.Start)
+		for i, a := range rereads {
+			r.eng.Schedule(time.Duration(i*5)*time.Second, a.Start)
 		}
 	}
 
 	// Phase A: the contended scan mix. The last completion opens phase B.
-	for i := 0; i < scanClients; i++ {
+	scans := make([]*Analysis, scanClients)
+	scanLeft := scanClients
+	for i := range scans {
 		start := rng.Intn(no-400-48) + 1
-		a := &Analysis{
-			Engine: eng, V: v, Ctx: ctx,
-			Client: fmt.Sprintf("scan-%d", i),
-			Steps:  Forward(start, 48), TauCli: 2 * time.Second,
-			OnDone: func(d time.Duration) {
-				completions = append(completions, d)
-				remaining--
-				if scanLeft--; scanLeft == 0 {
-					eng.Schedule(10*time.Second, startPhaseB)
-				}
-			},
-			OnAbort: func(msg string) { aborted = fmt.Errorf("scan: %s", msg) },
-		}
-		analyses = append(analyses, a)
-		eng.Schedule(time.Duration(rng.Intn(60))*time.Second, a.Start)
+		a := r.analysis(fmt.Sprintf("scan-%d", i), Forward(start, 48), 2*time.Second, func(d time.Duration) {
+			done(d)
+			if scanLeft--; scanLeft == 0 {
+				r.eng.Schedule(10*time.Second, startPhaseB)
+			}
+		})
+		scans[i] = a
+		r.eng.Schedule(time.Duration(rng.Intn(60))*time.Second, a.Start)
 	}
 
 	var cell AutoscaleResult
-	var ctrl *autoscale.Controller
 	if tick > 0 {
-		ctrl, err = autoscale.New(autoscale.LocalTarget{V: v}, policies,
-			autoscale.Options{Clock: eng, OnDecision: func(d autoscale.Decision) { cell.Log = append(cell.Log, d) }})
-		if err != nil {
+		if err := r.steer(policies, tick, &cell.Log); err != nil {
 			return AutoscaleResult{}, err
 		}
-		var tickFn func()
-		tickFn = func() {
-			if remaining == 0 {
-				return // let the event heap drain
-			}
-			_ = ctrl.TickOnce() // LocalTarget samples without error and accepts every patch and policy name the policies emit
-			eng.Schedule(tick, tickFn)
-		}
-		eng.Schedule(tick, tickFn)
 	}
-
-	if !eng.Run(80_000_000) {
-		return AutoscaleResult{}, fmt.Errorf("runaway event loop")
+	if err := r.finish(); err != nil {
+		return AutoscaleResult{}, err
 	}
-	if aborted != nil {
-		return AutoscaleResult{}, aborted
-	}
-	if len(completions) != total {
-		return AutoscaleResult{}, fmt.Errorf("only %d/%d analyses completed", len(completions), total)
-	}
-	st, err := v.Stats(ctx.Name)
+	st, err := r.v.Stats(ctx.Name)
 	if err != nil {
 		return AutoscaleResult{}, err
 	}
-	ss := v.SchedStats()
-	var xs []float64
-	for _, d := range completions {
-		xs = append(xs, d.Seconds())
-	}
+	ss := r.v.SchedStats()
 	cell.DemandWait = ss.DemandWait.Wait
-	cell.Median = metrics.Summarize(xs).Median
+	cell.Median = metrics.Summarize(completions).Median
 	cell.Restarts = st.Restarts
 	cell.Preempted, cell.Promoted = ss.Preempted, ss.Promoted
 	cell.Decisions = len(cell.Log)
-	for _, a := range analyses {
+	for _, a := range append(rereads, scans...) {
 		cell.Blocked += a.Waits
 	}
 	return cell, nil

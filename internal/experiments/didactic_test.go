@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"simfs/internal/core"
-	"simfs/internal/des"
 	"simfs/internal/model"
-	"simfs/internal/simulator"
+	"simfs/internal/sched"
 )
 
 // The didactic examples of the paper's Figures 7-11 all use the same
@@ -35,25 +34,20 @@ func didacticCtx(noPrefetch bool, smax int) *model.Context {
 // returns (completion time, accumulated wait time, context stats).
 func runDidactic(t *testing.T, ctx *model.Context, steps []int) (time.Duration, time.Duration, core.CtxStats) {
 	t.Helper()
-	eng := des.NewEngine()
-	l := &simulator.DESLauncher{Engine: eng}
-	v := core.New(eng, l)
-	l.Events = v
-	if err := v.AddContext(ctx, "DCL", nil); err != nil {
+	r, err := newRun(ctx, "DCL", sched.Config{}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var elapsed time.Duration
-	a := &Analysis{
-		Engine: eng, V: v, Ctx: ctx, Client: "didactic",
-		Steps: steps, TauCli: 500 * time.Millisecond,
-		OnDone:  func(d time.Duration) { elapsed = d },
-		OnAbort: func(msg string) { t.Fatalf("aborted: %s", msg) },
-	}
+	a := r.analysis("didactic", steps, 500*time.Millisecond, func(d time.Duration) { elapsed = d })
 	a.Start()
-	if !eng.Run(5_000_000) {
-		t.Fatal("runaway event loop")
+	if err := r.finish(); err != nil {
+		t.Fatal(err)
 	}
-	st, _ := v.Stats(ctx.Name)
+	st, err := r.v.Stats(ctx.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return elapsed, a.Waits, st
 }
 

@@ -1,29 +1,17 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 	"time"
 
-	"simfs/internal/core"
+	"simfs/internal/autoscale"
 	"simfs/internal/costmodel"
-	"simfs/internal/des"
 	"simfs/internal/model"
+	"simfs/internal/sched"
 	"simfs/internal/simulator"
 	"simfs/internal/trace"
 )
-
-// newTestStack wires a fresh DES engine, launcher and Virtualizer around
-// one context.
-func newTestStack(ctx *model.Context) (*des.Engine, *core.Virtualizer) {
-	eng := des.NewEngine()
-	l := &simulator.DESLauncher{Engine: eng}
-	v := core.New(eng, l)
-	l.Events = v
-	if err := v.AddContext(ctx, "DCL", nil); err != nil {
-		panic(err)
-	}
-	return eng, v
-}
 
 func smallCtx() *model.Context {
 	c := &model.Context{
@@ -152,23 +140,46 @@ func TestAnalysisDriverAllCached(t *testing.T) {
 func runAnalysisPreloaded(t *testing.T, ctx *model.Context, steps []int, tauCli time.Duration) (time.Duration, error) {
 	t.Helper()
 	ctx.MaxCacheBytes = 0
-	eng, v := newTestStack(ctx)
+	r, err := newRun(ctx, "DCL", sched.Config{}, nil)
+	if err != nil {
+		return 0, err
+	}
 	all := make([]int, ctx.Grid.NumOutputSteps())
 	for i := range all {
 		all[i] = i + 1
 	}
-	if err := v.Preload(ctx.Name, all); err != nil {
+	if err := r.v.Preload(ctx.Name, all); err != nil {
 		return 0, err
 	}
 	var elapsed time.Duration
-	a := &Analysis{
-		Engine: eng, V: v, Ctx: ctx, Client: "t",
-		Steps: steps, TauCli: tauCli,
-		OnDone: func(d time.Duration) { elapsed = d },
+	r.analysis("t", steps, tauCli, func(d time.Duration) { elapsed = d }).Start()
+	err = r.finish()
+	return elapsed, err
+}
+
+// An abort counts as finished: once the other analysis is done the
+// controller's tick stops re-arming, the heap drains, and finish names
+// the aborted client rather than a runaway event loop.
+func TestRunAbortStopsTick(t *testing.T) {
+	ctx := smallCtx()
+	r, err := newRun(ctx, "DCL", sched.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a.Start()
-	eng.Run(0)
-	return elapsed, nil
+	r.analysis("whole", Forward(1, 8), 100*time.Millisecond, nil).Start()
+	// A step past the timeline: the Virtualizer refuses the open.
+	r.analysis("past-end", []int{ctx.Grid.NumOutputSteps() + 1}, 100*time.Millisecond, nil).Start()
+	var log []autoscale.Decision
+	if err := r.steer(nil, time.Second, &log); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.RunUntil(time.Hour)
+	if r.live != 0 {
+		t.Fatalf("%d analyses still live after an hour of virtual time", r.live)
+	}
+	if err := r.finish(); err == nil || !strings.Contains(err.Error(), "past-end") {
+		t.Fatalf("finish = %v, want the abort of past-end", err)
+	}
 }
 
 func TestAnalysisDriverColdForwardNoPrefetch(t *testing.T) {

@@ -37,10 +37,6 @@ type Fig05Config struct {
 	Seed     int64
 	Policies []string
 	Patterns []trace.Pattern
-	// Workers bounds the experiment worker pool (0 = the package default,
-	// see SetWorkers). Any value produces identical tables; cells are
-	// seeded per (pattern, rep) and merged in a fixed order.
-	Workers int
 }
 
 // DefaultFig05 returns the paper's configuration with a bench-friendly
@@ -71,54 +67,60 @@ func Fig05(cfg Fig05Config) (steps, restarts *metrics.Table, err error) {
 	ctx := simulator.CacheEval()
 	steps = metrics.NewTable("Fig. 5 — re-simulated output steps", "pattern", "output steps")
 	restarts = metrics.NewTable("Fig. 5 — simulation restarts", "pattern", "restarts")
-
-	type cell struct {
-		patIdx int
-		pol    string
-	}
-	var cells []cell
-	for p := range cfg.Patterns {
-		for _, pol := range cfg.Policies {
-			cells = append(cells, cell{p, pol})
+	err = policyGrid(steps, restarts, cfg.Patterns, cfg.Policies, cfg.Reps, func(p trace.Pattern, policy string) (repFunc, error) {
+		st, err := NewReplayState(ctx, policy)
+		if err != nil {
+			return nil, err
 		}
-	}
-	type cellResult struct {
-		steps    []float64
-		restarts []float64
-	}
-	results, err := RunCells(cfg.Workers, len(cells), func(i int) (cellResult, error) {
-		c := cells[i]
-		st, err := NewReplayState(ctx, c.pol)
+		return func(rep int) (float64, float64, error) {
+			tr, err := st.GenerateTrace(p, fig05TraceConfig(ctx, cfg.Seed, rep))
+			if err != nil {
+				return 0, 0, err
+			}
+			res, err := ReplayInto(st, ctx, tr)
+			return float64(res.ProducedSteps), float64(res.Restarts), err
+		}, nil
+	})
+	return steps, restarts, err
+}
+
+// repFunc runs one repetition of a policyGrid cell and returns its
+// re-simulated output steps and restarts.
+type repFunc func(rep int) (steps, restarts float64, err error)
+
+// policyGrid runs the pattern × policy grid of the caching study on the
+// worker pool, one cell per (pattern, policy): newCell builds the cell's
+// state (a replay cache, trace buffers), and the cell runs reps
+// repetitions on it. The results fill steps and restarts in pattern ×
+// policy × rep order, one series per policy, so the tables are
+// bit-identical to a sequential run for any worker count.
+func policyGrid(steps, restarts *metrics.Table, patterns []trace.Pattern, policies []string, reps int,
+	newCell func(p trace.Pattern, policy string) (repFunc, error)) error {
+	type cellResult struct{ steps, restarts []float64 }
+	n := len(policies)
+	results, err := RunCells(0, len(patterns)*n, func(i int) (cellResult, error) {
+		p, policy := patterns[i/n], policies[i%n]
+		rep, err := newCell(p, policy)
 		if err != nil {
 			return cellResult{}, err
 		}
-		r := cellResult{
-			steps:    make([]float64, cfg.Reps),
-			restarts: make([]float64, cfg.Reps),
-		}
-		for rep := 0; rep < cfg.Reps; rep++ {
-			tr, err := st.GenerateTrace(cfg.Patterns[c.patIdx], fig05TraceConfig(ctx, cfg.Seed, rep))
-			if err != nil {
-				return cellResult{}, err
+		r := cellResult{make([]float64, reps), make([]float64, reps)}
+		for k := range reps {
+			if r.steps[k], r.restarts[k], err = rep(k); err != nil {
+				return cellResult{}, fmt.Errorf("%s/%s: %w", p, policy, err)
 			}
-			res, err := ReplayInto(st, ctx, tr)
-			if err != nil {
-				return cellResult{}, fmt.Errorf("fig05 %s/%s: %w", cfg.Patterns[c.patIdx], c.pol, err)
-			}
-			r.steps[rep] = float64(res.ProducedSteps)
-			r.restarts[rep] = float64(res.Restarts)
 		}
 		return r, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	for i, c := range cells {
-		pat := string(cfg.Patterns[c.patIdx])
-		for rep := 0; rep < cfg.Reps; rep++ {
-			steps.Series(c.pol).Add(pat, results[i].steps[rep])
-			restarts.Series(c.pol).Add(pat, results[i].restarts[rep])
+	for i, r := range results {
+		p, policy := string(patterns[i/n]), policies[i%n]
+		for k := range reps {
+			steps.Series(policy).Add(p, r.steps[k])
+			restarts.Series(policy).Add(p, r.restarts[k])
 		}
 	}
-	return steps, restarts, nil
+	return nil
 }

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"fmt"
+	"math/rand"
 	"time"
 
-	"simfs/internal/core"
-	"simfs/internal/des"
 	"simfs/internal/metrics"
-	"simfs/internal/model"
+	"simfs/internal/sched"
 	"simfs/internal/simulator"
 	"simfs/internal/trace"
 )
@@ -19,10 +17,10 @@ import (
 // ordering of schemes must emerge from the real machinery. It is slower
 // than Fig05, so it defaults to fewer, shorter traces.
 //
-// The pattern×policy grid runs as independent cells on the experiment
-// worker pool; each cell regenerates its per-rep traces (deterministic in
-// pattern and seed+rep) into cell-local buffers, so the merged tables are
-// bit-identical to a sequential run for any worker count.
+// The pattern×policy grid is Fig05's; each cell regenerates its per-rep
+// traces (deterministic in pattern and seed+rep) into cell-local buffers
+// and replays each as one synthetic analysis over a fresh Virtualizer
+// with the cell's replacement policy.
 func Fig05DV(reps, analyses int, seed int64, policies []string, patterns []trace.Pattern) (steps, restarts *metrics.Table, err error) {
 	if reps < 1 {
 		reps = 1
@@ -30,38 +28,19 @@ func Fig05DV(reps, analyses int, seed int64, policies []string, patterns []trace
 	if analyses < 1 {
 		analyses = 10
 	}
-	base := simulator.CacheEval()
+	ctx := simulator.CacheEval()
 	steps = metrics.NewTable("Fig. 5 (full DV) — re-simulated output steps", "pattern", "output steps")
 	restarts = metrics.NewTable("Fig. 5 (full DV) — simulation restarts", "pattern", "restarts")
-
-	type cell struct {
-		patIdx int
-		pol    string
-	}
-	var cells []cell
-	for p := range patterns {
-		for _, pol := range policies {
-			cells = append(cells, cell{p, pol})
-		}
-	}
-	type cellResult struct {
-		steps    []float64
-		restarts []float64
-	}
-	results, err := RunCells(0, len(cells), func(i int) (cellResult, error) {
-		c := cells[i]
-		r := cellResult{
-			steps:    make([]float64, reps),
-			restarts: make([]float64, reps),
-		}
-		// Worker-pinned scratch: the trace and its step sequence are
-		// regenerated into these buffers for every rep of this cell.
+	err = policyGrid(steps, restarts, patterns, policies, reps, func(p trace.Pattern, policy string) (repFunc, error) {
+		// Cell-local scratch: the rng, the trace and its step sequence
+		// are reused by every rep of this cell.
+		rng := rand.New(rand.NewSource(seed))
 		var tr []trace.Access
 		var accesses []int
-		for rep := 0; rep < reps; rep++ {
+		return func(rep int) (float64, float64, error) {
 			var err error
-			tr, err = trace.GenerateInto(tr, patterns[c.patIdx], trace.Config{
-				NumSteps:    base.Grid.NumOutputSteps(),
+			tr, err = trace.GenerateWith(rng, tr, p, trace.Config{
+				NumSteps:    ctx.Grid.NumOutputSteps(),
 				NumAnalyses: analyses,
 				MinLen:      100,
 				MaxLen:      400,
@@ -69,66 +48,23 @@ func Fig05DV(reps, analyses int, seed int64, policies []string, patterns []trace
 				Seed:        seed + int64(rep)*104729,
 			})
 			if err != nil {
-				return cellResult{}, err
+				return 0, 0, err
 			}
 			accesses = accesses[:0]
 			for _, a := range tr {
 				accesses = append(accesses, a.Step)
 			}
-			st, err := runTraceThroughDV(base, c.pol, accesses)
+			r, err := newRun(ctx, policy, sched.Config{}, nil)
 			if err != nil {
-				return cellResult{}, fmt.Errorf("fig05dv %s/%s: %w", patterns[c.patIdx], c.pol, err)
+				return 0, 0, err
 			}
-			r.steps[rep] = float64(st.StepsProduced)
-			r.restarts[rep] = float64(st.Restarts)
-		}
-		return r, nil
+			r.analysis("trace", accesses, 100*time.Millisecond, nil).Start()
+			if err := r.finish(); err != nil {
+				return 0, 0, err
+			}
+			st, err := r.v.Stats(ctx.Name)
+			return float64(st.StepsProduced), float64(st.Restarts), err
+		}, nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, c := range cells {
-		pat := string(patterns[c.patIdx])
-		for rep := 0; rep < reps; rep++ {
-			steps.Series(c.pol).Add(pat, results[i].steps[rep])
-			restarts.Series(c.pol).Add(pat, results[i].restarts[rep])
-		}
-	}
-	return steps, restarts, nil
-}
-
-// runTraceThroughDV replays one access sequence as a synthetic analysis
-// over a fresh Virtualizer with the given replacement policy.
-func runTraceThroughDV(base *model.Context, policy string, accesses []int) (core.CtxStats, error) {
-	ctx := *base // shallow copy; Grid and sizes are values
-	ctx.Name = "dvreplay"
-	eng := des.NewEngine()
-	l := &simulator.DESLauncher{Engine: eng}
-	v := core.New(eng, l)
-	l.Events = v
-	if err := v.AddContext(&ctx, policy, nil); err != nil {
-		return core.CtxStats{}, err
-	}
-	done := false
-	var abortMsg string
-	a := &Analysis{
-		Engine: eng, V: v, Ctx: &ctx, Client: "trace",
-		Steps:  accesses,
-		TauCli: 100 * time.Millisecond,
-		OnDone: func(time.Duration) { done = true },
-		OnAbort: func(msg string) {
-			abortMsg = msg
-		},
-	}
-	a.Start()
-	if !eng.Run(100_000_000) {
-		return core.CtxStats{}, fmt.Errorf("dv replay did not converge")
-	}
-	if abortMsg != "" {
-		return core.CtxStats{}, fmt.Errorf("dv replay aborted: %s", abortMsg)
-	}
-	if !done {
-		return core.CtxStats{}, fmt.Errorf("dv replay never completed")
-	}
-	return v.Stats(ctx.Name)
+	return steps, restarts, err
 }

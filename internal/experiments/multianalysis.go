@@ -51,18 +51,14 @@ func MultiAnalysis(ctx *model.Context, cfg MultiAnalysisConfig) (MultiAnalysisRe
 	if cfg.Clients < 1 {
 		return MultiAnalysisResult{}, fmt.Errorf("multianalysis: need at least one client")
 	}
-	eng, v, err := stackSched(ctx, cfg.Sched)
+	r, err := newRun(ctx, "DCL", cfg.Sched, nil)
 	if err != nil {
 		return MultiAnalysisResult{}, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	no := ctx.Grid.NumOutputSteps()
 	res := MultiAnalysisResult{Completion: make([]time.Duration, cfg.Clients)}
-	var aborted error
-	remaining := cfg.Clients
-
-	for i := 0; i < cfg.Clients; i++ {
-		i := i
+	for i := range cfg.Clients {
 		m := cfg.Steps
 		var steps []int
 		if float64(i) < cfg.Backward*float64(cfg.Clients) {
@@ -72,57 +68,24 @@ func MultiAnalysis(ctx *model.Context, cfg MultiAnalysisConfig) (MultiAnalysisRe
 			start := rng.Intn(no-m) + 1
 			steps = Forward(start, m)
 		}
-		a := &Analysis{
-			Engine: eng, V: v, Ctx: ctx,
-			Client: fmt.Sprintf("multi-%d", i),
-			Steps:  steps, TauCli: cfg.TauCli,
-			OnDone:  func(d time.Duration) { res.Completion[i] = d; remaining-- },
-			OnAbort: func(msg string) { aborted = fmt.Errorf("analysis %d: %s", i, msg) },
-		}
+		a := r.analysis(fmt.Sprintf("multi-%d", i), steps, cfg.TauCli,
+			func(d time.Duration) { res.Completion[i] = d })
 		// Stagger starts a little so the overlap is partial, as in the
 		// paper's workload.
 		delay := time.Duration(rng.Intn(60)) * time.Second
-		eng.Schedule(delay, a.Start)
+		r.eng.Schedule(delay, a.Start)
 	}
-	var ctrl *autoscale.Controller
 	if cfg.AutoscaleTick > 0 {
-		var err error
-		ctrl, err = autoscale.New(autoscale.LocalTarget{V: v}, cfg.Autoscale,
-			autoscale.Options{Clock: eng, OnDecision: func(d autoscale.Decision) { res.Decisions = append(res.Decisions, d) }})
-		if err != nil {
+		if err := r.steer(cfg.Autoscale, cfg.AutoscaleTick, &res.Decisions); err != nil {
 			return res, err
 		}
-		// The tick re-arms itself only while analyses are live: a
-		// perpetual controller event would keep the DES from ever
-		// draining its heap.
-		var tick func()
-		tick = func() {
-			if remaining == 0 {
-				return
-			}
-			_ = ctrl.TickOnce() // LocalTarget samples without error and accepts every patch and policy name the policies emit
-			eng.Schedule(cfg.AutoscaleTick, tick)
-		}
-		eng.Schedule(cfg.AutoscaleTick, tick)
 	}
-	if !eng.Run(80_000_000) {
-		return res, fmt.Errorf("multianalysis: runaway event loop")
-	}
-	if aborted != nil {
-		return res, aborted
-	}
-	st, err := v.Stats(ctx.Name)
-	if err != nil {
+	if err := r.finish(); err != nil {
 		return res, err
 	}
-	res.Stats = st
-	res.Sched = v.SchedStats()
-	for i, d := range res.Completion {
-		if d == 0 {
-			return res, fmt.Errorf("multianalysis: analysis %d never completed", i)
-		}
-	}
-	return res, nil
+	res.Stats, err = r.v.Stats(r.ctx.Name)
+	res.Sched = r.v.SchedStats()
+	return res, err
 }
 
 // MultiAnalysisSweep produces a table of median completion time and
@@ -133,10 +96,7 @@ func MultiAnalysis(ctx *model.Context, cfg MultiAnalysisConfig) (MultiAnalysisRe
 func MultiAnalysisSweep(ctx *model.Context, clients []int, stepsEach int, tauCli time.Duration, seed int64) (*metrics.Table, error) {
 	tab := metrics.NewTable("Concurrent analyses — interference sweep", "clients", "value")
 	results, err := RunCells(0, len(clients), func(i int) (MultiAnalysisResult, error) {
-		// Context is a value struct; a per-cell copy keeps AddContext's
-		// in-place defaulting off the shared instance.
-		cctx := *ctx
-		return MultiAnalysis(&cctx, MultiAnalysisConfig{
+		return MultiAnalysis(ctx, MultiAnalysisConfig{
 			Clients: clients[i], Steps: stepsEach, TauCli: tauCli, Seed: seed, Backward: 0.25,
 		})
 	})

@@ -116,22 +116,24 @@ func TestFig05ParallelDeterminism(t *testing.T) {
 	cfg := DefaultFig05()
 	cfg.Reps = 3
 
-	cfg.Workers = 1
+	SetWorkers(1)
+	defer SetWorkers(0)
 	s1, r1, err := Fig05(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// NumCPU, but at least enough goroutines to interleave on small hosts.
-	cfg.Workers = max(runtime.NumCPU(), 8)
+	n := max(runtime.NumCPU(), 8)
+	SetWorkers(n)
 	sN, rN, err := Fig05(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, b := renderString(t, s1), renderString(t, sN); a != b {
-		t.Errorf("steps tables diverge between -j 1 and -j %d:\n--- j=1\n%s--- j=N\n%s", cfg.Workers, a, b)
+		t.Errorf("steps tables diverge between -j 1 and -j %d:\n--- j=1\n%s--- j=N\n%s", n, a, b)
 	}
 	if a, b := renderString(t, r1), renderString(t, rN); a != b {
-		t.Errorf("restarts tables diverge between -j 1 and -j %d", cfg.Workers)
+		t.Errorf("restarts tables diverge between -j 1 and -j %d", n)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"simfs/internal/batch"
-	"simfs/internal/core"
-	"simfs/internal/des"
 	"simfs/internal/metrics"
 	"simfs/internal/model"
 	"simfs/internal/prefetch"
@@ -14,62 +12,19 @@ import (
 	"simfs/internal/simulator"
 )
 
-// stackFor wires a fresh virtual-time SimFS instance around one context
-// with the default (paper-exact) launch scheduling.
-func stackFor(ctx *model.Context) (*des.Engine, *core.Virtualizer, error) {
-	return stackSched(ctx, sched.Config{})
-}
-
-// stackSched wires a fresh virtual-time SimFS instance with an explicit
-// re-simulation scheduler policy (the scheduler ablation's knob).
-func stackSched(ctx *model.Context, cfg sched.Config) (*des.Engine, *core.Virtualizer, error) {
-	eng := des.NewEngine()
-	l := &simulator.DESLauncher{Engine: eng}
-	v := core.NewScheduled(eng, l, cfg)
-	l.Events = v
-	if err := v.AddContext(ctx, "DCL", nil); err != nil {
-		return nil, nil, err
-	}
-	return eng, v, nil
-}
-
 // runAnalysis executes one synthetic analysis on a fresh virtual-time
 // SimFS instance and returns its completion time. queue optionally adds a
 // batch queueing delay to every re-simulation (the αsim sweep of
 // Figs. 17/19).
 func runAnalysis(ctx *model.Context, steps []int, tauCli time.Duration, queue batch.Sampler) (time.Duration, error) {
-	eng := des.NewEngine()
-	l := &simulator.DESLauncher{Engine: eng, Queue: queue}
-	v := core.New(eng, l)
-	l.Events = v
-	if err := v.AddContext(ctx, "DCL", nil); err != nil {
+	r, err := newRun(ctx, "DCL", sched.Config{}, queue)
+	if err != nil {
 		return 0, err
 	}
 	var elapsed time.Duration
-	var aborted string
-	a := &Analysis{
-		Engine: eng,
-		V:      v,
-		Ctx:    ctx,
-		Client: "analysis-0",
-		Steps:  steps,
-		TauCli: tauCli,
-		OnDone: func(d time.Duration) { elapsed = d },
-		OnAbort: func(msg string) {
-			aborted = msg
-		},
-	}
-	a.Start()
-	if !eng.Run(50_000_000) {
-		return 0, fmt.Errorf("experiment did not converge (runaway event loop)")
-	}
-	if aborted != "" {
-		return 0, fmt.Errorf("analysis aborted: %s", aborted)
-	}
-	if elapsed == 0 {
-		return 0, fmt.Errorf("analysis never completed")
-	}
-	return elapsed, nil
+	r.analysis("analysis-0", steps, tauCli, func(d time.Duration) { elapsed = d }).Start()
+	err = r.finish()
+	return elapsed, err
 }
 
 // scalingCtx prepares a context for the strong-scaling experiments:

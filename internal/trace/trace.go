@@ -90,21 +90,13 @@ func (c Config) withDefaults() Config {
 
 // Generate produces the concatenated trace for the given pattern.
 func Generate(p Pattern, cfg Config) ([]Access, error) {
-	return GenerateInto(nil, p, cfg)
+	return GenerateWith(rand.New(rand.NewSource(cfg.Seed)), nil, p, cfg)
 }
 
-// GenerateInto is Generate appending into dst's storage (the trace starts
-// at dst[:0]); it returns the filled slice. The generated accesses are
-// identical to Generate's for the same pattern and configuration — only
-// the allocation behavior differs, letting rep loops reuse one buffer
-// across repetitions instead of allocating a fresh trace slice per rep.
-func GenerateInto(dst []Access, p Pattern, cfg Config) ([]Access, error) {
-	return GenerateWith(rand.New(rand.NewSource(cfg.Seed)), dst, p, cfg)
-}
-
-// GenerateWith is GenerateInto reusing a caller-owned rng, re-seeded
-// from cfg.Seed before use — the accesses are identical to Generate's
-// for the same pattern and configuration, and a worker-pinned rng makes
+// GenerateWith is Generate reusing a caller-owned rng, re-seeded from
+// cfg.Seed before use, and appending into dst's storage (the trace
+// starts at dst[:0]). The accesses are identical to Generate's for the
+// same pattern and configuration; a worker-pinned rng and buffer make
 // repeated regeneration allocation-free.
 func GenerateWith(rng *rand.Rand, dst []Access, p Pattern, cfg Config) ([]Access, error) {
 	cfg = cfg.withDefaults()

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -246,22 +247,23 @@ func TestInterleaveHighOverlapMixes(t *testing.T) {
 	}
 }
 
-func TestGenerateIntoMatchesGenerate(t *testing.T) {
+func TestGenerateWithMatchesGenerate(t *testing.T) {
 	cfg := Config{NumSteps: 500, NumAnalyses: 10, MinLen: 20, MaxLen: 60, Stride: 1, Seed: 7}
+	// One rng and one buffer reused across patterns must still reproduce
+	// each pattern's trace exactly.
+	rng := rand.New(rand.NewSource(1))
 	var buf []Access
 	for _, p := range Patterns() {
 		want, err := Generate(p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Reusing one buffer across patterns must still reproduce each
-		// pattern's trace exactly.
-		buf, err = GenerateInto(buf, p, cfg)
+		buf, err = GenerateWith(rng, buf, p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(buf) != len(want) {
-			t.Fatalf("%s: GenerateInto %d accesses, Generate %d", p, len(buf), len(want))
+			t.Fatalf("%s: GenerateWith %d accesses, Generate %d", p, len(buf), len(want))
 		}
 		for i := range buf {
 			if buf[i] != want[i] {
@@ -269,7 +271,7 @@ func TestGenerateIntoMatchesGenerate(t *testing.T) {
 			}
 		}
 	}
-	if _, err := GenerateInto(nil, Pattern("nope"), cfg); err == nil {
+	if _, err := GenerateWith(rng, nil, Pattern("nope"), cfg); err == nil {
 		t.Error("unknown pattern accepted")
 	}
 }
