@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"maps"
 	"os"
@@ -106,7 +107,7 @@ func main() {
 		ctx := open(c, *ctxName)
 		st, err := ctx.Stats()
 		check(err)
-		printStats(st)
+		printStats(os.Stdout, st)
 
 	case "health":
 		// The fault-tolerance view of one context: failure/retry/
@@ -121,7 +122,7 @@ func main() {
 		fmt.Fprintf(w, "restarts\t%d\nkills\t%d\ndropped prefetch\t%d\ndraining\t%v\n",
 			st.Restarts, st.Kills, st.DroppedPrefetch, st.Draining)
 		w.Flush()
-		printOpLatencies(st.Ops)
+		printOpLatencies(os.Stdout, st.Ops)
 		if st.SchedQuarantined > 0 {
 			fmt.Println("\nintervals have been quarantined; once the underlying fault is fixed,")
 			fmt.Println("`simfs-ctl quarantine-reset` re-admits them before the cooldown elapses")
@@ -343,14 +344,14 @@ loop:
 	fmt.Printf("autoscale: detached after %d decision(s)\n", decisions)
 }
 
-// printStats prints every counter of a context's stats frame. The
-// fieldsync analyzer holds it to the wire struct, as it holds the
+// printStats prints every counter of a context's stats frame to out.
+// The fieldsync analyzer holds it to the wire struct, as it holds the
 // router's merge: a counter added to netproto.Stats and not printed here
 // fails simfs-vet.
 //
 //simfs:sync netproto.Stats
-func printStats(st netproto.Stats) {
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+func printStats(out io.Writer, st netproto.Stats) {
+	w := tabwriter.NewWriter(out, 0, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "opens\t%d\nhits\t%d\nmisses\t%d\nrestarts\t%d\n", st.Opens, st.Hits, st.Misses, st.Restarts)
 	fmt.Fprintf(w, "demand restarts\t%d\nprefetch launches\t%d\ndropped prefetch\t%d\n", st.DemandRestarts, st.PrefetchLaunches, st.DroppedPrefetch)
 	fmt.Fprintf(w, "steps produced\t%d\nevictions\t%d\nkills\t%d\nfailures\t%d\npollution resets\t%d\n", st.StepsProduced, st.Evictions, st.Kills, st.Failures, st.PollutionResets)
@@ -366,26 +367,26 @@ func printStats(st netproto.Stats) {
 	fmt.Fprintf(w, "sched retries\t%d\nsched quarantined\t%d\n", st.SchedRetries, st.SchedQuarantined)
 	w.Flush()
 	if len(st.SchedClientLoads) > 0 {
-		fmt.Println("\nclient load (output steps submitted):")
-		lw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+		fmt.Fprintln(out, "\nclient load (output steps submitted):")
+		lw := tabwriter.NewWriter(out, 0, 4, 2, ' ', 0)
 		fmt.Fprintf(lw, "client\tsteps\n")
 		for _, client := range slices.Sorted(maps.Keys(st.SchedClientLoads)) {
 			fmt.Fprintf(lw, "%s\t%d\n", client, st.SchedClientLoads[client])
 		}
 		lw.Flush()
 	}
-	printOpLatencies(st.Ops)
+	printOpLatencies(out, st.Ops)
 }
 
 // printOpLatencies prints the per-op service-time percentiles (log2
-// buckets, so ±2×): the daemon-side cost of each op, which is what
-// separates "the daemon is slow" from "the network/router is slow".
-func printOpLatencies(ops []netproto.OpLatency) {
+// buckets, so ±2×) to out: the daemon-side cost of each op, which is
+// what separates "the daemon is slow" from "the network/router is slow".
+func printOpLatencies(out io.Writer, ops []netproto.OpLatency) {
 	if len(ops) == 0 {
 		return
 	}
-	fmt.Println("\nop latency (service time, log2-bucket precision):")
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+	fmt.Fprintln(out, "\nop latency (service time, log2-bucket precision):")
+	w := tabwriter.NewWriter(out, 0, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "op\tcount\tp50\tp99\n")
 	for _, l := range ops {
 		fmt.Fprintf(w, "%s\t%d\t%s\t%s\n", l.Op, l.Count, time.Duration(l.P50Ns), time.Duration(l.P99Ns))
