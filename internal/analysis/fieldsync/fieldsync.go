@@ -1,12 +1,12 @@
-// Package fieldsync keeps wire structs and the functions that must
+// Package fieldsync keeps records and the functions that must
 // enumerate their fields in lockstep. A struct annotated
-// //simfs:exhaustive (the Stats frame, the binary-codec hot-op bodies)
-// demands that every function annotated //simfs:sync <Type> — the
-// router's mergeStats, the binary codec encode/decode pairs —
-// references every field.
+// //simfs:exhaustive (the stats records of internal/metrics, the
+// binary-codec hot-op bodies) demands that every function annotated
+// //simfs:sync <Type> — each record's Add, the stats printer, the
+// binary codec encode/decode pairs — references every field.
 // Adding a counter without merging or encoding it then fails the
 // build instead of silently dropping data at a fan-out boundary
-// (the PR 9 mergeStats fix is the bug class this encodes).
+// (the router's stats merge once lost fields that way).
 package fieldsync
 
 import (

@@ -12,9 +12,9 @@ import (
 // TestTreeIsFindingFree runs the full simfs-vet suite over the module
 // and fails on any finding, so `go test ./...` enforces the invariants
 // even where simfs-vet is not wired into the workflow. This is also the
-// tripwire the acceptance criteria ask for: removing one field
-// reference from fed's mergeStats, or one sentinel case from the
-// server's codeOf, turns into a test failure here.
+// tripwire for the repo's contracts: removing one field reference from
+// a stats record's Add (internal/metrics), or one sentinel case from
+// the server's codeOf, turns into a test failure here.
 func TestTreeIsFindingFree(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skipf("go tool unavailable: %v", err)

@@ -11,17 +11,16 @@ import (
 
 // AdminTarget steers a remote daemon over a dvlib connection — the
 // simfs-ctl autoscale mode. Sampling walks the context list and reads
-// each context's stats frame; the daemon-global scheduler fields ride
-// every frame, so the last one read wins (they describe the same
-// ledger). The target caches context handles across ticks and drops
-// them when contexts disappear.
+// each context's stats frame. The target caches context handles across
+// ticks and drops them when contexts disappear.
 type AdminTarget struct {
 	C *dvlib.Client
-	// Timeout bounds each control-plane call (default 5s).
-	Timeout time.Duration
 
 	ctxs map[string]*dvlib.Context
 }
+
+// adminCallTimeout bounds each control-plane call.
+const adminCallTimeout = 5 * time.Second
 
 // NewAdminTarget wraps a connected client.
 func NewAdminTarget(c *dvlib.Client) *AdminTarget {
@@ -29,11 +28,7 @@ func NewAdminTarget(c *dvlib.Client) *AdminTarget {
 }
 
 func (at *AdminTarget) callCtx() (context.Context, context.CancelFunc) {
-	timeout := at.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	return context.WithTimeout(context.Background(), timeout)
+	return context.WithTimeout(context.Background(), adminCallTimeout)
 }
 
 func (at *AdminTarget) Sample() (Sample, error) {
@@ -43,7 +38,7 @@ func (at *AdminTarget) Sample() (Sample, error) {
 	if err != nil {
 		return Sample{}, err
 	}
-	s := Sample{Cfg: cfg, Ctxs: make(map[string]CtxSample)}
+	s := Sample{Cfg: cfg, Ctxs: make(map[string]metrics.Report)}
 	names, err := at.C.Contexts()
 	if err != nil {
 		return Sample{}, err
@@ -58,27 +53,11 @@ func (at *AdminTarget) Sample() (Sample, error) {
 			}
 			at.ctxs[name] = h
 		}
-		st, err := h.Stats()
+		r, err := h.Stats()
 		if err != nil {
 			continue
 		}
-		s.Ctxs[name] = CtxSample{
-			Opens: st.Opens, Hits: st.Hits, Misses: st.Misses,
-			Restarts: st.Restarts, DemandRestarts: st.DemandRestarts,
-			CachePolicy: st.CachePolicy, Draining: st.Draining,
-		}
-		// The Sched* fields are daemon-global and identical on every
-		// frame of the same tick.
-		s.Sched = metrics.SchedStats{
-			Coalesced: st.SchedCoalesced, Dropped: st.SchedDropped,
-			Canceled: st.SchedCanceled, Preempted: st.SchedPreempted,
-			Promoted: st.SchedPromoted, QueueDepth: st.SchedQueueDepth,
-			QuotaRounds: st.SchedQuotaRounds, QuotaDeferred: st.SchedQuotaDeferred,
-			DemandWait: metrics.SchedClassWait{Wait: time.Duration(st.SchedDemandWaitNs)},
-			GuidedWait: metrics.SchedClassWait{Wait: time.Duration(st.SchedGuidedWaitNs)},
-			AgentWait:  metrics.SchedClassWait{Wait: time.Duration(st.SchedAgentWaitNs)},
-		}
-		s.Loads = st.SchedClientLoads
+		s.add(name, r)
 	}
 	for name := range at.ctxs {
 		if !live[name] {

@@ -300,7 +300,7 @@ func TestPreemptGovernorRespectsOperatorConfig(t *testing.T) {
 func cacheSample(cfg sched.Config, opens, hits int64, policy string) Sample {
 	return Sample{
 		Cfg:  cfg,
-		Ctxs: map[string]CtxSample{"c": {Opens: opens, Hits: hits, CachePolicy: policy}},
+		Ctxs: map[string]metrics.Report{"c": {CtxStats: metrics.CtxStats{Opens: opens, Hits: hits}, CachePolicy: policy}},
 	}
 }
 

@@ -1,6 +1,7 @@
 package autoscale_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -148,5 +149,78 @@ func TestAutoscaleControllerOverLiveDaemon(t *testing.T) {
 	}
 	if len(decisions) == 0 {
 		t.Fatal("controller armed preemption without recording a decision")
+	}
+}
+
+// TestAdminSampleMatchesLocalSample drives demand misses through a live
+// daemon until it is quiescent, then samples it twice: over the wire
+// (AdminTarget, through dvlib) and in process (LocalTarget, on the same
+// Virtualizer). The two must observe the same daemon: the scheduler
+// ledger (Queued and each class's Jobs included), the client loads, the
+// config, and each context's counters, cache policy and drain flag.
+func TestAdminSampleMatchesLocalSample(t *testing.T) {
+	st, addr := startDaemon(t)
+	// One node and demand priorities, so the misses queue behind each
+	// other and the ledger's queue counters move.
+	on, one := true, 1
+	if _, err := st.V.UpdateSchedConfig(sched.Patch{Priorities: &on, TotalNodes: &one}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := dvlib.Dial(addr, "parity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	wx, err := c.Init("wx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for step := 10; step < 40; step += 4 {
+		files = append(files, wx.Filename(step))
+	}
+	if _, err := wx.Acquire(files...); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if err := wx.Release(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Launcher.Wait() // every re-simulation has ended: the daemon is quiescent
+
+	remote, err := autoscale.NewAdminTarget(c).Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := autoscale.LocalTarget{V: st.V}.Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Sched.Queued == 0 || local.Sched.DemandWait.Jobs == 0 {
+		t.Fatalf("the misses never queued, so the test proves nothing: %+v", local.Sched)
+	}
+	if !reflect.DeepEqual(remote.Sched, local.Sched) {
+		t.Errorf("Sched over the wire = %+v\nin process = %+v", remote.Sched, local.Sched)
+	}
+	if !reflect.DeepEqual(remote.Loads, local.Loads) {
+		t.Errorf("Loads over the wire = %v, in process = %v", remote.Loads, local.Loads)
+	}
+	if !reflect.DeepEqual(remote.Cfg, local.Cfg) {
+		t.Errorf("Cfg over the wire = %+v, in process = %+v", remote.Cfg, local.Cfg)
+	}
+	if len(remote.Ctxs) != len(local.Ctxs) {
+		t.Fatalf("contexts over the wire = %d, in process = %d", len(remote.Ctxs), len(local.Ctxs))
+	}
+	for name, l := range local.Ctxs {
+		r, ok := remote.Ctxs[name]
+		if !ok {
+			t.Errorf("context %s missing over the wire", name)
+			continue
+		}
+		if r.CtxStats != l.CtxStats || r.CachePolicy != l.CachePolicy || r.Draining != l.Draining {
+			t.Errorf("context %s over the wire = %+v %q %v\nin process = %+v %q %v", name,
+				r.CtxStats, r.CachePolicy, r.Draining, l.CtxStats, l.CachePolicy, l.Draining)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"simfs/internal/metrics"
 	"simfs/internal/sched"
 )
 
@@ -66,7 +67,7 @@ type Policy interface {
 }
 
 // sortedCtxNames iterates a sample's contexts deterministically.
-func sortedCtxNames(ctxs map[string]CtxSample) []string {
+func sortedCtxNames(ctxs map[string]metrics.Report) []string {
 	names := make([]string, 0, len(ctxs))
 	for name := range ctxs { //simfs:allow maporder the collected keys are sorted before use
 		names = append(names, name)

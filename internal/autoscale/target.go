@@ -6,18 +6,6 @@ import (
 	"simfs/internal/sched"
 )
 
-// CtxSample is one context's counters as seen at a tick. Counters are
-// cumulative; policies difference consecutive samples for rates.
-type CtxSample struct {
-	Opens          int64
-	Hits           int64
-	Misses         int64
-	Restarts       int64
-	DemandRestarts int64
-	CachePolicy    string
-	Draining       bool
-}
-
 // Sample is the controller's full observation of the target at one tick.
 type Sample struct {
 	// Sched is the daemon-global scheduler ledger (cumulative).
@@ -25,11 +13,20 @@ type Sample struct {
 	// Cfg is the scheduler config in effect — policies read it so they
 	// never actuate blind (and never fight operator settings).
 	Cfg sched.Config
-	// Ctxs maps context name → counters.
-	Ctxs map[string]CtxSample
+	// Ctxs maps context name → its stats record. Counters are
+	// cumulative; policies difference consecutive samples for rates.
+	Ctxs map[string]metrics.Report
 	// Loads maps client name → cumulative demand-class steps submitted,
 	// the DRR tuner's skew signal.
 	Loads map[string]uint64
+}
+
+// add stores a context's report. The scheduler ledger and the client
+// loads are daemon-global and ride every report, so the last one read
+// wins (they describe the same ledger).
+func (s *Sample) add(name string, r metrics.Report) {
+	s.Ctxs[name] = r
+	s.Sched, s.Loads = r.SchedStats, r.ClientLoads
 }
 
 // Target is what a controller steers: sample the stats surface, apply a
@@ -48,24 +45,13 @@ type LocalTarget struct {
 }
 
 func (lt LocalTarget) Sample() (Sample, error) {
-	s := Sample{
-		Sched: lt.V.SchedStats(),
-		Cfg:   lt.V.SchedConfig(),
-		Ctxs:  make(map[string]CtxSample),
-		Loads: lt.V.Scheduler().ClientLoads(),
-	}
+	s := Sample{Cfg: lt.V.SchedConfig(), Ctxs: make(map[string]metrics.Report)}
 	for _, name := range lt.V.ContextNames() {
-		st, err := lt.V.Stats(name)
+		r, err := lt.V.Report(name)
 		if err != nil {
 			continue // deregistered between list and read
 		}
-		policy, _ := lt.V.CachePolicyName(name)
-		draining, _ := lt.V.Draining(name)
-		s.Ctxs[name] = CtxSample{
-			Opens: st.Opens, Hits: st.Hits, Misses: st.Misses,
-			Restarts: st.Restarts, DemandRestarts: st.DemandRestarts,
-			CachePolicy: policy, Draining: draining,
-		}
+		s.add(name, r)
 	}
 	return s, nil
 }

@@ -79,7 +79,7 @@ func TestDemandJoinOffKeepsQueueOrder(t *testing.T) {
 	if _, err := h.v.UpdateSchedConfig(sched.Patch{Priorities: &off}); err != nil {
 		t.Fatal(err)
 	}
-	before := h.v.Scheduler().QueuedRanges("c")
+	before := h.v.sched.QueuedRanges("c")
 
 	var at31, at20 time.Duration
 	if res, err := openAwait(h.v, "a1", "c", ctx.Filename(31), func(st notify.Event) {
@@ -90,7 +90,7 @@ func TestDemandJoinOffKeepsQueueOrder(t *testing.T) {
 	if ss := h.v.SchedStats(); ss.Promoted != 0 {
 		t.Fatalf("Promoted = %d with Priorities off, want 0", ss.Promoted)
 	}
-	if after := h.v.Scheduler().QueuedRanges("c"); !reflect.DeepEqual(before, after) {
+	if after := h.v.sched.QueuedRanges("c"); !reflect.DeepEqual(before, after) {
 		t.Fatalf("queue order changed with Priorities off: %v → %v", before, after)
 	}
 	if f, err := watchFile(h.v, "spec", "c", ctx.Filename(20), func(st notify.Event) {

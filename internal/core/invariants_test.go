@@ -167,7 +167,7 @@ func TestInvariantPendingMarkerNeedsOwner(t *testing.T) {
 		t.Fatalf("a marker with its job queued is owned: %v", err)
 	}
 	// The job goes, behind core's back; markers and watchers stay.
-	if gone := h.v.Scheduler().CancelClient("c", "a2", nil); len(gone) != 1 {
+	if gone := h.v.sched.CancelClient("c", "a2", nil); len(gone) != 1 {
 		t.Fatalf("canceled %d jobs, want the queued hint", len(gone))
 	}
 	err := h.v.CheckInvariants()

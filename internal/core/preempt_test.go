@@ -380,7 +380,7 @@ func TestPreemptThenCancelDoesNotRequeue(t *testing.T) {
 			t.Errorf("step %d of the cancelled victim was resurrected (resident=%v promised=%v)", s, resident, promised)
 		}
 	}
-	if _, ok := h.v.Scheduler().QuotaDebt("spec"); ok {
+	if _, ok := h.v.sched.QuotaDebt("spec"); ok {
 		t.Error("the departed client re-entered the quota ledger through the requeue")
 	}
 	if resident, _, _ := h.v.FileState("c", ctx.Filename(1)); !resident {
@@ -427,7 +427,7 @@ func TestDisconnectOrphansSurvivingSimBilling(t *testing.T) {
 	if !got {
 		t.Error("the surviving prefetch never served its waiter")
 	}
-	if _, ok := h.v.Scheduler().QuotaDebt("spec"); ok {
+	if _, ok := h.v.sched.QuotaDebt("spec"); ok {
 		t.Error("the departed client re-entered the quota ledger")
 	}
 	if err := h.v.CheckInvariants(); err != nil {
@@ -449,11 +449,11 @@ func TestClientDisconnectReleasesQuotaDebt(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run(0)
-	if _, ok := h.v.Scheduler().QuotaDebt("b1"); !ok {
+	if _, ok := h.v.sched.QuotaDebt("b1"); !ok {
 		t.Fatal("the drained prefetch never charged its client's quota")
 	}
 	h.v.ClientDisconnected("b1")
-	if _, ok := h.v.Scheduler().QuotaDebt("b1"); ok {
+	if _, ok := h.v.sched.QuotaDebt("b1"); ok {
 		t.Error("quota debt survived the disconnect")
 	}
 	if err := h.v.CheckInvariants(); err != nil {

@@ -69,7 +69,8 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 		t.Fatalf("waiter should ride through the retries, got %+v", *st)
 	}
 	stats, _ := h.v.Stats("c")
-	retries, quarantined, _ := h.v.RetryStats("c")
+	r, _ := h.v.Report("c")
+	retries, quarantined := r.Retries, r.Quarantined
 	if stats.Failures != 2 || retries != 2 || quarantined != 0 {
 		t.Errorf("failures/retries/quarantined = %d/%d/%d, want 2/2/0",
 			stats.Failures, retries, quarantined)
@@ -97,7 +98,8 @@ func TestQuarantineFailsWaitersStructured(t *testing.T) {
 		t.Fatalf("waiter should carry the structured quarantine error, got %+v", *st)
 	}
 	stats, _ := h.v.Stats("c")
-	retries, quarantined, _ := h.v.RetryStats("c")
+	r, _ := h.v.Report("c")
+	retries, quarantined := r.Retries, r.Quarantined
 	if stats.Failures != 3 || retries != 2 || quarantined != 1 {
 		t.Errorf("failures/retries/quarantined = %d/%d/%d, want 3/2/1",
 			stats.Failures, retries, quarantined)
@@ -165,8 +167,8 @@ func TestQuarantineHalfOpensAfterCooldown(t *testing.T) {
 		t.Fatalf("probe launch should produce the file, got %+v", st)
 	}
 	// A later failure starts a fresh ledger entry (slate cleared).
-	if _, quarantined, _ := h.v.RetryStats("c"); quarantined != 1 {
-		t.Errorf("quarantined = %d, want 1", quarantined)
+	if r, _ := h.v.Report("c"); r.Quarantined != 1 {
+		t.Errorf("quarantined = %d, want 1", r.Quarantined)
 	}
 	if err := h.v.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -210,8 +212,8 @@ func TestPrefetchSkipsQuarantinedInterval(t *testing.T) {
 	h.v.Open("a1", "c", ctx.Filename(4))
 	h.eng.Run(0)
 	stats, _ := h.v.Stats("c")
-	if _, quarantined, _ := h.v.RetryStats("c"); quarantined != 1 {
-		t.Fatalf("quarantined = %d, want 1", quarantined)
+	if r, _ := h.v.Report("c"); r.Quarantined != 1 {
+		t.Fatalf("quarantined = %d, want 1", r.Quarantined)
 	}
 	before := stats.Restarts
 	dropped := stats.DroppedPrefetch

@@ -198,14 +198,14 @@ func TestConcurrentMultiContextStress(t *testing.T) {
 	// traffic and the totals add up.
 	var total uint64
 	for _, name := range names {
-		ls, err := v.LockStats(name)
+		r, err := v.Report(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ls.Acquisitions == 0 {
+		if r.Acquisitions == 0 {
 			t.Errorf("shard %s never locked", name)
 		}
-		total += ls.Acquisitions
+		total += r.Acquisitions
 	}
 	if got := v.TotalLockStats().Acquisitions; got != total {
 		t.Errorf("TotalLockStats = %d, sum of shards = %d", got, total)

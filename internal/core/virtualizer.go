@@ -67,21 +67,9 @@ type OpenResult struct {
 	Awaited bool
 }
 
-// CtxStats counts per-context events; the experiment harness reads them.
-type CtxStats struct {
-	Opens            int64
-	Hits             int64
-	Misses           int64
-	Restarts         int64 // simulations launched (demand + prefetch)
-	DemandRestarts   int64
-	PrefetchLaunches int64
-	DroppedPrefetch  int64 // prefetches skipped because smax was reached
-	StepsProduced    int64
-	Evictions        int64
-	Kills            int64
-	Failures         int64
-	PollutionResets  int64
-}
+// CtxStats is the shard's counter record, declared in internal/metrics.
+// The alias stays for the benchmark module, which names it.
+type CtxStats = metrics.CtxStats
 
 type simState struct {
 	id          int64
@@ -150,7 +138,7 @@ type shard struct {
 	// launcher id and pipeline-pending ones under negative placeholder ids.
 	sims      map[int64]*simState
 	alphaEMA  *metrics.EMA
-	stats     CtxStats
+	stats     metrics.CtxStats
 	checksums map[int]uint64
 	// failures is the per-interval failure ledger (keyed by the launch
 	// interval) driving retry backoff and quarantine; empty unless a
@@ -369,37 +357,36 @@ func (v *Virtualizer) ContextNames() []string {
 }
 
 // Stats returns a copy of the context's counters.
-func (v *Virtualizer) Stats(ctxName string) (CtxStats, error) {
+func (v *Virtualizer) Stats(ctxName string) (metrics.CtxStats, error) {
 	cs, err := v.lockedShard(ctxName)
 	if err != nil {
-		return CtxStats{}, err
+		return metrics.CtxStats{}, err
 	}
 	defer cs.mu.Unlock()
 	return cs.stats, nil
 }
 
-// RetryStats returns the context's failure-ledger counters: launches
-// re-submitted after a failure and circuit-breaker openings. Both stay
-// zero unless a RetryPolicy is installed.
-func (v *Virtualizer) RetryStats(ctxName string) (retries, quarantined int64, err error) {
+// Report returns the context's stats record: the shard's counters, lock
+// counters, failure-ledger counters and control-plane state, read in one
+// hold of the shard lock, then the daemon-global scheduler ledger and
+// client loads. Ops is left for the front end to fill.
+func (v *Virtualizer) Report(ctxName string) (metrics.Report, error) {
 	cs, err := v.lockedShard(ctxName)
 	if err != nil {
-		return 0, 0, err
+		return metrics.Report{}, err
 	}
-	defer cs.mu.Unlock()
-	return cs.retries, cs.quarantined, nil
-}
-
-// LockStats returns the shard-lock counters of a context: how often its
-// lock was taken, how often that acquisition contended, and the
-// cumulative contended wait. A heavily contended shard indicates a
-// workload serializing on one context.
-func (v *Virtualizer) LockStats(ctxName string) (metrics.LockStats, error) {
-	cs, ok := v.shardOf(ctxName)
-	if !ok {
-		return metrics.LockStats{}, fmt.Errorf("core: %w %q", ErrUnknownContext, ctxName)
+	r := metrics.Report{
+		CtxStats:    cs.stats,
+		Draining:    cs.draining,
+		CachePolicy: cs.cache.Policy().Name(),
+		LockStats:   cs.mu.Stats(),
+		Retries:     cs.retries,
+		Quarantined: cs.quarantined,
 	}
-	return cs.mu.Stats(), nil
+	cs.mu.Unlock()
+	r.SchedStats = v.sched.Stats()
+	r.ClientLoads = v.sched.ClientLoads()
+	return r, nil
 }
 
 // TotalLockStats sums the shard-lock counters over all contexts.
@@ -423,9 +410,6 @@ func (v *Virtualizer) TotalLockStats() metrics.LockStats {
 func (v *Virtualizer) SchedStats() metrics.SchedStats {
 	return v.sched.Stats()
 }
-
-// Scheduler exposes the launch scheduler (tests and diagnostics).
-func (v *Virtualizer) Scheduler() *sched.Scheduler { return v.sched }
 
 // ClientDisconnected tells the DV that a client is gone: its queued
 // prefetch jobs are de-queued and its running prefetch simulations are

@@ -36,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"simfs/internal/metrics"
 	"simfs/internal/model"
 	"simfs/internal/netproto"
 	"simfs/internal/vfs"
@@ -808,13 +809,13 @@ func (ctx *Context) Prefetch(files ...string) (int, error) {
 }
 
 // Stats fetches the context's DV counters.
-func (ctx *Context) Stats() (netproto.Stats, error) {
+func (ctx *Context) Stats() (metrics.Report, error) {
 	resp, err := ctx.c.call(netproto.OpStats, netproto.CtxBody{Context: ctx.name})
 	if err != nil {
-		return netproto.Stats{}, err
+		return metrics.Report{}, err
 	}
 	if resp.Stats == nil {
-		return netproto.Stats{}, &Error{Op: netproto.OpStats, Msg: "daemon sent no stats"}
+		return metrics.Report{}, &Error{Op: netproto.OpStats, Msg: "daemon sent no stats"}
 	}
 	return *resp.Stats, nil
 }

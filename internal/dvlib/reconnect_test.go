@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"simfs/internal/metrics"
 	"simfs/internal/netproto"
 )
 
@@ -191,7 +192,7 @@ func TestReconnectRestoresHeldReferences(t *testing.T) {
 				kill()
 				return
 			}
-			send(netproto.Response{ID: req.ID, OK: true, Stats: &netproto.Stats{}})
+			send(netproto.Response{ID: req.ID, OK: true, Stats: &metrics.Report{}})
 		}
 	})
 	c, err := Dial(addr, "unit", WithReconnect(fastReconnect))

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"simfs/internal/metrics"
 	"simfs/internal/netproto"
 )
 
@@ -45,11 +46,11 @@ type Router struct {
 
 	ring *Ring
 	logf func(string, ...any)
-
-	// CallTimeout bounds control-plane fan-out calls (contexts, stats,
-	// sched-*). Set before Serve.
-	CallTimeout time.Duration
 }
+
+// callTimeout bounds control-plane fan-out calls (contexts, stats,
+// sched-*).
+const callTimeout = 10 * time.Second
 
 type listener = netproto.Listener
 
@@ -61,9 +62,8 @@ func NewRouter(peerAddrs []string, replicas int, logf func(string, ...any)) *Rou
 		logf = func(string, ...any) {}
 	}
 	return &Router{
-		ring:        NewRing(replicas, peerAddrs...),
-		logf:        logf,
-		CallTimeout: 10 * time.Second,
+		ring: NewRing(replicas, peerAddrs...),
+		logf: logf,
 	}
 }
 
@@ -419,7 +419,7 @@ func (r *Router) fanout(sess *rsession, op string, body any) []fanResult {
 		wg.Add(1)
 		go func(i int, pc *PeerConn) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), r.CallTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 			defer cancel()
 			results[i].resp, results[i].err = pc.Call(ctx, op, body)
 		}(i, pc)
@@ -552,109 +552,24 @@ func (r *Router) fanQuarantineReset(sess *rsession, id uint64) {
 }
 
 // fanStats merges per-context stats across the members that know the
-// context: counters sum, the drain flag ORs, per-op latency entries
-// merge (counts sum, percentiles take the worst member). Only members
-// answering no_such_context are ignored — the context's shards plus
-// the daemon-global scheduler counters of every hosting member add up.
+// context with metrics.Report.Add. Only members answering
+// no_such_context are ignored — the context's shards plus the
+// daemon-global scheduler counters of every hosting member add up.
 func (r *Router) fanStats(sess *rsession, id uint64, ctxName string) {
 	results := r.fanout(sess, netproto.OpStats, netproto.CtxBody{Context: ctxName})
-	var merged *netproto.Stats
+	var merged *metrics.Report
 	for _, res := range results {
 		if res.err != nil || !res.resp.OK || res.resp.Stats == nil {
 			continue
 		}
 		if merged == nil {
-			cp := *res.resp.Stats
-			merged = &cp
-			continue
+			merged = &metrics.Report{}
 		}
-		mergeStats(merged, res.resp.Stats)
+		merged.Add(*res.resp.Stats)
 	}
 	if merged == nil {
 		fanFail(sess, id, results)
 		return
 	}
 	sess.reply(netproto.Response{ID: id, OK: true, Stats: merged})
-}
-
-// mergeStats accumulates src into dst. The fieldsync analyzer holds it
-// to Stats's full field list: a counter added to the wire struct but
-// not merged here would silently vanish from federated stat fan-ins.
-//
-//simfs:sync netproto.Stats
-func mergeStats(dst, src *netproto.Stats) {
-	dst.Opens += src.Opens
-	dst.Hits += src.Hits
-	dst.Misses += src.Misses
-	dst.Restarts += src.Restarts
-	dst.DemandRestarts += src.DemandRestarts
-	dst.PrefetchLaunches += src.PrefetchLaunches
-	dst.DroppedPrefetch += src.DroppedPrefetch
-	dst.StepsProduced += src.StepsProduced
-	dst.Evictions += src.Evictions
-	dst.Kills += src.Kills
-	dst.Failures += src.Failures
-	dst.PollutionResets += src.PollutionResets
-	dst.Draining = dst.Draining || src.Draining
-	if dst.CachePolicy == "" {
-		dst.CachePolicy = src.CachePolicy
-	}
-	dst.LockAcquisitions += src.LockAcquisitions
-	dst.LockContended += src.LockContended
-	dst.LockWaitNs += src.LockWaitNs
-	dst.SchedQueueDepth += src.SchedQueueDepth
-	dst.SchedCoalesced += src.SchedCoalesced
-	dst.SchedDropped += src.SchedDropped
-	dst.SchedCanceled += src.SchedCanceled
-	dst.SchedDemandWaitNs += src.SchedDemandWaitNs
-	dst.SchedGuidedWaitNs += src.SchedGuidedWaitNs
-	dst.SchedAgentWaitNs += src.SchedAgentWaitNs
-	dst.SchedPreempted += src.SchedPreempted
-	dst.SchedPromoted += src.SchedPromoted
-	dst.SchedQuotaRounds += src.SchedQuotaRounds
-	dst.SchedQuotaDeferred += src.SchedQuotaDeferred
-	dst.SchedRetries += src.SchedRetries
-	dst.SchedQuarantined += src.SchedQuarantined
-	if len(src.SchedClientLoads) > 0 {
-		if dst.SchedClientLoads == nil {
-			dst.SchedClientLoads = make(map[string]uint64, len(src.SchedClientLoads))
-		}
-		for client, steps := range src.SchedClientLoads {
-			dst.SchedClientLoads[client] += steps
-		}
-	}
-	dst.Ops = mergeOpLatencies(dst.Ops, src.Ops)
-}
-
-// mergeOpLatencies merges per-op summaries by name: counts sum and the
-// percentiles take the slowest member (the bound an operator cares
-// about), sorted by op for a deterministic wire order.
-func mergeOpLatencies(a, b []netproto.OpLatency) []netproto.OpLatency {
-	if len(a) == 0 {
-		return b
-	}
-	byOp := make(map[string]netproto.OpLatency, len(a)+len(b))
-	for _, l := range a {
-		byOp[l.Op] = l
-	}
-	for _, l := range b {
-		if have, ok := byOp[l.Op]; ok {
-			have.Count += l.Count
-			if l.P50Ns > have.P50Ns {
-				have.P50Ns = l.P50Ns
-			}
-			if l.P99Ns > have.P99Ns {
-				have.P99Ns = l.P99Ns
-			}
-			byOp[l.Op] = have
-		} else {
-			byOp[l.Op] = l
-		}
-	}
-	out := make([]netproto.OpLatency, 0, len(byOp))
-	for _, l := range byOp {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Op < out[j].Op })
-	return out
 }

@@ -83,8 +83,8 @@ func upperBoundNs(i int) int64 {
 }
 
 // OpLatency is the per-operation summary the stats frame carries as it
-// is (netproto.OpLatency): observation count plus p50/p99 upper bounds
-// in nanoseconds.
+// is (Report.Ops): observation count plus p50/p99 upper bounds in
+// nanoseconds.
 type OpLatency struct {
 	Op    string `json:"op"`
 	Count uint64 `json:"count"`

@@ -9,16 +9,20 @@ import (
 // LockStats summarizes the acquisition history of a ContendedMutex. The
 // sharded Virtualizer exposes one per context shard, so operators can see
 // whether a workload serializes on a single context.
+//
+//simfs:exhaustive
 type LockStats struct {
 	// Acquisitions counts successful Lock calls.
-	Acquisitions uint64
+	Acquisitions uint64 `json:"lock_acquisitions,omitempty"`
 	// Contended counts acquisitions that had to wait for another holder.
-	Contended uint64
+	Contended uint64 `json:"lock_contended,omitempty"`
 	// Wait is the cumulative time spent blocked in contended acquisitions.
-	Wait time.Duration
+	Wait time.Duration `json:"lock_wait_ns,omitempty"`
 }
 
 // Add accumulates other into s.
+//
+//simfs:sync LockStats
 func (s *LockStats) Add(other LockStats) {
 	s.Acquisitions += other.Acquisitions
 	s.Contended += other.Contended

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"simfs/internal/metrics"
 )
 
 func TestBinaryEnvelopeRoundTrip(t *testing.T) {
@@ -339,7 +341,7 @@ func TestEncodeFrameSingleWrite(t *testing.T) {
 	for _, codec := range []Codec{JSON, Binary} {
 		for _, v := range []any{
 			any(mustEnvelope(t, 1, OpOpen, FileBody{Context: "c", File: "f"})),
-			any(Response{ID: 2, OK: true, Stats: &Stats{Hits: 1}}),
+			any(Response{ID: 2, OK: true, Stats: &metrics.Report{CtxStats: metrics.CtxStats{Hits: 1}}}),
 		} {
 			cw := &countingWriter{}
 			if err := codec.EncodeFrame(cw, v); err != nil {

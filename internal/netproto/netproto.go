@@ -389,86 +389,6 @@ type ContextInfo struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-// Stats mirrors core.CtxStats on the wire, plus the context's live
-// control-plane state and the daemon-global scheduler counters.
-// Exhaustive: the federation router's mergeStats must fold every
-// field, or a counter added here silently vanishes at the fan-out
-// boundary (the bug class PR 9 fixed by hand).
-//
-//simfs:exhaustive
-type Stats struct {
-	Opens            int64 `json:"opens"`
-	Hits             int64 `json:"hits"`
-	Misses           int64 `json:"misses"`
-	Restarts         int64 `json:"restarts"`
-	DemandRestarts   int64 `json:"demand_restarts"`
-	PrefetchLaunches int64 `json:"prefetch_launches"`
-	DroppedPrefetch  int64 `json:"dropped_prefetch"`
-	StepsProduced    int64 `json:"steps_produced"`
-	Evictions        int64 `json:"evictions"`
-	Kills            int64 `json:"kills"`
-	Failures         int64 `json:"failures"`
-	PollutionResets  int64 `json:"pollution_resets"`
-
-	// Live control-plane state of the context: whether it is draining
-	// (refusing new opens/prefetches) and the cache replacement scheme
-	// currently in effect — the knobs `drain`/`resume` and
-	// `cache-policy-set` flip, reported back so operators can verify a
-	// reconfiguration landed.
-	Draining    bool   `json:"draining,omitempty"`
-	CachePolicy string `json:"cache_policy,omitempty"`
-
-	// Shard-lock counters of the context (sharded Virtualizer): total
-	// lock acquisitions, how many contended, and the cumulative wait.
-	LockAcquisitions uint64 `json:"lock_acquisitions,omitempty"`
-	LockContended    uint64 `json:"lock_contended,omitempty"`
-	LockWaitNs       int64  `json:"lock_wait_ns,omitempty"`
-
-	// Re-simulation scheduler counters (internal/sched). The scheduler is
-	// shared by all contexts of the daemon, so these are DV-global: the
-	// current queue depth, how many requests were coalesced into queued
-	// jobs, how many prefetches were dropped at capacity or canceled
-	// before launch, and the cumulative enqueue→admission wait per
-	// priority class.
-	SchedQueueDepth   int    `json:"sched_queue_depth,omitempty"`
-	SchedCoalesced    uint64 `json:"sched_coalesced,omitempty"`
-	SchedDropped      uint64 `json:"sched_dropped,omitempty"`
-	SchedCanceled     uint64 `json:"sched_canceled,omitempty"`
-	SchedDemandWaitNs int64  `json:"sched_demand_wait_ns,omitempty"`
-	SchedGuidedWaitNs int64  `json:"sched_guided_wait_ns,omitempty"`
-	SchedAgentWaitNs  int64  `json:"sched_agent_wait_ns,omitempty"`
-	// Preemption and per-client fairness counters: running agent
-	// prefetches killed for node-blocked demand work, queued prefetch
-	// jobs promoted to demand class by a joining open, DRR credit rounds
-	// granted, and pops where quota fairness overrode FIFO order.
-	SchedPreempted     uint64 `json:"sched_preempted,omitempty"`
-	SchedPromoted      uint64 `json:"sched_promoted,omitempty"`
-	SchedQuotaRounds   uint64 `json:"sched_quota_rounds,omitempty"`
-	SchedQuotaDeferred uint64 `json:"sched_quota_deferred,omitempty"`
-	// SchedClientLoads is the daemon's cumulative per-client offered
-	// load (output steps submitted to the scheduler). Monotone counters:
-	// an autoscale controller diffs two stats samples to measure client
-	// skew over a window. A router merging stats sums entries per
-	// client.
-	SchedClientLoads map[string]uint64 `json:"sched_client_loads,omitempty"`
-	// Failure-ledger counters (this context's shard): failed
-	// re-simulations retried with backoff, and intervals currently
-	// quarantined by the circuit breaker.
-	SchedRetries     uint64 `json:"sched_retries,omitempty"`
-	SchedQuarantined uint64 `json:"sched_quarantined,omitempty"`
-
-	// Ops carries per-operation service-time percentiles for the daemon's
-	// dispatch path (internal/metrics log2 histograms: p50/p99 are bucket
-	// upper bounds, exact to within 2x). A router answering stats merges
-	// the owning daemons' entries, so these attribute where wire time is
-	// spent across a federation.
-	Ops []OpLatency `json:"op_latencies,omitempty"`
-}
-
-// OpLatency is one per-operation latency summary inside Stats: the
-// daemon's summaries travel as metrics.LatencySet reports them.
-type OpLatency = metrics.OpLatency
-
 // PeerInfo describes one federation link in a peers response: a
 // router's ring member (Role "member") and whether the asking session's
 // link to it is up.
@@ -484,20 +404,20 @@ type PeerInfo struct {
 // and then by its notice, with Done. A failing response carries both the
 // machine-readable Code and the human-readable Err.
 type Response struct {
-	ID        uint64       `json:"id"`
-	OK        bool         `json:"ok"`
-	Code      ErrCode      `json:"code,omitempty"`
-	Err       string       `json:"err,omitempty"`
-	Available bool         `json:"available,omitempty"`
-	Ready     bool         `json:"ready,omitempty"`
-	Flag      bool         `json:"flag,omitempty"`
-	Done      bool         `json:"done,omitempty"`
-	File      string       `json:"file,omitempty"`
-	EstWaitNs int64        `json:"est_wait_ns,omitempty"`
-	Names     []string     `json:"names,omitempty"`
-	Info      *ContextInfo `json:"info,omitempty"`
-	Stats     *Stats       `json:"stats,omitempty"`
-	Count     int          `json:"count,omitempty"`
+	ID        uint64          `json:"id"`
+	OK        bool            `json:"ok"`
+	Code      ErrCode         `json:"code,omitempty"`
+	Err       string          `json:"err,omitempty"`
+	Available bool            `json:"available,omitempty"`
+	Ready     bool            `json:"ready,omitempty"`
+	Flag      bool            `json:"flag,omitempty"`
+	Done      bool            `json:"done,omitempty"`
+	File      string          `json:"file,omitempty"`
+	EstWaitNs int64           `json:"est_wait_ns,omitempty"`
+	Names     []string        `json:"names,omitempty"`
+	Info      *ContextInfo    `json:"info,omitempty"`
+	Stats     *metrics.Report `json:"stats,omitempty"`
+	Count     int             `json:"count,omitempty"`
 	// Proto carries the daemon's handshake half (hello responses only).
 	Proto *HelloInfo `json:"proto,omitempty"`
 	// Sched carries the scheduler configuration (sched-get / sched-set).

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"simfs/internal/metrics"
 	"simfs/internal/sched"
 )
 
@@ -49,7 +50,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := Response{ID: 9, OK: true, File: "x", Done: true, EstWaitNs: 123,
 		Info:  &ContextInfo{Name: "c", DeltaD: 5, Policy: "DCL"},
-		Stats: &Stats{Hits: 3},
+		Stats: &metrics.Report{CtxStats: metrics.CtxStats{Hits: 3}},
 		Proto: &HelloInfo{Version: ProtoVersion, Caps: []string{CapAdmin}},
 		Sched: &SchedInfo{Coalesce: true, TotalNodes: 4}}
 	if err := JSON.EncodeFrame(&buf, in); err != nil {

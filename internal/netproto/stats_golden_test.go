@@ -7,6 +7,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"simfs/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/stats_frame.json from this run")
@@ -14,19 +16,25 @@ var update = flag.Bool("update", false, "rewrite testdata/stats_frame.json from 
 // fullStats sets every field of the stats frame to a distinct value, so
 // a key that is renamed, dropped or merged into another shows in the
 // golden.
-func fullStats() *Stats {
-	return &Stats{
-		Opens: 1, Hits: 2, Misses: 3, Restarts: 4, DemandRestarts: 5,
-		PrefetchLaunches: 6, DroppedPrefetch: 7, StepsProduced: 8,
-		Evictions: 9, Kills: 10, Failures: 11, PollutionResets: 12,
+func fullStats() *metrics.Report {
+	return &metrics.Report{
+		CtxStats: metrics.CtxStats{
+			Opens: 1, Hits: 2, Misses: 3, Restarts: 4, DemandRestarts: 5,
+			PrefetchLaunches: 6, DroppedPrefetch: 7, StepsProduced: 8,
+			Evictions: 9, Kills: 10, Failures: 11, PollutionResets: 12,
+		},
 		Draining: true, CachePolicy: "DCL",
-		LockAcquisitions: 13, LockContended: 14, LockWaitNs: 15,
-		SchedQueueDepth: 16, SchedCoalesced: 17, SchedDropped: 18, SchedCanceled: 19,
-		SchedDemandWaitNs: 20, SchedGuidedWaitNs: 21, SchedAgentWaitNs: 22,
-		SchedPreempted: 23, SchedPromoted: 24, SchedQuotaRounds: 25, SchedQuotaDeferred: 26,
-		SchedClientLoads: map[string]uint64{"ana": 27, "bob": 28},
-		SchedRetries:     29, SchedQuarantined: 30,
-		Ops: []OpLatency{
+		LockStats: metrics.LockStats{Acquisitions: 13, Contended: 14, Wait: 15},
+		SchedStats: metrics.SchedStats{
+			QueueDepth: 16, Queued: 37, Coalesced: 17, Dropped: 18, Canceled: 19,
+			DemandWait: metrics.SchedClassWait{Jobs: 38, Wait: 20},
+			GuidedWait: metrics.SchedClassWait{Jobs: 39, Wait: 21},
+			AgentWait:  metrics.SchedClassWait{Jobs: 40, Wait: 22},
+			Preempted:  23, Promoted: 24, QuotaRounds: 25, QuotaDeferred: 26,
+		},
+		ClientLoads: map[string]uint64{"ana": 27, "bob": 28},
+		Retries:     29, Quarantined: 30,
+		Ops: []metrics.OpLatency{
 			{Op: OpOpen, Count: 31, P50Ns: 32, P99Ns: 33},
 			{Op: OpRelease, Count: 34, P50Ns: 35, P99Ns: 36},
 		},

@@ -220,13 +220,12 @@ func TestChaosWorkloadUnderFaults(t *testing.T) {
 			if err := st.V.CheckInvariants(); err != nil {
 				t.Errorf("invariants violated after chaos run: %v", err)
 			}
-			stats, err := st.V.Stats("clim")
+			r, err := st.V.Report("clim")
 			if err != nil {
 				t.Fatal(err)
 			}
-			retries, quarantined, _ := st.V.RetryStats("clim")
 			t.Logf("chaos %s: failures=%d retries=%d quarantined=%d restarts=%d",
-				sc.name, stats.Failures, retries, quarantined, stats.Restarts)
+				sc.name, r.Failures, r.Retries, r.Quarantined, r.Restarts)
 		})
 	}
 }

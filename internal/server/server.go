@@ -435,40 +435,12 @@ func (s *Server) regSum(_ *session, b netproto.ChecksumBody) (netproto.Response,
 }
 
 func (s *Server) stats(_ *session, b netproto.CtxBody) (netproto.Response, error) {
-	st, err := s.v.Stats(b.Context)
+	r, err := s.v.Report(b.Context)
 	if err != nil {
 		return netproto.Response{}, err
 	}
-	ls, _ := s.v.LockStats(b.Context)
-	ss := s.v.SchedStats()
-	retries, quarantined, _ := s.v.RetryStats(b.Context)
-	// The context resolved above, so the control-plane state lookups
-	// cannot fail; reporting them closes the loop for operators who
-	// just issued a drain or cache-policy-set.
-	draining, _ := s.v.Draining(b.Context)
-	policy, _ := s.v.CachePolicyName(b.Context)
-	return netproto.Response{OK: true, Stats: &netproto.Stats{
-		Opens: st.Opens, Hits: st.Hits, Misses: st.Misses,
-		Restarts: st.Restarts, DemandRestarts: st.DemandRestarts,
-		PrefetchLaunches: st.PrefetchLaunches, DroppedPrefetch: st.DroppedPrefetch,
-		StepsProduced: st.StepsProduced, Evictions: st.Evictions,
-		Kills: st.Kills, Failures: st.Failures, PollutionResets: st.PollutionResets,
-		Draining: draining, CachePolicy: policy,
-		LockAcquisitions: ls.Acquisitions, LockContended: ls.Contended,
-		LockWaitNs:      int64(ls.Wait),
-		SchedQueueDepth: ss.QueueDepth, SchedCoalesced: ss.Coalesced,
-		SchedDropped: ss.Dropped, SchedCanceled: ss.Canceled,
-		SchedDemandWaitNs: int64(ss.DemandWait.Wait),
-		SchedGuidedWaitNs: int64(ss.GuidedWait.Wait),
-		SchedAgentWaitNs:  int64(ss.AgentWait.Wait),
-		SchedPreempted:    ss.Preempted,
-		SchedQuotaRounds:  ss.QuotaRounds, SchedQuotaDeferred: ss.QuotaDeferred,
-		SchedPromoted:    ss.Promoted,
-		SchedRetries:     uint64(retries),
-		SchedQuarantined: uint64(quarantined),
-		SchedClientLoads: s.v.Scheduler().ClientLoads(),
-		Ops:              s.lat.Summaries(),
-	}}, nil
+	r.Ops = s.lat.Summaries()
+	return netproto.Response{OK: true, Stats: &r}, nil
 }
 
 func (s *Server) prefetch(sess *session, b netproto.FilesBody) (netproto.Response, error) {

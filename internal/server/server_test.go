@@ -456,7 +456,7 @@ func TestStatsOpLatencyWireBytes(t *testing.T) {
 			lat.Record(netproto.OpRelease, 3*time.Microsecond)
 			lat.Record(netproto.OpPing, time.Millisecond)
 		}
-		resp := netproto.Response{ID: 5, OK: true, Stats: &netproto.Stats{Hits: 2, Ops: lat.Summaries()}}
+		resp := netproto.Response{ID: 5, OK: true, Stats: &metrics.Report{CtxStats: metrics.CtxStats{Hits: 2}, Ops: lat.Summaries()}}
 		if err := netproto.Binary.EncodeFrame(&buf, resp); err != nil {
 			t.Fatal(err)
 		}

@@ -201,10 +201,10 @@ func TestStatsCarryLockCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LockAcquisitions == 0 {
+	if st.Acquisitions == 0 {
 		t.Errorf("stats carry no lock acquisitions: %+v", st)
 	}
-	if st.LockContended > st.LockAcquisitions {
+	if st.Contended > st.Acquisitions {
 		t.Errorf("contended > acquisitions: %+v", st)
 	}
 }

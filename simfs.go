@@ -58,6 +58,7 @@ import (
 	"simfs/internal/core"
 	"simfs/internal/dvlib"
 	"simfs/internal/ioshim"
+	"simfs/internal/metrics"
 	"simfs/internal/model"
 	"simfs/internal/netproto"
 	"simfs/internal/sched"
@@ -151,7 +152,7 @@ type PeerInfo = netproto.PeerInfo
 
 // OpLatency is one per-op service-time summary in a Stats frame
 // (count, p50, p99 in nanoseconds).
-type OpLatency = netproto.OpLatency
+type OpLatency = metrics.OpLatency
 
 // Error is a structured daemon-reported failure carrying the
 // machine-readable error code alongside the message.
