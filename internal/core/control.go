@@ -89,17 +89,6 @@ func (v *Virtualizer) SetCachePolicy(ctxName, policyName string) error {
 	return nil
 }
 
-// CachePolicyName reports the replacement scheme a context currently
-// runs.
-func (v *Virtualizer) CachePolicyName(ctxName string) (string, error) {
-	cs, err := v.lockedShard(ctxName)
-	if err != nil {
-		return "", err
-	}
-	defer cs.mu.Unlock()
-	return cs.cache.Policy().Name(), nil
-}
-
 // Drain stops admitting new opens and prefetches for a context. Running
 // simulations complete, existing waiters are served, and releases still
 // land, so a drained context empties out under its current workload.
@@ -122,16 +111,6 @@ func (v *Virtualizer) Resume(ctxName string) error {
 	defer cs.mu.Unlock()
 	cs.draining = false
 	return nil
-}
-
-// Draining reports whether a context is currently draining.
-func (v *Virtualizer) Draining(ctxName string) (bool, error) {
-	cs, err := v.lockedShard(ctxName)
-	if err != nil {
-		return false, err
-	}
-	defer cs.mu.Unlock()
-	return cs.draining, nil
 }
 
 // RemoveContext deregisters a drained context. It refuses (ErrBusy) while

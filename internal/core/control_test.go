@@ -20,7 +20,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	if err := h.v.Drain("c"); err != nil {
 		t.Fatal(err)
 	}
-	if d, _ := h.v.Draining("c"); !d {
+	if r, _ := h.v.Report("c"); !r.Draining {
 		t.Fatal("Draining not reported")
 	}
 	if _, err := h.v.Open("a1", "c", ctx.Filename(9)); !errors.Is(err, ErrDraining) {
@@ -68,7 +68,7 @@ func TestRemoveContextLifecycle(t *testing.T) {
 		t.Fatalf("remove of a busy context = %v, want ErrBusy", err)
 	}
 	// The failed removal still put the context into draining.
-	if d, _ := h.v.Draining("c"); !d {
+	if r, _ := h.v.Report("c"); !r.Draining {
 		t.Error("failed removal should leave the context draining")
 	}
 	h.eng.Run(0) // simulation completes
@@ -116,14 +116,14 @@ func TestSetCachePolicyPreservesResidency(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run(0)
-	if name, _ := h.v.CachePolicyName("c"); name != "DCL" {
-		t.Fatalf("boot policy = %q", name)
+	if r, _ := h.v.Report("c"); r.CachePolicy != "DCL" {
+		t.Fatalf("boot policy = %q", r.CachePolicy)
 	}
 	if err := h.v.SetCachePolicy("c", "ARC"); err != nil {
 		t.Fatal(err)
 	}
-	if name, _ := h.v.CachePolicyName("c"); name != "ARC" {
-		t.Fatalf("policy after swap = %q", name)
+	if r, _ := h.v.Report("c"); r.CachePolicy != "ARC" {
+		t.Fatalf("policy after swap = %q", r.CachePolicy)
 	}
 	for s := 1; s <= 4; s++ {
 		if resident, _, _ := h.v.FileState("c", ctx.Filename(s)); !resident {

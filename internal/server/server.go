@@ -366,8 +366,9 @@ func (s *Server) contextInfo(_ *session, b netproto.CtxBody) (netproto.Response,
 	if !ok {
 		return netproto.Response{}, fmt.Errorf("%w %q", core.ErrUnknownContext, b.Context)
 	}
-	policy, _ := s.v.CachePolicyName(b.Context)
-	draining, _ := s.v.Draining(b.Context)
+	// A context deregistered since the lookup above reports the zero
+	// policy and flag.
+	r, _ := s.v.Report(b.Context)
 	return netproto.Response{OK: true, Info: &netproto.ContextInfo{
 		Name:        ctx.Name,
 		StorageDir:  ctx.StorageDir,
@@ -377,8 +378,8 @@ func (s *Server) contextInfo(_ *session, b netproto.CtxBody) (netproto.Response,
 		DeltaR:      ctx.Grid.DeltaR,
 		Timesteps:   ctx.Grid.Timesteps,
 		OutputBytes: ctx.OutputBytes,
-		Policy:      policy,
-		Draining:    draining,
+		Policy:      r.CachePolicy,
+		Draining:    r.Draining,
 	}}, nil
 }
 

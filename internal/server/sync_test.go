@@ -90,7 +90,7 @@ func TestSyncContextsBusyStaysDraining(t *testing.T) {
 	if _, ok := st.V.Context("clim"); !ok {
 		t.Fatal("busy context vanished")
 	}
-	if draining, _ := st.V.Draining("clim"); !draining {
+	if r, _ := st.V.Report("clim"); !r.Draining {
 		t.Error("busy stale context should be left draining")
 	}
 
