@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race sched-golden bench bench-smoke bench-selftest bench-gate pairs benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race sched-golden bench bench-smoke bench-selftest bench-gate pairs benchstat profile-hit proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
 
 all: build
 
@@ -106,6 +106,16 @@ benchstat:
 		echo "bench-after.txt saved; install benchstat (golang.org/x/perf) to compare against bench-before.txt"; \
 	fi
 
+# profile-hit profiles the warm-hit round trip the hit_pipelined workload
+# drives — windows of 16 pipelined opens and releases of resident files
+# over loopback TCP (BenchmarkProtocolPipelined) — and prints the
+# profile's cumulative top. The profile stays in .bench_build/hit.prof
+# for `go tool pprof`.
+profile-hit:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkProtocolPipelined$$' -benchtime 3s -benchmem -cpuprofile .bench_build/hit.prof -o .bench_build/simfs.test .
+	$(GO) tool pprof -top -cum .bench_build/simfs.test .bench_build/hit.prof | head -n 40
+
 # proto-fuzz runs the wire-protocol fuzzers (one per frame codec) over
 # their committed seed corpora plus FUZZTIME of random exploration each
 # (CI smokes them at 10s; crank FUZZTIME up locally after protocol
@@ -122,15 +132,17 @@ proto-fuzz:
 # connection cuts) through the contended multi-client workload, the
 # daemon kill-and-restart ride-through, the client reconnect suite, and
 # the launcher's tests ten times over (a launcher race shows up once in
-# thousands of runs, and the storm alone runs 11k), and the readiness
+# thousands of runs, and the storm alone runs 11k), the readiness
 # stream and open-notice contracts ten times over with the stream
 # withdrawal races (a stream's frames and its end race the hub's
-# callbacks on the session's pusher).
+# callbacks on the session's pusher), and the client's call state
+# machine ten times over with the reconnect suite (a call's answer, its
+# Wait and the reconnect sweep race for who moves second).
 chaos-smoke:
 	$(GO) test -race -count=10 -run 'Launcher' ./internal/simulator
 	$(GO) test -race -count=10 -run 'TestWatchContract|TestOpenNoticeContract|TestStreamWithdrawal' ./internal/server
 	$(GO) test -race -run 'TestChaosWorkloadUnderFaults|TestDaemonRestartMidWorkload|TestCloseDrainsPendingWaiters' ./internal/server
-	$(GO) test -race -run 'TestReconnect|TestDoubleReleaseRefused' ./internal/dvlib
+	$(GO) test -race -count=10 -run 'TestReconnect|TestDoubleReleaseRefused|TestCallStateMachine' ./internal/dvlib
 	$(GO) test -race ./internal/faults
 
 # fed-smoke is the federation gate under the race detector: router

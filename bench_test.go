@@ -655,33 +655,7 @@ func TestReplayECMWFAllocFree(t *testing.T) {
 // BenchmarkProtocolRoundTrip measures one open+release cycle over a real
 // TCP loopback connection to the daemon.
 func BenchmarkProtocolRoundTrip(b *testing.B) {
-	ctx := &model.Context{
-		Name: "wire", Grid: model.Grid{DeltaD: 1, DeltaR: 8, Timesteps: 1024},
-		OutputBytes: 64, RestartBytes: 64,
-		Tau: time.Millisecond, Alpha: time.Millisecond,
-		DefaultParallelism: 1, MaxParallelism: 1, SMax: 4, NoPrefetch: true,
-	}
-	st, err := server.NewStack(b.TempDir(), 1, "DCL", ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Server.Listen("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	go st.Server.Serve()
-	defer func() {
-		st.Close()
-		st.Launcher.Wait()
-	}()
-	c, err := dvlib.Dial(st.Server.Addr(), "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	actx, err := c.Init("wire")
-	if err != nil {
-		b.Fatal(err)
-	}
+	actx := wireClient(b)
 	// Warm one file so the loop measures pure hit round trips.
 	file := actx.Filename(1)
 	if _, err := actx.Open(file); err != nil {
@@ -702,6 +676,91 @@ func BenchmarkProtocolRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkProtocolPipelined measures the warm-hit round trip the way the
+// hit_pipelined workload drives it, per open+release pair: windows of 16
+// OpenAsync, their Waits, 16 ReleaseAsync and their Waits, of resident
+// files, over loopback TCP. `make profile-hit` profiles it.
+func BenchmarkProtocolPipelined(b *testing.B) {
+	const window = 16
+	actx := wireClient(b)
+	var files [window]string
+	// No constant stride, as in TestHitPathAllocBudget: a trajectory the
+	// prefetch agent recognizes would time core's coverage scan.
+	for i, step := range [window]int{7, 29, 3, 41, 18, 60, 11, 35, 2, 52, 24, 46, 9, 33, 15, 57} {
+		files[i] = actx.Filename(step)
+		if _, err := actx.Open(files[i]); err != nil {
+			b.Fatal(err)
+		}
+		if err := actx.WaitAvailable(files[i]); err != nil {
+			b.Fatal(err)
+		}
+		if err := actx.Close(files[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var opens [window]*dvlib.OpenCall
+	var rels [window]*dvlib.ReleaseCall
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += window {
+		n := min(window, b.N-done)
+		var err error
+		for i, f := range files[:n] {
+			if opens[i], err = actx.OpenAsync(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, oc := range opens[:n] {
+			if res, err := oc.Wait(); err != nil || !res.Available {
+				b.Fatalf("open = %+v, %v; want a hit", res, err)
+			}
+		}
+		for i, f := range files[:n] {
+			if rels[i], err = actx.ReleaseAsync(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, rc := range rels[:n] {
+			if err := rc.Wait(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// wireClient serves a 1024-step context without prefetching from a
+// daemon on loopback TCP and returns a client's handle on it.
+func wireClient(b *testing.B) *dvlib.Context {
+	ctx := &model.Context{
+		Name: "wire", Grid: model.Grid{DeltaD: 1, DeltaR: 8, Timesteps: 1024},
+		OutputBytes: 64, RestartBytes: 64,
+		Tau: time.Millisecond, Alpha: time.Millisecond,
+		DefaultParallelism: 1, MaxParallelism: 1, SMax: 4, NoPrefetch: true,
+	}
+	st, err := server.NewStack(b.TempDir(), 1, "DCL", ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Server.Listen("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	go st.Server.Serve()
+	b.Cleanup(func() {
+		st.Close()
+		st.Launcher.Wait()
+	})
+	c, err := dvlib.Dial(st.Server.Addr(), "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	actx, err := c.Init("wire")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return actx
 }
 
 // BenchmarkBatchSamplers measures queueing-delay generation.

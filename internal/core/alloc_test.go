@@ -61,7 +61,8 @@ func TestStepProducedAtCapacityAllocFree(t *testing.T) {
 }
 
 // Names hands a decoder the strings core already holds: the context's
-// name and the table's name of a step, without an allocation. A name
+// name and the table's name of a step, with the step, without an
+// allocation. A name
 // that is not a tabled step's, an unknown context and a removed one
 // answer no.
 func TestNamesFromTable(t *testing.T) {
@@ -71,24 +72,24 @@ func TestNamesFromTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := []byte(ctx.Filename(7))
-	c, f, ok := v.Names([]byte("c"), file)
-	if !ok || c != ctx.Name || f != ctx.Filename(7) {
-		t.Fatalf("Names(c, %s) = %q, %q, %v", file, c, f, ok)
+	c, f, step, ok := v.Names([]byte("c"), file)
+	if !ok || c != ctx.Name || f != ctx.Filename(7) || step != 7 {
+		t.Fatalf("Names(c, %s) = %q, %q, %d, %v", file, c, f, step, ok)
 	}
 	if !raceEnabled {
-		if a := testing.AllocsPerRun(100, func() { _, _, _ = v.Names([]byte("c"), file) }); a != 0 {
+		if a := testing.AllocsPerRun(100, func() { _, _, _, _ = v.Names([]byte("c"), file) }); a != 0 {
 			t.Errorf("Names of a tabled step allocates %v times, want 0", a)
 		}
 	}
 	for _, q := range [][2]string{{"d", string(file)}, {"c", "c_out_7.nc"}, {"c", ctx.Filename(101)}} {
-		if c, f, ok := v.Names([]byte(q[0]), []byte(q[1])); ok {
+		if c, f, _, ok := v.Names([]byte(q[0]), []byte(q[1])); ok {
 			t.Errorf("Names(%s, %s) = %q, %q; want no", q[0], q[1], c, f)
 		}
 	}
 	if err := v.RemoveContext("c"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := v.Names([]byte("c"), file); ok {
+	if _, _, _, ok := v.Names([]byte("c"), file); ok {
 		t.Error("a removed context still names its steps")
 	}
 }
@@ -111,10 +112,10 @@ func TestNamesConcurrentWithRegistry(t *testing.T) {
 			for i := 1; i <= ctx.Grid.NumOutputSteps(); i++ {
 				step := (i+25*w)%ctx.Grid.NumOutputSteps() + 1
 				want := ctx.Filename(step)
-				if c, f, ok := v.Names([]byte("c"), []byte(want)); !ok || c != "c" || f != want {
-					t.Errorf("Names(c, %s) = %q, %q, %v", want, c, f, ok)
+				if c, f, s, ok := v.Names([]byte("c"), []byte(want)); !ok || c != "c" || f != want || s != step {
+					t.Errorf("Names(c, %s) = %q, %q, %d, %v", want, c, f, s, ok)
 				}
-				if c, f, ok := v.Names([]byte("d"), []byte("d_out_00000003.nc")); ok && (c != "d" || f != "d_out_00000003.nc") {
+				if c, f, s, ok := v.Names([]byte("d"), []byte("d_out_00000003.nc")); ok && (c != "d" || f != "d_out_00000003.nc" || s != 3) {
 					t.Errorf("Names(d, d_out_00000003.nc) = %q, %q", c, f)
 				}
 			}

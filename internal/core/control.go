@@ -156,19 +156,15 @@ func (v *Virtualizer) RemoveContext(name string) error {
 	// blocks the removal here) or fails its own upstream validation —
 	// never a dangling upstream pointer.
 	v.ctxMu.Lock()
-	// Sorted iteration: with several downstreams, the one named in the
-	// ErrBusy error must not vary run to run.
-	for _, other := range slices.Sorted(maps.Keys(v.contexts)) {
-		if v.contexts[other].ctx.Upstream == name {
-			v.ctxMu.Unlock()
-			// The queued jobs are already dropped and their promises
-			// cleared — consistent on its own (a later open simply
-			// relaunches); tell their waiters the productions died.
-			v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation canceled"}, ws)
-			return fmt.Errorf("core: %w: %q is upstream of %q", ErrBusy, name, other)
-		}
+	if other := v.downstreamOf(name); other != "" {
+		v.ctxMu.Unlock()
+		// The queued jobs are already dropped and their promises cleared —
+		// consistent on its own (a later open simply relaunches); tell
+		// their waiters the productions died.
+		v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation canceled"}, ws)
+		return fmt.Errorf("core: %w: %q is upstream of %q", ErrBusy, name, other)
 	}
-	delete(v.contexts, name)
+	v.publish(v.contexts(), name, nil)
 	// Nothing decides these steps' fate any more: fail whoever still waits.
 	for _, w := range v.hub.Waiters(name) {
 		ws = v.hub.Take(w.Topic, ws)
@@ -179,12 +175,12 @@ func (v *Virtualizer) RemoveContext(name string) error {
 }
 
 // downstreamOf returns the name of a context that lists name as its
-// upstream ("" if none).
+// upstream ("" if none). Sorted iteration: with several downstreams, the
+// one named must not vary run to run.
 func (v *Virtualizer) downstreamOf(name string) string {
-	v.ctxMu.RLock()
-	defer v.ctxMu.RUnlock()
-	for _, other := range slices.Sorted(maps.Keys(v.contexts)) {
-		if v.contexts[other].ctx.Upstream == name {
+	contexts := v.contexts()
+	for _, other := range slices.Sorted(maps.Keys(contexts)) {
+		if contexts[other].ctx.Upstream == name {
 			return other
 		}
 	}

@@ -43,13 +43,7 @@ func (v *Virtualizer) CheckInvariants() error {
 	if err := v.sched.CheckInvariants(); err != nil {
 		return err
 	}
-	v.ctxMu.RLock()
-	shards := make(map[string]*shard, len(v.contexts))
-	for name, cs := range v.contexts {
-		shards[name] = cs
-	}
-	v.ctxMu.RUnlock()
-
+	shards := v.contexts()
 	for _, name := range slices.Sorted(maps.Keys(shards)) {
 		if err := v.checkShard(name, shards[name]); err != nil {
 			return err

@@ -27,44 +27,58 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 // re-simulation dies or the context goes away. A hit, a refused open, or
 // a miss nothing promises (Awaited false) registers nothing. A nil o is
 // Open.
-func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owner, tag uint64) (OpenResult, error) {
+//
+// A caller that already holds filename's step (a decoder that looked the
+// name up, an analysis that named its step) passes it as step; it is
+// trusted only where it still names filename (see resolved), and parsing
+// decides otherwise.
+func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owner, tag uint64, step ...int) (OpenResult, error) {
 	cs, err := v.lockedShard(ctxName)
 	if err != nil {
 		return OpenResult{}, err
 	}
-	// An agent reset inside this Open may dismantle queued or
-	// pipeline-pending prefetch work; when it does, the freed capacity is
-	// drained after the lock-free delivery (hit traffic never pays for the
-	// global scheduler lock). The waiters of promises dismantled by the
-	// reset are taken under the lock and failed by a defer registered
-	// before the unlock defer, so it runs lock-free.
-	var orphaned []notify.Waiter
-	var freedCapacity, queuedDemand bool
-	// A demand miss queued behind an exhausted node budget may preempt a
-	// running agent prefetch. Only an Open that actually queued demand
-	// work probes (lock-free, after everything below) — hit traffic
-	// never pays for the scheduler mutex or the candidate scan, and
-	// while a blocked demand job waits for a victim to appear, the
-	// probes ride drainScheduler's capacity changes instead of the open
-	// rate.
-	defer func() {
-		if queuedDemand {
-			v.maybePreempt()
-		}
-	}()
-	defer func() {
-		if freedCapacity {
-			v.drainScheduler()
-		}
-	}()
-	defer func() { v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation killed"}, orphaned) }()
-	defer cs.mu.Unlock()
-	if cs.draining {
-		return OpenResult{}, fmt.Errorf("core: %w: %q refuses new opens", ErrDraining, ctxName)
+	res, after, err := v.openLocked(cs, client, filename, stepArg(step), o, tag)
+	cs.mu.Unlock()
+	// The waiters of promises an agent reset dismantled fail lock-free;
+	// the capacity it freed is drained after that (hit traffic never pays
+	// for the global scheduler lock); and only an open that actually
+	// queued demand work probes for preemption, last — while a blocked
+	// demand job waits for a victim, the probes ride drainScheduler's
+	// capacity changes instead of the open rate.
+	if len(after.orphaned) > 0 {
+		v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation killed"}, after.orphaned)
 	}
-	step, err := cs.outputStep(filename)
-	if err != nil {
-		return OpenResult{}, err
+	if after.freedCapacity {
+		v.drainScheduler()
+	}
+	if after.queuedDemand {
+		v.maybePreempt()
+	}
+	return res, err
+}
+
+// afterOpen is what an open leaves for after the shard lock: the waiters
+// of promises an agent reset orphaned, whether that reset freed
+// scheduler capacity, and whether the open queued demand work (a demand
+// miss behind an exhausted node budget may preempt a running agent
+// prefetch).
+type afterOpen struct {
+	orphaned                    []notify.Waiter
+	freedCapacity, queuedDemand bool
+}
+
+// openLocked is OpenAwait's body. Caller holds the shard lock and, after
+// unlocking, does what the returned afterOpen asks, in its field order.
+func (v *Virtualizer) openLocked(cs *shard, client, filename string, step int, o *notify.Owner, tag uint64) (OpenResult, afterOpen, error) {
+	var after afterOpen
+	if cs.draining {
+		return OpenResult{}, after, fmt.Errorf("core: %w: %q refuses new opens", ErrDraining, cs.ctx.Name)
+	}
+	if !cs.resolved(filename, step) {
+		var err error
+		if step, err = cs.outputStep(filename); err != nil {
+			return OpenResult{}, after, err
+		}
 	}
 	now := v.clock.Now()
 	cs.stats.Opens++
@@ -94,15 +108,13 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 	if lr, ok := cs.lastReady[client]; ok && now > lr {
 		procTime = now - lr
 	}
-	var agentQueuedDemand bool
-	orphaned, freedCapacity, agentQueuedDemand = v.runAgent(cs, client, step, now, procTime)
-	queuedDemand = queuedDemand || agentQueuedDemand
+	after.orphaned, after.freedCapacity, after.queuedDemand = v.runAgent(cs, client, step, now, procTime)
 	// The reference is counted where the open succeeds — a refused open
 	// has nothing to roll back. Once counted the step cannot be evicted.
 	if hit {
 		cs.lastReady[client] = now
 		cs.steps.At(step).pin()
-		return OpenResult{Available: true}, nil
+		return OpenResult{Available: true}, after, nil
 	}
 
 	// Miss: join the producing simulation or start a demand one.
@@ -114,55 +126,94 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 		// speculative work; the promotion counts as queued demand for the
 		// preemption probe like any demand enqueue.
 		if v.sched.PromoteDemand(cs.ctx.Name, step, client) {
-			queuedDemand = true
+			after.queuedDemand = true
 		}
 	} else if !st.promised {
 		iv, err := cs.ctx.Grid.ResimInterval(step)
 		if err != nil {
-			return OpenResult{}, err
+			return OpenResult{}, after, err
 		}
 		first, last, ok := cs.ctx.Grid.OutputsIn(iv)
 		if !ok {
-			return OpenResult{}, fmt.Errorf("core: %w: no outputs in re-simulation interval for %q", ErrInvalid, filename)
+			return OpenResult{}, after, fmt.Errorf("core: %w: no outputs in re-simulation interval for %q", ErrInvalid, filename)
 		}
 		// Circuit breaker: an interval that exhausted its retry budget
 		// fails fast with the structured quarantine error instead of
 		// launching a simulation that will not produce.
 		if qf, ql, okq := alignLaunchRange(cs, first, last); okq {
 			if qerr := v.quarantineErr(cs, qf, ql); qerr != nil {
-				return OpenResult{}, qerr
+				return OpenResult{}, after, qerr
 			}
 		}
 		// The client rides along for the scheduler's per-client quota
 		// accounting; demand simulations themselves stay client-less
 		// (prefetchFor derives from the class, not the field).
 		if v.launch(cs, first, last, cs.ctx.DefaultParallelism, sched.Demand, client) {
-			queuedDemand = true
+			after.queuedDemand = true
 		}
 	}
 	// A waiter must never sit on a step nothing will resolve.
 	awaited := o != nil && cs.step(step).promised
 	if awaited {
-		v.hub.AwaitFor(notify.Topic{Context: ctxName, Step: step}, client, o, tag)
+		v.hub.AwaitFor(notify.Topic{Context: cs.ctx.Name, Step: step}, client, o, tag)
 	}
 	cs.steps.At(step).pin()
-	return OpenResult{Available: false, EstWait: v.estWaitLocked(cs, step, now), Awaited: awaited}, nil
+	return OpenResult{Available: false, EstWait: v.estWaitLocked(cs, step, now), Awaited: awaited}, after, nil
 }
 
 // Release drops a client's reference to a file (close in transparent
-// mode, SIMFS_Release in API mode).
-func (v *Virtualizer) Release(client, ctxName, filename string) error {
-	cs, step, err := v.lockedStep(ctxName, filename)
+// mode, SIMFS_Release in API mode). step is as for OpenAwait.
+func (v *Virtualizer) Release(client, ctxName, filename string, step ...int) error {
+	cs, st, err := v.referenced(ctxName, filename, stepArg(step))
 	if err != nil {
 		return err
 	}
-	defer cs.mu.Unlock()
-	st := cs.steps.Get(step)
-	if st == nil || st.refs <= 0 {
-		return fmt.Errorf("core: %w: release of unreferenced file %q", ErrInvalid, filename)
-	}
 	st.unpin()
+	cs.mu.Unlock()
 	return nil
+}
+
+// Referenced answers what a Release of filename would meet, dropping
+// nothing: its error, or nil when the file holds a reference. Core counts
+// a step's references, not whose they are, so a front end that knows
+// whose they are asks it before it refuses a release that is not the
+// caller's to make.
+func (v *Virtualizer) Referenced(ctxName, filename string) error {
+	cs, _, err := v.referenced(ctxName, filename, 0)
+	if err == nil {
+		cs.mu.Unlock()
+	}
+	return err
+}
+
+// referenced returns the ledger entry of filename's step (step is as for
+// OpenAwait) with the shard lock held, when it holds a reference, and
+// otherwise, unlocked, the error a release of it meets.
+func (v *Virtualizer) referenced(ctxName, filename string, step int) (*shard, *stepState, error) {
+	cs, err := v.lockedShard(ctxName)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !cs.resolved(filename, step) {
+		if step, err = cs.keyOf(filename); err != nil {
+			cs.mu.Unlock()
+			return nil, nil, err
+		}
+	}
+	if st := cs.steps.Get(step); st != nil && st.refs > 0 {
+		return cs, st, nil
+	}
+	cs.mu.Unlock()
+	return nil, nil, fmt.Errorf("core: %w: release of unreferenced file %q", ErrInvalid, filename)
+}
+
+// stepArg is the step a caller of OpenAwait or Release passed, 0 for
+// none.
+func stepArg(step []int) int {
+	if len(step) == 0 {
+		return 0
+	}
+	return step[0]
 }
 
 // GuidedPrefetch implements the guided-prefetching interface (paper

@@ -57,14 +57,8 @@ func (v *Virtualizer) maybePreempt() {
 // sched.PreemptPolicy.Choose is a total order (ties break on simulation
 // id), so the selection is deterministic anyway.
 func (v *Virtualizer) preemptCandidates() []victimRef {
-	v.ctxMu.RLock()
-	shards := make([]*shard, 0, len(v.contexts))
-	for _, cs := range v.contexts { //simfs:allow maporder Choose is a total order over candidates, so collection order is washed out
-		shards = append(shards, cs)
-	}
-	v.ctxMu.RUnlock()
 	var refs []victimRef
-	for _, cs := range shards {
+	for _, cs := range v.contexts() { //simfs:allow maporder Choose is a total order over candidates, so collection order is washed out
 		cs.mu.Lock()
 		for id, sim := range cs.sims { //simfs:allow maporder Choose is a total order over candidates, so collection order is washed out
 			if !sim.launched || sim.preempted || sim.killing || !sched.VictimEligible(sim.class) {

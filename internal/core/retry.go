@@ -235,11 +235,9 @@ func (v *Virtualizer) retryLaunch(ctxName string, first, last, parallelism int, 
 func (v *Virtualizer) ResetQuarantine(ctxName string) (int, error) {
 	var shards []*shard
 	if ctxName == "" {
-		v.ctxMu.RLock()
-		for _, cs := range v.contexts { //simfs:allow maporder per-shard resets are independent and the released count is commutative
+		for _, cs := range v.contexts() { //simfs:allow maporder per-shard resets are independent and the released count is commutative
 			shards = append(shards, cs)
 		}
-		v.ctxMu.RUnlock()
 	} else {
 		cs, ok := v.shardOf(ctxName)
 		if !ok {

@@ -165,16 +165,22 @@ type shard struct {
 // concurrent use.
 //
 // Lock ordering (outermost first): shard locks in downstream→upstream
-// pipeline order, then ctxMu (reads), then simMu. ctxMu and simMu are
-// never held while acquiring a shard lock.
+// pipeline order, then simMu. ctxMu serializes the context directory's
+// writers (AddContext, RemoveContext) and is taken under no other lock;
+// readers take no lock at all. simMu is never held while acquiring a
+// shard lock.
 type Virtualizer struct {
 	clock    des.Clock
 	launcher Launcher
 	hub      *notify.Hub
 	sched    *sched.Scheduler
 
-	ctxMu    sync.RWMutex
-	contexts map[string]*shard
+	// dir is the context directory: a snapshot never written once
+	// published, which a writer replaces whole under ctxMu. Reading it
+	// takes no lock, so the data path writes no shared word to find a
+	// shard. Nil until the first AddContext.
+	ctxMu sync.Mutex
+	dir   atomic.Pointer[map[string]*shard]
 
 	// simMu guards simDir, the launcher-id → shard routing table for
 	// simulator event callbacks. It is held across Launcher.Launch so an
@@ -214,7 +220,6 @@ func NewScheduled(clock des.Clock, launcher Launcher, cfg sched.Config) *Virtual
 		launcher: launcher,
 		hub:      notify.NewHub(),
 		sched:    sched.New(clock, cfg),
-		contexts: map[string]*shard{},
 		simDir:   map[int64]*shard{},
 		retryRng: rand.New(rand.NewSource(0)),
 	}
@@ -245,11 +250,12 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 	}
 	v.ctxMu.Lock()
 	defer v.ctxMu.Unlock()
-	if _, dup := v.contexts[ctx.Name]; dup {
+	contexts := v.contexts()
+	if _, dup := contexts[ctx.Name]; dup {
 		return fmt.Errorf("core: %w: duplicate context %q", ErrInvalid, ctx.Name)
 	}
 	if ctx.Upstream != "" {
-		if _, ok := v.contexts[ctx.Upstream]; !ok {
+		if _, ok := contexts[ctx.Upstream]; !ok {
 			return fmt.Errorf("core: %w: context %q names unknown upstream %q", ErrInvalid, ctx.Name, ctx.Upstream)
 		}
 	}
@@ -271,15 +277,36 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 		cs.upstream = notify.NewOwner(func(tag uint64, ev notify.Event) { v.upstreamReady(cs, int64(tag), ev) })
 		cs.pipelineClient = "pipeline:" + ctx.Name
 	}
-	v.contexts[ctx.Name] = cs
+	v.publish(contexts, ctx.Name, cs)
 	return nil
+}
+
+// contexts returns the context directory's current snapshot (nil, which
+// reads as empty, before the first AddContext). It must not be written.
+func (v *Virtualizer) contexts() map[string]*shard {
+	if dir := v.dir.Load(); dir != nil {
+		return *dir
+	}
+	return nil
+}
+
+// publish replaces the directory with a copy of contexts, the current
+// one, in which name maps to cs, or is gone when cs is nil. Caller holds
+// ctxMu.
+func (v *Virtualizer) publish(contexts map[string]*shard, name string, cs *shard) {
+	next := make(map[string]*shard, len(contexts)+1)
+	maps.Copy(next, contexts)
+	if cs != nil {
+		next[name] = cs
+	} else {
+		delete(next, name)
+	}
+	v.dir.Store(&next)
 }
 
 // shardOf returns the shard of a context (unlocked).
 func (v *Virtualizer) shardOf(name string) (*shard, bool) {
-	v.ctxMu.RLock()
-	cs, ok := v.contexts[name]
-	v.ctxMu.RUnlock()
+	cs, ok := v.contexts()[name]
 	return cs, ok
 }
 
@@ -338,22 +365,18 @@ func (v *Virtualizer) Context(name string) (*model.Context, bool) {
 // and a file name held as bytes, it returns the context's name and the
 // file's name from its name table — the strings core already holds — when
 // the file is exactly a tabled step's name. A decoder then copies neither.
-func (v *Virtualizer) Names(ctx, file []byte) (ctxName, fileName string, ok bool) {
-	v.ctxMu.RLock()
-	cs := v.contexts[string(ctx)]
-	v.ctxMu.RUnlock()
+func (v *Virtualizer) Names(ctx, file []byte) (ctxName, fileName string, step int, ok bool) {
+	cs := v.contexts()[string(ctx)]
 	if cs == nil {
-		return "", "", false
+		return "", "", 0, false
 	}
-	fileName, ok = cs.ctx.NameOf(file)
-	return cs.ctx.Name, fileName, ok
+	fileName, step, ok = cs.ctx.NameOf(file)
+	return cs.ctx.Name, fileName, step, ok
 }
 
 // ContextNames lists registered contexts in sorted order.
 func (v *Virtualizer) ContextNames() []string {
-	v.ctxMu.RLock()
-	defer v.ctxMu.RUnlock()
-	return slices.Sorted(maps.Keys(v.contexts))
+	return slices.Sorted(maps.Keys(v.contexts()))
 }
 
 // Stats returns a copy of the context's counters.
@@ -391,14 +414,8 @@ func (v *Virtualizer) Report(ctxName string) (metrics.Report, error) {
 
 // TotalLockStats sums the shard-lock counters over all contexts.
 func (v *Virtualizer) TotalLockStats() metrics.LockStats {
-	v.ctxMu.RLock()
-	shards := make([]*shard, 0, len(v.contexts))
-	for _, cs := range v.contexts { //simfs:allow maporder commutative counter sum; the visit order never reaches the result
-		shards = append(shards, cs)
-	}
-	v.ctxMu.RUnlock()
 	var total metrics.LockStats
-	for _, cs := range shards {
+	for _, cs := range v.contexts() { //simfs:allow maporder commutative counter sum; the visit order never reaches the result
 		total.Add(cs.mu.Stats())
 	}
 	return total
@@ -417,14 +434,13 @@ func (v *Virtualizer) SchedStats() metrics.SchedStats {
 // the output. Front-ends call it after releasing the client's file
 // references.
 func (v *Virtualizer) ClientDisconnected(client string) {
-	v.ctxMu.RLock()
 	// Sorted shard order: the kills and notifications below are visible
 	// to the DES, so the per-context teardown order must be stable.
-	shards := make([]*shard, 0, len(v.contexts))
-	for _, name := range slices.Sorted(maps.Keys(v.contexts)) {
-		shards = append(shards, v.contexts[name])
+	contexts := v.contexts()
+	shards := make([]*shard, 0, len(contexts))
+	for _, name := range slices.Sorted(maps.Keys(contexts)) {
+		shards = append(shards, contexts[name])
 	}
-	v.ctxMu.RUnlock()
 	// The departed client's fairness accounting dies with it: its quota
 	// debt must not handicap an unrelated client reusing the name later.
 	v.sched.DropClientQuota(client)
@@ -625,6 +641,18 @@ func (cs *shard) keyOf(filename string) (int, error) {
 		return 0, fmt.Errorf("core: %w: %v", ErrInvalid, err)
 	}
 	return step, nil
+}
+
+// resolved reports whether step, which a caller resolved filename to
+// before it had the shard lock (0 when it did not), still is filename's
+// step on this shard's timeline. Filename is Key's exact inverse, so the
+// one comparison settles it whatever context the caller resolved against:
+// a context deregistered and registered again with another naming or a
+// shorter timeline fails it, and the name is parsed by the rules that
+// hold now. Filename hands back the name table's own string, the one the
+// decoder took the name from, so the comparison is one of equal pointers.
+func (cs *shard) resolved(filename string, step int) bool {
+	return step > 0 && cs.ctx.Grid.ValidOutput(step) && cs.ctx.Filename(step) == filename
 }
 
 // outputStep is keyOf for a name that must also lie on the simulated

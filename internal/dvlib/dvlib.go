@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"simfs/internal/metrics"
@@ -120,9 +121,12 @@ type Client struct {
 	readErr      error
 
 	// nmu guards notices: the ready notices of missed opens, by file,
-	// not yet taken by WaitAvailable nor dropped by a release.
-	nmu     sync.Mutex
-	notices map[netproto.FileBody]*notice
+	// not yet taken by WaitAvailable nor dropped by a release. nnotices
+	// counts them, written under nmu and read without it, so a hit or a
+	// release with no notice outstanding takes no lock and hashes nothing.
+	nmu      sync.Mutex
+	notices  map[netproto.FileBody]*notice
+	nnotices atomic.Int32
 }
 
 // dialConfig collects DialOption settings.
@@ -320,32 +324,69 @@ func (c *Client) die(err error) {
 
 // pendingCall is an in-flight request expecting one response, and the
 // only object a call allocates: its frame is queued (and possibly
-// already flushed) and the read loop will leave the response in resp and
-// a token in ch. env is the request as built, ID unset — what settle
-// reads the ledger entry from and what a reconnect replays, under the ID
-// the table holds the call at; it is never written once the call is
-// registered. err is set (before ch closes) when a reconnect fails the
-// call with a typed error.
+// already flushed) and the read loop will leave the response in resp.
+// env is the request as built, ID unset — what settle reads the ledger
+// entry from and what a reconnect replays, under the ID the table holds
+// the call at; it is never written once the call is registered. err is
+// set when a reconnect fails the call with a typed error.
+//
+// state settles who waits for whom. A call is pending until either its
+// answer comes (answered) or its caller waits for it first (parked, on
+// ch, a token channel drawn for the purpose). Whoever moves second
+// learns it from the swap: the answer wakes a parked caller, and a
+// caller that finds the call answered returns at once, so a call
+// answered before its Wait costs no channel operation at all.
 type pendingCall struct {
-	c    *Client
-	id   uint64
-	env  netproto.Envelope
-	resp netproto.Response
-	ch   chan struct{}
-	err  error
+	c     *Client
+	id    uint64
+	env   netproto.Envelope
+	resp  netproto.Response
+	err   error
+	state atomic.Int32
+	ch    chan struct{}
 }
 
-// tokens recycles the calls' one-slot wake-up channels. A channel goes
-// back only from the await that received its token: by then the table
-// has dropped the call, so nothing can send on the channel or close it
-// again. A call failed by a reconnect (closed channel) or abandoned by a
-// canceled context (the read loop may still deliver) keeps its channel.
+// The states of a pendingCall: each call moves pending → answered, or
+// pending → parked → answered.
+const (
+	callPending int32 = iota
+	callParked
+	callAnswered
+)
+
+// tokens recycles the one-slot wake-up channels of parked calls. A
+// channel goes back only from the await it woke with a token: by then
+// the table has dropped the call, so nothing can send on the channel or
+// close it again. A call failed by a reconnect while parked (closed
+// channel) or abandoned by a canceled context (the read loop may still
+// deliver) keeps its channel.
 var tokens = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// answer records that the call's outcome is in resp or err, and wakes
+// its caller if that is parked: with a token, or, when failed, by
+// closing the channel, which is then not reused. Only the read loop
+// answers: it delivers responses and runs the reconnect sweep and the
+// final failure.
+func (p *pendingCall) answer(failed bool) {
+	if p.state.Swap(callAnswered) != callParked {
+		return
+	}
+	if failed {
+		close(p.ch)
+	} else {
+		p.ch <- struct{}{}
+	}
+}
+
+// fail answers the call with a typed error (the reconnect sweep's).
+func (p *pendingCall) fail(err error) {
+	p.err = err
+	p.answer(true)
+}
 
 // HandleResponse settles the ledger and wakes the awaiting caller. The
 // one call answered twice is a missed open: its ID passes to the file's
-// notice first, so the second answer never reaches p, whose channel the
-// caller hands back to tokens once woken.
+// notice first, so the second answer never reaches p.
 func (p *pendingCall) HandleResponse(resp netproto.Response) {
 	if resp.Err == "" {
 		p.c.settle(&p.env)
@@ -360,7 +401,7 @@ func (p *pendingCall) HandleResponse(resp netproto.Response) {
 		}
 	}
 	p.resp = resp
-	p.ch <- struct{}{}
+	p.answer(false)
 }
 
 // newEnv builds a request envelope; request assigns its ID.
@@ -441,34 +482,44 @@ func (c *Client) request(h netproto.ResponseHandler, stream bool, env netproto.E
 // start registers p as a pending call and queues its request frame. An
 // open stays registered past its first answer, for a miss's notice.
 func (c *Client) start(p *pendingCall, env netproto.Envelope) (err error) {
-	p.c, p.env, p.ch = c, env, tokens.Get().(chan struct{})
+	p.c, p.env = c, env
 	p.id, err = c.request(p, env.Op == netproto.OpOpen, env, false)
 	return err
 }
 
 // await flushes any queued frames (the daemon cannot answer a request it
-// has not received) and blocks for the call's response.
+// has not received) and returns the call's outcome, parking on a token
+// channel only when it has not come yet.
 func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, error) {
 	if err := c.Flush(); err != nil {
 		c.abandon(p.id)
 		return netproto.Response{}, err
 	}
-	select {
-	case _, ok := <-p.ch:
-		if !ok {
-			return netproto.Response{}, p.err
+	if p.state.Load() != callAnswered {
+		p.ch = tokens.Get().(chan struct{})
+		if !p.state.CompareAndSwap(callPending, callParked) {
+			// Answered since the load: the channel was never seen.
+			tokens.Put(p.ch)
+		} else {
+			select {
+			case _, ok := <-p.ch:
+				if ok {
+					tokens.Put(p.ch)
+				}
+			case <-ctx.Done():
+				c.calls.Remove(p.id)
+				return netproto.Response{}, ctx.Err()
+			}
 		}
-		// Without its channel a second await on p blocks, as it always has.
-		tokens.Put(p.ch)
 		p.ch = nil
-		if p.resp.Err != "" {
-			return p.resp, &Error{Code: p.resp.Code, Op: p.env.Op, Msg: p.resp.Err}
-		}
-		return p.resp, nil
-	case <-ctx.Done():
-		c.calls.Remove(p.id)
-		return netproto.Response{}, ctx.Err()
 	}
+	switch {
+	case p.err != nil:
+		return netproto.Response{}, p.err
+	case p.resp.Err != "":
+		return p.resp, &Error{Code: p.resp.Code, Op: p.env.Op, Msg: p.resp.Err}
+	}
+	return p.resp, nil
 }
 
 // post sends a request without waiting for its response. Used on

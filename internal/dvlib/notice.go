@@ -47,6 +47,9 @@ func (n *notice) lost() bool { return !n.resp.OK && n.resp.Code == "" }
 func (c *Client) awaitNotice(id uint64, file netproto.FileBody) {
 	c.nmu.Lock()
 	n := c.notices[file]
+	if n == nil {
+		c.nnotices.Add(1)
+	}
 	if n == nil || n.done.Load() {
 		n = &notice{ch: tokens.Get().(chan struct{})}
 		if c.notices == nil {
@@ -61,10 +64,16 @@ func (c *Client) awaitNotice(id uint64, file netproto.FileBody) {
 // takeNotice removes and returns the file's notice; nil when there is
 // none.
 func (c *Client) takeNotice(file netproto.FileBody) *notice {
+	if c.nnotices.Load() == 0 {
+		return nil
+	}
 	c.nmu.Lock()
 	defer c.nmu.Unlock()
 	n := c.notices[file]
-	delete(c.notices, file)
+	if n != nil {
+		delete(c.notices, file)
+		c.nnotices.Add(-1)
+	}
 	return n
 }
 

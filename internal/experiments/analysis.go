@@ -164,13 +164,14 @@ func (a *Analysis) step() {
 		a.finish()
 		return
 	}
-	file := a.Ctx.Filename(a.Steps[a.pos])
+	step := a.Steps[a.pos]
+	file := a.Ctx.Filename(step)
 	if a.notices == nil {
 		a.notices = notify.NewOwner(func(_ uint64, ev notify.Event) { a.ready(ev) })
 	}
 	// A miss registers the notice in the open's own shard-lock hold.
 	a.waiting, a.waitStart = file, a.Engine.Now()
-	res, err := a.V.OpenAwait(a.Client, a.Ctx.Name, file, a.notices, 0)
+	res, err := a.V.OpenAwait(a.Client, a.Ctx.Name, file, a.notices, 0, step)
 	if err != nil {
 		a.abort(fmt.Sprintf("open %s: %v", file, err))
 		return
@@ -191,7 +192,7 @@ func (a *Analysis) ready(ev notify.Event) {
 	a.Waits += a.Engine.Now() - a.waitStart
 	if ev.Kind == notify.FileFailed {
 		// Production failed: drop the reference and retry the access.
-		_ = a.V.Release(a.Client, a.Ctx.Name, file)
+		_ = a.V.Release(a.Client, a.Ctx.Name, file, a.Steps[a.pos])
 		a.Engine.Schedule(0, a.step)
 		return
 	}
@@ -200,7 +201,7 @@ func (a *Analysis) ready(ev notify.Event) {
 
 func (a *Analysis) process(file string) {
 	a.Engine.Schedule(a.TauCli, func() {
-		_ = a.V.Release(a.Client, a.Ctx.Name, file)
+		_ = a.V.Release(a.Client, a.Ctx.Name, file, a.Steps[a.pos])
 		a.pos++
 		a.step()
 	})

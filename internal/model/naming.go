@@ -26,29 +26,30 @@ func (c *Context) Filename(i int) string {
 	return StepFilename(c.FilePrefix, i, c.FileSuffix)
 }
 
-// NameOf returns the name table's own string for name when name is
-// byte for byte Filename(i) of a step i the table holds, so a caller
-// holding the name as bytes (a decoded request) gets it as a string
-// without a copy. Anything else — no table, a copy renamed since its
-// table was built, a key that is not eight digits, a step outside
-// [1, n] — answers false, and the caller copies.
-func (c *Context) NameOf(name []byte) (string, bool) {
+// NameOf returns the name table's own string for name, and its step i,
+// when name is byte for byte Filename(i) of a step the table holds, so a
+// caller holding the name as bytes (a decoded request) gets it as a
+// string without a copy and its step without a second parse. Anything
+// else — no table, a copy renamed since its table was built, a key that
+// is not eight digits, a step outside [1, n] — answers false, and the
+// caller copies.
+func (c *Context) NameOf(name []byte) (string, int, bool) {
 	t := c.names
 	if t == nil || len(name) != t.width || t.prefix != c.FilePrefix || t.suffix != c.FileSuffix ||
 		string(name[:len(t.prefix)]) != t.prefix || string(name[t.width-len(t.suffix):]) != t.suffix {
-		return "", false
+		return "", 0, false
 	}
 	i := 0
 	for _, d := range name[len(t.prefix) : t.width-len(t.suffix)] {
 		if d < '0' || d > '9' {
-			return "", false
+			return "", 0, false
 		}
 		i = i*10 + int(d-'0')
 	}
 	if i < 1 || i > t.n {
-		return "", false
+		return "", 0, false
 	}
-	return t.name(i), true
+	return t.name(i), i, true
 }
 
 // StepFilename is the default convention itself — byte for byte what

@@ -147,17 +147,17 @@ func TestFilenameAllocFree(t *testing.T) {
 
 var nameSink string
 
-// Differential: NameOf of Filename(i)'s bytes hands back that very name,
-// exactly for the steps the table holds, on grids around every chunk
-// boundary; every other index answers no.
+// Differential: NameOf of Filename(i)'s bytes hands back that very name
+// and i, exactly for the steps the table holds, on grids around every
+// chunk boundary; every other index answers no.
 func TestNameOfMatchesFilename(t *testing.T) {
 	for _, n := range []int{1, namesPerChunk - 1, namesPerChunk, namesPerChunk + 1, 3 * namesPerChunk} {
 		c := namingContext("clim", n)
 		for i := n + 1; i >= -1; i-- {
 			want := c.Filename(i)
-			got, ok := c.NameOf([]byte(want))
-			if tabled := 1 <= i && i <= n; ok != tabled || (ok && got != want) {
-				t.Fatalf("n=%d: NameOf(%q) = %q, %v; want %v", n, want, got, ok, tabled)
+			got, step, ok := c.NameOf([]byte(want))
+			if tabled := 1 <= i && i <= n; ok != tabled || (ok && (got != want || step != i)) {
+				t.Fatalf("n=%d: NameOf(%q) = %q, %d, %v; want %v", n, want, got, step, ok, tabled)
 			}
 		}
 	}
@@ -182,19 +182,19 @@ func TestNameOfRefusesOtherNames(t *testing.T) {
 		"clim_out_00000002",
 		"",
 	} {
-		if got, ok := c.NameOf([]byte(name)); ok {
+		if got, _, ok := c.NameOf([]byte(name)); ok {
 			t.Errorf("NameOf(%q) = %q, want no", name, got)
 		}
 	}
 
 	raw := &Context{FilePrefix: "x_", FileSuffix: ".nc", Grid: Grid{DeltaD: 1, Timesteps: 10}}
-	if got, ok := raw.NameOf([]byte("x_00000005.nc")); ok {
+	if got, _, ok := raw.NameOf([]byte("x_00000005.nc")); ok {
 		t.Errorf("a context with no table: NameOf = %q, want no", got)
 	}
 	renamed := *c
 	renamed.FilePrefix = "other_"
 	for _, name := range []string{"clim_out_00000002.nc", "other_00000002.nc"} {
-		if got, ok := renamed.NameOf([]byte(name)); ok {
+		if got, _, ok := renamed.NameOf([]byte(name)); ok {
 			t.Errorf("a copy renamed after its table was built: NameOf(%q) = %q, want no", name, got)
 		}
 	}
@@ -205,7 +205,7 @@ func TestNameOfRefusesOtherNames(t *testing.T) {
 func TestNameOfAllocFree(t *testing.T) {
 	c := namingContext("alloc", 1000)
 	name := []byte(c.Filename(42))
-	if a := testing.AllocsPerRun(100, func() { nameSink, _ = c.NameOf(name) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { nameSink, _, _ = c.NameOf(name) }); a != 0 {
 		t.Errorf("NameOf of a tabled step allocates %v times, want 0", a)
 	}
 }

@@ -432,7 +432,7 @@ func decodeBinEnvelope(p []byte, env *Envelope, names Names) error {
 		if f, p, ok = getBinBytes(p); !ok {
 			return fail("truncated file")
 		}
-		e.file.File = names.file(ctx, f, &e.file.Context)
+		e.file.File, e.step = names.file(ctx, f, &e.file.Context)
 		if e.file.Context == "" {
 			e.file.Context = string(ctx)
 		}
@@ -455,7 +455,8 @@ func decodeBinEnvelope(p []byte, env *Envelope, names Names) error {
 			if f, p, ok = getBinBytes(p); !ok {
 				return fail("truncated file list")
 			}
-			b.Files = append(b.Files, names.file(ctx, f, &b.Context))
+			name, _ := names.file(ctx, f, &b.Context)
+			b.Files = append(b.Files, name)
 		}
 		if b.Context == "" {
 			b.Context = string(ctx)

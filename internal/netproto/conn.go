@@ -54,20 +54,22 @@ func NewConn(nc net.Conn) *Conn {
 
 // Names looks up a request's context and file name, both as the bytes
 // that crossed the wire: ok means it holds both strings, byte for byte
-// equal to ctx and file, and the decoder uses them instead of copying.
-// ctx and file alias the read buffer and are valid only during the call.
-type Names func(ctx, file []byte) (ctxName, fileName string, ok bool)
+// equal to ctx and file, and the decoder uses them instead of copying;
+// step is then the step it parsed file to, which the decoded envelope
+// carries (Envelope.Step). ctx and file alias the read buffer and are
+// valid only during the call.
+type Names func(ctx, file []byte) (ctxName, fileName string, step int, ok bool)
 
-// file returns file as a string: n's, when n holds it with ctx — and
-// then *ctxName is set to n's ctx — or a copy.
-func (n Names) file(ctx, file []byte, ctxName *string) string {
+// file returns file as a string, with its step: n's, when n holds it
+// with ctx — and then *ctxName is set to n's ctx — or a copy and 0.
+func (n Names) file(ctx, file []byte, ctxName *string) (string, int) {
 	if n != nil {
-		if c, f, ok := n(ctx, file); ok {
+		if c, f, step, ok := n(ctx, file); ok {
 			*ctxName = c
-			return f
+			return f, step
 		}
 	}
-	return string(file)
+	return string(file), 0
 }
 
 // SetNames makes the requests ReadRequest decodes take their names from

@@ -235,17 +235,17 @@ func TestConnHitFramesAllocFree(t *testing.T) {
 	}
 	// A reader whose Names holds both strings — the daemon's name table —
 	// copies neither.
-	in.SetNames(func(ctx, file []byte) (string, string, bool) {
+	in.SetNames(func(ctx, file []byte) (string, string, int, bool) {
 		if string(ctx) == "clim" && string(file) == "clim_out_00000042.nc" {
-			return "clim", "clim_out_00000042.nc", true
+			return "clim", "clim_out_00000042.nc", 42, true
 		}
-		return "", "", false
+		return "", "", 0, false
 	})
 	if allocs := testing.AllocsPerRun(100, func() { send(); recv() }); allocs != 0 {
 		t.Errorf("with Names set, a request/response round trip allocates %.0f times, want 0", allocs)
 	}
 	if b, ok := gotReq.File(); !ok || b != (FileBody{Context: "clim", File: "clim_out_00000042.nc"}) ||
-		gotReq.ID != 7 || gotReq.Op != OpOpen {
+		gotReq.ID != 7 || gotReq.Op != OpOpen || gotReq.Step() != 42 {
 		t.Errorf("request read back as %+v", gotReq)
 	}
 	if !reflect.DeepEqual(gotResp, resp) {
@@ -303,11 +303,11 @@ func TestConnNamesPooledFrame(t *testing.T) {
 	long := strings.Repeat("x", readBufSize+100)
 	w := &wire{}
 	out, in := NewConn(w), NewConn(w)
-	in.SetNames(func(ctx, file []byte) (string, string, bool) {
+	in.SetNames(func(ctx, file []byte) (string, string, int, bool) {
 		if string(ctx) == "c" && string(file) == long {
-			return "c", long, true
+			return "c", long, 1, true
 		}
-		return "", "", false
+		return "", "", 0, false
 	})
 	reqs := []FileBody{
 		{Context: "c", File: long},

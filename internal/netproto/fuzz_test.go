@@ -329,27 +329,48 @@ func checkRelay(t *testing.T, p []byte) {
 // checkNames holds a binary request's decode to one answer whatever the
 // Names it consults says: none, one answering every lookup with copies,
 // one answering only some, and one never answering all decode the same
-// envelope or fail with the same error.
+// envelope, but for the step Names resolved the file to, or fail with
+// the same error. The step is held apart: the envelope of a FileBody
+// request carries what Names reported for its file, and every other
+// envelope — a declined name, a FilesBody, a refused frame — carries 0.
 func checkNames(t *testing.T, p []byte) {
 	if !isBinPayload(p, true) {
 		return
 	}
 	var want Envelope
 	wantErr := decodeBinEnvelope(p, &want, nil)
+	if want.Step() != 0 {
+		t.Fatalf("%x decodes without Names to step %d, want 0", p, want.Step())
+	}
 	for _, names := range []struct {
-		what  string
-		names Names
+		what string
+		// step is what the Names reports for file, and whether it holds it.
+		step func(file []byte) (int, bool)
 	}{
-		{"copies", func(ctx, file []byte) (string, string, bool) { return string(ctx), string(file), true }},
-		{"even-length files", func(ctx, file []byte) (string, string, bool) {
-			return string(ctx), string(file), len(file)%2 == 0
-		}},
-		{"never", func(ctx, file []byte) (string, string, bool) { return "", "", false }},
+		{"copies", func(file []byte) (int, bool) { return len(file) + 1, true }},
+		{"even-length files", func(file []byte) (int, bool) { return len(file) + 1, len(file)%2 == 0 }},
+		{"never", func([]byte) (int, bool) { return 0, false }},
 	} {
+		reported := 0
+		lookup := func(ctx, file []byte) (string, string, int, bool) {
+			step, ok := names.step(file)
+			if reported = 0; ok {
+				reported = step
+			}
+			return string(ctx), string(file), step, ok
+		}
 		var got Envelope
-		err := decodeBinEnvelope(p, &got, names.names)
+		err := decodeBinEnvelope(p, &got, lookup)
+		step := got.Step()
+		got.step = 0
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(err, wantErr) {
 			t.Fatalf("%x decodes with Names %s to %+v (%v), without to %+v (%v)", p, names.what, got, err, want, wantErr)
+		}
+		if _, isFile := got.File(); !isFile || err != nil {
+			reported = 0
+		}
+		if step != reported {
+			t.Fatalf("%x decodes with Names %s to step %d, want %d", p, names.what, step, reported)
 		}
 	}
 }

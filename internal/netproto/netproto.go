@@ -206,9 +206,11 @@ type Envelope struct {
 	// frames.
 	val any
 	// file is the FileBody of a locally built or binary-decoded
-	// envelope; hasFile tells it from an absent body.
+	// envelope; hasFile tells it from an absent body. step is the step
+	// the reading connection's Names resolved file.File to, 0 for none.
 	file    FileBody
 	hasFile bool
+	step    int
 }
 
 // NewEnvelope wraps body into an envelope for op. A nil body yields a
@@ -237,6 +239,13 @@ func NewFileEnvelope(id uint64, op string, body FileBody) Envelope {
 func (e Envelope) File() (body FileBody, ok bool) {
 	return e.file, e.hasFile && len(e.Body) == 0
 }
+
+// Step returns the step the reading connection's Names resolved the
+// FileBody's file to (Conn.SetNames), or 0: a name Names did not hold, a
+// locally built envelope, or one whose body is not a FileBody. It was
+// resolved against the context as it stood at decode time; a consumer
+// checks it still names the file before it trusts it.
+func (e Envelope) Step() int { return e.step }
 
 // Decode unmarshals the envelope's body into v, wrapping failures with
 // the offending op and request ID. A missing body decodes only into

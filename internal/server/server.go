@@ -132,13 +132,17 @@ type session struct {
 	// client is the client name declared in the hello handshake,
 	// remembered so references can be cleaned up on disconnect.
 	client string
-	// held tracks open references (context → files → count) for
-	// disconnect cleanup: a crashed analysis must not pin files forever.
-	held map[string]map[string]int
+	// held counts the references this session holds, per file, for
+	// disconnect cleanup — a crashed analysis must not pin files forever —
+	// and for release, which drops only a reference of its own session.
+	held map[heldFile]int
 	// pusher holds the missed opens owed their notice and the readiness
 	// streams by request ID.
 	pusher pusher
 }
+
+// heldFile names a file of one context in a session's reference ledger.
+type heldFile struct{ ctx, file string }
 
 // reply encodes the response into the connection's write buffer without
 // flushing. The read loop flushes before its next blocking read, so a
@@ -224,10 +228,7 @@ func (s *Server) handle(c *netproto.Conn) {
 		}
 		return
 	}
-	sess := &session{c: c, srv: s, client: hello.Client, held: map[string]map[string]int{}}
-	sess.pusher = pusher{notices: notify.NewOwner(sess.resolved),
-		streams: notify.NewStreamOwner(sess.streamEvent), answered: map[uint64]struct{}{},
-		early: map[uint64]netproto.Response{}, watches: map[uint64]*fileWatch{}}
+	sess := s.newSession(c, hello.Client)
 	s.mu.Lock()
 	s.sessions[c] = sess
 	s.mu.Unlock()
@@ -238,12 +239,10 @@ func (s *Server) handle(c *netproto.Conn) {
 		// Retire the session's waiters, then release references held by
 		// the departed client.
 		sess.leave()
-		for ctx, files := range sess.held {
-			for file, n := range files {
-				for i := 0; i < n; i++ {
-					if err := s.v.Release(sess.client, ctx, file); err != nil {
-						break
-					}
+		for f, n := range sess.held {
+			for i := 0; i < n; i++ {
+				if err := s.v.Release(sess.client, f.ctx, f.file); err != nil {
+					break
 				}
 			}
 		}
@@ -252,7 +251,6 @@ func (s *Server) handle(c *netproto.Conn) {
 		// prefetch simulations nobody else waits for are killed.
 		s.v.ClientDisconnected(sess.client)
 	}()
-	c.SetNames(s.v.Names)
 	flush := sess.flush // bound once: a method value allocates
 	// One envelope per session, not per frame: it is decoded into through
 	// a pointer, which would cost a heap envelope each time round.
@@ -268,6 +266,17 @@ func (s *Server) handle(c *netproto.Conn) {
 		s.dispatch(sess, env)
 		s.lat.Record(env.Op, time.Since(t0)) //simfs:allow wallclock live daemon service-time stamps feed the latency histograms, not the simulation
 	}
+}
+
+// newSession is the session of client on c, whose requests take their
+// names from the Virtualizer's (Virtualizer.Names).
+func (s *Server) newSession(c *netproto.Conn, client string) *session {
+	c.SetNames(s.v.Names)
+	sess := &session{c: c, srv: s, client: client, held: map[heldFile]int{}}
+	sess.pusher = pusher{notices: notify.NewOwner(sess.resolved),
+		streams: notify.NewStreamOwner(sess.streamEvent), answered: map[uint64]struct{}{},
+		early: map[uint64]netproto.Response{}, watches: map[uint64]*fileWatch{}}
+	return sess
 }
 
 // handler serves one request envelope: decode its body, act, answer.
@@ -321,7 +330,7 @@ var handlers = map[string]handler{
 	netproto.OpContexts:        bare((*Server).contexts),
 	netproto.OpContextInfo:     op((*Server).contextInfo),
 	netproto.OpOpen:            (*Server).open,
-	netproto.OpRelease:         fileOp((*Server).release),
+	netproto.OpRelease:         (*Server).release,
 	netproto.OpAcquire:         (*Server).watch,
 	netproto.OpEstWait:         fileOp((*Server).estWait),
 	netproto.OpBitrep:          fileOp((*Server).bitrep),
@@ -389,7 +398,7 @@ func (s *Server) contextInfo(_ *session, b netproto.CtxBody) (netproto.Response,
 func (s *Server) open(sess *session, env netproto.Envelope) {
 	b, _ := env.File() // binary-only op: see fileOp
 	id := env.ID
-	res, err := s.v.OpenAwait(sess.client, b.Context, b.File, sess.pusher.notices, id)
+	res, err := s.v.OpenAwait(sess.client, b.Context, b.File, sess.pusher.notices, id, env.Step())
 	if err != nil {
 		resp := failure(err)
 		resp.ID, resp.Done = id, true
@@ -409,12 +418,22 @@ func (s *Server) open(sess *session, env netproto.Envelope) {
 	}
 }
 
-func (s *Server) release(sess *session, b netproto.FileBody) (netproto.Response, error) {
-	if err := s.v.Release(sess.client, b.Context, b.File); err != nil {
-		return netproto.Response{}, err
+// release drops one of the session's own references to a file. Core
+// counts a step's references, not whose they are, so a release of a file
+// the session does not hold never reaches Release, which would drop
+// another client's pin: it is answered what Release would answer when
+// nobody holds the file, and refused as not held otherwise.
+func (s *Server) release(sess *session, env netproto.Envelope) {
+	b, _ := env.File() // binary-only op: see fileOp
+	var err error
+	if sess.held[heldFile{b.Context, b.File}] > 0 {
+		if err = s.v.Release(sess.client, b.Context, b.File, env.Step()); err == nil {
+			sess.trackRef(b.Context, b.File, -1)
+		}
+	} else if err = s.v.Referenced(b.Context, b.File); err == nil {
+		err = fmt.Errorf("%w: release of %q not held by this session", core.ErrInvalid, b.File)
 	}
-	sess.trackRef(b.Context, b.File, -1)
-	return acked, nil
+	sess.answer(env.ID, acked, err)
 }
 
 func (s *Server) estWait(_ *session, b netproto.FileBody) (netproto.Response, error) {
@@ -557,13 +576,10 @@ func (s *Server) readStorage(ctxName, file string) ([]byte, error) {
 }
 
 func (sess *session) trackRef(ctx, file string, delta int) {
-	m := sess.held[ctx]
-	if m == nil {
-		m = map[string]int{}
-		sess.held[ctx] = m
-	}
-	m[file] += delta
-	if m[file] <= 0 {
-		delete(m, file)
+	f := heldFile{ctx, file}
+	if n := sess.held[f] + delta; n > 0 {
+		sess.held[f] = n
+	} else {
+		delete(sess.held, f)
 	}
 }

@@ -73,10 +73,10 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 			if !f.Resident {
 				o = nil
 			}
-			res, err := s.v.OpenAwait(sess.client, ctxName, f.Name, o, id)
+			res, err := s.v.OpenAwait(sess.client, ctxName, f.Name, o, id, f.Step)
 			if err != nil {
 				for _, g := range files[:i] {
-					_ = s.v.Release(sess.client, ctxName, g.Name)
+					_ = s.v.Release(sess.client, ctxName, g.Name, g.Step)
 					sess.trackRef(ctxName, g.Name, -1)
 				}
 				refuse(err)
