@@ -18,8 +18,10 @@
 // a shared mutex. Cross-shard work (pipeline virtualization, Sec. III-E)
 // locks shards in downstream→upstream order; since a context's upstream
 // must be registered before it, the upstream graph is acyclic and the
-// ordering is deadlock-free. The small simMu directory that routes
-// launcher events to shards is never held while acquiring a shard lock.
+// ordering is deadlock-free. The context directory that finds a shard is
+// a snapshot read without a lock; registration replaces it whole. The
+// small simMu directory that routes launcher events to shards is never
+// held while acquiring a shard lock.
 // The notify hub is the one record of who waits for a step: a site that
 // decides a step's fate takes its waiters under the shard lock and
 // delivers the event after all shard locks are released.

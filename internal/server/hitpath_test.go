@@ -21,12 +21,15 @@ import (
 //	   waits on
 //
 // Everything else — envelopes, responses, frame headers, scratch
-// buffers, wake-up channels — is reused or lives on a stack, the
-// response of a hit carries no string, and core turns the name into its
-// step once and formats none back. A request's context and file name are
-// not copied off the wire: the decoder takes both strings from the
-// context's name table (core.Virtualizer.Names), and the session's
-// held-reference ledger keeps those.
+// buffers — is reused or lives on a stack, and the response of a hit
+// carries no string. A call answered before its Wait draws no wake-up
+// channel at all; one that parks draws a recycled one. A request's
+// context and file name are not copied off the wire: the decoder takes
+// both strings from the context's name table (core.Virtualizer.Names),
+// with the step it parsed the name to, which core checks against the
+// name and uses, so the name is parsed once and no name is formatted
+// back. The session's held-reference ledger, one map keyed by context
+// and file, keeps those strings.
 func TestHitPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is measured without the race detector")

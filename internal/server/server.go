@@ -425,10 +425,11 @@ func (s *Server) open(sess *session, env netproto.Envelope) {
 // nobody holds the file, and refused as not held otherwise.
 func (s *Server) release(sess *session, env netproto.Envelope) {
 	b, _ := env.File() // binary-only op: see fileOp
+	f := heldFile{b.Context, b.File}
 	var err error
-	if sess.held[heldFile{b.Context, b.File}] > 0 {
+	if n := sess.held[f]; n > 0 {
 		if err = s.v.Release(sess.client, b.Context, b.File, env.Step()); err == nil {
-			sess.trackRef(b.Context, b.File, -1)
+			sess.setHeld(f, n-1)
 		}
 	} else if err = s.v.Referenced(b.Context, b.File); err == nil {
 		err = fmt.Errorf("%w: release of %q not held by this session", core.ErrInvalid, b.File)
@@ -577,7 +578,12 @@ func (s *Server) readStorage(ctxName, file string) ([]byte, error) {
 
 func (sess *session) trackRef(ctx, file string, delta int) {
 	f := heldFile{ctx, file}
-	if n := sess.held[f] + delta; n > 0 {
+	sess.setHeld(f, sess.held[f]+delta)
+}
+
+// setHeld records that the session holds n references to f.
+func (sess *session) setHeld(f heldFile, n int) {
+	if n > 0 {
 		sess.held[f] = n
 	} else {
 		delete(sess.held, f)
