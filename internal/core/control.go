@@ -164,7 +164,9 @@ func (v *Virtualizer) RemoveContext(name string) error {
 		v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation canceled"}, ws)
 		return fmt.Errorf("core: %w: %q is upstream of %q", ErrBusy, name, other)
 	}
-	v.publish(v.contexts(), name, nil)
+	next := maps.Clone(v.contexts())
+	delete(next, name)
+	v.dir.Store(&next)
 	// Nothing decides these steps' fate any more: fail whoever still waits.
 	for _, w := range v.hub.Waiters(name) {
 		ws = v.hub.Take(w.Topic, ws)

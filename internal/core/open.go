@@ -26,28 +26,18 @@ func (v *Virtualizer) Open(client, ctxName, filename string) (OpenResult, error)
 // that delivers the step's fate — FileReady, or FileFailed when the
 // re-simulation dies or the context goes away. A hit, a refused open, or
 // a miss nothing promises (Awaited false) registers nothing. A nil o is
-// Open.
-//
-// A caller that already holds filename's step (a decoder that looked the
-// name up, an analysis that named its step) passes it as step; it is
-// trusted only where it still names filename (see resolved), and parsing
-// decides otherwise.
+// Open. A caller already holding filename's step passes it as step (see
+// shard.resolved).
 func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owner, tag uint64, step ...int) (OpenResult, error) {
 	cs, err := v.lockedShard(ctxName)
 	if err != nil {
 		return OpenResult{}, err
 	}
-	res, after, err := v.openLocked(cs, client, filename, stepArg(step), o, tag)
+	res, after, err := v.openLocked(cs, client, filename, step, o, tag)
 	cs.mu.Unlock()
-	// The waiters of promises an agent reset dismantled fail lock-free;
-	// the capacity it freed is drained after that (hit traffic never pays
-	// for the global scheduler lock); and only an open that actually
-	// queued demand work probes for preemption, last — while a blocked
-	// demand job waits for a victim, the probes ride drainScheduler's
-	// capacity changes instead of the open rate.
-	if len(after.orphaned) > 0 {
-		v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation killed"}, after.orphaned)
-	}
+	// Lock-free: an agent reset's orphans fail, its freed capacity drains,
+	// and an open that queued demand work probes for preemption.
+	v.hub.Deliver(notify.Event{Kind: notify.FileFailed, Err: "re-simulation killed"}, after.orphaned)
 	if after.freedCapacity {
 		v.drainScheduler()
 	}
@@ -57,24 +47,20 @@ func (v *Virtualizer) OpenAwait(client, ctxName, filename string, o *notify.Owne
 	return res, err
 }
 
-// afterOpen is what an open leaves for after the shard lock: the waiters
-// of promises an agent reset orphaned, whether that reset freed
-// scheduler capacity, and whether the open queued demand work (a demand
-// miss behind an exhausted node budget may preempt a running agent
-// prefetch).
+// afterOpen is what an open leaves for after the shard lock.
 type afterOpen struct {
 	orphaned                    []notify.Waiter
 	freedCapacity, queuedDemand bool
 }
 
-// openLocked is OpenAwait's body. Caller holds the shard lock and, after
-// unlocking, does what the returned afterOpen asks, in its field order.
-func (v *Virtualizer) openLocked(cs *shard, client, filename string, step int, o *notify.Owner, tag uint64) (OpenResult, afterOpen, error) {
+// openLocked is OpenAwait's body, under the shard lock.
+func (v *Virtualizer) openLocked(cs *shard, client, filename string, resolved []int, o *notify.Owner, tag uint64) (OpenResult, afterOpen, error) {
 	var after afterOpen
 	if cs.draining {
 		return OpenResult{}, after, fmt.Errorf("core: %w: %q refuses new opens", ErrDraining, cs.ctx.Name)
 	}
-	if !cs.resolved(filename, step) {
+	step, ok := cs.resolved(filename, resolved)
+	if !ok {
 		var err error
 		if step, err = cs.outputStep(filename); err != nil {
 			return OpenResult{}, after, err
@@ -164,56 +150,35 @@ func (v *Virtualizer) openLocked(cs *shard, client, filename string, step int, o
 // Release drops a client's reference to a file (close in transparent
 // mode, SIMFS_Release in API mode). step is as for OpenAwait.
 func (v *Virtualizer) Release(client, ctxName, filename string, step ...int) error {
-	cs, st, err := v.referenced(ctxName, filename, stepArg(step))
+	return v.release(ctxName, filename, step, true)
+}
+
+// Referenced answers what Release would, dropping nothing: core counts a
+// step's references, not whose, so a front end that knows whose asks it.
+func (v *Virtualizer) Referenced(ctxName, filename string) error {
+	return v.release(ctxName, filename, nil, false)
+}
+
+func (v *Virtualizer) release(ctxName, filename string, resolved []int, drop bool) error {
+	cs, err := v.lockedShard(ctxName)
 	if err != nil {
 		return err
 	}
-	st.unpin()
-	cs.mu.Unlock()
-	return nil
-}
-
-// Referenced answers what a Release of filename would meet, dropping
-// nothing: its error, or nil when the file holds a reference. Core counts
-// a step's references, not whose they are, so a front end that knows
-// whose they are asks it before it refuses a release that is not the
-// caller's to make.
-func (v *Virtualizer) Referenced(ctxName, filename string) error {
-	cs, _, err := v.referenced(ctxName, filename, 0)
-	if err == nil {
-		cs.mu.Unlock()
-	}
-	return err
-}
-
-// referenced returns the ledger entry of filename's step (step is as for
-// OpenAwait) with the shard lock held, when it holds a reference, and
-// otherwise, unlocked, the error a release of it meets.
-func (v *Virtualizer) referenced(ctxName, filename string, step int) (*shard, *stepState, error) {
-	cs, err := v.lockedShard(ctxName)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !cs.resolved(filename, step) {
+	defer cs.mu.Unlock()
+	step, ok := cs.resolved(filename, resolved)
+	if !ok {
 		if step, err = cs.keyOf(filename); err != nil {
-			cs.mu.Unlock()
-			return nil, nil, err
+			return err
 		}
 	}
-	if st := cs.steps.Get(step); st != nil && st.refs > 0 {
-		return cs, st, nil
+	st := cs.steps.Get(step)
+	if st == nil || st.refs <= 0 {
+		return fmt.Errorf("core: %w: release of unreferenced file %q", ErrInvalid, filename)
 	}
-	cs.mu.Unlock()
-	return nil, nil, fmt.Errorf("core: %w: release of unreferenced file %q", ErrInvalid, filename)
-}
-
-// stepArg is the step a caller of OpenAwait or Release passed, 0 for
-// none.
-func stepArg(step []int) int {
-	if len(step) == 0 {
-		return 0
+	if drop {
+		st.unpin()
 	}
-	return step[0]
+	return nil
 }
 
 // GuidedPrefetch implements the guided-prefetching interface (paper

@@ -18,10 +18,8 @@
 // a shared mutex. Cross-shard work (pipeline virtualization, Sec. III-E)
 // locks shards in downstream→upstream order; since a context's upstream
 // must be registered before it, the upstream graph is acyclic and the
-// ordering is deadlock-free. The context directory that finds a shard is
-// a snapshot read without a lock; registration replaces it whole. The
-// small simMu directory that routes launcher events to shards is never
-// held while acquiring a shard lock.
+// ordering is deadlock-free. The small simMu directory that routes
+// launcher events to shards is never held while acquiring a shard lock.
 // The notify hub is the one record of who waits for a step: a site that
 // decides a step's fate takes its waiters under the shard lock and
 // delivers the event after all shard locks are released.
@@ -167,20 +165,18 @@ type shard struct {
 // concurrent use.
 //
 // Lock ordering (outermost first): shard locks in downstream→upstream
-// pipeline order, then simMu. ctxMu serializes the context directory's
-// writers (AddContext, RemoveContext) and is taken under no other lock;
-// readers take no lock at all. simMu is never held while acquiring a
-// shard lock.
+// pipeline order, then simMu, which is never held while acquiring a
+// shard lock. ctxMu, the context directory's writer lock, is taken
+// under no other.
 type Virtualizer struct {
 	clock    des.Clock
 	launcher Launcher
 	hub      *notify.Hub
 	sched    *sched.Scheduler
 
-	// dir is the context directory: a snapshot never written once
-	// published, which a writer replaces whole under ctxMu. Reading it
-	// takes no lock, so the data path writes no shared word to find a
-	// shard. Nil until the first AddContext.
+	// dir is the context directory, a map never written once published:
+	// a writer replaces it under ctxMu, and a reader takes no lock, so the
+	// data path writes no shared word to find a shard.
 	ctxMu sync.Mutex
 	dir   atomic.Pointer[map[string]*shard]
 
@@ -225,6 +221,7 @@ func NewScheduled(clock des.Clock, launcher Launcher, cfg sched.Config) *Virtual
 		simDir:   map[int64]*shard{},
 		retryRng: rand.New(rand.NewSource(0)),
 	}
+	v.dir.Store(&noContexts)
 	v.placeholderSeq.Store(pendingSimID)
 	return v
 }
@@ -279,32 +276,17 @@ func (v *Virtualizer) AddContext(ctx *model.Context, policyName string, fs vfs.F
 		cs.upstream = notify.NewOwner(func(tag uint64, ev notify.Event) { v.upstreamReady(cs, int64(tag), ev) })
 		cs.pipelineClient = "pipeline:" + ctx.Name
 	}
-	v.publish(contexts, ctx.Name, cs)
-	return nil
-}
-
-// contexts returns the context directory's current snapshot (nil, which
-// reads as empty, before the first AddContext). It must not be written.
-func (v *Virtualizer) contexts() map[string]*shard {
-	if dir := v.dir.Load(); dir != nil {
-		return *dir
-	}
-	return nil
-}
-
-// publish replaces the directory with a copy of contexts, the current
-// one, in which name maps to cs, or is gone when cs is nil. Caller holds
-// ctxMu.
-func (v *Virtualizer) publish(contexts map[string]*shard, name string, cs *shard) {
-	next := make(map[string]*shard, len(contexts)+1)
-	maps.Copy(next, contexts)
-	if cs != nil {
-		next[name] = cs
-	} else {
-		delete(next, name)
-	}
+	next := maps.Clone(contexts)
+	next[ctx.Name] = cs
 	v.dir.Store(&next)
+	return nil
 }
+
+// noContexts is every new Virtualizer's directory: it allocates none.
+var noContexts = map[string]*shard{}
+
+// contexts returns the context directory. It must not be written.
+func (v *Virtualizer) contexts() map[string]*shard { return *v.dir.Load() }
 
 // shardOf returns the shard of a context (unlocked).
 func (v *Virtualizer) shardOf(name string) (*shard, bool) {
@@ -645,16 +627,15 @@ func (cs *shard) keyOf(filename string) (int, error) {
 	return step, nil
 }
 
-// resolved reports whether step, which a caller resolved filename to
-// before it had the shard lock (0 when it did not), still is filename's
-// step on this shard's timeline. Filename is Key's exact inverse, so the
-// one comparison settles it whatever context the caller resolved against:
-// a context deregistered and registered again with another naming or a
-// shorter timeline fails it, and the name is parsed by the rules that
-// hold now. Filename hands back the name table's own string, the one the
-// decoder took the name from, so the comparison is one of equal pointers.
-func (cs *shard) resolved(filename string, step int) bool {
-	return step > 0 && cs.ctx.Grid.ValidOutput(step) && cs.ctx.Filename(step) == filename
+// resolved returns the step a caller resolved filename to (at most one)
+// if it is still filename's on this timeline: Filename, Key's inverse,
+// returns the name-table string the decoder took, so a context registered
+// again with another naming or a shorter timeline fails one comparison.
+func (cs *shard) resolved(filename string, step []int) (int, bool) {
+	if len(step) == 0 || !cs.ctx.Grid.ValidOutput(step[0]) || cs.ctx.Filename(step[0]) != filename {
+		return 0, false
+	}
+	return step[0], true
 }
 
 // outputStep is keyOf for a name that must also lie on the simulated

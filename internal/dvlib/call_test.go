@@ -32,7 +32,7 @@ func TestCallStateMachine(t *testing.T) {
 	resp := netproto.Response{ID: 1, OK: true, Count: 7}
 	typed := fmt.Errorf("dvlib: %s: %w", netproto.OpPing, ErrReconnecting)
 	respond := func(p *pendingCall) { p.HandleResponse(resp) }
-	sweep := func(p *pendingCall) { p.fail(typed) }
+	sweep := func(p *pendingCall) { p.answer(typed) }
 	type outcome struct {
 		resp netproto.Response
 		err  error

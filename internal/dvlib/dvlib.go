@@ -122,8 +122,7 @@ type Client struct {
 
 	// nmu guards notices: the ready notices of missed opens, by file,
 	// not yet taken by WaitAvailable nor dropped by a release. nnotices
-	// counts them, written under nmu and read without it, so a hit or a
-	// release with no notice outstanding takes no lock and hashes nothing.
+	// counts them, so a release finding none takes no lock.
 	nmu      sync.Mutex
 	notices  map[netproto.FileBody]*notice
 	nnotices atomic.Int32
@@ -324,18 +323,13 @@ func (c *Client) die(err error) {
 
 // pendingCall is an in-flight request expecting one response, and the
 // only object a call allocates: its frame is queued (and possibly
-// already flushed) and the read loop will leave the response in resp.
-// env is the request as built, ID unset — what settle reads the ledger
-// entry from and what a reconnect replays, under the ID the table holds
-// the call at; it is never written once the call is registered. err is
-// set when a reconnect fails the call with a typed error.
-//
-// state settles who waits for whom. A call is pending until either its
-// answer comes (answered) or its caller waits for it first (parked, on
-// ch, a token channel drawn for the purpose). Whoever moves second
-// learns it from the swap: the answer wakes a parked caller, and a
-// caller that finds the call answered returns at once, so a call
-// answered before its Wait costs no channel operation at all.
+// already flushed) and the read loop will leave the response in resp, or
+// a reconnect's typed error in err. env is the request as built, ID
+// unset — what settle reads the ledger entry from and what a reconnect
+// replays, under the ID the table holds the call at; it is never written
+// once the call is registered. state moves pending → answered, or, when
+// the caller waits first, pending → parked (on ch) → answered: a call
+// answered before its Wait costs no channel operation.
 type pendingCall struct {
 	c     *Client
 	id    uint64
@@ -346,42 +340,30 @@ type pendingCall struct {
 	ch    chan struct{}
 }
 
-// The states of a pendingCall: each call moves pending → answered, or
-// pending → parked → answered.
 const (
 	callPending int32 = iota
 	callParked
 	callAnswered
 )
 
-// tokens recycles the one-slot wake-up channels of parked calls. A
-// channel goes back only from the await it woke with a token: by then
-// the table has dropped the call, so nothing can send on the channel or
-// close it again. A call failed by a reconnect while parked (closed
-// channel) or abandoned by a canceled context (the read loop may still
-// deliver) keeps its channel.
+// tokens recycles the one-slot wake-up channels of parked calls. One
+// goes back only from the await a token woke, when nothing can send on
+// it or close it again: a reconnect's closed channel and one abandoned
+// by a canceled context (the read loop may still deliver) never do.
 var tokens = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
-// answer records that the call's outcome is in resp or err, and wakes
-// its caller if that is parked: with a token, or, when failed, by
-// closing the channel, which is then not reused. Only the read loop
-// answers: it delivers responses and runs the reconnect sweep and the
-// final failure.
-func (p *pendingCall) answer(failed bool) {
-	if p.state.Swap(callAnswered) != callParked {
+// answer settles the call with resp, or with err when the reconnect
+// sweep fails it, and wakes a parked caller: with a token, or for err
+// by closing the channel. Only the read loop answers.
+func (p *pendingCall) answer(err error) {
+	if p.err = err; p.state.Swap(callAnswered) != callParked {
 		return
 	}
-	if failed {
+	if err != nil {
 		close(p.ch)
 	} else {
 		p.ch <- struct{}{}
 	}
-}
-
-// fail answers the call with a typed error (the reconnect sweep's).
-func (p *pendingCall) fail(err error) {
-	p.err = err
-	p.answer(true)
 }
 
 // HandleResponse settles the ledger and wakes the awaiting caller. The
@@ -401,7 +383,7 @@ func (p *pendingCall) HandleResponse(resp netproto.Response) {
 		}
 	}
 	p.resp = resp
-	p.answer(false)
+	p.answer(nil)
 }
 
 // newEnv builds a request envelope; request assigns its ID.
@@ -488,18 +470,16 @@ func (c *Client) start(p *pendingCall, env netproto.Envelope) (err error) {
 }
 
 // await flushes any queued frames (the daemon cannot answer a request it
-// has not received) and returns the call's outcome, parking on a token
-// channel only when it has not come yet.
+// has not received) and returns the call's outcome, parking only if it
+// has not come.
 func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, error) {
 	if err := c.Flush(); err != nil {
 		c.abandon(p.id)
 		return netproto.Response{}, err
 	}
 	if p.state.Load() != callAnswered {
-		p.ch = tokens.Get().(chan struct{})
-		if !p.state.CompareAndSwap(callPending, callParked) {
-			// Answered since the load: the channel was never seen.
-			tokens.Put(p.ch)
+		if p.ch = tokens.Get().(chan struct{}); !p.state.CompareAndSwap(callPending, callParked) {
+			tokens.Put(p.ch) // answered since the load: nobody saw the channel
 		} else {
 			select {
 			case _, ok := <-p.ch:
@@ -511,7 +491,6 @@ func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, 
 				return netproto.Response{}, ctx.Err()
 			}
 		}
-		p.ch = nil
 	}
 	switch {
 	case p.err != nil:

@@ -47,15 +47,13 @@ func (n *notice) lost() bool { return !n.resp.OK && n.resp.Code == "" }
 func (c *Client) awaitNotice(id uint64, file netproto.FileBody) {
 	c.nmu.Lock()
 	n := c.notices[file]
-	if n == nil {
-		c.nnotices.Add(1)
-	}
 	if n == nil || n.done.Load() {
 		n = &notice{ch: tokens.Get().(chan struct{})}
 		if c.notices == nil {
 			c.notices = map[netproto.FileBody]*notice{}
 		}
 		c.notices[file] = n
+		c.nnotices.Store(int32(len(c.notices)))
 	}
 	c.nmu.Unlock()
 	c.calls.Hand(id, n)
@@ -70,10 +68,8 @@ func (c *Client) takeNotice(file netproto.FileBody) *notice {
 	c.nmu.Lock()
 	defer c.nmu.Unlock()
 	n := c.notices[file]
-	if n != nil {
-		delete(c.notices, file)
-		c.nnotices.Add(-1)
-	}
+	delete(c.notices, file)
+	c.nnotices.Store(int32(len(c.notices)))
 	return n
 }
 

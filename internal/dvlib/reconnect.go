@@ -48,7 +48,7 @@ func (c *Client) tryReconnect() bool {
 				replay = append(replay, replayCall{id, h})
 				return false
 			}
-			h.fail(fmt.Errorf("dvlib: %s: %w", h.env.Op, ErrReconnecting))
+			h.answer(fmt.Errorf("dvlib: %s: %w", h.env.Op, ErrReconnecting))
 		case *ledger:
 			if !h.holds {
 				h.id = id // stream may not have recorded it yet

@@ -54,10 +54,9 @@ func NewConn(nc net.Conn) *Conn {
 
 // Names looks up a request's context and file name, both as the bytes
 // that crossed the wire: ok means it holds both strings, byte for byte
-// equal to ctx and file, and the decoder uses them instead of copying;
-// step is then the step it parsed file to, which the decoded envelope
-// carries (Envelope.Step). ctx and file alias the read buffer and are
-// valid only during the call.
+// equal to ctx and file, and the decoder uses them instead of copying,
+// and step, file's, in the envelope (Envelope.Step). ctx and file alias
+// the read buffer and are valid only during the call.
 type Names func(ctx, file []byte) (ctxName, fileName string, step int, ok bool)
 
 // file returns file as a string, with its step: n's, when n holds it

@@ -206,8 +206,7 @@ type Envelope struct {
 	// frames.
 	val any
 	// file is the FileBody of a locally built or binary-decoded
-	// envelope; hasFile tells it from an absent body. step is the step
-	// the reading connection's Names resolved file.File to, 0 for none.
+	// envelope; hasFile tells it from an absent body; step is Step's.
 	file    FileBody
 	hasFile bool
 	step    int
@@ -241,10 +240,7 @@ func (e Envelope) File() (body FileBody, ok bool) {
 }
 
 // Step returns the step the reading connection's Names resolved the
-// FileBody's file to (Conn.SetNames), or 0: a name Names did not hold, a
-// locally built envelope, or one whose body is not a FileBody. It was
-// resolved against the context as it stood at decode time; a consumer
-// checks it still names the file before it trusts it.
+// FileBody's file to at decode time, or 0 for none.
 func (e Envelope) Step() int { return e.step }
 
 // Decode unmarshals the envelope's body into v, wrapping failures with

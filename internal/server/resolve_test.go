@@ -89,7 +89,10 @@ func TestResolvedStepRevalidated(t *testing.T) {
 				st.Launcher.Wait()
 			})
 			in, out := tcpPair(t)
-			sess := st.Server.newSession(netproto.NewConn(in), "t")
+			// A session of the dispatch loop's making, short of its pusher,
+			// which an open refused at once never reaches.
+			sess := &session{c: netproto.NewConn(in), srv: st.Server, client: "t", held: map[heldFile]int{}}
+			sess.c.SetNames(st.V.Names)
 			client := netproto.NewConn(out)
 			file := model.StepFilename("clim_out_", c.step, ".nc")
 			read := func(id uint64) netproto.Envelope {

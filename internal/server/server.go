@@ -132,9 +132,8 @@ type session struct {
 	// client is the client name declared in the hello handshake,
 	// remembered so references can be cleaned up on disconnect.
 	client string
-	// held counts the references this session holds, per file, for
-	// disconnect cleanup — a crashed analysis must not pin files forever —
-	// and for release, which drops only a reference of its own session.
+	// held counts the references this session holds, per file: release
+	// drops only these, and disconnect cleanup all of them.
 	held map[heldFile]int
 	// pusher holds the missed opens owed their notice and the readiness
 	// streams by request ID.
@@ -228,7 +227,10 @@ func (s *Server) handle(c *netproto.Conn) {
 		}
 		return
 	}
-	sess := s.newSession(c, hello.Client)
+	sess := &session{c: c, srv: s, client: hello.Client, held: map[heldFile]int{}}
+	sess.pusher = pusher{notices: notify.NewOwner(sess.resolved),
+		streams: notify.NewStreamOwner(sess.streamEvent), answered: map[uint64]struct{}{},
+		early: map[uint64]netproto.Response{}, watches: map[uint64]*fileWatch{}}
 	s.mu.Lock()
 	s.sessions[c] = sess
 	s.mu.Unlock()
@@ -251,6 +253,7 @@ func (s *Server) handle(c *netproto.Conn) {
 		// prefetch simulations nobody else waits for are killed.
 		s.v.ClientDisconnected(sess.client)
 	}()
+	c.SetNames(s.v.Names)
 	flush := sess.flush // bound once: a method value allocates
 	// One envelope per session, not per frame: it is decoded into through
 	// a pointer, which would cost a heap envelope each time round.
@@ -266,17 +269,6 @@ func (s *Server) handle(c *netproto.Conn) {
 		s.dispatch(sess, env)
 		s.lat.Record(env.Op, time.Since(t0)) //simfs:allow wallclock live daemon service-time stamps feed the latency histograms, not the simulation
 	}
-}
-
-// newSession is the session of client on c, whose requests take their
-// names from the Virtualizer's (Virtualizer.Names).
-func (s *Server) newSession(c *netproto.Conn, client string) *session {
-	c.SetNames(s.v.Names)
-	sess := &session{c: c, srv: s, client: client, held: map[heldFile]int{}}
-	sess.pusher = pusher{notices: notify.NewOwner(sess.resolved),
-		streams: notify.NewStreamOwner(sess.streamEvent), answered: map[uint64]struct{}{},
-		early: map[uint64]netproto.Response{}, watches: map[uint64]*fileWatch{}}
-	return sess
 }
 
 // handler serves one request envelope: decode its body, act, answer.
@@ -418,18 +410,15 @@ func (s *Server) open(sess *session, env netproto.Envelope) {
 	}
 }
 
-// release drops one of the session's own references to a file. Core
-// counts a step's references, not whose they are, so a release of a file
-// the session does not hold never reaches Release, which would drop
-// another client's pin: it is answered what Release would answer when
-// nobody holds the file, and refused as not held otherwise.
+// release drops one of the session's own references: core counts a
+// step's references, not whose, so a file the session does not hold is
+// refused, with core's answer when nobody holds it.
 func (s *Server) release(sess *session, env netproto.Envelope) {
 	b, _ := env.File() // binary-only op: see fileOp
-	f := heldFile{b.Context, b.File}
 	var err error
-	if n := sess.held[f]; n > 0 {
+	if sess.held[heldFile{b.Context, b.File}] > 0 {
 		if err = s.v.Release(sess.client, b.Context, b.File, env.Step()); err == nil {
-			sess.setHeld(f, n-1)
+			sess.trackRef(b.Context, b.File, -1)
 		}
 	} else if err = s.v.Referenced(b.Context, b.File); err == nil {
 		err = fmt.Errorf("%w: release of %q not held by this session", core.ErrInvalid, b.File)
@@ -578,12 +567,7 @@ func (s *Server) readStorage(ctxName, file string) ([]byte, error) {
 
 func (sess *session) trackRef(ctx, file string, delta int) {
 	f := heldFile{ctx, file}
-	sess.setHeld(f, sess.held[f]+delta)
-}
-
-// setHeld records that the session holds n references to f.
-func (sess *session) setHeld(f heldFile, n int) {
-	if n > 0 {
+	if n := sess.held[f] + delta; n > 0 {
 		sess.held[f] = n
 	} else {
 		delete(sess.held, f)
