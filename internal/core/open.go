@@ -159,6 +159,7 @@ func (v *Virtualizer) Referenced(ctxName, filename string) error {
 	return v.release(ctxName, filename, nil, false)
 }
 
+// release is Release, which drops the reference only when drop is set.
 func (v *Virtualizer) release(ctxName, filename string, resolved []int, drop bool) error {
 	cs, err := v.lockedShard(ctxName)
 	if err != nil {

@@ -174,9 +174,8 @@ type Virtualizer struct {
 	hub      *notify.Hub
 	sched    *sched.Scheduler
 
-	// dir is the context directory, a map never written once published:
-	// a writer replaces it under ctxMu, and a reader takes no lock, so the
-	// data path writes no shared word to find a shard.
+	// dir is the context directory, never written once published: writers
+	// replace it under ctxMu, so the data path finds a shard lock-free.
 	ctxMu sync.Mutex
 	dir   atomic.Pointer[map[string]*shard]
 

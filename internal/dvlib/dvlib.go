@@ -122,7 +122,7 @@ type Client struct {
 
 	// nmu guards notices: the ready notices of missed opens, by file,
 	// not yet taken by WaitAvailable nor dropped by a release. nnotices
-	// counts them, so a release finding none takes no lock.
+	// counts them, so a hit or a release finding none takes no lock.
 	nmu      sync.Mutex
 	notices  map[netproto.FileBody]*notice
 	nnotices atomic.Int32
