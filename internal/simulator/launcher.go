@@ -48,8 +48,10 @@ type Events interface {
 // plus αsim, then one output step per τsim, ending when the last step
 // lands. Only the clock differs: with an Engine the schedule runs in
 // virtual time, single-threaded like the engine; without one it runs on
-// the wall clock, one goroutine and one timer per simulation, with
-// durations divided by TimeScale (the daemon and the examples). Node
+// the wall clock, one goroutine per simulation that runs each event at
+// its absolute deadline and needs a timer only when the next event lies
+// ahead, with durations divided by TimeScale (the daemon and the
+// examples). Node
 // admission lives in the scheduler (internal/sched) above the DV core, so
 // the launcher runs everything it is handed.
 type Launcher struct {
@@ -100,7 +102,8 @@ type run struct {
 	next      int // the event fire handles next
 	killed    bool
 	timers    []des.Timer // virtual time: every event, armed at launch
-	timer     *time.Timer // wall clock: the next event
+	start     time.Time   // wall clock: the launch; event k is due at start + at(k)
+	timer     *time.Timer // wall clock: made the first time the run must wait
 }
 
 // at is event k's offset from the launch.
@@ -140,12 +143,12 @@ func (l *Launcher) Launch(ctx *model.Context, first, last, parallelism int) int6
 		}
 		return r.id
 	}
-	r.timer = time.NewTimer(r.lead) //simfs:allow wallclock the launcher's wall clock is the engine's twin by design
+	r.start = wallNow()
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
 		for {
-			<-r.timer.C
+			r.wait()
 			if !r.fire() {
 				return
 			}
@@ -161,9 +164,33 @@ func (l *Launcher) scale(d time.Duration) time.Duration {
 	return d
 }
 
+// wallNow reads the wall clock that runs without an Engine keep.
+func wallNow() time.Time { return time.Now() } //simfs:allow wallclock the launcher's wall clock is the engine's twin by design
+
+// wait returns when the wall-clock run's next event is due, or the run is
+// killed: at once when it already is, else on the run's timer. Deadlines
+// are absolute, so a slow Write takes from the gap to the next event
+// instead of pushing every later event back, and events that fell due
+// meanwhile run back to back. wait returns only between two events, so a
+// run's events never overlap.
+func (r *run) wait() {
+	l := r.l
+	l.mu.Lock()
+	d := r.start.Add(r.at(r.next)).Sub(wallNow())
+	if r.killed || d <= 0 {
+		l.mu.Unlock()
+		return
+	}
+	if r.timer == nil {
+		r.timer = time.NewTimer(d) //simfs:allow wallclock the launcher's wall clock is the engine's twin by design
+	} else {
+		r.timer.Reset(d)
+	}
+	l.mu.Unlock()
+	<-r.timer.C
+}
+
 // fire handles the run's next event and reports whether another follows.
-// On the wall clock it re-arms the timer only after the event's Write and
-// Events calls have returned, so a run's events never overlap.
 func (r *run) fire() bool {
 	l := r.l
 	l.mu.Lock()
@@ -185,21 +212,18 @@ func (r *run) fire() bool {
 			l.mu.Lock()
 			delete(l.running, r.id)
 			r.stop()
+			outcome = Failed
+			if r.killed { // the kill came first: its work was cancelled, not crashed
+				outcome = Killed
+			}
 			l.mu.Unlock()
-			l.Events.SimEnded(r.id, Failed)
+			l.Events.SimEnded(r.id, outcome)
 			return false
 		}
 		l.Events.StepProduced(r.id, step)
 	default:
 		l.Events.SimEnded(r.id, outcome)
 		return false
-	}
-	if r.timer != nil {
-		l.mu.Lock()
-		if !r.killed { // a kill's Reset(0) stands
-			r.timer.Reset(r.at(k+1) - r.at(k))
-		}
-		l.mu.Unlock()
 	}
 	return true
 }
@@ -215,10 +239,11 @@ func (r *run) stop() {
 // no-op for an ended run, and never calls Events: the run's next event is
 // brought forward to now and reports Killed — on the engine by stopping
 // every armed event and scheduling one at the current instant, on the
-// wall clock by resetting the run's timer to zero. So a preemption kill
+// wall clock by waking the run if it waits on its timer (a run that is
+// not waiting sees the kill before its next event). So a preemption kill
 // issued under a shard lock gets its SimEnded later, from the clock. A run
-// killed while a step is being written reports that step first, and keeps
-// its produced prefix on disk.
+// killed while a step is being written reports that step first, or only
+// Killed if the Write fails, and keeps its produced prefix on disk.
 func (l *Launcher) Kill(simID int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -227,8 +252,10 @@ func (l *Launcher) Kill(simID int64) {
 		return
 	}
 	r.killed = true
-	if r.timer != nil {
-		r.timer.Reset(0)
+	if l.Engine == nil {
+		if r.timer != nil {
+			r.timer.Reset(0)
+		}
 		return
 	}
 	r.stop()

@@ -613,6 +613,63 @@ func TestRealTimeLauncherWriteFailure(t *testing.T) {
 	}
 }
 
+// A run killed while its Write is in flight, where that Write then
+// fails, was cancelled, not crashed: it ends Killed, so core neither
+// counts a failure nor retries work it had just dismantled.
+func TestLauncherKillDuringFailingWrite(t *testing.T) {
+	rec := newRecorder()
+	ctx := testCtx()
+	ctx.Alpha, ctx.Tau = time.Millisecond, time.Millisecond
+	writing, fail := make(chan struct{}), make(chan struct{})
+	l := &RealTimeLauncher{Events: rec, Write: func(*model.Context, int) error {
+		close(writing)
+		<-fail
+		return vfs.NewMem().Remove("nonexistent") // any error
+	}}
+	id := l.Launch(ctx, 1, 5, 1)
+	<-writing
+	l.Kill(id)
+	close(fail)
+	l.Wait()
+	if rec.ended[id] != Killed {
+		t.Fatalf("outcome = %v, want Killed", rec.ended[id])
+	}
+	if got := rec.produced[id]; len(got) != 0 {
+		t.Errorf("produced = %v, want nothing: the failed step is not reported", got)
+	}
+}
+
+// Wall-clock events are due at absolute deadlines, lead + k·τ from the
+// launch, as on the engine: a Write taking half of τ delays the step it
+// writes but not the ones after it, and the run ends when its last step
+// lands. Re-arming τ after each event returned would add every Write's
+// time to all later events and end the run near lead + 6·(τ + Write).
+func TestRealTimeLauncherScheduleIsAbsolute(t *testing.T) {
+	const steps, scale = 6, 100
+	ctx := testCtx()
+	ctx.Alpha, ctx.Tau = 2*time.Second, 2*time.Second // 20 ms each, scaled
+	lead, tau := ctx.Alpha/scale, ctx.Tau/scale
+	start := time.Now()
+	tl := &timeline{now: func() time.Duration { return time.Since(start) }}
+	l := &Launcher{Events: tl, TimeScale: scale, Write: func(*model.Context, int) error {
+		time.Sleep(tau / 2)
+		return nil
+	}}
+	l.Launch(ctx, 1, steps, 1)
+	l.Wait()
+	if len(tl.events) != steps+2 || tl.events[steps+1] != "ended completed" {
+		t.Fatalf("events %v, want started, %d steps, ended completed", tl.events, steps)
+	}
+	for k := 1; k <= steps; k++ {
+		if due := lead + time.Duration(k)*tau; tl.at[k] < due {
+			t.Errorf("%s at %v, before its deadline %v", tl.events[k], tl.at[k], due)
+		}
+	}
+	if end, limit := tl.at[steps+1], lead+(steps+1)*tau; end >= limit {
+		t.Errorf("SimEnded at %v, want before lead + %d·τ = %v", end, steps+1, limit)
+	}
+}
+
 func TestOutcomeString(t *testing.T) {
 	cases := map[Outcome]string{Completed: "completed", Killed: "killed", Failed: "failed", Outcome(99): "unknown"}
 	for o, want := range cases {
