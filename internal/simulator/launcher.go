@@ -101,9 +101,10 @@ type run struct {
 	lead, tau time.Duration
 	next      int // the event fire handles next
 	killed    bool
-	timers    []des.Timer // virtual time: every event, armed at launch
-	start     time.Time   // wall clock: the launch; event k is due at start + at(k)
-	timer     *time.Timer // wall clock: made the first time the run must wait
+	timers    []des.Timer   // virtual time: every event, armed at launch
+	start     time.Time     // wall clock: the launch; event k is due at start + at(k)
+	elapsed   time.Duration // wall clock: the run's last reading, less start
+	timer     *time.Timer   // wall clock: made the first time the run must wait
 }
 
 // at is event k's offset from the launch.
@@ -171,12 +172,17 @@ func wallNow() time.Time { return time.Now() } //simfs:allow wallclock the launc
 // killed: at once when it already is, else on the run's timer. Deadlines
 // are absolute, so a slow Write takes from the gap to the next event
 // instead of pushing every later event back, and events that fell due
-// meanwhile run back to back. wait returns only between two events, so a
-// run's events never overlap.
+// meanwhile run back to back; one due by the last reading needs neither
+// the clock nor the lock (fire sees a kill). wait returns only between
+// two events, so a run's events never overlap.
 func (r *run) wait() {
+	if r.at(r.next) <= r.elapsed {
+		return
+	}
 	l := r.l
 	l.mu.Lock()
-	d := r.start.Add(r.at(r.next)).Sub(wallNow())
+	r.elapsed = wallNow().Sub(r.start)
+	d := r.at(r.next) - r.elapsed
 	if r.killed || d <= 0 {
 		l.mu.Unlock()
 		return
