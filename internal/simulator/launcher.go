@@ -48,12 +48,11 @@ type Events interface {
 // plus αsim, then one output step per τsim, ending when the last step
 // lands. Only the clock differs: with an Engine the schedule runs in
 // virtual time, single-threaded like the engine; without one it runs on
-// the wall clock, one goroutine per simulation that runs each event at
-// its absolute deadline and needs a timer only when the next event lies
-// ahead, with durations divided by TimeScale (the daemon and the
-// examples). Node
-// admission lives in the scheduler (internal/sched) above the DV core, so
-// the launcher runs everything it is handed.
+// the wall clock, one goroutine per simulation and a timer only when the
+// next event lies ahead, with durations divided by TimeScale (the daemon
+// and the examples). Node admission lives in the scheduler
+// (internal/sched) above the DV core, so the launcher runs everything it
+// is handed.
 type Launcher struct {
 	// Engine, when set, runs simulations in virtual time.
 	Engine *des.Engine
@@ -165,16 +164,13 @@ func (l *Launcher) scale(d time.Duration) time.Duration {
 	return d
 }
 
-// wallNow reads the wall clock that runs without an Engine keep.
+// wallNow reads the clock of runs without an Engine.
 func wallNow() time.Time { return time.Now() } //simfs:allow wallclock the launcher's wall clock is the engine's twin by design
 
-// wait returns when the wall-clock run's next event is due, or the run is
-// killed: at once when it already is, else on the run's timer. Deadlines
-// are absolute, so a slow Write takes from the gap to the next event
-// instead of pushing every later event back, and events that fell due
-// meanwhile run back to back; one due by the last reading needs neither
-// the clock nor the lock (fire sees a kill). wait returns only between
-// two events, so a run's events never overlap.
+// wait returns when the wall-clock run's next event is due at its
+// absolute deadline, or the run is killed: at once when it already is,
+// else on the run's timer. An event due by the last reading needs neither
+// the clock nor the lock (fire sees a kill).
 func (r *run) wait() {
 	if r.at(r.next) <= r.elapsed {
 		return
@@ -219,7 +215,7 @@ func (r *run) fire() bool {
 			delete(l.running, r.id)
 			r.stop()
 			outcome = Failed
-			if r.killed { // the kill came first: its work was cancelled, not crashed
+			if r.killed { // cancelled, not crashed
 				outcome = Killed
 			}
 			l.mu.Unlock()
@@ -258,14 +254,13 @@ func (l *Launcher) Kill(simID int64) {
 		return
 	}
 	r.killed = true
-	if l.Engine == nil {
-		if r.timer != nil {
-			r.timer.Reset(0)
-		}
-		return
+	switch {
+	case r.timer != nil:
+		r.timer.Reset(0)
+	case l.Engine != nil:
+		r.stop()
+		l.Engine.Schedule(0, func() { r.fire() })
 	}
-	r.stop()
-	l.Engine.Schedule(0, func() { r.fire() })
 }
 
 // Wait blocks until every wall-clock simulation has delivered its
