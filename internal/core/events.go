@@ -69,7 +69,7 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 							// The upstream demand bills the client whose
 							// downstream sim induced it (DRR accounting);
 							// the launched sim itself stays client-less.
-							if v.launch(ucs, f, l, ucs.ctx.DefaultParallelism, sched.Demand, client) {
+							if queued, _ := v.launch(ucs, f, l, ucs.ctx.DefaultParallelism, sched.Demand, client); queued {
 								queuedDemand = true
 							}
 						}

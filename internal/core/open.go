@@ -134,7 +134,7 @@ func (v *Virtualizer) openLocked(cs *shard, client, filename string, resolved []
 		// The client rides along for the scheduler's per-client quota
 		// accounting; demand simulations themselves stay client-less
 		// (prefetchFor derives from the class, not the field).
-		if v.launch(cs, first, last, cs.ctx.DefaultParallelism, sched.Demand, client) {
+		if queued, _ := v.launch(cs, first, last, cs.ctx.DefaultParallelism, sched.Demand, client); queued {
 			after.queuedDemand = true
 		}
 	}
@@ -225,7 +225,7 @@ func (v *Virtualizer) GuidedPrefetch(client, ctxName string, filenames []string)
 		if !ok {
 			continue
 		}
-		if v.launch(cs, first, last, cs.ctx.DefaultParallelism, sched.Guided, client) {
+		if queued, _ := v.launch(cs, first, last, cs.ctx.DefaultParallelism, sched.Guided, client); queued {
 			queuedDemand = true
 		}
 		if cs.stats.Restarts > before {
@@ -299,14 +299,28 @@ func (v *Virtualizer) runAgent(cs *shard, client string, step int, now, procTime
 	d := ag.OnAccess(step, now, procTime, cover)
 	var orphaned []int
 	freed := false
-	queuedDemand := false
+	queuedDemand, dropped := false, false
 	if d.Reset {
 		orphaned, freed = v.killPrefetchedFor(cs, client)
 	}
+	// The first refusal settles the rest of the decision: a refusal
+	// changes no admission state (capacity another context frees
+	// meanwhile is freed after the decision), so every later range that
+	// would reach the scheduler is refused too, and all are booked in one
+	// call.
+	refused, refusedSteps := 0, 0
 	for _, r := range d.Launches {
-		if v.launch(cs, r.First, r.Last, d.Parallelism, sched.Agent, client) {
-			queuedDemand = true
+		if !dropped {
+			var queued bool
+			queued, dropped = v.launch(cs, r.First, r.Last, d.Parallelism, sched.Agent, client)
+			queuedDemand = queuedDemand || queued
+		} else if first, last, ok := v.launchable(cs, r.First, r.Last, sched.Agent); ok {
+			cs.stats.DroppedPrefetch++
+			refused, refusedSteps = refused+1, refusedSteps+last-first+1
 		}
+	}
+	if refused > 0 {
+		v.sched.Dropped(client, refusedSteps, refused)
 	}
 	// The agent's follow-up launches may have re-promised some orphaned
 	// steps; those are in flight again, not failed.
@@ -339,25 +353,12 @@ func (v *Virtualizer) coveredUntil(cs *shard, from, dir, k int) int {
 // queues it the steps are marked pending. client names the requesting
 // client for prefetch classes, "" for demand misses. It reports whether
 // demand work was queued (the caller's cue to probe for preemption once
-// the shard lock is released). Caller holds the shard lock.
-func (v *Virtualizer) launch(cs *shard, first, last, parallelism int, class sched.Class, client string) (queuedDemand bool) {
-	first, last, ok := alignLaunchRange(cs, first, last)
+// the shard lock is released) and whether the scheduler dropped the
+// request. Caller holds the shard lock.
+func (v *Virtualizer) launch(cs *shard, first, last, parallelism int, class sched.Class, client string) (queuedDemand, dropped bool) {
+	first, last, ok := v.launchable(cs, first, last, class)
 	if !ok {
-		return false
-	}
-	if class != sched.Demand && v.quarantineErr(cs, first, last) != nil {
-		// A prefetch of a quarantined interval would only feed the
-		// breaker; demand work is gated at Open with a structured error.
-		cs.stats.DroppedPrefetch++
-		return false
-	}
-
-	// Skip the launch when every step in the range is already resident or
-	// promised. Partially covered ranges still launch in full: the
-	// re-simulation must boot from the restart step and recompute the
-	// covered steps anyway, so trimming would only distort the timing.
-	if !v.uncovered(cs, first, last) {
-		return false
+		return false, false
 	}
 	if parallelism <= 0 {
 		parallelism = cs.ctx.DefaultParallelism
@@ -374,14 +375,34 @@ func (v *Virtualizer) launch(cs *shard, first, last, parallelism int, class sche
 	case sched.Admitted:
 		// An admitted pipeline job may still queue a node-blocked demand
 		// launch for its upstream inputs: that cue bubbles up.
-		return v.startSim(cs, first, last, parallelism, class, client)
+		return v.startSim(cs, first, last, parallelism, class, client), false
 	case sched.Queued:
 		v.markPromised(cs, first, last, pendingSimID)
-		return class == sched.Demand
-	case sched.Dropped:
-		cs.stats.DroppedPrefetch++
+		return class == sched.Demand, false
 	}
-	return false
+	cs.stats.DroppedPrefetch++
+	return false, true
+}
+
+// launchable realigns [first, last] (alignLaunchRange) and reports
+// whether a launch of it would reach the scheduler. Caller holds the
+// shard lock.
+func (v *Virtualizer) launchable(cs *shard, first, last int, class sched.Class) (int, int, bool) {
+	first, last, ok := alignLaunchRange(cs, first, last)
+	if !ok {
+		return 0, 0, false
+	}
+	if class != sched.Demand && v.quarantineErr(cs, first, last) != nil {
+		// A prefetch of a quarantined interval would only feed the
+		// breaker; demand work is gated at Open with a structured error.
+		cs.stats.DroppedPrefetch++
+		return 0, 0, false
+	}
+	// Skip the launch when every step in the range is already resident or
+	// promised. Partially covered ranges still launch in full: the
+	// re-simulation must boot from the restart step and recompute the
+	// covered steps anyway, so trimming would only distort the timing.
+	return first, last, v.uncovered(cs, first, last)
 }
 
 // alignLaunchRange clamps a requested output range to the timeline and

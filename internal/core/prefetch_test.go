@@ -1,11 +1,15 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"simfs/internal/des"
 	"simfs/internal/model"
 	"simfs/internal/notify"
+	"simfs/internal/sched"
+	"simfs/internal/simulator"
 )
 
 // prefetchCtx returns a context with prefetching enabled.
@@ -172,5 +176,68 @@ func TestAlphaEMATracksObservedLatency(t *testing.T) {
 	// Step 100 is 4th in its interval (97..100): α + 4τ = 6s.
 	if w != 6*time.Second {
 		t.Errorf("EstWait = %v, want 6s from the observed EMA", w)
+	}
+}
+
+// TestAgentDropTailBooksLikeSubmit: once the scheduler refuses one range
+// of an agent's decision, the core books the rest without asking it
+// again, and they must count exactly as their own Submits would have.
+// The agent plans four ranges ahead of a forward scan, [5,8] [9,12]
+// [13,16] [17,20], while the scheduler runs one simulation of the
+// context at a time and already runs the demand one for step 1. So
+// [5,8] is refused; behind it [9,12] is quarantined (dropped by the
+// core, never submitted), [13,16] is promised by another client's queued
+// demand (skipped, counted nowhere) and [17,20] is refused like [5,8].
+// Under Priorities the scheduler queues instead of refusing: every range
+// goes to it, and nothing is short-cut.
+func TestAgentDropTailBooksLikeSubmit(t *testing.T) {
+	for _, tc := range []struct {
+		priorities                  bool
+		droppedPrefetch, schedDrops int64
+		queued                      [][2]int
+	}{
+		{false, 3, 2, [][2]int{{13, 16}}},
+		{true, 1, 0, [][2]int{{13, 16}, {5, 8}, {17, 20}}},
+	} {
+		ctx := prefetchCtx() // SMax 4, no ramp-up: the agent plans 4 ranges at once
+		eng := des.NewEngine()
+		l := &simulator.DESLauncher{Engine: eng}
+		v := NewScheduled(eng, l, sched.Config{Priorities: tc.priorities})
+		l.Events = v
+		if err := v.AddContext(ctx, "DCL", nil); err != nil {
+			t.Fatal(err)
+		}
+		v.sched.Register("pf", 1)
+		cs, _ := v.shardOf("pf")
+		cs.failures[[2]int{9, 12}] = &failureRec{attempts: 1, quarantined: true, until: time.Hour}
+		open := func(client string, step int) {
+			t.Helper()
+			if _, err := v.Open(client, "pf", ctx.Filename(step)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		open("a1", 1) // demand [1,4] admitted: the context is full
+		open("b", 13) // demand [13,16] queued: promised
+		eng.RunUntil(100 * time.Millisecond)
+		open("a1", 2)
+		eng.RunUntil(200 * time.Millisecond)
+		st0, _ := v.Stats("pf")
+		sd0, load0 := v.SchedStats().Dropped, v.sched.ClientLoads()["a1"]
+		open("a1", 3) // the pattern is confirmed: the agent plans its batch
+
+		st, _ := v.Stats("pf")
+		if got := st.DroppedPrefetch - st0.DroppedPrefetch; got != tc.droppedPrefetch {
+			t.Errorf("priorities=%v: DroppedPrefetch +%d, want +%d", tc.priorities, got, tc.droppedPrefetch)
+		}
+		if got := v.SchedStats().Dropped - sd0; got != uint64(tc.schedDrops) {
+			t.Errorf("priorities=%v: sched Dropped +%d, want +%d", tc.priorities, got, tc.schedDrops)
+		}
+		// [5,8] and [17,20] reach the scheduler either way: 8 steps of load.
+		if got := v.sched.ClientLoads()["a1"] - load0; got != 8 {
+			t.Errorf("priorities=%v: a1's load +%d, want +8", tc.priorities, got)
+		}
+		if got := v.sched.QueuedRanges("pf"); !slices.Equal(got, tc.queued) {
+			t.Errorf("priorities=%v: queued %v, want %v", tc.priorities, got, tc.queued)
+		}
 	}
 }

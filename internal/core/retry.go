@@ -219,7 +219,7 @@ func (v *Virtualizer) retryLaunch(ctxName string, first, last, parallelism int, 
 	cleared := clearPromised(cs, first, last, pendingSimID)
 	queued := false
 	if !cs.draining || class == sched.Demand && v.anyoneNeeds(cs, first, last) {
-		queued = v.launch(cs, first, last, parallelism, class, client)
+		queued, _ = v.launch(cs, first, last, parallelism, class, client)
 	}
 	ws := v.take(cs, v.trulyOrphaned(cs, cleared))
 	cs.mu.Unlock()

@@ -12,6 +12,12 @@
 // not allocate: a self-rescheduling event loop (the shape of every DES
 // experiment) runs at ~0 allocs/event. Timer handles are values carrying a
 // generation counter, so a handle to a fired or stopped event is inert.
+//
+// Same-instant events fire in the order of their sequence numbers.
+// Reserve hands out a block of them ahead of use, so a known chain of
+// events (a simulation's start, steps and end) can arm each link only
+// when the one before it fires yet tie-break exactly as if all had been
+// armed at once: the heap holds the live events, not whole schedules.
 package des
 
 import (
@@ -104,10 +110,26 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
 // At enqueues fn to run at absolute virtual time t. Times in the past are
 // clamped to now.
 func (e *Engine) At(t time.Duration, fn func()) Timer {
+	e.seq++
+	return e.AtSeq(t, e.seq, fn)
+}
+
+// Reserve takes n consecutive sequence numbers and returns the first.
+// Events armed later under them with AtSeq tie-break as if they had been
+// scheduled now: after every event scheduled before the call, before
+// every event scheduled after it.
+func (e *Engine) Reserve(n int) uint64 {
+	first := e.seq + 1
+	e.seq += uint64(n)
+	return first
+}
+
+// AtSeq is At under a sequence number taken by Reserve. Each number must
+// be used at most once.
+func (e *Engine) AtSeq(t time.Duration, seq uint64, fn func()) Timer {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
 	var idx int32
 	if n := len(e.free); n > 0 {
 		idx = e.free[n-1]
@@ -117,7 +139,7 @@ func (e *Engine) At(t time.Duration, fn func()) Timer {
 		idx = int32(len(e.slab) - 1)
 	}
 	s := &e.slab[idx]
-	s.at, s.seq, s.fn = t, e.seq, fn
+	s.at, s.seq, s.fn = t, seq, fn
 	e.heap = append(e.heap, idx)
 	e.siftUp(len(e.heap) - 1)
 	return Timer{e: e, slot: idx, gen: s.gen}

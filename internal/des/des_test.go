@@ -2,6 +2,7 @@ package des
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -292,5 +293,51 @@ func TestWallClockAdvances(t *testing.T) {
 	b := c.Now()
 	if b <= a {
 		t.Errorf("wall clock did not advance: %v then %v", a, b)
+	}
+}
+
+// TestReserveKeepsTieOrder: events armed late under reserved sequence
+// numbers tie-break as if scheduled at the Reserve — after the events
+// scheduled before it, before those scheduled after it — even when each
+// is armed only as the one before it fires, at the same instant. Stop on
+// an AtSeq timer works like Stop on an At timer.
+func TestReserveKeepsTieOrder(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	rec := func(s string) func() { return func() { got = append(got, s) } }
+	e.At(10, rec("before0"))
+	e.At(10, rec("before1"))
+	seq := e.Reserve(4)
+	e.At(10, rec("after0"))
+	var stopped Timer
+	e.At(5, func() {
+		e.At(10, rec("after1"))
+		stopped = e.AtSeq(10, seq+3, rec("reserved3"))
+		e.AtSeq(10, seq, func() {
+			got = append(got, "reserved0")
+			e.AtSeq(10, seq+1, func() {
+				got = append(got, "reserved1")
+				e.AtSeq(10, seq+2, rec("reserved2"))
+			})
+		})
+	})
+	e.RunUntil(5)
+	if !stopped.Stop() {
+		t.Error("first Stop of an AtSeq timer should succeed")
+	}
+	if stopped.Stop() {
+		t.Error("second Stop of an AtSeq timer should fail")
+	}
+	if !e.Run(0) {
+		t.Fatal("run did not drain")
+	}
+	want := []string{"before0", "before1", "reserved0", "reserved1", "reserved2", "after0", "after1"}
+	if !slices.Equal(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+	fired := e.AtSeq(20, e.Reserve(1), func() {})
+	e.Run(0)
+	if fired.Stop() {
+		t.Error("Stop of a fired AtSeq timer should report false")
 	}
 }

@@ -352,7 +352,7 @@ func (s *Scheduler) Submit(req Request) Decision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cs := s.ctxOf(req.Ctx)
-	s.noteLoad(req)
+	s.noteLoad(req.Client, req.Last-req.First+1)
 
 	atCtxCap := cs.smax > 0 && cs.inflight+len(cs.jobs) >= cs.smax
 	// Under a node budget, admission is strictly FIFO: a request never
@@ -387,10 +387,21 @@ const loadCap = 4096
 // loadOverflow is the shared bucket for clients beyond loadCap.
 const loadOverflow = "~other"
 
-// noteLoad accrues a submission's output steps against its client for
-// the ClientLoads skew signal. Caller holds s.mu.
-func (s *Scheduler) noteLoad(req Request) {
-	client := req.Client
+// Dropped books n prefetch requests of client, of steps output steps in
+// all, that the caller settled without submitting: an earlier request of
+// the same decision was Dropped, and a refusal changes no admission
+// state, so each would have been too. It accrues their load and counts
+// them dropped, as their n Submits would have.
+func (s *Scheduler) Dropped(client string, steps, n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.noteLoad(client, steps)
+	s.stats.Dropped += uint64(n)
+}
+
+// noteLoad accrues steps submitted output steps against client for the
+// ClientLoads skew signal. Caller holds s.mu.
+func (s *Scheduler) noteLoad(client string, steps int) {
 	if client == "" {
 		return
 	}
@@ -400,7 +411,7 @@ func (s *Scheduler) noteLoad(req Request) {
 	if _, ok := s.loads[client]; !ok && len(s.loads) >= loadCap {
 		client = loadOverflow
 	}
-	s.loads[client] += uint64(req.Last - req.First + 1)
+	s.loads[client] += uint64(steps)
 }
 
 // ClientLoads snapshots the cumulative per-client offered load (output

@@ -100,7 +100,10 @@ type run struct {
 	lead, tau time.Duration
 	next      int // the event fire handles next
 	killed    bool
-	timers    []des.Timer   // virtual time: every event, armed at launch
+	t0        time.Duration // virtual time: the launch; event k is due at t0 + at(k)
+	seq       uint64        // virtual time: event k fires under sequence number seq + k
+	armed     des.Timer     // virtual time: the one event armed, the next to fire
+	tick      func()        // virtual time: every event's callback
 	start     time.Time     // wall clock: the launch; event k is due at start + at(k)
 	elapsed   time.Duration // wall clock: the run's last reading, less start
 	timer     *time.Timer   // wall clock: made the first time the run must wait
@@ -133,14 +136,13 @@ func (l *Launcher) Launch(ctx *model.Context, first, last, parallelism int) int6
 	}
 	r.lead, r.tau = l.scale(delay+ctx.Alpha), l.scale(ctx.TauAt(parallelism))
 	if l.Engine != nil {
-		// Every event is armed now, in order: arming them one by one as
-		// they fire would give them later sequence numbers and reorder
-		// ties against the experiment's own events.
-		fire := func() { r.fire() }
-		r.timers = make([]des.Timer, r.n+2)
-		for k := range r.timers {
-			r.timers[k] = l.Engine.Schedule(r.at(k), fire)
-		}
+		// Only event 0 is armed now; fire arms each next one. The n + 2
+		// sequence numbers are reserved here, so every event ties against
+		// the experiment's own as if all were armed at launch, while the
+		// engine's heap holds one event per running simulation.
+		r.t0, r.seq = l.Engine.Now(), l.Engine.Reserve(r.n+2)
+		r.tick = func() { r.fire() }
+		r.arm(0)
 		return r.id
 	}
 	r.start = wallNow()
@@ -203,6 +205,8 @@ func (r *run) fire() bool {
 	r.next = k + 1
 	if k > r.n {
 		delete(l.running, r.id)
+	} else if l.Engine != nil {
+		r.arm(k + 1) // before Events, so a Kill from inside it stops the event
 	}
 	l.mu.Unlock()
 	switch {
@@ -213,7 +217,7 @@ func (r *run) fire() bool {
 		if l.Write != nil && l.Write(r.ctx, step) != nil {
 			l.mu.Lock()
 			delete(l.running, r.id)
-			r.stop()
+			r.armed.Stop()
 			outcome = Failed
 			if r.killed { // cancelled, not crashed
 				outcome = Killed
@@ -230,17 +234,16 @@ func (r *run) fire() bool {
 	return true
 }
 
-// stop disarms the run's virtual-time events; l.mu is held.
-func (r *run) stop() {
-	for _, t := range r.timers {
-		t.Stop()
-	}
+// arm schedules the virtual-time run's event k under its reserved
+// sequence number; l.mu is held.
+func (r *run) arm(k int) {
+	r.armed = r.l.Engine.AtSeq(r.t0+r.at(k), r.seq+uint64(k), r.tick)
 }
 
 // Kill implements the DV core's Launcher contract. It is idempotent, a
 // no-op for an ended run, and never calls Events: the run's next event is
 // brought forward to now and reports Killed — on the engine by stopping
-// every armed event and scheduling one at the current instant, on the
+// the run's armed event and arming one at the current instant, on the
 // wall clock by waking the run if it waits on its timer (a run that is
 // not waiting sees the kill before its next event). So a preemption kill
 // issued under a shard lock gets its SimEnded later, from the clock. A run
@@ -258,8 +261,8 @@ func (l *Launcher) Kill(simID int64) {
 	case r.timer != nil:
 		r.timer.Reset(0)
 	case l.Engine != nil:
-		r.stop()
-		l.Engine.Schedule(0, func() { r.fire() })
+		r.armed.Stop()
+		r.armed = l.Engine.Schedule(0, r.tick)
 	}
 }
 

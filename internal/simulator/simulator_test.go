@@ -554,8 +554,8 @@ func (nopEvents) StepProduced(int64, int) {}
 func (nopEvents) SimEnded(int64, Outcome) {}
 
 // An 8-step launch on the engine, run to its end, allocates the run
-// record, its one closure and its timer handles: the whole schedule is
-// armed at launch with one closure for all ten events.
+// record and its one closure: each of the ten events is armed as the one
+// before it fires, all with that closure.
 func TestDESLaunchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is measured without the race detector")
@@ -568,8 +568,53 @@ func TestDESLaunchAllocs(t *testing.T) {
 		eng.Run(0)
 	}
 	launch() // warm the running map and the engine's slab
-	if a := testing.AllocsPerRun(100, launch); a > 3 {
-		t.Errorf("an 8-step launch allocates %v times, want ≤ 3", a)
+	if a := testing.AllocsPerRun(100, launch); a > 2 {
+		t.Errorf("an 8-step launch allocates %v times, want ≤ 2", a)
+	}
+}
+
+// killLog is an Events that kills the run from inside its own
+// StepProduced at step killAt and logs everything the run reports.
+type killLog struct {
+	l      *Launcher
+	killAt int
+	log    []string
+}
+
+func (k *killLog) SimStarted(int64) { k.log = append(k.log, "start") }
+func (k *killLog) StepProduced(id int64, step int) {
+	k.log = append(k.log, fmt.Sprint("step ", step))
+	if step == k.killAt {
+		k.l.Kill(id)
+	}
+}
+func (k *killLog) SimEnded(_ int64, o Outcome) { k.log = append(k.log, "end "+o.String()) }
+
+// TestDESKillFromOwnCallback: a Kill issued from inside the run's own
+// StepProduced ends the run once, Killed, at that instant, and nothing
+// fires after it. The run's next event is armed before Events is called,
+// so the Kill finds it and stops it.
+func TestDESKillFromOwnCallback(t *testing.T) {
+	for _, killAt := range []int{1, 3, 8} { // the last step's end is due at its instant
+		eng := des.NewEngine()
+		l := &Launcher{Engine: eng}
+		k := &killLog{l: l, killAt: killAt}
+		l.Events = k
+		l.Launch(testCtx(), 1, 8, 1) // α = 2 s, τ = 1 s
+		if !eng.Run(1000) {
+			t.Fatalf("kill at %d: the engine did not drain", killAt)
+		}
+		want := []string{"start"}
+		for s := 1; s <= killAt; s++ {
+			want = append(want, fmt.Sprint("step ", s))
+		}
+		want = append(want, "end killed")
+		if fmt.Sprint(k.log) != fmt.Sprint(want) {
+			t.Errorf("kill at %d: events %v, want %v", killAt, k.log, want)
+		}
+		if at := 2*time.Second + time.Duration(killAt)*time.Second; eng.Now() != at {
+			t.Errorf("kill at %d: the run ended at %v, want %v", killAt, eng.Now(), at)
+		}
 	}
 }
 
