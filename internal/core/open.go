@@ -304,10 +304,9 @@ func (v *Virtualizer) runAgent(cs *shard, client string, step int, now, procTime
 		orphaned, freed = v.killPrefetchedFor(cs, client)
 	}
 	// The first refusal settles the rest of the decision: a refusal
-	// changes no admission state (capacity another context frees
-	// meanwhile is freed after the decision), so every later range that
-	// would reach the scheduler is refused too, and all are booked in one
-	// call.
+	// changes no admission state, so the later ranges that would reach
+	// the scheduler are refused too (capacity freed meanwhile by another
+	// context counts as freed after the decision) and booked in one call.
 	refused, refusedSteps := 0, 0
 	for _, r := range d.Launches {
 		if !dropped {
@@ -385,8 +384,8 @@ func (v *Virtualizer) launch(cs *shard, first, last, parallelism int, class sche
 }
 
 // launchable realigns [first, last] (alignLaunchRange) and reports
-// whether a launch of it would reach the scheduler. Caller holds the
-// shard lock.
+// whether a launch of it would reach the scheduler; a quarantined
+// prefetch counts as dropped. Caller holds the shard lock.
 func (v *Virtualizer) launchable(cs *shard, first, last int, class sched.Class) (int, int, bool) {
 	first, last, ok := alignLaunchRange(cs, first, last)
 	if !ok {
