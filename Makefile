@@ -25,8 +25,9 @@ test-race:
 
 # sched-golden runs the scheduler's goldens, which -short skips: the
 # seeded queue trace, the seed tables, the autoscale zero-config guard
-# and the scheduler and preemption ablations (~3 s). CI's quick job runs
-# it beside the short suite.
+# and the scheduler and preemption ablations, DRR under client skew
+# (TestAblationPreemptDRRUnderSkew) among them (~3 s). CI's quick job
+# runs it beside the short suite.
 sched-golden:
 	$(GO) test -count=1 -run '^TestQueueTrace$$' ./internal/sched
 	$(GO) test -count=1 -run '^(TestSchedulerPreservesSeedTables|TestAutoscaleZeroConfigGolden|TestAblationScheduler.*|TestAblationPreempt.*)$$' ./internal/experiments

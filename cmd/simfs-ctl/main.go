@@ -347,9 +347,8 @@ loop:
 // printStats prints a context's stats record to out: every counter but
 // the scheduler's Queued and per-class Jobs, which post-date the
 // output's golden (testdata/stats.txt). The fieldsync analyzer holds it
-// to the records it prints whole, as it holds the records' Add: a field
-// added to metrics.Report, CtxStats or LockStats and not printed here
-// fails simfs-vet.
+// to the records it prints whole: a field added to metrics.Report,
+// CtxStats or LockStats and not printed here fails simfs-vet.
 //
 //simfs:sync metrics.Report
 //simfs:sync metrics.CtxStats

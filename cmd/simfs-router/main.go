@@ -8,10 +8,11 @@
 //	simfs-router -addr 127.0.0.1:7800 -peers 127.0.0.1:7878,127.0.0.1:7879
 //
 // Clients dial the router exactly like a daemon (dvlib, simfs-ctl,
-// the io shims — nothing changes); contexts and stats fan out to all
-// members and merge. Every op on a context, ctx-register included,
-// goes to its one owner, so a watch and the open that produces its file
-// meet on the same daemon.
+// the io shims — nothing changes); the context list and the scheduler
+// control plane fan out to all members. Every op on a context,
+// ctx-register and stats included, goes to its one owner, so a watch
+// and the open that produces its file meet on the same daemon, and a
+// context's stats are the counters of the daemon that serves it.
 package main
 
 import (

@@ -2,11 +2,11 @@
 // enumerate their fields in lockstep. A struct annotated
 // //simfs:exhaustive (the stats records of internal/metrics, the
 // binary-codec hot-op bodies) demands that every function annotated
-// //simfs:sync <Type> — each record's Add, the stats printer, the
-// binary codec encode/decode pairs — references every field.
-// Adding a counter without merging or encoding it then fails the
-// build instead of silently dropping data at a fan-out boundary
-// (the router's stats merge once lost fields that way).
+// //simfs:sync <Type> — LockStats.Add, the stats printer, the binary
+// codec encode/decode pairs — references every field. Adding a counter
+// without printing, summing or encoding it then fails the build
+// instead of silently dropping data at a boundary (a cross-daemon
+// stats merge once lost fields that way).
 package fieldsync
 
 import (

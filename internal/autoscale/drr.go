@@ -8,9 +8,10 @@ import (
 )
 
 // DRRTuner arms the scheduler's deficit-round-robin quantum when the
-// measured per-client demand load is skewed — one client submitting a
-// dominant share of the window's demand steps — and disarms it when the
-// load evens out. It requires priority queueing (DRR is scoped inside a
+// measured per-client load is skewed — one client submitting a dominant
+// share of the window's output steps (every class's submissions, and
+// the prefetches refused at capacity, as Sample.Loads counts them) —
+// and disarms it when the load evens out. It requires priority queueing (DRR is scoped inside a
 // priority class) and only disarms a quantum it armed itself.
 type DRRTuner struct {
 	// Quantum is the step credit to arm (default 4).
@@ -20,8 +21,8 @@ type DRRTuner struct {
 	// perfectly even split (default 3 — one client at 3× its fair
 	// share).
 	HighSkew float64
-	// MinSteps is the minimum demand steps in the window to judge
-	// (default 32).
+	// MinSteps is the minimum submitted output steps, summed over
+	// clients and classes, in the window to judge (default 32).
 	MinSteps uint64
 	// CalmTicks is the even-load streak before disarming (default 3).
 	CalmTicks int

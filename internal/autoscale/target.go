@@ -16,8 +16,10 @@ type Sample struct {
 	// Ctxs maps context name → its stats record. Counters are
 	// cumulative; policies difference consecutive samples for rates.
 	Ctxs map[string]metrics.Report
-	// Loads maps client name → cumulative demand-class steps submitted,
-	// the DRR tuner's skew signal.
+	// Loads maps client name → cumulative output steps submitted to the
+	// scheduler by every class — demand, guided and agent — plus those
+	// of prefetches refused at capacity (sched.Scheduler.Dropped): the
+	// DRR tuner's skew signal.
 	Loads map[string]uint64
 }
 

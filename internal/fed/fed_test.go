@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -93,8 +94,8 @@ func pickName(t *testing.T, ring *fed.Ring, owner string, used map[string]bool) 
 
 // TestFederationRouterProxy covers the data plane through the router:
 // contexts sharded across two daemons, open → wait → release on both
-// shards through one client connection, fan-out contexts and merged
-// stats.
+// shards through one client connection, fan-out contexts and
+// owner-routed stats.
 func TestFederationRouterProxy(t *testing.T) {
 	stA, addrA := newFedStack(t, "seed-a", nil)
 	stB, addrB := newFedStack(t, "seed-b", nil)
@@ -164,10 +165,10 @@ func TestFederationRouterProxy(t *testing.T) {
 			t.Fatalf("stats %s: %v", name, err)
 		}
 		if st.Opens < 2 {
-			t.Errorf("merged stats for %s: opens = %d, want >= 2", name, st.Opens)
+			t.Errorf("stats for %s: opens = %d, want >= 2", name, st.Opens)
 		}
 		if len(st.Ops) == 0 {
-			t.Errorf("merged stats for %s carry no per-op latencies", name)
+			t.Errorf("stats for %s carry no per-op latencies", name)
 		}
 	}
 
@@ -184,6 +185,85 @@ func TestFederationRouterProxy(t *testing.T) {
 		if p.Role != "member" || !p.Connected {
 			t.Errorf("router peer %+v, want connected member", p)
 		}
+	}
+}
+
+// TestFederationStatsFromOwner pins that a context's stats come from
+// its one owner. The context is registered on both daemons, and the
+// non-owner's copy serves an open of its own (a client dialing B
+// directly); the router's stats answer must still be exactly the
+// owner's record, with nothing of B's counters or scheduler ledger
+// summed in. LockStats and Ops are left out: the stats call itself
+// moves them.
+func TestFederationStatsFromOwner(t *testing.T) {
+	stA, addrA := newFedStack(t, "seed-a", nil)
+	stB, addrB := newFedStack(t, "seed-b", nil)
+	r, raddr := startRouter(t, addrA, addrB)
+
+	name := pickName(t, r.Ring(), addrA, map[string]bool{})
+	for _, st := range []*server.Stack{stA, stB} {
+		if err := st.RegisterContext(fedCtx(name), "DCL", true); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// openOnce runs one open → wait → release of step on addr.
+	openOnce := func(addr, client string, step int) *dvlib.Context {
+		t.Helper()
+		c, err := dvlib.Dial(addr, client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		ctx, err := c.Init(name)
+		if err != nil {
+			t.Fatalf("init %s on %s: %v", name, addr, err)
+		}
+		file := ctx.Filename(step)
+		res, err := ctx.Open(file)
+		if err != nil {
+			t.Fatalf("open %s on %s: %v", file, addr, err)
+		}
+		if !res.Available {
+			if err := ctx.WaitAvailable(file); err != nil {
+				t.Fatalf("wait %s on %s: %v", file, addr, err)
+			}
+		}
+		if err := ctx.Release(file); err != nil {
+			t.Fatalf("release %s on %s: %v", file, addr, err)
+		}
+		return ctx
+	}
+	openOnce(addrB, "direct-b", 3)
+	routed := openOnce(raddr, "fed-client", 5)
+	// Quiesce both daemons: every re-simulation (and prefetch) the opens
+	// started has ended, so no counter moves between the two reads.
+	stA.Launcher.Wait()
+	stB.Launcher.Wait()
+
+	if b, err := stB.V.Report(name); err != nil || b.Opens == 0 {
+		t.Fatalf("B's copy of %s: opens %d, %v; want the direct open counted", name, b.Opens, err)
+	}
+	got, err := routed.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stA.V.Report(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CtxStats != want.CtxStats {
+		t.Errorf("routed CtxStats = %+v, want the owner's %+v", got.CtxStats, want.CtxStats)
+	}
+	if got.SchedStats != want.SchedStats {
+		t.Errorf("routed SchedStats = %+v, want the owner's %+v", got.SchedStats, want.SchedStats)
+	}
+	if !reflect.DeepEqual(got.ClientLoads, want.ClientLoads) {
+		t.Errorf("routed ClientLoads = %v, want the owner's %v", got.ClientLoads, want.ClientLoads)
+	}
+	if got.CachePolicy != want.CachePolicy || got.Draining != want.Draining {
+		t.Errorf("routed cache policy %q draining %v, want the owner's %q %v",
+			got.CachePolicy, got.Draining, want.CachePolicy, want.Draining)
 	}
 }
 

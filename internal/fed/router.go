@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
-	"simfs/internal/metrics"
 	"simfs/internal/netproto"
 )
 
@@ -32,8 +32,9 @@ import (
 // Peer connections are per client session, carrying the client's own
 // name in their hello: the owning daemon sees one session per client
 // and its reference/subscription cleanup on disconnect keeps working
-// unchanged. Control-plane reads that have no single owner (contexts,
-// stats) fan out to every member and merge.
+// unchanged. Control-plane ops with no single owner (contexts,
+// sched-get/-set, an all-contexts quarantine-reset) fan out to every
+// member; stats, like every other per-context op, is the owner's.
 //
 // When a peer daemon dies, in-flight requests routed to it are
 // answered with structured draining frames and later ops fail busy
@@ -48,8 +49,8 @@ type Router struct {
 	logf func(string, ...any)
 }
 
-// callTimeout bounds control-plane fan-out calls (contexts, stats,
-// sched-*).
+// callTimeout bounds control-plane fan-out calls (contexts, sched-*,
+// quarantine-reset).
 const callTimeout = 10 * time.Second
 
 type listener = netproto.Listener
@@ -309,11 +310,6 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
 		// Unknown subscriptions ack like the daemon does (idempotent).
 		sess.reply(netproto.Response{ID: id, OK: true})
 
-	case netproto.OpStats:
-		if b, ok := decodeBody[netproto.CtxBody](sess, env); ok {
-			r.fanStats(sess, id, b.Context)
-		}
-
 	case netproto.OpQuarantineReset:
 		b, ok := decodeBody[netproto.CtxBody](sess, env)
 		if !ok {
@@ -446,19 +442,12 @@ func fanFail(sess *rsession, id uint64, results []fanResult) {
 			msgs = append(msgs, res.err.Error())
 		}
 	}
+	reason := strings.Join(msgs, "; ")
+	if reason == "" {
+		reason = "no members"
+	}
 	sess.reply(netproto.Response{ID: id, Code: netproto.CodeBusy,
-		Err: "no federation peer reachable: " + joinMsgs(msgs)})
-}
-
-func joinMsgs(msgs []string) string {
-	if len(msgs) == 0 {
-		return "no members"
-	}
-	out := msgs[0]
-	for _, m := range msgs[1:] {
-		out += "; " + m
-	}
-	return out
+		Err: "no federation peer reachable: " + reason})
 }
 
 // fanContexts merges every member's context list (sorted union).
@@ -549,27 +538,4 @@ func (r *Router) fanQuarantineReset(sess *rsession, id uint64) {
 		return
 	}
 	sess.reply(netproto.Response{ID: id, OK: true, Count: total})
-}
-
-// fanStats merges per-context stats across the members that know the
-// context with metrics.Report.Add. Only members answering
-// no_such_context are ignored — the context's shards plus the
-// daemon-global scheduler counters of every hosting member add up.
-func (r *Router) fanStats(sess *rsession, id uint64, ctxName string) {
-	results := r.fanout(sess, netproto.OpStats, netproto.CtxBody{Context: ctxName})
-	var merged *metrics.Report
-	for _, res := range results {
-		if res.err != nil || !res.resp.OK || res.resp.Stats == nil {
-			continue
-		}
-		if merged == nil {
-			merged = &metrics.Report{}
-		}
-		merged.Add(*res.resp.Stats)
-	}
-	if merged == nil {
-		fanFail(sess, id, results)
-		return
-	}
-	sess.reply(netproto.Response{ID: id, OK: true, Stats: merged})
 }

@@ -6,8 +6,6 @@ import "time"
 // class: how many jobs were admitted from the queue and how long they
 // waited between enqueue and admission, in the scheduler's time source
 // (virtual time under the DES, wall time under the daemon).
-//
-//simfs:exhaustive
 type SchedClassWait struct {
 	// Jobs counts jobs of this class admitted from the queue (jobs
 	// admitted immediately never enter the queue and are not counted).
@@ -16,21 +14,11 @@ type SchedClassWait struct {
 	Wait time.Duration `json:"wait_ns"`
 }
 
-// Add accumulates o into w.
-//
-//simfs:sync SchedClassWait
-func (w *SchedClassWait) Add(o SchedClassWait) {
-	w.Jobs += o.Jobs
-	w.Wait += o.Wait
-}
-
 // SchedStats summarizes the re-simulation scheduler (internal/sched): the
 // fate of submitted launch requests and the queue behavior. The scheduler
 // is shared by all contexts of a daemon, so every context's Report
 // carries the same ledger; its fields are declared in the stats frame's
 // key order.
-//
-//simfs:exhaustive
 type SchedStats struct {
 	// QueueDepth is the current number of queued jobs.
 	QueueDepth int `json:"sched_queue_depth,omitempty"`
@@ -66,23 +54,4 @@ type SchedStats struct {
 	// submission order inside a priority class.
 	QuotaRounds   uint64 `json:"sched_quota_rounds,omitempty"`
 	QuotaDeferred uint64 `json:"sched_quota_deferred,omitempty"`
-}
-
-// Add accumulates o into s. Queue depths sum too: a federation's depth
-// is its members' queued jobs together.
-//
-//simfs:sync SchedStats
-func (s *SchedStats) Add(o SchedStats) {
-	s.QueueDepth += o.QueueDepth
-	s.Queued += o.Queued
-	s.Coalesced += o.Coalesced
-	s.Dropped += o.Dropped
-	s.Canceled += o.Canceled
-	s.DemandWait.Add(o.DemandWait)
-	s.GuidedWait.Add(o.GuidedWait)
-	s.AgentWait.Add(o.AgentWait)
-	s.Preempted += o.Preempted
-	s.Promoted += o.Promoted
-	s.QuotaRounds += o.QuotaRounds
-	s.QuotaDeferred += o.QuotaDeferred
 }
