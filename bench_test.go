@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"simfs/internal/batch"
 	"simfs/internal/cache"
 	"simfs/internal/core"
 	"simfs/internal/costmodel"
@@ -761,20 +760,4 @@ func wireClient(b *testing.B) *dvlib.Context {
 		b.Fatal(err)
 	}
 	return actx
-}
-
-// BenchmarkBatchSamplers measures queueing-delay generation.
-func BenchmarkBatchSamplers(b *testing.B) {
-	samplers := map[string]batch.Sampler{
-		"constant":    batch.Constant(time.Second),
-		"uniform":     &batch.Uniform{Max: time.Second, Rng: rand.New(rand.NewSource(1))},
-		"exponential": batch.NewExponential(time.Second, 1),
-	}
-	for name, s := range samplers {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = s.Next()
-			}
-		})
-	}
 }

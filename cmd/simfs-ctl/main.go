@@ -308,8 +308,14 @@ func runAutoscale(c *simfs.Client, args []string) {
 		log.Fatal("simfs-ctl: autoscale with no policies armed would only watch; give at least one of -budget, -preempt, -cache-policies, -drr")
 	}
 
+	// One sample before the first tick refuses a router (AdminTarget)
+	// and an unreachable daemon at once, rather than once per tick.
+	target := autoscale.NewAdminTarget(c)
+	if _, err := target.Sample(); err != nil {
+		log.Fatalf("simfs-ctl: autoscale %s: %v", *addr, err)
+	}
 	decisions := 0
-	ctrl, err := autoscale.New(autoscale.NewAdminTarget(c), pols, autoscale.Options{
+	ctrl, err := autoscale.New(target, pols, autoscale.Options{
 		Clock: des.NewWallClock(),
 		OnDecision: func(d autoscale.Decision) {
 			decisions++

@@ -87,6 +87,9 @@ func main() {
 	if *quantum < 0 {
 		log.Fatalf("simfs-dv: -sched-quantum must be ≥ 0, got %d", *quantum)
 	}
+	if !(*retryJitter >= 0 && *retryJitter <= 1) {
+		log.Fatalf("simfs-dv: -retry-jitter must be in [0, 1], got %v", *retryJitter)
+	}
 	schedCfg := simfs.SchedConfig{
 		Coalesce: *coalesce, Priorities: *priorities, TotalNodes: *nodes,
 		Preempt: preemptPolicy, DRRQuantum: *quantum,

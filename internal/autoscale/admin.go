@@ -2,6 +2,8 @@ package autoscale
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"time"
 
 	"simfs/internal/dvlib"
@@ -13,10 +15,17 @@ import (
 // simfs-ctl autoscale mode. Sampling walks the context list and reads
 // each context's stats frame. The target caches context handles across
 // ticks and drops them when contexts disappear.
+//
+// It refuses a federation router: through one, each context's stats come
+// from its ring owner, so a sample would hold the scheduler ledger of
+// whichever daemon owns the last context, while sched-set reaches every
+// member. The first Sample asks the endpoint for its peers and fails if
+// it has any.
 type AdminTarget struct {
 	C *dvlib.Client
 
-	ctxs map[string]*dvlib.Context
+	ctxs   map[string]*dvlib.Context
+	daemon bool // the endpoint answered peers with none: not a router
 }
 
 // adminCallTimeout bounds each control-plane call.
@@ -34,6 +43,21 @@ func (at *AdminTarget) callCtx() (context.Context, context.CancelFunc) {
 func (at *AdminTarget) Sample() (Sample, error) {
 	cctx, cancel := at.callCtx()
 	defer cancel()
+	if !at.daemon {
+		peers, err := at.C.Admin().Peers(cctx)
+		if err != nil {
+			return Sample{}, err
+		}
+		if len(peers) > 0 {
+			addrs := make([]string, len(peers))
+			for i, p := range peers {
+				addrs[i] = p.Addr
+			}
+			return Sample{}, fmt.Errorf("autoscale: the endpoint is a federation router over %s: its stats come from each context's owner while sched-set reaches every member; steer each member daemon directly",
+				strings.Join(addrs, ", "))
+		}
+		at.daemon = true
+	}
 	cfg, err := at.C.Admin().SchedConfig(cctx)
 	if err != nil {
 		return Sample{}, err

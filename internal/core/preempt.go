@@ -5,21 +5,16 @@
 // may also evict it). Victim eligibility follows the paper's no-waiters
 // rule — a simulation whose output someone waits for or references is
 // never killed — and the victim's interval is requeued, so the
-// speculative work is deferred, not discarded. The victim order
-// (youngest first) lives in internal/sched.
+// speculative work is deferred, not discarded. The victim order is
+// youngest first (sched.PreemptYoungest).
 package core
 
 import (
+	"time"
+
 	"simfs/internal/notify"
 	"simfs/internal/sched"
 )
-
-// victimRef pins a preemption candidate to its shard across the
-// lock-free gap between selection and kill.
-type victimRef struct {
-	cs  *shard
-	vic sched.Victim
-}
 
 // maybePreempt kills running agent prefetches while a node-blocked
 // demand job wants their nodes. At most one victim is killed per
@@ -30,48 +25,50 @@ type victimRef struct {
 // was taken by a concurrent probe on the realtime server) loops back
 // through WantsPreemption rather than falling through to the next
 // candidate: the re-check sees any concurrent kill's reclaiming nodes
-// before another sim dies, and the re-enumeration no longer lists the
-// stale victim, so the retry makes progress. Must be called with no
-// shard lock held; the fast path is two atomic loads when preemption is
-// off or no demand work is queued.
+// before another sim dies, and the next scan no longer finds the stale
+// victim, so the retry makes progress. Must be called with no shard lock
+// held; the fast path is two atomic loads when preemption is off or no
+// demand work is queued.
 func (v *Virtualizer) maybePreempt() {
 	for v.sched.WantsPreemption() {
-		refs := v.preemptCandidates()
-		vics := make([]sched.Victim, len(refs))
-		for i, r := range refs {
-			vics[i] = r.vic
-		}
-		i := v.sched.Config().Preempt.Choose(vics)
-		if i < 0 {
+		cs, simID := v.youngestVictim()
+		if cs == nil {
 			return // nothing eligible: wait for natural completions
 		}
-		v.killVictim(refs[i].cs, refs[i].vic.SimID)
+		v.killVictim(cs, simID)
 	}
 }
 
-// preemptCandidates lists the killable running prefetches across all
-// shards: launched, no kill (preemption or cancellation) already in
-// flight, class-eligible (sched.VictimEligible: speculative agent work
-// only), and — the no-waiters rule — nobody waiting for or referencing
-// their range. The candidate order is map-random;
-// sched.PreemptPolicy.Choose is a total order (ties break on simulation
-// id), so the selection is deterministic anyway.
-func (v *Virtualizer) preemptCandidates() []victimRef {
-	var refs []victimRef
-	for _, cs := range v.contexts() { //simfs:allow maporder Choose is a total order over candidates, so collection order is washed out
+// youngestVictim finds the preemption victim across all shards, or a nil
+// shard when there is none. A candidate is launched, has no kill
+// (preemption or cancellation) already in flight, is speculative agent
+// work (a guided prefetch is an explicit client hint, demand work has a
+// client blocked on it), and — the no-waiters rule — nobody waits for or
+// references its range. Of the candidates it keeps the youngest (sched's
+// only victim order), the latest launch, with ties going to the higher
+// simulation id: a total order, so the map-random scan order is washed
+// out.
+func (v *Virtualizer) youngestVictim() (*shard, int64) {
+	var best *shard
+	var bestID int64
+	var bestAt time.Duration
+	for _, cs := range v.contexts() { //simfs:allow maporder the victim order is total (launch instant, then sim id), so scan order is washed out
 		cs.mu.Lock()
-		for id, sim := range cs.sims { //simfs:allow maporder Choose is a total order over candidates, so collection order is washed out
-			if !sim.launched || sim.preempted || sim.killing || !sched.VictimEligible(sim.class) {
+		for id, sim := range cs.sims { //simfs:allow maporder the victim order is total (launch instant, then sim id), so scan order is washed out
+			if !sim.launched || sim.preempted || sim.killing || sim.class != sched.Agent {
+				continue
+			}
+			if best != nil && (sim.launchedAt < bestAt || sim.launchedAt == bestAt && id < bestID) {
 				continue
 			}
 			if v.anyoneNeeds(cs, sim.first, sim.last) {
 				continue
 			}
-			refs = append(refs, victimRef{cs: cs, vic: sched.Victim{SimID: id, LaunchedAt: sim.launchedAt}})
+			best, bestID, bestAt = cs, id, sim.launchedAt
 		}
 		cs.mu.Unlock()
 	}
-	return refs
+	return best, bestID
 }
 
 // killVictim re-validates a candidate under its shard lock — it may have

@@ -67,6 +67,107 @@ func TestPreemptionKillsAgentPrefetchForDemand(t *testing.T) {
 	}
 }
 
+// preemptedRanges lists the first steps of ctxName's simulations the
+// preemption path has killed.
+func preemptedRanges(h *harness, ctxName string) []int {
+	cs, _ := h.v.shardOf(ctxName)
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	var firsts []int
+	for _, sim := range cs.sims {
+		if sim.preempted {
+			firsts = append(firsts, sim.first)
+		}
+	}
+	return firsts
+}
+
+// TestPreemptKillsYoungestAgentPrefetch pins the victim order: of two
+// idle agent prefetches holding the whole node budget, a node-blocked
+// demand miss kills the one launched last, and on equal launch instants
+// the one with the higher simulation id.
+func TestPreemptKillsYoungestAgentPrefetch(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		secondAt   time.Duration // when the [17,20] prefetch launches; [9,12] launches at 0
+		firstLater bool          // restamp [9,12] as launched after [17,20], keeping its lower id
+		want       int
+	}{
+		{name: "later launch", secondAt: time.Second, want: 17},
+		{name: "later launch with the lower id", firstLater: true, want: 9},
+		{name: "equal instants, higher id", want: 17},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := testContext("c")
+			h := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 2, Preempt: sched.PreemptYoungest}, ctx)
+			injectAgentPrefetch(t, h, "c", "spec", 9, 12)
+			h.eng.RunUntil(tc.secondAt)
+			injectAgentPrefetch(t, h, "c", "spec", 17, 20)
+			if tc.firstLater {
+				// A pipeline simulation is stamped when admitted but gets
+				// its launcher id only once its upstream inputs land, so
+				// launch order and id order can disagree.
+				cs, _ := h.v.shardOf("c")
+				cs.mu.Lock()
+				for _, sim := range cs.sims {
+					if sim.first == 9 {
+						sim.launchedAt = time.Second
+					}
+				}
+				cs.mu.Unlock()
+			}
+			if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
+				t.Fatal(err)
+			}
+			if got := preemptedRanges(h, "c"); len(got) != 1 || got[0] != tc.want {
+				t.Fatalf("preempted the prefetches starting at %v, want only the one at %d", got, tc.want)
+			}
+			h.eng.Run(0)
+			if err := h.v.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestPreemptVictimClassAndSwitch: only agent speculation is a victim —
+// a running guided prefetch and a running demand simulation nobody
+// waits on survive a node-blocked demand miss — and with Preempt off not
+// even an idle agent prefetch is killed.
+func TestPreemptVictimClassAndSwitch(t *testing.T) {
+	ctx := testContext("c")
+	h := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 2, Preempt: sched.PreemptYoungest}, ctx)
+	cs, _ := h.v.shardOf("c")
+	cs.mu.Lock()
+	h.v.launch(cs, 9, 12, 1, sched.Guided, "g1")
+	h.v.launch(cs, 17, 20, 1, sched.Demand, "d1")
+	cs.mu.Unlock()
+	if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := preemptedRanges(h, "c"); len(got) != 0 {
+		t.Errorf("preempted %v, want no guided or demand victim", got)
+	}
+
+	off := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 1}, testContext("c"))
+	injectAgentPrefetch(t, off, "c", "spec", 9, 12)
+	if _, err := off.v.Open("a1", "c", ctx.Filename(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := preemptedRanges(off, "c"); len(got) != 0 {
+		t.Errorf("preempted %v with Preempt off, want nothing", got)
+	}
+	for _, hh := range []*harness{h, off} {
+		if st := hh.v.SchedStats(); st.Preempted != 0 {
+			t.Errorf("Preempted = %d, want 0", st.Preempted)
+		}
+		hh.eng.Run(0)
+		if err := hh.v.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestPreemptSparesCoalescedPrefetchWithWaiters: a running prefetch
 // born from a coalesced multi-client job whose range someone now waits
 // on must not be killed (the paper's no-waiters rule), even while a
@@ -195,13 +296,13 @@ func TestPreemptVictimFinishedBetweenSelectionAndKill(t *testing.T) {
 	ctx := testContext("c")
 	h := schedHarness(t, sched.Config{Priorities: true, TotalNodes: 1, Preempt: sched.PreemptYoungest}, ctx)
 	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
-	refs := h.v.preemptCandidates()
-	if len(refs) != 1 {
-		t.Fatalf("candidates = %d, want the running prefetch", len(refs))
+	vcs, simID := h.v.youngestVictim()
+	if vcs == nil {
+		t.Fatal("no victim found, want the running prefetch")
 	}
 	// The victim completes while the selection is in hand.
 	h.eng.Run(0)
-	if h.v.killVictim(refs[0].cs, refs[0].vic.SimID) {
+	if h.v.killVictim(vcs, simID) {
 		t.Fatal("killVictim succeeded against a finished simulation")
 	}
 	if st := h.v.SchedStats(); st.Preempted != 0 {

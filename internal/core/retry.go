@@ -51,6 +51,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Cooldown <= 0 {
 		p.Cooldown = 10 * time.Second
 	}
+	// Above 1 a jitter draw can go negative, sending the retry at the
+	// 1 ms floor whatever BaseBackoff says.
+	p.Jitter = min(max(p.Jitter, 0), 1)
 	return p
 }
 

@@ -283,3 +283,13 @@ func TestRetryDroppedAtCapacityFailsJoinedWatchers(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A jitter above 1 would let a draw scale the backoff below zero, firing
+// the retry at the 1 ms floor: withDefaults clamps it to [0, 1].
+func TestRetryPolicyClampsJitter(t *testing.T) {
+	for in, want := range map[float64]float64{2: 1, 1: 1, 0.3: 0.3, 0: 0, -0.5: 0} {
+		if got := (RetryPolicy{MaxAttempts: 1, Jitter: in}).withDefaults().Jitter; got != want {
+			t.Errorf("Jitter %v → %v, want %v", in, got, want)
+		}
+	}
+}

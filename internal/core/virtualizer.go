@@ -6,9 +6,10 @@
 // agents, and virtualizes simulation pipelines.
 //
 // The Virtualizer is time-source agnostic: it reads time through an
-// injected Clock and starts/kills simulations through an injected
-// Launcher, so the same state machine runs under the TCP daemon in wall
-// time and under the discrete-event engine in virtual time.
+// injected Clock and starts/kills simulations through a
+// simulator.Launcher on the same clock, so the same state machine runs
+// under the TCP daemon in wall time and under the discrete-event engine
+// in virtual time.
 //
 // # Concurrency
 //
@@ -41,21 +42,9 @@ import (
 	"simfs/internal/notify"
 	"simfs/internal/prefetch"
 	"simfs/internal/sched"
+	"simfs/internal/simulator"
 	"simfs/internal/vfs"
 )
-
-// Launcher starts and kills re-simulations. *simulator.Launcher satisfies
-// it on either clock. Core calls Launch under the shard lock and simMu and
-// Kill under the shard lock, so neither may call back into Events: every
-// event arrives later, from the launcher's clock.
-type Launcher interface {
-	// Launch starts a re-simulation of ctx producing output steps
-	// [first, last] with the given parallelism; it returns a simulation
-	// id. Progress arrives through the Virtualizer's Events methods.
-	Launch(ctx *model.Context, first, last, parallelism int) int64
-	// Kill aborts a running or queued simulation.
-	Kill(simID int64)
-}
 
 // OpenResult is returned by Open: whether the file is immediately
 // available and, if not, the estimated wait.
@@ -170,7 +159,7 @@ type shard struct {
 // under no other.
 type Virtualizer struct {
 	clock    des.Clock
-	launcher Launcher
+	launcher *simulator.Launcher
 	hub      *notify.Hub
 	sched    *sched.Scheduler
 
@@ -204,14 +193,14 @@ type Virtualizer struct {
 // simulations through launcher, scheduling re-simulations with the
 // default (paper-exact) policy: FIFO demand queueing at smax, prefetch
 // dropped at capacity, no coalescing, unlimited nodes.
-func New(clock des.Clock, launcher Launcher) *Virtualizer {
+func New(clock des.Clock, launcher *simulator.Launcher) *Virtualizer {
 	return NewScheduled(clock, launcher, sched.Config{})
 }
 
 // NewScheduled returns a Virtualizer whose re-simulation launches are
 // coordinated by a scheduler with the given policy (coalescing, priority
 // classes, node-capacity admission — see internal/sched).
-func NewScheduled(clock des.Clock, launcher Launcher, cfg sched.Config) *Virtualizer {
+func NewScheduled(clock des.Clock, launcher *simulator.Launcher, cfg sched.Config) *Virtualizer {
 	v := &Virtualizer{
 		clock:    clock,
 		launcher: launcher,

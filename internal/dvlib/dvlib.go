@@ -137,12 +137,12 @@ type dialConfig struct {
 type DialOption func(*dialConfig)
 
 // ReconnectConfig tunes WithReconnect's backoff loop. The zero value
-// gets sensible defaults (50ms base doubling to 2s, ±20% jitter, give
-// up after 30s).
+// gets sensible defaults (50ms base doubling to 2s, no jitter, give up
+// after 30s).
 type ReconnectConfig struct {
 	BaseBackoff time.Duration // delay before the second attempt (first is immediate)
 	MaxBackoff  time.Duration // cap on the doubled delay
-	Jitter      float64       // ±fraction applied to each delay
+	Jitter      float64       // ±fraction applied to each delay, in [0, 1]
 	MaxElapsed  time.Duration // total budget before the client gives up for good
 	Seed        int64         // roots the jitter rng (pinned in chaos tests)
 }
@@ -157,6 +157,8 @@ func (cfg ReconnectConfig) withDefaults() ReconnectConfig {
 	if cfg.MaxElapsed <= 0 {
 		cfg.MaxElapsed = 30 * time.Second
 	}
+	// Above 1 a jitter draw can go negative: a redial with no backoff.
+	cfg.Jitter = min(max(cfg.Jitter, 0), 1)
 	return cfg
 }
 

@@ -575,3 +575,13 @@ func TestReconnectWatchCancelRace(t *testing.T) {
 		}
 	}
 }
+
+// A jitter above 1 would let a redial draw a negative sleep, that is no
+// backoff at all: withDefaults clamps it to [0, 1].
+func TestReconnectConfigClampsJitter(t *testing.T) {
+	for in, want := range map[float64]float64{1.5: 1, 1: 1, 0.2: 0.2, 0: 0, -1: 0} {
+		if got := (ReconnectConfig{Jitter: in}).withDefaults().Jitter; got != want {
+			t.Errorf("Jitter %v → %v, want %v", in, got, want)
+		}
+	}
+}

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
-	"simfs/internal/batch"
 	"simfs/internal/metrics"
 	"simfs/internal/model"
 	"simfs/internal/sched"
@@ -111,7 +111,8 @@ func AblationEMA() (*metrics.Table, error) {
 		f, seed := factors[i/seeds], int64(i%seeds+1)
 		ctx := scalingCtx(simulator.CosmoScaling, 8)
 		ctx.AlphaSmoothing = f
-		queue := batch.NewExponential(60*time.Second, seed)
+		rng := rand.New(rand.NewSource(seed))
+		queue := func() time.Duration { return time.Duration(rng.ExpFloat64() * float64(60*time.Second)) }
 		elapsed, err := runAnalysis(ctx, Forward(1, m), 3*time.Second, queue)
 		if err != nil {
 			return 0, fmt.Errorf("ablation EMA f=%.1f seed %d: %w", f, seed, err)

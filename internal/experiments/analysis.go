@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"simfs/internal/autoscale"
-	"simfs/internal/batch"
 	"simfs/internal/core"
 	"simfs/internal/des"
 	"simfs/internal/model"
@@ -43,7 +42,7 @@ type run struct {
 // replacement policy, so AddContext's in-place defaulting never touches
 // the caller's (possibly shared) context. queue optionally adds a batch
 // queueing delay to every re-simulation.
-func newRun(ctx *model.Context, policy string, cfg sched.Config, queue batch.Sampler) (*run, error) {
+func newRun(ctx *model.Context, policy string, cfg sched.Config, queue func() time.Duration) (*run, error) {
 	eng := des.NewEngine()
 	l := &simulator.DESLauncher{Engine: eng, Queue: queue}
 	v := core.NewScheduled(eng, l, cfg)

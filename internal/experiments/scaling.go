@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"simfs/internal/batch"
 	"simfs/internal/metrics"
 	"simfs/internal/model"
 	"simfs/internal/prefetch"
@@ -16,7 +15,7 @@ import (
 // SimFS instance and returns its completion time. queue optionally adds a
 // batch queueing delay to every re-simulation (the αsim sweep of
 // Figs. 17/19).
-func runAnalysis(ctx *model.Context, steps []int, tauCli time.Duration, queue batch.Sampler) (time.Duration, error) {
+func runAnalysis(ctx *model.Context, steps []int, tauCli time.Duration, queue func() time.Duration) (time.Duration, error) {
 	r, err := newRun(ctx, "DCL", sched.Config{}, queue)
 	if err != nil {
 		return 0, err

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // PreemptPolicy turns preemption on: with the node budget exhausted, a
 // demand miss may kill (not merely outrank) a running speculative agent
@@ -13,10 +10,10 @@ import (
 // the speculative work is deferred, not lost.
 //
 // The zero value (PreemptOff) never preempts, preserving the paper-exact
-// semantics of the zero Config. Youngest-first is the only victim order:
-// DESIGN.md's scheduler section has the ablation evidence against the
-// alternatives (cheapest-remaining-first, a sunk-cost guard, guided-class
-// victims).
+// semantics of the zero Config. Youngest-first is the only victim order,
+// and the core's candidate scan applies it: DESIGN.md's scheduler section
+// has the ablation evidence against the alternatives
+// (cheapest-remaining-first, a sunk-cost guard, guided-class victims).
 type PreemptPolicy uint8
 
 const (
@@ -58,40 +55,6 @@ func (p PreemptPolicy) MarshalText() ([]byte, error) { return []byte(p.String())
 func (p *PreemptPolicy) UnmarshalText(text []byte) (err error) {
 	*p, err = ParsePreemptPolicy(string(text))
 	return err
-}
-
-// VictimEligible reports whether a running simulation of the given
-// class may be offered as a preemption victim: only speculative agent
-// work. A guided prefetch is an explicit client hint and demand work
-// has a client blocked on it. The paper's no-waiters rule is enforced
-// by the core on top of this.
-func VictimEligible(class Class) bool { return class == Agent }
-
-// Victim describes one preemption candidate: a running agent prefetch
-// the core found killable under the no-waiters rule. The victim's node
-// count is re-read authoritatively under its shard lock at kill time,
-// so it is deliberately not part of the selection record.
-type Victim struct {
-	SimID      int64
-	LaunchedAt time.Duration
-}
-
-// Choose picks the victim index: the latest launch (-1 when the policy
-// is off or no candidate exists). Ties break toward the later-launched
-// simulation id, so the choice is deterministic regardless of candidate
-// order.
-func (p PreemptPolicy) Choose(cands []Victim) int {
-	if p == PreemptOff || len(cands) == 0 {
-		return -1
-	}
-	best := 0
-	for i, c := range cands {
-		b := cands[best]
-		if c.LaunchedAt > b.LaunchedAt || c.LaunchedAt == b.LaunchedAt && c.SimID > b.SimID {
-			best = i
-		}
-	}
-	return best
 }
 
 // WantsPreemption reports whether a queued demand job is blocked on the

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestParsePreemptPolicy(t *testing.T) {
 	cases := map[string]PreemptPolicy{
@@ -28,31 +25,6 @@ func TestParsePreemptPolicy(t *testing.T) {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
 		}
-	}
-}
-
-func TestPreemptPolicyChoose(t *testing.T) {
-	cands := []Victim{
-		{SimID: 1, LaunchedAt: 10 * time.Second},
-		{SimID: 2, LaunchedAt: 20 * time.Second},
-		{SimID: 3, LaunchedAt: 15 * time.Second},
-	}
-	if i := PreemptYoungest.Choose(cands); cands[i].SimID != 2 {
-		t.Errorf("youngest chose sim %d, want 2 (latest launch)", cands[i].SimID)
-	}
-	if i := PreemptOff.Choose(cands); i != -1 {
-		t.Errorf("off chose %d, want -1", i)
-	}
-	if i := PreemptYoungest.Choose(nil); i != -1 {
-		t.Errorf("empty candidate list chose %d, want -1", i)
-	}
-	// Ties break toward the higher simulation id, deterministically.
-	ties := []Victim{
-		{SimID: 7, LaunchedAt: time.Second},
-		{SimID: 9, LaunchedAt: time.Second},
-	}
-	if i := PreemptYoungest.Choose(ties); ties[i].SimID != 9 {
-		t.Errorf("youngest tie chose sim %d, want 9", ties[i].SimID)
 	}
 }
 

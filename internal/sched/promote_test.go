@@ -110,12 +110,3 @@ func TestSetDRRQuantumLeavesOtherFields(t *testing.T) {
 		t.Fatalf("single-field patch clobbered config: %+v, %v", cfg, err)
 	}
 }
-
-// Only speculative work is ever a preemption victim.
-func TestVictimEligible(t *testing.T) {
-	for cls, want := range map[Class]bool{Agent: true, Guided: false, Demand: false} {
-		if got := VictimEligible(cls); got != want {
-			t.Errorf("VictimEligible(%v) = %v, want %v", cls, got, want)
-		}
-	}
-}

@@ -126,7 +126,7 @@ func TestResolvedStepRevalidated(t *testing.T) {
 			if stale.Step() != c.step {
 				t.Fatalf("%s decoded to step %d, want %d", file, stale.Step(), c.step)
 			}
-			if err := st.DeregisterContext("clim"); err != nil {
+			if err := st.V.RemoveContext("clim"); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.RegisterContext(c.next, "LRU", false); err != nil {

@@ -33,26 +33,9 @@ import (
 
 	"simfs/internal/core"
 	"simfs/internal/metrics"
-	"simfs/internal/model"
 	"simfs/internal/netproto"
 	"simfs/internal/notify"
 )
-
-// ContextRegistrar provisions and retires simulation contexts at
-// runtime: it owns whatever surrounds the Virtualizer registration —
-// storage areas, launcher wiring, the initial simulation. *Stack
-// implements it; a bare Server without one refuses ctx-register with
-// CodeUnsupported and falls back to plain Virtualizer removal for
-// ctx-deregister.
-type ContextRegistrar interface {
-	// RegisterContext adds a context (creating its storage area) and, if
-	// initialSim is set, runs the initial simulation so restart files and
-	// original checksums exist before clients arrive.
-	RegisterContext(ctx *model.Context, policy string, initialSim bool) error
-	// DeregisterContext removes a drained context, keeping its storage
-	// area on disk.
-	DeregisterContext(name string) error
-}
 
 // Server is the DV daemon front-end.
 type Server struct {
@@ -60,9 +43,10 @@ type Server struct {
 	// listener supplies Listen, Addr and the accept loop under Serve.
 	listener
 
-	// Registrar provisions contexts for ctx-register/ctx-deregister.
-	// Optional; NewStack wires the Stack in.
-	Registrar ContextRegistrar
+	// stack provisions contexts for ctx-register: storage areas and the
+	// initial simulation. NewScheduledStack sets it; a bare Server refuses
+	// ctx-register with CodeUnsupported.
+	stack *Stack
 
 	// WrapConn, when set before Serve, wraps every accepted connection —
 	// the seam fault injectors (faults.ConnPlan) and instrumentation hook
@@ -525,11 +509,11 @@ func (s *Server) ctxRegister(sess *session, b netproto.CtxRegisterBody) (netprot
 	if b.Context == nil {
 		return netproto.Response{}, fmt.Errorf("%w: ctx-register requires a context definition", core.ErrInvalid)
 	}
-	if s.Registrar == nil {
+	if s.stack == nil {
 		return netproto.Response{Code: netproto.CodeUnsupported,
 			Err: "this daemon has no context registrar (storage provisioning unavailable)"}, nil
 	}
-	if err := s.Registrar.RegisterContext(b.Context, b.Policy, b.InitialSim); err != nil {
+	if err := s.stack.RegisterContext(b.Context, b.Policy, b.InitialSim); err != nil {
 		return netproto.Response{}, err
 	}
 	s.Logf("server: context %s registered by %s (policy %s)", b.Context.Name, sess.client, b.Policy)
@@ -537,13 +521,7 @@ func (s *Server) ctxRegister(sess *session, b netproto.CtxRegisterBody) (netprot
 }
 
 func (s *Server) ctxDeregister(sess *session, b netproto.CtxBody) (netproto.Response, error) {
-	var err error
-	if s.Registrar != nil {
-		err = s.Registrar.DeregisterContext(b.Context)
-	} else {
-		err = s.v.RemoveContext(b.Context)
-	}
-	if err != nil {
+	if err := s.v.RemoveContext(b.Context); err != nil {
 		return netproto.Response{}, err
 	}
 	s.Logf("server: context %s deregistered by %s", b.Context, sess.client)

@@ -19,8 +19,8 @@ import (
 // Stack is a fully wired wall-clock SimFS instance: the Virtualizer, an
 // in-process real-time launcher writing real files into per-context disk
 // storage areas, and the TCP front-end. It is what cmd/simfs-dv runs and
-// what the examples connect to. It implements ContextRegistrar, so the
-// control plane can add and retire contexts on the live daemon.
+// what the examples connect to. Its Server serves ctx-register through
+// it, so the control plane can add contexts to the live daemon.
 type Stack struct {
 	V        *core.Virtualizer
 	Launcher *simulator.Launcher
@@ -82,7 +82,7 @@ func NewScheduledStack(baseDir string, timeScale int, policy string, schedCfg sc
 		}
 	}
 	st.Server = New(st.V, nil)
-	st.Server.Registrar = st
+	st.Server.stack = st
 	return st, nil
 }
 
@@ -104,11 +104,11 @@ func (st *Stack) addContext(ctx *model.Context, policy string) error {
 	return st.V.AddContext(ctx, policy, area)
 }
 
-// RegisterContext implements ContextRegistrar: it adds a context to the
-// running daemon, creating its storage area under the stack's base
-// directory, and optionally runs the initial simulation so restart files
-// and original checksums exist before clients arrive. Files already in
-// the storage area (a re-registered context) are recovered by a rescan.
+// RegisterContext adds a context to the running daemon, creating its
+// storage area under the stack's base directory, and optionally runs the
+// initial simulation so restart files and original checksums exist
+// before clients arrive. Files already in the storage area (a
+// re-registered context) are recovered by a rescan.
 func (st *Stack) RegisterContext(ctx *model.Context, policy string, initialSim bool) error {
 	if ctx == nil {
 		return fmt.Errorf("server: %w: register of a nil context", core.ErrInvalid)
@@ -125,13 +125,6 @@ func (st *Stack) RegisterContext(ctx *model.Context, policy string, initialSim b
 		return err
 	}
 	return nil
-}
-
-// DeregisterContext implements ContextRegistrar: it removes a drained
-// context, and with it its storage area, from the Virtualizer. The files
-// stay on disk — re-registering the context recovers them.
-func (st *Stack) DeregisterContext(name string) error {
-	return st.V.RemoveContext(name)
 }
 
 // SyncContexts reconciles the running daemon against a desired context
@@ -182,7 +175,8 @@ func (st *Stack) SyncContexts(desired []*model.Context, policy string, initialSi
 			errs = append(errs, fmt.Errorf("drain %q: %w", name, drainErr))
 			continue
 		}
-		if remErr := st.DeregisterContext(name); remErr != nil {
+		// The files stay on disk: re-registering the context recovers them.
+		if remErr := st.V.RemoveContext(name); remErr != nil {
 			// Still busy: the context stays draining (it admits no new
 			// clients) and the next sync retries the removal.
 			errs = append(errs, fmt.Errorf("deregister %q: %w", name, remErr))

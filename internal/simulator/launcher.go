@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"simfs/internal/batch"
 	"simfs/internal/des"
 	"simfs/internal/model"
 )
@@ -64,9 +63,13 @@ type Launcher struct {
 	// TimeScale divides all wall-clock durations (0 or 1 = real time). A
 	// scale of 1000 turns αsim = 13 s into 13 ms.
 	TimeScale int
-	// Queue samples per-job batch queueing delays added to αsim
-	// (nil = no queueing).
-	Queue batch.Sampler
+	// Queue draws each job's batch queueing delay, added to αsim (nil =
+	// no queueing): the dominant, system-dependent part of the restart
+	// latency on HPC machines (paper Sec. III-B, IV-C1). A job killed
+	// while its delay elapses abandons the draw; a requeued interval's
+	// relaunch draws afresh, re-entering the batch queue like any new
+	// submission.
+	Queue func() time.Duration
 	// FailAt, when set, decides per launch whether and where the run
 	// crashes (faults.SimPlan implements it): it returns the first step
 	// the run does NOT produce — steps first..crash-1 land before the
@@ -112,10 +115,11 @@ type run struct {
 // at is event k's offset from the launch.
 func (r *run) at(k int) time.Duration { return r.lead + time.Duration(min(k, r.n))*r.tau }
 
-// Launch implements the DV core's Launcher contract: start a
-// re-simulation producing output steps [first, last] of ctx at the given
-// parallelism (node count). It returns the simulation id immediately; all
-// progress is reported through Events, never from inside Launch.
+// Launch starts a re-simulation producing output steps [first, last] of
+// ctx at the given parallelism (node count). It returns the simulation id
+// immediately; all progress is reported through Events, never from inside
+// Launch: the DV core calls it under a shard lock and its simulation
+// routing lock, so every event must arrive later, from the clock.
 func (l *Launcher) Launch(ctx *model.Context, first, last, parallelism int) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -127,7 +131,7 @@ func (l *Launcher) Launch(ctx *model.Context, first, last, parallelism int) int6
 	l.running[r.id] = r
 	var delay time.Duration
 	if l.Queue != nil {
-		delay = l.Queue.Next()
+		delay = l.Queue()
 	}
 	if l.FailAt != nil {
 		if c := l.FailAt(ctx.Name, first, last); c >= first && c <= last {
@@ -240,13 +244,14 @@ func (r *run) arm(k int) {
 	r.armed = r.l.Engine.AtSeq(r.t0+r.at(k), r.seq+uint64(k), r.tick)
 }
 
-// Kill implements the DV core's Launcher contract. It is idempotent, a
-// no-op for an ended run, and never calls Events: the run's next event is
-// brought forward to now and reports Killed — on the engine by stopping
-// the run's armed event and arming one at the current instant, on the
-// wall clock by waking the run if it waits on its timer (a run that is
-// not waiting sees the kill before its next event). So a preemption kill
-// issued under a shard lock gets its SimEnded later, from the clock. A run
+// Kill aborts a queued or running simulation. It is idempotent, a no-op
+// for an ended run, and never calls Events, because the DV core calls it
+// under a shard lock: the run's next event is brought forward to now and
+// reports Killed — on the engine by stopping the run's armed event and
+// arming one at the current instant, on the wall clock by waking the run
+// if it waits on its timer (a run that is not waiting sees the kill
+// before its next event). So a kill gets its SimEnded later, from the
+// clock. A run
 // killed while a step is being written reports that step first, or only
 // Killed if the Write fails, and keeps its produced prefix on disk.
 func (l *Launcher) Kill(simID int64) {

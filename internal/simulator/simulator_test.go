@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"simfs/internal/batch"
 	"simfs/internal/des"
 	"simfs/internal/faults"
 	"simfs/internal/model"
@@ -108,7 +107,7 @@ func TestDESLauncherTiming(t *testing.T) {
 func TestDESLauncherQueueDelay(t *testing.T) {
 	eng := des.NewEngine()
 	rec := newRecorder()
-	l := &DESLauncher{Engine: eng, Events: rec, Queue: batch.Constant(5 * time.Second)}
+	l := &DESLauncher{Engine: eng, Events: rec, Queue: func() time.Duration { return 5 * time.Second }}
 	l.Launch(testCtx(), 1, 1, 1)
 	eng.Run(0)
 	// 5s queue + 2s α + 1s τ = 8s.
@@ -181,7 +180,7 @@ func TestDESLauncherKillBeforeStart(t *testing.T) {
 func TestDESLauncherKillDuringQueueDelay(t *testing.T) {
 	eng := des.NewEngine()
 	rec := newRecorder()
-	l := &DESLauncher{Engine: eng, Events: rec, Queue: batch.Constant(10 * time.Second)}
+	l := &DESLauncher{Engine: eng, Events: rec, Queue: func() time.Duration { return 10 * time.Second }}
 	id := l.Launch(testCtx(), 1, 10, 1)
 	eng.Schedule(3*time.Second, func() { l.Kill(id) }) // mid-queueing
 	eng.Run(0)
@@ -511,7 +510,7 @@ func TestLauncherCrashTiming(t *testing.T) {
 			launcher := func(tl *timeline) *Launcher {
 				l := &Launcher{Events: tl, FailAt: func(string, int, int) int { return crash }}
 				if queue > 0 {
-					l.Queue = batch.Constant(queue)
+					l.Queue = func() time.Duration { return queue }
 				}
 				return l
 			}
