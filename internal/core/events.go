@@ -32,7 +32,6 @@ func (e *estimator) MaxParallelism() int             { return e.cs.ctx.MaxParall
 func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sched.Class, client string) (queuedDemand bool) {
 	now := v.clock.Now()
 	sim := &simState{
-		ctxName:     cs.ctx.Name,
 		first:       first,
 		last:        last,
 		parallelism: parallelism,

@@ -88,9 +88,6 @@ func (v *Virtualizer) checkShard(name string, cs *shard) error {
 	}
 	for _, id := range slices.Sorted(maps.Keys(cs.sims)) {
 		sim := cs.sims[id]
-		if sim.ctxName != name {
-			return fmt.Errorf("core: simulation %d filed under %s but belongs to %s", id, name, sim.ctxName)
-		}
 		if sim.first > sim.last || sim.first < 1 {
 			return fmt.Errorf("core: simulation %d has malformed range [%d,%d]", id, sim.first, sim.last)
 		}

@@ -62,7 +62,6 @@ type CtxStats = metrics.CtxStats
 
 type simState struct {
 	id          int64
-	ctxName     string
 	first, last int
 	parallelism int
 	launchedAt  time.Duration

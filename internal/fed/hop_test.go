@@ -12,7 +12,7 @@ import (
 // through a router and straight at the daemon. AllocsPerRun counts
 // process-wide mallocs, so the daemon's and the router's goroutines are
 // included. The hop adds nothing: the open and the release cross the
-// router as bytes, renumbered in place onto the peer link and back onto
+// router as bytes, copied as they are onto the peer link and back onto
 // the client's connection.
 //
 // What a pair still allocates, by site, on either path:

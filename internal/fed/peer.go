@@ -22,8 +22,9 @@ var peerCaps = []string{netproto.CapAdmin, netproto.CapWatch,
 // netproto.Conn for the framing and write batching, a netproto.Pending
 // for the request IDs and the reply demux, and a read loop joining the
 // two. The binary codec and reply coalescing make this the same fast
-// path a batching client uses. The link relays: its table re-frames the
-// answers to forwarded requests onto the client's connection
+// path a batching client uses. The link relays: every request on it
+// carries the client's own request ID, and its table copies the answers
+// to forwarded requests onto the client's connection as they arrive
 // (netproto.NewRelayPending).
 //
 // A PeerConn is single-use: once the connection dies, every pending
@@ -74,12 +75,19 @@ func (pc *PeerConn) fail(cause error) {
 		Err: fmt.Sprintf("federation peer %s lost: %v", pc.addr, cause), Done: true})
 }
 
-// Post encodes a fire-and-forget request (no response handler — the
-// peer's reply, if any, is dropped by the demux). Used for
-// unsubscribe, whose reply carries nothing.
-func (pc *PeerConn) Post(op string, body any) error {
-	env := newEnv(pc.calls.NextID(), op, body)
-	return pc.c.EnqueueRequest(&env)
+// unsubscribe sends an unsubscribe of stream subID under the client's
+// request id. The member's ack ends the link's relay of subID, if the
+// link relays it as a stream an unsubscribe ends: the daemon sends
+// nothing for a stream after acking its unsubscribe.
+func (pc *PeerConn) unsubscribe(id, subID uint64) {
+	calls := pc.calls
+	if calls.AddAt(id, netproto.ResponseFunc(func(netproto.Response) { calls.Unsubscribed(subID) })) != nil {
+		return
+	}
+	env := newEnv(id, netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: subID})
+	if pc.c.EnqueueRequest(&env) != nil {
+		calls.Remove(id)
+	}
 }
 
 // Flush writes every buffered request frame in one syscall.
@@ -91,16 +99,16 @@ func (pc *PeerConn) Flush() error {
 	return nil
 }
 
-// Call round-trips one request of the link's own synchronously: a
-// control-plane call of a router fan-out, decoded at both ends. (A
-// client's request the router relays takes no handler: see
-// Router.send.) Transport failures surface as the error; application
-// failures ride the response's Code.
-func (pc *PeerConn) Call(ctx context.Context, op string, body any) (netproto.Response, error) {
+// Call round-trips one request synchronously under the client's
+// request id: a control-plane call of a router fan-out, decoded at both
+// ends. (A client's request the router relays takes no handler: see
+// Router.send.) Transport failures, an id still in flight on the link
+// (netproto.ErrInFlight) and a ctx done first surface as the error;
+// application failures ride the response's Code.
+func (pc *PeerConn) Call(ctx context.Context, id uint64, op string, body any) (netproto.Response, error) {
 	ch := make(chan netproto.Response, 1)
-	id, ok := pc.calls.Add(netproto.ResponseFunc(func(resp netproto.Response) { ch <- resp }), false)
-	if !ok {
-		return netproto.Response{}, fmt.Errorf("fed: peer %s is down", pc.addr)
+	if err := pc.calls.AddAt(id, netproto.ResponseFunc(func(resp netproto.Response) { ch <- resp })); err != nil {
+		return netproto.Response{}, fmt.Errorf("fed: peer %s: %w", pc.addr, err)
 	}
 	env := newEnv(id, op, body)
 	if err := pc.c.EnqueueRequest(&env); err != nil {
@@ -114,6 +122,7 @@ func (pc *PeerConn) Call(ctx context.Context, op string, body any) (netproto.Res
 	case resp := <-ch:
 		return resp, nil
 	case <-ctx.Done():
+		pc.calls.Remove(id)
 		return netproto.Response{}, fmt.Errorf("fed: call %s on %s: %w", op, pc.addr, ctx.Err())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +14,8 @@ import (
 )
 
 // The byte-transparency contract of the router: a binary request crosses
-// it with only its request ID changed, and so does every binary answer
-// on the way back. The test speaks raw frames on both sides — as a
+// it byte for byte, request ID included, and so does every answer on the
+// way back. The test speaks raw frames on both sides — as a
 // client in front of the router and as a scripted daemon behind it — so
 // it sees every byte either end sends.
 
@@ -49,17 +48,6 @@ func readPayload(t *testing.T, c net.Conn) []byte {
 		t.Fatalf("reading a frame payload: %v", err)
 	}
 	return p
-}
-
-// splitID takes a binary request or response payload apart at its
-// request ID: [tag][id uvarint][rest].
-func splitID(t *testing.T, p []byte) (tag byte, id uint64, rest []byte) {
-	t.Helper()
-	id, n := binary.Uvarint(p[1:])
-	if n <= 0 {
-		t.Fatalf("payload %x carries no request id", p)
-	}
-	return p[0], id, p[1+n:]
 }
 
 // rawHello runs the dialing half of the handshake on c as client.
@@ -145,25 +133,23 @@ func rawClient(t *testing.T, addr string) net.Conn {
 }
 
 // TestFederationRelayIsByteTransparent pins the relay contract request
-// by request: what the daemon receives is the client's payload with the
-// peer link's request ID in place of the client's, and what the client
-// receives is the daemon's payload under its own ID again. The client
-// IDs are wider varints than the link's, so every frame is re-framed
-// with a new length. JSON frames are decoded and re-encoded: they must
-// arrive equal once decoded. Malformed requests are refused by the
-// router on the client's ID as far as it reads them (opcode, ID,
-// context) and relayed as they are past that point.
+// by request: the daemon receives the client's payload byte for byte,
+// under the client's own request ID, and the client receives the
+// daemon's answers byte for byte, binary and JSON alike. Malformed
+// requests are refused by the router on the client's ID as far as it
+// reads them (opcode, ID, context) and relayed as they are past that
+// point.
 func TestFederationRelayIsByteTransparent(t *testing.T) {
 	daddr, links := rawDaemon(t)
 	_, raddr := startRouter(t, daddr)
 	client := rawClient(t, raddr)
 	var link net.Conn
 
-	// send has the client send payload and returns what the daemon
-	// receives for it.
-	send := func(payload []byte) []byte {
+	// forwarded has the client send req and checks that the daemon
+	// receives the same bytes.
+	forwarded := func(what string, req []byte) {
 		t.Helper()
-		if _, err := client.Write(frame(payload)); err != nil {
+		if _, err := client.Write(frame(req)); err != nil {
 			t.Fatal(err)
 		}
 		if link == nil {
@@ -173,33 +159,20 @@ func TestFederationRelayIsByteTransparent(t *testing.T) {
 				t.Fatal("the router never dialed the daemon")
 			}
 		}
-		return readPayload(t, link)
-	}
-	// forwarded has the client send req and returns the link's ID for
-	// it, checking the daemon received the client's bytes but the ID.
-	forwarded := func(what string, req []byte) uint64 {
-		t.Helper()
-		got := send(req)
-		tag, clientID, rest := splitID(t, req)
-		gotTag, peerID, gotRest := splitID(t, got)
-		if gotTag != tag || !bytes.Equal(gotRest, rest) || peerID == clientID {
-			t.Fatalf("%s: the daemon received %x for the client's %x; want the same bytes under a link id", what, got, req)
+		if got := readPayload(t, link); !bytes.Equal(got, req) {
+			t.Fatalf("%s: the daemon received %x for the client's %x", what, got, req)
 		}
-		return peerID
 	}
 	// answered has the daemon send resp and checks that the client
-	// receives the same bytes under clientID.
-	answered := func(what string, resp netproto.Response, clientID uint64) {
+	// receives the same bytes.
+	answered := func(what string, resp netproto.Response) {
 		t.Helper()
 		sent := encoded(t, resp)
 		if _, err := link.Write(frame(sent)); err != nil {
 			t.Fatal(err)
 		}
-		got := readPayload(t, client)
-		tag, _, rest := splitID(t, sent)
-		gotTag, gotID, gotRest := splitID(t, got)
-		if gotTag != tag || gotID != clientID || !bytes.Equal(gotRest, rest) {
-			t.Fatalf("%s: the client received %x for the daemon's %x; want the same bytes under id %d", what, got, sent, clientID)
+		if got := readPayload(t, client); !bytes.Equal(got, sent) {
+			t.Fatalf("%s: the client received %x for the daemon's %x", what, got, sent)
 		}
 	}
 	// refused checks that the router itself answers bad_frame on id.
@@ -222,73 +195,53 @@ func TestFederationRelayIsByteTransparent(t *testing.T) {
 	}
 
 	// A hit, answered once.
-	peerID := forwarded("open", file(300, netproto.OpOpen))
-	answered("open hit", netproto.Response{ID: peerID, OK: true, Available: true, EstWaitNs: 1500, Done: true}, 300)
+	forwarded("open", file(300, netproto.OpOpen))
+	answered("open hit", netproto.Response{ID: 300, OK: true, Available: true, EstWaitNs: 1500, Done: true})
 
 	// A miss, answered twice: at once, and by its notice. The notice ends
 	// the relay: a late frame under its ID goes nowhere.
-	peerID = forwarded("open", file(1<<35, netproto.OpOpen))
-	answered("open miss", netproto.Response{ID: peerID, OK: true, EstWaitNs: 1500}, 1<<35)
-	answered("notice", netproto.Response{ID: peerID, OK: true, Ready: true, Done: true}, 1<<35)
-	if _, err := link.Write(frame(encoded(t, netproto.Response{ID: peerID, OK: true, Ready: true, Done: true}))); err != nil {
+	forwarded("open", file(1<<35, netproto.OpOpen))
+	answered("open miss", netproto.Response{ID: 1 << 35, OK: true, EstWaitNs: 1500})
+	answered("notice", netproto.Response{ID: 1 << 35, OK: true, Ready: true, Done: true})
+	if _, err := link.Write(frame(encoded(t, netproto.Response{ID: 1 << 35, OK: true, Ready: true, Done: true}))); err != nil {
 		t.Fatal(err)
 	}
 
 	// A stream: per-file ready frames, then Done. Once Done has passed,
 	// the link forgets the ID: a late frame under it goes nowhere.
 	sub, _ := netproto.NewEnvelope(1<<40, netproto.OpSubscribe, netproto.FilesBody{Context: "c", Files: []string{"a", "b"}})
-	subID := forwarded("subscribe", encoded(t, sub))
-	answered("ready a", netproto.Response{ID: subID, OK: true, Ready: true, File: "a"}, 1<<40)
-	answered("ready b", netproto.Response{ID: subID, OK: true, Ready: true, File: "b"}, 1<<40)
-	answered("done", netproto.Response{ID: subID, OK: true, Done: true}, 1<<40)
-	if _, err := link.Write(frame(encoded(t, netproto.Response{ID: subID, OK: true, Ready: true, File: "late"}))); err != nil {
+	forwarded("subscribe", encoded(t, sub))
+	answered("ready a", netproto.Response{ID: 1 << 40, OK: true, Ready: true, File: "a"})
+	answered("ready b", netproto.Response{ID: 1 << 40, OK: true, Ready: true, File: "b"})
+	answered("done", netproto.Response{ID: 1 << 40, OK: true, Done: true})
+	if _, err := link.Write(frame(encoded(t, netproto.Response{ID: 1 << 40, OK: true, Ready: true, File: "late"}))); err != nil {
 		t.Fatal(err)
 	}
 
 	// An error with the quarantine details.
-	peerID = forwarded("release", file(77, netproto.OpRelease))
-	answered("failed release", netproto.Response{ID: peerID, Code: netproto.CodeFailed,
-		Err: "re-simulation failed", Attempts: 3, RetryAfterNs: int64(5 * time.Second)}, 77)
+	forwarded("release", file(77, netproto.OpRelease))
+	answered("failed release", netproto.Response{ID: 77, Code: netproto.CodeFailed,
+		Err: "re-simulation failed", Attempts: 3, RetryAfterNs: int64(5 * time.Second)})
 
-	// A JSON-bodied request and its rich answer, decoded and re-encoded.
+	// A JSON-bodied request and its rich answer, both JSON on the wire.
 	info, _ := netproto.NewEnvelope(301, netproto.OpContextInfo, netproto.CtxBody{Context: "c"})
-	var sentEnv, gotEnv netproto.Envelope
-	if err := json.Unmarshal(encoded(t, info), &sentEnv); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(send(encoded(t, info)), &gotEnv); err != nil {
-		t.Fatal(err)
-	}
-	if gotEnv.Op != sentEnv.Op || !bytes.Equal(gotEnv.Body, sentEnv.Body) {
-		t.Fatalf("ctxinfo reached the daemon as %+v, want %+v but the id", gotEnv, sentEnv)
-	}
-	rich := netproto.Response{ID: gotEnv.ID, OK: true, Info: &netproto.ContextInfo{Name: "c", DeltaD: 1, Timesteps: 64}}
-	if _, err := link.Write(frame(encoded(t, rich))); err != nil {
-		t.Fatal(err)
-	}
-	var gotRich netproto.Response
-	if err := json.Unmarshal(readPayload(t, client), &gotRich); err != nil {
-		t.Fatal(err)
-	}
-	if rich.ID = 301; !reflect.DeepEqual(gotRich, rich) {
-		t.Fatalf("rich answer reached the client as %+v, want %+v", gotRich, rich)
-	}
+	forwarded("ctxinfo", encoded(t, info))
+	answered("rich answer", netproto.Response{ID: 301, OK: true, Info: &netproto.ContextInfo{Name: "c", DeltaD: 1, Timesteps: 64}})
 
 	// Malformed requests: what the router reads to route — opcode, ID,
 	// context — it refuses itself; the rest is the daemon's to refuse.
 	refused("unknown opcode", []byte{0x7F, 0xAC, 0x02}, 300)
 	refused("truncated id", []byte{0x01, 0x80}, 0)
 	refused("truncated context", []byte{0x01, 0xAD, 0x02, 5, 'c', 'x'}, 301)
-	truncFile := []byte{0x01, 0xAE, 0x02, 1, 'c', 9, 'x'}
-	peerID = forwarded("truncated file", truncFile) // nothing refused above reached the daemon
-	answered("truncated file", netproto.Response{ID: peerID, Code: netproto.CodeFrame,
-		Err: "binary request: truncated file"}, 302)
+	forwarded("truncated file", []byte{0x01, 0xAE, 0x02, 1, 'c', 9, 'x'}) // nothing refused above reached the daemon
+	answered("truncated file", netproto.Response{ID: 302, Code: netproto.CodeFrame,
+		Err: "binary request: truncated file"})
 
 	// A binary answer whose ID is valid but whose fields are truncated
 	// fails the link, and the relay receives its terminal draining frame,
 	// flushed.
-	peerID = forwarded("open", file(400, netproto.OpOpen))
-	truncated := append([]byte{0xB1}, binary.AppendUvarint(nil, peerID)...)
+	forwarded("open", file(400, netproto.OpOpen))
+	truncated := append([]byte{0xB1}, binary.AppendUvarint(nil, 400)...)
 	if _, err := link.Write(frame(append(truncated, 1<<5, 0, 9, 'x'))); err != nil { // rfFile, then a 9-byte file of 1
 		t.Fatal(err)
 	}
@@ -299,6 +252,120 @@ func TestFederationRelayIsByteTransparent(t *testing.T) {
 	}
 	if lost.ID != 400 || lost.Code != netproto.CodeDraining || !lost.Done {
 		t.Fatalf("after a truncated answer the client got %+v, want a terminal draining frame on id 400", lost)
+	}
+}
+
+// TestFederationUnsubscribeEndsRelay: once the daemon has acked a
+// stream's unsubscribe, the link no longer relays the stream, so the
+// link's loss sends the client nothing on the canceled ID.
+func TestFederationUnsubscribeEndsRelay(t *testing.T) {
+	daddr, links := rawDaemon(t)
+	_, raddr := startRouter(t, daddr)
+	client := rawClient(t, raddr)
+	var link net.Conn
+	// received has the client send env and returns what the daemon
+	// receives for it.
+	received := func(env netproto.Envelope) netproto.Envelope {
+		t.Helper()
+		if err := netproto.Binary.EncodeFrame(client, env); err != nil {
+			t.Fatal(err)
+		}
+		if link == nil {
+			select {
+			case link = <-links:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the router never dialed the daemon")
+			}
+		}
+		var got netproto.Envelope
+		link.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if err := netproto.Binary.DecodeFrame(link, &got); err != nil || got.Op != env.Op {
+			t.Fatalf("the daemon received %+v, %v; want the %s", got, err, env.Op)
+		}
+		return got
+	}
+
+	sub, _ := netproto.NewEnvelope(7, netproto.OpSubscribe, netproto.FilesBody{Context: "c", Files: []string{"a"}})
+	received(sub)
+	// The router acks the client's unsubscribe itself and tells the link.
+	if resp, err := exchange(client, 8, netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: 7}); err != nil || resp.ID != 8 || !resp.OK {
+		t.Fatalf("unsubscribe answered with %+v, %v", resp, err)
+	}
+	var unsub netproto.Envelope
+	link.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := netproto.Binary.DecodeFrame(link, &unsub); err != nil || unsub.Op != netproto.OpUnsubscribe {
+		t.Fatalf("the daemon received %+v, %v; want the unsubscribe", unsub, err)
+	}
+	// The daemon acks, as it does, and sends nothing more for the stream;
+	// the answer to a later open, behind the ack on the link, tells the
+	// client the router has read the ack.
+	open := received(netproto.NewFileEnvelope(9, netproto.OpOpen, netproto.FileBody{Context: "c", File: "c_out_00000003.nc"}))
+	for _, resp := range []netproto.Response{{ID: unsub.ID, OK: true}, {ID: open.ID, OK: true, Available: true, Done: true}} {
+		if err := netproto.Binary.EncodeFrame(link, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var resp netproto.Response
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := netproto.Binary.DecodeFrame(client, &resp); err != nil || resp.ID != 9 {
+		t.Fatalf("the open answered %+v, %v; want its hit on id 9", resp, err)
+	}
+
+	link.Close()
+	client.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if err := netproto.Binary.DecodeFrame(client, &resp); err == nil {
+		t.Fatalf("after the unsubscribe was acked the link's loss sent the client %+v", resp)
+	}
+}
+
+// TestFederationDuplicateIDRefused: a request under an ID still in
+// flight on the link is answered bad_request on that ID, and the daemon
+// receives only the first.
+func TestFederationDuplicateIDRefused(t *testing.T) {
+	daddr, links := rawDaemon(t)
+	_, raddr := startRouter(t, daddr)
+	client := rawClient(t, raddr)
+
+	open := netproto.NewFileEnvelope(5, netproto.OpOpen, netproto.FileBody{Context: "c", File: "c_out_00000003.nc"})
+	if err := netproto.Binary.EncodeFrame(client, open); err != nil {
+		t.Fatal(err)
+	}
+	var link net.Conn
+	select {
+	case link = <-links:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the router never dialed the daemon")
+	}
+	var got netproto.Envelope
+	link.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := netproto.Binary.DecodeFrame(link, &got); err != nil || got.Op != netproto.OpOpen {
+		t.Fatalf("the daemon received %+v, %v; want the open", got, err)
+	}
+
+	// The open is still unanswered: the same ID again is refused.
+	if err := netproto.Binary.EncodeFrame(client, open); err != nil {
+		t.Fatal(err)
+	}
+	var resp netproto.Response
+	client.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if err := netproto.Binary.DecodeFrame(client, &resp); err != nil {
+		t.Fatalf("no answer to a second request under live id 5: %v", err)
+	}
+	if resp.ID != 5 || resp.Code != netproto.CodeBadRequest {
+		t.Fatalf("a second request under live id 5 answered %+v, want bad_request on id 5", resp)
+	}
+	// The first is still relayed, and the daemon got nothing more.
+	if err := netproto.Binary.EncodeFrame(link, netproto.Response{ID: got.ID, OK: true, Available: true, Done: true}); err != nil {
+		t.Fatal(err)
+	}
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := netproto.Binary.DecodeFrame(client, &resp); err != nil || resp.ID != 5 || !resp.Available {
+		t.Fatalf("the first open answered %+v, %v; want its hit on id 5", resp, err)
+	}
+	link.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	var extra [1]byte
+	if n, _ := link.Read(extra[:]); n > 0 {
+		t.Fatal("the daemon received the duplicate request")
 	}
 }
 

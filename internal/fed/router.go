@@ -16,18 +16,19 @@ import (
 // Router is the federation front-end: it speaks the ordinary client
 // protocol (hello handshake, binary codec, reply coalescing) and
 // forwards every data-plane op to the daemon owning its context on the
-// consistent-hash ring. A binary request whose body names files (open,
+// consistent-hash ring. Every request crosses under the client's own
+// request ID: a client's IDs are unique on its session, and so on each
+// of the session's links. A binary request whose body names files (open,
 // release, estwait, bitrep, acquire, subscribe, prefetch) crosses as
-// bytes: the router reads its opcode, request ID and context, appends
-// the payload to the owning peer's write buffer under a peer-side ID,
-// and the daemon's binary answers come back the same way — the peer's
-// read loop looks up the client's ID and appends the renumbered bytes to
-// the client's write buffer. Nothing is decoded, re-encoded or allocated
-// per request. The rest is decoded: ping and unsubscribe are answered
-// here, the JSON-bodied ops (the control plane) are re-encoded for their
-// owner or fanned out, and JSON answers (rich responses) are re-encoded
-// on the way back. Every touched peer is flushed once per client batch
-// and the client once per peer batch.
+// bytes: the router reads its opcode, request ID and context and appends
+// the payload to the owning peer's write buffer, and every answer comes
+// back as it arrived — the peer's read loop finds the request's relay by
+// its ID and appends the frame to the client's write buffer. Nothing is
+// decoded, re-encoded or allocated per request. The rest is decoded:
+// ping and unsubscribe are answered here, and the JSON-bodied ops (the
+// control plane) are re-encoded for their owner or fanned out. Every
+// touched peer is flushed once per client batch and the client once per
+// peer batch.
 //
 // Peer connections are per client session, carrying the client's own
 // name in their hello: the owning daemon sees one session per client
@@ -79,29 +80,15 @@ func (r *Router) Serve() error { return r.listener.Serve(nil, r.handle) }
 // for each proxied client).
 func (r *Router) Close() { r.listener.Close(nil) }
 
-// peerRoute remembers where a live client subscription was forwarded,
-// for unsubscribe remapping.
-type peerRoute struct {
-	pc     *PeerConn
-	peerID uint64
-}
-
 // rsession is one client connection through the router.
 type rsession struct {
 	c      *netproto.Conn
 	r      *Router
 	client string
 
-	// mu guards peers (this session's sticky per-daemon connections)
-	// and routes (client request ID → peer route for live streams).
-	mu     sync.Mutex
-	peers  map[string]*PeerConn
-	routes map[uint64]peerRoute
-	closed bool
-
-	// flushing is flushPeers' scratch list, reused: only the session's
-	// read goroutine flushes.
-	flushing []*PeerConn
+	// peers holds this session's sticky per-daemon links. Only the
+	// session's read goroutine touches it.
+	peers map[string]*PeerConn
 }
 
 // reply enqueues a response for the client; flush writes what is
@@ -125,22 +112,13 @@ func (sess *rsession) check(what string, err error) {
 // the daemon's per-client accounting and disconnect cleanup see the
 // real client, not the router.
 func (sess *rsession) peer(addr string) (*PeerConn, error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.peerLocked(addr)
-}
-
-func (sess *rsession) peerLocked(addr string) (*PeerConn, error) {
-	if sess.closed {
-		return nil, errors.New("fed: session closing")
-	}
 	if pc := sess.peers[addr]; pc != nil && !pc.Broken() {
 		return pc, nil
 	}
 	delete(sess.peers, addr)
 	// The link relays onto the client connection, and its read loop
 	// flushes the client once a batch of daemon responses is relayed.
-	pc, err := dialPeer(addr, sess.client, netproto.NewRelayPending(sess.c, sess.streamEnded), sess.flush)
+	pc, err := dialPeer(addr, sess.client, netproto.NewRelayPending(sess.c), sess.flush)
 	if err != nil {
 		return nil, err
 	}
@@ -151,59 +129,9 @@ func (sess *rsession) peerLocked(addr string) (*PeerConn, error) {
 // flushPeers pushes every buffered forwarded request out, one write
 // per touched peer.
 func (sess *rsession) flushPeers() {
-	sess.mu.Lock()
 	for _, pc := range sess.peers {
-		sess.flushing = append(sess.flushing, pc)
-	}
-	sess.mu.Unlock()
-	for _, pc := range sess.flushing {
 		pc.Flush()
 	}
-	clear(sess.flushing) // pins no link the session has dropped
-	sess.flushing = sess.flushing[:0]
-}
-
-// relay registers the client's request clientID on this session's link
-// to owner under a fresh peer-side ID — held until its terminal frame
-// for a stream op — and a cancelable stream's unsubscribe route with it.
-// Both happen in one hold of sess.mu, before the frame can leave: the
-// stream's terminal frame drops the route through the same lock, so it
-// cannot run first and leave the route behind.
-func (sess *rsession) relay(owner string, clientID uint64, spec netproto.OpSpec) (*PeerConn, uint64, error) {
-	if owner == "" {
-		return nil, 0, errors.New("no federation members configured")
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	pc, err := sess.peerLocked(owner)
-	if err != nil {
-		return nil, 0, err
-	}
-	peerID, ok := pc.calls.AddRelay(clientID, spec.Stream)
-	if !ok {
-		return nil, 0, fmt.Errorf("fed: peer %s is down", owner)
-	}
-	if cancelable(spec) {
-		sess.routes[clientID] = peerRoute{pc: pc, peerID: peerID}
-	}
-	return pc, peerID, nil
-}
-
-// cancelable reports whether a client may unsubscribe from the op's
-// stream: every stream but open's, whose ID stays live only for the
-// notice of a miss.
-func cancelable(spec netproto.OpSpec) bool { return spec.Stream && spec.Name != netproto.OpOpen }
-
-// streamEnded is the relay tables' hook: a relayed stream is over, and
-// its unsubscribe route goes with it.
-func (sess *rsession) streamEnded(clientID uint64) { sess.dropRoute(clientID) }
-
-func (sess *rsession) dropRoute(clientID uint64) (peerRoute, bool) {
-	sess.mu.Lock()
-	rt, ok := sess.routes[clientID]
-	delete(sess.routes, clientID)
-	sess.mu.Unlock()
-	return rt, ok
 }
 
 // routerCaps is what the router advertises in every hello reply (plus
@@ -211,17 +139,12 @@ func (sess *rsession) dropRoute(clientID uint64) (peerRoute, bool) {
 var routerCaps = []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt}
 
 func (r *Router) handle(c *netproto.Conn) {
-	sess := &rsession{c: c, r: r, peers: map[string]*PeerConn{}, routes: map[uint64]peerRoute{}}
+	sess := &rsession{c: c, r: r, peers: map[string]*PeerConn{}}
 	defer func() {
 		// Closing the per-session peer conns is the whole disconnect
 		// story: each daemon sees its session for this client drop and
 		// runs its own reference/subscription cleanup.
-		sess.mu.Lock()
-		sess.closed = true
-		peers := sess.peers
-		sess.peers = map[string]*PeerConn{}
-		sess.mu.Unlock()
-		for _, pc := range peers {
+		for _, pc := range sess.peers {
 			pc.Close()
 		}
 	}()
@@ -275,16 +198,11 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
 		sess.reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpPeers:
-		sess.mu.Lock()
-		live := make(map[string]bool, len(sess.peers))
-		for addr, pc := range sess.peers {
-			live[addr] = !pc.Broken()
-		}
-		sess.mu.Unlock()
 		members := r.ring.Members()
 		infos := make([]netproto.PeerInfo, len(members))
 		for i, addr := range members {
-			infos[i] = netproto.PeerInfo{Addr: addr, Role: "member", Connected: live[addr]}
+			pc := sess.peers[addr]
+			infos[i] = netproto.PeerInfo{Addr: addr, Role: "member", Connected: pc != nil && !pc.Broken()}
 		}
 		sess.reply(netproto.Response{ID: id, OK: true, Peers: infos})
 
@@ -304,8 +222,10 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
 		if !ok {
 			return
 		}
-		if rt, ok := sess.dropRoute(b.SubID); ok {
-			rt.pc.Post(netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: rt.peerID})
+		// Every link is told: on the one relaying the stream, the
+		// daemon's ack ends the relay.
+		for _, pc := range sess.peers {
+			pc.unsubscribe(id, b.SubID)
 		}
 		// Unknown subscriptions ack like the daemon does (idempotent).
 		sess.reply(netproto.Response{ID: id, OK: true})
@@ -340,57 +260,62 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
 
 // forward is the session's netproto.ForwardFunc: it relays one binary
 // request undecoded to the daemon owning ctx, which receives the
-// client's bytes with only the request ID changed.
-func (r *Router) forward(sess *rsession, spec netproto.OpSpec, clientID uint64, ctx, payload []byte) {
-	if err := r.send(sess, r.ring.ownerOf(fnv64a(ctx)), clientID, spec, nil, payload); err != nil {
-		sess.unreachable(clientID, string(ctx), spec.Stream, err)
+// client's bytes as they are.
+func (r *Router) forward(sess *rsession, spec netproto.OpSpec, id uint64, ctx, payload []byte) {
+	if err := r.send(sess, r.ring.ownerOf(fnv64a(ctx)), id, spec, nil, payload); err != nil {
+		sess.unsent(id, string(ctx), spec.Stream, err)
 	}
 }
 
 // proxy relays a decoded envelope — a JSON-bodied op — to the daemon
-// owning ctxName, re-encoded under a peer-side ID.
+// owning ctxName, re-encoded.
 func (r *Router) proxy(sess *rsession, env netproto.Envelope, ctxName string) {
-	clientID := env.ID
 	spec, _ := netproto.LookupOp(env.Op)
-	if err := r.send(sess, r.ring.Owner(ctxName), clientID, spec, &env, nil); err != nil {
-		sess.unreachable(clientID, ctxName, spec.Stream, err)
+	if err := r.send(sess, r.ring.Owner(ctxName), env.ID, spec, &env, nil); err != nil {
+		sess.unsent(env.ID, ctxName, spec.Stream, err)
 	}
 }
 
-// send queues one client request on the link to owner — env re-encoded
-// when set, payload renumbered otherwise — as a relay: every response
-// frame (a stream's up to its terminal one) goes back to the client
-// under clientID, queued by the link's read loop, which flushes the
-// session once its response batch is drained. The error is a request
-// nothing was sent for and nobody has answered.
-func (r *Router) send(sess *rsession, owner string, clientID uint64, spec netproto.OpSpec, env *netproto.Envelope, payload []byte) error {
-	pc, peerID, err := sess.relay(owner, clientID, spec)
+// send queues the client's request id on the link to owner under that
+// same ID — env encoded when set, payload as it is otherwise — as a
+// relay: every response frame (a stream's up to its terminal one) goes
+// back to the client as it arrived, queued by the link's read loop,
+// which flushes the session once its response batch is drained. The
+// error is a request nothing was sent for and nobody has answered.
+func (r *Router) send(sess *rsession, owner string, id uint64, spec netproto.OpSpec, env *netproto.Envelope, payload []byte) error {
+	if owner == "" {
+		return errors.New("no federation members configured")
+	}
+	pc, err := sess.peer(owner)
 	if err != nil {
 		return err
 	}
-	if env != nil {
-		env.ID = peerID
-		err = pc.c.EnqueueRequest(env)
-	} else {
-		err = pc.c.EnqueueRenumbered(payload, peerID)
+	if err := pc.calls.AddRelay(id, spec); err != nil {
+		return fmt.Errorf("fed: peer %s: %w", owner, err)
 	}
-	if err == nil {
+	if env == nil {
+		pc.c.EnqueuePayload(payload)
 		return nil
 	}
-	if cancelable(spec) {
-		sess.dropRoute(clientID)
+	if err := pc.c.EnqueueRequest(env); err != nil {
+		if _, ok := pc.calls.Remove(id); ok {
+			return err
+		}
+		// The link failed meanwhile and answered the client.
 	}
-	if _, ok := pc.calls.Remove(peerID); !ok {
-		return nil // the link failed meanwhile and answered the client
-	}
-	return err
+	return nil
 }
 
-// unreachable answers a request the router could not send to the
-// daemon owning ctxName: busy, and terminal for a stream.
-func (sess *rsession) unreachable(clientID uint64, ctxName string, stream bool, err error) {
-	sess.reply(netproto.Response{ID: clientID, Code: netproto.CodeBusy,
-		Err: fmt.Sprintf("context %q unreachable: %v", ctxName, err), Done: stream})
+// unsent answers a request the router did not send to the daemon owning
+// ctxName: bad_request for an ID still in flight on the link, busy
+// otherwise, and terminal for a stream.
+func (sess *rsession) unsent(id uint64, ctxName string, stream bool, err error) {
+	resp := netproto.Response{ID: id, Code: netproto.CodeBusy,
+		Err: fmt.Sprintf("context %q unreachable: %v", ctxName, err), Done: stream}
+	if errors.Is(err, netproto.ErrInFlight) {
+		resp.Code, resp.Err = netproto.CodeBadRequest, err.Error()
+	}
+	sess.reply(resp)
 }
 
 // fanResult is one member's answer to a fan-out call.
@@ -400,8 +325,9 @@ type fanResult struct {
 	err  error
 }
 
-// fanout round-trips op against every ring member concurrently.
-func (r *Router) fanout(sess *rsession, op string, body any) []fanResult {
+// fanout round-trips op against every ring member concurrently, under
+// the client's request id.
+func (r *Router) fanout(sess *rsession, id uint64, op string, body any) []fanResult {
 	members := r.ring.Members()
 	results := make([]fanResult, len(members))
 	var wg sync.WaitGroup
@@ -417,7 +343,7 @@ func (r *Router) fanout(sess *rsession, op string, body any) []fanResult {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 			defer cancel()
-			results[i].resp, results[i].err = pc.Call(ctx, op, body)
+			results[i].resp, results[i].err = pc.Call(ctx, id, op, body)
 		}(i, pc)
 	}
 	wg.Wait()
@@ -452,7 +378,7 @@ func fanFail(sess *rsession, id uint64, results []fanResult) {
 
 // fanContexts merges every member's context list (sorted union).
 func (r *Router) fanContexts(sess *rsession, id uint64) {
-	results := r.fanout(sess, netproto.OpContexts, nil)
+	results := r.fanout(sess, id, netproto.OpContexts, nil)
 	seen := map[string]bool{}
 	anyOK := false
 	for _, res := range results {
@@ -479,7 +405,7 @@ func (r *Router) fanContexts(sess *rsession, id uint64) {
 // fanSchedGet answers with the first reachable member's scheduler
 // config (members are normally configured identically).
 func (r *Router) fanSchedGet(sess *rsession, id uint64) {
-	results := r.fanout(sess, netproto.OpSchedGet, nil)
+	results := r.fanout(sess, id, netproto.OpSchedGet, nil)
 	for _, res := range results {
 		if res.err == nil && res.resp.OK && res.resp.Sched != nil {
 			resp := res.resp
@@ -495,7 +421,7 @@ func (r *Router) fanSchedGet(sess *rsession, id uint64) {
 // The fan-out is not atomic across daemons: a member failing mid-way
 // leaves the others reconfigured (the error response says which).
 func (r *Router) fanSchedSet(sess *rsession, id uint64, body netproto.SchedSetBody) {
-	results := r.fanout(sess, netproto.OpSchedSet, body)
+	results := r.fanout(sess, id, netproto.OpSchedSet, body)
 	var ok *netproto.Response
 	for i, res := range results {
 		if res.err != nil {
@@ -524,7 +450,7 @@ func (r *Router) fanSchedSet(sess *rsession, id uint64, body netproto.SchedSetBo
 // fanQuarantineReset clears the quarantine ledger on every member and
 // sums the released-interval counts.
 func (r *Router) fanQuarantineReset(sess *rsession, id uint64) {
-	results := r.fanout(sess, netproto.OpQuarantineReset, netproto.CtxBody{})
+	results := r.fanout(sess, id, netproto.OpQuarantineReset, netproto.CtxBody{})
 	total := 0
 	anyOK := false
 	for _, res := range results {

@@ -2,7 +2,9 @@ package fed
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -15,27 +17,27 @@ import (
 // TestRouterDropsLargeStreamRoute: a subscribe larger than a
 // connection's flush threshold leaves for the daemon while the router is
 // still queueing it, so its terminal answer can be back before the
-// router is done sending. The stream's unsubscribe route is registered
-// before the frame can leave, so the terminal frame always finds it to
-// drop. The link here runs over a synchronous pipe to force that order:
-// the daemon answers Done from the frame's first bytes and reads the
-// rest — which is what lets the router's write return — only once the
-// client has the Done.
+// router is done sending. The stream's relay is registered before the
+// frame can leave, so the terminal frame always finds it to drop. The
+// link here runs over a synchronous pipe to force that order: the daemon
+// answers Done from the frame's first bytes and reads the rest — which
+// is what lets the router's write return — only once the client has the
+// Done.
 func TestRouterDropsLargeStreamRoute(t *testing.T) {
 	const addr = "daemon"
 	client, front := net.Pipe()
 	defer client.Close()
 	sess := &rsession{c: netproto.NewConn(front), r: NewRouter([]string{addr}, 0, nil), client: "big",
-		peers: map[string]*PeerConn{}, routes: map[uint64]peerRoute{}}
+		peers: map[string]*PeerConn{}}
 	daemon, link := net.Pipe()
 	defer daemon.Close()
-	pc := startPeer(addr, netproto.NewConn(link), netproto.NewRelayPending(sess.c, sess.streamEnded), sess.flush)
+	pc := startPeer(addr, netproto.NewConn(link), netproto.NewRelayPending(sess.c), sess.flush)
 	defer pc.Close()
 	sess.peers[addr] = pc
 
 	clientHasDone := make(chan struct{})
 	go func() {
-		var head [6]byte // length, opcode, and the link's first request ID: one varint byte
+		var head [6]byte // length, opcode, and the client's request ID: one varint byte
 		if _, err := io.ReadFull(daemon, head[:]); err != nil {
 			return
 		}
@@ -74,9 +76,28 @@ func TestRouterDropsLargeStreamRoute(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the router is still sending the subscribe")
 	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if len(sess.routes) != 0 {
-		t.Errorf("routes %v left after the stream ended", sess.routes)
+	if _, ok := pc.calls.Remove(7); ok {
+		t.Error("the link still holds id 7 after the stream ended")
+	}
+}
+
+// TestPeerCallTimeoutRemovesEntry: a fan-out call that times out against
+// a member that never answers withdraws its registration, instead of
+// holding the ID until the link dies.
+func TestPeerCallTimeoutRemovesEntry(t *testing.T) {
+	daemon, link := net.Pipe()
+	defer daemon.Close()
+	go io.Copy(io.Discard, daemon) // reads every request, answers none
+	pc := startPeer("mute", netproto.NewConn(link), netproto.NewPending(), nil)
+	defer pc.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	const id = 41
+	if _, err := pc.Call(ctx, id, netproto.OpContexts, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call against a mute member = %v, want the deadline", err)
+	}
+	if _, ok := pc.calls.Remove(id); ok {
+		t.Error("the timed-out call's entry is still in the link's table")
 	}
 }

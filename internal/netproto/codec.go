@@ -630,26 +630,6 @@ func decodeBinResponse(p []byte, resp *Response) error {
 	return nil
 }
 
-// appendRenumbered appends a frame carrying payload — a binary request
-// or response, which share the prefix [tag u8][id uvarint] — under
-// request id instead of its own: the tag and every byte after the old ID
-// are copied untouched. IDs of different widths change the length, so
-// the header is stamped afresh. On failure buf comes back unchanged.
-func appendRenumbered(buf, payload []byte, id uint64) ([]byte, error) {
-	var n int
-	if len(payload) > 0 {
-		_, n = binary.Uvarint(payload[1:])
-	}
-	if n <= 0 {
-		return buf, &FrameError{ID: id, Err: fmt.Errorf("renumber: payload carries no request id")}
-	}
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, payload[0])
-	buf = binary.AppendUvarint(buf, id)
-	buf = append(buf, payload[1+n:]...)
-	return endFrame(buf, start, "", id)
-}
-
 func getUvarint(p []byte) (uint64, []byte, bool) {
 	v, n := binary.Uvarint(p)
 	if n <= 0 {

@@ -3,6 +3,7 @@ package netproto
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -99,20 +100,14 @@ func (c *Conn) EnqueueRequest(env *Envelope) error {
 	return nil
 }
 
-// EnqueueRenumbered queues payload — a binary request or response read
-// raw off another connection — under request id, without flushing (see
-// EnqueueRequest): the one edit a relay makes to a frame it forwards.
-// The payload is copied. The error is a payload with no request ID or a
-// frame the wider ID pushes past MaxFrame; nothing was queued.
-func (c *Conn) EnqueueRenumbered(payload []byte, id uint64) error {
+// EnqueuePayload queues a frame carrying payload — a frame's payload
+// read raw off another connection, relayed as it arrived — without
+// flushing (see EnqueueRequest). The payload is copied.
+func (c *Conn) EnqueuePayload(payload []byte) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var err error
-	if c.wbuf, err = appendRenumbered(c.wbuf, payload, id); err != nil {
-		return err
-	}
+	c.wbuf = append(binary.BigEndian.AppendUint32(c.wbuf, uint32(len(payload))), payload...)
 	c.flushIfFull()
-	return nil
 }
 
 // EnqueueResponse is EnqueueRequest for a response.
@@ -225,7 +220,7 @@ func (c *Conn) ReadResponse(resp *Response) error {
 // ForwardFunc receives a request a forwarding reader passes on without
 // decoding: a binary frame of an op whose body names files (BodyFile,
 // BodyFiles) — its op row, its request ID, the context it names and the
-// whole payload, for EnqueueRenumbered. ctx and payload alias the
+// whole payload, for EnqueuePayload. ctx and payload alias the
 // connection's read buffer and are valid only during the call.
 type ForwardFunc func(spec OpSpec, id uint64, ctx, payload []byte)
 

@@ -1,6 +1,9 @@
 package netproto
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // ResponseHandler receives the response frames of one request: exactly
 // one for a plain call, every frame up to and including the terminal
@@ -23,10 +26,11 @@ func (f ResponseFunc) HandleResponse(resp Response) { f(resp) }
 // is independent of any one Conn, so a reconnecting client keeps it
 // (and its monotonic IDs) across transport generations.
 //
-// A relaying table (NewRelayPending) also holds relays: requests
-// forwarded on behalf of a client of another connection, answered by
-// re-framing each response onto that connection under the client's own
-// request ID — a binary response byte for byte, without decoding it.
+// A relaying table (NewRelayPending) also takes registrations under
+// the caller's own IDs (AddAt, AddRelay): a relay forwards a request of
+// a client of another connection under the client's request ID, and
+// each answer goes onto that connection as it arrived, a binary one
+// without being decoded.
 //
 // Handlers run on the delivering goroutine, outside the table's lock.
 type Pending struct {
@@ -35,19 +39,25 @@ type Pending struct {
 	entries map[uint64]pendingEntry
 	failed  bool
 
-	// relay is the connection relays answer on and ended what runs when
-	// a relayed stream is over; both nil on a table that relays nothing.
+	// relay is the connection relays answer on: nil on a table that
+	// relays nothing.
 	relay *Conn
-	ended func(clientID uint64)
 }
 
-// pendingEntry is a handler's registration or, with h nil, a relay's:
-// client is the request ID its frames go back under.
+// pendingEntry is a handler's registration or, with h nil, a relay's.
 type pendingEntry struct {
 	h      ResponseHandler
-	client uint64
 	stream bool // registered until a terminal frame, not just the first
+	unsub  bool // a relayed stream an unsubscribe ends (Unsubscribed)
 }
+
+// ErrInFlight refuses a registration under a request ID the table
+// still holds.
+var ErrInFlight = errors.New("request id already in flight")
+
+// errFailed refuses a registration once the table has failed: it would
+// never be answered.
+var errFailed = errors.New("connection failed")
 
 // NewPending returns an empty table whose first ID is 1.
 func NewPending() *Pending {
@@ -55,12 +65,10 @@ func NewPending() *Pending {
 }
 
 // NewRelayPending is NewPending for a table that also relays (AddRelay)
-// onto the connection to. ended runs, on the delivering goroutine, once
-// a relayed stream's terminal frame is queued on to or the table has
-// failed it.
-func NewRelayPending(to *Conn, ended func(clientID uint64)) *Pending {
+// onto the connection to.
+func NewRelayPending(to *Conn) *Pending {
 	t := NewPending()
-	t.relay, t.ended = to, ended
+	t.relay = to
 	return t
 }
 
@@ -76,26 +84,45 @@ func (t *Pending) NextID() uint64 {
 // Add registers h under a fresh request ID. ok is false once the table
 // has failed: the handler would never be answered.
 func (t *Pending) Add(h ResponseHandler, stream bool) (id uint64, ok bool) {
-	return t.add(pendingEntry{h: h, stream: stream})
-}
-
-// AddRelay registers a relay of the request clientID of the relay
-// connection under a fresh request ID. Its responses need no handler:
-// each is queued (not flushed) on the relay connection under clientID. ok
-// is false once the table has failed.
-func (t *Pending) AddRelay(clientID uint64, stream bool) (id uint64, ok bool) {
-	return t.add(pendingEntry{client: clientID, stream: stream})
-}
-
-func (t *Pending) add(e pendingEntry) (uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.failed {
-		return 0, false
-	}
 	t.nextID++
-	t.entries[t.nextID] = e
-	return t.nextID, true
+	return t.nextID, t.putLocked(t.nextID, pendingEntry{h: h, stream: stream}) == nil
+}
+
+// AddAt registers h for the one answer to the request id, an ID the
+// caller chose. The error is ErrInFlight for an ID the table still
+// holds, or a table that has failed.
+func (t *Pending) AddAt(id uint64, h ResponseHandler) error {
+	return t.put(id, pendingEntry{h: h})
+}
+
+// AddRelay registers a relay of the request id of a client of the relay
+// connection, under that same ID: its answers need no handler, each is
+// queued (not flushed) on the relay connection — a stream op's up to its
+// terminal frame. An unsubscribe ends the relay of a subscribe or
+// acquire, not of an open waiting for its notice (Unsubscribed). The
+// error is ErrInFlight for an ID the table still holds, or a table that
+// has failed.
+func (t *Pending) AddRelay(id uint64, spec OpSpec) error {
+	return t.put(id, pendingEntry{stream: spec.Stream, unsub: spec.Stream && spec.Name != OpOpen})
+}
+
+func (t *Pending) put(id uint64, e pendingEntry) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.putLocked(id, e)
+}
+
+func (t *Pending) putLocked(id uint64, e pendingEntry) error {
+	if t.failed {
+		return errFailed
+	}
+	if _, live := t.entries[id]; live {
+		return ErrInFlight
+	}
+	t.entries[id] = e
+	return nil
 }
 
 // Remove withdraws a registration (an abandoned call, a canceled
@@ -108,6 +135,17 @@ func (t *Pending) Remove(id uint64) (h ResponseHandler, ok bool) {
 	e, ok := t.entries[id]
 	delete(t.entries, id)
 	return e.h, ok
+}
+
+// Unsubscribed ends the relay of stream id, if an unsubscribe ends it:
+// the daemon has acked the stream's unsubscribe and sends nothing more
+// for it.
+func (t *Pending) Unsubscribed(id uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.entries[id].unsub {
+		delete(t.entries, id)
+	}
 }
 
 // Hand gives the live request id a new handler for its later frames: a
@@ -140,57 +178,43 @@ func (t *Pending) take(id uint64, terminal, relayOnly bool) (pendingEntry, bool)
 	return e, ok
 }
 
-// deliver routes one decoded response frame to its handler or relay;
-// frames for unknown IDs are dropped.
-func (t *Pending) deliver(resp Response) {
+// receive routes one response payload. A relay's frame is queued on the
+// relay connection as it arrived: a binary one is walked, not decoded,
+// for its ID and terminal bit, and a JSON one is decoded only to find
+// its entry. Every other frame is decoded into resp for its handler;
+// frames for unknown IDs are dropped. The error is a payload that does
+// not parse.
+func (t *Pending) receive(payload []byte, resp *Response) error {
+	if t.relay != nil && isBinPayload(payload, true) {
+		var r binResponse
+		if err := walkBinResponse(payload, &r); err != nil {
+			return err
+		}
+		if _, ok := t.take(r.id, r.terminal(), true); ok {
+			t.relay.EnqueuePayload(payload)
+			return nil
+		}
+	}
+	*resp = Response{} // the JSON decoder merges into its target
+	if err := parseResponse(payload, true, resp); err != nil {
+		return err
+	}
 	e, ok := t.take(resp.ID, resp.Terminal(), false)
 	switch {
 	case !ok:
 	case e.h != nil:
-		e.h.HandleResponse(resp)
+		e.h.HandleResponse(*resp)
 	default:
-		resp.ID = e.client
-		t.relayed(e, resp.Terminal(), t.relay.EnqueueResponse(&resp))
+		t.relay.EnqueuePayload(payload)
 	}
-}
-
-// relayRaw relays a binary response payload undecoded when its ID names
-// a relay: the payload goes onto the relay connection renumbered to the
-// client's ID. relayed is false for every other ID — a handler's, or
-// one nobody awaits — which the caller decodes. A payload the walk
-// refuses fails as it would decoded.
-func (t *Pending) relayRaw(payload []byte) (relayed bool, err error) {
-	var r binResponse
-	if err := walkBinResponse(payload, &r); err != nil {
-		return false, err
-	}
-	terminal := r.terminal()
-	e, ok := t.take(r.id, terminal, true)
-	if ok {
-		t.relayed(e, terminal, t.relay.EnqueueRenumbered(payload, e.client))
-	}
-	return ok, nil
-}
-
-// relayed finishes a frame queued for relay e. A frame that could not be
-// queued closes the relay connection — its request would otherwise wait
-// forever, and the client sees the loss — and a stream's terminal frame
-// ends the stream.
-func (t *Pending) relayed(e pendingEntry, terminal bool, err error) {
-	if err != nil {
-		t.relay.Close()
-	}
-	if e.stream && terminal {
-		t.ended(e.client)
-	}
+	return nil
 }
 
 // Serve reads response frames from c and delivers them until reading
 // fails, and returns that error. An undecodable response counts: it
 // names no request, so skipping it would strand the handler it was
-// meant for. A binary frame answering a relay is relayed without being
-// decoded. idle, when set, runs each time the responses buffered so far
-// have all been delivered.
+// meant for. idle, when set, runs each time the responses buffered so
+// far have all been delivered.
 func (t *Pending) Serve(c *Conn, idle func()) error {
 	var resp Response // one per loop: a frame decodes into it through a pointer, which would cost a heap Response per frame
 	for {
@@ -198,20 +222,10 @@ func (t *Pending) Serve(c *Conn, idle func()) error {
 		if err != nil {
 			return err
 		}
-		relayed := false
-		if t.relay != nil && isBinPayload(payload, true) {
-			relayed, err = t.relayRaw(payload)
-		}
-		if err == nil && !relayed {
-			resp = Response{} // the JSON decoder merges into its target
-			err = parseResponse(payload, true, &resp)
-		}
+		err = t.receive(payload, &resp)
 		c.frameDone(payload, pooled)
 		if err != nil {
 			return err
-		}
-		if !relayed {
-			t.deliver(resp)
 		}
 		if idle != nil && !FrameBuffered(c.br) {
 			idle()
@@ -231,10 +245,10 @@ func (t *Pending) Sweep(drop func(id uint64, h ResponseHandler) bool) {
 	}
 }
 
-// Fail ends the table: every registered handler receives resp under its
-// own request ID, every relay under its client's, flushed — resp should
-// be terminal (Done) — and later Adds are refused. Failing twice is
-// harmless.
+// Fail ends the table: every registered handler and relay receives
+// resp under its request ID, a relay's flushed — resp should be
+// terminal (Done) — and later registrations are refused. Failing twice
+// is harmless.
 func (t *Pending) Fail(resp Response) {
 	t.mu.Lock()
 	entries := t.entries
@@ -243,13 +257,14 @@ func (t *Pending) Fail(resp Response) {
 	t.mu.Unlock()
 	relayed := false
 	for id, e := range entries {
+		resp.ID = id
 		if e.h != nil {
-			resp.ID = id
 			e.h.HandleResponse(resp)
 			continue
 		}
-		resp.ID = e.client
-		t.relayed(e, resp.Terminal(), t.relay.EnqueueResponse(&resp))
+		if t.relay.EnqueueResponse(&resp) != nil {
+			t.relay.Close() // the client sees the loss
+		}
 		relayed = true
 	}
 	if relayed {

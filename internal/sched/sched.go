@@ -222,7 +222,6 @@ type Scheduler struct {
 
 	mu         sync.Mutex
 	ctxs       map[string]*ctxState
-	depth      int // total queued jobs across contexts
 	seq        uint64
 	nodes      int            // summed parallelism of in-flight jobs
 	reclaiming int            // nodes of preempt victims killed but not yet SimDone
@@ -541,7 +540,6 @@ func (s *Scheduler) enqueue(req Request, prepaid bool) *Job {
 	job := &Job{Request: req, prepaid: prepaid, seq: in.seq, enqueuedAt: in.enqueuedAt}
 	job.roster = append(job.one[:0], in.roster...)
 	s.insert(cs, job)
-	s.depth++
 	s.stats.Queued++
 	return job
 }
@@ -562,7 +560,6 @@ func (s *Scheduler) absorb(cs *ctxState, in *Job) bool {
 	for i = overlapping(cs, job); i >= 0; i = overlapping(cs, job) {
 		job.merge(cs.jobs[i])
 		s.removeAt(cs, i)
-		s.depth--
 	}
 	s.insert(cs, job)
 	return true
@@ -658,7 +655,6 @@ func (s *Scheduler) Next() (Job, bool) {
 		job.charged = true
 	}
 	s.removeAt(cs, i)
-	s.depth--
 	cs.inflight++
 	s.nodes += jobNodes(job.Parallelism)
 	s.noteAdmitted(job)
@@ -860,7 +856,6 @@ func (s *Scheduler) CancelClient(ctx, client string, keep func(first, last int) 
 		}
 		removed = append(removed, *job)
 		s.removeAt(cs, idx)
-		s.depth--
 		s.stats.Canceled++
 	}
 	return removed
@@ -881,7 +876,6 @@ func (s *Scheduler) DropContext(ctx string) []Job {
 	var removed []Job
 	for _, job := range cs.jobs {
 		removed = append(removed, *job)
-		s.depth--
 		s.stats.Canceled++
 	}
 	delete(s.ctxs, ctx)
@@ -909,7 +903,9 @@ func (s *Scheduler) Stats() metrics.SchedStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.QueueDepth = s.depth
+	for _, cs := range s.ctxs {
+		st.QueueDepth += len(cs.jobs)
+	}
 	return st
 }
 
@@ -918,14 +914,12 @@ func (s *Scheduler) Stats() metrics.SchedStats {
 func (s *Scheduler) CheckInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	total := 0
 	// Sorted iteration so the first violation reported is deterministic.
 	for _, name := range slices.Sorted(maps.Keys(s.ctxs)) {
 		cs := s.ctxs[name]
 		if cs.inflight < 0 {
 			return fmt.Errorf("sched: context %q has negative inflight %d", name, cs.inflight)
 		}
-		total += len(cs.jobs)
 		for i, job := range cs.jobs {
 			if job.First > job.Last || job.First < 1 {
 				return fmt.Errorf("sched: %q job %d has malformed range [%d,%d]", name, i, job.First, job.Last)
@@ -937,9 +931,6 @@ func (s *Scheduler) CheckInvariants() error {
 				return fmt.Errorf("sched: %q queue out of order at %d", name, i)
 			}
 		}
-	}
-	if total != s.depth {
-		return fmt.Errorf("sched: depth ledger %d != queue contents %d", s.depth, total)
 	}
 	if s.nodes < 0 {
 		return fmt.Errorf("sched: negative node usage %d", s.nodes)
