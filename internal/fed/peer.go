@@ -77,8 +77,8 @@ func (pc *PeerConn) fail(cause error) {
 
 // unsubscribe sends an unsubscribe of stream subID under the client's
 // request id. The member's ack ends the link's relay of subID, if the
-// link relays it as a stream an unsubscribe ends: the daemon sends
-// nothing for a stream after acking its unsubscribe.
+// link relays it as a stream an unsubscribe ends: the daemon produces
+// nothing for a stream once it has acked its unsubscribe.
 func (pc *PeerConn) unsubscribe(id, subID uint64) {
 	calls := pc.calls
 	if calls.AddAt(id, netproto.ResponseFunc(func(netproto.Response) { calls.Unsubscribed(subID) })) != nil {

@@ -138,8 +138,8 @@ func (t *Pending) Remove(id uint64) (h ResponseHandler, ok bool) {
 }
 
 // Unsubscribed ends the relay of stream id, if an unsubscribe ends it:
-// the daemon has acked the stream's unsubscribe and sends nothing more
-// for it.
+// the daemon has acked the stream's unsubscribe and produces nothing
+// more for it.
 func (t *Pending) Unsubscribed(id uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
