@@ -138,12 +138,14 @@ proto-fuzz:
 # withdrawal races (a stream's frames and its end race the hub's
 # callbacks on the session's pusher), and the client's call state
 # machine ten times over with the reconnect suite (a call's answer, its
-# Wait and the reconnect sweep race for who moves second).
+# Wait and the reconnect sweep race for who moves second) and the call
+# record recycling tests (a second Wait, and records a canceled context
+# or the sweep left unsettled, which the pool must never hand out).
 chaos-smoke:
 	$(GO) test -race -count=10 -run 'Launcher' ./internal/simulator
 	$(GO) test -race -count=10 -run 'TestWatchContract|TestOpenNoticeContract|TestStreamWithdrawal' ./internal/server
 	$(GO) test -race -run 'TestChaosWorkloadUnderFaults|TestDaemonRestartMidWorkload|TestCloseDrainsPendingWaiters' ./internal/server
-	$(GO) test -race -count=10 -run 'TestReconnect|TestDoubleReleaseRefused|TestCallStateMachine' ./internal/dvlib
+	$(GO) test -race -count=10 -run 'TestReconnect|TestDoubleReleaseRefused|TestCallStateMachine|TestSecondWaitRefused|TestCanceledCallKeepsItsRecord|TestSweptCallKeepsItsRecord' ./internal/dvlib
 	$(GO) test -race ./internal/faults
 
 # fed-smoke is the federation gate under the race detector: router

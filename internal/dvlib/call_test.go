@@ -20,7 +20,9 @@ import (
 // standing in for the read loop. Each Wait returns once, with the
 // response or the typed error. A token channel goes back to the pool
 // only from a parked Wait woken by a token, so no channel the pool hands
-// out afterwards is closed or still holds a token.
+// out afterwards is closed or still holds a token. A record goes back,
+// zeroed, only from a Wait that read a response; one the sweep failed
+// keeps its state.
 func TestCallStateMachine(t *testing.T) {
 	nc, peer := net.Pipe()
 	t.Cleanup(func() {
@@ -85,8 +87,10 @@ func TestCallStateMachine(t *testing.T) {
 					t.Fatalf("Wait = %+v, %v; want %v", got.resp, got.err, tc.wantErr)
 				case tc.wantErr == nil && (got.err != nil || !reflect.DeepEqual(got.resp, resp)):
 					t.Fatalf("Wait = %+v, %v; want %+v", got.resp, got.err, resp)
-				case p.state.Load() != callAnswered:
-					t.Fatalf("call left in state %d", p.state.Load())
+				case tc.wantErr == nil && !recycled(p):
+					t.Fatalf("a call answered normally was not recycled: op %q, state %d", p.env.Op, p.state.Load())
+				case tc.wantErr != nil && p.state.Load() != callAnswered:
+					t.Fatalf("a call failed by the sweep left in state %d", p.state.Load())
 				}
 			}
 			var drawn []chan struct{}
@@ -102,6 +106,220 @@ func TestCallStateMachine(t *testing.T) {
 			for _, ch := range drawn {
 				tokens.Put(ch)
 			}
+			checkRecords(t, nil)
 		})
 	}
+}
+
+// recycled reports whether p was zeroed on its way back to the pool.
+func recycled(p *pendingCall) bool {
+	return p.c == nil && p.env.Op == "" && p.err == nil && p.ch == nil && p.state.Load() == callPending
+}
+
+// checkRecords draws records from the pool and fails the test when one
+// is in kept, or still holds a call; then it puts them back.
+func checkRecords(t *testing.T, kept map[*pendingCall]bool) {
+	t.Helper()
+	var drawn []*pendingCall
+	for range 64 {
+		p := records.Get().(*pendingCall)
+		switch {
+		case kept[p]:
+			t.Fatal("the pool handed out a record that never read a normal answer")
+		case !recycled(p):
+			t.Fatalf("the pool handed out a record still holding a call: op %q, state %d", p.env.Op, p.state.Load())
+		}
+		drawn = append(drawn, p)
+	}
+	for _, p := range drawn {
+		records.Put(p)
+	}
+}
+
+// A second Wait on a pipelined call fails with ErrWaited, whether it
+// follows the first or races it: exactly one Wait gets the answer, and
+// the record the first recycled never leaks another call's answer.
+func TestSecondWaitRefused(t *testing.T) {
+	addr := fakeDV(t, answerByName)
+	c, err := Dial(addr, "unit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, err := c.Init("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 2; step <= 40; step += 2 {
+		oc, err := ctx.OpenAsync(ctx.Filename(step))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := ctx.ReleaseAsync(ctx.Filename(step))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := oc.Wait(); err != nil || int(res.EstWait) != step {
+			t.Fatalf("open of step %d answered %+v, %v", step, res, err)
+		}
+		// The next window may reuse the first Wait's record.
+		window(t, ctx, 100+step)
+		if res, err := oc.Wait(); !errors.Is(err, ErrWaited) || res != (OpenResult{}) {
+			t.Fatalf("second Wait of the open of step %d = %+v, %v; want ErrWaited", step, res, err)
+		}
+		// Two Waits at once on the release: one answer, one ErrWaited.
+		errs := make(chan error, 2)
+		for range 2 {
+			go func() { errs <- rc.Wait() }()
+		}
+		e1, e2 := <-errs, <-errs
+		if e1 != nil {
+			e1, e2 = e2, e1
+		}
+		if e1 != nil || !errors.Is(e2, ErrWaited) {
+			t.Fatalf("racing Waits of the release of step %d = %v, %v; want nil and ErrWaited", step, e1, e2)
+		}
+		if err := rc.Wait(); !errors.Is(err, ErrWaited) {
+			t.Fatalf("third Wait of the release of step %d = %v; want ErrWaited", step, err)
+		}
+	}
+	var zero ReleaseCall
+	if err := zero.Wait(); !errors.Is(err, ErrWaited) {
+		t.Fatalf("Wait on a zero ReleaseCall = %v; want ErrWaited", err)
+	}
+	checkRecords(t, nil)
+}
+
+// A call abandoned by its context keeps its record: the read loop may
+// still deliver its answer there, so the pool never hands it out again,
+// whether the late answer was dropped as unknown or landed in the
+// record.
+func TestCanceledCallKeepsItsRecord(t *testing.T) {
+	// The answer to an est-wait is withheld until the test asks for it,
+	// and a bitrep is never answered.
+	held := make(chan func(), 1)
+	addr := fakeDV(t, func(req fakeReq, send func(netproto.Response)) {
+		if req.Op == netproto.OpEstWait {
+			held <- func() { send(netproto.Response{ID: req.ID, OK: true, EstWaitNs: 1 << 40}) }
+			return
+		}
+		answerByName(req, send)
+	})
+	c, err := Dial(addr, "unit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, err := c.Init("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[*pendingCall]bool{}
+	late := 0
+	for round := range 50 {
+		p, err := c.start(ctx.fileEnv(netproto.OpEstWait, ctx.Filename(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cx, cancel := context.WithCancel(context.Background())
+		got := make(chan error, 1)
+		go func() {
+			_, err := c.await(cx, p)
+			got <- err
+		}()
+		answer := <-held
+		// Cancel and answer together: some rounds the answer wins, some
+		// it is dropped as unknown, some it lands in the abandoned record.
+		sent := make(chan struct{})
+		go func() {
+			answer()
+			close(sent)
+		}()
+		cancel()
+		err = <-got
+		<-sent
+		// The daemon answers in order, so once this answer is read the
+		// late one has been delivered or dropped.
+		if _, err := c.Init("c"); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case err == nil:
+			continue // answered before the cancel: recycled normally
+		case !errors.Is(err, context.Canceled):
+			t.Fatalf("round %d: %v", round, err)
+		case recycled(p):
+			t.Fatalf("round %d: the abandoned record went back to the pool", round)
+		}
+		if p.state.Load() == callAnswered {
+			late++
+		}
+		kept[p] = true
+		checkRecords(t, kept)
+	}
+	// The read loop took the entry before the cancel withdrew it: the
+	// answer lands in the record after its caller gave up.
+	for range 50 {
+		p, err := c.start(ctx.fileEnv(netproto.OpBitrep, ctx.Filename(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := c.await(cx, p); !errors.Is(err, context.Canceled) {
+			t.Fatalf("await under a canceled context = %v", err)
+		}
+		p.HandleResponse(netproto.Response{ID: p.id, OK: true, Flag: true, Done: true})
+		if recycled(p) || !p.resp.Flag {
+			t.Fatal("the late answer did not stay in the abandoned record")
+		}
+		kept[p] = true
+		checkRecords(t, kept)
+	}
+	t.Logf("%d of %d abandoned records kept; %d of them took a late answer off the wire", len(kept)-50, 50, late)
+	for base := 1; base <= 500; base += 16 {
+		window(t, ctx, base)
+	}
+	checkRecords(t, kept)
+}
+
+// A call the reconnect sweep fails keeps its record, parked or not when
+// the sweep finds it: the sweep took its table entry, so no answer
+// reaches it, and its channel may be closed.
+func TestSweptCallKeepsItsRecord(t *testing.T) {
+	// A release of a step from 1000 on cuts the connection it arrives on.
+	addr := scriptedDV(t, nil, func(connNo int, req fakeReq, send func(netproto.Response), kill func()) {
+		if req.Op == netproto.OpRelease && stepOf(req.Files[0]) >= 1000 {
+			kill()
+			return
+		}
+		answerByName(req, send)
+	})
+	c, err := Dial(addr, "unit", WithReconnect(fastReconnect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, err := c.Init("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[*pendingCall]bool{}
+	for round := range 10 {
+		rc, err := ctx.ReleaseAsync(ctx.Filename(1000 + round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := rc.p.Load()
+		if err := rc.Wait(); !errors.Is(err, ErrReconnecting) {
+			t.Fatalf("round %d: release cut by the reset answered %v, want ErrReconnecting", round, err)
+		}
+		if recycled(p) || p.state.Load() != callAnswered || p.err == nil {
+			t.Fatalf("round %d: the swept record went back to the pool", round)
+		}
+		kept[p] = true
+		checkRecords(t, kept)
+		window(t, ctx, 100+16*round)
+	}
+	checkRecords(t, kept)
 }

@@ -59,6 +59,10 @@ var ErrReconnecting = errors.New("connection reset while the request was in flig
 // recovered state.
 var ErrNotHeld = errors.New("file is not held by this client (double release?)")
 
+// ErrWaited reports a second Wait on a pipelined call (OpenCall,
+// ReleaseCall): the first Wait took the call's outcome.
+var ErrWaited = errors.New("dvlib: call already waited for")
+
 // Error is a structured daemon-reported failure: the machine-readable
 // code, the operation that failed, and the human-readable message.
 type Error struct {
@@ -323,15 +327,15 @@ func (c *Client) die(err error) {
 	c.calls.Fail(netproto.Response{Err: "connection lost", Done: true})
 }
 
-// pendingCall is an in-flight request expecting one response, and the
-// only object a call allocates: its frame is queued (and possibly
-// already flushed) and the read loop will leave the response in resp, or
-// a reconnect's typed error in err. env is the request as built, ID
-// unset — what settle reads the ledger entry from and what a reconnect
-// replays, under the ID the table holds the call at; it is never written
-// once the call is registered. state moves pending → answered, or, when
-// the caller waits first, pending → parked (on ch) → answered: a call
-// answered before its Wait costs no channel operation.
+// pendingCall is an in-flight request expecting one response: its frame
+// is queued (and possibly already flushed) and the read loop will leave
+// the response in resp, or a reconnect's typed error in err. env is the
+// request as built, ID unset — what settle reads the ledger entry from
+// and what a reconnect replays, under the ID the table holds the call
+// at; it is never written once the call is registered. state moves
+// pending → answered, or, when the caller waits first, pending → parked
+// (on ch) → answered: a call answered before its Wait costs no channel
+// operation.
 type pendingCall struct {
 	c     *Client
 	id    uint64
@@ -353,6 +357,12 @@ const (
 // it or close it again: a reconnect's closed channel and one abandoned
 // by a canceled context (the read loop may still deliver) never do.
 var tokens = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// records recycles call records, so a settled call leaves no garbage.
+// One goes back only from the await that read the read loop's answer,
+// after the answer's last touch (its swap, or the token it sends): one
+// abandoned by a canceled context or failed by the reconnect sweep never.
+var records = sync.Pool{New: func() any { return new(pendingCall) }}
 
 // answer settles the call with resp, or with err when the reconnect
 // sweep fails it, and wakes a parked caller: with a token, or for err
@@ -408,8 +418,8 @@ func (c *Client) callCtx(ctx context.Context, op string, body any) (netproto.Res
 
 // roundTrip sends env and blocks for its one response.
 func (c *Client) roundTrip(ctx context.Context, env netproto.Envelope) (netproto.Response, error) {
-	p := new(pendingCall)
-	if err := c.start(p, env); err != nil {
+	p, err := c.start(env)
+	if err != nil {
 		return netproto.Response{}, err
 	}
 	return c.await(ctx, p)
@@ -463,17 +473,20 @@ func (c *Client) request(h netproto.ResponseHandler, stream bool, env netproto.E
 	return id, err
 }
 
-// start registers p as a pending call and queues its request frame. An
-// open stays registered past its first answer, for a miss's notice.
-func (c *Client) start(p *pendingCall, env netproto.Envelope) (err error) {
+// start registers a record from the pool as a pending call and queues
+// its request frame. An open stays registered past its first answer, for
+// a miss's notice.
+func (c *Client) start(env netproto.Envelope) (p *pendingCall, err error) {
+	p = records.Get().(*pendingCall)
 	p.c, p.env = c, env
 	p.id, err = c.request(p, env.Op == netproto.OpOpen, env, false)
-	return err
+	return p, err
 }
 
 // await flushes any queued frames (the daemon cannot answer a request it
 // has not received) and returns the call's outcome, parking only if it
-// has not come.
+// has not come. A normal answer puts p back in the pool: the caller must
+// not touch p after await.
 func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, error) {
 	if err := c.Flush(); err != nil {
 		c.abandon(p.id)
@@ -494,13 +507,16 @@ func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, 
 			}
 		}
 	}
-	switch {
-	case p.err != nil:
+	if p.err != nil {
 		return netproto.Response{}, p.err
-	case p.resp.Err != "":
-		return p.resp, &Error{Code: p.resp.Code, Op: p.env.Op, Msg: p.resp.Err}
 	}
-	return p.resp, nil
+	resp, op := p.resp, p.env.Op
+	*p = pendingCall{}
+	records.Put(p)
+	if resp.Err != "" {
+		return resp, &Error{Code: resp.Code, Op: op, Msg: resp.Err}
+	}
+	return resp, nil
 }
 
 // post sends a request without waiting for its response. Used on
@@ -639,10 +655,31 @@ func (ctx *Context) fileCall(op, file string) (netproto.Response, error) {
 	return ctx.c.roundTrip(context.Background(), ctx.fileEnv(op, file))
 }
 
+// call is a pipelined call's handle: its record, until Wait detaches
+// it. A record goes back to the pool once Wait has read its answer, so a
+// second Wait finds none and fails with ErrWaited.
+type call struct{ p atomic.Pointer[pendingCall] }
+
+// start queues a FileBody op and points the handle at its record.
+func (h *call) start(ctx *Context, op, file string) error {
+	p, err := ctx.c.start(ctx.fileEnv(op, file))
+	h.p.Store(p)
+	return err
+}
+
+// wait detaches the record and awaits its outcome.
+func (h *call) wait() (netproto.Response, error) {
+	p := h.p.Swap(nil)
+	if p == nil {
+		return netproto.Response{}, ErrWaited
+	}
+	return p.c.await(context.Background(), p)
+}
+
 // OpenCall is a pipelined Open in flight: the request frame is queued on
 // the connection; Wait flushes and blocks for the daemon's first answer
 // (a miss's notice goes to WaitAvailable, as after Open).
-type OpenCall struct{ call pendingCall }
+type OpenCall struct{ call }
 
 // OpenAsync queues an Open without waiting for the response, enabling
 // request pipelining: issue a window of OpenAsync/ReleaseAsync calls,
@@ -650,16 +687,16 @@ type OpenCall struct{ call pendingCall }
 // the first Wait (or an explicit Client.Flush).
 func (ctx *Context) OpenAsync(file string) (*OpenCall, error) {
 	oc := new(OpenCall)
-	if err := ctx.c.start(&oc.call, ctx.fileEnv(netproto.OpOpen, file)); err != nil {
+	if err := oc.start(ctx, netproto.OpOpen, file); err != nil {
 		return nil, err
 	}
 	return oc, nil
 }
 
-// Wait flushes pending request frames and blocks for the open's result.
-// It must be called exactly once.
+// Wait flushes pending request frames and blocks for the open's result;
+// a second Wait fails with ErrWaited.
 func (oc *OpenCall) Wait() (OpenResult, error) {
-	resp, err := oc.call.c.await(context.Background(), &oc.call)
+	resp, err := oc.wait()
 	if err != nil {
 		return OpenResult{}, err
 	}
@@ -667,23 +704,23 @@ func (oc *OpenCall) Wait() (OpenResult, error) {
 }
 
 // ReleaseCall is a pipelined Release in flight.
-type ReleaseCall struct{ call pendingCall }
+type ReleaseCall struct{ call }
 
 // ReleaseAsync queues a Release without waiting for the response (the
 // pipelined variant of Release/Close).
 func (ctx *Context) ReleaseAsync(file string) (*ReleaseCall, error) {
 	ctx.dropNotice(file)
 	rc := new(ReleaseCall)
-	if err := ctx.c.start(&rc.call, ctx.fileEnv(netproto.OpRelease, file)); err != nil {
+	if err := rc.start(ctx, netproto.OpRelease, file); err != nil {
 		return nil, err
 	}
 	return rc, nil
 }
 
 // Wait flushes pending request frames and blocks for the release's
-// acknowledgement. It must be called exactly once.
+// acknowledgement; a second Wait fails with ErrWaited.
 func (rc *ReleaseCall) Wait() error {
-	_, err := rc.call.c.await(context.Background(), &rc.call)
+	_, err := rc.wait()
 	return err
 }
 

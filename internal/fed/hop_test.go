@@ -15,13 +15,10 @@ import (
 // router as bytes, copied as they are onto the peer link and back onto
 // the client's connection.
 //
-// What a pair still allocates, by site, on either path:
-//
-//	2  dvlib Open/Close: the call handle, which is at once the
-//	   pending-table entry, the response slot and what the caller waits
-//	   on
-//
-// The daemon takes each request's context and file name from the
+// A pair allocates nothing on either path: dvlib's call record — the
+// pending-table entry, the response slot and what the caller waits on —
+// comes from a pool and goes back once its answer is read, and the
+// daemon takes each request's context and file name from the
 // context's name table instead of copying them off the wire (see
 // server.TestHitPathAllocBudget).
 func TestRouterHopAllocBudget(t *testing.T) {

@@ -686,8 +686,11 @@ func TestLauncherKillDuringFailingWrite(t *testing.T) {
 // Wall-clock events are due at absolute deadlines, lead + k·τ from the
 // launch, as on the engine: a Write taking half of τ delays the step it
 // writes but not the ones after it, and the run ends when its last step
-// lands. Re-arming τ after each event returned would add every Write's
-// time to all later events and end the run near lead + 6·(τ + Write).
+// lands, near lead + 6·τ + τ/2 = 150 ms. Re-arming τ after each event
+// returned would add every Write's time to all later events and end the
+// run near lead + 6·(τ + τ/2) = 200 ms. The bound on the end is the
+// midpoint of the two, so a loaded machine's lateness has 25 ms before
+// it reads as the wrong schedule.
 func TestRealTimeLauncherScheduleIsAbsolute(t *testing.T) {
 	const steps, scale = 6, 100
 	ctx := testCtx()
@@ -709,8 +712,10 @@ func TestRealTimeLauncherScheduleIsAbsolute(t *testing.T) {
 			t.Errorf("%s at %v, before its deadline %v", tl.events[k], tl.at[k], due)
 		}
 	}
-	if end, limit := tl.at[steps+1], lead+(steps+1)*tau; end >= limit {
-		t.Errorf("SimEnded at %v, want before lead + %d·τ = %v", end, steps+1, limit)
+	absolute, rearmed := lead+steps*tau+tau/2, lead+steps*(tau+tau/2)
+	if end, limit := tl.at[steps+1], (absolute+rearmed)/2; end >= limit {
+		t.Errorf("SimEnded at %v, want before %v, midway between the absolute schedule's end (%v) and a re-armed one's (%v)",
+			end, limit, absolute, rearmed)
 	}
 }
 
