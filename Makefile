@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race sched-golden bench bench-smoke bench-selftest bench-gate pairs benchstat profile-hit proto-fuzz chaos-smoke fed-smoke autoscale-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race sched-golden bench bench-smoke bench-selftest bench-gate pairs benchstat profile-hit proto-fuzz chaos-smoke fed-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
 
 all: build
 
@@ -24,13 +24,12 @@ test-race:
 	$(GO) test -race ./...
 
 # sched-golden runs the scheduler's goldens, which -short skips: the
-# seeded queue trace, the seed tables, the autoscale zero-config guard
-# and the scheduler and preemption ablations, DRR under client skew
-# (TestAblationPreemptDRRUnderSkew) among them (~3 s). CI's quick job
-# runs it beside the short suite.
+# seeded queue trace, the seed tables and the scheduler and preemption
+# ablations, DRR under client skew (TestAblationPreemptDRRUnderSkew)
+# among them (~3 s). CI's quick job runs it beside the short suite.
 sched-golden:
 	$(GO) test -count=1 -run '^TestQueueTrace$$' ./internal/sched
-	$(GO) test -count=1 -run '^(TestSchedulerPreservesSeedTables|TestAutoscaleZeroConfigGolden|TestAblationScheduler.*|TestAblationPreempt.*)$$' ./internal/experiments
+	$(GO) test -count=1 -run '^(TestSchedulerPreservesSeedTables|TestAblationScheduler.*|TestAblationPreempt.*)$$' ./internal/experiments
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -155,14 +154,6 @@ chaos-smoke:
 # riding through a router restart.
 fed-smoke:
 	$(GO) test -race -count=1 -run 'TestFederation' ./internal/fed
-
-# autoscale-smoke is the closed-loop control gate under the race
-# detector: the whole controller/policy suite (including the live-daemon
-# AdminTarget round trips) plus the core-level demand-join integration
-# tests.
-autoscale-smoke:
-	$(GO) test -race -count=1 ./internal/autoscale
-	$(GO) test -race -count=1 -run 'TestDemandJoin' ./internal/core
 
 # loc prints the two sizes ROADMAP's north star tracks: non-test Go lines
 # outside benchmark/ (its own module) and testdata/ (analyzer fixtures),

@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1|5|12|13|14|15a|15b|15c|16|17|18|19|ablations|sched|preempt|autoscale|multi|all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1|5|12|13|14|15a|15b|15c|16|17|18|19|ablations|sched|preempt|multi|all")
 	reps := flag.Int("reps", 20, "repetitions for the Fig. 5 caching study (paper: 100)")
 	seed := flag.Int64("seed", 1, "workload generation seed")
 	jobs := flag.Int("j", 0, "experiment worker pool size (0 = GOMAXPROCS); any value prints identical tables")
@@ -52,7 +52,7 @@ func main() {
 }
 
 // order is what -fig all prints, each figure followed by a blank line.
-var order = []string{"1", "5", "12", "13", "14", "15a", "15b", "15c", "16", "17", "18", "19", "ablations", "sched", "preempt", "autoscale", "multi"}
+var order = []string{"1", "5", "12", "13", "14", "15a", "15b", "15c", "16", "17", "18", "19", "ablations", "sched", "preempt", "multi"}
 
 // runs is the figure table: each entry renders one -fig value to w.
 func runs(w io.Writer, reps int, seed int64) map[string]func() error {
@@ -98,9 +98,8 @@ func runs(w io.Writer, reps int, seed int64) map[string]func() error {
 			fmt.Fprintln(w)
 			return table(experiments.AblationEMA())
 		},
-		"sched":     func() error { return table(experiments.AblationScheduler(seed)) },
-		"preempt":   func() error { return table(experiments.AblationPreempt(seed)) },
-		"autoscale": func() error { return table(experiments.AblationAutoscale(seed)) },
+		"sched":   func() error { return table(experiments.AblationScheduler(seed)) },
+		"preempt": func() error { return table(experiments.AblationPreempt(seed)) },
 		"multi": func() error {
 			ctx := simulator.CosmoScaling()
 			ctx.MaxCacheBytes = 128 * ctx.OutputBytes

@@ -21,10 +21,6 @@
 //	simfs-ctl resume demo
 //	simfs-ctl ctx-deregister demo
 //
-// Closed-loop control (attach an autoscale controller to a live daemon):
-//
-//	simfs-ctl autoscale -tick 5s -budget 8:32 -preempt youngest -cache-policies DCL,LRU
-//
 // sched-set flags are partial: only the flags given on the command line
 // change; everything else keeps its current value. ctx-deregister
 // requires a drained, quiescent context (the daemon answers "busy"
@@ -42,18 +38,13 @@ import (
 	"log"
 	"maps"
 	"os"
-	"os/signal"
 	"slices"
 	"strings"
-	"syscall"
 	"text/tabwriter"
 	"time"
 
 	"simfs"
-	"simfs/internal/autoscale"
-	"simfs/internal/des"
 	"simfs/internal/metrics"
-	"simfs/internal/sched"
 )
 
 var (
@@ -127,9 +118,6 @@ func main() {
 			fmt.Println("\nintervals have been quarantined; once the underlying fault is fixed,")
 			fmt.Println("`simfs-ctl quarantine-reset` re-admits them before the cooldown elapses")
 		}
-
-	case "autoscale":
-		runAutoscale(c, args[1:])
 
 	case "peers":
 		// Federation links: a router's ring members. A daemon has none.
@@ -264,92 +252,6 @@ func main() {
 	}
 }
 
-// runAutoscale attaches a closed-loop controller to the remote daemon:
-// every tick it samples the stats stream and steers whatever policies
-// the flags armed, printing one line per decision. The decision trail
-// stays here; the daemon logs each sched-set and cache-policy-set it
-// applies, naming this client. It detaches on SIGINT/SIGTERM or after
-// -duration.
-func runAutoscale(c *simfs.Client, args []string) {
-	fs := flag.NewFlagSet("autoscale", flag.ExitOnError)
-	tick := fs.Duration("tick", 5*time.Second, "sampling interval")
-	duration := fs.Duration("duration", 0, "detach after this long (0 = run until interrupted)")
-	highWait := fs.Duration("high-wait", 500*time.Millisecond, "demand queue-wait per window that counts as contention")
-	calm := fs.Int("calm-ticks", 3, "consecutive calm windows before widen/arm decisions are undone")
-	cooldown := fs.Duration("cooldown", 30*time.Second, "minimum delay between a policy's actuations")
-	budget := fs.String("budget", "", "arm the node-budget governor: MIN:MAX nodes")
-	budgetStep := fs.Int("budget-step", 1, "nodes added/removed per budget actuation")
-	var preempt simfs.PreemptPolicy
-	fs.TextVar(&preempt, "preempt", preempt, "arm the preemption governor with this victim policy: youngest")
-	cachePolicies := fs.String("cache-policies", "", "arm the cache switcher: comma-separated rotation, e.g. DCL,LRU")
-	drr := fs.Int("drr", 0, "arm the DRR-quantum tuner with this quantum (output steps)")
-	fs.Parse(args)
-
-	var pols []autoscale.Policy
-	if *budget != "" {
-		var min, max int
-		if _, err := fmt.Sscanf(*budget, "%d:%d", &min, &max); err != nil || min <= 0 || max < min {
-			log.Fatalf("simfs-ctl: -budget wants MIN:MAX with 0 < MIN <= MAX, got %q", *budget)
-		}
-		pols = append(pols, &autoscale.NodeBudget{Min: min, Max: max, Step: *budgetStep,
-			HighWait: *highWait, CalmTicks: *calm, Cooldown: *cooldown})
-	}
-	if preempt != sched.PreemptOff {
-		pols = append(pols, &autoscale.PreemptGovernor{HighWait: *highWait, CalmTicks: *calm, Cooldown: *cooldown})
-	}
-	if *cachePolicies != "" {
-		pols = append(pols, &autoscale.CacheSwitcher{Policies: strings.Split(*cachePolicies, ","),
-			Cooldown: *cooldown})
-	}
-	if *drr > 0 {
-		pols = append(pols, &autoscale.DRRTuner{Quantum: *drr, CalmTicks: *calm, Cooldown: *cooldown})
-	}
-	if len(pols) == 0 {
-		log.Fatal("simfs-ctl: autoscale with no policies armed would only watch; give at least one of -budget, -preempt, -cache-policies, -drr")
-	}
-
-	// One sample before the first tick refuses a router (AdminTarget)
-	// and an unreachable daemon at once, rather than once per tick.
-	target := autoscale.NewAdminTarget(c)
-	if _, err := target.Sample(); err != nil {
-		log.Fatalf("simfs-ctl: autoscale %s: %v", *addr, err)
-	}
-	decisions := 0
-	ctrl, err := autoscale.New(target, pols, autoscale.Options{
-		Clock: des.NewWallClock(),
-		OnDecision: func(d autoscale.Decision) {
-			decisions++
-			//simfs:allow wallclock operator-facing log timestamp on the live CLI
-			fmt.Printf("%s  %-14s %s — %s\n", time.Now().Format("15:04:05"), d.Policy, d.Action, d.Reason)
-		},
-	})
-	check(err)
-
-	fmt.Printf("autoscale: steering %s every %v (policies: %s)\n", *addr, *tick, strings.Join(ctrl.Policies(), ", "))
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	var deadline <-chan time.Time
-	if *duration > 0 {
-		deadline = time.After(*duration)
-	}
-	ticker := time.NewTicker(*tick) //simfs:allow wallclock the live CLI paces a real daemon; DES tests drive TickOnce directly
-	defer ticker.Stop()
-loop:
-	for {
-		select {
-		case <-ticker.C:
-			if err := ctrl.TickOnce(); err != nil {
-				log.Printf("simfs-ctl: autoscale tick: %v", err)
-			}
-		case <-stop:
-			break loop
-		case <-deadline:
-			break loop
-		}
-	}
-	fmt.Printf("autoscale: detached after %d decision(s)\n", decisions)
-}
-
 // printStats prints a context's stats record to out: every counter but
 // the scheduler's Queued and per-class Jobs, which post-date the
 // output's golden (testdata/stats.txt). The fieldsync analyzer holds it
@@ -471,13 +373,6 @@ control plane (live, no restart):
   ctx-deregister <ctx>          remove a drained context
   drain <ctx>                   refuse new opens/prefetches for a context
   resume <ctx>                  lift a drain
-  quarantine-reset [ctx]        clear the re-simulation failure ledger (all contexts if omitted)
-
-closed-loop control:
-  autoscale [-tick d] [-duration d] [-budget MIN:MAX] [-preempt P] [-cache-policies A,B]
-            [-drr Q] ...
-                                attach a controller that steers the daemon from its own
-                                stats stream until interrupted; decisions are printed here,
-                                and the daemon logs each reconfiguration it applies`)
+  quarantine-reset [ctx]        clear the re-simulation failure ledger (all contexts if omitted)`)
 	os.Exit(2)
 }

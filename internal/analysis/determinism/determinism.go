@@ -5,8 +5,7 @@
 //
 // The whole experiment stack reproduces the paper's tables only
 // because time comes from injected clocks (des.Clock, which the
-// Virtualizer's retry timer follows, autoscale.Options.Clock) and every rng
-// is explicitly seeded. Wall-clock reads and global rand draws are
+// Virtualizer's retry timer follows) and every rng is explicitly seeded. Wall-clock reads and global rand draws are
 // correct only at the edges (live daemon service-time stamps, lock
 // contention metrics, redial backoff) — such sites carry
 // //simfs:allow wallclock|rand annotations with a reason.
@@ -33,7 +32,6 @@ var MapOrderPackages = map[string]bool{
 	"simfs/internal/cache":       true,
 	"simfs/internal/trace":       true,
 	"simfs/internal/experiments": true,
-	"simfs/internal/autoscale":   true,
 	// notify's callbacks drive the DES: OpenAwait's and the pipeline's
 	// waiters wake analyses and parked simulations in the ledger's order.
 	"simfs/internal/notify": true,
@@ -101,7 +99,7 @@ func run(pass *analysis.Pass) error {
 				switch {
 				case fn.Pkg().Path() == "time" && wallFuncs[fn.Name()]:
 					pass.Reportf("wallclock", n.Sel.Pos(),
-						"wall-clock source time.%s in a determinism-scoped package; inject a clock (des.Clock, autoscale Options.Clock) or annotate //simfs:allow wallclock <reason>",
+						"wall-clock source time.%s in a determinism-scoped package; inject a clock (des.Clock) or annotate //simfs:allow wallclock <reason>",
 						fn.Name())
 				case isRandPath(fn.Pkg().Path()):
 					switch {

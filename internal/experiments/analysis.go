@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"simfs/internal/autoscale"
 	"simfs/internal/core"
 	"simfs/internal/des"
 	"simfs/internal/model"
@@ -75,28 +74,6 @@ func (r *run) analysis(client string, steps []int, tauCli time.Duration, done fu
 		},
 		OnAbort: r.onAbort,
 	}
-}
-
-// steer attaches a controller with the given policies, ticking every
-// tick and appending its decisions to log. The tick re-arms only while
-// analyses are live: a perpetual controller event would keep the DES
-// from ever draining its heap.
-func (r *run) steer(policies []autoscale.Policy, tick time.Duration, log *[]autoscale.Decision) error {
-	ctrl, err := autoscale.New(autoscale.LocalTarget{V: r.v}, policies, autoscale.Options{
-		Clock: r.eng, OnDecision: func(d autoscale.Decision) { *log = append(*log, d) }})
-	if err != nil {
-		return err
-	}
-	var fn func()
-	fn = func() {
-		if r.live == 0 {
-			return
-		}
-		_ = ctrl.TickOnce() // LocalTarget samples without error and accepts every patch and policy name the policies emit
-		r.eng.Schedule(tick, fn)
-	}
-	r.eng.Schedule(tick, fn)
-	return nil
 }
 
 // finish runs the engine until its heap drains. It reports a runaway

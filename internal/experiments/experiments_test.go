@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"simfs/internal/autoscale"
 	"simfs/internal/costmodel"
 	"simfs/internal/model"
 	"simfs/internal/sched"
@@ -157,10 +156,10 @@ func runAnalysisPreloaded(t *testing.T, ctx *model.Context, steps []int, tauCli 
 	return elapsed, err
 }
 
-// An abort counts as finished: once the other analysis is done the
-// controller's tick stops re-arming, the heap drains, and finish names
-// the aborted client rather than a runaway event loop.
-func TestRunAbortStopsTick(t *testing.T) {
+// An abort counts as finished: once the other analysis is done the heap
+// drains, and finish names the aborted client rather than a count of
+// analyses that never finished.
+func TestRunAbortNamesClient(t *testing.T) {
 	ctx := smallCtx()
 	r, err := newRun(ctx, "DCL", sched.Config{}, nil)
 	if err != nil {
@@ -169,16 +168,11 @@ func TestRunAbortStopsTick(t *testing.T) {
 	r.analysis("whole", Forward(1, 8), 100*time.Millisecond, nil).Start()
 	// A step past the timeline: the Virtualizer refuses the open.
 	r.analysis("past-end", []int{ctx.Grid.NumOutputSteps() + 1}, 100*time.Millisecond, nil).Start()
-	var log []autoscale.Decision
-	if err := r.steer(nil, time.Second, &log); err != nil {
-		t.Fatal(err)
-	}
-	r.eng.RunUntil(time.Hour)
-	if r.live != 0 {
-		t.Fatalf("%d analyses still live after an hour of virtual time", r.live)
-	}
 	if err := r.finish(); err == nil || !strings.Contains(err.Error(), "past-end") {
 		t.Fatalf("finish = %v, want the abort of past-end", err)
+	}
+	if r.live != 0 {
+		t.Fatalf("%d analyses still live after the run", r.live)
 	}
 }
 

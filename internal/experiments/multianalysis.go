@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"simfs/internal/autoscale"
 	"simfs/internal/core"
 	"simfs/internal/metrics"
 	"simfs/internal/model"
@@ -24,14 +23,6 @@ type MultiAnalysisConfig struct {
 	// Sched selects the re-simulation scheduling policy (zero value =
 	// the paper-exact default); the scheduler ablation sweeps it.
 	Sched sched.Config
-	// Autoscale attaches a closed-loop controller (internal/autoscale)
-	// to the run's Virtualizer, ticking in virtual time every
-	// AutoscaleTick while analyses are live. With a zero tick — or an
-	// empty policy set — the run is untouched: the autoscale ablation
-	// steers with it, the golden test pins that attaching an unarmed
-	// controller changes nothing.
-	Autoscale     []autoscale.Policy
-	AutoscaleTick time.Duration
 }
 
 // MultiAnalysisResult aggregates the run.
@@ -39,8 +30,6 @@ type MultiAnalysisResult struct {
 	Completion []time.Duration
 	Stats      core.CtxStats
 	Sched      metrics.SchedStats
-	// Decisions is the attached controller's log (nil without one).
-	Decisions []autoscale.Decision
 }
 
 // MultiAnalysis runs several concurrent analyses over one shared
@@ -74,11 +63,6 @@ func MultiAnalysis(ctx *model.Context, cfg MultiAnalysisConfig) (MultiAnalysisRe
 		// paper's workload.
 		delay := time.Duration(rng.Intn(60)) * time.Second
 		r.eng.Schedule(delay, a.Start)
-	}
-	if cfg.AutoscaleTick > 0 {
-		if err := r.steer(cfg.Autoscale, cfg.AutoscaleTick, &res.Decisions); err != nil {
-			return res, err
-		}
 	}
 	if err := r.finish(); err != nil {
 		return res, err

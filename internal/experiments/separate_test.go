@@ -16,14 +16,14 @@ import (
 var sameRows = map[string]string{}
 
 // TestAblationsSeparate is the gate against ablation rows that show
-// nothing: in every table `simfs-bench -fig ablations|sched|preempt|
-// autoscale` prints, at seeds 1–3, no two rows may print the same cell
+// nothing: in every table `simfs-bench -fig ablations|sched|preempt`
+// prints, at seeds 1–3, no two rows may print the same cell
 // in every column unless sameRows names the pair with a reason. A row
 // that copies another is a knob the table cannot tell apart from its
 // neighbour: move the ablation to a workload where it matters, or delete
 // the row.
 func TestAblationsSeparate(t *testing.T) {
-	seeded := []func(int64) (*metrics.Table, error){AblationScheduler, AblationPreempt, AblationAutoscale}
+	seeded := []func(int64) (*metrics.Table, error){AblationScheduler, AblationPreempt}
 	var tabs []*metrics.Table
 	for _, run := range []func() (*metrics.Table, error){AblationPrefetchStrategies, AblationDoubling, AblationEMA} {
 		tab, err := run()

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"simfs/internal/autoscale"
 	"simfs/internal/dvlib"
 	"simfs/internal/fed"
 	"simfs/internal/model"
@@ -265,61 +264,6 @@ func TestFederationStatsFromOwner(t *testing.T) {
 	if got.CachePolicy != want.CachePolicy || got.Draining != want.Draining {
 		t.Errorf("routed cache policy %q draining %v, want the owner's %q %v",
 			got.CachePolicy, got.Draining, want.CachePolicy, want.Draining)
-	}
-}
-
-// TestFederationAutoscaleRefusesRouter: through a router each context's
-// stats come from its owner, so an autoscale sample would carry one
-// daemon's scheduler ledger while sched-set reaches every member. The
-// admin target refuses the router and still samples a member directly,
-// with that daemon's own client loads.
-func TestFederationAutoscaleRefusesRouter(t *testing.T) {
-	stA, addrA := newFedStack(t, "seed-a", nil)
-	_, addrB := newFedStack(t, "seed-b", nil)
-	_, raddr := startRouter(t, addrA, addrB)
-	dial := func(addr, client string) *dvlib.Client {
-		t.Helper()
-		c, err := dvlib.Dial(addr, client)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-
-	_, err := autoscale.NewAdminTarget(dial(raddr, "ctl-router")).Sample()
-	if err == nil || !strings.Contains(err.Error(), "router") || !strings.Contains(err.Error(), addrA) {
-		t.Fatalf("sampling through the router: err = %v, want a refusal naming the router and its members", err)
-	}
-
-	ctx, err := dial(addrA, "cli").Init("seed-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := ctx.Filename(1)
-	res, err := ctx.Open(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Available {
-		if err := ctx.WaitAvailable(file); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ctx.Release(file); err != nil {
-		t.Fatal(err)
-	}
-	stA.Launcher.Wait()
-	s, err := autoscale.NewAdminTarget(dial(addrA, "ctl-a")).Sample()
-	if err != nil {
-		t.Fatalf("sampling a member directly: %v", err)
-	}
-	want, err := stA.V.Report("seed-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Loads["cli"] == 0 || !reflect.DeepEqual(s.Loads, want.ClientLoads) {
-		t.Errorf("direct sample Loads = %v, want A's own %v with cli's open in it", s.Loads, want.ClientLoads)
 	}
 }
 

@@ -28,8 +28,7 @@ type CtxStats struct {
 // context's control-plane state, the daemon-global scheduler ledger and
 // the front end's per-op service times. The Virtualizer builds it, the
 // context's owning daemon answers it (through the federation router
-// too, which relays the owner's answer) and the autoscale controller
-// samples it.
+// too, which relays the owner's answer) and simfs-ctl stats prints it.
 //
 //simfs:exhaustive
 type Report struct {
@@ -43,9 +42,8 @@ type Report struct {
 	LockStats
 	// SchedStats and ClientLoads are daemon-wide: the scheduler is
 	// shared by every context. ClientLoads is the cumulative per-client
-	// offered load (output steps submitted to the scheduler), which an
-	// autoscale controller diffs across two samples to measure client
-	// skew.
+	// offered load (output steps submitted to the scheduler); two
+	// samples diff into each client's share of a window.
 	SchedStats
 	ClientLoads map[string]uint64 `json:"sched_client_loads,omitempty"`
 	// Retries counts failed re-simulations re-submitted with backoff;

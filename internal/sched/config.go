@@ -9,8 +9,8 @@ import (
 // paper's inline rules exactly. This is the one declaration of the
 // scheduler's knobs: the JSON tags are the wire format of a sched-get
 // reply (netproto.SchedInfo is this type), and Patch is the only
-// partial-update type (netproto.SchedSetBody, the autoscale policies'
-// verdicts and the control plane all carry it).
+// partial-update type (netproto.SchedSetBody and the control plane
+// carry it).
 type Config struct {
 	// Coalesce merges overlapping or adjacent queued requests of one
 	// context into a single job.
@@ -77,26 +77,6 @@ func (p Patch) Apply(cfg Config) (Config, error) {
 func set[T any](dst, src *T) {
 	if src != nil {
 		*dst = *src
-	}
-}
-
-// Empty reports whether the patch changes nothing.
-func (p Patch) Empty() bool { return p == Patch{} }
-
-// Merge folds q into p without overwriting fields p already claims —
-// the autoscale controller's single-writer tie-break: the earlier
-// policy wins.
-func (p *Patch) Merge(q Patch) {
-	keep(&p.Coalesce, q.Coalesce)
-	keep(&p.Priorities, q.Priorities)
-	keep(&p.TotalNodes, q.TotalNodes)
-	keep(&p.Preempt, q.Preempt)
-	keep(&p.DRRQuantum, q.DRRQuantum)
-}
-
-func keep[T any](dst **T, src *T) {
-	if *dst == nil {
-		*dst = src
 	}
 }
 

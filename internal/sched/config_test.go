@@ -42,19 +42,21 @@ func TestPatchApplyValidatesAtomically(t *testing.T) {
 	}
 }
 
-func TestPatchMergeEmptyString(t *testing.T) {
-	var p Patch
-	if !p.Empty() || p.String() != "sched{}" {
-		t.Fatalf("zero patch: Empty=%v String=%q", p.Empty(), p.String())
-	}
-	p.Merge(Patch{TotalNodes: ptr(6)})
-	p.Merge(Patch{TotalNodes: ptr(9), Preempt: ptr(PreemptYoungest)}) // earlier claim wins
-	p.Merge(Patch{DRRQuantum: ptr(4), Coalesce: ptr(true)})
-	if p.Empty() || *p.TotalNodes != 6 {
-		t.Fatalf("merge lost the first claim: %v", p)
-	}
-	if got, want := p.String(), "sched{coalesce=true nodes=6 preempt=youngest quantum=4}"; got != want {
-		t.Fatalf("String = %q, want %q", got, want)
+// String names each claimed field in declaration order; the daemon's
+// sched-set log line prints it.
+func TestPatchString(t *testing.T) {
+	for _, c := range []struct {
+		p    Patch
+		want string
+	}{
+		{Patch{}, "sched{}"},
+		{Patch{TotalNodes: ptr(6)}, "sched{nodes=6}"},
+		{Patch{Coalesce: ptr(true), TotalNodes: ptr(6), Preempt: ptr(PreemptYoungest), DRRQuantum: ptr(4)},
+			"sched{coalesce=true nodes=6 preempt=youngest quantum=4}"},
+	} {
+		if got := c.p.String(); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
+		}
 	}
 }
 

@@ -508,9 +508,9 @@ func TestDRRQuotaNotRecreatedAfterDrop(t *testing.T) {
 }
 
 // Nor may a reconfiguration that leaves DRR on: only the switch from
-// off to on backfills the ledger, so a later Update (the autoscale
-// DRRTuner sends one per decision) does not undo DropClientQuota for a
-// demand job that outlived its client.
+// off to on backfills the ledger, so a later Update (any sched-set that
+// leaves the quantum on) does not undo DropClientQuota for a demand job
+// that outlived its client.
 func TestDRRQuotaNotRecreatedByUpdate(t *testing.T) {
 	s := New(&manualClock{}, Config{Priorities: true, DRRQuantum: 8, TotalNodes: 1})
 	s.Register("c", 0)

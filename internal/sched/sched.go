@@ -227,9 +227,8 @@ type Scheduler struct {
 	reclaiming int            // nodes of preempt victims killed but not yet SimDone
 	quota      map[string]int // per-client DRR launch credit (deficit)
 	// loads accumulates per-client offered load (output steps submitted,
-	// demand and prefetch alike) — the skew signal the autoscale DRR
-	// tuner diffs between ticks. Purely observational: it never feeds
-	// back into scheduling decisions.
+	// demand and prefetch alike), reported in every stats frame. Purely
+	// observational: it never feeds back into scheduling decisions.
 	loads map[string]uint64
 	stats metrics.SchedStats
 }
@@ -416,8 +415,8 @@ func (s *Scheduler) noteLoad(client string, steps int) {
 // ClientLoads snapshots the cumulative per-client offered load (output
 // steps submitted, demand and prefetch alike) since the scheduler
 // started. Counters are monotone — a disconnect does not remove its
-// client — so two snapshots diff into a per-window load distribution,
-// which is how the autoscale DRR tuner measures client skew.
+// client — so two snapshots diff into a per-window load distribution.
+// Every stats frame carries it, and simfs-ctl stats prints it.
 func (s *Scheduler) ClientLoads() map[string]uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
