@@ -15,10 +15,9 @@ var update = flag.Bool("update", false, "rewrite testdata/fig_all_seed*.txt from
 // prints at seeds 1–3 to testdata/fig_all_seed{1,2,3}.txt, byte for
 // byte: the paper's tables and figure shapes from the zero config, and
 // the scheduler, preemption and multi-analysis tables that move with
-// the seed. A failure names the figure and its first
-// differing line. A change that moves a figure on purpose regenerates
-// the files with `go test ./cmd/simfs-bench -run TestFiguresGolden
-// -update`.
+// the seed. A failure names the figure and its first differing line.
+// A change that moves a figure on purpose regenerates the files with
+// `go test ./cmd/simfs-bench -run TestFiguresGolden -update`.
 func TestFiguresGolden(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

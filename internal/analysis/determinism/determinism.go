@@ -5,10 +5,11 @@
 //
 // The whole experiment stack reproduces the paper's tables only
 // because time comes from injected clocks (des.Clock, which the
-// Virtualizer's retry timer follows) and every rng is explicitly seeded. Wall-clock reads and global rand draws are
-// correct only at the edges (live daemon service-time stamps, lock
-// contention metrics, redial backoff) — such sites carry
-// //simfs:allow wallclock|rand annotations with a reason.
+// Virtualizer's retry timer follows) and every rng is explicitly
+// seeded. Wall-clock reads and global rand draws are correct only at
+// the edges (live daemon service-time stamps, lock contention metrics,
+// redial backoff) — such sites carry //simfs:allow wallclock|rand
+// annotations with a reason.
 package determinism
 
 import (
