@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race sched-golden bench bench-smoke bench-selftest bench-gate pairs benchstat profile-hit proto-fuzz chaos-smoke fed-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race sched-golden bench bench-smoke bench-selftest bench-gate pairs benchstat profile-hit profile-miss proto-fuzz chaos-smoke fed-smoke loc lint fmt vet simfs-vet dead-ops staticcheck govulncheck check clean
 
 all: build
 
@@ -41,7 +41,8 @@ bench:
 # path is pinned at 0 allocs/op by TestPreemptFreeFastPathNoAllocs) and
 # the RunCells-based multi-client stress benches, and the root package's
 # BenchmarkPolicyAtCapacity (every replacement scheme with the cache full
-# and nearly every access an eviction).
+# and nearly every access an eviction) and the two loops the profile
+# targets below profile, BenchmarkProtocolPipelined and BenchmarkMissLoop.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
@@ -115,6 +116,16 @@ profile-hit:
 	@mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkProtocolPipelined$$' -benchtime 3s -benchmem -cpuprofile .bench_build/hit.prof -o .bench_build/simfs.test .
 	$(GO) tool pprof -top -cum .bench_build/simfs.test .bench_build/hit.prof | head -n 40
+
+# profile-miss is profile-hit for the read of a missing file the
+# miss_resim workload drives — open (a miss), the wait on its notice and
+# the release, each on a fresh restart interval, against an in-memory
+# storage area (BenchmarkMissLoop). The profile stays in
+# .bench_build/miss.prof.
+profile-miss:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkMissLoop$$' -benchtime 3s -benchmem -cpuprofile .bench_build/miss.prof -o .bench_build/simfs.test .
+	$(GO) tool pprof -top -cum .bench_build/simfs.test .bench_build/miss.prof | head -n 40
 
 # proto-fuzz runs the wire-protocol fuzzers (one per frame codec) over
 # their committed seed corpora plus FUZZTIME of random exploration each

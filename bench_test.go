@@ -24,6 +24,7 @@ import (
 	"simfs/internal/server"
 	"simfs/internal/simulator"
 	"simfs/internal/trace"
+	"simfs/internal/vfs"
 )
 
 // at extracts a median from a metrics table, failing the benchmark on a
@@ -725,6 +726,67 @@ func BenchmarkProtocolPipelined(b *testing.B) {
 			if err := rc.Wait(); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkMissLoop measures the read of a missing file the way the
+// miss_resim workload drives it, per read: Open, which misses, the
+// WaitAvailable on its notice, Close — the loop of TestMissPathAllocBudget
+// (internal/server). Each read takes a fresh restart interval of 64 of a
+// context whose cache holds two, so every open misses; the storage area
+// is in memory, and the simulations run at TimeScale 1000 with model
+// terms that round to nothing, so what is timed is the system's own
+// overhead. `make profile-miss` profiles it.
+func BenchmarkMissLoop(b *testing.B) {
+	mctx := &model.Context{
+		Name: "miss", Grid: model.Grid{DeltaD: 1, DeltaR: 8, Timesteps: 512},
+		OutputBytes: 64, RestartBytes: 64, MaxCacheBytes: 16 * 64,
+		Tau: time.Microsecond, Alpha: time.Microsecond,
+		DefaultParallelism: 1, MaxParallelism: 1, SMax: 4, NoPrefetch: true,
+	}
+	area := vfs.NewMem()
+	launcher := &simulator.Launcher{TimeScale: 1000}
+	v := core.New(des.NewWallClock(), launcher)
+	launcher.Events = v
+	launcher.Write = func(ctx *model.Context, step int) error { return area.Create(ctx.Filename(step), ctx.OutputBytes) }
+	if err := v.AddContext(mctx, "DCL", area); err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(v, nil)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve()
+	b.Cleanup(func() {
+		srv.Close()
+		launcher.Wait()
+	})
+	c, err := dvlib.Dial(srv.Addr(), "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	actx, err := c.Init(mctx.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var files [64]string // named up front: the client formats a name per call
+	for i := range files {
+		files[i] = actx.Filename(8*i + 5)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		file := files[i%len(files)]
+		if res, err := actx.Open(file); err != nil || res.Available {
+			b.Fatalf("open %s = %+v, %v; want a miss", file, res, err)
+		}
+		if err := actx.WaitAvailable(file); err != nil {
+			b.Fatal(err)
+		}
+		if err := actx.Close(file); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

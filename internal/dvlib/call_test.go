@@ -33,7 +33,7 @@ func TestCallStateMachine(t *testing.T) {
 	c := &Client{calls: netproto.NewPending(), conn: netproto.NewConn(nc)}
 	resp := netproto.Response{ID: 1, OK: true, Count: 7}
 	typed := fmt.Errorf("dvlib: %s: %w", netproto.OpPing, ErrReconnecting)
-	respond := func(p *pendingCall) { p.HandleResponse(resp) }
+	respond := func(p *pendingCall) { p.HandleResponse(&resp) }
 	sweep := func(p *pendingCall) { p.answer(typed) }
 	type outcome struct {
 		resp netproto.Response
@@ -59,7 +59,8 @@ func TestCallStateMachine(t *testing.T) {
 				p := &pendingCall{c: c, env: newEnv(netproto.OpPing, nil)}
 				done := make(chan outcome, 1)
 				wait := func() {
-					r, err := c.await(context.Background(), p)
+					var r netproto.Response
+					err := c.await(context.Background(), p, &r)
 					done <- outcome{r, err}
 				}
 				switch tc.order {
@@ -224,8 +225,7 @@ func TestCanceledCallKeepsItsRecord(t *testing.T) {
 		cx, cancel := context.WithCancel(context.Background())
 		got := make(chan error, 1)
 		go func() {
-			_, err := c.await(cx, p)
-			got <- err
+			got <- c.await(cx, p, nil)
 		}()
 		answer := <-held
 		// Cancel and answer together: the answer wins some rounds, is
@@ -267,10 +267,10 @@ func TestCanceledCallKeepsItsRecord(t *testing.T) {
 		}
 		cx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := c.await(cx, p); !errors.Is(err, context.Canceled) {
+		if err := c.await(cx, p, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("await under a canceled context = %v", err)
 		}
-		p.HandleResponse(netproto.Response{ID: p.id, OK: true, Flag: true, Done: true})
+		p.HandleResponse(&netproto.Response{ID: p.id, OK: true, Flag: true, Done: true})
 		if recycled(p) || !p.resp.Flag {
 			t.Fatal("the late answer did not stay in the abandoned record")
 		}
@@ -323,4 +323,63 @@ func TestSweptCallKeepsItsRecord(t *testing.T) {
 		window(t, ctx, 100+16*round)
 	}
 	checkRecords(t, kept)
+}
+
+// TestAnsweredWaitDoesNotFlush: a Wait flushes the queued frames only
+// when it has to park — a call already answered had its frame sent, so
+// its Wait takes no lock for an empty write buffer. Over a pipe whose
+// far end counts the request frames it reads, a Wait on an answered
+// call leaves a frame queued after it unwritten, and the next Wait,
+// which has to park, flushes it.
+func TestAnsweredWaitDoesNotFlush(t *testing.T) {
+	nc, peer := net.Pipe()
+	t.Cleanup(func() {
+		nc.Close()
+		peer.Close()
+	})
+	c := &Client{calls: netproto.NewPending(), conn: netproto.NewConn(nc)}
+	go c.calls.Serve(c.conn, nil)
+	frames := make(chan uint64, 4) // the IDs of the request frames the peer read
+	go func() {
+		for {
+			var env netproto.Envelope
+			if netproto.Binary.DecodeFrame(peer, &env) != nil {
+				return
+			}
+			frames <- env.ID
+		}
+	}()
+	answer := func(id uint64) {
+		if err := netproto.Binary.EncodeFrame(peer, netproto.Response{ID: id, OK: true, Available: true, Done: true}); err != nil {
+			t.Error(err)
+		}
+	}
+	ctx := &Context{c: c, name: "clim"}
+	first, err := ctx.OpenAsync("clim_out_00000001.nc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	answer(<-frames)
+	for first.p.Load().state.Load() != callAnswered {
+		runtime.Gosched()
+	}
+	second, err := ctx.OpenAsync("clim_out_00000002.nc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := first.Wait(); err != nil || !res.Available {
+		t.Fatalf("answered open = %+v, %v", res, err)
+	}
+	select {
+	case id := <-frames:
+		t.Fatalf("the Wait of an answered call flushed request %d", id)
+	case <-time.After(50 * time.Millisecond):
+	}
+	go func() { answer(<-frames) }()
+	if res, err := second.Wait(); err != nil || !res.Available {
+		t.Fatalf("parked open = %+v, %v", res, err)
+	}
 }

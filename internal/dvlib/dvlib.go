@@ -19,7 +19,8 @@
 //
 // Requests coalesce into batches: every call's frame lands in a write
 // buffer and is flushed — one syscall for however many frames queued —
-// when the caller blocks for a response (or by an explicit Flush). The
+// when the caller has to block for a response (or by an explicit
+// Flush); a call already answered sent its frame long since. The
 // pipelined variants (Context.OpenAsync / Context.ReleaseAsync) expose
 // this: issue a window of calls, then Wait on the handles; the daemon
 // answers a connection's frames in order.
@@ -381,7 +382,7 @@ func (p *pendingCall) answer(err error) {
 // HandleResponse settles the ledger and wakes the awaiting caller. The
 // one call answered twice is a missed open: its ID passes to the file's
 // notice first, so the second answer never reaches p.
-func (p *pendingCall) HandleResponse(resp netproto.Response) {
+func (p *pendingCall) HandleResponse(resp *netproto.Response) {
 	if resp.Err == "" {
 		p.c.settle(&p.env)
 	}
@@ -394,7 +395,7 @@ func (p *pendingCall) HandleResponse(resp netproto.Response) {
 			p.c.takeNotice(file)
 		}
 	}
-	p.resp = resp
+	p.resp = *resp
 	p.answer(nil)
 }
 
@@ -417,12 +418,12 @@ func (c *Client) callCtx(ctx context.Context, op string, body any) (netproto.Res
 }
 
 // roundTrip sends env and blocks for its one response.
-func (c *Client) roundTrip(ctx context.Context, env netproto.Envelope) (netproto.Response, error) {
+func (c *Client) roundTrip(ctx context.Context, env netproto.Envelope) (resp netproto.Response, err error) {
 	p, err := c.start(env)
-	if err != nil {
-		return netproto.Response{}, err
+	if err == nil {
+		err = c.await(ctx, p, &resp)
 	}
-	return c.await(ctx, p)
+	return resp, err
 }
 
 // errClosed is what a request on a closed or dead client fails with
@@ -483,16 +484,17 @@ func (c *Client) start(env netproto.Envelope) (p *pendingCall, err error) {
 	return p, err
 }
 
-// await flushes any queued frames (the daemon cannot answer a request it
-// has not received) and returns the call's outcome, parking only if it
-// has not come. A normal answer puts p back in the pool: the caller must
-// not touch p after await.
-func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, error) {
-	if err := c.Flush(); err != nil {
-		c.abandon(p.id)
-		return netproto.Response{}, err
-	}
+// await returns the call's outcome, its response copied to resp unless
+// that is nil, parking only if it has not come — and only then flushing
+// the queued frames first (the daemon cannot answer a request it has
+// not received; an answered one was sent). A normal answer puts p back
+// in the pool: the caller must not touch p after await.
+func (c *Client) await(ctx context.Context, p *pendingCall, resp *netproto.Response) error {
 	if p.state.Load() != callAnswered {
+		if err := c.Flush(); err != nil {
+			c.abandon(p.id)
+			return err
+		}
 		if p.ch = tokens.Get().(chan struct{}); !p.state.CompareAndSwap(callPending, callParked) {
 			tokens.Put(p.ch) // answered since the load: nobody saw the channel
 		} else {
@@ -503,20 +505,23 @@ func (c *Client) await(ctx context.Context, p *pendingCall) (netproto.Response, 
 				}
 			case <-ctx.Done():
 				c.calls.Remove(p.id)
-				return netproto.Response{}, ctx.Err()
+				return ctx.Err()
 			}
 		}
 	}
 	if p.err != nil {
-		return netproto.Response{}, p.err
+		return p.err
 	}
-	resp, op := p.resp, p.env.Op
+	var err error
+	if p.resp.Err != "" {
+		err = &Error{Code: p.resp.Code, Op: p.env.Op, Msg: p.resp.Err}
+	}
+	if resp != nil {
+		*resp = p.resp
+	}
 	*p = pendingCall{}
 	records.Put(p)
-	if resp.Err != "" {
-		return resp, &Error{Code: resp.Code, Op: op, Msg: resp.Err}
-	}
-	return resp, nil
+	return err
 }
 
 // post sends a request without waiting for its response. Used on
@@ -667,24 +672,25 @@ func (h *call) start(ctx *Context, op, file string) error {
 	return err
 }
 
-// wait detaches the record and awaits its outcome.
-func (h *call) wait() (netproto.Response, error) {
+// wait detaches the record and awaits its outcome (see await).
+func (h *call) wait(resp *netproto.Response) error {
 	p := h.p.Swap(nil)
 	if p == nil {
-		return netproto.Response{}, ErrWaited
+		return ErrWaited
 	}
-	return p.c.await(context.Background(), p)
+	return p.c.await(context.Background(), p, resp)
 }
 
 // OpenCall is a pipelined Open in flight: the request frame is queued on
 // the connection; Wait flushes and blocks for the daemon's first answer
-// (a miss's notice goes to WaitAvailable, as after Open).
+// when it has not come yet (a miss's notice goes to WaitAvailable, as
+// after Open).
 type OpenCall struct{ call }
 
 // OpenAsync queues an Open without waiting for the response, enabling
 // request pipelining: issue a window of OpenAsync/ReleaseAsync calls,
 // then Wait on the handles. All queued frames go out in one write on
-// the first Wait (or an explicit Client.Flush).
+// the first Wait that has to wait (or an explicit Client.Flush).
 func (ctx *Context) OpenAsync(file string) (*OpenCall, error) {
 	oc := new(OpenCall)
 	if err := oc.start(ctx, netproto.OpOpen, file); err != nil {
@@ -693,11 +699,11 @@ func (ctx *Context) OpenAsync(file string) (*OpenCall, error) {
 	return oc, nil
 }
 
-// Wait flushes pending request frames and blocks for the open's result;
-// a second Wait fails with ErrWaited.
+// Wait returns the open's result, flushing pending request frames and
+// blocking when it has not come; a second Wait fails with ErrWaited.
 func (oc *OpenCall) Wait() (OpenResult, error) {
-	resp, err := oc.wait()
-	if err != nil {
+	var resp netproto.Response
+	if err := oc.wait(&resp); err != nil {
 		return OpenResult{}, err
 	}
 	return OpenResult{Available: resp.Available, EstWait: time.Duration(resp.EstWaitNs)}, nil
@@ -717,11 +723,11 @@ func (ctx *Context) ReleaseAsync(file string) (*ReleaseCall, error) {
 	return rc, nil
 }
 
-// Wait flushes pending request frames and blocks for the release's
-// acknowledgement; a second Wait fails with ErrWaited.
+// Wait returns the release's acknowledgement, flushing pending request
+// frames and blocking when it has not come; a second Wait fails with
+// ErrWaited.
 func (rc *ReleaseCall) Wait() error {
-	_, err := rc.wait()
-	return err
+	return rc.wait(nil)
 }
 
 // WaitAvailable blocks until the file is on disk (the blocking part of a

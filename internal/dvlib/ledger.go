@@ -63,7 +63,7 @@ func (l *ledger) start(ctx *Context, op string, files []string) error {
 }
 
 // HandleResponse feeds one wire frame to the ledger.
-func (l *ledger) HandleResponse(resp netproto.Response) {
+func (l *ledger) HandleResponse(resp *netproto.Response) {
 	l.mu.Lock()
 	if l.done {
 		l.mu.Unlock()
@@ -108,7 +108,7 @@ func (l *ledger) HandleResponse(resp netproto.Response) {
 // removed under the client's mu, so a reconnect either re-armed the
 // stream before (and this is the new ID) or finds it ended.
 func (l *ledger) cancel(reason string) uint64 {
-	l.HandleResponse(netproto.Response{Err: reason, Done: true})
+	l.HandleResponse(&netproto.Response{Err: reason, Done: true})
 	c := l.ctx.c
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -28,11 +28,11 @@ type notice struct {
 
 // HandleResponse records the notice; later ones (a second open's) are
 // dropped.
-func (n *notice) HandleResponse(resp netproto.Response) {
+func (n *notice) HandleResponse(resp *netproto.Response) {
 	if !n.done.CompareAndSwap(false, true) {
 		return
 	}
-	n.resp = resp
+	n.resp = *resp
 	n.ch <- struct{}{}
 }
 
@@ -79,7 +79,7 @@ func (c *Client) takeNotice(file netproto.FileBody) *notice {
 func (c *Client) abandon(id uint64) {
 	if h, ok := c.calls.Remove(id); ok {
 		if n, isNotice := h.(*notice); isNotice {
-			n.HandleResponse(netproto.Response{ID: id, Err: "request withdrawn", Done: true})
+			n.HandleResponse(&netproto.Response{ID: id, Err: "request withdrawn", Done: true})
 		}
 	}
 }

@@ -44,7 +44,7 @@ func (c *Client) tryReconnect() bool {
 	c.calls.Sweep(func(id uint64, h netproto.ResponseHandler) bool {
 		switch h := h.(type) {
 		case *pendingCall:
-			if spec, _ := netproto.LookupOp(h.env.Op); spec.Idempotent {
+			if netproto.Ops[h.env.Row()].Idempotent { // every op dvlib sends has a row
 				replay = append(replay, replayCall{id, h})
 				return false
 			}
@@ -55,11 +55,11 @@ func (c *Client) tryReconnect() bool {
 				watches = append(watches, h)
 				return false
 			}
-			go h.HandleResponse(netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
+			go h.HandleResponse(&netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
 		case *notice:
 			// The open's reference is replayed below, its notice is not:
 			// WaitAvailable asks the daemon afresh.
-			h.HandleResponse(netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
+			h.HandleResponse(&netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
 		}
 		return true
 	})
@@ -176,7 +176,7 @@ func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, wat
 		if len(rem) == 0 {
 			// Every file resolved before the reset; only the final Done
 			// frame was lost. Synthesize it (a canceled watch drops it).
-			go w.HandleResponse(netproto.Response{Done: true})
+			go w.HandleResponse(&netproto.Response{Done: true})
 			continue
 		}
 		enc(id, newEnv(netproto.OpSubscribe, netproto.FilesBody{Context: w.ctx.name, Files: rem}))

@@ -575,6 +575,7 @@ func TestFederationRetiredOpsRefused(t *testing.T) {
 		{2, "wait", netproto.FileBody{Context: "seed", File: "seed_out_00000003.nc"}},
 		{3, "autoscale-report", map[string]any{"active": true, "policies": []string{"node-budget"}}},
 		{4, "fed-watch", netproto.FilesBody{Context: "seed", Files: []string{"seed_out_00000003.nc"}}},
+		{5, "no-such-op", nil}, // a name the op table never had
 	} {
 		resp, err := exchange(c, row.id, row.op, row.body)
 		if err != nil {
@@ -584,7 +585,7 @@ func TestFederationRetiredOpsRefused(t *testing.T) {
 			t.Errorf("%s answered with %+v, want CodeUnsupported on id %d", row.op, resp, row.id)
 		}
 	}
-	if resp, err := exchange(c, 5, netproto.OpPing, nil); err != nil || !resp.OK || resp.ID != 5 {
+	if resp, err := exchange(c, 6, netproto.OpPing, nil); err != nil || !resp.OK || resp.ID != 6 {
 		t.Errorf("ping after the refusals: %+v, %v", resp, err)
 	}
 }

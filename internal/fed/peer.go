@@ -81,7 +81,7 @@ func (pc *PeerConn) fail(cause error) {
 // nothing for a stream once it has acked its unsubscribe.
 func (pc *PeerConn) unsubscribe(id, subID uint64) {
 	calls := pc.calls
-	if calls.AddAt(id, netproto.ResponseFunc(func(netproto.Response) { calls.Unsubscribed(subID) })) != nil {
+	if calls.AddAt(id, netproto.ResponseFunc(func(*netproto.Response) { calls.Unsubscribed(subID) })) != nil {
 		return
 	}
 	env := newEnv(id, netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: subID})
@@ -107,7 +107,7 @@ func (pc *PeerConn) Flush() error {
 // application failures ride the response's Code.
 func (pc *PeerConn) Call(ctx context.Context, id uint64, op string, body any) (netproto.Response, error) {
 	ch := make(chan netproto.Response, 1)
-	if err := pc.calls.AddAt(id, netproto.ResponseFunc(func(resp netproto.Response) { ch <- resp })); err != nil {
+	if err := pc.calls.AddAt(id, netproto.ResponseFunc(func(resp *netproto.Response) { ch <- *resp })); err != nil {
 		return netproto.Response{}, fmt.Errorf("fed: peer %s: %w", pc.addr, err)
 	}
 	env := newEnv(id, op, body)

@@ -173,13 +173,13 @@ func (r *Router) handle(c *netproto.Conn) {
 			}
 			return
 		}
-		r.dispatch(sess, env)
+		r.dispatch(sess, &env)
 	}
 }
 
 // decodeBody unmarshals env's typed body, answering bad_request on
 // failure.
-func decodeBody[B any](sess *rsession, env netproto.Envelope) (b B, ok bool) {
+func decodeBody[B any](sess *rsession, env *netproto.Envelope) (b B, ok bool) {
 	if err := env.Decode(&b); err != nil {
 		sess.reply(netproto.Response{ID: env.ID, Code: netproto.CodeBadRequest, Err: err.Error()})
 		return b, false
@@ -191,7 +191,7 @@ func decodeBody[B any](sess *rsession, env netproto.Envelope) (b B, ok bool) {
 // does not take: the ops with no single owner are answered or fanned out
 // here, everything else is proxied to the daemon owning its routing
 // context.
-func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
+func (r *Router) dispatch(sess *rsession, env *netproto.Envelope) {
 	id := env.ID
 	switch env.Op {
 	case netproto.OpPing:
@@ -243,7 +243,7 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) {
 		r.proxy(sess, env, b.Context)
 
 	default:
-		if _, known := netproto.LookupOp(env.Op); !known {
+		if env.Row() < 0 {
 			// What a daemon answers an op it does not serve.
 			sess.reply(netproto.Response{ID: id, Code: netproto.CodeUnsupported,
 				Err: fmt.Sprintf("unknown op %q", env.Op)})
@@ -269,9 +269,9 @@ func (r *Router) forward(sess *rsession, spec netproto.OpSpec, id uint64, ctx, p
 
 // proxy relays a decoded envelope — a JSON-bodied op — to the daemon
 // owning ctxName, re-encoded.
-func (r *Router) proxy(sess *rsession, env netproto.Envelope, ctxName string) {
-	spec, _ := netproto.LookupOp(env.Op)
-	if err := r.send(sess, r.ring.Owner(ctxName), env.ID, spec, &env, nil); err != nil {
+func (r *Router) proxy(sess *rsession, env *netproto.Envelope, ctxName string) {
+	spec := netproto.Ops[env.Row()]
+	if err := r.send(sess, r.ring.Owner(ctxName), env.ID, spec, env, nil); err != nil {
 		sess.unsent(env.ID, ctxName, spec.Stream, err)
 	}
 }

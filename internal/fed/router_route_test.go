@@ -55,7 +55,7 @@ func TestRouterDropsLargeStreamRoute(t *testing.T) {
 	if err := netproto.Binary.EncodeFrame(&buf, sub); err != nil {
 		t.Fatal(err)
 	}
-	spec, _ := netproto.LookupOp(netproto.OpSubscribe)
+	spec := netproto.Ops[sub.Row()]
 	sent := make(chan struct{})
 	go func() {
 		defer close(sent)

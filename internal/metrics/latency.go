@@ -92,35 +92,33 @@ type OpLatency struct {
 	P99Ns int64  `json:"p99_ns"`
 }
 
-// LatencySet tracks one Histogram per operation name. The op set is
-// fixed at construction so Record is a lock-free map read; ops not in
-// the set are folded into a catch-all "other" histogram rather than
-// dropped.
+// LatencySet tracks one Histogram per operation, by the index the op
+// was given at construction (the daemon's op-table row), so Record is
+// a lock-free slice read; an index outside the set, or one given no
+// name, is folded into a catch-all "other" histogram, not dropped.
 type LatencySet struct {
-	order []string
-	hists map[string]*Histogram
+	ops   []string
+	hists []*Histogram // by index; nil where ops names none
 	other Histogram
 }
 
-// NewLatencySet builds a set tracking the given ops (in the given
-// display order) plus an implicit "other" bucket.
+// NewLatencySet builds a set tracking the given ops by index, in the
+// given display order, plus an implicit "other" bucket. An empty name
+// keeps its index in "other".
 func NewLatencySet(ops ...string) *LatencySet {
-	s := &LatencySet{
-		order: append([]string(nil), ops...),
-		hists: make(map[string]*Histogram, len(ops)),
-	}
-	for _, op := range ops {
-		if _, dup := s.hists[op]; !dup {
-			s.hists[op] = &Histogram{}
+	s := &LatencySet{ops: append([]string(nil), ops...), hists: make([]*Histogram, len(ops))}
+	for i, op := range ops {
+		if op != "" {
+			s.hists[i] = &Histogram{}
 		}
 	}
 	return s
 }
 
-// Record adds one observation for op.
-func (s *LatencySet) Record(op string, d time.Duration) {
-	if h, ok := s.hists[op]; ok {
-		h.Record(d)
+// Record adds one observation for the op at index i.
+func (s *LatencySet) Record(i int, d time.Duration) {
+	if uint(i) < uint(len(s.hists)) && s.hists[i] != nil {
+		s.hists[i].Record(d)
 		return
 	}
 	s.other.Record(d)
@@ -129,11 +127,13 @@ func (s *LatencySet) Record(op string, d time.Duration) {
 // Summaries returns one OpLatency per op that has at least one
 // observation, in construction order, with "other" last.
 func (s *LatencySet) Summaries() []OpLatency {
-	out := make([]OpLatency, 0, len(s.order)+1)
-	for _, op := range s.order {
-		h := s.hists[op]
+	out := make([]OpLatency, 0, len(s.ops)+1)
+	for i, h := range s.hists {
+		if h == nil {
+			continue
+		}
 		if n := h.Count(); n > 0 {
-			out = append(out, OpLatency{Op: op, Count: n, P50Ns: int64(h.Quantile(0.50)), P99Ns: int64(h.Quantile(0.99))})
+			out = append(out, OpLatency{Op: s.ops[i], Count: n, P50Ns: int64(h.Quantile(0.50)), P99Ns: int64(h.Quantile(0.99))})
 		}
 	}
 	if n := s.other.Count(); n > 0 {

@@ -92,9 +92,9 @@ func TestLatencySetExactPercentiles(t *testing.T) {
 	// open: 99 fast ops at 100ns, one 1ms straggler — p50 sits in the
 	// 128ns bucket, p99 (rank 99) still does, only p100 sees the tail.
 	for i := 0; i < 99; i++ {
-		s.Record("open", 100*time.Nanosecond)
+		s.Record(0, 100*time.Nanosecond)
 	}
-	s.Record("open", time.Millisecond)
+	s.Record(0, time.Millisecond)
 
 	sums := s.Summaries()
 	if len(sums) != 1 || sums[0].Op != "open" || sums[0].Count != 100 {
@@ -125,10 +125,10 @@ func TestHistogramEmptyAndNonPositive(t *testing.T) {
 
 func TestLatencySetKnownAndOther(t *testing.T) {
 	s := NewLatencySet("open", "wait")
-	s.Record("open", 100*time.Nanosecond)
-	s.Record("open", 100*time.Nanosecond)
-	s.Record("wait", time.Millisecond)
-	s.Record("bitrep", time.Microsecond) // not in the set
+	s.Record(0, 100*time.Nanosecond)
+	s.Record(0, 100*time.Nanosecond)
+	s.Record(1, time.Millisecond)
+	s.Record(2, time.Microsecond) // not in the set
 
 	sums := s.Summaries()
 	if len(sums) != 3 {
@@ -148,9 +148,15 @@ func TestLatencySetKnownAndOther(t *testing.T) {
 	}
 	// Ops with zero observations are omitted.
 	s2 := NewLatencySet("open", "wait")
-	s2.Record("open", time.Microsecond)
+	s2.Record(0, time.Microsecond)
 	if sums := s2.Summaries(); len(sums) != 1 || sums[0].Op != "open" {
 		t.Errorf("summaries with one recorded op = %+v, want just open", sums)
+	}
+	// An index given no name times nothing of its own.
+	s3 := NewLatencySet("", "wait")
+	s3.Record(0, time.Microsecond)
+	if sums := s3.Summaries(); len(sums) != 1 || sums[0].Op != "other" || sums[0].Count != 1 {
+		t.Errorf("summaries of an unnamed index = %+v, want just other", sums)
 	}
 }
 
@@ -162,8 +168,8 @@ func TestLatencySetConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				s.Record("open", time.Microsecond)
-				s.Record("stranger", time.Microsecond)
+				s.Record(0, time.Microsecond)
+				s.Record(-1, time.Microsecond)
 			}
 		}()
 	}

@@ -232,13 +232,15 @@ func isBinPayload(payload []byte, bin bool) bool {
 }
 
 // parseEnvelope decodes a request payload into env, taking a binary
-// request's names from names where it holds them. JSON merges into its
-// target: callers that reuse env reset it first.
+// request's names from names where it holds them, and sets its row.
 func parseEnvelope(payload []byte, bin bool, env *Envelope, names Names) error {
 	if isBinPayload(payload, bin) {
 		return decodeBinEnvelope(payload, env, names)
 	}
-	return unmarshalJSON(payload, env)
+	*env = Envelope{} // the JSON decoder merges into its target
+	err := unmarshalJSON(payload, env)
+	env.row = rowByName[env.Op]
+	return err
 }
 
 // parseResponse decodes a response payload into resp.
@@ -345,12 +347,16 @@ const (
 //simfs:sync FilesBody
 //simfs:sync UnsubscribeBody
 func appendBinEnvelope(buf []byte, env *Envelope) ([]byte, bool) {
-	spec := opByName[env.Op]
-	if spec == nil || spec.Bin == 0 || env.Body != nil {
+	row := env.row
+	if row == 0 {
+		row = rowByName[env.Op] // an envelope no constructor built
+	}
+	if row == 0 || Ops[row-1].Bin == 0 || env.Body != nil {
 		// Pre-marshaled JSON bodies travel as JSON: re-encoding would
 		// need a parse hop, defeating the point.
 		return buf, false
 	}
+	spec := &Ops[row-1]
 	start := len(buf)
 	buf = append(buf, spec.Bin)
 	buf = binary.AppendUvarint(buf, env.ID)
@@ -381,49 +387,52 @@ func appendBinEnvelope(buf []byte, env *Envelope) ([]byte, bool) {
 }
 
 // binRequestHead walks a binary request as far as routing needs: the
-// opcode's row, the request ID and — for the ops whose body names files
-// (BodyFile, BodyFiles) — the context, as the payload's own bytes. rest
-// is the body after what was read. Its failures are decodeBinEnvelope's:
-// recoverable, carrying the ID once it is read and the op once it is
-// known.
-func binRequestHead(p []byte) (spec *OpSpec, id uint64, ctx, rest []byte, err error) {
+// opcode's row (plus one), the request ID and — for the ops whose body
+// names files (BodyFile, BodyFiles) — the context, as the payload's own
+// bytes. rest is the body after what was read. Its failures are
+// decodeBinEnvelope's: recoverable, carrying the ID once it is read and
+// the op once it is known.
+func binRequestHead(p []byte) (row uint8, id uint64, ctx, rest []byte, err error) {
 	fail := func(op, msg string) error {
 		return &FrameError{Op: op, ID: id, Recoverable: true, Err: fmt.Errorf("binary request: %s", msg)}
 	}
 	code := p[0]
 	var ok bool
 	if id, rest, ok = getUvarint(p[1:]); !ok {
-		return nil, 0, nil, nil, fail("", "truncated request id")
+		return 0, 0, nil, nil, fail("", "truncated request id")
 	}
-	if int(code) >= len(opByBin) || opByBin[code] == nil {
-		return nil, id, nil, nil, fail("", fmt.Sprintf("unknown opcode %#x", code))
+	if int(code) >= len(rowByBin) || rowByBin[code] == 0 {
+		return 0, id, nil, nil, fail("", fmt.Sprintf("unknown opcode %#x", code))
 	}
-	spec = opByBin[code]
-	if spec.Body == BodyFile || spec.Body == BodyFiles {
+	row = rowByBin[code]
+	if spec := &Ops[row-1]; spec.Body == BodyFile || spec.Body == BodyFiles {
 		if ctx, rest, ok = getBinBytes(rest); !ok {
-			return nil, id, nil, nil, fail(spec.Name, "truncated context")
+			return 0, id, nil, nil, fail(spec.Name, "truncated context")
 		}
 	}
-	return spec, id, ctx, rest, nil
+	return row, id, ctx, rest, nil
 }
 
-// decodeBinEnvelope is appendBinEnvelope's inverse. Once the request ID
-// is read every failure carries it (and the op), so the daemon's
-// bad_frame reply reaches the call that sent the frame. The context and
-// file names are names' strings where it holds them, copies otherwise
-// (names may be nil).
+// decodeBinEnvelope is appendBinEnvelope's inverse, decoding in place:
+// env is zeroed once, after the head, and filled field by field. Once
+// the request ID is read every failure carries it (and the op), so the
+// daemon's bad_frame reply reaches the call that sent the frame. The
+// context and file names are names' strings where it holds them, copies
+// otherwise (names may be nil).
 //
 //simfs:sync FileBody
 //simfs:sync FilesBody
 //simfs:sync UnsubscribeBody
 func decodeBinEnvelope(p []byte, env *Envelope, names Names) error {
-	spec, id, ctx, p, err := binRequestHead(p)
+	row, id, ctx, p, err := binRequestHead(p)
 	if err != nil {
 		return err
 	}
-	e := Envelope{ID: id, Op: spec.Name}
+	spec := &Ops[row-1]
+	*env = Envelope{}
+	env.ID, env.Op, env.row = id, spec.Name, row
 	fail := func(msg string) error {
-		return &FrameError{Op: e.Op, ID: e.ID, Recoverable: true, Err: fmt.Errorf("binary request: %s", msg)}
+		return &FrameError{Op: spec.Name, ID: id, Recoverable: true, Err: fmt.Errorf("binary request: %s", msg)}
 	}
 	var ok bool
 	switch spec.Body {
@@ -432,11 +441,11 @@ func decodeBinEnvelope(p []byte, env *Envelope, names Names) error {
 		if f, p, ok = getBinBytes(p); !ok {
 			return fail("truncated file")
 		}
-		e.file.File, e.step = names.file(ctx, f, &e.file.Context)
-		if e.file.Context == "" {
-			e.file.Context = string(ctx)
+		env.file.File, env.step = names.file(ctx, f, &env.file.Context)
+		if env.file.Context == "" {
+			env.file.Context = string(ctx)
 		}
-		e.hasFile = true
+		env.hasFile = true
 	case BodyFiles:
 		var b FilesBody
 		var n uint64
@@ -461,16 +470,15 @@ func decodeBinEnvelope(p []byte, env *Envelope, names Names) error {
 		if b.Context == "" {
 			b.Context = string(ctx)
 		}
-		e.val = b
+		env.val = b
 	case BodyUnsubscribe:
 		var b UnsubscribeBody
 		if b.SubID, p, ok = getUvarint(p); !ok {
 			return fail("truncated sub id")
 		}
-		e.val = b
+		env.val = b
 	}
 	_ = p // trailing bytes are ignored for forward compatibility
-	*env = e
 	return nil
 }
 

@@ -242,9 +242,6 @@ func (c *Conn) readEnvelope(env *Envelope, idle func(), fwd ForwardFunc) (isJSON
 		if err != nil {
 			return false, err
 		}
-		// JSON decoding merges into its target: start from zero so a
-		// refused frame's fields cannot leak into the next one.
-		*env = Envelope{}
 		isJSON = !isBinPayload(payload, true)
 		forwarded := false
 		if fwd != nil && !isJSON {
@@ -276,11 +273,11 @@ func (c *Conn) readEnvelope(env *Envelope, idle func(), fwd ForwardFunc) (isJSON
 // a truncated ID or a truncated context fails as decodeBinEnvelope
 // would, and whatever follows the context is the receiver's to refuse.
 func forwardBin(payload []byte, fwd ForwardFunc) (forwarded bool, err error) {
-	spec, id, ctx, _, err := binRequestHead(payload)
-	if err != nil || (spec.Body != BodyFile && spec.Body != BodyFiles) {
+	row, id, ctx, _, err := binRequestHead(payload)
+	if err != nil || (Ops[row-1].Body != BodyFile && Ops[row-1].Body != BodyFiles) {
 		return false, err
 	}
-	fwd(*spec, id, ctx, payload)
+	fwd(Ops[row-1], id, ctx, payload)
 	return true, nil
 }
 
@@ -353,10 +350,10 @@ func (c *Conn) ReadRequestForward(env *Envelope, idle func(), fwd ForwardFunc) e
 			return err
 		}
 		var resp Response
-		switch spec := opByName[env.Op]; {
+		switch row := env.Row(); {
 		case env.Op == OpHello:
 			resp = Response{ID: env.ID, Code: CodeBadRequest, Err: "duplicate hello: the handshake already completed"}
-		case spec != nil && spec.Bin != 0:
+		case row >= 0 && Ops[row].Bin != 0:
 			resp = Response{ID: env.ID, Code: CodeFrame,
 				Err: fmt.Sprintf("op %q sent as JSON: after the hello it travels binary", env.Op)}
 		default:

@@ -287,13 +287,13 @@ func checkRelay(t *testing.T, p []byte) {
 	}
 	var env Envelope
 	if decodeBinEnvelope(p, &env, nil) == nil {
-		spec, id, ctx, _, err := binRequestHead(p)
+		row, id, ctx, _, err := binRequestHead(p)
 		want := env.file.Context
 		if b, ok := env.val.(FilesBody); ok {
 			want = b.Context
 		}
-		if err != nil || id != env.ID || spec.Name != env.Op || string(ctx) != want {
-			t.Fatalf("routing prefix of %x reads %v %d %q (%v), the decoder %s %d %q", p, spec, id, ctx, err, env.Op, env.ID, want)
+		if err != nil || id != env.ID || row != env.row || Ops[row-1].Name != env.Op || string(ctx) != want {
+			t.Fatalf("routing prefix of %x reads row %d %d %q (%v), the decoder %s %d %q", p, row, id, ctx, err, env.Op, env.ID, want)
 		}
 	}
 	var resp Response

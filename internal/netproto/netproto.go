@@ -206,9 +206,11 @@ type Envelope struct {
 	// frames.
 	val any
 	// file is the FileBody of a locally built or binary-decoded
-	// envelope; hasFile tells it from an absent body; step is Step's.
+	// envelope; hasFile tells it from an absent body; step is Step's,
+	// row Row's plus one (0 too if no decoder or constructor built e).
 	file    FileBody
 	hasFile bool
+	row     uint8
 	step    int
 }
 
@@ -222,33 +224,38 @@ func NewEnvelope(id uint64, op string, body any) (Envelope, error) {
 	if fb, ok := body.(FileBody); ok {
 		return NewFileEnvelope(id, op, fb), nil
 	}
-	return Envelope{ID: id, Op: op, val: body}, nil
+	return Envelope{ID: id, Op: op, val: body, row: rowByName[op]}, nil
 }
 
 // NewFileEnvelope is NewEnvelope for the FileBody ops.
 func NewFileEnvelope(id uint64, op string, body FileBody) Envelope {
-	return Envelope{ID: id, Op: op, file: body, hasFile: true}
+	return Envelope{ID: id, Op: op, file: body, hasFile: true, row: rowByName[op]}
 }
+
+// Row returns the envelope's row in Ops, which the decoders and the
+// constructors look up once: -1 for an op the table lacks, or for an
+// envelope none of them built.
+func (e *Envelope) Row() int { return int(e.row) - 1 }
 
 // File returns the envelope's FileBody when it carries one typed — a
 // locally built or binary-decoded request of a FileBody op, which is
 // every one a connection reads. ok is false for every other envelope,
 // a FileBody request decoded by the JSON codec included: that one goes
 // through Decode.
-func (e Envelope) File() (body FileBody, ok bool) {
+func (e *Envelope) File() (body FileBody, ok bool) {
 	return e.file, e.hasFile && len(e.Body) == 0
 }
 
 // Step returns the step the reading connection's Names resolved the
 // FileBody's file to at decode time, or 0 for none.
-func (e Envelope) Step() int { return e.step }
+func (e *Envelope) Step() int { return e.step }
 
 // Decode unmarshals the envelope's body into v, wrapping failures with
 // the offending op and request ID. A missing body decodes only into
 // nothing: ops with required bodies treat it as an error. Binary-decoded
 // envelopes hand their typed body over without a JSON round-trip when v
 // matches the wire type.
-func (e Envelope) Decode(v any) error {
+func (e *Envelope) Decode(v any) error {
 	if len(e.Body) == 0 && (e.hasFile || e.val != nil) {
 		var src any = e.val
 		if e.hasFile {
@@ -441,7 +448,7 @@ type Response struct {
 // failures carry File and the stream continues). It is the one rule for
 // every op: an open's answer is terminal unless it reports a miss,
 // whose notice follows.
-func (r Response) Terminal() bool {
+func (r *Response) Terminal() bool {
 	return r.Done || (r.Code != "" && r.File == "")
 }
 

@@ -76,34 +76,29 @@ var Ops = []OpSpec{
 	{Name: OpQuarantineReset, Body: BodyCtx},
 }
 
-// opByName and opByBin index the table by wire name and binary opcode.
-var opByName, opByBin = func() (map[string]*OpSpec, [binPing + 1]*OpSpec) {
-	byName := make(map[string]*OpSpec, len(Ops))
-	var byBin [binPing + 1]*OpSpec
-	for i := range Ops {
-		spec := &Ops[i]
-		byName[spec.Name] = spec
+// rowByName and rowByBin index the table by wire name and binary
+// opcode: a row's index plus one, 0 for none.
+var rowByName, rowByBin = func() (map[string]uint8, [binPing + 1]uint8) {
+	byName := make(map[string]uint8, len(Ops))
+	var byBin [binPing + 1]uint8
+	for i, spec := range Ops {
+		byName[spec.Name] = uint8(i + 1)
 		if spec.Bin != 0 {
-			byBin[spec.Bin] = spec
+			byBin[spec.Bin] = uint8(i + 1)
 		}
 	}
 	return byName, byBin
 }()
 
-// LookupOp returns the table row for a wire op name.
-func LookupOp(name string) (OpSpec, bool) {
-	if spec := opByName[name]; spec != nil {
-		return *spec, true
-	}
-	return OpSpec{}, false
-}
-
 // RoutingContext extracts the simulation context the request addresses
 // — the federation router's routing key. Unknown ops and ops whose body
 // names no context report an error.
-func (e Envelope) RoutingContext() (string, error) {
-	spec, _ := LookupOp(e.Op)
-	switch spec.Body {
+func (e *Envelope) RoutingContext() (string, error) {
+	var kind BodyKind // BodyNone for an op the table lacks
+	if row := e.Row(); row >= 0 {
+		kind = Ops[row].Body
+	}
+	switch kind {
 	case BodyFile:
 		if b, ok := e.File(); ok {
 			return b.Context, nil

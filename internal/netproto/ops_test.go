@@ -151,7 +151,55 @@ func TestRoutingContext(t *testing.T) {
 			}
 		}
 	}
-	if _, err := (Envelope{Op: "no-such-op"}).RoutingContext(); err == nil {
+	if _, err := (&Envelope{Op: "no-such-op"}).RoutingContext(); err == nil {
 		t.Error("unknown op has a routing context")
 	}
+}
+
+// Every envelope a decoder or a constructor builds names its op's row
+// of Ops — what the daemon's handler table and histograms are indexed
+// by: NewEnvelope's and NewFileEnvelope's, and what the binary decoder
+// and the JSON decoder make of each row's frame, the JSON control-plane
+// ops (opcode 0, JSON inside binary frames) included. An op the table
+// lacks names no row, however it arrives.
+func TestEnvelopeRows(t *testing.T) {
+	sample := map[BodyKind]any{
+		BodyFile:        FileBody{Context: "c", File: "f"},
+		BodyFiles:       FilesBody{Context: "c", Files: []string{"f"}},
+		BodyUnsubscribe: UnsubscribeBody{SubID: 3},
+		BodyCtx:         CtxBody{Context: "c"},
+	}
+	check := func(what string, env *Envelope, want int) {
+		t.Helper()
+		if got := env.Row(); got != want {
+			t.Errorf("%s: row %d, want %d", what, got, want)
+		}
+	}
+	decode := func(codec Codec, env Envelope) *Envelope {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := codec.EncodeFrame(&buf, env); err != nil {
+			t.Fatal(err)
+		}
+		var got Envelope
+		if err := codec.DecodeFrame(&buf, &got); err != nil {
+			t.Fatal(err)
+		}
+		return &got
+	}
+	for row, spec := range Ops {
+		env := mustEnvelope(t, 5, spec.Name, sample[spec.Body])
+		check("NewEnvelope "+spec.Name, &env, row)
+		for _, codec := range []Codec{JSON, Binary} {
+			check(codec.Name()+" decoder "+spec.Name, decode(codec, env), row)
+		}
+	}
+	fe := NewFileEnvelope(1, OpRelease, FileBody{Context: "c", File: "f"})
+	check("NewFileEnvelope release", &fe, int(rowByName[OpRelease])-1)
+	for _, codec := range []Codec{JSON, Binary} {
+		unknown := decode(codec, Envelope{ID: 1, Op: "no-such-op"})
+		check(codec.Name()+" decoder no-such-op", unknown, -1)
+	}
+	unknown := mustEnvelope(t, 1, "no-such-op", nil)
+	check("NewEnvelope no-such-op", &unknown, -1)
 }

@@ -7,16 +7,17 @@ import (
 
 // ResponseHandler receives the response frames of one request: exactly
 // one for a plain call, every frame up to and including the terminal
-// one for a stream.
+// one for a stream. resp is valid only during the call: a handler that
+// keeps the response copies it.
 type ResponseHandler interface {
-	HandleResponse(Response)
+	HandleResponse(resp *Response)
 }
 
 // ResponseFunc adapts a function to ResponseHandler.
-type ResponseFunc func(Response)
+type ResponseFunc func(*Response)
 
 // HandleResponse calls f.
-func (f ResponseFunc) HandleResponse(resp Response) { f(resp) }
+func (f ResponseFunc) HandleResponse(resp *Response) { f(resp) }
 
 // Pending is the requesting side's table of in-flight requests: it
 // allocates request IDs, routes each response frame to the handler
@@ -203,7 +204,7 @@ func (t *Pending) receive(payload []byte, resp *Response) error {
 	switch {
 	case !ok:
 	case e.h != nil:
-		e.h.HandleResponse(*resp)
+		e.h.HandleResponse(resp)
 	default:
 		t.relay.EnqueuePayload(payload)
 	}
@@ -259,7 +260,7 @@ func (t *Pending) Fail(resp Response) {
 	for id, e := range entries {
 		resp.ID = id
 		if e.h != nil {
-			e.h.HandleResponse(resp)
+			e.h.HandleResponse(&resp)
 			continue
 		}
 		if t.relay.EnqueueResponse(&resp) != nil {

@@ -12,18 +12,18 @@ import (
 func TestPendingRelayRegistration(t *testing.T) {
 	t.Run("id rules", func(t *testing.T) {
 		tab := NewRelayPending(nil)
-		open, _ := LookupOp(OpOpen)
+		open := Ops[rowByName[OpOpen]-1]
 		if err := tab.AddRelay(5, open); err != nil {
 			t.Fatal(err)
 		}
 		if err := tab.AddRelay(5, open); !errors.Is(err, ErrInFlight) {
 			t.Fatalf("a second relay under live id 5 = %v, want ErrInFlight", err)
 		}
-		if err := tab.AddAt(5, ResponseFunc(func(Response) {})); !errors.Is(err, ErrInFlight) {
+		if err := tab.AddAt(5, ResponseFunc(func(*Response) {})); !errors.Is(err, ErrInFlight) {
 			t.Fatalf("a call under live id 5 = %v, want ErrInFlight", err)
 		}
 		tab.Remove(5)
-		if err := tab.AddAt(5, ResponseFunc(func(Response) {})); err != nil {
+		if err := tab.AddAt(5, ResponseFunc(func(*Response) {})); err != nil {
 			t.Fatalf("id 5 once removed = %v, want it free", err)
 		}
 		tab.Fail(Response{Done: true})
@@ -34,7 +34,7 @@ func TestPendingRelayRegistration(t *testing.T) {
 	t.Run("unsubscribe", func(t *testing.T) {
 		tab := NewRelayPending(nil)
 		for id, op := range map[uint64]string{1: OpOpen, 2: OpSubscribe, 3: OpAcquire} {
-			spec, _ := LookupOp(op)
+			spec := Ops[rowByName[op]-1]
 			if err := tab.AddRelay(id, spec); err != nil {
 				t.Fatal(err)
 			}

@@ -39,18 +39,23 @@ func TestCodeOfMappings(t *testing.T) {
 	}
 }
 
-// The daemon's handler table and netproto's op table are keyed by the
-// same rows: every op but the hello (consumed by netproto.Conn) has a
-// handler, and no handler serves an op the table does not know.
+// The daemon's handler table is indexed by netproto's op-table rows:
+// every row but the hello (consumed by netproto.Conn) has a handler, and
+// no handler serves an op the table lacks — byRow would drop it, leaving
+// it unreachable.
 func TestHandlersCoverOpTable(t *testing.T) {
-	for _, spec := range netproto.Ops {
-		if _, ok := handlers[spec.Name]; ok == (spec.Name == netproto.OpHello) {
-			t.Errorf("op %q: handler present = %v", spec.Name, ok)
+	if len(handlers) != len(netproto.Ops) {
+		t.Fatalf("%d handler rows for %d op-table rows", len(handlers), len(netproto.Ops))
+	}
+	laid := 0
+	for row, spec := range netproto.Ops {
+		if ok := handlers[row] != nil; ok == (spec.Name == netproto.OpHello) {
+			t.Errorf("op %q (row %d): handler present = %v", spec.Name, row, ok)
+		} else if ok {
+			laid++
 		}
 	}
-	for op := range handlers {
-		if _, ok := netproto.LookupOp(op); !ok {
-			t.Errorf("handler for %q, which is not in netproto.Ops", op)
-		}
+	if laid != len(handlerByName) {
+		t.Errorf("%d handlers laid out by row, %d defined: some serve an op netproto.Ops lacks", laid, len(handlerByName))
 	}
 }

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"context"
+	"maps"
 	"testing"
 
 	"simfs/internal/dvlib"
+	"simfs/internal/netproto"
 )
 
 // TestHitPathAllocBudget pins what an open/release pair of a resident
@@ -36,7 +39,7 @@ func TestHitPathAllocBudget(t *testing.T) {
 		t.Skip("allocation budget is measured without the race detector")
 	}
 	const budget = 2.0 + 1 // the sum above, plus one for whatever the runtime does meanwhile
-	ctx, files := hitClient(t)
+	_, ctx, files := hitClient(t)
 	var err error
 	var opens [hitWindow]*dvlib.OpenCall
 	var rels [hitWindow]*dvlib.ReleaseCall
@@ -79,7 +82,7 @@ func TestSyncHitAllocBudget(t *testing.T) {
 		t.Skip("allocation budget is measured without the race detector")
 	}
 	const budget = 0.0 + 1 // nothing, plus one for whatever the runtime does meanwhile
-	ctx, files := hitClient(t)
+	_, ctx, files := hitClient(t)
 	pairs := func() {
 		for _, f := range files {
 			if res, err := ctx.Open(f); err != nil || !res.Available {
@@ -97,14 +100,70 @@ func TestSyncHitAllocBudget(t *testing.T) {
 	}
 }
 
+// TestServiceTimeOnePerRequest pins the daemon's service-time stamps
+// (Server.lat): one clock read per request, the read that ends one
+// request starting the next unless the read loop flushed or blocked in
+// between. A chained stamp must neither drop nor double an observation:
+// a window of k pipelined open/release pairs, a synchronous open after
+// the read loop's idle flush, and a JSON control-plane op (sched-get,
+// which has no histogram of its own) come out of the stats frame as
+// k+1 opens, k releases and, in "other", the sched-get beside the
+// context lookup of the client's Init. The stats request is timed after
+// it is answered, so it is not in its own frame.
+func TestServiceTimeOnePerRequest(t *testing.T) {
+	c, ctx, files := hitClient(t)
+	var opens [hitWindow]*dvlib.OpenCall
+	var rels [hitWindow]*dvlib.ReleaseCall
+	var err error
+	for i, f := range files {
+		if opens[i], err = ctx.OpenAsync(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range opens {
+		if res, err := opens[i].Wait(); err != nil || !res.Available {
+			t.Fatalf("open %s = %+v, %v; want a hit", files[i], res, err)
+		}
+	}
+	for i, f := range files {
+		if rels[i], err = ctx.ReleaseAsync(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range rels {
+		if err := rels[i].Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res, err := ctx.Open(files[0]); err != nil || !res.Available {
+		t.Fatalf("sync open = %+v, %v; want a hit", res, err)
+	}
+	if _, err := c.Admin().SchedConfig(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ctx.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]uint64{}
+	for _, o := range r.Ops {
+		got[o.Op] = o.Count
+	}
+	want := map[string]uint64{netproto.OpOpen: hitWindow + 1, netproto.OpRelease: hitWindow, "other": 2}
+	if !maps.Equal(got, want) {
+		t.Errorf("op_latencies count %v, want %v", got, want)
+	}
+}
+
 // hitWindow is how many files a hit budget opens per run.
 const hitWindow = 16
 
 // hitClient serves a context whose every step is resident, as after an
 // initial simulation that kept its output — the prefetch agents find
 // nothing to launch, so the daemon does nothing but answer — and
-// returns a client's handle on it with the hitWindow of files to open.
-func hitClient(t *testing.T) (*dvlib.Context, [hitWindow]string) {
+// returns a client and its handle on the context, with the hitWindow of
+// files to open.
+func hitClient(t *testing.T) (*dvlib.Client, *dvlib.Context, [hitWindow]string) {
 	t.Helper()
 	st, addr := testStack(t)
 	steps := make([]int, 64)
@@ -130,5 +189,5 @@ func hitClient(t *testing.T) (*dvlib.Context, [hitWindow]string) {
 	for i, step := range [hitWindow]int{7, 29, 3, 41, 18, 60, 11, 35, 2, 52, 24, 46, 9, 33, 15, 57} {
 		files[i] = ctx.Filename(step)
 	}
-	return ctx, files
+	return c, ctx, files
 }

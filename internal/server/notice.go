@@ -77,7 +77,7 @@ func (sess *session) openMissed(id uint64) {
 	}
 	n.mu.Unlock()
 	if send {
-		sess.reply(resp)
+		sess.reply(&resp)
 	}
 }
 

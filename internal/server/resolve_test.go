@@ -110,7 +110,7 @@ func TestResolvedStepRevalidated(t *testing.T) {
 				return env
 			}
 			answer := func(env netproto.Envelope) string {
-				st.Server.dispatch(sess, env)
+				st.Server.dispatch(sess, &env)
 				sess.flush()
 				var resp netproto.Response
 				if err := client.ReadResponse(&resp); err != nil {

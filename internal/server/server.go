@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"simfs/internal/core"
+	"simfs/internal/des"
 	"simfs/internal/metrics"
 	"simfs/internal/netproto"
 	"simfs/internal/notify"
@@ -64,9 +65,12 @@ type Server struct {
 	// graceful drain in Close.
 	mu       sync.Mutex
 	sessions map[*netproto.Conn]*session
-	// lat tracks per-op dispatch service time (the synchronous half of a
-	// request — async completions like a subscribe's ready frame are not
-	// attributed here), surfaced through the stats frame.
+	// lat tracks per-op service time by op-table row for the stats frame:
+	// from the clock read that ended the connection's last request (a
+	// fresh one if the read loop flushed or blocked since) to the end of
+	// the dispatch, one read per request. A buffered request's time thus
+	// includes its frame decode (about 0.1 µs); async completions like a
+	// subscribe's ready frame are not attributed here.
 	lat *metrics.LatencySet
 }
 
@@ -77,10 +81,10 @@ func New(v *core.Virtualizer, logf func(string, ...any)) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	var timed []string
-	for _, spec := range netproto.Ops {
+	timed := make([]string, len(netproto.Ops)) // by row; "" times nothing
+	for i, spec := range netproto.Ops {
 		if spec.Timed {
-			timed = append(timed, spec.Name)
+			timed[i] = spec.Name
 		}
 	}
 	return &Server{v: v, sessions: map[*netproto.Conn]*session{}, Logf: logf,
@@ -130,8 +134,8 @@ type heldFile struct{ ctx, file string }
 // reply encodes the response into the connection's write buffer without
 // flushing. The read loop flushes before its next blocking read, so a
 // pipelined batch of requests is answered with one write syscall.
-func (sess *session) reply(resp netproto.Response) {
-	sess.check("encode", sess.c.EnqueueResponse(&resp))
+func (sess *session) reply(resp *netproto.Response) {
+	sess.check("encode", sess.c.EnqueueResponse(resp))
 }
 
 // flush pushes buffered response frames to the connection.
@@ -148,9 +152,9 @@ func (sess *session) check(what string, err error) {
 
 // answer replies to request id with resp — or, when the handler failed,
 // with err's structured rendering.
-func (sess *session) answer(id uint64, resp netproto.Response, err error) {
+func (sess *session) answer(id uint64, resp *netproto.Response, err error) {
 	if err != nil {
-		resp = failure(err)
+		*resp = failure(err)
 	}
 	resp.ID = id
 	sess.reply(resp)
@@ -238,33 +242,39 @@ func (s *Server) handle(c *netproto.Conn) {
 		s.v.ClientDisconnected(sess.client)
 	}()
 	c.SetNames(s.v.Names)
-	flush := sess.flush // bound once: a method value allocates
+	// Server.lat's stamps; idle is bound once, as a closure allocates.
+	clock, fresh, stamp := des.NewWallClock(), true, time.Duration(0)
+	idle := func() { sess.flush(); fresh = true }
 	// One envelope per session, not per frame: it is decoded into through
 	// a pointer, which would cost a heap envelope each time round.
 	var env netproto.Envelope
 	for {
-		if err := c.ReadRequest(&env, flush); err != nil {
+		if err := c.ReadRequest(&env, idle); err != nil {
 			if err != io.EOF {
 				s.Logf("server: read from %s: %v", c.RemoteAddr(), err)
 			}
 			return
 		}
-		t0 := time.Now() //simfs:allow wallclock live daemon service-time stamps feed the latency histograms, not the simulation
-		s.dispatch(sess, env)
-		s.lat.Record(env.Op, time.Since(t0)) //simfs:allow wallclock live daemon service-time stamps feed the latency histograms, not the simulation
+		if fresh {
+			stamp, fresh = clock.Now(), false
+		}
+		s.dispatch(sess, &env)
+		start := stamp
+		stamp = clock.Now()
+		s.lat.Record(env.Row(), stamp-start)
 	}
 }
 
 // handler serves one request envelope: decode its body, act, answer.
-type handler func(s *Server, sess *session, env netproto.Envelope)
+type handler func(s *Server, sess *session, env *netproto.Envelope)
 
 // op adapts a typed handler that answers with exactly one response; the
 // adapter owns the body decode, the error classification and the reply.
 func op[B any](h func(*Server, *session, B) (netproto.Response, error)) handler {
-	return func(s *Server, sess *session, env netproto.Envelope) {
+	return func(s *Server, sess *session, env *netproto.Envelope) {
 		if b, ok := decodeBody[B](sess, env); ok {
 			resp, err := h(s, sess, b)
-			sess.answer(env.ID, resp, err)
+			sess.answer(env.ID, &resp, err)
 		}
 	}
 }
@@ -274,34 +284,37 @@ func op[B any](h func(*Server, *session, B) (netproto.Response, error)) handler 
 // their body typed in the envelope, so it is taken from there and
 // nothing is decoded.
 func fileOp(h func(*Server, *session, netproto.FileBody) (netproto.Response, error)) handler {
-	return func(s *Server, sess *session, env netproto.Envelope) {
+	return func(s *Server, sess *session, env *netproto.Envelope) {
 		b, _ := env.File()
 		resp, err := h(s, sess, b)
-		sess.answer(env.ID, resp, err)
+		sess.answer(env.ID, &resp, err)
 	}
 }
 
 // bare is op for bodyless requests.
 func bare(h func(*Server, *session) (netproto.Response, error)) handler {
-	return func(s *Server, sess *session, env netproto.Envelope) {
+	return func(s *Server, sess *session, env *netproto.Envelope) {
 		resp, err := h(s, sess)
-		sess.answer(env.ID, resp, err)
+		sess.answer(env.ID, &resp, err)
 	}
 }
 
 // decodeBody unmarshals the typed body, answering a structured
 // bad-request (with the op and request ID wrapped in) on failure.
-func decodeBody[B any](sess *session, env netproto.Envelope) (b B, ok bool) {
+func decodeBody[B any](sess *session, env *netproto.Envelope) (b B, ok bool) {
 	if err := env.Decode(&b); err != nil {
-		sess.reply(netproto.Response{ID: env.ID, Code: netproto.CodeBadRequest, Err: err.Error()})
+		sess.reply(&netproto.Response{ID: env.ID, Code: netproto.CodeBadRequest, Err: err.Error()})
 		return b, false
 	}
 	return b, true
 }
 
-// handlers is the daemon's half of the op table: one entry per
-// netproto.Ops row the connection does not consume itself (the hello).
-var handlers = map[string]handler{
+// handlers is the daemon's half of the op table, indexed by row:
+// handlerByName laid out over netproto.Ops, an entry for every row the
+// connection does not consume itself (the hello).
+var handlers = byRow(handlerByName)
+
+var handlerByName = map[string]handler{
 	netproto.OpPing:            bare((*Server).ping),
 	netproto.OpContexts:        bare((*Server).contexts),
 	netproto.OpContextInfo:     op((*Server).contextInfo),
@@ -327,13 +340,22 @@ var handlers = map[string]handler{
 	netproto.OpCtxDeregister:   op((*Server).ctxDeregister),
 }
 
+// byRow lays byName out by op-table row.
+func byRow(byName map[string]handler) []handler {
+	rows := make([]handler, len(netproto.Ops))
+	for i, spec := range netproto.Ops {
+		rows[i] = byName[spec.Name]
+	}
+	return rows
+}
+
 // dispatch serves one envelope.
-func (s *Server) dispatch(sess *session, env netproto.Envelope) {
-	if h := handlers[env.Op]; h != nil {
-		h(s, sess, env)
+func (s *Server) dispatch(sess *session, env *netproto.Envelope) {
+	if row := env.Row(); row >= 0 && handlers[row] != nil {
+		handlers[row](s, sess, env)
 		return
 	}
-	sess.reply(netproto.Response{ID: env.ID, Code: netproto.CodeUnsupported,
+	sess.reply(&netproto.Response{ID: env.ID, Code: netproto.CodeUnsupported,
 		Err: fmt.Sprintf("unknown op %q", env.Op)})
 }
 
@@ -371,25 +393,25 @@ func (s *Server) contextInfo(_ *session, b netproto.CtxBody) (netproto.Response,
 // open answers a hit, or a refused open, once and terminally. A miss is
 // answered at once without Done, and again by its notice when the
 // re-simulation decides the file's fate (notice.go).
-func (s *Server) open(sess *session, env netproto.Envelope) {
+func (s *Server) open(sess *session, env *netproto.Envelope) {
 	b, _ := env.File() // binary-only op: see fileOp
 	id := env.ID
 	res, err := s.v.OpenAwait(sess.client, b.Context, b.File, sess.pusher.notices, id, env.Step())
 	if err != nil {
 		resp := failure(err)
 		resp.ID, resp.Done = id, true
-		sess.reply(resp)
+		sess.reply(&resp)
 		return
 	}
 	sess.trackRef(b.Context, b.File, +1)
-	sess.reply(netproto.Response{ID: id, OK: true, Available: res.Available, Done: res.Available,
+	sess.reply(&netproto.Response{ID: id, OK: true, Available: res.Available, Done: res.Available,
 		EstWaitNs: int64(res.EstWait)})
 	switch {
 	case res.Awaited:
 		sess.openMissed(id)
 	case !res.Available:
 		// Nothing promises the file: its notice is due at once.
-		sess.reply(netproto.Response{ID: id, Code: netproto.CodeNotProduced,
+		sess.reply(&netproto.Response{ID: id, Code: netproto.CodeNotProduced,
 			Err: fmt.Sprintf("%q is neither on disk nor promised", b.File), Done: true})
 	}
 }
@@ -397,7 +419,7 @@ func (s *Server) open(sess *session, env netproto.Envelope) {
 // release drops one of the session's own references: core counts a
 // step's references, not whose, so a file the session does not hold is
 // refused, with core's answer when nobody holds it.
-func (s *Server) release(sess *session, env netproto.Envelope) {
+func (s *Server) release(sess *session, env *netproto.Envelope) {
 	b, _ := env.File() // binary-only op: see fileOp
 	var err error
 	if sess.held[heldFile{b.Context, b.File}] > 0 {
@@ -407,7 +429,7 @@ func (s *Server) release(sess *session, env netproto.Envelope) {
 	} else if err = s.v.Referenced(b.Context, b.File); err == nil {
 		err = fmt.Errorf("%w: release of %q not held by this session", core.ErrInvalid, b.File)
 	}
-	sess.answer(env.ID, acked, err)
+	sess.answer(env.ID, &netproto.Response{OK: true}, err)
 }
 
 func (s *Server) estWait(_ *session, b netproto.FileBody) (netproto.Response, error) {

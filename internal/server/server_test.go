@@ -451,10 +451,10 @@ func TestStatsOpLatencyWireBytes(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		if round == 1 {
 			for i := 0; i < 100; i++ {
-				lat.Record(netproto.OpOpen, 100*time.Nanosecond)
+				lat.Record(0, 100*time.Nanosecond) // open
 			}
-			lat.Record(netproto.OpRelease, 3*time.Microsecond)
-			lat.Record(netproto.OpPing, time.Millisecond)
+			lat.Record(1, 3*time.Microsecond) // release
+			lat.Record(2, time.Millisecond)   // beyond the set: other
 		}
 		resp := netproto.Response{ID: 5, OK: true, Stats: &metrics.Report{CtxStats: metrics.CtxStats{Hits: 2}, Ops: lat.Summaries()}}
 		if err := netproto.Binary.EncodeFrame(&buf, resp); err != nil {

@@ -291,12 +291,15 @@ func TestRetiredWaitOpRefused(t *testing.T) {
 		{9, "autoscale-report", map[string]any{"active": true, "policies": []string{"node-budget"}}},
 		{10, "autoscale-status", nil},
 		{11, "fed-watch", netproto.FilesBody{Context: "clim", Files: []string{"clim_out_00000003.nc"}}},
+		// And a name the op table never had: it has no row to index the
+		// handler table by.
+		{12, "no-such-op", nil},
 	} {
 		if resp := exchange(t, conn, row.id, row.op, row.body); resp.Code != netproto.CodeUnsupported || resp.ID != row.id || resp.OK {
 			t.Errorf("JSON %s answered with %+v, want CodeUnsupported on id %d", row.op, resp, row.id)
 		}
 	}
-	if resp := exchange(t, conn, 12, netproto.OpPing, nil); !resp.OK || resp.ID != 12 {
+	if resp := exchange(t, conn, 13, netproto.OpPing, nil); !resp.OK || resp.ID != 13 {
 		t.Errorf("ping after the refusals: %+v", resp)
 	}
 }

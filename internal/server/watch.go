@@ -33,7 +33,7 @@ type fileWatch struct {
 // the rest — and a terminal Done frame. A request refused as a whole is
 // answered by one failure frame that says Done, like every other end of
 // a stream.
-func (s *Server) watch(sess *session, env netproto.Envelope) {
+func (s *Server) watch(sess *session, env *netproto.Envelope) {
 	b, ok := decodeBody[netproto.FilesBody](sess, env)
 	if !ok {
 		return
@@ -49,7 +49,7 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 		sess.endWatch(id)
 		resp := failure(err)
 		resp.ID, resp.Done = id, true
-		sess.reply(resp)
+		sess.reply(&resp)
 	}
 	if len(b.Files) == 0 {
 		refuse(fmt.Errorf("%w: %s requires at least one file", core.ErrInvalid, env.Op))
@@ -91,7 +91,7 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 		switch {
 		case f.Resident:
 			delete(w.unresolved, f.Step)
-			sess.reply(netproto.Response{ID: id, OK: true, Ready: true, File: f.Name})
+			sess.reply(&netproto.Response{ID: id, OK: true, Ready: true, File: f.Name})
 		case f.Promised:
 			// Pending: the hub will resolve it — or already has since the
 			// Watch, and the event is kept in w or on its way there.
@@ -99,7 +99,7 @@ func (s *Server) watch(sess *session, env netproto.Envelope) {
 			// Taken since the Watch: its event is on its way.
 		default:
 			delete(w.unresolved, f.Step)
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeNotProduced,
+			sess.reply(&netproto.Response{ID: id, Code: netproto.CodeNotProduced,
 				Err: "file is not being produced", File: f.Name})
 		}
 	}
@@ -129,7 +129,7 @@ func (sess *session) goLive(id uint64, w *fileWatch) {
 	}
 	sess.endLocked(id, w)
 	n.mu.Unlock()
-	sess.reply(last)
+	sess.reply(&last)
 }
 
 // streamEvent is the streams owner's callback: the event of one file of

@@ -204,7 +204,7 @@ func (fx *watchFixture) settled() []netproto.Response {
 // stream reads the frames of stream id through its terminal one.
 func (fx *watchFixture) stream(id uint64) []netproto.Response {
 	fx.t.Helper()
-	frames, final := fx.until(id, netproto.Response.Terminal)
+	frames, final := fx.until(id, func(r netproto.Response) bool { return r.Terminal() })
 	return append(frames, final)
 }
 
