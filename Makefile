@@ -158,13 +158,14 @@ chaos-smoke:
 	$(GO) test -race -count=10 -run 'TestReconnect|TestDoubleReleaseRefused|TestCallStateMachine|TestSecondWaitRefused|TestCanceledCallKeepsItsRecord|TestSweptCallKeepsItsRecord' ./internal/dvlib
 	$(GO) test -race ./internal/faults
 
-# fed-smoke is the federation gate under the race detector: router
-# proxying across sharded daemons, dead-peer isolation, a member link
-# failing on an undecodable response, unknown ops refused like a daemon
-# refuses them, byte-transparent relaying, and reconnecting clients
-# riding through a router restart.
+# fed-smoke is the federation gate under the race detector, the whole
+# of internal/fed: router proxying across sharded daemons, dead-peer
+# isolation, a member link failing on an undecodable response, unknown
+# ops refused like a daemon refuses them, byte-transparent relaying, the
+# fan-out of the ops no member owns (and its call timeout), and
+# reconnecting clients riding through a router restart.
 fed-smoke:
-	$(GO) test -race -count=1 -run 'TestFederation' ./internal/fed
+	$(GO) test -race -count=1 ./internal/fed
 
 # loc prints the two sizes ROADMAP's north star tracks: non-test Go lines
 # outside benchmark/ (its own module) and testdata/ (analyzer fixtures),

@@ -63,15 +63,11 @@ func (v *Virtualizer) startSim(cs *shard, first, last, parallelism int, class sc
 			v.markPromised(cs, sim.first, sim.last, sim.id)
 			for _, us := range missing {
 				if !ucs.step(us).promised {
-					if iv, err := ucs.ctx.Grid.ResimInterval(us); err == nil {
-						if f, l, ok := ucs.ctx.Grid.OutputsIn(iv); ok {
-							// The upstream demand bills the client whose
-							// downstream sim induced it (DRR accounting);
-							// the launched sim itself stays client-less.
-							if queued, _ := v.launch(ucs, f, l, ucs.ctx.DefaultParallelism, sched.Demand, client); queued {
-								queuedDemand = true
-							}
-						}
+					// The upstream demand bills the client whose
+					// downstream sim induced it (DRR accounting); the
+					// launched sim itself stays client-less.
+					if queued, _ := v.launch(ucs, us, us, ucs.ctx.DefaultParallelism, sched.Demand, client); queued {
+						queuedDemand = true
 					}
 				}
 				v.hub.AwaitFor(notify.Topic{Context: ucs.ctx.Name, Step: us}, cs.pipelineClient, cs.upstream, uint64(sim.id))

@@ -115,18 +115,10 @@ func (v *Virtualizer) openLocked(cs *shard, client, filename string, resolved []
 			after.queuedDemand = true
 		}
 	} else if !st.promised {
-		iv, err := cs.ctx.Grid.ResimInterval(step)
-		if err != nil {
-			return OpenResult{}, after, err
-		}
-		first, last, ok := cs.ctx.Grid.OutputsIn(iv)
-		if !ok {
-			return OpenResult{}, after, fmt.Errorf("core: %w: no outputs in re-simulation interval for %q", ErrInvalid, filename)
-		}
 		// Circuit breaker: an interval that exhausted its retry budget
 		// fails fast with the structured quarantine error instead of
 		// launching a simulation that will not produce.
-		if qf, ql, okq := alignLaunchRange(cs, first, last); okq {
+		if qf, ql, okq := alignLaunchRange(cs, step, step); okq {
 			if qerr := v.quarantineErr(cs, qf, ql); qerr != nil {
 				return OpenResult{}, after, qerr
 			}
@@ -134,7 +126,7 @@ func (v *Virtualizer) openLocked(cs *shard, client, filename string, resolved []
 		// The client rides along for the scheduler's per-client quota
 		// accounting; demand simulations themselves stay client-less
 		// (prefetchFor derives from the class, not the field).
-		if queued, _ := v.launch(cs, first, last, cs.ctx.DefaultParallelism, sched.Demand, client); queued {
+		if queued, _ := v.launch(cs, step, step, cs.ctx.DefaultParallelism, sched.Demand, client); queued {
 			after.queuedDemand = true
 		}
 	}
@@ -217,15 +209,7 @@ func (v *Virtualizer) GuidedPrefetch(client, ctxName string, filenames []string)
 			continue
 		}
 		before := cs.stats.Restarts
-		iv, err := cs.ctx.Grid.ResimInterval(step)
-		if err != nil {
-			return launched, err
-		}
-		first, last, ok := cs.ctx.Grid.OutputsIn(iv)
-		if !ok {
-			continue
-		}
-		if queued, _ := v.launch(cs, first, last, cs.ctx.DefaultParallelism, sched.Guided, client); queued {
+		if queued, _ := v.launch(cs, step, step, cs.ctx.DefaultParallelism, sched.Guided, client); queued {
 			queuedDemand = true
 		}
 		if cs.stats.Restarts > before {

@@ -3,17 +3,15 @@ package dvlib
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"simfs/internal/netproto"
 )
 
-// Status mirrors SIMFS_Status: the error state of the request and the
-// estimated waiting time for the requested files (paper Sec. III-C2).
+// Status mirrors SIMFS_Status: the error state of the request (paper
+// Sec. III-C2). A file's estimated waiting time is Context.EstWait's.
 type Status struct {
-	Ready   bool
-	Err     string
-	EstWait time.Duration
+	Ready bool
+	Err   string
 }
 
 // Req is the request handle returned by the non-blocking acquire

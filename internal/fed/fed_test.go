@@ -1,7 +1,7 @@
 // Integration tests for the federation tier: a consistent-hash router
 // in front of real daemons, exercised with the ordinary dvlib client.
-// Everything here is named TestFederation* so `make fed-smoke` can run
-// the whole tier under the race detector with one -run pattern.
+// `make fed-smoke` runs them, with the rest of the package, under the
+// race detector.
 package fed_test
 
 import (

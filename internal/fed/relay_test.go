@@ -13,11 +13,11 @@ import (
 	"simfs/internal/netproto"
 )
 
-// The byte-transparency contract of the router: a binary request crosses
-// it byte for byte, request ID included, and so does every answer on the
-// way back. The test speaks raw frames on both sides — as a
-// client in front of the router and as a scripted daemon behind it — so
-// it sees every byte either end sends.
+// The byte-transparency contract of the router: every request with an
+// owner crosses it byte for byte, binary or JSON, request ID included,
+// and so does every answer on the way back. The test speaks raw frames
+// on both sides — as a client in front of the router and as a scripted
+// daemon behind it — so it sees every byte either end sends.
 
 // frame wraps a payload in its length header.
 func frame(payload []byte) []byte {
@@ -134,8 +134,8 @@ func rawClient(t *testing.T, addr string) net.Conn {
 
 // TestFederationRelayIsByteTransparent pins the relay contract request
 // by request: the daemon receives the client's payload byte for byte,
-// under the client's own request ID, and the client receives the
-// daemon's answers byte for byte, binary and JSON alike. Malformed
+// binary and JSON alike, under the client's own request ID, and the
+// client receives the daemon's answers byte for byte. Malformed
 // requests are refused by the router on the client's ID as far as it
 // reads them (opcode, ID, context) and relayed as they are past that
 // point.
@@ -227,6 +227,10 @@ func TestFederationRelayIsByteTransparent(t *testing.T) {
 	info, _ := netproto.NewEnvelope(301, netproto.OpContextInfo, netproto.CtxBody{Context: "c"})
 	forwarded("ctxinfo", encoded(t, info))
 	answered("rich answer", netproto.Response{ID: 301, OK: true, Info: &netproto.ContextInfo{Name: "c", DeltaD: 1, Timesteps: 64}})
+	// A JSON-bodied request crosses as the client sent it, too: keys in
+	// the client's order, not the order an encoder would write.
+	forwarded("stats", []byte(`{"op":"stats","id":303,"body":{"context":"c"}}`))
+	answered("stats", netproto.Response{ID: 303, OK: true})
 
 	// Malformed requests: what the router reads to route — opcode, ID,
 	// context — it refuses itself; the rest is the daemon's to refuse.

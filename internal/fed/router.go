@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -15,27 +15,27 @@ import (
 
 // Router is the federation front-end: it speaks the ordinary client
 // protocol (hello handshake, binary codec, reply coalescing) and
-// forwards every data-plane op to the daemon owning its context on the
-// consistent-hash ring. Every request crosses under the client's own
-// request ID: a client's IDs are unique on its session, and so on each
-// of the session's links. A binary request whose body names files (open,
-// release, estwait, bitrep, acquire, subscribe, prefetch) crosses as
-// bytes: the router reads its opcode, request ID and context and appends
-// the payload to the owning peer's write buffer, and every answer comes
-// back as it arrived — the peer's read loop finds the request's relay by
-// its ID and appends the frame to the client's write buffer. Nothing is
-// decoded, re-encoded or allocated per request. The rest is decoded:
-// ping and unsubscribe are answered here, and the JSON-bodied ops (the
-// control plane) are re-encoded for their owner or fanned out. Every
-// touched peer is flushed once per client batch and the client once per
-// peer batch.
+// forwards every op with an owner to the daemon owning its context on
+// the consistent-hash ring. Every owned op crosses as bytes, under the
+// client's own request ID: a client's IDs are unique on its session, and
+// so on each of the session's links. The router reads a binary request
+// whose body names files (open, release, estwait, bitrep, acquire,
+// subscribe, prefetch) no further than its opcode, request ID and
+// context, and decodes a JSON-bodied one (the control plane) only to
+// find its context; either way it appends the client's payload to the
+// owning peer's write buffer. Every answer comes back as it arrived —
+// the peer's read loop finds the request's relay by its ID and appends
+// the frame to the client's write buffer. Nothing is re-encoded, and a
+// binary request allocates nothing. The rest is answered here: ping,
+// peers and unsubscribe by the router itself, and the ops with no
+// single owner (contexts, sched-get/-set, an all-contexts
+// quarantine-reset) by one fan-out to every member. Every touched peer
+// is flushed once per client batch and the client once per peer batch.
 //
 // Peer connections are per client session, carrying the client's own
 // name in their hello: the owning daemon sees one session per client
 // and its reference/subscription cleanup on disconnect keeps working
-// unchanged. Control-plane ops with no single owner (contexts,
-// sched-get/-set, an all-contexts quarantine-reset) fan out to every
-// member; stats, like every other per-context op, is the owner's.
+// unchanged. stats, like every other per-context op, is the owner's.
 //
 // When a peer daemon dies, in-flight requests routed to it are
 // answered with structured draining frames and later ops fail busy
@@ -162,8 +162,8 @@ func (r *Router) handle(c *netproto.Conn) {
 		sess.flushPeers()
 		sess.flush()
 	}
-	forward := func(spec netproto.OpSpec, id uint64, ctx, payload []byte) {
-		r.forward(sess, spec, id, ctx, payload)
+	forward := func(spec netproto.OpSpec, id uint64, ctx, payload []byte) bool {
+		return r.forward(sess, spec, id, ctx, payload)
 	}
 	var env netproto.Envelope // one per session: see server.handle
 	for {
@@ -188,9 +188,7 @@ func decodeBody[B any](sess *rsession, env *netproto.Envelope) (b B, ok bool) {
 }
 
 // dispatch serves one decoded client envelope — every request forward
-// does not take: the ops with no single owner are answered or fanned out
-// here, everything else is proxied to the daemon owning its routing
-// context.
+// does not take: the router answers it, or fans it out to every member.
 func (r *Router) dispatch(sess *rsession, env *netproto.Envelope) {
 	id := env.ID
 	switch env.Op {
@@ -206,15 +204,18 @@ func (r *Router) dispatch(sess *rsession, env *netproto.Envelope) {
 		}
 		sess.reply(netproto.Response{ID: id, OK: true, Peers: infos})
 
-	case netproto.OpContexts:
-		r.fanContexts(sess, id)
-
-	case netproto.OpSchedGet:
-		r.fanSchedGet(sess, id)
+	case netproto.OpContexts, netproto.OpSchedGet:
+		r.fan(sess, id, env.Op, nil)
 
 	case netproto.OpSchedSet:
 		if b, ok := decodeBody[netproto.SchedSetBody](sess, env); ok {
-			r.fanSchedSet(sess, id, b)
+			r.fan(sess, id, env.Op, b)
+		}
+
+	case netproto.OpQuarantineReset:
+		// forward declined it: "all contexts" spans every daemon.
+		if _, ok := decodeBody[netproto.CtxBody](sess, env); ok {
+			r.fan(sess, id, env.Op, netproto.CtxBody{})
 		}
 
 	case netproto.OpUnsubscribe:
@@ -230,59 +231,38 @@ func (r *Router) dispatch(sess *rsession, env *netproto.Envelope) {
 		// Unknown subscriptions ack like the daemon does (idempotent).
 		sess.reply(netproto.Response{ID: id, OK: true})
 
-	case netproto.OpQuarantineReset:
-		b, ok := decodeBody[netproto.CtxBody](sess, env)
-		if !ok {
-			return
-		}
-		if b.Context == "" {
-			// "All contexts" spans every daemon: fan out and sum.
-			r.fanQuarantineReset(sess, id)
-			return
-		}
-		r.proxy(sess, env, b.Context)
-
 	default:
-		if env.Row() < 0 {
-			// What a daemon answers an op it does not serve.
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeUnsupported,
-				Err: fmt.Sprintf("unknown op %q", env.Op)})
-			return
+		// What a daemon answers an op it does not serve.
+		resp := netproto.Response{ID: id, Code: netproto.CodeUnsupported, Err: fmt.Sprintf("unknown op %q", env.Op)}
+		if env.Row() >= 0 {
+			// A known op forward was not offered: its routing body does
+			// not decode.
+			_, err := env.RoutingContext()
+			resp.Code, resp.Err = netproto.CodeBadRequest, fmt.Sprint(err)
 		}
-		ctxName, err := env.RoutingContext()
-		if err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-			return
-		}
-		r.proxy(sess, env, ctxName)
+		sess.reply(resp)
 	}
 }
 
-// forward is the session's netproto.ForwardFunc: it relays one binary
-// request undecoded to the daemon owning ctx, which receives the
-// client's bytes as they are.
-func (r *Router) forward(sess *rsession, spec netproto.OpSpec, id uint64, ctx, payload []byte) {
-	if err := r.send(sess, r.ring.ownerOf(fnv64a(ctx)), id, spec, nil, payload); err != nil {
+// forward is the session's netproto.ForwardFunc: it relays one request
+// as the client's bytes to the daemon owning ctx. It declines only an
+// all-contexts quarantine-reset, which dispatch fans out.
+func (r *Router) forward(sess *rsession, spec netproto.OpSpec, id uint64, ctx, payload []byte) bool {
+	if len(ctx) == 0 && spec.Name == netproto.OpQuarantineReset {
+		return false
+	}
+	if err := r.send(sess, r.ring.ownerOf(fnv64a(ctx)), id, spec, payload); err != nil {
 		sess.unsent(id, string(ctx), spec.Stream, err)
 	}
+	return true
 }
 
-// proxy relays a decoded envelope — a JSON-bodied op — to the daemon
-// owning ctxName, re-encoded.
-func (r *Router) proxy(sess *rsession, env *netproto.Envelope, ctxName string) {
-	spec := netproto.Ops[env.Row()]
-	if err := r.send(sess, r.ring.Owner(ctxName), env.ID, spec, env, nil); err != nil {
-		sess.unsent(env.ID, ctxName, spec.Stream, err)
-	}
-}
-
-// send queues the client's request id on the link to owner under that
-// same ID — env encoded when set, payload as it is otherwise — as a
-// relay: every response frame (a stream's up to its terminal one) goes
-// back to the client as it arrived, queued by the link's read loop,
-// which flushes the session once its response batch is drained. The
-// error is a request nothing was sent for and nobody has answered.
-func (r *Router) send(sess *rsession, owner string, id uint64, spec netproto.OpSpec, env *netproto.Envelope, payload []byte) error {
+// send queues payload on the link to owner under the client's request
+// id, as a relay: every response frame (a stream's up to its terminal
+// one) goes back to the client as it arrived, queued by the link's read
+// loop, which flushes the session once its response batch is drained.
+// The error is a request nothing was sent for and nobody has answered.
+func (r *Router) send(sess *rsession, owner string, id uint64, spec netproto.OpSpec, payload []byte) error {
 	if owner == "" {
 		return errors.New("no federation members configured")
 	}
@@ -293,16 +273,7 @@ func (r *Router) send(sess *rsession, owner string, id uint64, spec netproto.OpS
 	if err := pc.calls.AddRelay(id, spec); err != nil {
 		return fmt.Errorf("fed: peer %s: %w", owner, err)
 	}
-	if env == nil {
-		pc.c.EnqueuePayload(payload)
-		return nil
-	}
-	if err := pc.c.EnqueueRequest(env); err != nil {
-		if _, ok := pc.calls.Remove(id); ok {
-			return err
-		}
-		// The link failed meanwhile and answered the client.
-	}
+	pc.c.EnqueuePayload(payload)
 	return nil
 }
 
@@ -350,7 +321,50 @@ func (r *Router) fanout(sess *rsession, id uint64, op string, body any) []fanRes
 	return results
 }
 
-// fanFail reduces an all-failed fan-out to one client response,
+// fan answers an op with no single owner from every member's answer to
+// it. Each op's answer fills one field: contexts the union of the
+// members' Names, sched-get and sched-set one member's Sched (members
+// are normally configured alike), an all-contexts quarantine-reset the
+// sum of their Counts. sched-set is strict and not atomic across
+// daemons: the first member that refuses it or cannot be reached fails
+// it, named, and leaves the others reconfigured.
+func (r *Router) fan(sess *rsession, id uint64, op string, body any) {
+	results := r.fanout(sess, id, op, body)
+	out := netproto.Response{ID: id, OK: true}
+	answered := false
+	for _, res := range results {
+		if op == netproto.OpSchedSet && res.err != nil {
+			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBusy,
+				Err: fmt.Sprintf("sched-set incomplete: member %s unreachable: %v", res.addr, res.err)})
+			return
+		}
+		if op == netproto.OpSchedSet && res.resp.Code != "" {
+			resp := res.resp
+			resp.ID = id
+			resp.Err = fmt.Sprintf("sched-set incomplete: member %s: %s", res.addr, resp.Err)
+			sess.reply(resp)
+			return
+		}
+		if res.err != nil || !res.resp.OK {
+			continue
+		}
+		answered = true
+		out.Names = append(out.Names, res.resp.Names...)
+		if out.Sched == nil {
+			out.Sched = res.resp.Sched
+		}
+		out.Count += res.resp.Count
+	}
+	if !answered {
+		fanFail(sess, id, results)
+		return
+	}
+	slices.Sort(out.Names)
+	out.Names = slices.Compact(out.Names)
+	sess.reply(out)
+}
+
+// fanFail reduces a fan-out no member answered to one client response,
 // preferring an application error a daemon actually returned over
 // transport errors.
 func fanFail(sess *rsession, id uint64, results []fanResult) {
@@ -374,94 +388,4 @@ func fanFail(sess *rsession, id uint64, results []fanResult) {
 	}
 	sess.reply(netproto.Response{ID: id, Code: netproto.CodeBusy,
 		Err: "no federation peer reachable: " + reason})
-}
-
-// fanContexts merges every member's context list (sorted union).
-func (r *Router) fanContexts(sess *rsession, id uint64) {
-	results := r.fanout(sess, id, netproto.OpContexts, nil)
-	seen := map[string]bool{}
-	anyOK := false
-	for _, res := range results {
-		if res.err != nil || !res.resp.OK {
-			continue
-		}
-		anyOK = true
-		for _, n := range res.resp.Names {
-			seen[n] = true
-		}
-	}
-	if !anyOK {
-		fanFail(sess, id, results)
-		return
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	sess.reply(netproto.Response{ID: id, OK: true, Names: names})
-}
-
-// fanSchedGet answers with the first reachable member's scheduler
-// config (members are normally configured identically).
-func (r *Router) fanSchedGet(sess *rsession, id uint64) {
-	results := r.fanout(sess, id, netproto.OpSchedGet, nil)
-	for _, res := range results {
-		if res.err == nil && res.resp.OK && res.resp.Sched != nil {
-			resp := res.resp
-			resp.ID = id
-			sess.reply(resp)
-			return
-		}
-	}
-	fanFail(sess, id, results)
-}
-
-// fanSchedSet applies a scheduler reconfiguration on every member.
-// The fan-out is not atomic across daemons: a member failing mid-way
-// leaves the others reconfigured (the error response says which).
-func (r *Router) fanSchedSet(sess *rsession, id uint64, body netproto.SchedSetBody) {
-	results := r.fanout(sess, id, netproto.OpSchedSet, body)
-	var ok *netproto.Response
-	for i, res := range results {
-		if res.err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBusy,
-				Err: fmt.Sprintf("sched-set incomplete: member %s unreachable: %v", res.addr, res.err)})
-			return
-		}
-		if res.resp.Code != "" {
-			resp := res.resp
-			resp.ID = id
-			resp.Err = fmt.Sprintf("sched-set incomplete: member %s: %s", res.addr, resp.Err)
-			sess.reply(resp)
-			return
-		}
-		ok = &results[i].resp
-	}
-	if ok == nil {
-		sess.reply(netproto.Response{ID: id, Code: netproto.CodeBusy, Err: "no federation members configured"})
-		return
-	}
-	resp := *ok
-	resp.ID = id
-	sess.reply(resp)
-}
-
-// fanQuarantineReset clears the quarantine ledger on every member and
-// sums the released-interval counts.
-func (r *Router) fanQuarantineReset(sess *rsession, id uint64) {
-	results := r.fanout(sess, id, netproto.OpQuarantineReset, netproto.CtxBody{})
-	total := 0
-	anyOK := false
-	for _, res := range results {
-		if res.err == nil && res.resp.OK {
-			anyOK = true
-			total += res.resp.Count
-		}
-	}
-	if !anyOK {
-		fanFail(sess, id, results)
-		return
-	}
-	sess.reply(netproto.Response{ID: id, OK: true, Count: total})
 }

@@ -217,22 +217,25 @@ func (c *Conn) ReadResponse(resp *Response) error {
 	return err
 }
 
-// ForwardFunc receives a request a forwarding reader passes on without
-// decoding: a binary frame of an op whose body names files (BodyFile,
-// BodyFiles) — its op row, its request ID, the context it names and the
-// whole payload, for EnqueuePayload. ctx and payload alias the
-// connection's read buffer and are valid only during the call.
-type ForwardFunc func(spec OpSpec, id uint64, ctx, payload []byte)
+// ForwardFunc is offered every request a forwarding reader can route
+// by its context: a binary frame of an op whose body names files
+// (BodyFile, BodyFiles), read no further than that context, and a
+// decoded JSON frame of an op without an opcode whose body names one.
+// It receives the op row, the request ID, the context and the whole
+// payload as the client sent it, for EnqueuePayload, and reports
+// whether it took the request; one it declines is decoded and returned
+// by the read. ctx and payload are valid only during the call.
+type ForwardFunc func(spec OpSpec, id uint64, ctx, payload []byte) bool
 
 // readEnvelope reads the next decodable request frame and reports
 // whether its payload was JSON. idle runs before a read that would
 // block, which is where the accepting side flushes its replies to a
 // pipelined batch with one write; FrameBuffered insists on a complete
 // frame, so a half-received one cannot deadlock both ends. fwd, when
-// set, takes the frames a ForwardFunc receives instead, and reading
-// continues. A complete frame with an undecodable payload leaves the
-// stream aligned: it is answered with CodeFrame and reading continues.
-// Every other error ends the connection.
+// set, is offered the frames a ForwardFunc is, and reading continues
+// past each one it takes. A complete frame with an undecodable payload
+// leaves the stream aligned: it is answered with CodeFrame and reading
+// continues. Every other error ends the connection.
 func (c *Conn) readEnvelope(env *Envelope, idle func(), fwd ForwardFunc) (isJSON bool, err error) {
 	for {
 		if idle != nil && !FrameBuffered(c.br) {
@@ -249,6 +252,9 @@ func (c *Conn) readEnvelope(env *Envelope, idle func(), fwd ForwardFunc) (isJSON
 		}
 		if err == nil && !forwarded {
 			err = parseEnvelope(payload, true, env, c.names)
+			if err == nil && fwd != nil && isJSON {
+				forwarded = forwardJSON(env, payload, fwd)
+			}
 		}
 		c.frameDone(payload, pooled)
 		if forwarded {
@@ -267,18 +273,31 @@ func (c *Conn) readEnvelope(env *Envelope, idle func(), fwd ForwardFunc) (isJSON
 	}
 }
 
-// forwardBin hands a binary request to fwd undecoded when its op's body
-// names files; forwarded is false for every other op, which the caller
-// decodes. Only the prefix routing reads is checked: an unknown opcode,
-// a truncated ID or a truncated context fails as decodeBinEnvelope
-// would, and whatever follows the context is the receiver's to refuse.
+// forwardBin offers fwd a binary request undecoded when its op's body
+// names files; forwarded is false for every other op and for one fwd
+// declines, which the caller decodes. Only the prefix routing reads is
+// checked: an unknown opcode, a truncated ID or a truncated context
+// fails as decodeBinEnvelope would, and whatever follows the context is
+// the receiver's to refuse.
 func forwardBin(payload []byte, fwd ForwardFunc) (forwarded bool, err error) {
 	row, id, ctx, _, err := binRequestHead(payload)
 	if err != nil || (Ops[row-1].Body != BodyFile && Ops[row-1].Body != BodyFiles) {
 		return false, err
 	}
-	fwd(Ops[row-1], id, ctx, payload)
-	return true, nil
+	return fwd(Ops[row-1], id, ctx, payload), nil
+}
+
+// forwardJSON offers fwd a decoded JSON request when its op has no
+// opcode and its body names a routing context. Hello (whose body names
+// none) and the opcoded ops, which ReadRequestForward refuses as JSON,
+// are never offered.
+func forwardJSON(env *Envelope, payload []byte, fwd ForwardFunc) bool {
+	row := env.Row()
+	if row < 0 || Ops[row].Bin != 0 {
+		return false
+	}
+	ctx, err := env.RoutingContext()
+	return err == nil && fwd(Ops[row], env.ID, []byte(ctx), payload)
 }
 
 // Accept runs the accepting half of the handshake and returns the
@@ -341,8 +360,9 @@ func (c *Conn) ReadRequest(env *Envelope, idle func()) error {
 }
 
 // ReadRequestForward is ReadRequest for a reader that forwards rather
-// than serves (the federation router): the binary frames a ForwardFunc
-// receives go to fwd undecoded, and only the rest reach env.
+// than serves (the federation router): the requests a ForwardFunc is
+// offered go to fwd as the client's bytes, and only the ones it
+// declines and the rest reach env.
 func (c *Conn) ReadRequestForward(env *Envelope, idle func(), fwd ForwardFunc) error {
 	for {
 		isJSON, err := c.readEnvelope(env, idle, fwd)

@@ -415,3 +415,66 @@ func TestConnAndCodecEmitSameBytes(t *testing.T) {
 		t.Errorf("only %d comparisons over %d seeds: the corpus decodes less than it should", compared, len(seeds))
 	}
 }
+
+// ReadRequestForward offers its ForwardFunc every request with a routing
+// context — a binary file op read no further than that context, a JSON
+// op without an opcode decoded only to find it — as the client's bytes,
+// and returns what the func declines. Hello and the opcoded ops sent as
+// JSON are never offered: the reader refuses them itself.
+func TestReadRequestForwardOffers(t *testing.T) {
+	var open bytes.Buffer
+	if err := Binary.EncodeFrame(&open, NewFileEnvelope(1, OpOpen, FileBody{Context: "c", File: "f"})); err != nil {
+		t.Fatal(err)
+	}
+	stats := `{"op":"stats","id":2,"body":{"context":"c"}}`
+	w := &wire{}
+	w.buf.Write(open.Bytes())
+	for _, p := range []string{
+		stats,
+		`{"id":3,"op":"quarantine-reset","body":{}}`, // declined: no context
+		`{"id":4,"op":"hello","body":{"version":4,"client":"x","caps":["bin"]}}`,
+		`{"id":5,"op":"open","body":{"context":"c","file":"f"}}`,
+		`{"id":6,"op":"stats","body":"c"}`, // its routing body does not decode
+	} {
+		w.buf.Write(binary.BigEndian.AppendUint32(nil, uint32(len(p))))
+		w.buf.WriteString(p)
+	}
+	type offer struct {
+		op, ctx, payload string
+		id               uint64
+	}
+	var offers []offer
+	fwd := func(spec OpSpec, id uint64, ctx, payload []byte) bool {
+		offers = append(offers, offer{spec.Name, string(ctx), string(payload), id})
+		return len(ctx) > 0
+	}
+	c := NewConn(w)
+	var got []uint64
+	var env Envelope
+	for c.ReadRequestForward(&env, nil, fwd) == nil {
+		got = append(got, env.ID)
+	}
+	want := []offer{
+		{OpOpen, "c", string(open.Bytes()[4:]), 1},
+		{OpStats, "c", stats, 2},
+		{OpQuarantineReset, "", `{"id":3,"op":"quarantine-reset","body":{}}`, 3},
+	}
+	if !reflect.DeepEqual(offers, want) {
+		t.Errorf("offered %+v, want %+v", offers, want)
+	}
+	if !reflect.DeepEqual(got, []uint64{3, 6}) {
+		t.Errorf("returned requests %v, want the declined 3 and the undecodable 6", got)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		id   uint64
+		code ErrCode
+	}{{4, CodeBadRequest}, {5, CodeFrame}} {
+		var resp Response
+		if err := Binary.DecodeFrame(&w.buf, &resp); err != nil || resp.ID != want.id || resp.Code != want.code {
+			t.Errorf("answered %+v (%v), want %s on id %d", resp, err, want.code, want.id)
+		}
+	}
+}

@@ -128,7 +128,8 @@ type Client = dvlib.Client
 // SIMFS_Init returns).
 type AnalysisContext = dvlib.Context
 
-// Status mirrors SIMFS_Status: error state and estimated waiting time.
+// Status mirrors SIMFS_Status: the request's error state
+// (AnalysisContext.EstWait estimates a file's wait).
 type Status = dvlib.Status
 
 // Req is a non-blocking acquire handle (SIMFS_Req).
