@@ -148,9 +148,12 @@ proto-fuzz:
 # withdrawal races (a stream's frames and its end race the hub's
 # callbacks on the session's pusher), and the client's call state
 # machine ten times over with the reconnect suite (a call's answer, its
-# Wait and the reconnect sweep race for who moves second) and the call
-# record recycling tests (a second Wait, and records a canceled context
-# or the sweep left unsettled, which the pool must never hand out).
+# Wait and the reconnect sweep race for who moves second; every
+# TestReconnect* test, the exactly-once cut at each request of a
+# pipelined window against a real daemon among them), the daemon's
+# refusal of a double release, and the call record recycling tests (a
+# second Wait, and records a canceled context or the sweep left
+# unsettled, which the pool must never hand out).
 chaos-smoke:
 	$(GO) test -race -count=10 -run 'Launcher' ./internal/simulator
 	$(GO) test -race -count=10 -run 'TestWatchContract|TestOpenNoticeContract|TestStreamWithdrawal' ./internal/server

@@ -20,6 +20,7 @@
 //	simfs-ctl drain demo
 //	simfs-ctl resume demo
 //	simfs-ctl ctx-deregister demo
+//	simfs-ctl -context demo quarantine-reset    (no context: every context)
 //
 // sched-set flags are partial: only the flags given on the command line
 // change; everything else keeps its current value. ctx-deregister
@@ -116,7 +117,7 @@ func main() {
 		printOpLatencies(os.Stdout, st.Ops)
 		if st.Quarantined > 0 {
 			fmt.Println("\nintervals have been quarantined; once the underlying fault is fixed,")
-			fmt.Println("`simfs-ctl quarantine-reset` re-admits them before the cooldown elapses")
+			fmt.Printf("`simfs-ctl -context %s quarantine-reset` re-admits them before the cooldown elapses\n", *ctxName)
 		}
 
 	case "peers":
@@ -135,11 +136,8 @@ func main() {
 		w.Flush()
 
 	case "quarantine-reset":
-		// Optional context argument; no argument resets every context.
-		name := ""
-		if len(args) > 1 {
-			name = args[1]
-		}
+		name, err := quarantineScope(*ctxName, args)
+		check(err)
 		n, err := admin.ResetQuarantine(cx, name)
 		check(err)
 		scope := name
@@ -323,6 +321,19 @@ func printSched(cfg simfs.SchedInfo) {
 	w.Flush()
 }
 
+// quarantineScope names the context a quarantine-reset clears: -context
+// or the optional positional argument, "" (every context) when neither
+// is given. The two given and different is refused.
+func quarantineScope(flagCtx string, args []string) (string, error) {
+	if len(args) < 2 {
+		return flagCtx, nil
+	}
+	if flagCtx != "" && flagCtx != args[1] {
+		return "", fmt.Errorf("quarantine-reset: -context %q and argument %q name different contexts", flagCtx, args[1])
+	}
+	return args[1], nil
+}
+
 func open(c *simfs.Client, name string) *simfs.AnalysisContext {
 	if name == "" {
 		log.Fatal("simfs-ctl: -context required for this command")
@@ -373,6 +384,7 @@ control plane (live, no restart):
   ctx-deregister <ctx>          remove a drained context
   drain <ctx>                   refuse new opens/prefetches for a context
   resume <ctx>                  lift a drain
-  quarantine-reset [ctx]        clear the re-simulation failure ledger (all contexts if omitted)`)
+  quarantine-reset [ctx]        clear the re-simulation failure ledger of -context or ctx
+                                (all contexts if neither is given)`)
 	os.Exit(2)
 }

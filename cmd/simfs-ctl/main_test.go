@@ -54,3 +54,26 @@ func TestPrintStatsGolden(t *testing.T) {
 		t.Errorf("printStats output differs from %s:\n%s", path, got.Bytes())
 	}
 }
+
+// quarantine-reset clears one context when -context or the positional
+// argument names it, and every context only when neither does.
+func TestQuarantineScope(t *testing.T) {
+	for _, tc := range []struct {
+		flagCtx string
+		args    []string
+		want    string
+		refused bool
+	}{
+		{"", []string{"quarantine-reset"}, "", false},
+		{"demo", []string{"quarantine-reset"}, "demo", false},
+		{"", []string{"quarantine-reset", "demo"}, "demo", false},
+		{"demo", []string{"quarantine-reset", "demo"}, "demo", false},
+		{"demo", []string{"quarantine-reset", "other"}, "", true},
+	} {
+		got, err := quarantineScope(tc.flagCtx, tc.args)
+		if got != tc.want || (err != nil) != tc.refused {
+			t.Errorf("-context %q %v: scope %q, err %v; want %q, refused %v",
+				tc.flagCtx, tc.args, got, err, tc.want, tc.refused)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package dvlib
 
 import (
 	"context"
-	"fmt"
 
 	"simfs/internal/netproto"
 )
@@ -64,17 +63,11 @@ func (ctx *Context) AcquireNB(files ...string) (*Req, error) {
 }
 
 // Wait implements SIMFS_Wait: it blocks until the acquire completes and
-// returns its status. An acquire interrupted by a connection reset fails
-// with ErrReconnecting: its references were released by the daemon's
-// disconnect cleanup, so the caller must re-acquire rather than assume
-// the files are pinned.
+// returns its status. An acquire a connection reset interrupts is
+// re-armed on the fresh session, which takes its references again.
 func (r *Req) Wait() (Status, error) {
 	<-r.l.doneCh
-	st := r.l.status()
-	if st.Err == ErrReconnecting.Error() {
-		return st, fmt.Errorf("dvlib: %s: %w", netproto.OpAcquire, ErrReconnecting)
-	}
-	return st, nil
+	return r.l.status(), nil
 }
 
 // WaitCtx is Wait honoring a context deadline: it returns the context's
@@ -98,16 +91,16 @@ func (r *Req) WaitCtx(cx context.Context) (Status, error) {
 // an unresponsive daemon's acknowledgements would defeat the deadline
 // it serves — only frame-write failures are reported.
 func (r *Req) Cancel() error {
-	// References are ledgered only once the acquire completes cleanly; a
-	// canceled in-flight acquire releases server-side references the
-	// ledger never counted.
-	counted := r.l.status().Ready
 	err := r.l.ctx.c.post(netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: r.l.cancel("canceled")})
+	// Once the stream's end is recorded, counted is final: the releases
+	// below drop what the ledger counted, or, for an acquire canceled in
+	// flight, server-side references it never counted.
+	<-r.l.doneCh
 	for _, f := range r.l.files {
 		if perr := r.l.ctx.c.post(netproto.OpRelease, netproto.FileBody{Context: r.l.ctx.name, File: f}); err == nil {
 			err = perr
 		}
-		if counted {
+		if r.l.counted {
 			r.l.ctx.c.trackHeld(r.l.ctx.name, f, -1)
 		}
 	}

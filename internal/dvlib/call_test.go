@@ -288,9 +288,9 @@ func TestCanceledCallKeepsItsRecord(t *testing.T) {
 // the sweep finds it: the sweep took its table entry, so no answer
 // reaches it, and its channel may be closed.
 func TestSweptCallKeepsItsRecord(t *testing.T) {
-	// A release of a step from 1000 on cuts the connection it arrives on.
+	// A drain cuts the connection it arrives on.
 	addr := scriptedDV(t, nil, func(connNo int, req fakeReq, send func(netproto.Response), kill func()) {
-		if req.Op == netproto.OpRelease && stepOf(req.Files[0]) >= 1000 {
+		if req.Op == netproto.OpDrain {
 			kill()
 			return
 		}
@@ -307,13 +307,12 @@ func TestSweptCallKeepsItsRecord(t *testing.T) {
 	}
 	kept := map[*pendingCall]bool{}
 	for round := range 10 {
-		rc, err := ctx.ReleaseAsync(ctx.Filename(1000 + round))
+		p, err := c.start(newEnv(netproto.OpDrain, netproto.CtxBody{Context: ctx.name}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := rc.p.Load()
-		if err := rc.Wait(); !errors.Is(err, ErrReconnecting) {
-			t.Fatalf("round %d: release cut by the reset answered %v, want ErrReconnecting", round, err)
+		if err := c.await(context.Background(), p, nil); !errors.Is(err, ErrReconnecting) {
+			t.Fatalf("round %d: drain cut by the reset answered %v, want ErrReconnecting", round, err)
 		}
 		if recycled(p) || p.state.Load() != callAnswered || p.err == nil {
 			t.Fatalf("round %d: the swept record went back to the pool", round)

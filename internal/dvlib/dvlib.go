@@ -45,20 +45,15 @@ import (
 )
 
 // ErrReconnecting reports that the connection was reset while a
-// non-idempotent operation (release, acquire, admin) was in flight. The
+// control-plane mutation (sched-set, cache-policy-set, ctx-register,
+// ctx-deregister, drain, resume, quarantine-reset) was in flight. The
 // client has reconnected (or is reconnecting) and resynced its reference
-// state with the daemon, but it cannot know whether the operation took
-// effect before the reset — the caller must decide whether to retry.
-// Idempotent operations (open, wait, est-wait, ping and the read-only
-// queries) never fail with this: they are replayed transparently.
+// state with the daemon, but it cannot know whether the change took
+// effect before the reset, and replaying it could undo another client's
+// change made since — the caller must decide whether to retry. Every
+// other request is replayed on the fresh session and never fails with
+// this.
 var ErrReconnecting = errors.New("connection reset while the request was in flight; state resynced — retry if still wanted")
-
-// ErrNotHeld reports a release of a file the client-side reference
-// ledger does not hold. With auto-reconnect enabled the ledger is
-// authoritative: after a reconnect the daemon's references are rebuilt
-// from it, so a double release would otherwise silently corrupt the
-// recovered state.
-var ErrNotHeld = errors.New("file is not held by this client (double release?)")
 
 // ErrWaited reports a second Wait on a pipelined call (OpenCall,
 // ReleaseCall): the first Wait took the call's outcome.
@@ -96,7 +91,7 @@ func ErrCodeOf(err error) netproto.ErrCode {
 // in-flight request table (IDs, reply demux, streams held to their
 // terminal frame) is a netproto.Pending. What stays here is what only a
 // client needs: the reconnect gate, the reference ledger and the replay
-// of idempotent calls onto a fresh connection.
+// of in-flight calls onto a fresh connection.
 type Client struct {
 	name    string
 	addr    string
@@ -117,9 +112,8 @@ type Client struct {
 	// held is the client-side reference ledger (context → file → count).
 	// After a reconnect the daemon has released everything this session
 	// held (disconnect cleanup), so the ledger is replayed as opens to
-	// rebuild the reference state — and consulted to refuse releases of
-	// files not held. Only a reconnect reads it, so it is kept only by a
-	// client dialed WithReconnect.
+	// rebuild the reference state. Only a reconnect reads it, so it is
+	// kept only by a client dialed WithReconnect.
 	held         map[string]map[string]int
 	reconnecting bool
 	closed       bool
@@ -170,12 +164,12 @@ func (cfg ReconnectConfig) withDefaults() ReconnectConfig {
 // WithReconnect makes the client survive connection loss: when the read
 // loop hits a broken stream, the client redials with exponential backoff,
 // re-runs the hello handshake, re-opens every file in its reference
-// ledger, re-subscribes active watches, and transparently replays
-// idempotent in-flight calls (open, wait, est-wait, ping, the read-only
-// queries). Non-idempotent in-flight calls (release, acquire, admin ops)
-// fail with ErrReconnecting instead — the client cannot know whether
-// they took effect — and releases are checked against the ledger so a
-// double release is refused rather than corrupting the resynced state.
+// ledger, re-arms in-flight acquires and active watches, and replays
+// every other in-flight call in its original order. The ledger is
+// re-opened before the calls are re-sent, so a replayed release drops a
+// reference the fresh session holds, exactly once, whether or not its
+// first copy landed. Only the control-plane mutations fail, with
+// ErrReconnecting: replaying them could undo another client's change.
 func WithReconnect(cfg ReconnectConfig) DialOption {
 	c := cfg.withDefaults()
 	return func(d *dialConfig) { d.reconnect = &c }
@@ -308,13 +302,6 @@ func (c *Client) trackHeld(ctxName, file string, delta int) {
 	if m[file] <= 0 {
 		delete(m, file)
 	}
-}
-
-// heldCount reports the ledger's reference count for a file.
-func (c *Client) heldCount(ctxName, file string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.held[ctxName][file]
 }
 
 // die is the terminal connection-loss path (no reconnect, or reconnect
@@ -821,15 +808,9 @@ func (ctx *Context) Read(file string) ([]byte, error) {
 }
 
 // Close is the transparent-mode close: it drops the file reference so the
-// DV may evict it (SIMFS_Release shares the implementation). With
-// auto-reconnect enabled the client-side ledger is consulted first: a
-// release of a file not held fails with ErrNotHeld instead of reaching
-// the daemon, because after a reconnect the daemon's reference state is
-// rebuilt from that ledger and a double release would corrupt it.
+// DV may evict it (SIMFS_Release shares the implementation). The daemon
+// refuses a release of a file this client does not hold (bad_request).
 func (ctx *Context) Close(file string) error {
-	if ctx.c.reconnectEnabled() && ctx.c.heldCount(ctx.name, file) == 0 {
-		return fmt.Errorf("dvlib: %s %q: %w", netproto.OpRelease, file, ErrNotHeld)
-	}
 	ctx.dropNotice(file)
 	_, err := ctx.fileCall(netproto.OpRelease, file)
 	return err

@@ -126,9 +126,10 @@ func TestCanceledCallKeepsItsChannel(t *testing.T) {
 	}
 }
 
-// (b) A reconnect replays the opens in flight and fails the releases
-// with ErrReconnecting by closing their channels; neither may poison the
-// windows that follow on the new connection.
+// (b) A reconnect replays the opens in flight and fails the drains (a
+// control-plane mutation) with ErrReconnecting by closing their
+// channels; neither may poison the windows that follow on the new
+// connection.
 func TestReconnectedCallsKeepTheirChannels(t *testing.T) {
 	addr := scriptedDV(t, nil, func(connNo int, req fakeReq, send func(netproto.Response), kill func()) {
 		if connNo == 1 && req.Op != netproto.OpContextInfo {
@@ -148,12 +149,12 @@ func TestReconnectedCallsKeepTheirChannels(t *testing.T) {
 	}
 	const n = 8
 	var opens [n]*OpenCall
-	var rels [n]*ReleaseCall
+	var drains [n]*pendingCall
 	for i := range opens {
 		if opens[i], err = ctx.OpenAsync(ctx.Filename(2 * (i + 1))); err != nil {
 			t.Fatal(err)
 		}
-		if rels[i], err = ctx.ReleaseAsync(ctx.Filename(2 * (i + 1))); err != nil {
+		if drains[i], err = c.start(newEnv(netproto.OpDrain, netproto.CtxBody{Context: ctx.name})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,8 +162,8 @@ func TestReconnectedCallsKeepTheirChannels(t *testing.T) {
 		if res, err := opens[i].Wait(); err != nil || int(res.EstWait) != 2*(i+1) {
 			t.Errorf("replayed open of step %d answered %+v, %v", 2*(i+1), res, err)
 		}
-		if err := rels[i].Wait(); !errors.Is(err, ErrReconnecting) {
-			t.Errorf("release of step %d cut by the reset answered %v, want ErrReconnecting", 2*(i+1), err)
+		if err := c.await(context.Background(), drains[i], nil); !errors.Is(err, ErrReconnecting) {
+			t.Errorf("drain %d cut by the reset answered %v, want ErrReconnecting", i, err)
 		}
 	}
 	for base := 100; base < 100+10*16; base += 16 {

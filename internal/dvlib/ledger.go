@@ -18,12 +18,16 @@ type ledger struct {
 	files []string
 	ch    chan WatchEvent
 	// holds marks an acquire: its references on the daemon enter the
-	// client's reference ledger when it ends cleanly, and the daemon's
-	// disconnect cleanup releases them — so a reconnect fails it with
-	// ErrReconnecting (re-issuing could double work the caller already
-	// saw), where it re-subscribes a watch, which holds nothing.
-	holds  bool
-	doneCh chan struct{} // an acquire's: closed when the stream has ended
+	// client's reference ledger when it ends, and the daemon's disconnect
+	// cleanup releases them — so a reconnect re-arms it for every file,
+	// where it re-arms a watch, which holds nothing, for the files not
+	// reported yet.
+	holds bool
+	// counted reports that the acquire's references entered the ledger:
+	// at every end but a refusal of the whole stream, which takes none.
+	// Final once doneCh is closed.
+	counted bool
+	doneCh  chan struct{} // an acquire's: closed when the stream has ended
 	// id is the request ID the daemon knows the stream by, which an
 	// unsubscribe names. Guarded by the client's mu: a reconnect re-arms
 	// a watch under a new one.
@@ -87,14 +91,18 @@ func (l *ledger) HandleResponse(resp *netproto.Response) {
 		l.ch <- ev
 		close(l.ch)
 	}
-	ended, clean := l.done, l.err == ""
+	// A per-file failure ends an acquire holding all its references, a
+	// terminal error with no file (a refusal, a cancel, a lost
+	// connection) holding none.
+	ended := l.done
+	l.counted = ended && l.holds && (resp.File != "" || resp.Err == "")
 	l.mu.Unlock()
 	if !ended || !l.holds {
 		return
 	}
-	if clean {
-		// Recorded before anyone waiting on doneCh can release a file: a
-		// release consults the record.
+	if l.counted {
+		// Recorded before anyone waiting on doneCh can release a file, so
+		// the release's settle finds the count to drop.
 		for _, f := range l.files {
 			l.ctx.c.trackHeld(l.ctx.name, f, +1)
 		}
@@ -116,17 +124,26 @@ func (l *ledger) cancel(reason string) uint64 {
 	return l.id
 }
 
-// remaining returns the files still owed a report — what a reconnect
-// re-subscribes: none once the stream has ended.
+// remaining returns the files a reconnect re-arms the stream for: none
+// once it has ended, else an acquire's every file and a watch's files
+// not reported yet.
 func (l *ledger) remaining() (files []string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, f := range l.files {
-		if _, seen := l.resolved[f]; !seen && !l.done {
+		if _, seen := l.resolved[f]; !l.done && (l.holds || !seen) {
 			files = append(files, f)
 		}
 	}
 	return files
+}
+
+// op is the stream's request op.
+func (l *ledger) op() string {
+	if l.holds {
+		return netproto.OpAcquire
+	}
+	return netproto.OpSubscribe
 }
 
 // status renders the stream's state as a SIMFS_Status.

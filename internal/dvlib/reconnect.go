@@ -1,10 +1,12 @@
 package dvlib
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"simfs/internal/netproto"
@@ -13,17 +15,18 @@ import (
 // redialTimeout bounds one reconnect attempt (TCP connect + hello).
 const redialTimeout = 2 * time.Second
 
-// replayCall is an in-flight idempotent call spared by a reconnect,
-// under the request ID the table holds it at (the caller's own p.id
-// store may still be in flight when the sweep finds the call).
-type replayCall struct {
+// inflight is a request a reconnect re-sends, under the request ID the
+// table holds it at (the caller's own store of it may still be in
+// flight when the sweep finds it): a *pendingCall, replayed as built, or
+// a *ledger, re-armed.
+type inflight struct {
 	id uint64
-	p  *pendingCall
+	h  netproto.ResponseHandler
 }
 
 // tryReconnect is the read loop's recovery path: redial with backoff,
-// re-handshake, rebuild the reference state and replay what can be
-// replayed. It reports whether the read loop should continue on the new
+// re-handshake, rebuild the reference state and replay what is in
+// flight. It reports whether the read loop should continue on the new
 // connection. Runs only on the readLoop goroutine.
 func (c *Client) tryReconnect() bool {
 	c.mu.Lock()
@@ -34,44 +37,34 @@ func (c *Client) tryReconnect() bool {
 	cfg := *c.dialCfg.reconnect
 	c.reconnecting = true
 
-	// Partition the in-flight requests. Idempotent calls (the op table
-	// says which) ride through: their frames are replayed below. The
-	// other calls fail with the typed error so the caller decides — the
-	// client cannot know whether they landed. Watches are re-subscribed
-	// after the handshake; acquires (ledger.holds) fail typed.
-	var replay []replayCall
-	var watches []*ledger
+	// Collect the in-flight requests: every one rides through but a
+	// control-plane mutation (the op table says which), which fails with
+	// the typed error so the caller decides, as its replay could undo
+	// another client's change made since.
+	var replay []inflight
 	c.calls.Sweep(func(id uint64, h netproto.ResponseHandler) bool {
 		switch h := h.(type) {
 		case *pendingCall:
-			if netproto.Ops[h.env.Row()].Idempotent { // every op dvlib sends has a row
-				replay = append(replay, replayCall{id, h})
-				return false
+			if netproto.Ops[h.env.Row()].Control { // every op dvlib sends has a row
+				h.answer(fmt.Errorf("dvlib: %s: %w", h.env.Op, ErrReconnecting))
+				return true
 			}
-			h.answer(fmt.Errorf("dvlib: %s: %w", h.env.Op, ErrReconnecting))
 		case *ledger:
-			if !h.holds {
-				h.id = id // stream may not have recorded it yet
-				watches = append(watches, h)
-				return false
-			}
-			go h.HandleResponse(&netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
+			h.id = id // stream may not have recorded it yet
 		case *notice:
 			// The open's reference is replayed below, its notice is not:
 			// WaitAvailable asks the daemon afresh.
 			h.HandleResponse(&netproto.Response{ID: id, Err: ErrReconnecting.Error(), Done: true})
+			return true
 		}
-		return true
+		replay = append(replay, inflight{id, h})
+		return false
 	})
-	sort.Slice(replay, func(i, j int) bool { return replay[i].id < replay[j].id })
+	slices.SortFunc(replay, func(a, b inflight) int { return cmp.Compare(a.id, b.id) })
 
 	held := make(map[string]map[string]int, len(c.held))
 	for ctxName, files := range c.held {
-		m := make(map[string]int, len(files))
-		for f, n := range files {
-			m[f] = n
-		}
-		held[ctxName] = m
+		held[ctxName] = maps.Clone(files)
 	}
 	old := c.conn
 	c.mu.Unlock()
@@ -81,7 +74,7 @@ func (c *Client) tryReconnect() bool {
 	// client: the read loop's die fails whatever the table still holds.
 	conn := c.redial(cfg)
 	if conn != nil {
-		c.replay(conn, held, watches, replay)
+		c.replay(conn, held, replay)
 	}
 	c.mu.Lock()
 	c.reconnecting = false
@@ -140,10 +133,11 @@ func (c *Client) redial(cfg ReconnectConfig) *netproto.Conn {
 
 // replay rebuilds daemon-side session state on the fresh connection, in
 // dependency order: the reference ledger first (re-opening restarts the
-// re-simulations waits depend on), then watch re-subscriptions, then the
-// surviving in-flight calls in their original order. New requests are
-// still gated, so everything lands in one coalesced write.
-func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, watches []*ledger, replay []replayCall) {
+// re-simulations waits depend on, and gives every replayed release the
+// reference it drops), then the in-flight requests in their original
+// order. New requests are still gated, so everything lands in one
+// coalesced write.
+func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, replay []inflight) {
 	enc := func(id uint64, env netproto.Envelope) {
 		env.ID = id
 		_ = conn.EnqueueRequest(&env) // an unencodable frame was refused the first time too
@@ -159,9 +153,14 @@ func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, wat
 			}
 		}
 	}
-	for _, w := range watches {
+	for _, r := range replay {
+		w, ok := r.h.(*ledger)
+		if !ok {
+			enc(r.id, r.h.(*pendingCall).env)
+			continue
+		}
 		// Re-armed (or dropped) under mu, like ledger.cancel finds it: a
-		// concurrent Cancel either ended the watch first or unsubscribes
+		// concurrent Cancel either ended the stream first or unsubscribes
 		// the new ID.
 		c.mu.Lock()
 		rem := w.remaining()
@@ -174,15 +173,13 @@ func (c *Client) replay(conn *netproto.Conn, held map[string]map[string]int, wat
 		id := w.id
 		c.mu.Unlock()
 		if len(rem) == 0 {
-			// Every file resolved before the reset; only the final Done
-			// frame was lost. Synthesize it (a canceled watch drops it).
+			// Every file of a watch resolved before the reset; only the
+			// final Done frame was lost. Synthesize it (a stream that has
+			// ended drops it).
 			go w.HandleResponse(&netproto.Response{Done: true})
 			continue
 		}
-		enc(id, newEnv(netproto.OpSubscribe, netproto.FilesBody{Context: w.ctx.name, Files: rem}))
-	}
-	for _, r := range replay {
-		enc(r.id, r.p.env)
+		enc(id, newEnv(w.op(), netproto.FilesBody{Context: w.ctx.name, Files: rem}))
 	}
 	_ = c.flushOn(conn)
 }

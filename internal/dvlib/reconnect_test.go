@@ -1,8 +1,10 @@
 package dvlib
 
 import (
+	"context"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,7 +96,7 @@ func fakeInfo(id uint64) netproto.Response {
 	}}
 }
 
-// An idempotent call whose connection dies before the answer is replayed
+// An open whose connection dies before the answer is replayed
 // transparently: the caller never sees the reset.
 func TestReconnectReplaysIdempotentCall(t *testing.T) {
 	addr := scriptedDV(t, nil, func(connNo int, req fakeReq, send func(netproto.Response), kill func()) {
@@ -127,11 +129,18 @@ func TestReconnectReplaysIdempotentCall(t *testing.T) {
 	}
 }
 
-// A non-idempotent call (release) in flight at the reset fails with the
-// typed ErrReconnecting instead of being replayed: the client cannot
-// know whether the daemon processed it.
-func TestReconnectFailsNonIdempotentTyped(t *testing.T) {
+// A release in flight at the reset is replayed, behind the ledger's
+// re-open of the file it releases: the fresh session holds the
+// reference the replay drops, whether or not the first copy landed.
+func TestReconnectReplaysRelease(t *testing.T) {
+	var mu sync.Mutex
+	var second []string // the ops the fresh connection saw, in order
 	addr := scriptedDV(t, nil, func(connNo int, req fakeReq, send func(netproto.Response), kill func()) {
+		if connNo > 1 {
+			mu.Lock()
+			second = append(second, req.Op)
+			mu.Unlock()
+		}
 		switch req.Op {
 		case netproto.OpContextInfo:
 			send(fakeInfo(req.ID))
@@ -158,15 +167,62 @@ func TestReconnectFailsNonIdempotentTyped(t *testing.T) {
 	if _, err := ctx.Open(file); err != nil {
 		t.Fatal(err)
 	}
-	err = ctx.Release(file)
-	if !errors.Is(err, ErrReconnecting) {
-		t.Fatalf("in-flight release across a reset = %v, want ErrReconnecting", err)
-	}
-	// The ledger still holds the reference (the release never confirmed),
-	// so the retry goes back on the wire and succeeds on the new
-	// connection.
 	if err := ctx.Release(file); err != nil {
-		t.Fatalf("retried release = %v", err)
+		t.Fatalf("in-flight release across a reset = %v, want the replay's answer", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{netproto.OpOpen, netproto.OpRelease}; !slices.Equal(second, want) {
+		t.Errorf("the fresh connection saw %v, want %v", second, want)
+	}
+	if n := heldCopy(c, "c")[file]; n != 0 {
+		t.Errorf("ledger holds %s %d times after its release, want 0", file, n)
+	}
+}
+
+// A control-plane mutation in flight at the reset fails with the typed
+// ErrReconnecting instead of being replayed: the client cannot know
+// whether the daemon processed it, and a replay could undo another
+// client's change made since.
+func TestReconnectFailsControlPlaneTyped(t *testing.T) {
+	var drains atomic.Int32 // drains the fresh connection saw
+	addr := scriptedDV(t, nil, func(connNo int, req fakeReq, send func(netproto.Response), kill func()) {
+		switch req.Op {
+		case netproto.OpContextInfo:
+			send(fakeInfo(req.ID))
+		case netproto.OpOpen:
+			send(netproto.Response{ID: req.ID, OK: true, Available: true, Done: true})
+		case netproto.OpDrain:
+			if connNo == 1 {
+				kill()
+				return
+			}
+			drains.Add(1)
+			send(netproto.Response{ID: req.ID, OK: true})
+		}
+	})
+	c, err := Dial(addr, "unit", WithReconnect(fastReconnect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, err := c.Init("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.Open(ctx.Filename(3)); err != nil {
+		t.Fatal(err)
+	}
+	err = c.Admin().Drain(context.Background(), "c")
+	if !errors.Is(err, ErrReconnecting) {
+		t.Fatalf("in-flight drain across a reset = %v, want ErrReconnecting", err)
+	}
+	if n := drains.Load(); n != 0 {
+		t.Fatalf("the cut drain was replayed %d times", n)
+	}
+	// The retry goes back on the wire and succeeds on the new connection.
+	if err := c.Admin().Drain(context.Background(), "c"); err != nil {
+		t.Fatalf("retried drain = %v", err)
 	}
 }
 
@@ -214,7 +270,7 @@ func TestReconnectRestoresHeldReferences(t *testing.T) {
 	if _, err := ctx.Open(f2); err != nil { // two references on f2
 		t.Fatal(err)
 	}
-	if _, err := ctx.Stats(); err != nil { // idempotent: rides through the reset
+	if _, err := ctx.Stats(); err != nil { // rides through the reset
 		t.Fatalf("stats across reset = %v", err)
 	}
 	mu.Lock()
@@ -283,18 +339,25 @@ func TestReconnectResubscribesWatch(t *testing.T) {
 	}
 }
 
-// An acquire in flight at the reset fails typed: its references are gone
-// with the old session, so pretending it still holds them would lie.
-func TestReconnectFailsInflightAcquire(t *testing.T) {
+// An acquire in flight at the reset is re-armed for every file, those
+// reported before the reset too: its references died with the old
+// session, and the fresh one takes them again. Each file is reported
+// once, and the ledger counts the references once the acquire ends.
+func TestReconnectRearmsInflightAcquire(t *testing.T) {
+	var rearmed atomic.Int32 // files the re-armed acquire carried
 	addr := scriptedDV(t, nil, func(connNo int, req fakeReq, send func(netproto.Response), kill func()) {
 		switch req.Op {
 		case netproto.OpContextInfo:
 			send(fakeInfo(req.ID))
 		case netproto.OpAcquire:
 			if connNo == 1 {
+				// Resolve the first file, then die before the second.
+				send(netproto.Response{ID: req.ID, OK: true, Ready: true, File: req.Files[0]})
+				time.Sleep(10 * time.Millisecond) // let the frame land first
 				kill()
 				return
 			}
+			rearmed.Store(int32(len(req.Files)))
 			for _, f := range req.Files {
 				send(netproto.Response{ID: req.ID, OK: true, Ready: true, File: f})
 			}
@@ -310,14 +373,95 @@ func TestReconnectFailsInflightAcquire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ctx.Acquire(ctx.Filename(1))
-	if !errors.Is(err, ErrReconnecting) {
-		t.Fatalf("in-flight acquire across reset = %v (st=%+v), want ErrReconnecting", err, st)
+	f1, f2 := ctx.Filename(1), ctx.Filename(2)
+	req, err := ctx.AcquireNB(f1, f2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The retry lands on the fresh connection.
-	st, err = ctx.Acquire(ctx.Filename(1))
+	st, err := req.Wait()
 	if err != nil || !st.Ready {
-		t.Fatalf("retried acquire = %+v, %v", st, err)
+		t.Fatalf("in-flight acquire across reset = %+v, %v; want ready", st, err)
+	}
+	if n := rearmed.Load(); n != 2 {
+		t.Errorf("the re-armed acquire carried %d files, want both", n)
+	}
+	seen := map[string]int{}
+	for ev := range req.l.ch {
+		seen[ev.File]++
+	}
+	if seen[f1] != 1 || seen[f2] != 1 {
+		t.Errorf("acquire events = %v, want each file exactly once", seen)
+	}
+	if got := heldCopy(c, "c"); got[f1] != 1 || got[f2] != 1 {
+		t.Errorf("ledger = %v, want one reference on each file", got)
+	}
+}
+
+// An acquire that ends on a per-file failure keeps every reference on
+// the daemon (only a refusal of the whole stream rolls them back), so
+// the ledger counts them: a reconnect re-opens them, and a Cancel drops
+// exactly what was counted.
+func TestReconnectRestoresFailedAcquireReferences(t *testing.T) {
+	var mu sync.Mutex
+	reopened := map[string]int{}
+	var killCurrent func()
+	addr := scriptedDV(t, func(_ int, kill func()) {
+		mu.Lock()
+		killCurrent = kill
+		mu.Unlock()
+	}, func(connNo int, req fakeReq, send func(netproto.Response), kill func()) {
+		switch req.Op {
+		case netproto.OpContextInfo:
+			send(fakeInfo(req.ID))
+		case netproto.OpPing:
+			send(netproto.Response{ID: req.ID, OK: true})
+		case netproto.OpOpen:
+			mu.Lock()
+			reopened[req.Files[0]]++
+			mu.Unlock()
+			send(netproto.Response{ID: req.ID, OK: true, Available: true, Done: true})
+		case netproto.OpAcquire:
+			send(netproto.Response{ID: req.ID, OK: true, Ready: true, File: req.Files[0]})
+			send(netproto.Response{ID: req.ID, Code: netproto.CodeFailed, Err: "boom",
+				File: req.Files[1], Done: true})
+		}
+	})
+	c, err := Dial(addr, "unit", WithReconnect(fastReconnect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, err := c.Init("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, f2 := ctx.Filename(1), ctx.Filename(2)
+	req, err := ctx.AcquireNB(f1, f2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := req.Wait(); err != nil || st.Ready || st.Err != "boom" {
+		t.Fatalf("acquire = %+v, %v; want the per-file failure", st, err)
+	}
+	mu.Lock()
+	kill := killCurrent
+	mu.Unlock()
+	kill()
+	// The ping waits out the reconnect: it is replayed behind the
+	// ledger's opens, or sent once they went out.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if reopened[f1] != 1 || reopened[f2] != 1 {
+		t.Errorf("the reconnect re-opened %v, want each acquired file once", reopened)
+	}
+	mu.Unlock()
+	if err := req.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	if got := heldCopy(c, "c"); len(got) != 0 {
+		t.Errorf("ledger after Cancel = %v, want empty", got)
 	}
 }
 
@@ -370,43 +514,6 @@ func TestReconnectCutNoticeFallsBackToSubscribe(t *testing.T) {
 	}
 	if err := ctx.Close(file); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The double-release guard: once the ledger says a file is no longer
-// held, a second release is refused client-side with ErrNotHeld —
-// after a reconnect the daemon's state is rebuilt from the ledger, so a
-// stray release would silently corrupt it.
-func TestDoubleReleaseRefused(t *testing.T) {
-	addr := scriptedDV(t, nil, func(connNo int, req fakeReq, send func(netproto.Response), kill func()) {
-		switch req.Op {
-		case netproto.OpContextInfo:
-			send(fakeInfo(req.ID))
-		default:
-			send(netproto.Response{ID: req.ID, OK: true, Available: true, Done: true})
-		}
-	})
-	c, err := Dial(addr, "unit", WithReconnect(fastReconnect))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, err := c.Init("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := ctx.Filename(3)
-	if err := ctx.Release(file); !errors.Is(err, ErrNotHeld) {
-		t.Fatalf("release without open = %v, want ErrNotHeld", err)
-	}
-	if _, err := ctx.Open(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Release(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Release(file); !errors.Is(err, ErrNotHeld) {
-		t.Fatalf("double release = %v, want ErrNotHeld", err)
 	}
 }
 

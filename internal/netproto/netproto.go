@@ -48,7 +48,7 @@
 // their terminal frame, synthesized terminal frames on loss, and the
 // federation router's relays, whose binary answers cross undecoded. Listener
 // is the accept loop. Ops is the op table — wire name, binary opcode,
-// body kind, stream/idempotent/timed — that the codec, the daemon's
+// body kind, stream/control/timed — that the codec, the daemon's
 // handler table, the router and the client library all look ops up in.
 package netproto
 

@@ -35,13 +35,11 @@ type OpSpec struct {
 	// frame: the per-file streams, and open, whose miss is answered
 	// again by its notice. Everything else gets exactly one response.
 	Stream bool
-	// Idempotent marks ops a client may replay after a reconnect:
-	// re-issuing them converges to the same daemon state. The rest —
-	// release (drops a reference), acquire (takes references and opens a
-	// subscription), unsubscribe, checksum registration and the admin
-	// control plane — may have taken effect before the connection died,
-	// so replaying could apply them twice.
-	Idempotent bool
+	// Control marks the control-plane mutations. A reconnecting client
+	// replays every other request it has in flight, but fails these: a
+	// replay could undo another client's change made since, or repeat
+	// one the caller saw succeed.
+	Control bool
 	// Timed marks ops whose service time the daemon tracks in its own
 	// histogram (the rest share the "other" bucket).
 	Timed bool
@@ -51,29 +49,29 @@ type OpSpec struct {
 // appear in the order the stats frame lists their latencies.
 var Ops = []OpSpec{
 	{Name: OpHello, Body: BodyOther},
-	{Name: OpOpen, Bin: binOpen, Body: BodyFile, Stream: true, Idempotent: true, Timed: true},
+	{Name: OpOpen, Bin: binOpen, Body: BodyFile, Stream: true, Timed: true},
 	{Name: OpRelease, Bin: binRelease, Body: BodyFile, Timed: true},
 	{Name: OpAcquire, Bin: binAcquire, Body: BodyFiles, Stream: true, Timed: true},
-	{Name: OpEstWait, Bin: binEstWait, Body: BodyFile, Idempotent: true, Timed: true},
-	{Name: OpBitrep, Bin: binBitrep, Body: BodyFile, Idempotent: true},
-	{Name: OpPrefetch, Bin: binPrefetch, Body: BodyFiles, Idempotent: true, Timed: true},
+	{Name: OpEstWait, Bin: binEstWait, Body: BodyFile, Timed: true},
+	{Name: OpBitrep, Bin: binBitrep, Body: BodyFile},
+	{Name: OpPrefetch, Bin: binPrefetch, Body: BodyFiles, Timed: true},
 	{Name: OpSubscribe, Bin: binSubscribe, Body: BodyFiles, Stream: true, Timed: true},
 	{Name: OpUnsubscribe, Bin: binUnsubscribe, Body: BodyUnsubscribe},
-	{Name: OpStats, Body: BodyCtx, Idempotent: true, Timed: true},
-	{Name: OpPing, Bin: binPing, Idempotent: true, Timed: true},
-	{Name: OpContexts, Idempotent: true},
-	{Name: OpContextInfo, Body: BodyCtx, Idempotent: true},
+	{Name: OpStats, Body: BodyCtx, Timed: true},
+	{Name: OpPing, Bin: binPing, Timed: true},
+	{Name: OpContexts},
+	{Name: OpContextInfo, Body: BodyCtx},
 	{Name: OpRegSum, Body: BodyChecksum},
-	{Name: OpRescan, Body: BodyCtx, Idempotent: true},
+	{Name: OpRescan, Body: BodyCtx},
 	{Name: OpPeers},
-	{Name: OpSchedGet, Idempotent: true},
-	{Name: OpSchedSet, Body: BodyOther},
-	{Name: OpCachePolicySet, Body: BodyCachePolicy},
-	{Name: OpCtxRegister, Body: BodyCtxRegister},
-	{Name: OpCtxDeregister, Body: BodyCtx},
-	{Name: OpDrain, Body: BodyCtx},
-	{Name: OpResume, Body: BodyCtx},
-	{Name: OpQuarantineReset, Body: BodyCtx},
+	{Name: OpSchedGet},
+	{Name: OpSchedSet, Body: BodyOther, Control: true},
+	{Name: OpCachePolicySet, Body: BodyCachePolicy, Control: true},
+	{Name: OpCtxRegister, Body: BodyCtxRegister, Control: true},
+	{Name: OpCtxDeregister, Body: BodyCtx, Control: true},
+	{Name: OpDrain, Body: BodyCtx, Control: true},
+	{Name: OpResume, Body: BodyCtx, Control: true},
+	{Name: OpQuarantineReset, Body: BodyCtx, Control: true},
 }
 
 // rowByName and rowByBin index the table by wire name and binary

@@ -59,8 +59,9 @@ func sorted(ops ...string) []string {
 }
 
 // TestOpTable is the golden for the op table: the sets below are the
-// shadow lists the table replaced (fed.streamOp, dvlib.isIdempotent,
-// server.New's latency list, the codec's opcode maps).
+// shadow lists the table replaced (fed.streamOp, server.New's latency
+// list, the codec's opcode maps) and the control-plane mutations a
+// reconnecting client fails.
 func TestOpTable(t *testing.T) {
 	consts := opConstants(t)
 	if len(consts) < 24 {
@@ -102,10 +103,11 @@ func TestOpTable(t *testing.T) {
 		sorted(OpAcquire, OpSubscribe, OpOpen); !reflect.DeepEqual(got, want) {
 		t.Errorf("Stream = %v, want %v", got, want)
 	}
-	if got, want := rowsWhere(func(s OpSpec) bool { return s.Idempotent }),
-		sorted(OpPing, OpOpen, OpEstWait, OpContexts, OpContextInfo, OpStats,
-			OpBitrep, OpRescan, OpPrefetch, OpSchedGet); !reflect.DeepEqual(got, want) {
-		t.Errorf("Idempotent = %v, want %v", got, want)
+	// The seven ops a reconnect fails rather than replays.
+	if got, want := rowsWhere(func(s OpSpec) bool { return s.Control }),
+		sorted(OpSchedSet, OpCachePolicySet, OpCtxRegister, OpCtxDeregister,
+			OpDrain, OpResume, OpQuarantineReset); !reflect.DeepEqual(got, want) {
+		t.Errorf("Control = %v, want %v", got, want)
 	}
 	// Timed keeps table order: it is the stats frame's display order.
 	var timed []string

@@ -13,6 +13,7 @@ import (
 	"simfs/internal/dvlib"
 	"simfs/internal/faults"
 	"simfs/internal/model"
+	"simfs/internal/netproto"
 )
 
 // chaosRetryPolicy is the failure-ledger config every chaos schedule
@@ -38,8 +39,8 @@ func chaosReconnect(seed int64) dvlib.ReconnectConfig {
 
 // chaosClient runs one client's share of the contended workload:
 // open → wait → release over a spread of files, retrying the attempts a
-// fault schedule may legitimately fail (quarantine windows, connection
-// resets mid-release).
+// fault schedule may legitimately fail (failed re-simulations,
+// quarantine windows).
 func chaosClient(addr string, idx, filesPer int, reconnect bool) error {
 	var opts []dvlib.DialOption
 	if reconnect {
@@ -89,30 +90,13 @@ func openWaitRelease(ctx *dvlib.Context, file string) error {
 			continue
 		}
 		waitErr := ctx.WaitAvailable(file)
-		if err := releaseRetry(ctx, file); err != nil {
+		if err := ctx.Release(file); err != nil {
 			return fmt.Errorf("release: %w", err)
 		}
 		if waitErr == nil {
 			return nil
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// releaseRetry releases a file, riding out connection resets: a release
-// interrupted in flight fails typed, keeps its ledger entry, and is safe
-// to re-issue.
-func releaseRetry(ctx *dvlib.Context, file string) error {
-	for attempt := 0; ; attempt++ {
-		err := ctx.Release(file)
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, dvlib.ErrReconnecting) && attempt < 100:
-			time.Sleep(10 * time.Millisecond)
-		default:
-			return err
-		}
 	}
 }
 
@@ -403,15 +387,15 @@ func TestDaemonRestartMidWorkload(t *testing.T) {
 		}
 	}
 
-	// Release everything exactly once; a second release must be refused
-	// — the ledger replay did not duplicate references.
+	// Release everything exactly once; the daemon must refuse a second
+	// release — the ledger replay did not duplicate references.
 	for _, cl := range cls {
 		for _, f := range cl.files {
-			if err := releaseRetry(cl.ctx, f); err != nil {
+			if err := cl.ctx.Release(f); err != nil {
 				t.Errorf("release %s: %v", f, err)
 			}
-			if err := cl.ctx.Release(f); !errors.Is(err, dvlib.ErrNotHeld) {
-				t.Errorf("double release of %s = %v, want ErrNotHeld", f, err)
+			if err := cl.ctx.Release(f); dvlib.ErrCodeOf(err) != netproto.CodeBadRequest {
+				t.Errorf("double release of %s = %v, want bad_request", f, err)
 			}
 		}
 	}

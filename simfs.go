@@ -121,7 +121,8 @@ type SchedInfo = dvlib.SchedConfig
 // Admin.UpdateSchedConfig: nil fields keep the daemon's current value.
 type SchedUpdate = dvlib.SchedUpdate
 
-// Client is a DVLib connection to the daemon.
+// Client is a DVLib connection to the daemon. Dialed WithReconnect, it
+// rides through connection loss, replaying its requests in flight.
 type Client = dvlib.Client
 
 // AnalysisContext is an open simulation context on a client (the handle
@@ -189,22 +190,16 @@ type ReconnectConfig = dvlib.ReconnectConfig
 
 // WithReconnect makes the client survive connection loss: it redials
 // with backoff, re-runs the handshake, re-opens every held file
-// reference, re-subscribes active watches, and transparently replays
-// idempotent in-flight requests. Non-idempotent
-// requests in flight at the reset (release, acquire, control-plane ops)
-// fail with ErrReconnecting instead — the client cannot know whether
-// they landed, so the caller decides.
+// reference, re-arms in-flight acquires and active watches, and replays
+// every other in-flight request. Only the control-plane mutations in
+// flight at the reset fail, with ErrReconnecting: the client cannot know
+// whether they landed, and a replay could undo another client's change.
 func WithReconnect(cfg ReconnectConfig) DialOption { return dvlib.WithReconnect(cfg) }
 
-// ErrReconnecting marks a non-idempotent request that was in flight
+// ErrReconnecting marks a control-plane mutation that was in flight
 // when the connection reset. The client's state has been resynced with
 // the daemon; re-issue the request if it is still wanted.
 var ErrReconnecting = dvlib.ErrReconnecting
-
-// ErrNotHeld marks a release of a file the client does not hold — the
-// reconnect-mode guard against double releases silently corrupting
-// daemon-side reference counts.
-var ErrNotHeld = dvlib.ErrNotHeld
 
 // RetryPolicy configures the daemon's re-simulation failure ledger:
 // failed re-simulations retry with jittered exponential backoff, and an
