@@ -153,9 +153,13 @@ proto-fuzz:
 # pipelined window against a real daemon among them), the daemon's
 # refusal of a double release, and the call record recycling tests (a
 # second Wait, and records a canceled context or the sweep left
-# unsettled, which the pool must never hand out).
+# unsettled, which the pool must never hand out), and core's failure
+# ledger ten times over: the retry and quarantine tests and the
+# invariant fuzz, whose seeds half install a retry policy (400 seeds
+# auditing the in-hold relaunch after every operation).
 chaos-smoke:
 	$(GO) test -race -count=10 -run 'Launcher' ./internal/simulator
+	$(GO) test -race -count=10 -run 'TestInvariantsUnderRandomWorkload|TestRetry|TestQuarantine' ./internal/core
 	$(GO) test -race -count=10 -run 'TestWatchContract|TestOpenNoticeContract|TestStreamWithdrawal' ./internal/server
 	$(GO) test -race -run 'TestChaosWorkloadUnderFaults|TestDaemonRestartMidWorkload|TestCloseDrainsPendingWaiters' ./internal/server
 	$(GO) test -race -count=10 -run 'TestReconnect|TestDoubleReleaseRefused|TestCallStateMachine|TestSecondWaitRefused|TestCanceledCallKeepsItsRecord|TestSweptCallKeepsItsRecord' ./internal/dvlib

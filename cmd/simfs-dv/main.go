@@ -57,13 +57,10 @@ func main() {
 	// "youngest" default is inert until one is configured.
 	preempt := flag.String("sched-preempt", "youngest", "kill a running agent prefetch for a node-blocked demand miss: off | youngest (needs -sched-nodes)")
 	quantum := flag.Int("sched-quantum", 0, "per-client deficit-round-robin quantum in output steps inside a priority class (0 = pure FIFO)")
-	// Failure ledger: retry failed re-simulations with backoff, then
+	// Failure ledger: relaunch a failed re-simulation at once, then
 	// quarantine the interval (circuit breaker). Off by default — the
 	// zero policy reproduces the fail-immediately behavior exactly.
-	retryMax := flag.Int("retry-max", 0, "retry a failed re-simulation up to N times before quarantining its interval (0 = no retry, fail immediately)")
-	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "delay before the first retry; doubles per retry up to -retry-max-backoff")
-	retryMaxBackoff := flag.Duration("retry-max-backoff", 5*time.Second, "ceiling for the retry backoff")
-	retryJitter := flag.Float64("retry-jitter", 0.2, "spread each retry delay by ±fraction (0..1)")
+	retryMax := flag.Int("retry-max", 0, "relaunch a failed re-simulation up to N times before quarantining its interval (0 = no retry, fail immediately)")
 	retryCooldown := flag.Duration("retry-cooldown", 10*time.Second, "how long a quarantined interval refuses demand opens before a half-open probe")
 	// Fault injection, for chaos-testing a deployment end to end. All
 	// schedules are deterministic for a given -fault-seed.
@@ -87,9 +84,6 @@ func main() {
 	if *quantum < 0 {
 		log.Fatalf("simfs-dv: -sched-quantum must be ≥ 0, got %d", *quantum)
 	}
-	if !(*retryJitter >= 0 && *retryJitter <= 1) {
-		log.Fatalf("simfs-dv: -retry-jitter must be in [0, 1], got %v", *retryJitter)
-	}
 	schedCfg := simfs.SchedConfig{
 		Coalesce: *coalesce, Priorities: *priorities, TotalNodes: *nodes,
 		Preempt: preemptPolicy, DRRQuantum: *quantum,
@@ -102,16 +96,9 @@ func main() {
 	// the daemon's record of who steered it.
 	d.Server.Logf = log.Printf
 	if *retryMax > 0 {
-		d.V.SetRetryPolicy(simfs.RetryPolicy{
-			MaxAttempts: *retryMax,
-			BaseBackoff: *retryBackoff,
-			MaxBackoff:  *retryMaxBackoff,
-			Jitter:      *retryJitter,
-			Cooldown:    *retryCooldown,
-			Seed:        *faultSeed,
-		})
-		log.Printf("simfs-dv: re-simulation retry enabled (max %d attempts, backoff %v..%v, quarantine cooldown %v)",
-			*retryMax, *retryBackoff, *retryMaxBackoff, *retryCooldown)
+		d.V.SetRetryPolicy(simfs.RetryPolicy{MaxAttempts: *retryMax, Cooldown: *retryCooldown})
+		log.Printf("simfs-dv: re-simulation retry enabled (max %d attempts, quarantine cooldown %v)",
+			*retryMax, *retryCooldown)
 	}
 	if *faultSimEvery > 0 || *faultSimProb > 0 {
 		plan := faults.NewSimPlan().WithEvery(*faultSimEvery)

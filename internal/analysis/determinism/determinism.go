@@ -4,12 +4,11 @@
 // iteration that feeds order-sensitive effects.
 //
 // The whole experiment stack reproduces the paper's tables only
-// because time comes from injected clocks (des.Clock, which the
-// Virtualizer's retry timer follows) and every rng is explicitly
-// seeded. Wall-clock reads and global rand draws are correct only at
-// the edges (live daemon service-time stamps, lock contention metrics,
-// redial backoff) — such sites carry //simfs:allow wallclock|rand
-// annotations with a reason.
+// because time comes from injected clocks (des.Clock) and every rng is
+// explicitly seeded. Wall-clock reads and global rand draws are correct
+// only at the edges (live daemon service-time stamps, lock contention
+// metrics, redial backoff) — such sites carry //simfs:allow
+// wallclock|rand annotations with a reason.
 package determinism
 
 import (

@@ -157,8 +157,8 @@ func (v *Virtualizer) doLaunch(cs *shard, sim *simState) {
 
 // markPromised registers promised markers for uncovered steps in the
 // range. It and clearPromised are the only writers of the promises over a
-// range; stepArrived and repromise write them one step at a time. Caller
-// holds the shard lock.
+// range; stepArrived writes them one step at a time. Caller holds the
+// shard lock.
 func (v *Virtualizer) markPromised(cs *shard, first, last int, simID int64) {
 	for s := first; s <= last; s++ {
 		if !cs.covered(s) {
@@ -285,10 +285,19 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 	}
 	delete(cs.sims, simID)
 	v.releaseUpstream(cs, sim)
+	// The slot and nodes return before the outcome is settled, so a retry
+	// below is admitted against them like any new submission (the
+	// scheduler mutex is innermost: legal under the shard lock).
+	if sim.preempted {
+		// One critical section returns the victim's nodes and settles
+		// the reclaim ledger: no observer sees them double-counted.
+		v.sched.SimDonePreempted(cs.ctx.Name, sim.parallelism)
+	} else {
+		v.sched.SimDone(cs.ctx.Name, sim.parallelism)
+	}
 
 	var ws []notify.Waiter
 	ev := notify.Event{Kind: notify.FileFailed}
-	var armRetry func()
 	switch outcome {
 	case simulator.Completed:
 		// Normal completion: the interval's failure-ledger slate wipes.
@@ -310,22 +319,22 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 		}
 	default:
 		cs.stats.Failures++
-		delay, qerr, retry := v.noteFailure(cs, sim)
+		qerr, retry := v.noteFailure(cs, sim)
 		switch {
 		case retry:
-			// The ledger grants another attempt: keep the promises alive
-			// as pending markers (waiters ride through the backoff; no
-			// demand open storms a duplicate launch) and arm the delayed
-			// re-submission once the locks are gone.
-			v.repromise(cs, sim)
-			first, last, par := sim.first, sim.last, sim.parallelism
-			class, client := sim.class, sim.client
-			cs.retryArmed = append(cs.retryArmed, [2]int{first, last})
-			armRetry = func() {
-				v.after(delay, func() {
-					v.retryLaunch(cs.ctx.Name, first, last, par, class, client)
-				})
+			// The ledger grants another attempt: relaunch the interval
+			// now, in this hold — αsim and the queue delay space the
+			// attempts. While draining, only demand work someone needs
+			// starts. Steps the relaunch leaves unpromised (the drain, or
+			// a prefetch dropped at smax or by the quarantine) fail their
+			// waiters, so nobody who joined the promise waits on a
+			// simulation that will never run.
+			cleared := clearPromised(cs, sim.first, sim.last, sim.id)
+			if !cs.draining || sim.class == sched.Demand && v.anyoneNeeds(cs, sim.first, sim.last) {
+				v.launch(cs, sim.first, sim.last, sim.parallelism, sim.class, sim.client)
 			}
+			ev.Err = "re-simulation canceled"
+			ws = v.take(cs, v.trulyOrphaned(cs, cleared))
 		case qerr != nil:
 			// Budget exhausted: the breaker opened. Fail the waiters with
 			// the structured error so clients see attempts + retry-after.
@@ -338,18 +347,8 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 		}
 	}
 	cs.mu.Unlock()
-	if sim.preempted {
-		// One critical section returns the victim's nodes and settles
-		// the reclaim ledger: no observer sees them double-counted.
-		v.sched.SimDonePreempted(cs.ctx.Name, sim.parallelism)
-	} else {
-		v.sched.SimDone(cs.ctx.Name, sim.parallelism)
-	}
 	v.drainScheduler()
 	v.dropSimRoute(simID)
-	if armRetry != nil {
-		armRetry()
-	}
 	v.hub.Deliver(ev, ws)
 }
 

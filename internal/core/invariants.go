@@ -22,7 +22,8 @@ import (
 //  1. A step is never both resident and promised.
 //  2. Every promise has an owner: it points at a live simulation, or it
 //     is a pending marker lying inside the range of a job queued in the
-//     scheduler or inside an interval whose retry timer is armed. A
+//     scheduler — a failed simulation's retry included, relaunched
+//     through the scheduler in the SimEnded hold that granted it. A
 //     pending marker nobody owns is a promise no simulation will ever
 //     keep — its watchers would wait forever. The one window this cannot
 //     cover is drainScheduler between popping a job off the scheduler
@@ -58,7 +59,7 @@ func (v *Virtualizer) checkShard(name string, cs *shard) error {
 
 	// The owners of pending markers. Read before admitting (below): a job
 	// missing here because a drain pass popped it is still counted there.
-	owners := append(v.sched.QueuedRanges(name), cs.retryArmed...)
+	owners := v.sched.QueuedRanges(name)
 	for step, st := range cs.steps.All {
 		if st.refs < 0 {
 			return fmt.Errorf("core: %s step %d has negative refcount %d", name, step, st.refs)
@@ -72,7 +73,7 @@ func (v *Virtualizer) checkShard(name string, cs *shard) error {
 		if st.owner == pendingSimID {
 			owned := slices.ContainsFunc(owners, func(r [2]int) bool { return r[0] <= step && step <= r[1] })
 			if !owned && v.admitting.Load() == 0 {
-				return fmt.Errorf("core: %s step %d pending with no queued job or armed retry behind it", name, step)
+				return fmt.Errorf("core: %s step %d pending with no queued job behind it", name, step)
 			}
 			continue
 		}

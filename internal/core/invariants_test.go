@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -18,8 +19,11 @@ import (
 // fuzzInvariants drives the Virtualizer with random client behavior —
 // opens, waits, releases, guided prefetches, direction flips —
 // interleaved with engine progress, auditing CheckInvariants after every
-// step. It returns nil when the run stayed consistent.
-func fuzzInvariants(t *testing.T, seed int64) error {
+// step. About half the seeds install a failure ledger over injected
+// crashes, so the audit also runs across in-hold relaunches. It returns
+// nil when the run stayed consistent, and whether any failure was
+// retried.
+func fuzzInvariants(t *testing.T, seed int64) (retried bool, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	ctx := &model.Context{
 		Name:               "fuzz",
@@ -33,7 +37,17 @@ func fuzzInvariants(t *testing.T, seed int64) error {
 		SMax:               1 + rng.Intn(4),
 	}
 	ctx.ApplyDefaults()
-	eng, v := newFuzzStack(t, ctx, rng.Intn(3) == 0)
+	failures := rng.Intn(3) == 0
+	// The ledger is drawn from an rng of its own, so a seed's workload
+	// does not depend on it and the regression seeds replay as found.
+	// A ledger always comes with injected crashes: without them it
+	// would have nothing to retry.
+	var retry RetryPolicy
+	if rr := rand.New(rand.NewSource(seed + 1)); rr.Intn(2) == 0 {
+		retry = RetryPolicy{MaxAttempts: 1 + rr.Intn(3), Cooldown: time.Duration(1+rr.Intn(60)) * time.Second}
+	}
+	eng, v := newFuzzStack(t, ctx, failures || retry.enabled())
+	v.SetRetryPolicy(retry)
 
 	clients := []string{"c0", "c1", "c2"}
 	held := map[string][]string{}
@@ -51,8 +65,12 @@ func fuzzInvariants(t *testing.T, seed int64) error {
 			} else {
 				_, err = v.Open(client, "fuzz", file)
 			}
+			var qerr *QuarantineError
+			if errors.As(err, &qerr) {
+				break // refused by the breaker: no reference taken
+			}
 			if err != nil {
-				return fmt.Errorf("step %d: open: %v", i, err)
+				return false, fmt.Errorf("step %d: open: %v", i, err)
 			}
 			held[client] = append(held[client], file)
 		case 4, 5: // release something held
@@ -61,13 +79,13 @@ func fuzzInvariants(t *testing.T, seed int64) error {
 				file := hs[len(hs)-1]
 				held[client] = hs[:len(hs)-1]
 				if err := v.Release(client, "fuzz", file); err != nil {
-					return fmt.Errorf("step %d: release: %v", i, err)
+					return false, fmt.Errorf("step %d: release: %v", i, err)
 				}
 			}
 		case 6: // guided prefetch hint
 			step := rng.Intn(no) + 1
 			if _, err := v.GuidedPrefetch(client, "fuzz", []string{ctx.Filename(step)}); err != nil {
-				return fmt.Errorf("step %d: prefetch: %v", i, err)
+				return false, fmt.Errorf("step %d: prefetch: %v", i, err)
 			}
 		case 7, 8: // let simulations progress
 			for j := 0; j < rng.Intn(20)+1; j++ {
@@ -78,30 +96,41 @@ func fuzzInvariants(t *testing.T, seed int64) error {
 		case 9: // audit mid-flight
 		}
 		if err := v.CheckInvariants(); err != nil {
-			return fmt.Errorf("step %d: %v", i, err)
+			return false, fmt.Errorf("step %d: %v", i, err)
 		}
 	}
 	// Drain and re-audit.
 	if !eng.Run(2_000_000) {
-		return fmt.Errorf("engine did not drain")
+		return false, fmt.Errorf("engine did not drain")
 	}
 	if err := v.CheckInvariants(); err != nil {
-		return fmt.Errorf("final: %v", err)
+		return false, fmt.Errorf("final: %v", err)
 	}
-	return nil
+	r, _ := v.Report("fuzz")
+	return r.Retries > 0, nil
 }
 
-// TestInvariantsUnderRandomWorkload fuzzes with fresh random seeds.
+// TestInvariantsUnderRandomWorkload fuzzes with fresh random seeds. At
+// least one of them must have retried a failure, or the run audited no
+// relaunch at all.
 func TestInvariantsUnderRandomWorkload(t *testing.T) {
+	retriedSeeds := 0
 	f := func(seed int64) bool {
-		if err := fuzzInvariants(t, seed); err != nil {
+		retried, err := fuzzInvariants(t, seed)
+		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
+		}
+		if retried {
+			retriedSeeds++
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+	if retriedSeeds == 0 {
+		t.Error("no seed retried a failed re-simulation: the relaunch went unaudited")
 	}
 }
 
@@ -113,7 +142,7 @@ func TestInvariantsRegressionSeeds(t *testing.T) {
 		5624992012996912267,
 	}
 	for _, seed := range seeds {
-		if err := fuzzInvariants(t, seed); err != nil {
+		if _, err := fuzzInvariants(t, seed); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
@@ -148,7 +177,7 @@ func TestCheckInvariantsCleanState(t *testing.T) {
 }
 
 // TestInvariantPendingMarkerNeedsOwner is the shape of the stranded-
-// watcher bug PR 21 fixed in retryLaunch: a job leaves the scheduler, its
+// watcher bug a dropped retry once caused: a job leaves the scheduler, its
 // launch never happens, and nobody clears or fails the pending markers
 // it left on the shard — a promise no simulation will keep. Clause 2
 // must see it.

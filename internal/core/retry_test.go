@@ -23,13 +23,13 @@ func retryHarness(t *testing.T, p RetryPolicy, ctxs ...string) *harness {
 	return h
 }
 
-// The retry timer runs on the Virtualizer's clock: on a DES engine a
-// failed launch is retried at virtual time failure + BaseBackoff, inside
-// the engine's run, with no timer injected.
-func TestRetryTimerFollowsDESClock(t *testing.T) {
+// A granted retry relaunches in the SimEnded hold of the failure: the
+// first launch, at 0, fails at its start α = 2 s later, and the second
+// launch lands at that same instant.
+func TestRetryRelaunchesAtFailure(t *testing.T) {
 	ctx := testContext("c")
 	h := newHarness(t, ctx)
-	h.v.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: 3 * time.Second, Cooldown: time.Minute})
+	h.v.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Cooldown: time.Minute})
 	var launches []time.Duration
 	fail := faults.NewSimPlan().WithFailN("c", 4, 1, 0).FailAt
 	h.l.FailAt = func(ctxName string, first, last int) int {
@@ -40,8 +40,7 @@ func TestRetryTimerFollowsDESClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run(0)
-	// The first launch, at 0, fails at its start α = 2 s later.
-	if want := []time.Duration{0, 2*time.Second + 3*time.Second}; !slices.Equal(launches, want) {
+	if want := []time.Duration{0, 2 * time.Second}; !slices.Equal(launches, want) {
 		t.Fatalf("launches at %v, want %v", launches, want)
 	}
 	if resident, _, err := h.v.FileState("c", ctx.Filename(4)); err != nil || !resident {
@@ -50,7 +49,7 @@ func TestRetryTimerFollowsDESClock(t *testing.T) {
 }
 
 func TestRetryRecoversTransientFailure(t *testing.T) {
-	h := retryHarness(t, RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, Cooldown: time.Minute}, "c")
+	h := retryHarness(t, RetryPolicy{MaxAttempts: 3, Cooldown: time.Minute}, "c")
 	ctx, _ := h.v.Context("c")
 	// The first two launches of the interval covering step 4 crash
 	// before producing anything; the third succeeds.
@@ -81,7 +80,7 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 }
 
 func TestQuarantineFailsWaitersStructured(t *testing.T) {
-	h := retryHarness(t, RetryPolicy{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond, Cooldown: time.Minute}, "c")
+	h := retryHarness(t, RetryPolicy{MaxAttempts: 2, Cooldown: time.Minute}, "c")
 	ctx, _ := h.v.Context("c")
 	h.l.FailAt = faults.NewSimPlan().WithCrashAt("c", -1, 0).FailAt // permanent
 
@@ -142,7 +141,7 @@ func TestQuarantineFailsWaitersStructured(t *testing.T) {
 }
 
 func TestQuarantineHalfOpensAfterCooldown(t *testing.T) {
-	h := retryHarness(t, RetryPolicy{MaxAttempts: 1, BaseBackoff: 10 * time.Millisecond, Cooldown: 30 * time.Second}, "c")
+	h := retryHarness(t, RetryPolicy{MaxAttempts: 1, Cooldown: 30 * time.Second}, "c")
 	ctx, _ := h.v.Context("c")
 	// Two failures exhaust the budget (1 retry), then the fault heals.
 	h.l.FailAt = faults.NewSimPlan().WithFailN("c", 4, 2, 0).FailAt
@@ -176,7 +175,7 @@ func TestQuarantineHalfOpensAfterCooldown(t *testing.T) {
 }
 
 func TestResetQuarantine(t *testing.T) {
-	h := retryHarness(t, RetryPolicy{MaxAttempts: 1, BaseBackoff: 10 * time.Millisecond, Cooldown: time.Hour}, "c")
+	h := retryHarness(t, RetryPolicy{MaxAttempts: 1, Cooldown: time.Hour}, "c")
 	ctx, _ := h.v.Context("c")
 	plan := faults.NewSimPlan().WithFailN("c", 4, 2, 0)
 	h.l.FailAt = plan.FailAt
@@ -205,7 +204,7 @@ func TestResetQuarantine(t *testing.T) {
 }
 
 func TestPrefetchSkipsQuarantinedInterval(t *testing.T) {
-	h := retryHarness(t, RetryPolicy{MaxAttempts: 1, BaseBackoff: 10 * time.Millisecond, Cooldown: time.Hour}, "c")
+	h := retryHarness(t, RetryPolicy{MaxAttempts: 1, Cooldown: time.Hour}, "c")
 	ctx, _ := h.v.Context("c")
 	h.l.FailAt = faults.NewSimPlan().WithCrashAt("c", -1, 0).FailAt
 
@@ -230,18 +229,18 @@ func TestPrefetchSkipsQuarantinedInterval(t *testing.T) {
 }
 
 // TestRetryDroppedAtCapacityFailsJoinedWatchers pins the stranded-watcher
-// hang: a crashed prefetch's retry clears the interval's pending markers
-// and resubmits at its own (agent) class, which the paper-exact
-// scheduler drops when the context sits at smax. Whoever joined the
+// hang: a crashed prefetch's retry clears the interval's promises and
+// resubmits at its own (agent) class, which the paper-exact scheduler
+// drops when the context sits at smax. Whoever joined the
 // promise — a core waiter, a hub subscriber — must then be told the
 // file failed instead of waiting on a simulation that will never run.
 func TestRetryDroppedAtCapacityFailsJoinedWatchers(t *testing.T) {
 	ctx := testContext("c")
 	ctx.SMax = 1
 	h := newHarness(t, ctx) // zero sched.Config: prefetch beyond smax is dropped
-	h.v.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Second, Cooldown: time.Minute})
+	h.v.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Cooldown: time.Minute})
 	// The prefetch of [9,12] crashes once, before producing anything
-	// (at t=α=2s); its retry is due 2 s later.
+	// (at t=α=2s); its retry is submitted at that instant.
 	h.l.FailAt = faults.NewSimPlan().WithFailN("c", 10, 1, 0).FailAt
 	injectAgentPrefetch(t, h, "c", "spec", 9, 12)
 
@@ -253,9 +252,10 @@ func TestRetryDroppedAtCapacityFailsJoinedWatchers(t *testing.T) {
 	if f, err := watchFile(h.v, "w", "c", file, func(s notify.Event) { st = &s }); err != nil || !f.Promised {
 		t.Fatalf("watch of the prefetched step = %+v, %v; want promised", f, err)
 	}
-	// Inside the backoff window a demand miss takes the context's one
-	// slot (until t=3+α+4τ=9s), so the retry finds the scheduler at smax.
-	h.eng.Schedule(3*time.Second, func() {
+	// While the prefetch runs, a demand miss queues behind it for the
+	// context's one slot: a queued job counts against smax at submission,
+	// so the retry finds the scheduler at smax.
+	h.eng.Schedule(time.Second, func() {
 		if _, err := h.v.Open("a1", "c", ctx.Filename(1)); err != nil {
 			t.Errorf("open: %v", err)
 		}
@@ -281,15 +281,5 @@ func TestRetryDroppedAtCapacityFailsJoinedWatchers(t *testing.T) {
 	}
 	if err := h.v.CheckInvariants(); err != nil {
 		t.Error(err)
-	}
-}
-
-// A jitter above 1 would let a draw scale the backoff below zero, firing
-// the retry at the 1 ms floor: withDefaults clamps it to [0, 1].
-func TestRetryPolicyClampsJitter(t *testing.T) {
-	for in, want := range map[float64]float64{2: 1, 1: 1, 0.3: 0.3, 0: 0, -0.5: 0} {
-		if got := (RetryPolicy{MaxAttempts: 1, Jitter: in}).withDefaults().Jitter; got != want {
-			t.Errorf("Jitter %v → %v, want %v", in, got, want)
-		}
 	}
 }

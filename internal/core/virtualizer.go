@@ -29,7 +29,6 @@ package core
 import (
 	"fmt"
 	"maps"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -129,18 +128,14 @@ type shard struct {
 	stats     metrics.CtxStats
 	checksums map[int]uint64
 	// failures is the per-interval failure ledger (keyed by the launch
-	// interval) driving retry backoff and quarantine; empty unless a
-	// RetryPolicy is installed. retries counts ledger re-submissions,
+	// interval) driving retries and quarantine; empty unless a
+	// RetryPolicy is installed. retries counts ledger relaunches,
 	// quarantined counts circuit-breaker openings — kept out of CtxStats
 	// so the experiment tables (rendered with %+v) stay byte-identical
 	// to the pre-ledger goldens.
 	failures    map[[2]int]*failureRec
 	retries     int64
 	quarantined int64
-	// retryArmed lists the intervals whose retry timer is armed: from a
-	// failed simulation's SimEnded to its retryLaunch the timer, not a
-	// queued job, owns their pending markers (CheckInvariants clause 2).
-	retryArmed [][2]int
 
 	// upstream owns the hub waiters of this pipeline shard's parked
 	// simulations, each tagged with its placeholder id; pipelineClient
@@ -177,11 +172,10 @@ type Virtualizer struct {
 	// simulations not yet handed to the Launcher.
 	placeholderSeq atomic.Int64
 
-	// retryMu guards the failure-ledger policy and its jitter rng
-	// (innermost: taken under shard locks, never the reverse).
-	retryMu  sync.Mutex
-	retry    RetryPolicy
-	retryRng *rand.Rand
+	// retryMu guards the failure-ledger policy (innermost: taken under
+	// shard locks, never the reverse).
+	retryMu sync.Mutex
+	retry   RetryPolicy
 	// admitting counts drain passes between popping a job off the
 	// scheduler and clearing its pending markers under the shard lock —
 	// the window in which such markers have no owner (CheckInvariants 2).
@@ -206,7 +200,6 @@ func NewScheduled(clock des.Clock, launcher *simulator.Launcher, cfg sched.Confi
 		hub:      notify.NewHub(),
 		sched:    sched.New(clock, cfg),
 		simDir:   map[int64]*shard{},
-		retryRng: rand.New(rand.NewSource(0)),
 	}
 	v.dir.Store(&noContexts)
 	v.placeholderSeq.Store(pendingSimID)

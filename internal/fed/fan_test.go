@@ -132,7 +132,7 @@ func TestFederationSchedSetNamesFailingMember(t *testing.T) {
 func TestFederationQuarantineResetSums(t *testing.T) {
 	quarantining := func(st *server.Stack) {
 		st.Launcher.FailAt = func(_ string, first, _ int) int { return first }
-		st.V.SetRetryPolicy(core.RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, Cooldown: time.Hour})
+		st.V.SetRetryPolicy(core.RetryPolicy{MaxAttempts: 1, Cooldown: time.Hour})
 	}
 	var addrs []string
 	for _, seed := range []string{"seed-a", "seed-b"} {

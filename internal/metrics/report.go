@@ -46,7 +46,7 @@ type Report struct {
 	// samples diff into each client's share of a window.
 	SchedStats
 	ClientLoads map[string]uint64 `json:"sched_client_loads,omitempty"`
-	// Retries counts failed re-simulations re-submitted with backoff;
+	// Retries counts failed re-simulations relaunched by the ledger;
 	// Quarantined counts circuit-breaker openings since the context was
 	// registered (cumulative: an interval that was quarantined and has
 	// since closed still counts). Both stay zero without a retry policy.

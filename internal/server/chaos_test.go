@@ -19,14 +19,7 @@ import (
 // chaosRetryPolicy is the failure-ledger config every chaos schedule
 // runs under: aggressive enough to ride out injected faults, fast
 // enough for a test.
-var chaosRetryPolicy = core.RetryPolicy{
-	MaxAttempts: 6,
-	BaseBackoff: 2 * time.Millisecond,
-	MaxBackoff:  20 * time.Millisecond,
-	Jitter:      0.2,
-	Cooldown:    150 * time.Millisecond,
-	Seed:        1,
-}
+var chaosRetryPolicy = core.RetryPolicy{MaxAttempts: 6, Cooldown: 150 * time.Millisecond}
 
 func chaosReconnect(seed int64) dvlib.ReconnectConfig {
 	return dvlib.ReconnectConfig{

@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"simfs/internal/core"
+	"simfs/internal/faults"
+	"simfs/internal/model"
 	"simfs/internal/netproto"
+	"simfs/internal/sched"
 )
 
 // The open-notice contract: what a client observes on an open's own
@@ -109,23 +112,54 @@ func TestOpenNoticeContract(t *testing.T) {
 		}
 	})
 
-	row("ctx-deregister", func(st *Stack) {
-		// The crash arms a retry an hour away: no simulation is live, yet
-		// step 6 stays promised with the notice waiting on it.
-		st.Launcher.FailAt = func(_ string, first, last int) int { return 6 }
-		st.V.SetRetryPolicy(core.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Hour, Cooldown: time.Hour})
+	row("ridden through a retry", func(st *Stack) {
+		st.Launcher.FailAt = faults.NewSimPlan().WithFailN("clim", 6, 1, 0).FailAt
+		st.V.SetRetryPolicy(core.RetryPolicy{MaxAttempts: 1})
 	}, func(fx *watchFixture) {
 		id, _ := fx.open(6)
+		// The first launch crashes; its relaunch produces step 6.
+		other, n := fx.notice(id)
+		fx.expect("after the relaunch", append(other, n), id, "ok ready done")
+		fx.expect("after the notice", fx.settled(), id)
+		r, err := fx.st.V.Report("clim")
+		if err != nil || r.Failures != 1 || r.Retries != 1 {
+			t.Errorf("failures/retries = %d/%d (%v), want 1/1", r.Failures, r.Retries, err)
+		}
+	})
+
+	row("ctx-deregister", func(st *Stack) {
+		// Another context's simulation holds the one node, so the open's
+		// demand job queues: no simulation of clim is live, yet step 6
+		// stays promised with the notice waiting on it.
+		nodes := 1
+		if _, err := st.V.UpdateSchedConfig(sched.Patch{TotalNodes: &nodes}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.RegisterContext(&model.Context{
+			Name: "other", Grid: model.Grid{DeltaD: 1, DeltaR: 4, Timesteps: 64},
+			OutputBytes: 512, RestartBytes: 256, Tau: 4 * time.Millisecond, Alpha: 8 * time.Millisecond,
+			DefaultParallelism: 1, MaxParallelism: 1, SMax: 4,
+		}, "DCL", false); err != nil {
+			t.Fatal(err)
+		}
+	}, func(fx *watchFixture) {
+		fx.hold(2)
+		if _, err := fx.st.V.Open("holder", "other", model.StepFilename("other_out_", 2, ".nc")); err != nil {
+			t.Fatal(err)
+		}
+		id, _ := fx.open(6)
+		if q := fx.st.V.SchedStats().QueueDepth; q != 1 {
+			t.Fatalf("queue depth %d, want the open's node-blocked job", q)
+		}
 		if resp := fx.call(netproto.OpRelease, netproto.FileBody{Context: "clim", File: file(6)}); !resp.OK {
 			t.Fatalf("release: %+v", resp)
 		}
 		if resp := fx.call(netproto.OpDrain, netproto.CtxBody{Context: "clim"}); !resp.OK {
 			t.Fatalf("drain: %+v", resp)
 		}
-		// Refused as busy until the crashed simulation has ended.
-		eventually(t, "ctx-deregister", func() bool {
-			return fx.call(netproto.OpCtxDeregister, netproto.CtxBody{Context: "clim"}).OK
-		})
+		if resp := fx.call(netproto.OpCtxDeregister, netproto.CtxBody{Context: "clim"}); !resp.OK {
+			t.Fatalf("ctx-deregister: %+v", resp)
+		}
 		other, n := fx.notice(id)
 		fx.expect("after deregistration", append(other, n), id, "failed done")
 		if n.Err != "context deregistered" {

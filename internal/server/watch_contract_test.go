@@ -313,7 +313,7 @@ func quarantining(st *Stack) {
 		}
 		return -1
 	}
-	st.V.SetRetryPolicy(core.RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, Cooldown: time.Hour})
+	st.V.SetRetryPolicy(core.RetryPolicy{MaxAttempts: 1, Cooldown: time.Hour})
 }
 
 var watchOps = []string{netproto.OpAcquire, netproto.OpSubscribe}

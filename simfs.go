@@ -202,8 +202,9 @@ func WithReconnect(cfg ReconnectConfig) DialOption { return dvlib.WithReconnect(
 var ErrReconnecting = dvlib.ErrReconnecting
 
 // RetryPolicy configures the daemon's re-simulation failure ledger:
-// failed re-simulations retry with jittered exponential backoff, and an
-// interval failing persistently is quarantined by a circuit breaker
+// a failed re-simulation is relaunched at once (its restart latency and
+// the queue delay space the attempts), and an interval failing
+// persistently is quarantined by a circuit breaker
 // (demand opens fail fast with structured responses until the cooldown
 // elapses or an operator resets it). The zero value disables the ledger
 // — failures fail immediately, the pre-ledger behavior. Install it with
