@@ -38,10 +38,10 @@ func fuzzInvariants(t *testing.T, seed int64) (retried bool, err error) {
 	}
 	ctx.ApplyDefaults()
 	failures := rng.Intn(3) == 0
-	// The ledger is drawn from an rng of its own, so a seed's workload
-	// does not depend on it and the regression seeds replay as found.
-	// A ledger always comes with injected crashes: without them it
-	// would have nothing to retry.
+	// The ledger is drawn from an rng of its own, so the workload's
+	// draws are unchanged and a seed without a ledger (the regression
+	// seed among them) replays as found. A ledger always comes with
+	// injected crashes: without them it would have nothing to retry.
 	var retry RetryPolicy
 	if rr := rand.New(rand.NewSource(seed + 1)); rr.Intn(2) == 0 {
 		retry = RetryPolicy{MaxAttempts: 1 + rr.Intn(3), Cooldown: time.Duration(1+rr.Intn(60)) * time.Second}
