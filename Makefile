@@ -156,10 +156,12 @@ proto-fuzz:
 # unsettled, which the pool must never hand out), and core's failure
 # ledger ten times over: the retry and quarantine tests and the
 # invariant fuzz, whose seeds half install a retry policy (400 seeds
-# auditing the in-hold relaunch after every operation).
+# auditing the in-hold relaunch after every operation), with core's
+# kill-window tests (a late open after a cancellation or a preemption
+# kill, and a wall-clock run killed mid-write).
 chaos-smoke:
 	$(GO) test -race -count=10 -run 'Launcher' ./internal/simulator
-	$(GO) test -race -count=10 -run 'TestInvariantsUnderRandomWorkload|TestRetry|TestQuarantine' ./internal/core
+	$(GO) test -race -count=10 -run 'TestInvariantsUnderRandomWorkload|TestRetry|TestQuarantine|TestOpenAfterCancelKillIsServed|TestPreemptWindowOpenJoinsRequeuedJob|TestKillMidWriteServesLateWaiter' ./internal/core
 	$(GO) test -race -count=10 -run 'TestWatchContract|TestOpenNoticeContract|TestStreamWithdrawal' ./internal/server
 	$(GO) test -race -run 'TestChaosWorkloadUnderFaults|TestDaemonRestartMidWorkload|TestCloseDrainsPendingWaiters' ./internal/server
 	$(GO) test -race -count=10 -run 'TestReconnect|TestDoubleReleaseRefused|TestCallStateMachine|TestSecondWaitRefused|TestCanceledCallKeepsItsRecord|TestSweptCallKeepsItsRecord' ./internal/dvlib

@@ -303,20 +303,11 @@ func (v *Virtualizer) SimEnded(simID int64, outcome simulator.Outcome) {
 		// Normal completion: the interval's failure-ledger slate wipes.
 		v.clearFailure(cs, sim.first, sim.last)
 	case simulator.Killed:
+		// A kill core issued settled the promises in its own hold; what
+		// is left is a kill from outside core.
 		cs.stats.Kills++
 		ev.Err = "re-simulation killed"
-		if sim.preempted && !sim.killing {
-			// Preemption: the interval is requeued, not failed — the
-			// victim's promises come back as pending markers, so waiters
-			// that raced in after the kill are served by the requeued job
-			// instead of being failed. A cancellation kill that raced in
-			// after the preemption (sim.killing) wins instead: the owner
-			// reset or disconnected, so resurrecting the work would undo
-			// exactly what that cancellation dismantled.
-			ws = v.requeuePreempted(cs, sim)
-		} else {
-			ws = v.failPromised(cs, sim)
-		}
+		ws = v.failPromised(cs, sim)
 	default:
 		cs.stats.Failures++
 		qerr, retry := v.noteFailure(cs, sim)
@@ -461,13 +452,13 @@ func (v *Virtualizer) remarkQueued(cs *shard) {
 // whose remaining output nobody waits for (Sec. IV-C: "A simulation can be
 // killed only if there are no other analyses waiting for the files that
 // are going to be produced by it"), and de-queues the client's queued
-// prefetch jobs under the same no-waiters rule. It returns the steps
-// whose promises were dismantled locally — the caller takes their
-// waiters before unlocking and fails them after (launched kills reach
-// theirs through SimEnded instead) — and whether scheduler capacity
-// was freed synchronously (de-queued jobs or dismantled placeholders),
-// in which case the caller must drain the scheduler after unlocking.
-// Caller holds the shard lock.
+// prefetch jobs under the same no-waiters rule. Every kill settles its
+// promises here, so an open after it misses and launches its own run.
+// It returns the steps whose promises were dismantled — the caller takes
+// their waiters before unlocking and fails them after — and whether
+// scheduler capacity was freed synchronously (de-queued jobs or
+// dismantled placeholders), in which case the caller must drain the
+// scheduler after unlocking. Caller holds the shard lock.
 func (v *Virtualizer) killPrefetchedFor(cs *shard, client string) ([]int, bool) {
 	// The no-waiters rule, shared by queued jobs and running sims: a
 	// range someone waits for (or references) survives.
@@ -491,7 +482,7 @@ func (v *Virtualizer) killPrefetchedFor(cs *shard, client string) ([]int, bool) 
 	// DES (each Kill schedules an event), so it must not follow map order.
 	for _, id := range slices.Sorted(maps.Keys(cs.sims)) {
 		sim := cs.sims[id]
-		if sim.prefetchFor != client {
+		if sim.prefetchFor != client || sim.killing {
 			continue
 		}
 		if keep(sim.first, sim.last) {
@@ -507,9 +498,9 @@ func (v *Virtualizer) killPrefetchedFor(cs *shard, client string) ([]int, bool) 
 			v.releaseUpstream(cs, sim)
 			v.sched.ReleaseSlot(cs.ctx.Name)
 			freed = true
-			cleared = append(cleared, clearPromised(cs, sim.first, sim.last, id)...)
 			cs.stats.Kills++
 		}
+		cleared = append(cleared, clearPromised(cs, sim.first, sim.last, id)...)
 	}
 	// Steps a surviving queued job still covers were only over-cleared.
 	return v.trulyOrphaned(cs, cleared), freed

@@ -40,6 +40,10 @@ import (
 //  6. No waiter waits for a resident step, and a waiter waits only for a
 //     promised, in-flight step unless a readiness stream registered it (a
 //     stream may also wait on a file whose producer is asked later).
+//  7. No step is promised by a simulation with a kill in flight: a kill
+//     core issues settles the run's promises in the hold that issues it
+//     (cleared, or handed to a preemption's requeued job), so nobody
+//     joins a run that will not produce.
 func (v *Virtualizer) CheckInvariants() error {
 	if err := v.sched.CheckInvariants(); err != nil {
 		return err
@@ -77,8 +81,12 @@ func (v *Virtualizer) checkShard(name string, cs *shard) error {
 			}
 			continue
 		}
-		if _, ok := cs.sims[st.owner]; !ok {
+		sim, ok := cs.sims[st.owner]
+		if !ok {
 			return fmt.Errorf("core: %s step %d promised by unknown simulation %d", name, step, st.owner)
+		}
+		if sim.killing {
+			return fmt.Errorf("core: %s step %d promised by killed simulation %d", name, step, st.owner)
 		}
 	}
 	if max := cs.cache.MaxBytes(); max > 0 && cs.cache.UsedBytes() > max {

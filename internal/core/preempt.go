@@ -12,7 +12,6 @@ package core
 import (
 	"time"
 
-	"simfs/internal/notify"
 	"simfs/internal/sched"
 )
 
@@ -55,7 +54,7 @@ func (v *Virtualizer) youngestVictim() (*shard, int64) {
 	for _, cs := range v.contexts() { //simfs:allow maporder the victim order is total (launch instant, then sim id), so scan order is washed out
 		cs.mu.Lock()
 		for id, sim := range cs.sims { //simfs:allow maporder the victim order is total (launch instant, then sim id), so scan order is washed out
-			if !sim.launched || sim.preempted || sim.killing || sim.class != sched.Agent {
+			if !sim.launched || sim.killing || sim.class != sched.Agent {
 				continue
 			}
 			if best != nil && (sim.launchedAt < bestAt || sim.launchedAt == bestAt && id < bestID) {
@@ -72,55 +71,42 @@ func (v *Virtualizer) youngestVictim() (*shard, int64) {
 }
 
 // killVictim re-validates a candidate under its shard lock — it may have
-// completed, been preempted by a concurrent pass, been dealt a
-// cancellation kill or acquired waiters between selection and kill —
-// and kills it. The launcher delivers the death asynchronously;
-// SimEnded sees sim.preempted and requeues the interval instead of
-// failing its promises.
+// completed, been dealt a kill by a concurrent pass or a cancellation,
+// or acquired waiters between selection and kill — and kills it. Its
+// interval is requeued in the same hold, before the launcher delivers
+// the death.
 func (v *Virtualizer) killVictim(cs *shard, simID int64) bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	sim, ok := cs.sims[simID]
-	if !ok || sim.preempted || sim.killing || !sim.launched {
+	if !ok || sim.killing || !sim.launched {
 		return false
 	}
 	if v.anyoneNeeds(cs, sim.first, sim.last) {
 		return false
 	}
-	sim.preempted = true
+	sim.preempted, sim.killing = true, true
 	v.sched.MarkPreempted(sim.parallelism)
 	v.launcher.Kill(simID)
+	v.requeuePreempted(cs, sim)
 	return true
 }
 
-// requeuePreempted puts a preempted simulation's interval back on the
-// queue, restoring pending markers so late-arriving waiters are served
-// by the requeued job. The job keeps its original class unless waiters
-// or references arrived in the kill→SimEnded window — demand interest
-// exists now, so it requeues at demand class rather than parking that
-// interest behind the agent queue under sustained contention. A
-// draining context gets the normal kill treatment instead (no new work
-// may queue); a range that became fully covered meanwhile needs
-// nothing. The returned waiters follow the failPromised contract (none
-// on the requeue path). Caller holds the shard lock.
-func (v *Virtualizer) requeuePreempted(cs *shard, sim *simState) []notify.Waiter {
-	if cs.draining {
-		return v.failPromised(cs, sim)
-	}
+// requeuePreempted hands a preemption victim's promises to a requeued job
+// of its interval, class and client: they become the job's pending
+// markers, so an open that lands before the victim's SimEnded joins the
+// queued job like any queued prefetch. A draining context queues nothing
+// new, and a range covered elsewhere needs nothing; the victim's
+// promises go either way, and nobody waits on them, or it would not be a
+// victim. Caller holds the shard lock.
+func (v *Virtualizer) requeuePreempted(cs *shard, sim *simState) {
 	clearPromised(cs, sim.first, sim.last, sim.id)
-	if !v.uncovered(cs, sim.first, sim.last) {
-		// Every step is resident or promised by another simulation:
-		// nothing left to requeue, nothing orphaned.
-		return nil
-	}
-	class := sim.class
-	if v.anyoneNeeds(cs, sim.first, sim.last) {
-		class = sched.Demand
+	if cs.draining || !v.uncovered(cs, sim.first, sim.last) {
+		return
 	}
 	v.sched.Enqueue(sched.Request{
 		Ctx: cs.ctx.Name, First: sim.first, Last: sim.last,
-		Parallelism: sim.parallelism, Class: class, Client: sim.client,
+		Parallelism: sim.parallelism, Class: sim.class, Client: sim.client,
 	})
 	v.markPromised(cs, sim.first, sim.last, pendingSimID)
-	return nil
 }

@@ -77,12 +77,10 @@ type simState struct {
 	// bounce, preemption) keeps charging the right per-client quota.
 	class  sched.Class
 	client string
-	// preempted marks a simulation killed by the preemption path: its
-	// SimEnded requeues the interval instead of failing its promises.
-	// killing marks a cancellation kill already in flight (agent or
-	// pollution reset, client disconnect) whose SimEnded has not landed
-	// yet — such a sim must not be picked as a preemption victim, or
-	// the requeue would resurrect the very work the reset dismantled.
+	// killing marks a kill core issued whose SimEnded has not landed: the
+	// kill settled the sim's promises, and no second kill may pick it.
+	// preempted marks that kill a preemption, whose SimEnded settles the
+	// scheduler's reclaim ledger.
 	preempted bool
 	killing   bool
 	// pipeline wait state: number of upstream files still missing before
